@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race bench bench-smoke obs-smoke tidy crash-test sim-smoke fuzz-smoke cluster-smoke failover-smoke federate-smoke segment-smoke
+.PHONY: check build vet test race bench bench-smoke bench-e2e-smoke obs-smoke tidy crash-test sim-smoke fuzz-smoke cluster-smoke failover-smoke federate-smoke segment-smoke
 
 # Tier-1 gate: everything a PR must keep green. Examples live under
 # ./... so `go build`/`go vet` compile-check them too.
@@ -105,6 +105,15 @@ bench-smoke:
 		-bench 'BenchmarkPairwiseUniqueness|BenchmarkMultiusageAllPairs' .
 	$(GO) run ./cmd/sigbench -experiment pairwise -scale 0.5
 	$(GO) run ./cmd/sigbench -experiment pairwise -scale 0.5 -soa=false
+
+# End-to-end benchmark smoke: bench/ is a module of its own (the
+# BENCHMARK.json harness; see bench/README.md), so `./...` above never
+# reaches it. Its tests run a small round of every stage — ingest,
+# tiered queries, the 2-shard cluster, analytics — with the harness's
+# output checks on (HTTP hits ≡ Store.SearchLabel, cold ≡ unbounded
+# reference, routed ≡ single node).
+bench-e2e-smoke:
+	$(GO) test -C bench ./...
 
 # Observability smoke: boot sigserverd in replay mode end to end. The
 # replay scrapes /metrics?format=prom, validates the exposition with

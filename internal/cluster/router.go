@@ -521,26 +521,30 @@ func (rt *Router) resolveLabelQuery(tr *obs.Trace, req server.SearchRequest) (se
 	owner := rt.ring.Shard(req.Label)
 	oc, _ := rt.readClient(owner)
 	end, tc := tr.SpanWith(fmt.Sprintf("resolve.shard%d", owner))
-	// Unbounded on purpose: the newest archived window can hold an empty
-	// signature, so "latest non-empty" may live past any default limit.
-	hist, err := oc.Traced(tc).HistoryRange(req.Label, server.HistoryQuery{Limit: -1})
-	end()
-	if err != nil {
-		return req, fmt.Errorf("cluster: resolving label %q at shard %d: %w", req.Label, owner, err)
-	}
-	var latest *server.SignatureJSON
-	for i := range hist.History {
-		if len(hist.History[i].Signature.Nodes) > 0 {
-			latest = &hist.History[i].Signature
+	defer end()
+	// Newest first, one entry to begin with: the newest archived
+	// signature is almost always non-empty, and asking for just it keeps
+	// the owner from parsing a cold block per window the label ever
+	// appeared in. When it is empty the page widens and moves back.
+	q := server.HistoryQuery{Limit: 1}
+	for {
+		hist, err := oc.Traced(tc).HistoryRange(req.Label, q)
+		if err != nil {
+			return req, fmt.Errorf("cluster: resolving label %q at shard %d: %w", req.Label, owner, err)
 		}
+		for i := len(hist.History) - 1; i >= 0; i-- {
+			if len(hist.History[i].Signature.Nodes) > 0 {
+				req.Signature = &hist.History[i].Signature
+				req.ExcludeLabel = req.Label
+				req.Label = ""
+				return req, nil
+			}
+		}
+		if !hist.Truncated || len(hist.History) == 0 {
+			return req, fmt.Errorf("cluster: label %q has no archived signature", req.Label)
+		}
+		q = server.HistoryQuery{To: hist.History[0].Window - 1, HasTo: true, Limit: 4 * q.Limit}
 	}
-	if latest == nil {
-		return req, fmt.Errorf("cluster: label %q has no archived signature", req.Label)
-	}
-	req.Signature = latest
-	req.ExcludeLabel = req.Label
-	req.Label = ""
-	return req, nil
 }
 
 // sortSearchHits orders merged shard hits under the store's exact

@@ -62,7 +62,9 @@ func NewUniverse() *Universe {
 // Intern returns the NodeID for label, assigning a fresh ID with the
 // given part on first sight. Re-interning an existing label with a
 // different part is an error: partition membership is a property of the
-// label, not of any one window.
+// label, not of any one window. Interning a label the universe already
+// holds writes nothing, so it may run beside other reads (the server's
+// signature searches rely on it).
 func (u *Universe) Intern(label string, part Part) (NodeID, error) {
 	if id, ok := u.ids[label]; ok {
 		if u.parts[id] != part {

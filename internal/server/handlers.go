@@ -461,22 +461,16 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	case req.Signature != nil:
-		// Inline signatures may name labels the universe has never seen;
-		// interning mutates the universe, so take the write lock.
-		s.mu.Lock()
+		s.rlockInterned(req.Signature)
 		sig, err := s.internSignature(*req.Signature)
-		if err != nil {
-			s.mu.Unlock()
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		end := tr.Span("store.search")
-		raw, err := s.store.Search(d, sig, opts)
-		end()
-		s.mu.Unlock()
 		if err == nil {
+			end := tr.Span("store.search")
+			var raw []store.Hit
+			raw, err = s.store.Search(d, sig, opts)
+			end()
 			hits = convertHits(raw)
 		}
+		s.mu.RUnlock()
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
@@ -520,23 +514,12 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	var stats store.SearchStats
 	begin := time.Now()
 
-	// Inline signatures may intern labels the universe has never seen,
-	// so a batch carrying any takes the write lock; an all-label batch
-	// only reads.
-	needsIntern := false
+	inline := make([]*SignatureJSON, len(req.Queries))
 	for i := range req.Queries {
-		if req.Queries[i].Signature != nil {
-			needsIntern = true
-			break
-		}
+		inline[i] = req.Queries[i].Signature // nil for label slots
 	}
-	if needsIntern {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	} else {
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-	}
+	s.rlockInterned(inline...)
+	defer s.mu.RUnlock()
 
 	// Resolve every slot to a concrete (signature, options) query or a
 	// per-slot error, then run the survivors through one store batch.
@@ -581,8 +564,8 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // resolveSearchQuery turns one batch slot into a store query. Callers
-// hold the server lock (write when the slot carries an inline
-// signature, read otherwise).
+// hold the read lock taken by rlockInterned over the batch's inline
+// signatures.
 func (s *Server) resolveSearchQuery(q SearchRequest, d core.Distance) (store.BatchQuery, error) {
 	if q.Distance != "" {
 		qd, err := s.distanceFor(q.Distance)
@@ -617,17 +600,61 @@ func (s *Server) resolveSearchQuery(q SearchRequest, d core.Distance) (store.Bat
 	}
 }
 
+// rlockInterned returns holding the read lock with every member label
+// of sigs (nil entries skipped) in the universe, so internSignature
+// under it only reads and searches by signature run beside each other
+// and beside ingest. Only labels the universe has never seen cost a
+// write lock, held for the interning alone; the universe never forgets
+// a label, so they are still there when the read lock is taken.
+func (s *Server) rlockInterned(sigs ...*SignatureJSON) {
+	u, classify := s.store.Universe(), s.classifier()
+	// allKnown reports whether the universe holds every label, interning
+	// the missing ones when it may.
+	allKnown := func(intern bool) bool {
+		for _, sj := range sigs {
+			if sj == nil {
+				continue
+			}
+			for _, label := range sj.Nodes {
+				if _, ok := u.Lookup(label); ok {
+					continue
+				}
+				if !intern {
+					return false
+				}
+				_, _ = u.Intern(label, classify(label)) // a new label cannot clash
+			}
+		}
+		return true
+	}
+	s.mu.RLock()
+	if allKnown(false) {
+		return
+	}
+	s.mu.RUnlock()
+	s.mu.Lock()
+	allKnown(true)
+	s.mu.Unlock()
+	s.mu.RLock()
+}
+
+// classifier is the pipeline's label classifier.
+func (s *Server) classifier() func(string) graph.Part {
+	if s.cfg.Stream.Classify != nil {
+		return s.cfg.Stream.Classify
+	}
+	return netflow.General
+}
+
 // internSignature builds a core.Signature from wire form, interning
 // unknown member labels through the pipeline's classifier. Callers
-// hold the write lock.
+// hold the write lock, or the read lock rlockInterned took for sj
+// (interning a label the universe holds writes nothing).
 func (s *Server) internSignature(sj SignatureJSON) (core.Signature, error) {
 	if len(sj.Nodes) != len(sj.Weights) {
 		return core.Signature{}, fmt.Errorf("signature nodes/weights length mismatch %d/%d", len(sj.Nodes), len(sj.Weights))
 	}
-	classify := s.cfg.Stream.Classify
-	if classify == nil {
-		classify = netflow.General
-	}
+	classify := s.classifier()
 	u := s.store.Universe()
 	weights := make(map[graph.NodeID]float64, len(sj.Nodes))
 	for i, label := range sj.Nodes {

@@ -1,0 +1,283 @@
+package store
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"graphsig/internal/core"
+	"graphsig/internal/distmat"
+	"graphsig/internal/graph"
+)
+
+// tieSets builds windows made to tie: hosts draw two or three peers
+// from a pool of eight with weights 1 or 2, so the same signature shows
+// up under several labels and in several windows; one host per window
+// is silent, and "loner" talks to a peer nobody else does.
+func tieSets(t *testing.T, u *graph.Universe, windows, hosts int) []*core.SignatureSet {
+	t.Helper()
+	rng := rand.New(rand.NewSource(11))
+	sets := make([]*core.SignatureSet, windows)
+	for w := range sets {
+		sigs := map[string]map[string]float64{"silent": {}, "loner": {"rare": 1, "peer-0": 1}}
+		for h := 0; h < hosts; h++ {
+			peers := map[string]float64{}
+			for len(peers) < 2+rng.Intn(2) {
+				peers[fmt.Sprintf("peer-%d", rng.Intn(8))] = float64(1 + rng.Intn(2))
+			}
+			sigs[fmt.Sprintf("host-%02d", h)] = peers
+		}
+		sets[w] = buildSet(t, u, w, sigs)
+	}
+	return sets
+}
+
+var allDistances = []core.Distance{
+	core.Jaccard{}, core.Dice{}, core.ScaledDice{}, core.ScaledHellinger{}, core.Cosine{}, core.WeightedJaccard{},
+}
+
+// TestSearchRingMatchesFullSortOracle: the bounded collector with its
+// tightening bound (SearchLabel) answers exactly what keeping every
+// hit, a full sort and a cut answer (Search and SearchBatch; the only
+// ranking before PR 14) — same hits, same order, same float bits — on
+// rings built to tie on distance across windows and labels, with
+// view-less cold entries, with the LSH branch, and with queries that
+// overlap fewer than K signatures (the rest of the answer is dist == 1
+// fill).
+func TestSearchRingMatchesFullSortOracle(t *testing.T) {
+	const windows, hosts = 8, 24
+	stores := map[string]func(u *graph.Universe) *Store{
+		"hot": func(u *graph.Universe) *Store {
+			s, err := New(Config{Capacity: windows, Universe: u})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		},
+		"cold": func(u *graph.Universe) *Store {
+			return newTieredStore(t, Config{Capacity: 3, Universe: u}, t.TempDir())
+		},
+		"lsh": func(u *graph.Universe) *Store {
+			s, err := New(Config{Capacity: windows, Universe: u, LSHBands: 8, LSHRows: 2, LSHSeed: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		},
+	}
+	for name, build := range stores {
+		u := graph.NewUniverse()
+		s := build(u)
+		for _, set := range tieSets(t, u, windows, hosts) {
+			if err := s.Add(set); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ring, err := s.snapshotTier(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ring) != windows {
+			t.Fatalf("%s: snapshot has %d windows, want %d", name, len(ring), windows)
+		}
+		if cold := ring[0].view == nil; cold != (name == "cold") {
+			t.Fatalf("%s: oldest entry view-less = %v", name, cold)
+		}
+		queries := map[string]core.Signature{}
+		for _, label := range []string{"host-00", "host-07", "loner"} {
+			sig, _, ok := s.LatestSignature(label)
+			if !ok {
+				t.Fatalf("%s: no signature for %s", name, label)
+			}
+			queries[label] = sig
+		}
+		// Overlaps only the loners: everything else is at distance 1.
+		queries["rare"] = core.FromWeights(map[graph.NodeID]float64{u.MustIntern("rare", graph.PartNone): 1}, 10)
+		for _, d := range allDistances {
+			querier, fast := distmat.NewQuerier(d)
+			if !fast {
+				t.Fatalf("%s has no kernel", d.Name())
+			}
+			for qname, sig := range queries {
+				for _, k := range []int{1, 10, 1 << 20} {
+					for _, maxDist := range []float64{0.3, 1} {
+						for _, exclude := range []string{"", "host-00", "loner"} {
+							for _, last := range []int{0, 2, 5} {
+								opts := SearchOptions{TopK: k, MaxDist: maxDist, ExcludeLabel: exclude, LastWindows: last}
+								want, err := s.searchRing(ring, querier, fast, d, sig, opts, false)
+								if err != nil {
+									t.Fatal(err)
+								}
+								got, err := s.searchRing(ring, querier, fast, d, sig, opts, true)
+								if err != nil {
+									t.Fatal(err)
+								}
+								if !reflect.DeepEqual(got, want) {
+									t.Fatalf("%s/%s query %s %+v diverged:\nbounded:   %v\nfull sort: %v", name, d.Name(), qname, opts, got, want)
+								}
+							}
+						}
+					}
+				}
+			}
+			querier.Release()
+		}
+	}
+}
+
+// TestSearchRingOracleSeesTies guards the property test's fixture: the
+// rings it runs on really hold equal distances across windows and
+// labels at the top-k cut, and a query with fewer than K overlaps.
+func TestSearchRingOracleSeesTies(t *testing.T) {
+	u := graph.NewUniverse()
+	s, err := New(Config{Capacity: 8, Universe: u})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, set := range tieSets(t, u, 8, 24) {
+		if err := s.Add(set); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sig, _, _ := s.LatestSignature("host-00")
+	hits, err := s.Search(core.Jaccard{}, sig, SearchOptions{TopK: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiedWindows, tiedLabels := false, false
+	for i := 1; i < len(hits); i++ {
+		if hits[i].Dist == hits[i-1].Dist && hits[i].Dist < 1 {
+			tiedWindows = tiedWindows || hits[i].Window != hits[i-1].Window
+			tiedLabels = tiedLabels || hits[i].Window == hits[i-1].Window
+		}
+	}
+	if !tiedWindows || !tiedLabels {
+		t.Fatalf("fixture has no ties (across windows %v, across labels %v)", tiedWindows, tiedLabels)
+	}
+	rare := core.FromWeights(map[graph.NodeID]float64{u.MustIntern("rare", graph.PartNone): 1}, 10)
+	hits, err = s.Search(core.Jaccard{}, rare, SearchOptions{TopK: 10, LastWindows: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hits) != 10 || hits[1].Dist == 1 || hits[2].Dist != 1 {
+		t.Fatalf("rare query: want 2 overlapping hits then dist-1 fill, got %v", hits)
+	}
+}
+
+// wideStore archives windows × hosts synthetic signatures of ten peers
+// each. A host keeps ten home peers out of its block's 16 (eight hosts
+// share a block) and swaps two of them for strangers each window, so a
+// label's nearest neighbours are its own past selves, then its block.
+func wideStore(tb testing.TB, cfg Config, windows, hosts int) *Store {
+	tb.Helper()
+	u := graph.NewUniverse()
+	cfg.Universe = u
+	cfg.Capacity = windows
+	s, err := New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	peers := make([]graph.NodeID, 4*hosts)
+	for i := range peers {
+		peers[i] = u.MustIntern(fmt.Sprintf("peer-%05d", i), graph.PartNone)
+	}
+	sources := make([]graph.NodeID, hosts)
+	home := make([][]graph.NodeID, hosts)
+	for h := range sources {
+		sources[h] = u.MustIntern(fmt.Sprintf("host-%05d", h), graph.PartNone)
+		for _, p := range rng.Perm(16)[:10] {
+			home[h] = append(home[h], peers[h/8*16+p])
+		}
+	}
+	for w := 0; w < windows; w++ {
+		sigs := make([]core.Signature, hosts)
+		for h := range sigs {
+			weights := map[graph.NodeID]float64{}
+			for i, p := range home[h] {
+				weights[p] = float64(10 - i)
+			}
+			for swap := 0; swap < 2; swap++ {
+				delete(weights, home[h][rng.Intn(10)])
+				weights[peers[rng.Intn(len(peers))]] = float64(1 + rng.Intn(9))
+			}
+			sigs[h] = core.FromWeights(weights, 10)
+		}
+		set, err := core.NewSignatureSet("tt", w, sources, sigs)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := s.Add(set); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return s
+}
+
+// TestSearchAllocsIndependentOfArchive: a hot search allocates for the
+// hits it returns, not for the signatures it scans — the same count on
+// 8×100 and 8×1200 sources — and a request for 2^40 hits allocates for
+// the hits that exist, not for K.
+func TestSearchAllocsIndependentOfArchive(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts under -race; allocation counts are not stable")
+	}
+	allocs := func(hosts, k int) float64 {
+		s := wideStore(t, Config{}, 8, hosts)
+		opts := SearchOptions{TopK: k}
+		search := func() {
+			if _, err := s.SearchLabel(core.Jaccard{}, "host-00042", opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		search() // warm the pooled scratch
+		return testing.AllocsPerRun(20, search)
+	}
+	small, large := allocs(100, 10), allocs(1200, 10)
+	if small != large {
+		t.Fatalf("k=10 search allocations grow with the archive: %v at 8x100, %v at 8x1200", small, large)
+	}
+	if large > 12 {
+		t.Fatalf("k=10 search allocates %v times", large)
+	}
+	// 800 hits: append doubling is ~12 allocations, a make(1<<40) is a
+	// crash.
+	if huge := allocs(100, 1<<40); huge > 30 {
+		t.Fatalf("K=1<<40 search allocates %v times for 800 hits", huge)
+	}
+}
+
+// BenchmarkStoreSearch is a hot search at the benchmark's `wide` shape
+// (8 windows × 1200 sources, k=10) without bench/ around it: the exact
+// path under a set distance and a scaled one, and Jaccard through the
+// opt-in MinHash/LSH candidates.
+func BenchmarkStoreSearch(b *testing.B) {
+	cases := []struct {
+		name string
+		cfg  Config
+		d    core.Distance
+	}{
+		{"jaccard/exact", Config{}, core.Jaccard{}},
+		{"shel/exact", Config{}, core.ScaledHellinger{}},
+		{"jaccard/lsh16x2", Config{LSHBands: 16, LSHRows: 2, LSHSeed: 7}, core.Jaccard{}},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			s := wideStore(b, c.cfg, 8, 1200)
+			opts := SearchOptions{TopK: 10}
+			found := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				hits, err := s.SearchLabel(c.d, fmt.Sprintf("host-%05d", i*37%1200), opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				found += len(hits)
+			}
+			// Below k is the LSH candidates' recall loss.
+			b.ReportMetric(float64(found)/float64(b.N), "hits/op")
+		})
+	}
+}

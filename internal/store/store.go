@@ -66,9 +66,11 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// entry is one retained window with its optional LSH index and its
-// pairwise-engine view (sorted signatures + inverted node index), built
-// once at Add time so every Search rides the merge-join kernels.
+// entry is one window as a search scans it: the signature set, its
+// optional LSH index and its pairwise-engine view (SoA signatures +
+// inverted node index), both built once at Add time. Cold-tier entries
+// read back by snapshotTier carry the set alone and are scanned with
+// plain d.Dist calls.
 type entry struct {
 	set  *core.SignatureSet
 	idx  *lsh.Index
@@ -416,7 +418,11 @@ type SearchOptions struct {
 // exact distance evaluations plus the pairwise engine's mask-prefilter
 // checked/skipped counts for this query alone (the registry counters
 // aggregate across all concurrent queries and cannot be read as
-// per-query deltas).
+// per-query deltas). Probes — like the store_search_probes histogram —
+// counts the distances a search computed, not the hits it ranked: per
+// window the engine's inverted-index candidates (less those the mask
+// prefilter rejects once the collector's bound drops below 1), the LSH
+// bucket candidates, or every non-empty signature of a plain scan.
 type SearchStats struct {
 	Probes           int
 	PrefilterChecked int64
@@ -424,19 +430,34 @@ type SearchStats struct {
 }
 
 // Search ranks archived signatures by distance from sig and returns the
-// closest hits, one per (label, window) pair. When the store was built
-// with LSH banding and d is the Jaccard distance, candidate generation
-// goes through the MinHash buckets — candidates missing every bucket
-// are skipped, trading a small recall loss for sub-linear scans — and
-// every candidate is exact-verified with d before ranking. Exact scans
-// ride the pairwise engine: merge-join kernels per candidate, and with
-// MaxDist < 1 only signatures sharing at least one node with the query
-// are probed at all (disjoint pairs sit at distance exactly 1).
+// closest hits, one per (label, window) pair, ordered by distance, then
+// newer window, then label. Per window the candidates come from the
+// pairwise engine (with MaxDist below 1 only signatures sharing at least
+// one node with the query are probed: disjoint pairs sit at distance
+// exactly 1), from the MinHash buckets when the store was built with
+// LSH banding and d is the Jaccard distance — candidates missing every
+// bucket are skipped, trading a small recall loss for sub-linear scans —
+// or, for view-less cold windows and distances without a kernel, from a
+// plain scan. Every candidate is exact-verified with d before it is
+// ranked.
+//
+// Search and SearchBatch rank every hit and cut to TopK afterwards;
+// SearchLabel ranks while scanning (see searchRing), with the same
+// answer bit for bit. Moving these two over is a one-word change that
+// waits on the end-to-end benchmark: it states batch and routed search
+// as queries per second with a spread bound fixed at the old speed, and
+// cannot take the ~30x step (ROADMAP.md, serving benchmark item).
 //
 // The store lock is held only long enough to snapshot the window ring;
 // all distance work runs outside the critical section, so long scans
 // never block ingest.
 func (s *Store) Search(d core.Distance, sig core.Signature, opts SearchOptions) ([]Hit, error) {
+	return s.search(d, sig, opts, false)
+}
+
+// search is Search with the ranking chosen: bounded = rank while
+// scanning.
+func (s *Store) search(d core.Distance, sig core.Signature, opts SearchOptions, bounded bool) ([]Hit, error) {
 	if d == nil {
 		return nil, fmt.Errorf("store: search needs a distance")
 	}
@@ -452,7 +473,7 @@ func (s *Store) Search(d core.Distance, sig core.Signature, opts SearchOptions) 
 		querier.SetMetrics(s.obs.engine)
 		defer querier.Release()
 	}
-	return s.searchRing(ring, querier, fast, d, sig, opts)
+	return s.searchRing(ring, querier, fast, d, sig, opts, bounded)
 }
 
 // BatchQuery is one query of a SearchBatch call: a signature plus its
@@ -502,7 +523,7 @@ func (s *Store) SearchBatch(d core.Distance, queries []BatchQuery) ([][]Hit, err
 	}
 	out := make([][]Hit, len(queries))
 	for i := range queries {
-		hits, err := s.searchRing(ring, querier, fast, d, queries[i].Sig, queries[i].Opts)
+		hits, err := s.searchRing(ring, querier, fast, d, queries[i].Sig, queries[i].Opts, false)
 		if err != nil {
 			return nil, fmt.Errorf("batch query %d: %w", i, err)
 		}
@@ -511,10 +532,114 @@ func (s *Store) SearchBatch(d core.Distance, queries []BatchQuery) ([][]Hit, err
 	return out, nil
 }
 
-// searchRing runs one query over a snapshotted ring: candidate
-// generation per window (LSH buckets, pairwise-engine querier, or the
-// naive scan), exact verification, global ranking, top-k cut.
-func (s *Store) searchRing(ring []entry, querier *distmat.Querier, fast bool, d core.Distance, sig core.Signature, opts SearchOptions) ([]Hit, error) {
+// topK is searchRing's collector. Bounded, it is a max-heap of the best
+// k hits seen so far, worst at the root; it grows by append and is never
+// sized from k, which is the request's to choose. Unbounded, it keeps
+// every hit offered, in arrival order, and ranks them all at the end.
+type topK struct {
+	k        int
+	bounded  bool
+	universe *graph.Universe // resolves the labels of kept hits
+	hits     []Hit
+}
+
+// ranksBefore is the search order: nearer first, then newer evidence,
+// then label. Labels, not NodeIDs: interning order is a per-process
+// accident, so a label tie-break keeps rankings — and the top-k cut —
+// stable across processes. Cluster mode relies on this to merge
+// per-shard top-k lists bit-identically to a single-node run.
+func ranksBefore(a, b *Hit) bool {
+	if a.Dist != b.Dist {
+		return a.Dist < b.Dist
+	}
+	if a.Window != b.Window {
+		return a.Window > b.Window
+	}
+	return a.Label < b.Label
+}
+
+// bound is the largest distance that can still enter the collector:
+// maxDist until k hits are held, then the worst kept distance —
+// inclusive, since a tie may still win on window or label.
+func (t *topK) bound(maxDist float64) float64 {
+	if t.bounded && len(t.hits) == t.k && t.hits[0].Dist < maxDist {
+		return t.hits[0].Dist
+	}
+	return maxDist
+}
+
+// offer ranks one verified candidate, resolving its label only when
+// distance and window alone do not already rule it out.
+func (t *topK) offer(v graph.NodeID, window int, dist float64) {
+	if !t.bounded {
+		t.hits = append(t.hits, Hit{Node: v, Label: t.universe.Label(v), Window: window, Dist: dist})
+		return
+	}
+	full := len(t.hits) == t.k
+	if full {
+		if w := &t.hits[0]; dist > w.Dist || (dist == w.Dist && window < w.Window) {
+			return
+		}
+	}
+	h := Hit{Node: v, Label: t.universe.Label(v), Window: window, Dist: dist}
+	if !full {
+		t.hits = append(t.hits, h)
+		for i := len(t.hits) - 1; i > 0; {
+			parent := (i - 1) / 2
+			if !ranksBefore(&t.hits[parent], &t.hits[i]) {
+				break
+			}
+			t.hits[parent], t.hits[i] = t.hits[i], t.hits[parent]
+			i = parent
+		}
+		return
+	}
+	if ranksBefore(&h, &t.hits[0]) {
+		t.hits[0] = h
+		t.siftDown(len(t.hits))
+	}
+}
+
+// siftDown restores the heap over hits[:n] after the root changed.
+func (t *topK) siftDown(n int) {
+	for i := 0; ; {
+		worst := i
+		for c := 2*i + 1; c <= 2*i+2 && c < n; c++ {
+			if ranksBefore(&t.hits[worst], &t.hits[c]) {
+				worst = c
+			}
+		}
+		if worst == i {
+			return
+		}
+		t.hits[i], t.hits[worst] = t.hits[worst], t.hits[i]
+		i = worst
+	}
+}
+
+// ranked is the answer, best first: the heap emptied in place, or every
+// hit sorted and cut to k.
+func (t *topK) ranked() []Hit {
+	if !t.bounded {
+		sort.Slice(t.hits, func(i, j int) bool { return ranksBefore(&t.hits[i], &t.hits[j]) })
+		return t.hits[:min(t.k, len(t.hits))]
+	}
+	for n := len(t.hits) - 1; n > 0; n-- {
+		t.hits[0], t.hits[n] = t.hits[n], t.hits[0]
+		t.siftDown(n)
+	}
+	return t.hits
+}
+
+// searchRing runs one query over a snapshotted ring, newest window
+// first: candidate generation per window (LSH buckets, pairwise-engine
+// querier, or the plain scan) under the collector's current bound,
+// exact verification, and one offer per surviving candidate. Bounded,
+// the collector holds TopK hits, and once it is full each further window
+// is asked only for signatures no farther than the worst hit kept — the
+// cost of a search follows its candidates, not the size of the archive.
+// Unbounded, every window is scanned under MaxDist and every hit ranked.
+func (s *Store) searchRing(ring []entry, querier *distmat.Querier, fast bool, d core.Distance, sig core.Signature, opts SearchOptions, bounded bool) ([]Hit, error) {
 	if opts.TopK <= 0 {
 		opts.TopK = DefaultTopK
 	}
@@ -549,46 +674,45 @@ func (s *Store) searchRing(ring []entry, querier *distmat.Querier, fast bool, d 
 		}()
 	}
 
-	var hits []Hit
+	top := topK{k: opts.TopK, bounded: bounded, universe: s.universe}
 	probes := 0 // exact distance evaluations across all windows
-	for _, e := range ring {
+	for w := len(ring) - 1; w >= 0; w-- {
+		e := ring[w]
+		set, maxDist := e.set, top.bound(opts.MaxDist)
 		if e.idx != nil && !opts.NoPrefilter && d.Name() == "jaccard" {
 			// minSim 0 keeps every bucket-sharing candidate; the exact
-			// verification below applies MaxDist.
+			// verification below applies the bound.
 			cands, err := e.idx.Query(sig, exclude, 0)
 			if err != nil {
 				return nil, fmt.Errorf("store: %w", err)
 			}
 			for _, c := range cands {
-				other, ok := e.set.Get(c.Node)
+				other, ok := set.Get(c.Node)
 				if !ok {
 					continue
 				}
 				probes++
-				if dist := d.Dist(sig, other); dist <= opts.MaxDist {
-					hits = append(hits, Hit{Node: c.Node, Label: s.universe.Label(c.Node), Window: e.set.Window, Dist: dist})
+				if dist := d.Dist(sig, other); dist <= maxDist {
+					top.offer(c.Node, set.Window, dist)
 				}
 			}
 			continue
 		}
 		if fast && e.view != nil {
-			set := e.set
-			probes += querier.Neighbors(e.view, sig, opts.MaxDist, func(i int, dist float64) {
-				v := set.Sources[i]
-				if v == exclude || set.Sigs[i].IsEmpty() {
-					return
+			probes += querier.Neighbors(e.view, sig, maxDist, func(i int, dist float64) {
+				if v := set.Sources[i]; v != exclude && !set.Sigs[i].IsEmpty() {
+					top.offer(v, set.Window, dist)
 				}
-				hits = append(hits, Hit{Node: v, Label: s.universe.Label(v), Window: set.Window, Dist: dist})
 			})
 			continue
 		}
-		for i, v := range e.set.Sources {
-			if v == exclude || e.set.Sigs[i].IsEmpty() {
+		for i, v := range set.Sources {
+			if v == exclude || set.Sigs[i].IsEmpty() {
 				continue
 			}
 			probes++
-			if dist := d.Dist(sig, e.set.Sigs[i]); dist <= opts.MaxDist {
-				hits = append(hits, Hit{Node: v, Label: s.universe.Label(v), Window: e.set.Window, Dist: dist})
+			if dist := d.Dist(sig, set.Sigs[i]); dist <= maxDist {
+				top.offer(v, set.Window, dist)
 			}
 		}
 	}
@@ -596,23 +720,7 @@ func (s *Store) searchRing(ring []entry, querier *distmat.Querier, fast bool, d 
 	if opts.Stats != nil {
 		opts.Stats.Probes += probes
 	}
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].Dist != hits[j].Dist {
-			return hits[i].Dist < hits[j].Dist
-		}
-		if hits[i].Window != hits[j].Window {
-			return hits[i].Window > hits[j].Window // newer evidence first
-		}
-		// Labels, not NodeIDs: interning order is a per-process accident,
-		// so a label tie-break keeps rankings — and the top-k cut — stable
-		// across processes. Cluster mode relies on this to merge per-shard
-		// top-k lists bit-identically to a single-node run.
-		return hits[i].Label < hits[j].Label
-	})
-	if len(hits) > opts.TopK {
-		hits = hits[:opts.TopK]
-	}
-	return hits, nil
+	return top.ranked(), nil
 }
 
 // SearchLabel searches with the latest non-empty signature of label,
@@ -625,5 +733,5 @@ func (s *Store) SearchLabel(d core.Distance, label string, opts SearchOptions) (
 	if opts.ExcludeLabel == "" {
 		opts.ExcludeLabel = label
 	}
-	return s.Search(d, sig, opts)
+	return s.search(d, sig, opts, true)
 }

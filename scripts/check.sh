@@ -34,6 +34,12 @@ trap 'rm -f "$pairwise_out"' EXIT
 GOMAXPROCS=1 go run ./cmd/sigbench -experiment pairwise \
 	-baseline BENCH_pairwise.json >"$pairwise_out"
 sed -n '/Baseline delta/,$p' "$pairwise_out"
+# End-to-end benchmark smoke (make bench-e2e-smoke): bench/ is its own
+# module, outside ./... — its tests run a small round of every stage of
+# the BENCHMARK.json harness with the output checks on, so a change that
+# breaks what the harness calls (or an answer it verifies) fails here,
+# not in the driver.
+go test -C bench ./...
 # Observability smoke (make obs-smoke): the sigserverd replay e2e boots
 # the daemon, scrapes /metrics?format=prom, validates the exposition
 # with the obs line checker, and fetches a trace from /v1/traces.
