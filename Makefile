@@ -83,13 +83,13 @@ segment-smoke:
 	$(GO) test -race -run 'TestSimSegments' ./internal/simcheck/
 
 # Bounded runs of the native fuzz targets: the netflow binary codec,
-# WAL frame recovery, and the merge-join distance kernels (bit-identity
-# vs the naive loops). Committed corpora under testdata/fuzz/ replay as
+# WAL frame recovery, and the distance kernels (bit-identity vs the
+# naive loops). Committed corpora under testdata/fuzz/ replay as
 # regression cases in the plain test suite; this also explores briefly.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadBinary -fuzztime 30s ./internal/netflow/
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 30s ./internal/wal/
-	$(GO) test -run '^$$' -fuzz FuzzSortedKernels -fuzztime 30s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzDistKernels -fuzztime 30s ./internal/core/
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
@@ -97,14 +97,13 @@ bench:
 # One iteration of the pairwise-engine benchmarks under the race
 # detector: a cheap smoke test that the engine's parallel paths are
 # race-clean and still bit-identical to the naive loops they replace.
-# The sigbench lines then drive both engine variants (SoA scatter and
-# match-fold, each with the thresholded prefilter sweep) on a scaled
-# dataset — runPairwise exits non-zero on any `identical: false`.
+# The sigbench line then drives the engine (with the thresholded
+# prefilter sweep) on a scaled dataset — runPairwise exits non-zero on
+# any `identical: false`.
 bench-smoke:
 	$(GO) test -race -run=^$$ -benchtime=1x \
 		-bench 'BenchmarkPairwiseUniqueness|BenchmarkMultiusageAllPairs' .
 	$(GO) run ./cmd/sigbench -experiment pairwise -scale 0.5
-	$(GO) run ./cmd/sigbench -experiment pairwise -scale 0.5 -soa=false
 
 # End-to-end benchmark smoke: bench/ is a module of its own (the
 # BENCHMARK.json harness; see bench/README.md), so `./...` above never

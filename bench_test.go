@@ -307,7 +307,7 @@ func BenchmarkLSHQuery(b *testing.B) {
 
 // BenchmarkPairwiseUniqueness compares the all-pairs uniqueness
 // summary computed with the naive per-pair Dist double loop against the
-// distmat engine (merge-join kernels + inverted-index candidates +
+// distmat engine (flat SoA kernels + inverted-index candidates +
 // sharded rows). The two paths produce bit-identical summaries; the
 // benchmark measures the speedup.
 func BenchmarkPairwiseUniqueness(b *testing.B) {

@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-// testOpts mirrors the flag defaults: SoA scatter kernels on, the
-// thresholded prefilter sweep on.
-var testOpts = pairwiseOpts{SoA: true, Prefilter: true, Threshold: 0.5}
+// testOpts mirrors the flag defaults: the thresholded prefilter sweep
+// on.
+var testOpts = pairwiseOpts{Prefilter: true, Threshold: 0.5}
 
 // The per-experiment paths run at a small scale; RunAll is covered by
 // the experiments package test and the full-scale binary run.

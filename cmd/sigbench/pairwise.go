@@ -18,9 +18,6 @@ import (
 
 // pairwiseOpts carries the pairwise experiment's flags.
 type pairwiseOpts struct {
-	// SoA selects the scatter SoA row kernels (the default engine);
-	// false A/Bs the per-candidate match-list folds instead.
-	SoA bool
 	// Prefilter adds the thresholded sweep: PairsWithin at Threshold
 	// with the mask prefilter off and on, asserted bit-identical.
 	Prefilter bool
@@ -48,7 +45,6 @@ type pairwiseResult struct {
 	Distance   string       `json:"distance"`
 	Signatures int          `json:"signatures"`
 	Pairs      int          `json:"pairs"`
-	Kernel     string       `json:"kernel"`
 	Naive      pairwiseSide `json:"naive"`
 	Engine     pairwiseSide `json:"engine"`
 	// EngineKernel is the row-kernel hot loop alone: Rows over a
@@ -123,8 +119,8 @@ func side(ns int64, allocs uint64, pairs int) pairwiseSide {
 
 // runPairwise benchmarks the all-pairs uniqueness computation — the
 // naive per-pair Dist double loop against the distmat engine — over the
-// flow dataset's TopTalkers signatures, asserting every engine variant
-// produces bit-identical results. With opts.Prefilter it also measures
+// flow dataset's TopTalkers signatures, asserting the engine produces
+// bit-identical results. With opts.Prefilter it also measures
 // the thresholded PairsWithin job with the mask prefilter off and on.
 func runPairwise(e *experiments.Env, seed int64, scale float64, opts pairwiseOpts, out io.Writer, jsonPath string) error {
 	set, err := e.Sigs(experiments.FlowData, core.TopTalkers{}, 0)
@@ -136,10 +132,6 @@ func runPairwise(e *experiments.Env, seed int64, scale float64, opts pairwiseOpt
 		return fmt.Errorf("pairwise: need at least 2 signatures, have %d", n)
 	}
 	pairs := n * (n - 1)
-	kernel := "soa-scatter"
-	if !opts.SoA {
-		kernel = "match-fold"
-	}
 	report := pairwiseReport{
 		Seed:       seed,
 		Scale:      scale,
@@ -163,7 +155,6 @@ func runPairwise(e *experiments.Env, seed int64, scale float64, opts pairwiseOpt
 			if !ok {
 				return stats.Summary{}, fmt.Errorf("pairwise: no engine for %s", d.Name())
 			}
-			eng.SetScatter(opts.SoA)
 			idx := make([]int, n)
 			for i := range idx {
 				idx[i] = i
@@ -194,7 +185,6 @@ func runPairwise(e *experiments.Env, seed int64, scale float64, opts pairwiseOpt
 		if !ok {
 			return fmt.Errorf("pairwise: no engine for %s", d.Name())
 		}
-		keng.SetScatter(opts.SoA)
 		idx := make([]int, n)
 		for i := range idx {
 			idx[i] = i
@@ -211,7 +201,6 @@ func runPairwise(e *experiments.Env, seed int64, scale float64, opts pairwiseOpt
 			Distance:     d.Name(),
 			Signatures:   n,
 			Pairs:        pairs,
-			Kernel:       kernel,
 			Naive:        side(naiveNs, naiveAllocs, pairs),
 			Engine:       side(engineNs, engineAllocs, pairs),
 			EngineKernel: side(kernelNs, kernelAllocs, pairs),
@@ -230,8 +219,8 @@ func runPairwise(e *experiments.Env, seed int64, scale float64, opts pairwiseOpt
 		report.Results = append(report.Results, res)
 	}
 
-	fmt.Fprintf(out, "Pairwise uniqueness: %d signatures, %d ordered pairs, GOMAXPROCS=%d, kernel=%s\n",
-		n, pairs, report.GoMaxProcs, kernel)
+	fmt.Fprintf(out, "Pairwise uniqueness: %d signatures, %d ordered pairs, GOMAXPROCS=%d\n",
+		n, pairs, report.GoMaxProcs)
 	fmt.Fprintf(out, "%-10s %14s %14s %14s %11s %9s %12s %12s\n",
 		"distance", "naive ns/pair", "engine ns/pair", "kernel ns/pair", "kernel Mp/s", "speedup", "naive allocs", "eng allocs")
 	for _, r := range report.Results {
@@ -296,7 +285,6 @@ func measureThresholded(set *core.SignatureSet, d core.Distance, opts pairwiseOp
 		if !ok {
 			return nil, fmt.Errorf("pairwise: no engine for %s", d.Name())
 		}
-		eng.SetScatter(opts.SoA)
 		eng.SetPrefilter(prefilter)
 		return eng, nil
 	}

@@ -20,10 +20,10 @@ import (
 // m weights of signature i" is a single array read.
 //
 // Bit-identity: the per-signature folds (sum, sumSq, normalized
-// weights) replay makeSortedSig exactly, and the flat kernel entry
-// points on DistKernel share the fold helpers with the SortedSig path,
-// so FlatDist(a, i, b, j) == Dist(NewSortedSig(aSig), NewSortedSig(bSig))
-// bit-for-bit.
+// weights) run over the canonical entry order, the order the naive
+// Distance.Dist loops, Signature.WeightSum and Signature.Normalized
+// accumulate in, so the kernels in kernel.go that read them reproduce
+// the naive results bit-for-bit.
 
 // FlatSigs is the SoA view of a signature slice. Build it with
 // NewFlatSigs (or recycle one with Reset — zero allocations once the
@@ -102,8 +102,15 @@ func (f *FlatSigs) Reset(sigs []Signature) {
 	f.offs[n] = off
 }
 
-// fill populates signature i's segment of every flat array, replaying
-// makeSortedSig's sort and folds.
+// insertionSortCutoff bounds the signature size the node sort handles
+// with a branch-light insertion sort; larger signatures (rare — k is
+// typically ≤ 40) fall back to a heapsort. Both produce the one
+// ascending order of the unique nodes.
+const insertionSortCutoff = 48
+
+// fill populates signature i's segment of every flat array: the
+// canonical copy, the ascending node order with its permutation back to
+// canonical indices, and the canonical-order folds and prefix sums.
 func (f *FlatSigs) fill(i int, s Signature) {
 	lo := int(f.offs[i])
 	k := len(s.Nodes)
@@ -247,20 +254,14 @@ func (f *FlatSigs) TopSqSum(i, m int) float64 { return topPrefix(f.prefSq, f.off
 // TopNormSum is TopWeightSum over normalized weights.
 func (f *FlatSigs) TopNormSum(i, m int) float64 { return topPrefix(f.prefNorm, f.offs, i, m) }
 
-// RawOffs, RawWeights, RawNormWeights and RawNodes expose the flat
-// backing arrays for batch layers whose inner loops index entries
-// globally (offset table + flat array) rather than per signature.
-// Read-only: callers must not mutate them.
+// RawOffs and RawWeights expose the flat backing arrays for batch
+// layers whose inner loops index entries globally (offset table + flat
+// array) rather than per signature. Read-only: callers must not mutate
+// them.
 func (f *FlatSigs) RawOffs() []int32 { return f.offs }
 
 // RawWeights returns the flat canonical-order weight array.
 func (f *FlatSigs) RawWeights() []float64 { return f.w }
-
-// RawNormWeights returns the flat canonical-order normalized weights.
-func (f *FlatSigs) RawNormWeights() []float64 { return f.normW }
-
-// RawNodes returns the flat canonical-order node array.
-func (f *FlatSigs) RawNodes() []graph.NodeID { return f.nodes }
 
 func topPrefix(pref []float64, offs []int32, i, m int) float64 {
 	if m <= 0 {
@@ -274,90 +275,4 @@ func topPrefix(pref []float64, offs []int32, i, m int) float64 {
 		return 0
 	}
 	return pref[lo+m-1]
-}
-
-// FlatDist computes the distance between signature i of fa and
-// signature j of fb, bit-identical to k.Distance().Dist on the original
-// signatures. Like Dist, it uses the kernel's scratch: one kernel per
-// goroutine.
-func (k *DistKernel) FlatDist(fa *FlatSigs, i int, fb *FlatSigs, j int) float64 {
-	if fa.IsEmpty(i) && fb.IsEmpty(j) {
-		return 0
-	}
-	k.mergeFlat(fa, i, fb, j)
-	k.sortMatchesByA()
-	return k.flatMatched(fa, i, fb, j, k.matches)
-}
-
-// FlatDistMatched is DistMatched over flat views: matches lists the
-// shared entries with canonical indices on both sides, A side ascending.
-func (k *DistKernel) FlatDistMatched(fa *FlatSigs, i int, fb *FlatSigs, j int, matches []Match) float64 {
-	if fa.IsEmpty(i) && fb.IsEmpty(j) {
-		return 0
-	}
-	return k.flatMatched(fa, i, fb, j, matches)
-}
-
-// mergeFlat is merge over the flat sorted/pos segments.
-func (k *DistKernel) mergeFlat(fa *FlatSigs, i int, fb *FlatSigs, j int) {
-	k.matches = k.matches[:0]
-	an, ap := fa.SortedNodes(i), fa.Pos(i)
-	bn, bp := fb.SortedNodes(j), fb.Pos(j)
-	s, t := 0, 0
-	for s < len(an) && t < len(bn) {
-		switch {
-		case an[s] < bn[t]:
-			s++
-		case an[s] > bn[t]:
-			t++
-		default:
-			k.matches = append(k.matches, Match{A: ap[s], B: bp[t]})
-			s++
-			t++
-		}
-	}
-}
-
-func (k *DistKernel) flatMatched(fa *FlatSigs, i int, fb *FlatSigs, j int, matches []Match) float64 {
-	switch k.kind {
-	case KindJaccard:
-		return jaccardCount(fa.Len(i), fb.Len(j), len(matches))
-	case KindDice:
-		return diceFold(fa.Weights(i), fb.Weights(j), fa.sum[i], fb.sum[j], matches)
-	case KindScaledDice:
-		return k.scaledFold(fa.Weights(i), fb.Weights(j), matches, false)
-	case KindScaledHellinger:
-		return k.scaledFold(fa.Weights(i), fb.Weights(j), matches, true)
-	case KindCosine:
-		return cosineFold(fa.Weights(i), fb.Weights(j), fa.sumSq[i], fb.sumSq[j], fa.norm[i], fb.norm[j], matches)
-	default:
-		return k.scaledFold(fa.NormWeights(i), fb.NormWeights(j), matches, false)
-	}
-}
-
-// ScatterFinish turns a row-scatter accumulator into the final
-// distance for the kinds whose numerator is a plain per-shared-entry
-// sum: the shared count for Jaccard, Σ(wa+wb) for Dice, the dot product
-// for Cosine. The accumulator must have been folded in signature i's
-// canonical entry order (what a posting scatter over i's entries
-// produces), so the result is bit-identical to FlatDist. Panics for the
-// scaled kinds — they need the full match list.
-func (k *DistKernel) ScatterFinish(fa *FlatSigs, i int, fb *FlatSigs, j int, cnt int32, acc float64) float64 {
-	switch k.kind {
-	case KindJaccard:
-		return jaccardCount(fa.Len(i), fb.Len(j), int(cnt))
-	case KindDice:
-		den := fa.sum[i] + fb.sum[j]
-		if den == 0 {
-			return 0
-		}
-		return clamp01(1 - acc/den)
-	case KindCosine:
-		if fa.sumSq[i] == 0 || fb.sumSq[j] == 0 {
-			return 1
-		}
-		return clamp01(1 - acc/(fa.norm[i]*fb.norm[j]))
-	default:
-		panic("core: ScatterFinish on a non-scatter kernel kind")
-	}
 }

@@ -6,14 +6,15 @@ import (
 	"testing"
 )
 
-// TestFlatSigsMatchesSortedSig checks the SoA view's per-signature data
-// against the per-signature SortedSig builder: same sorted order, same
-// folds, bit-for-bit.
-func TestFlatSigsMatchesSortedSig(t *testing.T) {
+// TestFlatSigsInvariants checks the SoA view's per-signature data
+// against the Signature itself: the canonical copy, the strictly
+// ascending node order with a permutation that maps back, and folds
+// bit-equal to a plain canonical-order fold and Signature.Normalized.
+func TestFlatSigsInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var sigs []Signature
-	for i := 0; i < 60; i++ {
-		sigs = append(sigs, randSig(rng, 12, rng.Intn(30), 40))
+	for i := 0; i < 160; i++ {
+		sigs = append(sigs, randSig(rng, 12, rng.Intn(30), 60))
 	}
 	sigs = append(sigs, Signature{}, Signature{})
 	flat := NewFlatSigs(sigs)
@@ -21,29 +22,44 @@ func TestFlatSigsMatchesSortedSig(t *testing.T) {
 		t.Fatalf("NumSigs = %d, want %d", flat.NumSigs(), len(sigs))
 	}
 	for i, s := range sigs {
-		v := NewSortedSig(s)
-		if flat.Len(i) != v.Len() || flat.IsEmpty(i) != v.IsEmpty() {
+		if flat.Len(i) != s.Len() || flat.IsEmpty(i) != s.IsEmpty() {
 			t.Fatalf("sig %d: len/empty mismatch", i)
 		}
-		for tdx, u := range flat.SortedNodes(i) {
-			if u != v.SortedNodes()[tdx] {
-				t.Fatalf("sig %d: sorted node %d = %d, want %d", i, tdx, u, v.SortedNodes()[tdx])
+		if got := (Signature{Nodes: flat.Nodes(i), Weights: flat.Weights(i)}); !got.Equal(s) {
+			t.Fatalf("sig %d: canonical copy %s does not round-trip %s", i, got, s)
+		}
+		sorted, pos := flat.SortedNodes(i), flat.Pos(i)
+		if len(sorted) != s.Len() || len(pos) != s.Len() {
+			t.Fatalf("sig %d: sorted/pos length mismatch", i)
+		}
+		seen := make([]bool, s.Len())
+		for tdx, u := range sorted {
+			if tdx > 0 && sorted[tdx-1] >= u {
+				t.Fatalf("sig %d: nodes not strictly ascending: %v", i, sorted)
 			}
-			if flat.Nodes(i)[flat.Pos(i)[tdx]] != u {
+			if seen[pos[tdx]] {
+				t.Fatalf("sig %d: pos %v is not a permutation", i, pos)
+			}
+			seen[pos[tdx]] = true
+			if s.Nodes[pos[tdx]] != u {
 				t.Fatalf("sig %d: pos[%d] does not map back to sorted node", i, tdx)
 			}
 		}
-		if math.Float64bits(flat.WeightSum(i)) != math.Float64bits(v.WeightSum()) {
+		sumSq := 0.0
+		for _, w := range s.Weights {
+			sumSq += w * w
+		}
+		if math.Float64bits(flat.WeightSum(i)) != math.Float64bits(s.WeightSum()) {
 			t.Fatalf("sig %d: sum mismatch", i)
 		}
-		if math.Float64bits(flat.SumSq(i)) != math.Float64bits(v.sumSq) {
+		if math.Float64bits(flat.SumSq(i)) != math.Float64bits(sumSq) {
 			t.Fatalf("sig %d: sumSq mismatch", i)
 		}
-		if math.Float64bits(flat.Norm(i)) != math.Float64bits(math.Sqrt(v.sumSq)) {
+		if math.Float64bits(flat.Norm(i)) != math.Float64bits(math.Sqrt(sumSq)) {
 			t.Fatalf("sig %d: norm mismatch", i)
 		}
-		for tdx := range flat.NormWeights(i) {
-			if math.Float64bits(flat.NormWeights(i)[tdx]) != math.Float64bits(v.normW[tdx]) {
+		for tdx, w := range s.Normalized().Weights {
+			if math.Float64bits(flat.NormWeights(i)[tdx]) != math.Float64bits(w) {
 				t.Fatalf("sig %d: normW[%d] mismatch", i, tdx)
 			}
 		}
@@ -117,7 +133,7 @@ func TestFlatSigsResetReuse(t *testing.T) {
 
 	f.Reset(small)
 	fresh := NewFlatSigs(small)
-	kern, _ := NewDistKernel(Cosine{})
+	kern := kernelFor(t, Cosine{})
 	for i := range small {
 		for j := range small {
 			a, b := kern.FlatDist(f, i, f, j), kern.FlatDist(fresh, i, fresh, j)
@@ -139,7 +155,7 @@ func TestFlatDistLargeSig(t *testing.T) {
 	b := randSig(rng, 2*insertionSortCutoff, 0, 4*insertionSortCutoff)
 	flat := NewFlatSigs([]Signature{a, b})
 	for _, d := range ExtendedDistances() {
-		kern, _ := NewDistKernel(d)
+		kern := kernelFor(t, d)
 		want := d.Dist(a, b)
 		if got := kern.FlatDist(flat, 0, flat, 1); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("%s: flat %v != naive %v on large sigs", d.Name(), got, want)
@@ -157,7 +173,7 @@ func TestScatterFinishMatchesFlatDist(t *testing.T) {
 	}
 	flat := NewFlatSigs(sigs)
 	for _, d := range []Distance{Jaccard{}, Dice{}, Cosine{}} {
-		kern, _ := NewDistKernel(d)
+		kern := kernelFor(t, d)
 		for i := range sigs {
 			for j := range sigs {
 				if flat.IsEmpty(i) && flat.IsEmpty(j) {

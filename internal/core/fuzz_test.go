@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"math"
 	"testing"
 
 	"graphsig/internal/graph"
@@ -25,11 +24,11 @@ func fuzzSig(data []byte, k int) Signature {
 	return FromWeights(weights, k)
 }
 
-// FuzzSortedKernels checks the merge-join kernels' bit-identity
-// contract: for any pair of Validate-clean signatures and every
-// distance in ExtendedDistances, DistKernel.Dist must return the exact
-// float64 the naive Distance.Dist does.
-func FuzzSortedKernels(f *testing.F) {
+// FuzzDistKernels checks the kernels' bit-identity contract: for any
+// pair of Validate-clean signatures and every distance in
+// ExtendedDistances, DistKernel.FlatDist must return the exact float64
+// the naive Distance.Dist does, in both argument orders.
+func FuzzDistKernels(f *testing.F) {
 	f.Add([]byte{}, []byte{}, uint8(4))
 	f.Add([]byte{1, 16, 0, 2, 32, 0}, []byte{2, 32, 0, 3, 8, 0}, uint8(4))
 	f.Add([]byte{1, 1, 0, 2, 1, 0, 3, 1, 0}, []byte{4, 1, 0, 5, 1, 0}, uint8(2)) // disjoint, ties
@@ -45,32 +44,8 @@ func FuzzSortedKernels(f *testing.F) {
 		if err := b.Validate(); err != nil {
 			t.Fatalf("fuzzSig built an invalid signature: %v", err)
 		}
-		sa, sb := NewSortedSig(a), NewSortedSig(b)
-		flat := NewFlatSigs([]Signature{a, b})
 		for _, d := range ExtendedDistances() {
-			kern, ok := NewDistKernel(d)
-			if !ok {
-				t.Fatalf("%s: no kernel", d.Name())
-			}
-			want := d.Dist(a, b)
-			got := kern.Dist(&sa, &sb)
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("%s: kernel %v (%x) != naive %v (%x) for %v vs %v",
-					d.Name(), got, math.Float64bits(got), want, math.Float64bits(want), a, b)
-			}
-			// The SoA entry point must hit the same bits.
-			if got := kern.FlatDist(flat, 0, flat, 1); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("%s: flat kernel %v != naive %v for %v vs %v", d.Name(), got, want, a, b)
-			}
-			// Symmetric orientation: the kernels' a/b roles must both hold.
-			want = d.Dist(b, a)
-			got = kern.Dist(&sb, &sa)
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("%s reversed: kernel %v != naive %v for %v vs %v", d.Name(), got, want, b, a)
-			}
-			if got := kern.FlatDist(flat, 1, flat, 0); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("%s reversed: flat kernel %v != naive %v for %v vs %v", d.Name(), got, want, b, a)
-			}
+			checkFlatDistMatchesNaive(t, kernelFor(t, d), d, a, b)
 		}
 	})
 }

@@ -23,8 +23,8 @@ func randSig(rng *rand.Rand, maxLen int, base, span int) Signature {
 	return FromWeights(weights, n)
 }
 
-// kernelPairCases yields the edge cases the merge-join kernels must
-// reproduce bit-for-bit: empties, identical, disjoint, subset/overlap.
+// kernelPairCases yields the edge cases the kernels must reproduce
+// bit-for-bit: empties, identical, disjoint, subset/overlap.
 func kernelPairCases(rng *rand.Rand) [][2]Signature {
 	shared := randSig(rng, 8, 0, 20)
 	left := randSig(rng, 8, 0, 30)
@@ -45,36 +45,54 @@ func kernelPairCases(rng *rand.Rand) [][2]Signature {
 	}
 }
 
+// kernelFor returns a fresh kernel for d, failing the test when d has
+// no kernel kind.
+func kernelFor(t testing.TB, d Distance) *DistKernel {
+	t.Helper()
+	kind, ok := KernelKindOf(d)
+	if !ok {
+		t.Fatalf("no kernel for %s", d.Name())
+	}
+	kern := &DistKernel{}
+	kern.Reset(kind)
+	return kern
+}
+
+// checkFlatDistMatchesNaive asserts FlatDist hits the naive
+// Distance.Dist bits for (a, b) in both argument orders — the kernels'
+// a/b roles are not symmetric in the folds.
+func checkFlatDistMatchesNaive(t testing.TB, kern *DistKernel, d Distance, a, b Signature) {
+	t.Helper()
+	pair := []Signature{a, b}
+	flat := NewFlatSigs(pair)
+	for _, o := range [][2]int{{0, 1}, {1, 0}} {
+		x, y := pair[o[0]], pair[o[1]]
+		want := d.Dist(x, y)
+		got := kern.FlatDist(flat, o[0], flat, o[1])
+		if math.IsNaN(want) || math.IsNaN(got) {
+			t.Fatalf("%s: NaN distance: naive=%v kernel=%v for %s vs %s", d.Name(), want, got, x, y)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: kernel %v (%x) != naive %v (%x) for %s vs %s",
+				d.Name(), got, math.Float64bits(got), want, math.Float64bits(want), x, y)
+		}
+	}
+}
+
 func TestDistKernelBitIdenticalToNaive(t *testing.T) {
 	for _, d := range ExtendedDistances() {
 		d := d
 		t.Run(d.Name(), func(t *testing.T) {
-			kern, ok := NewDistKernel(d)
-			if !ok {
-				t.Fatalf("no kernel for %s", d.Name())
-			}
+			kern := kernelFor(t, d)
 			rng := rand.New(rand.NewSource(1234))
-			check := func(a, b Signature) {
-				t.Helper()
-				want := d.Dist(a, b)
-				va, vb := NewSortedSig(a), NewSortedSig(b)
-				got := kern.Dist(&va, &vb)
-				if math.IsNaN(want) || math.IsNaN(got) {
-					t.Fatalf("NaN distance: naive=%v kernel=%v for %s vs %s", want, got, a, b)
-				}
-				if got != want {
-					t.Fatalf("kernel %s: got %v (%b) want %v (%b) for %s vs %s",
-						d.Name(), got, math.Float64bits(got), want, math.Float64bits(want), a, b)
-				}
-			}
 			for round := 0; round < 50; round++ {
 				for _, pair := range kernelPairCases(rng) {
-					check(pair[0], pair[1])
+					checkFlatDistMatchesNaive(t, kern, d, pair[0], pair[1])
 				}
 				// Fully random pairs over a narrow universe: heavy overlap.
-				check(randSig(rng, 10, 0, 15), randSig(rng, 10, 0, 15))
+				checkFlatDistMatchesNaive(t, kern, d, randSig(rng, 10, 0, 15), randSig(rng, 10, 0, 15))
 				// Wide universe: mostly disjoint.
-				check(randSig(rng, 10, 0, 1000), randSig(rng, 10, 0, 1000))
+				checkFlatDistMatchesNaive(t, kern, d, randSig(rng, 10, 0, 1000), randSig(rng, 10, 0, 1000))
 			}
 		})
 	}
@@ -84,21 +102,17 @@ func TestDistKernelBitIdenticalToNaive(t *testing.T) {
 // varying size interleaved, catching stale scratch state.
 func TestDistKernelScratchReuse(t *testing.T) {
 	for _, d := range ExtendedDistances() {
-		kern, ok := NewDistKernel(d)
-		if !ok {
-			t.Fatalf("no kernel for %s", d.Name())
-		}
+		kern := kernelFor(t, d)
 		rng := rand.New(rand.NewSource(99))
 		sigs := make([]Signature, 30)
-		views := make([]SortedSig, len(sigs))
 		for i := range sigs {
 			sigs[i] = randSig(rng, 1+rng.Intn(12), 0, 40)
-			views[i] = NewSortedSig(sigs[i])
 		}
+		flat := NewFlatSigs(sigs)
 		for i := range sigs {
 			for j := range sigs {
 				want := d.Dist(sigs[i], sigs[j])
-				if got := kern.Dist(&views[i], &views[j]); got != want {
+				if got := kern.FlatDist(flat, i, flat, j); got != want {
 					t.Fatalf("%s: scratch reuse mismatch at (%d,%d): got %v want %v", d.Name(), i, j, got, want)
 				}
 			}
@@ -106,9 +120,9 @@ func TestDistKernelScratchReuse(t *testing.T) {
 	}
 }
 
-func TestDistKernelUnknownDistance(t *testing.T) {
-	if _, ok := NewDistKernel(fakeDistance{}); ok {
-		t.Fatal("kernel granted for unknown distance")
+func TestKernelKindOfUnknownDistance(t *testing.T) {
+	if _, ok := KernelKindOf(fakeDistance{}); ok {
+		t.Fatal("kernel kind granted for unknown distance")
 	}
 }
 
@@ -116,26 +130,3 @@ type fakeDistance struct{}
 
 func (fakeDistance) Name() string                { return "fake" }
 func (fakeDistance) Dist(a, b Signature) float64 { return 0.5 }
-
-func TestSortedSigInvariants(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for round := 0; round < 100; round++ {
-		s := randSig(rng, 12, 0, 60)
-		v := NewSortedSig(s)
-		if v.Len() != s.Len() {
-			t.Fatalf("length mismatch: %d vs %d", v.Len(), s.Len())
-		}
-		nodes := v.SortedNodes()
-		for i := 1; i < len(nodes); i++ {
-			if nodes[i-1] >= nodes[i] {
-				t.Fatalf("nodes not strictly ascending: %v", nodes)
-			}
-		}
-		if got, want := v.WeightSum(), s.WeightSum(); got != want {
-			t.Fatalf("weight sum mismatch: %v vs %v", got, want)
-		}
-		if !v.Sig().Equal(s) {
-			t.Fatalf("Sig() does not round-trip")
-		}
-	}
-}

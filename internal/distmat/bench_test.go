@@ -32,14 +32,13 @@ func benchSet(seed int64, n, maxLen, span int) *core.SignatureSet {
 
 // benchRows runs the full all-rows job on a prebuilt engine and reports
 // ns/pair over the n·n cell population.
-func benchRows(b *testing.B, d core.Distance, scatter bool) {
+func benchRows(b *testing.B, d core.Distance) {
 	set := benchSet(7, 300, 20, 400)
 	view := NewSetView(set)
 	eng, ok := NewEngineOn(view, view, d, 1)
 	if !ok {
 		b.Fatalf("no engine for %s", d.Name())
 	}
-	eng.SetScatter(scatter)
 	n := set.Len()
 	idx := make([]int, n)
 	for i := range idx {
@@ -54,13 +53,10 @@ func benchRows(b *testing.B, d core.Distance, scatter bool) {
 	_ = sink
 }
 
-func BenchmarkRowsJaccard(b *testing.B) { benchRows(b, core.Jaccard{}, true) }
-func BenchmarkRowsCosine(b *testing.B)  { benchRows(b, core.Cosine{}, true) }
-func BenchmarkRowsDice(b *testing.B)    { benchRows(b, core.Dice{}, true) }
-func BenchmarkRowsSDice(b *testing.B)   { benchRows(b, core.ScaledDice{}, true) }
-func BenchmarkRowsJaccardMatchFold(b *testing.B) {
-	benchRows(b, core.Jaccard{}, false)
-}
+func BenchmarkRowsJaccard(b *testing.B) { benchRows(b, core.Jaccard{}) }
+func BenchmarkRowsCosine(b *testing.B)  { benchRows(b, core.Cosine{}) }
+func BenchmarkRowsDice(b *testing.B)    { benchRows(b, core.Dice{}) }
+func BenchmarkRowsSDice(b *testing.B)   { benchRows(b, core.ScaledDice{}) }
 
 // BenchmarkPairsWithinJaccard measures the thresholded path with the
 // prefilter on.

@@ -6,7 +6,7 @@
 //
 //  1. Structure-of-arrays kernels: every signature set is flattened
 //     into one contiguous node-ID array, one weight array and a shared
-//     offset table (core.FlatSigs), and the merge-join kernels
+//     offset table (core.FlatSigs), and the distance kernels
 //     (core.DistKernel) index those flat arrays directly. An all-pairs
 //     job walks a handful of cache-resident slices instead of chasing
 //     per-signature headers, and for Jaccard/Dice/Cosine the whole row
@@ -18,7 +18,7 @@
 //     and resolve the (dominant) disjoint remainder in closed form —
 //     for every Validate-clean signature pair sharing no node the
 //     distance is exactly 1.0 (0.0 when both are empty), see
-//     internal/core/sorted.go. Posting entries carry the node's
+//     internal/core/kernel.go. Posting entries carry the node's
 //     canonical index inside the column signature, so the enumeration
 //     itself assembles each candidate's shared-node match list for the
 //     kinds that need one (core.DistKernel.FlatDistMatched).
@@ -84,13 +84,6 @@ func (m Metrics) flushPrefilter(checked, skipped int64) {
 	if m.PrefilterSkipped != nil && skipped > 0 {
 		m.PrefilterSkipped.Add(skipped)
 	}
-}
-
-// Kernelizable reports whether d has a merge-join kernel, i.e. whether
-// the engine can serve it. Callers fall back to naive loops otherwise.
-func Kernelizable(d core.Distance) bool {
-	_, ok := core.NewDistKernel(d)
-	return ok
 }
 
 // posting is one inverted-index entry: signature j contains the node,
@@ -256,14 +249,11 @@ const (
 	// modeDot: the numerator is the dot product (Cosine).
 	modeDot
 	// modeMatches: the kernel needs the full shared-entry match list
-	// (the scaled min/max kinds, or any kind with scatter disabled).
+	// (the scaled min/max kinds).
 	modeMatches
 )
 
-func modeFor(kind core.KernelKind, scatter bool) rowMode {
-	if !scatter {
-		return modeMatches
-	}
+func modeFor(kind core.KernelKind) rowMode {
 	switch kind {
 	case core.KindJaccard:
 		return modeCount
@@ -297,20 +287,18 @@ type scratch struct {
 	matchBuf []core.Match
 	stride   int
 
-	row   []float64 // dense row buffer (sequential Rows, Querier, PairsWithin maxDist ≥ 1)
+	row   []float64 // per-column distance buffer (sequential Rows, Querier, PairsWithin)
 	qsig  [1]core.Signature
 	qflat core.FlatSigs // SoA view of qsig — the query side of Querier jobs
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// getScratch checks a scratch out of the pool, re-pointed at d and
-// grown to serve n columns. d must be kernelizable.
-func getScratch(d core.Distance, n int) *scratch {
+// getScratch checks a scratch out of the pool, re-pointed at kind and
+// grown to serve n columns.
+func getScratch(kind core.KernelKind, n int) *scratch {
 	s := scratchPool.Get().(*scratch)
-	if !s.kern.Reset(d) {
-		panic("distmat: scratch for a non-kernelizable distance")
-	}
+	s.kern.Reset(kind)
 	s.grow(n)
 	return s
 }
@@ -432,35 +420,103 @@ func (s *scratch) matchesOf(j int32) []core.Match {
 	return s.matchBuf[base : base+int(s.cnt[j])]
 }
 
-// fillRow computes the full distance row of rf's signature i (which
-// must be non-empty) against cols into dst: baseline first, then the
-// exact value for every posting candidate.
-func (s *scratch) fillRow(mode rowMode, rf *core.FlatSigs, i int, cols *SetView, dst []float64) int {
-	copy(dst, cols.ones)
+// gather enumerates the postings of row signature i of rf, collecting
+// each candidate j ≥ minJ once in s.cands together with what the mode's
+// finish needs: the shared count, the numerator fold, or the match list.
+func (s *scratch) gather(rf *core.FlatSigs, i int, cols *SetView, minJ int32) {
 	qn := rf.Nodes(i)
-	switch mode {
+	switch modeFor(s.kern.Kind()) {
 	case modeCount:
-		s.gatherCount(qn, cols, 0)
+		s.gatherCount(qn, cols, minJ)
+	case modeSum:
+		s.gatherSum(qn, rf.Weights(i), cols, minJ)
+	case modeDot:
+		s.gatherDot(qn, rf.Weights(i), cols, minJ)
+	default:
+		s.gatherMatches(qn, cols, minJ)
+	}
+}
+
+// finish writes, for every candidate j in s.cands, the exact distance
+// between row signature i of rf and column j into dst[j], from what the
+// preceding gather accumulated. The loop bodies stay per mode: a
+// per-candidate dispatch costs a measurable call on the O(1) scatter
+// finishes.
+func (s *scratch) finish(rf *core.FlatSigs, i int, cols *SetView, dst []float64) {
+	switch modeFor(s.kern.Kind()) {
+	case modeCount:
 		for _, j := range s.cands {
 			dst[j] = s.kern.ScatterFinish(rf, i, cols.flat, int(j), s.cnt[j], 0)
 		}
-	case modeSum:
-		s.gatherSum(qn, rf.Weights(i), cols, 0)
-		for _, j := range s.cands {
-			dst[j] = s.kern.ScatterFinish(rf, i, cols.flat, int(j), 0, s.acc[j])
-		}
-	case modeDot:
-		s.gatherDot(qn, rf.Weights(i), cols, 0)
+	case modeSum, modeDot:
 		for _, j := range s.cands {
 			dst[j] = s.kern.ScatterFinish(rf, i, cols.flat, int(j), 0, s.acc[j])
 		}
 	default:
-		s.gatherMatches(qn, cols, 0)
 		for _, j := range s.cands {
 			dst[j] = s.kern.FlatDistMatched(rf, i, cols.flat, int(j), s.matchesOf(j))
 		}
 	}
+}
+
+// rowBuf returns the scratch's dense per-column buffer, sized for n
+// columns.
+func (s *scratch) rowBuf(n int) []float64 {
+	if cap(s.row) < n {
+		s.row = make([]float64, n)
+	}
+	return s.row[:n]
+}
+
+// fillRow computes the full distance row of rf's signature i (which
+// must be non-empty) against cols into dst: baseline first, then the
+// exact value for every posting candidate.
+func (s *scratch) fillRow(rf *core.FlatSigs, i int, cols *SetView, dst []float64) int {
+	copy(dst, cols.ones)
+	s.gather(rf, i, cols, 0)
+	s.finish(rf, i, cols, dst)
 	return len(s.cands)
+}
+
+// prefilters reports whether thresholded rows should test candidates
+// against the mask bound: only the match-list kinds do — a scatter
+// finish is O(1), cheaper than the bound it would be skipped by.
+func (s *scratch) prefilters(enabled bool) bool {
+	return enabled && modeFor(s.kern.Kind()) == modeMatches
+}
+
+// thresholdedRow visits every candidate j ≥ minJ of rf's signature i
+// (non-empty, with node mask rowMask) at distance ≤ maxDist. It serves
+// maxDist < 1, where only posting candidates can qualify (disjoint
+// pairs sit at exactly 1). With filter set, candidates whose
+// distLowerBound proves them outside the threshold are dropped from
+// s.cands before any kernel work. The survivors are finished into the
+// scratch row buffer by the routine the dense rows use, then compared —
+// a second pass, but the one place the modes are told apart. Returns
+// the posting candidate count and how many of them the filter dropped.
+func (s *scratch) thresholdedRow(rf *core.FlatSigs, i int, rowMask lsh.Mask, cols *SetView, minJ int32,
+	maxDist float64, filter bool, visit func(j int, dist float64)) (cands, skipped int) {
+	s.gather(rf, i, cols, minJ)
+	cands = len(s.cands)
+	if filter {
+		kind := s.kern.Kind()
+		kept := s.cands[:0]
+		for _, j := range s.cands {
+			if distLowerBound(kind, rf, i, cols.flat, int(j), rowMask, cols.masks[j]) > maxDist+prefilterSlack {
+				continue
+			}
+			kept = append(kept, j)
+		}
+		s.cands = kept
+	}
+	dist := s.rowBuf(cols.Len())
+	s.finish(rf, i, cols, dist)
+	for _, j := range s.cands {
+		if d := dist[j]; d <= maxDist {
+			visit(int(j), d)
+		}
+	}
+	return cands, cands - len(s.cands)
 }
 
 // Engine computes distance rows/pairs between a row set and a column
@@ -468,25 +524,17 @@ func (s *scratch) fillRow(mode rowMode, rf *core.FlatSigs, i int, cols *SetView,
 // itself is cheap; the SetViews carry the precomputed state.
 type Engine struct {
 	rows, cols *SetView
-	d          core.Distance
-	kind       core.KernelKind
 	workers    int
 	metrics    Metrics
-	scatter    bool
 	prefilter  bool
-	seq        *scratch // lazily acquired, serves the sequential Dist method
+	// kern fixes the engine's kernel kind and serves the sequential Dist
+	// method; row jobs run on pooled scratch pointed at the same kind.
+	kern core.DistKernel
 }
 
 // SetMetrics attaches instrumentation to the engine. Call before the
 // first Rows/PairsWithin; rowers built afterwards carry the handles.
 func (e *Engine) SetMetrics(m Metrics) { e.metrics = m }
-
-// SetScatter toggles the scatter row kernels for Jaccard/Dice/Cosine
-// (default on). Off, those kinds fall back to per-candidate match
-// lists + FlatDistMatched — the mode the scaled kinds always use.
-// Results are bit-identical either way; the toggle exists for A/B
-// benchmarking (sigbench -soa=false).
-func (e *Engine) SetScatter(enabled bool) { e.scatter = enabled }
 
 // SetPrefilter toggles the mask prefilter on thresholded jobs
 // (default on). Results are bit-identical either way: the prefilter
@@ -494,10 +542,11 @@ func (e *Engine) SetScatter(enabled bool) { e.scatter = enabled }
 func (e *Engine) SetPrefilter(enabled bool) { e.prefilter = enabled }
 
 // NewEngine builds an engine over the two signature sets with the given
-// worker count (0 = GOMAXPROCS). It returns false when d has no
-// merge-join kernel; callers then keep their naive loops.
+// worker count (0 = GOMAXPROCS). It returns false when d is not one of
+// the registered distances; callers then keep their naive loops.
 func NewEngine(rowSet, colSet *core.SignatureSet, d core.Distance, workers int) (*Engine, bool) {
-	if !Kernelizable(d) {
+	kind, ok := core.KernelKindOf(d)
+	if !ok {
 		return nil, false
 	}
 	rv := NewSetView(rowSet)
@@ -505,37 +554,34 @@ func NewEngine(rowSet, colSet *core.SignatureSet, d core.Distance, workers int) 
 	if colSet != rowSet {
 		cv = NewSetView(colSet)
 	}
-	return NewEngineOn(rv, cv, d, workers)
+	return newEngine(rv, cv, kind, workers), true
 }
 
 // NewEngineOn is NewEngine over prebuilt views (for callers that cache
 // SetViews, like the store).
 func NewEngineOn(rows, cols *SetView, d core.Distance, workers int) (*Engine, bool) {
-	kern, ok := core.NewDistKernel(d)
+	kind, ok := core.KernelKindOf(d)
 	if !ok {
 		return nil, false
 	}
-	return &Engine{
-		rows: rows, cols: cols, d: d, kind: kern.Kind(),
-		workers: workers, scatter: true, prefilter: true,
-	}, true
+	return newEngine(rows, cols, kind, workers), true
 }
 
-// rower is per-worker state: pooled scratch plus the engine's row mode.
+func newEngine(rows, cols *SetView, kind core.KernelKind, workers int) *Engine {
+	e := &Engine{rows: rows, cols: cols, workers: workers, prefilter: true}
+	e.kern.Reset(kind)
+	return e
+}
+
+// rower is per-worker state: pooled scratch pointed at the engine's kind.
 type rower struct {
 	e       *Engine
 	s       *scratch
-	mode    rowMode
 	metrics Metrics
 }
 
 func (e *Engine) newRower() rower {
-	return rower{
-		e:       e,
-		s:       getScratch(e.d, e.cols.Len()),
-		mode:    modeFor(e.kind, e.scatter),
-		metrics: e.metrics,
-	}
+	return rower{e: e, s: getScratch(e.kern.Kind(), e.cols.Len()), metrics: e.metrics}
 }
 
 func (r *rower) release() { r.s.release() }
@@ -553,7 +599,7 @@ func (r *rower) rowInto(i int, dst []float64) {
 	if r.metrics.instrumented() {
 		begin = time.Now()
 	}
-	cands := r.s.fillRow(r.mode, e.rows.flat, i, e.cols, dst)
+	cands := r.s.fillRow(e.rows.flat, i, e.cols, dst)
 	if r.metrics.instrumented() {
 		r.metrics.RowSeconds.ObserveSince(begin)
 		r.metrics.Candidates.Observe(float64(cands))
@@ -562,12 +608,10 @@ func (r *rower) rowInto(i int, dst []float64) {
 
 // Dist computes the single distance between row i and column j,
 // bit-identical to d.Dist on the underlying signatures. Not safe for
-// concurrent use (it shares one kernel's scratch).
+// concurrent use (it shares the engine's one kernel and its match
+// buffer — nothing is borrowed from the scratch pool).
 func (e *Engine) Dist(i, j int) float64 {
-	if e.seq == nil {
-		e.seq = getScratch(e.d, 0)
-	}
-	return e.seq.kern.FlatDist(e.rows.flat, i, e.cols.flat, j)
+	return e.kern.FlatDist(e.rows.flat, i, e.cols.flat, j)
 }
 
 // blockRows bounds how many rows one worker computes per wave; it also
@@ -596,10 +640,7 @@ func (e *Engine) Rows(idx []int, consume func(t int, row []float64)) {
 	if workers <= 1 {
 		r := e.newRower()
 		defer r.release()
-		if cap(r.s.row) < n {
-			r.s.row = make([]float64, n)
-		}
-		row := r.s.row[:n]
+		row := r.s.rowBuf(n)
 		for t, i := range idx {
 			r.rowInto(i, row)
 			consume(t, row)
@@ -735,59 +776,27 @@ func (r *rower) pairsThresholded(lo, hi int, maxDist float64) []Pair {
 	e := r.e
 	s := r.s
 	rf, cols := e.rows.flat, e.cols
+	filter := s.prefilters(e.prefilter)
 	var out []Pair
+	row := 0
+	keep := func(j int, dist float64) { out = append(out, Pair{I: row, J: j, Dist: dist}) }
 	var checked, skipped int64
-	for i := lo; i < hi; i++ {
-		if rf.IsEmpty(i) {
+	for row = lo; row < hi; row++ {
+		if rf.IsEmpty(row) {
 			continue
 		}
 		var begin time.Time
 		if r.metrics.instrumented() {
 			begin = time.Now()
 		}
-		qn := rf.Nodes(i)
-		minJ := int32(i) + 1
-		switch r.mode {
-		case modeCount:
-			s.gatherCount(qn, cols, minJ)
-			for _, j := range s.cands {
-				if dist := s.kern.ScatterFinish(rf, i, cols.flat, int(j), s.cnt[j], 0); dist <= maxDist {
-					out = append(out, Pair{I: i, J: int(j), Dist: dist})
-				}
-			}
-		case modeSum:
-			s.gatherSum(qn, rf.Weights(i), cols, minJ)
-			for _, j := range s.cands {
-				if dist := s.kern.ScatterFinish(rf, i, cols.flat, int(j), 0, s.acc[j]); dist <= maxDist {
-					out = append(out, Pair{I: i, J: int(j), Dist: dist})
-				}
-			}
-		case modeDot:
-			s.gatherDot(qn, rf.Weights(i), cols, minJ)
-			for _, j := range s.cands {
-				if dist := s.kern.ScatterFinish(rf, i, cols.flat, int(j), 0, s.acc[j]); dist <= maxDist {
-					out = append(out, Pair{I: i, J: int(j), Dist: dist})
-				}
-			}
-		default:
-			s.gatherMatches(qn, cols, minJ)
-			rowMask := e.rows.masks[i]
-			for _, j := range s.cands {
-				if e.prefilter {
-					checked++
-					if distLowerBound(e.kind, rf, i, cols.flat, int(j), rowMask, cols.masks[j]) > maxDist+prefilterSlack {
-						skipped++
-						continue
-					}
-				}
-				if dist := s.kern.FlatDistMatched(rf, i, cols.flat, int(j), s.matchesOf(j)); dist <= maxDist {
-					out = append(out, Pair{I: i, J: int(j), Dist: dist})
-				}
-			}
+		cands, dropped := s.thresholdedRow(rf, row, e.rows.masks[row], cols, int32(row)+1, maxDist, filter, keep)
+		if filter {
+			checked += int64(cands)
+			skipped += int64(dropped)
 		}
 		if r.metrics.instrumented() {
 			r.metrics.RowSeconds.ObserveSince(begin)
-			r.metrics.Candidates.Observe(float64(len(s.cands)))
+			r.metrics.Candidates.Observe(float64(cands))
 		}
 	}
 	r.metrics.flushPrefilter(checked, skipped)
@@ -798,10 +807,7 @@ func (r *rower) pairsThresholded(lo, hi int, maxDist float64) []Pair {
 func (r *rower) pairsDense(lo, hi int, maxDist float64) []Pair {
 	e := r.e
 	n := e.cols.Len()
-	if cap(r.s.row) < n {
-		r.s.row = make([]float64, n)
-	}
-	row := r.s.row[:n]
+	row := r.s.rowBuf(n)
 	var out []Pair
 	for i := lo; i < hi; i++ {
 		if e.rows.flat.IsEmpty(i) {
@@ -828,8 +834,6 @@ func (r *rower) pairsDense(lo, hi int, maxDist float64) []Pair {
 // cycled over queries of similar shape allocates nothing per call.
 type Querier struct {
 	s         *scratch
-	kind      core.KernelKind
-	mode      rowMode
 	prefilter bool
 	metrics   Metrics
 }
@@ -842,18 +846,14 @@ func (q *Querier) SetMetrics(m Metrics) { q.metrics = m }
 // bit-identical either way.
 func (q *Querier) SetPrefilter(enabled bool) { q.prefilter = enabled }
 
-// NewQuerier returns a querier for d, or false when d has no kernel.
+// NewQuerier returns a querier for d, or false when d is not one of
+// the registered distances.
 func NewQuerier(d core.Distance) (*Querier, bool) {
-	if !Kernelizable(d) {
+	kind, ok := core.KernelKindOf(d)
+	if !ok {
 		return nil, false
 	}
-	kern, _ := core.NewDistKernel(d)
-	return &Querier{
-		s:         getScratch(d, 0),
-		kind:      kern.Kind(),
-		mode:      modeFor(kern.Kind(), true),
-		prefilter: true,
-	}, true
+	return &Querier{s: getScratch(kind, 0), prefilter: true}, true
 }
 
 // Release returns the querier's scratch to the shared pool.
@@ -903,15 +903,12 @@ func (q *Querier) neighbors(view *SetView, sig core.Signature, maxDist float64, 
 		}
 		return q.thresholded(view, maxDist, visit)
 	}
-	if cap(s.row) < n {
-		s.row = make([]float64, n)
-	}
-	row := s.row[:n]
+	row := s.rowBuf(n)
 	probed := 0
 	if qf.IsEmpty(0) {
 		copy(row, view.emptyRow)
 	} else {
-		probed = s.fillRow(q.mode, qf, 0, view, row)
+		probed = s.fillRow(qf, 0, view, row)
 	}
 	for j, dist := range row {
 		if dist <= maxDist {
@@ -925,46 +922,14 @@ func (q *Querier) neighbors(view *SetView, sig core.Signature, maxDist float64, 
 // query already loaded into s.qflat.
 func (q *Querier) thresholded(view *SetView, maxDist float64, visit func(j int, dist float64)) int {
 	s := q.s
-	qf := &s.qflat
-	qn := qf.Nodes(0)
-	switch q.mode {
-	case modeCount:
-		s.gatherCount(qn, view, 0)
-		for _, j := range s.cands {
-			if dist := s.kern.ScatterFinish(qf, 0, view.flat, int(j), s.cnt[j], 0); dist <= maxDist {
-				visit(int(j), dist)
-			}
-		}
-		return len(s.cands)
-	case modeSum:
-		s.gatherSum(qn, qf.Weights(0), view, 0)
-	case modeDot:
-		s.gatherDot(qn, qf.Weights(0), view, 0)
-	default:
-		s.gatherMatches(qn, view, 0)
-		mask := lsh.NewMask(qn)
-		probed := 0
-		var checked, skipped int64
-		for _, j := range s.cands {
-			if q.prefilter {
-				checked++
-				if distLowerBound(q.kind, qf, 0, view.flat, int(j), mask, view.masks[j]) > maxDist+prefilterSlack {
-					skipped++
-					continue
-				}
-			}
-			probed++
-			if dist := s.kern.FlatDistMatched(qf, 0, view.flat, int(j), s.matchesOf(j)); dist <= maxDist {
-				visit(int(j), dist)
-			}
-		}
-		q.metrics.flushPrefilter(checked, skipped)
-		return probed
+	filter := s.prefilters(q.prefilter)
+	var mask lsh.Mask
+	if filter {
+		mask = lsh.NewMask(s.qflat.Nodes(0))
 	}
-	for _, j := range s.cands {
-		if dist := s.kern.ScatterFinish(qf, 0, view.flat, int(j), 0, s.acc[j]); dist <= maxDist {
-			visit(int(j), dist)
-		}
+	cands, skipped := s.thresholdedRow(&s.qflat, 0, mask, view, 0, maxDist, filter, visit)
+	if filter {
+		q.metrics.flushPrefilter(int64(cands), int64(skipped))
 	}
-	return len(s.cands)
+	return cands - skipped
 }

@@ -242,12 +242,11 @@ func TestQuerierMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestKernelizable(t *testing.T) {
-	for _, d := range core.ExtendedDistances() {
-		if !Kernelizable(d) {
-			t.Fatalf("%s should be kernelizable", d.Name())
-		}
-	}
+// TestUnknownDistanceRejected: a custom Distance has no kernel kind, so
+// the constructors return false and callers keep their naive loops. (The
+// registered distances being accepted is what every other test here
+// starts from.)
+func TestUnknownDistanceRejected(t *testing.T) {
 	if _, ok := NewEngine(randSet(t, 51, 4, 3, 10), randSet(t, 52, 4, 3, 10), unknownDist{}, 0); ok {
 		t.Fatal("engine granted for unknown distance")
 	}

@@ -40,17 +40,17 @@ func boundHolds(t *testing.T, a, b core.Signature) {
 	flat := core.NewFlatSigs([]core.Signature{a, b})
 	ma, mb := lsh.NewMask(a.Nodes), lsh.NewMask(b.Nodes)
 	for _, d := range core.ExtendedDistances() {
-		kern, ok := core.NewDistKernel(d)
+		kind, ok := core.KernelKindOf(d)
 		if !ok {
-			t.Fatalf("%s: no kernel", d.Name())
+			t.Fatalf("%s: no kernel kind", d.Name())
 		}
 		exact := d.Dist(a, b)
-		bound := distLowerBound(kern.Kind(), flat, 0, flat, 1, ma, mb)
+		bound := distLowerBound(kind, flat, 0, flat, 1, ma, mb)
 		if bound > exact+prefilterSlack {
 			t.Fatalf("%s: bound %v exceeds exact %v (+slack) for %v vs %v", d.Name(), bound, exact, a, b)
 		}
 		// Both orientations: the bound must be safe regardless of side.
-		bound = distLowerBound(kern.Kind(), flat, 1, flat, 0, mb, ma)
+		bound = distLowerBound(kind, flat, 1, flat, 0, mb, ma)
 		if bound > exact+prefilterSlack {
 			t.Fatalf("%s reversed: bound %v exceeds exact %v for %v vs %v", d.Name(), bound, exact, b, a)
 		}
@@ -70,7 +70,7 @@ func corpusSig(data []byte, k int) core.Signature {
 	return core.FromWeights(weights, k)
 }
 
-// parseCorpusFile decodes one go-fuzz corpus entry of FuzzSortedKernels
+// parseCorpusFile decodes one go-fuzz corpus entry of FuzzDistKernels
 // ([]byte, []byte, byte).
 func parseCorpusFile(t *testing.T, path string) (araw, braw []byte, kraw uint8, ok bool) {
 	t.Helper()
@@ -120,7 +120,7 @@ func parseCorpusFile(t *testing.T, path string) (araw, braw []byte, kraw uint8, 
 // corpus — the adversarial signature pairs the kernel fuzzer has
 // accumulated — through the no-false-rejection property.
 func TestPrefilterBoundOnFuzzCorpus(t *testing.T) {
-	dir := filepath.Join("..", "core", "testdata", "fuzz", "FuzzSortedKernels")
+	dir := filepath.Join("..", "core", "testdata", "fuzz", "FuzzDistKernels")
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatalf("fuzz corpus unavailable: %v", err)
@@ -164,51 +164,47 @@ func TestPrefilterBoundRandom(t *testing.T) {
 func TestPairsWithinPrefilterIdentical(t *testing.T) {
 	set := randSet(t, 77, 120, 10, 160)
 	for _, d := range core.ExtendedDistances() {
-		for _, scatter := range []bool{true, false} {
-			for _, maxDist := range []float64{0.0, 0.25, 0.5, 0.8, 0.97} {
-				on, ok := NewEngine(set, set, d, 2)
-				if !ok {
-					t.Fatalf("%s: no engine", d.Name())
+		for _, maxDist := range []float64{0.0, 0.25, 0.5, 0.8, 0.97} {
+			on, ok := NewEngine(set, set, d, 2)
+			if !ok {
+				t.Fatalf("%s: no engine", d.Name())
+			}
+			off, _ := NewEngine(set, set, d, 2)
+			off.SetPrefilter(false)
+			got := on.PairsWithin(maxDist)
+			want := off.PairsWithin(maxDist)
+			if len(got) != len(want) {
+				t.Fatalf("%s maxDist=%v: prefilter on %d pairs, off %d",
+					d.Name(), maxDist, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].I != want[i].I || got[i].J != want[i].J ||
+					math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
+					t.Fatalf("%s maxDist=%v: pair %d mismatch %+v vs %+v",
+						d.Name(), maxDist, i, got[i], want[i])
 				}
-				on.SetScatter(scatter)
-				off, _ := NewEngine(set, set, d, 2)
-				off.SetScatter(scatter)
-				off.SetPrefilter(false)
-				got := on.PairsWithin(maxDist)
-				want := off.PairsWithin(maxDist)
-				if len(got) != len(want) {
-					t.Fatalf("%s scatter=%v maxDist=%v: prefilter on %d pairs, off %d",
-						d.Name(), scatter, maxDist, len(got), len(want))
-				}
-				for i := range got {
-					if got[i].I != want[i].I || got[i].J != want[i].J ||
-						math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
-						t.Fatalf("%s scatter=%v maxDist=%v: pair %d mismatch %+v vs %+v",
-							d.Name(), scatter, maxDist, i, got[i], want[i])
+			}
+			// Against the naive scan.
+			var naive []Pair
+			for i := 0; i < set.Len(); i++ {
+				for j := i + 1; j < set.Len(); j++ {
+					a, b := set.Sigs[i], set.Sigs[j]
+					if len(a.Nodes) == 0 || len(b.Nodes) == 0 {
+						continue
+					}
+					if dist := d.Dist(a, b); dist <= maxDist {
+						naive = append(naive, Pair{I: i, J: j, Dist: dist})
 					}
 				}
-				// Against the naive scan.
-				var naive []Pair
-				for i := 0; i < set.Len(); i++ {
-					for j := i + 1; j < set.Len(); j++ {
-						a, b := set.Sigs[i], set.Sigs[j]
-						if len(a.Nodes) == 0 || len(b.Nodes) == 0 {
-							continue
-						}
-						if dist := d.Dist(a, b); dist <= maxDist {
-							naive = append(naive, Pair{I: i, J: j, Dist: dist})
-						}
-					}
-				}
-				if len(naive) != len(got) {
-					t.Fatalf("%s scatter=%v maxDist=%v: engine %d pairs, naive %d",
-						d.Name(), scatter, maxDist, len(got), len(naive))
-				}
-				for i := range naive {
-					if naive[i] != got[i] {
-						t.Fatalf("%s scatter=%v maxDist=%v: naive pair %d %+v != engine %+v",
-							d.Name(), scatter, maxDist, i, naive[i], got[i])
-					}
+			}
+			if len(naive) != len(got) {
+				t.Fatalf("%s maxDist=%v: engine %d pairs, naive %d",
+					d.Name(), maxDist, len(got), len(naive))
+			}
+			for i := range naive {
+				if naive[i] != got[i] {
+					t.Fatalf("%s maxDist=%v: naive pair %d %+v != engine %+v",
+						d.Name(), maxDist, i, naive[i], got[i])
 				}
 			}
 		}

@@ -10,8 +10,8 @@ import (
 )
 
 // The pairwise metrics below ride the sparse engine (internal/distmat)
-// whenever the distance has a merge-join kernel — every distance in
-// core.ExtendedDistances does — and keep the naive loops as the fallback
+// whenever the distance is one of the registered kinds — every distance
+// in core.ExtendedDistances is — and keep the naive loops as the fallback
 // for custom Distance implementations. Engine results are bit-identical
 // to the naive loops (property tests in distmat enforce it), so the
 // rewiring changes no reported number.

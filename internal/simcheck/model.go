@@ -16,7 +16,7 @@
 //     duplication, zero replay rejects).
 //   - snapshot + replay produce search/history/latest results
 //     identical to the model's label-space archive.
-//   - store search (merge-join kernels, LSH prefilter) agrees with
+//   - store search (flat SoA kernels, LSH candidates) agrees with
 //     naive distance loops: exact scans match the model's full ranking
 //     within float tolerance; LSH scans are verified subsets.
 //   - the server's universe interning order matches the model's, so
@@ -165,7 +165,7 @@ func (a *refArchive) history(label string) []refHistoryEntry {
 // naiveDist computes the named distance between two label-space
 // signatures with plain loops over label maps — an independent
 // reimplementation of core's formulas that shares no code with the
-// merge-join kernels or the NodeID-space scans it checks.
+// distance kernels or the NodeID-space scans it checks.
 func naiveDist(name string, a, b refSig) float64 {
 	if len(a.Labels) == 0 && len(b.Labels) == 0 {
 		return 0

@@ -251,26 +251,32 @@ func TestSearchAllocsIndependentOfArchive(t *testing.T) {
 // BenchmarkStoreSearch is a hot search at the benchmark's `wide` shape
 // (8 windows × 1200 sources, k=10) without bench/ around it: the exact
 // path under a set distance and a scaled one, and Jaccard through the
-// opt-in MinHash/LSH candidates.
+// opt-in MinHash/LSH candidates. The 10k cases repeat exact vs LSH at
+// 8 × 10 000 sources, the window size where the LSH candidates pay for
+// their hashing (EXPERIMENTS.md "Store search").
 func BenchmarkStoreSearch(b *testing.B) {
+	lshCfg := Config{LSHBands: 16, LSHRows: 2, LSHSeed: 7}
 	cases := []struct {
-		name string
-		cfg  Config
-		d    core.Distance
+		name  string
+		cfg   Config
+		d     core.Distance
+		hosts int
 	}{
-		{"jaccard/exact", Config{}, core.Jaccard{}},
-		{"shel/exact", Config{}, core.ScaledHellinger{}},
-		{"jaccard/lsh16x2", Config{LSHBands: 16, LSHRows: 2, LSHSeed: 7}, core.Jaccard{}},
+		{"jaccard/exact", Config{}, core.Jaccard{}, 1200},
+		{"shel/exact", Config{}, core.ScaledHellinger{}, 1200},
+		{"jaccard/lsh16x2", lshCfg, core.Jaccard{}, 1200},
+		{"10k/jaccard/exact", Config{}, core.Jaccard{}, 10000},
+		{"10k/jaccard/lsh16x2", lshCfg, core.Jaccard{}, 10000},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			s := wideStore(b, c.cfg, 8, 1200)
+			s := wideStore(b, c.cfg, 8, c.hosts)
 			opts := SearchOptions{TopK: 10}
 			found := 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				hits, err := s.SearchLabel(c.d, fmt.Sprintf("host-%05d", i*37%1200), opts)
+				hits, err := s.SearchLabel(c.d, fmt.Sprintf("host-%05d", i*37%c.hosts), opts)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -21,10 +21,9 @@ go test -race ./...
 # tests; this catches races in the sharded row execution).
 go test -race -run '^$' -benchtime=1x \
 	-bench 'BenchmarkPairwiseUniqueness|BenchmarkMultiusageAllPairs' .
-# Both sigbench engine variants on a scaled dataset: exits non-zero if
-# any engine result diverges from the naive loops (identical: false).
+# The sigbench pairwise experiment on a scaled dataset: exits non-zero
+# if any engine result diverges from the naive loops (identical: false).
 go run ./cmd/sigbench -experiment pairwise -scale 0.5 >/dev/null
-go run ./cmd/sigbench -experiment pairwise -scale 0.5 -soa=false >/dev/null
 # Throughput regression check, benchstat style: rerun the full-scale
 # pairwise report pinned to one core and diff engine pairs/sec against
 # the committed baseline. Warn-only — shared CI boxes are noisy — but
@@ -74,4 +73,4 @@ go test -race -run 'TestSimSegments' ./internal/simcheck/
 # as regression cases in the race run above.
 go test -run '^$' -fuzz FuzzReadBinary -fuzztime 15s ./internal/netflow/
 go test -run '^$' -fuzz FuzzWALReplay -fuzztime 15s ./internal/wal/
-go test -run '^$' -fuzz FuzzSortedKernels -fuzztime 15s ./internal/core/
+go test -run '^$' -fuzz FuzzDistKernels -fuzztime 15s ./internal/core/
