@@ -74,22 +74,30 @@ federate-smoke:
 # segment write and commit points, quarantine-at-attach, restart
 # long-horizon history/search e2e (5x capacity, bit-identical to an
 # unbounded run), bitwise follower segments, and the segment-mode
-# simulation seeds with the model holding the unbounded archive.
+# simulation seeds with the model holding the unbounded archive — the
+# binary block codec's layout, round-trip, corruption-table and v1/v2
+# fixture tests, a cold read that rots after boot (store and HTTP), and
+# one iteration of the layer's own benchmarks.
 segment-smoke:
-	$(GO) test -race -run 'TestSegment|TestStoreTiered|TestStoreLoadOverCapacity|TestHistoryRange' \
+	$(GO) test -race -run 'TestSegment|TestBlock|TestStoreTiered|TestStoreLoadOverCapacity|TestHistoryRange|TestStoreColdRead' \
 		./internal/segment/ ./internal/store/
-	$(GO) test -race -run 'TestServerSegment|TestHistoryHTTPParams' ./internal/server/
+	$(GO) test -run '^$$' -bench 'BenchmarkSegment' -benchtime=1x -benchmem ./internal/segment/
+	$(GO) test -race -run 'TestServerSegment|TestServerColdRead|TestHistoryHTTPParams' ./internal/server/
 	$(GO) test -race -run 'TestFollowerSegmentsBitwise' ./internal/cluster/
 	$(GO) test -race -run 'TestSimSegments' ./internal/simcheck/
 
 # Bounded runs of the native fuzz targets: the netflow binary codec,
-# WAL frame recovery, and the distance kernels (bit-identity vs the
-# naive loops). Committed corpora under testdata/fuzz/ replay as
-# regression cases in the plain test suite; this also explores briefly.
+# WAL frame recovery, the distance kernels (bit-identity vs the naive
+# loops), and the segment reader (whole files through Open; single
+# window blocks, where an accepted block must re-encode to itself).
+# Committed corpora under testdata/fuzz/ replay as regression cases in
+# the plain test suite; this also explores briefly.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadBinary -fuzztime 30s ./internal/netflow/
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 30s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzDistKernels -fuzztime 30s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzSegmentOpen -fuzztime 30s ./internal/segment/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeBlock -fuzztime 30s ./internal/segment/
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .

@@ -9,6 +9,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -106,6 +107,10 @@ func (s Signature) String() string {
 	return b.String()
 }
 
+// validateScanMax is the largest signature Validate checks for repeats
+// by scanning; longer ones get a map.
+const validateScanMax = 32
+
 // Validate checks the canonical-ordering and positivity invariants. It
 // is used by property tests and by code paths that accept signatures
 // from outside the package (e.g. deserialized ones).
@@ -113,16 +118,23 @@ func (s Signature) Validate() error {
 	if len(s.Nodes) != len(s.Weights) {
 		return fmt.Errorf("core: signature nodes/weights length mismatch %d/%d", len(s.Nodes), len(s.Weights))
 	}
-	seen := map[graph.NodeID]struct{}{}
+	// Repeats: a scan of the entries already checked at the k the schemes
+	// produce (no allocation), a map past validateScanMax.
+	var seen map[graph.NodeID]struct{}
+	if len(s.Nodes) > validateScanMax {
+		seen = make(map[graph.NodeID]struct{}, len(s.Nodes))
+	}
 	for i := range s.Nodes {
 		w := s.Weights[i]
 		if w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
 			return fmt.Errorf("core: signature weight %d invalid (%g)", i, w)
 		}
-		if _, dup := seen[s.Nodes[i]]; dup {
+		if _, dup := seen[s.Nodes[i]]; dup || (seen == nil && slices.Contains(s.Nodes[:i], s.Nodes[i])) {
 			return fmt.Errorf("core: signature repeats node %d", s.Nodes[i])
 		}
-		seen[s.Nodes[i]] = struct{}{}
+		if seen != nil {
+			seen[s.Nodes[i]] = struct{}{}
+		}
 		if i > 0 && w > s.Weights[i-1] {
 			// Weight order is the invariant; the order among equal
 			// weights is the producer's tie-break (NodeID for exact

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -100,6 +101,47 @@ func TestValidateRejectsMalformed(t *testing.T) {
 	for i, sig := range bad {
 		if err := sig.Validate(); err == nil {
 			t.Fatalf("case %d validated: %v", i, sig)
+		}
+	}
+}
+
+// descendingSig is a valid signature of k distinct nodes.
+func descendingSig(k int) Signature {
+	sig := Signature{Nodes: make([]graph.NodeID, k), Weights: make([]float64, k)}
+	for i := range sig.Nodes {
+		sig.Nodes[i] = graph.NodeID(3 * i)
+		sig.Weights[i] = float64(k - i)
+	}
+	return sig
+}
+
+// TestValidateRepeats drives the repeat check on both sides of
+// validateScanMax — the scan and the map must reject the same inputs
+// with the same text — and pins the scan side at zero allocations: it
+// runs on every signature of every decoded, loaded and replayed window.
+// (Nothing here is pooled, so unlike the store and distmat allocation
+// tests this one holds under -race too.)
+func TestValidateRepeats(t *testing.T) {
+	for _, k := range []int{0, 1, 2, 10, validateScanMax, validateScanMax + 1, 3 * validateScanMax} {
+		sig := descendingSig(k)
+		if err := sig.Validate(); err != nil {
+			t.Fatalf("k=%d: valid signature rejected: %v", k, err)
+		}
+		if k <= 10 {
+			if allocs := testing.AllocsPerRun(20, func() { _ = sig.Validate() }); allocs != 0 {
+				t.Fatalf("k=%d: Validate allocated %.1f times, want 0", k, allocs)
+			}
+		}
+		if k < 2 {
+			continue
+		}
+		for _, at := range []int{1, k - 1} {
+			bad := descendingSig(k)
+			bad.Nodes[at] = bad.Nodes[0]
+			want := fmt.Sprintf("core: signature repeats node %d", bad.Nodes[0])
+			if err := bad.Validate(); err == nil || err.Error() != want {
+				t.Fatalf("k=%d repeat at %d: err = %v, want %q", k, at, err, want)
+			}
 		}
 	}
 }

@@ -7,8 +7,8 @@
 //
 // A segment file is append-written once and never modified:
 //
-//	graphsig-segment v1
-//	<window block>            (core.WriteSignatureSet text, one per window)
+//	graphsig-segment v2
+//	<window block>            (binary, one per window; layout below)
 //	...
 //	toc <n>
 //	window <idx> <scheme> <offset> <size> <crc32>
@@ -17,14 +17,42 @@
 //	...
 //	end <tocOffset> <crc32>
 //
-// Window blocks reuse the established signature text codec, so a block
-// carved out of a segment is directly consumable by sigtool. The
-// trailing TOC records each block's byte offset, size and CRC32, plus a
-// label→windows index so per-label lookups seek straight to the blocks
-// that matter instead of scanning the whole file. The final `end` line
-// carries the TOC's offset and a CRC32 of every preceding byte — the
-// same self-checksum discipline as the snapshot v2 manifest — so a torn
-// tail or a flipped byte anywhere is detected at open time.
+// The trailing TOC records each block's byte offset, size and CRC32,
+// plus a label→windows index so per-label lookups seek straight to the
+// blocks that matter instead of scanning the whole file. The final `end`
+// line carries the TOC's offset and a CRC32 of every preceding byte —
+// the same self-checksum discipline as the snapshot v2 manifest — so a
+// torn tail or a flipped byte anywhere is detected at open time.
+//
+// A window block is laid out so that reading it back is a bounds-checked
+// copy, not a parse. Integers are little-endian; a string is a minimal
+// uvarint byte length followed by the bytes:
+//
+//	string  scheme
+//	int64   window index
+//	uint32  L, the number of labels
+//	L ×     { string label, uint8 part (0 V, 1 V1, 2 V2) }
+//	uint32  N, the number of sources
+//	N ×     { uint32 source, uint32 k — the signature's member count }
+//	M ×     uint32 member            (M = Σ k, signature by signature)
+//	M ×     uint64 weight            (IEEE-754 bits, same order)
+//
+// Sources and members are indices into the block's own label table,
+// which lists exactly the labels the block references, once each, in
+// the writer's NodeID order — so the bytes depend on the sets and the
+// interning order alone (re-compaction and follower compaction
+// reproduce them bit for bit). Open interns each block's label table
+// once and keeps the local-id → NodeID table on the handle; ReadWindow
+// then resolves members by array index into two backing arrays that
+// every signature of the window slices. The decoder checks every count
+// against the bytes that remain before sizing anything from it, accepts
+// only the canonical encoding, and hands the result to
+// core.NewSignatureSet, which validates every signature.
+//
+// Files headed `graphsig-segment v1` carry core.WriteSignatureSet text
+// in place of the binary block and are otherwise identical; they still
+// open and serve (the header selects the block decoder), but are no
+// longer written.
 //
 // Durability follows the snapshot/WAL playbook: Write stages the whole
 // file at <name>.tmp, fsyncs it, renames it into place and fsyncs the
@@ -50,7 +78,11 @@ import (
 )
 
 const (
-	header     = "graphsig-segment v1"
+	// header opens every file Write produces: binary window blocks
+	// (block.go). headerV1 files — the same framing around
+	// core.WriteSignatureSet text blocks — are still opened and served.
+	header     = "graphsig-segment v2"
+	headerV1   = "graphsig-segment v1"
 	fileSuffix = ".seg"
 	tmpSuffix  = ".tmp"
 	// quarantineSuffix matches the store/WAL convention so operators
@@ -77,9 +109,10 @@ type windowInfo struct {
 }
 
 // Segment is an opened, verified segment file. The handle caches the
-// TOC and label index in memory; window blocks stay on disk and are
-// re-read (and re-verified) on demand. Segments are immutable, so a
-// handle is safe for concurrent readers.
+// TOC, the label index and each block's label resolution in memory;
+// window blocks stay on disk and are re-read (and re-verified) on
+// demand. Segments are immutable, so a handle is safe for concurrent
+// readers.
 type Segment struct {
 	path     string
 	universe *graph.Universe
@@ -87,6 +120,9 @@ type Segment struct {
 	toc      []windowInfo // ascending by window
 	byWindow map[int]int
 	labels   map[string][]int // source label → window indices, ascending
+	// ids[i] maps the block-local ids of toc[i]'s block to NodeIDs of
+	// universe. Nil for a v1 file, whose text blocks name labels inline.
+	ids [][]graph.NodeID
 }
 
 // Name returns the canonical file name for a segment covering windows
@@ -130,10 +166,12 @@ func (s *Segment) Contains(w int) bool {
 // the relevant blocks. The slice is shared; callers must not mutate it.
 func (s *Segment) LabelWindows(label string) []int { return s.labels[label] }
 
-// ReadWindow reads, verifies and parses the block of window w. Labels
-// resolve through the universe the segment was opened against; Open
-// interned every label the segment references, so runtime reads never
-// mutate the universe and are safe under the store's read lock.
+// ReadWindow reads, verifies and decodes the block of window w: read,
+// CRC, then a bounds-checked copy into two arrays (nodes, weights) that
+// every signature of the returned set slices. Members resolve through
+// the local-id table Open built, so a runtime read neither mutates nor
+// looks anything up in the universe and is safe under the store's read
+// lock.
 func (s *Segment) ReadWindow(w int) (*core.SignatureSet, error) {
 	i, ok := s.byWindow[w]
 	if !ok {
@@ -153,11 +191,20 @@ func (s *Segment) ReadWindow(w int) (*core.SignatureSet, error) {
 		return nil, corruptf("%s window %d checksum mismatch: %08x != %08x",
 			filepath.Base(s.path), w, got, info.crc)
 	}
-	set, err := core.ReadSignatureSet(bytes.NewReader(raw), s.universe)
+	set, err := s.decode(i, raw)
 	if err != nil {
 		return nil, corruptf("%s window %d: %v", filepath.Base(s.path), w, err)
 	}
 	return set, nil
+}
+
+// decode parses the verified bytes of toc[i]'s block.
+func (s *Segment) decode(i int, raw []byte) (*core.SignatureSet, error) {
+	if s.ids == nil {
+		return core.ReadSignatureSet(bytes.NewReader(raw), s.universe)
+	}
+	set, _, err := decodeBlock(raw, nil, s.ids[i])
+	return set, err
 }
 
 // Write compacts sets (ascending window order) into a new segment file
@@ -185,25 +232,28 @@ func Write(dir string, sets []*core.SignatureSet, u *graph.Universe) (*Segment, 
 
 	var buf bytes.Buffer
 	fmt.Fprintln(&buf, header)
-	var block bytes.Buffer
+	var block []byte
+	local := make([]uint32, u.Size())
 	for i, set := range sets {
-		block.Reset()
-		if err := core.WriteSignatureSet(&block, set, u); err != nil {
+		var ids []graph.NodeID
+		var err error
+		if block, ids, err = appendBlock(block[:0], set, u, local); err != nil {
 			return nil, fmt.Errorf("segment: window %d: %w", set.Window, err)
 		}
 		seg.toc = append(seg.toc, windowInfo{
 			window: set.Window,
 			scheme: set.Scheme,
 			off:    int64(buf.Len()),
-			size:   int64(block.Len()),
-			crc:    crc32.ChecksumIEEE(block.Bytes()),
+			size:   int64(len(block)),
+			crc:    crc32.ChecksumIEEE(block),
 		})
+		seg.ids = append(seg.ids, ids)
 		seg.byWindow[set.Window] = i
 		for _, v := range set.Sources {
 			label := u.Label(v)
 			seg.labels[label] = append(seg.labels[label], set.Window)
 		}
-		buf.Write(block.Bytes())
+		buf.Write(block)
 	}
 	tocOff := int64(buf.Len())
 	fmt.Fprintf(&buf, "toc %d\n", len(seg.toc))
@@ -244,17 +294,24 @@ func Write(dir string, sets []*core.SignatureSet, u *graph.Universe) (*Segment, 
 
 // Open reads and fully verifies a segment file: the trailing
 // self-checksum, the TOC, and every window block (size, CRC, and a
-// complete parse). Parsing at open time doubles as label registration —
-// every label the segment references is interned into u here, once,
-// single-threaded, so later ReadWindow calls resolve labels without
-// ever mutating the universe. Structural damage is reported as
+// complete decode). Decoding at open time doubles as label registration
+// — every label the segment references is interned into u here, once,
+// single-threaded, and each block's local-id → NodeID table is kept on
+// the handle — so later ReadWindow calls never touch the universe's
+// string map, let alone mutate it. Structural damage is reported as
 // ErrCorrupt (quarantine and carry on); plain I/O errors are not.
 func Open(path string, u *graph.Universe) (*Segment, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("segment: %w", err)
 	}
-	if !bytes.HasPrefix(raw, []byte(header+"\n")) {
+	return parse(path, raw, u)
+}
+
+// parse is Open over the file's bytes; every failure is ErrCorrupt.
+func parse(path string, raw []byte, u *graph.Universe) (*Segment, error) {
+	text := bytes.HasPrefix(raw, []byte(headerV1+"\n"))
+	if !text && !bytes.HasPrefix(raw, []byte(header+"\n")) {
 		return nil, corruptf("%s: bad header", filepath.Base(path))
 	}
 	if len(raw) == 0 || raw[len(raw)-1] != '\n' {
@@ -343,10 +400,13 @@ func Open(path string, u *graph.Universe) (*Segment, error) {
 	}
 
 	// Deep verification + label registration: every block must match its
-	// TOC entry and parse cleanly. Interning here (boot, single-threaded)
+	// TOC entry and decode cleanly. Interning here (boot, single-threaded)
 	// is what makes later ReadWindow calls mutation-free.
-	for _, info := range seg.toc {
-		if info.off < int64(len(header)+1) || info.off+info.size > tocOff {
+	if !text {
+		seg.ids = make([][]graph.NodeID, len(seg.toc))
+	}
+	for i, info := range seg.toc {
+		if info.size < 0 || info.off < int64(len(header)+1) || info.off > tocOff-info.size {
 			return nil, corruptf("%s: window %d block out of bounds", filepath.Base(path), info.window)
 		}
 		block := raw[info.off : info.off+info.size]
@@ -354,7 +414,12 @@ func Open(path string, u *graph.Universe) (*Segment, error) {
 			return nil, corruptf("%s: window %d checksum mismatch: %08x != %08x",
 				filepath.Base(path), info.window, got, info.crc)
 		}
-		set, err := core.ReadSignatureSet(bytes.NewReader(block), u)
+		var set *core.SignatureSet
+		if text {
+			set, err = core.ReadSignatureSet(bytes.NewReader(block), u)
+		} else {
+			set, seg.ids[i], err = decodeBlock(block, u, nil)
+		}
 		if err != nil {
 			return nil, corruptf("%s: window %d: %v", filepath.Base(path), info.window, err)
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -82,7 +83,8 @@ func assertSetsEqual(t *testing.T, want, got *core.SignatureSet, wu, gu *graph.U
 			t.Fatalf("window %d sig %d: len %d != %d", want.Window, i, gs.Len(), ws.Len())
 		}
 		for j := range ws.Nodes {
-			if wu.Label(ws.Nodes[j]) != gu.Label(gs.Nodes[j]) || ws.Weights[j] != gs.Weights[j] {
+			if wu.Label(ws.Nodes[j]) != gu.Label(gs.Nodes[j]) ||
+				math.Float64bits(ws.Weights[j]) != math.Float64bits(gs.Weights[j]) {
 				t.Fatalf("window %d sig %d member %d differs", want.Window, i, j)
 			}
 		}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -457,7 +458,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		}
 		s.mu.RUnlock()
 		if err != nil {
-			writeError(w, http.StatusNotFound, "%v", err)
+			writeError(w, searchStatus(err, http.StatusNotFound), "%v", err)
 			return
 		}
 	case req.Signature != nil:
@@ -472,7 +473,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		}
 		s.mu.RUnlock()
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			writeError(w, searchStatus(err, http.StatusBadRequest), "%v", err)
 			return
 		}
 	default:
@@ -529,6 +530,11 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	end := tr.Span("resolve")
 	for i, q := range req.Queries {
 		bq, err := s.resolveSearchQuery(q, d)
+		if errors.Is(err, store.ErrColdRead) {
+			end()
+			writeError(w, http.StatusInternalServerError, "%v", err)
+			return
+		}
 		if err != nil {
 			results[i].Error = err.Error()
 			continue
@@ -544,7 +550,7 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	hits, err := s.store.SearchBatch(d, queries)
 	end()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		writeError(w, searchStatus(err, http.StatusBadRequest), "%v", err)
 		return
 	}
 	for k := range hits {
@@ -561,6 +567,15 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// searchStatus is the HTTP status of a failed search: a cold-tier read
+// failure is the server's fault, anything else the request's (status).
+func searchStatus(err error, status int) int {
+	if errors.Is(err, store.ErrColdRead) {
+		return http.StatusInternalServerError
+	}
+	return status
 }
 
 // resolveSearchQuery turns one batch slot into a store query. Callers
@@ -581,7 +596,10 @@ func (s *Server) resolveSearchQuery(q SearchRequest, d core.Distance) (store.Bat
 	case q.Label != "" && q.Signature != nil:
 		return store.BatchQuery{}, fmt.Errorf("set either label or signature, not both")
 	case q.Label != "":
-		sig, _, ok := s.store.LatestSignature(q.Label)
+		sig, _, ok, err := s.store.ReadLatestSignature(q.Label)
+		if err != nil {
+			return store.BatchQuery{}, err
+		}
 		if !ok {
 			return store.BatchQuery{}, fmt.Errorf("label %q has no archived signature", q.Label)
 		}

@@ -155,7 +155,7 @@ func (o *storeObs) bind(reg *obs.Registry) {
 	o.segPruned = reg.Counter("store_segment_pruned",
 		"segment files deleted by the retention policy")
 	o.segErrors = reg.Counter("store_segment_errors",
-		"failed segment compactions or prunes (eviction deferred)")
+		"failed segment compactions, prunes (eviction deferred) or cold reads")
 	o.engine = distmat.Metrics{
 		RowSeconds: reg.Histogram("distmat_row_seconds",
 			"pairwise-engine row computation time (one query vs one window)"),
@@ -308,23 +308,18 @@ func (s *Store) Windows() []*core.SignatureSet {
 // an empty ring but a populated cold tier (a boot whose snapshot was
 // quarantined while segments survived), the newest segment window is
 // served instead.
-func (s *Store) Latest() *core.SignatureSet {
+func (s *Store) Latest() (*core.SignatureSet, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if len(s.ring) > 0 {
-		return s.ring[len(s.ring)-1].set
+		return s.ring[len(s.ring)-1].set, nil
 	}
 	segs, _ := s.tierSegsLocked()
 	if len(segs) == 0 {
-		return nil
+		return nil, nil
 	}
 	seg := segs[len(segs)-1]
-	set, err := seg.ReadWindow(seg.Last())
-	if err != nil {
-		return nil
-	}
-	s.obs.segLoads.Add(1)
-	return set
+	return s.readColdLocked(seg, seg.Last())
 }
 
 // HistoryEntry is one archived signature of a label.
@@ -346,18 +341,27 @@ func (s *Store) History(label string) []HistoryEntry {
 	return out
 }
 
-// LatestSignature returns the most recent non-empty signature of
-// label, falling through to the cold tier when the hot ring has none.
+// LatestSignature is ReadLatestSignature for callers to whom a failed
+// cold read (counted in store_segment_errors) is no signature.
 func (s *Store) LatestSignature(label string) (core.Signature, int, bool) {
+	sig, w, ok, _ := s.ReadLatestSignature(label)
+	return sig, w, ok
+}
+
+// ReadLatestSignature returns the most recent non-empty signature of
+// label, falling through to the cold tier when the hot ring has none.
+// ok is false when the archive holds none; err is an ErrColdRead when
+// a cold block that had to be searched for one could not be read.
+func (s *Store) ReadLatestSignature(label string) (core.Signature, int, bool, error) {
 	v, ok := s.universe.Lookup(label)
 	if !ok {
-		return core.Signature{}, 0, false
+		return core.Signature{}, 0, false, nil
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for i := len(s.ring) - 1; i >= 0; i-- {
 		if sig, ok := s.ring[i].set.Get(v); ok && !sig.IsEmpty() {
-			return sig, s.ring[i].set.Window, true
+			return sig, s.ring[i].set.Window, true, nil
 		}
 	}
 	segs, bound := s.tierSegsLocked()
@@ -367,17 +371,16 @@ func (s *Store) LatestSignature(label string) (core.Signature, int, bool) {
 			if wins[j] >= bound {
 				continue
 			}
-			set, err := segs[i].ReadWindow(wins[j])
+			set, err := s.readColdLocked(segs[i], wins[j])
 			if err != nil {
-				return core.Signature{}, 0, false
+				return core.Signature{}, 0, false, err
 			}
-			s.obs.segLoads.Add(1)
 			if sig, ok := set.Get(v); ok && !sig.IsEmpty() {
-				return sig, set.Window, true
+				return sig, set.Window, true, nil
 			}
 		}
 	}
-	return core.Signature{}, 0, false
+	return core.Signature{}, 0, false, nil
 }
 
 // Hit is one nearest-signature search result.
@@ -726,7 +729,10 @@ func (s *Store) searchRing(ring []entry, querier *distmat.Querier, fast bool, d 
 // SearchLabel searches with the latest non-empty signature of label,
 // excluding the label's own archived signatures from the results.
 func (s *Store) SearchLabel(d core.Distance, label string, opts SearchOptions) ([]Hit, error) {
-	sig, _, ok := s.LatestSignature(label)
+	sig, _, ok, err := s.ReadLatestSignature(label)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
 	if !ok {
 		return nil, fmt.Errorf("store: label %q has no archived signature", label)
 	}

@@ -73,8 +73,8 @@ func TestStoreAddEvictionAndRange(t *testing.T) {
 	if !ok || lo != 2 || hi != 3 {
 		t.Fatalf("range = [%d,%d] ok=%v", lo, hi, ok)
 	}
-	if got := s.Latest().Window; got != 3 {
-		t.Fatalf("latest window = %d", got)
+	if got, err := s.Latest(); err != nil || got.Window != 3 {
+		t.Fatalf("latest = %+v, %v", got, err)
 	}
 	// Regressing or duplicate windows are rejected.
 	if err := s.Add(buildSet(t, u, 3, map[string]map[string]float64{"a": {"x": 1}})); err == nil {

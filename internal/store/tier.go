@@ -42,6 +42,22 @@ type segTier struct {
 	last int                // newest window covered by any segment
 }
 
+// ErrColdRead marks a lookup or search that failed reading a cold-tier
+// block — the archive's fault, not an absent label or a bad request.
+var ErrColdRead = errors.New("cold-tier read failed")
+
+// readColdLocked reads window w of seg, counting the load or the
+// failure. Callers hold s.mu.
+func (s *Store) readColdLocked(seg *segment.Segment, w int) (*core.SignatureSet, error) {
+	set, err := seg.ReadWindow(w)
+	if err != nil {
+		s.obs.segErrors.Add(1)
+		return nil, fmt.Errorf("%w: %w", ErrColdRead, err)
+	}
+	s.obs.segLoads.Add(1)
+	return set, nil
+}
+
 // SegmentStats reports what AttachSegments found on disk.
 type SegmentStats struct {
 	Segments    int      // segment files attached
@@ -239,11 +255,10 @@ func (s *Store) snapshotTier(lastWindows int) ([]entry, error) {
 			if wins[j] >= bound {
 				continue
 			}
-			set, err := segs[i].ReadWindow(wins[j])
+			set, err := s.readColdLocked(segs[i], wins[j])
 			if err != nil {
 				return nil, err
 			}
-			s.obs.segLoads.Add(1)
 			cold = append(cold, entry{set: set})
 			if need > 0 {
 				need--
@@ -277,11 +292,7 @@ func (s *Store) Window(w int) (*core.SignatureSet, error) {
 	}
 	for _, seg := range segs {
 		if seg.Contains(w) {
-			set, err := seg.ReadWindow(w)
-			if err == nil {
-				s.obs.segLoads.Add(1)
-			}
-			return set, err
+			return s.readColdLocked(seg, w)
 		}
 	}
 	return nil, nil
@@ -334,11 +345,10 @@ func (s *Store) HistoryRange(label string, from, to, limit int) (entries []Histo
 				truncated, done = true, true
 				break
 			}
-			set, rerr := segs[i].ReadWindow(w)
+			set, rerr := s.readColdLocked(segs[i], w)
 			if rerr != nil {
 				return nil, false, rerr
 			}
-			s.obs.segLoads.Add(1)
 			if sig, ok := set.Get(v); ok {
 				rev = append(rev, HistoryEntry{Window: set.Window, Scheme: set.Scheme, Sig: sig})
 			}
