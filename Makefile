@@ -19,13 +19,15 @@ race:
 	$(GO) test -race ./...
 
 # Fault-injection and crash-recovery suite: failpoint-driven kill/
-# corruption tests across the WAL, the snapshot store and the server's
-# recovery path, under the race detector.
+# corruption tests across the WAL, the snapshot store (every Save
+# failpoint on either side of the manifest rename, saving over another
+# lineage, the old-format refusal) and the server's recovery path,
+# under the race detector.
 crash-test:
 	$(GO) test -race ./internal/fault/ ./internal/wal/ ./internal/store/ \
-		-run 'Torn|Corrupt|Crash|Failpoint|Fault|Quarantine|Interrupted'
+		-run 'Torn|Corrupt|Crash|Failpoint|Fault|Quarantine|Snapshot|Lineage|OldFormat'
 	$(GO) test -race ./internal/server/ \
-		-run 'Crash|Corrupt|Torn|SnapshotFailure|ShutdownSave|Throttled|Dedup|Retries'
+		-run 'Crash|Corrupt|Torn|SnapshotFailure|ShutdownSave|OldFormat|Throttled|Dedup|Retries'
 
 # Deterministic simulation (internal/simcheck): drives the real
 # store+WAL+server through a seeded ≥10k-op schedule of ingest, search,
@@ -88,8 +90,9 @@ segment-smoke:
 
 # Bounded runs of the native fuzz targets: the netflow binary codec,
 # WAL frame recovery, the distance kernels (bit-identity vs the naive
-# loops), and the segment reader (whole files through Open; single
-# window blocks, where an accepted block must re-encode to itself).
+# loops), the segment reader (whole files through Open; single window
+# blocks, where an accepted block must re-encode to itself), and the
+# snapshot manifest parser (accepts only what Save renders).
 # Committed corpora under testdata/fuzz/ replay as regression cases in
 # the plain test suite; this also explores briefly.
 fuzz-smoke:
@@ -98,6 +101,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDistKernels -fuzztime 30s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzSegmentOpen -fuzztime 30s ./internal/segment/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeBlock -fuzztime 30s ./internal/segment/
+	$(GO) test -run '^$$' -fuzz FuzzLoadManifest -fuzztime 30s ./internal/store/
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .

@@ -20,9 +20,10 @@
 // The trailing TOC records each block's byte offset, size and CRC32,
 // plus a label→windows index so per-label lookups seek straight to the
 // blocks that matter instead of scanning the whole file. The final `end`
-// line carries the TOC's offset and a CRC32 of every preceding byte —
-// the same self-checksum discipline as the snapshot v2 manifest — so a
-// torn tail or a flipped byte anywhere is detected at open time.
+// line carries the TOC's offset and a CRC32 of every preceding byte, and
+// must itself be spelled exactly as Write spells it, so a torn tail or a
+// flipped byte anywhere — the footer included — is detected at open time.
+// The store's snapshot manifest ends with the same kind of self-checksum.
 //
 // A window block is laid out so that reading it back is a bounds-checked
 // copy, not a parse. Integers are little-endian; a string is a minimal
@@ -54,10 +55,11 @@
 // open and serve (the header selects the block decoder), but are no
 // longer written.
 //
-// Durability follows the snapshot/WAL playbook: Write stages the whole
-// file at <name>.tmp, fsyncs it, renames it into place and fsyncs the
-// directory. A crash mid-write leaves only a stale .tmp (cleaned up at
-// the next List); a damaged file fails Open with ErrCorrupt and is
+// Durability: Write hands the finished bytes to CommitFile, the one
+// stage → fsync → rename → directory-fsync sequence in the tree (the
+// store's snapshot commits its window files and its manifest through it
+// too). A crash mid-write leaves only a stale .tmp (cleaned up at the
+// next List); a damaged file fails Open with ErrCorrupt and is
 // quarantined aside like a corrupt WAL, never silently skipped.
 package segment
 
@@ -88,6 +90,9 @@ const (
 	// quarantineSuffix matches the store/WAL convention so operators
 	// find all damaged artifacts with one glob.
 	quarantineSuffix = ".corrupt"
+	// footFormat is the last line of a file: the TOC's offset and the
+	// CRC32 of every byte before the line.
+	footFormat = "end %d %08x"
 )
 
 // ErrCorrupt marks a segment file that is structurally broken — bad
@@ -208,19 +213,40 @@ func (s *Segment) decode(i int, raw []byte) (*core.SignatureSet, error) {
 }
 
 // Write compacts sets (ascending window order) into a new segment file
-// under dir and returns the opened handle. The file is staged at
-// <name>.tmp, fsynced, renamed into place and the directory fsynced, so
-// a crash at any point leaves either no segment or a complete one —
+// under dir and returns the opened handle. CommitFile makes it durable,
+// so a crash at any point leaves either no segment or a complete one —
 // and because the block codec is deterministic, re-compacting the same
 // windows after a crash-replay reproduces the file bit-identically
 // (cluster followers rely on this to agree with their primary).
 func Write(dir string, sets []*core.SignatureSet, u *graph.Universe) (*Segment, error) {
+	seg, data, err := encode(sets, u)
+	if err != nil {
+		return nil, err
+	}
+	seg.path = filepath.Join(dir, Name(seg.First(), seg.Last()))
+	if err := CommitFile(seg.path, data, "segment.write", "segment.commit"); err != nil {
+		return nil, fmt.Errorf("segment: %w", err)
+	}
+	return seg, nil
+}
+
+// Encode returns the bytes Write would put on disk for sets, for a
+// caller that names and commits the file itself (the store's snapshot
+// names each one-window file after its checksum).
+func Encode(sets []*core.SignatureSet, u *graph.Universe) ([]byte, error) {
+	_, data, err := encode(sets, u)
+	return data, err
+}
+
+// encode renders sets as a segment file and the handle that describes
+// it (everything but the path).
+func encode(sets []*core.SignatureSet, u *graph.Universe) (*Segment, []byte, error) {
 	if len(sets) == 0 {
-		return nil, fmt.Errorf("segment: write with no windows")
+		return nil, nil, fmt.Errorf("segment: write with no windows")
 	}
 	for i := 1; i < len(sets); i++ {
 		if sets[i].Window <= sets[i-1].Window {
-			return nil, fmt.Errorf("segment: windows not ascending: %d after %d",
+			return nil, nil, fmt.Errorf("segment: windows not ascending: %d after %d",
 				sets[i].Window, sets[i-1].Window)
 		}
 	}
@@ -238,7 +264,7 @@ func Write(dir string, sets []*core.SignatureSet, u *graph.Universe) (*Segment, 
 		var ids []graph.NodeID
 		var err error
 		if block, ids, err = appendBlock(block[:0], set, u, local); err != nil {
-			return nil, fmt.Errorf("segment: window %d: %w", set.Window, err)
+			return nil, nil, fmt.Errorf("segment: window %d: %w", set.Window, err)
 		}
 		seg.toc = append(seg.toc, windowInfo{
 			window: set.Window,
@@ -272,24 +298,28 @@ func Write(dir string, sets []*core.SignatureSet, u *graph.Universe) (*Segment, 
 		}
 		fmt.Fprintln(&buf)
 	}
-	fmt.Fprintf(&buf, "end %d %08x\n", tocOff, crc32.ChecksumIEEE(buf.Bytes()))
+	fmt.Fprintf(&buf, footFormat+"\n", tocOff, crc32.ChecksumIEEE(buf.Bytes()))
+	seg.size = int64(buf.Len())
+	return seg, buf.Bytes(), nil
+}
 
-	path := filepath.Join(dir, Name(sets[0].Window, sets[len(sets)-1].Window))
-	if err := writeFileSynced(path+tmpSuffix, buf.Bytes(), "segment.write"); err != nil {
-		return nil, fmt.Errorf("segment: %w", err)
+// CommitFile makes data the durable content of path: staged at
+// path.tmp and fsynced, renamed over path, and the directory fsynced —
+// so after a crash path holds either what it held before or all of
+// data. writePoint fires before anything is written (a full disk),
+// commitPoint between the fsync and the rename (a kill that leaves a
+// complete but uncommitted .tmp behind); an empty name never fires.
+func CommitFile(path string, data []byte, writePoint, commitPoint string) error {
+	if err := writeFileSynced(path+tmpSuffix, data, writePoint); err != nil {
+		return err
 	}
-	if err := fault.Inject("segment.commit"); err != nil {
-		return nil, fmt.Errorf("segment: %w", err)
+	if err := fault.Inject(commitPoint); err != nil {
+		return err
 	}
 	if err := os.Rename(path+tmpSuffix, path); err != nil {
-		return nil, fmt.Errorf("segment: %w", err)
+		return err
 	}
-	if err := syncDir(dir); err != nil {
-		return nil, fmt.Errorf("segment: %w", err)
-	}
-	seg.path = path
-	seg.size = int64(buf.Len())
-	return seg, nil
+	return syncDir(filepath.Dir(path))
 }
 
 // Open reads and fully verifies a segment file: the trailing
@@ -321,7 +351,9 @@ func parse(path string, raw []byte, u *graph.Universe) (*Segment, error) {
 	foot := strings.TrimSuffix(string(raw[footStart:]), "\n")
 	var tocOff int64
 	var wantCRC uint32
-	if _, err := fmt.Sscanf(foot, "end %d %x", &tocOff, &wantCRC); err != nil {
+	// Sscanf is lenient (upper-case hex, signs); only Write's spelling
+	// passes, so no byte of the footer can change unnoticed.
+	if _, err := fmt.Sscanf(foot, footFormat, &tocOff, &wantCRC); err != nil || foot != fmt.Sprintf(footFormat, tocOff, wantCRC) {
 		return nil, corruptf("%s: bad end line %q", filepath.Base(path), foot)
 	}
 	if got := crc32.ChecksumIEEE(raw[:footStart]); got != wantCRC {

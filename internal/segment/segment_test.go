@@ -194,6 +194,15 @@ func TestSegmentFlippedByteCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// No byte is outside a checksum — the footer's own hex digits
+	// included, whose case a lenient parse would let through.
+	for off := range raw {
+		raw[off] ^= 0x20
+		if _, err := parse(seg.Path(), raw, graph.NewUniverse()); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("byte %d flipped: err = %v, want ErrCorrupt", off, err)
+		}
+		raw[off] ^= 0x20
+	}
 	raw[len(raw)/3] ^= 0x20
 	if err := os.WriteFile(seg.Path(), raw, 0o644); err != nil {
 		t.Fatal(err)

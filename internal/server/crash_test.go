@@ -246,7 +246,9 @@ func TestCorruptSnapshotQuarantinedAtBoot(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		t.Run(e.Name(), func(t *testing.T) {
+		// Named by window ("window-000000001"), not by file: the rest of
+		// a window file's name is a checksum of its content.
+		t.Run(e.Name()[:min(len(e.Name()), len("window-000000000"))], func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "snap")
 			copyTree(t, base, dir)
 			path := filepath.Join(dir, e.Name())
@@ -280,6 +282,37 @@ func TestCorruptSnapshotQuarantinedAtBoot(t *testing.T) {
 				t.Fatalf("post-quarantine ingest closed %d windows", srv2.Store().Len())
 			}
 		})
+	}
+}
+
+// TestOldFormatSnapshotRefusedAtBoot: a graphsig-store v2 directory is
+// healthy data this build no longer reads. Boot must fail with
+// store.ErrOldFormat and leave every file where it was — quarantining
+// it like a corrupt snapshot would silently drop its windows.
+func TestOldFormatSnapshotRefusedAtBoot(t *testing.T) {
+	base := t.TempDir()
+	dir := filepath.Join(base, "snap")
+	copyTree(t, filepath.Join("..", "store", "testdata", "snapshot-v2"), dir)
+	list := func() string {
+		var names []string
+		for _, root := range []string{base, dir} {
+			entries, err := os.ReadDir(root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				names = append(names, e.Name())
+			}
+		}
+		return strings.Join(names, " ")
+	}
+	before := list()
+	_, err := New(crashConfig(dir))
+	if !errors.Is(err, store.ErrOldFormat) || errors.Is(err, store.ErrCorrupt) {
+		t.Fatalf("New over a v2 snapshot = %v, want store.ErrOldFormat", err)
+	}
+	if after := list(); after != before {
+		t.Fatalf("refused boot changed the disk: %q -> %q", before, after)
 	}
 }
 

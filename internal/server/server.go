@@ -10,13 +10,15 @@
 // Durability model (when SnapshotDir is set): accepted records of the
 // still-open window are appended to a CRC-framed write-ahead log (a
 // sibling file of the snapshot directory, internal/wal), fsynced once
-// per batch. Whenever a window closes, the archive is snapshotted
-// atomically and the WAL truncated — at that moment every WAL entry
-// belongs to an archived window, so nothing is lost. On startup a
-// corrupt snapshot or WAL is quarantined (renamed aside, logged,
-// counted) rather than fatal, and the WAL is replayed through a fresh
-// pipeline; a kill -9 therefore loses at most the final unsynced
-// batch.
+// per batch. Whenever a window closes, the archive is checkpointed —
+// the new window's file written, then one manifest rename (store.Save)
+// — and the WAL truncated: at that moment every WAL entry belongs to an
+// archived window, so nothing is lost. On startup a corrupt snapshot or
+// WAL is quarantined (renamed aside, logged, counted) rather than
+// fatal, and the WAL is replayed through a fresh pipeline; a kill -9
+// therefore loses at most the final unsynced batch. A healthy snapshot
+// in a format this build no longer reads (store.ErrOldFormat) is
+// neither: New returns the error and leaves the directory alone.
 //
 // Locking model: the streaming pipeline interns labels into the shared
 // graph.Universe on ingest, and the Universe is not safe for
@@ -104,11 +106,12 @@ type Config struct {
 	// SnapshotDir, when non-empty, is loaded at startup (if a snapshot
 	// exists), written whenever a window closes, and written by
 	// Shutdown. A corrupt snapshot is quarantined and the server boots
-	// fresh. Snapshots are atomic: see store.Save.
+	// fresh; an old-format one fails New. Snapshots are atomic: see
+	// store.Save.
 	SnapshotDir string
 	// DisableWAL turns off the write-ahead log that otherwise
-	// accompanies SnapshotDir (at <SnapshotDir>.wal — a sibling, since
-	// the snapshot directory itself is atomically replaced on save).
+	// accompanies SnapshotDir (at <SnapshotDir>.wal — a sibling, so a
+	// quarantined snapshot directory does not take the log with it).
 	DisableWAL bool
 	// HitLogSize bounds the retained watchlist hit log. 0 means
 	// DefaultHitLogSize; negative retains no hits.
@@ -223,7 +226,6 @@ type Server struct {
 	watch    *apps.Watchlist
 	hits     []WatchHit
 	pending  int // records accepted into the still-open window
-	dropped  int // windows lost to index conflicts (snapshot overlap)
 
 	wal             *wal.WAL
 	walOriginLogged bool
@@ -392,7 +394,10 @@ func (s *Server) stampIdentity(id *Identity) {
 func (s *Server) Identity() *Identity { return s.identity.Load() }
 
 // openStore loads the snapshot (quarantining corruption) or builds a
-// fresh store.
+// fresh store. Any other Load failure — an I/O error, or a healthy
+// snapshot in a format this build does not read (store.ErrOldFormat) —
+// fails the boot with the directory untouched: quarantining it would
+// silently drop up to StoreCapacity good windows.
 func (s *Server) openStore(scfg store.Config) error {
 	dir := s.cfg.SnapshotDir
 	if dir != "" && store.SnapshotExists(dir) {
@@ -445,8 +450,8 @@ func (s *Server) attachSegments() error {
 }
 
 // WALPath reports where the write-ahead log lives for a snapshot
-// directory: beside it, because the directory itself is renamed away
-// on every atomic save.
+// directory: beside it, where deployments and bench/ expect it, and
+// where quarantining the directory leaves it in place.
 func WALPath(snapshotDir string) string { return snapshotDir + ".wal" }
 
 // openWAL opens (quarantining a corrupt header) the write-ahead log.
@@ -976,8 +981,8 @@ func (s *Server) Snapshot() error {
 func (s *Server) commitWindowLocked(set *core.SignatureSet) {
 	if err := s.store.Add(set); err != nil {
 		// A snapshot/replay overlap: the window index already exists.
-		// The archived window wins; the new one is dropped and counted.
-		s.dropped++
+		// The archived window wins and the new one is dropped; recovery
+		// tells kept from dropped by Store.TotalAdded.
 		return
 	}
 	s.metrics.WindowsClosed.Add(1)

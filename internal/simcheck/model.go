@@ -5,10 +5,10 @@
 // small in-memory reference model: a map-based, label-keyed window
 // archive with naive distance loops. The harness owns all time (a
 // logical clock) and randomness (a stats.RNG per run), interleaves
-// operations with internal/fault failpoints (failed fsyncs, failed or
-// half-committed snapshot swaps, torn WAL tails), and on divergence
-// reports the seed plus a minimized operation trace so the failure
-// replays exactly.
+// operations with internal/fault failpoints (failed fsyncs, snapshot
+// saves failing before or after their commit, torn WAL tails), and on
+// divergence reports the seed plus a minimized operation trace so the
+// failure replays exactly.
 //
 // Invariants checked (DESIGN.md §11):
 //   - WAL replay after a crash rebuilds exactly the durable records'
@@ -302,13 +302,13 @@ type faultPlan struct {
 	// walFail makes every WAL flush in the op fail (wal.sync): appended
 	// records and origin frames are rolled back and stay volatile.
 	walFail bool
-	// snapFail makes snapshot saves fail before anything is promoted
-	// (store.save.set / .manifest / .swap): the old on-disk snapshot
-	// survives, the WAL is kept.
+	// snapFail makes snapshot saves fail before the manifest rename
+	// (store.save.window / .window.commit / .manifest): the old on-disk
+	// snapshot survives, the WAL is kept.
 	snapFail bool
-	// snapCommitted fails the save between its two renames
-	// (store.save.swap.mid): Save reports an error and the WAL is kept,
-	// but the staged snapshot is complete and recovery promotes it.
+	// snapCommitted fails the save after the manifest rename
+	// (store.save.sweep): Save reports an error and the WAL is kept,
+	// but the new snapshot is committed and recovery loads it.
 	snapCommitted bool
 	// resetFail makes the post-save WAL truncation fail (wal.reset):
 	// the archive is saved but the log keeps its records.
@@ -316,7 +316,9 @@ type faultPlan struct {
 	// segFail makes segment compaction fail (segment.write or a torn
 	// segment.commit): the store defers eviction and retains the window
 	// in RAM, so NOTHING observable changes — the model stays untouched,
-	// which is exactly the invariant under test.
+	// which is exactly the invariant under test. (Checkpoint window
+	// files go through the same commit sequence but fire the
+	// store.save.window points, so this plan never fails a save.)
 	segFail bool
 }
 
@@ -463,10 +465,10 @@ func (m *model) flushLog(plan faultPlan) {
 func (m *model) checkpoint(plan faultPlan) {
 	switch {
 	case plan.snapFail:
-		return // save failed before promotion; disk and WAL unchanged
+		return // save failed before its rename; disk and WAL unchanged
 	case plan.snapCommitted:
-		// Save reported failure, so the WAL is kept — but the staged dir
-		// is complete and a recovery will promote it.
+		// Save reported failure, so the WAL is kept — but the manifest
+		// rename happened and a recovery loads the new snapshot.
 		m.disk = &diskSnapshot{archive: m.archive.clone(), labels: m.universeDump()}
 		return
 	}

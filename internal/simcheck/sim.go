@@ -53,9 +53,9 @@ type Config struct {
 	// LSH enables the store's MinHash prefilter (searched with subset
 	// invariants instead of exact ones on the jaccard path).
 	LSH bool
-	// Faults interleaves failpoint injection (failed fsyncs, failed and
-	// half-committed snapshot swaps, failed WAL truncation) into ingest
-	// and snapshot ops.
+	// Faults interleaves failpoint injection (failed fsyncs, snapshot
+	// saves failing before or after their commit, failed WAL
+	// truncation) into ingest and snapshot ops.
 	Faults bool
 	// Restarts interleaves graceful restarts, crashes, and crashes with
 	// torn WAL tails.
@@ -311,7 +311,7 @@ func (s *sim) pickPlan() faultPlan {
 // name, so unrelated hooks survive) after every faulted op.
 var faultNames = []string{
 	"wal.sync", "wal.reset",
-	"store.save.set", "store.save.manifest", "store.save.swap", "store.save.swap.mid",
+	"store.save.window", "store.save.window.commit", "store.save.manifest", "store.save.sweep",
 	"segment.write", "segment.commit",
 }
 
@@ -324,11 +324,15 @@ func (s *sim) installPlan(plan faultPlan) func() {
 	case plan.walFail:
 		fault.Set("wal.sync", hook)
 	case plan.snapFail:
-		// Vary which stage of the save dies.
-		name := []string{"store.save.set", "store.save.manifest", "store.save.swap"}[s.rng.Intn(3)]
+		// Vary which stage of the save dies. A save with no new window
+		// to write never reaches the window points, so the manifest
+		// point is armed behind them: one way or the other the save dies
+		// before its rename.
+		name := []string{"store.save.window", "store.save.window.commit", "store.save.manifest"}[s.rng.Intn(3)]
 		fault.Set(name, hook)
+		fault.Set("store.save.manifest", hook)
 	case plan.snapCommitted:
-		fault.Set("store.save.swap.mid", hook)
+		fault.Set("store.save.sweep", hook)
 	case plan.segFail:
 		// Vary whether the compaction dies cleanly or tears mid-commit
 		// (leaving a stale .tmp for the next boot to sweep); either way

@@ -1,57 +1,46 @@
 package store
 
 import (
-	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"time"
 
 	"graphsig/internal/core"
 	"graphsig/internal/fault"
 	"graphsig/internal/graph"
+	"graphsig/internal/segment"
 )
 
-// A snapshot is a directory: a manifest listing the retained windows
-// oldest-first, plus one file per window in the established
-// line-oriented signature text format (core.WriteSignatureSet). Using
-// the existing codec means a snapshot is also directly consumable by
-// `sigtool compare`/`screen` and by any other tool that reads signature
-// files — the store adds only the manifest.
+// A snapshot is a directory of immutable files under one manifest:
 //
-// The manifest also dumps the universe's labels in NodeID order.
-// Signature canonical order breaks weight ties by NodeID, so a reload
-// must re-intern labels in the original ID order — interning them
-// lazily per set file would permute IDs of nodes shared across windows
-// and invalidate tie ordering.
+//	MANIFEST
+//	window-000000007-1a2b3c4d.seg    one per ring window
 //
-// Durability (v2): Save stages the whole snapshot in a sibling temp
-// directory, fsyncs every file, and swaps it into place with two
-// renames (dir → dir.prev, tmp → dir). The v2 manifest records each
-// set file's byte size and CRC32 and ends with a checksum of itself,
-// so Load detects any flipped or truncated byte. Load first repairs an
-// interrupted swap (a crash between the two renames leaves dir absent
-// but a complete dir.tmp or dir.prev) and reports all corruption as
-// ErrCorrupt so callers can Quarantine the directory and boot fresh
-// instead of dying. v1 snapshots (no checksums) still load.
-
-// manifestName is the snapshot directory's index file.
-const manifestName = "MANIFEST"
+// A window file is a one-window segment (internal/segment: binary
+// block, TOC, self-checksummed footer) named after its window index and
+// the CRC32 of its bytes, so different contents never share a name and
+// a file, once written, is never written again. The manifest is text:
+//
+//	graphsig-store v3
+//	node "10.0.0.1" V1               every universe label, NodeID order
+//	window 7 1a2b3c4d                the ring's files, oldest first
+//	crc 89abcdef                     CRC32 of every byte above
+//
+// The labels are there because signature canonical order breaks weight
+// ties by NodeID: a reload must intern them in the original order
+// before it opens any window file, or nodes shared across windows get
+// permuted IDs and tie ordering breaks.
+//
+// Renaming the staged manifest over MANIFEST is the only commit point:
+// before it the previous snapshot loads, after it the new one, and
+// nothing in between needs repair (DESIGN.md §8).
 
 const (
-	manifestHeaderV1 = "graphsig-store v1"
-	manifestHeaderV2 = "graphsig-store v2"
-)
-
-// Suffixes of the sibling directories Save and Quarantine manage.
-const (
-	tmpSuffix        = ".tmp"
-	prevSuffix       = ".prev"
+	manifestName     = "MANIFEST"
 	quarantineSuffix = ".corrupt"
 )
 
@@ -61,180 +50,115 @@ const (
 // Quarantine; I/O errors are not.
 var ErrCorrupt = errors.New("store: corrupt snapshot")
 
-// setFileName names the snapshot file holding window w.
-func setFileName(w int) string { return fmt.Sprintf("window-%09d.sig", w) }
+// ErrOldFormat marks a healthy snapshot in a format this build does not
+// read (graphsig-store v1/v2: text window files). It is not ErrCorrupt:
+// the data is good and must not be quarantined or overwritten (README,
+// "Upgrading").
+var ErrOldFormat = errors.New("store: snapshot in an unsupported older format")
 
-// Save writes a point-in-time snapshot of the store into dir. The
-// snapshot is staged in dir.tmp and atomically swapped into place, so
-// a crash at any point leaves either the old snapshot, the new one, or
-// a repairable in-between state (see recoverDir) — never a mix of old
-// and new files under one manifest. Concurrent Saves of one store are
-// serialized.
+// corruptf wraps a structural-corruption error so errors.Is(err,
+// ErrCorrupt) holds.
+func corruptf(format string, args ...any) error {
+	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
+}
+
+// Save writes a point-in-time snapshot of the store into dir: the
+// window files this store has not already written or loaded there, then
+// the manifest, whose rename commits, then the deletion of every file
+// the new manifest does not name. An error from before the rename
+// leaves dir loading as it did, one from after it (the sweep) leaves
+// the new snapshot in place; the next Save that succeeds clears what
+// either left behind. Concurrent Saves of one store are serialized.
+//
+// Failpoints: store.save.window and .window.commit (a window file's
+// write and rename — not segment.write/.commit, which stay the
+// compactor's), store.save.manifest (staged, not renamed) and
+// store.save.sweep (committed, nothing deleted yet).
 func (s *Store) Save(dir string) error {
 	s.saveMu.Lock()
 	defer s.saveMu.Unlock()
 	begin := time.Now()
-	staged := int64(0) // bytes written into the staging dir
-
-	// An earlier swap interrupted between its two renames leaves the
-	// committed state only in the tmp sibling (dir already renamed
-	// aside). Repair that first: the RemoveAll below would otherwise
-	// destroy the sole complete copy, and if this Save then failed too,
-	// the effective snapshot would silently roll back to dir.prev.
-	if _, err := recoverDir(dir); err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("store: snapshot: %w", err)
 	}
-	tmp := dir + tmpSuffix
-	if err := os.RemoveAll(tmp); err != nil {
-		return fmt.Errorf("store: snapshot: %w", err)
-	}
-	if err := os.MkdirAll(tmp, 0o755); err != nil {
-		return fmt.Errorf("store: snapshot: %w", err)
+	if s.savedDir != dir {
+		s.savedDir, s.saved = dir, map[int]uint32{}
 	}
 	// Capture the ring under the read lock, then serialize outside it:
 	// sets are immutable and the universe only grows.
 	sets := s.Windows()
-	var manifest bytes.Buffer
-	fmt.Fprintln(&manifest, manifestHeaderV2)
-	fmt.Fprintf(&manifest, "windows %d\n", len(sets))
-	for id := 0; id < s.universe.Size(); id++ {
-		nid := graph.NodeID(id)
-		fmt.Fprintf(&manifest, "node %q %s\n", s.universe.Label(nid), s.universe.PartOf(nid))
-	}
-	var body bytes.Buffer
-	for _, set := range sets {
-		body.Reset()
-		if err := core.WriteSignatureSet(&body, set, s.universe); err != nil {
-			return fmt.Errorf("store: snapshot window %d: %w", set.Window, err)
+	windows := make([]windowFile, len(sets))
+	owns := make(map[int]uint32, len(sets))
+	keep := map[string]bool{manifestName: true}
+	written := 0
+	for i, set := range sets {
+		w := windowFile{window: set.Window}
+		var owned bool
+		if w.crc, owned = s.saved[w.window]; owned {
+			// Reuse is by ownership, never by name alone; the Stat only
+			// notices a file deleted under this store.
+			_, err := os.Stat(filepath.Join(dir, w.name()))
+			owned = err == nil
 		}
-		name := setFileName(set.Window)
-		if err := writeFileSynced(filepath.Join(tmp, name), body.Bytes(), "store.save.set"); err != nil {
-			return fmt.Errorf("store: snapshot window %d: %w", set.Window, err)
+		if !owned {
+			data, err := segment.Encode([]*core.SignatureSet{set}, s.universe)
+			if err == nil {
+				w.crc = crc32.ChecksumIEEE(data)
+				err = segment.CommitFile(filepath.Join(dir, w.name()), data, "store.save.window", "store.save.window.commit")
+			}
+			if err != nil {
+				return fmt.Errorf("store: snapshot window %d: %w", w.window, err)
+			}
+			written += len(data)
 		}
-		staged += int64(body.Len())
-		fmt.Fprintf(&manifest, "set %s %d %08x\n", name, body.Len(), crc32.ChecksumIEEE(body.Bytes()))
+		windows[i], owns[w.window], keep[w.name()] = w, w.crc, true
 	}
-	fmt.Fprintf(&manifest, "crc %08x\n", crc32.ChecksumIEEE(manifest.Bytes()))
-	if err := writeFileSynced(filepath.Join(tmp, manifestName), manifest.Bytes(), "store.save.manifest"); err != nil {
+	node := func(i int) (string, graph.Part) {
+		return s.universe.Label(graph.NodeID(i)), s.universe.PartOf(graph.NodeID(i))
+	}
+	manifest := renderManifest(s.universe.Size(), node, windows)
+	if err := segment.CommitFile(filepath.Join(dir, manifestName), manifest, "", "store.save.manifest"); err != nil {
 		return fmt.Errorf("store: snapshot: %w", err)
 	}
-	if err := syncDir(tmp); err != nil {
-		return fmt.Errorf("store: snapshot: %w", err)
-	}
-	if err := swapDirs(tmp, dir); err != nil {
-		return fmt.Errorf("store: snapshot: %w", err)
-	}
+	s.saved = owns // committed: exactly what the manifest names
 	s.obs.saveSeconds.ObserveSince(begin)
-	s.obs.saveBytes.Add(staged + int64(manifest.Len()))
+	s.obs.saveBytes.Add(int64(written + len(manifest)))
+	if err := sweep(dir, keep); err != nil {
+		return fmt.Errorf("store: snapshot committed, sweep: %w", err)
+	}
 	return nil
 }
 
-// writeFileSynced writes data to path and fsyncs it. The failpoint
-// fires before the write so tests can inject full-disk failures.
-func writeFileSynced(path string, data []byte, failpoint string) error {
-	if err := fault.Inject(failpoint); err != nil {
+// sweep deletes every entry of dir that keep does not name: files of
+// windows that left the ring, of another lineage, stale .tmp stages.
+func sweep(dir string, keep map[string]bool) error {
+	if err := fault.Inject("store.save.sweep"); err != nil {
 		return err
 	}
-	f, err := os.Create(path)
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return err
 	}
-	_, err = f.Write(data)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// syncDir fsyncs a directory so its entries are durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// swapDirs promotes the staged snapshot: the old dir (if any) is
-// renamed aside, tmp renamed into place, and the old one removed. A
-// crash between the renames is repaired by recoverDir.
-func swapDirs(tmp, dir string) error {
-	if err := fault.Inject("store.save.swap"); err != nil {
-		return err
-	}
-	prev := dir + prevSuffix
-	if err := os.RemoveAll(prev); err != nil {
-		return err
-	}
-	if _, err := os.Stat(dir); err == nil {
-		if err := os.Rename(dir, prev); err != nil {
+	for _, e := range entries {
+		if keep[e.Name()] {
+			continue
+		}
+		if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
 			return err
 		}
 	}
-	// Failpoint for the crash window between the two renames: the live
-	// dir is already aside but tmp not yet promoted. recoverDir repairs
-	// this by promoting the complete tmp (simcheck's crash schedules
-	// drive it).
-	if err := fault.Inject("store.save.swap.mid"); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, dir); err != nil {
-		return err
-	}
-	if parent := filepath.Dir(dir); parent != "" {
-		if err := syncDir(parent); err != nil {
-			return err
-		}
-	}
-	return os.RemoveAll(prev)
+	return nil
 }
 
-// hasManifest reports whether dir contains a manifest file.
-func hasManifest(dir string) bool {
+// SnapshotExists reports whether dir holds a committed snapshot.
+func SnapshotExists(dir string) bool {
 	_, err := os.Stat(filepath.Join(dir, manifestName))
 	return err == nil
 }
 
-// recoverDir repairs an interrupted Save swap: when dir itself has no
-// manifest, a complete dir.tmp (manifest written last, so its presence
-// means the stage finished) or, failing that, the renamed-aside
-// dir.prev is promoted back. Returns the repair performed, if any.
-func recoverDir(dir string) (string, error) {
-	if hasManifest(dir) {
-		return "", nil
-	}
-	for _, cand := range []string{dir + tmpSuffix, dir + prevSuffix} {
-		if !hasManifest(cand) {
-			continue
-		}
-		if err := os.RemoveAll(dir); err != nil {
-			return "", fmt.Errorf("store: snapshot recovery: %w", err)
-		}
-		if err := os.Rename(cand, dir); err != nil {
-			return "", fmt.Errorf("store: snapshot recovery: %w", err)
-		}
-		return cand, nil
-	}
-	return "", nil
-}
-
-// SnapshotExists reports whether dir holds a loadable snapshot,
-// including one recoverable from an interrupted Save swap.
-func SnapshotExists(dir string) bool {
-	return hasManifest(dir) || hasManifest(dir+tmpSuffix) || hasManifest(dir+prevSuffix)
-}
-
 // Quarantine renames a snapshot directory that failed to Load aside
 // (dir.corrupt, dir.corrupt.1, ...) and returns the new path, so the
-// caller can boot with a fresh store while keeping the evidence. The
-// stale .tmp/.prev siblings, if any, are removed.
+// caller can boot with a fresh store while keeping the evidence.
 func Quarantine(dir string) (string, error) {
 	dst := dir + quarantineSuffix
 	for i := 1; ; i++ {
@@ -246,192 +170,65 @@ func Quarantine(dir string) (string, error) {
 	if err := os.Rename(dir, dst); err != nil {
 		return "", fmt.Errorf("store: quarantine: %w", err)
 	}
-	os.RemoveAll(dir + tmpSuffix)
-	os.RemoveAll(dir + prevSuffix)
 	return dst, nil
 }
 
-// corruptf wraps a structural-corruption error so errors.Is(err,
-// ErrCorrupt) holds.
-func corruptf(format string, args ...any) error {
-	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
-}
-
 // Load rebuilds a store from a snapshot directory, interning every
-// label into cfg.Universe (a fresh one when nil). Window order and
-// indices are restored from the manifest. An over-capacity snapshot —
-// a tiered server checkpoints one after a failed compaction deferred
-// eviction — loads in full: trimming here would drop the only copy of
-// an acked window before AttachSegments can wire the cold tier. The
-// surplus is compacted (or, untiered, evicted) on the next live Add.
-// An interrupted Save swap is repaired first; structural
-// damage — checksum mismatches, truncated or missing files, malformed
-// manifests — is reported as ErrCorrupt (quarantine and boot fresh),
-// while plain I/O errors are not.
+// label into cfg.Universe (a fresh one when nil) in manifest order. An
+// over-capacity snapshot — a tiered server checkpoints one after a
+// failed compaction deferred eviction — loads in full: trimming here
+// would drop the only copy of an acked window before AttachSegments can
+// wire the cold tier; the surplus is compacted (or, untiered, evicted)
+// on the next live Add. Structural damage — a flipped byte anywhere, a
+// truncated, missing or foreign window file — is ErrCorrupt (quarantine
+// and boot fresh), a v1/v2 manifest ErrOldFormat (leave it alone), an
+// I/O error neither. Load writes nothing.
 func Load(dir string, cfg Config) (*Store, error) {
 	s, err := New(cfg)
 	if err != nil {
-		return nil, err
-	}
-	if _, err := recoverDir(dir); err != nil {
 		return nil, err
 	}
 	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
 		return nil, fmt.Errorf("store: snapshot: %w", err)
 	}
-	sc := bufio.NewScanner(bytes.NewReader(raw))
-	if !sc.Scan() {
-		return nil, corruptf("empty manifest")
+	windows, err := loadManifest(raw, s.universe)
+	if err != nil {
+		return nil, err
 	}
-	var checksummed bool
-	switch sc.Text() {
-	case manifestHeaderV1:
-	case manifestHeaderV2:
-		checksummed = true
-		if err := verifyManifestCRC(raw); err != nil {
-			return nil, err
+	s.savedDir, s.saved = dir, make(map[int]uint32, len(windows))
+	for _, w := range windows {
+		set, err := readWindowFile(dir, w, s.universe)
+		if errors.Is(err, segment.ErrCorrupt) || errors.Is(err, fs.ErrNotExist) {
+			err = corruptf("%v", err)
 		}
-	default:
-		return nil, corruptf("bad manifest header %q", sc.Text())
-	}
-	if !sc.Scan() || !strings.HasPrefix(sc.Text(), "windows ") {
-		return nil, corruptf("missing windows line")
-	}
-	want, err := strconv.Atoi(strings.TrimPrefix(sc.Text(), "windows "))
-	if err != nil || want < 0 {
-		return nil, corruptf("bad window count %q", sc.Text())
-	}
-	loaded := 0
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
+		if err == nil {
+			s.loading = true
+			err = s.Add(set)
+			s.loading = false
 		}
-		if rest, ok := strings.CutPrefix(line, "node "); ok {
-			if err := internNodeLine(s.universe, rest); err != nil {
-				return nil, corruptf("%v", err)
-			}
-			continue
-		}
-		if strings.HasPrefix(line, "crc ") && checksummed {
-			continue // self-checksum, verified up front
-		}
-		rest, ok := strings.CutPrefix(line, "set ")
-		if !ok {
-			return nil, corruptf("unknown manifest line %q", line)
-		}
-		set, err := loadSetFile(dir, rest, checksummed, s.universe)
 		if err != nil {
 			return nil, err
 		}
-		s.loading = true
-		err = s.Add(set)
-		s.loading = false
-		if err != nil {
-			// Duplicate or regressing window indices: the manifest
-			// itself is inconsistent.
-			return nil, corruptf("%v", err)
-		}
-		loaded++
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("store: snapshot: %w", err)
-	}
-	if loaded != want {
-		return nil, corruptf("manifest promises %d windows, found %d", want, loaded)
+		s.saved[w.window] = w.crc
 	}
 	return s, nil
 }
 
-// verifyManifestCRC checks the v2 manifest's trailing self-checksum.
-func verifyManifestCRC(raw []byte) error {
-	trimmed := bytes.TrimRight(raw, "\n")
-	i := bytes.LastIndexByte(trimmed, '\n')
-	last := trimmed[i+1:]
-	hexcrc, ok := bytes.CutPrefix(last, []byte("crc "))
-	if i < 0 || !ok {
-		return corruptf("manifest missing trailing checksum")
-	}
-	want, err := strconv.ParseUint(string(hexcrc), 16, 32)
+// readWindowFile opens w's file under dir and decodes its one window.
+// Every label in it must already be in u, from the manifest.
+func readWindowFile(dir string, w windowFile, u *graph.Universe) (*core.SignatureSet, error) {
+	labels := u.Size()
+	seg, err := segment.Open(filepath.Join(dir, w.name()), u)
 	if err != nil {
-		return corruptf("bad manifest checksum %q", last)
+		return nil, err
 	}
-	// The checksum covers every byte up to and including the newline
-	// before the crc line — exactly what Save hashed.
-	if got := crc32.ChecksumIEEE(raw[:i+1]); got != uint32(want) {
-		return corruptf("manifest checksum mismatch: %08x != %08x", got, want)
+	if seg.Len() != 1 || seg.First() != w.window {
+		return nil, corruptf("%s holds windows %v, manifest says %d", w.name(), seg.Windows(), w.window)
 	}
-	return nil
-}
-
-// loadSetFile reads and verifies one window file named by a manifest
-// set line: `name` (v1) or `name size crc32` (v2).
-func loadSetFile(dir, rest string, checksummed bool, u *graph.Universe) (*core.SignatureSet, error) {
-	fields := strings.Fields(rest)
-	wantFields := 1
-	if checksummed {
-		wantFields = 3
+	if u.Size() != labels {
+		// Interned just now, so under a NodeID the writer never gave it.
+		return nil, corruptf("%s names a label the manifest does not", w.name())
 	}
-	if len(fields) != wantFields {
-		return nil, corruptf("bad set line %q", rest)
-	}
-	name := fields[0]
-	if name != filepath.Base(name) {
-		return nil, corruptf("manifest escapes directory: %q", name)
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, name))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, corruptf("manifest references missing file %s", name)
-		}
-		return nil, fmt.Errorf("store: snapshot: %w", err)
-	}
-	if checksummed {
-		size, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return nil, corruptf("bad set size in %q", rest)
-		}
-		want, err := strconv.ParseUint(fields[2], 16, 32)
-		if err != nil {
-			return nil, corruptf("bad set checksum in %q", rest)
-		}
-		if len(raw) != size {
-			return nil, corruptf("%s is %d bytes, manifest says %d", name, len(raw), size)
-		}
-		if got := crc32.ChecksumIEEE(raw); got != uint32(want) {
-			return nil, corruptf("%s checksum mismatch: %08x != %08x", name, got, want)
-		}
-	}
-	set, err := core.ReadSignatureSet(bytes.NewReader(raw), u)
-	if err != nil {
-		return nil, corruptf("%s: %v", name, err)
-	}
-	return set, nil
-}
-
-// internNodeLine parses `"label" PART` and interns it, restoring the
-// snapshot's NodeID assignment order.
-func internNodeLine(u *graph.Universe, rest string) error {
-	quoted, err := strconv.QuotedPrefix(rest)
-	if err != nil {
-		return fmt.Errorf("bad node line %q: %w", rest, err)
-	}
-	label, err := strconv.Unquote(quoted)
-	if err != nil {
-		return fmt.Errorf("bad node label in %q: %w", rest, err)
-	}
-	var part graph.Part
-	switch strings.TrimSpace(rest[len(quoted):]) {
-	case "V":
-		part = graph.PartNone
-	case "V1":
-		part = graph.Part1
-	case "V2":
-		part = graph.Part2
-	default:
-		return fmt.Errorf("bad node part in %q", rest)
-	}
-	_, err = u.Intern(label, part)
-	return err
+	return seg.ReadWindow(w.window)
 }

@@ -5,89 +5,140 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"graphsig/internal/fault"
 	"graphsig/internal/graph"
+	"graphsig/internal/obs"
 )
+
+// lineageStore builds a three-window store whose signature weights
+// depend on salt, so two salts are two lineages with the same window
+// indices and different window files.
+func lineageStore(t testing.TB, salt float64, reg *obs.Registry) *Store {
+	t.Helper()
+	u := graph.NewUniverse()
+	s, err := New(Config{Capacity: 8, Universe: u, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w := 0; w < 3; w++ {
+		addWindow(t, s, w, salt)
+	}
+	return s
+}
+
+func addWindow(t testing.TB, s *Store, w int, salt float64) {
+	t.Helper()
+	set := buildSet(t, s.Universe(), w, map[string]map[string]float64{
+		"host-a": {"peer-1": 3 + salt, "peer-2": 1},
+		"host-b": {"peer-2": 2, fmt.Sprintf("peer-%d", w+3): 1},
+	})
+	if err := s.Add(set); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // savedSnapshot writes a three-window snapshot into dir and returns
 // the store that produced it.
 func savedSnapshot(t *testing.T, dir string) *Store {
 	t.Helper()
-	u := graph.NewUniverse()
-	s, err := New(Config{Capacity: 8, Universe: u})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for w := 0; w < 3; w++ {
-		set := buildSet(t, u, w, map[string]map[string]float64{
-			"host-a": {"peer-1": 3, "peer-2": 1},
-			"host-b": {"peer-2": 2, fmt.Sprintf("peer-%d", w+3): 1},
-		})
-		if err := s.Add(set); err != nil {
-			t.Fatal(err)
-		}
-	}
+	s := lineageStore(t, 0, nil)
 	if err := s.Save(dir); err != nil {
 		t.Fatal(err)
 	}
 	return s
 }
 
-// assertEquivalent loads dir and checks it matches the original store.
+// assertEquivalent loads dir and checks it matches the original store
+// bit for bit, label numbering included.
 func assertEquivalent(t *testing.T, dir string, orig *Store) {
 	t.Helper()
 	got, err := Load(dir, Config{Capacity: 8})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	if got.Len() != orig.Len() {
-		t.Fatalf("loaded %d windows, want %d", got.Len(), orig.Len())
-	}
-	want := orig.Windows()
-	for i, set := range got.Windows() {
-		if set.Window != want[i].Window || set.Len() != want[i].Len() {
-			t.Fatalf("window %d differs after reload", i)
+	assertStoresEqual(t, orig, got)
+	for id := 0; id < got.Universe().Size(); id++ {
+		if a, b := orig.Universe().Label(graph.NodeID(id)), got.Universe().Label(graph.NodeID(id)); a != b {
+			t.Fatalf("NodeID %d is %q after reload, was %q", id, b, a)
 		}
 	}
 }
 
-func TestSnapshotCorruptAnyByteIsDetected(t *testing.T) {
-	base := t.TempDir()
-	dir := filepath.Join(base, "snap")
-	savedSnapshot(t, dir)
+// dirNames lists dir's entries, sorted.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 4 { // MANIFEST + 3 windows
-		t.Fatalf("snapshot holds %d files, want 4", len(entries))
-	}
+	var names []string
 	for _, e := range entries {
-		path := filepath.Join(dir, e.Name())
+		names = append(names, e.Name())
+	}
+	return names
+}
+
+// assertExactFiles checks dir holds MANIFEST and the files it names,
+// and nothing else — no stale .tmp, no file of an earlier snapshot.
+func assertExactFiles(t *testing.T, dir string) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	windows, err := loadManifest(raw, graph.NewUniverse())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{manifestName}
+	for _, w := range windows {
+		want = append(want, w.name())
+	}
+	sort.Strings(want)
+	if got := dirNames(t, dir); !reflect.DeepEqual(got, want) {
+		t.Fatalf("snapshot dir holds %v, want exactly %v", got, want)
+	}
+}
+
+// windowPath returns the path of window w's file in a snapshot dir.
+func windowPath(t *testing.T, dir string, w int) string {
+	t.Helper()
+	m, err := filepath.Glob(filepath.Join(dir, fmt.Sprintf("window-%09d-*.seg", w)))
+	if err != nil || len(m) != 1 {
+		t.Fatalf("window %d files: %v (%v)", w, m, err)
+	}
+	return m[0]
+}
+
+func TestSnapshotCorruptAnyByteIsDetected(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "snap")
+	savedSnapshot(t, dir)
+	names := dirNames(t, dir)
+	if len(names) != 4 { // MANIFEST + 3 windows
+		t.Fatalf("snapshot holds %v, want 4 files", names)
+	}
+	for _, name := range names {
+		path := filepath.Join(dir, name)
 		blob, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Flip one byte at several offsets across the file; every flip
-		// must surface as ErrCorrupt, never a panic or a silent load.
-		for _, off := range []int{0, 1, len(blob) / 3, len(blob) / 2, len(blob) - 2, len(blob) - 1} {
+		// Every byte of every file is under a checksum Load verifies: a
+		// flip anywhere must surface as ErrCorrupt, never a panic, a
+		// silent load or a different error.
+		for off := range blob {
 			mut := append([]byte(nil), blob...)
 			mut[off] ^= 0x20
-			if string(mut) == string(blob) {
-				continue
-			}
 			if err := os.WriteFile(path, mut, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			_, err := Load(dir, Config{Capacity: 8})
-			if err == nil {
-				t.Fatalf("%s: flipped byte %d loaded cleanly", e.Name(), off)
-			}
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("%s byte %d: error %v is not ErrCorrupt", e.Name(), off, err)
+			if _, err := Load(dir, Config{Capacity: 8}); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s byte %d flipped: Load = %v, want ErrCorrupt", name, off, err)
 			}
 		}
 		if err := os.WriteFile(path, blob, 0o644); err != nil {
@@ -99,7 +150,7 @@ func TestSnapshotCorruptAnyByteIsDetected(t *testing.T) {
 func TestSnapshotTruncatedSetFile(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "snap")
 	savedSnapshot(t, dir)
-	path := filepath.Join(dir, setFileName(1))
+	path := windowPath(t, dir, 1)
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -129,127 +180,128 @@ func TestSnapshotMissingManifest(t *testing.T) {
 func TestSnapshotMissingSetFile(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "snap")
 	savedSnapshot(t, dir)
-	if err := os.Remove(filepath.Join(dir, setFileName(2))); err != nil {
+	if err := os.Remove(windowPath(t, dir, 2)); err != nil {
 		t.Fatal(err)
 	}
 	_, err := Load(dir, Config{Capacity: 8})
-	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "missing file") {
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "no such file") {
 		t.Fatalf("manifest referencing absent file: %v", err)
+	}
+}
+
+// rewriteManifest replaces dir's manifest with one over the same labels
+// and edit's window list, correctly checksummed — what bit rot cannot
+// produce but a foreign or buggy writer could.
+func rewriteManifest(t *testing.T, dir string, edit func([]windowFile) []windowFile) {
+	t.Helper()
+	path := filepath.Join(dir, manifestName)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := graph.NewUniverse()
+	windows, err := loadManifest(raw, u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := func(i int) (string, graph.Part) { return u.Label(graph.NodeID(i)), u.PartOf(graph.NodeID(i)) }
+	if err := os.WriteFile(path, renderManifest(u.Size(), node, edit(windows)), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestSnapshotDuplicateWindowIndices(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "snap")
 	savedSnapshot(t, dir)
-	// Rewrite the manifest (v1, so no checksums to also forge) with the
-	// same set file listed twice: Load must reject the duplicate index.
-	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var lines []string
-	for _, line := range strings.Split(string(raw), "\n") {
-		switch {
-		case line == manifestHeaderV2:
-			lines = append(lines, manifestHeaderV1)
-		case strings.HasPrefix(line, "windows "):
-			lines = append(lines, "windows 2")
-		case strings.HasPrefix(line, "set "+setFileName(0)):
-			name := strings.Fields(line)[1]
-			lines = append(lines, "set "+name, "set "+name)
-		case strings.HasPrefix(line, "set ") || strings.HasPrefix(line, "crc "):
-			// drop the other sets and the stale checksum
-		default:
-			lines = append(lines, line)
-		}
-	}
-	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// The same window listed twice, under a valid checksum.
+	rewriteManifest(t, dir, func(w []windowFile) []windowFile { return []windowFile{w[0], w[0]} })
 	if _, err := Load(dir, Config{Capacity: 8}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("duplicate window index: %v, want ErrCorrupt", err)
 	}
 }
 
-func TestSnapshotV1Compat(t *testing.T) {
+func TestSnapshotWrongWindowFile(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "snap")
-	orig := savedSnapshot(t, dir)
-	// Demote the manifest to v1: strip sizes/CRCs and the self-check.
-	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if err != nil {
+	savedSnapshot(t, dir)
+	// The manifest promises window 7 in a file that is a healthy segment
+	// of window 2.
+	var forged windowFile
+	rewriteManifest(t, dir, func(w []windowFile) []windowFile {
+		forged = windowFile{window: 7, crc: w[2].crc}
+		return []windowFile{w[0], w[1], forged}
+	})
+	if err := os.Rename(windowPath(t, dir, 2), filepath.Join(dir, forged.name())); err != nil {
 		t.Fatal(err)
 	}
-	var lines []string
-	for _, line := range strings.Split(strings.TrimRight(string(raw), "\n"), "\n") {
-		switch {
-		case line == manifestHeaderV2:
-			lines = append(lines, manifestHeaderV1)
-		case strings.HasPrefix(line, "set "):
-			lines = append(lines, "set "+strings.Fields(line)[1])
-		case strings.HasPrefix(line, "crc "):
-		default:
-			lines = append(lines, line)
-		}
+	_, err := Load(dir, Config{Capacity: 8})
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "manifest says 7") {
+		t.Fatalf("wrong window in file: %v, want ErrCorrupt", err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	assertEquivalent(t, dir, orig)
 }
 
 func TestSnapshotOverwriteKeepsAtomicity(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "snap")
 	orig := savedSnapshot(t, dir)
-	// Save again over the existing snapshot; no stale siblings remain.
+	// Save again over the existing snapshot, and once more after the
+	// ring moved on: nothing stale remains.
 	if err := orig.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	for _, sib := range []string{dir + tmpSuffix, dir + prevSuffix} {
-		if _, err := os.Stat(sib); !os.IsNotExist(err) {
-			t.Fatalf("stale sibling %s left behind", sib)
-		}
+	assertExactFiles(t, dir)
+	assertEquivalent(t, dir, orig)
+	addWindow(t, orig, 3, 0)
+	if err := orig.Save(dir); err != nil {
+		t.Fatal(err)
 	}
+	assertExactFiles(t, dir)
 	assertEquivalent(t, dir, orig)
 }
 
-func TestSnapshotInterruptedSwapRecovery(t *testing.T) {
-	// Crash between rename(dir → dir.prev) and rename(dir.tmp → dir):
-	// dir is gone but both siblings are complete. Load must promote the
-	// newer .tmp.
+// TestSaveWritesOnlyNewWindows: a window file is immutable, so a Save
+// costs the windows the directory does not hold yet plus the manifest.
+func TestSaveWritesOnlyNewWindows(t *testing.T) {
+	reg := obs.NewRegistry()
 	dir := filepath.Join(t.TempDir(), "snap")
-	orig := savedSnapshot(t, dir)
-	if err := os.Rename(dir, dir+prevSuffix); err != nil {
-		t.Fatal(err)
-	}
-	if !SnapshotExists(dir) {
-		t.Fatal("recoverable snapshot not reported by SnapshotExists")
-	}
-	assertEquivalent(t, dir, orig)
-
-	// Crash before the first rename: dir intact, complete .tmp beside
-	// it. The intact dir wins.
-	orig2 := savedSnapshot(t, dir+"-b")
-	copyDir(t, dir+"-b", dir+"-b"+tmpSuffix)
-	assertEquivalent(t, dir+"-b", orig2)
-}
-
-func copyDir(t *testing.T, src, dst string) {
-	t.Helper()
-	if err := os.MkdirAll(dst, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		blob, err := os.ReadFile(filepath.Join(src, e.Name()))
+	s := lineageStore(t, 0, reg)
+	size := func(path string) int64 {
+		info, err := os.Stat(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dst, e.Name()), blob, 0o644); err != nil {
+		return info.Size()
+	}
+	// save returns the bytes one Save reports having written.
+	save := func(s *Store) int64 {
+		before := reg.Snapshot()["store_snapshot_save_bytes_total"]
+		if err := s.Save(dir); err != nil {
 			t.Fatal(err)
 		}
+		return reg.Snapshot()["store_snapshot_save_bytes_total"] - before
+	}
+	manifest := filepath.Join(dir, manifestName)
+
+	want := int64(0)
+	first := save(s)
+	for w := 0; w < 3; w++ {
+		want += size(windowPath(t, dir, w))
+	}
+	if want += size(manifest); first != want {
+		t.Fatalf("first Save wrote %d bytes, files total %d", first, want)
+	}
+	if got := save(s); got != size(manifest) {
+		t.Fatalf("Save of an unchanged ring wrote %d bytes, manifest is %d", got, size(manifest))
+	}
+	addWindow(t, s, 3, 0)
+	if got, want := save(s), size(manifest)+size(windowPath(t, dir, 3)); got != want {
+		t.Fatalf("Save after one Add wrote %d bytes, want manifest + one window = %d", got, want)
+	}
+	// A store that loaded the directory owns its files just the same.
+	loaded, err := Load(dir, Config{Capacity: 8, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := save(loaded); got != size(manifest) {
+		t.Fatalf("Save by the loader wrote %d bytes, manifest is %d", got, size(manifest))
 	}
 }
 
@@ -257,7 +309,7 @@ func TestSnapshotQuarantine(t *testing.T) {
 	base := t.TempDir()
 	dir := filepath.Join(base, "snap")
 	savedSnapshot(t, dir)
-	blobPath := filepath.Join(dir, setFileName(0))
+	blobPath := windowPath(t, dir, 0)
 	blob, _ := os.ReadFile(blobPath)
 	blob[len(blob)/2] ^= 0xFF
 	if err := os.WriteFile(blobPath, blob, 0o644); err != nil {
@@ -284,56 +336,106 @@ func TestSnapshotQuarantine(t *testing.T) {
 	}
 }
 
+// saveFailpoints lists Save's failpoints and which side of the manifest
+// rename — the one commit point — each lies on.
+var saveFailpoints = []struct {
+	name      string
+	committed bool
+}{
+	{"store.save.window", false},
+	{"store.save.window.commit", false},
+	{"store.save.manifest", false},
+	{"store.save.sweep", true},
+}
+
+// TestSaveFailpointLeavesOldSnapshot: a Save that fails over an
+// existing snapshot leaves it loading as the old ring (failed before
+// the rename) or the new one (after), never a mix, and the next Save
+// that succeeds clears whatever the failed one left behind.
 func TestSaveFailpointLeavesOldSnapshot(t *testing.T) {
 	t.Cleanup(fault.Reset)
-	dir := filepath.Join(t.TempDir(), "snap")
-	orig := savedSnapshot(t, dir)
-
 	boom := errors.New("disk full")
-	for _, point := range []string{"store.save.set", "store.save.manifest", "store.save.swap"} {
-		fault.Set(point, func() error { return boom })
-		if err := orig.Save(dir); !errors.Is(err, boom) {
-			t.Fatalf("%s: Save returned %v", point, err)
-		}
-		fault.Clear(point)
-		// The failed save must not have damaged the existing snapshot.
-		assertEquivalent(t, dir, orig)
+	for _, point := range saveFailpoints {
+		t.Run(point.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "snap")
+			s := savedSnapshot(t, dir)
+			old := savedSnapshot(t, filepath.Join(t.TempDir(), "old")) // the ring as committed
+			addWindow(t, s, 3, 0)
+
+			fault.Set(point.name, func() error { return boom })
+			if err := s.Save(dir); !errors.Is(err, boom) {
+				t.Fatalf("Save returned %v", err)
+			}
+			fault.Clear(point.name)
+			if point.committed {
+				assertEquivalent(t, dir, s)
+			} else {
+				assertEquivalent(t, dir, old)
+			}
+
+			addWindow(t, s, 4, 0)
+			if err := s.Save(dir); err != nil {
+				t.Fatal(err)
+			}
+			assertExactFiles(t, dir)
+			assertEquivalent(t, dir, s)
+		})
 	}
 }
 
-func TestSaveAfterInterruptedSwapKeepsNewerState(t *testing.T) {
-	// Found by simcheck (seed 2): a swap interrupted between its two
-	// renames leaves the newly committed state only in dir.tmp. The next
-	// Save used to RemoveAll that tmp before staging — so if it then
-	// failed too, recovery fell back to dir.prev and the snapshot
-	// silently rolled back past a committed checkpoint.
+// TestSaveOverAnotherLineage: Server.Promote saves a follower's ring
+// into a directory that may hold a previous life's snapshot with the
+// same window indices. Nothing of it may be reused, and it must stay
+// loadable until the new manifest commits.
+func TestSaveOverAnotherLineage(t *testing.T) {
 	t.Cleanup(fault.Reset)
+	boom := errors.New("disk full")
 	dir := filepath.Join(t.TempDir(), "snap")
-	orig := savedSnapshot(t, dir) // 3 windows committed
-
-	// Grow the store and interrupt the swap mid-way: dir is renamed
-	// aside, tmp (with the 4-window state) never promoted.
-	u := orig.Universe()
-	set := buildSet(t, u, 3, map[string]map[string]float64{
-		"host-a": {"peer-1": 5},
-	})
-	if err := orig.Add(set); err != nil {
+	old := lineageStore(t, 0, nil)
+	if err := old.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	boom := errors.New("killed mid-swap")
-	fault.Set("store.save.swap.mid", func() error { return boom })
-	if err := orig.Save(dir); !errors.Is(err, boom) {
-		t.Fatalf("Save returned %v", err)
+	mine := lineageStore(t, 0.5, nil)
+	for _, point := range saveFailpoints {
+		if point.committed {
+			continue
+		}
+		fault.Set(point.name, func() error { return boom })
+		if err := mine.Save(dir); !errors.Is(err, boom) {
+			t.Fatalf("%s: Save returned %v", point.name, err)
+		}
+		fault.Clear(point.name)
+		assertEquivalent(t, dir, old)
 	}
-	fault.Clear("store.save.swap.mid")
-
-	// A subsequent Save that dies while staging must not destroy the
-	// only complete copy of the 4-window state.
-	fault.Set("store.save.set", func() error { return boom })
-	if err := orig.Save(dir); !errors.Is(err, boom) {
-		t.Fatalf("Save returned %v", err)
+	if err := mine.Save(dir); err != nil {
+		t.Fatal(err)
 	}
-	fault.Clear("store.save.set")
+	assertExactFiles(t, dir)
+	assertEquivalent(t, dir, mine)
 
-	assertEquivalent(t, dir, orig) // all 4 windows, not the 3-window prev
+	// And the other way round: the first store's record of what it wrote
+	// here is stale now (its files were swept), which Save must notice.
+	if err := old.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	assertExactFiles(t, dir)
+	assertEquivalent(t, dir, old)
+}
+
+// TestLoadOldFormatRefused: a v1/v2 directory is good data this build
+// no longer reads. Load must say so — not ErrCorrupt, which would get
+// it quarantined — and touch nothing.
+func TestLoadOldFormatRefused(t *testing.T) {
+	fixture := filepath.Join("testdata", "snapshot-v2") // written by the last v2 build
+	before := dirNames(t, fixture)
+	if !SnapshotExists(fixture) {
+		t.Fatal("fixture not reported as a snapshot")
+	}
+	_, err := Load(fixture, Config{Capacity: 8})
+	if !errors.Is(err, ErrOldFormat) || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Load = %v, want ErrOldFormat and not ErrCorrupt", err)
+	}
+	if after := dirNames(t, fixture); !reflect.DeepEqual(after, before) {
+		t.Fatalf("Load changed the directory: %v -> %v", before, after)
+	}
 }

@@ -101,8 +101,13 @@ type Store struct {
 	loading bool
 
 	// saveMu serializes Save calls (periodic snapshot loop vs window
-	// close vs shutdown) so two writers never race on the staging dir.
-	saveMu sync.Mutex
+	// close vs shutdown) and guards what Save may skip: saved maps each
+	// window this store wrote into (or loaded from) savedDir to the CRC
+	// in its file's name. A file is reused only through this record,
+	// never because a same-named file happens to lie in the directory.
+	saveMu   sync.Mutex
+	savedDir string
+	saved    map[int]uint32
 
 	obs storeObs
 }
@@ -111,7 +116,7 @@ type Store struct {
 // (no registry) is fully no-op.
 type storeObs struct {
 	saveSeconds  *obs.Histogram // successful Save wall time
-	saveBytes    *obs.Counter   // bytes staged by successful Saves
+	saveBytes    *obs.Counter   // bytes successful Saves wrote (new window files + manifest)
 	lshSeconds   *obs.Histogram // per-window LSH index build time
 	searchProbes *obs.Histogram // exact distance evaluations per Search
 

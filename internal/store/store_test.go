@@ -13,7 +13,7 @@ import (
 
 // buildSet makes a window's SignatureSet over u from label → member
 // weights, interning labels on first sight.
-func buildSet(t *testing.T, u *graph.Universe, window int, sigs map[string]map[string]float64) *core.SignatureSet {
+func buildSet(t testing.TB, u *graph.Universe, window int, sigs map[string]map[string]float64) *core.SignatureSet {
 	t.Helper()
 	var sources []graph.NodeID
 	var out []core.Signature

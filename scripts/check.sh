@@ -68,9 +68,12 @@ go test -race -run 'TestTraceContext|TestStartRemote|TestParseExposition|TestWri
 # segment-mode simulation seeds — pinned explicitly in the gate.
 go test -race -run 'TestServerSegment|TestHistoryHTTPParams' ./internal/server/
 go test -race -run 'TestSimSegments' ./internal/simcheck/
-# Fuzz smoke (make fuzz-smoke): short exploratory runs of the three
-# native fuzz targets; their committed testdata corpora already replay
-# as regression cases in the race run above.
+# Fuzz smoke (make fuzz-smoke, the same six targets): short exploratory
+# runs of every native fuzz target; their seed and committed testdata
+# corpora already replay as regression cases in the race run above.
 go test -run '^$' -fuzz FuzzReadBinary -fuzztime 15s ./internal/netflow/
 go test -run '^$' -fuzz FuzzWALReplay -fuzztime 15s ./internal/wal/
 go test -run '^$' -fuzz FuzzDistKernels -fuzztime 15s ./internal/core/
+go test -run '^$' -fuzz FuzzSegmentOpen -fuzztime 15s ./internal/segment/
+go test -run '^$' -fuzz FuzzDecodeBlock -fuzztime 15s ./internal/segment/
+go test -run '^$' -fuzz FuzzLoadManifest -fuzztime 15s ./internal/store/
