@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race bench bench-smoke bench-e2e-smoke obs-smoke tidy crash-test sim-smoke fuzz-smoke cluster-smoke failover-smoke federate-smoke segment-smoke
+.PHONY: check build vet test race bench bench-smoke bench-baseline bench-e2e-smoke obs-smoke tidy crash-test sim-smoke fuzz-smoke cluster-smoke failover-smoke federate-smoke segment-smoke
 
 # Tier-1 gate: everything a PR must keep green. Examples live under
 # ./... so `go build`/`go vet` compile-check them too.
@@ -94,14 +94,17 @@ segment-smoke:
 # blocks, where an accepted block must re-encode to itself), and the
 # snapshot manifest parser (accepts only what Save renders).
 # Committed corpora under testdata/fuzz/ replay as regression cases in
-# the plain test suite; this also explores briefly.
+# the plain test suite; this also explores briefly (scripts/check.sh
+# passes FUZZTIME=15s).
+FUZZTIME ?= 30s
+
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzReadBinary -fuzztime 30s ./internal/netflow/
-	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 30s ./internal/wal/
-	$(GO) test -run '^$$' -fuzz FuzzDistKernels -fuzztime 30s ./internal/core/
-	$(GO) test -run '^$$' -fuzz FuzzSegmentOpen -fuzztime 30s ./internal/segment/
-	$(GO) test -run '^$$' -fuzz FuzzDecodeBlock -fuzztime 30s ./internal/segment/
-	$(GO) test -run '^$$' -fuzz FuzzLoadManifest -fuzztime 30s ./internal/store/
+	$(GO) test -run '^$$' -fuzz FuzzReadBinary -fuzztime $(FUZZTIME) ./internal/netflow/
+	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/wal/
+	$(GO) test -run '^$$' -fuzz FuzzDistKernels -fuzztime $(FUZZTIME) ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzSegmentOpen -fuzztime $(FUZZTIME) ./internal/segment/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeBlock -fuzztime $(FUZZTIME) ./internal/segment/
+	$(GO) test -run '^$$' -fuzz FuzzLoadManifest -fuzztime $(FUZZTIME) ./internal/store/
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
@@ -116,6 +119,15 @@ bench-smoke:
 	$(GO) test -race -run=^$$ -benchtime=1x \
 		-bench 'BenchmarkPairwiseUniqueness|BenchmarkMultiusageAllPairs' .
 	$(GO) run ./cmd/sigbench -experiment pairwise -scale 0.5
+
+# Throughput regression check, benchstat style: the full-scale pairwise
+# report pinned to one core, engine pairs/sec diffed against the
+# committed baseline (the "Baseline delta" block that ends the output).
+# Warn-only — shared CI boxes are noisy — but the WARN lines make a >20%
+# regression visible in the log.
+bench-baseline:
+	GOMAXPROCS=1 $(GO) run ./cmd/sigbench -experiment pairwise \
+		-baseline BENCH_pairwise.json
 
 # End-to-end benchmark smoke: bench/ is a module of its own (the
 # BENCHMARK.json harness; see bench/README.md), so `./...` above never

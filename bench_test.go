@@ -336,10 +336,7 @@ func BenchmarkPairwiseUniqueness(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			eng, ok := distmat.NewEngine(set, set, d, 0)
-			if !ok {
-				b.Fatal("no engine")
-			}
+			eng, _ := distmat.NewEngine(set, set, d, 0)
 			var acc stats.Accumulator
 			eng.Rows(idx, func(t int, row []float64) {
 				for j, dist := range row {

@@ -150,11 +150,8 @@ func runPairwise(e *experiments.Env, seed int64, scale float64, opts pairwiseOpt
 			}
 			return acc.Summarize()
 		}
-		engine := func() (stats.Summary, error) {
-			eng, ok := distmat.NewEngine(set, set, d, 0)
-			if !ok {
-				return stats.Summary{}, fmt.Errorf("pairwise: no engine for %s", d.Name())
-			}
+		engine := func() stats.Summary {
+			eng, _ := distmat.NewEngine(set, set, d, 0)
 			idx := make([]int, n)
 			for i := range idx {
 				idx[i] = i
@@ -168,23 +165,16 @@ func runPairwise(e *experiments.Env, seed int64, scale float64, opts pairwiseOpt
 					acc.Add(dist)
 				}
 			})
-			return acc.Summarize(), nil
+			return acc.Summarize()
 		}
 
 		var naiveSum, engineSum stats.Summary
-		var engineErr error
 		naiveNs, naiveAllocs := measurePairwise(func() { naiveSum = naive() })
-		engineNs, engineAllocs := measurePairwise(func() { engineSum, engineErr = engine() })
-		if engineErr != nil {
-			return engineErr
-		}
+		engineNs, engineAllocs := measurePairwise(func() { engineSum = engine() })
 
 		// The kernel side: same rows job on a prebuilt engine, with a
 		// minimal consumer — steady-state row throughput, one core.
-		keng, ok := distmat.NewEngine(set, set, d, 1)
-		if !ok {
-			return fmt.Errorf("pairwise: no engine for %s", d.Name())
-		}
+		keng, _ := distmat.NewEngine(set, set, d, 1)
 		idx := make([]int, n)
 		for i := range idx {
 			idx[i] = i
@@ -280,37 +270,22 @@ func measureThresholded(set *core.SignatureSet, d core.Distance, opts pairwiseOp
 		}
 	}
 
-	newEng := func(prefilter bool) (*distmat.Engine, error) {
-		eng, ok := distmat.NewEngine(set, set, d, 0)
-		if !ok {
-			return nil, fmt.Errorf("pairwise: no engine for %s", d.Name())
-		}
+	newEng := func(prefilter bool) *distmat.Engine {
+		eng, _ := distmat.NewEngine(set, set, d, 0)
 		eng.SetPrefilter(prefilter)
-		return eng, nil
+		return eng
 	}
-	run := func(prefilter bool) ([]distmat.Pair, pairwiseSide, error) {
+	run := func(prefilter bool) ([]distmat.Pair, pairwiseSide) {
 		var got []distmat.Pair
-		var runErr error
 		ns, allocs := measurePairwise(func() {
-			eng, err := newEng(prefilter)
-			if err != nil {
-				runErr = err
-				return
-			}
-			got = eng.PairsWithin(opts.Threshold)
+			got = newEng(prefilter).PairsWithin(opts.Threshold)
 		})
 		// The scanned pair population is the i<j half-matrix.
-		return got, side(ns, allocs, res.Pairs/2), runErr
+		return got, side(ns, allocs, res.Pairs/2)
 	}
 
-	off, offSide, err := run(false)
-	if err != nil {
-		return err
-	}
-	on, onSide, err := run(true)
-	if err != nil {
-		return err
-	}
+	off, offSide := run(false)
+	on, onSide := run(true)
 
 	// One untimed instrumented run collects the per-job checked/skipped
 	// tallies (the timed loop above repeats, which would inflate them).
@@ -319,10 +294,7 @@ func measureThresholded(set *core.SignatureSet, d core.Distance, opts pairwiseOp
 		PrefilterChecked: reg.Counter("prefilter_checked", "candidates tested against the mask bound"),
 		PrefilterSkipped: reg.Counter("prefilter_skipped", "candidates rejected by the mask bound"),
 	}
-	ceng, err := newEng(true)
-	if err != nil {
-		return err
-	}
+	ceng := newEng(true)
 	ceng.SetMetrics(m)
 	ceng.PairsWithin(opts.Threshold)
 

@@ -2,6 +2,8 @@ package graphsig_test
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"graphsig"
@@ -231,4 +233,88 @@ func mustLookupLabel(t *testing.T, u *graphsig.Universe, label string) graphsig.
 		t.Fatalf("label %q missing", label)
 	}
 	return id
+}
+
+// disguised hides a registered distance from the pairwise engine's kind
+// lookup: the numbers of d, served the way a user's own Distance is.
+type disguised struct{ graphsig.Distance }
+
+// TestFacadeCustomDistanceEqualsRegistered runs every eval/apps entry
+// point the facade exposes once with each registered distance and once
+// with the same distance in disguise — the engine's kernel path against
+// its d.Dist path — and requires equal results: bit for bit, except
+// where the entry point itself folds a map in iteration order and so
+// differs in the last bits between two runs with one and the same d.
+func TestFacadeCustomDistanceEqualsRegistered(t *testing.T) {
+	cfg := graphsig.DefaultEnterpriseConfig(17)
+	cfg.LocalHosts = 30
+	cfg.ExternalHosts = 300
+	cfg.Communities = 3
+	cfg.Windows = 2
+	cfg.MultiusageIndividuals = 3
+	data, err := graphsig.GenerateEnterprise(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tt := graphsig.TopTalkers()
+	at, err := graphsig.ComputeSignatures(tt, data.Windows[0], 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	masqWin, _, err := graphsig.SimulateMasquerade(data.Windows[1], at.Sources, 0.2, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, err := graphsig.ComputeSignatures(tt, masqWin, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		v   any
+		err error
+	}
+	ok := func(v any, err error) result { return result{v, err} }
+	entryPoints := []struct {
+		name     string
+		mapOrder bool // folds a map: compared to 9 significant digits
+		run      func(d graphsig.Distance) result
+	}{
+		{"Persistence", false, func(d graphsig.Distance) result { return ok(graphsig.Persistence(d, at, next), nil) }},
+		{"PersistenceSummary", true, func(d graphsig.Distance) result { return ok(graphsig.PersistenceSummary(d, at, next), nil) }},
+		{"UniquenessSummary/exact", false, func(d graphsig.Distance) result { return ok(graphsig.UniquenessSummary(d, at, 0, 1), nil) }},
+		{"UniquenessSummary/sampled", false, func(d graphsig.Distance) result { return ok(graphsig.UniquenessSummary(d, at, 50, 1), nil) }},
+		{"Robustness", false, func(d graphsig.Distance) result { return ok(graphsig.Robustness(d, at, next), nil) }},
+		{"SelfRetrievalAUC", false, func(d graphsig.Distance) result { return ok(graphsig.SelfRetrievalAUC(d, at, next)) }},
+		{"CompareSchemesAUC", false, func(d graphsig.Distance) result {
+			return ok(graphsig.CompareSchemesAUC(d, tt, graphsig.UnexpectedTalkers(), data.Windows[0], data.Windows[1], 8, 1))
+		}},
+		{"DetectMultiusage/0.6", false, func(d graphsig.Distance) result { return ok(graphsig.DetectMultiusage(d, at, 0.6)) }},
+		{"DetectMultiusage/1", false, func(d graphsig.Distance) result { return ok(graphsig.DetectMultiusage(d, at, 1)) }},
+		{"NearestNeighbors", false, func(d graphsig.Distance) result { return ok(graphsig.NearestNeighbors(d, at, at.Sources[0], 5)) }},
+		{"MasqueradeDelta", false, func(d graphsig.Distance) result { return ok(graphsig.MasqueradeDelta(d, at, next, 3)) }},
+		{"DetectLabelMasquerading", false, func(d graphsig.Distance) result {
+			return ok(graphsig.DetectLabelMasquerading(d, at, next, 0.2, 3))
+		}},
+		{"DetectAnomalies", true, func(d graphsig.Distance) result {
+			anomalies, summary, err := graphsig.DetectAnomalies(d, at, next, 1)
+			return ok([]any{anomalies, summary}, err)
+		}},
+		{"DeAnonymize/nearest", false, func(d graphsig.Distance) result { return ok(graphsig.DeAnonymize(d, at, next, false)) }},
+		{"DeAnonymize/greedy", false, func(d graphsig.Distance) result { return ok(graphsig.DeAnonymize(d, at, next, true)) }},
+	}
+	for _, d := range graphsig.ExtendedDistances() {
+		for _, ep := range entryPoints {
+			want, got := ep.run(d), ep.run(disguised{d})
+			if want.err != nil || got.err != nil {
+				t.Fatalf("%s/%s: errors %v, %v", ep.name, d.Name(), want.err, got.err)
+			}
+			if ep.mapOrder {
+				want.v, got.v = fmt.Sprintf("%.9v", want.v), fmt.Sprintf("%.9v", got.v)
+			}
+			if !reflect.DeepEqual(got.v, want.v) {
+				t.Errorf("%s/%s: custom-distance result differs from the registered one:\n got %v\nwant %v",
+					ep.name, d.Name(), got.v, want.v)
+			}
+		}
+	}
 }

@@ -35,31 +35,20 @@ func DeAnonymize(d core.Distance, reference, anonymized *core.SignatureSet, gree
 	if reference.Len() == 0 || anonymized.Len() == 0 {
 		return nil, fmt.Errorf("apps: deanonymize needs non-empty signature sets")
 	}
-	eng, fast := distmat.NewEngine(anonymized, reference, d, 0)
-	rowDist := func(i, j int) float64 { return d.Dist(anonymized.Sigs[i], reference.Sigs[j]) }
+	eng, _ := distmat.NewEngine(anonymized, reference, d, 0)
+	all := rowIndices(anonymized.Len())
 	if !greedy {
 		out := make([]Match, 0, anonymized.Len())
-		pick := func(i int, dist func(j int) float64) {
+		eng.Rows(all, func(i int, row []float64) {
 			best := Match{Anonymized: anonymized.Sources[i], Dist: 2}
 			for j, r := range reference.Sources {
-				dj := dist(j)
-				if dj < best.Dist || (dj == best.Dist && r < best.Reference) {
+				if dj := row[j]; dj < best.Dist || (dj == best.Dist && r < best.Reference) {
 					best.Reference = r
 					best.Dist = dj
 				}
 			}
 			out = append(out, best)
-		}
-		if fast {
-			all := rowIndices(anonymized.Len())
-			eng.Rows(all, func(i int, row []float64) {
-				pick(i, func(j int) float64 { return row[j] })
-			})
-		} else {
-			for i := range anonymized.Sources {
-				pick(i, func(j int) float64 { return rowDist(i, j) })
-			}
-		}
+		})
 		sortMatches(out)
 		return out, nil
 	}
@@ -69,20 +58,11 @@ func DeAnonymize(d core.Distance, reference, anonymized *core.SignatureSet, gree
 		dist   float64
 	}
 	cands := make([]cand, 0, anonymized.Len()*reference.Len())
-	if fast {
-		all := rowIndices(anonymized.Len())
-		eng.Rows(all, func(i int, row []float64) {
-			for j, dist := range row {
-				cands = append(cands, cand{i, j, dist})
-			}
-		})
-	} else {
-		for i := range anonymized.Sources {
-			for j := range reference.Sources {
-				cands = append(cands, cand{i, j, rowDist(i, j)})
-			}
+	eng.Rows(all, func(i int, row []float64) {
+		for j, dist := range row {
+			cands = append(cands, cand{i, j, dist})
 		}
-	}
+	})
 	sort.Slice(cands, func(x, y int) bool {
 		if cands[x].dist != cands[y].dist {
 			return cands[x].dist < cands[y].dist

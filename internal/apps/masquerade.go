@@ -32,22 +32,11 @@ func DeltaFromSelfPersistence(d core.Distance, at, next *core.SignatureSet, c in
 		return 0, fmt.Errorf("apps: no sources to compute delta over")
 	}
 	sum := 0.0
-	if eng, ok := distmat.NewEngine(at, next, d, 0); ok {
-		for i, v := range at.Sources {
-			j, present := next.IndexOf(v)
-			if !present {
-				continue // persistence 0
-			}
+	eng, _ := distmat.NewEngine(at, next, d, 0)
+	for i, v := range at.Sources {
+		if j, present := next.IndexOf(v); present { // absent: persistence 0
 			sum += 1 - eng.Dist(i, j)
 		}
-		return sum / (float64(c) * float64(at.Len())), nil
-	}
-	for i, v := range at.Sources {
-		sig2, ok := next.Get(v)
-		if !ok {
-			continue // persistence 0
-		}
-		sum += 1 - d.Dist(at.Sigs[i], sig2)
 	}
 	return sum / (float64(c) * float64(at.Len())), nil
 }
@@ -68,19 +57,13 @@ func DetectLabelMasquerading(d core.Distance, at, next *core.SignatureSet, delta
 		NonSuspects: map[graph.NodeID]bool{},
 		Pairs:       map[graph.NodeID]graph.NodeID{},
 	}
-	eng, fast := distmat.NewEngine(at, next, d, 0)
-	crossDist := func(i, j int) float64 {
-		if fast {
-			return eng.Dist(i, j)
-		}
-		return d.Dist(at.Sigs[i], next.Sigs[j])
-	}
+	eng, _ := distmat.NewEngine(at, next, d, 0)
 	// Self-persistence of every candidate u (sources of the later
 	// window), used for the A[u,u] ≤ δ condition.
 	selfP := make([]float64, next.Len())
 	for j, u := range next.Sources {
 		if i, ok := at.IndexOf(u); ok {
-			selfP[j] = 1 - crossDist(i, j)
+			selfP[j] = 1 - eng.Dist(i, j)
 		}
 	}
 
@@ -94,7 +77,7 @@ func DetectLabelMasquerading(d core.Distance, at, next *core.SignatureSet, delta
 	for i, v := range at.Sources {
 		self := 0.0
 		if j, ok := next.IndexOf(v); ok {
-			self = 1 - crossDist(i, j)
+			self = 1 - eng.Dist(i, j)
 		}
 		if self > delta {
 			res.NonSuspects[v] = true
@@ -102,14 +85,14 @@ func DetectLabelMasquerading(d core.Distance, at, next *core.SignatureSet, delta
 		}
 		suspects = append(suspects, i)
 	}
-	pair := func(i int, dist func(j int) float64) {
-		v := at.Sources[i]
+	eng.Rows(suspects, func(t int, row []float64) {
+		v := at.Sources[suspects[t]]
 		cands := make([]cand, 0, next.Len())
 		for j, u := range next.Sources {
 			if u == v {
 				continue
 			}
-			cands = append(cands, cand{idx: j, p: 1 - dist(j)})
+			cands = append(cands, cand{idx: j, p: 1 - row[j]})
 		}
 		sort.Slice(cands, func(a, b int) bool {
 			if cands[a].p != cands[b].p {
@@ -127,16 +110,7 @@ func DetectLabelMasquerading(d core.Distance, at, next *core.SignatureSet, delta
 			}
 		}
 		res.NonSuspects[v] = true
-	}
-	if fast {
-		eng.Rows(suspects, func(t int, row []float64) {
-			pair(suspects[t], func(j int) float64 { return row[j] })
-		})
-	} else {
-		for _, i := range suspects {
-			pair(i, func(j int) float64 { return crossDist(i, j) })
-		}
-	}
+	})
 	return res, nil
 }
 

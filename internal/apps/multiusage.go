@@ -24,37 +24,21 @@ type SimilarPair struct {
 // High similarity within a window is the multiusage signal: one
 // individual communicating from several connection points (§II-D).
 //
-// The scan rides the sparse pairwise engine: with threshold < 1 only
-// pairs sharing at least one signature node are ever compared (disjoint
-// pairs sit at distance exactly 1), in parallel across cores, with
-// results bit-identical to the naive quadratic loop.
+// The scan rides the pairwise engine, in parallel across cores, with
+// results bit-identical to the naive quadratic loop: for a registered
+// distance and threshold < 1 only pairs sharing at least one signature
+// node are ever compared (disjoint pairs sit at distance exactly 1).
 func DetectMultiusage(d core.Distance, set *core.SignatureSet, threshold float64) ([]SimilarPair, error) {
 	if threshold < 0 || threshold > 1 {
 		return nil, fmt.Errorf("apps: multiusage threshold %g outside [0,1]", threshold)
 	}
 	var out []SimilarPair
-	if eng, ok := distmat.NewEngine(set, set, d, 0); ok {
-		// PairsWithin already excludes empty signatures: a silent label
-		// matches every other silent label at distance 0; such
-		// degenerate pairs are not multiusage evidence.
-		for _, p := range eng.PairsWithin(threshold) {
-			out = append(out, SimilarPair{A: set.Sources[p.I], B: set.Sources[p.J], Dist: p.Dist})
-		}
-	} else {
-		for i := 0; i < set.Len(); i++ {
-			if set.Sigs[i].IsEmpty() {
-				continue
-			}
-			for j := i + 1; j < set.Len(); j++ {
-				if set.Sigs[j].IsEmpty() {
-					continue
-				}
-				dist := d.Dist(set.Sigs[i], set.Sigs[j])
-				if dist <= threshold {
-					out = append(out, SimilarPair{A: set.Sources[i], B: set.Sources[j], Dist: dist})
-				}
-			}
-		}
+	eng, _ := distmat.NewEngine(set, set, d, 0)
+	// PairsWithin already excludes empty signatures: a silent label
+	// matches every other silent label at distance 0; such degenerate
+	// pairs are not multiusage evidence.
+	for _, p := range eng.PairsWithin(threshold) {
+		out = append(out, SimilarPair{A: set.Sources[p.I], B: set.Sources[p.J], Dist: p.Dist})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Dist != out[j].Dist {
@@ -77,23 +61,13 @@ func NearestNeighbors(d core.Distance, set *core.SignatureSet, v graph.NodeID, t
 		return nil, fmt.Errorf("apps: node %d has no signature in window %d", v, set.Window)
 	}
 	pairs := make([]SimilarPair, 0, set.Len()-1)
-	if q, fast := distmat.NewQuerier(d); fast {
-		view := distmat.NewSetView(set)
-		q.Neighbors(view, sig, 1, func(j int, dist float64) {
-			u := set.Sources[j]
-			if u == v {
-				return
-			}
+	q, _ := distmat.NewQuerier(d)
+	defer q.Release()
+	q.Neighbors(distmat.NewSetView(set), sig, 1, func(j int, dist float64) {
+		if u := set.Sources[j]; u != v {
 			pairs = append(pairs, SimilarPair{A: v, B: u, Dist: dist})
-		})
-	} else {
-		for j, u := range set.Sources {
-			if u == v {
-				continue
-			}
-			pairs = append(pairs, SimilarPair{A: v, B: u, Dist: d.Dist(sig, set.Sigs[j])})
 		}
-	}
+	})
 	sort.Slice(pairs, func(i, j int) bool {
 		if pairs[i].Dist != pairs[j].Dist {
 			return pairs[i].Dist < pairs[j].Dist

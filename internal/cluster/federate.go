@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"graphsig/internal/obs"
+	"graphsig/internal/server"
 )
 
 // Metrics federation: GET /metrics?federate=1 scrapes every node's
@@ -19,12 +20,12 @@ import (
 func (rt *Router) handleFederate(w http.ResponseWriter, r *http.Request) {
 	var buf bytes.Buffer
 	if err := rt.registry.WritePrometheus(&buf); err != nil {
-		writeError(w, http.StatusInternalServerError, "rendering router metrics: %v", err)
+		server.WriteError(w, http.StatusInternalServerError, "rendering router metrics: %v", err)
 		return
 	}
 	own, err := obs.ParseExposition(&buf)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "parsing router metrics: %v", err)
+		server.WriteError(w, http.StatusInternalServerError, "parsing router metrics: %v", err)
 		return
 	}
 	expositions := []obs.NodeExposition{{

@@ -200,7 +200,7 @@ func (f *Follower) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		srv := f.Server()
 		if srv == nil {
-			writeError(w, http.StatusServiceUnavailable, "follower bootstrapping: no origin frame received yet")
+			server.WriteError(w, http.StatusServiceUnavailable, "follower bootstrapping: no origin frame received yet")
 			return
 		}
 		srv.Handler().ServeHTTP(w, r)

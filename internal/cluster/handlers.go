@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -46,44 +45,12 @@ func (rt *Router) startTrace(w http.ResponseWriter, r *http.Request, name string
 func (rt *Router) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rt.httpRequests.Add(1)
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+		sw := &server.StatusWriter{ResponseWriter: w, Status: http.StatusOK}
 		rt.mux.ServeHTTP(sw, r)
-		if sw.status >= 400 {
+		if sw.Status >= 400 {
 			rt.httpErrors.Add(1)
 		}
 	})
-}
-
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-const maxBodyBytes = 64 << 20
-
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return false
-	}
-	return true
 }
 
 // errStatus maps a routed-call failure onto a response status,
@@ -98,14 +65,14 @@ func errStatus(err error, fallback int) int {
 
 func (rt *Router) handleFlows(w http.ResponseWriter, r *http.Request) {
 	var req server.IngestRequest
-	if !decodeJSON(w, r, &req) {
+	if !server.DecodeJSON(w, r, &req) {
 		return
 	}
 	records := make([]netflow.Record, 0, len(req.Records))
 	for i, rj := range req.Records {
 		rec, err := rj.Record()
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "record %d: %v", i, err)
+			server.WriteError(w, http.StatusBadRequest, "record %d: %v", i, err)
 			return
 		}
 		records = append(records, rec)
@@ -125,65 +92,31 @@ func (rt *Router) handleFlows(w http.ResponseWriter, r *http.Request) {
 		// Partial ingest: some shards applied their partitions, others
 		// did not. 502 tells the client to retry (with the same batch ID
 		// for exactly-once); the body carries the partial accounting.
-		writeJSON(w, http.StatusBadGateway, resp)
+		server.WriteJSON(w, http.StatusBadGateway, resp)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// historyQuery translates a routed history GET's from/to/limit params
-// into the typed client query forwarded to the owner shard, so the
-// bounds are enforced where the archive lives instead of shipping the
-// whole history through the router.
-func historyQuery(r *http.Request) (server.HistoryQuery, error) {
-	var q server.HistoryQuery
-	vals := r.URL.Query()
-	if v := vals.Get("from"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return q, fmt.Errorf("bad from %q: want an integer", v)
-		}
-		q.From, q.HasFrom = n, true
-	}
-	if v := vals.Get("to"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return q, fmt.Errorf("bad to %q: want an integer", v)
-		}
-		q.To, q.HasTo = n, true
-	}
-	if v := vals.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			return q, fmt.Errorf("bad limit %q: want an integer >= 0", v)
-		}
-		if n == 0 {
-			n = -1 // explicit limit=0 means unbounded; see HistoryQuery
-		}
-		q.Limit = n
-	}
-	return q, nil
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (rt *Router) handleHistory(w http.ResponseWriter, r *http.Request) {
-	q, err := historyQuery(r)
+	q, err := server.ParseHistoryQuery(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		server.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	tr := rt.startTrace(w, r, "route.history")
 	defer tr.Finish()
 	resp, err := rt.history(tr, r.PathValue("label"), q)
 	if err != nil {
-		writeError(w, errStatus(err, http.StatusBadGateway), "%v", err)
+		server.WriteError(w, errStatus(err, http.StatusBadGateway), "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var req server.SearchRequest
-	if !decodeJSON(w, r, &req) {
+	if !server.DecodeJSON(w, r, &req) {
 		return
 	}
 	if r.URL.Query().Get("debug") == "1" {
@@ -193,15 +126,15 @@ func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
 	defer tr.Finish()
 	resp, err := rt.search(tr, req)
 	if err != nil {
-		writeError(w, errStatus(err, http.StatusBadGateway), "%v", err)
+		server.WriteError(w, errStatus(err, http.StatusBadGateway), "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (rt *Router) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	var req server.BatchSearchRequest
-	if !decodeJSON(w, r, &req) {
+	if !server.DecodeJSON(w, r, &req) {
 		return
 	}
 	if r.URL.Query().Get("debug") == "1" {
@@ -211,29 +144,29 @@ func (rt *Router) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	defer tr.Finish()
 	resp, err := rt.searchBatch(tr, req)
 	if err != nil {
-		writeError(w, errStatus(err, http.StatusBadGateway), "%v", err)
+		server.WriteError(w, errStatus(err, http.StatusBadGateway), "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (rt *Router) handleWatchlistAdd(w http.ResponseWriter, r *http.Request) {
 	var req server.WatchlistAddRequest
-	if !decodeJSON(w, r, &req) {
+	if !server.DecodeJSON(w, r, &req) {
 		return
 	}
 	if req.Individual == "" || req.Label == "" {
-		writeError(w, http.StatusBadRequest, "watchlist add needs individual and label")
+		server.WriteError(w, http.StatusBadRequest, "watchlist add needs individual and label")
 		return
 	}
 	tr := rt.startTrace(w, r, "route.watchlist.add")
 	defer tr.Finish()
 	resp, err := rt.watchlistAdd(tr, req)
 	if err != nil {
-		writeError(w, errStatus(err, http.StatusBadGateway), "%v", err)
+		server.WriteError(w, errStatus(err, http.StatusBadGateway), "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (rt *Router) handleWatchlistHits(w http.ResponseWriter, r *http.Request) {
@@ -241,10 +174,10 @@ func (rt *Router) handleWatchlistHits(w http.ResponseWriter, r *http.Request) {
 	defer tr.Finish()
 	resp, err := rt.watchlistHits(tr)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, "%v", err)
+		server.WriteError(w, http.StatusBadGateway, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (rt *Router) handleAnomalies(w http.ResponseWriter, r *http.Request) {
@@ -252,7 +185,7 @@ func (rt *Router) handleAnomalies(w http.ResponseWriter, r *http.Request) {
 	if zs := r.URL.Query().Get("z"); zs != "" {
 		z, err := strconv.ParseFloat(zs, 64)
 		if err != nil || z <= 0 {
-			writeError(w, http.StatusBadRequest, "bad z parameter %q", zs)
+			server.WriteError(w, http.StatusBadRequest, "bad z parameter %q", zs)
 			return
 		}
 		zCut = z
@@ -261,10 +194,10 @@ func (rt *Router) handleAnomalies(w http.ResponseWriter, r *http.Request) {
 	defer tr.Finish()
 	resp, err := rt.anomalies(tr, r.URL.Query().Get("distance"), zCut)
 	if err != nil {
-		writeError(w, errStatus(err, http.StatusBadGateway), "%v", err)
+		server.WriteError(w, errStatus(err, http.StatusBadGateway), "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 // RouterHealth is the router's GET /healthz body.
@@ -275,7 +208,7 @@ type RouterHealth struct {
 }
 
 func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, RouterHealth{
+	server.WriteJSON(w, http.StatusOK, RouterHealth{
 		Status:        "ok",
 		UptimeSeconds: time.Since(rt.start).Seconds(),
 		Shards:        rt.ring.Shards(),
@@ -315,17 +248,17 @@ func (rt *Router) handleReady(w http.ResponseWriter, r *http.Request) {
 	if !resp.Ready {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, resp)
+	server.WriteJSON(w, status, resp)
 }
 
 // handleClusterHealth reports the prober's membership view; with no
 // prober configured the body is {"enabled": false}.
 func (rt *Router) handleClusterHealth(w http.ResponseWriter, r *http.Request) {
 	if rt.prober == nil {
-		writeJSON(w, http.StatusOK, ClusterHealthResponse{Enabled: false})
+		server.WriteJSON(w, http.StatusOK, ClusterHealthResponse{Enabled: false})
 		return
 	}
-	writeJSON(w, http.StatusOK, rt.prober.snapshot())
+	server.WriteJSON(w, http.StatusOK, rt.prober.snapshot())
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -338,7 +271,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		_ = rt.registry.WritePrometheus(w)
 		return
 	}
-	writeJSON(w, http.StatusOK, rt.registry.Snapshot())
+	server.WriteJSON(w, http.StatusOK, rt.registry.Snapshot())
 }
 
 // handleTraces serves the router's own recent-trace ring, mirroring the
@@ -348,7 +281,7 @@ func (rt *Router) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if ns := r.URL.Query().Get("n"); ns != "" {
 		v, err := strconv.Atoi(ns)
 		if err != nil || v < 0 {
-			writeError(w, http.StatusBadRequest, "bad n parameter %q", ns)
+			server.WriteError(w, http.StatusBadRequest, "bad n parameter %q", ns)
 			return
 		}
 		n = v
@@ -357,5 +290,5 @@ func (rt *Router) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if traces == nil {
 		traces = []obs.TraceSnapshot{}
 	}
-	writeJSON(w, http.StatusOK, server.TracesResponse{Total: rt.tracer.Total(), Traces: traces})
+	server.WriteJSON(w, http.StatusOK, server.TracesResponse{Total: rt.tracer.Total(), Traces: traces})
 }

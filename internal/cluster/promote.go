@@ -80,7 +80,7 @@ func (f *Follower) statusResponse() FollowerStatusResponse {
 func (f *Follower) FollowerHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/follower/status", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, f.statusResponse())
+		server.WriteJSON(w, http.StatusOK, f.statusResponse())
 	})
 	mux.HandleFunc("POST /v1/promote", func(w http.ResponseWriter, r *http.Request) {
 		srv, err := f.Promote()
@@ -88,7 +88,7 @@ func (f *Follower) FollowerHandler() http.Handler {
 			// An already-promoted follower makes a routed retry of the
 			// promote call idempotent-ish: report the live state with 409
 			// so the caller can tell "already done" from "cannot".
-			writeError(w, http.StatusConflict, "%v", err)
+			server.WriteError(w, http.StatusConflict, "%v", err)
 			return
 		}
 		// When the prober drove this (X-Sig-Trace present), record the
@@ -97,7 +97,7 @@ func (f *Follower) FollowerHandler() http.Handler {
 		if tc := obs.ParseTraceContext(r.Header.Get(obs.TraceHeader)); tc.Valid() {
 			srv.Tracer().StartRemote("promote", tc).Finish()
 		}
-		writeJSON(w, http.StatusOK, PromoteResponse{
+		server.WriteJSON(w, http.StatusOK, PromoteResponse{
 			Promoted: true,
 			WALGen:   srv.WALGen(),
 			Node:     srv.Identity(),

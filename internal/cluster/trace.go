@@ -85,11 +85,11 @@ func (rt *Router) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	root, ok := rt.tracer.Find(id)
 	if !ok {
-		writeError(w, http.StatusNotFound,
+		server.WriteError(w, http.StatusNotFound,
 			"trace %q not retained on the router (never finished or evicted)", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, rt.stitch(id, root))
+	server.WriteJSON(w, http.StatusOK, rt.stitch(id, root))
 }
 
 // nodeTrace is one remote node's segment of a distributed trace.

@@ -40,10 +40,9 @@ type FlatSigs struct {
 
 	// Inclusive prefix sums over the canonical order. Because canonical
 	// order is weight-descending, prefW[offs[i]+m-1] is the largest sum
-	// any m weights of sig i can reach (and likewise prefSq for squared
-	// weights, prefNorm for normalized weights).
+	// any m weights of sig i can reach (and likewise prefNorm for
+	// normalized weights).
 	prefW    []float64
-	prefSq   []float64
 	prefNorm []float64
 
 	sum     []float64 // per-sig fold of w in canonical order (== WeightSum)
@@ -86,7 +85,6 @@ func (f *FlatSigs) Reset(sigs []Signature) {
 	f.pos = growTo(f.pos, total)
 	f.normW = growTo(f.normW, total)
 	f.prefW = growTo(f.prefW, total)
-	f.prefSq = growTo(f.prefSq, total)
 	f.prefNorm = growTo(f.prefNorm, total)
 	f.sum = growTo(f.sum, n)
 	f.sumSq = growTo(f.sumSq, n)
@@ -147,7 +145,6 @@ func (f *FlatSigs) fill(i int, s Signature) {
 		sum += wv
 		sumSq += wv * wv
 		f.prefW[lo+t] = sum
-		f.prefSq[lo+t] = sumSq
 	}
 	f.sum[i] = sum
 	f.sumSq[i] = sumSq
@@ -247,9 +244,6 @@ func (f *FlatSigs) NormSum(i int) float64 { return f.normSum[i] }
 // reach: the inclusive prefix sum of the canonical (descending) order.
 // m is clamped to [0, Len(i)].
 func (f *FlatSigs) TopWeightSum(i, m int) float64 { return topPrefix(f.prefW, f.offs, i, m) }
-
-// TopSqSum is TopWeightSum over squared weights.
-func (f *FlatSigs) TopSqSum(i, m int) float64 { return topPrefix(f.prefSq, f.offs, i, m) }
 
 // TopNormSum is TopWeightSum over normalized weights.
 func (f *FlatSigs) TopNormSum(i, m int) float64 { return topPrefix(f.prefNorm, f.offs, i, m) }

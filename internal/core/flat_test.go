@@ -79,12 +79,11 @@ func TestFlatSigsPrefixSums(t *testing.T) {
 	for i := range sigs {
 		w := flat.Weights(i)
 		nw := flat.NormWeights(i)
-		sumW, sumSq, sumN := 0.0, 0.0, 0.0
+		sumW, sumN := 0.0, 0.0
 		for m := 1; m <= len(w); m++ {
 			sumW += w[m-1]
-			sumSq += w[m-1] * w[m-1]
 			sumN += nw[m-1]
-			if flat.TopWeightSum(i, m) != sumW || flat.TopSqSum(i, m) != sumSq || flat.TopNormSum(i, m) != sumN {
+			if flat.TopWeightSum(i, m) != sumW || flat.TopNormSum(i, m) != sumN {
 				t.Fatalf("sig %d: prefix sums diverge at m=%d", i, m)
 			}
 		}

@@ -76,7 +76,8 @@ const (
 
 // KernelKindOf resolves d to its kernel kind, or false when d is not
 // one of the registered distances (a custom Distance implementation):
-// callers then fall back to the naive d.Dist.
+// internal/distmat then fills every cell with d.Dist itself, assuming
+// none of the closed forms above.
 func KernelKindOf(d Distance) (KernelKind, bool) {
 	switch d.(type) {
 	case Jaccard:

@@ -38,6 +38,10 @@
 // loops, store searches, router scatter-gather) allocate nothing per
 // row once the pool is warm.
 //
+// A core.Distance that is not one of the registered kinds rides the same
+// scheduler and delivery order, but nothing above is assumed of it:
+// every cell is a d.Dist call on the two Signatures (see Engine.dist).
+//
 // Determinism contract: every cell (i,j) is computed by exactly one
 // worker from immutable inputs, and consumers observe rows in ascending
 // order; results never depend on GOMAXPROCS or scheduling.
@@ -478,6 +482,15 @@ func (s *scratch) fillRow(rf *core.FlatSigs, i int, cols *SetView, dst []float64
 	return len(s.cands)
 }
 
+// distRow is fillRow for a distance without a kernel: dst[j] = d.Dist(sig,
+// column j) for every column, each of which counts as a candidate.
+func distRow(d core.Distance, sig core.Signature, cols *SetView, dst []float64) int {
+	for j, other := range cols.set.Sigs {
+		dst[j] = d.Dist(sig, other)
+	}
+	return len(dst)
+}
+
 // prefilters reports whether thresholded rows should test candidates
 // against the mask bound: only the match-list kinds do — a scatter
 // finish is O(1), cheaper than the bound it would be skipped by.
@@ -530,6 +543,11 @@ type Engine struct {
 	// kern fixes the engine's kernel kind and serves the sequential Dist
 	// method; row jobs run on pooled scratch pointed at the same kind.
 	kern core.DistKernel
+	// dist is set instead when the distance has no kernel kind: every
+	// cell is then dist.Dist on the two Signatures — no disjoint baseline,
+	// no empty-row shortcut, no posting walk, no prefilter, since none of
+	// those closed forms is known to hold for it.
+	dist core.Distance
 }
 
 // SetMetrics attaches instrumentation to the engine. Call before the
@@ -542,35 +560,28 @@ func (e *Engine) SetMetrics(m Metrics) { e.metrics = m }
 func (e *Engine) SetPrefilter(enabled bool) { e.prefilter = enabled }
 
 // NewEngine builds an engine over the two signature sets with the given
-// worker count (0 = GOMAXPROCS). It returns false when d is not one of
-// the registered distances; callers then keep their naive loops.
+// worker count (0 = GOMAXPROCS). Every Distance is served — a registered
+// one by its kernel, any other by its own Dist — so the bool is always
+// true; it stays for bench/, which compiles against this signature.
 func NewEngine(rowSet, colSet *core.SignatureSet, d core.Distance, workers int) (*Engine, bool) {
-	kind, ok := core.KernelKindOf(d)
-	if !ok {
-		return nil, false
-	}
 	rv := NewSetView(rowSet)
 	cv := rv
 	if colSet != rowSet {
 		cv = NewSetView(colSet)
 	}
-	return newEngine(rv, cv, kind, workers), true
+	return NewEngineOn(rv, cv, d, workers)
 }
 
 // NewEngineOn is NewEngine over prebuilt views (for callers that cache
 // SetViews, like the store).
 func NewEngineOn(rows, cols *SetView, d core.Distance, workers int) (*Engine, bool) {
-	kind, ok := core.KernelKindOf(d)
-	if !ok {
-		return nil, false
-	}
-	return newEngine(rows, cols, kind, workers), true
-}
-
-func newEngine(rows, cols *SetView, kind core.KernelKind, workers int) *Engine {
 	e := &Engine{rows: rows, cols: cols, workers: workers, prefilter: true}
-	e.kern.Reset(kind)
-	return e
+	if kind, ok := core.KernelKindOf(d); ok {
+		e.kern.Reset(kind)
+	} else if e.dist = d; d == nil {
+		panic("distmat: nil Distance") // would otherwise run as the zero kernel, Jaccard
+	}
+	return e, true
 }
 
 // rower is per-worker state: pooled scratch pointed at the engine's kind.
@@ -588,10 +599,11 @@ func (r *rower) release() { r.s.release() }
 
 // rowInto fills dst[j] = Dist(row i, col j) for every column: the
 // disjoint baseline first, then the exact kernel distance for every
-// posting-list candidate sharing at least one node with row i.
+// posting-list candidate sharing at least one node with row i — or, for
+// a distance without a kernel, one dist.Dist call per column.
 func (r *rower) rowInto(i int, dst []float64) {
 	e := r.e
-	if e.rows.flat.IsEmpty(i) {
+	if e.dist == nil && e.rows.flat.IsEmpty(i) {
 		copy(dst, e.cols.emptyRow)
 		return
 	}
@@ -599,7 +611,12 @@ func (r *rower) rowInto(i int, dst []float64) {
 	if r.metrics.instrumented() {
 		begin = time.Now()
 	}
-	cands := r.s.fillRow(e.rows.flat, i, e.cols, dst)
+	var cands int
+	if e.dist != nil {
+		cands = distRow(e.dist, e.rows.set.Sigs[i], e.cols, dst)
+	} else {
+		cands = r.s.fillRow(e.rows.flat, i, e.cols, dst)
+	}
 	if r.metrics.instrumented() {
 		r.metrics.RowSeconds.ObserveSince(begin)
 		r.metrics.Candidates.Observe(float64(cands))
@@ -611,6 +628,9 @@ func (r *rower) rowInto(i int, dst []float64) {
 // concurrent use (it shares the engine's one kernel and its match
 // buffer — nothing is borrowed from the scratch pool).
 func (e *Engine) Dist(i, j int) float64 {
+	if e.dist != nil {
+		return e.dist.Dist(e.rows.set.Sigs[i], e.cols.set.Sigs[j])
+	}
 	return e.kern.FlatDist(e.rows.flat, i, e.cols.flat, j)
 }
 
@@ -716,8 +736,9 @@ type Pair struct {
 // directly — and, for the match-list kinds, the mask prefilter drops
 // candidates provably outside the threshold before any kernel work
 // (unless SetPrefilter(false)). With maxDist ≥ 1 every non-empty pair
-// qualifies and the dense row path is used. The result is sorted by
-// (I, J), independent of the worker count.
+// qualifies and the dense row path is used — as it always is for a
+// distance without a kernel, whose disjoint pairs may sit anywhere. The
+// result is sorted by (I, J), independent of the worker count.
 func (e *Engine) PairsWithin(maxDist float64) []Pair {
 	n := e.rows.Len()
 	workers := e.workers
@@ -748,7 +769,7 @@ func (e *Engine) PairsWithin(maxDist float64) []Pair {
 			r := e.newRower()
 			defer r.release()
 			var out []Pair
-			if maxDist < 1 {
+			if maxDist < 1 && e.dist == nil {
 				out = r.pairsThresholded(lo, hi, maxDist)
 			} else {
 				out = r.pairsDense(lo, hi, maxDist)
@@ -803,7 +824,7 @@ func (r *rower) pairsThresholded(lo, hi int, maxDist float64) []Pair {
 	return out
 }
 
-// pairsDense scans full rows of [lo, hi) for maxDist ≥ 1.
+// pairsDense scans full rows of [lo, hi): maxDist ≥ 1, or no kernel.
 func (r *rower) pairsDense(lo, hi int, maxDist float64) []Pair {
 	e := r.e
 	n := e.cols.Len()
@@ -834,6 +855,7 @@ func (r *rower) pairsDense(lo, hi int, maxDist float64) []Pair {
 // cycled over queries of similar shape allocates nothing per call.
 type Querier struct {
 	s         *scratch
+	dist      core.Distance // set, with s nil, when the distance has no kernel
 	prefilter bool
 	metrics   Metrics
 }
@@ -846,12 +868,13 @@ func (q *Querier) SetMetrics(m Metrics) { q.metrics = m }
 // bit-identical either way.
 func (q *Querier) SetPrefilter(enabled bool) { q.prefilter = enabled }
 
-// NewQuerier returns a querier for d, or false when d is not one of
-// the registered distances.
+// NewQuerier returns a querier for d. Like NewEngine it serves every
+// Distance, a kernel-less one by a d.Dist scan of the view's signatures;
+// the bool is always true and stays for bench/.
 func NewQuerier(d core.Distance) (*Querier, bool) {
 	kind, ok := core.KernelKindOf(d)
 	if !ok {
-		return nil, false
+		return &Querier{dist: d}, true
 	}
 	return &Querier{s: getScratch(kind, 0), prefilter: true}, true
 }
@@ -868,7 +891,8 @@ func (q *Querier) Release() {
 // sig, with distances bit-identical to the naive d.Dist scan. With
 // maxDist < 1 only inverted-index candidates are probed (plus the empty
 // columns when sig itself is empty — those pairs are at distance 0) and
-// the visit order is unspecified; with maxDist ≥ 1 every column is
+// the visit order is unspecified; with maxDist ≥ 1, or a distance
+// without a kernel, every column is evaluated and the qualifying ones
 // visited in ascending order. The callback must not re-enter the
 // querier. Returns the number of candidates whose distance was actually
 // evaluated (prefilter-rejected candidates are not counted).
@@ -887,6 +911,14 @@ func (q *Querier) Neighbors(view *SetView, sig core.Signature, maxDist float64, 
 // of candidates whose distance was evaluated.
 func (q *Querier) neighbors(view *SetView, sig core.Signature, maxDist float64, visit func(j int, dist float64)) int {
 	n := view.Len()
+	if q.dist != nil {
+		for j, other := range view.set.Sigs {
+			if dist := q.dist.Dist(sig, other); dist <= maxDist {
+				visit(j, dist)
+			}
+		}
+		return n
+	}
 	s := q.s
 	s.grow(n)
 	s.qsig[0] = sig

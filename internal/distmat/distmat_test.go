@@ -242,23 +242,93 @@ func TestQuerierMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestUnknownDistanceRejected: a custom Distance has no kernel kind, so
-// the constructors return false and callers keep their naive loops. (The
-// registered distances being accepted is what every other test here
-// starts from.)
-func TestUnknownDistanceRejected(t *testing.T) {
-	if _, ok := NewEngine(randSet(t, 51, 4, 3, 10), randSet(t, 52, 4, 3, 10), unknownDist{}, 0); ok {
-		t.Fatal("engine granted for unknown distance")
-	}
-	if _, ok := NewQuerier(unknownDist{}); ok {
-		t.Fatal("querier granted for unknown distance")
-	}
+// wrapped hides a registered distance from core.KernelKindOf: same
+// numbers, no kernel kind.
+type wrapped struct{ core.Distance }
+
+// oddDist breaks every closed form the kernels rely on: it reads only
+// the two lengths, so disjoint pairs are not at 1, empty pairs are not
+// at 0 (two empty signatures sit at 0.4), it is not symmetric, and it
+// ranges past 1.
+type oddDist struct{}
+
+func (oddDist) Name() string { return "odd" }
+func (oddDist) Dist(a, b core.Signature) float64 {
+	return float64((3*len(a.Nodes)+len(b.Nodes)+2)%7) / 5
 }
 
-type unknownDist struct{}
-
-func (unknownDist) Name() string                     { return "unknown" }
-func (unknownDist) Dist(a, b core.Signature) float64 { return 0.5 }
+// TestUnregisteredDistanceMatchesNaive: a Distance without a kernel kind
+// is served by the engine and the querier themselves, every cell a
+// d.Dist call under the same scheduler — Rows (sequential and sharded),
+// Dist, PairsWithin and Neighbors are bit-identical to the naive loops,
+// for the six distances in disguise and for one of which nothing the
+// kernels assume is true.
+func TestUnregisteredDistanceMatchesNaive(t *testing.T) {
+	rows := randSet(t, 51, 70, 8, 40)
+	cols := randSet(t, 52, 90, 8, 40)
+	colView := NewSetView(cols)
+	dists := []core.Distance{oddDist{}}
+	for _, d := range core.ExtendedDistances() {
+		dists = append(dists, wrapped{d})
+	}
+	for _, d := range dists {
+		if _, ok := core.KernelKindOf(d); ok {
+			t.Fatalf("%s: the test distance has a kernel kind", d.Name())
+		}
+		want := naiveMatrix(d, rows, cols)
+		for _, workers := range []int{1, 4} {
+			eng, _ := NewEngine(rows, cols, d, workers)
+			if got := engineMatrix(t, eng, rows.Len(), cols.Len()); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s workers=%d: Rows differ from the naive matrix", d.Name(), workers)
+			}
+		}
+		eng, _ := NewEngineOn(NewSetView(rows), colView, d, 0)
+		for i := range want {
+			for j := range want[i] {
+				if got := eng.Dist(i, j); got != want[i][j] {
+					t.Fatalf("%s: Dist(%d,%d) = %v, want %v", d.Name(), i, j, got, want[i][j])
+				}
+			}
+		}
+		within, _ := NewEngine(cols, cols, d, 3)
+		for _, maxDist := range []float64{0.3, 0.7, 1} {
+			var wantPairs []Pair
+			for i := 0; i < cols.Len(); i++ {
+				for j := i + 1; j < cols.Len(); j++ {
+					if cols.Sigs[i].IsEmpty() || cols.Sigs[j].IsEmpty() {
+						continue
+					}
+					if dist := d.Dist(cols.Sigs[i], cols.Sigs[j]); dist <= maxDist {
+						wantPairs = append(wantPairs, Pair{I: i, J: j, Dist: dist})
+					}
+				}
+			}
+			if got := within.PairsWithin(maxDist); !reflect.DeepEqual(got, wantPairs) {
+				t.Fatalf("%s maxDist=%g: PairsWithin got %d pairs, want %d (or values differ)",
+					d.Name(), maxDist, len(got), len(wantPairs))
+			}
+		}
+		querier, _ := NewQuerier(d)
+		for _, sig := range []core.Signature{{}, rows.Sigs[1], rows.Sigs[2], cols.Sigs[3]} {
+			for _, maxDist := range []float64{0.3, 1} {
+				var got, wantHits []Pair // I unused: ascending columns with their distances
+				for j := range cols.Sigs {
+					if dist := d.Dist(sig, cols.Sigs[j]); dist <= maxDist {
+						wantHits = append(wantHits, Pair{J: j, Dist: dist})
+					}
+				}
+				probed := querier.Neighbors(colView, sig, maxDist, func(j int, dist float64) {
+					got = append(got, Pair{J: j, Dist: dist})
+				})
+				if !reflect.DeepEqual(got, wantHits) || probed != cols.Len() {
+					t.Fatalf("%s maxDist=%g: Neighbors visited %d of %d probed, want %d of %d",
+						d.Name(), maxDist, len(got), probed, len(wantHits), cols.Len())
+				}
+			}
+		}
+		querier.Release()
+	}
+}
 
 // TestEngineDistPairs exercises the sequential per-pair path used by the
 // persistence/masquerade call sites.

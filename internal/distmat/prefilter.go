@@ -23,10 +23,12 @@ import (
 //   - core.FlatSigs stores inclusive prefix sums over the canonical
 //     (weight-descending) entry order, so "the largest sum any m
 //     weights of this signature can reach" is one array read:
-//     TopWeightSum(i, m) — and likewise for squared and normalized
-//     weights.
+//     TopWeightSum(i, m) — and likewise for normalized weights.
 //
-// Every registered distance is 1 − sim with a similarity whose
+// Only the match-list kinds are bounded — ScaledDice, ScaledHellinger
+// and WeightedJaccard: the Jaccard/Dice/Cosine scatter finish is O(1),
+// cheaper than a bound (scratch.prefilters). Each of the three is
+// 1 − sim with a similarity whose
 // numerator folds only shared entries and is monotone in the shared
 // set. Bounding the numerator from above with Imax and the top-Imax
 // prefix sums, and the denominator from below with the exact per-
@@ -41,11 +43,12 @@ import (
 // than any achievable drift, while rejecting nothing a meaningful
 // threshold comparison would keep. The property tests in
 // prefilter_test.go check bound ≤ dist + prefilterSlack across the
-// shared fuzz corpus and random sets for all six distances.
+// shared fuzz corpus and random sets for the three kinds.
 const prefilterSlack = 1e-9
 
-// distLowerBound returns a provable lower bound on the kind's distance
-// between signature qi of qf and signature j of cf, given their masks.
+// distLowerBound returns a provable lower bound on the match-list kind's
+// distance between signature qi of qf and signature j of cf, given
+// their masks.
 func distLowerBound(kind core.KernelKind, qf *core.FlatSigs, qi int, cf *core.FlatSigs, j int, qm, cm lsh.Mask) float64 {
 	la, lb := qf.Len(qi), cf.Len(j)
 	if la == 0 && lb == 0 {
@@ -64,18 +67,6 @@ func distLowerBound(kind core.KernelKind, qf *core.FlatSigs, qi int, cf *core.Fl
 	}
 	var simUpper float64
 	switch kind {
-	case core.KindJaccard:
-		union := la + lb - imax
-		if union == 0 {
-			return 0 // both empty: exact distance is 0
-		}
-		simUpper = float64(imax) / float64(union)
-	case core.KindDice:
-		den := qf.WeightSum(qi) + cf.WeightSum(j)
-		if den == 0 {
-			return 0
-		}
-		simUpper = (qf.TopWeightSum(qi, imax) + cf.TopWeightSum(j, imax)) / den
 	case core.KindScaledDice:
 		den := fmax(qf.WeightSum(qi), cf.WeightSum(j))
 		if den == 0 {
@@ -92,13 +83,6 @@ func distLowerBound(kind core.KernelKind, qf *core.FlatSigs, qi int, cf *core.Fl
 		// Cauchy–Schwarz: Σ√(wa·wb) ≤ √(Σwa · Σwb) over the shared
 		// entries, each factor at most its side's top-Imax sum.
 		simUpper = math.Sqrt(qf.TopWeightSum(qi, imax)*cf.TopWeightSum(j, imax)) / den
-	case core.KindCosine:
-		if qf.SumSq(qi) == 0 || cf.SumSq(j) == 0 {
-			return 1 // exact: massless side pins the distance at 1
-		}
-		// Cauchy–Schwarz on the dot product, with squared-weight
-		// prefix sums.
-		simUpper = math.Sqrt(qf.TopSqSum(qi, imax)*cf.TopSqSum(j, imax)) / (qf.Norm(qi) * cf.Norm(j))
 	default: // KindWeightedJaccard: ScaledDice over normalized weights
 		den := fmax(qf.NormSum(qi), cf.NormSum(j))
 		if den == 0 {

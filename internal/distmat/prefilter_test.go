@@ -32,18 +32,24 @@ func randSigSpan(rng *rand.Rand, maxLen, base, span int) core.Signature {
 }
 
 // boundHolds asserts the prefilter's no-false-rejection contract for
-// one signature pair across all six registered distances: the bound
-// never exceeds the exact distance by more than the slack, so a
-// candidate skipped at any threshold provably lies outside it.
+// one signature pair across the distances that are prefiltered (the
+// three match-list kinds): the bound never exceeds the exact distance
+// by more than the slack, so a candidate skipped at any threshold
+// provably lies outside it.
 func boundHolds(t *testing.T, a, b core.Signature) {
 	t.Helper()
 	flat := core.NewFlatSigs([]core.Signature{a, b})
 	ma, mb := lsh.NewMask(a.Nodes), lsh.NewMask(b.Nodes)
+	bounded := 0
 	for _, d := range core.ExtendedDistances() {
 		kind, ok := core.KernelKindOf(d)
 		if !ok {
 			t.Fatalf("%s: no kernel kind", d.Name())
 		}
+		if modeFor(kind) != modeMatches {
+			continue // scatter kinds are never prefiltered: no bound exists
+		}
+		bounded++
 		exact := d.Dist(a, b)
 		bound := distLowerBound(kind, flat, 0, flat, 1, ma, mb)
 		if bound > exact+prefilterSlack {
@@ -54,6 +60,9 @@ func boundHolds(t *testing.T, a, b core.Signature) {
 		if bound > exact+prefilterSlack {
 			t.Fatalf("%s reversed: bound %v exceeds exact %v for %v vs %v", d.Name(), bound, exact, b, a)
 		}
+	}
+	if bounded != 3 {
+		t.Fatalf("checked %d prefiltered kinds, want 3", bounded)
 	}
 }
 

@@ -9,34 +9,29 @@ import (
 	"graphsig/internal/stats"
 )
 
-// The pairwise metrics below ride the sparse engine (internal/distmat)
-// whenever the distance is one of the registered kinds — every distance
-// in core.ExtendedDistances is — and keep the naive loops as the fallback
-// for custom Distance implementations. Engine results are bit-identical
-// to the naive loops (property tests in distmat enforce it), so the
-// rewiring changes no reported number.
+// The pairwise metrics below all ride the pairwise engine
+// (internal/distmat), whatever the distance: a registered kind — every
+// distance in core.ExtendedDistances — runs on its sparse kernel, a
+// custom Distance implementation has each cell filled by its own Dist
+// under the same scheduler. Either way engine results are bit-identical
+// to the naive loops (property tests in distmat enforce it).
 
 // Persistence computes 1 − Dist(σ_t(v), σ_{t+1}(v)) for every source
 // present in both sets (§II-C). Sources missing from either set are
 // skipped: a label absent from a window has no signature to compare.
 func Persistence(d core.Distance, at, next *core.SignatureSet) map[graph.NodeID]float64 {
+	return selfSimilarity(d, at, next)
+}
+
+// selfSimilarity is 1 − Dist(a(v), b(v)) for every source v of a that b
+// also holds: persistence across time, robustness across perturbation.
+func selfSimilarity(d core.Distance, a, b *core.SignatureSet) map[graph.NodeID]float64 {
 	out := make(map[graph.NodeID]float64)
-	if eng, ok := distmat.NewEngine(at, next, d, 0); ok {
-		for i, v := range at.Sources {
-			j, present := next.IndexOf(v)
-			if !present {
-				continue
-			}
+	eng, _ := distmat.NewEngine(a, b, d, 0)
+	for i, v := range a.Sources {
+		if j, present := b.IndexOf(v); present {
 			out[v] = 1 - eng.Dist(i, j)
 		}
-		return out
-	}
-	for i, v := range at.Sources {
-		sig2, ok := next.Get(v)
-		if !ok {
-			continue
-		}
-		out[v] = 1 - d.Dist(at.Sigs[i], sig2)
 	}
 	return out
 }
@@ -66,31 +61,20 @@ func UniquenessSummary(d core.Distance, set *core.SignatureSet, maxPairs int, se
 	if n < 2 {
 		return acc.Summarize()
 	}
-	eng, fast := distmat.NewEngine(set, set, d, 0)
+	eng, _ := distmat.NewEngine(set, set, d, 0)
 	total := n * (n - 1)
 	if maxPairs <= 0 || total <= maxPairs {
-		if fast {
-			idx := make([]int, n)
-			for i := range idx {
-				idx[i] = i
-			}
-			eng.Rows(idx, func(i int, row []float64) {
-				for j, x := range row {
-					if j != i {
-						acc.Add(x)
-					}
-				}
-			})
-			return acc.Summarize()
+		idx := make([]int, n)
+		for i := range idx {
+			idx[i] = i
 		}
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if i == j {
-					continue
+		eng.Rows(idx, func(i int, row []float64) {
+			for j, x := range row {
+				if j != i {
+					acc.Add(x)
 				}
-				acc.Add(d.Dist(set.Sigs[i], set.Sigs[j]))
 			}
-		}
+		})
 		return acc.Summarize()
 	}
 	rng := stats.NewRNG(seed)
@@ -100,11 +84,7 @@ func UniquenessSummary(d core.Distance, set *core.SignatureSet, maxPairs int, se
 		if j >= i {
 			j++
 		}
-		if fast {
-			acc.Add(eng.Dist(i, j))
-		} else {
-			acc.Add(d.Dist(set.Sigs[i], set.Sigs[j]))
-		}
+		acc.Add(eng.Dist(i, j))
 	}
 	return acc.Summarize()
 }
@@ -112,25 +92,7 @@ func UniquenessSummary(d core.Distance, set *core.SignatureSet, maxPairs int, se
 // Robustness computes 1 − Dist(σ(v), σ̂(v)) per source, where hat is the
 // signature set computed from a perturbed graph (§II-C, §IV-C).
 func Robustness(d core.Distance, clean, perturbed *core.SignatureSet) map[graph.NodeID]float64 {
-	out := make(map[graph.NodeID]float64)
-	if eng, ok := distmat.NewEngine(clean, perturbed, d, 0); ok {
-		for i, v := range clean.Sources {
-			j, present := perturbed.IndexOf(v)
-			if !present {
-				continue
-			}
-			out[v] = 1 - eng.Dist(i, j)
-		}
-		return out
-	}
-	for i, v := range clean.Sources {
-		sig2, ok := perturbed.Get(v)
-		if !ok {
-			continue
-		}
-		out[v] = 1 - d.Dist(clean.Sigs[i], sig2)
-	}
-	return out
+	return selfSimilarity(d, clean, perturbed)
 }
 
 // RobustnessSummary summarizes per-node robustness.
@@ -185,34 +147,19 @@ func SelfRetrievalQueries(d core.Distance, at, next *core.SignatureSet) []Query 
 	if len(rows) == 0 {
 		return nil
 	}
-	if eng, ok := distmat.NewEngine(at, next, d, 0); ok {
-		queries := make([]Query, len(rows))
-		eng.Rows(rows, func(t int, row []float64) {
-			v := at.Sources[rows[t]]
-			q := Query{
-				Scores:   append([]float64(nil), row...),
-				Positive: make([]bool, next.Len()),
-			}
-			for j, u := range next.Sources {
-				q.Positive[j] = u == v
-			}
-			queries[t] = q
-		})
-		return queries
-	}
-	queries := make([]Query, 0, len(rows))
-	for _, i := range rows {
-		v := at.Sources[i]
+	eng, _ := distmat.NewEngine(at, next, d, 0)
+	queries := make([]Query, len(rows))
+	eng.Rows(rows, func(t int, row []float64) {
+		v := at.Sources[rows[t]]
 		q := Query{
-			Scores:   make([]float64, next.Len()),
+			Scores:   append([]float64(nil), row...),
 			Positive: make([]bool, next.Len()),
 		}
 		for j, u := range next.Sources {
-			q.Scores[j] = d.Dist(at.Sigs[i], next.Sigs[j])
 			q.Positive[j] = u == v
 		}
-		queries = append(queries, q)
-	}
+		queries[t] = q
+	})
 	return queries
 }
 
@@ -249,36 +196,9 @@ func SetRetrievalQueries(d core.Distance, set *core.SignatureSet, groups [][]gra
 		return nil
 	}
 	var queries []Query
-	if eng, ok := distmat.NewEngine(set, set, d, 0); ok {
-		eng.Rows(rows, func(t int, row []float64) {
-			i := rows[t]
-			v := set.Sources[i]
-			gi := member[v]
-			positives := 0
-			q := Query{
-				Scores:   make([]float64, 0, set.Len()-1),
-				Positive: make([]bool, 0, set.Len()-1),
-			}
-			for j, u := range set.Sources {
-				if u == v {
-					continue
-				}
-				q.Scores = append(q.Scores, row[j])
-				pos := false
-				if gj, ok := member[u]; ok && gj == gi {
-					pos = true
-					positives++
-				}
-				q.Positive = append(q.Positive, pos)
-			}
-			if positives > 0 {
-				queries = append(queries, q)
-			}
-		})
-		return queries
-	}
-	for _, i := range rows {
-		v := set.Sources[i]
+	eng, _ := distmat.NewEngine(set, set, d, 0)
+	eng.Rows(rows, func(t int, row []float64) {
+		v := set.Sources[rows[t]]
 		gi := member[v]
 		positives := 0
 		q := Query{
@@ -289,7 +209,7 @@ func SetRetrievalQueries(d core.Distance, set *core.SignatureSet, groups [][]gra
 			if u == v {
 				continue
 			}
-			q.Scores = append(q.Scores, d.Dist(set.Sigs[i], set.Sigs[j]))
+			q.Scores = append(q.Scores, row[j])
 			pos := false
 			if gj, ok := member[u]; ok && gj == gi {
 				pos = true
@@ -300,6 +220,6 @@ func SetRetrievalQueries(d core.Distance, set *core.SignatureSet, groups [][]gra
 		if positives > 0 {
 			queries = append(queries, q)
 		}
-	}
+	})
 	return queries
 }

@@ -284,9 +284,9 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		begin := time.Now()
 		s.metrics.HTTPRequests.Add(1)
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+		sw := &StatusWriter{ResponseWriter: w, Status: http.StatusOK}
 		next.ServeHTTP(sw, r)
-		if sw.status >= 400 {
+		if sw.Status >= 400 {
 			s.metrics.HTTPErrors.Add(1)
 		}
 		elapsed := time.Since(begin).Seconds()
@@ -295,34 +295,42 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 	})
 }
 
-type statusWriter struct {
+// The HTTP plumbing below is exported because sigrouterd's handlers
+// (internal/cluster) answer the same wire format through it.
+
+// StatusWriter records the status a handler wrote, for error counting.
+type StatusWriter struct {
 	http.ResponseWriter
-	status int
+	Status int
 }
 
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
+func (w *StatusWriter) WriteHeader(code int) {
+	w.Status = code
 	w.ResponseWriter.WriteHeader(code)
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers with v as the JSON body.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+// WriteError answers with the API's error body, {"error": "..."}.
+func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
+	WriteJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
 // maxBodyBytes bounds request bodies (64 MiB: a generous flow batch).
 const maxBodyBytes = 64 << 20
 
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+// DecodeJSON reads the request body into v, strictly (unknown fields are
+// errors); on failure it has already answered 400 and returns false.
+func DecodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return false
 	}
 	return true
@@ -342,19 +350,19 @@ func (s *Server) handleFlows(w http.ResponseWriter, r *http.Request) {
 		default:
 			s.metrics.IngestThrottled.Add(1)
 			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, "ingest at capacity (%d batches in flight); retry", cap(s.ingestSem))
+			WriteError(w, http.StatusTooManyRequests, "ingest at capacity (%d batches in flight); retry", cap(s.ingestSem))
 			return
 		}
 	}
 	var req IngestRequest
-	if !decodeJSON(w, r, &req) {
+	if !DecodeJSON(w, r, &req) {
 		return
 	}
 	records := make([]netflow.Record, 0, len(req.Records))
 	for i, rj := range req.Records {
 		rec, err := rj.record()
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "record %d: %v", i, err)
+			WriteError(w, http.StatusBadRequest, "record %d: %v", i, err)
 			return
 		}
 		records = append(records, rec)
@@ -362,54 +370,82 @@ func (s *Server) handleFlows(w http.ResponseWriter, r *http.Request) {
 	_ = fault.Inject("server.ingest.hold") // test hook: park here while holding an in-flight slot
 	tr := s.startTrace(r, "ingest")
 	defer tr.Finish()
-	writeJSON(w, http.StatusOK, s.ingestBatchTraced(tr, req.BatchID, records))
+	WriteJSON(w, http.StatusOK, s.ingestBatchTraced(tr, req.BatchID, records))
 }
 
-// historyParams parses the from/to/limit query of a history GET.
-// Bounds default to the whole archive; an absent limit defaults to
-// DefaultHistoryLimit and an explicit limit=0 means unbounded.
-func historyParams(r *http.Request) (from, to, limit int, err error) {
-	from, to, limit = math.MinInt, math.MaxInt, DefaultHistoryLimit
-	q := r.URL.Query()
+// ParseHistoryQuery parses the from/to/limit query of a history GET —
+// on a node, or on the router, which forwards the typed query to the
+// owner shard so the bounds are enforced where the archive lives. An
+// absent limit stays 0 (DefaultHistoryLimit applies); an explicit
+// limit=0 means unbounded, which HistoryQuery spells -1.
+func ParseHistoryQuery(r *http.Request) (HistoryQuery, error) {
+	var q HistoryQuery
+	var hasLimit bool
+	vals := r.URL.Query()
 	for _, p := range []struct {
 		key string
 		dst *int
-	}{{"from", &from}, {"to", &to}, {"limit", &limit}} {
-		v := q.Get(p.key)
+		has *bool
+	}{{"from", &q.From, &q.HasFrom}, {"to", &q.To, &q.HasTo}, {"limit", &q.Limit, &hasLimit}} {
+		v := vals.Get(p.key)
 		if v == "" {
 			continue
 		}
-		n, perr := strconv.Atoi(v)
-		if perr != nil {
-			return 0, 0, 0, fmt.Errorf("bad %s %q: want an integer", p.key, v)
+		n, err := strconv.Atoi(v)
+		if err != nil {
+			return q, fmt.Errorf("bad %s %q: want an integer", p.key, v)
 		}
-		*p.dst = n
+		*p.dst, *p.has = n, true
 	}
-	if limit < 0 {
-		return 0, 0, 0, fmt.Errorf("bad limit %d: want >= 0", limit)
+	switch {
+	case q.Limit < 0:
+		return q, fmt.Errorf("bad limit %d: want >= 0", q.Limit)
+	case q.Limit == 0 && hasLimit:
+		q.Limit = -1
 	}
-	return from, to, limit, nil
+	return q, nil
+}
+
+// bounds resolves the query to Store.HistoryRange arguments: whole
+// archive unless bounded, DefaultHistoryLimit unless stated, 0 = no
+// limit.
+func (q HistoryQuery) bounds() (from, to, limit int) {
+	from, to, limit = math.MinInt, math.MaxInt, q.Limit
+	if q.HasFrom {
+		from = q.From
+	}
+	if q.HasTo {
+		to = q.To
+	}
+	switch {
+	case limit == 0:
+		limit = DefaultHistoryLimit
+	case limit < 0:
+		limit = 0
+	}
+	return from, to, limit
 }
 
 func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 	label := r.PathValue("label")
 	s.metrics.HistoryQueries.Add(1)
-	from, to, limit, err := historyParams(r)
+	q, err := ParseHistoryQuery(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	from, to, limit := q.bounds()
 	tr := s.traceRemote(r, "history")
 	defer tr.Finish()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	entries, truncated, err := s.store.HistoryRange(label, from, to, limit)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "reading archive: %v", err)
+		WriteError(w, http.StatusInternalServerError, "reading archive: %v", err)
 		return
 	}
 	if len(entries) == 0 {
-		writeError(w, http.StatusNotFound, "label %q has no archived signatures", label)
+		WriteError(w, http.StatusNotFound, "label %q has no archived signatures", label)
 		return
 	}
 	resp := HistoryResponse{Label: label, Truncated: truncated}
@@ -420,12 +456,12 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 			Signature: s.signatureJSON(e.Sig),
 		})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var req SearchRequest
-	if !decodeJSON(w, r, &req) {
+	if !DecodeJSON(w, r, &req) {
 		return
 	}
 	s.metrics.SearchQueries.Add(1)
@@ -433,7 +469,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	defer tr.Finish()
 	d, err := s.distanceFor(req.Distance)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	debug := req.Debug || r.URL.Query().Get("debug") == "1"
@@ -446,7 +482,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var hits []SearchHitJSON
 	switch {
 	case req.Label != "" && req.Signature != nil:
-		writeError(w, http.StatusBadRequest, "set either label or signature, not both")
+		WriteError(w, http.StatusBadRequest, "set either label or signature, not both")
 		return
 	case req.Label != "":
 		s.mu.RLock()
@@ -458,7 +494,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		}
 		s.mu.RUnlock()
 		if err != nil {
-			writeError(w, searchStatus(err, http.StatusNotFound), "%v", err)
+			WriteError(w, searchStatus(err, http.StatusNotFound), "%v", err)
 			return
 		}
 	case req.Signature != nil:
@@ -473,11 +509,11 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		}
 		s.mu.RUnlock()
 		if err != nil {
-			writeError(w, searchStatus(err, http.StatusBadRequest), "%v", err)
+			WriteError(w, searchStatus(err, http.StatusBadRequest), "%v", err)
 			return
 		}
 	default:
-		writeError(w, http.StatusBadRequest, "search needs a label or a signature")
+		WriteError(w, http.StatusBadRequest, "search needs a label or a signature")
 		return
 	}
 	resp := SearchResponse{Distance: d.Name(), Hits: hits}
@@ -490,16 +526,16 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			PrefilterSkipped: stats.PrefilterSkipped,
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchSearchRequest
-	if !decodeJSON(w, r, &req) {
+	if !DecodeJSON(w, r, &req) {
 		return
 	}
 	if len(req.Queries) == 0 {
-		writeError(w, http.StatusBadRequest, "batch search needs at least one query")
+		WriteError(w, http.StatusBadRequest, "batch search needs at least one query")
 		return
 	}
 	s.metrics.BatchSearches.Add(1)
@@ -508,7 +544,7 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	defer tr.Finish()
 	d, err := s.distanceFor(req.Distance)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	debug := req.Debug || r.URL.Query().Get("debug") == "1"
@@ -532,7 +568,7 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		bq, err := s.resolveSearchQuery(q, d)
 		if errors.Is(err, store.ErrColdRead) {
 			end()
-			writeError(w, http.StatusInternalServerError, "%v", err)
+			WriteError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
 		if err != nil {
@@ -550,7 +586,7 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	hits, err := s.store.SearchBatch(d, queries)
 	end()
 	if err != nil {
-		writeError(w, searchStatus(err, http.StatusBadRequest), "%v", err)
+		WriteError(w, searchStatus(err, http.StatusBadRequest), "%v", err)
 		return
 	}
 	for k := range hits {
@@ -566,7 +602,7 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 			PrefilterSkipped: stats.PrefilterSkipped,
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // searchStatus is the HTTP status of a failed search: a cold-tier read
@@ -694,18 +730,18 @@ func (s *Server) handleWatchlistAdd(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req WatchlistAddRequest
-	if !decodeJSON(w, r, &req) {
+	if !DecodeJSON(w, r, &req) {
 		return
 	}
 	if req.Individual == "" || (req.Label == "" && req.Signature == nil) {
-		writeError(w, http.StatusBadRequest, "watchlist add needs individual and label")
+		WriteError(w, http.StatusBadRequest, "watchlist add needs individual and label")
 		return
 	}
 	tr := s.traceRemote(r, "watchlist.add")
 	defer tr.Finish()
 	if req.Signature != nil {
 		if req.Window == nil {
-			writeError(w, http.StatusBadRequest, "explicit-signature watchlist add needs window")
+			WriteError(w, http.StatusBadRequest, "explicit-signature watchlist add needs window")
 			return
 		}
 		// Interning the carried labels mutates the universe: write lock.
@@ -718,11 +754,11 @@ func (s *Server) handleWatchlistAdd(w http.ResponseWriter, r *http.Request) {
 			Weights:    req.Signature.Weights,
 		}
 		if err := s.addWatchLocked(entry, true); err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		s.metrics.WatchlistAdds.Add(1)
-		writeJSON(w, http.StatusOK, WatchlistAddResponse{Archived: 1, Total: s.watch.Len()})
+		WriteJSON(w, http.StatusOK, WatchlistAddResponse{Archived: 1, Total: s.watch.Len()})
 		return
 	}
 	// Label adds also mutate: the archived entries are mirrored into
@@ -735,7 +771,7 @@ func (s *Server) handleWatchlistAdd(w http.ResponseWriter, r *http.Request) {
 	// unbounded even when the archive reaches into cold segments.
 	entries, _, err := s.store.HistoryRange(req.Label, math.MinInt, math.MaxInt, 0)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "reading archive: %v", err)
+		WriteError(w, http.StatusInternalServerError, "reading archive: %v", err)
 		return
 	}
 	archived := 0
@@ -754,17 +790,17 @@ func (s *Server) handleWatchlistAdd(w http.ResponseWriter, r *http.Request) {
 			Weights:    sj.Weights,
 		}
 		if err := s.addWatchLocked(entry, true); err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
+			WriteError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
 		archived++
 	}
 	if archived == 0 {
-		writeError(w, http.StatusNotFound, "label %q has no archivable signature", req.Label)
+		WriteError(w, http.StatusNotFound, "label %q has no archivable signature", req.Label)
 		return
 	}
 	s.metrics.WatchlistAdds.Add(int64(archived))
-	writeJSON(w, http.StatusOK, WatchlistAddResponse{Archived: archived, Total: s.watch.Len()})
+	WriteJSON(w, http.StatusOK, WatchlistAddResponse{Archived: archived, Total: s.watch.Len()})
 }
 
 func (s *Server) handleWatchlistHits(w http.ResponseWriter, r *http.Request) {
@@ -775,7 +811,7 @@ func (s *Server) handleWatchlistHits(w http.ResponseWriter, r *http.Request) {
 	for i, h := range hits {
 		resp.Hits[i] = WatchHitJSON(h)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleAnomalies(w http.ResponseWriter, r *http.Request) {
@@ -786,21 +822,21 @@ func (s *Server) handleAnomalies(w http.ResponseWriter, r *http.Request) {
 	if zs := r.URL.Query().Get("z"); zs != "" {
 		z, err := strconv.ParseFloat(zs, 64)
 		if err != nil || z <= 0 {
-			writeError(w, http.StatusBadRequest, "bad z parameter %q", zs)
+			WriteError(w, http.StatusBadRequest, "bad z parameter %q", zs)
 			return
 		}
 		zCut = z
 	}
 	d, err := s.distanceFor(r.URL.Query().Get("distance"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	windows := s.store.Windows()
 	if len(windows) < 2 {
-		writeError(w, http.StatusConflict, "anomaly detection needs two archived windows, have %d", len(windows))
+		WriteError(w, http.StatusConflict, "anomaly detection needs two archived windows, have %d", len(windows))
 		return
 	}
 	at, next := windows[len(windows)-2], windows[len(windows)-1]
@@ -810,7 +846,7 @@ func (s *Server) handleAnomalies(w http.ResponseWriter, r *http.Request) {
 	pairs := apps.PersistenceByLabel(d, s.store.Universe(), at, next)
 	anomalies, summary, err := apps.DetectAnomaliesByLabel(pairs, zCut)
 	if err != nil {
-		writeError(w, http.StatusConflict, "%v", err)
+		WriteError(w, http.StatusConflict, "%v", err)
 		return
 	}
 	resp := AnomaliesResponse{
@@ -826,7 +862,7 @@ func (s *Server) handleAnomalies(w http.ResponseWriter, r *http.Request) {
 			ZScore:      a.ZScore,
 		})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // PersistencePairJSON is one label's self-persistence on the wire.
@@ -853,14 +889,14 @@ func (s *Server) handlePersistence(w http.ResponseWriter, r *http.Request) {
 	defer tr.Finish()
 	d, err := s.distanceFor(r.URL.Query().Get("distance"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	windows := s.store.Windows()
 	if len(windows) < 2 {
-		writeError(w, http.StatusConflict, "persistence needs two archived windows, have %d", len(windows))
+		WriteError(w, http.StatusConflict, "persistence needs two archived windows, have %d", len(windows))
 		return
 	}
 	at, next := windows[len(windows)-2], windows[len(windows)-1]
@@ -874,7 +910,7 @@ func (s *Server) handlePersistence(w http.ResponseWriter, r *http.Request) {
 	for i, p := range pairs {
 		resp.Pairs[i] = PersistencePairJSON{Label: p.Label, Persistence: p.Persistence}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -887,7 +923,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		Ingested:      s.pipeline.Ingested(),
 	}
 	s.mu.RUnlock()
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -896,5 +932,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		_ = s.obs.registry.WritePrometheus(w)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.metricsJSON())
+	WriteJSON(w, http.StatusOK, s.metricsJSON())
 }

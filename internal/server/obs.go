@@ -147,7 +147,7 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	if !resp.Ready {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, resp)
+	WriteJSON(w, status, resp)
 }
 
 // TracesResponse is the GET /v1/traces body: the most recent traces,
@@ -162,7 +162,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if ns := r.URL.Query().Get("n"); ns != "" {
 		v, err := strconv.Atoi(ns)
 		if err != nil || v < 0 {
-			writeError(w, http.StatusBadRequest, "bad n parameter %q", ns)
+			WriteError(w, http.StatusBadRequest, "bad n parameter %q", ns)
 			return
 		}
 		n = v
@@ -171,7 +171,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if traces == nil {
 		traces = []obs.TraceSnapshot{}
 	}
-	writeJSON(w, http.StatusOK, TracesResponse{Total: s.obs.tracer.Total(), Traces: traces})
+	WriteJSON(w, http.StatusOK, TracesResponse{Total: s.obs.tracer.Total(), Traces: traces})
 }
 
 // handleTraceByID serves one retained trace from the ring — the
@@ -181,8 +181,8 @@ func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	snap, ok := s.obs.tracer.Find(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "trace %q not retained here (never finished or evicted)", id)
+		WriteError(w, http.StatusNotFound, "trace %q not retained here (never finished or evicted)", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, snap)
+	WriteJSON(w, http.StatusOK, snap)
 }

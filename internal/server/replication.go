@@ -59,30 +59,30 @@ func (s *Server) handleReplicationStatus(w http.ResponseWriter, r *http.Request)
 			resp.OldestGen = gens[0]
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleReplicationWAL(w http.ResponseWriter, r *http.Request) {
 	if !s.replicating.Load() {
-		writeError(w, http.StatusConflict, "replication not enabled on this node")
+		WriteError(w, http.StatusConflict, "replication not enabled on this node")
 		return
 	}
 	q := r.URL.Query()
 	gen, err := strconv.Atoi(q.Get("gen"))
 	if err != nil || gen < 0 {
-		writeError(w, http.StatusBadRequest, "bad gen parameter %q", q.Get("gen"))
+		WriteError(w, http.StatusBadRequest, "bad gen parameter %q", q.Get("gen"))
 		return
 	}
 	from, err := strconv.ParseInt(q.Get("from"), 10, 64)
 	if err != nil || from < wal.HeaderLen {
-		writeError(w, http.StatusBadRequest, "bad from parameter %q (offsets start at %d)", q.Get("from"), wal.HeaderLen)
+		WriteError(w, http.StatusBadRequest, "bad from parameter %q (offsets start at %d)", q.Get("from"), wal.HeaderLen)
 		return
 	}
 	chunk := DefaultReplicationChunk
 	if ms := q.Get("max"); ms != "" {
 		m, err := strconv.Atoi(ms)
 		if err != nil || m <= 0 {
-			writeError(w, http.StatusBadRequest, "bad max parameter %q", ms)
+			WriteError(w, http.StatusBadRequest, "bad max parameter %q", ms)
 			return
 		}
 		chunk = min(m, MaxReplicationChunk)
@@ -105,13 +105,13 @@ func (s *Server) handleReplicationWAL(w http.ResponseWriter, r *http.Request) {
 		size := log.DurableSize()
 		if from > size {
 			s.mu.RUnlock()
-			writeError(w, http.StatusRequestedRangeNotSatisfiable, "offset %d beyond durable size %d of generation %d", from, size, gen)
+			WriteError(w, http.StatusRequestedRangeNotSatisfiable, "offset %d beyond durable size %d of generation %d", from, size, gen)
 			return
 		}
 		data, err := log.ReadDurable(from, chunk)
 		s.mu.RUnlock()
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
+			WriteError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
 		endRead()
@@ -123,36 +123,36 @@ func (s *Server) handleReplicationWAL(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.RUnlock()
 	if gen > cur {
-		writeError(w, http.StatusNotFound, "generation %d not started (live generation is %d)", gen, cur)
+		WriteError(w, http.StatusNotFound, "generation %d not started (live generation is %d)", gen, cur)
 		return
 	}
 
 	// Sealed generations are immutable files; no lock needed.
 	f, err := os.Open(walSegmentPath(log.Path(), gen))
 	if os.IsNotExist(err) {
-		writeError(w, http.StatusGone, "generation %d pruned; re-bootstrap from a snapshot or the oldest retained generation", gen)
+		WriteError(w, http.StatusGone, "generation %d pruned; re-bootstrap from a snapshot or the oldest retained generation", gen)
 		return
 	}
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	defer f.Close()
 	info, err := f.Stat()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	size := info.Size()
 	if from > size {
-		writeError(w, http.StatusRequestedRangeNotSatisfiable, "offset %d beyond size %d of sealed generation %d", from, size, gen)
+		WriteError(w, http.StatusRequestedRangeNotSatisfiable, "offset %d beyond size %d of sealed generation %d", from, size, gen)
 		return
 	}
 	n := min(int64(chunk), size-from)
 	data := make([]byte, n)
 	if n > 0 {
 		if _, err := f.ReadAt(data, from); err != nil {
-			writeError(w, http.StatusInternalServerError, "reading sealed segment: %v", err)
+			WriteError(w, http.StatusInternalServerError, "reading sealed segment: %v", err)
 			return
 		}
 	}
@@ -186,7 +186,7 @@ func (s *Server) requireWritable(w http.ResponseWriter) bool {
 	if id := s.Identity(); id != nil && id.Role != "" {
 		role = id.Role
 	}
-	writeError(w, http.StatusForbidden, "node is read-only (%s); send writes to the primary", role)
+	WriteError(w, http.StatusForbidden, "node is read-only (%s); send writes to the primary", role)
 	return false
 }
 

@@ -95,21 +95,18 @@ func TestSearchRingMatchesFullSortOracle(t *testing.T) {
 		// Overlaps only the loners: everything else is at distance 1.
 		queries["rare"] = core.FromWeights(map[graph.NodeID]float64{u.MustIntern("rare", graph.PartNone): 1}, 10)
 		for _, d := range allDistances {
-			querier, fast := distmat.NewQuerier(d)
-			if !fast {
-				t.Fatalf("%s has no kernel", d.Name())
-			}
+			querier, _ := distmat.NewQuerier(d)
 			for qname, sig := range queries {
 				for _, k := range []int{1, 10, 1 << 20} {
 					for _, maxDist := range []float64{0.3, 1} {
 						for _, exclude := range []string{"", "host-00", "loner"} {
 							for _, last := range []int{0, 2, 5} {
 								opts := SearchOptions{TopK: k, MaxDist: maxDist, ExcludeLabel: exclude, LastWindows: last}
-								want, err := s.searchRing(ring, querier, fast, d, sig, opts, false)
+								want, err := s.searchRing(ring, querier, d, sig, opts, false)
 								if err != nil {
 									t.Fatal(err)
 								}
-								got, err := s.searchRing(ring, querier, fast, d, sig, opts, true)
+								got, err := s.searchRing(ring, querier, d, sig, opts, true)
 								if err != nil {
 									t.Fatal(err)
 								}

@@ -69,8 +69,8 @@ func (c *Config) validate() error {
 // entry is one window as a search scans it: the signature set, its
 // optional LSH index and its pairwise-engine view (SoA signatures +
 // inverted node index), both built once at Add time. Cold-tier entries
-// read back by snapshotTier carry the set alone and are scanned with
-// plain d.Dist calls.
+// read back by snapshotTier carry the set alone (view nil) and are the
+// one thing still scanned with plain d.Dist calls.
 type entry struct {
 	set  *core.SignatureSet
 	idx  *lsh.Index
@@ -429,8 +429,10 @@ type SearchOptions struct {
 // per-query deltas). Probes — like the store_search_probes histogram —
 // counts the distances a search computed, not the hits it ranked: per
 // window the engine's inverted-index candidates (less those the mask
-// prefilter rejects once the collector's bound drops below 1), the LSH
-// bucket candidates, or every non-empty signature of a plain scan.
+// prefilter rejects once the collector's bound drops below 1; every
+// signature, for a distance without a kernel), the LSH bucket
+// candidates, or every non-empty signature of a cold window's plain
+// scan.
 type SearchStats struct {
 	Probes           int
 	PrefilterChecked int64
@@ -445,9 +447,10 @@ type SearchStats struct {
 // exactly 1), from the MinHash buckets when the store was built with
 // LSH banding and d is the Jaccard distance — candidates missing every
 // bucket are skipped, trading a small recall loss for sub-linear scans —
-// or, for view-less cold windows and distances without a kernel, from a
-// plain scan. Every candidate is exact-verified with d before it is
-// ranked.
+// or, for view-less cold windows, from a plain scan. A distance that is
+// not one of the registered kinds goes through the engine too, which
+// then evaluates d against every signature of the window. Every
+// candidate is exact-verified with d before it is ranked.
 //
 // Search and SearchBatch rank every hit and cut to TopK afterwards;
 // SearchLabel ranks while scanning (see searchRing), with the same
@@ -476,12 +479,10 @@ func (s *Store) search(d core.Distance, sig core.Signature, opts SearchOptions, 
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	querier, fast := distmat.NewQuerier(d)
-	if fast {
-		querier.SetMetrics(s.obs.engine)
-		defer querier.Release()
-	}
-	return s.searchRing(ring, querier, fast, d, sig, opts, bounded)
+	querier, _ := distmat.NewQuerier(d)
+	querier.SetMetrics(s.obs.engine)
+	defer querier.Release()
+	return s.searchRing(ring, querier, d, sig, opts, bounded)
 }
 
 // BatchQuery is one query of a SearchBatch call: a signature plus its
@@ -524,14 +525,12 @@ func (s *Store) SearchBatch(d core.Distance, queries []BatchQuery) ([][]Hit, err
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	querier, fast := distmat.NewQuerier(d)
-	if fast {
-		querier.SetMetrics(s.obs.engine)
-		defer querier.Release()
-	}
+	querier, _ := distmat.NewQuerier(d)
+	querier.SetMetrics(s.obs.engine)
+	defer querier.Release()
 	out := make([][]Hit, len(queries))
 	for i := range queries {
-		hits, err := s.searchRing(ring, querier, fast, d, queries[i].Sig, queries[i].Opts, false)
+		hits, err := s.searchRing(ring, querier, d, queries[i].Sig, queries[i].Opts, false)
 		if err != nil {
 			return nil, fmt.Errorf("batch query %d: %w", i, err)
 		}
@@ -641,13 +640,14 @@ func (t *topK) ranked() []Hit {
 
 // searchRing runs one query over a snapshotted ring, newest window
 // first: candidate generation per window (LSH buckets, pairwise-engine
-// querier, or the plain scan) under the collector's current bound,
-// exact verification, and one offer per surviving candidate. Bounded,
+// querier, or the plain scan of a view-less cold window) under the
+// collector's current bound, exact verification, and one offer per
+// surviving candidate. Bounded,
 // the collector holds TopK hits, and once it is full each further window
 // is asked only for signatures no farther than the worst hit kept — the
 // cost of a search follows its candidates, not the size of the archive.
 // Unbounded, every window is scanned under MaxDist and every hit ranked.
-func (s *Store) searchRing(ring []entry, querier *distmat.Querier, fast bool, d core.Distance, sig core.Signature, opts SearchOptions, bounded bool) ([]Hit, error) {
+func (s *Store) searchRing(ring []entry, querier *distmat.Querier, d core.Distance, sig core.Signature, opts SearchOptions, bounded bool) ([]Hit, error) {
 	if opts.TopK <= 0 {
 		opts.TopK = DefaultTopK
 	}
@@ -668,7 +668,7 @@ func (s *Store) searchRing(ring []entry, querier *distmat.Querier, fast bool, d 
 	// through locals for the duration of this query, then fold them into
 	// both the stats and the shared registry counters — deltas of the
 	// globals would be polluted by concurrent queries.
-	if opts.Stats != nil && fast {
+	if opts.Stats != nil {
 		var checked, skipped obs.Counter
 		m := s.obs.engine
 		m.PrefilterChecked, m.PrefilterSkipped = &checked, &skipped
@@ -706,7 +706,7 @@ func (s *Store) searchRing(ring []entry, querier *distmat.Querier, fast bool, d 
 			}
 			continue
 		}
-		if fast && e.view != nil {
+		if e.view != nil {
 			probes += querier.Neighbors(e.view, sig, maxDist, func(i int, dist float64) {
 				if v := set.Sources[i]; v != exclude && !set.Sigs[i].IsEmpty() {
 					top.offer(v, set.Window, dist)
