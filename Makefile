@@ -77,14 +77,17 @@ federate-smoke:
 # long-horizon history/search e2e (5x capacity, bit-identical to an
 # unbounded run), bitwise follower segments, and the segment-mode
 # simulation seeds with the model holding the unbounded archive — the
-# binary block codec's layout, round-trip, corruption-table and v1/v2
-# fixture tests, a cold read that rots after boot (store and HTTP), and
-# one iteration of the layer's own benchmarks.
+# binary block codec's layout, round-trip and corruption-table tests,
+# the v2 fixture and the refusal of the v1 one (segment, store attach and
+# server boot), a cold read that rots after boot (store and HTTP), cold
+# reads beside compaction and pruning, and one iteration of the layer's
+# own benchmarks and of the store's cold-search ones.
 segment-smoke:
-	$(GO) test -race -run 'TestSegment|TestBlock|TestStoreTiered|TestStoreLoadOverCapacity|TestHistoryRange|TestStoreColdRead' \
+	$(GO) test -race -run 'TestSegment|TestBlock|TestStoreTiered|TestStoreLoadOverCapacity|TestHistoryRange|TestStoreColdRead|TestStoreOldFormatSegment|TestColdReads' \
 		./internal/segment/ ./internal/store/
 	$(GO) test -run '^$$' -bench 'BenchmarkSegment' -benchtime=1x -benchmem ./internal/segment/
-	$(GO) test -race -run 'TestServerSegment|TestServerColdRead|TestHistoryHTTPParams' ./internal/server/
+	$(GO) test -run '^$$' -bench 'BenchmarkStoreSearch/cold' -benchtime=1x -benchmem ./internal/store/
+	$(GO) test -race -run 'TestServerSegment|TestServerColdRead|TestHistoryHTTPParams|TestOldFormatSegment' ./internal/server/
 	$(GO) test -race -run 'TestFollowerSegmentsBitwise' ./internal/cluster/
 	$(GO) test -race -run 'TestSimSegments' ./internal/simcheck/
 

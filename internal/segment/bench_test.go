@@ -62,10 +62,10 @@ func BenchmarkSegmentWrite(b *testing.B) {
 	b.ReportMetric(float64(size), "bytes/window")
 }
 
-// BenchmarkSegmentReadWindow times what one cold window costs a search:
-// open the file, read the block, CRC, decode, validate — against a
-// handle opened by a process that did not write the file.
-func BenchmarkSegmentReadWindow(b *testing.B) {
+// benchSegment writes benchSet's window and returns a handle opened as
+// by a process that did not write the file.
+func benchSegment(b *testing.B) *Segment {
+	b.Helper()
 	u := graph.NewUniverse()
 	written, err := Write(b.TempDir(), []*core.SignatureSet{benchSet(b, u, 0)}, u)
 	if err != nil {
@@ -75,6 +75,13 @@ func BenchmarkSegmentReadWindow(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return seg
+}
+
+// BenchmarkSegmentReadWindow times a cold window read whole: open the
+// file, read the block, CRC, verify, decode every signature.
+func BenchmarkSegmentReadWindow(b *testing.B) {
+	seg := benchSegment(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -84,4 +91,47 @@ func BenchmarkSegmentReadWindow(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(seg.Size()), "bytes/window")
+}
+
+// BenchmarkSegmentReadBlock times what one cold window costs a search:
+// open the file, read the block, CRC, verify in place — and, in the
+// candidates case, find the rows sharing a node with a query signature
+// and decode those.
+func BenchmarkSegmentReadBlock(b *testing.B) {
+	seg := benchSegment(b)
+	first, err := seg.ReadBlock(0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	query := first.Sig(0).Nodes
+	b.Run("verify", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			blk, err := seg.ReadBlock(0)
+			if err != nil || blk.Len() != 1200 {
+				b.Fatalf("read %v: %v", blk, err)
+			}
+		}
+	})
+	b.Run("candidates", func(b *testing.B) {
+		var rows []int
+		var buf core.Signature
+		decoded := 0
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			blk, err := seg.ReadBlock(0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rows = blk.Candidates(query, rows[:0])
+			for _, r := range rows {
+				blk.SigInto(r, &buf)
+				decoded += len(buf.Nodes)
+			}
+		}
+		if decoded == 0 {
+			b.Fatal("no candidate row decoded")
+		}
+		b.ReportMetric(float64(len(rows)), "rows/op")
+	})
 }

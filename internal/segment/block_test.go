@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -103,16 +104,16 @@ func TestBlockLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	local := make([]uint32, u.Size())
-	got, ids, err := appendBlock(nil, set, u, local)
+	got, labels, err := appendBlock(nil, set, u, local)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := s.encode()
+	want, at := s.encode()
 	if !bytes.Equal(got, want) {
 		t.Fatalf("block bytes\n got %x\nwant %x", got, want)
 	}
-	if len(ids) != len(id) {
-		t.Fatalf("id table %v, want %v", ids, id)
+	if !slices.Equal(labels.ids, id) || labels.byNode != nil || labels.end != at.sourceCount {
+		t.Fatalf("label table %+v, want ids %v ending at %d", labels, id, at.sourceCount)
 	}
 	for _, l := range local {
 		if l != 0 {
@@ -190,7 +191,8 @@ func randomSets(t *testing.T, rng *rand.Rand, u *graph.Universe, n int) []*core.
 // for source, member for member and weight bit for bit — read back
 // through the handle Write returns, through a fresh universe, and
 // through a universe that met the labels in the opposite order with
-// strangers between them.
+// strangers between them — and the block's lazy accessors agree with the
+// decoded set in each.
 func TestSegmentRoundTripProperty(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -218,6 +220,12 @@ func TestSegmentRoundTripProperty(t *testing.T) {
 					t.Fatalf("seed %d, %s universe, window %d: %v", seed, name, want.Window, err)
 				}
 				assertSetsEqual(t, want, got, u, ru)
+				// The reversed universe resolves through the sorted permutation.
+				b, err := seg.ReadBlock(want.Window)
+				if err != nil {
+					t.Fatalf("seed %d, %s universe, window %d: %v", seed, name, want.Window, err)
+				}
+				assertBlockMatchesSet(t, b, got, ru)
 			}
 		}
 	}
@@ -248,7 +256,7 @@ func blockFile(t *testing.T, head string, window int, raw []byte) string {
 }
 
 // openOnly names the corruptions that sit in the label strings, which
-// only Open decodes; a read resolving through Open's table skips them.
+// only Open walks; a read resolving through Open's table steps over them.
 var openOnly = map[string]bool{
 	"label listed twice": true, "unknown part": true, "part conflict inside the block": true,
 }
@@ -301,32 +309,58 @@ func corruptBlocks() map[string][]byte {
 	return out
 }
 
+// TestBlockCorruptionTable: the in-place parser alone — no signature is
+// ever decoded here — refuses every row of the table.
 func TestBlockCorruptionTable(t *testing.T) {
+	// ownLabels walks raw's header and label table as Open would.
+	ownLabels := func(raw []byte) *labelTable {
+		c := cursor{b: raw}
+		c.str()
+		c.u64()
+		n := c.u32()
+		if c.short || uint64(n) > uint64(len(c.b))/2 {
+			return nil
+		}
+		labels, err := internLabels(&c, graph.NewUniverse(), n)
+		if err != nil {
+			return nil
+		}
+		labels.end = len(raw) - len(c.b)
+		return labels
+	}
 	good, _ := baseSpec().encode()
-	set, ids, err := decodeBlock(good, graph.NewUniverse(), nil)
-	if err != nil || set.Len() != 3 {
+	b, err := parseBlock(good, graph.NewUniverse(), nil)
+	if err != nil || b.Len() != 3 {
 		t.Fatalf("the uncorrupted block: %v", err)
 	}
 	if _, err := Open(blockFile(t, header, 7, good), graph.NewUniverse()); err != nil {
 		t.Fatalf("the uncorrupted block, framed: %v", err)
 	}
 	for name, raw := range corruptBlocks() {
-		// Whatever a count claims, decoding allocates in proportion to the
+		// Whatever a count claims, verifying allocates in proportion to the
 		// bytes actually there.
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, _, err := decodeBlock(raw, graph.NewUniverse(), nil)
+		_, err := parseBlock(raw, graph.NewUniverse(), nil)
 		runtime.ReadMemStats(&after)
 		if err == nil {
-			t.Errorf("%s: decoded", name)
+			t.Errorf("%s: verified", name)
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16 {
-			t.Errorf("%s: decoding %d bytes allocated %d", name, len(raw), grew)
+			t.Errorf("%s: verifying %d bytes allocated %d", name, len(raw), grew)
 		}
 		// The runtime path, resolving through the table Open built, holds
 		// the same line on everything but the label strings it skips.
-		if _, _, err := decodeBlock(raw, nil, ids); err == nil && !openOnly[name] {
-			t.Errorf("%s: decoded against the open-time table", name)
+		if _, err := parseBlock(raw, nil, b.labels); err == nil && !openOnly[name] {
+			t.Errorf("%s: verified against the open-time table", name)
+		}
+		// Nor does it lean on that table being another block's: against
+		// the table of its own label strings, where those can be walked,
+		// what follows them is refused all the same.
+		if own := ownLabels(raw); own != nil && !openOnly[name] {
+			if _, err := parseBlock(raw, nil, own); err == nil {
+				t.Errorf("%s: verified against its own label table", name)
+			}
 		}
 		// Framed with honest checksums the file is corrupt, not unreadable.
 		if _, err := Open(blockFile(t, header, 7, raw), graph.NewUniverse()); !errors.Is(err, ErrCorrupt) {

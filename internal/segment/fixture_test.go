@@ -2,6 +2,7 @@ package segment
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -13,9 +14,10 @@ import (
 // The two committed fixtures hold the same three windows.
 // testdata/v1-text.seg is what Write produced before the binary block
 // (header v1, core.WriteSignatureSet text blocks), written by that
-// code; testdata/v2-binary.seg is what Write produces now. To
-// regenerate v2 after a deliberate format change, Write fixtureSets
-// into a directory and copy the file over; v1 never changes.
+// code, and is kept as the file Open must refuse;
+// testdata/v2-binary.seg is what Write produces now. To regenerate v2
+// after a deliberate format change, Write fixtureSets into a directory
+// and copy the file over; v1 never changes.
 const (
 	fixtureV1 = "testdata/v1-text.seg"
 	fixtureV2 = "testdata/v2-binary.seg"
@@ -74,10 +76,11 @@ func fixtureSets(t *testing.T, u *graph.Universe) []*core.SignatureSet {
 	}
 }
 
-// TestSegmentFixtures is the upgrade contract: a v1 file opens and
-// serves exactly what the v2 file of the same windows does, and Write
-// of those windows reproduces the v2 fixture byte for byte — the
-// determinism primary and follower rely on to stay bitwise identical.
+// TestSegmentFixtures is the format contract: Write of the fixture's
+// windows reproduces the v2 fixture byte for byte — the determinism
+// primary and follower rely on to stay bitwise identical — the v2
+// fixture opens and serves them, and the intact v1 file is refused as
+// an old format, not as corruption.
 func TestSegmentFixtures(t *testing.T) {
 	u := graph.NewUniverse()
 	sets := fixtureSets(t, u)
@@ -101,31 +104,30 @@ func TestSegmentFixtures(t *testing.T) {
 		t.Fatalf("segment named %s", filepath.Base(written.Path()))
 	}
 
-	for _, path := range []string{fixtureV1, fixtureV2} {
-		raw, err := os.ReadFile(path)
+	ru := graph.NewUniverse()
+	seg, err := Open(fixtureV2, ru)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seg.Len() != len(sets) || seg.First() != -2 || seg.Last() != 1<<33 {
+		t.Fatalf("%d windows [%d,%d]", seg.Len(), seg.First(), seg.Last())
+	}
+	if wins := seg.LabelWindows("10.0.0.1"); len(wins) != 2 || wins[0] != -2 || wins[1] != 5 {
+		t.Fatalf("10.0.0.1 indexed in %v", wins)
+	}
+	for _, want := range sets {
+		set, err := seg.ReadWindow(want.Window)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if wantHead := map[string]string{fixtureV1: headerV1, fixtureV2: header}[path]; !bytes.HasPrefix(raw, []byte(wantHead+"\n")) {
-			t.Fatalf("%s does not start with %q", path, wantHead)
-		}
-		ru := graph.NewUniverse()
-		seg, err := Open(path, ru)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		if seg.Len() != len(sets) || seg.First() != -2 || seg.Last() != 1<<33 {
-			t.Fatalf("%s: %d windows [%d,%d]", path, seg.Len(), seg.First(), seg.Last())
-		}
-		if wins := seg.LabelWindows("10.0.0.1"); len(wins) != 2 || wins[0] != -2 || wins[1] != 5 {
-			t.Fatalf("%s: 10.0.0.1 indexed in %v", path, wins)
-		}
-		for _, want := range sets {
-			set, err := seg.ReadWindow(want.Window)
-			if err != nil {
-				t.Fatalf("%s: %v", path, err)
-			}
-			assertSetsEqual(t, want, set, u, ru)
-		}
+		assertSetsEqual(t, want, set, u, ru)
+	}
+
+	old := graph.NewUniverse()
+	if _, err := Open(fixtureV1, old); !errors.Is(err, ErrOldFormat) || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Open(%s) = %v, want ErrOldFormat and not ErrCorrupt", fixtureV1, err)
+	}
+	if old.Size() != 0 {
+		t.Fatalf("refusing %s interned %d labels", fixtureV1, old.Size())
 	}
 }

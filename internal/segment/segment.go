@@ -43,17 +43,19 @@
 // the writer's NodeID order — so the bytes depend on the sets and the
 // interning order alone (re-compaction and follower compaction
 // reproduce them bit for bit). Open interns each block's label table
-// once and keeps the local-id → NodeID table on the handle; ReadWindow
-// then resolves members by array index into two backing arrays that
-// every signature of the window slices. The decoder checks every count
-// against the bytes that remain before sizing anything from it, accepts
-// only the canonical encoding, and hands the result to
-// core.NewSignatureSet, which validates every signature.
+// once and keeps the local-id → NodeID table, and where the label table
+// ends, on the handle. A read (ReadBlock) then checks the block's CRC
+// and verifies the block where it lies — every count against the bytes
+// that remain, only the canonical encoding, and everything
+// core.NewSignatureSet would check of the decoded set — without decoding
+// a signature; the Block it returns materialises one row, the rows
+// sharing a node with a query, or (Set, which is what ReadWindow
+// returns) the whole window as two backing arrays every signature
+// slices.
 //
 // Files headed `graphsig-segment v1` carry core.WriteSignatureSet text
-// in place of the binary block and are otherwise identical; they still
-// open and serve (the header selects the block decoder), but are no
-// longer written.
+// in place of the binary block. They are no longer read: Open refuses
+// one with ErrOldFormat.
 //
 // Durability: Write hands the finished bytes to CommitFile, the one
 // stage → fsync → rename → directory-fsync sequence in the tree (the
@@ -82,7 +84,7 @@ import (
 const (
 	// header opens every file Write produces: binary window blocks
 	// (block.go). headerV1 files — the same framing around
-	// core.WriteSignatureSet text blocks — are still opened and served.
+	// core.WriteSignatureSet text blocks — are refused as ErrOldFormat.
 	header     = "graphsig-segment v2"
 	headerV1   = "graphsig-segment v1"
 	fileSuffix = ".seg"
@@ -99,6 +101,12 @@ const (
 // checksum, torn tail, malformed TOC — as opposed to an I/O failure
 // reaching it. Corrupt segments are safe to Quarantine.
 var ErrCorrupt = errors.New("segment: corrupt segment")
+
+// ErrOldFormat marks a segment file written in a format this build no
+// longer reads (`graphsig-segment v1` text blocks). The file is intact,
+// not corrupt: it must not be quarantined, and the build that wrote it
+// still serves it.
+var ErrOldFormat = errors.New("segment: old segment format")
 
 func corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
@@ -120,14 +128,13 @@ type windowInfo struct {
 // readers.
 type Segment struct {
 	path     string
-	universe *graph.Universe
 	size     int64
 	toc      []windowInfo // ascending by window
 	byWindow map[int]int
 	labels   map[string][]int // source label → window indices, ascending
-	// ids[i] maps the block-local ids of toc[i]'s block to NodeIDs of
-	// universe. Nil for a v1 file, whose text blocks name labels inline.
-	ids [][]graph.NodeID
+	// blocks[i] resolves the block-local ids of toc[i]'s block to NodeIDs
+	// of the universe the handle was written from or opened into.
+	blocks []*labelTable
 }
 
 // Name returns the canonical file name for a segment covering windows
@@ -171,13 +178,26 @@ func (s *Segment) Contains(w int) bool {
 // the relevant blocks. The slice is shared; callers must not mutate it.
 func (s *Segment) LabelWindows(label string) []int { return s.labels[label] }
 
-// ReadWindow reads, verifies and decodes the block of window w: read,
-// CRC, then a bounds-checked copy into two arrays (nodes, weights) that
-// every signature of the returned set slices. Members resolve through
-// the local-id table Open built, so a runtime read neither mutates nor
-// looks anything up in the universe and is safe under the store's read
-// lock.
+// ReadWindow reads and verifies the block of window w (ReadBlock) and
+// decodes all of it: two arrays (nodes, weights) that every signature of
+// the returned set slices.
 func (s *Segment) ReadWindow(w int) (*core.SignatureSet, error) {
+	b, err := s.ReadBlock(w)
+	if err != nil {
+		return nil, err
+	}
+	set, err := b.Set()
+	if err != nil {
+		return nil, corruptf("%s window %d: %v", filepath.Base(s.path), w, err)
+	}
+	return set, nil
+}
+
+// ReadBlock reads the block of window w, checks its CRC and verifies it
+// in place, decoding no signature. Members resolve through the local-id
+// table Open built, so a runtime read neither mutates nor looks anything
+// up in the universe and is safe under the store's read lock.
+func (s *Segment) ReadBlock(w int) (*Block, error) {
 	i, ok := s.byWindow[w]
 	if !ok {
 		return nil, fmt.Errorf("segment: window %d not in %s", w, filepath.Base(s.path))
@@ -196,20 +216,11 @@ func (s *Segment) ReadWindow(w int) (*core.SignatureSet, error) {
 		return nil, corruptf("%s window %d checksum mismatch: %08x != %08x",
 			filepath.Base(s.path), w, got, info.crc)
 	}
-	set, err := s.decode(i, raw)
+	b, err := parseBlock(raw, nil, s.blocks[i])
 	if err != nil {
 		return nil, corruptf("%s window %d: %v", filepath.Base(s.path), w, err)
 	}
-	return set, nil
-}
-
-// decode parses the verified bytes of toc[i]'s block.
-func (s *Segment) decode(i int, raw []byte) (*core.SignatureSet, error) {
-	if s.ids == nil {
-		return core.ReadSignatureSet(bytes.NewReader(raw), s.universe)
-	}
-	set, _, err := decodeBlock(raw, nil, s.ids[i])
-	return set, err
+	return b, nil
 }
 
 // Write compacts sets (ascending window order) into a new segment file
@@ -251,7 +262,6 @@ func encode(sets []*core.SignatureSet, u *graph.Universe) (*Segment, []byte, err
 		}
 	}
 	seg := &Segment{
-		universe: u,
 		byWindow: make(map[int]int, len(sets)),
 		labels:   make(map[string][]int),
 	}
@@ -261,9 +271,9 @@ func encode(sets []*core.SignatureSet, u *graph.Universe) (*Segment, []byte, err
 	var block []byte
 	local := make([]uint32, u.Size())
 	for i, set := range sets {
-		var ids []graph.NodeID
+		var labels *labelTable
 		var err error
-		if block, ids, err = appendBlock(block[:0], set, u, local); err != nil {
+		if block, labels, err = appendBlock(block[:0], set, u, local); err != nil {
 			return nil, nil, fmt.Errorf("segment: window %d: %w", set.Window, err)
 		}
 		seg.toc = append(seg.toc, windowInfo{
@@ -273,7 +283,7 @@ func encode(sets []*core.SignatureSet, u *graph.Universe) (*Segment, []byte, err
 			size:   int64(len(block)),
 			crc:    crc32.ChecksumIEEE(block),
 		})
-		seg.ids = append(seg.ids, ids)
+		seg.blocks = append(seg.blocks, labels)
 		seg.byWindow[set.Window] = i
 		for _, v := range set.Sources {
 			label := u.Label(v)
@@ -323,13 +333,15 @@ func CommitFile(path string, data []byte, writePoint, commitPoint string) error 
 }
 
 // Open reads and fully verifies a segment file: the trailing
-// self-checksum, the TOC, and every window block (size, CRC, and a
-// complete decode). Decoding at open time doubles as label registration
-// — every label the segment references is interned into u here, once,
+// self-checksum, the TOC, and every window block (size, CRC, and the
+// same in-place verification a read makes; no signature is decoded).
+// Verifying at open time doubles as label registration — every label
+// the segment references is interned into u here, once,
 // single-threaded, and each block's local-id → NodeID table is kept on
-// the handle — so later ReadWindow calls never touch the universe's
-// string map, let alone mutate it. Structural damage is reported as
-// ErrCorrupt (quarantine and carry on); plain I/O errors are not.
+// the handle — so later reads never touch the universe's string map,
+// let alone mutate it. Structural damage is reported as ErrCorrupt
+// (quarantine and carry on), a `graphsig-segment v1` file as
+// ErrOldFormat (leave it be); plain I/O errors are neither.
 func Open(path string, u *graph.Universe) (*Segment, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -338,10 +350,14 @@ func Open(path string, u *graph.Universe) (*Segment, error) {
 	return parse(path, raw, u)
 }
 
-// parse is Open over the file's bytes; every failure is ErrCorrupt.
+// parse is Open over the file's bytes; every failure is ErrCorrupt or
+// ErrOldFormat.
 func parse(path string, raw []byte, u *graph.Universe) (*Segment, error) {
-	text := bytes.HasPrefix(raw, []byte(headerV1+"\n"))
-	if !text && !bytes.HasPrefix(raw, []byte(header+"\n")) {
+	if bytes.HasPrefix(raw, []byte(headerV1+"\n")) {
+		return nil, fmt.Errorf("%w: %s is a %s file; the build that wrote it still reads it",
+			ErrOldFormat, filepath.Base(path), headerV1)
+	}
+	if !bytes.HasPrefix(raw, []byte(header+"\n")) {
 		return nil, corruptf("%s: bad header", filepath.Base(path))
 	}
 	if len(raw) == 0 || raw[len(raw)-1] != '\n' {
@@ -365,7 +381,6 @@ func parse(path string, raw []byte, u *graph.Universe) (*Segment, error) {
 
 	seg := &Segment{
 		path:     path,
-		universe: u,
 		size:     int64(len(raw)),
 		byWindow: make(map[int]int),
 		labels:   make(map[string][]int),
@@ -432,11 +447,9 @@ func parse(path string, raw []byte, u *graph.Universe) (*Segment, error) {
 	}
 
 	// Deep verification + label registration: every block must match its
-	// TOC entry and decode cleanly. Interning here (boot, single-threaded)
-	// is what makes later ReadWindow calls mutation-free.
-	if !text {
-		seg.ids = make([][]graph.NodeID, len(seg.toc))
-	}
+	// TOC entry and verify cleanly. Interning here (boot, single-threaded)
+	// is what makes later reads mutation-free.
+	seg.blocks = make([]*labelTable, len(seg.toc))
 	for i, info := range seg.toc {
 		if info.size < 0 || info.off < int64(len(header)+1) || info.off > tocOff-info.size {
 			return nil, corruptf("%s: window %d block out of bounds", filepath.Base(path), info.window)
@@ -446,19 +459,15 @@ func parse(path string, raw []byte, u *graph.Universe) (*Segment, error) {
 			return nil, corruptf("%s: window %d checksum mismatch: %08x != %08x",
 				filepath.Base(path), info.window, got, info.crc)
 		}
-		var set *core.SignatureSet
-		if text {
-			set, err = core.ReadSignatureSet(bytes.NewReader(block), u)
-		} else {
-			set, seg.ids[i], err = decodeBlock(block, u, nil)
-		}
+		b, err := parseBlock(block, u, nil)
 		if err != nil {
 			return nil, corruptf("%s: window %d: %v", filepath.Base(path), info.window, err)
 		}
-		if set.Window != info.window {
+		if b.window != info.window {
 			return nil, corruptf("%s: block claims window %d, toc says %d",
-				filepath.Base(path), set.Window, info.window)
+				filepath.Base(path), b.window, info.window)
 		}
+		seg.blocks[i] = b.labels
 	}
 	return seg, nil
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,6 +15,7 @@ import (
 
 	"graphsig/internal/fault"
 	"graphsig/internal/netflow"
+	"graphsig/internal/segment"
 	"graphsig/internal/store"
 )
 
@@ -313,6 +315,38 @@ func TestOldFormatSnapshotRefusedAtBoot(t *testing.T) {
 	}
 	if after := list(); after != before {
 		t.Fatalf("refused boot changed the disk: %q -> %q", before, after)
+	}
+}
+
+// TestOldFormatSegmentRefusedAtBoot: a `graphsig-segment v1` text-block
+// file in the segment directory stops the boot with
+// segment.ErrOldFormat and the directory as it was — the build that
+// wrote the file still serves it.
+func TestOldFormatSegmentRefusedAtBoot(t *testing.T) {
+	base := t.TempDir()
+	cfg := crashConfig(filepath.Join(base, "snap"))
+	cfg.SegmentDir = filepath.Join(base, "segments")
+	old, err := os.ReadFile(filepath.Join("..", "segment", "testdata", "v1-text.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(cfg.SegmentDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(cfg.SegmentDir, segment.Name(-2, 1<<33))
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = New(cfg)
+	if !errors.Is(err, segment.ErrOldFormat) || errors.Is(err, segment.ErrCorrupt) {
+		t.Fatalf("New over a v1 segment = %v, want segment.ErrOldFormat", err)
+	}
+	entries, err := os.ReadDir(cfg.SegmentDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after, err := os.ReadFile(path); len(entries) != 1 || err != nil || !bytes.Equal(after, old) {
+		t.Fatalf("refused boot changed the segment directory: %v (%v)", entries, err)
 	}
 }
 

@@ -429,9 +429,11 @@ func (s *Server) openStore(scfg store.Config) error {
 // attachSegments enables the store's cold tier when SegmentDir is
 // configured: existing segment files are rediscovered and
 // checksum-verified, and corrupt ones (torn compaction tails, flipped
-// bytes) are quarantined aside — boot continues without them. It runs
-// after any snapshot load so label interning follows the manifest
-// first.
+// bytes) are quarantined aside — boot continues without them. A file
+// in a format this build no longer reads (segment.ErrOldFormat) fails
+// the boot instead, with the directory untouched, like an old-format
+// snapshot. It runs after any snapshot load so label interning follows
+// the manifest first.
 func (s *Server) attachSegments() error {
 	if s.cfg.SegmentDir == "" {
 		return nil

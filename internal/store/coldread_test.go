@@ -110,3 +110,75 @@ func TestStoreColdReadFailureSurfaces(t *testing.T) {
 		t.Fatalf("cold-only Latest = %v, %v, want ErrColdRead", set, err)
 	}
 }
+
+// TestStoreColdReadsRepeat: nothing read from the cold tier is kept. A
+// search three windows behind the hot ring reads three blocks, and reads
+// them again when it is asked again; a label's history behind the ring
+// reads the blocks that hold the label, each time.
+func TestStoreColdReadsRepeat(t *testing.T) {
+	const capacity, total = 2, 8
+	u := graph.NewUniverse()
+	reg := obs.NewRegistry()
+	s := newTieredStore(t, Config{Capacity: capacity, Universe: u, Registry: reg}, filepath.Join(t.TempDir(), "segments"))
+	for w := 0; w < total; w++ {
+		if err := s.Add(tierSet(t, u, w)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sig, _, ok := s.LatestSignature("host-0")
+	if !ok {
+		t.Fatal("no query signature")
+	}
+	loads := reg.Counter("store_segment_loads", "")
+	for round := int64(1); round <= 3; round++ {
+		for _, maxDist := range []float64{0.3, 1} {
+			if _, err := s.Search(core.Jaccard{}, sig, SearchOptions{LastWindows: capacity + 3, MaxDist: maxDist}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, _, err := s.HistoryRange("host-0", 0, total, 0); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := loads.Value(), round*(2*3+total-capacity); got != want {
+			t.Fatalf("round %d: store_segment_loads = %d, want %d", round, got, want)
+		}
+	}
+}
+
+// TestStoreOldFormatSegmentRefused: a `graphsig-segment v1` file in the
+// segment directory fails the attach with segment.ErrOldFormat, and
+// nothing in the directory has moved — not the old file, and not the
+// corrupt one beside it that a completed attach would have quarantined.
+func TestStoreOldFormatSegmentRefused(t *testing.T) {
+	dir := t.TempDir()
+	old, err := os.ReadFile(filepath.Join("..", "segment", "testdata", "v1-text.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{
+		segment.Name(0, 1): []byte("graphsig-segment v2\ntorn"),
+		segment.Name(2, 4): old,
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := New(Config{Capacity: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.AttachSegments(dir)
+	if !errors.Is(err, segment.ErrOldFormat) || errors.Is(err, segment.ErrCorrupt) {
+		t.Fatalf("AttachSegments = %v, want segment.ErrOldFormat", err)
+	}
+	if len(st.Quarantined) != 0 || s.SegmentDir() != "" {
+		t.Fatalf("refused attach quarantined %v, tier dir %q", st.Quarantined, s.SegmentDir())
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 2 || entries[0].Name() != segment.Name(0, 1) || entries[1].Name() != segment.Name(2, 4) {
+		t.Fatalf("refused attach changed the directory: %v", entries)
+	}
+}

@@ -97,3 +97,70 @@ func TestSearchEvictionInterleaving(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestColdReadsBesideCompactionAndPruning is the -race regression for
+// the cold tier's locking: searches and histories that read blocks from
+// segment files run beside a writer whose every Add compacts a window
+// into a new file and prunes the oldest one. A reader holds the read
+// lock for as long as it reads files, so it must never find one deleted
+// under it, and the blocks it carries out of the lock — sharing their
+// segment handle's label tables with every other reader — are only ever
+// read.
+func TestColdReadsBesideCompactionAndPruning(t *testing.T) {
+	u := graph.NewUniverse()
+	const windows = 60
+	sets := make([]*core.SignatureSet, windows)
+	for w := range sets {
+		sets[w] = tierSet(t, u, w) // interns every label before a reader runs
+	}
+	s := newTieredStore(t, Config{Capacity: 2, Universe: u, SegmentRetain: 3}, t.TempDir())
+	if err := s.Add(sets[0]); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for _, set := range sets[1:] {
+			if err := s.Add(set); err != nil {
+				t.Errorf("add window %d: %v", set.Window, err)
+				return
+			}
+		}
+	}()
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			label := fmt.Sprintf("host-%d", r%3)
+			for {
+				hits, err := s.SearchLabel(core.Jaccard{}, label, SearchOptions{TopK: 5, MaxDist: 0.9})
+				if err != nil {
+					t.Errorf("search: %v", err)
+					return
+				}
+				for _, h := range hits {
+					if h.Label == "" || h.Window < 0 || h.Window >= windows {
+						t.Errorf("incoherent hit %+v", h)
+						return
+					}
+				}
+				entries, _, err := s.HistoryRange(label, 0, windows, 0)
+				if err != nil || len(entries) == 0 || len(entries) > 5 {
+					t.Errorf("history: %d entries, %v", len(entries), err)
+					return
+				}
+				for _, e := range entries {
+					if err := e.Sig.Validate(); err != nil || e.Sig.IsEmpty() {
+						t.Errorf("history of %s, window %d: %v %v", label, e.Window, e.Sig, err)
+						return
+					}
+				}
+				if _, newest, ok := s.WindowRange(); ok && newest >= windows-1 {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

@@ -42,9 +42,9 @@ var allDistances = []core.Distance{
 // hit, a full sort and a cut answer (Search and SearchBatch; the only
 // ranking before PR 14) — same hits, same order, same float bits — on
 // rings built to tie on distance across windows and labels, with
-// view-less cold entries, with the LSH branch, and with queries that
+// cold block entries, with the LSH branch, and with queries that
 // overlap fewer than K signatures (the rest of the answer is dist == 1
-// fill).
+// fill), under every registered distance and one that is not.
 func TestSearchRingMatchesFullSortOracle(t *testing.T) {
 	const windows, hosts = 8, 24
 	stores := map[string]func(u *graph.Universe) *Store{
@@ -81,8 +81,8 @@ func TestSearchRingMatchesFullSortOracle(t *testing.T) {
 		if len(ring) != windows {
 			t.Fatalf("%s: snapshot has %d windows, want %d", name, len(ring), windows)
 		}
-		if cold := ring[0].view == nil; cold != (name == "cold") {
-			t.Fatalf("%s: oldest entry view-less = %v", name, cold)
+		if cold := ring[0].block != nil; cold != (name == "cold") {
+			t.Fatalf("%s: oldest entry is a cold block = %v", name, cold)
 		}
 		queries := map[string]core.Signature{}
 		for _, label := range []string{"host-00", "host-07", "loner"} {
@@ -94,7 +94,7 @@ func TestSearchRingMatchesFullSortOracle(t *testing.T) {
 		}
 		// Overlaps only the loners: everything else is at distance 1.
 		queries["rare"] = core.FromWeights(map[graph.NodeID]float64{u.MustIntern("rare", graph.PartNone): 1}, 10)
-		for _, d := range allDistances {
+		for _, d := range append([]core.Distance{quarterJaccard{}}, allDistances...) {
 			querier, _ := distmat.NewQuerier(d)
 			for qname, sig := range queries {
 				for _, k := range []int{1, 10, 1 << 20} {
@@ -162,18 +162,25 @@ func TestSearchRingOracleSeesTies(t *testing.T) {
 	}
 }
 
-// wideStore archives windows × hosts synthetic signatures of ten peers
-// each. A host keeps ten home peers out of its block's 16 (eight hosts
-// share a block) and swaps two of them for strangers each window, so a
-// label's nearest neighbours are its own past selves, then its block.
-func wideStore(tb testing.TB, cfg Config, windows, hosts int) *Store {
+// wideStore archives cold+hot windows × hosts synthetic signatures of
+// ten peers each, the newest hot of them in RAM and the cold ones before
+// them in segment files. A host keeps ten home peers out of its block's
+// 16 (eight hosts share a block) and swaps two of them for strangers
+// each window, so a label's nearest neighbours are its own past selves,
+// then its block.
+func wideStore(tb testing.TB, cfg Config, cold, hot, hosts int) *Store {
 	tb.Helper()
 	u := graph.NewUniverse()
 	cfg.Universe = u
-	cfg.Capacity = windows
+	cfg.Capacity = hot
 	s, err := New(cfg)
 	if err != nil {
 		tb.Fatal(err)
+	}
+	if cold > 0 {
+		if _, err := s.AttachSegments(tb.TempDir()); err != nil {
+			tb.Fatal(err)
+		}
 	}
 	rng := rand.New(rand.NewSource(3))
 	peers := make([]graph.NodeID, 4*hosts)
@@ -188,7 +195,7 @@ func wideStore(tb testing.TB, cfg Config, windows, hosts int) *Store {
 			home[h] = append(home[h], peers[h/8*16+p])
 		}
 	}
-	for w := 0; w < windows; w++ {
+	for w := 0; w < cold+hot; w++ {
 		sigs := make([]core.Signature, hosts)
 		for h := range sigs {
 			weights := map[graph.NodeID]float64{}
@@ -221,7 +228,7 @@ func TestSearchAllocsIndependentOfArchive(t *testing.T) {
 		t.Skip("sync.Pool drops puts under -race; allocation counts are not stable")
 	}
 	allocs := func(hosts, k int) float64 {
-		s := wideStore(t, Config{}, 8, hosts)
+		s := wideStore(t, Config{}, 0, 8, hosts)
 		opts := SearchOptions{TopK: k}
 		search := func() {
 			if _, err := s.SearchLabel(core.Jaccard{}, "host-00042", opts); err != nil {
@@ -245,35 +252,52 @@ func TestSearchAllocsIndependentOfArchive(t *testing.T) {
 	}
 }
 
-// BenchmarkStoreSearch is a hot search at the benchmark's `wide` shape
-// (8 windows × 1200 sources, k=10) without bench/ around it: the exact
+// BenchmarkStoreSearch is a search at the benchmark's shapes (k=10)
+// without bench/ around it. Hot, 8 windows × 1200 sources: the exact
 // path under a set distance and a scaled one, and Jaccard through the
-// opt-in MinHash/LSH candidates. The 10k cases repeat exact vs LSH at
+// opt-in MinHash/LSH candidates; the 10k cases repeat exact vs LSH at
 // 8 × 10 000 sources, the window size where the LSH candidates pay for
-// their hashing (EXPERIMENTS.md "Store search").
+// their hashing (EXPERIMENTS.md "Store search"). Cold, the same 8 hot
+// windows with `wide`'s 4 × 1200 or `deep`'s 12 × 400 cold ones behind
+// them: a label search, whose bound the hot windows have drawn below 1
+// by the time it reads a block, and (maxdist1) the same depth ranked in
+// full under MaxDist 1, where every cold row has to be compared.
 func BenchmarkStoreSearch(b *testing.B) {
 	lshCfg := Config{LSHBands: 16, LSHRows: 2, LSHSeed: 7}
 	cases := []struct {
-		name  string
-		cfg   Config
-		d     core.Distance
-		hosts int
+		name     string
+		cfg      Config
+		d        core.Distance
+		cold     int
+		hosts    int
+		maxDist1 bool
 	}{
-		{"jaccard/exact", Config{}, core.Jaccard{}, 1200},
-		{"shel/exact", Config{}, core.ScaledHellinger{}, 1200},
-		{"jaccard/lsh16x2", lshCfg, core.Jaccard{}, 1200},
-		{"10k/jaccard/exact", Config{}, core.Jaccard{}, 10000},
-		{"10k/jaccard/lsh16x2", lshCfg, core.Jaccard{}, 10000},
+		{"jaccard/exact", Config{}, core.Jaccard{}, 0, 1200, false},
+		{"shel/exact", Config{}, core.ScaledHellinger{}, 0, 1200, false},
+		{"jaccard/lsh16x2", lshCfg, core.Jaccard{}, 0, 1200, false},
+		{"10k/jaccard/exact", Config{}, core.Jaccard{}, 0, 10000, false},
+		{"10k/jaccard/lsh16x2", lshCfg, core.Jaccard{}, 0, 10000, false},
+		{"cold4x1200/jaccard", Config{}, core.Jaccard{}, 4, 1200, false},
+		{"cold12x400/jaccard", Config{}, core.Jaccard{}, 12, 400, false},
+		{"cold4x1200/jaccard/maxdist1", Config{}, core.Jaccard{}, 4, 1200, true},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			s := wideStore(b, c.cfg, 8, c.hosts)
+			s := wideStore(b, c.cfg, c.cold, 8, c.hosts)
 			opts := SearchOptions{TopK: 10}
 			found := 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				hits, err := s.SearchLabel(c.d, fmt.Sprintf("host-%05d", i*37%c.hosts), opts)
+				label := fmt.Sprintf("host-%05d", i*37%c.hosts)
+				var hits []Hit
+				var err error
+				if c.maxDist1 {
+					sig, _, _ := s.LatestSignature(label)
+					hits, err = s.Search(c.d, sig, opts)
+				} else {
+					hits, err = s.SearchLabel(c.d, label, opts)
+				}
 				if err != nil {
 					b.Fatal(err)
 				}

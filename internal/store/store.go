@@ -28,6 +28,7 @@ import (
 	"graphsig/internal/graph"
 	"graphsig/internal/lsh"
 	"graphsig/internal/obs"
+	"graphsig/internal/segment"
 )
 
 // Config parameterizes a Store.
@@ -66,15 +67,18 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// entry is one window as a search scans it: the signature set, its
-// optional LSH index and its pairwise-engine view (SoA signatures +
-// inverted node index), both built once at Add time. Cold-tier entries
-// read back by snapshotTier carry the set alone (view nil) and are the
-// one thing still scanned with plain d.Dist calls.
+// entry is one window as a search scans it. A hot window is its
+// signature set, its optional LSH index and its pairwise-engine view
+// (SoA signatures + inverted node index), both built once at Add time.
+// A cold window read back by snapshotTier is its verified block alone
+// (everything else nil): nothing of it is decoded until searchRing picks
+// the rows to compare, and those are the one thing still compared with
+// plain d.Dist calls.
 type entry struct {
-	set  *core.SignatureSet
-	idx  *lsh.Index
-	view *distmat.SetView
+	set   *core.SignatureSet
+	idx   *lsh.Index
+	view  *distmat.SetView
+	block *segment.Block
 }
 
 // Store is the bounded, goroutine-safe archive of recent signature
@@ -376,12 +380,12 @@ func (s *Store) ReadLatestSignature(label string) (core.Signature, int, bool, er
 			if wins[j] >= bound {
 				continue
 			}
-			set, err := s.readColdLocked(segs[i], wins[j])
+			b, err := s.readBlockLocked(segs[i], wins[j])
 			if err != nil {
 				return core.Signature{}, 0, false, err
 			}
-			if sig, ok := set.Get(v); ok && !sig.IsEmpty() {
-				return sig, set.Window, true, nil
+			if row, ok := b.Row(v); ok && !b.IsEmpty(row) {
+				return b.Sig(row), b.Window(), true, nil
 			}
 		}
 	}
@@ -447,9 +451,11 @@ type SearchStats struct {
 // exactly 1), from the MinHash buckets when the store was built with
 // LSH banding and d is the Jaccard distance — candidates missing every
 // bucket are skipped, trading a small recall loss for sub-linear scans —
-// or, for view-less cold windows, from a plain scan. A distance that is
-// not one of the registered kinds goes through the engine too, which
-// then evaluates d against every signature of the window. Every
+// or, for a cold window, from its verified block: the rows sharing a
+// node with the query when the bound is below 1, every row otherwise,
+// each decoded only to be compared. A distance that is not one of the
+// registered kinds goes through the engine too, which then evaluates d
+// against every signature of the window, as the cold scan does. Every
 // candidate is exact-verified with d before it is ranked.
 //
 // Search and SearchBatch rank every hit and cut to TopK afterwards;
@@ -459,9 +465,14 @@ type SearchStats struct {
 // as queries per second with a spread bound fixed at the old speed, and
 // cannot take the ~30x step (ROADMAP.md, serving benchmark item).
 //
-// The store lock is held only long enough to snapshot the window ring;
-// all distance work runs outside the critical section, so long scans
-// never block ingest.
+// The store's read lock is held while the window ring is snapshotted
+// and, when the search reaches behind it, while each cold block is read
+// from its segment file, checksummed and verified (snapshotTier): the
+// retention policy deletes segment files under the write lock, and a
+// read must not race a delete. So a cold search delays a window close
+// by its reads — a fraction of a millisecond per cold window — and a
+// hot search by a slice copy. All decoding and distance work runs after
+// the lock is released, on blocks and sets nothing mutates.
 func (s *Store) Search(d core.Distance, sig core.Signature, opts SearchOptions) ([]Hit, error) {
 	return s.search(d, sig, opts, false)
 }
@@ -640,9 +651,9 @@ func (t *topK) ranked() []Hit {
 
 // searchRing runs one query over a snapshotted ring, newest window
 // first: candidate generation per window (LSH buckets, pairwise-engine
-// querier, or the plain scan of a view-less cold window) under the
-// collector's current bound, exact verification, and one offer per
-// surviving candidate. Bounded,
+// querier, or the rows of a cold block) under the collector's current
+// bound, exact verification, and one offer per surviving candidate.
+// Bounded,
 // the collector holds TopK hits, and once it is full each further window
 // is asked only for signatures no farther than the worst hit kept — the
 // cost of a search follows its candidates, not the size of the archive.
@@ -684,9 +695,43 @@ func (s *Store) searchRing(ring []entry, querier *distmat.Querier, d core.Distan
 
 	top := topK{k: opts.TopK, bounded: bounded, universe: s.universe}
 	probes := 0 // exact distance evaluations across all windows
+	// A cold window's rows are decoded one at a time into row, and only
+	// those in rows when the bound allows leaving the others out.
+	var rows []int
+	var row core.Signature
+	_, registered := core.KernelKindOf(d)
 	for w := len(ring) - 1; w >= 0; w-- {
 		e := ring[w]
-		set, maxDist := e.set, top.bound(opts.MaxDist)
+		maxDist := top.bound(opts.MaxDist)
+		if b := e.block; b != nil {
+			// A row sharing no node with the query lies at exactly 1 under
+			// a registered distance (core/kernel.go), so below that bound
+			// only the sharing rows can rank — the closed form the
+			// querier's thresholded path rests on. Of a distance the store
+			// knows nothing about, every row is asked.
+			n, sharing := b.Len(), registered && maxDist < 1
+			if sharing {
+				rows = b.Candidates(sig.Nodes, rows[:0])
+				n = len(rows)
+			}
+			for j := range n {
+				i := j
+				if sharing {
+					i = rows[j]
+				}
+				v := b.Source(i)
+				if v == exclude || b.IsEmpty(i) {
+					continue
+				}
+				probes++
+				b.SigInto(i, &row)
+				if dist := d.Dist(sig, row); dist <= maxDist {
+					top.offer(v, b.Window(), dist)
+				}
+			}
+			continue
+		}
+		set := e.set
 		if e.idx != nil && !opts.NoPrefilter && d.Name() == "jaccard" {
 			// minSim 0 keeps every bucket-sharing candidate; the exact
 			// verification below applies the bound.
@@ -706,23 +751,11 @@ func (s *Store) searchRing(ring []entry, querier *distmat.Querier, d core.Distan
 			}
 			continue
 		}
-		if e.view != nil {
-			probes += querier.Neighbors(e.view, sig, maxDist, func(i int, dist float64) {
-				if v := set.Sources[i]; v != exclude && !set.Sigs[i].IsEmpty() {
-					top.offer(v, set.Window, dist)
-				}
-			})
-			continue
-		}
-		for i, v := range set.Sources {
-			if v == exclude || set.Sigs[i].IsEmpty() {
-				continue
-			}
-			probes++
-			if dist := d.Dist(sig, set.Sigs[i]); dist <= maxDist {
+		probes += querier.Neighbors(e.view, sig, maxDist, func(i int, dist float64) {
+			if v := set.Sources[i]; v != exclude && !set.Sigs[i].IsEmpty() {
 				top.offer(v, set.Window, dist)
 			}
-		}
+		})
 	}
 	s.obs.searchProbes.Observe(float64(probes))
 	if opts.Stats != nil {

@@ -46,15 +46,30 @@ type segTier struct {
 // block — the archive's fault, not an absent label or a bad request.
 var ErrColdRead = errors.New("cold-tier read failed")
 
-// readColdLocked reads window w of seg, counting the load or the
-// failure. Callers hold s.mu.
-func (s *Store) readColdLocked(seg *segment.Segment, w int) (*core.SignatureSet, error) {
-	set, err := seg.ReadWindow(w)
+// readBlockLocked reads and verifies the block of window w of seg,
+// decoding no signature, and counts the load or the failure. Callers
+// hold s.mu.
+func (s *Store) readBlockLocked(seg *segment.Segment, w int) (*segment.Block, error) {
+	b, err := seg.ReadBlock(w)
 	if err != nil {
 		s.obs.segErrors.Add(1)
 		return nil, fmt.Errorf("%w: %w", ErrColdRead, err)
 	}
 	s.obs.segLoads.Add(1)
+	return b, nil
+}
+
+// readColdLocked is readBlockLocked for the callers that hand out the
+// whole window.
+func (s *Store) readColdLocked(seg *segment.Segment, w int) (*core.SignatureSet, error) {
+	b, err := s.readBlockLocked(seg, w)
+	if err != nil {
+		return nil, err
+	}
+	set, err := b.Set()
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrColdRead, err)
+	}
 	return set, nil
 }
 
@@ -70,9 +85,13 @@ type SegmentStats struct {
 // segment file is opened and checksum-verified. Corrupt files (torn
 // tails, flipped bytes, overlapping ranges) are quarantined aside like
 // a corrupt WAL and reported in the stats — boot continues without
-// them. Call once at construction time, after any snapshot Load (label
-// interning order must follow the snapshot manifest first); segment
-// labels missing from the universe are interned here, single-threaded.
+// them. A file in a format this build no longer reads
+// (segment.ErrOldFormat) is not corrupt: the error is returned, and
+// since every file is opened before any is moved, with the directory as
+// it was found. Call once at construction time, after any snapshot Load
+// (label interning order must follow the snapshot manifest first);
+// segment labels missing from the universe are interned here,
+// single-threaded.
 func (s *Store) AttachSegments(dir string) (SegmentStats, error) {
 	var st SegmentStats
 	if dir == "" {
@@ -87,34 +106,27 @@ func (s *Store) AttachSegments(dir string) (SegmentStats, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	t := &segTier{dir: dir, last: math.MinInt}
-	quarantine := func(p string) error {
-		q, qerr := segment.Quarantine(p)
-		if qerr != nil {
-			return fmt.Errorf("store: segments: %w", qerr)
-		}
-		st.Quarantined = append(st.Quarantined, q)
-		s.obs.segQuarantines.Add(1)
-		return nil
-	}
-	for _, p := range paths {
+	opened := make([]*segment.Segment, len(paths)) // nil: corrupt
+	for i, p := range paths {
 		seg, err := segment.Open(p, s.universe)
-		if errors.Is(err, segment.ErrCorrupt) {
-			if qerr := quarantine(p); qerr != nil {
-				return st, qerr
-			}
-			continue
-		}
-		if err != nil {
+		if err != nil && !errors.Is(err, segment.ErrCorrupt) {
 			return st, fmt.Errorf("store: segments: %w", err)
 		}
-		if len(t.segs) > 0 && seg.First() <= t.last {
-			// Overlapping ranges mean two files disagree about the same
-			// history; keep the established earlier file, set the
-			// newcomer aside as evidence.
-			if qerr := quarantine(p); qerr != nil {
-				return st, qerr
+		opened[i] = seg
+	}
+	t := &segTier{dir: dir, last: math.MinInt}
+	for i, p := range paths {
+		// Overlapping ranges mean two files disagree about the same
+		// history; keep the established earlier file, set the newcomer
+		// aside as evidence, like a corrupt one.
+		seg := opened[i]
+		if seg == nil || (len(t.segs) > 0 && seg.First() <= t.last) {
+			q, err := segment.Quarantine(p)
+			if err != nil {
+				return st, fmt.Errorf("store: segments: %w", err)
 			}
+			st.Quarantined = append(st.Quarantined, q)
+			s.obs.segQuarantines.Add(1)
 			continue
 		}
 		t.segs = append(t.segs, seg)
@@ -233,8 +245,9 @@ func (s *Store) pruneSegmentsLocked() {
 // snapshotTier snapshots the windows a search must scan: the hot ring,
 // preceded by cold-tier windows when the requested depth reaches past
 // RAM (lastWindows == 0 means the full archive). Cold blocks are read
-// and verified under the read lock — segment files are immutable and
-// pruning runs under the write lock, so the handles stay valid.
+// and verified — not decoded — under the read lock: segment files are
+// immutable, but retention pruning deletes them, under the write lock,
+// so a handle is only good for a read while the read lock is held.
 func (s *Store) snapshotTier(lastWindows int) ([]entry, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -255,11 +268,11 @@ func (s *Store) snapshotTier(lastWindows int) ([]entry, error) {
 			if wins[j] >= bound {
 				continue
 			}
-			set, err := s.readColdLocked(segs[i], wins[j])
+			b, err := s.readBlockLocked(segs[i], wins[j])
 			if err != nil {
 				return nil, err
 			}
-			cold = append(cold, entry{set: set})
+			cold = append(cold, entry{block: b})
 			if need > 0 {
 				need--
 			}
@@ -345,12 +358,12 @@ func (s *Store) HistoryRange(label string, from, to, limit int) (entries []Histo
 				truncated, done = true, true
 				break
 			}
-			set, rerr := s.readColdLocked(segs[i], w)
+			b, rerr := s.readBlockLocked(segs[i], w)
 			if rerr != nil {
 				return nil, false, rerr
 			}
-			if sig, ok := set.Get(v); ok {
-				rev = append(rev, HistoryEntry{Window: set.Window, Scheme: set.Scheme, Sig: sig})
+			if row, ok := b.Row(v); ok {
+				rev = append(rev, HistoryEntry{Window: b.Window(), Scheme: b.Scheme(), Sig: b.Sig(row)})
 			}
 		}
 	}

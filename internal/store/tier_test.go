@@ -15,10 +15,11 @@ import (
 
 // tierSet builds a small deterministic window where each of a few
 // labels talks to a rotating peer set — enough churn that histories
-// and search rankings differ across windows.
+// and search rankings differ across windows — beside one that is a
+// source with nothing to say.
 func tierSet(t *testing.T, u *graph.Universe, w int) *core.SignatureSet {
 	t.Helper()
-	sigs := map[string]map[string]float64{}
+	sigs := map[string]map[string]float64{"idle": {}}
 	for i := 0; i < 3; i++ {
 		label := fmt.Sprintf("host-%d", i)
 		peers := map[string]float64{}
@@ -43,10 +44,22 @@ func newTieredStore(t *testing.T, cfg Config, dir string) *Store {
 	return s
 }
 
+// quarterJaccard is a distance the store knows nothing about, under
+// which signatures sharing no node lie at 0.25 — inside every bound the
+// tests search under, so a cold scan that left such rows out, as it may
+// under a registered distance, would lose hits.
+type quarterJaccard struct{}
+
+func (quarterJaccard) Name() string { return "quarter-jaccard" }
+
+func (quarterJaccard) Dist(a, b core.Signature) float64 { return core.Jaccard{}.Dist(a, b) / 4 }
+
 // TestStoreTieredMatchesUnbounded is the core acceptance property: a
 // Capacity=N store with segments, fed 5N windows, answers History,
 // windowed Search and per-window reads bit-identically to an unbounded
-// in-memory store fed the same stream.
+// in-memory store fed the same stream — and so does a store that
+// attached the same segment files into a universe that had met the
+// labels in the opposite order.
 func TestStoreTieredMatchesUnbounded(t *testing.T) {
 	const capacity, total = 4, 20
 	segDir := filepath.Join(t.TempDir(), "segments")
@@ -72,12 +85,43 @@ func TestStoreTieredMatchesUnbounded(t *testing.T) {
 		t.Fatalf("cold tier holds %d windows, want %d", got, total-capacity)
 	}
 	assertTieredEqualsRef(t, tiered, ref)
+
+	fu := graph.NewUniverse()
+	for id := tu.Size() - 1; id >= 0; id-- {
+		fu.MustIntern(tu.Label(graph.NodeID(id)), tu.PartOf(graph.NodeID(id)))
+	}
+	foreign := newTieredStore(t, Config{Capacity: capacity, Universe: fu}, segDir)
+	for w := total - capacity; w < total; w++ {
+		if err := foreign.Add(tierSet(t, fu, w)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := foreign.SegmentWindows(); got != total-capacity {
+		t.Fatalf("foreign-order store serves %d cold windows, want %d", got, total-capacity)
+	}
+	assertTieredEqualsRef(t, foreign, ref)
 }
 
 // assertTieredEqualsRef cross-checks every read path of a tiered store
-// against an unbounded reference holding the same stream.
+// against an unbounded reference holding the same stream: histories and
+// latest signatures member for member by label, and label searches hit
+// for hit under every registered distance and one the store cannot know,
+// with and without a distance bound, excluding the query's own label or
+// another.
 func assertTieredEqualsRef(t *testing.T, tiered, ref *Store) {
 	t.Helper()
+	sameSig := func(want, got core.Signature) bool {
+		if want.Len() != got.Len() {
+			return false
+		}
+		for i := range want.Nodes {
+			if ref.universe.Label(want.Nodes[i]) != tiered.universe.Label(got.Nodes[i]) ||
+				math.Float64bits(want.Weights[i]) != math.Float64bits(got.Weights[i]) {
+				return false
+			}
+		}
+		return true
+	}
 	lo, hi, ok := tiered.WindowRange()
 	rlo, rhi, rok := ref.WindowRange()
 	if ok != rok || lo != rlo || hi != rhi {
@@ -93,8 +137,7 @@ func assertTieredEqualsRef(t *testing.T, tiered, ref *Store) {
 			t.Fatalf("window %d: tiered=%v ref=%v", w, got != nil, want != nil)
 		}
 	}
-	for i := 0; i < 3; i++ {
-		label := fmt.Sprintf("host-%d", i)
+	for _, label := range []string{"host-0", "host-1", "host-2", "idle"} {
 		want := ref.History(label)
 		got := tiered.History(label)
 		if len(want) != len(got) {
@@ -102,31 +145,38 @@ func assertTieredEqualsRef(t *testing.T, tiered, ref *Store) {
 		}
 		for j := range want {
 			if want[j].Window != got[j].Window || want[j].Scheme != got[j].Scheme ||
-				!want[j].Sig.Equal(got[j].Sig) {
+				!sameSig(want[j].Sig, got[j].Sig) {
 				t.Fatalf("%s history entry %d differs", label, j)
 			}
 		}
 		wsig, ww, wok := ref.LatestSignature(label)
 		gsig, gw, gok := tiered.LatestSignature(label)
-		if wok != gok || ww != gw || !wsig.Equal(gsig) {
+		if wok != gok || ww != gw || !sameSig(wsig, gsig) {
 			t.Fatalf("%s latest signature differs", label)
 		}
-		for _, last := range []int{0, 3, hi - lo + 1} {
-			wantHits, err := ref.SearchLabel(core.Jaccard{}, label, SearchOptions{TopK: 50, LastWindows: last})
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotHits, err := tiered.SearchLabel(core.Jaccard{}, label, SearchOptions{TopK: 50, LastWindows: last})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(wantHits) != len(gotHits) {
-				t.Fatalf("%s search last=%d: %d hits, want %d", label, last, len(gotHits), len(wantHits))
-			}
-			for j := range wantHits {
-				if wantHits[j].Label != gotHits[j].Label || wantHits[j].Window != gotHits[j].Window ||
-					wantHits[j].Dist != gotHits[j].Dist {
-					t.Fatalf("%s search last=%d hit %d: %+v != %+v", label, last, j, gotHits[j], wantHits[j])
+		if wok == (label == "idle") {
+			t.Fatalf("%s: latest signature found = %v", label, wok)
+		}
+		for _, d := range append([]core.Distance{quarterJaccard{}}, allDistances...) {
+			for _, maxDist := range []float64{0.3, 1} {
+				for _, exclude := range []string{"", "host-1"} {
+					for _, last := range []int{0, 3, hi - lo + 1} {
+						opts := SearchOptions{TopK: 50, MaxDist: maxDist, ExcludeLabel: exclude, LastWindows: last}
+						wantHits, werr := ref.SearchLabel(d, label, opts)
+						gotHits, gerr := tiered.SearchLabel(d, label, opts)
+						if (werr != nil) != (gerr != nil) || (werr != nil) != (label == "idle") {
+							t.Fatalf("%s %s search %+v: err %v, reference %v", label, d.Name(), opts, gerr, werr)
+						}
+						if len(wantHits) != len(gotHits) {
+							t.Fatalf("%s %s search %+v: %d hits, want %d", label, d.Name(), opts, len(gotHits), len(wantHits))
+						}
+						for j := range wantHits {
+							if wantHits[j].Label != gotHits[j].Label || wantHits[j].Window != gotHits[j].Window ||
+								math.Float64bits(wantHits[j].Dist) != math.Float64bits(gotHits[j].Dist) {
+								t.Fatalf("%s %s search %+v hit %d: %+v != %+v", label, d.Name(), opts, j, gotHits[j], wantHits[j])
+							}
+						}
+					}
 				}
 			}
 		}
