@@ -91,7 +91,9 @@ segment-smoke:
 	$(GO) test -race -run 'TestFollowerSegmentsBitwise' ./internal/cluster/
 	$(GO) test -race -run 'TestSimSegments' ./internal/simcheck/
 
-# Bounded runs of the native fuzz targets: the netflow binary codec,
+# Bounded runs of the native fuzz targets: the netflow binary codec
+# (the stream form, and the per-record decoder the WAL shares with it,
+# where an accepted record must re-encode to the bytes consumed),
 # WAL frame recovery, the distance kernels (bit-identity vs the naive
 # loops), the segment reader (whole files through Open; single window
 # blocks, where an accepted block must re-encode to itself), and the
@@ -103,6 +105,7 @@ FUZZTIME ?= 30s
 
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadBinary -fuzztime $(FUZZTIME) ./internal/netflow/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeRecord -fuzztime $(FUZZTIME) ./internal/netflow/
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzDistKernels -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzSegmentOpen -fuzztime $(FUZZTIME) ./internal/segment/
@@ -117,11 +120,16 @@ bench:
 # race-clean and still bit-identical to the naive loops they replace.
 # The sigbench line then drives the engine (with the thresholded
 # prefilter sweep) on a scaled dataset — runPairwise exits non-zero on
-# any `identical: false`.
+# any `identical: false`. The last two are one iteration of the write
+# path's layer benchmarks: opening a 38 000-record WAL and one
+# 1 200-source window through the pipeline at sigserverd's default
+# sketch (both at the `wide` serving shape).
 bench-smoke:
 	$(GO) test -race -run=^$$ -benchtime=1x \
 		-bench 'BenchmarkPairwiseUniqueness|BenchmarkMultiusageAllPairs' .
 	$(GO) run ./cmd/sigbench -experiment pairwise -scale 0.5
+	$(GO) test -run=^$$ -benchtime=1x -benchmem -bench 'BenchmarkWALOpen' ./internal/wal/
+	$(GO) test -run=^$$ -benchtime=1x -benchmem -bench 'BenchmarkPipelineWindow' ./internal/stream/
 
 # Throughput regression check, benchstat style: the full-scale pairwise
 # report pinned to one core, engine pairs/sec diffed against the

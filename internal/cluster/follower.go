@@ -347,7 +347,8 @@ func (f *Follower) applyLocked(frames []wal.Frame) error {
 		batch = batch[:0]
 		return nil
 	}
-	for _, fr := range frames {
+	for i := range frames {
+		fr := &frames[i]
 		switch fr.Kind {
 		case wal.FrameOrigin:
 			if f.srv == nil {
@@ -372,7 +373,7 @@ func (f *Follower) applyLocked(frames []wal.Frame) error {
 				continue
 			}
 			if f.srv == nil {
-				f.preOrigin = append(f.preOrigin, fr)
+				f.preOrigin = append(f.preOrigin, *fr)
 				f.watchApplied++
 				continue
 			}
@@ -382,20 +383,20 @@ func (f *Follower) applyLocked(frames []wal.Frame) error {
 			if err := flush(); err != nil {
 				return err
 			}
-			if err := f.srv.ApplyWatchEntry(fr.Watch); err != nil {
+			if err := f.srv.ApplyWatchEntry(*fr.Watch); err != nil {
 				return fmt.Errorf("replica rejected shipped watch entry for %q: %w", fr.Watch.Individual, err)
 			}
 			f.watchApplied++
 		case wal.FrameBatch:
 			if f.srv == nil {
-				f.preOrigin = append(f.preOrigin, fr)
+				f.preOrigin = append(f.preOrigin, *fr)
 				continue
 			}
 			// Dedup markers must register after the records they cover.
 			if err := flush(); err != nil {
 				return err
 			}
-			f.srv.RegisterBatch(fr.Batch)
+			f.srv.RegisterBatch(*fr.Batch)
 		}
 	}
 	return flush()
@@ -403,7 +404,7 @@ func (f *Follower) applyLocked(frames []wal.Frame) error {
 
 // buildServerLocked creates the read-only replica server once window
 // alignment is known.
-func (f *Follower) buildServerLocked(origin wal.Frame) error {
+func (f *Follower) buildServerLocked(origin *wal.Frame) error {
 	scfg := f.cfg.Stream
 	scfg.Origin = origin.Origin
 	if origin.Window > 0 {
@@ -436,11 +437,11 @@ func (f *Follower) buildServerLocked(origin wal.Frame) error {
 	for _, fr := range f.preOrigin {
 		switch fr.Kind {
 		case wal.FrameWatch:
-			if err := f.srv.ApplyWatchEntry(fr.Watch); err != nil {
+			if err := f.srv.ApplyWatchEntry(*fr.Watch); err != nil {
 				return fmt.Errorf("replica rejected buffered watch entry for %q: %w", fr.Watch.Individual, err)
 			}
 		case wal.FrameBatch:
-			f.srv.RegisterBatch(fr.Batch)
+			f.srv.RegisterBatch(*fr.Batch)
 		}
 	}
 	f.preOrigin = nil

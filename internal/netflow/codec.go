@@ -133,12 +133,85 @@ func parseTextLine(text string) (Record, error) {
 //	         i64 startUnixMs, i64 durationMs,
 //	         u8 proto, u32 sessions, i64 bytes, i64 packets
 //
-// The per-record encoding is also exported standalone
-// (WriteRecordBinary/ReadRecordBinary) so other framings — the
-// internal/wal write-ahead log wraps each record in a CRC frame — can
-// reuse it without the stream magic.
+// The per-record encoding is one pair of functions over bytes,
+// AppendRecordBinary and DecodeRecordBinary, which the stream form
+// below and other framings — the internal/wal write-ahead log wraps
+// each record in a CRC frame — share; there is no second reader or
+// writer of it.
 
 var binaryMagic = [4]byte{'N', 'F', 'B', '1'}
+
+// recordFixedLen is the encoded size of a record's fixed-width fields,
+// everything after the two labels.
+const recordFixedLen = 8 + 8 + 1 + 4 + 8 + 8
+
+// AppendRecordBinary appends r's binary encoding (no stream magic) to
+// dst, validating r first; on error dst is returned as it came.
+func AppendRecordBinary(dst []byte, r *Record) ([]byte, error) {
+	if err := r.Validate(); err != nil {
+		return dst, err
+	}
+	if len(r.Src) > 0xFFFF || len(r.Dst) > 0xFFFF {
+		return dst, fmt.Errorf("label too long")
+	}
+	le := binary.LittleEndian
+	dst = le.AppendUint16(dst, uint16(len(r.Src)))
+	dst = append(dst, r.Src...)
+	dst = le.AppendUint16(dst, uint16(len(r.Dst)))
+	dst = append(dst, r.Dst...)
+	dst = le.AppendUint64(dst, uint64(r.Start.UnixMilli()))
+	dst = le.AppendUint64(dst, uint64(r.Duration.Milliseconds()))
+	dst = append(dst, uint8(r.Proto))
+	dst = le.AppendUint32(dst, uint32(r.Sessions))
+	dst = le.AppendUint64(dst, uint64(r.Bytes))
+	dst = le.AppendUint64(dst, uint64(r.Packets))
+	return dst, nil
+}
+
+// DecodeRecordBinary decodes the record encoded at the start of b and
+// reports how many bytes it occupied; it reads none past them. b
+// ending before the record does is io.ErrUnexpectedEOF. The record is
+// validated before being returned, and shares no memory with b.
+func DecodeRecordBinary(b []byte) (rec Record, n int, err error) {
+	le := binary.LittleEndian
+	if len(b) < 2 {
+		return Record{}, 0, io.ErrUnexpectedEOF
+	}
+	srcLen := int(le.Uint16(b))
+	if len(b) < 2+srcLen+2 {
+		return Record{}, 0, io.ErrUnexpectedEOF
+	}
+	dstLen := int(le.Uint16(b[2+srcLen:]))
+	n = 2 + srcLen + 2 + dstLen + recordFixedLen
+	if len(b) < n {
+		return Record{}, 0, io.ErrUnexpectedEOF
+	}
+	// Both labels in one allocation: joined on the stack when they fit,
+	// copied out once, and sliced apart.
+	var stack [128]byte
+	joined := append(stack[:0], b[2:2+srcLen]...)
+	joined = append(joined, b[2+srcLen+2:2+srcLen+2+dstLen]...)
+	labels := string(joined)
+	f := b[n-recordFixedLen : n]
+	dur, err := durationFromMillis(int64(le.Uint64(f[8:])))
+	if err != nil {
+		return Record{}, 0, err
+	}
+	rec = Record{
+		Src:      labels[:srcLen],
+		Dst:      labels[srcLen:],
+		Start:    time.UnixMilli(int64(le.Uint64(f))).UTC(),
+		Duration: dur,
+		Proto:    Proto(f[16]),
+		Sessions: int(le.Uint32(f[17:])),
+		Bytes:    int64(le.Uint64(f[21:])),
+		Packets:  int64(le.Uint64(f[29:])),
+	}
+	if err := rec.Validate(); err != nil {
+		return Record{}, 0, err
+	}
+	return rec, n, nil
+}
 
 // WriteBinary writes records in the binary format.
 func WriteBinary(w io.Writer, records []Record) error {
@@ -146,134 +219,41 @@ func WriteBinary(w io.Writer, records []Record) error {
 	if _, err := bw.Write(binaryMagic[:]); err != nil {
 		return err
 	}
+	var buf []byte
 	for i := range records {
-		if err := WriteRecordBinary(bw, &records[i]); err != nil {
+		var err error
+		if buf, err = AppendRecordBinary(buf[:0], &records[i]); err != nil {
 			return fmt.Errorf("netflow: record %d: %w", i, err)
+		}
+		if _, err := bw.Write(buf); err != nil {
+			return err
 		}
 	}
 	return bw.Flush()
 }
 
-// WriteRecordBinary writes one record's binary encoding (no stream
-// magic) to w, validating it first.
-func WriteRecordBinary(w io.Writer, r *Record) error {
-	if err := r.Validate(); err != nil {
-		return err
-	}
-	if len(r.Src) > 0xFFFF || len(r.Dst) > 0xFFFF {
-		return fmt.Errorf("label too long")
-	}
-	if err := writeString(w, r.Src); err != nil {
-		return err
-	}
-	if err := writeString(w, r.Dst); err != nil {
-		return err
-	}
-	fixed := []any{
-		r.Start.UnixMilli(), r.Duration.Milliseconds(),
-		uint8(r.Proto), uint32(r.Sessions), r.Bytes, r.Packets,
-	}
-	for _, v := range fixed {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func writeString(w io.Writer, s string) error {
-	if err := binary.Write(w, binary.LittleEndian, uint16(len(s))); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, s)
-	return err
-}
-
-// ReadBinary parses records from the binary format.
+// ReadBinary parses records from the binary format. A record cut short
+// by the end of the input is corruption (io.ErrUnexpectedEOF), not a
+// clean end.
 func ReadBinary(r io.Reader) ([]Record, error) {
-	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("netflow: read magic: %w", err)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("netflow: read: %w", err)
 	}
-	if magic != binaryMagic {
-		return nil, fmt.Errorf("netflow: bad magic %q", magic[:])
+	if len(data) < len(binaryMagic) {
+		return nil, fmt.Errorf("netflow: read magic: %w", io.ErrUnexpectedEOF)
+	}
+	if [4]byte(data[:4]) != binaryMagic {
+		return nil, fmt.Errorf("netflow: bad magic %q", data[:4])
 	}
 	var out []Record
-	for {
-		rec, err := ReadRecordBinary(br)
-		if err == io.EOF {
-			return out, nil
-		}
+	for rest := data[4:]; len(rest) > 0; {
+		rec, n, err := DecodeRecordBinary(rest)
 		if err != nil {
 			return nil, fmt.Errorf("netflow: record %d: %w", len(out), err)
 		}
 		out = append(out, rec)
+		rest = rest[n:]
 	}
-}
-
-// ReadRecordBinary reads one record in the binary per-record encoding.
-// A clean io.EOF before the first byte means end of input; an EOF
-// anywhere inside the record surfaces as io.ErrUnexpectedEOF. The
-// record is validated before being returned.
-func ReadRecordBinary(r io.Reader) (Record, error) {
-	src, err := readString(r)
-	if err != nil {
-		if err == io.EOF {
-			return Record{}, io.EOF
-		}
-		return Record{}, fmt.Errorf("src: %w", err)
-	}
-	dst, err := readString(r)
-	if err != nil {
-		return Record{}, fmt.Errorf("dst: %w", eofIsUnexpected(err))
-	}
-	var startMS, durMS int64
-	var proto uint8
-	var sessions uint32
-	var bytes, packets int64
-	for _, v := range []any{&startMS, &durMS, &proto, &sessions, &bytes, &packets} {
-		if err := binary.Read(r, binary.LittleEndian, v); err != nil {
-			return Record{}, eofIsUnexpected(err)
-		}
-	}
-	dur, err := durationFromMillis(durMS)
-	if err != nil {
-		return Record{}, err
-	}
-	rec := Record{
-		Src:      src,
-		Dst:      dst,
-		Start:    time.UnixMilli(startMS).UTC(),
-		Duration: dur,
-		Proto:    Proto(proto),
-		Sessions: int(sessions),
-		Bytes:    bytes,
-		Packets:  packets,
-	}
-	if err := rec.Validate(); err != nil {
-		return Record{}, err
-	}
-	return rec, nil
-}
-
-func readString(r io.Reader) (string, error) {
-	var n uint16
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return "", err
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", eofIsUnexpected(err)
-	}
-	return string(buf), nil
-}
-
-// eofIsUnexpected converts a mid-record io.EOF into io.ErrUnexpectedEOF
-// so truncated files are reported as corruption, not clean end-of-input.
-func eofIsUnexpected(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
+	return out, nil
 }

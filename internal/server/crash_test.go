@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -17,6 +18,7 @@ import (
 	"graphsig/internal/netflow"
 	"graphsig/internal/segment"
 	"graphsig/internal/store"
+	"graphsig/internal/wal"
 )
 
 // crashConfig is testConfig plus persistence rooted at dir.
@@ -604,5 +606,117 @@ func copyTree(t *testing.T, src, dst string) {
 		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// walRecordLabels opens the log beside dir (the server using it must be
+// gone) and returns "src>dst" of every record frame, in log order.
+func walRecordLabels(t *testing.T, dir string) []string {
+	t.Helper()
+	w, rep, err := wal.Open(WALPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	var out []string
+	for _, fr := range rep.Frames {
+		if fr.Kind == wal.FrameRecord {
+			out = append(out, fr.Record.Src+">"+fr.Record.Dst)
+		}
+	}
+	return out
+}
+
+// TestIngestLogsAcceptedRunsInOrder: the log receives the accepted
+// records of a batch as the stretches between the ones it leaves out —
+// a dropped non-TCP record, a rejected one, and a window close in the
+// middle — and must hold exactly those records, in order, with one
+// write+fsync per flush point: one before the close's checkpoint, one
+// at batch end, none for what was left out.
+func TestIngestLogsAcceptedRunsInOrder(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "snap")
+	srv, err := New(crashConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	udp := flowAt("10.0.0.1", "dns", 2*time.Minute, 1)
+	udp.Proto = netflow.UDP
+	batch := []netflow.Record{
+		flowAt("10.0.0.1", "a", 0, 1),
+		flowAt("10.0.0.1", "b", time.Minute, 1),
+		udp, // dropped (TCPOnly)
+		flowAt("10.0.0.2", "c", 3*time.Minute, 1),
+		flowAt("10.0.0.2", "10.0.0.2", 4*time.Minute, 1), // rejected: self-flow
+		flowAt("10.0.0.3", "d", 5*time.Minute, 1),
+		flowAt("10.0.0.1", "e", time.Hour, 1), // closes window 0
+		flowAt("10.0.0.1", "f", time.Hour+time.Minute, 1),
+		flowAt("10.0.0.3", "late", 6*time.Minute, 1), // rejected: its window is gone
+		flowAt("10.0.0.2", "g", time.Hour+2*time.Minute, 1),
+	}
+	res := srv.IngestRecords(batch)
+	if res.Accepted != 7 || res.Dropped != 1 || res.Rejected != 2 || res.WindowsClosed != 1 {
+		t.Fatalf("ingest result %+v, want 7 accepted, 1 dropped, 2 rejected, 1 window closed", res)
+	}
+	snap := srv.obs.registry.Snapshot()
+	if got := snap["wal_appended_records"]; got != 7 {
+		t.Fatalf("wal_appended_records = %d, want 7", got)
+	}
+	// One origin frame, the pre-checkpoint flush, the re-logged origin
+	// after the checkpoint's reset, the batch-end flush.
+	if got := srv.obs.registry.Histogram("wal_fsync_seconds", "").Count(); got != 4 {
+		t.Fatalf("%d WAL flushes, want 4 (origin, closing window, origin again, batch end)", got)
+	}
+	srv.Abort()
+	// The checkpoint emptied the log of window 0; what is left is the
+	// open window's three records.
+	want := []string{"10.0.0.1>e", "10.0.0.1>f", "10.0.0.2>g"}
+	if got := walRecordLabels(t, dir); !reflect.DeepEqual(got, want) {
+		t.Fatalf("log holds %v, want %v", got, want)
+	}
+}
+
+// TestReplayTailLeavesOutUnacceptedRecords: when a replay closes
+// windows, the open window's tail is rewritten into the reset log from
+// the replayed frames themselves — minus the ones this pipeline did not
+// accept (here: UDP records logged by a previous life that took every
+// protocol).
+func TestReplayTailLeavesOutUnacceptedRecords(t *testing.T) {
+	t.Cleanup(fault.Reset)
+	dir := filepath.Join(t.TempDir(), "snap")
+	anyProto := crashConfig(dir)
+	anyProto.Stream.TCPOnly = false
+	udp := func(dst string, off time.Duration) netflow.Record {
+		r := flowAt("10.0.0.1", dst, off, 1)
+		r.Proto = netflow.UDP
+		return r
+	}
+
+	fault.Set("store.save.manifest", fault.FailAfter(0, errors.New("disk full")))
+	srv1, err := New(anyProto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustIngest(t, srv1, []netflow.Record{
+		flowAt("10.0.0.1", "a", 0, 1),
+		udp("dns-0", time.Minute),
+		flowAt("10.0.0.2", "b", time.Hour, 1), // closes window 0; the save fails
+		udp("dns-1", time.Hour+time.Minute),
+		flowAt("10.0.0.2", "c", time.Hour+2*time.Minute, 1),
+		udp("dns-2", time.Hour+3*time.Minute),
+	})
+	srv1.Abort()
+	fault.Reset()
+
+	srv2, err := New(crashConfig(dir)) // TCPOnly
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := srv2.Recovery(); rec.WALRecords != 6 || rec.WALWindowsClosed != 1 || rec.WALRejected != 0 {
+		t.Fatalf("replay = %+v, want 6 records, 1 window closed, 0 rejected", rec)
+	}
+	srv2.Abort()
+	want := []string{"10.0.0.2>b", "10.0.0.2>c"}
+	if got := walRecordLabels(t, dir); !reflect.DeepEqual(got, want) {
+		t.Fatalf("rewritten tail holds %v, want %v", got, want)
 	}
 }

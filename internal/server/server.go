@@ -492,19 +492,24 @@ func (s *Server) replayWAL(replay wal.Replay) {
 	if len(replay.Frames) == 0 {
 		return
 	}
-	// tail collects the records of the window still open after replay,
-	// so a post-replay checkpoint can rewrite them into the reset log.
-	var tail []netflow.Record
-	for _, fr := range replay.Frames {
+	// The open window's tail — what a post-replay checkpoint rewrites
+	// into the reset log — is the record frames from tailFrom on, minus
+	// those this pipeline did not accept. Replay re-accepts what ingest
+	// accepted, so those are few: their indexes are kept, and no record
+	// is copied unless the checkpoint happens.
+	tailFrom := 0
+	var notAccepted []int
+	for i := range replay.Frames {
+		fr := &replay.Frames[i]
 		switch fr.Kind {
 		case wal.FrameWatch:
-			if err := s.addWatchLocked(fr.Watch, false); err != nil {
+			if err := s.addWatchLocked(*fr.Watch, false); err != nil {
 				s.recovery.WALRejected++
 				s.logf("sigserver: WAL watch replay failed: %v", err)
 			}
 			continue
 		case wal.FrameBatch:
-			s.registerBatchLocked(fr.Batch)
+			s.registerBatchLocked(*fr.Batch)
 			continue
 		case wal.FrameRecord:
 		default:
@@ -515,10 +520,11 @@ func (s *Server) replayWAL(replay wal.Replay) {
 		emitted, err := s.pipeline.Ingest(fr.Record)
 		if err != nil {
 			s.recovery.WALRejected++
+			notAccepted = append(notAccepted, i)
 			continue
 		}
 		if len(emitted) > 0 {
-			tail = tail[:0]
+			tailFrom, notAccepted = i, notAccepted[:0]
 			s.pending = 0
 			// Count only windows the store actually kept: replay over a
 			// restored snapshot re-derives already-archived (or empty
@@ -532,7 +538,8 @@ func (s *Server) replayWAL(replay wal.Replay) {
 		}
 		if accepted := s.pipeline.Ingested() - before; accepted > 0 {
 			s.pending += accepted
-			tail = append(tail, fr.Record)
+		} else {
+			notAccepted = append(notAccepted, i)
 		}
 	}
 	s.metrics.WALReplayedRecords.Add(int64(s.recovery.WALRecords))
@@ -554,6 +561,14 @@ func (s *Server) replayWAL(replay wal.Replay) {
 			return
 		}
 		s.relogWALLocked()
+		var tail []netflow.Record
+		for i := tailFrom; i < len(replay.Frames); i++ {
+			if len(notAccepted) > 0 && notAccepted[0] == i {
+				notAccepted = notAccepted[1:]
+			} else if fr := &replay.Frames[i]; fr.Kind == wal.FrameRecord {
+				tail = append(tail, fr.Record)
+			}
+		}
 		if err := s.wal.Append(tail); err != nil {
 			s.metrics.WALErrors.Add(1)
 			s.logf("sigserver: rewriting open-window tail failed: %v", err)
@@ -659,14 +674,24 @@ func (s *Server) ingestBatchTraced(tr *obs.Trace, batchID string, records []netf
 func (s *Server) ingestLocked(tr *obs.Trace, records []netflow.Record) IngestResult {
 	res := IngestResult{Received: len(records)}
 	s.metrics.FlowsReceived.Add(int64(len(records)))
-	// walPending buffers this batch's accepted records; it is flushed
-	// to the log once at batch end (one fsync per batch) and eagerly
-	// before any checkpoint so closing windows are never unlogged.
-	var walPending []netflow.Record
+	// The batch's accepted records are logged as runs — stretches of
+	// records between a rejected or dropped one and the next — so
+	// nothing is copied on the way to the log. The runs are flushed once
+	// at batch end (one fsync per batch) and eagerly before any
+	// checkpoint so closing windows are never unlogged.
+	var runs [][]netflow.Record
+	runFrom := -1 // where the run being extended starts; -1 between runs
+	endRun := func(end int) {
+		if runFrom >= 0 {
+			runs = append(runs, records[runFrom:end])
+			runFrom = -1
+		}
+	}
 	for i := range records {
 		before := s.pipeline.Ingested()
 		emitted, err := s.pipeline.Ingest(records[i])
 		if err != nil {
+			endRun(i)
 			res.Rejected++
 			s.metrics.FlowsRejected.Add(1)
 			if len(res.Errors) < maxReportedErrors {
@@ -678,10 +703,11 @@ func (s *Server) ingestLocked(tr *obs.Trace, records []netflow.Record) IngestRes
 			// The records logged so far belong to the closing windows;
 			// persist them before checkpointing so even a failed
 			// snapshot leaves the log complete for replay.
+			endRun(i)
 			endWAL := tr.Span("wal.append")
-			s.walAppendLocked(walPending)
+			s.walAppendLocked(runs)
 			endWAL()
-			walPending = walPending[:0]
+			runs = runs[:0]
 			s.pending = 0
 			endCommit := tr.Span("window.commit")
 			for _, set := range emitted {
@@ -701,33 +727,40 @@ func (s *Server) ingestLocked(tr *obs.Trace, records []netflow.Record) IngestRes
 			res.Accepted += accepted
 			s.pending += accepted
 			s.metrics.FlowsAccepted.Add(int64(accepted))
-			walPending = append(walPending, records[i])
+			if runFrom < 0 {
+				runFrom = i
+			}
 		} else {
+			endRun(i)
 			res.Dropped++ // filtered (e.g. non-TCP under TCPOnly)
 			s.metrics.FlowsDropped.Add(1)
 		}
 	}
+	endRun(len(records))
 	endWAL := tr.Span("wal.append")
-	s.walAppendLocked(walPending)
+	s.walAppendLocked(runs)
 	endWAL()
 	res.CurrentWindow = s.pipeline.CurrentWindow()
 	return res
 }
 
-// walAppendLocked logs accepted records, recording the pipeline origin
-// first if it just became known. WAL failure degrades durability, not
-// availability: it is logged and counted, and serving continues.
-func (s *Server) walAppendLocked(records []netflow.Record) {
-	if s.wal == nil || len(records) == 0 {
+// walAppendLocked logs runs of accepted records with one append,
+// recording the pipeline origin first if it just became known. WAL
+// failure degrades durability, not availability: it is logged and
+// counted, and serving continues.
+func (s *Server) walAppendLocked(runs [][]netflow.Record) {
+	if s.wal == nil || len(runs) == 0 {
 		return
 	}
 	s.logWALOrigin()
-	if err := s.wal.Append(records); err != nil {
+	if err := s.wal.Append(runs...); err != nil {
 		s.metrics.WALErrors.Add(1)
 		s.logf("sigserver: WAL append failed (durability degraded): %v", err)
 		return
 	}
-	s.metrics.WALAppendedRecords.Add(int64(len(records)))
+	for _, run := range runs {
+		s.metrics.WALAppendedRecords.Add(int64(len(run)))
+	}
 }
 
 // walAppendBatchLocked logs one applied-batch dedup marker after the

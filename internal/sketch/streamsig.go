@@ -11,11 +11,14 @@ import (
 // extractors. Zero values take the defaults noted per field.
 type StreamConfig struct {
 	// Depth and Width size each source's Count-Min sketch
-	// (defaults 4 × 256).
+	// (defaults 4 × 256): Depth × Width float64 counters, allocated
+	// when the source outgrows Candidates observations.
 	Depth, Width int
 	// Candidates caps each source's tracked heavy-neighbour set; it
 	// must be at least the signature length k you will ask for
-	// (default 64).
+	// (default 64). It is also how many observations a source may make
+	// before it is summarised at all: up to here a source is held as
+	// the list of what it did, 24 bytes an observation.
 	Candidates int
 	// FMBitmaps sizes the per-destination in-degree sketch used by the
 	// UT extractor; power of two (default 16).
@@ -50,27 +53,34 @@ func (c *StreamConfig) fill() {
 	}
 }
 
-// sourceState is the constant-size per-source state: a CM sketch of
-// outgoing weights, the running total, and the tracked heavy-candidate
-// set (the "CM-sketch heap" of §VI).
+// sourceState is the per-source state of §VI: the running total plus
+// either a log of what the source did or the constant-size summary of
+// it. A source starts sparse — an arrival-order log of its
+// observations. While the log holds at most cfg.Candidates entries the
+// candidate set cannot have evicted anything, so the log is all there
+// is to know, and the source costs what it did. The observation that
+// would overflow the log turns the source dense: a CM sketch of
+// outgoing weights and the tracked heavy-candidate set (the "CM-sketch
+// heap" of §VI), built by replaying the log in order, so every cell
+// receives the additions it always would have, in the same order.
 type sourceState struct {
-	cm    *CountMin
 	total float64
-	cand  map[graph.NodeID]float64 // candidate → current CM estimate
+	log   []observation            // sparse; nil once dense
+	cm    *CountMin                // dense; nil while sparse
+	cand  map[graph.NodeID]float64 // dense: candidate → CM estimate when last observed
 }
 
-func newSourceState(cfg *StreamConfig) (*sourceState, error) {
-	cm, err := NewCountMin(cfg.Depth, cfg.Width)
-	if err != nil {
-		return nil, err
-	}
-	return &sourceState{cm: cm, cand: make(map[graph.NodeID]float64, cfg.Candidates+1)}, nil
+// observation is one logged communication of a still-sparse source.
+type observation struct {
+	dst    graph.NodeID
+	key    uint64 // cfg.Key(dst)
+	weight float64
 }
 
-func (st *sourceState) observe(dst graph.NodeID, weight float64, cap int, key func(graph.NodeID) uint64) {
-	st.cm.Add(key(dst), weight)
+func (st *sourceState) observe(dst graph.NodeID, dstKey uint64, weight float64, cap int, key func(graph.NodeID) uint64) {
+	st.cm.Add(dstKey, weight)
 	st.total += weight
-	st.cand[dst] = st.cm.Estimate(key(dst))
+	st.cand[dst] = st.cm.Estimate(dstKey)
 	if len(st.cand) > cap {
 		// Evict the current lightest candidate (ties by larger key,
 		// then larger ID, so eviction is deterministic — and, with a
@@ -92,10 +102,17 @@ func (st *sourceState) observe(dst graph.NodeID, weight float64, cap int, key fu
 // pass over an edge stream (§VI "Scalable signature computation"): per
 // source it keeps a CM sketch of outgoing weights plus a bounded heavy
 // candidate set, from which the top-k normalized weights form the
-// signature.
+// signature. A source that has made no more than cfg.Candidates
+// observations is held as the list of them instead (see sourceState);
+// its signature is the one the sketch would have given, bit for bit.
 type StreamTT struct {
 	cfg     StreamConfig
 	sources map[graph.NodeID]*sourceState
+	dense   int // sources that have materialised a sketch
+	// scratch stands in for a sparse source's sketch while its
+	// signature is read: the log is replayed into it and the cells it
+	// touched are cleared again, so it is all zeros between calls.
+	scratch *CountMin
 }
 
 // NewStreamTT builds an extractor.
@@ -113,17 +130,42 @@ func (s *StreamTT) Observe(src, dst graph.NodeID, weight float64) error {
 	if src == dst {
 		return nil
 	}
-	st, ok := s.sources[src]
-	if !ok {
-		var err error
-		st, err = newSourceState(&s.cfg)
+	if s.scratch == nil {
+		// Also where an unusable sketch size is reported: on the first
+		// observation, not on the first source to outgrow its log.
+		cm, err := NewCountMin(s.cfg.Depth, s.cfg.Width)
 		if err != nil {
 			return err
 		}
+		s.scratch = cm
+	}
+	st, ok := s.sources[src]
+	if !ok {
+		st = &sourceState{}
 		s.sources[src] = st
 	}
-	st.observe(dst, weight, s.cfg.Candidates, s.cfg.Key)
+	dstKey := s.cfg.Key(dst)
+	if st.cm == nil {
+		if len(st.log) < s.cfg.Candidates {
+			st.log = append(st.log, observation{dst: dst, key: dstKey, weight: weight})
+			st.total += weight
+			return nil
+		}
+		s.materialise(st)
+	}
+	st.observe(dst, dstKey, weight, s.cfg.Candidates, s.cfg.Key)
 	return nil
+}
+
+// materialise turns a sparse source dense by replaying its log through
+// observe, in arrival order.
+func (s *StreamTT) materialise(st *sourceState) {
+	log := st.log
+	*st = sourceState{cm: s.scratch.blank(), cand: make(map[graph.NodeID]float64, s.cfg.Candidates+1)}
+	for _, o := range log {
+		st.observe(o.dst, o.key, o.weight, s.cfg.Candidates, s.cfg.Key)
+	}
+	s.dense++
 }
 
 // Sources returns the sources observed so far, unordered.
@@ -133,6 +175,36 @@ func (s *StreamTT) Sources() []graph.NodeID {
 		out = append(out, v)
 	}
 	return out
+}
+
+// DenseSources reports how many of the sources have outgrown their log
+// and hold a sketch; the rest cost only what they observed.
+func (s *StreamTT) DenseSources() int { return s.dense }
+
+// estimates returns the CM estimate of every candidate st tracks. A
+// sparse source's candidates are the destinations in its log, and its
+// sketch is the extractor's scratch one for the length of the call.
+func (s *StreamTT) estimates(st *sourceState) map[graph.NodeID]float64 {
+	if st.cm != nil {
+		est := make(map[graph.NodeID]float64, len(st.cand))
+		for u := range st.cand {
+			est[u] = st.cm.Estimate(s.cfg.Key(u))
+		}
+		return est
+	}
+	est := make(map[graph.NodeID]float64, len(st.log))
+	for _, o := range st.log {
+		s.scratch.Add(o.key, o.weight)
+	}
+	for _, o := range st.log {
+		if _, seen := est[o.dst]; !seen {
+			est[o.dst] = s.scratch.Estimate(o.key)
+		}
+	}
+	for _, o := range st.log {
+		s.scratch.clear(o.key)
+	}
+	return est
 }
 
 // Signature extracts the approximate TT signature of v: candidates
@@ -145,9 +217,9 @@ func (s *StreamTT) Signature(v graph.NodeID, k int) (core.Signature, error) {
 	if !ok || st.total == 0 {
 		return core.Signature{}, nil
 	}
-	weights := make(map[graph.NodeID]float64, len(st.cand))
-	for u := range st.cand {
-		weights[u] = st.cm.Estimate(s.cfg.Key(u)) / st.total
+	weights := s.estimates(st)
+	for u, est := range weights {
+		weights[u] = est / st.total
 	}
 	return core.FromWeightsKeyed(weights, k, s.cfg.Key), nil
 }
@@ -198,6 +270,9 @@ func (s *StreamUT) Observe(src, dst graph.NodeID, weight float64) error {
 // Sources returns the sources observed so far, unordered.
 func (s *StreamUT) Sources() []graph.NodeID { return s.tt.Sources() }
 
+// DenseSources reports how many of the sources hold a sketch.
+func (s *StreamUT) DenseSources() int { return s.tt.DenseSources() }
+
 // EstimateInDegree reports the FM estimate of |I(j)|, at least 1 for
 // any destination that has been observed.
 func (s *StreamUT) EstimateInDegree(j graph.NodeID) float64 {
@@ -221,13 +296,14 @@ func (s *StreamUT) Signature(v graph.NodeID, k int) (core.Signature, error) {
 	if !ok || st.total == 0 {
 		return core.Signature{}, nil
 	}
-	weights := make(map[graph.NodeID]float64, len(st.cand))
-	for u := range st.cand {
+	weights := s.tt.estimates(st)
+	for u, est := range weights {
 		indeg := s.EstimateInDegree(u)
 		if indeg <= 0 {
+			delete(weights, u)
 			continue
 		}
-		weights[u] = st.cm.Estimate(s.cfg.Key(u)) / indeg
+		weights[u] = est / indeg
 	}
 	return core.FromWeightsKeyed(weights, k, s.cfg.Key), nil
 }

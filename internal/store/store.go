@@ -553,7 +553,9 @@ func (s *Store) SearchBatch(d core.Distance, queries []BatchQuery) ([][]Hit, err
 // topK is searchRing's collector. Bounded, it is a max-heap of the best
 // k hits seen so far, worst at the root; it grows by append and is never
 // sized from k, which is the request's to choose. Unbounded, it keeps
-// every hit offered, in arrival order, and ranks them all at the end.
+// every hit offered, in arrival order, and ranks them all at the end;
+// searchRing sizes it from the windows in range when the bound lets
+// every signature in.
 type topK struct {
 	k        int
 	bounded  bool
@@ -638,6 +640,9 @@ func (t *topK) siftDown(n int) {
 // ranked is the answer, best first: the heap emptied in place, or every
 // hit sorted and cut to k.
 func (t *topK) ranked() []Hit {
+	if len(t.hits) == 0 {
+		return nil // sized ahead or not, no hits is the nil list
+	}
 	if !t.bounded {
 		sort.Slice(t.hits, func(i, j int) bool { return ranksBefore(&t.hits[i], &t.hits[j]) })
 		return t.hits[:min(t.k, len(t.hits))]
@@ -694,6 +699,22 @@ func (s *Store) searchRing(ring []entry, querier *distmat.Querier, d core.Distan
 	}
 
 	top := topK{k: opts.TopK, bounded: bounded, universe: s.universe}
+	// Windows with MinHash buckets answer a Jaccard search from them.
+	lsh := !opts.NoPrefilter && d.Name() == "jaccard"
+	if !bounded && opts.MaxDist >= 1 {
+		// Every signature of a window scanned whole will be offered and
+		// kept: size the list once instead of doubling up to it.
+		n := 0
+		for _, e := range ring {
+			switch {
+			case e.block != nil:
+				n += e.block.Len()
+			case e.idx == nil || !lsh:
+				n += e.set.Len()
+			}
+		}
+		top.hits = make([]Hit, 0, n)
+	}
 	probes := 0 // exact distance evaluations across all windows
 	// A cold window's rows are decoded one at a time into row, and only
 	// those in rows when the bound allows leaving the others out.
@@ -732,7 +753,7 @@ func (s *Store) searchRing(ring []entry, querier *distmat.Querier, d core.Distan
 			continue
 		}
 		set := e.set
-		if e.idx != nil && !opts.NoPrefilter && d.Name() == "jaccard" {
+		if e.idx != nil && lsh {
 			// minSim 0 keeps every bucket-sharing candidate; the exact
 			// verification below applies the bound.
 			cands, err := e.idx.Query(sig, exclude, 0)

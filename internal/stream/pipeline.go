@@ -37,8 +37,8 @@ type Config struct {
 	// Sketch sizes the per-node state.
 	Sketch sketch.StreamConfig
 	// Registry, when non-nil, receives the pipeline's metrics
-	// (window-close signature extraction latency). Nil disables
-	// instrumentation.
+	// (window-close signature extraction latency; sources closed
+	// still sparse vs holding a sketch). Nil disables instrumentation.
 	Registry *obs.Registry
 }
 
@@ -59,6 +59,7 @@ type extractor interface {
 	Observe(src, dst graph.NodeID, weight float64) error
 	Signature(v graph.NodeID, k int) (core.Signature, error)
 	Sources() []graph.NodeID
+	DenseSources() int
 }
 
 // Pipeline ingests flow records in time order and emits one
@@ -77,6 +78,9 @@ type Pipeline struct {
 	current extractor
 
 	closeSeconds *obs.Histogram // window-close signature extraction time
+	// Sources of closed windows by what their state had become: still
+	// the log of their observations, or a sketch (sketch.StreamConfig).
+	sparseSources, denseSources *obs.Counter
 }
 
 // NewPipeline builds a pipeline over a shared (possibly pre-populated)
@@ -95,6 +99,10 @@ func NewPipeline(cfg Config, u *graph.Universe) (*Pipeline, error) {
 	if cfg.Registry != nil {
 		p.closeSeconds = cfg.Registry.Histogram("pipeline_window_close_seconds",
 			"signature extraction time per closed window")
+		p.sparseSources = cfg.Registry.Counter("pipeline_sources_sparse_total",
+			"sources of closed windows that stayed within the candidate bound and never allocated a sketch")
+		p.denseSources = cfg.Registry.Counter("pipeline_sources_dense_total",
+			"sources of closed windows that outgrew the candidate bound and held a sketch")
 	}
 	if !cfg.Origin.IsZero() {
 		p.origin = cfg.Origin
@@ -188,6 +196,9 @@ func (p *Pipeline) closeWindow() (*core.SignatureSet, error) {
 	begin := time.Now()
 	defer p.closeSeconds.ObserveSince(begin)
 	sources := p.current.Sources()
+	dense := p.current.DenseSources()
+	p.denseSources.Add(int64(dense))
+	p.sparseSources.Add(int64(len(sources) - dense))
 	// Bipartite discipline: signatures only for Part1 sources, matching
 	// core.DefaultSources on materialized graphs.
 	bip := p.universe.Bipartite()

@@ -77,8 +77,8 @@ func TestFlushFailureRollsBack(t *testing.T) {
 	if rep.TornBytes != 0 {
 		t.Fatalf("TornBytes = %d, want 0 (rollback should keep the log frame-aligned)", rep.TornBytes)
 	}
-	got := make([]string, len(rep.Records))
-	for i, r := range rep.Records {
+	got := make([]string, len(records(rep)))
+	for i, r := range records(rep) {
 		got[i] = r.Src
 	}
 	want := []string{"10.0.0.1", "10.0.0.3"}
@@ -121,9 +121,9 @@ func TestFlushFailureMidBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Records) != 0 || rep.TornBytes != 0 {
+	if len(records(rep)) != 0 || rep.TornBytes != 0 {
 		t.Fatalf("got %d records, %d torn bytes; want an empty, clean log",
-			len(rep.Records), rep.TornBytes)
+			len(records(rep)), rep.TornBytes)
 	}
 }
 
@@ -161,7 +161,7 @@ func TestResetClearsBroken(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Records) != 1 || rep.Records[0].Src != "10.0.0.7" {
-		t.Fatalf("replayed %+v, want exactly the post-reset record", rep.Records)
+	if got := records(rep); len(got) != 1 || got[0].Src != "10.0.0.7" {
+		t.Fatalf("replayed %+v, want exactly the post-reset record", got)
 	}
 }

@@ -67,8 +67,8 @@ func FuzzWALReplay(f *testing.F) {
 		if rep2.TornBytes != 0 {
 			t.Fatalf("repaired log still has %d torn bytes", rep2.TornBytes)
 		}
-		if len(rep2.Records) != len(rep.Records) {
-			t.Fatalf("repaired log replays %d records, first pass saw %d", len(rep2.Records), len(rep.Records))
+		if len(records(rep2)) != len(records(rep)) {
+			t.Fatalf("repaired log replays %d records, first pass saw %d", len(records(rep2)), len(records(rep)))
 		}
 		if !rep2.Origin.Equal(rep.Origin) || rep2.Window != rep.Window {
 			t.Fatalf("origin changed across reopen: (%v, %v) != (%v, %v)",
@@ -90,10 +90,11 @@ func FuzzWALReplay(f *testing.F) {
 			t.Fatalf("reopen after append failed: %v", err)
 		}
 		defer w3.Close()
-		if len(rep3.Records) != len(rep2.Records)+1 {
-			t.Fatalf("append lost: %d records, want %d", len(rep3.Records), len(rep2.Records)+1)
+		recs3 := records(rep3)
+		if len(recs3) != len(records(rep2))+1 {
+			t.Fatalf("append lost: %d records, want %d", len(recs3), len(records(rep2))+1)
 		}
-		got := rep3.Records[len(rep3.Records)-1]
+		got := recs3[len(recs3)-1]
 		if got.Src != rec.Src || got.Dst != rec.Dst || !got.Start.Equal(rec.Start) {
 			t.Fatalf("appended record replayed as %+v", got)
 		}

@@ -20,7 +20,6 @@
 package wal
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -53,14 +52,16 @@ var ErrBadFrame = errors.New("wal: bad frame")
 
 // Frame is one decoded WAL frame. Kind selects which fields are set:
 // FrameRecord fills Record, FrameOrigin fills Origin and Window,
-// FrameWatch fills Watch, FrameBatch fills Batch.
+// FrameWatch sets Watch, FrameBatch sets Batch. Nearly every frame of
+// a log is a record, so the rare kinds' payloads sit behind pointers
+// and a record frame is little more than its record.
 type Frame struct {
 	Kind   byte
 	Record netflow.Record
 	Origin time.Time
 	Window time.Duration
-	Watch  WatchEntry
-	Batch  BatchEntry
+	Watch  *WatchEntry
+	Batch  *BatchEntry
 }
 
 // ScanFrames decodes consecutive frames from b, which must start at a
@@ -94,9 +95,12 @@ func ScanFrames(b []byte) (frames []Frame, consumed int64, err error) {
 		fr.Kind = kind
 		switch kind {
 		case kindRecord:
-			rec, derr := netflow.ReadRecordBinary(bytes.NewReader(payload))
+			rec, n, derr := netflow.DecodeRecordBinary(payload)
 			if derr != nil {
 				return frames, consumed, fmt.Errorf("%w: record payload undecodable: %v", ErrBadFrame, derr)
+			}
+			if n != len(payload) {
+				return frames, consumed, fmt.Errorf("%w: record payload is %d bytes, its record %d", ErrBadFrame, len(payload), n)
 			}
 			fr.Record = rec
 		case kindOrigin:
@@ -106,11 +110,13 @@ func ScanFrames(b []byte) (frames []Frame, consumed int64, err error) {
 			fr.Origin = time.UnixMilli(int64(binary.LittleEndian.Uint64(payload[:8]))).UTC()
 			fr.Window = time.Duration(int64(binary.LittleEndian.Uint64(payload[8:16]))) * time.Millisecond
 		case kindWatch:
-			if derr := json.Unmarshal(payload, &fr.Watch); derr != nil {
+			fr.Watch = new(WatchEntry)
+			if derr := json.Unmarshal(payload, fr.Watch); derr != nil {
 				return frames, consumed, fmt.Errorf("%w: watch payload undecodable: %v", ErrBadFrame, derr)
 			}
 		case kindBatch:
-			if derr := json.Unmarshal(payload, &fr.Batch); derr != nil || fr.Batch.ID == "" {
+			fr.Batch = new(BatchEntry)
+			if derr := json.Unmarshal(payload, fr.Batch); derr != nil || fr.Batch.ID == "" {
 				return frames, consumed, fmt.Errorf("%w: batch payload undecodable", ErrBadFrame)
 			}
 		default:

@@ -32,7 +32,6 @@
 package wal
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
@@ -93,13 +92,10 @@ type BatchEntry struct {
 
 // Replay is what Open recovered from an existing log.
 type Replay struct {
-	// Frames holds every recovered frame in append order — the
-	// authoritative replay sequence (record/watch/batch interleaving
-	// matters: a watch entry screens only windows that close after it).
+	// Frames holds every recovered frame in append order — the replay
+	// sequence (record/watch/batch interleaving matters: a watch entry
+	// screens only windows that close after it).
 	Frames []Frame
-	// Records are the framed flow records, in append order (the
-	// FrameRecord subsequence of Frames, kept for convenience).
-	Records []netflow.Record
 	// Origin and Window are the pipeline alignment from the last origin
 	// frame; Origin.IsZero() means none was recorded.
 	Origin time.Time
@@ -121,8 +117,8 @@ type WAL struct {
 	mu   sync.Mutex
 	f    *os.File
 	path string
-	buf  bytes.Buffer // frame scratch, reused across appends
-	good int64        // offset after the last durably acked frame
+	buf  []byte // frames of the append in flight, reused across appends
+	good int64  // offset after the last durably acked frame
 	// broken flips when a failed flush could not be rolled back: the
 	// tail may hold a partial frame, so further appends would be
 	// silently unrecoverable. Every later Append fails fast instead;
@@ -161,8 +157,10 @@ func Open(path string) (*WAL, Replay, error) {
 	return w, rep, nil
 }
 
-// recover validates the header (writing one into an empty file), scans
-// frames, and truncates at the first bad one.
+// recover validates the header (writing one into an empty file), reads
+// the log once, scans it with ScanFrames — the scanner followers use —
+// and truncates at the first frame that is incomplete or bad: to
+// recovery both mean the log ends there.
 func (w *WAL) recover() (Replay, error) {
 	info, err := w.f.Stat()
 	if err != nil {
@@ -178,72 +176,24 @@ func (w *WAL) recover() (Replay, error) {
 		w.good = int64(len(header))
 		return Replay{}, nil
 	}
-	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
+	data := make([]byte, info.Size())
+	if _, err := w.f.ReadAt(data, 0); err != nil {
 		return Replay{}, fmt.Errorf("wal: %w", err)
 	}
-	br := bufio.NewReader(w.f)
-	got := make([]byte, len(header))
-	if _, err := io.ReadFull(br, got); err != nil || !bytes.Equal(got, header) {
+	if !bytes.HasPrefix(data, header) {
 		return Replay{}, fmt.Errorf("%w: %s", ErrCorrupt, w.path)
 	}
 
 	var rep Replay
-	good := int64(len(header)) // offset past the last valid frame
-	var hdr [frameOverhead]byte
-scan:
-	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			break // clean EOF or torn frame header
+	var consumed int64
+	// A bad frame is where the log ends, whatever made it bad.
+	rep.Frames, consumed, _ = ScanFrames(data[len(header):])
+	for i := range rep.Frames {
+		if fr := &rep.Frames[i]; fr.Kind == kindOrigin {
+			rep.Origin, rep.Window = fr.Origin, fr.Window
 		}
-		kind := hdr[0]
-		plen := binary.LittleEndian.Uint32(hdr[1:5])
-		want := binary.LittleEndian.Uint32(hdr[5:9])
-		if plen > maxPayload {
-			break
-		}
-		payload := make([]byte, plen)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			break
-		}
-		if crc32.ChecksumIEEE(payload) != want {
-			break
-		}
-		switch kind {
-		case kindRecord:
-			rec, err := netflow.ReadRecordBinary(bytes.NewReader(payload))
-			if err != nil {
-				// CRC passed but the payload does not decode: a writer
-				// bug, not a torn write. Still safest to stop here.
-				break scan
-			}
-			rep.Records = append(rep.Records, rec)
-			rep.Frames = append(rep.Frames, Frame{Kind: kindRecord, Record: rec})
-		case kindOrigin:
-			if len(payload) != 16 {
-				break scan
-			}
-			rep.Origin = time.UnixMilli(int64(binary.LittleEndian.Uint64(payload[:8]))).UTC()
-			rep.Window = time.Duration(int64(binary.LittleEndian.Uint64(payload[8:16]))) * time.Millisecond
-			rep.Frames = append(rep.Frames, Frame{Kind: kindOrigin, Origin: rep.Origin, Window: rep.Window})
-		case kindWatch:
-			var e WatchEntry
-			if json.Unmarshal(payload, &e) != nil {
-				break scan
-			}
-			rep.Frames = append(rep.Frames, Frame{Kind: kindWatch, Watch: e})
-		case kindBatch:
-			var e BatchEntry
-			if json.Unmarshal(payload, &e) != nil || e.ID == "" {
-				break scan
-			}
-			rep.Frames = append(rep.Frames, Frame{Kind: kindBatch, Batch: e})
-		default:
-			// Unknown frame kind: written by a future version. Stop, as
-			// replay semantics past it are undefined.
-			break scan
-		}
-		good += int64(frameOverhead) + int64(plen)
 	}
+	good := int64(len(header)) + consumed // offset past the last valid frame
 	rep.TornBytes = info.Size() - good
 	if rep.TornBytes > 0 {
 		if err := w.f.Truncate(good); err != nil {
@@ -263,23 +213,29 @@ scan:
 // Path reports the log's file path.
 func (w *WAL) Path() string { return w.path }
 
-// Append frames and appends the records, then fsyncs — one sync per
-// batch, so a crash loses at most the records of the batch in flight.
+// Append frames and appends the records of every run, in order, then
+// fsyncs — one write and one sync per call, so a crash loses at most
+// the records of the call in flight. The runs let a caller log the
+// stretches of a batch it accepted without copying them together.
 // Appending no records is a no-op.
-func (w *WAL) Append(records []netflow.Record) error {
-	if len(records) == 0 {
-		return nil
-	}
+func (w *WAL) Append(runs ...[]netflow.Record) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.buf.Reset()
-	var payload bytes.Buffer
-	for i := range records {
-		payload.Reset()
-		if err := netflow.WriteRecordBinary(&payload, &records[i]); err != nil {
-			return fmt.Errorf("wal: record %d: %w", i, err)
+	w.buf = w.buf[:0]
+	n := 0
+	for _, run := range runs {
+		for i := range run {
+			start := w.beginFrame(kindRecord)
+			var err error
+			if w.buf, err = netflow.AppendRecordBinary(w.buf, &run[i]); err != nil {
+				return fmt.Errorf("wal: record %d: %w", n, err)
+			}
+			w.endFrame(start)
+			n++
 		}
-		w.frame(kindRecord, payload.Bytes())
+	}
+	if n == 0 {
+		return nil
 	}
 	return w.flush()
 }
@@ -292,7 +248,7 @@ func (w *WAL) AppendOrigin(origin time.Time, window time.Duration) error {
 	var payload [16]byte
 	binary.LittleEndian.PutUint64(payload[:8], uint64(origin.UnixMilli()))
 	binary.LittleEndian.PutUint64(payload[8:16], uint64(window.Milliseconds()))
-	w.buf.Reset()
+	w.buf = w.buf[:0]
 	w.frame(kindOrigin, payload[:])
 	return w.flush()
 }
@@ -307,7 +263,7 @@ func (w *WAL) AppendWatches(entries []WatchEntry) error {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.buf.Reset()
+	w.buf = w.buf[:0]
 	for i := range entries {
 		payload, err := json.Marshal(&entries[i])
 		if err != nil {
@@ -329,19 +285,31 @@ func (w *WAL) AppendBatch(e BatchEntry) error {
 	if err != nil {
 		return fmt.Errorf("wal: batch entry: %w", err)
 	}
-	w.buf.Reset()
+	w.buf = w.buf[:0]
 	w.frame(kindBatch, payload)
 	return w.flush()
 }
 
 // frame appends one frame for payload to the scratch buffer.
 func (w *WAL) frame(kind byte, payload []byte) {
-	var hdr [frameOverhead]byte
-	hdr[0] = kind
-	binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[5:9], crc32.ChecksumIEEE(payload))
-	w.buf.Write(hdr[:])
-	w.buf.Write(payload)
+	start := w.beginFrame(kind)
+	w.buf = append(w.buf, payload...)
+	w.endFrame(start)
+}
+
+// beginFrame opens a frame in the scratch buffer and returns where it
+// starts; the caller appends the payload to w.buf and calls endFrame,
+// which fills in the length and checksum left blank here.
+func (w *WAL) beginFrame(kind byte) int {
+	start := len(w.buf)
+	w.buf = append(w.buf, kind, 0, 0, 0, 0, 0, 0, 0, 0)
+	return start
+}
+
+func (w *WAL) endFrame(start int) {
+	payload := w.buf[start+frameOverhead:]
+	binary.LittleEndian.PutUint32(w.buf[start+1:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(w.buf[start+5:], crc32.ChecksumIEEE(payload))
 }
 
 // flush writes the scratch buffer and syncs. On any failure it rolls
@@ -368,9 +336,9 @@ func (w *WAL) flush() error {
 		}
 		return err
 	}
-	w.good += int64(w.buf.Len())
+	w.good += int64(len(w.buf))
 	w.syncHist.ObserveSince(begin)
-	w.bytesTotal.Add(int64(w.buf.Len()))
+	w.bytesTotal.Add(int64(len(w.buf)))
 	return nil
 }
 
@@ -379,7 +347,7 @@ func (w *WAL) writeAndSync() error {
 	if err := fault.Inject("wal.write"); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	if _, err := w.f.Write(w.buf.Bytes()); err != nil {
+	if _, err := w.f.Write(w.buf); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
 	if err := fault.Inject("wal.sync"); err != nil {

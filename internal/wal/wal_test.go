@@ -30,6 +30,17 @@ func testRecords(n int) []netflow.Record {
 	return out
 }
 
+// records is the FrameRecord subsequence of a replay, in append order.
+func records(rep Replay) []netflow.Record {
+	var out []netflow.Record
+	for i := range rep.Frames {
+		if rep.Frames[i].Kind == FrameRecord {
+			out = append(out, rep.Frames[i].Record)
+		}
+	}
+	return out
+}
+
 func mustOpen(t *testing.T, path string) (*WAL, Replay) {
 	t.Helper()
 	w, rep, err := Open(path)
@@ -44,7 +55,7 @@ func TestAppendReplayRoundtrip(t *testing.T) {
 	recs := testRecords(9)
 	origin := recs[0].Start
 	w, rep := mustOpen(t, path)
-	if len(rep.Records) != 0 || !rep.Origin.IsZero() {
+	if len(records(rep)) != 0 || !rep.Origin.IsZero() {
 		t.Fatalf("fresh log replayed %+v", rep)
 	}
 	if err := w.AppendOrigin(origin, time.Hour); err != nil {
@@ -68,10 +79,10 @@ func TestAppendReplayRoundtrip(t *testing.T) {
 	if rep.TornBytes != 0 {
 		t.Fatalf("clean log reported %d torn bytes", rep.TornBytes)
 	}
-	if len(rep.Records) != len(recs) {
-		t.Fatalf("replayed %d records, want %d", len(rep.Records), len(recs))
+	if len(records(rep)) != len(recs) {
+		t.Fatalf("replayed %d records, want %d", len(records(rep)), len(recs))
 	}
-	for i, r := range rep.Records {
+	for i, r := range records(rep) {
 		if r != recs[i] {
 			t.Fatalf("record %d: got %+v want %+v", i, r, recs[i])
 		}
@@ -87,16 +98,16 @@ func TestAppendAfterReopen(t *testing.T) {
 	}
 	w.Close()
 	w, rep := mustOpen(t, path)
-	if len(rep.Records) != 3 {
-		t.Fatalf("replayed %d records, want 3", len(rep.Records))
+	if len(records(rep)) != 3 {
+		t.Fatalf("replayed %d records, want 3", len(records(rep)))
 	}
 	if err := w.Append(recs[3:]); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
 	_, rep = mustOpen(t, path)
-	if len(rep.Records) != 6 {
-		t.Fatalf("after reopen+append replayed %d records, want 6", len(rep.Records))
+	if len(records(rep)) != 6 {
+		t.Fatalf("after reopen+append replayed %d records, want 6", len(records(rep)))
 	}
 }
 
@@ -115,8 +126,8 @@ func TestReset(t *testing.T) {
 	}
 	w.Close()
 	_, rep := mustOpen(t, path)
-	if len(rep.Records) != 2 || rep.TornBytes != 0 {
-		t.Fatalf("after reset replayed %d records (%d torn), want 2 clean", len(rep.Records), rep.TornBytes)
+	if len(records(rep)) != 2 || rep.TornBytes != 0 {
+		t.Fatalf("after reset replayed %d records (%d torn), want 2 clean", len(records(rep)), rep.TornBytes)
 	}
 }
 
@@ -157,7 +168,7 @@ func TestTornTailEveryOffset(t *testing.T) {
 		if (rep.TornBytes > 0) == boundary[cut] {
 			t.Fatalf("cut %d: torn=%d, boundary=%v", cut, rep.TornBytes, boundary[cut])
 		}
-		for i, r := range rep.Records {
+		for i, r := range records(rep) {
 			if r != recs[i] {
 				t.Fatalf("cut %d: record %d is not a prefix match", cut, i)
 			}
@@ -168,9 +179,9 @@ func TestTornTailEveryOffset(t *testing.T) {
 		}
 		w.Close()
 		_, rep2 := mustOpen(t, path)
-		if len(rep2.Records) != len(rep.Records)+1 || rep2.TornBytes != 0 {
+		if len(records(rep2)) != len(records(rep))+1 || rep2.TornBytes != 0 {
 			t.Fatalf("cut %d: reopened replay got %d records (%d torn), want %d",
-				cut, len(rep2.Records), rep2.TornBytes, len(rep.Records)+1)
+				cut, len(records(rep2)), rep2.TornBytes, len(records(rep))+1)
 		}
 	}
 }
@@ -194,8 +205,8 @@ func TestCorruptFrameStopsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, rep := mustOpen(t, path)
-	if len(rep.Records) >= len(recs) {
-		t.Fatalf("corrupt log replayed all %d records", len(rep.Records))
+	if len(records(rep)) >= len(recs) {
+		t.Fatalf("corrupt log replayed all %d records", len(records(rep)))
 	}
 	if rep.TornBytes == 0 {
 		t.Fatal("corruption not reflected in TornBytes")
@@ -220,7 +231,7 @@ func TestCorruptHeaderQuarantine(t *testing.T) {
 	}
 	w, rep := mustOpen(t, path)
 	defer w.Close()
-	if len(rep.Records) != 0 {
+	if len(records(rep)) != 0 {
 		t.Fatal("fresh log after quarantine is not empty")
 	}
 	// A second quarantine must not clobber the first.

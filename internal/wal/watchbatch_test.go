@@ -70,8 +70,8 @@ func TestWatchBatchReplayRoundtrip(t *testing.T) {
 		t.Fatalf("batch frame = %+v, want %+v", got, batch)
 	}
 	// Records still extract as the FrameRecord subsequence.
-	if len(rep.Records) != len(recs) {
-		t.Fatalf("replayed %d records, want %d", len(rep.Records), len(recs))
+	if len(records(rep)) != len(recs) {
+		t.Fatalf("replayed %d records, want %d", len(records(rep)), len(recs))
 	}
 }
 

@@ -20,7 +20,7 @@ go test -race ./...
 # engine-vs-naive run (exits non-zero on any `identical: false`), the
 # warn-only single-core throughput diff against BENCH_pairwise.json,
 # bench/ (its own module: the BENCHMARK.json harness with its output
-# checks on), and a short exploratory run of every fuzz target. The
+# checks on), and a short exploratory run of all seven fuzz targets. The
 # other *-smoke targets are -run subsets of the race line above, for
 # working on one subsystem; the gate does not repeat them.
 make bench-smoke bench-baseline bench-e2e-smoke
