@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race bench bench-smoke bench-baseline bench-e2e-smoke obs-smoke tidy crash-test sim-smoke fuzz-smoke cluster-smoke failover-smoke federate-smoke segment-smoke
+.PHONY: check build vet test race alloc-budget bench bench-smoke bench-baseline bench-e2e-smoke obs-smoke tidy crash-test sim-smoke fuzz-smoke cluster-smoke failover-smoke federate-smoke segment-smoke
 
 # Tier-1 gate: everything a PR must keep green. Examples live under
 # ./... so `go build`/`go vet` compile-check them too.
@@ -17,6 +17,16 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The allocation budgets (ROADMAP A-3), which the race line cannot run:
+# under -race the runtime drops sync.Pool puts, so every test that pins
+# what a request may allocate skips there (internal/budget). Hot and
+# cold label search, a failed cold search, the cold-search soak under a
+# memory limit, a released block read, SelfRetrievalAUC, a WAL open, one
+# ingest batch and one window close, the engine's and querier's rows.
+alloc-budget:
+	$(GO) test -run 'Alloc|Budget' ./internal/distmat/ ./internal/store/ \
+		./internal/segment/ ./internal/eval/ ./internal/wal/ ./internal/server/
 
 # Fault-injection and crash-recovery suite: failpoint-driven kill/
 # corruption tests across the WAL, the snapshot store (every Save
@@ -123,13 +133,17 @@ bench:
 # any `identical: false`. The last two are one iteration of the write
 # path's layer benchmarks: opening a 38 000-record WAL and one
 # 1 200-source window through the pipeline at sigserverd's default
-# sketch (both at the `wide` serving shape).
+# sketch (both at the `wide` serving shape). Then the read side's: the
+# self-retrieval AUC at the analytics stage's 2 000 x 2 000, and a label
+# search 4 x 1 200 and 12 x 400 cold windows deep.
 bench-smoke:
 	$(GO) test -race -run=^$$ -benchtime=1x \
 		-bench 'BenchmarkPairwiseUniqueness|BenchmarkMultiusageAllPairs' .
 	$(GO) run ./cmd/sigbench -experiment pairwise -scale 0.5
 	$(GO) test -run=^$$ -benchtime=1x -benchmem -bench 'BenchmarkWALOpen' ./internal/wal/
 	$(GO) test -run=^$$ -benchtime=1x -benchmem -bench 'BenchmarkPipelineWindow' ./internal/stream/
+	$(GO) test -run=^$$ -benchtime=1x -benchmem -bench 'BenchmarkSelfRetrievalAUC' ./internal/eval/
+	$(GO) test -run=^$$ -benchtime=1x -benchmem -bench 'BenchmarkStoreSearch/cold' ./internal/store/
 
 # Throughput regression check, benchstat style: the full-scale pairwise
 # report pinned to one core, engine pairs/sec diffed against the

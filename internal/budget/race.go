@@ -1,0 +1,6 @@
+//go:build race
+
+package budget
+
+// RaceEnabled reports whether the race detector instruments this build.
+const RaceEnabled = true

@@ -3,6 +3,7 @@ package distmat
 import (
 	"testing"
 
+	"graphsig/internal/budget"
 	"graphsig/internal/core"
 )
 
@@ -11,9 +12,7 @@ import (
 // the pooled scratch, the flat SoA views and the reused row buffer
 // carry the whole job.
 func TestEngineRowsAllocFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector drops sync.Pool puts, defeating scratch reuse")
-	}
+	budget.SkipUnderRace(t)
 	set := randSet(t, 7, 150, 10, 120)
 	idx := make([]int, set.Len())
 	for i := range idx {
@@ -76,7 +75,7 @@ func TestEngineDistAllocFree(t *testing.T) {
 		if allocs := testing.AllocsPerRun(10, sweep); allocs != 0 {
 			t.Errorf("%s: Engine.Dist allocates %.1f times per sweep, want 0", d.Name(), allocs)
 		}
-		if raceEnabled {
+		if budget.RaceEnabled {
 			continue // the race detector drops sync.Pool puts
 		}
 		eng.Rows(idx, consume) // warm the pool
@@ -97,9 +96,7 @@ func TestEngineDistAllocFree(t *testing.T) {
 // queries allocates nothing — both on the thresholded candidate path
 // and the dense row path.
 func TestQuerierSteadyStateAllocFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector drops sync.Pool puts, defeating scratch reuse")
-	}
+	budget.SkipUnderRace(t)
 	set := randSet(t, 8, 120, 10, 100)
 	view := NewSetView(set)
 	query := set.Sigs[3]

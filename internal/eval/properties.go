@@ -133,44 +133,66 @@ func EllipseFor(d core.Distance, at, next *core.SignatureSet, maxPairs int, seed
 	}
 }
 
+// selfRetrievalRows pairs the sources present in both sets: rows[t] is
+// a source's index in at, cols[t] its index in next.
+func selfRetrievalRows(at, next *core.SignatureSet) (rows, cols []int) {
+	rows, cols = make([]int, 0, at.Len()), make([]int, 0, at.Len())
+	for i, v := range at.Sources {
+		if j, ok := next.IndexOf(v); ok {
+			rows, cols = append(rows, i), append(cols, j)
+		}
+	}
+	return rows, cols
+}
+
 // SelfRetrievalQueries builds the §IV-C ROC queries: for each source v
 // present in both sets, candidates are the sources of next scored by
 // Dist(σ_t(v), σ_{t+1}(u)); v itself is the positive. Sources absent
 // from either window are skipped. Score rows ride the pairwise engine.
 func SelfRetrievalQueries(d core.Distance, at, next *core.SignatureSet) []Query {
-	var rows []int
-	for i, v := range at.Sources {
-		if _, ok := next.Get(v); ok {
-			rows = append(rows, i)
-		}
-	}
+	rows, cols := selfRetrievalRows(at, next)
 	if len(rows) == 0 {
 		return nil
 	}
 	eng, _ := distmat.NewEngine(at, next, d, 0)
 	queries := make([]Query, len(rows))
 	eng.Rows(rows, func(t int, row []float64) {
-		v := at.Sources[rows[t]]
 		q := Query{
 			Scores:   append([]float64(nil), row...),
 			Positive: make([]bool, next.Len()),
 		}
-		for j, u := range next.Sources {
-			q.Positive[j] = u == v
-		}
+		q.Positive[cols[t]] = true
 		queries[t] = q
 	})
 	return queries
 }
 
 // SelfRetrievalAUC is the Figure 3 statistic: mean per-node AUC of the
-// self-retrieval queries.
+// self-retrieval queries — MeanAUC(SelfRetrievalQueries(d, at, next))
+// bit for bit, with no query materialised: each engine row is counted
+// as it is delivered, its one positive the column of the row's source.
 func SelfRetrievalAUC(d core.Distance, at, next *core.SignatureSet) (float64, error) {
-	queries := SelfRetrievalQueries(d, at, next)
-	if len(queries) == 0 {
+	rows, cols := selfRetrievalRows(at, next)
+	if len(rows) == 0 {
 		return 0, fmt.Errorf("eval: no sources present in both windows")
 	}
-	return MeanAUC(queries)
+	eng, _ := distmat.NewEngine(at, next, d, 0)
+	sum := 0.0
+	var err error
+	eng.Rows(rows, func(t int, row []float64) {
+		if err != nil {
+			return
+		}
+		a, rowErr := selfAUC(row, cols[t])
+		if rowErr != nil {
+			err = fmt.Errorf("eval: query %d: %w", t, rowErr)
+		}
+		sum += a
+	})
+	if err != nil {
+		return 0, err
+	}
+	return sum / float64(len(rows)), nil
 }
 
 // SetRetrievalQueries builds the §V multiusage ROC queries: for each

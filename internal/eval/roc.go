@@ -5,8 +5,10 @@
 package eval
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -19,6 +21,10 @@ type Query struct {
 	Positive []bool
 }
 
+var errNoNegative = errors.New("eval: query has no negative candidate")
+
+func errNaNScore(i int) error { return fmt.Errorf("eval: query score %d is NaN", i) }
+
 // Validate reports structural problems with the query.
 func (q *Query) Validate() error {
 	if len(q.Scores) != len(q.Positive) {
@@ -27,7 +33,7 @@ func (q *Query) Validate() error {
 	pos, neg := 0, 0
 	for i, s := range q.Scores {
 		if math.IsNaN(s) {
-			return fmt.Errorf("eval: query score %d is NaN", i)
+			return errNaNScore(i)
 		}
 		if q.Positive[i] {
 			pos++
@@ -39,7 +45,7 @@ func (q *Query) Validate() error {
 		return fmt.Errorf("eval: query has no positive candidate")
 	}
 	if neg == 0 {
-		return fmt.Errorf("eval: query has no negative candidate")
+		return errNoNegative
 	}
 	return nil
 }
@@ -53,46 +59,78 @@ func (q *Query) AUC() (float64, error) {
 	if err := q.Validate(); err != nil {
 		return 0, err
 	}
-	type sc struct {
-		s   float64
-		pos bool
+	var buf [16]float64
+	positives := buf[:0]
+	for i, s := range q.Scores {
+		if q.Positive[i] {
+			positives = append(positives, s)
+		}
 	}
-	all := make([]sc, len(q.Scores))
-	for i := range q.Scores {
-		all[i] = sc{q.Scores[i], q.Positive[i]}
+	slices.Sort(positives)
+	var c aucCount
+	for i, s := range q.Scores {
+		if !q.Positive[i] {
+			c.negative(positives, s)
+		}
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].s < all[j].s })
+	return c.auc(len(positives), len(q.Scores)-len(positives)), nil
+}
 
-	var u float64 // number of (positive, negative) pairs won (+½ per tie)
-	var pos, neg int
-	i := 0
-	negSeen := 0
-	for i < len(all) {
-		j := i
-		tiePos, tieNeg := 0, 0
-		for j < len(all) && all[j].s == all[i].s {
-			if all[j].pos {
-				tiePos++
-			} else {
-				tieNeg++
-			}
-			j++
+// aucCount is the Mann-Whitney count: nothing is ranked, every negative
+// credits the positives it loses to and the ones it draws with. Both
+// counts are integers, so the statistic is exact in any order.
+type aucCount struct {
+	wins, ties int
+}
+
+// negative counts one negative scoring s against positives, which
+// ascend and hold no NaN.
+func (c *aucCount) negative(positives []float64, s float64) {
+	if p := positives[0]; len(positives) == 1 {
+		// Self-retrieval: 4M of these a pass, two compares each.
+		if p < s {
+			c.wins++
+		} else if p == s {
+			c.ties++
 		}
-		// Positives in this tie group beat every negative after the
-		// group and draw with negatives inside it.
-		negAfter := 0
-		for k := j; k < len(all); k++ {
-			if !all[k].pos {
-				negAfter++
-			}
-		}
-		u += float64(tiePos) * (float64(negAfter) + 0.5*float64(tieNeg))
-		pos += tiePos
-		neg += tieNeg
-		negSeen += tieNeg
-		i = j
+		return
 	}
-	return u / (float64(pos) * float64(neg)), nil
+	lo, tied := slices.BinarySearch(positives, s)
+	c.wins += lo
+	if tied {
+		// The first positive above s, among those from lo on.
+		hi, _ := slices.BinarySearchFunc(positives[lo:], s, func(p, s float64) int {
+			if p > s {
+				return 1
+			}
+			return -1
+		})
+		c.ties += hi
+	}
+}
+
+// auc is (wins + ½·ties) over the number of (positive, negative) pairs.
+func (c *aucCount) auc(positives, negatives int) float64 {
+	u := float64(c.wins) + 0.5*float64(c.ties)
+	return u / (float64(positives) * float64(negatives))
+}
+
+// selfAUC is Query.AUC of the query whose scores are row and whose one
+// positive is column p, checked as Validate would check it.
+func selfAUC(row []float64, p int) (float64, error) {
+	var c aucCount
+	for j, s := range row {
+		if math.IsNaN(s) {
+			return 0, errNaNScore(j)
+		}
+		if j != p {
+			c.negative(row[p:p+1], s)
+		}
+	}
+	if len(row) < 2 {
+		return 0, errNoNegative
+	}
+	return c.auc(1, len(row)-1), nil
 }
 
 // MeanAUC averages per-query AUC values, the statistic Figures 3 and 4

@@ -145,6 +145,10 @@ var binaryMagic = [4]byte{'N', 'F', 'B', '1'}
 // everything after the two labels.
 const recordFixedLen = 8 + 8 + 1 + 4 + 8 + 8
 
+// MinRecordBinaryLen is the shortest encoding a valid record has: two
+// one-byte labels.
+const MinRecordBinaryLen = 2 + 1 + 2 + 1 + recordFixedLen
+
 // AppendRecordBinary appends r's binary encoding (no stream magic) to
 // dst, validating r first; on error dst is returned as it came.
 func AppendRecordBinary(dst []byte, r *Record) ([]byte, error) {

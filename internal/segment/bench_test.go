@@ -96,7 +96,8 @@ func BenchmarkSegmentReadWindow(b *testing.B) {
 // BenchmarkSegmentReadBlock times what one cold window costs a search:
 // open the file, read the block, CRC, verify in place — and, in the
 // candidates case, find the rows sharing a node with a query signature
-// and decode those.
+// and decode those. Released is the candidates case as the store runs
+// it: the block given back, the next read made in its memory.
 func BenchmarkSegmentReadBlock(b *testing.B) {
 	seg := benchSegment(b)
 	first, err := seg.ReadBlock(0)
@@ -113,25 +114,31 @@ func BenchmarkSegmentReadBlock(b *testing.B) {
 			}
 		}
 	})
-	b.Run("candidates", func(b *testing.B) {
-		var rows []int
-		var buf core.Signature
-		decoded := 0
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			blk, err := seg.ReadBlock(0)
-			if err != nil {
-				b.Fatal(err)
+	for _, release := range []bool{false, true} {
+		name := map[bool]string{false: "candidates", true: "released"}[release]
+		b.Run(name, func(b *testing.B) {
+			var rows []int
+			var buf core.Signature
+			decoded := 0
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				blk, err := seg.ReadBlock(0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rows = blk.Candidates(query, rows[:0])
+				for _, r := range rows {
+					blk.SigInto(r, &buf)
+					decoded += len(buf.Nodes)
+				}
+				if release {
+					blk.Release()
+				}
 			}
-			rows = blk.Candidates(query, rows[:0])
-			for _, r := range rows {
-				blk.SigInto(r, &buf)
-				decoded += len(buf.Nodes)
+			if decoded == 0 {
+				b.Fatal("no candidate row decoded")
 			}
-		}
-		if decoded == 0 {
-			b.Fatal("no candidate row decoded")
-		}
-		b.ReportMetric(float64(len(rows)), "rows/op")
-	})
+			b.ReportMetric(float64(len(rows)), "rows/op")
+		})
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"graphsig/internal/core"
 	"graphsig/internal/graph"
@@ -159,7 +160,12 @@ func (t *labelTable) local(v graph.NodeID) (uint32, bool) {
 // becomes a core.Signature only when asked for. Every check a decoded
 // set would have to pass has been made by the time a Block exists, so
 // what it hands out needs no further validation. A Block is immutable
-// and safe for concurrent use.
+// and safe for concurrent use until it is released.
+//
+// The bytes are borrowed: a reader that is done with the block calls
+// Release, and the next ReadBlock reads into them. Everything a Block
+// hands out (Sig, SigInto, Set) is a copy and outlives it. A block that
+// is never released is simply collected.
 type Block struct {
 	scheme string
 	window int
@@ -168,6 +174,28 @@ type Block struct {
 	// M member ids, then the M weights.
 	table, members, weights []byte
 	starts                  []int // row i's members are [starts[i], starts[i+1])
+	scratch                 *blockScratch
+}
+
+// blockScratch is the memory of one block read: the block's bytes,
+// parseBlock's seen stamps and the row offsets the Block keeps.
+type blockScratch struct {
+	raw    []byte
+	seen   []uint32
+	starts []int
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(blockScratch) }}
+
+// Release hands the block's memory to the next read. The block is
+// emptied, so a use after Release panics instead of reading another
+// window.
+func (b *Block) Release() {
+	sc := b.scratch
+	*b = Block{}
+	if sc != nil {
+		scratchPool.Put(sc)
+	}
 }
 
 // parseBlock verifies one v2 block in place. Given a universe (Open)
@@ -180,7 +208,8 @@ type Block struct {
 // NewSignatureSet and Signature.Validate would make on the decoded set:
 // ids within the label table, every label referenced, no source twice,
 // weights positive, finite and descending, no member twice in a row.
-func parseBlock(raw []byte, u *graph.Universe, labels *labelTable) (*Block, error) {
+// seen and the returned Block's starts are cut from sc.
+func parseBlock(sc *blockScratch, raw []byte, u *graph.Universe, labels *labelTable) (*Block, error) {
 	c := cursor{b: raw}
 	scheme := string(c.str())
 	window := int64(c.u64())
@@ -220,7 +249,9 @@ func parseBlock(raw []byte, u *graph.Universe, labels *labelTable) (*Block, erro
 	// seen[l] is 0 until label l is referenced, 1 once it is a source and
 	// i+2 once it is a member of row i: the one array answers "source
 	// twice", "member twice in a row" and "label never referenced".
-	seen := make([]uint32, nLabels)
+	sc.seen = slices.Grow(sc.seen[:0], int(nLabels))[:nLabels]
+	seen := sc.seen
+	clear(seen)
 	var total uint64
 	for i := 0; i < len(table); i += 8 {
 		l := le.Uint32(table[i:])
@@ -243,8 +274,9 @@ func parseBlock(raw []byte, u *graph.Universe, labels *labelTable) (*Block, erro
 		table:   table,
 		members: c.b[:4*total],
 		weights: c.b[4*total:],
-		starts:  make([]int, nSources+1),
 	}
+	sc.starts = slices.Grow(sc.starts[:0], int(nSources)+1)[:nSources+1]
+	b.starts = sc.starts
 	at := 0
 	for i := range int(nSources) {
 		k, stamp := int(le.Uint32(table[8*i+4:])), uint32(i)+2

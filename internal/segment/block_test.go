@@ -329,7 +329,7 @@ func TestBlockCorruptionTable(t *testing.T) {
 		return labels
 	}
 	good, _ := baseSpec().encode()
-	b, err := parseBlock(good, graph.NewUniverse(), nil)
+	b, err := parseBlock(new(blockScratch), good, graph.NewUniverse(), nil)
 	if err != nil || b.Len() != 3 {
 		t.Fatalf("the uncorrupted block: %v", err)
 	}
@@ -341,7 +341,7 @@ func TestBlockCorruptionTable(t *testing.T) {
 		// bytes actually there.
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := parseBlock(raw, graph.NewUniverse(), nil)
+		_, err := parseBlock(new(blockScratch), raw, graph.NewUniverse(), nil)
 		runtime.ReadMemStats(&after)
 		if err == nil {
 			t.Errorf("%s: verified", name)
@@ -351,14 +351,14 @@ func TestBlockCorruptionTable(t *testing.T) {
 		}
 		// The runtime path, resolving through the table Open built, holds
 		// the same line on everything but the label strings it skips.
-		if _, err := parseBlock(raw, nil, b.labels); err == nil && !openOnly[name] {
+		if _, err := parseBlock(new(blockScratch), raw, nil, b.labels); err == nil && !openOnly[name] {
 			t.Errorf("%s: verified against the open-time table", name)
 		}
 		// Nor does it lean on that table being another block's: against
 		// the table of its own label strings, where those can be walked,
 		// what follows them is refused all the same.
 		if own := ownLabels(raw); own != nil && !openOnly[name] {
-			if _, err := parseBlock(raw, nil, own); err == nil {
+			if _, err := parseBlock(new(blockScratch), raw, nil, own); err == nil {
 				t.Errorf("%s: verified against its own label table", name)
 			}
 		}

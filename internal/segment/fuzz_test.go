@@ -50,7 +50,7 @@ func FuzzDecodeBlock(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		u := graph.NewUniverse()
-		opened, err := parseBlock(raw, u, nil)
+		opened, err := parseBlock(new(blockScratch), raw, u, nil)
 		if err != nil {
 			return
 		}
@@ -65,7 +65,7 @@ func FuzzDecodeBlock(f *testing.F) {
 		if !bytes.Equal(again, raw) {
 			t.Fatalf("accepted block re-encodes differently\n  in %x\n out %x", raw, again)
 		}
-		b, err := parseBlock(raw, nil, opened.labels)
+		b, err := parseBlock(new(blockScratch), raw, nil, opened.labels)
 		if err != nil {
 			t.Fatalf("block accepted at open fails at read: %v", err)
 		}

@@ -72,6 +72,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -186,6 +187,7 @@ func (s *Segment) ReadWindow(w int) (*core.SignatureSet, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer b.Release()
 	set, err := b.Set()
 	if err != nil {
 		return nil, corruptf("%s window %d: %v", filepath.Base(s.path), w, err)
@@ -196,8 +198,9 @@ func (s *Segment) ReadWindow(w int) (*core.SignatureSet, error) {
 // ReadBlock reads the block of window w, checks its CRC and verifies it
 // in place, decoding no signature. Members resolve through the local-id
 // table Open built, so a runtime read neither mutates nor looks anything
-// up in the universe and is safe under the store's read lock.
-func (s *Segment) ReadBlock(w int) (*Block, error) {
+// up in the universe and is safe under the store's read lock. The bytes
+// are read into memory a released Block gave back, when there is any.
+func (s *Segment) ReadBlock(w int) (b *Block, err error) {
 	i, ok := s.byWindow[w]
 	if !ok {
 		return nil, fmt.Errorf("segment: window %d not in %s", w, filepath.Base(s.path))
@@ -208,18 +211,24 @@ func (s *Segment) ReadBlock(w int) (*Block, error) {
 		return nil, fmt.Errorf("segment: %w", err)
 	}
 	defer f.Close()
-	raw := make([]byte, info.size)
-	if _, err := f.ReadAt(raw, info.off); err != nil {
+	sc := scratchPool.Get().(*blockScratch)
+	defer func() {
+		if err != nil {
+			scratchPool.Put(sc)
+		}
+	}()
+	sc.raw = slices.Grow(sc.raw[:0], int(info.size))[:info.size]
+	if _, err := f.ReadAt(sc.raw, info.off); err != nil {
 		return nil, fmt.Errorf("segment: %s window %d: %w", filepath.Base(s.path), w, err)
 	}
-	if got := crc32.ChecksumIEEE(raw); got != info.crc {
+	if got := crc32.ChecksumIEEE(sc.raw); got != info.crc {
 		return nil, corruptf("%s window %d checksum mismatch: %08x != %08x",
 			filepath.Base(s.path), w, got, info.crc)
 	}
-	b, err := parseBlock(raw, nil, s.blocks[i])
-	if err != nil {
+	if b, err = parseBlock(sc, sc.raw, nil, s.blocks[i]); err != nil {
 		return nil, corruptf("%s window %d: %v", filepath.Base(s.path), w, err)
 	}
+	b.scratch = sc
 	return b, nil
 }
 
@@ -450,6 +459,7 @@ func parse(path string, raw []byte, u *graph.Universe) (*Segment, error) {
 	// TOC entry and verify cleanly. Interning here (boot, single-threaded)
 	// is what makes later reads mutation-free.
 	seg.blocks = make([]*labelTable, len(seg.toc))
+	var sc blockScratch // of each block only the label table is kept
 	for i, info := range seg.toc {
 		if info.size < 0 || info.off < int64(len(header)+1) || info.off > tocOff-info.size {
 			return nil, corruptf("%s: window %d block out of bounds", filepath.Base(path), info.window)
@@ -459,7 +469,7 @@ func parse(path string, raw []byte, u *graph.Universe) (*Segment, error) {
 			return nil, corruptf("%s: window %d checksum mismatch: %08x != %08x",
 				filepath.Base(path), info.window, got, info.crc)
 		}
-		b, err := parseBlock(block, u, nil)
+		b, err := parseBlock(&sc, block, u, nil)
 		if err != nil {
 			return nil, corruptf("%s: window %d: %v", filepath.Base(path), info.window, err)
 		}

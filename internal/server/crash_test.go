@@ -720,3 +720,50 @@ func TestReplayTailLeavesOutUnacceptedRecords(t *testing.T) {
 		t.Fatalf("rewritten tail holds %v, want %v", got, want)
 	}
 }
+
+// subMillisecondFlows is two records a window apart by the clock JSON
+// ingest keeps (nanoseconds) and less than a window apart by the one
+// the WAL keeps (milliseconds): the first 0.9 ms past a millisecond
+// boundary, the second a window and 0.6 ms past it. The first record
+// sets the origin (the config names none).
+func subMillisecondFlows(cfg *Config) []netflow.Record {
+	cfg.Stream.Origin = time.Time{}
+	return []netflow.Record{
+		flowAt("10.0.0.1", "e1", 900*time.Microsecond, 3),
+		flowAt("10.0.0.1", "e2", cfg.Stream.WindowSize+600*time.Microsecond, 1),
+	}
+}
+
+// TestCrashKeepsSubMillisecondRecordsInTheirWindow: the pipeline sees a
+// record's start as the log will hold it, so the window a record falls
+// in live is the window it falls in after a crash and replay.
+func TestCrashKeepsSubMillisecondRecordsInTheirWindow(t *testing.T) {
+	cfg := crashConfig(filepath.Join(t.TempDir(), "snap"))
+	flows := subMillisecondFlows(&cfg)
+	srv1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := mustIngest(t, srv1, flows)
+	srv1.Abort()
+
+	srv2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Abort()
+	rec := srv2.Recovery()
+	if rec.WALRejected != 0 {
+		t.Fatalf("WAL replay = %+v, want 0 rejected", rec)
+	}
+	// Windows closed live are in the snapshot; the replay closes none.
+	closed, replayed := len(srv2.Store().Windows()), srv2.pipeline.CurrentWindow()
+	if live.CurrentWindow != replayed || live.WindowsClosed != closed || rec.WALWindowsClosed != 0 {
+		t.Fatalf("live: window %d after closing %d; recovered: window %d, %d archived, %d closed by the replay",
+			live.CurrentWindow, live.WindowsClosed, replayed, closed, rec.WALWindowsClosed)
+	}
+	o1, _ := srv1.PipelineOrigin()
+	if o2, _ := srv2.PipelineOrigin(); !o1.Equal(o2) {
+		t.Fatalf("origin %v live, %v replayed", o1, o2)
+	}
+}

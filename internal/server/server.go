@@ -689,7 +689,12 @@ func (s *Server) ingestLocked(tr *obs.Trace, records []netflow.Record) IngestRes
 	}
 	for i := range records {
 		before := s.pipeline.Ingested()
-		emitted, err := s.pipeline.Ingest(records[i])
+		// The log holds a start to the millisecond. The pipeline sees no
+		// more, or a record within a millisecond of a window's edge would
+		// change windows when it is replayed, here or on a follower.
+		r := records[i]
+		r.Start = r.Start.Truncate(time.Millisecond)
+		emitted, err := s.pipeline.Ingest(r)
 		if err != nil {
 			endRun(i)
 			res.Rejected++

@@ -23,14 +23,21 @@ func rotSegments(t *testing.T, dir string) {
 		t.Fatalf("segment files: %v, %v", files, err)
 	}
 	for _, f := range files {
-		raw, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw[40] ^= 0x01 // past the 20-byte header line, inside the block
-		if err := os.WriteFile(f, raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		rotFile(t, f)
+	}
+}
+
+// rotFile flips one byte inside the first window block of a segment
+// file.
+func rotFile(t *testing.T, path string) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[40] ^= 0x01 // past the 20-byte header line, inside the block
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"graphsig/internal/budget"
 	"graphsig/internal/core"
 	"graphsig/internal/distmat"
 	"graphsig/internal/graph"
@@ -169,6 +170,13 @@ func TestSearchRingOracleSeesTies(t *testing.T) {
 // each window, so a label's nearest neighbours are its own past selves,
 // then its block.
 func wideStore(tb testing.TB, cfg Config, cold, hot, hosts int) *Store {
+	s, _ := wideStoreAndMore(tb, cfg, cold, hot, hosts)
+	return s
+}
+
+// wideStoreAndMore is wideStore with the source of its windows: each
+// call of more archives the next one.
+func wideStoreAndMore(tb testing.TB, cfg Config, cold, hot, hosts int) (s *Store, more func()) {
 	tb.Helper()
 	u := graph.NewUniverse()
 	cfg.Universe = u
@@ -195,7 +203,8 @@ func wideStore(tb testing.TB, cfg Config, cold, hot, hosts int) *Store {
 			home[h] = append(home[h], peers[h/8*16+p])
 		}
 	}
-	for w := 0; w < cold+hot; w++ {
+	w := 0
+	more = func() {
 		sigs := make([]core.Signature, hosts)
 		for h := range sigs {
 			weights := map[graph.NodeID]float64{}
@@ -215,8 +224,12 @@ func wideStore(tb testing.TB, cfg Config, cold, hot, hosts int) *Store {
 		if err := s.Add(set); err != nil {
 			tb.Fatal(err)
 		}
+		w++
 	}
-	return s
+	for w < cold+hot {
+		more()
+	}
+	return s, more
 }
 
 // TestSearchAllocsIndependentOfArchive: a hot search allocates for the
@@ -224,9 +237,7 @@ func wideStore(tb testing.TB, cfg Config, cold, hot, hosts int) *Store {
 // 8×100 and 8×1200 sources — and a request for 2^40 hits allocates for
 // the hits that exist, not for K.
 func TestSearchAllocsIndependentOfArchive(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops puts under -race; allocation counts are not stable")
-	}
+	budget.SkipUnderRace(t)
 	allocs := func(hosts, k int) float64 {
 		s := wideStore(t, Config{}, 0, 8, hosts)
 		opts := SearchOptions{TopK: k}

@@ -380,16 +380,26 @@ func (s *Store) ReadLatestSignature(label string) (core.Signature, int, bool, er
 			if wins[j] >= bound {
 				continue
 			}
-			b, err := s.readBlockLocked(segs[i], wins[j])
+			e, ok, err := s.readRowLocked(segs[i], wins[j], v)
 			if err != nil {
 				return core.Signature{}, 0, false, err
 			}
-			if row, ok := b.Row(v); ok && !b.IsEmpty(row) {
-				return b.Sig(row), b.Window(), true, nil
+			if ok && !e.Sig.IsEmpty() {
+				return e.Sig, e.Window, true, nil
 			}
 		}
 	}
 	return core.Signature{}, 0, false, nil
+}
+
+// releaseCold gives back the blocks snapshotTier read into ring, once
+// the search that asked for them has ranked its last row.
+func releaseCold(ring []entry) {
+	for _, e := range ring {
+		if e.block != nil {
+			e.block.Release()
+		}
+	}
 }
 
 // Hit is one nearest-signature search result.
@@ -490,6 +500,7 @@ func (s *Store) search(d core.Distance, sig core.Signature, opts SearchOptions, 
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
+	defer releaseCold(ring)
 	querier, _ := distmat.NewQuerier(d)
 	querier.SetMetrics(s.obs.engine)
 	defer querier.Release()
@@ -536,6 +547,7 @@ func (s *Store) SearchBatch(d core.Distance, queries []BatchQuery) ([][]Hit, err
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
+	defer releaseCold(ring)
 	querier, _ := distmat.NewQuerier(d)
 	querier.SetMetrics(s.obs.engine)
 	defer querier.Release()

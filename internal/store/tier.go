@@ -7,6 +7,7 @@ import (
 	"os"
 
 	"graphsig/internal/core"
+	"graphsig/internal/graph"
 	"graphsig/internal/segment"
 )
 
@@ -66,11 +67,28 @@ func (s *Store) readColdLocked(seg *segment.Segment, w int) (*core.SignatureSet,
 	if err != nil {
 		return nil, err
 	}
+	defer b.Release()
 	set, err := b.Set()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrColdRead, err)
 	}
 	return set, nil
+}
+
+// readRowLocked is readBlockLocked for the callers that want one label's
+// row of the window: v's signature in it, copied out of the block
+// before the block is released. ok is false when v is no source there.
+func (s *Store) readRowLocked(seg *segment.Segment, w int, v graph.NodeID) (e HistoryEntry, ok bool, err error) {
+	b, err := s.readBlockLocked(seg, w)
+	if err != nil {
+		return HistoryEntry{}, false, err
+	}
+	defer b.Release()
+	row, ok := b.Row(v)
+	if !ok {
+		return HistoryEntry{}, false, nil
+	}
+	return HistoryEntry{Window: b.Window(), Scheme: b.Scheme(), Sig: b.Sig(row)}, true, nil
 }
 
 // SegmentStats reports what AttachSegments found on disk.
@@ -270,6 +288,7 @@ func (s *Store) snapshotTier(lastWindows int) ([]entry, error) {
 			}
 			b, err := s.readBlockLocked(segs[i], wins[j])
 			if err != nil {
+				releaseCold(cold)
 				return nil, err
 			}
 			cold = append(cold, entry{block: b})
@@ -358,12 +377,12 @@ func (s *Store) HistoryRange(label string, from, to, limit int) (entries []Histo
 				truncated, done = true, true
 				break
 			}
-			b, rerr := s.readBlockLocked(segs[i], w)
+			e, ok, rerr := s.readRowLocked(segs[i], w, v)
 			if rerr != nil {
 				return nil, false, rerr
 			}
-			if row, ok := b.Row(v); ok {
-				rev = append(rev, HistoryEntry{Window: b.Window(), Scheme: b.Scheme(), Sig: b.Sig(row)})
+			if ok {
+				rev = append(rev, e)
 			}
 		}
 	}

@@ -3,6 +3,8 @@ package wal
 import (
 	"path/filepath"
 	"testing"
+
+	"graphsig/internal/budget"
 )
 
 // writeLog writes n records (plus the origin frame) in batches of 2 000
@@ -64,20 +66,21 @@ func BenchmarkWALAppend(b *testing.B) {
 }
 
 // TestOpenAllocatesPerRecordNotPerField holds recovery to its budget:
-// at most three allocations a record (the labels' one string, the
-// frame list's amortised growth), where reading each field through an
-// io.Reader cost fourteen.
+// at most two allocations a record (the labels' one string), where
+// reading each field through an io.Reader cost fourteen, and at most
+// 400 bytes a record — the file, the frame list sized once, the labels —
+// where regrowing the frame list cost 890.
 func TestOpenAllocatesPerRecordNotPerField(t *testing.T) {
 	const n = 4000
 	path := writeLog(t, t.TempDir(), n)
-	allocs := testing.AllocsPerRun(3, func() {
+	allocs, bytes := budget.PerRun(3, func() {
 		w, rep, err := Open(path)
 		if err != nil || len(rep.Frames) != n+1 {
 			t.Fatalf("Open: %d frames, err %v", len(rep.Frames), err)
 		}
 		w.Close()
 	})
-	if perRecord := allocs / n; perRecord > 3 {
-		t.Fatalf("Open allocated %.1f objects per record, want at most 3", perRecord)
+	if allocs/n > 2 || bytes/n > 400 {
+		t.Fatalf("Open allocated %.1f objects and %.0f bytes per record, want at most 2 and 400", allocs/n, bytes/n)
 	}
 }

@@ -64,6 +64,13 @@ type Frame struct {
 	Batch  *BatchEntry
 }
 
+// maxFramesAhead bounds the frame list ScanFrames sizes before it has
+// verified a frame — 11 MB of frames, more than the 38 000 records a
+// 1 200-source window logs. Real labels are longer than one byte, so
+// the estimate runs high by about a third; past the bound the list
+// grows as it is filled.
+const maxFramesAhead = 1 << 16
+
 // ScanFrames decodes consecutive frames from b, which must start at a
 // frame boundary (i.e. the bytes after HeaderLen, or after a previous
 // consumed prefix). It returns the decoded frames and how many bytes
@@ -73,6 +80,9 @@ type Frame struct {
 // consumed is invalid with all of its bytes present, so no later byte
 // can be trusted.
 func ScanFrames(b []byte) (frames []Frame, consumed int64, err error) {
+	// Nearly every frame is a record: size the list once for as many as
+	// could fit, instead of regrowing a slice of 170-byte elements.
+	frames = make([]Frame, 0, min(len(b)/(frameOverhead+netflow.MinRecordBinaryLen), maxFramesAhead))
 	for {
 		rest := b[consumed:]
 		if len(rest) < frameOverhead {

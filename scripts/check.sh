@@ -1,7 +1,7 @@
 #!/bin/sh
 # The gate: build (compile-checks the examples too), vet, optional
 # staticcheck, the full test suite under the race detector, then the
-# `make` targets that cover what ./... does not reach.
+# `make` targets that cover what that line does not reach.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -16,6 +16,7 @@ else
 fi
 go test -race ./...
 # What ./... does not reach is defined once, in the Makefile: the
+# allocation budgets, which skip under the race detector; the
 # pairwise-engine benchmarks under the race detector plus the sigbench
 # engine-vs-naive run (exits non-zero on any `identical: false`), the
 # warn-only single-core throughput diff against BENCH_pairwise.json,
@@ -23,5 +24,5 @@ go test -race ./...
 # checks on), and a short exploratory run of all seven fuzz targets. The
 # other *-smoke targets are -run subsets of the race line above, for
 # working on one subsystem; the gate does not repeat them.
-make bench-smoke bench-baseline bench-e2e-smoke
+make alloc-budget bench-smoke bench-baseline bench-e2e-smoke
 make fuzz-smoke FUZZTIME=15s
