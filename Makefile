@@ -23,7 +23,8 @@ race:
 # what a request may allocate skips there (internal/budget). Hot and
 # cold label search, a failed cold search, the cold-search soak under a
 # memory limit, a released block read, SelfRetrievalAUC, a WAL open, one
-# ingest batch and one window close, the engine's and querier's rows.
+# ingest batch and one window close (6 allocations and 1.5 KB a source),
+# the engine's and querier's rows.
 alloc-budget:
 	$(GO) test -run 'Alloc|Budget' ./internal/distmat/ ./internal/store/ \
 		./internal/segment/ ./internal/eval/ ./internal/wal/ ./internal/server/
@@ -31,7 +32,7 @@ alloc-budget:
 # Fault-injection and crash-recovery suite: failpoint-driven kill/
 # corruption tests across the WAL, the snapshot store (every Save
 # failpoint on either side of the manifest rename, saving over another
-# lineage, the old-format refusal) and the server's recovery path,
+# lineage, the old-format refusals) and the server's recovery path,
 # under the race detector.
 crash-test:
 	$(GO) test -race ./internal/fault/ ./internal/wal/ ./internal/store/ \
@@ -107,7 +108,8 @@ segment-smoke:
 # WAL frame recovery, the distance kernels (bit-identity vs the naive
 # loops), the segment reader (whole files through Open; single window
 # blocks, where an accepted block must re-encode to itself), and the
-# snapshot manifest parser (accepts only what Save renders).
+# snapshot's manifest and label-file parsers (each accepts only what
+# Save writes).
 # Committed corpora under testdata/fuzz/ replay as regression cases in
 # the plain test suite; this also explores briefly (scripts/check.sh
 # passes FUZZTIME=15s).
@@ -121,6 +123,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSegmentOpen -fuzztime $(FUZZTIME) ./internal/segment/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeBlock -fuzztime $(FUZZTIME) ./internal/segment/
 	$(GO) test -run '^$$' -fuzz FuzzLoadManifest -fuzztime $(FUZZTIME) ./internal/store/
+	$(GO) test -run '^$$' -fuzz FuzzLoadLabels -fuzztime $(FUZZTIME) ./internal/store/
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
@@ -130,10 +133,12 @@ bench:
 # race-clean and still bit-identical to the naive loops they replace.
 # The sigbench line then drives the engine (with the thresholded
 # prefilter sweep) on a scaled dataset — runPairwise exits non-zero on
-# any `identical: false`. The last two are one iteration of the write
-# path's layer benchmarks: opening a 38 000-record WAL and one
-# 1 200-source window through the pipeline at sigserverd's default
-# sketch (both at the `wide` serving shape). Then the read side's: the
+# any `identical: false`. The next three are one iteration of the write
+# path's layer benchmarks: opening a 38 000-record WAL, one 1 200-source
+# window through the pipeline at sigserverd's default sketch — every
+# source sparse, and with a Zipf head that goes dense — and the
+# checkpoint of one window close with and without new labels (all at
+# the `wide` serving shape). Then the read side's: the
 # self-retrieval AUC at the analytics stage's 2 000 x 2 000, and a label
 # search 4 x 1 200 and 12 x 400 cold windows deep.
 bench-smoke:
@@ -142,6 +147,7 @@ bench-smoke:
 	$(GO) run ./cmd/sigbench -experiment pairwise -scale 0.5
 	$(GO) test -run=^$$ -benchtime=1x -benchmem -bench 'BenchmarkWALOpen' ./internal/wal/
 	$(GO) test -run=^$$ -benchtime=1x -benchmem -bench 'BenchmarkPipelineWindow' ./internal/stream/
+	$(GO) test -run=^$$ -benchtime=1x -benchmem -bench 'BenchmarkStoreSave' ./internal/store/
 	$(GO) test -run=^$$ -benchtime=1x -benchmem -bench 'BenchmarkSelfRetrievalAUC' ./internal/eval/
 	$(GO) test -run=^$$ -benchtime=1x -benchmem -bench 'BenchmarkStoreSearch/cold' ./internal/store/
 

@@ -7,6 +7,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -168,20 +169,37 @@ func FromWeights(weights map[graph.NodeID]float64, k int) Signature {
 // slot, regardless of its interning order; the cluster's shard/single
 // bit-identity rests on this.
 func FromWeightsKeyed(weights map[graph.NodeID]float64, k int, key func(graph.NodeID) uint64) Signature {
-	cand := make([]entry, 0, len(weights))
+	cand := make([]KeyedEntry, 0, len(weights))
 	for u, w := range weights {
-		if w > 0 && !math.IsNaN(w) && !math.IsInf(w, 0) {
-			cand = append(cand, entry{node: u, weight: w, key: key(u)})
-		}
+		cand = append(cand, KeyedEntry{Node: u, Key: key(u), Weight: w})
 	}
-	sort.Slice(cand, func(i, j int) bool {
-		if cand[i].weight != cand[j].weight {
-			return cand[i].weight > cand[j].weight
+	return TopKKeyed(cand, k)
+}
+
+// KeyedEntry is one candidate of a keyed top-k selection: a node, the
+// tie-breaking key its producer already holds for it, and its relevance.
+type KeyedEntry struct {
+	Node   graph.NodeID
+	Key    uint64
+	Weight float64
+}
+
+// TopKKeyed is the selection behind FromWeightsKeyed for a producer
+// that holds its candidates as a list (one entry per node) with their
+// keys: the k heaviest positive finite entries, heaviest first, ties by
+// smaller key, then smaller NodeID. It reorders cand.
+func TopKKeyed(cand []KeyedEntry, k int) Signature {
+	cand = slices.DeleteFunc(cand, func(e KeyedEntry) bool {
+		return !(e.Weight > 0) || math.IsInf(e.Weight, 1) // NaN fails the first test
+	})
+	slices.SortFunc(cand, func(a, b KeyedEntry) int {
+		if a.Weight != b.Weight {
+			return cmp.Compare(b.Weight, a.Weight)
 		}
-		if cand[i].key != cand[j].key {
-			return cand[i].key < cand[j].key
+		if a.Key != b.Key {
+			return cmp.Compare(a.Key, b.Key)
 		}
-		return cand[i].node < cand[j].node // 64-bit key collision: stay total
+		return cmp.Compare(a.Node, b.Node) // 64-bit key collision: stay total
 	})
 	if k < len(cand) {
 		cand = cand[:k]
@@ -191,8 +209,8 @@ func FromWeightsKeyed(weights map[graph.NodeID]float64, k int, key func(graph.No
 		Weights: make([]float64, len(cand)),
 	}
 	for i, e := range cand {
-		sig.Nodes[i] = e.node
-		sig.Weights[i] = e.weight
+		sig.Nodes[i] = e.Node
+		sig.Weights[i] = e.Weight
 	}
 	return sig
 }
@@ -201,7 +219,6 @@ func FromWeightsKeyed(weights map[graph.NodeID]float64, k int, key func(graph.No
 type entry struct {
 	node   graph.NodeID
 	weight float64
-	key    uint64
 }
 
 // topK selects the k heaviest entries, breaking weight ties by smaller

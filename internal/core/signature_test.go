@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -171,5 +173,94 @@ func TestFromWeightsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// fromWeightsKeyedSortSlice is FromWeightsKeyed as it stood before
+// TopKKeyed existed (filter, reflection sort.Slice, cut), kept as the
+// oracle the shared selection is held to.
+func fromWeightsKeyedSortSlice(weights map[graph.NodeID]float64, k int, key func(graph.NodeID) uint64) Signature {
+	type entry struct {
+		node   graph.NodeID
+		weight float64
+		key    uint64
+	}
+	cand := make([]entry, 0, len(weights))
+	for u, w := range weights {
+		if w > 0 && !math.IsNaN(w) && !math.IsInf(w, 0) {
+			cand = append(cand, entry{node: u, weight: w, key: key(u)})
+		}
+	}
+	sort.Slice(cand, func(i, j int) bool {
+		if cand[i].weight != cand[j].weight {
+			return cand[i].weight > cand[j].weight
+		}
+		if cand[i].key != cand[j].key {
+			return cand[i].key < cand[j].key
+		}
+		return cand[i].node < cand[j].node
+	})
+	if k < len(cand) {
+		cand = cand[:k]
+	}
+	sig := Signature{Nodes: make([]graph.NodeID, len(cand)), Weights: make([]float64, len(cand))}
+	for i, e := range cand {
+		sig.Nodes[i], sig.Weights[i] = e.node, e.weight
+	}
+	return sig
+}
+
+// TestFromWeightsKeyedMatchesSortSlice: the keyed selection every
+// streaming signature goes through gives the bits it always did — over
+// the kernel fuzz corpus's inputs and random maps with heavy weight
+// ties, colliding keys, and the values the filter drops.
+func TestFromWeightsKeyedMatchesSortSlice(t *testing.T) {
+	keys := []func(graph.NodeID) uint64{
+		func(id graph.NodeID) uint64 { return uint64(id) },
+		func(id graph.NodeID) uint64 { return uint64(id) * 0x9E3779B97F4A7C15 },
+		func(id graph.NodeID) uint64 { return uint64(id) % 3 }, // collisions: the NodeID decides
+	}
+	check := func(weights map[graph.NodeID]float64, k int) {
+		t.Helper()
+		for ki, key := range keys {
+			got, want := FromWeightsKeyed(weights, k, key), fromWeightsKeyedSortSlice(weights, k, key)
+			if len(got.Nodes) != len(want.Nodes) {
+				t.Fatalf("key %d k=%d: %v, want %v", ki, k, got, want)
+			}
+			for i := range want.Nodes {
+				if got.Nodes[i] != want.Nodes[i] || math.Float64bits(got.Weights[i]) != math.Float64bits(want.Weights[i]) {
+					t.Fatalf("key %d k=%d entry %d: %v, want %v", ki, k, i, got, want)
+				}
+			}
+		}
+	}
+	corpus := [][]byte{
+		{}, {1, 16, 0, 2, 32, 0}, {2, 32, 0, 3, 8, 0}, {1, 1, 0, 2, 1, 0, 3, 1, 0}, {4, 1, 0, 5, 1, 0},
+		{7, 255, 255, 7, 255, 255}, {7, 255, 255},
+	}
+	for _, data := range corpus {
+		weights := map[graph.NodeID]float64{}
+		for ; len(data) >= 3; data = data[3:] {
+			weights[graph.NodeID(data[0])] += 0.25 + float64(uint16(data[1])|uint16(data[2])<<8)/16
+		}
+		for _, k := range []int{1, 2, 4, 40} {
+			check(weights, k)
+		}
+	}
+	rng := rand.New(rand.NewSource(27))
+	odd := []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64}
+	for trial := 0; trial < 300; trial++ {
+		weights := map[graph.NodeID]float64{}
+		for n := rng.Intn(40); n > 0; n-- {
+			w := float64(1+rng.Intn(4)) / 4 // few distinct values: ties everywhere
+			if rng.Intn(3) == 0 {
+				w = rng.Float64()
+			}
+			if rng.Intn(10) == 0 {
+				w = odd[rng.Intn(len(odd))]
+			}
+			weights[graph.NodeID(rng.Intn(64))] = w
+		}
+		check(weights, 1+rng.Intn(12))
 	}
 }

@@ -12,25 +12,46 @@ import (
 	"graphsig/internal/sketch"
 )
 
-// StreamingRow compares a sketch-based streaming signature extractor
-// (§VI) against its exact counterpart on the same window.
+// StreamingRow compares a streaming signature extractor (§VI) against
+// its exact counterpart on the same window, over the sources whose
+// per-source state had become one thing or the other by the end of it.
 type StreamingRow struct {
 	Scheme string
+	// FMBitmaps sizes the in-degree sketches behind the row (UT only; 0
+	// for TT, which has none).
+	FMBitmaps int
+	// Dense says which sources the row is over: those that outgrew the
+	// candidate bound and read through a Count-Min sketch, or those
+	// still held as the log of their observations and read exactly. The
+	// bound counts observations, not distinct destinations, and the
+	// replay below makes weight-many unit observations of every edge —
+	// so a source is dense here once it opened more sessions than the
+	// bound (64 by default), however few hosts it opened them to.
+	Dense bool
+	// Sources is how many there are.
+	Sources int
 	// MeanDist is the mean Dist_SHel between exact and streamed
 	// signatures per source (0 = identical).
 	MeanDist float64
 	// ExactTopkRecall is the mean fraction of the exact signature's
 	// members recovered by the streamed signature.
 	ExactTopkRecall float64
-	// AUC is the cross-window self-retrieval AUC achieved using only
-	// streamed signatures, comparable with Figure 3(a)'s exact values.
+	// AUC is the cross-window self-retrieval AUC of these sources among
+	// all of the next window's, using only streamed signatures;
+	// comparable with Figure 3(a)'s exact values.
 	AUC float64
 }
 
+// streamingFMBitmaps is the sweep of in-degree sketch sizes
+// StreamingAblation runs UT at; the first is the default.
+var streamingFMBitmaps = []int{16, 64, 256}
+
 // StreamingAblation measures how much signature quality the §VI
 // semi-streaming extractors give up: it streams the window-0 and
-// window-1 edge observations through StreamTT/StreamUT and compares
-// against exact TT/UT.
+// window-1 edge observations through StreamTT, and through StreamUT at
+// each size of streamingFMBitmaps (cfg's own is not used), and compares
+// against exact TT/UT — separately for the sources that stayed sparse
+// and those that went dense. A row with no sources is left out.
 func StreamingAblation(e *Env, cfg sketch.StreamConfig) ([]StreamingRow, error) {
 	d := core.ScaledHellinger{}
 	w0 := e.windows(FlowData)[0]
@@ -40,84 +61,118 @@ func StreamingAblation(e *Env, cfg sketch.StreamConfig) ([]StreamingRow, error) 
 	type extractor interface {
 		Observe(src, dst graph.NodeID, weight float64) error
 		Signature(v graph.NodeID, k int) (core.Signature, error)
+		Dense(v graph.NodeID) bool
 	}
-	build := map[string]func() extractor{
-		"tt": func() extractor { return sketch.NewStreamTT(cfg) },
-		"ut": func() extractor { return sketch.NewStreamUT(cfg) },
+	// streamSet replays w into ex and returns the signatures of its
+	// sources in two sets: the sparse ones and the dense ones.
+	streamSet := func(name string, ex extractor, w *graph.Window) (sets [2]*core.SignatureSet, err error) {
+		for _, edge := range w.Edges() {
+			// Replay each aggregated edge as weight-many unit
+			// observations: the stream the sketches were built for.
+			for i := 0; i < int(edge.Weight); i++ {
+				if err := ex.Observe(edge.From, edge.To, 1); err != nil {
+					return sets, err
+				}
+			}
+		}
+		var sources [2][]graph.NodeID
+		var sigs [2][]core.Signature
+		for _, v := range core.DefaultSources(w) {
+			sig, err := ex.Signature(v, k)
+			if err != nil {
+				return sets, err
+			}
+			half := 0
+			if ex.Dense(v) {
+				half = 1
+			}
+			sources[half], sigs[half] = append(sources[half], v), append(sigs[half], sig)
+		}
+		for half := range sets {
+			if sets[half], err = core.NewSignatureSet(name+"-stream", w.Index(), sources[half], sigs[half]); err != nil {
+				return sets, err
+			}
+		}
+		return sets, nil
 	}
 
 	var rows []StreamingRow
-	for _, name := range []string{"tt", "ut"} {
+	run := func(name string, bitmaps int, build func() extractor) error {
 		exact0, err := e.Sigs(FlowData, mustScheme(name), 0)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		streamSet := func(w *graph.Window) (*core.SignatureSet, error) {
-			ex := build[name]()
-			for _, edge := range w.Edges() {
-				// Replay each aggregated edge as weight-many unit
-				// observations: the stream the sketches were built for.
-				for i := 0; i < int(edge.Weight); i++ {
-					if err := ex.Observe(edge.From, edge.To, 1); err != nil {
-						return nil, err
+		s0, err := streamSet(name, build(), w0)
+		if err != nil {
+			return fmt.Errorf("experiments: streaming %s: %w", name, err)
+		}
+		s1, err := streamSet(name, build(), w1)
+		if err != nil {
+			return fmt.Errorf("experiments: streaming %s: %w", name, err)
+		}
+		// The candidates of a retrieval are all of window 1's sources.
+		next, err := core.NewSignatureSet(name+"-stream", w1.Index(),
+			append(append([]graph.NodeID(nil), s1[0].Sources...), s1[1].Sources...),
+			append(append([]core.Signature(nil), s1[0].Sigs...), s1[1].Sigs...))
+		if err != nil {
+			return err
+		}
+		compared := 0
+		for half, set := range s0 {
+			var distSum, recallSum float64
+			n := 0
+			for i, v := range exact0.Sources {
+				streamed, ok := set.Get(v)
+				if !ok {
+					continue
+				}
+				exact := exact0.Sigs[i]
+				distSum += d.Dist(exact, streamed)
+				if exact.Len() > 0 {
+					hits := 0
+					for _, u := range exact.Nodes {
+						if streamed.Contains(u) {
+							hits++
+						}
 					}
+					recallSum += float64(hits) / float64(exact.Len())
+				} else {
+					recallSum++
 				}
+				n++
 			}
-			sources := core.DefaultSources(w)
-			sigs := make([]core.Signature, len(sources))
-			for i, v := range sources {
-				sig, err := ex.Signature(v, k)
-				if err != nil {
-					return nil, err
-				}
-				sigs[i] = sig
-			}
-			return core.NewSignatureSet(name+"-stream", w.Index(), sources, sigs)
-		}
-		s0, err := streamSet(w0)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: streaming %s: %w", name, err)
-		}
-		s1, err := streamSet(w1)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: streaming %s: %w", name, err)
-		}
-
-		var distSum, recallSum float64
-		n := 0
-		for i, v := range exact0.Sources {
-			streamed, ok := s0.Get(v)
-			if !ok {
+			if n == 0 {
 				continue
 			}
-			exact := exact0.Sigs[i]
-			distSum += d.Dist(exact, streamed)
-			if exact.Len() > 0 {
-				hits := 0
-				for _, u := range exact.Nodes {
-					if streamed.Contains(u) {
-						hits++
-					}
-				}
-				recallSum += float64(hits) / float64(exact.Len())
-			} else {
-				recallSum++
+			compared += n
+			auc, err := eval.SelfRetrievalAUC(d, set, next)
+			if err != nil {
+				return fmt.Errorf("experiments: streaming %s AUC: %w", name, err)
 			}
-			n++
+			rows = append(rows, StreamingRow{
+				Scheme:          name,
+				FMBitmaps:       bitmaps,
+				Dense:           half == 1,
+				Sources:         n,
+				MeanDist:        distSum / float64(n),
+				ExactTopkRecall: recallSum / float64(n),
+				AUC:             auc,
+			})
 		}
-		if n == 0 {
-			return nil, fmt.Errorf("experiments: streaming %s produced no comparable sources", name)
+		if compared == 0 {
+			return fmt.Errorf("experiments: streaming %s produced no comparable sources", name)
 		}
-		auc, err := eval.SelfRetrievalAUC(d, s0, s1)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: streaming %s AUC: %w", name, err)
+		return nil
+	}
+	if err := run("tt", 0, func() extractor { return sketch.NewStreamTT(cfg) }); err != nil {
+		return nil, err
+	}
+	for _, bitmaps := range streamingFMBitmaps {
+		ucfg := cfg
+		ucfg.FMBitmaps = bitmaps
+		if err := run("ut", bitmaps, func() extractor { return sketch.NewStreamUT(ucfg) }); err != nil {
+			return nil, err
 		}
-		rows = append(rows, StreamingRow{
-			Scheme:          name,
-			MeanDist:        distSum / float64(n),
-			ExactTopkRecall: recallSum / float64(n),
-			AUC:             auc,
-		})
 	}
 	return rows, nil
 }
@@ -382,10 +437,17 @@ func KSweepAblation(e *Env, ks []int) ([]KSweepRow, error) {
 // FormatAblations renders all extension/ablation results.
 func FormatAblations(streaming []StreamingRow, lshRow *LSHRow, decay []DecayRow, direction []DirectionRow, utScaling []UTScalingRow, ks []KSweepRow) string {
 	var b strings.Builder
-	b.WriteString("Extension X1: semi-streaming signatures (sketch vs exact)\n")
-	fmt.Fprintf(&b, "%-6s %10s %10s %8s\n", "scheme", "meanDist", "recall", "AUC")
+	b.WriteString("Extension X1: semi-streaming signatures (streamed vs exact), sparse and dense sources apart\n")
+	fmt.Fprintf(&b, "%-6s %4s %-7s %8s %10s %10s %8s\n", "scheme", "fm", "state", "sources", "meanDist", "recall", "AUC")
 	for _, r := range streaming {
-		fmt.Fprintf(&b, "%-6s %10.4f %10.4f %8.4f\n", r.Scheme, r.MeanDist, r.ExactTopkRecall, r.AUC)
+		fm, state := "-", "sparse"
+		if r.FMBitmaps > 0 {
+			fm = fmt.Sprint(r.FMBitmaps)
+		}
+		if r.Dense {
+			state = "dense"
+		}
+		fmt.Fprintf(&b, "%-6s %4s %-7s %8d %10.4f %10.4f %8.4f\n", r.Scheme, fm, state, r.Sources, r.MeanDist, r.ExactTopkRecall, r.AUC)
 	}
 	if lshRow != nil {
 		b.WriteString("\nExtension X2: LSH nearest-neighbour (Jaccard)\n")

@@ -232,13 +232,22 @@ func TestAblations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(streaming) != 2 {
-		t.Fatalf("streaming rows = %d", len(streaming))
+	// TT, then UT at each in-degree sketch size, each over the sources
+	// that stayed sparse and those that went dense.
+	if len(streaming) != 2*(1+len(streamingFMBitmaps)) {
+		t.Fatalf("streaming rows = %d: %+v", len(streaming), streaming)
 	}
-	for _, r := range streaming {
+	for i, r := range streaming {
 		inUnit(t, "meanDist", r.MeanDist)
 		inUnit(t, "recall", r.ExactTopkRecall)
 		inUnit(t, "AUC", r.AUC)
+		if r.Dense != (i%2 == 1) || r.Sources == 0 {
+			t.Fatalf("row %d: %+v", i, r)
+		}
+		// A sparse source's TT signature is the exact one.
+		if r.Scheme == "tt" && !r.Dense && (r.MeanDist != 0 || r.ExactTopkRecall != 1) {
+			t.Fatalf("sparse TT differs from exact TT: %+v", r)
+		}
 	}
 	lshRow, err := LSHAblation(e, 16, 2)
 	if err != nil {

@@ -275,22 +275,31 @@ func encode(sets []*core.SignatureSet, u *graph.Universe) (*Segment, []byte, err
 		labels:   make(map[string][]int),
 	}
 
-	var buf bytes.Buffer
-	fmt.Fprintln(&buf, header)
-	var block []byte
+	// One allocation for the file: what the blocks' fixed-width
+	// sections take, 24 bytes a label they may name, and the TOC's lines.
+	size := len(header) + 64
+	for _, set := range sets {
+		members := 0
+		for _, sig := range set.Sigs {
+			members += len(sig.Nodes)
+		}
+		size += 128 + 2*len(set.Scheme) + 12*members + 24*min(u.Size(), len(set.Sources)+members) + 48*len(set.Sources)
+	}
+	out := append(make([]byte, 0, size), header+"\n"...)
 	local := make([]uint32, u.Size())
 	for i, set := range sets {
+		off := len(out)
 		var labels *labelTable
 		var err error
-		if block, labels, err = appendBlock(block[:0], set, u, local); err != nil {
+		if out, labels, err = appendBlock(out, set, u, local); err != nil {
 			return nil, nil, fmt.Errorf("segment: window %d: %w", set.Window, err)
 		}
 		seg.toc = append(seg.toc, windowInfo{
 			window: set.Window,
 			scheme: set.Scheme,
-			off:    int64(buf.Len()),
-			size:   int64(len(block)),
-			crc:    crc32.ChecksumIEEE(block),
+			off:    int64(off),
+			size:   int64(len(out) - off),
+			crc:    crc32.ChecksumIEEE(out[off:]),
 		})
 		seg.blocks = append(seg.blocks, labels)
 		seg.byWindow[set.Window] = i
@@ -298,12 +307,15 @@ func encode(sets []*core.SignatureSet, u *graph.Universe) (*Segment, []byte, err
 			label := u.Label(v)
 			seg.labels[label] = append(seg.labels[label], set.Window)
 		}
-		buf.Write(block)
 	}
-	tocOff := int64(buf.Len())
-	fmt.Fprintf(&buf, "toc %d\n", len(seg.toc))
+	tocOff := len(out)
+	out = append(strconv.AppendInt(append(out, "toc "...), int64(len(seg.toc)), 10), '\n')
 	for _, w := range seg.toc {
-		fmt.Fprintf(&buf, "window %d %q %d %d %08x\n", w.window, w.scheme, w.off, w.size, w.crc)
+		out = strconv.AppendInt(append(out, "window "...), int64(w.window), 10)
+		out = strconv.AppendQuote(append(out, ' '), w.scheme)
+		out = strconv.AppendInt(append(out, ' '), w.off, 10)
+		out = strconv.AppendInt(append(out, ' '), w.size, 10)
+		out = append(appendHex8(append(out, ' '), w.crc), '\n')
 	}
 	labels := make([]string, 0, len(seg.labels))
 	for label := range seg.labels {
@@ -311,15 +323,27 @@ func encode(sets []*core.SignatureSet, u *graph.Universe) (*Segment, []byte, err
 	}
 	sort.Strings(labels)
 	for _, label := range labels {
-		fmt.Fprintf(&buf, "label %q", label)
+		out = strconv.AppendQuote(append(out, "label "...), label)
 		for _, w := range seg.labels[label] {
-			fmt.Fprintf(&buf, " %d", w)
+			out = strconv.AppendInt(append(out, ' '), int64(w), 10)
 		}
-		fmt.Fprintln(&buf)
+		out = append(out, '\n')
 	}
-	fmt.Fprintf(&buf, footFormat+"\n", tocOff, crc32.ChecksumIEEE(buf.Bytes()))
-	seg.size = int64(buf.Len())
-	return seg, buf.Bytes(), nil
+	// footFormat, spelt out.
+	crc := crc32.ChecksumIEEE(out)
+	out = strconv.AppendInt(append(out, "end "...), int64(tocOff), 10)
+	out = append(appendHex8(append(out, ' '), crc), '\n')
+	seg.size = int64(len(out))
+	return seg, out, nil
+}
+
+// appendHex8 appends v as fmt's %08x does.
+func appendHex8(dst []byte, v uint32) []byte {
+	const digits = "0123456789abcdef"
+	for shift := 28; shift >= 0; shift -= 4 {
+		dst = append(dst, digits[v>>shift&0xf])
+	}
+	return dst
 }
 
 // CommitFile makes data the durable content of path: staged at

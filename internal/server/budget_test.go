@@ -15,8 +15,11 @@ import (
 // open window grows its sources' observation logs and nothing else
 // (under one allocation and 128 bytes a record — the records are logged
 // from where they lie), and closing that window of 200 sources costs the
-// signatures, the view and the snapshot of those sources (under 16
-// allocations and 3 KB a source), not a copy of the ring.
+// signatures, the view and the snapshot of those sources (under 6
+// allocations and 1.5 KB a source; 3.9 and 1 020 bytes measured, 12.9
+// and 2 560 before a sparse source's signature was read from its log
+// and the checkpoint stopped re-listing the universe), not a copy of
+// the ring or of the label table.
 func TestIngestAndCloseBudget(t *testing.T) {
 	budget.SkipUnderRace(t)
 	const hosts, perHost = 200, 10
@@ -50,9 +53,9 @@ func TestIngestAndCloseBudget(t *testing.T) {
 			t.Errorf("window %d: a batch of %.0f records allocates %.0f times, %.0f bytes; budget %.0f and %.0f",
 				w, n, batchAllocs, batchBytes, n, 128*n)
 		}
-		if closeAllocs > 16*hosts || closeBytes > 3<<10*hosts {
+		if closeAllocs > 6*hosts || closeBytes > 1536*hosts {
 			t.Errorf("window %d: closing %d sources allocates %.0f times, %.0f bytes; budget %d and %d",
-				w, hosts, closeAllocs, closeBytes, 16*hosts, 3<<10*hosts)
+				w, hosts, closeAllocs, closeBytes, 6*hosts, 1536*hosts)
 		}
 	}
 }

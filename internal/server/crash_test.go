@@ -289,34 +289,37 @@ func TestCorruptSnapshotQuarantinedAtBoot(t *testing.T) {
 	}
 }
 
-// TestOldFormatSnapshotRefusedAtBoot: a graphsig-store v2 directory is
-// healthy data this build no longer reads. Boot must fail with
-// store.ErrOldFormat and leave every file where it was — quarantining
-// it like a corrupt snapshot would silently drop its windows.
+// TestOldFormatSnapshotRefusedAtBoot: a graphsig-store v2 or v3
+// directory is healthy data this build no longer reads. Boot must fail
+// with store.ErrOldFormat and leave every file where it was —
+// quarantining it like a corrupt snapshot would silently drop its
+// windows.
 func TestOldFormatSnapshotRefusedAtBoot(t *testing.T) {
-	base := t.TempDir()
-	dir := filepath.Join(base, "snap")
-	copyTree(t, filepath.Join("..", "store", "testdata", "snapshot-v2"), dir)
-	list := func() string {
-		var names []string
-		for _, root := range []string{base, dir} {
-			entries, err := os.ReadDir(root)
-			if err != nil {
-				t.Fatal(err)
+	for _, fixture := range []string{"snapshot-v2", "snapshot-v3"} {
+		base := t.TempDir()
+		dir := filepath.Join(base, "snap")
+		copyTree(t, filepath.Join("..", "store", "testdata", fixture), dir)
+		list := func() string {
+			var names []string
+			for _, root := range []string{base, dir} {
+				entries, err := os.ReadDir(root)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, e := range entries {
+					names = append(names, e.Name())
+				}
 			}
-			for _, e := range entries {
-				names = append(names, e.Name())
-			}
+			return strings.Join(names, " ")
 		}
-		return strings.Join(names, " ")
-	}
-	before := list()
-	_, err := New(crashConfig(dir))
-	if !errors.Is(err, store.ErrOldFormat) || errors.Is(err, store.ErrCorrupt) {
-		t.Fatalf("New over a v2 snapshot = %v, want store.ErrOldFormat", err)
-	}
-	if after := list(); after != before {
-		t.Fatalf("refused boot changed the disk: %q -> %q", before, after)
+		before := list()
+		_, err := New(crashConfig(dir))
+		if !errors.Is(err, store.ErrOldFormat) || errors.Is(err, store.ErrCorrupt) {
+			t.Fatalf("New over a %s = %v, want store.ErrOldFormat", fixture, err)
+		}
+		if after := list(); after != before {
+			t.Fatalf("refused boot over a %s changed the disk: %q -> %q", fixture, before, after)
+		}
 	}
 }
 

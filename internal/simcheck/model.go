@@ -21,9 +21,13 @@
 //     within float tolerance; LSH scans are verified subsets.
 //   - the server's universe interning order matches the model's, so
 //     signatures are bit-identical in label space.
+//   - every source of a closed window that stayed within the sketch's
+//     candidate bound has the exact TT signature of the records the
+//     window took (model.closeExact).
 package simcheck
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -303,7 +307,8 @@ type faultPlan struct {
 	// records and origin frames are rolled back and stay volatile.
 	walFail bool
 	// snapFail makes snapshot saves fail before the manifest rename
-	// (store.save.window / .window.commit / .manifest): the old on-disk
+	// (store.save.window / .window.commit / .labels / .labels.commit /
+	// .manifest): the old on-disk
 	// snapshot survives, the WAL is kept.
 	snapFail bool
 	// snapCommitted fails the save after the manifest rename
@@ -351,6 +356,9 @@ type model struct {
 	pipe    *stream.Pipeline
 	archive *refArchive
 	pending int
+	// open is what each source of the open window did, held exactly:
+	// the oracle for the sparse ≡ exact invariant (closeExact).
+	open map[string]*exactSource
 
 	// Durability mirror.
 	durable        []netflow.Record // records a recovery would replay
@@ -386,6 +394,80 @@ func (m *model) buildPipeline(labels []labelPart, origin time.Time) error {
 		return fmt.Errorf("simcheck: model pipeline: %w", err)
 	}
 	m.pipe = p
+	m.open = map[string]*exactSource{}
+	return nil
+}
+
+// exactSource is one source's open window as the records say it, not
+// as any sketch does: how many observations it made, their total, and
+// the sum per destination label (integer session counts, so the order
+// of addition cannot matter).
+type exactSource struct {
+	observations int
+	total        float64
+	sums         map[string]float64
+}
+
+// errNotExact marks a violation of the sparse ≡ exact invariant, which
+// is the pipeline's failure and not a rejected record.
+var errNotExact = errors.New("simcheck: closed window is not exact below the candidate bound")
+
+// feed gives the model's pipeline one record, keeps the exact account
+// of the open window beside it, and holds every window the record
+// closes to that account. accepted is how many records the pipeline
+// took (0 for one it dropped).
+func (m *model) feed(r netflow.Record) (emitted []*core.SignatureSet, accepted int, err error) {
+	before := m.pipe.Ingested()
+	emitted, err = m.pipe.Ingest(r)
+	if err != nil {
+		return nil, 0, err
+	}
+	for _, set := range emitted {
+		if err := m.closeExact(set); err != nil {
+			return nil, 0, err
+		}
+	}
+	accepted = m.pipe.Ingested() - before
+	if accepted > 0 && r.Src != r.Dst {
+		src := m.open[r.Src]
+		if src == nil {
+			src = &exactSource{sums: map[string]float64{}}
+			m.open[r.Src] = src
+		}
+		src.observations++
+		src.total += float64(r.Sessions)
+		src.sums[r.Dst] += float64(r.Sessions)
+	}
+	return emitted, accepted, nil
+}
+
+// closeExact checks the invariant a closed window owes every source
+// that stayed within the candidate bound: its signature is the exact TT
+// signature of the records the window took — each destination's share
+// of the source's sessions, the K heaviest, ties on the stable label
+// key — on the bits of every weight. The real server's windows are held
+// to the model's bit for bit elsewhere, so this binds them too. It
+// empties the account: the next window starts clean.
+func (m *model) closeExact(set *core.SignatureSet) error {
+	scfg := m.cfg.streamConfig()
+	for label, src := range m.open {
+		if src.observations > scfg.Sketch.Candidates {
+			continue // a sketch by now, and an estimate
+		}
+		weights := make(map[graph.NodeID]float64, len(src.sums))
+		for dst, sum := range src.sums {
+			id, _ := m.u.Lookup(dst)
+			weights[id] = sum / src.total
+		}
+		want := core.FromWeightsKeyed(weights, scfg.K, m.u.StableKey)
+		id, _ := m.u.Lookup(label)
+		got, ok := set.Get(id)
+		if !ok || !equalRefSig(toRefSig(m.u, got), toRefSig(m.u, want)) {
+			return fmt.Errorf("%w: window %d source %q (%d observations): streamed %v, exact %v",
+				errNotExact, set.Window, label, src.observations, got, want)
+		}
+	}
+	clear(m.open)
 	return nil
 }
 
@@ -414,9 +496,11 @@ func (m *model) ingest(records []netflow.Record, plan faultPlan) (ingestOutcome,
 	var out ingestOutcome
 	m.walPending = m.walPending[:0]
 	for i := range records {
-		before := m.pipe.Ingested()
-		emitted, err := m.pipe.Ingest(records[i])
+		emitted, accepted, err := m.feed(records[i])
 		if err != nil {
+			if errors.Is(err, errNotExact) {
+				return out, err
+			}
 			out.Rejected++
 			continue
 		}
@@ -431,7 +515,7 @@ func (m *model) ingest(records []netflow.Record, plan faultPlan) (ingestOutcome,
 			}
 			m.checkpoint(plan)
 		}
-		if accepted := m.pipe.Ingested() - before; accepted > 0 {
+		if accepted > 0 {
 			out.Accepted += accepted
 			m.pending += accepted
 			m.walPending = append(m.walPending, records[i])
@@ -507,6 +591,9 @@ func (m *model) flushWindow() (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("simcheck: model flush: %w", err)
 	}
+	if err := m.closeExact(set); err != nil {
+		return 0, err
+	}
 	m.pending = 0
 	m.archive.add(toRefWindow(m.u, set))
 	return 1, nil
@@ -571,8 +658,7 @@ func (m *model) reopen(tornBytes int64) (expectedRecovery, error) {
 	var tail []netflow.Record
 	windowsKept := 0
 	for i := range replayed {
-		before := m.pipe.Ingested()
-		emitted, err := m.pipe.Ingest(replayed[i])
+		emitted, accepted, err := m.feed(replayed[i])
 		if err != nil {
 			return exp, fmt.Errorf("simcheck: model replay rejected record %d: %w", i, err)
 		}
@@ -585,7 +671,7 @@ func (m *model) reopen(tornBytes int64) (expectedRecovery, error) {
 				}
 			}
 		}
-		if accepted := m.pipe.Ingested() - before; accepted > 0 {
+		if accepted > 0 {
 			m.pending += accepted
 			tail = append(tail, replayed[i])
 		}

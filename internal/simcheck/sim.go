@@ -93,7 +93,9 @@ func (c Config) streamConfig() stream.Config {
 		TCPOnly:    true, // exercise the dropped-record path
 		K:          c.K,
 		Scheme:     "tt",
-		Sketch:     sketch.StreamConfig{Depth: 2, Width: 64, Candidates: 16, Seed: 9},
+		// 8 cells a row: a sparse source read through them would not
+		// come out exact (model.closeExact).
+		Sketch: sketch.StreamConfig{Depth: 2, Width: 8, Candidates: 16, Seed: 9},
 	}
 	if c.ExplicitOrigin {
 		sc.Origin = simT0
@@ -311,7 +313,8 @@ func (s *sim) pickPlan() faultPlan {
 // name, so unrelated hooks survive) after every faulted op.
 var faultNames = []string{
 	"wal.sync", "wal.reset",
-	"store.save.window", "store.save.window.commit", "store.save.manifest", "store.save.sweep",
+	"store.save.window", "store.save.window.commit", "store.save.labels", "store.save.labels.commit",
+	"store.save.manifest", "store.save.sweep",
 	"segment.write", "segment.commit",
 }
 
@@ -325,10 +328,11 @@ func (s *sim) installPlan(plan faultPlan) func() {
 		fault.Set("wal.sync", hook)
 	case plan.snapFail:
 		// Vary which stage of the save dies. A save with no new window
-		// to write never reaches the window points, so the manifest
+		// or label to write never reaches their points, so the manifest
 		// point is armed behind them: one way or the other the save dies
 		// before its rename.
-		name := []string{"store.save.window", "store.save.window.commit", "store.save.manifest"}[s.rng.Intn(3)]
+		name := []string{"store.save.window", "store.save.window.commit", "store.save.labels", "store.save.labels.commit",
+			"store.save.manifest"}[s.rng.Intn(5)]
 		fault.Set(name, hook)
 		fault.Set("store.save.manifest", hook)
 	case plan.snapCommitted:

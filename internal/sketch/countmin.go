@@ -26,8 +26,8 @@ type CountMin struct {
 
 // NewCountMin builds a sketch with the given depth and width.
 func NewCountMin(depth, width int) (*CountMin, error) {
-	if depth <= 0 || width <= 0 {
-		return nil, fmt.Errorf("sketch: CountMin requires positive depth and width, got %d×%d", depth, width)
+	if err := checkSize(depth, width); err != nil {
+		return nil, err
 	}
 	cm := &CountMin{
 		depth:  depth,
@@ -41,6 +41,13 @@ func NewCountMin(depth, width int) (*CountMin, error) {
 		cm.seeds[i] = s
 	}
 	return cm, nil
+}
+
+func checkSize(depth, width int) error {
+	if depth <= 0 || width <= 0 {
+		return fmt.Errorf("sketch: CountMin requires positive depth and width, got %d×%d", depth, width)
+	}
+	return nil
 }
 
 // NewCountMinForError sizes the sketch from accuracy targets:
@@ -74,24 +81,6 @@ func (cm *CountMin) Estimate(key uint64) float64 {
 		}
 	}
 	return est
-}
-
-// blank returns a fresh all-zero sketch of cm's shape and hash family
-// (the row seeds are never written after NewCountMin, so they are
-// shared).
-func (cm *CountMin) blank() *CountMin {
-	return &CountMin{depth: cm.depth, width: cm.width, counts: make([]float64, len(cm.counts)), seeds: cm.seeds}
-}
-
-// clear undoes every Add of key on a sketch that holds nothing else
-// worth keeping: it zeroes key's cells and the total. Clearing each
-// key added returns the sketch to all zeros at the cost of the keys
-// touched, not of the matrix.
-func (cm *CountMin) clear(key uint64) {
-	for d := 0; d < cm.depth; d++ {
-		cm.counts[d*cm.width+cm.cell(d, key)] = 0
-	}
-	cm.total = 0
 }
 
 // Total reports the total count added.

@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -112,15 +113,166 @@ func sameSignatureBits(a, b core.Signature) bool {
 	return true
 }
 
-// TestStreamMatchesEagerReference pins the sparse-until-dense state to
-// the eager reference on the bits of every weight: random streams with
-// fractional weights, sketches narrow enough that rows collide, bounds
-// small enough that eviction runs, per-source observation counts that
-// straddle the bound by one on either side, signatures read mid-stream
-// (a sparse read must leave nothing behind in the shared scratch
-// sketch) and at the end, TT and UT. It also checks the property the
+// exactRef is the other reference: what a source did, held exactly.
+// Per source it keeps the running total and, per destination in order
+// of first appearance, the sum of that destination's observations taken
+// in arrival order; a signature is core.FromWeightsKeyed over those
+// sums divided by the total (TT) or by the FM in-degree estimate (UT —
+// the denominators stay sketched).
+type exactRef struct {
+	cfg   StreamConfig
+	total map[graph.NodeID]float64
+	sums  map[graph.NodeID]map[graph.NodeID]float64
+	indeg map[graph.NodeID]*FM
+}
+
+func newExactRef(cfg StreamConfig) *exactRef {
+	cfg.fill()
+	return &exactRef{cfg: cfg, total: map[graph.NodeID]float64{}, sums: map[graph.NodeID]map[graph.NodeID]float64{}, indeg: map[graph.NodeID]*FM{}}
+}
+
+func (r *exactRef) observe(t *testing.T, src, dst graph.NodeID, weight float64) {
+	t.Helper()
+	if src == dst {
+		return
+	}
+	if r.sums[src] == nil {
+		r.sums[src] = map[graph.NodeID]float64{}
+	}
+	r.sums[src][dst] += weight
+	r.total[src] += weight
+	fm := r.indeg[dst]
+	if fm == nil {
+		var err error
+		if fm, err = NewFM(r.cfg.FMBitmaps, splitmix64(r.cfg.Seed^0xF00D)); err != nil {
+			t.Fatal(err)
+		}
+		r.indeg[dst] = fm
+	}
+	fm.Add(r.cfg.Key(src))
+}
+
+func (r *exactRef) signature(v graph.NodeID, k int, ut bool) core.Signature {
+	weights := make(map[graph.NodeID]float64, len(r.sums[v]))
+	for u, sum := range r.sums[v] {
+		if !ut {
+			weights[u] = sum / r.total[v]
+			continue
+		}
+		weights[u] = sum / max(1, r.indeg[u].Estimate())
+	}
+	return core.FromWeightsKeyed(weights, k, r.cfg.Key)
+}
+
+// streamCase is one random stream of the two property tests below.
+type streamCase struct {
+	cfg    StreamConfig
+	ut     bool
+	counts []int // source i makes counts[i] observations in all
+	order  []int // the source of each observation, shuffled
+	rng    *rand.Rand
+}
+
+func (c *streamCase) extractor() streamExtractor {
+	if c.ut {
+		return NewStreamUT(c.cfg)
+	}
+	return NewStreamTT(c.cfg)
+}
+
+// streamCases draws, per config, scheme and seed, a stream whose first
+// sources make 1, bound−1, bound, bound+1 and bound+2 observations and
+// whose other sources make a drawn number up to maxCount(bound).
+func streamCases(configs []StreamConfig, maxCount func(bound int) int, each func(name string, c *streamCase, bound int)) {
+	for ci, cfg := range configs {
+		for _, ut := range []bool{false, true} {
+			for seed := int64(1); seed <= 8; seed++ {
+				rng := rand.New(rand.NewSource(seed*100 + int64(ci)))
+				filled := cfg
+				filled.fill()
+				bound := filled.Candidates
+				counts := []int{1, max(1, bound-1), bound, bound + 1, bound + 2}
+				for len(counts) < 12 {
+					counts = append(counts, 1+rng.Intn(maxCount(bound)))
+				}
+				var order []int
+				for src, n := range counts {
+					for i := 0; i < n; i++ {
+						order = append(order, src)
+					}
+				}
+				rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+				each(fmt.Sprintf("config %d ut=%v seed %d", ci, ut, seed),
+					&streamCase{cfg: cfg, ut: ut, counts: counts, order: order, rng: rng}, bound)
+			}
+		}
+	}
+}
+
+// streamOracle is either reference.
+type streamOracle interface {
+	observe(t *testing.T, src, dst graph.NodeID, weight float64)
+	signature(v graph.NodeID, k int, ut bool) core.Signature
+}
+
+// holdTo drives c's stream (destinations and weights from draw) through
+// a fresh extractor and through ref, and holds the extractor to ref on
+// the bits of every signature of every source on ref's side of the
+// bound — past it (dense) or within it — at k below, at and above what
+// a source can hold: every 17 observations, whenever a source's count
+// is within one of the bound, and at the end.
+func (c *streamCase) holdTo(t *testing.T, name string, bound int, ref streamOracle, dense bool, draw func() (graph.NodeID, float64)) streamExtractor {
+	t.Helper()
+	got := c.extractor()
+	seen := make([]int, len(c.counts))
+	compared := 0
+	compare := func(when string) {
+		for src := range c.counts {
+			if (seen[src] > bound) != dense {
+				continue
+			}
+			for _, k := range []int{1, 3, bound + 2} {
+				sig, err := got.Signature(graph.NodeID(src), k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := ref.signature(graph.NodeID(src), k, c.ut); !sameSignatureBits(sig, want) {
+					t.Fatalf("%s %s: source %d k=%d after %d observations (dense: %v): got %+v, reference %+v",
+						name, when, src, k, seen[src], dense, sig, want)
+				}
+				compared++
+			}
+		}
+	}
+	for i, src := range c.order {
+		dst, weight := draw()
+		if err := got.Observe(graph.NodeID(src), dst, weight); err != nil {
+			t.Fatal(err)
+		}
+		ref.observe(t, graph.NodeID(src), dst, weight)
+		seen[src]++
+		if i%17 == 0 || (seen[src] >= bound-1 && seen[src] <= bound+1) {
+			compare("mid-stream")
+		}
+	}
+	compare("at the end")
+	if compared == 0 {
+		t.Fatalf("%s: no signature compared", name)
+	}
+	return got
+}
+
+// TestStreamMatchesEagerReference pins the dense half of the
+// sparse-until-dense state to the eager reference on the bits of every
+// weight: from the observation that carries a source past the candidate
+// bound — the one that replays its log into a sketch — its signature is
+// the one a sketch kept from the first observation gives. Random
+// streams with fractional weights, sketches narrow enough that rows
+// collide, bounds small enough that eviction runs, signatures read
+// mid-stream and at the end, TT and UT. It also checks the property the
 // state exists for: a source materialises a sketch exactly when it has
-// seen more observations than the candidate bound.
+// seen more observations than the candidate bound. (What a source reads
+// as before that is TestStreamSparseMatchesExact's.)
 func TestStreamMatchesEagerReference(t *testing.T) {
 	hashed := func(id graph.NodeID) uint64 { return splitmix64(uint64(id)) % 7 } // colliding keys: tie-breaks fall through to the ID
 	configs := []StreamConfig{
@@ -130,74 +282,57 @@ func TestStreamMatchesEagerReference(t *testing.T) {
 		{Width: 16, Depth: 2, Candidates: 1, Seed: 7},
 		{Seed: 11}, // the defaults: 256×4, 64 candidates
 	}
-	for ci, cfg := range configs {
-		for _, ut := range []bool{false, true} {
-			for seed := int64(1); seed <= 8; seed++ {
-				rng := rand.New(rand.NewSource(seed*100 + int64(ci)))
-				filled := cfg
-				filled.fill()
-				bound := filled.Candidates
-
-				// Source i is handed counts[i] observations in all;
-				// the first five straddle the bound, the rest are drawn.
-				counts := []int{1, max(1, bound-1), bound, bound + 1, bound + 2}
-				for len(counts) < 12 {
-					counts = append(counts, 1+rng.Intn(6*bound))
-				}
-				var order []int
-				for src, n := range counts {
-					for i := 0; i < n; i++ {
-						order = append(order, src)
-					}
-				}
-				rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-
-				var got streamExtractor = NewStreamTT(cfg)
-				if ut {
-					got = NewStreamUT(cfg)
-				}
-				ref := newEagerRef(cfg)
-				compare := func(when string) {
-					for src := range counts {
-						for _, k := range []int{1, 3, bound + 2} {
-							sig, err := got.Signature(graph.NodeID(src), k)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if want := ref.signature(graph.NodeID(src), k, ut); !sameSignatureBits(sig, want) {
-								t.Fatalf("config %d ut=%v seed %d %s: source %d k=%d: got %+v, reference %+v",
-									ci, ut, seed, when, src, k, sig, want)
-							}
-						}
-					}
-				}
-				nDst := 3 * bound
-				for i, src := range order {
-					dst := graph.NodeID(len(counts) + rng.Intn(nDst))
-					weight := float64(1+rng.Intn(5)) + rng.Float64()
-					if err := got.Observe(graph.NodeID(src), dst, weight); err != nil {
-						t.Fatal(err)
-					}
-					ref.observe(t, graph.NodeID(src), dst, weight)
-					if i%17 == 0 {
-						compare("mid-stream")
-					}
-				}
-				compare("at the end")
-
-				wantDense := 0
-				for _, n := range counts {
-					if n > bound {
-						wantDense++
-					}
-				}
-				if got.DenseSources() != wantDense || len(got.Sources()) != len(counts) {
-					t.Fatalf("config %d ut=%v seed %d: %d of %d sources dense, want %d of %d (bound %d, counts %v)",
-						ci, ut, seed, got.DenseSources(), len(got.Sources()), wantDense, len(counts), bound, counts)
-				}
+	streamCases(configs, func(bound int) int { return 6 * bound }, func(name string, c *streamCase, bound int) {
+		nDst := 3 * bound
+		got := c.holdTo(t, name, bound, newEagerRef(c.cfg), true, func() (graph.NodeID, float64) {
+			return graph.NodeID(len(c.counts) + c.rng.Intn(nDst)), float64(1+c.rng.Intn(5)) + c.rng.Float64()
+		})
+		wantDense := 0
+		for _, n := range c.counts {
+			if n > bound {
+				wantDense++
 			}
 		}
+		if got.DenseSources() != wantDense || len(got.Sources()) != len(c.counts) {
+			t.Fatalf("%s: %d of %d sources dense, want %d of %d (bound %d, counts %v)",
+				name, got.DenseSources(), len(got.Sources()), wantDense, len(c.counts), bound, c.counts)
+		}
+	})
+}
+
+// TestStreamSparseMatchesExact pins the sparse half: while a source has
+// made no more observations than the candidate bound, its signature is
+// the exact one — core.FromWeightsKeyed over per-destination sums taken
+// in arrival order, over the exact total (TT) or the FM in-degree (UT)
+// — on the bits of every weight, however narrow the sketch it would
+// grow into. Integer and fractional weights, destinations few enough to
+// repeat, logs of exactly bound−1 and bound entries (bound+1 is dense,
+// and the eager reference's), signatures read mid-stream and at the
+// end.
+func TestStreamSparseMatchesExact(t *testing.T) {
+	hashed := func(id graph.NodeID) uint64 { return splitmix64(uint64(id)) % 7 }
+	configs := []StreamConfig{
+		{Width: 8, Depth: 2, Candidates: 4, Seed: 3},
+		{Width: 1, Depth: 1, Candidates: 12, Seed: 3}, // one cell: every estimate would be the total
+		{Width: 64, Depth: 3, Candidates: 9, Seed: 5, Key: hashed},
+		{Width: 16, Depth: 2, Candidates: 1, Seed: 7},
+		{Width: 4096, Depth: 5, Candidates: 256, Seed: 1}, // sigserverd's
+		{Seed: 11},
 	}
+	streamCases(configs, func(bound int) int { return bound }, func(name string, c *streamCase, bound int) {
+		nDst := max(2, bound/2) // repeats guaranteed as a log fills
+		integer := c.rng.Intn(2) == 0
+		got := c.holdTo(t, name, bound, newExactRef(c.cfg), false, func() (graph.NodeID, float64) {
+			weight := float64(1 + c.rng.Intn(5))
+			if !integer {
+				weight += c.rng.Float64()
+			}
+			return graph.NodeID(len(c.counts) + c.rng.Intn(nDst)), weight
+		})
+		if got.DenseSources() != 2 { // the bound+1 and bound+2 sources
+			t.Fatalf("%s: %d sources dense, want 2", name, got.DenseSources())
+		}
+	})
 }
 
 // TestStreamRejectsUnusableSketchSizeAtOnce: a negative sketch

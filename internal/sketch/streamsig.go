@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"fmt"
+	"math"
 
 	"graphsig/internal/core"
 	"graphsig/internal/graph"
@@ -98,46 +99,44 @@ func (st *sourceState) observe(dst graph.NodeID, dstKey uint64, weight float64, 
 	}
 }
 
-// StreamTT computes approximate Top Talkers signatures from a single
-// pass over an edge stream (§VI "Scalable signature computation"): per
-// source it keeps a CM sketch of outgoing weights plus a bounded heavy
-// candidate set, from which the top-k normalized weights form the
-// signature. A source that has made no more than cfg.Candidates
-// observations is held as the list of them instead (see sourceState);
-// its signature is the one the sketch would have given, bit for bit.
+// StreamTT computes Top Talkers signatures from a single pass over an
+// edge stream (§VI "Scalable signature computation"): per source it
+// keeps a CM sketch of outgoing weights plus a bounded heavy candidate
+// set, from which the top-k normalized weights form the signature. A
+// source that has made no more than cfg.Candidates observations is
+// held as the list of them instead (see sourceState), and its
+// signature is not an approximation: it is the exact TT signature of
+// what the source did, read from that list.
 type StreamTT struct {
 	cfg     StreamConfig
 	sources map[graph.NodeID]*sourceState
-	dense   int // sources that have materialised a sketch
-	// scratch stands in for a sparse source's sketch while its
-	// signature is read: the log is replayed into it and the cells it
-	// touched are cleared again, so it is all zeros between calls.
-	scratch *CountMin
+	dense   int   // sources that have materialised a sketch
+	badSize error // an unusable sketch size, reported by every Observe
+	// Signature's working memory, reused from call to call: one entry
+	// per candidate, and the table that finds a logged destination's.
+	entries []core.KeyedEntry
+	slots   []int32
 }
 
 // NewStreamTT builds an extractor.
 func NewStreamTT(cfg StreamConfig) *StreamTT {
 	cfg.fill()
-	return &StreamTT{cfg: cfg, sources: map[graph.NodeID]*sourceState{}}
+	return &StreamTT{cfg: cfg, sources: map[graph.NodeID]*sourceState{}, badSize: checkSize(cfg.Depth, cfg.Width)}
 }
 
 // Observe ingests one communication src → dst of the given weight.
 // Self-communications are ignored, mirroring the graph builder.
 func (s *StreamTT) Observe(src, dst graph.NodeID, weight float64) error {
-	if weight <= 0 {
-		return fmt.Errorf("sketch: stream observation weight must be positive, got %g", weight)
+	if !(weight > 0) || math.IsInf(weight, 1) { // NaN fails the first test
+		return fmt.Errorf("sketch: stream observation weight must be positive and finite, got %g", weight)
 	}
 	if src == dst {
 		return nil
 	}
-	if s.scratch == nil {
-		// Also where an unusable sketch size is reported: on the first
-		// observation, not on the first source to outgrow its log.
-		cm, err := NewCountMin(s.cfg.Depth, s.cfg.Width)
-		if err != nil {
-			return err
-		}
-		s.scratch = cm
+	if s.badSize != nil {
+		// On the first observation, not on the first source to outgrow
+		// its log.
+		return s.badSize
 	}
 	st, ok := s.sources[src]
 	if !ok {
@@ -161,7 +160,8 @@ func (s *StreamTT) Observe(src, dst graph.NodeID, weight float64) error {
 // observe, in arrival order.
 func (s *StreamTT) materialise(st *sourceState) {
 	log := st.log
-	*st = sourceState{cm: s.scratch.blank(), cand: make(map[graph.NodeID]float64, s.cfg.Candidates+1)}
+	cm, _ := NewCountMin(s.cfg.Depth, s.cfg.Width) // the size was checked at construction
+	*st = sourceState{cm: cm, cand: make(map[graph.NodeID]float64, s.cfg.Candidates+1)}
 	for _, o := range log {
 		st.observe(o.dst, o.key, o.weight, s.cfg.Candidates, s.cfg.Key)
 	}
@@ -181,34 +181,62 @@ func (s *StreamTT) Sources() []graph.NodeID {
 // and hold a sketch; the rest cost only what they observed.
 func (s *StreamTT) DenseSources() int { return s.dense }
 
-// estimates returns the CM estimate of every candidate st tracks. A
-// sparse source's candidates are the destinations in its log, and its
-// sketch is the extractor's scratch one for the length of the call.
-func (s *StreamTT) estimates(st *sourceState) map[graph.NodeID]float64 {
-	if st.cm != nil {
-		est := make(map[graph.NodeID]float64, len(st.cand))
-		for u := range st.cand {
-			est[u] = st.cm.Estimate(s.cfg.Key(u))
-		}
-		return est
-	}
-	est := make(map[graph.NodeID]float64, len(st.log))
-	for _, o := range st.log {
-		s.scratch.Add(o.key, o.weight)
-	}
-	for _, o := range st.log {
-		if _, seen := est[o.dst]; !seen {
-			est[o.dst] = s.scratch.Estimate(o.key)
-		}
-	}
-	for _, o := range st.log {
-		s.scratch.clear(o.key)
-	}
-	return est
+// Dense reports whether v is one of them.
+func (s *StreamTT) Dense(v graph.NodeID) bool {
+	st := s.sources[v]
+	return st != nil && st.cm != nil
 }
 
-// Signature extracts the approximate TT signature of v: candidates
-// weighted by CM-estimated count over the exact running total.
+// counts returns one entry per candidate of st, weighted by the
+// weight st sent it — as far as st knows it. A dense source knows its
+// tracked candidates' CM estimates. A sparse source knows everything:
+// its candidates are the destinations in its log, in order of first
+// appearance, each with the sum of its observations taken in arrival
+// order (the additions one sketch cell would have received, without
+// the other destinations hashed into it). The entries are the
+// extractor's and last until the next call.
+func (s *StreamTT) counts(st *sourceState) []core.KeyedEntry {
+	out := s.entries[:0]
+	if st.cm != nil {
+		for u := range st.cand {
+			key := s.cfg.Key(u)
+			out = append(out, core.KeyedEntry{Node: u, Key: key, Weight: st.cm.Estimate(key)})
+		}
+		s.entries = out
+		return out
+	}
+	// slots is an open-addressed table from destination to 1 + its
+	// index in out, sized so at least half of it stays empty. (A Go map
+	// cleared per call does the same a third slower: 1.3 ms more per
+	// close of 1 200 sources, BenchmarkPipelineWindow/sparse.)
+	size := 4
+	for size < 2*len(st.log) {
+		size <<= 1
+	}
+	if cap(s.slots) < size {
+		s.slots = make([]int32, size)
+	}
+	slots := s.slots[:size]
+	clear(slots)
+	for _, o := range st.log {
+		i := splitmix64(uint64(o.dst)) & uint64(size-1)
+		for slots[i] != 0 && out[slots[i]-1].Node != o.dst {
+			i = (i + 1) & uint64(size-1)
+		}
+		if slots[i] == 0 {
+			out = append(out, core.KeyedEntry{Node: o.dst, Key: o.key, Weight: o.weight})
+			slots[i] = int32(len(out))
+		} else {
+			out[slots[i]-1].Weight += o.weight
+		}
+	}
+	s.entries = out // keep what append grew
+	return out
+}
+
+// Signature extracts the TT signature of v: each candidate's count —
+// exact for a sparse source, CM-estimated for a dense one — over the
+// exact running total.
 func (s *StreamTT) Signature(v graph.NodeID, k int) (core.Signature, error) {
 	if k <= 0 {
 		return core.Signature{}, fmt.Errorf("sketch: k must be positive, got %d", k)
@@ -217,11 +245,11 @@ func (s *StreamTT) Signature(v graph.NodeID, k int) (core.Signature, error) {
 	if !ok || st.total == 0 {
 		return core.Signature{}, nil
 	}
-	weights := s.estimates(st)
-	for u, est := range weights {
-		weights[u] = est / st.total
+	cand := s.counts(st)
+	for i := range cand {
+		cand[i].Weight /= st.total
 	}
-	return core.FromWeightsKeyed(weights, k, s.cfg.Key), nil
+	return core.TopKKeyed(cand, k), nil
 }
 
 // StreamUT computes approximate Unexpected Talkers signatures from one
@@ -273,6 +301,9 @@ func (s *StreamUT) Sources() []graph.NodeID { return s.tt.Sources() }
 // DenseSources reports how many of the sources hold a sketch.
 func (s *StreamUT) DenseSources() int { return s.tt.DenseSources() }
 
+// Dense reports whether v is one of them.
+func (s *StreamUT) Dense(v graph.NodeID) bool { return s.tt.Dense(v) }
+
 // EstimateInDegree reports the FM estimate of |I(j)|, at least 1 for
 // any destination that has been observed.
 func (s *StreamUT) EstimateInDegree(j graph.NodeID) float64 {
@@ -296,14 +327,11 @@ func (s *StreamUT) Signature(v graph.NodeID, k int) (core.Signature, error) {
 	if !ok || st.total == 0 {
 		return core.Signature{}, nil
 	}
-	weights := s.tt.estimates(st)
-	for u, est := range weights {
-		indeg := s.EstimateInDegree(u)
-		if indeg <= 0 {
-			delete(weights, u)
-			continue
-		}
-		weights[u] = est / indeg
+	cand := s.tt.counts(st)
+	for i := range cand {
+		// At least 1 for a destination Observe got as far as counting;
+		// one it did not divides to +Inf and is dropped.
+		cand[i].Weight /= s.EstimateInDegree(cand[i].Node)
 	}
-	return core.FromWeightsKeyed(weights, k, s.cfg.Key), nil
+	return core.TopKKeyed(cand, k), nil
 }

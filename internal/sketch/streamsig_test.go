@@ -166,3 +166,43 @@ func TestStreamUTValidation(t *testing.T) {
 		t.Fatal("unseen source should have empty signature")
 	}
 }
+
+// TestStreamRejectsNonFiniteWeight: NaN and +Inf pass a `weight <= 0`
+// test, and one of them in a source's running total turned every
+// normalised weight of the window into NaN or 0 — an empty signature
+// and no error. Both extractors refuse them, and a refused observation
+// leaves the source (and, for UT, the destination's in-degree) as it
+// was.
+func TestStreamRejectsNonFiniteWeight(t *testing.T) {
+	for _, ut := range []bool{false, true} {
+		var st streamExtractor = NewStreamTT(StreamConfig{Seed: 1})
+		if ut {
+			st = NewStreamUT(StreamConfig{Seed: 1})
+		}
+		if err := st.Observe(1, 2, 3); err != nil {
+			t.Fatal(err)
+		}
+		before, err := st.Signature(1, 5)
+		if err != nil || before.Len() != 1 {
+			t.Fatalf("ut=%v: signature %v, err %v", ut, before, err)
+		}
+		for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			if err := st.Observe(1, 3, w); err == nil {
+				t.Fatalf("ut=%v: weight %g accepted", ut, w)
+			}
+			if err := st.Observe(9, 3, w); err == nil {
+				t.Fatalf("ut=%v: weight %g accepted from a new source", ut, w)
+			}
+		}
+		after, err := st.Signature(1, 5)
+		if err != nil || !sameSignatureBits(before, after) {
+			t.Fatalf("ut=%v: signature %v after rejected observations, was %v (err %v)", ut, after, before, err)
+		}
+		if len(st.Sources()) != 1 {
+			t.Fatalf("ut=%v: a rejected observation created a source: %v", ut, st.Sources())
+		}
+		if u, ok := st.(*StreamUT); ok && u.EstimateInDegree(3) != 0 {
+			t.Fatalf("a rejected observation counted towards in-degree: %g", u.EstimateInDegree(3))
+		}
+	}
+}

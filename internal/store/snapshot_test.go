@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -17,10 +18,15 @@ import (
 
 // lineageStore builds a three-window store whose signature weights
 // depend on salt, so two salts are two lineages with the same window
-// indices and different window files.
-func lineageStore(t testing.TB, salt float64, reg *obs.Registry) *Store {
+// indices and different window files. Its universe interns first the
+// labels in held, then the windows' — so two lineages with different
+// held number the labels they share differently.
+func lineageStore(t testing.TB, salt float64, reg *obs.Registry, held ...string) *Store {
 	t.Helper()
 	u := graph.NewUniverse()
+	for _, label := range held {
+		u.MustIntern(label, graph.PartNone)
+	}
 	s, err := New(Config{Capacity: 8, Universe: u, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
@@ -91,11 +97,14 @@ func assertExactFiles(t *testing.T, dir string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	windows, err := loadManifest(raw, graph.NewUniverse())
+	labels, windows, err := loadManifest(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []string{manifestName}
+	for _, l := range labels {
+		want = append(want, l.name())
+	}
 	for _, w := range windows {
 		want = append(want, w.name())
 	}
@@ -115,12 +124,29 @@ func windowPath(t *testing.T, dir string, w int) string {
 	return m[0]
 }
 
+// labelPaths returns the paths of a snapshot dir's label files, in
+// NodeID order.
+func labelPaths(t *testing.T, dir string) []string {
+	t.Helper()
+	m, err := filepath.Glob(filepath.Join(dir, "labels-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func TestSnapshotCorruptAnyByteIsDetected(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "snap")
-	savedSnapshot(t, dir)
+	s := savedSnapshot(t, dir)
+	// A fourth window brings one new label: too few to absorb the first
+	// label file, so the snapshot has two.
+	addWindow(t, s, 3, 0)
+	if err := s.Save(dir); err != nil {
+		t.Fatal(err)
+	}
 	names := dirNames(t, dir)
-	if len(names) != 4 { // MANIFEST + 3 windows
-		t.Fatalf("snapshot holds %v, want 4 files", names)
+	if len(names) != 7 || len(labelPaths(t, dir)) != 2 { // MANIFEST + 2 label files + 4 windows
+		t.Fatalf("snapshot holds %v, want 7 files, 2 of them label files", names)
 	}
 	for _, name := range names {
 		path := filepath.Join(dir, name)
@@ -189,9 +215,61 @@ func TestSnapshotMissingSetFile(t *testing.T) {
 	}
 }
 
-// rewriteManifest replaces dir's manifest with one over the same labels
-// and edit's window list, correctly checksummed — what bit rot cannot
-// produce but a foreign or buggy writer could.
+func TestSnapshotMissingLabelFile(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "snap")
+	savedSnapshot(t, dir)
+	if err := os.Remove(labelPaths(t, dir)[0]); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Load(dir, Config{Capacity: 8})
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "no such file") {
+		t.Fatalf("manifest referencing absent label file: %v", err)
+	}
+}
+
+// TestSnapshotLabelFilesOutOfPlace: healthy label files under a
+// correctly checksummed manifest that lists them in another order, or
+// leaves the first out — what bit rot cannot produce but a foreign or
+// buggy writer could. NodeIDs would come out permuted or shifted;
+// either is refused.
+func TestSnapshotLabelFilesOutOfPlace(t *testing.T) {
+	for name, edit := range map[string]func([]labelFile) []labelFile{
+		"swapped":       func(l []labelFile) []labelFile { return []labelFile{l[1], l[0]} },
+		"first missing": func(l []labelFile) []labelFile { return l[1:] },
+		"renumbered":    func(l []labelFile) []labelFile { return []labelFile{{first: 1, crc: l[0].crc}, l[1]} },
+	} {
+		dir := filepath.Join(t.TempDir(), "snap")
+		s := savedSnapshot(t, dir)
+		addWindow(t, s, 3, 0)
+		if err := s.Save(dir); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, manifestName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		labels, windows, err := loadManifest(raw)
+		if err != nil || len(labels) != 2 {
+			t.Fatalf("%d label files, err %v", len(labels), err)
+		}
+		forged := edit(labels)
+		if forged[0].first == 1 {
+			if err := os.Rename(filepath.Join(dir, labels[0].name()), filepath.Join(dir, forged[0].name())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.WriteFile(filepath.Join(dir, manifestName), renderManifest(forged, windows), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(dir, Config{Capacity: 8}); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("label files %s: Load = %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
+// rewriteManifest replaces dir's manifest with one over the same label
+// files and edit's window list, correctly checksummed — what bit rot
+// cannot produce but a foreign or buggy writer could.
 func rewriteManifest(t *testing.T, dir string, edit func([]windowFile) []windowFile) {
 	t.Helper()
 	path := filepath.Join(dir, manifestName)
@@ -199,13 +277,11 @@ func rewriteManifest(t *testing.T, dir string, edit func([]windowFile) []windowF
 	if err != nil {
 		t.Fatal(err)
 	}
-	u := graph.NewUniverse()
-	windows, err := loadManifest(raw, u)
+	labels, windows, err := loadManifest(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	node := func(i int) (string, graph.Part) { return u.Label(graph.NodeID(i)), u.PartOf(graph.NodeID(i)) }
-	if err := os.WriteFile(path, renderManifest(u.Size(), node, edit(windows)), 0o644); err != nil {
+	if err := os.WriteFile(path, renderManifest(labels, edit(windows)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -257,18 +333,22 @@ func TestSnapshotOverwriteKeepsAtomicity(t *testing.T) {
 	assertEquivalent(t, dir, orig)
 }
 
-// TestSaveWritesOnlyNewWindows: a window file is immutable, so a Save
-// costs the windows the directory does not hold yet plus the manifest.
+// TestSaveWritesOnlyNewWindows: window and label files are immutable,
+// so a Save costs the windows the directory does not hold yet, the
+// labels interned since the last one, and the manifest.
 func TestSaveWritesOnlyNewWindows(t *testing.T) {
 	reg := obs.NewRegistry()
 	dir := filepath.Join(t.TempDir(), "snap")
 	s := lineageStore(t, 0, reg)
-	size := func(path string) int64 {
-		info, err := os.Stat(path)
-		if err != nil {
-			t.Fatal(err)
+	size := func(paths ...string) (total int64) {
+		for _, path := range paths {
+			info, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total += info.Size()
 		}
-		return info.Size()
+		return total
 	}
 	// save returns the bytes one Save reports having written.
 	save := func(s *Store) int64 {
@@ -280,20 +360,35 @@ func TestSaveWritesOnlyNewWindows(t *testing.T) {
 	}
 	manifest := filepath.Join(dir, manifestName)
 
-	want := int64(0)
 	first := save(s)
+	want := size(manifest) + size(labelPaths(t, dir)...)
 	for w := 0; w < 3; w++ {
 		want += size(windowPath(t, dir, w))
 	}
-	if want += size(manifest); first != want {
-		t.Fatalf("first Save wrote %d bytes, files total %d", first, want)
+	if first != want || len(labelPaths(t, dir)) != 1 {
+		t.Fatalf("first Save wrote %d bytes, files total %d (label files %v)", first, want, labelPaths(t, dir))
 	}
 	if got := save(s); got != size(manifest) {
 		t.Fatalf("Save of an unchanged ring wrote %d bytes, manifest is %d", got, size(manifest))
 	}
-	addWindow(t, s, 3, 0)
-	if got, want := save(s), size(manifest)+size(windowPath(t, dir, 3)); got != want {
-		t.Fatalf("Save after one Add wrote %d bytes, want manifest + one window = %d", got, want)
+	// A window over labels the universe already holds: no label bytes.
+	old := labelPaths(t, dir)
+	if err := s.Add(buildSet(t, s.Universe(), 3, map[string]map[string]float64{"host-b": {"peer-1": 1}})); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := save(s), size(manifest)+size(windowPath(t, dir, 3)); got != want || !reflect.DeepEqual(labelPaths(t, dir), old) {
+		t.Fatalf("Save after an Add over known labels wrote %d bytes, want manifest + one window = %d (label files %v, were %v)",
+			got, want, labelPaths(t, dir), old)
+	}
+	// One over a new label: one more label file, holding only that.
+	addWindow(t, s, 4, 0)
+	got := save(s)
+	files := labelPaths(t, dir)
+	if len(files) != 2 || files[0] != old[0] || size(files[1]) != int64(len("peer-7"))+2 {
+		t.Fatalf("label files %v after one new label, were %v", files, old)
+	}
+	if want := size(manifest) + size(windowPath(t, dir, 4)) + size(files[1]); got != want {
+		t.Fatalf("Save after one new label wrote %d bytes, want manifest + one window + one label = %d", got, want)
 	}
 	// A store that loaded the directory owns its files just the same.
 	loaded, err := Load(dir, Config{Capacity: 8, Registry: reg})
@@ -302,6 +397,48 @@ func TestSaveWritesOnlyNewWindows(t *testing.T) {
 	}
 	if got := save(loaded); got != size(manifest) {
 		t.Fatalf("Save by the loader wrote %d bytes, manifest is %d", got, size(manifest))
+	}
+}
+
+// TestSaveLabelFilesStayLogarithmic: a hundred Saves that each add a
+// few labels leave no more label files than the universe's size has
+// bits (each file is at least twice the next), rewrite each label a
+// logarithmic number of times rather than once a Save, and load back to
+// the same NodeIDs.
+func TestSaveLabelFilesStayLogarithmic(t *testing.T) {
+	reg := obs.NewRegistry()
+	dir := filepath.Join(t.TempDir(), "snap")
+	u := graph.NewUniverse()
+	s, err := New(Config{Capacity: 4, Universe: u, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	labelBytes := 0
+	for w := 0; w < 100; w++ {
+		sigs := map[string]map[string]float64{"host": {}}
+		for i := 0; i <= w%4; i++ { // one to four new labels a window
+			label := fmt.Sprintf("peer-%d-%d", w, i)
+			sigs["host"][label] = float64(i + 1)
+			labelBytes += len(label) + 2
+		}
+		if err := s.Add(buildSet(t, u, w, sigs)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Save(dir); err != nil {
+			t.Fatal(err)
+		}
+		files, max := labelPaths(t, dir), bits.Len(uint(u.Size()))
+		if len(files) > max {
+			t.Fatalf("after %d saves: %d label files for %d labels, want at most %d: %v", w+1, len(files), u.Size(), max, files)
+		}
+	}
+	assertExactFiles(t, dir)
+	assertEquivalent(t, dir, s)
+	// Bytes written in all: 100 one-window files and manifests of a few
+	// hundred bytes each, and the labels log₂(U) times over at most.
+	written := reg.Snapshot()["store_snapshot_save_bytes_total"]
+	if ceiling := int64(100*(400+300) + labelBytes*bits.Len(uint(u.Size()))); written > ceiling {
+		t.Fatalf("100 saves wrote %d bytes, want under %d (%d label bytes)", written, ceiling, labelBytes)
 	}
 }
 
@@ -344,6 +481,8 @@ var saveFailpoints = []struct {
 }{
 	{"store.save.window", false},
 	{"store.save.window.commit", false},
+	{"store.save.labels", false},
+	{"store.save.labels.commit", false},
 	{"store.save.manifest", false},
 	{"store.save.sweep", true},
 }
@@ -386,56 +525,119 @@ func TestSaveFailpointLeavesOldSnapshot(t *testing.T) {
 // TestSaveOverAnotherLineage: Server.Promote saves a follower's ring
 // into a directory that may hold a previous life's snapshot with the
 // same window indices. Nothing of it may be reused, and it must stay
-// loadable until the new manifest commits.
+// loadable until the new manifest commits — whether the newcomer's
+// universe has the old one's shape (same labels, same NodeIDs, other
+// weights) or another altogether (other labels first, the shared ones
+// renumbered: its label file starts at NodeID 0 like the old one's and
+// says something else), and wherever its Save dies, the gap between its
+// label file and its manifest included.
 func TestSaveOverAnotherLineage(t *testing.T) {
 	t.Cleanup(fault.Reset)
 	boom := errors.New("disk full")
-	dir := filepath.Join(t.TempDir(), "snap")
-	old := lineageStore(t, 0, nil)
-	if err := old.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	mine := lineageStore(t, 0.5, nil)
-	for _, point := range saveFailpoints {
-		if point.committed {
-			continue
+	for name, mine := range map[string]*Store{
+		"same universe":  lineageStore(t, 0.5, nil),
+		"other universe": lineageStore(t, 0.5, nil, "zz-first", "peer-2", "host-b", "peer-1"),
+	} {
+		dir := filepath.Join(t.TempDir(), "snap")
+		old := lineageStore(t, 0, nil)
+		if err := old.Save(dir); err != nil {
+			t.Fatal(err)
 		}
-		fault.Set(point.name, func() error { return boom })
-		if err := mine.Save(dir); !errors.Is(err, boom) {
-			t.Fatalf("%s: Save returned %v", point.name, err)
+		for _, point := range saveFailpoints {
+			if point.committed {
+				continue
+			}
+			fault.Set(point.name, func() error { return boom })
+			if err := mine.Save(dir); !errors.Is(err, boom) {
+				t.Fatalf("%s, %s: Save returned %v", name, point.name, err)
+			}
+			fault.Clear(point.name)
+			assertEquivalent(t, dir, old)
 		}
-		fault.Clear(point.name)
+		if err := mine.Save(dir); err != nil {
+			t.Fatal(err)
+		}
+		assertExactFiles(t, dir)
+		assertEquivalent(t, dir, mine)
+
+		// And the other way round: the first store's record of what it
+		// wrote here is stale now (its files were swept), which Save must
+		// notice.
+		if err := old.Save(dir); err != nil {
+			t.Fatal(err)
+		}
+		assertExactFiles(t, dir)
 		assertEquivalent(t, dir, old)
 	}
-	if err := mine.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	assertExactFiles(t, dir)
-	assertEquivalent(t, dir, mine)
-
-	// And the other way round: the first store's record of what it wrote
-	// here is stale now (its files were swept), which Save must notice.
-	if err := old.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	assertExactFiles(t, dir)
-	assertEquivalent(t, dir, old)
 }
 
-// TestLoadOldFormatRefused: a v1/v2 directory is good data this build
-// no longer reads. Load must say so — not ErrCorrupt, which would get
-// it quarantined — and touch nothing.
+// TestLoadOldFormatRefused: a v1, v2 or v3 directory is good data this
+// build no longer reads. Load must say so — not ErrCorrupt, which would
+// get it quarantined — and leave every byte of it alone.
 func TestLoadOldFormatRefused(t *testing.T) {
-	fixture := filepath.Join("testdata", "snapshot-v2") // written by the last v2 build
-	before := dirNames(t, fixture)
-	if !SnapshotExists(fixture) {
-		t.Fatal("fixture not reported as a snapshot")
+	// Each written by the last build of its format.
+	for _, fixture := range []string{filepath.Join("testdata", "snapshot-v2"), filepath.Join("testdata", "snapshot-v3")} {
+		contents := func() map[string]string {
+			out := map[string]string{}
+			for _, name := range dirNames(t, fixture) {
+				raw, err := os.ReadFile(filepath.Join(fixture, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				out[name] = string(raw)
+			}
+			return out
+		}
+		before := contents()
+		if !SnapshotExists(fixture) {
+			t.Fatalf("%s not reported as a snapshot", fixture)
+		}
+		_, err := Load(fixture, Config{Capacity: 8})
+		if !errors.Is(err, ErrOldFormat) || errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Load(%s) = %v, want ErrOldFormat and not ErrCorrupt", fixture, err)
+		}
+		if after := contents(); !reflect.DeepEqual(after, before) {
+			t.Fatalf("Load changed %s: %v -> %v", fixture, before, after)
+		}
 	}
-	_, err := Load(fixture, Config{Capacity: 8})
-	if !errors.Is(err, ErrOldFormat) || errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Load = %v, want ErrOldFormat and not ErrCorrupt", err)
-	}
-	if after := dirNames(t, fixture); !reflect.DeepEqual(after, before) {
-		t.Fatalf("Load changed the directory: %v -> %v", before, after)
+}
+
+// BenchmarkStoreSave is the checkpoint a window close makes, at the
+// `wide` serving shape: a full ring of 8 × 1 200 signatures over a
+// universe of 10 800 labels, one new window since the last Save and
+// either no new label (every steady-state close of both BENCHMARK.json
+// workloads) or 500. bytes-written/op is what Save reports having
+// written: one window file, the labels it added — with what the new
+// label file absorbed — and the manifest; never the universe.
+func BenchmarkStoreSave(b *testing.B) {
+	for _, fresh := range []int{0, 500} {
+		b.Run(fmt.Sprintf("newlabels=%d", fresh), func(b *testing.B) {
+			reg := obs.NewRegistry()
+			s, more := wideStoreAndMore(b, Config{Registry: reg}, 0, 8, 1200)
+			u := s.Universe()
+			for u.Size() < 10800 {
+				u.MustIntern(fmt.Sprintf("seen-%05d", u.Size()), graph.PartNone)
+			}
+			dir := filepath.Join(b.TempDir(), "snap")
+			if err := s.Save(dir); err != nil {
+				b.Fatal(err)
+			}
+			before := reg.Snapshot()["store_snapshot_save_bytes_total"]
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				more()
+				for n := 0; n < fresh; n++ {
+					u.MustIntern(fmt.Sprintf("new-%d-%d", i, n), graph.PartNone)
+				}
+				b.StartTimer()
+				if err := s.Save(dir); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(reg.Snapshot()["store_snapshot_save_bytes_total"]-before)/float64(b.N), "bytes-written/op")
+		})
 	}
 }

@@ -107,11 +107,14 @@ type Store struct {
 	// saveMu serializes Save calls (periodic snapshot loop vs window
 	// close vs shutdown) and guards what Save may skip: saved maps each
 	// window this store wrote into (or loaded from) savedDir to the CRC
-	// in its file's name. A file is reused only through this record,
-	// never because a same-named file happens to lie in the directory.
-	saveMu   sync.Mutex
-	savedDir string
-	saved    map[int]uint32
+	// in its file's name, and savedLabels lists the label files it
+	// wrote or loaded there, in NodeID order. A file is reused only
+	// through this record, never because a same-named file happens to
+	// lie in the directory.
+	saveMu      sync.Mutex
+	savedDir    string
+	saved       map[int]uint32
+	savedLabels []labelFile
 
 	obs storeObs
 }

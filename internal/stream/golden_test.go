@@ -19,10 +19,15 @@ import (
 // sketch shapes: sigserverd's default (every source stays under the
 // candidate bound), a 16×2 sketch whose rows collide, a bound of 4 that
 // evicts on almost every source, and an 8×2 sketch with a bound of 12
-// where both happen. The hashes were recorded at the commit before
-// per-source state became sparse-until-dense (PR 23), so they hold the
-// extractor to that commit's arithmetic, cell by cell; the sparse/dense
-// split of each run is the property that change exists for.
+// where both happen. The 4096×5/256 and 64×3/4 hashes were recorded at
+// the commit before per-source state became sparse-until-dense (PR 23)
+// and have not changed since: they hold the dense path to that commit's
+// arithmetic, cell by cell, and show that at the default size no cell
+// ever differed from the exact sum. The 16×2/256 and 8×2/12 rows were
+// re-recorded when a sparse source's signature became exact (PR 27) —
+// their sparse sources used to read through colliding cells — which is
+// why 16×2/256, every source sparse, now hashes as 4096×5/256 does. The
+// sparse/dense split of each run is the property PR 23 exists for.
 func TestRunGoldenSignatures(t *testing.T) {
 	gcfg := datagen.DefaultEnterpriseConfig(7)
 	data, err := datagen.GenerateEnterprise(gcfg)
@@ -36,13 +41,13 @@ func TestRunGoldenSignatures(t *testing.T) {
 		sparse, dense int64
 	}{
 		{"tt", sketch.StreamConfig{Width: 4096, Depth: 5, Candidates: 256, Seed: 1}, 0xff193458c0329e20, 1800, 0},
-		{"tt", sketch.StreamConfig{Width: 16, Depth: 2, Candidates: 256, Seed: 1}, 0x9ddf5e1f209ea0f2, 1800, 0},
+		{"tt", sketch.StreamConfig{Width: 16, Depth: 2, Candidates: 256, Seed: 1}, 0xff193458c0329e20, 1800, 0},
 		{"tt", sketch.StreamConfig{Width: 64, Depth: 3, Candidates: 4, Seed: 1}, 0xd9cee39b611479a2, 0, 1800},
-		{"tt", sketch.StreamConfig{Width: 8, Depth: 2, Candidates: 12, Seed: 1}, 0x9dade3436bc5d980, 5, 1795},
+		{"tt", sketch.StreamConfig{Width: 8, Depth: 2, Candidates: 12, Seed: 1}, 0x29924a748e29cff9, 5, 1795},
 		{"ut", sketch.StreamConfig{Width: 4096, Depth: 5, Candidates: 256, Seed: 1}, 0xf901d11a140eaf7c, 1800, 0},
-		{"ut", sketch.StreamConfig{Width: 16, Depth: 2, Candidates: 256, Seed: 1}, 0x8156532b69e685b4, 1800, 0},
+		{"ut", sketch.StreamConfig{Width: 16, Depth: 2, Candidates: 256, Seed: 1}, 0xf901d11a140eaf7c, 1800, 0},
 		{"ut", sketch.StreamConfig{Width: 64, Depth: 3, Candidates: 4, Seed: 1}, 0x12c716d621752ce6, 0, 1800},
-		{"ut", sketch.StreamConfig{Width: 8, Depth: 2, Candidates: 12, Seed: 1}, 0xf81f3b1ea788c9aa, 5, 1795},
+		{"ut", sketch.StreamConfig{Width: 8, Depth: 2, Candidates: 12, Seed: 1}, 0x875fa7a06ba5f8eb, 5, 1795},
 	}
 	for _, c := range cases {
 		name := fmt.Sprintf("%s/%dx%d/%d", c.scheme, c.sk.Width, c.sk.Depth, c.sk.Candidates)

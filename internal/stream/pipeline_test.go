@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"math"
 	"sort"
 	"testing"
 	"time"
@@ -320,6 +321,81 @@ func TestPipelineMatchesBatch(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRunSparseMatchesExactTT is the contract a source under the
+// candidate bound has: Run gives it the exact TT signature of the graph
+// built from the same records, bit for bit — weights, members and
+// order, ties on the stable label key — whatever the sketch it would
+// have grown into. The bound of 30 leaves the busier sources dense;
+// those are the sketch's and are skipped (and counted, so the test
+// cannot pass by skipping everything).
+func TestRunSparseMatchesExactTT(t *testing.T) {
+	cfg := datagen.DefaultEnterpriseConfig(12)
+	cfg.LocalHosts = 60
+	cfg.ExternalHosts = 500
+	cfg.Communities = 3
+	cfg.Windows = 3
+	data, err := datagen.GenerateEnterprise(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bound, k = 30, 10
+	scfg := Config{
+		WindowSize: cfg.WindowLength,
+		Origin:     cfg.Origin,
+		Classify:   datagen.LocalClassifier,
+		TCPOnly:    true,
+		K:          k,
+		Scheme:     "tt",
+		Sketch:     sketch.StreamConfig{Width: 8, Depth: 2, Candidates: bound, Seed: 3}, // collides at once
+	}
+	sets, err := Run(scfg, data.Universe, data.Records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sets) != cfg.Windows {
+		t.Fatalf("streamed %d windows, want %d", len(sets), cfg.Windows)
+	}
+	type windowSource struct {
+		window int
+		src    string
+	}
+	observations := map[windowSource]int{}
+	for _, r := range data.Records {
+		observations[windowSource{int(r.Start.Sub(cfg.Origin) / cfg.WindowLength), r.Src}]++
+	}
+	sparse, dense := 0, 0
+	for wi, set := range sets {
+		w := data.Windows[wi]
+		for i, v := range set.Sources {
+			if observations[windowSource{wi, data.Universe.Label(v)}] > bound {
+				dense++
+				continue
+			}
+			sparse++
+			total := w.OutWeightSum(v)
+			weights := map[graph.NodeID]float64{}
+			w.Out(v, func(u graph.NodeID, wt float64) bool {
+				weights[u] = wt / total
+				return true
+			})
+			want := core.FromWeightsKeyed(weights, k, data.Universe.StableKey)
+			got := set.Sigs[i]
+			if got.Len() != want.Len() {
+				t.Fatalf("window %d %q: %v, exact %v", wi, data.Universe.Label(v), got, want)
+			}
+			for j := range want.Nodes {
+				if got.Nodes[j] != want.Nodes[j] || math.Float64bits(got.Weights[j]) != math.Float64bits(want.Weights[j]) {
+					t.Fatalf("window %d %q entry %d: %v, exact %v", wi, data.Universe.Label(v), j, got, want)
+				}
+			}
+		}
+	}
+	t.Logf("%d sources under the bound, %d over", sparse, dense)
+	if sparse < 20 || dense < 20 {
+		t.Fatalf("%d sources under the bound, %d over: the input no longer straddles it", sparse, dense)
 	}
 }
 
