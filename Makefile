@@ -30,15 +30,18 @@ alloc-budget:
 		./internal/segment/ ./internal/eval/ ./internal/wal/ ./internal/server/
 
 # Fault-injection and crash-recovery suite: failpoint-driven kill/
-# corruption tests across the WAL, the snapshot store (every Save
+# corruption tests across the WAL (the commit order: torn commits, what
+# Reset drops and Rotate seals, the rotation's directory sync), the
+# snapshot store (every Save
 # failpoint on either side of the manifest rename, saving over another
-# lineage, the old-format refusals) and the server's recovery path,
-# under the race detector.
+# lineage, the old-format refusals) and the server's recovery path — a
+# crash at every failpoint hit inside a batch and around a generation
+# change, then the client's retry — under the race detector.
 crash-test:
 	$(GO) test -race ./internal/fault/ ./internal/wal/ ./internal/store/ \
-		-run 'Torn|Corrupt|Crash|Failpoint|Fault|Quarantine|Snapshot|Lineage|OldFormat'
+		-run 'Torn|Corrupt|Crash|Failpoint|Fault|Quarantine|Snapshot|Lineage|OldFormat|Commit|Rotate|Staged'
 	$(GO) test -race ./internal/server/ \
-		-run 'Crash|Corrupt|Torn|SnapshotFailure|ShutdownSave|OldFormat|Throttled|Dedup|Retries'
+		-run 'Crash|Corrupt|Torn|SnapshotFailure|ShutdownSave|OldFormat|Throttled|Dedup|Retries|FailedSave|FollowerPoll|IngestLogs|RestartLogs'
 
 # Deterministic simulation (internal/simcheck): drives the real
 # store+WAL+server through a seeded ≥10k-op schedule of ingest, search,
@@ -133,19 +136,25 @@ bench:
 # race-clean and still bit-identical to the naive loops they replace.
 # The sigbench line then drives the engine (with the thresholded
 # prefilter sweep) on a scaled dataset — runPairwise exits non-zero on
-# any `identical: false`. The next three are one iteration of the write
-# path's layer benchmarks: opening a 38 000-record WAL, one 1 200-source
-# window through the pipeline at sigserverd's default sketch — every
-# source sparse, and with a Zipf head that goes dense — and the
-# checkpoint of one window close with and without new labels (all at
-# the `wide` serving shape). Then the read side's: the
+# any `identical: false`. The next four are one iteration of the write
+# path's layer benchmarks: the WAL's — opening a 38 000-record log, one
+# commit of records alone and of records with their marker (syncs and
+# bytes a commit), a generation change by truncation and by rotation —,
+# one 100-record batch with an ID through the server onto real files
+# (ms and WAL syncs a batch), one 1 200-source window through the
+# pipeline at sigserverd's default sketch — every source sparse, and
+# with a Zipf head that goes dense — and the checkpoint of one window
+# close with and without new labels (all at the `wide` serving shape).
+# Then the read side's: the
 # self-retrieval AUC at the analytics stage's 2 000 x 2 000, and a label
 # search 4 x 1 200 and 12 x 400 cold windows deep.
 bench-smoke:
 	$(GO) test -race -run=^$$ -benchtime=1x \
 		-bench 'BenchmarkPairwiseUniqueness|BenchmarkMultiusageAllPairs' .
 	$(GO) run ./cmd/sigbench -experiment pairwise -scale 0.5
-	$(GO) test -run=^$$ -benchtime=1x -benchmem -bench 'BenchmarkWALOpen' ./internal/wal/
+	$(GO) test -run=^$$ -benchtime=1x -benchmem \
+		-bench 'BenchmarkWALOpen|BenchmarkWALAppend|BenchmarkWALGenerationChange' ./internal/wal/
+	$(GO) test -run=^$$ -benchtime=1x -benchmem -bench 'BenchmarkIngestSmallBatch' ./internal/server/
 	$(GO) test -run=^$$ -benchtime=1x -benchmem -bench 'BenchmarkPipelineWindow' ./internal/stream/
 	$(GO) test -run=^$$ -benchtime=1x -benchmem -bench 'BenchmarkStoreSave' ./internal/store/
 	$(GO) test -run=^$$ -benchtime=1x -benchmem -bench 'BenchmarkSelfRetrievalAUC' ./internal/eval/

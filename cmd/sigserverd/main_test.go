@@ -68,7 +68,7 @@ func TestReplayRunExits(t *testing.T) {
 		t.Fatalf("run: %v\noutput:\n%s", err, buf.String())
 	}
 	out := buf.String()
-	for _, want := range []string{"serving on http://127.0.0.1:", "replay: ingested", "records/s", "snapshot saved"} {
+	for _, want := range []string{"serving on http://127.0.0.1:", "replay: ingested", "windows closed", "snapshot saved"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
 		}

@@ -730,6 +730,14 @@ func TestClusterFailoverPromotion(t *testing.T) {
 		t.Fatalf("prober did not mark shard 0 primary down: %+v", tgt)
 	}
 
+	// The first batch nobody acknowledges: sent while shard 0 has no
+	// primary, it lands on shard 1 alone and the router says so. Its
+	// client retries it after the promotion (ingestBoth below).
+	unacked, err := rt.Ingest(fmt.Sprintf("fo-%06d", half), data.Records[half:min(half+400, len(data.Records))])
+	if err == nil || unacked.ShardsOK != 1 || unacked.ShardsTotal != 2 {
+		t.Fatalf("ingest with shard 0 down landed on %d/%d shards (err %v), want 1/2 and an error", unacked.ShardsOK, unacked.ShardsTotal, err)
+	}
+
 	// Before promotion: reads fail over to the follower with no
 	// shards_ok drop, and staleness is surfaced per shard.
 	var ownedByZero string
@@ -772,21 +780,30 @@ func TestClusterFailoverPromotion(t *testing.T) {
 		t.Fatalf("promoted identity %+v, want primary at ring epoch 1", id)
 	}
 
-	// Exactly-once across the failover: re-sending a pre-kill batch ID
-	// must be absorbed by the promoted node's replicated dedup set, with
-	// the original accounting.
-	re, err := rt.Ingest("fo-000000", data.Records[0:min(400, half)])
-	if err != nil {
-		t.Fatalf("replayed batch after promotion: %v", err)
-	}
-	if !re.Deduplicated {
-		t.Fatal("promoted node did not deduplicate a pre-kill batch ID")
-	}
-	if re.ShardsOK != re.ShardsTotal {
-		t.Fatalf("replayed batch landed on %d/%d shards", re.ShardsOK, re.ShardsTotal)
+	// Exactly-once across the failover: re-sending a pre-kill batch ID —
+	// the first, and the last one the dead primary acknowledged, whose
+	// marker travelled in the same commit as its records — must be
+	// absorbed by the promoted node's replicated dedup set, with the
+	// original accounting.
+	for _, lo := range []int{0, (half - 1) / 400 * 400} {
+		id := fmt.Sprintf("fo-%06d", lo)
+		re, err := rt.Ingest(id, data.Records[lo:min(lo+400, half)])
+		if err != nil {
+			t.Fatalf("replayed batch %s after promotion: %v", id, err)
+		}
+		if !re.Deduplicated {
+			t.Fatalf("promoted node did not deduplicate pre-kill batch %s", id)
+		}
+		if re.ShardsOK != re.ShardsTotal {
+			t.Fatalf("replayed batch %s landed on %d/%d shards", id, re.ShardsOK, re.ShardsTotal)
+		}
 	}
 
-	// Second half of the traffic lands through the promoted node.
+	// Second half of the traffic lands through the promoted node. It
+	// opens with the retry of the unacknowledged batch: shard 1 answers
+	// from its dedup set, the promoted node applies its share for the
+	// first time, and the accounting (checked per batch) and every
+	// comparison below are those of one application.
 	ingestBoth(half, len(data.Records))
 
 	// Close final windows everywhere and compare the two worlds bitwise.

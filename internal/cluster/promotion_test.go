@@ -3,13 +3,16 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"graphsig/internal/datagen"
+	"graphsig/internal/netflow"
 	"graphsig/internal/server"
 )
 
@@ -282,5 +285,101 @@ func TestFollowerSegmentsBitwise(t *testing.T) {
 	}
 	if compared < 3 {
 		t.Fatalf("only %d labels had segment-depth history", compared)
+	}
+}
+
+// TestFollowerOfARestartedPrimaryHoldsWatchEntriesOnce: a follower skips
+// the watch entries it has applied only where a generation replays them
+// as its prologue, so a primary that crashed and rebooted must not commit
+// the entries it replayed into the same generation again — the follower
+// would apply them a second time and report every hit twice. Primary and
+// follower end with the same watchlist and the same hit log.
+func TestFollowerOfARestartedPrimaryHoldsWatchEntriesOnce(t *testing.T) {
+	gcfg := datagen.DefaultEnterpriseConfig(1)
+	scfg := testStreamConfig(gcfg)
+	cfg := server.Config{
+		Stream:        scfg,
+		StoreCapacity: 8,
+		WatchMaxDist:  server.Float64(0.9),
+		SnapshotDir:   filepath.Join(t.TempDir(), "snap"),
+		Replicate:     true,
+	}
+	var live atomic.Pointer[server.Server]
+	boot := func() {
+		srv, err := server.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live.Store(srv)
+	}
+	boot()
+	defer func() { live.Load().Abort() }()
+	pts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		live.Load().Handler().ServeHTTP(w, r)
+	}))
+	defer pts.Close()
+	pc := server.NewClient(pts.URL)
+
+	f, err := NewFollower(FollowerConfig{
+		Primary:       []string{pts.URL},
+		Stream:        scfg,
+		StoreCapacity: 8,
+		WatchMaxDist:  server.Float64(0.9),
+		Poll:          5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Start()
+	defer f.Stop()
+	fts := httptest.NewServer(f.Handler())
+	defer fts.Close()
+	fc := server.NewClient(fts.URL)
+
+	local, ext := datagen.LocalLabel(1), datagen.ExternalLabel(1)
+	ingest := func(id string, at time.Duration) {
+		t.Helper()
+		rec := netflow.Record{Src: local, Dst: ext, Start: gcfg.Origin.Add(at), Sessions: 1, Proto: netflow.TCP}
+		if res, err := pc.IngestBatch(id, []netflow.Record{rec}); err != nil || res.Accepted != 1 {
+			t.Fatalf("ingest %s: %+v, %v", id, res, err)
+		}
+	}
+	watchlists := func(when string) {
+		t.Helper()
+		catchUpToPrimary(t, f, pc)
+		for name, c := range map[string]*server.Client{"primary": pc, "follower": fc} {
+			if m, err := c.Metrics(); err != nil || m["watchlist_size"] != 1 {
+				t.Fatalf("%s: the %s holds %d watch entries (%v), want 1", when, name, m["watchlist_size"], err)
+			}
+		}
+	}
+
+	ingest("b-1", time.Minute)
+	window := 0
+	if _, err := pc.WatchlistAdd(server.WatchlistAddRequest{
+		Individual: "case-1", Label: local, Window: &window,
+		Signature: &server.SignatureJSON{Nodes: []string{ext}, Weights: []float64{1}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	watchlists("before the crash")
+
+	live.Load().Abort()
+	boot()
+	ingest("b-2", 2*time.Minute) // closes no window: commits into the generation replayed
+	watchlists("after the reboot's first batch")
+	ingest("b-3", scfg.WindowSize+time.Minute) // closes window 0: a new generation, its prologue
+	watchlists("after the close")
+
+	phits, err := pc.WatchlistHits()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fhits, err := fc.WatchlistHits()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(phits.Hits) != 1 || mustJSON(t, fhits.Hits) != mustJSON(t, phits.Hits) {
+		t.Fatalf("hits, primary: %s\nfollower: %s\nwant the one hit of window 0 on both", mustJSON(t, phits.Hits), mustJSON(t, fhits.Hits))
 	}
 }

@@ -634,8 +634,13 @@ func walRecordLabels(t *testing.T, dir string) []string {
 // records of a batch as the stretches between the ones it leaves out —
 // a dropped non-TCP record, a rejected one, and a window close in the
 // middle — and must hold exactly those records, in order, with one
-// write+fsync per flush point: one before the close's checkpoint, one
-// at batch end, none for what was left out.
+// commit (one write, one fsync) where something is acknowledged and
+// none anywhere else. A batch that closes a window makes two: the
+// generation change (the truncation, made durable together with the new
+// generation's origin) and the batch end (the open window's records).
+// The closing window's own records never reach the log: by the time
+// anything is acknowledged the snapshot holds them. A plain batch makes
+// one commit, a batch nothing of which was accepted none.
 func TestIngestLogsAcceptedRunsInOrder(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "snap")
 	srv, err := New(crashConfig(dir))
@@ -661,18 +666,24 @@ func TestIngestLogsAcceptedRunsInOrder(t *testing.T) {
 		t.Fatalf("ingest result %+v, want 7 accepted, 1 dropped, 2 rejected, 1 window closed", res)
 	}
 	snap := srv.obs.registry.Snapshot()
-	if got := snap["wal_appended_records"]; got != 7 {
-		t.Fatalf("wal_appended_records = %d, want 7", got)
+	if got := snap["wal_appended_records"]; got != 3 {
+		t.Fatalf("wal_appended_records = %d, want 3 (the open window's)", got)
 	}
-	// One origin frame, the pre-checkpoint flush, the re-logged origin
-	// after the checkpoint's reset, the batch-end flush.
-	if got := srv.obs.registry.Histogram("wal_fsync_seconds", "").Count(); got != 4 {
-		t.Fatalf("%d WAL flushes, want 4 (origin, closing window, origin again, batch end)", got)
+	commits := srv.obs.registry.Histogram("wal_fsync_seconds", "")
+	if got := commits.Count(); got != 2 {
+		t.Fatalf("%d WAL commits, want 2 (generation change, batch end)", got)
+	}
+	mustIngest(t, srv, []netflow.Record{flowAt("10.0.0.3", "h", time.Hour+3*time.Minute, 1)})
+	if got := commits.Count(); got != 3 {
+		t.Fatalf("%d WAL commits after a plain batch, want 3", got)
+	}
+	if res := srv.IngestRecords([]netflow.Record{udp}); res.Dropped != 1 || commits.Count() != 3 {
+		t.Fatalf("a batch with nothing accepted: %+v, %d WAL commits, want 1 dropped and still 3", res, commits.Count())
 	}
 	srv.Abort()
 	// The checkpoint emptied the log of window 0; what is left is the
-	// open window's three records.
-	want := []string{"10.0.0.1>e", "10.0.0.1>f", "10.0.0.2>g"}
+	// open window's records.
+	want := []string{"10.0.0.1>e", "10.0.0.1>f", "10.0.0.2>g", "10.0.0.3>h"}
 	if got := walRecordLabels(t, dir); !reflect.DeepEqual(got, want) {
 		t.Fatalf("log holds %v, want %v", got, want)
 	}

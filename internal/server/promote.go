@@ -28,7 +28,7 @@ type PromoteConfig struct {
 // Promote flips a read-only replica into a serving primary: it attaches
 // durability (fresh WAL, immediate snapshot of the replicated state),
 // enables replication so the next follower can chain off this node,
-// re-logs the origin and the full watchlist as the new log's prologue,
+// commits the origin and the full watchlist as the new log's prologue,
 // and opens the mutating endpoints. The server keeps serving reads
 // throughout; handlers observe the flip through the readOnly and
 // identity atomics.
@@ -66,7 +66,7 @@ func (s *Server) Promote(cfg PromoteConfig) error {
 			s.metrics.SnapshotSaves.Add(1)
 		}
 	}
-	s.relogWALLocked()
+	s.walCommitLocked(nil, nil)
 	s.metrics.Promotions.Add(1)
 	s.logf("sigserver: promoted to primary (wal gen %d)", s.walGen)
 	return nil
@@ -97,13 +97,8 @@ func (s *Server) attachDurabilityLocked(cfg PromoteConfig) error {
 		return fmt.Errorf("server: opening promotion WAL: %w", err)
 	}
 	s.wal = w
-	// The registry's get-or-create semantics return the families the
-	// follower's server already registered at New.
-	s.wal.Instrument(
-		s.obs.registry.Histogram("wal_fsync_seconds",
-			"WAL write+fsync latency per flushed batch"),
-		s.obs.registry.Counter("wal_appended_bytes_total",
-			"framed bytes appended to the WAL"))
+	s.walOriginLogged, s.walWatchesLogged = false, 0
+	s.instrumentWAL()
 	gen, err := nextWALGen(path)
 	if err != nil {
 		return err

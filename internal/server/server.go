@@ -8,17 +8,20 @@
 // metrics endpoints.
 //
 // Durability model (when SnapshotDir is set): accepted records of the
-// still-open window are appended to a CRC-framed write-ahead log (a
-// sibling file of the snapshot directory, internal/wal), fsynced once
-// per batch. Whenever a window closes, the archive is checkpointed —
-// the new window's file written, then one manifest rename (store.Save)
-// — and the WAL truncated: at that moment every WAL entry belongs to an
-// archived window, so nothing is lost. On startup a corrupt snapshot or
+// still-open window go to a CRC-framed write-ahead log (a sibling file
+// of the snapshot directory, internal/wal) with one commit — one write,
+// one fsync — where the batch is acknowledged, together with the marker
+// that makes a retry of the batch idempotent. Whenever a window closes,
+// the archive is checkpointed — the new window's file written, then one
+// manifest rename (store.Save) — and only then a new log generation
+// started, by one more commit that carries the truncation and the
+// generation's prologue: no acknowledged record leaves the log before
+// the snapshot holding it is durable. On startup a corrupt snapshot or
 // WAL is quarantined (renamed aside, logged, counted) rather than
 // fatal, and the WAL is replayed through a fresh pipeline; a kill -9
-// therefore loses at most the final unsynced batch. A healthy snapshot
-// in a format this build no longer reads (store.ErrOldFormat) is
-// neither: New returns the error and leaves the directory alone.
+// therefore loses at most the batch nobody acknowledged. A healthy
+// snapshot in a format this build no longer reads (store.ErrOldFormat)
+// is neither: New returns the error and leaves the directory alone.
 //
 // Locking model: the streaming pipeline interns labels into the shared
 // graph.Universe on ingest, and the Universe is not safe for
@@ -227,11 +230,18 @@ type Server struct {
 	hits     []WatchHit
 	pending  int // records accepted into the still-open window
 
-	wal             *wal.WAL
-	walOriginLogged bool
-	walGen          int // current WAL generation (Replicate mode); guarded by mu
-	dedup           *dedupCache
-	recovery        Recovery
+	wal *wal.WAL
+	// What the live log generation durably holds of its prologue: the
+	// origin frame, and how many entries of watchWire (always a prefix —
+	// a generation logs the set in add order). walCommitLocked stages the
+	// rest and moves both only when the commit carrying it succeeds; a
+	// new generation starts from nothing, a restart from what the log it
+	// replayed holds. Guarded by mu.
+	walOriginLogged  bool
+	walWatchesLogged int
+	walGen           int // current WAL generation (Replicate mode); guarded by mu
+	dedup            *dedupCache
+	recovery         Recovery
 
 	// watchWire mirrors every watchlist entry in wire (label) form, in
 	// add order, so the full set can be re-logged into each fresh WAL
@@ -344,11 +354,7 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	if s.wal != nil {
-		s.wal.Instrument(
-			s.obs.registry.Histogram("wal_fsync_seconds",
-				"WAL write+fsync latency per flushed batch"),
-			s.obs.registry.Counter("wal_appended_bytes_total",
-				"framed bytes appended to the WAL"))
+		s.instrumentWAL()
 	}
 
 	s.cfg.Stream.Registry = s.obs.registry
@@ -456,6 +462,17 @@ func (s *Server) attachSegments() error {
 // where quarantining the directory leaves it in place.
 func WALPath(snapshotDir string) string { return snapshotDir + ".wal" }
 
+// instrumentWAL attaches the log's two metric families. The registry's
+// get-or-create semantics return the ones New registered when Promote
+// asks again for a promoted follower's fresh log.
+func (s *Server) instrumentWAL() {
+	s.wal.Instrument(
+		s.obs.registry.Histogram("wal_fsync_seconds",
+			"WAL write+fsync latency per commit"),
+		s.obs.registry.Counter("wal_appended_bytes_total",
+			"framed bytes committed to the WAL"))
+}
+
 // openWAL opens (quarantining a corrupt header) the write-ahead log.
 func (s *Server) openWAL() (wal.Replay, error) {
 	path := WALPath(s.cfg.SnapshotDir)
@@ -542,6 +559,13 @@ func (s *Server) replayWAL(replay wal.Replay) {
 			notAccepted = append(notAccepted, i)
 		}
 	}
+	// The generation replayed holds these already; committing them into
+	// it again would hand the next replay, and a follower tailing the
+	// log, every watch entry twice. An origin the log does not state as
+	// the pipeline has it (one configured over the log's) is logged anew.
+	origin, known := s.pipeline.Origin()
+	s.walOriginLogged = known && origin.Equal(replay.Origin)
+	s.walWatchesLogged = len(s.watchWire)
 	s.metrics.WALReplayedRecords.Add(int64(s.recovery.WALRecords))
 	if s.recovery.WALRejected > 0 {
 		s.logf("sigserver: WAL replay rejected %d of %d records", s.recovery.WALRejected, s.recovery.WALRecords)
@@ -555,12 +579,9 @@ func (s *Server) replayWAL(replay wal.Replay) {
 			return
 		}
 		s.metrics.SnapshotSaves.Add(1)
-		if err := s.resetWALLocked(); err != nil {
-			s.metrics.WALErrors.Add(1)
-			s.logf("sigserver: post-replay WAL reset failed: %v", err)
+		if !s.resetWALLocked() {
 			return
 		}
-		s.relogWALLocked()
 		var tail []netflow.Record
 		for i := tailFrom; i < len(replay.Frames); i++ {
 			if len(notAccepted) > 0 && notAccepted[0] == i {
@@ -569,10 +590,7 @@ func (s *Server) replayWAL(replay wal.Replay) {
 				tail = append(tail, fr.Record)
 			}
 		}
-		if err := s.wal.Append(tail); err != nil {
-			s.metrics.WALErrors.Add(1)
-			s.logf("sigserver: rewriting open-window tail failed: %v", err)
-		}
+		s.walCommitLocked([][]netflow.Record{tail}, nil)
 	}
 }
 
@@ -659,26 +677,21 @@ func (s *Server) ingestBatchTraced(tr *obs.Trace, batchID string, records []netf
 			return res
 		}
 	}
-	res := s.ingestLocked(tr, records)
-	if batchID != "" && s.dedup != nil {
-		s.dedup.put(batchID, res)
-		// Make the dedup decision durable and shippable: a follower that
-		// replays this marker registers the same ID with the same
-		// recorded result, so a client retry that lands on the follower
-		// after its promotion is answered exactly like a retry here.
-		s.walAppendBatchLocked(batchID, res)
-	}
-	return res
+	return s.ingestLocked(tr, batchID, records)
 }
 
-func (s *Server) ingestLocked(tr *obs.Trace, records []netflow.Record) IngestResult {
+// ingestLocked runs one batch through the pipeline and acknowledges it
+// with one WAL commit at its end: the accepted records and, for a batch
+// with an ID, the marker that makes a retry idempotent — here after a
+// crash, or on a follower after its promotion — become durable together
+// or not at all. A batch that closes a window commits once more, inside
+// the checkpoint (see checkpointLocked).
+func (s *Server) ingestLocked(tr *obs.Trace, batchID string, records []netflow.Record) IngestResult {
 	res := IngestResult{Received: len(records)}
 	s.metrics.FlowsReceived.Add(int64(len(records)))
 	// The batch's accepted records are logged as runs — stretches of
 	// records between a rejected or dropped one and the next — so
-	// nothing is copied on the way to the log. The runs are flushed once
-	// at batch end (one fsync per batch) and eagerly before any
-	// checkpoint so closing windows are never unlogged.
+	// nothing is copied on the way to the log.
 	var runs [][]netflow.Record
 	runFrom := -1 // where the run being extended starts; -1 between runs
 	endRun := func(end int) {
@@ -705,14 +718,7 @@ func (s *Server) ingestLocked(tr *obs.Trace, records []netflow.Record) IngestRes
 			continue
 		}
 		if len(emitted) > 0 {
-			// The records logged so far belong to the closing windows;
-			// persist them before checkpointing so even a failed
-			// snapshot leaves the log complete for replay.
 			endRun(i)
-			endWAL := tr.Span("wal.append")
-			s.walAppendLocked(runs)
-			endWAL()
-			runs = runs[:0]
 			s.pending = 0
 			endCommit := tr.Span("window.commit")
 			for _, set := range emitted {
@@ -720,12 +726,16 @@ func (s *Server) ingestLocked(tr *obs.Trace, records []netflow.Record) IngestRes
 				res.WindowsClosed++
 			}
 			endCommit()
-			// Every WAL entry now belongs to an archived window (the
-			// record that triggered the close is observed into the new
-			// window but not yet logged), so the checkpoint may
-			// truncate the log.
+			// The log's records and the runs so far all belong to archived
+			// windows (the record that triggered the close is observed into
+			// the new window and starts the next run), so the checkpoint
+			// may drop both. When it cannot — the save failed — the runs
+			// stay and ride the batch-end commit: the log then holds the
+			// closed windows whole, and nobody was told so before it does.
 			endCP := tr.Span("checkpoint")
-			s.checkpointLocked()
+			if s.checkpointLocked(runs) {
+				runs = runs[:0]
+			}
 			endCP()
 		}
 		if accepted := s.pipeline.Ingested() - before; accepted > 0 {
@@ -742,48 +752,66 @@ func (s *Server) ingestLocked(tr *obs.Trace, records []netflow.Record) IngestRes
 		}
 	}
 	endRun(len(records))
-	endWAL := tr.Span("wal.append")
-	s.walAppendLocked(runs)
-	endWAL()
 	res.CurrentWindow = s.pipeline.CurrentWindow()
+	var marker *wal.BatchEntry
+	if batchID != "" && s.dedup != nil {
+		s.dedup.put(batchID, res)
+		// Make the dedup decision durable and shippable: a follower that
+		// replays this marker registers the same ID with the same
+		// recorded result, so a client retry that lands on the follower
+		// after its promotion is answered exactly like a retry here.
+		if s.wal != nil {
+			if payload, err := json.Marshal(res); err != nil {
+				s.logf("sigserver: encoding batch result for WAL: %v", err)
+			} else {
+				marker = &wal.BatchEntry{ID: batchID, Result: payload}
+			}
+		}
+	}
+	endWAL := tr.Span("wal.append")
+	s.walCommitLocked(runs, marker)
+	endWAL()
 	return res
 }
 
-// walAppendLocked logs runs of accepted records with one append,
-// recording the pipeline origin first if it just became known. WAL
-// failure degrades durability, not availability: it is logged and
-// counted, and serving continues.
-func (s *Server) walAppendLocked(runs [][]netflow.Record) {
-	if s.wal == nil || len(runs) == 0 {
-		return
+// walCommitLocked is the server's one way into the log, called exactly
+// where it acknowledges: at the end of a batch, after a watchlist add,
+// after a generation change. One commit carries whatever the live
+// generation still lacks of its prologue — the origin once the pipeline
+// knows it, the watch entries past the ones the generation holds (all
+// of them after a reset or rotation, the new one on the watch path,
+// those of a commit that failed) —, then runs, then marker. It reports
+// whether that is durable. WAL failure degrades durability, not
+// availability: it is logged and counted, serving continues, nothing of
+// the commit is in the log, and what the generation holds is recorded
+// only once the commit that carried it has succeeded. Callers hold s.mu.
+func (s *Server) walCommitLocked(runs [][]netflow.Record, marker *wal.BatchEntry) bool {
+	if s.wal == nil {
+		return false
 	}
-	s.logWALOrigin()
-	if err := s.wal.Append(runs...); err != nil {
+	origin, ok := s.pipeline.Origin()
+	logOrigin := ok && !s.walOriginLogged
+	if logOrigin {
+		s.wal.StageOrigin(origin, s.cfg.Stream.WindowSize)
+	}
+	watches := s.watchWire[s.walWatchesLogged:]
+	s.wal.StageWatches(watches)
+	s.wal.StageRecords(runs...)
+	if marker != nil {
+		s.wal.StageBatch(*marker)
+	}
+	if err := s.wal.Commit(); err != nil {
 		s.metrics.WALErrors.Add(1)
-		s.logf("sigserver: WAL append failed (durability degraded): %v", err)
-		return
+		s.logf("sigserver: WAL commit failed (durability degraded): %v", err)
+		return false
 	}
+	s.walOriginLogged = s.walOriginLogged || logOrigin
+	s.walWatchesLogged = len(s.watchWire)
+	s.metrics.WatchEntriesLogged.Add(int64(len(watches)))
 	for _, run := range runs {
 		s.metrics.WALAppendedRecords.Add(int64(len(run)))
 	}
-}
-
-// walAppendBatchLocked logs one applied-batch dedup marker after the
-// batch's records. Failure degrades cross-failover idempotency, not
-// availability. Callers hold s.mu.
-func (s *Server) walAppendBatchLocked(batchID string, res IngestResult) {
-	if s.wal == nil || batchID == "" {
-		return
-	}
-	payload, err := json.Marshal(res)
-	if err != nil {
-		s.logf("sigserver: encoding batch result for WAL: %v", err)
-		return
-	}
-	if err := s.wal.AppendBatch(wal.BatchEntry{ID: batchID, Result: payload}); err != nil {
-		s.metrics.WALErrors.Add(1)
-		s.logf("sigserver: WAL batch marker append failed: %v", err)
-	}
+	return true
 }
 
 // registerBatchLocked replays one batch dedup marker (WAL recovery or
@@ -814,7 +842,7 @@ func (s *Server) RegisterBatch(e wal.BatchEntry) {
 // addWatchLocked applies one watchlist mutation in wire form —
 // interning its labels, archiving it, and mirroring it into watchWire
 // for per-generation re-logging. With logToWAL set (the HTTP add path)
-// the entry is also framed into the log; replay paths pass false, the
+// the entry is also committed to the log; replay paths pass false, the
 // entry is already in the log they came from. Callers hold s.mu.
 func (s *Server) addWatchLocked(e wal.WatchEntry, logToWAL bool) error {
 	sig, err := s.internSignature(SignatureJSON{Nodes: e.Nodes, Weights: e.Weights})
@@ -825,14 +853,8 @@ func (s *Server) addWatchLocked(e wal.WatchEntry, logToWAL bool) error {
 		return err
 	}
 	s.watchWire = append(s.watchWire, e)
-	if logToWAL && s.wal != nil {
-		s.logWALOrigin()
-		if werr := s.wal.AppendWatches([]wal.WatchEntry{e}); werr != nil {
-			s.metrics.WALErrors.Add(1)
-			s.logf("sigserver: WAL watch append failed (durability degraded): %v", werr)
-		} else {
-			s.metrics.WatchEntriesLogged.Add(1)
-		}
+	if logToWAL {
+		s.walCommitLocked(nil, nil)
 	}
 	return nil
 }
@@ -851,88 +873,70 @@ func (s *Server) ApplyWatchEntry(e wal.WatchEntry) error {
 	return nil
 }
 
-// relogWALLocked re-records the per-generation prologue after a reset
-// or rotation: the pipeline origin and the full watchlist wire set.
-// The watchlist is memory-only outside the log (it is not in the
-// snapshot), so every generation must open with the complete set —
-// which also hands it to followers whose cursor starts mid-lineage.
-// Callers hold s.mu.
-func (s *Server) relogWALLocked() {
-	s.walOriginLogged = false
-	s.logWALOrigin()
-	if s.wal == nil || len(s.watchWire) == 0 {
-		return
-	}
-	if err := s.wal.AppendWatches(s.watchWire); err != nil {
-		s.metrics.WALErrors.Add(1)
-		s.logf("sigserver: re-logging %d watch entries failed: %v", len(s.watchWire), err)
-		return
-	}
-	s.metrics.WatchEntriesLogged.Add(int64(len(s.watchWire)))
-}
-
-// logWALOrigin records the pipeline's window alignment in the log once
-// per log generation.
-func (s *Server) logWALOrigin() {
-	if s.wal == nil || s.walOriginLogged {
-		return
-	}
-	origin, ok := s.pipeline.Origin()
-	if !ok {
-		return
-	}
-	if err := s.wal.AppendOrigin(origin, s.cfg.Stream.WindowSize); err != nil {
-		s.metrics.WALErrors.Add(1)
-		s.logf("sigserver: WAL origin append failed: %v", err)
-		return
-	}
-	s.walOriginLogged = true
-}
-
-// checkpointLocked makes the archive durable and truncates the log.
-// Callers must guarantee every WAL entry belongs to an already
-// archived window. On snapshot failure the log is left intact — the
-// closed windows then live only there, and the next successful
+// checkpointLocked makes the archive durable and starts a new log
+// generation, and reports whether runs — accepted records of the batch
+// in flight, not in the log yet — need no logging any more. Callers must
+// guarantee every WAL entry and every run belongs to an already
+// archived window. The invariant it keeps: no acknowledged record
+// leaves the log before the snapshot holding it is durable. On snapshot
+// failure the log is left intact — the closed windows then live only
+// there, the caller commits runs beside them, and the next successful
 // checkpoint (or startup replay) recovers them.
-func (s *Server) checkpointLocked() {
+func (s *Server) checkpointLocked(runs [][]netflow.Record) bool {
 	if s.cfg.SnapshotDir == "" {
-		return
+		return true
 	}
 	if err := s.store.Save(s.cfg.SnapshotDir); err != nil {
 		s.metrics.SnapshotErrors.Add(1)
 		s.logf("sigserver: snapshot save failed (WAL kept): %v", err)
-		return
+		return false
 	}
 	s.metrics.SnapshotSaves.Add(1)
 	if s.wal == nil {
-		return
+		return true
 	}
-	if err := s.resetWALLocked(); err != nil {
-		s.metrics.WALErrors.Add(1)
-		s.logf("sigserver: WAL reset failed: %v", err)
-		return
+	// The snapshot holds runs now. Followers rebuild windows from records
+	// though, so the generation a replicating node is about to seal must
+	// hold them as well: when that commit fails the generation stays open
+	// — sealed without them it would hand followers a window the primary
+	// never had — and runs ride the batch-end commit.
+	if s.cfg.Replicate && !s.walCommitLocked(runs, nil) {
+		return false
 	}
-	s.metrics.WALResets.Add(1)
-	s.relogWALLocked()
+	s.resetWALLocked()
+	return true
 }
 
-// resetWALLocked empties the log after a checkpoint. Normally that is
-// a plain truncation; in Replicate mode the current generation is
-// instead sealed as an immutable segment file and the next generation
-// started, so a follower whose cursor is still inside the old
-// generation can keep fetching its bytes. Callers hold s.mu (or run
-// before the server is shared) and re-log the origin afterwards.
-func (s *Server) resetWALLocked() error {
+// resetWALLocked starts a new log generation once a snapshot holds
+// everything the log does, and reports whether it did. Normally the old
+// generation is truncated away; in Replicate mode it is instead sealed
+// as an immutable segment file, so a follower whose cursor is still
+// inside it can keep fetching its bytes. Either way the new generation
+// opens with its prologue — the pipeline origin and the full watchlist
+// wire set — committed at once, and that commit is what makes the
+// truncation (or the new file) durable too. The watchlist is memory-only
+// outside the log (it is not in the snapshot), so every generation must
+// open with the complete set — which also hands it to followers whose
+// cursor starts mid-lineage. Callers hold s.mu (or run before the
+// server is shared).
+func (s *Server) resetWALLocked() bool {
+	var err error
 	if !s.cfg.Replicate {
-		return s.wal.Reset()
+		err = s.wal.Reset()
+	} else if err = s.wal.Rotate(walSegmentPath(s.wal.Path(), s.walGen)); err == nil {
+		s.walGen++
+		s.metrics.WALRotations.Add(1)
+		s.pruneSegmentsLocked()
 	}
-	if err := s.wal.Rotate(walSegmentPath(s.wal.Path(), s.walGen)); err != nil {
-		return err
+	if err != nil {
+		s.metrics.WALErrors.Add(1)
+		s.logf("sigserver: WAL reset failed (log kept): %v", err)
+		return false
 	}
-	s.walGen++
-	s.metrics.WALRotations.Add(1)
-	s.pruneSegmentsLocked()
-	return nil
+	s.metrics.WALResets.Add(1)
+	s.walOriginLogged, s.walWatchesLogged = false, 0
+	s.walCommitLocked(nil, nil)
+	return true
 }
 
 // walSegmentPath names the sealed segment file of one WAL generation.
@@ -1091,13 +1095,7 @@ func (s *Server) Shutdown() error {
 				// keeping the origin for the next run's alignment. On a
 				// failed flush the open window's records must stay in
 				// the WAL — they are its only surviving copy.
-				if err := s.resetWALLocked(); err != nil {
-					s.metrics.WALErrors.Add(1)
-					s.logf("sigserver: shutdown WAL reset failed: %v", err)
-				} else {
-					s.metrics.WALResets.Add(1)
-					s.relogWALLocked()
-				}
+				s.resetWALLocked()
 			}
 		}
 		s.mu.Unlock()

@@ -303,9 +303,10 @@ type diskSnapshot struct {
 // operation (at most one class per op, mirroring how real faults tend
 // to arrive).
 type faultPlan struct {
-	// walFail makes every WAL flush in the op fail (wal.sync): appended
-	// records and origin frames are rolled back and stay volatile.
-	walFail bool
+	// walFail makes WAL commits in the op fail (wal.sync): the records,
+	// origin frame and marker a failed commit carried are rolled back.
+	// The decision is made commit by commit — see walFault.
+	walFail walFault
 	// snapFail makes snapshot saves fail before the manifest rename
 	// (store.save.window / .window.commit / .labels / .labels.commit /
 	// .manifest): the old on-disk
@@ -327,10 +328,34 @@ type faultPlan struct {
 	segFail bool
 }
 
+// walFault says which of an op's WAL commits — a generation change's,
+// the batch end's, counted from 0 in the order they are made — fail.
+// Failing some and not others is what tells a log that carries a
+// batch's records and its marker in one commit from one that does not.
+type walFault uint8
+
+const (
+	walFailAll   walFault = iota + 1 // every commit of the op
+	walFailFirst                     // the op's first commit only
+	walFailRest                      // every commit but the op's first
+)
+
+func (f walFault) fails(commit int) bool {
+	switch f {
+	case walFailAll:
+		return true
+	case walFailFirst:
+		return commit == 0
+	case walFailRest:
+		return commit > 0
+	}
+	return false
+}
+
 func (p faultPlan) String() string {
 	switch {
-	case p.walFail:
-		return "wal-fail"
+	case p.walFail != 0:
+		return [...]string{walFailAll: "wal-fail", walFailFirst: "wal-fail-first", walFailRest: "wal-fail-rest"}[p.walFail]
 	case p.snapFail:
 		return "snap-fail"
 	case p.snapCommitted:
@@ -362,9 +387,18 @@ type model struct {
 
 	// Durability mirror.
 	durable        []netflow.Record // records a recovery would replay
-	walPending     []netflow.Record // this op's not-yet-flushed accepted records
+	durableMarks   []logMark        // batch markers among them, in log order
+	walStaged      []netflow.Record // this op's accepted records, not committed yet
+	walCommits     int              // WAL commits this op has made so far
 	walOriginKnown bool             // an origin frame is in the log
 	disk           *diskSnapshot    // nil: no loadable snapshot on disk
+}
+
+// logMark places one batch marker in the durable log: after its first
+// `records` record frames.
+type logMark struct {
+	id      string
+	records int
 }
 
 // newModel builds the reference model for a fresh (empty-disk) run.
@@ -490,11 +524,27 @@ type ingestOutcome struct {
 	CurrentWindow int
 }
 
-// ingest mirrors Server.ingestLocked record by record, including the
-// WAL-flush-before-checkpoint ordering, under the given fault plan.
-func (m *model) ingest(records []netflow.Record, plan faultPlan) (ingestOutcome, error) {
+// ingest mirrors Server.ingestLocked record by record under the given
+// fault plan: accepted records are staged, a window close checkpoints
+// (which drops what is staged when the snapshot takes it), and one
+// commit at the end — where the server acknowledges — makes the rest
+// durable.
+func (m *model) ingest(id string, records []netflow.Record, plan faultPlan) (ingestOutcome, error) {
+	return m.ingestUntil(id, records, plan, false)
+}
+
+// crashInside is an ingest cut short where sim.opCrashInside's crash
+// lands: right after the batch's first checkpoint. Nothing staged after
+// it, and no marker, ever reaches the log; the reopen that follows
+// rebuilds everything else from what the disk holds.
+func (m *model) crashInside(records []netflow.Record) error {
+	_, err := m.ingestUntil("", records, faultPlan{}, true)
+	return err
+}
+
+func (m *model) ingestUntil(id string, records []netflow.Record, plan faultPlan, crashAfterCheckpoint bool) (ingestOutcome, error) {
 	var out ingestOutcome
-	m.walPending = m.walPending[:0]
+	m.walStaged, m.walCommits = m.walStaged[:0], 0
 	for i := range records {
 		emitted, accepted, err := m.feed(records[i])
 		if err != nil {
@@ -505,7 +555,6 @@ func (m *model) ingest(records []netflow.Record, plan faultPlan) (ingestOutcome,
 			continue
 		}
 		if len(emitted) > 0 {
-			m.flushLog(plan)
 			m.pending = 0
 			for _, set := range emitted {
 				// The server counts every emitted window, even one the
@@ -513,58 +562,70 @@ func (m *model) ingest(records []netflow.Record, plan faultPlan) (ingestOutcome,
 				m.archive.add(toRefWindow(m.u, set))
 				out.WindowsClosed++
 			}
-			m.checkpoint(plan)
+			if m.checkpoint(plan) {
+				m.walStaged = m.walStaged[:0]
+			}
+			if crashAfterCheckpoint {
+				m.walStaged = m.walStaged[:0]
+				return out, nil
+			}
 		}
 		if accepted > 0 {
 			out.Accepted += accepted
 			m.pending += accepted
-			m.walPending = append(m.walPending, records[i])
+			m.walStaged = append(m.walStaged, records[i])
 		} else {
 			out.Dropped++
 		}
 	}
-	m.flushLog(plan)
+	m.commit(plan, id)
 	out.CurrentWindow = m.pipe.CurrentWindow()
 	return out, nil
 }
 
-// flushLog mirrors Server.walAppendLocked: the pending records (and an
-// origin frame, first time per log generation) become durable unless
-// the op's WAL fault makes the flush fail — in which case the rollback
-// semantics of the fixed WAL guarantee nothing of the batch survives.
-func (m *model) flushLog(plan faultPlan) {
-	if len(m.walPending) == 0 {
-		return
+// commit mirrors Server.walCommitLocked: what is staged, then the marker
+// of batch id if one is given — and before both the origin frame, if the
+// pipeline knows an origin this log generation does not hold yet —
+// becomes durable, unless the op's WAL fault fails the commit, in which
+// case nothing of it survives: not the records, not the marker, and not
+// the origin, which the log holds only after a commit that carried it
+// succeeded.
+func (m *model) commit(plan faultPlan, id string) {
+	if !plan.walFail.fails(m.walCommits) {
+		m.walOriginKnown = m.walOriginKnown || m.originKnown()
+		m.durable = append(m.durable, m.walStaged...)
+		if id != "" {
+			m.durableMarks = append(m.durableMarks, logMark{id: id, records: len(m.durable)})
+		}
 	}
-	if plan.walFail {
-		m.walPending = m.walPending[:0]
-		return
-	}
-	m.walOriginKnown = true // origin is known whenever records were accepted
-	m.durable = append(m.durable, m.walPending...)
-	m.walPending = m.walPending[:0]
+	m.walCommits++
+	m.walStaged = m.walStaged[:0]
 }
 
-// checkpoint mirrors Server.checkpointLocked under the fault plan.
-func (m *model) checkpoint(plan faultPlan) {
+// checkpoint mirrors Server.checkpointLocked under the fault plan, and
+// like it reports whether the staged records need no logging any more:
+// they do not once a save that reported success holds their windows,
+// whatever then becomes of the log.
+func (m *model) checkpoint(plan faultPlan) bool {
 	switch {
 	case plan.snapFail:
-		return // save failed before its rename; disk and WAL unchanged
+		return false // save failed before its rename; disk and WAL unchanged
 	case plan.snapCommitted:
 		// Save reported failure, so the WAL is kept — but the manifest
 		// rename happened and a recovery loads the new snapshot.
 		m.disk = &diskSnapshot{archive: m.archive.clone(), labels: m.universeDump()}
-		return
+		return false
 	}
 	m.disk = &diskSnapshot{archive: m.archive.clone(), labels: m.universeDump()}
 	if plan.resetFail {
-		return // truncation failed: records stay replayable
+		return true // truncation failed: the log keeps what it held
 	}
-	m.durable = m.durable[:0]
-	// The origin is re-appended right after the reset; under a WAL
-	// fault that append fails too and the log stays origin-less until
-	// the next successful flush.
-	m.walOriginKnown = !plan.walFail && m.originKnown()
+	// The truncation, then at once the commit of the new generation's
+	// prologue; when a WAL fault fails that commit the log stays
+	// origin-less until the next one that succeeds.
+	m.durable, m.durableMarks, m.walStaged, m.walOriginKnown = m.durable[:0], nil, m.walStaged[:0], false
+	m.commit(plan, "")
+	return true
 }
 
 // originKnown reports whether the pipeline's origin is established.
@@ -606,7 +667,7 @@ func (m *model) shutdown() error {
 		return err
 	}
 	m.disk = &diskSnapshot{archive: m.archive.clone(), labels: m.universeDump()}
-	m.durable = m.durable[:0]
+	m.durable, m.durableMarks = m.durable[:0], nil
 	m.walOriginKnown = m.originKnown()
 	return nil
 }
@@ -650,7 +711,7 @@ func (m *model) reopen(tornBytes int64) (expectedRecovery, error) {
 		return exp, err
 	}
 	m.pending = 0
-	m.walPending = m.walPending[:0]
+	m.walStaged = m.walStaged[:0]
 
 	// Mirror Server.replayWAL.
 	replayed := m.durable
@@ -680,7 +741,7 @@ func (m *model) reopen(tornBytes int64) (expectedRecovery, error) {
 	if windowsKept > 0 {
 		// Post-replay checkpoint (no faults are active during reopen).
 		m.disk = &diskSnapshot{archive: m.archive.clone(), labels: m.universeDump()}
-		m.durable = append(m.durable[:0], tail...)
+		m.durable, m.durableMarks = append(m.durable[:0], tail...), nil // the rewritten tail is records only
 		m.walOriginKnown = m.originKnown()
 	} else {
 		m.durable = replayed

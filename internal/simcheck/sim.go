@@ -13,6 +13,7 @@ import (
 	"graphsig/internal/sketch"
 	"graphsig/internal/stats"
 	"graphsig/internal/stream"
+	"graphsig/internal/wal"
 )
 
 // simT0 anchors the logical clock. The harness owns all time: record
@@ -60,6 +61,12 @@ type Config struct {
 	// Restarts interleaves graceful restarts, crashes, and crashes with
 	// torn WAL tails.
 	Restarts bool
+	// CrashInside turns some of the Restarts schedule's crashes into ones
+	// that land inside an ingest — after the batch's first checkpoint,
+	// before the commit at its end — each followed by the reboot and the
+	// client's retry of the batch. Off, a seed keeps the schedule it had
+	// before the op existed.
+	CrashInside bool
 	// Segments attaches a cold segment tier under Dir: the ring stays at
 	// Capacity while compaction moves evictions into immutable segment
 	// files, and the model turns unbounded — every window ever closed
@@ -283,8 +290,10 @@ func (s *sim) step() error {
 		return s.opFlush()
 	case r < 0.93:
 		return s.opRestart()
-	case r < 0.97:
+	case r < 0.95 || r < 0.97 && !s.cfg.CrashInside:
 		return s.opCrash(false)
+	case r < 0.97:
+		return s.opCrashInside()
 	default:
 		return s.opCrash(true)
 	}
@@ -296,8 +305,12 @@ func (s *sim) pickPlan() faultPlan {
 		return faultPlan{}
 	}
 	switch f := s.rng.Float64(); {
+	case f < 0.20:
+		return faultPlan{walFail: walFailAll}
+	case f < 0.30:
+		return faultPlan{walFail: walFailFirst}
 	case f < 0.40:
-		return faultPlan{walFail: true}
+		return faultPlan{walFail: walFailRest}
 	case f < 0.70:
 		return faultPlan{snapFail: true}
 	case f < 0.85:
@@ -312,7 +325,7 @@ func (s *sim) pickPlan() faultPlan {
 // faultNames are the failpoints the harness may install; cleared (by
 // name, so unrelated hooks survive) after every faulted op.
 var faultNames = []string{
-	"wal.sync", "wal.reset",
+	"wal.write", "wal.sync", "wal.reset",
 	"store.save.window", "store.save.window.commit", "store.save.labels", "store.save.labels.commit",
 	"store.save.manifest", "store.save.sweep",
 	"segment.write", "segment.commit",
@@ -324,8 +337,15 @@ func (s *sim) installPlan(plan faultPlan) func() {
 	errInjected := fmt.Errorf("simcheck: injected fault (%s)", plan)
 	hook := func() error { return errInjected }
 	switch {
-	case plan.walFail:
-		fault.Set("wal.sync", hook)
+	case plan.walFail != 0:
+		commit := 0 // every WAL commit hits wal.sync once
+		fault.Set("wal.sync", func() error {
+			commit++
+			if plan.walFail.fails(commit - 1) {
+				return errInjected
+			}
+			return nil
+		})
 	case plan.snapFail:
 		// Vary which stage of the save dies. A save with no new window
 		// or label to write never reaches their points, so the manifest
@@ -348,10 +368,13 @@ func (s *sim) installPlan(plan faultPlan) func() {
 	default:
 		return func() {}
 	}
-	return func() {
-		for _, n := range faultNames {
-			fault.Clear(n)
-		}
+	return clearFaults
+}
+
+// clearFaults disarms every failpoint the harness may have installed.
+func clearFaults() {
+	for _, n := range faultNames {
+		fault.Clear(n)
 	}
 }
 
@@ -391,29 +414,39 @@ func (s *sim) nextRecord() netflow.Record {
 	return rec
 }
 
-func (s *sim) opIngest() error {
-	n := 1 + s.rng.Intn(12)
-	records := make([]netflow.Record, n)
+// nextBatch draws the records of one ingest op.
+func (s *sim) nextBatch() []netflow.Record {
+	records := make([]netflow.Record, 1+s.rng.Intn(12))
 	for i := range records {
 		records[i] = s.nextRecord()
 	}
+	return records
+}
+
+func (s *sim) opIngest() error {
+	records := s.nextBatch()
 	plan := s.pickPlan()
 	s.batchN++
 	id := fmt.Sprintf("batch-%06d", s.batchN)
-	s.note("ingest %s n=%d fault=%s clock=%s", id, n, plan, s.clock.Format("15:04:05"))
+	s.note("ingest %s n=%d fault=%s clock=%s", id, len(records), plan, s.clock.Format("15:04:05"))
 
 	disarm := s.installPlan(plan)
 	res := s.srv.IngestBatch(id, records)
 	disarm()
+	return s.checkIngested(id, records, res, plan)
+}
 
-	want, err := s.model.ingest(records, plan)
+// checkIngested holds the answer to a batch the node had not seen to the
+// model's, and remembers the batch for a later retry op.
+func (s *sim) checkIngested(id string, records []netflow.Record, res server.IngestResult, plan faultPlan) error {
+	want, err := s.model.ingest(id, records, plan)
 	if err != nil {
 		return err
 	}
 	if res.Deduplicated {
 		return s.fail("fresh batch %s came back deduplicated", id)
 	}
-	if err := s.compareOutcome(res, want, n); err != nil {
+	if err := s.compareOutcome(res, want, len(records)); err != nil {
 		return err
 	}
 	s.batches = append(s.batches, sentBatch{id: id, records: records, outcome: res})
@@ -421,6 +454,67 @@ func (s *sim) opIngest() error {
 		s.batches = s.batches[1:]
 	}
 	return s.cheapCompare()
+}
+
+// opCrashInside is an ingest the node does not survive. It dies after
+// the batch's first checkpoint — the closed windows saved, the new log
+// generation opened by its prologue commit — and before the commit at
+// the batch's end, so whatever the batch did after the close was never
+// logged and no marker for it exists. The node reboots and the client,
+// which got no answer, retries the batch: it must apply, once. A batch
+// that closes no window has no such point and runs as a plain ingest.
+//
+// A failpoint hook inside the log runs under its lock and cannot close
+// it, so the node dies the way its disk sees it: from the crash point on
+// every write it attempts fails, and it is aborted once the call returns.
+func (s *sim) opCrashInside() error {
+	records := s.nextBatch()
+	s.batchN++
+	id := fmt.Sprintf("batch-%06d", s.batchN)
+	s.note("ingest %s n=%d crash-inside clock=%s", id, len(records), s.clock.Format("15:04:05"))
+
+	// 0: no checkpoint yet; 1: the first one has truncated the log, its
+	// prologue commit is under way; 2: that commit is synced — dead.
+	stage := 0
+	errDead := fmt.Errorf("simcheck: the node died after its first checkpoint")
+	dead := func() error {
+		if stage == 2 {
+			return errDead
+		}
+		return nil
+	}
+	fault.Set("wal.reset", func() error {
+		if stage == 0 {
+			stage = 1
+		}
+		return dead()
+	})
+	fault.Set("wal.sync", func() error {
+		if stage == 1 {
+			stage = 2
+			return nil
+		}
+		return dead()
+	})
+	for _, point := range []string{"wal.write", "store.save.window", "store.save.labels", "store.save.manifest", "segment.write"} {
+		fault.Set(point, dead)
+	}
+	res := s.srv.IngestBatch(id, records)
+	clearFaults()
+	if stage == 0 {
+		return s.checkIngested(id, records, res, faultPlan{})
+	}
+
+	s.srv.Abort()
+	s.srv = nil
+	if err := s.model.crashInside(records); err != nil {
+		return err
+	}
+	if err := s.reopen(0); err != nil {
+		return err
+	}
+	s.note("retry %s after the crash inside it", id)
+	return s.checkIngested(id, records, s.srv.IngestBatch(id, records), faultPlan{})
 }
 
 // compareOutcome checks an IngestResult against the model's prediction.
@@ -452,7 +546,7 @@ func (s *sim) opRetry() error {
 	}
 	// The dedup entry was lost (restart, or evicted from the bounded
 	// set): the server re-applied the batch, so the model must too.
-	want, err := s.model.ingest(b.records, faultPlan{})
+	want, err := s.model.ingest(b.id, b.records, faultPlan{})
 	if err != nil {
 		return err
 	}
@@ -485,7 +579,7 @@ func (s *sim) opFlush() error {
 
 func (s *sim) opSnapshot() error {
 	plan := s.pickPlan()
-	if plan.walFail || plan.resetFail {
+	if plan.walFail != 0 || plan.resetFail {
 		plan = faultPlan{} // Snapshot never touches the WAL
 	}
 	s.note("snapshot fault=%s", plan)
@@ -541,6 +635,9 @@ func (s *sim) opCrash(torn bool) error {
 // reopen boots a fresh server over the on-disk state and checks the
 // recovery report plus full state equality against the model.
 func (s *sim) reopen(tornBytes int64) error {
+	if err := s.checkLogMarkers(); err != nil {
+		return err
+	}
 	srv, err := server.New(s.cfg.serverConfig())
 	if err != nil {
 		return fmt.Errorf("simcheck: reopen: %w", err)
@@ -561,8 +658,38 @@ func (s *sim) reopen(tornBytes int64) error {
 		rec.WALTornBytes != exp.WALTornBytes || rec.WALWindowsClosed != exp.WALWindowsClosed {
 		return s.fail("recovery mismatch: server %+v, model %+v", rec, exp)
 	}
-	// Recorded batches are kept deliberately: the dedup set is
-	// in-memory only, so a retry of a pre-restart batch exercises the
-	// re-application branch of opRetry.
+	// Recorded batches are kept deliberately: the reboot's dedup set
+	// holds only the markers the log still does, so a retry of a
+	// pre-restart batch exercises both branches of opRetry.
 	return s.deepCompare("post-reopen")
+}
+
+// checkLogMarkers reads the log a reboot is about to recover and holds
+// it to what one commit per acknowledgement promises: a batch's marker
+// is in the log exactly when the records it vouches for are, right after
+// them — never a marker whose records the log lacks, never a batch's
+// records without the marker that makes its retry idempotent. The model
+// says where each marker sits among the records (model.durableMarks).
+func (s *sim) checkLogMarkers() error {
+	data, err := os.ReadFile(server.WALPath(s.cfg.serverConfig().SnapshotDir))
+	if err != nil || int64(len(data)) < wal.HeaderLen {
+		return nil // no log yet
+	}
+	frames, _, _ := wal.ScanFrames(data[wal.HeaderLen:]) // a bad frame is where recovery ends the log too
+	want, records := s.model.durableMarks, 0
+	for i := range frames {
+		switch fr := &frames[i]; fr.Kind {
+		case wal.FrameRecord:
+			records++
+		case wal.FrameBatch:
+			if len(want) == 0 || want[0] != (logMark{id: fr.Batch.ID, records: records}) {
+				return s.fail("recovered log holds the marker of %s after %d records; the model's next markers: %v", fr.Batch.ID, records, want)
+			}
+			want = want[1:]
+		}
+	}
+	if len(want) > 0 {
+		return s.fail("recovered log (%d records) lacks the markers %v", records, want)
+	}
+	return nil
 }

@@ -41,6 +41,28 @@ func TestSimSmoke(t *testing.T) {
 	}
 }
 
+// TestSimCrashInside adds the crash that lands inside an ingest — after
+// the batch's first checkpoint, before the commit at its end — to the
+// fault and restart schedule, with the client's retry after the reboot:
+// the batch applies exactly once, and no recovered log holds a marker
+// without its records (sim.checkLogMarkers, run at every reopen of
+// every seed).
+func TestSimCrashInside(t *testing.T) {
+	for _, cfg := range []Config{
+		{Seed: 31, Ops: 2000, ExplicitOrigin: false, Faults: true, Restarts: true, CrashInside: true},
+		{Seed: 32, Ops: 1500, ExplicitOrigin: true, LSH: true, Faults: true, Restarts: true, CrashInside: true},
+		{Seed: 33, Ops: 1200, ExplicitOrigin: false, Segments: true, Capacity: 3, Faults: true, Restarts: true, CrashInside: true},
+	} {
+		cfg := cfg
+		t.Run(fmt.Sprintf("seed%d_origin%v_segments%v", cfg.Seed, cfg.ExplicitOrigin, cfg.Segments), func(t *testing.T) {
+			cfg.Dir = t.TempDir()
+			if err := Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestSimShortDeterministic re-runs one seed twice and expects clean
 // passes both times — a cheap guard that nothing in the harness leaks
 // state between runs.

@@ -21,9 +21,7 @@ func FuzzWALReplay(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if err := w.AppendOrigin(time.Date(2026, 3, 2, 0, 0, 0, 0, time.UTC), 5*time.Minute); err != nil {
-		f.Fatal(err)
-	}
+	w.StageOrigin(time.Date(2026, 3, 2, 0, 0, 0, 0, time.UTC), 5*time.Minute)
 	if err := w.Append([]netflow.Record{{
 		Src: "a", Dst: "b",
 		Start:    time.Date(2026, 3, 2, 0, 1, 0, 0, time.UTC),

@@ -21,20 +21,18 @@ func mixedLog(t *testing.T) []byte {
 	path := filepath.Join(t.TempDir(), "mixed.wal")
 	recs := testRecords(5)
 	w, _ := mustOpen(t, path)
-	steps := []func() error{
-		func() error { return w.AppendOrigin(recs[0].Start, time.Hour) },
-		func() error { return w.Append(recs[:2]) },
-		func() error {
-			return w.AppendWatches([]WatchEntry{{Individual: "case-1", Window: 3, Nodes: []string{"a", "b"}, Weights: []float64{1, 2.5}}})
-		},
-		func() error { return w.Append(recs[2:]) },
-		func() error { return w.AppendBatch(BatchEntry{ID: "b-1", Result: json.RawMessage(`{"accepted":5}`)}) },
-		func() error { return w.Append(recs[:1]) },
+	// One commit the way a node makes them: prologue, records, a watch
+	// add, more records, the batch's marker — then a second commit.
+	w.StageOrigin(recs[0].Start, time.Hour)
+	w.StageRecords(recs[:2])
+	w.StageWatches([]WatchEntry{{Individual: "case-1", Window: 3, Nodes: []string{"a", "b"}, Weights: []float64{1, 2.5}}})
+	w.StageRecords(recs[2:])
+	w.StageBatch(BatchEntry{ID: "b-1", Result: json.RawMessage(`{"accepted":5}`)})
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
 	}
-	for i, step := range steps {
-		if err := step(); err != nil {
-			t.Fatalf("step %d: %v", i, err)
-		}
+	if err := w.Append(recs[:1]); err != nil {
+		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

@@ -15,8 +15,8 @@
 //
 // Rotate seals the current log: it renames the file aside (the caller
 // names it by generation) and starts a fresh header-only log at the
-// original path. Sealed segments are immutable, so the primary can
-// serve them to lagging followers without holding any lock.
+// original path. Sealed segments are immutable, so the primary can serve
+// them to lagging followers without holding any lock.
 package wal
 
 import (
@@ -27,8 +27,10 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 	"time"
 
+	"graphsig/internal/fault"
 	"graphsig/internal/netflow"
 )
 
@@ -137,9 +139,10 @@ func ScanFrames(b []byte) (frames []Frame, consumed int64, err error) {
 	}
 }
 
-// DurableSize reports the offset after the last durably fsynced frame
-// — the replication high-water mark. Bytes past it may be a frame in
-// flight and must never be shipped.
+// DurableSize reports the offset after the last committed frame — the
+// replication high-water mark. It advances by whole commits, so a
+// follower never holds a batch's records without its marker. Bytes past
+// it may be a commit in flight and must never be shipped.
 func (w *WAL) DurableSize() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -175,19 +178,29 @@ func (w *WAL) ReadDurable(from int64, max int) ([]byte, error) {
 }
 
 // Rotate seals the current log as the immutable file dst and starts a
-// fresh, empty generation at the original path. Any undurable tail is
-// truncated first (sealed segments contain exactly the durable
-// bytes), which also heals a broken log — the suspect tail is cut
-// off, and the new generation starts clean. The caller should
-// AppendOrigin on the fresh log right after, exactly as after Reset.
+// fresh, empty generation at the original path. Like Reset it refuses
+// with frames staged: what the sealed generation is to hold — a
+// follower rebuilds windows from its records — the caller has committed.
+// An undurable tail is cut off first (only a broken log has one, and the
+// cut heals it), and a file left dirty is synced, so a sealed segment
+// holds exactly the committed bytes. The new file is not synced here: as
+// after Reset, the caller stages the prologue and commits at once. The
+// directory is, or a power loss could leave the old file under the live
+// name and lose every batch acknowledged into the new one.
 func (w *WAL) Rotate(dst string) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if err := w.f.Truncate(w.good); err != nil {
-		return fmt.Errorf("wal: rotate truncate: %w", err)
+	if err := w.nothingStaged(); err != nil {
+		return err
 	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("wal: rotate sync: %w", err)
+	if w.broken {
+		if err := w.rollback(); err != nil {
+			return fmt.Errorf("wal: rotate truncate: %w", err)
+		}
+		w.broken, w.dirty = false, true
+	}
+	if err := w.commit(); err != nil { // the sync a dirty file is owed; none otherwise
+		return fmt.Errorf("wal: rotate: %w", err)
 	}
 	if err := w.f.Close(); err != nil {
 		return fmt.Errorf("wal: rotate close: %w", err)
@@ -198,7 +211,6 @@ func (w *WAL) Rotate(dst string) error {
 		if f, oerr := os.OpenFile(w.path, os.O_RDWR, 0o644); oerr == nil {
 			if _, serr := f.Seek(w.good, io.SeekStart); serr == nil {
 				w.f = f
-				w.broken = false
 			} else {
 				f.Close()
 				w.broken = true
@@ -208,23 +220,39 @@ func (w *WAL) Rotate(dst string) error {
 		}
 		return fmt.Errorf("wal: rotate rename: %w", err)
 	}
+	// From here the generation is sealed whatever happens: a failure
+	// leaves the log broken — every commit fails, loudly — until a
+	// restart reopens the live path.
+	w.broken = true
 	f, err := os.OpenFile(w.path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
-		w.broken = true
 		return fmt.Errorf("wal: rotate reopen: %w", err)
 	}
 	if _, err := f.Write(header); err != nil {
 		f.Close()
-		w.broken = true
 		return fmt.Errorf("wal: rotate header: %w", err)
 	}
-	if err := f.Sync(); err != nil {
+	if err := syncDir(filepath.Dir(w.path)); err != nil {
 		f.Close()
-		w.broken = true
-		return fmt.Errorf("wal: rotate header sync: %w", err)
+		return fmt.Errorf("wal: rotate directory sync: %w", err)
 	}
 	w.f = f
-	w.good = HeaderLen
-	w.broken = false
+	w.good, w.dirty, w.broken = HeaderLen, true, false
 	return nil
+}
+
+// syncDir fsyncs a directory so the names in it are durable.
+func syncDir(dir string) error {
+	if err := fault.Inject("wal.rotate.dirsync"); err != nil {
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

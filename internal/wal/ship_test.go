@@ -44,9 +44,7 @@ func TestShipScanFramesRoundtrip(t *testing.T) {
 	defer w.Close()
 	recs := testRecords(7)
 	origin := recs[0].Start
-	if err := w.AppendOrigin(origin, time.Hour); err != nil {
-		t.Fatal(err)
-	}
+	w.StageOrigin(origin, time.Hour)
 	if err := w.Append(recs); err != nil {
 		t.Fatal(err)
 	}
@@ -139,9 +137,7 @@ func TestShipRotate(t *testing.T) {
 	w, _ := mustOpen(t, path)
 	defer w.Close()
 	recs := testRecords(6)
-	if err := w.AppendOrigin(recs[0].Start, time.Hour); err != nil {
-		t.Fatal(err)
-	}
+	w.StageOrigin(recs[0].Start, time.Hour)
 	if err := w.Append(recs[:4]); err != nil {
 		t.Fatal(err)
 	}
@@ -155,9 +151,7 @@ func TestShipRotate(t *testing.T) {
 	}
 	// The fresh generation accepts appends and records land after the
 	// header only.
-	if err := w.AppendOrigin(recs[0].Start, time.Hour); err != nil {
-		t.Fatal(err)
-	}
+	w.StageOrigin(recs[0].Start, time.Hour)
 	if err := w.Append(recs[4:]); err != nil {
 		t.Fatal(err)
 	}

@@ -1,19 +1,28 @@
 // Package wal implements the write-ahead log behind sigserverd's
 // ingest path. The §VI streaming pipeline holds the still-open
 // window's sketch state only in memory; the WAL makes that window
-// crash-safe by appending every accepted flow record (in the netflow
-// per-record binary encoding, wrapped in a CRC32 frame) and fsyncing
-// once per ingest batch. After a kill -9 the server replays the log
-// through a fresh pipeline and loses at most the last unsynced batch.
+// crash-safe by logging every accepted flow record (in the netflow
+// per-record binary encoding, wrapped in a CRC32 frame). After a kill
+// -9 the server replays the log through a fresh pipeline and loses at
+// most the last uncommitted batch.
+//
+// The unit of durability is the commit. Frames of any kind are staged
+// into one buffer (StageRecords, StageOrigin, StageWatches, StageBatch)
+// and Commit writes and fsyncs whatever is staged, once: a batch's
+// records and the marker that makes its retry idempotent reach the
+// disk together or not at all, and so does a fresh generation's
+// truncation with the prologue that follows it. The server commits
+// exactly where it acknowledges.
 //
 // The log is a redo log of accepted records, not a classical
 // undo/redo WAL: entries are written after the pipeline accepts them,
 // so a replay re-accepts every entry and never re-rejects. It is
-// truncated (Reset) whenever the archived windows it covers have been
-// committed to a durable snapshot — see internal/server's checkpoint
-// logic — and the pipeline's window origin is re-recorded after every
-// truncation so window indices stay aligned across restarts even when
-// the log is empty.
+// truncated (Reset) or sealed and restarted (Rotate) whenever the
+// archived windows it covers have been committed to a durable snapshot
+// — see internal/server's checkpoint logic — and the pipeline's window
+// origin is re-recorded at once, in the commit that makes the
+// truncation durable, so window indices stay aligned across restarts
+// even when the log holds no record.
 //
 // On-disk format, all integers little-endian:
 //
@@ -107,33 +116,43 @@ type Replay struct {
 // WAL is an append-only, CRC-framed flow record log. Methods are
 // goroutine-safe.
 //
-// Append is all-or-nothing: a failed write or fsync rolls the file back
-// to the last durably acked offset, so a transient failure can never
-// leave a partial frame in the middle of the log. Without the rollback,
-// later (successful) appends would land after the torn region and
-// recovery — which truncates at the first bad frame — would silently
-// drop them, losing records the caller was told were durable.
+// Commit is all-or-nothing: a failed write or fsync rolls the file back
+// to the last durably committed offset and drops what was staged, so a
+// transient failure can never leave a partial frame in the middle of
+// the log. Without the rollback, later (successful) commits would land
+// after the torn region and recovery — which truncates at the first bad
+// frame — would silently drop them, losing records the caller was told
+// were durable.
 type WAL struct {
 	mu   sync.Mutex
 	f    *os.File
 	path string
-	buf  []byte // frames of the append in flight, reused across appends
-	good int64  // offset after the last durably acked frame
-	// broken flips when a failed flush could not be rolled back: the
-	// tail may hold a partial frame, so further appends would be
-	// silently unrecoverable. Every later Append fails fast instead;
+	buf  []byte // frames staged since the last commit, reused across commits
+	// stageErr is the first frame that could not be encoded since the
+	// last commit. A commit is all of its frames or none, so it poisons
+	// the pending one: Commit drops what is staged and reports it.
+	stageErr error
+	good     int64 // offset after the last durably committed frame
+	// dirty marks a file whose length changed with no sync since: Open
+	// wrote the header or cut a torn tail, Reset truncated, Rotate started
+	// a new file. The next Commit syncs even with nothing staged, so the
+	// change and the frames that follow it become durable together.
+	dirty bool
+	// broken flips when a failed commit could not be rolled back: the
+	// tail may hold a partial frame, so further commits would be
+	// silently unrecoverable. Every later Commit fails fast instead;
 	// a successful Reset restores a consistent (empty) log.
 	broken bool
 
 	// Optional instrumentation (nil handles no-op; see internal/obs).
-	syncHist   *obs.Histogram // write+fsync latency per flushed batch
-	bytesTotal *obs.Counter   // framed bytes appended
+	syncHist   *obs.Histogram // write+fsync latency per commit
+	bytesTotal *obs.Counter   // framed bytes committed
 }
 
 // Instrument attaches observability handles: syncHist observes the
-// write+fsync latency of every flushed batch (seconds), bytesTotal
-// counts framed bytes appended. Either may be nil. Call before sharing
-// the WAL across goroutines.
+// write+fsync latency of every commit (seconds) — every sync the log
+// makes passes through it —, bytesTotal counts framed bytes committed.
+// Either may be nil. Call before sharing the WAL across goroutines.
 func (w *WAL) Instrument(syncHist *obs.Histogram, bytesTotal *obs.Counter) {
 	w.syncHist = syncHist
 	w.bytesTotal = bytesTotal
@@ -160,7 +179,9 @@ func Open(path string) (*WAL, Replay, error) {
 // recover validates the header (writing one into an empty file), reads
 // the log once, scans it with ScanFrames — the scanner followers use —
 // and truncates at the first frame that is incomplete or bad: to
-// recovery both mean the log ends there.
+// recovery both mean the log ends there. What it writes or cuts it
+// leaves to the first Commit to sync (dirty): a crash before that finds
+// the same empty file or torn tail again.
 func (w *WAL) recover() (Replay, error) {
 	info, err := w.f.Stat()
 	if err != nil {
@@ -170,10 +191,7 @@ func (w *WAL) recover() (Replay, error) {
 		if _, err := w.f.Write(header); err != nil {
 			return Replay{}, fmt.Errorf("wal: writing header: %w", err)
 		}
-		if err := w.f.Sync(); err != nil {
-			return Replay{}, fmt.Errorf("wal: %w", err)
-		}
-		w.good = int64(len(header))
+		w.good, w.dirty = HeaderLen, true
 		return Replay{}, nil
 	}
 	data := make([]byte, info.Size())
@@ -199,9 +217,7 @@ func (w *WAL) recover() (Replay, error) {
 		if err := w.f.Truncate(good); err != nil {
 			return Replay{}, fmt.Errorf("wal: truncating torn tail: %w", err)
 		}
-		if err := w.f.Sync(); err != nil {
-			return Replay{}, fmt.Errorf("wal: %w", err)
-		}
+		w.dirty = true
 	}
 	if _, err := w.f.Seek(good, io.SeekStart); err != nil {
 		return Replay{}, fmt.Errorf("wal: %w", err)
@@ -213,91 +229,95 @@ func (w *WAL) recover() (Replay, error) {
 // Path reports the log's file path.
 func (w *WAL) Path() string { return w.path }
 
-// Append frames and appends the records of every run, in order, then
-// fsyncs — one write and one sync per call, so a crash loses at most
-// the records of the call in flight. The runs let a caller log the
-// stretches of a batch it accepted without copying them together.
-// Appending no records is a no-op.
+// Append stages the records of every run and commits: one write and one
+// sync for them and for anything staged before, so a crash loses at most
+// the frames of the call in flight.
 func (w *WAL) Append(runs ...[]netflow.Record) error {
+	w.StageRecords(runs...)
+	return w.Commit()
+}
+
+// StageRecords frames the records of every run, in order, for the next
+// Commit. The runs let a caller log the stretches of a batch it accepted
+// without copying them together. Like every Stage method it reports
+// nothing: a frame that cannot be encoded fails the Commit it was
+// staged for.
+func (w *WAL) StageRecords(runs ...[]netflow.Record) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.buf = w.buf[:0]
 	n := 0
 	for _, run := range runs {
 		for i := range run {
 			start := w.beginFrame(kindRecord)
 			var err error
 			if w.buf, err = netflow.AppendRecordBinary(w.buf, &run[i]); err != nil {
-				return fmt.Errorf("wal: record %d: %w", n, err)
+				w.failStage(fmt.Errorf("wal: record %d: %w", n, err))
+				return
 			}
 			w.endFrame(start)
 			n++
 		}
 	}
-	if n == 0 {
-		return nil
-	}
-	return w.flush()
 }
 
-// AppendOrigin records the pipeline's window alignment so replay after
-// a restart computes the same window indices, and fsyncs.
-func (w *WAL) AppendOrigin(origin time.Time, window time.Duration) error {
+// failStage records the first staging failure since the last commit.
+func (w *WAL) failStage(err error) {
+	if w.stageErr == nil {
+		w.stageErr = err
+	}
+}
+
+// StageOrigin stages the pipeline's window alignment, so replay after a
+// restart computes the same window indices.
+func (w *WAL) StageOrigin(origin time.Time, window time.Duration) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	var payload [16]byte
 	binary.LittleEndian.PutUint64(payload[:8], uint64(origin.UnixMilli()))
 	binary.LittleEndian.PutUint64(payload[8:16], uint64(window.Milliseconds()))
-	w.buf = w.buf[:0]
 	w.frame(kindOrigin, payload[:])
-	return w.flush()
 }
 
-// AppendWatches frames and appends watchlist mutations, one frame per
-// entry, then fsyncs once for the whole batch — the server re-logs its
-// full watch set after every checkpoint, so the batched flush keeps
-// that O(1) fsyncs. Appending no entries is a no-op.
-func (w *WAL) AppendWatches(entries []WatchEntry) error {
-	if len(entries) == 0 {
-		return nil
-	}
+// StageWatches stages watchlist mutations, one frame per entry — the
+// server re-logs its full watch set into every fresh generation, and
+// the one commit keeps that O(1) fsyncs.
+func (w *WAL) StageWatches(entries []WatchEntry) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.buf = w.buf[:0]
 	for i := range entries {
 		payload, err := json.Marshal(&entries[i])
 		if err != nil {
-			return fmt.Errorf("wal: watch entry %d: %w", i, err)
+			w.failStage(fmt.Errorf("wal: watch entry %d: %w", i, err))
+			return
 		}
 		w.frame(kindWatch, payload)
 	}
-	return w.flush()
 }
 
-// AppendBatch frames and appends one applied-batch marker and fsyncs.
-func (w *WAL) AppendBatch(e BatchEntry) error {
-	if e.ID == "" {
-		return fmt.Errorf("wal: batch entry needs an ID")
-	}
+// StageBatch stages one applied-batch marker. Staged after the batch's
+// records and committed with them, it is never durable without them.
+func (w *WAL) StageBatch(e BatchEntry) {
+	payload, err := json.Marshal(&e)
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	payload, err := json.Marshal(&e)
-	if err != nil {
-		return fmt.Errorf("wal: batch entry: %w", err)
+	switch {
+	case e.ID == "":
+		w.failStage(fmt.Errorf("wal: batch entry needs an ID"))
+	case err != nil:
+		w.failStage(fmt.Errorf("wal: batch entry: %w", err))
+	default:
+		w.frame(kindBatch, payload)
 	}
-	w.buf = w.buf[:0]
-	w.frame(kindBatch, payload)
-	return w.flush()
 }
 
-// frame appends one frame for payload to the scratch buffer.
+// frame stages one frame for payload.
 func (w *WAL) frame(kind byte, payload []byte) {
 	start := w.beginFrame(kind)
 	w.buf = append(w.buf, payload...)
 	w.endFrame(start)
 }
 
-// beginFrame opens a frame in the scratch buffer and returns where it
+// beginFrame opens a frame in the staging buffer and returns where it
 // starts; the caller appends the payload to w.buf and calls endFrame,
 // which fills in the length and checksum left blank here.
 func (w *WAL) beginFrame(kind byte) int {
@@ -312,42 +332,62 @@ func (w *WAL) endFrame(start int) {
 	binary.LittleEndian.PutUint32(w.buf[start+5:], crc32.ChecksumIEEE(payload))
 }
 
-// flush writes the scratch buffer and syncs. On any failure it rolls
-// the file back to the last acked offset so no partial frame survives
-// in the middle of the log (see the WAL doc comment). Callers hold
-// w.mu.
-func (w *WAL) flush() error {
+// Commit makes everything staged durable with one write and one fsync —
+// the log's only sync. With nothing staged it still syncs a file that
+// Open, Reset or Rotate left dirty, and is otherwise a no-op. On any
+// failure — a frame that could not be staged included — nothing of the
+// commit survives: the file is rolled back to the last committed offset
+// and the staged frames are dropped (see the WAL doc comment).
+func (w *WAL) Commit() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.commit()
+}
+
+// commit is Commit for callers that hold w.mu.
+func (w *WAL) commit() error {
+	staged, stageErr := w.buf, w.stageErr
+	w.buf, w.stageErr = w.buf[:0], nil
 	if w.broken {
-		return fmt.Errorf("wal: log broken by an earlier unrecoverable flush failure")
+		return fmt.Errorf("wal: log broken by an earlier unrecoverable commit failure")
+	}
+	if stageErr != nil {
+		return stageErr
+	}
+	if len(staged) == 0 && !w.dirty {
+		return nil
 	}
 	begin := time.Now()
-	err := w.writeAndSync()
-	if err != nil {
+	if err := w.writeAndSync(staged); err != nil {
 		// Roll back whatever partial frame the failed write left behind.
-		if _, serr := w.f.Seek(w.good, io.SeekStart); serr == nil {
-			serr = w.f.Truncate(w.good)
-			if serr != nil {
-				w.broken = true
-				return fmt.Errorf("wal: rollback after failed flush: %v (original: %w)", serr, err)
-			}
-		} else {
+		if serr := w.rollback(); serr != nil {
 			w.broken = true
-			return fmt.Errorf("wal: rollback after failed flush: %v (original: %w)", serr, err)
+			return fmt.Errorf("wal: rollback after failed commit: %v (original: %w)", serr, err)
 		}
 		return err
 	}
-	w.good += int64(len(w.buf))
+	w.good += int64(len(staged))
+	w.dirty = false
 	w.syncHist.ObserveSince(begin)
-	w.bytesTotal.Add(int64(len(w.buf)))
+	w.bytesTotal.Add(int64(len(staged)))
 	return nil
 }
 
-// writeAndSync performs the raw write+fsync of the scratch buffer.
-func (w *WAL) writeAndSync() error {
+// rollback cuts the file back to the last committed offset and
+// positions it there.
+func (w *WAL) rollback() error {
+	if _, err := w.f.Seek(w.good, io.SeekStart); err != nil {
+		return err
+	}
+	return w.f.Truncate(w.good)
+}
+
+// writeAndSync performs the raw write+fsync of the staged frames.
+func (w *WAL) writeAndSync(staged []byte) error {
 	if err := fault.Inject("wal.write"); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	if _, err := w.f.Write(w.buf); err != nil {
+	if _, err := w.f.Write(staged); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
 	if err := fault.Inject("wal.sync"); err != nil {
@@ -359,27 +399,37 @@ func (w *WAL) writeAndSync() error {
 	return nil
 }
 
-// Reset truncates the log back to its header — called after the
-// windows it covered were committed to a durable snapshot. The caller
-// should AppendOrigin again right after, so alignment survives even an
-// empty log.
+// Reset truncates the log back to its header — called after the windows
+// it covered were committed to a durable snapshot. It does not sync: the
+// caller stages the new generation's prologue (the origin, so alignment
+// survives even a log with no record) and commits at once, which makes
+// the truncation and the prologue durable together. A generation ends
+// between commits: with frames staged Reset refuses, rather than guess
+// which side of the truncation they were meant for.
 func (w *WAL) Reset() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if err := w.nothingStaged(); err != nil {
+		return err
+	}
 	if err := fault.Inject("wal.reset"); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	if err := w.f.Truncate(int64(len(header))); err != nil {
+	if err := w.f.Truncate(HeaderLen); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	if _, err := w.f.Seek(int64(len(header)), io.SeekStart); err != nil {
+	if _, err := w.f.Seek(HeaderLen, io.SeekStart); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("wal: %w", err)
+	w.good, w.dirty, w.broken = HeaderLen, true, false
+	return nil
+}
+
+// nothingStaged is the precondition of a generation change.
+func (w *WAL) nothingStaged() error {
+	if len(w.buf) > 0 || w.stageErr != nil {
+		return fmt.Errorf("wal: generation change with frames staged")
 	}
-	w.good = int64(len(header))
-	w.broken = false
 	return nil
 }
 

@@ -58,9 +58,7 @@ func TestAppendReplayRoundtrip(t *testing.T) {
 	if len(records(rep)) != 0 || !rep.Origin.IsZero() {
 		t.Fatalf("fresh log replayed %+v", rep)
 	}
-	if err := w.AppendOrigin(origin, time.Hour); err != nil {
-		t.Fatal(err)
-	}
+	w.StageOrigin(origin, time.Hour)
 	if err := w.Append(recs[:5]); err != nil {
 		t.Fatal(err)
 	}
@@ -139,9 +137,7 @@ func TestTornTailEveryOffset(t *testing.T) {
 	full := filepath.Join(dir, "full.wal")
 	recs := testRecords(5)
 	w, _ := mustOpen(t, full)
-	if err := w.AppendOrigin(recs[0].Start, time.Hour); err != nil {
-		t.Fatal(err)
-	}
+	w.StageOrigin(recs[0].Start, time.Hour)
 	if err := w.Append(recs); err != nil {
 		t.Fatal(err)
 	}

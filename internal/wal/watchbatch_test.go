@@ -16,9 +16,7 @@ func TestWatchBatchReplayRoundtrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ingest.wal")
 	recs := testRecords(4)
 	w, _ := mustOpen(t, path)
-	if err := w.AppendOrigin(recs[0].Start, time.Hour); err != nil {
-		t.Fatal(err)
-	}
+	w.StageOrigin(recs[0].Start, time.Hour)
 	if err := w.Append(recs[:2]); err != nil {
 		t.Fatal(err)
 	}
@@ -26,14 +24,16 @@ func TestWatchBatchReplayRoundtrip(t *testing.T) {
 		{Individual: "case-1", Window: 3, Nodes: []string{"a", "b"}, Weights: []float64{1, 2.5}},
 		{Individual: "case-1", Window: 4, Nodes: []string{"c"}, Weights: []float64{0.25}},
 	}
-	if err := w.AppendWatches(watches); err != nil {
+	w.StageWatches(watches)
+	if err := w.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Append(recs[2:]); err != nil {
 		t.Fatal(err)
 	}
 	batch := BatchEntry{ID: "b-1", Result: json.RawMessage(`{"accepted":2}`)}
-	if err := w.AppendBatch(batch); err != nil {
+	w.StageBatch(batch)
+	if err := w.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -76,13 +76,20 @@ func TestWatchBatchReplayRoundtrip(t *testing.T) {
 }
 
 // TestAppendBatchRejectsEmptyID: an ID-less batch marker would replay
-// as a no-op dedup entry; the writer must refuse it outright.
+// as a no-op dedup entry; the writer must refuse it outright — and a
+// frame that cannot be staged fails the commit it was staged for.
 func TestAppendBatchRejectsEmptyID(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ingest.wal")
 	w, _ := mustOpen(t, path)
 	defer w.Close()
-	if err := w.AppendBatch(BatchEntry{}); err == nil {
-		t.Fatal("AppendBatch accepted an empty ID")
+	w.StageRecords(testRecords(1))
+	w.StageBatch(BatchEntry{})
+	if err := w.Commit(); err == nil {
+		t.Fatal("Commit took a batch marker with an empty ID")
+	}
+	// A commit is all of its frames or none: the record went with it.
+	if size := w.DurableSize(); size != HeaderLen {
+		t.Fatalf("the refused commit left %d bytes in the log", size-HeaderLen)
 	}
 }
 
@@ -93,10 +100,12 @@ func TestAppendBatchRejectsEmptyID(t *testing.T) {
 func TestScanFramesWatchBatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ingest.wal")
 	w, _ := mustOpen(t, path)
-	if err := w.AppendWatches([]WatchEntry{{Individual: "i", Window: 1}}); err != nil {
+	w.StageWatches([]WatchEntry{{Individual: "i", Window: 1}})
+	if err := w.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AppendBatch(BatchEntry{ID: "x"}); err != nil {
+	w.StageBatch(BatchEntry{ID: "x"})
+	if err := w.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	size := w.DurableSize()
