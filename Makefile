@@ -24,7 +24,8 @@ race:
 # cold label search, a failed cold search, the cold-search soak under a
 # memory limit, a released block read, SelfRetrievalAUC, a WAL open, one
 # ingest batch and one window close (6 allocations and 1.5 KB a source),
-# the engine's and querier's rows.
+# the engine's and querier's rows, and a parallel engine job (as many
+# allocations at 1 300 rows as at 130).
 alloc-budget:
 	$(GO) test -run 'Alloc|Budget' ./internal/distmat/ ./internal/store/ \
 		./internal/segment/ ./internal/eval/ ./internal/wal/ ./internal/server/
@@ -133,7 +134,9 @@ bench:
 
 # One iteration of the pairwise-engine benchmarks under the race
 # detector: a cheap smoke test that the engine's parallel paths are
-# race-clean and still bit-identical to the naive loops they replace.
+# race-clean and still bit-identical to the naive loops they replace,
+# then the engine's scheduler tests under the race detector at 1, 2 and
+# 4 cores (an engine built with 0 workers runs on GOMAXPROCS of them).
 # The sigbench line then drives the engine (with the thresholded
 # prefilter sweep) on a scaled dataset — runPairwise exits non-zero on
 # any `identical: false`. The next four are one iteration of the write
@@ -145,18 +148,22 @@ bench:
 # pipeline at sigserverd's default sketch — every source sparse, and
 # with a Zipf head that goes dense — and the checkpoint of one window
 # close with and without new labels (all at the `wide` serving shape).
-# Then the read side's: the
-# self-retrieval AUC at the analytics stage's 2 000 x 2 000, and a label
-# search 4 x 1 200 and 12 x 400 cold windows deep.
+# Then the read side's: one pass of
+# the end-to-end harness's analytics stage at its 2 000 sources (each
+# call's ms and a hash of the outputs), the self-retrieval AUC at
+# 2 000 x 2 000, and a label search 4 x 1 200 and 12 x 400 cold windows
+# deep.
 bench-smoke:
 	$(GO) test -race -run=^$$ -benchtime=1x \
 		-bench 'BenchmarkPairwiseUniqueness|BenchmarkMultiusageAllPairs' .
+	$(GO) test -race -cpu 1,2,4 -run 'Parallel|PairsWithin|Rows|Panic' ./internal/distmat/
 	$(GO) run ./cmd/sigbench -experiment pairwise -scale 0.5
 	$(GO) test -run=^$$ -benchtime=1x -benchmem \
 		-bench 'BenchmarkWALOpen|BenchmarkWALAppend|BenchmarkWALGenerationChange' ./internal/wal/
 	$(GO) test -run=^$$ -benchtime=1x -benchmem -bench 'BenchmarkIngestSmallBatch' ./internal/server/
 	$(GO) test -run=^$$ -benchtime=1x -benchmem -bench 'BenchmarkPipelineWindow' ./internal/stream/
 	$(GO) test -run=^$$ -benchtime=1x -benchmem -bench 'BenchmarkStoreSave' ./internal/store/
+	$(GO) test -run=^$$ -benchtime=1x -benchmem -bench 'BenchmarkAnalyticsPass' .
 	$(GO) test -run=^$$ -benchtime=1x -benchmem -bench 'BenchmarkSelfRetrievalAUC' ./internal/eval/
 	$(GO) test -run=^$$ -benchtime=1x -benchmem -bench 'BenchmarkStoreSearch/cold' ./internal/store/
 

@@ -6,13 +6,17 @@ package graphsig_test
 // (scheme computation, distances, AUC, perturbation, sketches, LSH).
 
 import (
+	"fmt"
+	"hash/fnv"
 	"io"
 	"sync"
 	"testing"
+	"time"
 
 	"graphsig"
 	"graphsig/internal/apps"
 	"graphsig/internal/core"
+	"graphsig/internal/datagen"
 	"graphsig/internal/distmat"
 	"graphsig/internal/eval"
 	"graphsig/internal/experiments"
@@ -387,6 +391,100 @@ func BenchmarkMultiusageAllPairs(b *testing.B) {
 			}
 		}
 	})
+}
+
+var (
+	analyticsOnce sync.Once
+	analyticsSets [2]*core.SignatureSet
+	analyticsErr  error
+)
+
+// analyticsInput is the end-to-end harness's analytics capture
+// (bench/setup.go, analyticsSources): two windows of a 2 000-source
+// datagen capture at seed 1, sized as bench/'s enterpriseConfig sizes it,
+// signed by Top Talkers at k = 10.
+func analyticsInput(b *testing.B) (at, next *core.SignatureSet) {
+	b.Helper()
+	analyticsOnce.Do(func() {
+		cfg := datagen.DefaultEnterpriseConfig(1)
+		cfg.LocalHosts, cfg.ExternalHosts, cfg.Windows = 2000, 16000, 2
+		cfg.MultiusageIndividuals = min(cfg.MultiusageIndividuals, cfg.LocalHosts/15)
+		data, err := datagen.GenerateEnterprise(cfg)
+		if err != nil {
+			analyticsErr = err
+			return
+		}
+		for i := range analyticsSets {
+			w := data.Windows[i]
+			if analyticsSets[i], err = core.ComputeSet(core.TopTalkers{}, w, core.DefaultSources(w), 10); err != nil {
+				analyticsErr = err
+				return
+			}
+		}
+	})
+	if analyticsErr != nil {
+		b.Fatal(analyticsErr)
+	}
+	return analyticsSets[0], analyticsSets[1]
+}
+
+// BenchmarkAnalyticsPass is one pass of the end-to-end harness's
+// analytics stage (bench/stage_analytics.go, whose sum is analytics_s)
+// without bench/: uniqueness and multiusage under Jaccard and
+// ScaledHellinger, persistence, anomalies and the self-retrieval AUC
+// over 2 000 sources. Each call's time is reported beside the pass's, and
+// a hash of what the pass computed is logged: a scheduling change must
+// leave it as it was. Persistence is a map walk, so of its summary only
+// the count and the extremes are exact, and only they are hashed.
+func BenchmarkAnalyticsPass(b *testing.B) {
+	at, next := analyticsInput(b)
+	calls := []string{"uniq-jaccard", "multi-jaccard", "uniq-shel", "multi-shel", "persistence", "anomalies", "self-auc"}
+	spent := make([]time.Duration, len(calls))
+	timed := func(call int, f func() error) {
+		t0 := time.Now()
+		if err := f(); err != nil {
+			b.Fatal(err)
+		}
+		spent[call] += time.Since(t0)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h := fnv.New64a()
+		for k, d := range []core.Distance{core.Jaccard{}, core.ScaledHellinger{}} {
+			timed(2*k, func() error {
+				fmt.Fprint(h, eval.UniquenessSummary(d, at, 0, 0))
+				return nil
+			})
+			timed(2*k+1, func() error {
+				pairs, err := apps.DetectMultiusage(d, at, 0.5)
+				fmt.Fprint(h, pairs)
+				return err
+			})
+		}
+		timed(4, func() error {
+			p := eval.PersistenceSummary(core.Jaccard{}, at, next)
+			fmt.Fprint(h, p.N, p.Min, p.Max)
+			return nil
+		})
+		timed(5, func() error {
+			found, _, err := apps.DetectAnomalies(core.Jaccard{}, at, next, 2)
+			for _, a := range found {
+				fmt.Fprint(h, a.Node, a.Persistence)
+			}
+			return err
+		})
+		timed(6, func() error {
+			auc, err := eval.SelfRetrievalAUC(core.Jaccard{}, at, next)
+			fmt.Fprint(h, auc)
+			return err
+		})
+		if i == 0 {
+			b.Logf("%d sources, pass outputs fnv64a %016x", at.Len(), h.Sum64())
+		}
+	}
+	for call, name := range calls {
+		b.ReportMetric(float64(spent[call].Microseconds())/1e3/float64(b.N), name+"-ms/op")
+	}
 }
 
 func BenchmarkGenerateEnterprise(b *testing.B) {

@@ -1,6 +1,8 @@
 package distmat
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"graphsig/internal/budget"
@@ -31,6 +33,68 @@ func TestEngineRowsAllocFree(t *testing.T) {
 		}
 	}
 	_ = sink
+}
+
+// TestEngineParallelAllocBudget: a parallel job allocates per worker —
+// its goroutines, the ring's slots and channels, PairsWithin's chunk
+// list and result —, never per row or per block. A warm Rows job over
+// 1 300 rows and a PairsWithin over 1 300 signatures make as many
+// allocations as the same jobs at 130.
+func TestEngineParallelAllocBudget(t *testing.T) {
+	budget.SkipUnderRace(t)
+	const workers = 4
+	big := randSet(t, 13, 1300, 10, 400)
+	head, err := core.NewSignatureSet("test", 0, big.Sources[:130], big.Sigs[:130])
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := make([]int, big.Len())
+	for i := range idx {
+		idx[i] = i
+	}
+	sink := 0.0
+	consume := func(_ int, row []float64) { sink += row[0] }
+	for _, d := range []core.Distance{core.Jaccard{}, core.ScaledHellinger{}} {
+		eng, _ := NewEngine(big, big, d, workers)
+		rows := func(n int) uint64 { return steadyAllocs(func() { eng.Rows(idx[:n], consume) }) }
+		pairs := func(set *core.SignatureSet) uint64 {
+			within, _ := NewEngine(set, set, d, workers)
+			if len(within.PairsWithin(0.6)) == 0 {
+				t.Fatalf("%s: no pair within 0.6 among %d signatures (the result is then not allocated)", d.Name(), set.Len())
+			}
+			return steadyAllocs(func() { within.PairsWithin(0.6) })
+		}
+		// The larger job first: it grows the pooled scratch the smaller reuses.
+		if large, small := rows(1300), rows(130); large != small || large > 8*workers {
+			t.Errorf("%s: parallel Rows allocates %d times at 130 rows and %d at 1 300, want equal and ≤ %d",
+				d.Name(), small, large, 8*workers)
+		}
+		if large, small := pairs(big), pairs(head); large != small || large > 8*workers {
+			t.Errorf("%s: PairsWithin allocates %d times at 130 rows and %d at 1 300, want equal and ≤ %d",
+				d.Name(), small, large, 8*workers)
+		}
+	}
+	_ = sink
+}
+
+// steadyAllocs is the fewest allocations any of 20 calls of f makes on
+// one P, after two warm-up calls there: what a job costs once its pooled
+// scratch is warm. A call now and then still finds the pool short and
+// refills it, or hands a scratch the row that grows its match buffer;
+// neither is a per-row cost, and neither repeats.
+func steadyAllocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	f()
+	least := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for range 20 {
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.Mallocs-before.Mallocs)
+	}
+	return least
 }
 
 // TestEngineDistAllocFree: the pointwise path owns its kernel. After

@@ -27,11 +27,21 @@
 //     using a 128-bit node mask per signature and weight prefix sums —
 //     a conservative bound with no false rejections (see prefilter.go),
 //     so filtered results stay bit-identical to the naive scan.
-//  4. Sharded parallel execution: rows are chunked deterministically
-//     across workers (mirroring core.Parallel's contract) and delivered
-//     to the consumer sequentially in row order, so parallel output —
-//     including order-sensitive Welford reductions downstream — is
-//     bit-identical to a single-threaded run.
+//  4. Parallel execution that keeps every core busy: one set of workers
+//     per job takes 16-row blocks in ascending order from a shared
+//     counter. Rows writes each block into a ring of 2·workers buffers,
+//     a slot claimed only once the consumer has passed its previous
+//     block (TestEngineRowsSlowWorkerKeepsItsSlot), and the calling
+//     goroutine delivers a block's rows, in ascending order, as soon as
+//     it is complete — the consumer's fold overlaps the next blocks'
+//     computation; PairsWithin concatenates per-chunk outputs in chunk
+//     order. Either way the output — including order-sensitive Welford
+//     reductions downstream — is bit-identical to a single-threaded run
+//     (TestEngineParallelIdenticalToSequential,
+//     TestPairsWithinMatchesNaive, both at several worker counts), a
+//     panicking consumer strands no worker (TestEngineRowsConsumerPanic),
+//     and a job allocates per worker, not per row
+//     (TestEngineParallelAllocBudget).
 //
 // All matcher and row scratch is recycled through a package-level pool
 // shared across engines, queriers and shards: steady-state jobs (eval
@@ -48,9 +58,11 @@
 package distmat
 
 import (
+	"cmp"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"graphsig/internal/core"
@@ -292,6 +304,7 @@ type scratch struct {
 	stride   int
 
 	row   []float64 // per-column distance buffer (sequential Rows, Querier, PairsWithin)
+	pairs []Pair    // a PairsWithin worker's output, chunk after chunk
 	qsig  [1]core.Signature
 	qflat core.FlatSigs // SoA view of qsig — the query side of Querier jobs
 }
@@ -634,30 +647,104 @@ func (e *Engine) Dist(i, j int) float64 {
 	return e.kern.FlatDist(e.rows.flat, i, e.cols.flat, j)
 }
 
-// blockRows bounds how many rows one worker computes per wave; it also
-// bounds buffered memory to workers·blockRows·n floats.
+// blockRows is the unit of work a worker takes from a job's counter: 16
+// rows of Rows, or 16 rows of PairsWithin's triangle.
 const blockRows = 16
 
-// slabPool recycles the parallel Rows path's buffered-row slab.
-var slabPool = sync.Pool{New: func() any { return new([]float64) }}
-
-// Rows computes the distance rows for the given row indices and streams
-// them to consume(t, row) where t is the position within idx — strictly
-// in ascending t, from a single goroutine. Row buffers are reused:
-// consumers that retain a row must copy it. Computation is sharded
-// across the engine's workers in deterministic contiguous blocks, so the
-// values and delivery order are identical to a sequential run. With one
-// worker the whole job runs on pooled scratch and allocates nothing.
-func (e *Engine) Rows(idx []int, consume func(t int, row []float64)) {
+// workerCount is how many goroutines a job of the given number of
+// blocks runs on: the engine's workers (GOMAXPROCS when 0), at most one
+// per block, at least one.
+func (e *Engine) workerCount(blocks int) int {
 	workers := e.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if max := (len(idx) + blockRows - 1) / blockRows; workers > max {
-		workers = max
+	return max(1, min(workers, blocks))
+}
+
+// slabPool recycles the parallel Rows path's buffered-row slab.
+var slabPool = sync.Pool{New: func() any { return new([]float64) }}
+
+// rowRing is the parallel Rows job's hand-off between its workers and
+// the consumer: which block each slot holds, and how far the consumer
+// has got. Block b lives in slot b mod len(done).
+type rowRing struct {
+	mu     sync.Mutex
+	cond   sync.Cond // broadcast when a block is written, passed, or the job stops
+	done   []int     // per slot: 1 + the last block written into it
+	passed int       // blocks the consumer has delivered
+	stop   bool      // the consumer returned or panicked
+}
+
+// claim blocks until slot b mod ring may take block b — the consumer has
+// passed block b − ring, the slot's previous tenant — and reports false
+// if the job stopped first. Waiting on the consumer's position, not on a
+// per-slot token, is what keeps a fast worker holding block b + ring off
+// the slot a slow worker holding block b has yet to claim.
+func (r *rowRing) claim(b int) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for r.passed <= b-len(r.done) && !r.stop {
+		r.cond.Wait()
 	}
+	return !r.stop
+}
+
+// testHookBeforeClaim, set only by tests, runs in a parallel Rows worker
+// between taking block b from the counter and claiming its slot — where
+// a preempted worker lingers.
+var testHookBeforeClaim func(b int)
+
+// written marks block b complete in its slot.
+func (r *rowRing) written(b int) {
+	r.mu.Lock()
+	r.done[b%len(r.done)] = b + 1
+	r.mu.Unlock()
+	r.cond.Broadcast()
+}
+
+// await blocks until block b is complete in its slot.
+func (r *rowRing) await(b int) {
+	r.mu.Lock()
+	for r.done[b%len(r.done)] != b+1 {
+		r.cond.Wait()
+	}
+	r.mu.Unlock()
+}
+
+// pass records that the consumer has delivered the first b blocks.
+func (r *rowRing) pass(b int) {
+	r.mu.Lock()
+	r.passed = b
+	r.mu.Unlock()
+	r.cond.Broadcast()
+}
+
+// halt releases every worker waiting in claim, for good.
+func (r *rowRing) halt() {
+	r.mu.Lock()
+	r.stop = true
+	r.mu.Unlock()
+	r.cond.Broadcast()
+}
+
+// Rows computes the distance rows for the given row indices and streams
+// them to consume(t, row) where t is the position within idx — strictly
+// in ascending t, from a single goroutine. Row buffers are reused:
+// consumers that retain a row must copy it. With one worker the whole
+// job runs on pooled scratch and allocates nothing. With more, workers
+// take 16-row blocks in ascending order from a shared counter and write
+// block b into slot b mod ring of a ring of 2·workers buffers, while the
+// calling goroutine delivers each block as soon as it is complete. Every
+// cell is computed once, by one worker, from immutable inputs, so values
+// and delivery order are identical to a sequential run. If consume
+// panics, the panic reaches the caller after every worker has stopped
+// and released its scratch.
+func (e *Engine) Rows(idx []int, consume func(t int, row []float64)) {
+	blocks := (len(idx) + blockRows - 1) / blockRows
+	workers := e.workerCount(blocks)
 	n := e.cols.Len()
-	if workers <= 1 {
+	if workers == 1 {
 		r := e.newRower()
 		defer r.release()
 		row := r.s.rowBuf(n)
@@ -667,59 +754,63 @@ func (e *Engine) Rows(idx []int, consume func(t int, row []float64)) {
 		}
 		return
 	}
-	rowers := make([]rower, workers)
-	active := 0
-	defer func() {
-		for w := 0; w < active; w++ {
-			rowers[w].release()
-		}
-	}()
-	stride := workers * blockRows
+	ring := &rowRing{done: make([]int, 2*workers)}
+	ring.cond.L = &ring.mu
+	size := len(ring.done) * blockRows * n
 	slabPtr := slabPool.Get().(*[]float64)
 	slab := *slabPtr
-	if cap(slab) < stride*n {
-		slab = make([]float64, stride*n)
+	if cap(slab) < size {
+		slab = make([]float64, size)
 	}
-	slab = slab[:stride*n]
+	slab = slab[:size]
+	// rowOf is the buffer of row t, the (t mod blockRows)-th row of its
+	// block's slot.
+	rowOf := func(t int) []float64 {
+		at := (t/blockRows%len(ring.done)*blockRows + t%blockRows) * n
+		return slab[at : at+n : at+n]
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
 	defer func() {
+		// On return and on a panic in consume alike: release the workers
+		// waiting for a slot, hand out no more blocks, and let every
+		// worker give its scratch back before the slab goes to the pool.
+		next.Store(int64(blocks))
+		ring.halt()
+		wg.Wait()
 		*slabPtr = slab
 		slabPool.Put(slabPtr)
 	}()
-	bufs := make([][]float64, stride)
-	for i := range bufs {
-		bufs[i] = slab[i*n : (i+1)*n : (i+1)*n]
-	}
-	for base := 0; base < len(idx); base += stride {
-		end := base + stride
-		if end > len(idx) {
-			end = len(idx)
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := base + w*blockRows
-			if lo >= end {
-				break
-			}
-			hi := lo + blockRows
-			if hi > end {
-				hi = end
-			}
-			if w >= active {
-				rowers[w] = e.newRower()
-				active = w + 1
-			}
-			wg.Add(1)
-			go func(r *rower, lo, hi int) {
-				defer wg.Done()
-				for t := lo; t < hi; t++ {
-					r.rowInto(idx[t], bufs[t-base])
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			r := e.newRower()
+			defer r.release()
+			for {
+				b := int(next.Add(1) - 1)
+				if b >= blocks {
+					return
 				}
-			}(&rowers[w], lo, hi)
+				if testHookBeforeClaim != nil {
+					testHookBeforeClaim(b)
+				}
+				if !ring.claim(b) {
+					return
+				}
+				for t := b * blockRows; t < min((b+1)*blockRows, len(idx)); t++ {
+					r.rowInto(idx[t], rowOf(t))
+				}
+				ring.written(b)
+			}
+		}()
+	}
+	for b := 0; b < blocks; b++ {
+		ring.await(b)
+		for t := b * blockRows; t < min((b+1)*blockRows, len(idx)); t++ {
+			consume(t, rowOf(t))
 		}
-		wg.Wait()
-		for t := base; t < end; t++ {
-			consume(t, bufs[t-base])
-		}
+		ring.pass(b + 1)
 	}
 }
 
@@ -739,66 +830,68 @@ type Pair struct {
 // qualifies and the dense row path is used — as it always is for a
 // distance without a kernel, whose disjoint pairs may sit anywhere. The
 // result is sorted by (I, J), independent of the worker count.
+//
+// Workers take 16-row chunks from a shared counter (row i scans n−i
+// columns, so equal contiguous ranges would not be equal work), append
+// each chunk's pairs to their pooled scratch sorted, and the chunks are
+// concatenated in chunk order.
 func (e *Engine) PairsWithin(maxDist float64) []Pair {
 	n := e.rows.Len()
-	workers := e.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	chunk := (n + workers - 1) / workers
-	outs := make([][]Pair, workers)
+	chunks := (n + blockRows - 1) / blockRows
+	rowers := make([]rower, e.workerCount(chunks))
+	// spans[c] is chunk c's pairs: a tail of its worker's buffer as it
+	// stood after the chunk, left intact by later appends (which write
+	// past it or into a grown copy).
+	spans := make([][]Pair, chunks)
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= n {
-			break
-		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
+	wg.Add(len(rowers))
+	for w := range rowers {
+		rowers[w] = e.newRower()
+		go func(r *rower) {
 			defer wg.Done()
-			r := e.newRower()
-			defer r.release()
-			var out []Pair
-			if maxDist < 1 && e.dist == nil {
-				out = r.pairsThresholded(lo, hi, maxDist)
-			} else {
-				out = r.pairsDense(lo, hi, maxDist)
+			r.s.pairs = r.s.pairs[:0]
+			for {
+				c := int(next.Add(1) - 1)
+				if c >= chunks {
+					return
+				}
+				lo, hi := c*blockRows, min((c+1)*blockRows, n)
+				from := len(r.s.pairs)
+				if maxDist < 1 && e.dist == nil {
+					r.s.pairs = r.pairsThresholded(r.s.pairs, lo, hi, maxDist)
+				} else {
+					r.s.pairs = r.pairsDense(r.s.pairs, lo, hi, maxDist)
+				}
+				slices.SortFunc(r.s.pairs[from:], func(a, b Pair) int {
+					return cmp.Or(cmp.Compare(a.I, b.I), cmp.Compare(a.J, b.J))
+				})
+				spans[c] = r.s.pairs[from:]
 			}
-			outs[w] = out
-		}(w, lo, hi)
+		}(&rowers[w])
 	}
 	wg.Wait()
-	var all []Pair
-	for _, out := range outs {
-		all = append(all, out...)
+	total := 0
+	for _, span := range spans {
+		total += len(span)
 	}
-	sort.Slice(all, func(x, y int) bool {
-		if all[x].I != all[y].I {
-			return all[x].I < all[y].I
-		}
-		return all[x].J < all[y].J
-	})
+	all := slices.Grow([]Pair(nil), total) // nil when nothing qualifies
+	for _, span := range spans {
+		all = append(all, span...)
+	}
+	for w := range rowers {
+		rowers[w].release()
+	}
 	return all
 }
 
-// pairsThresholded enumerates candidates of rows [lo, hi) above the
-// diagonal and keeps those within maxDist (< 1).
-func (r *rower) pairsThresholded(lo, hi int, maxDist float64) []Pair {
+// pairsThresholded appends to out the candidates of rows [lo, hi) above
+// the diagonal that lie within maxDist (< 1).
+func (r *rower) pairsThresholded(out []Pair, lo, hi int, maxDist float64) []Pair {
 	e := r.e
 	s := r.s
 	rf, cols := e.rows.flat, e.cols
 	filter := s.prefilters(e.prefilter)
-	var out []Pair
 	row := 0
 	keep := func(j int, dist float64) { out = append(out, Pair{I: row, J: j, Dist: dist}) }
 	var checked, skipped int64
@@ -824,12 +917,11 @@ func (r *rower) pairsThresholded(lo, hi int, maxDist float64) []Pair {
 	return out
 }
 
-// pairsDense scans full rows of [lo, hi): maxDist ≥ 1, or no kernel.
-func (r *rower) pairsDense(lo, hi int, maxDist float64) []Pair {
+// pairsDense is pairsThresholded by full rows: maxDist ≥ 1, or no kernel.
+func (r *rower) pairsDense(out []Pair, lo, hi int, maxDist float64) []Pair {
 	e := r.e
 	n := e.cols.Len()
 	row := r.s.rowBuf(n)
-	var out []Pair
 	for i := lo; i < hi; i++ {
 		if e.rows.flat.IsEmpty(i) {
 			continue

@@ -3,7 +3,9 @@ package distmat
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"graphsig/internal/core"
 	"graphsig/internal/graph"
@@ -105,37 +107,117 @@ func TestEngineMatchesNaiveCrossSet(t *testing.T) {
 
 // TestEngineParallelIdenticalToSequential is the determinism contract:
 // the same rows, in the same order, with bit-identical values, whatever
-// the worker count.
+// the worker count (0 is GOMAXPROCS, which `go test -cpu` varies), the
+// job's length around the 16-row block, and the consumer's pace — one
+// that merely copies outruns the workers, one that sleeps per row makes
+// the ring wrap and the workers wait for slots.
 func TestEngineParallelIdenticalToSequential(t *testing.T) {
 	set := randSet(t, 11, 130, 9, 80)
+	n := set.Len()
 	d := core.ScaledHellinger{}
 	seq, ok := NewEngine(set, set, d, 1)
 	if !ok {
 		t.Fatal("no engine")
 	}
-	wantM := engineMatrix(t, seq, set.Len(), set.Len())
-	for _, workers := range []int{2, 3, 7, 16} {
+	wantM := engineMatrix(t, seq, n, n)
+	consumers := map[string]func(){"fast": func() {}, "slow": func() { time.Sleep(20 * time.Microsecond) }}
+	for _, workers := range []int{0, 2, 3, 7, 16} {
 		par, ok := NewEngine(set, set, d, workers)
 		if !ok {
 			t.Fatal("no engine")
 		}
-		var order []int
-		m := make([][]float64, set.Len())
-		idx := make([]int, set.Len())
-		for i := range idx {
-			idx[i] = i
-		}
-		par.Rows(idx, func(i int, row []float64) {
-			order = append(order, i)
-			m[i] = append([]float64(nil), row...)
-		})
-		for i := range order {
-			if order[i] != i {
-				t.Fatalf("workers=%d: rows delivered out of order: %v", workers, order)
+		for _, rows := range []int{0, 1, 15, 16, 17, 33, n} {
+			idx := make([]int, rows)
+			for t := range idx {
+				idx[t] = t * 7 % n // 7 is prime to 130: a permutation at rows = n
+			}
+			for name, pace := range consumers {
+				if name == "slow" && rows < n {
+					continue
+				}
+				var order []int
+				got := make([][]float64, rows)
+				par.Rows(idx, func(t int, row []float64) {
+					pace()
+					order = append(order, t)
+					got[t] = append([]float64(nil), row...)
+				})
+				if len(order) != rows {
+					t.Fatalf("workers=%d rows=%d %s: %d rows delivered", workers, rows, name, len(order))
+				}
+				for t2, i := range idx {
+					if order[t2] != t2 {
+						t.Fatalf("workers=%d rows=%d %s: rows delivered out of order: %v", workers, rows, name, order)
+					}
+					if !reflect.DeepEqual(got[t2], wantM[i]) {
+						t.Fatalf("workers=%d rows=%d %s: row %d differs from sequential", workers, rows, name, i)
+					}
+				}
 			}
 		}
-		if !reflect.DeepEqual(m, wantM) {
-			t.Fatalf("workers=%d: parallel matrix differs from sequential", workers)
+	}
+}
+
+// TestEngineRowsSlowWorkerKeepsItsSlot: a worker held up between taking
+// block b from the counter and claiming its slot keeps the slot against
+// a faster worker that meanwhile took block b + ring. With a free token
+// per slot instead of the consumer's position, the faster worker took
+// the token the consumer had released for block b, and the consumer
+// delivered block b + ring's rows as block b's.
+func TestEngineRowsSlowWorkerKeepsItsSlot(t *testing.T) {
+	set := randSet(t, 15, 300, 9, 80) // 19 blocks: two turns of the largest ring below
+	n := set.Len()
+	d := core.ScaledHellinger{}
+	seq, _ := NewEngine(set, set, d, 1)
+	want := engineMatrix(t, seq, n, n)
+	defer func() { testHookBeforeClaim = nil }()
+	for _, workers := range []int{2, 3} {
+		slow := 2*workers + 1 // its slot's previous tenant is consumed long before
+		testHookBeforeClaim = func(b int) {
+			if b == slow {
+				time.Sleep(20 * time.Millisecond)
+			}
+		}
+		par, _ := NewEngine(set, set, d, workers)
+		if got := engineMatrix(t, par, n, n); !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: rows differ from sequential with block %d's worker held up", workers, slow)
+		}
+	}
+}
+
+// TestEngineRowsConsumerPanic: a consumer that panics at row t takes the
+// panic to Rows' caller, and by then no worker is left behind — whether
+// the workers were computing or waiting for a slot the consumer will
+// never free.
+func TestEngineRowsConsumerPanic(t *testing.T) {
+	set := randSet(t, 12, 130, 9, 80)
+	idx := make([]int, set.Len())
+	for i := range idx {
+		idx[i] = i
+	}
+	for _, workers := range []int{0, 1, 2, 4} {
+		eng, _ := NewEngine(set, set, core.ScaledHellinger{}, workers)
+		for _, at := range []int{0, 5, 16, 70, len(idx) - 1} {
+			before := runtime.NumGoroutine()
+			got := func() (got any) {
+				defer func() { got = recover() }()
+				eng.Rows(idx, func(t int, _ []float64) {
+					if t == at {
+						panic(at)
+					}
+				})
+				return nil
+			}()
+			if got != at {
+				t.Fatalf("workers=%d: consumer panicked at row %d, caller recovered %v", workers, at, got)
+			}
+			// A worker that has called wg.Done may still be exiting.
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+				if time.Now().After(deadline) {
+					t.Fatalf("workers=%d panic at %d: %d goroutines after Rows, %d before", workers, at, runtime.NumGoroutine(), before)
+				}
+				time.Sleep(time.Millisecond)
+			}
 		}
 	}
 }
@@ -166,14 +248,13 @@ func TestEngineRowsSubset(t *testing.T) {
 	}
 }
 
+// TestPairsWithinMatchesNaive: the pairs and their order are the naive
+// loop's at every worker count (0 is GOMAXPROCS), over 80 rows — five
+// 16-row chunks.
 func TestPairsWithinMatchesNaive(t *testing.T) {
 	set := randSet(t, 31, 80, 8, 50)
 	for _, d := range core.ExtendedDistances() {
 		for _, threshold := range []float64{0.25, 0.8, 1} {
-			eng, ok := NewEngine(set, set, d, 3)
-			if !ok {
-				t.Fatalf("engine rejected %s", d.Name())
-			}
 			var want []Pair
 			for i := 0; i < set.Len(); i++ {
 				if set.Sigs[i].IsEmpty() {
@@ -188,10 +269,15 @@ func TestPairsWithinMatchesNaive(t *testing.T) {
 					}
 				}
 			}
-			got := eng.PairsWithin(threshold)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s threshold=%g: got %d pairs want %d (or values differ)",
-					d.Name(), threshold, len(got), len(want))
+			for _, workers := range []int{0, 1, 2, 3, 8} {
+				eng, ok := NewEngine(set, set, d, workers)
+				if !ok {
+					t.Fatalf("engine rejected %s", d.Name())
+				}
+				if got := eng.PairsWithin(threshold); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s threshold=%g workers=%d: got %d pairs want %d (or values differ)",
+						d.Name(), threshold, workers, len(got), len(want))
+				}
 			}
 		}
 	}

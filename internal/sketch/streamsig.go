@@ -66,9 +66,17 @@ func (c *StreamConfig) fill() {
 // receives the additions it always would have, in the same order.
 type sourceState struct {
 	total float64
-	log   []observation            // sparse; nil once dense
-	cm    *CountMin                // dense; nil while sparse
-	cand  map[graph.NodeID]float64 // dense: candidate → CM estimate when last observed
+	log   []observation              // sparse; nil once dense
+	cm    *CountMin                  // dense; nil while sparse
+	cand  map[graph.NodeID]candidate // dense: the tracked heavy candidates
+}
+
+// candidate is a tracked destination of a dense source: its cfg.Key,
+// kept so that neither the eviction scan nor a signature hashes a label
+// again, and its CM estimate when last observed.
+type candidate struct {
+	key uint64
+	est float64
 }
 
 // observation is one logged communication of a still-sparse source.
@@ -78,10 +86,10 @@ type observation struct {
 	weight float64
 }
 
-func (st *sourceState) observe(dst graph.NodeID, dstKey uint64, weight float64, cap int, key func(graph.NodeID) uint64) {
+func (st *sourceState) observe(dst graph.NodeID, dstKey uint64, weight float64, cap int) {
 	st.cm.Add(dstKey, weight)
 	st.total += weight
-	st.cand[dst] = st.cm.Estimate(dstKey)
+	st.cand[dst] = candidate{key: dstKey, est: st.cm.Estimate(dstKey)}
 	if len(st.cand) > cap {
 		// Evict the current lightest candidate (ties by larger key,
 		// then larger ID, so eviction is deterministic — and, with a
@@ -89,10 +97,9 @@ func (st *sourceState) observe(dst graph.NodeID, dstKey uint64, weight float64, 
 		var victim graph.NodeID
 		victimKey := uint64(0)
 		min := -1.0
-		for u, w := range st.cand {
-			uk := key(u)
-			if min < 0 || w < min || (w == min && (uk > victimKey || (uk == victimKey && u > victim))) {
-				victim, victimKey, min = u, uk, w
+		for u, c := range st.cand {
+			if min < 0 || c.est < min || (c.est == min && (c.key > victimKey || (c.key == victimKey && u > victim))) {
+				victim, victimKey, min = u, c.key, c.est
 			}
 		}
 		delete(st.cand, victim)
@@ -152,7 +159,7 @@ func (s *StreamTT) Observe(src, dst graph.NodeID, weight float64) error {
 		}
 		s.materialise(st)
 	}
-	st.observe(dst, dstKey, weight, s.cfg.Candidates, s.cfg.Key)
+	st.observe(dst, dstKey, weight, s.cfg.Candidates)
 	return nil
 }
 
@@ -161,9 +168,9 @@ func (s *StreamTT) Observe(src, dst graph.NodeID, weight float64) error {
 func (s *StreamTT) materialise(st *sourceState) {
 	log := st.log
 	cm, _ := NewCountMin(s.cfg.Depth, s.cfg.Width) // the size was checked at construction
-	*st = sourceState{cm: cm, cand: make(map[graph.NodeID]float64, s.cfg.Candidates+1)}
+	*st = sourceState{cm: cm, cand: make(map[graph.NodeID]candidate, s.cfg.Candidates+1)}
 	for _, o := range log {
-		st.observe(o.dst, o.key, o.weight, s.cfg.Candidates, s.cfg.Key)
+		st.observe(o.dst, o.key, o.weight, s.cfg.Candidates)
 	}
 	s.dense++
 }
@@ -198,9 +205,8 @@ func (s *StreamTT) Dense(v graph.NodeID) bool {
 func (s *StreamTT) counts(st *sourceState) []core.KeyedEntry {
 	out := s.entries[:0]
 	if st.cm != nil {
-		for u := range st.cand {
-			key := s.cfg.Key(u)
-			out = append(out, core.KeyedEntry{Node: u, Key: key, Weight: st.cm.Estimate(key)})
+		for u, c := range st.cand {
+			out = append(out, core.KeyedEntry{Node: u, Key: c.key, Weight: st.cm.Estimate(c.key)})
 		}
 		s.entries = out
 		return out

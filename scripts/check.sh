@@ -17,8 +17,8 @@ fi
 go test -race ./...
 # What ./... does not reach is defined once, in the Makefile: the
 # allocation budgets, which skip under the race detector; the
-# pairwise-engine benchmarks under the race detector plus the sigbench
-# engine-vs-naive run (exits non-zero on any `identical: false`), the
+# pairwise-engine benchmarks and the engine's scheduler tests at 1, 2 and
+# 4 cores under the race detector plus the sigbench engine-vs-naive run (exits non-zero on any `identical: false`), the
 # warn-only single-core throughput diff against BENCH_pairwise.json,
 # bench/ (its own module: the BENCHMARK.json harness with its output
 # checks on), and a short exploratory run of all eight fuzz targets. The
