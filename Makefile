@@ -24,8 +24,9 @@ race:
 # cold label search, a failed cold search, the cold-search soak under a
 # memory limit, a released block read, SelfRetrievalAUC, a WAL open, one
 # ingest batch and one window close (6 allocations and 1.5 KB a source),
-# the engine's and querier's rows, and a parallel engine job (as many
-# allocations at 1 300 rows as at 130).
+# the engine's and querier's rows, and a parallel engine job — Rows,
+# MapRows and PairsWithin, each as many allocations at 1 300 rows as at
+# 130.
 alloc-budget:
 	$(GO) test -run 'Alloc|Budget' ./internal/distmat/ ./internal/store/ \
 		./internal/segment/ ./internal/eval/ ./internal/wal/ ./internal/server/
@@ -136,11 +137,13 @@ bench:
 # detector: a cheap smoke test that the engine's parallel paths are
 # race-clean and still bit-identical to the naive loops they replace,
 # then the engine's scheduler tests under the race detector at 1, 2 and
-# 4 cores (an engine built with 0 workers runs on GOMAXPROCS of them).
-# The sigbench line then drives the engine (with the thresholded
-# prefilter sweep) on a scaled dataset — runPairwise exits non-zero on
-# any `identical: false`. The next four are one iteration of the write
-# path's layer benchmarks: the WAL's — opening a 38 000-record log, one
+# 4 cores (an engine built with 0 workers runs on GOMAXPROCS of them),
+# with the reductions folded in its workers: the uniqueness summary's
+# bits at every worker count, the self-retrieval AUC, and the partial
+# merge they rest on. The sigbench line then drives the engine on a
+# scaled dataset — runPairwise exits non-zero on any `identical:
+# false`. The next four are one iteration of the write path's layer
+# benchmarks: the WAL's — opening a 38 000-record log, one
 # commit of records alone and of records with their marker (syncs and
 # bytes a commit), a generation change by truncation and by rotation —,
 # one 100-record batch with an ID through the server onto real files
@@ -156,7 +159,8 @@ bench:
 bench-smoke:
 	$(GO) test -race -run=^$$ -benchtime=1x \
 		-bench 'BenchmarkPairwiseUniqueness|BenchmarkMultiusageAllPairs' .
-	$(GO) test -race -cpu 1,2,4 -run 'Parallel|PairsWithin|Rows|Panic' ./internal/distmat/
+	$(GO) test -race -cpu 1,2,4 -run 'Parallel|PairsWithin|Rows|Panic|UniquenessSummaryWorkers|SelfRetrievalAUC|Merge' \
+		./internal/distmat/ ./internal/eval/ ./internal/stats/
 	$(GO) run ./cmd/sigbench -experiment pairwise -scale 0.5
 	$(GO) test -run=^$$ -benchtime=1x -benchmem \
 		-bench 'BenchmarkWALOpen|BenchmarkWALAppend|BenchmarkWALGenerationChange' ./internal/wal/

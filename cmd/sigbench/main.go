@@ -30,14 +30,12 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "dataset scale factor in (0,1]")
 	name := flag.String("experiment", "", "run a single experiment (fig1..fig6, tables, ablations, pairwise); empty = all")
 	jsonPath := flag.String("json", "", "write the experiment's machine-readable report to this path (pairwise only)")
-	prefilter := flag.Bool("prefilter", true, "pairwise: measure the thresholded sweep with the mask prefilter off and on")
-	threshold := flag.Float64("threshold", 0.5, "pairwise: maxDist of the thresholded prefilter sweep")
 	baseline := flag.String("baseline", "", "pairwise: diff engine pairs/sec against this committed report, warn on >20% regressions")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this path")
 	flag.Parse()
 
-	popts := pairwiseOpts{Prefilter: *prefilter, Threshold: *threshold, Baseline: *baseline}
+	popts := pairwiseOpts{Baseline: *baseline}
 	if err := profiledRun(*seed, *scale, *name, *jsonPath, popts, *cpuProfile, *memProfile); err != nil {
 		fmt.Fprintln(os.Stderr, "sigbench:", err)
 		os.Exit(1)

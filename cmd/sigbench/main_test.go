@@ -7,9 +7,8 @@ import (
 	"testing"
 )
 
-// testOpts mirrors the flag defaults: the thresholded prefilter sweep
-// on.
-var testOpts = pairwiseOpts{Prefilter: true, Threshold: 0.5}
+// testOpts mirrors the flag defaults.
+var testOpts = pairwiseOpts{}
 
 // The per-experiment paths run at a small scale; RunAll is covered by
 // the experiments package test and the full-scale binary run.
@@ -74,9 +73,6 @@ func TestSigbenchPairwiseJSON(t *testing.T) {
 		// construction only — far under the old ~1.5k per run.
 		if r.Engine.Allocs > 152 {
 			t.Fatalf("%s: engine side allocates %d times, want ≤152", r.Distance, r.Engine.Allocs)
-		}
-		if r.PrefilterOff == nil || r.PrefilterOn == nil {
-			t.Fatalf("%s: missing thresholded prefilter sides", r.Distance)
 		}
 	}
 }

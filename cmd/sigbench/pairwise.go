@@ -12,24 +12,18 @@ import (
 	"graphsig/internal/core"
 	"graphsig/internal/distmat"
 	"graphsig/internal/experiments"
-	"graphsig/internal/obs"
 	"graphsig/internal/stats"
 )
 
 // pairwiseOpts carries the pairwise experiment's flags.
 type pairwiseOpts struct {
-	// Prefilter adds the thresholded sweep: PairsWithin at Threshold
-	// with the mask prefilter off and on, asserted bit-identical.
-	Prefilter bool
-	// Threshold is the maxDist of the thresholded sweep.
-	Threshold float64
 	// Baseline, when set, diffs engine pairs/sec against a committed
 	// BENCH_pairwise.json and warns on >20% regressions.
 	Baseline string
 }
 
-// pairwiseSide is one measured implementation (naive, dense engine, or
-// a thresholded engine variant) of the all-pairs computation.
+// pairwiseSide is one measured implementation (naive, engine, or the
+// engine's row kernel alone) of the all-pairs computation.
 type pairwiseSide struct {
 	TotalNs     int64   `json:"total_ns"`
 	NsPerPair   float64 `json:"ns_per_pair"`
@@ -37,10 +31,9 @@ type pairwiseSide struct {
 	Allocs      uint64  `json:"allocs"`
 }
 
-// pairwiseResult compares the implementations for one distance. The
-// naive/engine pair measures the dense all-pairs job (comparable
-// across benchmark generations); the prefilter pair measures the
-// thresholded PairsWithin job with the mask prefilter off and on.
+// pairwiseResult compares the implementations for one distance: the
+// naive/engine pair measures the dense all-pairs job (comparable across
+// benchmark generations).
 type pairwiseResult struct {
 	Distance   string       `json:"distance"`
 	Signatures int          `json:"signatures"`
@@ -55,13 +48,6 @@ type pairwiseResult struct {
 	EngineKernel pairwiseSide `json:"engine_kernel"`
 	Speedup      float64      `json:"speedup"`
 	Identical    bool         `json:"identical"`
-
-	Threshold        float64       `json:"threshold,omitempty"`
-	ThresholdPairs   int           `json:"threshold_pairs,omitempty"`
-	PrefilterOff     *pairwiseSide `json:"prefilter_off,omitempty"`
-	PrefilterOn      *pairwiseSide `json:"prefilter_on,omitempty"`
-	PrefilterChecked int64         `json:"prefilter_checked,omitempty"`
-	PrefilterSkipped int64         `json:"prefilter_skipped,omitempty"`
 }
 
 // pairwiseReport is the machine-readable output of -experiment pairwise
@@ -120,8 +106,7 @@ func side(ns int64, allocs uint64, pairs int) pairwiseSide {
 // runPairwise benchmarks the all-pairs uniqueness computation — the
 // naive per-pair Dist double loop against the distmat engine — over the
 // flow dataset's TopTalkers signatures, asserting the engine produces
-// bit-identical results. With opts.Prefilter it also measures
-// the thresholded PairsWithin job with the mask prefilter off and on.
+// bit-identical results.
 func runPairwise(e *experiments.Env, seed int64, scale float64, opts pairwiseOpts, out io.Writer, jsonPath string) error {
 	set, err := e.Sigs(experiments.FlowData, core.TopTalkers{}, 0)
 	if err != nil {
@@ -197,12 +182,6 @@ func runPairwise(e *experiments.Env, seed int64, scale float64, opts pairwiseOpt
 			Speedup:      float64(naiveNs) / float64(engineNs),
 			Identical:    naiveSum == engineSum,
 		}
-
-		if opts.Prefilter {
-			if err := measureThresholded(set, d, opts, &res); err != nil {
-				return err
-			}
-		}
 		if !res.Identical {
 			return fmt.Errorf("pairwise: %s engine diverges from naive (identical: false)", d.Name())
 		}
@@ -219,21 +198,6 @@ func runPairwise(e *experiments.Env, seed int64, scale float64, opts pairwiseOpt
 			r.EngineKernel.NsPerPair, r.EngineKernel.PairsPerSec/1e6, r.Speedup,
 			r.Naive.Allocs, r.Engine.Allocs)
 	}
-	if opts.Prefilter {
-		fmt.Fprintf(out, "\nThresholded PairsWithin(%.2f): mask prefilter off vs on\n", opts.Threshold)
-		fmt.Fprintf(out, "%-10s %12s %12s %9s %10s %10s\n",
-			"distance", "off ns/pair", "on ns/pair", "speedup", "checked", "skipped")
-		for _, r := range report.Results {
-			if r.PrefilterOff == nil || r.PrefilterOn == nil {
-				continue
-			}
-			fmt.Fprintf(out, "%-10s %12.1f %12.1f %8.2fx %10d %10d\n",
-				r.Distance, r.PrefilterOff.NsPerPair, r.PrefilterOn.NsPerPair,
-				float64(r.PrefilterOff.TotalNs)/float64(r.PrefilterOn.TotalNs),
-				r.PrefilterChecked, r.PrefilterSkipped)
-		}
-	}
-
 	if opts.Baseline != "" {
 		if err := diffBaseline(opts.Baseline, report, out); err != nil {
 			return err
@@ -253,77 +217,9 @@ func runPairwise(e *experiments.Env, seed int64, scale float64, opts pairwiseOpt
 	return nil
 }
 
-// measureThresholded runs PairsWithin(threshold) with the prefilter off
-// and on, asserts both lists bit-identical to a naive thresholded scan,
-// and records the sides plus the prefilter's checked/skipped tallies.
-func measureThresholded(set *core.SignatureSet, d core.Distance, opts pairwiseOpts, res *pairwiseResult) error {
-	var naive []distmat.Pair
-	for i := 0; i < set.Len(); i++ {
-		for j := i + 1; j < set.Len(); j++ {
-			a, b := set.Sigs[i], set.Sigs[j]
-			if len(a.Nodes) == 0 || len(b.Nodes) == 0 {
-				continue
-			}
-			if dist := d.Dist(a, b); dist <= opts.Threshold {
-				naive = append(naive, distmat.Pair{I: i, J: j, Dist: dist})
-			}
-		}
-	}
-
-	newEng := func(prefilter bool) *distmat.Engine {
-		eng, _ := distmat.NewEngine(set, set, d, 0)
-		eng.SetPrefilter(prefilter)
-		return eng
-	}
-	run := func(prefilter bool) ([]distmat.Pair, pairwiseSide) {
-		var got []distmat.Pair
-		ns, allocs := measurePairwise(func() {
-			got = newEng(prefilter).PairsWithin(opts.Threshold)
-		})
-		// The scanned pair population is the i<j half-matrix.
-		return got, side(ns, allocs, res.Pairs/2)
-	}
-
-	off, offSide := run(false)
-	on, onSide := run(true)
-
-	// One untimed instrumented run collects the per-job checked/skipped
-	// tallies (the timed loop above repeats, which would inflate them).
-	reg := obs.NewRegistry()
-	m := distmat.Metrics{
-		PrefilterChecked: reg.Counter("prefilter_checked", "candidates tested against the mask bound"),
-		PrefilterSkipped: reg.Counter("prefilter_skipped", "candidates rejected by the mask bound"),
-	}
-	ceng := newEng(true)
-	ceng.SetMetrics(m)
-	ceng.PairsWithin(opts.Threshold)
-
-	same := func(a, b []distmat.Pair) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i].I != b[i].I || a[i].J != b[i].J ||
-				math.Float64bits(a[i].Dist) != math.Float64bits(b[i].Dist) {
-				return false
-			}
-		}
-		return true
-	}
-	res.Threshold = opts.Threshold
-	res.ThresholdPairs = len(naive)
-	res.PrefilterOff = &offSide
-	res.PrefilterOn = &onSide
-	res.PrefilterChecked = m.PrefilterChecked.Value()
-	res.PrefilterSkipped = m.PrefilterSkipped.Value()
-	res.Identical = res.Identical && same(naive, off) && same(naive, on)
-	return nil
-}
-
 // diffBaseline compares engine throughput against a committed report
-// and prints benchstat-style deltas, warning on >20% regressions. The
-// baseline's engine side may predate the kernel/prefilter fields; only
-// the dense engine pairs/sec is compared.
+// and prints benchstat-style deltas, warning on >20% regressions: the
+// engine's and the row kernel's pairs/sec.
 func diffBaseline(path string, report pairwiseReport, out io.Writer) error {
 	blob, err := os.ReadFile(path)
 	if err != nil {

@@ -63,15 +63,12 @@ func renderObserveLine(m, prev map[string]int64, elapsed time.Duration) string {
 
 // renderSearchSuffix surfaces the search path's counters when the node
 // has served any: queries (counting each batch slot), batch requests
-// with the batch route's average latency, and the mask prefilter's
-// skipped/checked tallies. Idle nodes get an empty suffix, keeping the
-// basic dashboard line unchanged.
+// with the batch route's average latency. Idle nodes get an empty
+// suffix, keeping the basic dashboard line unchanged.
 func renderSearchSuffix(m map[string]int64) string {
 	queries := m["search_queries"]
 	batches := m["batch_searches"]
-	checked := m["distmat_prefilter_checked_total"]
-	skipped := m["distmat_prefilter_skipped_total"]
-	if queries == 0 && batches == 0 && checked == 0 && skipped == 0 {
+	if queries == 0 && batches == 0 {
 		return ""
 	}
 	var b strings.Builder
@@ -81,9 +78,6 @@ func renderSearchSuffix(m map[string]int64) string {
 		if reqs := m["route_post_v1_search_batch_requests"]; reqs > 0 {
 			fmt.Fprintf(&b, " batch_avg=%dus", m["route_post_v1_search_batch_micros_sum"]/reqs)
 		}
-	}
-	if checked > 0 || skipped > 0 {
-		fmt.Fprintf(&b, " prefilter_skip=%d/%d", skipped, checked)
 	}
 	return b.String()
 }

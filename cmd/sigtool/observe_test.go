@@ -107,7 +107,7 @@ func TestRenderObserveLineSegmentSuffix(t *testing.T) {
 }
 
 // TestRenderObserveLineSearchSuffix: a snapshot with search traffic
-// grows the query/batch/prefilter columns, including the batch route's
+// grows the query/batch columns, including the batch route's
 // average latency from its per-route histogram.
 func TestRenderObserveLineSearchSuffix(t *testing.T) {
 	cur := map[string]int64{
@@ -115,11 +115,9 @@ func TestRenderObserveLineSearchSuffix(t *testing.T) {
 		"batch_searches":                        3,
 		"route_post_v1_search_batch_requests":   3,
 		"route_post_v1_search_batch_micros_sum": 900,
-		"distmat_prefilter_checked_total":       200,
-		"distmat_prefilter_skipped_total":       150,
 	}
 	line := renderObserveLine(cur, nil, 0)
-	for _, want := range []string{"searches=40", "batches=3", "batch_avg=300us", "prefilter_skip=150/200"} {
+	for _, want := range []string{"searches=40", "batches=3", "batch_avg=300us"} {
 		if !strings.Contains(line, want) {
 			t.Fatalf("line %q missing %q", line, want)
 		}

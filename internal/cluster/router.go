@@ -419,15 +419,12 @@ type SearchResponse struct {
 
 // ShardDebugJSON is one shard's per-query explain block, returned when
 // the request sets debug (or ?debug=1): wall time of the routed call as
-// seen from the router, plus the shard's own probe and prefilter
-// counts.
+// seen from the router, plus the shard's own probe count.
 type ShardDebugJSON struct {
-	Shard            int    `json:"shard"`
-	Micros           int64  `json:"micros"`
-	Probes           int    `json:"probes"`
-	PrefilterChecked int64  `json:"prefilter_checked"`
-	PrefilterSkipped int64  `json:"prefilter_skipped"`
-	Error            string `json:"error,omitempty"`
+	Shard  int    `json:"shard"`
+	Micros int64  `json:"micros"`
+	Probes int    `json:"probes"`
+	Error  string `json:"error,omitempty"`
 }
 
 // shardDebug assembles the explain blocks for one scatter's results.
@@ -439,8 +436,6 @@ func shardDebug[T any](results []shardResult[T], dbg func(T) *server.SearchDebug
 			d.Error = r.err.Error()
 		} else if sd := dbg(r.val); sd != nil {
 			d.Probes = sd.Probes
-			d.PrefilterChecked = sd.PrefilterChecked
-			d.PrefilterSkipped = sd.PrefilterSkipped
 		}
 		out = append(out, d)
 	}

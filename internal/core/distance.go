@@ -68,6 +68,12 @@ func (Dice) Dist(a, b Signature) float64 {
 // ScaledDice is Dist_SDice: 1 − Σ min(w1j,w2j) / Σ max(w1j,w2j) over the
 // union. It rewards signatures whose common members carry *similar*
 // weights, not just overlapping membership.
+//
+// The denominator is computed in closed form: over the union, Σ max =
+// Σw1 + Σw2 − Σ_{j∈S1∩S2} min(w1j,w2j), so both sums fold only the
+// shared members, in a's canonical order — the order a posting scatter
+// over a's entries produces, which is what keeps the batch kernels
+// (kernel.go) bit-identical to this loop.
 type ScaledDice struct{}
 
 // Name implements Distance.
@@ -78,27 +84,21 @@ func (ScaledDice) Dist(a, b Signature) float64 {
 	if a.IsEmpty() && b.IsEmpty() {
 		return 0
 	}
-	num, den := 0.0, 0.0
+	mins := 0.0
 	for i, u := range a.Nodes {
-		wa := a.Weights[i]
-		wb := b.Weight(u)
-		num += math.Min(wa, wb)
-		den += math.Max(wa, wb)
-	}
-	for i, u := range b.Nodes {
-		if !a.Contains(u) {
-			den += b.Weights[i]
+		if wb := b.Weight(u); wb > 0 {
+			mins += math.Min(a.Weights[i], wb)
 		}
 	}
-	if den == 0 {
-		return 0
-	}
-	return clamp01(1 - num/den)
+	return scaledDist(mins, a.WeightSum()+b.WeightSum()-mins)
 }
 
 // ScaledHellinger is Dist_SHel: 1 − Σ √(w1j·w2j) / Σ max(w1j,w2j). The
 // geometric-mean numerator (after the Hellinger affinity) softens
 // SDice's min, which over-penalizes unequal weights on common members.
+// The numerator folds √w1j·√w2j (HellingerAffinity) and the denominator
+// is ScaledDice's closed form, both over the shared members in a's
+// canonical order.
 type ScaledHellinger struct{}
 
 // Name implements Distance.
@@ -109,19 +109,33 @@ func (ScaledHellinger) Dist(a, b Signature) float64 {
 	if a.IsEmpty() && b.IsEmpty() {
 		return 0
 	}
-	num, den := 0.0, 0.0
+	num, mins := 0.0, 0.0
 	for i, u := range a.Nodes {
-		wa := a.Weights[i]
-		wb := b.Weight(u)
-		num += math.Sqrt(wa * wb)
-		den += math.Max(wa, wb)
-	}
-	for i, u := range b.Nodes {
-		if !a.Contains(u) {
-			den += b.Weights[i]
+		if wb := b.Weight(u); wb > 0 {
+			wa := a.Weights[i]
+			num += HellingerAffinity(wa, wb, math.Sqrt(wa), math.Sqrt(wb))
+			mins += math.Min(wa, wb)
 		}
 	}
-	if den == 0 {
+	return scaledDist(num, a.WeightSum()+b.WeightSum()-mins)
+}
+
+// HellingerAffinity is ScaledHellinger's term for one shared node:
+// √wa·√wb, given the two square roots ra and rb, and exactly wa when the
+// weights are equal — √w·√w may round off w, and a signature must stay
+// at distance exactly 0 from itself. The batch kernels call it too, so
+// every path folds the same term.
+func HellingerAffinity(wa, wb, ra, rb float64) float64 {
+	if wa == wb {
+		return wa
+	}
+	return ra * rb
+}
+
+// scaledDist is 1 − num/den for the scaled kinds, with a denominator
+// that is not positive read as distance 0.
+func scaledDist(num, den float64) float64 {
+	if den <= 0 {
 		return 0
 	}
 	return clamp01(1 - num/den)

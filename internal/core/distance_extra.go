@@ -42,7 +42,8 @@ func (Cosine) Dist(a, b Signature) float64 {
 // WeightedJaccard is 1 − Σ min(w1j,w2j) / Σ max(w1j,w2j) computed on
 // *normalized* signatures, i.e. the Ruzicka distance of the weight
 // distributions. It is SDice made scale-free: two signatures with the
-// same members and proportional weights are at distance 0.
+// same members and proportional weights are at distance 0. Like SDice
+// it folds only the shared members (Σ max = Σw1 + Σw2 − Σ min).
 type WeightedJaccard struct{}
 
 // Name implements Distance.
@@ -54,22 +55,13 @@ func (WeightedJaccard) Dist(a, b Signature) float64 {
 		return 0
 	}
 	na, nb := a.Normalized(), b.Normalized()
-	num, den := 0.0, 0.0
+	mins := 0.0
 	for i, u := range na.Nodes {
-		wa := na.Weights[i]
-		wb := nb.Weight(u)
-		num += math.Min(wa, wb)
-		den += math.Max(wa, wb)
-	}
-	for i, u := range nb.Nodes {
-		if !na.Contains(u) {
-			den += nb.Weights[i]
+		if wb := nb.Weight(u); wb > 0 {
+			mins += math.Min(na.Weights[i], wb)
 		}
 	}
-	if den == 0 {
-		return 0
-	}
-	return clamp01(1 - num/den)
+	return scaledDist(mins, na.WeightSum()+nb.WeightSum()-mins)
 }
 
 // ExtendedDistances returns the paper's four distances plus the two

@@ -8,22 +8,18 @@ import (
 
 // This file implements the structure-of-arrays (SoA) view of a slice of
 // signatures: every per-signature array (canonical nodes, weights,
-// node-sorted order, normalized weights, prefix sums) lives in one
-// contiguous allocation for the whole set, addressed through a shared
+// node-sorted order, normalized weights, square-rooted weights) lives in
+// one contiguous allocation for the whole set, addressed through a shared
 // offset table. Batch layers (internal/distmat) iterate these arrays
 // directly, so an all-pairs job walks a handful of flat slices instead
 // of chasing one Signature header pair per comparison.
 //
-// The layout also precomputes what the prefilter bound in
-// internal/distmat needs: inclusive prefix sums over the canonical
-// (weight-descending) entry order, so "the largest possible sum of any
-// m weights of signature i" is a single array read.
-//
 // Bit-identity: the per-signature folds (sum, sumSq, normalized
 // weights) run over the canonical entry order, the order the naive
 // Distance.Dist loops, Signature.WeightSum and Signature.Normalized
-// accumulate in, so the kernels in kernel.go that read them reproduce
-// the naive results bit-for-bit.
+// accumulate in, and the square roots are math.Sqrt of each weight, the
+// factor ScaledHellinger.Dist takes, so the kernels in kernel.go that
+// read them reproduce the naive results bit-for-bit.
 
 // FlatSigs is the SoA view of a signature slice. Build it with
 // NewFlatSigs (or recycle one with Reset — zero allocations once the
@@ -37,13 +33,7 @@ type FlatSigs struct {
 	sorted []graph.NodeID // nodes re-sorted ascending, per signature
 	pos    []int32        // pos[t] = canonical index (within the sig) of sorted[t]
 	normW  []float64      // Normalized().Weights in canonical order
-
-	// Inclusive prefix sums over the canonical order. Because canonical
-	// order is weight-descending, prefW[offs[i]+m-1] is the largest sum
-	// any m weights of sig i can reach (and likewise prefNorm for
-	// normalized weights).
-	prefW    []float64
-	prefNorm []float64
+	sqrtW  []float64      // math.Sqrt of w, ScaledHellinger's factors
 
 	sum     []float64 // per-sig fold of w in canonical order (== WeightSum)
 	sumSq   []float64 // per-sig fold of w² in canonical order
@@ -84,8 +74,7 @@ func (f *FlatSigs) Reset(sigs []Signature) {
 	f.sorted = growTo(f.sorted, total)
 	f.pos = growTo(f.pos, total)
 	f.normW = growTo(f.normW, total)
-	f.prefW = growTo(f.prefW, total)
-	f.prefNorm = growTo(f.prefNorm, total)
+	f.sqrtW = growTo(f.sqrtW, total)
 	f.sum = growTo(f.sum, n)
 	f.sumSq = growTo(f.sumSq, n)
 	f.norm = growTo(f.norm, n)
@@ -108,7 +97,7 @@ const insertionSortCutoff = 48
 
 // fill populates signature i's segment of every flat array: the
 // canonical copy, the ascending node order with its permutation back to
-// canonical indices, and the canonical-order folds and prefix sums.
+// canonical indices, the square roots, and the canonical-order folds.
 func (f *FlatSigs) fill(i int, s Signature) {
 	lo := int(f.offs[i])
 	k := len(s.Nodes)
@@ -144,7 +133,7 @@ func (f *FlatSigs) fill(i int, s Signature) {
 	for t, wv := range w {
 		sum += wv
 		sumSq += wv * wv
-		f.prefW[lo+t] = sum
+		f.sqrtW[lo+t] = math.Sqrt(wv)
 	}
 	f.sum[i] = sum
 	f.sumSq[i] = sumSq
@@ -161,9 +150,8 @@ func (f *FlatSigs) fill(i int, s Signature) {
 		copy(normW, w)
 	}
 	normSum := 0.0
-	for t, wv := range normW {
+	for _, wv := range normW {
 		normSum += wv
-		f.prefNorm[lo+t] = normSum
 	}
 	f.normSum[i] = normSum
 }
@@ -219,6 +207,10 @@ func (f *FlatSigs) Weights(i int) []float64 { return f.w[f.offs[i]:f.offs[i+1]] 
 // Signature.Normalized).
 func (f *FlatSigs) NormWeights(i int) []float64 { return f.normW[f.offs[i]:f.offs[i+1]] }
 
+// SqrtWeights returns math.Sqrt of signature i's weights in canonical
+// order.
+func (f *FlatSigs) SqrtWeights(i int) []float64 { return f.sqrtW[f.offs[i]:f.offs[i+1]] }
+
 // SortedNodes returns signature i's nodes in ascending order.
 func (f *FlatSigs) SortedNodes(i int) []graph.NodeID { return f.sorted[f.offs[i]:f.offs[i+1]] }
 
@@ -235,38 +227,17 @@ func (f *FlatSigs) SumSq(i int) float64 { return f.sumSq[i] }
 // Norm returns math.Sqrt(SumSq(i)).
 func (f *FlatSigs) Norm(i int) float64 { return f.norm[i] }
 
-// NormSum returns signature i's canonical-order fold of its normalized
-// weights (≈1 for massful signatures, but the actual float fold — the
-// prefilter bound must compare against the value the kernels divide by).
-func (f *FlatSigs) NormSum(i int) float64 { return f.normSum[i] }
-
-// TopWeightSum returns the largest sum any m weights of signature i can
-// reach: the inclusive prefix sum of the canonical (descending) order.
-// m is clamped to [0, Len(i)].
-func (f *FlatSigs) TopWeightSum(i, m int) float64 { return topPrefix(f.prefW, f.offs, i, m) }
-
-// TopNormSum is TopWeightSum over normalized weights.
-func (f *FlatSigs) TopNormSum(i, m int) float64 { return topPrefix(f.prefNorm, f.offs, i, m) }
-
-// RawOffs and RawWeights expose the flat backing arrays for batch
-// layers whose inner loops index entries globally (offset table + flat
-// array) rather than per signature. Read-only: callers must not mutate
-// them.
+// RawOffs and the Raw*Weights accessors expose the flat backing arrays
+// for batch layers whose inner loops index entries globally (offset
+// table + flat array) rather than per signature. Read-only: callers must
+// not mutate them.
 func (f *FlatSigs) RawOffs() []int32 { return f.offs }
 
 // RawWeights returns the flat canonical-order weight array.
 func (f *FlatSigs) RawWeights() []float64 { return f.w }
 
-func topPrefix(pref []float64, offs []int32, i, m int) float64 {
-	if m <= 0 {
-		return 0
-	}
-	lo, hi := int(offs[i]), int(offs[i+1])
-	if m > hi-lo {
-		m = hi - lo
-	}
-	if m == 0 {
-		return 0
-	}
-	return pref[lo+m-1]
-}
+// RawNormWeights returns the flat canonical-order normalized weights.
+func (f *FlatSigs) RawNormWeights() []float64 { return f.normW }
+
+// RawSqrtWeights returns the flat canonical-order square-rooted weights.
+func (f *FlatSigs) RawSqrtWeights() []float64 { return f.sqrtW }

@@ -3,13 +3,15 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
 // TestFlatSigsInvariants checks the SoA view's per-signature data
 // against the Signature itself: the canonical copy, the strictly
 // ascending node order with a permutation that maps back, and folds
-// bit-equal to a plain canonical-order fold and Signature.Normalized.
+// bit-equal to a plain canonical-order fold and Signature.Normalized,
+// and square roots bit-equal to math.Sqrt of each weight.
 func TestFlatSigsInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var sigs []Signature
@@ -63,48 +65,12 @@ func TestFlatSigsInvariants(t *testing.T) {
 				t.Fatalf("sig %d: normW[%d] mismatch", i, tdx)
 			}
 		}
-	}
-}
-
-// TestFlatSigsPrefixSums checks the canonical-order prefix arrays: the
-// top-m accessors must equal a direct fold of the first m canonical
-// entries, clamp out of range, and the full prefix must equal the sum.
-func TestFlatSigsPrefixSums(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var sigs []Signature
-	for i := 0; i < 40; i++ {
-		sigs = append(sigs, randSig(rng, 10, 0, 25))
-	}
-	flat := NewFlatSigs(sigs)
-	for i := range sigs {
-		w := flat.Weights(i)
-		nw := flat.NormWeights(i)
-		sumW, sumN := 0.0, 0.0
-		for m := 1; m <= len(w); m++ {
-			sumW += w[m-1]
-			sumN += nw[m-1]
-			if flat.TopWeightSum(i, m) != sumW || flat.TopNormSum(i, m) != sumN {
-				t.Fatalf("sig %d: prefix sums diverge at m=%d", i, m)
-			}
+		if math.Float64bits(flat.normSum[i]) != math.Float64bits(s.Normalized().WeightSum()) {
+			t.Fatalf("sig %d: normSum mismatch", i)
 		}
-		if flat.TopWeightSum(i, 0) != 0 || flat.TopWeightSum(i, -1) != 0 {
-			t.Fatalf("sig %d: m<=0 must read 0", i)
-		}
-		if got := flat.TopWeightSum(i, len(w)+5); got != sumW {
-			t.Fatalf("sig %d: overshoot m must clamp to full sum, got %v want %v", i, got, sumW)
-		}
-		if math.Float64bits(flat.TopWeightSum(i, len(w))) != math.Float64bits(flat.WeightSum(i)) {
-			t.Fatalf("sig %d: full prefix != sum", i)
-		}
-		// Canonical order is weight-descending, so the prefix is the max
-		// achievable sum for any m entries.
-		for m := 1; m <= len(w); m++ {
-			pick := 0.0
-			for _, x := range w[len(w)-m:] {
-				pick += x
-			}
-			if flat.TopWeightSum(i, m) < pick-1e-12 {
-				t.Fatalf("sig %d: top-%d prefix %v below a real subset sum %v", i, m, flat.TopWeightSum(i, m), pick)
+		for tdx, w := range s.Weights {
+			if math.Float64bits(flat.SqrtWeights(i)[tdx]) != math.Float64bits(math.Sqrt(w)) {
+				t.Fatalf("sig %d: sqrtW[%d] mismatch", i, tdx)
 			}
 		}
 	}
@@ -162,8 +128,10 @@ func TestFlatDistLargeSig(t *testing.T) {
 	}
 }
 
-// TestScatterFinishMatchesFlatDist checks the O(1) scatter finishers
-// against the full flat kernel for the three scatterable kinds.
+// TestScatterFinishMatchesFlatDist checks the O(1) finish against the
+// naive distance for all six kinds, fed sums folded the way a posting
+// scatter folds them: the shared entries in the row's canonical order,
+// each found by a probe of the column signature.
 func TestScatterFinishMatchesFlatDist(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	var sigs []Signature
@@ -171,31 +139,40 @@ func TestScatterFinishMatchesFlatDist(t *testing.T) {
 		sigs = append(sigs, randSig(rng, 10, 0, 25))
 	}
 	flat := NewFlatSigs(sigs)
-	for _, d := range []Distance{Jaccard{}, Dice{}, Cosine{}} {
+	for _, d := range ExtendedDistances() {
 		kern := kernelFor(t, d)
 		for i := range sigs {
 			for j := range sigs {
 				if flat.IsEmpty(i) && flat.IsEmpty(j) {
 					continue
 				}
-				kern.mergeFlat(flat, i, flat, j)
-				kern.sortMatchesByA()
 				var cnt int32
-				acc := 0.0
-				aw, bw := flat.Weights(i), flat.Weights(j)
-				for _, m := range kern.matches {
+				var num, mins float64
+				for ai, u := range flat.Nodes(i) {
+					bi := slices.Index(flat.Nodes(j), u)
+					if bi < 0 {
+						continue
+					}
 					cnt++
+					wa, wb := flat.Weights(i)[ai], flat.Weights(j)[bi]
 					switch kern.Kind() {
 					case KindDice:
-						acc += aw[m.A] + bw[m.B]
+						num += wa + wb
 					case KindCosine:
-						acc += aw[m.A] * bw[m.B]
+						num += wa * wb
+					case KindScaledDice:
+						num += math.Min(wa, wb)
+					case KindWeightedJaccard:
+						num += math.Min(flat.NormWeights(i)[ai], flat.NormWeights(j)[bi])
+					case KindScaledHellinger:
+						num += HellingerAffinity(wa, wb, flat.SqrtWeights(i)[ai], flat.SqrtWeights(j)[bi])
+						mins += math.Min(wa, wb)
 					}
 				}
-				want := kern.FlatDist(flat, i, flat, j)
-				got := kern.ScatterFinish(flat, i, flat, j, cnt, acc)
+				want := d.Dist(sigs[i], sigs[j])
+				got := kern.ScatterFinish(flat, i, flat, j, cnt, num, mins)
 				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%s: ScatterFinish(%d,%d)=%v != FlatDist %v", d.Name(), i, j, got, want)
+					t.Fatalf("%s: ScatterFinish(%d,%d)=%v != Dist %v", d.Name(), i, j, got, want)
 				}
 			}
 		}

@@ -33,6 +33,16 @@ func FuzzDistKernels(f *testing.F) {
 	f.Add([]byte{1, 16, 0, 2, 32, 0}, []byte{2, 32, 0, 3, 8, 0}, uint8(4))
 	f.Add([]byte{1, 1, 0, 2, 1, 0, 3, 1, 0}, []byte{4, 1, 0, 5, 1, 0}, uint8(2)) // disjoint, ties
 	f.Add([]byte{7, 255, 255, 7, 255, 255}, []byte{7, 255, 255}, uint8(8))       // duplicate folding
+	// The scaled kinds' closed form, Σmax = Σa + Σb − Σmin over the shared
+	// nodes: equal shared weights (ScaledHellinger's affinity is then w
+	// itself), a signature against itself (exactly 0), one shared node,
+	// and a denominator that nearly cancels — two heavy equal weights
+	// beside light unshared ones, normalized (WeightedJaccard) to
+	// 1 + 1 − Σmin ≈ 1. A denominator that is not positive reads as 0.
+	f.Add([]byte{1, 100, 0, 2, 7, 0}, []byte{1, 100, 0, 3, 0x84, 0x03}, uint8(4))
+	f.Add([]byte{1, 1, 0, 2, 0x21, 0x43, 9, 0xff, 0x7f}, []byte{1, 1, 0, 2, 0x21, 0x43, 9, 0xff, 0x7f}, uint8(8))
+	f.Add([]byte{5, 0xf0, 0x0f}, []byte{5, 3, 0, 6, 0x10, 0, 7, 0x99, 0x09}, uint8(3))
+	f.Add([]byte{1, 255, 255, 2, 0, 0}, []byte{1, 255, 255, 3, 1, 0}, uint8(4))
 
 	f.Fuzz(func(t *testing.T, araw, braw []byte, kraw uint8) {
 		k := 1 + int(kraw)%40

@@ -36,8 +36,8 @@ func TestEngineRowsAllocFree(t *testing.T) {
 }
 
 // TestEngineParallelAllocBudget: a parallel job allocates per worker —
-// its goroutines, the ring's slots and channels, PairsWithin's chunk
-// list and result —, never per row or per block. A warm Rows job over
+// its goroutines, the ring's slots, PairsWithin's chunk list and
+// result —, never per row or per block. A warm Rows or MapRows job over
 // 1 300 rows and a PairsWithin over 1 300 signatures make as many
 // allocations as the same jobs at 130.
 func TestEngineParallelAllocBudget(t *testing.T) {
@@ -54,9 +54,13 @@ func TestEngineParallelAllocBudget(t *testing.T) {
 	}
 	sink := 0.0
 	consume := func(_ int, row []float64) { sink += row[0] }
+	reduce := func(_ int, row []float64) float64 { return row[0] }
 	for _, d := range []core.Distance{core.Jaccard{}, core.ScaledHellinger{}} {
 		eng, _ := NewEngine(big, big, d, workers)
 		rows := func(n int) uint64 { return steadyAllocs(func() { eng.Rows(idx[:n], consume) }) }
+		mapped := func(n int) uint64 {
+			return steadyAllocs(func() { MapRows(eng, idx[:n], reduce, func(_ int, x float64) { sink += x }) })
+		}
 		pairs := func(set *core.SignatureSet) uint64 {
 			within, _ := NewEngine(set, set, d, workers)
 			if len(within.PairsWithin(0.6)) == 0 {
@@ -67,6 +71,10 @@ func TestEngineParallelAllocBudget(t *testing.T) {
 		// The larger job first: it grows the pooled scratch the smaller reuses.
 		if large, small := rows(1300), rows(130); large != small || large > 8*workers {
 			t.Errorf("%s: parallel Rows allocates %d times at 130 rows and %d at 1 300, want equal and ≤ %d",
+				d.Name(), small, large, 8*workers)
+		}
+		if large, small := mapped(1300), mapped(130); large != small || large > 8*workers {
+			t.Errorf("%s: MapRows allocates %d times at 130 rows and %d at 1 300, want equal and ≤ %d",
 				d.Name(), small, large, 8*workers)
 		}
 		if large, small := pairs(big), pairs(head); large != small || large > 8*workers {
@@ -80,8 +88,7 @@ func TestEngineParallelAllocBudget(t *testing.T) {
 // steadyAllocs is the fewest allocations any of 20 calls of f makes on
 // one P, after two warm-up calls there: what a job costs once its pooled
 // scratch is warm. A call now and then still finds the pool short and
-// refills it, or hands a scratch the row that grows its match buffer;
-// neither is a per-row cost, and neither repeats.
+// refills it; that is not a per-row cost, and it does not repeat.
 func steadyAllocs(f func()) uint64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	f()
@@ -98,7 +105,7 @@ func steadyAllocs(f func()) uint64 {
 }
 
 // TestEngineDistAllocFree: the pointwise path owns its kernel. After
-// the first calls have grown the match buffer Dist allocates nothing,
+// the first calls have grown the match list Dist allocates nothing,
 // and a throwaway pointwise engine checks nothing out of the shared
 // scratch pool: a Rows job interleaved with such engines still finds
 // its warm scratch there (a Dist that borrowed a pooled scratch would
@@ -110,7 +117,7 @@ func TestEngineDistAllocFree(t *testing.T) {
 	for i := range idx {
 		idx[i] = i
 	}
-	// A disjoint pair: its Dist appends no match, so grows no buffer.
+	// A disjoint pair: its Dist appends no match, so grows no list.
 	di, dj := -1, -1
 	for i := 0; i < set.Len() && di < 0; i++ {
 		for j := range idx {
@@ -135,7 +142,7 @@ func TestEngineDistAllocFree(t *testing.T) {
 				sink += eng.Dist(i, (i+1)%len(idx))
 			}
 		}
-		sweep() // grow the kernel's match buffer
+		sweep() // grow the kernel's match list
 		if allocs := testing.AllocsPerRun(10, sweep); allocs != 0 {
 			t.Errorf("%s: Engine.Dist allocates %.1f times per sweep, want 0", d.Name(), allocs)
 		}

@@ -57,9 +57,9 @@ func BenchmarkRowsJaccard(b *testing.B) { benchRows(b, core.Jaccard{}) }
 func BenchmarkRowsCosine(b *testing.B)  { benchRows(b, core.Cosine{}) }
 func BenchmarkRowsDice(b *testing.B)    { benchRows(b, core.Dice{}) }
 func BenchmarkRowsSDice(b *testing.B)   { benchRows(b, core.ScaledDice{}) }
+func BenchmarkRowsSHel(b *testing.B)    { benchRows(b, core.ScaledHellinger{}) }
 
-// BenchmarkPairsWithinJaccard measures the thresholded path with the
-// prefilter on.
+// BenchmarkPairsWithinJaccard measures the thresholded path.
 func BenchmarkPairsWithinJaccard(b *testing.B) {
 	set := benchSet(7, 300, 20, 400)
 	view := NewSetView(set)

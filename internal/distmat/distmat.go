@@ -2,43 +2,41 @@
 // layer every all-pairs signature job in this module rides (§IV property
 // metrics, §V applications, the sigserverd search path).
 //
-// It combines four ideas:
+// It combines three ideas:
 //
 //  1. Structure-of-arrays kernels: every signature set is flattened
 //     into one contiguous node-ID array, one weight array and a shared
 //     offset table (core.FlatSigs), and the distance kernels
 //     (core.DistKernel) index those flat arrays directly. An all-pairs
 //     job walks a handful of cache-resident slices instead of chasing
-//     per-signature headers, and for Jaccard/Dice/Cosine the whole row
-//     is computed by scattering counts/sums into flat per-candidate
-//     accumulators during posting enumeration — no per-pair kernel call
-//     at all.
+//     per-signature headers, and for every registered distance the whole
+//     row is computed by scattering the shared-node sums — a count,
+//     Σ(wa+wb), a dot product, Σ min(wa,wb), Σ √wa·√wb — into flat
+//     per-candidate accumulators during posting enumeration, each
+//     finished in O(1) (core.DistKernel.ScatterFinish): no per-pair
+//     kernel call at all.
 //  2. An inverted index (node → posting list of signature indices):
 //     all-pairs jobs enumerate only pairs that share at least one node
 //     and resolve the (dominant) disjoint remainder in closed form —
 //     for every Validate-clean signature pair sharing no node the
 //     distance is exactly 1.0 (0.0 when both are empty), see
 //     internal/core/kernel.go. Posting entries carry the node's
-//     canonical index inside the column signature, so the enumeration
-//     itself assembles each candidate's shared-node match list for the
-//     kinds that need one (core.DistKernel.FlatDistMatched).
-//  3. A deterministic mask prefilter (lsh.Mask): thresholded jobs skip
-//     candidates whose distance provably cannot reach the threshold,
-//     using a 128-bit node mask per signature and weight prefix sums —
-//     a conservative bound with no false rejections (see prefilter.go),
-//     so filtered results stay bit-identical to the naive scan.
-//  4. Parallel execution that keeps every core busy: one set of workers
+//     canonical index inside the column signature, so a scatter reads
+//     the column's weight with no search.
+//  3. Parallel execution that keeps every core busy: one set of workers
 //     per job takes 16-row blocks in ascending order from a shared
-//     counter. Rows writes each block into a ring of 2·workers buffers,
-//     a slot claimed only once the consumer has passed its previous
-//     block (TestEngineRowsSlowWorkerKeepsItsSlot), and the calling
-//     goroutine delivers a block's rows, in ascending order, as soon as
-//     it is complete — the consumer's fold overlaps the next blocks'
-//     computation; PairsWithin concatenates per-chunk outputs in chunk
-//     order. Either way the output — including order-sensitive Welford
-//     reductions downstream — is bit-identical to a single-threaded run
-//     (TestEngineParallelIdenticalToSequential,
-//     TestPairsWithinMatchesNaive, both at several worker counts), a
+//     counter and writes each block into a ring of 2·workers slots, a
+//     slot claimed only once the consumer has passed its previous block
+//     (TestEngineRowsSlowWorkerKeepsItsSlot). The calling goroutine
+//     delivers a block, in ascending row order, as soon as it is
+//     complete, so its work overlaps the next blocks' computation. Rows
+//     delivers whole rows; MapRows runs a per-row reducer inside the
+//     worker and delivers one small value per row, so a reduction over
+//     n² cells costs the caller only n steps. PairsWithin concatenates
+//     per-chunk outputs in chunk order. Either way the output is
+//     bit-identical to a single-threaded run
+//     (TestEngineParallelIdenticalToSequential, TestMapRowsMatchesRows,
+//     TestPairsWithinMatchesNaive, all at several worker counts), a
 //     panicking consumer strands no worker (TestEngineRowsConsumerPanic),
 //     and a job allocates per worker, not per row
 //     (TestEngineParallelAllocBudget).
@@ -67,7 +65,6 @@ import (
 
 	"graphsig/internal/core"
 	"graphsig/internal/graph"
-	"graphsig/internal/lsh"
 	"graphsig/internal/obs"
 )
 
@@ -81,26 +78,11 @@ type Metrics struct {
 	// Candidates observes the inverted-index candidate count per row:
 	// how many columns shared at least one node with the query.
 	Candidates *obs.Histogram
-	// PrefilterChecked counts candidates tested against the mask
-	// prefilter bound; PrefilterSkipped counts those it rejected
-	// without an exact kernel evaluation.
-	PrefilterChecked *obs.Counter
-	PrefilterSkipped *obs.Counter
 }
 
 // instrumented reports whether a timing handle is attached, so the hot
 // loop skips clock reads entirely when observability is off.
 func (m Metrics) instrumented() bool { return m.RowSeconds != nil || m.Candidates != nil }
-
-// flushPrefilter adds a job's prefilter tallies to the counters.
-func (m Metrics) flushPrefilter(checked, skipped int64) {
-	if m.PrefilterChecked != nil && checked > 0 {
-		m.PrefilterChecked.Add(checked)
-	}
-	if m.PrefilterSkipped != nil && skipped > 0 {
-		m.PrefilterSkipped.Add(skipped)
-	}
-}
 
 // posting is one inverted-index entry: signature j contains the node,
 // at canonical index idx within that signature.
@@ -110,10 +92,10 @@ type posting struct {
 }
 
 // SetView is the engine-side view of a SignatureSet: the flat SoA
-// layout of every signature (core.FlatSigs), the inverted index, the
-// per-signature prefilter masks, and the precomputed disjoint baseline
-// rows. Build it once per set (O(n·k·log k)) and reuse it; it is
-// immutable afterwards and safe for concurrent use.
+// layout of every signature (core.FlatSigs), the inverted index, and the
+// precomputed disjoint baseline rows. Build it once per set
+// (O(n·k·log k)) and reuse it; it is immutable afterwards and safe for
+// concurrent use.
 //
 // The inverted index has two representations. When the node-ID space is
 // dense (max ID comparable to the number of posting entries — the
@@ -124,12 +106,11 @@ type posting struct {
 // garbage collector never scans the index. Sparse or negative ID spaces
 // fall back to a map keyed by node.
 type SetView struct {
-	set   *core.SignatureSet
-	flat  *core.FlatSigs
-	masks []lsh.Mask                 // per-signature prefilter masks
-	offs  []int32                    // CSR offsets (dense index); nil when the map is in use
-	bulk  []posting                  // all postings, grouped by node (CSR) in ascending j
-	post  map[graph.NodeID][]posting // node → postings in ascending j (fallback)
+	set  *core.SignatureSet
+	flat *core.FlatSigs
+	offs []int32                    // CSR offsets (dense index); nil when the map is in use
+	bulk []posting                  // all postings, grouped by node (CSR) in ascending j
+	post map[graph.NodeID][]posting // node → postings in ascending j (fallback)
 	// Disjoint baseline rows, by row-side emptiness: a non-empty row is
 	// at distance 1 from every column it shares no node with (even empty
 	// ones), while an empty row is at 0 from empty columns and 1 from
@@ -150,7 +131,6 @@ func NewSetView(set *core.SignatureSet) *SetView {
 	v := &SetView{
 		set:      set,
 		flat:     core.NewFlatSigs(set.Sigs),
-		masks:    make([]lsh.Mask, n),
 		ones:     make([]float64, n),
 		emptyRow: make([]float64, n),
 	}
@@ -164,9 +144,7 @@ func NewSetView(set *core.SignatureSet) *SetView {
 			continue // emptyRow stays 0: empty-vs-empty pairs are at distance 0
 		}
 		v.emptyRow[i] = 1
-		nodes := v.flat.Nodes(i)
-		v.masks[i] = lsh.NewMask(nodes)
-		for _, u := range nodes {
+		for _, u := range v.flat.Nodes(i) {
 			if u < 0 {
 				dense = false
 			} else if u > maxNode {
@@ -253,55 +231,19 @@ func (v *SetView) Len() int { return v.flat.NumSigs() }
 // Flat returns the SoA view of the set's signatures.
 func (v *SetView) Flat() *core.FlatSigs { return v.flat }
 
-// rowMode selects how a row is computed against the column postings.
-type rowMode int
-
-const (
-	// modeCount: the distance needs only the shared-node count
-	// (Jaccard). One int32 increment per posting hit.
-	modeCount rowMode = iota
-	// modeSum: the numerator is Σ(wa+wb) over shared entries (Dice).
-	modeSum
-	// modeDot: the numerator is the dot product (Cosine).
-	modeDot
-	// modeMatches: the kernel needs the full shared-entry match list
-	// (the scaled min/max kinds).
-	modeMatches
-)
-
-func modeFor(kind core.KernelKind) rowMode {
-	switch kind {
-	case core.KindJaccard:
-		return modeCount
-	case core.KindDice:
-		return modeSum
-	case core.KindCosine:
-		return modeDot
-	default:
-		return modeMatches
-	}
-}
-
 // scratch is the recyclable per-worker state: the kernel, the
-// epoch-stamped candidate dedup arrays, the scatter accumulators, the
-// flat match buffer, a row buffer, and a single-signature SoA view for
-// query-side jobs. Instances cycle through a package-level pool shared
-// by every engine, querier and shard, so steady-state jobs allocate
-// nothing per row.
+// epoch-stamped candidate dedup arrays, the scatter accumulators, a row
+// buffer, and a single-signature SoA view for query-side jobs. Instances
+// cycle through a package-level pool shared by every engine, querier and
+// shard, so steady-state jobs allocate nothing per row.
 type scratch struct {
 	kern  core.DistKernel
 	mark  []uint32 // epoch stamps per column
 	epoch uint32
 	cands []int32   // candidate columns, in discovery order
-	cnt   []int32   // per-candidate shared-entry count
-	acc   []float64 // per-candidate numerator accumulator (modeSum/modeDot)
-	slot  []int32   // per-candidate slot into matchBuf (modeMatches)
-
-	// matchBuf holds candidate match lists at a fixed stride (the row
-	// signature's length — an upper bound on any match count): candidate
-	// in slot c owns matchBuf[c*stride : c*stride+cnt].
-	matchBuf []core.Match
-	stride   int
+	cnt   []int32   // per-candidate shared-entry count (Jaccard)
+	acc   []float64 // per-candidate numerator: ScatterFinish's num
+	mins  []float64 // per-candidate Σ min(wa,wb) beside acc (ScaledHellinger)
 
 	row   []float64 // per-column distance buffer (sequential Rows, Querier, PairsWithin)
 	pairs []Pair    // a PairsWithin worker's output, chunk after chunk
@@ -331,14 +273,19 @@ func (s *scratch) grow(n int) {
 		s.mark = make([]uint32, n)
 		s.cnt = make([]int32, n)
 		s.acc = make([]float64, n)
-		s.slot = make([]int32, n)
+		s.mins = make([]float64, n)
 		s.epoch = 0
 	}
 }
 
-// gatherCount enumerates postings for the row nodes qn (canonical
-// order), collecting each candidate j ≥ minJ once in s.cands with its
-// shared-entry count in s.cnt[j].
+// The gathers enumerate the postings of a row's nodes qn (canonical
+// order), collecting each candidate j ≥ minJ once in s.cands with the
+// sums its kind's ScatterFinish takes — folded, per candidate, in the
+// row's canonical entry order, which is exactly the naive loop's
+// accumulation order. One loop per kind: a per-posting dispatch would
+// cost more than the scatter itself.
+
+// gatherCount collects the shared-entry count into s.cnt (Jaccard).
 func (s *scratch) gatherCount(qn []graph.NodeID, cols *SetView, minJ int32) {
 	s.cands = s.cands[:0]
 	s.epoch++
@@ -357,9 +304,7 @@ func (s *scratch) gatherCount(qn []graph.NodeID, cols *SetView, minJ int32) {
 	}
 }
 
-// gatherSum is gatherCount accumulating the Dice numerator Σ(wa+wb)
-// into s.acc — folded, per candidate, in the row's canonical entry
-// order, which is exactly the naive loop's accumulation order.
+// gatherSum folds the Dice numerator Σ(wa+wb) into s.acc.
 func (s *scratch) gatherSum(qn []graph.NodeID, qw []float64, cols *SetView, minJ int32) {
 	s.cands = s.cands[:0]
 	s.epoch++
@@ -380,7 +325,7 @@ func (s *scratch) gatherSum(qn []graph.NodeID, qw []float64, cols *SetView, minJ
 	}
 }
 
-// gatherDot is gatherSum for the Cosine numerator Σ(wa·wb).
+// gatherDot folds the Cosine numerator Σ(wa·wb) into s.acc.
 func (s *scratch) gatherDot(qn []graph.NodeID, qw []float64, cols *SetView, minJ int32) {
 	s.cands = s.cands[:0]
 	s.epoch++
@@ -401,77 +346,91 @@ func (s *scratch) gatherDot(qn []graph.NodeID, qw []float64, cols *SetView, minJ
 	}
 }
 
-// gatherMatches collects each candidate's full shared-entry match list
-// into the strided matchBuf, in the row's canonical entry order — the
-// A-ascending input FlatDistMatched wants.
-func (s *scratch) gatherMatches(qn []graph.NodeID, cols *SetView, minJ int32) {
+// gatherMin folds Σ min(wa,wb) into s.acc, over the row weights qw and
+// the flat column weights cw: raw for ScaledDice, normalized for
+// WeightedJaccard.
+func (s *scratch) gatherMin(qn []graph.NodeID, qw, cw []float64, cols *SetView, minJ int32) {
 	s.cands = s.cands[:0]
 	s.epoch++
-	ka := len(qn)
-	s.stride = ka
+	offs := cols.flat.RawOffs()
 	for ai, u := range qn {
+		wa := qw[ai]
 		for _, p := range cols.postings(u) {
 			if p.j < minJ {
 				continue
 			}
 			if s.mark[p.j] != s.epoch {
 				s.mark[p.j] = s.epoch
-				s.cnt[p.j] = 0
-				s.slot[p.j] = int32(len(s.cands))
+				s.acc[p.j] = 0
 				s.cands = append(s.cands, p.j)
-				if need := len(s.cands) * ka; need > len(s.matchBuf) {
-					grown := make([]core.Match, max(need, 2*len(s.matchBuf)))
-					copy(grown, s.matchBuf)
-					s.matchBuf = grown
-				}
 			}
-			s.matchBuf[int(s.slot[p.j])*ka+int(s.cnt[p.j])] = core.Match{A: int32(ai), B: p.idx}
-			s.cnt[p.j]++
+			s.acc[p.j] += min(wa, cw[offs[p.j]+p.idx])
 		}
 	}
 }
 
-// matchesOf returns candidate j's match list after gatherMatches.
-func (s *scratch) matchesOf(j int32) []core.Match {
-	base := int(s.slot[j]) * s.stride
-	return s.matchBuf[base : base+int(s.cnt[j])]
+// gatherHel folds ScaledHellinger's two sums: the affinity Σ √wa·√wb
+// into s.acc and Σ min(wa,wb) into s.mins. qs holds the row's square
+// roots.
+func (s *scratch) gatherHel(qn []graph.NodeID, qw, qs []float64, cols *SetView, minJ int32) {
+	s.cands = s.cands[:0]
+	s.epoch++
+	offs, cw, cs := cols.flat.RawOffs(), cols.flat.RawWeights(), cols.flat.RawSqrtWeights()
+	for ai, u := range qn {
+		wa, sa := qw[ai], qs[ai]
+		for _, p := range cols.postings(u) {
+			if p.j < minJ {
+				continue
+			}
+			if s.mark[p.j] != s.epoch {
+				s.mark[p.j] = s.epoch
+				s.acc[p.j] = 0
+				s.mins[p.j] = 0
+				s.cands = append(s.cands, p.j)
+			}
+			at := offs[p.j] + p.idx
+			wb := cw[at]
+			s.acc[p.j] += core.HellingerAffinity(wa, wb, sa, cs[at])
+			s.mins[p.j] += min(wa, wb)
+		}
+	}
 }
 
-// gather enumerates the postings of row signature i of rf, collecting
-// each candidate j ≥ minJ once in s.cands together with what the mode's
-// finish needs: the shared count, the numerator fold, or the match list.
+// gather runs the kind's gather for row signature i of rf.
 func (s *scratch) gather(rf *core.FlatSigs, i int, cols *SetView, minJ int32) {
 	qn := rf.Nodes(i)
-	switch modeFor(s.kern.Kind()) {
-	case modeCount:
+	switch s.kern.Kind() {
+	case core.KindJaccard:
 		s.gatherCount(qn, cols, minJ)
-	case modeSum:
+	case core.KindDice:
 		s.gatherSum(qn, rf.Weights(i), cols, minJ)
-	case modeDot:
+	case core.KindCosine:
 		s.gatherDot(qn, rf.Weights(i), cols, minJ)
+	case core.KindScaledDice:
+		s.gatherMin(qn, rf.Weights(i), cols.flat.RawWeights(), cols, minJ)
+	case core.KindWeightedJaccard:
+		s.gatherMin(qn, rf.NormWeights(i), cols.flat.RawNormWeights(), cols, minJ)
 	default:
-		s.gatherMatches(qn, cols, minJ)
+		s.gatherHel(qn, rf.Weights(i), rf.SqrtWeights(i), cols, minJ)
 	}
 }
 
 // finish writes, for every candidate j in s.cands, the exact distance
 // between row signature i of rf and column j into dst[j], from what the
-// preceding gather accumulated. The loop bodies stay per mode: a
-// per-candidate dispatch costs a measurable call on the O(1) scatter
-// finishes.
+// preceding gather accumulated — only the sums the kind keeps are read.
 func (s *scratch) finish(rf *core.FlatSigs, i int, cols *SetView, dst []float64) {
-	switch modeFor(s.kern.Kind()) {
-	case modeCount:
+	switch s.kern.Kind() {
+	case core.KindJaccard:
 		for _, j := range s.cands {
-			dst[j] = s.kern.ScatterFinish(rf, i, cols.flat, int(j), s.cnt[j], 0)
+			dst[j] = s.kern.ScatterFinish(rf, i, cols.flat, int(j), s.cnt[j], 0, 0)
 		}
-	case modeSum, modeDot:
+	case core.KindScaledHellinger:
 		for _, j := range s.cands {
-			dst[j] = s.kern.ScatterFinish(rf, i, cols.flat, int(j), 0, s.acc[j])
+			dst[j] = s.kern.ScatterFinish(rf, i, cols.flat, int(j), 0, s.acc[j], s.mins[j])
 		}
 	default:
 		for _, j := range s.cands {
-			dst[j] = s.kern.FlatDistMatched(rf, i, cols.flat, int(j), s.matchesOf(j))
+			dst[j] = s.kern.ScatterFinish(rf, i, cols.flat, int(j), 0, s.acc[j], 0)
 		}
 	}
 }
@@ -504,37 +463,13 @@ func distRow(d core.Distance, sig core.Signature, cols *SetView, dst []float64) 
 	return len(dst)
 }
 
-// prefilters reports whether thresholded rows should test candidates
-// against the mask bound: only the match-list kinds do — a scatter
-// finish is O(1), cheaper than the bound it would be skipped by.
-func (s *scratch) prefilters(enabled bool) bool {
-	return enabled && modeFor(s.kern.Kind()) == modeMatches
-}
-
 // thresholdedRow visits every candidate j ≥ minJ of rf's signature i
-// (non-empty, with node mask rowMask) at distance ≤ maxDist. It serves
-// maxDist < 1, where only posting candidates can qualify (disjoint
-// pairs sit at exactly 1). With filter set, candidates whose
-// distLowerBound proves them outside the threshold are dropped from
-// s.cands before any kernel work. The survivors are finished into the
-// scratch row buffer by the routine the dense rows use, then compared —
-// a second pass, but the one place the modes are told apart. Returns
-// the posting candidate count and how many of them the filter dropped.
-func (s *scratch) thresholdedRow(rf *core.FlatSigs, i int, rowMask lsh.Mask, cols *SetView, minJ int32,
-	maxDist float64, filter bool, visit func(j int, dist float64)) (cands, skipped int) {
+// (non-empty) at distance ≤ maxDist, and returns the candidate count. It
+// serves maxDist < 1, where only posting candidates can qualify
+// (disjoint pairs sit at exactly 1).
+func (s *scratch) thresholdedRow(rf *core.FlatSigs, i int, cols *SetView, minJ int32,
+	maxDist float64, visit func(j int, dist float64)) int {
 	s.gather(rf, i, cols, minJ)
-	cands = len(s.cands)
-	if filter {
-		kind := s.kern.Kind()
-		kept := s.cands[:0]
-		for _, j := range s.cands {
-			if distLowerBound(kind, rf, i, cols.flat, int(j), rowMask, cols.masks[j]) > maxDist+prefilterSlack {
-				continue
-			}
-			kept = append(kept, j)
-		}
-		s.cands = kept
-	}
 	dist := s.rowBuf(cols.Len())
 	s.finish(rf, i, cols, dist)
 	for _, j := range s.cands {
@@ -542,7 +477,7 @@ func (s *scratch) thresholdedRow(rf *core.FlatSigs, i int, rowMask lsh.Mask, col
 			visit(int(j), d)
 		}
 	}
-	return cands, cands - len(s.cands)
+	return len(s.cands)
 }
 
 // Engine computes distance rows/pairs between a row set and a column
@@ -552,25 +487,19 @@ type Engine struct {
 	rows, cols *SetView
 	workers    int
 	metrics    Metrics
-	prefilter  bool
 	// kern fixes the engine's kernel kind and serves the sequential Dist
 	// method; row jobs run on pooled scratch pointed at the same kind.
 	kern core.DistKernel
 	// dist is set instead when the distance has no kernel kind: every
 	// cell is then dist.Dist on the two Signatures — no disjoint baseline,
-	// no empty-row shortcut, no posting walk, no prefilter, since none of
-	// those closed forms is known to hold for it.
+	// no empty-row shortcut, no posting walk, since none of those closed
+	// forms is known to hold for it.
 	dist core.Distance
 }
 
 // SetMetrics attaches instrumentation to the engine. Call before the
 // first Rows/PairsWithin; rowers built afterwards carry the handles.
 func (e *Engine) SetMetrics(m Metrics) { e.metrics = m }
-
-// SetPrefilter toggles the mask prefilter on thresholded jobs
-// (default on). Results are bit-identical either way: the prefilter
-// only skips pairs provably outside the threshold.
-func (e *Engine) SetPrefilter(enabled bool) { e.prefilter = enabled }
 
 // NewEngine builds an engine over the two signature sets with the given
 // worker count (0 = GOMAXPROCS). Every Distance is served — a registered
@@ -588,7 +517,7 @@ func NewEngine(rowSet, colSet *core.SignatureSet, d core.Distance, workers int) 
 // NewEngineOn is NewEngine over prebuilt views (for callers that cache
 // SetViews, like the store).
 func NewEngineOn(rows, cols *SetView, d core.Distance, workers int) (*Engine, bool) {
-	e := &Engine{rows: rows, cols: cols, workers: workers, prefilter: true}
+	e := &Engine{rows: rows, cols: cols, workers: workers}
 	if kind, ok := core.KernelKindOf(d); ok {
 		e.kern.Reset(kind)
 	} else if e.dist = d; d == nil {
@@ -638,8 +567,8 @@ func (r *rower) rowInto(i int, dst []float64) {
 
 // Dist computes the single distance between row i and column j,
 // bit-identical to d.Dist on the underlying signatures. Not safe for
-// concurrent use (it shares the engine's one kernel and its match
-// buffer — nothing is borrowed from the scratch pool).
+// concurrent use (it shares the engine's one kernel and its match list —
+// nothing is borrowed from the scratch pool).
 func (e *Engine) Dist(i, j int) float64 {
 	if e.dist != nil {
 		return e.dist.Dist(e.rows.set.Sigs[i], e.cols.set.Sigs[j])
@@ -728,58 +657,25 @@ func (r *rowRing) halt() {
 	r.cond.Broadcast()
 }
 
-// Rows computes the distance rows for the given row indices and streams
-// them to consume(t, row) where t is the position within idx — strictly
-// in ascending t, from a single goroutine. Row buffers are reused:
-// consumers that retain a row must copy it. With one worker the whole
-// job runs on pooled scratch and allocates nothing. With more, workers
-// take 16-row blocks in ascending order from a shared counter and write
-// block b into slot b mod ring of a ring of 2·workers buffers, while the
-// calling goroutine delivers each block as soon as it is complete. Every
-// cell is computed once, by one worker, from immutable inputs, so values
-// and delivery order are identical to a sequential run. If consume
-// panics, the panic reaches the caller after every worker has stopped
-// and released its scratch.
-func (e *Engine) Rows(idx []int, consume func(t int, row []float64)) {
-	blocks := (len(idx) + blockRows - 1) / blockRows
-	workers := e.workerCount(blocks)
-	n := e.cols.Len()
-	if workers == 1 {
-		r := e.newRower()
-		defer r.release()
-		row := r.s.rowBuf(n)
-		for t, i := range idx {
-			r.rowInto(i, row)
-			consume(t, row)
-		}
-		return
-	}
+// runBlocks runs a job of the given number of 16-row blocks on workers
+// (≥ 2) goroutines with a ring of 2·workers slots: each worker takes
+// blocks in ascending order from a shared counter and, once it may claim
+// block b's slot (b mod 2·workers), calls compute(r, b) with its rower;
+// the calling goroutine calls deliver(b) for every block in ascending
+// order as soon as it is complete. If deliver panics, the panic reaches
+// the caller after every worker has stopped and released its scratch.
+func (e *Engine) runBlocks(blocks, workers int, compute func(r *rower, b int), deliver func(b int)) {
 	ring := &rowRing{done: make([]int, 2*workers)}
 	ring.cond.L = &ring.mu
-	size := len(ring.done) * blockRows * n
-	slabPtr := slabPool.Get().(*[]float64)
-	slab := *slabPtr
-	if cap(slab) < size {
-		slab = make([]float64, size)
-	}
-	slab = slab[:size]
-	// rowOf is the buffer of row t, the (t mod blockRows)-th row of its
-	// block's slot.
-	rowOf := func(t int) []float64 {
-		at := (t/blockRows%len(ring.done)*blockRows + t%blockRows) * n
-		return slab[at : at+n : at+n]
-	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	defer func() {
-		// On return and on a panic in consume alike: release the workers
+		// On return and on a panic in deliver alike: release the workers
 		// waiting for a slot, hand out no more blocks, and let every
-		// worker give its scratch back before the slab goes to the pool.
+		// worker give its scratch back.
 		next.Store(int64(blocks))
 		ring.halt()
 		wg.Wait()
-		*slabPtr = slab
-		slabPool.Put(slabPtr)
 	}()
 	wg.Add(workers)
 	for range workers {
@@ -798,20 +694,120 @@ func (e *Engine) Rows(idx []int, consume func(t int, row []float64)) {
 				if !ring.claim(b) {
 					return
 				}
-				for t := b * blockRows; t < min((b+1)*blockRows, len(idx)); t++ {
-					r.rowInto(idx[t], rowOf(t))
-				}
+				compute(&r, b)
 				ring.written(b)
 			}
 		}()
 	}
 	for b := 0; b < blocks; b++ {
 		ring.await(b)
-		for t := b * blockRows; t < min((b+1)*blockRows, len(idx)); t++ {
-			consume(t, rowOf(t))
-		}
+		deliver(b)
 		ring.pass(b + 1)
 	}
+}
+
+// blockSpan is the range of positions [lo, hi) block b covers in a job
+// of n rows.
+func blockSpan(b, n int) (lo, hi int) { return b * blockRows, min((b+1)*blockRows, n) }
+
+// ringAt is the index of position t's entry in a ring of slots slots of
+// blockRows entries each: the (t mod blockRows)-th entry of its block's
+// slot.
+func ringAt(t, slots int) int { return t/blockRows%slots*blockRows + t%blockRows }
+
+// Rows computes the distance rows for the given row indices and streams
+// them to consume(t, row) where t is the position within idx — strictly
+// in ascending t, from a single goroutine. Row buffers are reused:
+// consumers that retain a row must copy it. With one worker the whole
+// job runs on pooled scratch and allocates nothing. With more, workers
+// write 16-row blocks into a ring of 2·workers buffers (runBlocks) while
+// the calling goroutine delivers each block as soon as it is complete.
+// Every cell is computed once, by one worker, from immutable inputs, so
+// values and delivery order are identical to a sequential run. If
+// consume panics, the panic reaches the caller after every worker has
+// stopped and released its scratch.
+func (e *Engine) Rows(idx []int, consume func(t int, row []float64)) {
+	blocks := (len(idx) + blockRows - 1) / blockRows
+	workers := e.workerCount(blocks)
+	n := e.cols.Len()
+	if workers == 1 {
+		r := e.newRower()
+		defer r.release()
+		row := r.s.rowBuf(n)
+		for t, i := range idx {
+			r.rowInto(i, row)
+			consume(t, row)
+		}
+		return
+	}
+	slots := 2 * workers
+	size := slots * blockRows * n
+	slabPtr := slabPool.Get().(*[]float64)
+	slab := *slabPtr
+	if cap(slab) < size {
+		slab = make([]float64, size)
+	}
+	slab = slab[:size]
+	defer func() {
+		*slabPtr = slab
+		slabPool.Put(slabPtr)
+	}()
+	rowOf := func(t int) []float64 {
+		at := ringAt(t, slots) * n
+		return slab[at : at+n : at+n]
+	}
+	e.runBlocks(blocks, workers, func(r *rower, b int) {
+		lo, hi := blockSpan(b, len(idx))
+		for t := lo; t < hi; t++ {
+			r.rowInto(idx[t], rowOf(t))
+		}
+	}, func(b int) {
+		lo, hi := blockSpan(b, len(idx))
+		for t := lo; t < hi; t++ {
+			consume(t, rowOf(t))
+		}
+	})
+}
+
+// MapRows is Rows with the row reduced where it is computed: a worker
+// calls reduce(t, row) right after computing the row of idx[t], and the
+// calling goroutine is handed only the result, consume(t, v), strictly
+// in ascending t. The row buffer is the worker's and is reused after
+// reduce returns. reduce runs on the job's worker goroutines, several at
+// a time, so it must be safe for concurrent calls and must not panic; a
+// reducer that depends only on its arguments makes the values consume
+// sees — and so any fold of them in t order — independent of the
+// worker count. The job allocates the ring of 2·workers·16 values, not
+// anything per row.
+func MapRows[T any](e *Engine, idx []int, reduce func(t int, row []float64) T, consume func(t int, v T)) {
+	blocks := (len(idx) + blockRows - 1) / blockRows
+	workers := e.workerCount(blocks)
+	n := e.cols.Len()
+	if workers == 1 {
+		r := e.newRower()
+		defer r.release()
+		row := r.s.rowBuf(n)
+		for t, i := range idx {
+			r.rowInto(i, row)
+			consume(t, reduce(t, row))
+		}
+		return
+	}
+	slots := 2 * workers
+	vals := make([]T, slots*blockRows)
+	e.runBlocks(blocks, workers, func(r *rower, b int) {
+		row := r.s.rowBuf(n)
+		lo, hi := blockSpan(b, len(idx))
+		for t := lo; t < hi; t++ {
+			r.rowInto(idx[t], row)
+			vals[ringAt(t, slots)] = reduce(t, row)
+		}
+	}, func(b int) {
+		lo, hi := blockSpan(b, len(idx))
+		for t := lo; t < hi; t++ {
+			consume(t, vals[ringAt(t, slots)])
+		}
+	})
 }
 
 // Pair is one unordered signature pair with its distance.
@@ -824,12 +820,10 @@ type Pair struct {
 // signatures with Dist ≤ maxDist, for a same-set engine. With
 // maxDist < 1 only pairs sharing at least one node can qualify (disjoint
 // pairs sit at exactly 1), so the inverted index enumerates candidates
-// directly — and, for the match-list kinds, the mask prefilter drops
-// candidates provably outside the threshold before any kernel work
-// (unless SetPrefilter(false)). With maxDist ≥ 1 every non-empty pair
-// qualifies and the dense row path is used — as it always is for a
-// distance without a kernel, whose disjoint pairs may sit anywhere. The
-// result is sorted by (I, J), independent of the worker count.
+// directly. With maxDist ≥ 1 every non-empty pair qualifies and the
+// dense row path is used — as it always is for a distance without a
+// kernel, whose disjoint pairs may sit anywhere. The result is sorted by
+// (I, J), independent of the worker count.
 //
 // Workers take 16-row chunks from a shared counter (row i scans n−i
 // columns, so equal contiguous ranges would not be equal work), append
@@ -856,7 +850,7 @@ func (e *Engine) PairsWithin(maxDist float64) []Pair {
 				if c >= chunks {
 					return
 				}
-				lo, hi := c*blockRows, min((c+1)*blockRows, n)
+				lo, hi := blockSpan(c, n)
 				from := len(r.s.pairs)
 				if maxDist < 1 && e.dist == nil {
 					r.s.pairs = r.pairsThresholded(r.s.pairs, lo, hi, maxDist)
@@ -889,12 +883,9 @@ func (e *Engine) PairsWithin(maxDist float64) []Pair {
 // the diagonal that lie within maxDist (< 1).
 func (r *rower) pairsThresholded(out []Pair, lo, hi int, maxDist float64) []Pair {
 	e := r.e
-	s := r.s
-	rf, cols := e.rows.flat, e.cols
-	filter := s.prefilters(e.prefilter)
+	rf := e.rows.flat
 	row := 0
 	keep := func(j int, dist float64) { out = append(out, Pair{I: row, J: j, Dist: dist}) }
-	var checked, skipped int64
 	for row = lo; row < hi; row++ {
 		if rf.IsEmpty(row) {
 			continue
@@ -903,17 +894,12 @@ func (r *rower) pairsThresholded(out []Pair, lo, hi int, maxDist float64) []Pair
 		if r.metrics.instrumented() {
 			begin = time.Now()
 		}
-		cands, dropped := s.thresholdedRow(rf, row, e.rows.masks[row], cols, int32(row)+1, maxDist, filter, keep)
-		if filter {
-			checked += int64(cands)
-			skipped += int64(dropped)
-		}
+		cands := r.s.thresholdedRow(rf, row, e.cols, int32(row)+1, maxDist, keep)
 		if r.metrics.instrumented() {
 			r.metrics.RowSeconds.ObserveSince(begin)
 			r.metrics.Candidates.Observe(float64(cands))
 		}
 	}
-	r.metrics.flushPrefilter(checked, skipped)
 	return out
 }
 
@@ -946,19 +932,14 @@ func (r *rower) pairsDense(out []Pair, lo, hi int, maxDist float64) []Pair {
 // caller is done (using the querier after Release is a bug). A querier
 // cycled over queries of similar shape allocates nothing per call.
 type Querier struct {
-	s         *scratch
-	dist      core.Distance // set, with s nil, when the distance has no kernel
-	prefilter bool
-	metrics   Metrics
+	s       *scratch
+	dist    core.Distance // set, with s nil, when the distance has no kernel
+	metrics Metrics
 }
 
 // SetMetrics attaches instrumentation: every Neighbors call observes
 // one row timing and one candidate count.
 func (q *Querier) SetMetrics(m Metrics) { q.metrics = m }
-
-// SetPrefilter toggles the mask prefilter (default on); results are
-// bit-identical either way.
-func (q *Querier) SetPrefilter(enabled bool) { q.prefilter = enabled }
 
 // NewQuerier returns a querier for d. Like NewEngine it serves every
 // Distance, a kernel-less one by a d.Dist scan of the view's signatures;
@@ -968,7 +949,7 @@ func NewQuerier(d core.Distance) (*Querier, bool) {
 	if !ok {
 		return &Querier{dist: d}, true
 	}
-	return &Querier{s: getScratch(kind, 0), prefilter: true}, true
+	return &Querier{s: getScratch(kind, 0)}, true
 }
 
 // Release returns the querier's scratch to the shared pool.
@@ -986,8 +967,8 @@ func (q *Querier) Release() {
 // the visit order is unspecified; with maxDist ≥ 1, or a distance
 // without a kernel, every column is evaluated and the qualifying ones
 // visited in ascending order. The callback must not re-enter the
-// querier. Returns the number of candidates whose distance was actually
-// evaluated (prefilter-rejected candidates are not counted).
+// querier. Returns the number of candidates whose distance was
+// evaluated.
 func (q *Querier) Neighbors(view *SetView, sig core.Signature, maxDist float64, visit func(j int, dist float64)) int {
 	if !q.metrics.instrumented() {
 		return q.neighbors(view, sig, maxDist, visit)
@@ -1025,7 +1006,7 @@ func (q *Querier) neighbors(view *SetView, sig core.Signature, maxDist float64, 
 			}
 			return 0
 		}
-		return q.thresholded(view, maxDist, visit)
+		return s.thresholdedRow(qf, 0, view, 0, maxDist, visit)
 	}
 	row := s.rowBuf(n)
 	probed := 0
@@ -1040,20 +1021,4 @@ func (q *Querier) neighbors(view *SetView, sig core.Signature, maxDist float64, 
 		}
 	}
 	return probed
-}
-
-// thresholded serves the maxDist < 1 candidate path for a non-empty
-// query already loaded into s.qflat.
-func (q *Querier) thresholded(view *SetView, maxDist float64, visit func(j int, dist float64)) int {
-	s := q.s
-	filter := s.prefilters(q.prefilter)
-	var mask lsh.Mask
-	if filter {
-		mask = lsh.NewMask(s.qflat.Nodes(0))
-	}
-	cands, skipped := s.thresholdedRow(&s.qflat, 0, mask, view, 0, maxDist, filter, visit)
-	if filter {
-		q.metrics.flushPrefilter(int64(cands), int64(skipped))
-	}
-	return cands - skipped
 }

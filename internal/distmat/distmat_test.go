@@ -1,6 +1,7 @@
 package distmat
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -186,7 +187,8 @@ func TestEngineRowsSlowWorkerKeepsItsSlot(t *testing.T) {
 }
 
 // TestEngineRowsConsumerPanic: a consumer that panics at row t takes the
-// panic to Rows' caller, and by then no worker is left behind — whether
+// panic to the caller of Rows or MapRows, and by then no worker is left
+// behind — whether
 // the workers were computing or waiting for a slot the consumer will
 // never free.
 func TestEngineRowsConsumerPanic(t *testing.T) {
@@ -208,8 +210,17 @@ func TestEngineRowsConsumerPanic(t *testing.T) {
 				})
 				return nil
 			}()
-			if got != at {
-				t.Fatalf("workers=%d: consumer panicked at row %d, caller recovered %v", workers, at, got)
+			mapped := func() (got any) {
+				defer func() { got = recover() }()
+				MapRows(eng, idx, func(_ int, row []float64) float64 { return row[0] }, func(t int, _ float64) {
+					if t == at {
+						panic(at)
+					}
+				})
+				return nil
+			}()
+			if got != at || mapped != at {
+				t.Fatalf("workers=%d: consumer panicked at row %d, caller recovered %v from Rows, %v from MapRows", workers, at, got, mapped)
 			}
 			// A worker that has called wg.Done may still be exiting.
 			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
@@ -248,13 +259,56 @@ func TestEngineRowsSubset(t *testing.T) {
 	}
 }
 
+// TestMapRowsMatchesRows: MapRows hands the consumer, in ascending t,
+// exactly the value its reducer computes from the row Rows delivers at
+// t — whatever the worker count and the job's length around the 16-row
+// block, including a consumer slow enough to make the ring wrap.
+func TestMapRowsMatchesRows(t *testing.T) {
+	set := randSet(t, 16, 130, 9, 80)
+	n := set.Len()
+	// rowHash depends on every bit of the row and on t.
+	rowHash := func(k int, row []float64) uint64 {
+		h := uint64(k)
+		for _, x := range row {
+			h = h*1099511628211 ^ math.Float64bits(x)
+		}
+		return h
+	}
+	for _, d := range []core.Distance{core.Jaccard{}, core.ScaledHellinger{}, wrapped{core.Dice{}}} {
+		for _, workers := range []int{1, 2, 3, 8} {
+			eng, _ := NewEngine(set, set, d, workers)
+			for _, rows := range []int{0, 1, 15, 16, 17, 33, n} {
+				idx := make([]int, rows)
+				for t := range idx {
+					idx[t] = t * 7 % n
+				}
+				var want []uint64
+				eng.Rows(idx, func(k int, row []float64) { want = append(want, rowHash(k, row)) })
+				var got []uint64
+				inOrder := true
+				MapRows(eng, idx, rowHash, func(k int, h uint64) {
+					inOrder = inOrder && k == len(got)
+					if rows == n && workers > 1 {
+						time.Sleep(20 * time.Microsecond)
+					}
+					got = append(got, h)
+				})
+				if !inOrder || !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s workers=%d rows=%d: MapRows values differ from Rows", d.Name(), workers, rows)
+				}
+			}
+		}
+	}
+}
+
 // TestPairsWithinMatchesNaive: the pairs and their order are the naive
-// loop's at every worker count (0 is GOMAXPROCS), over 80 rows — five
-// 16-row chunks.
+// loop's at every worker count (0 is GOMAXPROCS) and over a grid of
+// thresholds from 0 to the dense path's 1, over 80 rows — five 16-row
+// chunks.
 func TestPairsWithinMatchesNaive(t *testing.T) {
 	set := randSet(t, 31, 80, 8, 50)
 	for _, d := range core.ExtendedDistances() {
-		for _, threshold := range []float64{0.25, 0.8, 1} {
+		for _, threshold := range []float64{0, 0.25, 0.5, 0.8, 0.97, 1} {
 			var want []Pair
 			for i := 0; i < set.Len(); i++ {
 				if set.Sigs[i].IsEmpty() {
@@ -305,7 +359,7 @@ func TestQuerierMatchesNaive(t *testing.T) {
 			t.Fatalf("querier rejected %s", d.Name())
 		}
 		for qi, sig := range queries {
-			for _, maxDist := range []float64{0.3, 0.9, 1} {
+			for _, maxDist := range []float64{0.2, 0.3, 0.6, 0.9, 0.95, 1} {
 				want := map[int]float64{}
 				for j := range set.Sigs {
 					if dist := d.Dist(sig, set.Sigs[j]); dist <= maxDist {
@@ -434,5 +488,108 @@ func TestEngineDistPairs(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestPairsWithinPrefilterIdentical: below 1, PairsWithin visits only
+// the pairs its posting lists put forward and never scores a disjoint
+// pair. That candidate filter must drop nothing: the pairs, their order
+// and their distance bits equal those of the same distance in disguise,
+// which scores every cell, and those of the naive scan.
+func TestPairsWithinPrefilterIdentical(t *testing.T) {
+	set := randSet(t, 77, 120, 10, 160)
+	for _, d := range core.ExtendedDistances() {
+		for _, maxDist := range []float64{0.0, 0.25, 0.5, 0.8, 0.97} {
+			on, ok := NewEngine(set, set, d, 2)
+			if !ok {
+				t.Fatalf("%s: no engine", d.Name())
+			}
+			off, _ := NewEngine(set, set, wrapped{d}, 2)
+			got := on.PairsWithin(maxDist)
+			want := off.PairsWithin(maxDist)
+			if len(got) != len(want) {
+				t.Fatalf("%s maxDist=%v: candidate path %d pairs, full scan %d",
+					d.Name(), maxDist, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].I != want[i].I || got[i].J != want[i].J ||
+					math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
+					t.Fatalf("%s maxDist=%v: pair %d mismatch %+v vs %+v",
+						d.Name(), maxDist, i, got[i], want[i])
+				}
+			}
+			var naive []Pair
+			for i := 0; i < set.Len(); i++ {
+				for j := i + 1; j < set.Len(); j++ {
+					a, b := set.Sigs[i], set.Sigs[j]
+					if len(a.Nodes) == 0 || len(b.Nodes) == 0 {
+						continue
+					}
+					if dist := d.Dist(a, b); dist <= maxDist {
+						naive = append(naive, Pair{I: i, J: j, Dist: dist})
+					}
+				}
+			}
+			if !reflect.DeepEqual(naive, got) {
+				t.Fatalf("%s maxDist=%v: engine %d pairs, naive %d (or values differ)",
+					d.Name(), maxDist, len(got), len(naive))
+			}
+		}
+	}
+}
+
+// TestQuerierPrefilterIdentical: below 1, Neighbors probes only the
+// inverted-index candidates (and the empty columns when the query is
+// empty). The visits, compared as sets since the candidate order is
+// unspecified, equal those of the same distance in disguise, which
+// probes every column.
+func TestQuerierPrefilterIdentical(t *testing.T) {
+	set := randSet(t, 99, 90, 10, 120)
+	view := NewSetView(set)
+	rng := rand.New(rand.NewSource(5))
+	type hit struct {
+		j    int
+		bits uint64
+	}
+	collect := func(q *Querier, sig core.Signature, maxDist float64) []hit {
+		var hits []hit
+		q.Neighbors(view, sig, maxDist, func(j int, dist float64) {
+			hits = append(hits, hit{j, math.Float64bits(dist)})
+		})
+		return hits
+	}
+	for _, d := range core.ExtendedDistances() {
+		on, _ := NewQuerier(d)
+		off, _ := NewQuerier(wrapped{d})
+		for trial := 0; trial < 40; trial++ {
+			var sig core.Signature
+			if rng.Intn(8) != 0 {
+				ln := 1 + rng.Intn(12)
+				weights := map[graph.NodeID]float64{}
+				for len(weights) < ln {
+					weights[graph.NodeID(rng.Intn(40)+rng.Intn(100))] = float64(1+rng.Intn(16)) / 4
+				}
+				sig = core.FromWeights(weights, ln)
+			}
+			for _, maxDist := range []float64{0.2, 0.6, 0.95} {
+				got := collect(on, sig, maxDist)
+				want := collect(off, sig, maxDist)
+				if len(got) != len(want) {
+					t.Fatalf("%s maxDist=%v: candidate path visited %d, full scan %d", d.Name(), maxDist, len(got), len(want))
+				}
+				seen := map[hit]int{}
+				for _, h := range want {
+					seen[h]++
+				}
+				for _, h := range got {
+					if seen[h] == 0 {
+						t.Fatalf("%s maxDist=%v: candidate-path visit %+v missing from the full scan", d.Name(), maxDist, h)
+					}
+					seen[h]--
+				}
+			}
+		}
+		on.Release()
+		off.Release()
 	}
 }

@@ -51,10 +51,13 @@ func PersistenceSummary(d core.Distance, at, next *core.SignatureSet) stats.Summ
 // axis. For large source sets the pair count is quadratic; maxPairs > 0
 // caps the work by deterministic uniform pair sampling (0 = exact).
 //
-// The exact path streams engine rows in ascending (i, j) order into the
-// Welford accumulator — the same order as the naive double loop — so the
-// summary is bit-identical to it while the distance work is
-// overlap-proportional and sharded across cores.
+// The exact path reduces each engine row, in the worker that computed
+// it, to a two-pass partial over the row less its diagonal
+// (stats.Batch), and merges the partials in row order
+// (stats.Accumulator.Merge): the distance work and the fold are both
+// overlap-proportional and sharded across cores, and the summary has the
+// same bits whatever the worker count. It agrees with a Welford chain
+// over the naive double loop to rounding (N, Min and Max exactly).
 func UniquenessSummary(d core.Distance, set *core.SignatureSet, maxPairs int, seed int64) stats.Summary {
 	n := set.Len()
 	var acc stats.Accumulator
@@ -68,13 +71,11 @@ func UniquenessSummary(d core.Distance, set *core.SignatureSet, maxPairs int, se
 		for i := range idx {
 			idx[i] = i
 		}
-		eng.Rows(idx, func(i int, row []float64) {
-			for j, x := range row {
-				if j != i {
-					acc.Add(x)
-				}
-			}
-		})
+		distmat.MapRows(eng, idx, func(i int, row []float64) stats.Accumulator {
+			part := stats.Batch(row[:i])
+			part.Merge(stats.Batch(row[i+1:]))
+			return part
+		}, func(_ int, part stats.Accumulator) { acc.Merge(part) })
 		return acc.Summarize()
 	}
 	rng := stats.NewRNG(seed)
@@ -169,25 +170,29 @@ func SelfRetrievalQueries(d core.Distance, at, next *core.SignatureSet) []Query 
 
 // SelfRetrievalAUC is the Figure 3 statistic: mean per-node AUC of the
 // self-retrieval queries — MeanAUC(SelfRetrievalQueries(d, at, next))
-// bit for bit, with no query materialised: each engine row is counted
-// as it is delivered, its one positive the column of the row's source.
+// bit for bit, with no query materialised: each engine row is counted in
+// the worker that computed it, its one positive the column of the row's
+// source, and the per-row AUCs are summed in row order.
 func SelfRetrievalAUC(d core.Distance, at, next *core.SignatureSet) (float64, error) {
 	rows, cols := selfRetrievalRows(at, next)
 	if len(rows) == 0 {
 		return 0, fmt.Errorf("eval: no sources present in both windows")
 	}
 	eng, _ := distmat.NewEngine(at, next, d, 0)
+	type rowAUC struct {
+		auc float64
+		err error
+	}
 	sum := 0.0
 	var err error
-	eng.Rows(rows, func(t int, row []float64) {
-		if err != nil {
-			return
-		}
+	distmat.MapRows(eng, rows, func(t int, row []float64) rowAUC {
 		a, rowErr := selfAUC(row, cols[t])
-		if rowErr != nil {
-			err = fmt.Errorf("eval: query %d: %w", t, rowErr)
+		return rowAUC{a, rowErr}
+	}, func(t int, r rowAUC) {
+		if err == nil && r.err != nil {
+			err = fmt.Errorf("eval: query %d: %w", t, r.err)
 		}
-		sum += a
+		sum += r.auc
 	})
 	if err != nil {
 		return 0, err

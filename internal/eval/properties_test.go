@@ -2,10 +2,13 @@ package eval
 
 import (
 	"math"
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"graphsig/internal/core"
 	"graphsig/internal/graph"
+	"graphsig/internal/stats"
 )
 
 // makeSet builds a SignatureSet from (source → weighted members).
@@ -187,5 +190,56 @@ func TestSetRetrievalQueries(t *testing.T) {
 	// Groups whose members lack signatures yield no queries.
 	if got := SetRetrievalQueries(core.Jaccard{}, set, [][]graph.NodeID{{8, 9}}); len(got) != 0 {
 		t.Fatalf("ghost group produced %d queries", len(got))
+	}
+}
+
+// TestUniquenessSummaryWorkers: the exact summary has the same bits at
+// every worker count (the engine runs on GOMAXPROCS workers: as the test
+// found it, then 1, 2, 3 and 8) and for row counts around the engine's
+// 16-row block, and it agrees with a Welford chain over the naive
+// double loop — N, Min and Max exactly, Mean and StdDev to 1e-12
+// relative.
+func TestUniquenessSummaryWorkers(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(procs)
+	near := func(a, b float64) bool {
+		return math.Abs(a-b) <= 1e-12*math.Max(math.Abs(a), math.Abs(b))
+	}
+	rng := rand.New(rand.NewSource(8))
+	for _, n := range []int{0, 1, 15, 16, 17, 33} {
+		sigs := map[graph.NodeID]map[graph.NodeID]float64{}
+		for v := range n {
+			w := map[graph.NodeID]float64{}
+			for range 1 + rng.Intn(8) {
+				w[graph.NodeID(100+rng.Intn(30))] = float64(1+rng.Intn(16)) / 4
+			}
+			sigs[graph.NodeID(v)] = w
+		}
+		set := makeSet(t, "tt", 0, sigs)
+		for _, d := range []core.Distance{core.Jaccard{}, core.ScaledHellinger{}} {
+			var chain stats.Accumulator
+			for i := range set.Sigs {
+				for j := range set.Sigs {
+					if i != j {
+						chain.Add(d.Dist(set.Sigs[i], set.Sigs[j]))
+					}
+				}
+			}
+			want := chain.Summarize()
+			var first stats.Summary
+			for k, workers := range []int{procs, 1, 2, 3, 8} {
+				runtime.GOMAXPROCS(workers)
+				got := UniquenessSummary(d, set, 0, 1)
+				if k == 0 {
+					first = got
+				} else if got != first {
+					t.Fatalf("%s n=%d: %d workers give %+v, %d gave %+v", d.Name(), n, workers, got, procs, first)
+				}
+				if got.N != want.N || got.Min != want.Min || got.Max != want.Max ||
+					!near(got.Mean, want.Mean) || !near(got.StdDev, want.StdDev) {
+					t.Fatalf("%s n=%d workers=%d: %+v, naive chain %+v", d.Name(), n, workers, got, want)
+				}
+			}
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -236,28 +237,70 @@ func WriteBinary(w io.Writer, records []Record) error {
 	return bw.Flush()
 }
 
-// ReadBinary parses records from the binary format. A record cut short
-// by the end of the input is corruption (io.ErrUnexpectedEOF), not a
-// clean end.
+// ReadBinary parses records from the binary format, decoding the stream
+// frame by frame through a buffered reader. A stream shorter than the
+// magic, or a record cut short by the end of the input, is corruption
+// (io.ErrUnexpectedEOF), not a clean end.
 func ReadBinary(r io.Reader) ([]Record, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("netflow: read: %w", err)
+	br := bufio.NewReader(r)
+	var magic [4]byte
+	if _, err := io.ReadFull(br, magic[:]); err != nil {
+		return nil, fmt.Errorf("netflow: read magic: %w", unexpectedEOF(err))
 	}
-	if len(data) < len(binaryMagic) {
-		return nil, fmt.Errorf("netflow: read magic: %w", io.ErrUnexpectedEOF)
-	}
-	if [4]byte(data[:4]) != binaryMagic {
-		return nil, fmt.Errorf("netflow: bad magic %q", data[:4])
+	if magic != binaryMagic {
+		return nil, fmt.Errorf("netflow: bad magic %q", magic[:])
 	}
 	var out []Record
-	for rest := data[4:]; len(rest) > 0; {
-		rec, n, err := DecodeRecordBinary(rest)
+	var frame []byte
+	for {
+		var err error
+		frame, err = readFrame(br, frame[:0])
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("netflow: record %d: %w", len(out), err)
+		}
+		rec, _, err := DecodeRecordBinary(frame)
 		if err != nil {
 			return nil, fmt.Errorf("netflow: record %d: %w", len(out), err)
 		}
 		out = append(out, rec)
-		rest = rest[n:]
 	}
-	return out, nil
+}
+
+// readFrame appends the next record's encoding, read from br, to frame:
+// its two length-prefixed labels, then the fixed-width fields. A stream
+// that ends before the record's first byte is io.EOF, one that ends
+// inside it io.ErrUnexpectedEOF.
+func readFrame(br *bufio.Reader, frame []byte) ([]byte, error) {
+	le := binary.LittleEndian
+	frame, err := readMore(br, frame, 2)
+	if err != nil {
+		return frame, err
+	}
+	srcLen := int(le.Uint16(frame))
+	if frame, err = readMore(br, frame, srcLen+2); err != nil {
+		return frame, unexpectedEOF(err)
+	}
+	dstLen := int(le.Uint16(frame[2+srcLen:]))
+	frame, err = readMore(br, frame, dstLen+recordFixedLen)
+	return frame, unexpectedEOF(err)
+}
+
+// readMore appends the next n bytes of br to b.
+func readMore(br *bufio.Reader, b []byte, n int) ([]byte, error) {
+	at := len(b)
+	b = slices.Grow(b, n)[:at+n]
+	_, err := io.ReadFull(br, b[at:])
+	return b, err
+}
+
+// unexpectedEOF reads an end of input as corruption: a stream that ends
+// where more of it is due.
+func unexpectedEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }

@@ -2,6 +2,8 @@ package netflow
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -152,10 +154,10 @@ func TestReadBinaryTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
-	// Any strict prefix beyond the magic must fail with a corruption
-	// error, never succeed silently with fewer records... except at
-	// exact record boundaries, where the stream is indistinguishable
-	// from a shorter valid file.
+	// Any strict prefix must fail with io.ErrUnexpectedEOF — the magic
+	// cut short, or a record —, never succeed silently with fewer
+	// records... except at exact record boundaries, where the stream is
+	// indistinguishable from a shorter valid file.
 	boundaries := map[int]bool{len(full): true}
 	// Find record boundaries by re-encoding prefixes.
 	for n := 1; n <= len(sampleRecords()); n++ {
@@ -165,12 +167,13 @@ func TestReadBinaryTruncation(t *testing.T) {
 		}
 		boundaries[b.Len()] = true
 	}
-	for cut := 5; cut < len(full); cut++ {
+	boundaries[len(binaryMagic)] = true // the header alone: no records
+	for cut := 0; cut < len(full); cut++ {
 		if boundaries[cut] {
 			continue
 		}
-		if _, err := ReadBinary(bytes.NewReader(full[:cut])); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
+		if _, err := ReadBinary(bytes.NewReader(full[:cut])); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("truncation at %d: %v, want io.ErrUnexpectedEOF", cut, err)
 		}
 	}
 }

@@ -141,21 +141,18 @@ type SearchRequest struct {
 	// signature-query fan-out so non-owner shards apply the same
 	// exclusion the owner does.
 	ExcludeLabel string `json:"exclude_label,omitempty"`
-	// Debug attaches per-query explain counters (timing, probes,
-	// prefilter stats) to the response; ?debug=1 on the URL does the
-	// same.
+	// Debug attaches per-query explain counters (timing, probes) to the
+	// response; ?debug=1 on the URL does the same.
 	Debug bool `json:"debug,omitempty"`
 }
 
 // SearchDebugJSON is the per-node explain block attached to search
-// responses when debug is requested: wall time, exact distance probes,
-// and the mask-prefilter checked/skipped counts for this query alone.
+// responses when debug is requested: wall time and the exact distance
+// probes of this query alone.
 type SearchDebugJSON struct {
-	TraceID          string `json:"trace_id,omitempty"`
-	Micros           int64  `json:"micros"`
-	Probes           int    `json:"probes"`
-	PrefilterChecked int64  `json:"prefilter_checked"`
-	PrefilterSkipped int64  `json:"prefilter_skipped"`
+	TraceID string `json:"trace_id,omitempty"`
+	Micros  int64  `json:"micros"`
+	Probes  int    `json:"probes"`
 }
 
 // SearchHitJSON is one nearest-signature hit.
@@ -519,11 +516,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	resp := SearchResponse{Distance: d.Name(), Hits: hits}
 	if debug {
 		resp.Debug = &SearchDebugJSON{
-			TraceID:          tr.ID(),
-			Micros:           time.Since(begin).Microseconds(),
-			Probes:           stats.Probes,
-			PrefilterChecked: stats.PrefilterChecked,
-			PrefilterSkipped: stats.PrefilterSkipped,
+			TraceID: tr.ID(),
+			Micros:  time.Since(begin).Microseconds(),
+			Probes:  stats.Probes,
 		}
 	}
 	WriteJSON(w, http.StatusOK, resp)
@@ -595,11 +590,9 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	resp := BatchSearchResponse{Distance: d.Name(), Results: results}
 	if debug {
 		resp.Debug = &SearchDebugJSON{
-			TraceID:          tr.ID(),
-			Micros:           time.Since(begin).Microseconds(),
-			Probes:           stats.Probes,
-			PrefilterChecked: stats.PrefilterChecked,
-			PrefilterSkipped: stats.PrefilterSkipped,
+			TraceID: tr.ID(),
+			Micros:  time.Since(begin).Microseconds(),
+			Probes:  stats.Probes,
 		}
 	}
 	WriteJSON(w, http.StatusOK, resp)

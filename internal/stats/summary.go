@@ -35,6 +35,61 @@ func (a *Accumulator) Add(x float64) {
 	a.m2 += d * (x - a.mean)
 }
 
+// Batch returns the accumulator of xs computed in two passes — the sum
+// with the extremes, then the squared deviations from the mean — rather
+// than by Add's running update: one division for the whole slice. Its
+// Mean and M2 agree with an Add chain over xs to rounding, not to the
+// bit. It is the partial Merge folds.
+func Batch(xs []float64) Accumulator {
+	if len(xs) == 0 {
+		return Accumulator{}
+	}
+	sum, lo, hi := 0.0, xs[0], xs[0]
+	for _, x := range xs {
+		sum += x
+		if x < lo {
+			lo = x
+		}
+		if x > hi {
+			hi = x
+		}
+	}
+	mean := sum / float64(len(xs))
+	m2 := 0.0
+	for _, x := range xs {
+		d := x - mean
+		m2 += d * d
+	}
+	return Accumulator{n: len(xs), mean: mean, m2: m2, min: lo, max: hi}
+}
+
+// Merge folds the observations of b into a, as if a had also seen them:
+// Chan et al.'s pairwise combine of the counts, means and M2s, with the
+// extremes combined exactly. The result agrees with one Add chain over
+// both streams to rounding; merging the same partials in the same order
+// always gives the same bits.
+func (a *Accumulator) Merge(b Accumulator) {
+	if b.n == 0 {
+		return
+	}
+	if a.n == 0 {
+		*a = b
+		return
+	}
+	na, nb := float64(a.n), float64(b.n)
+	n := na + nb
+	d := b.mean - a.mean
+	a.mean += d * (nb / n)
+	a.m2 += b.m2 + d*d*(na*nb/n)
+	if b.min < a.min {
+		a.min = b.min
+	}
+	if b.max > a.max {
+		a.max = b.max
+	}
+	a.n += b.n
+}
+
 // N reports the number of observations.
 func (a *Accumulator) N() int { return a.n }
 

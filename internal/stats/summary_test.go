@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -95,5 +96,55 @@ func TestSummaryString(t *testing.T) {
 	s := SummarizeSlice([]float64{1, 2, 3})
 	if s.String() == "" || s.N != 3 {
 		t.Fatalf("bad summary: %v", s)
+	}
+}
+
+// TestAccumulatorMergeMatchesChain: merging the partials of any split of
+// a stream — Batch partials or Add chains, empty and one-element parts
+// included — agrees with one Add chain over the whole stream: N, Min and
+// Max exactly, Mean and StdDev to 1e-12 relative.
+func TestAccumulatorMergeMatchesChain(t *testing.T) {
+	rng := NewRNG(5)
+	near := func(a, b float64) bool {
+		return math.Abs(a-b) <= 1e-12*math.Max(math.Abs(a), math.Abs(b))
+	}
+	for trial := 0; trial < 300; trial++ {
+		xs := make([]float64, rng.Intn(3000))
+		for i := range xs {
+			xs[i] = rng.Float64()
+			if rng.Intn(4) == 0 {
+				xs[i] = 1 // distances pile up at 1
+			}
+		}
+		var chain Accumulator
+		for _, x := range xs {
+			chain.Add(x)
+		}
+		// Cut points: some repeated (empty parts), some one apart.
+		cuts := []int{0, len(xs)}
+		for range rng.Intn(12) {
+			c := rng.Intn(len(xs) + 1)
+			cuts = append(cuts, c, c, min(c+1, len(xs)))
+		}
+		slices.Sort(cuts)
+		var batched, chained Accumulator
+		for k := 1; k < len(cuts); k++ {
+			part := xs[cuts[k-1]:cuts[k]]
+			batched.Merge(Batch(part))
+			var c Accumulator
+			for _, x := range part {
+				c.Add(x)
+			}
+			chained.Merge(c)
+		}
+		want := chain.Summarize()
+		for name, acc := range map[string]Accumulator{"batch": batched, "chain": chained} {
+			got := acc.Summarize()
+			if got.N != want.N || got.Min != want.Min || got.Max != want.Max ||
+				!near(got.Mean, want.Mean) || !near(got.StdDev, want.StdDev) {
+				t.Fatalf("trial %d, %d values, %d cuts, %s partials: merged %+v, chain %+v",
+					trial, len(xs), len(cuts), name, got, want)
+			}
+		}
 	}
 }

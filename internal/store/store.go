@@ -173,10 +173,6 @@ func (o *storeObs) bind(reg *obs.Registry) {
 			"pairwise-engine row computation time (one query vs one window)"),
 		Candidates: reg.HistogramWith("distmat_candidates",
 			"inverted-index candidates per engine row", obs.CountBounds(24)),
-		PrefilterChecked: reg.Counter("distmat_prefilter_checked_total",
-			"candidates tested against the mask-prefilter distance bound"),
-		PrefilterSkipped: reg.Counter("distmat_prefilter_skipped_total",
-			"candidates provably rejected without an exact kernel fold"),
 	}
 }
 
@@ -439,21 +435,14 @@ type SearchOptions struct {
 	Stats *SearchStats
 }
 
-// SearchStats are the per-query explain counters behind ?debug=1:
-// exact distance evaluations plus the pairwise engine's mask-prefilter
-// checked/skipped counts for this query alone (the registry counters
-// aggregate across all concurrent queries and cannot be read as
-// per-query deltas). Probes — like the store_search_probes histogram —
-// counts the distances a search computed, not the hits it ranked: per
-// window the engine's inverted-index candidates (less those the mask
-// prefilter rejects once the collector's bound drops below 1; every
-// signature, for a distance without a kernel), the LSH bucket
-// candidates, or every non-empty signature of a cold window's plain
-// scan.
+// SearchStats are the per-query explain counters behind ?debug=1.
+// Probes — like the store_search_probes histogram — counts the
+// distances a search computed, not the hits it ranked: per window the
+// engine's inverted-index candidates (every signature, for a distance
+// without a kernel), the LSH bucket candidates, or every non-empty
+// signature of a cold window's plain scan.
 type SearchStats struct {
-	Probes           int
-	PrefilterChecked int64
-	PrefilterSkipped int64
+	Probes int
 }
 
 // Search ranks archived signatures by distance from sig and returns the
@@ -693,24 +682,6 @@ func (s *Store) searchRing(ring []entry, querier *distmat.Querier, d core.Distan
 		if v, ok := s.universe.Lookup(opts.ExcludeLabel); ok {
 			exclude = v
 		}
-	}
-
-	// Per-query prefilter explain: route the engine's prefilter counters
-	// through locals for the duration of this query, then fold them into
-	// both the stats and the shared registry counters — deltas of the
-	// globals would be polluted by concurrent queries.
-	if opts.Stats != nil {
-		var checked, skipped obs.Counter
-		m := s.obs.engine
-		m.PrefilterChecked, m.PrefilterSkipped = &checked, &skipped
-		querier.SetMetrics(m)
-		defer func() {
-			querier.SetMetrics(s.obs.engine)
-			s.obs.engine.PrefilterChecked.Add(checked.Value())
-			s.obs.engine.PrefilterSkipped.Add(skipped.Value())
-			opts.Stats.PrefilterChecked += checked.Value()
-			opts.Stats.PrefilterSkipped += skipped.Value()
-		}()
 	}
 
 	top := topK{k: opts.TopK, bounded: bounded, universe: s.universe}
