@@ -25,8 +25,8 @@ race:
 # memory limit, a released block read, SelfRetrievalAUC, a WAL open, one
 # ingest batch and one window close (6 allocations and 1.5 KB a source),
 # the engine's and querier's rows, and a parallel engine job — Rows,
-# MapRows and PairsWithin, each as many allocations at 1 300 rows as at
-# 130.
+# MapRows, MapTriangle and PairsWithin, each as many allocations at
+# 1 300 rows as at 130.
 alloc-budget:
 	$(GO) test -run 'Alloc|Budget' ./internal/distmat/ ./internal/store/ \
 		./internal/segment/ ./internal/eval/ ./internal/wal/ ./internal/server/
@@ -139,8 +139,9 @@ bench:
 # then the engine's scheduler tests under the race detector at 1, 2 and
 # 4 cores (an engine built with 0 workers runs on GOMAXPROCS of them),
 # with the reductions folded in its workers: the uniqueness summary's
-# bits at every worker count, the self-retrieval AUC, and the partial
-# merge they rest on. The sigbench line then drives the engine on a
+# bits at every worker count, the self-retrieval AUC, the partial merge
+# they rest on, and the triangle job with the exact symmetry of every
+# registered distance that lets uniqueness compute half the matrix. The sigbench line then drives the engine on a
 # scaled dataset — runPairwise exits non-zero on any `identical:
 # false`. The next four are one iteration of the write path's layer
 # benchmarks: the WAL's — opening a 38 000-record log, one
@@ -159,8 +160,8 @@ bench:
 bench-smoke:
 	$(GO) test -race -run=^$$ -benchtime=1x \
 		-bench 'BenchmarkPairwiseUniqueness|BenchmarkMultiusageAllPairs' .
-	$(GO) test -race -cpu 1,2,4 -run 'Parallel|PairsWithin|Rows|Panic|UniquenessSummaryWorkers|SelfRetrievalAUC|Merge' \
-		./internal/distmat/ ./internal/eval/ ./internal/stats/
+	$(GO) test -race -cpu 1,2,4 -run 'Parallel|PairsWithin|Rows|Panic|UniquenessSummaryWorkers|SelfRetrievalAUC|Merge|Symmetry|Triangle' \
+		./internal/core/ ./internal/distmat/ ./internal/eval/ ./internal/stats/
 	$(GO) run ./cmd/sigbench -experiment pairwise -scale 0.5
 	$(GO) test -run=^$$ -benchtime=1x -benchmem \
 		-bench 'BenchmarkWALOpen|BenchmarkWALAppend|BenchmarkWALGenerationChange' ./internal/wal/

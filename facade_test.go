@@ -3,6 +3,7 @@ package graphsig_test
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -244,7 +245,10 @@ type disguised struct{ graphsig.Distance }
 // with the same distance in disguise — the engine's kernel path against
 // its d.Dist path — and requires equal results: bit for bit, except
 // where the entry point itself folds a map in iteration order and so
-// differs in the last bits between two runs with one and the same d.
+// differs in the last bits between two runs with one and the same d,
+// and the exact uniqueness summary, which folds the triangle of a
+// registered distance twice but every ordered pair of a custom one:
+// equal N, Min and Max, the mean and deviation to 1e-12 relative.
 func TestFacadeCustomDistanceEqualsRegistered(t *testing.T) {
 	cfg := graphsig.DefaultEnterpriseConfig(17)
 	cfg.LocalHosts = 30
@@ -277,30 +281,31 @@ func TestFacadeCustomDistanceEqualsRegistered(t *testing.T) {
 	entryPoints := []struct {
 		name     string
 		mapOrder bool // folds a map: compared to 9 significant digits
+		pairs    bool // folds other pairs: a Summary compared to rounding
 		run      func(d graphsig.Distance) result
 	}{
-		{"Persistence", false, func(d graphsig.Distance) result { return ok(graphsig.Persistence(d, at, next), nil) }},
-		{"PersistenceSummary", true, func(d graphsig.Distance) result { return ok(graphsig.PersistenceSummary(d, at, next), nil) }},
-		{"UniquenessSummary/exact", false, func(d graphsig.Distance) result { return ok(graphsig.UniquenessSummary(d, at, 0, 1), nil) }},
-		{"UniquenessSummary/sampled", false, func(d graphsig.Distance) result { return ok(graphsig.UniquenessSummary(d, at, 50, 1), nil) }},
-		{"Robustness", false, func(d graphsig.Distance) result { return ok(graphsig.Robustness(d, at, next), nil) }},
-		{"SelfRetrievalAUC", false, func(d graphsig.Distance) result { return ok(graphsig.SelfRetrievalAUC(d, at, next)) }},
-		{"CompareSchemesAUC", false, func(d graphsig.Distance) result {
+		{"Persistence", false, false, func(d graphsig.Distance) result { return ok(graphsig.Persistence(d, at, next), nil) }},
+		{"PersistenceSummary", true, false, func(d graphsig.Distance) result { return ok(graphsig.PersistenceSummary(d, at, next), nil) }},
+		{"UniquenessSummary/exact", false, true, func(d graphsig.Distance) result { return ok(graphsig.UniquenessSummary(d, at, 0, 1), nil) }},
+		{"UniquenessSummary/sampled", false, false, func(d graphsig.Distance) result { return ok(graphsig.UniquenessSummary(d, at, 50, 1), nil) }},
+		{"Robustness", false, false, func(d graphsig.Distance) result { return ok(graphsig.Robustness(d, at, next), nil) }},
+		{"SelfRetrievalAUC", false, false, func(d graphsig.Distance) result { return ok(graphsig.SelfRetrievalAUC(d, at, next)) }},
+		{"CompareSchemesAUC", false, false, func(d graphsig.Distance) result {
 			return ok(graphsig.CompareSchemesAUC(d, tt, graphsig.UnexpectedTalkers(), data.Windows[0], data.Windows[1], 8, 1))
 		}},
-		{"DetectMultiusage/0.6", false, func(d graphsig.Distance) result { return ok(graphsig.DetectMultiusage(d, at, 0.6)) }},
-		{"DetectMultiusage/1", false, func(d graphsig.Distance) result { return ok(graphsig.DetectMultiusage(d, at, 1)) }},
-		{"NearestNeighbors", false, func(d graphsig.Distance) result { return ok(graphsig.NearestNeighbors(d, at, at.Sources[0], 5)) }},
-		{"MasqueradeDelta", false, func(d graphsig.Distance) result { return ok(graphsig.MasqueradeDelta(d, at, next, 3)) }},
-		{"DetectLabelMasquerading", false, func(d graphsig.Distance) result {
+		{"DetectMultiusage/0.6", false, false, func(d graphsig.Distance) result { return ok(graphsig.DetectMultiusage(d, at, 0.6)) }},
+		{"DetectMultiusage/1", false, false, func(d graphsig.Distance) result { return ok(graphsig.DetectMultiusage(d, at, 1)) }},
+		{"NearestNeighbors", false, false, func(d graphsig.Distance) result { return ok(graphsig.NearestNeighbors(d, at, at.Sources[0], 5)) }},
+		{"MasqueradeDelta", false, false, func(d graphsig.Distance) result { return ok(graphsig.MasqueradeDelta(d, at, next, 3)) }},
+		{"DetectLabelMasquerading", false, false, func(d graphsig.Distance) result {
 			return ok(graphsig.DetectLabelMasquerading(d, at, next, 0.2, 3))
 		}},
-		{"DetectAnomalies", true, func(d graphsig.Distance) result {
+		{"DetectAnomalies", true, false, func(d graphsig.Distance) result {
 			anomalies, summary, err := graphsig.DetectAnomalies(d, at, next, 1)
 			return ok([]any{anomalies, summary}, err)
 		}},
-		{"DeAnonymize/nearest", false, func(d graphsig.Distance) result { return ok(graphsig.DeAnonymize(d, at, next, false)) }},
-		{"DeAnonymize/greedy", false, func(d graphsig.Distance) result { return ok(graphsig.DeAnonymize(d, at, next, true)) }},
+		{"DeAnonymize/nearest", false, false, func(d graphsig.Distance) result { return ok(graphsig.DeAnonymize(d, at, next, false)) }},
+		{"DeAnonymize/greedy", false, false, func(d graphsig.Distance) result { return ok(graphsig.DeAnonymize(d, at, next, true)) }},
 	}
 	for _, d := range graphsig.ExtendedDistances() {
 		for _, ep := range entryPoints {
@@ -310,6 +315,14 @@ func TestFacadeCustomDistanceEqualsRegistered(t *testing.T) {
 			}
 			if ep.mapOrder {
 				want.v, got.v = fmt.Sprintf("%.9v", want.v), fmt.Sprintf("%.9v", got.v)
+			}
+			if ep.pairs {
+				w, g := want.v.(graphsig.Summary), got.v.(graphsig.Summary)
+				if w.N != g.N || w.Min != g.Min || w.Max != g.Max ||
+					math.Abs(w.Mean-g.Mean) > 1e-12*w.Mean || math.Abs(w.StdDev-g.StdDev) > 1e-12*w.StdDev {
+					t.Errorf("%s/%s: custom-distance summary %+v, registered %+v", ep.name, d.Name(), g, w)
+				}
+				continue
 			}
 			if !reflect.DeepEqual(got.v, want.v) {
 				t.Errorf("%s/%s: custom-distance result differs from the registered one:\n got %v\nwant %v",

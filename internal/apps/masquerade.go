@@ -32,7 +32,7 @@ func DeltaFromSelfPersistence(d core.Distance, at, next *core.SignatureSet, c in
 		return 0, fmt.Errorf("apps: no sources to compute delta over")
 	}
 	sum := 0.0
-	eng, _ := distmat.NewEngine(at, next, d, 0)
+	eng := distmat.NewPointwise(at, next, d)
 	for i, v := range at.Sources {
 		if j, present := next.IndexOf(v); present { // absent: persistence 0
 			sum += 1 - eng.Dist(i, j)

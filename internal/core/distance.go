@@ -41,7 +41,10 @@ func (Jaccard) Dist(a, b Signature) float64 {
 // Dice is Dist_Dice, the weighted extension of the Dice criterion:
 // 1 − Σ_{j∈S1∩S2}(w1j+w2j) / Σ_{j∈S1∪S2}(w1j+w2j). Nodes absent from a
 // signature contribute weight 0, so the denominator is the total weight
-// of both signatures.
+// of both signatures. Every sum adds its terms in ascending order of
+// their values (sharedSum, weightSum): the batch kernels' order, which
+// makes the distance exactly symmetric and independent of how labels
+// were interned (kernel.go).
 type Dice struct{}
 
 // Name implements Distance.
@@ -52,13 +55,8 @@ func (Dice) Dist(a, b Signature) float64 {
 	if a.IsEmpty() && b.IsEmpty() {
 		return 0
 	}
-	num := 0.0
-	for i, u := range a.Nodes {
-		if wb := b.Weight(u); wb > 0 {
-			num += a.Weights[i] + wb
-		}
-	}
-	den := a.WeightSum() + b.WeightSum()
+	num := sharedSum(a, b, func(wa, wb float64) float64 { return wa + wb })
+	den := weightSum(a) + weightSum(b)
 	if den == 0 {
 		return 0
 	}
@@ -71,9 +69,10 @@ func (Dice) Dist(a, b Signature) float64 {
 //
 // The denominator is computed in closed form: over the union, Σ max =
 // Σw1 + Σw2 − Σ_{j∈S1∩S2} min(w1j,w2j), so both sums fold only the
-// shared members, in a's canonical order — the order a posting scatter
-// over a's entries produces, which is what keeps the batch kernels
-// (kernel.go) bit-identical to this loop.
+// shared members. Every sum adds its terms in ascending order of their
+// values (sharedSum, weightSum), which keeps the batch kernels
+// (kernel.go) bit-identical to this loop and the distance exactly
+// symmetric.
 type ScaledDice struct{}
 
 // Name implements Distance.
@@ -84,21 +83,17 @@ func (ScaledDice) Dist(a, b Signature) float64 {
 	if a.IsEmpty() && b.IsEmpty() {
 		return 0
 	}
-	mins := 0.0
-	for i, u := range a.Nodes {
-		if wb := b.Weight(u); wb > 0 {
-			mins += math.Min(a.Weights[i], wb)
-		}
-	}
-	return scaledDist(mins, a.WeightSum()+b.WeightSum()-mins)
+	mins := sharedSum(a, b, math.Min)
+	return scaledDist(mins, weightSum(a)+weightSum(b)-mins)
 }
 
 // ScaledHellinger is Dist_SHel: 1 − Σ √(w1j·w2j) / Σ max(w1j,w2j). The
 // geometric-mean numerator (after the Hellinger affinity) softens
 // SDice's min, which over-penalizes unequal weights on common members.
 // The numerator folds √w1j·√w2j (HellingerAffinity) and the denominator
-// is ScaledDice's closed form, both over the shared members in a's
-// canonical order.
+// is ScaledDice's closed form, every sum in ascending order of its
+// terms, so the distance is exactly symmetric and the kernels
+// bit-identical.
 type ScaledHellinger struct{}
 
 // Name implements Distance.
@@ -109,15 +104,11 @@ func (ScaledHellinger) Dist(a, b Signature) float64 {
 	if a.IsEmpty() && b.IsEmpty() {
 		return 0
 	}
-	num, mins := 0.0, 0.0
-	for i, u := range a.Nodes {
-		if wb := b.Weight(u); wb > 0 {
-			wa := a.Weights[i]
-			num += HellingerAffinity(wa, wb, math.Sqrt(wa), math.Sqrt(wb))
-			mins += math.Min(wa, wb)
-		}
-	}
-	return scaledDist(num, a.WeightSum()+b.WeightSum()-mins)
+	num := sharedSum(a, b, func(wa, wb float64) float64 {
+		return HellingerAffinity(wa, wb, math.Sqrt(wa), math.Sqrt(wb))
+	})
+	mins := sharedSum(a, b, math.Min)
+	return scaledDist(num, weightSum(a)+weightSum(b)-mins)
 }
 
 // HellingerAffinity is ScaledHellinger's term for one shared node:
@@ -130,6 +121,31 @@ func HellingerAffinity(wa, wb, ra, rb float64) float64 {
 		return wa
 	}
 	return ra * rb
+}
+
+// sharedSum is AscendingSum of term(wa, wb) over the nodes a and b
+// share — the order FlatSigs and the kernels fold in (kernel.go). The
+// terms sit on the stack up to 64 shared nodes.
+func sharedSum(a, b Signature, term func(wa, wb float64) float64) float64 {
+	var buf [64]float64
+	terms := buf[:0]
+	for i, u := range a.Nodes {
+		if wb := b.Weight(u); wb > 0 {
+			terms = append(terms, term(a.Weights[i], wb))
+		}
+	}
+	return AscendingSum(terms)
+}
+
+// weightSum is s's weight sum folded in ascending order of the weights —
+// backwards through the canonical, weight-descending order — the shared
+// sum of s against itself, term for term.
+func weightSum(s Signature) float64 {
+	sum := 0.0
+	for t := len(s.Weights) - 1; t >= 0; t-- {
+		sum += s.Weights[t]
+	}
+	return sum
 }
 
 // scaledDist is 1 − num/den for the scaled kinds, with a denominator

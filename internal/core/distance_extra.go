@@ -11,7 +11,9 @@ import "math"
 // Cosine is 1 − the cosine similarity of the signatures viewed as
 // sparse weight vectors. Unlike the Dice family it is insensitive to
 // overall weight scale, which matters when comparing signatures whose
-// schemes emit unnormalized relevances (UT).
+// schemes emit unnormalized relevances (UT). The dot product and both
+// squared norms add their terms in ascending order, as every registered
+// distance does (kernel.go), so it is exactly symmetric.
 type Cosine struct{}
 
 // Name implements Distance.
@@ -22,17 +24,8 @@ func (Cosine) Dist(a, b Signature) float64 {
 	if a.IsEmpty() && b.IsEmpty() {
 		return 0
 	}
-	dot, na, nb := 0.0, 0.0, 0.0
-	for i, u := range a.Nodes {
-		wa := a.Weights[i]
-		na += wa * wa
-		if wb := b.Weight(u); wb > 0 {
-			dot += wa * wb
-		}
-	}
-	for _, wb := range b.Weights {
-		nb += wb * wb
-	}
+	dot := sharedSum(a, b, func(wa, wb float64) float64 { return wa * wb })
+	na, nb := squareSum(a), squareSum(b)
 	if na == 0 || nb == 0 {
 		return 1
 	}
@@ -43,7 +36,9 @@ func (Cosine) Dist(a, b Signature) float64 {
 // *normalized* signatures, i.e. the Ruzicka distance of the weight
 // distributions. It is SDice made scale-free: two signatures with the
 // same members and proportional weights are at distance 0. Like SDice
-// it folds only the shared members (Σ max = Σw1 + Σw2 − Σ min).
+// it folds only the shared members (Σ max = Σw1 + Σw2 − Σ min), every
+// sum in ascending order of its terms, scaling each weight by the
+// signature's weightSum rather than building normalized copies.
 type WeightedJaccard struct{}
 
 // Name implements Distance.
@@ -54,14 +49,38 @@ func (WeightedJaccard) Dist(a, b Signature) float64 {
 	if a.IsEmpty() && b.IsEmpty() {
 		return 0
 	}
-	na, nb := a.Normalized(), b.Normalized()
-	mins := 0.0
-	for i, u := range na.Nodes {
-		if wb := nb.Weight(u); wb > 0 {
-			mins += math.Min(na.Weights[i], wb)
-		}
+	sa, sb := weightSum(a), weightSum(b)
+	mins := sharedSum(a, b, func(wa, wb float64) float64 { return math.Min(normWeight(wa, sa), normWeight(wb, sb)) })
+	return scaledDist(mins, normWeightSum(a, sa)+normWeightSum(b, sb)-mins)
+}
+
+// normWeight is weight w of a signature whose weights sum to sum,
+// normalized; like Normalized, a massless signature keeps its raw
+// weights.
+func normWeight(w, sum float64) float64 {
+	if sum <= 0 {
+		return w
 	}
-	return scaledDist(mins, na.WeightSum()+nb.WeightSum()-mins)
+	return w / sum
+}
+
+// normWeightSum is the sum of s's normalized weights in ascending
+// order, given its weight sum.
+func normWeightSum(s Signature, sum float64) float64 {
+	total := 0.0
+	for t := len(s.Weights) - 1; t >= 0; t-- {
+		total += normWeight(s.Weights[t], sum)
+	}
+	return total
+}
+
+// squareSum is the sum of s's squared weights in ascending order.
+func squareSum(s Signature) float64 {
+	total := 0.0
+	for t := len(s.Weights) - 1; t >= 0; t-- {
+		total += s.Weights[t] * s.Weights[t]
+	}
+	return total
 }
 
 // ExtendedDistances returns the paper's four distances plus the two

@@ -83,8 +83,10 @@ func TestDistanceEmptyCases(t *testing.T) {
 	}
 }
 
-// Property: all four distances are symmetric and bounded in [0,1] for
-// arbitrary valid signatures.
+// Property: all six distances are exactly symmetric — the same bits
+// both ways — and bounded in [0,1] for arbitrary valid signatures, and
+// a signature is at exactly 0 from itself (Cosine to rounding: its
+// √Σw²·√Σw² may round off Σw²).
 func TestDistanceBoundsAndSymmetry(t *testing.T) {
 	gen := func(raw map[uint8]uint16) Signature {
 		w := map[graph.NodeID]float64{}
@@ -95,16 +97,16 @@ func TestDistanceBoundsAndSymmetry(t *testing.T) {
 	}
 	f := func(rawA, rawB map[uint8]uint16) bool {
 		a, b := gen(rawA), gen(rawB)
-		for _, d := range AllDistances() {
+		for _, d := range ExtendedDistances() {
 			ab := d.Dist(a, b)
 			ba := d.Dist(b, a)
-			if math.Abs(ab-ba) > 1e-12 {
+			if math.Float64bits(ab) != math.Float64bits(ba) {
 				return false
 			}
 			if ab < 0 || ab > 1 || math.IsNaN(ab) {
 				return false
 			}
-			if d.Dist(a, a) != 0 {
+			if self := d.Dist(a, a); self != 0 && (d != Distance(Cosine{}) || self > 1e-15) {
 				return false
 			}
 		}
@@ -112,6 +114,18 @@ func TestDistanceBoundsAndSymmetry(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNaiveDistAllocFree: the naive loops sort their terms on the stack
+// and build nothing — no normalized signature.
+func TestNaiveDistAllocFree(t *testing.T) {
+	a := sig(1, 0.6, 2, 0.4, 9, 0.2)
+	b := sig(2, 0.3, 9, 0.7, 4, 0.1)
+	for _, d := range ExtendedDistances() {
+		if allocs := testing.AllocsPerRun(20, func() { _ = d.Dist(a, b) }); allocs != 0 {
+			t.Errorf("%s: Dist allocates %.1f times per call, want 0", d.Name(), allocs)
+		}
 	}
 }
 

@@ -14,12 +14,13 @@ import (
 // directly, so an all-pairs job walks a handful of flat slices instead
 // of chasing one Signature header pair per comparison.
 //
-// Bit-identity: the per-signature folds (sum, sumSq, normalized
-// weights) run over the canonical entry order, the order the naive
-// Distance.Dist loops, Signature.WeightSum and Signature.Normalized
-// accumulate in, and the square roots are math.Sqrt of each weight, the
-// factor ScaledHellinger.Dist takes, so the kernels in kernel.go that
-// read them reproduce the naive results bit-for-bit.
+// Bit-identity: the per-signature folds (sum, sumSq, the normalized
+// weights' sum) add their terms in ascending order — backwards through
+// the canonical, weight-descending order — the order the naive
+// Distance.Dist loops add every sum in (kernel.go), and the square
+// roots are math.Sqrt of each weight, the factor ScaledHellinger.Dist
+// takes, so the kernels in kernel.go that read them reproduce the naive
+// results bit-for-bit.
 
 // FlatSigs is the SoA view of a signature slice. Build it with
 // NewFlatSigs (or recycle one with Reset — zero allocations once the
@@ -32,13 +33,13 @@ type FlatSigs struct {
 	w      []float64      // canonical weights
 	sorted []graph.NodeID // nodes re-sorted ascending, per signature
 	pos    []int32        // pos[t] = canonical index (within the sig) of sorted[t]
-	normW  []float64      // Normalized().Weights in canonical order
+	normW  []float64      // w / sum in canonical order
 	sqrtW  []float64      // math.Sqrt of w, ScaledHellinger's factors
 
-	sum     []float64 // per-sig fold of w in canonical order (== WeightSum)
-	sumSq   []float64 // per-sig fold of w² in canonical order
+	sum     []float64 // per-sig fold of w, ascending
+	sumSq   []float64 // per-sig fold of w², ascending
 	norm    []float64 // math.Sqrt(sumSq), cosine's denominator factor
-	normSum []float64 // per-sig fold of normW in canonical order
+	normSum []float64 // per-sig fold of normW, ascending
 }
 
 // NewFlatSigs builds the SoA view of sigs. Each signature must be
@@ -97,7 +98,7 @@ const insertionSortCutoff = 48
 
 // fill populates signature i's segment of every flat array: the
 // canonical copy, the ascending node order with its permutation back to
-// canonical indices, the square roots, and the canonical-order folds.
+// canonical indices, the square roots, and the ascending folds.
 func (f *FlatSigs) fill(i int, s Signature) {
 	lo := int(f.offs[i])
 	k := len(s.Nodes)
@@ -130,17 +131,18 @@ func (f *FlatSigs) fill(i int, s Signature) {
 	}
 
 	sum, sumSq := 0.0, 0.0
+	for t := k - 1; t >= 0; t-- {
+		sum += w[t]
+		sumSq += w[t] * w[t]
+	}
 	for t, wv := range w {
-		sum += wv
-		sumSq += wv * wv
 		f.sqrtW[lo+t] = math.Sqrt(wv)
 	}
 	f.sum[i] = sum
 	f.sumSq[i] = sumSq
 	f.norm[i] = math.Sqrt(sumSq)
 
-	// Mirror Signature.Normalized exactly: massless signatures keep
-	// their raw weights.
+	// Massless signatures keep their raw weights, as Normalized does.
 	normW := f.normW[lo : lo+k]
 	if sum > 0 {
 		for t, wv := range w {
@@ -150,8 +152,8 @@ func (f *FlatSigs) fill(i int, s Signature) {
 		copy(normW, w)
 	}
 	normSum := 0.0
-	for _, wv := range normW {
-		normSum += wv
+	for t := k - 1; t >= 0; t-- {
+		normSum += normW[t]
 	}
 	f.normSum[i] = normSum
 }
@@ -202,9 +204,9 @@ func (f *FlatSigs) Nodes(i int) []graph.NodeID { return f.nodes[f.offs[i]:f.offs
 // Weights returns signature i's weights in canonical order.
 func (f *FlatSigs) Weights(i int) []float64 { return f.w[f.offs[i]:f.offs[i+1]] }
 
-// NormWeights returns signature i's normalized weights in canonical
-// order (raw weights when the signature is massless, mirroring
-// Signature.Normalized).
+// NormWeights returns signature i's weights divided by WeightSum(i), in
+// canonical order (raw weights when the signature is massless, as
+// Signature.Normalized keeps them).
 func (f *FlatSigs) NormWeights(i int) []float64 { return f.normW[f.offs[i]:f.offs[i+1]] }
 
 // SqrtWeights returns math.Sqrt of signature i's weights in canonical
@@ -218,10 +220,10 @@ func (f *FlatSigs) SortedNodes(i int) []graph.NodeID { return f.sorted[f.offs[i]
 // within signature i.
 func (f *FlatSigs) Pos(i int) []int32 { return f.pos[f.offs[i]:f.offs[i+1]] }
 
-// WeightSum returns signature i's total weight.
+// WeightSum returns signature i's total weight, folded ascending.
 func (f *FlatSigs) WeightSum(i int) float64 { return f.sum[i] }
 
-// SumSq returns signature i's canonical-order fold of squared weights.
+// SumSq returns signature i's ascending fold of squared weights.
 func (f *FlatSigs) SumSq(i int) float64 { return f.sumSq[i] }
 
 // Norm returns math.Sqrt(SumSq(i)).

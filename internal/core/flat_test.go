@@ -9,9 +9,10 @@ import (
 
 // TestFlatSigsInvariants checks the SoA view's per-signature data
 // against the Signature itself: the canonical copy, the strictly
-// ascending node order with a permutation that maps back, and folds
-// bit-equal to a plain canonical-order fold and Signature.Normalized,
-// and square roots bit-equal to math.Sqrt of each weight.
+// ascending node order with a permutation that maps back, folds
+// bit-equal to a plain fold of the weights in ascending order,
+// normalized weights bit-equal to each weight over that sum, and square
+// roots bit-equal to math.Sqrt of each weight.
 func TestFlatSigsInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var sigs []Signature
@@ -47,11 +48,14 @@ func TestFlatSigsInvariants(t *testing.T) {
 				t.Fatalf("sig %d: pos[%d] does not map back to sorted node", i, tdx)
 			}
 		}
-		sumSq := 0.0
-		for _, w := range s.Weights {
+		ascending := slices.Clone(s.Weights)
+		slices.Sort(ascending)
+		sum, sumSq := 0.0, 0.0
+		for _, w := range ascending {
+			sum += w
 			sumSq += w * w
 		}
-		if math.Float64bits(flat.WeightSum(i)) != math.Float64bits(s.WeightSum()) {
+		if math.Float64bits(flat.WeightSum(i)) != math.Float64bits(sum) {
 			t.Fatalf("sig %d: sum mismatch", i)
 		}
 		if math.Float64bits(flat.SumSq(i)) != math.Float64bits(sumSq) {
@@ -60,12 +64,16 @@ func TestFlatSigsInvariants(t *testing.T) {
 		if math.Float64bits(flat.Norm(i)) != math.Float64bits(math.Sqrt(sumSq)) {
 			t.Fatalf("sig %d: norm mismatch", i)
 		}
-		for tdx, w := range s.Normalized().Weights {
-			if math.Float64bits(flat.NormWeights(i)[tdx]) != math.Float64bits(w) {
+		for tdx, w := range s.Weights {
+			if math.Float64bits(flat.NormWeights(i)[tdx]) != math.Float64bits(w/sum) {
 				t.Fatalf("sig %d: normW[%d] mismatch", i, tdx)
 			}
 		}
-		if math.Float64bits(flat.normSum[i]) != math.Float64bits(s.Normalized().WeightSum()) {
+		normSum := 0.0
+		for _, w := range ascending {
+			normSum += w / sum
+		}
+		if math.Float64bits(flat.normSum[i]) != math.Float64bits(normSum) {
 			t.Fatalf("sig %d: normSum mismatch", i)
 		}
 		for tdx, w := range s.Weights {
@@ -129,9 +137,9 @@ func TestFlatDistLargeSig(t *testing.T) {
 }
 
 // TestScatterFinishMatchesFlatDist checks the O(1) finish against the
-// naive distance for all six kinds, fed sums folded the way a posting
-// scatter folds them: the shared entries in the row's canonical order,
-// each found by a probe of the column signature.
+// naive distance for all six kinds, fed sums folded in ascending order
+// of their terms: the shared entries each found by a probe of the column
+// signature.
 func TestScatterFinishMatchesFlatDist(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	var sigs []Signature
@@ -147,7 +155,7 @@ func TestScatterFinishMatchesFlatDist(t *testing.T) {
 					continue
 				}
 				var cnt int32
-				var num, mins float64
+				var terms, minTerms []float64
 				for ai, u := range flat.Nodes(i) {
 					bi := slices.Index(flat.Nodes(j), u)
 					if bi < 0 {
@@ -157,18 +165,19 @@ func TestScatterFinishMatchesFlatDist(t *testing.T) {
 					wa, wb := flat.Weights(i)[ai], flat.Weights(j)[bi]
 					switch kern.Kind() {
 					case KindDice:
-						num += wa + wb
+						terms = append(terms, wa+wb)
 					case KindCosine:
-						num += wa * wb
+						terms = append(terms, wa*wb)
 					case KindScaledDice:
-						num += math.Min(wa, wb)
+						terms = append(terms, math.Min(wa, wb))
 					case KindWeightedJaccard:
-						num += math.Min(flat.NormWeights(i)[ai], flat.NormWeights(j)[bi])
+						terms = append(terms, math.Min(flat.NormWeights(i)[ai], flat.NormWeights(j)[bi]))
 					case KindScaledHellinger:
-						num += HellingerAffinity(wa, wb, flat.SqrtWeights(i)[ai], flat.SqrtWeights(j)[bi])
-						mins += math.Min(wa, wb)
+						terms = append(terms, HellingerAffinity(wa, wb, flat.SqrtWeights(i)[ai], flat.SqrtWeights(j)[bi]))
+						minTerms = append(minTerms, math.Min(wa, wb))
 					}
 				}
+				num, mins := AscendingSum(terms), AscendingSum(minTerms)
 				want := d.Dist(sigs[i], sigs[j])
 				got := kern.ScatterFinish(flat, i, flat, j, cnt, num, mins)
 				if math.Float64bits(got) != math.Float64bits(want) {

@@ -27,7 +27,8 @@ func fuzzSig(data []byte, k int) Signature {
 // FuzzDistKernels checks the kernels' bit-identity contract: for any
 // pair of Validate-clean signatures and every distance in
 // ExtendedDistances, DistKernel.FlatDist must return the exact float64
-// the naive Distance.Dist does, in both argument orders.
+// the naive Distance.Dist does, in both argument orders, and the two
+// orders must agree: FlatDist(a,b) == FlatDist(b,a) == naive.
 func FuzzDistKernels(f *testing.F) {
 	f.Add([]byte{}, []byte{}, uint8(4))
 	f.Add([]byte{1, 16, 0, 2, 32, 0}, []byte{2, 32, 0, 3, 8, 0}, uint8(4))
@@ -43,6 +44,12 @@ func FuzzDistKernels(f *testing.F) {
 	f.Add([]byte{1, 1, 0, 2, 0x21, 0x43, 9, 0xff, 0x7f}, []byte{1, 1, 0, 2, 0x21, 0x43, 9, 0xff, 0x7f}, uint8(8))
 	f.Add([]byte{5, 0xf0, 0x0f}, []byte{5, 3, 0, 6, 0x10, 0, 7, 0x99, 0x09}, uint8(3))
 	f.Add([]byte{1, 255, 255, 2, 0, 0}, []byte{1, 255, 255, 3, 1, 0}, uint8(4))
+	// Exact symmetry: three and four shared nodes whose canonical
+	// (weight-descending) orders differ between a and b, so a fold in
+	// either side's canonical order would not read the same both ways —
+	// node 1 heaviest in a and lightest in b.
+	f.Add([]byte{1, 0x00, 0x30, 2, 0x07, 0x01, 3, 0x33, 0x00}, []byte{1, 0x01, 0x00, 2, 0x00, 0x21, 3, 0x15, 0x06}, uint8(6))
+	f.Add([]byte{4, 0x99, 0x19, 1, 0x0d, 0xa0, 2, 0x03, 0x00, 3, 0x77, 0x05}, []byte{3, 0xef, 0xbe, 2, 0x11, 0x42, 1, 0x01, 0x00, 4, 0x05, 0x03}, uint8(8))
 
 	f.Fuzz(func(t *testing.T, araw, braw []byte, kraw uint8) {
 		k := 1 + int(kraw)%40

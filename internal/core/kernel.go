@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // This file implements the distance kernels over the flat SoA view
 // (FlatSigs, flat.go). Every distance in ExtendedDistances has the same
 // shape: per-pair sums over the *shared* nodes only — a count (Jaccard),
@@ -11,23 +13,42 @@ package core
 // Σ_shared min(wa,wb), which their naive Distance.Dist loops are
 // defined by.
 //
-// Batch layers (internal/distmat) fold those sums while they enumerate
-// an inverted index and call ScatterFinish per candidate. The pointwise
-// FlatDist learns the shared nodes by merging the two node-sorted
-// segments (a match list), folds the same sums and finishes the same
-// way, in O(k) per pair instead of the naive loops' O(k²) probing.
+// Fold order: every weighted sum, shared or per-signature, adds its
+// terms in ascending order of their values (AscendingSum). That order
+// depends on nothing but the values: not on which signature is a and
+// which is b, and not on the NodeIDs a process interned the labels as.
+// A term is a symmetric function of the node's two weights, and every
+// finish is commutative (Σa+Σb, ‖a‖·‖b‖, |a|+|b|−shared), so
+// d(a,b) == d(b,a) bit for bit for every distance in ExtendedDistances
+// — an all-pairs job over one set may compute each unordered pair once
+// (distmat.MapTriangle) — and the same labels with the same weights are
+// at the same distance in every process and universe. A signature's own
+// sums fold its weights ascending too, so the shared sums of a
+// signature against itself equal them term for term and it sits at
+// distance exactly 0 from itself.
+//
+// Batch layers (internal/distmat) fold the shared sums while they
+// enumerate an inverted index, in whatever order the postings come, and
+// call ScatterFinish per candidate. Two terms add the same either way
+// round, so a candidate sharing one or two nodes needs nothing more; of
+// one sharing three or more (under 2 % of the sharing pairs of a
+// typical window) the batch layer keeps the terms and sorts them
+// (AscendingSum). The pointwise
+// FlatDist learns the
+// shared nodes by merging the two
+// node-sorted segments (a match list), sorts each sum's terms, and
+// finishes the same way, in O(k log k) per pair instead of the naive
+// loops' O(k²) probing.
 //
 // Bit-identity contract: for Validate-clean signatures, FlatDist(fa, i,
 // fb, j) and a scatter over signature i's entries finished by
 // ScatterFinish both return the exact same float64 as Distance.Dist on
-// the two original signatures. The sums run over the shared nodes in
-// a's canonical (weight-descending) order — the naive loops' order, and
-// the order a posting scatter over a's entries produces — and the
-// finishes replay the naive expressions verbatim against folds that are
-// bit-equal to the naive ones (flat.go). The naive Distance.Dist loops
-// stay as the oracle the tests and the fuzz target compare against.
-// Positive weights are never NaN nor -0.0, so the builtin min equals
-// the naive loops' math.Min.
+// the two original signatures: the same terms in the same order, and
+// finishes that replay the naive expressions verbatim against folds
+// that are bit-equal to the naive ones (flat.go). The naive
+// Distance.Dist loops stay as the oracle the tests and the fuzz target
+// compare against. Positive weights are never NaN nor -0.0, so the
+// builtin min equals the naive loops' math.Min.
 //
 // Disjoint closed form: when two Validate-clean signatures share no
 // node, every distance in ExtendedDistances is exactly 1.0 (the shared
@@ -80,14 +101,15 @@ type match struct {
 	A, B int32
 }
 
-// DistKernel computes distances between FlatSigs entries in O(k) per
-// pair, bit-identical to the corresponding Distance.Dist. The zero value
-// is a ready Jaccard kernel; Reset points it at another kind. It holds
-// the merge's match list as scratch, so it is NOT safe for concurrent
-// use: one kernel per goroutine.
+// DistKernel computes distances between FlatSigs entries, bit-identical
+// to the corresponding Distance.Dist. The zero value is a ready Jaccard
+// kernel; Reset points it at another kind. It holds the merge's match
+// list and the terms of a sum as scratch, so it is NOT safe for
+// concurrent use: one kernel per goroutine.
 type DistKernel struct {
 	kind    KernelKind
 	matches []match
+	terms   []float64
 }
 
 // Kind reports which registered distance the kernel implements.
@@ -106,39 +128,69 @@ func (k *DistKernel) FlatDist(fa *FlatSigs, i int, fb *FlatSigs, j int) float64 
 		return 0
 	}
 	k.mergeFlat(fa, i, fb, j)
-	k.sortMatchesByA()
-	var num, mins float64
 	ms := k.matches
+	aw, bw := fa.Weights(i), fb.Weights(j)
+	terms := k.terms[:0]
+	var num, mins float64
 	switch k.kind {
 	case KindDice:
-		aw, bw := fa.Weights(i), fb.Weights(j)
 		for _, m := range ms {
-			num += aw[m.A] + bw[m.B]
+			terms = append(terms, aw[m.A]+bw[m.B])
 		}
+		num = AscendingSum(terms)
 	case KindCosine:
-		aw, bw := fa.Weights(i), fb.Weights(j)
 		for _, m := range ms {
-			num += aw[m.A] * bw[m.B]
+			terms = append(terms, aw[m.A]*bw[m.B])
 		}
+		num = AscendingSum(terms)
 	case KindScaledDice:
-		aw, bw := fa.Weights(i), fb.Weights(j)
 		for _, m := range ms {
-			num += min(aw[m.A], bw[m.B])
+			terms = append(terms, min(aw[m.A], bw[m.B]))
 		}
+		num = AscendingSum(terms)
 	case KindWeightedJaccard:
-		aw, bw := fa.NormWeights(i), fb.NormWeights(j)
+		an, bn := fa.NormWeights(i), fb.NormWeights(j)
 		for _, m := range ms {
-			num += min(aw[m.A], bw[m.B])
+			terms = append(terms, min(an[m.A], bn[m.B]))
 		}
+		num = AscendingSum(terms)
 	case KindScaledHellinger:
-		aw, bw := fa.Weights(i), fb.Weights(j)
 		as, bs := fa.SqrtWeights(i), fb.SqrtWeights(j)
 		for _, m := range ms {
-			num += HellingerAffinity(aw[m.A], bw[m.B], as[m.A], bs[m.B])
-			mins += min(aw[m.A], bw[m.B])
+			terms = append(terms, HellingerAffinity(aw[m.A], bw[m.B], as[m.A], bs[m.B]))
+		}
+		num = AscendingSum(terms)
+		terms = terms[:0]
+		for _, m := range ms {
+			terms = append(terms, min(aw[m.A], bw[m.B]))
+		}
+		mins = AscendingSum(terms)
+	}
+	k.terms = terms
+	return k.ScatterFinish(fa, i, fb, j, int32(len(ms)), num, mins)
+}
+
+// AscendingSum adds terms in ascending order of their values, sorting
+// them in place: the one order that depends on the values alone, which
+// every weighted sum of every distance folds in. The terms are never
+// NaN.
+func AscendingSum(terms []float64) float64 {
+	if len(terms) > 16 {
+		slices.Sort(terms)
+	} else {
+		for t := 1; t < len(terms); t++ { // a pair's few shared nodes
+			x, u := terms[t], t
+			for ; u > 0 && terms[u-1] > x; u-- {
+				terms[u] = terms[u-1]
+			}
+			terms[u] = x
 		}
 	}
-	return k.ScatterFinish(fa, i, fb, j, int32(len(ms)), num, mins)
+	sum := 0.0
+	for _, x := range terms {
+		sum += x
+	}
+	return sum
 }
 
 // mergeFlat walks the two node-sorted segments recording, for every
@@ -162,31 +214,15 @@ func (k *DistKernel) mergeFlat(fa *FlatSigs, i int, fb *FlatSigs, j int) {
 	}
 }
 
-// sortMatchesByA reorders the matches into ascending A — the merge
-// emits them in node order, the folds consume them in a's canonical
-// order. Shared counts are tiny; insertion sort.
-func (k *DistKernel) sortMatchesByA() {
-	ms := k.matches
-	for i := 1; i < len(ms); i++ {
-		m := ms[i]
-		j := i - 1
-		for j >= 0 && ms[j].A > m.A {
-			ms[j+1] = ms[j]
-			j--
-		}
-		ms[j+1] = m
-	}
-}
-
 // ScatterFinish turns the shared-node sums of signature i of fa against
-// signature j of fb into the distance, in O(1): cnt is the shared count
-// (Jaccard); num is Σ(wa+wb) for Dice, the dot product for Cosine,
-// Σ min(wa,wb) for ScaledDice (over normalized weights for
-// WeightedJaccard) and Σ HellingerAffinity for ScaledHellinger, whose
-// Σ min is mins. Each sum must have been folded in signature i's
-// canonical entry order (what a posting scatter over i's entries
-// produces), and the two signatures must not both be empty; the result
-// is then bit-identical to the kind's Distance.Dist.
+// signature j of fb into the distance, in O(1): cnt is the shared count;
+// num is Σ(wa+wb) for Dice, the dot product for Cosine, Σ min(wa,wb)
+// for ScaledDice (over normalized weights for WeightedJaccard) and
+// Σ HellingerAffinity for ScaledHellinger, whose Σ min is mins. Each
+// sum must add its terms in ascending order (AscendingSum) — any order,
+// for a pair sharing at most two nodes — and the two signatures must not
+// both be empty; the result is then bit-identical to the kind's
+// Distance.Dist.
 func (k *DistKernel) ScatterFinish(fa *FlatSigs, i int, fb *FlatSigs, j int, cnt int32, num, mins float64) float64 {
 	switch k.kind {
 	case KindJaccard:

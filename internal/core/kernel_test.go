@@ -59,8 +59,10 @@ func kernelFor(t testing.TB, d Distance) *DistKernel {
 }
 
 // checkFlatDistMatchesNaive asserts FlatDist hits the naive
-// Distance.Dist bits for (a, b) in both argument orders — the kernels'
-// a/b roles are not symmetric in the folds.
+// Distance.Dist bits for (a, b) in both argument orders, and that the
+// two orders give the same bits: every registered distance adds each
+// sum's terms in ascending order, which reads the same from either
+// side.
 func checkFlatDistMatchesNaive(t testing.TB, kern *DistKernel, d Distance, a, b Signature) {
 	t.Helper()
 	pair := []Signature{a, b}
@@ -76,6 +78,10 @@ func checkFlatDistMatchesNaive(t testing.TB, kern *DistKernel, d Distance, a, b 
 			t.Fatalf("%s: kernel %v (%x) != naive %v (%x) for %s vs %s",
 				d.Name(), got, math.Float64bits(got), want, math.Float64bits(want), x, y)
 		}
+	}
+	if ab, ba := d.Dist(a, b), d.Dist(b, a); math.Float64bits(ab) != math.Float64bits(ba) {
+		t.Fatalf("%s: not symmetric: d(a,b) %v (%x), d(b,a) %v (%x) for %s vs %s",
+			d.Name(), ab, math.Float64bits(ab), ba, math.Float64bits(ba), a, b)
 	}
 }
 

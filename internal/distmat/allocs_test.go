@@ -38,8 +38,8 @@ func TestEngineRowsAllocFree(t *testing.T) {
 // TestEngineParallelAllocBudget: a parallel job allocates per worker —
 // its goroutines, the ring's slots, PairsWithin's chunk list and
 // result —, never per row or per block. A warm Rows or MapRows job over
-// 1 300 rows and a PairsWithin over 1 300 signatures make as many
-// allocations as the same jobs at 130.
+// 1 300 rows, and a MapTriangle or PairsWithin over 1 300 signatures,
+// make as many allocations as the same jobs at 130.
 func TestEngineParallelAllocBudget(t *testing.T) {
 	budget.SkipUnderRace(t)
 	const workers = 4
@@ -54,12 +54,16 @@ func TestEngineParallelAllocBudget(t *testing.T) {
 	}
 	sink := 0.0
 	consume := func(_ int, row []float64) { sink += row[0] }
-	reduce := func(_ int, row []float64) float64 { return row[0] }
+	reduce := func(_ int, row Candidates) float64 { return float64(len(row.Cols)) }
 	for _, d := range []core.Distance{core.Jaccard{}, core.ScaledHellinger{}} {
 		eng, _ := NewEngine(big, big, d, workers)
 		rows := func(n int) uint64 { return steadyAllocs(func() { eng.Rows(idx[:n], consume) }) }
 		mapped := func(n int) uint64 {
 			return steadyAllocs(func() { MapRows(eng, idx[:n], reduce, func(_ int, x float64) { sink += x }) })
+		}
+		triangle := func(set *core.SignatureSet) uint64 {
+			within, _ := NewEngine(set, set, d, workers)
+			return steadyAllocs(func() { MapTriangle(within, reduce, func(_ int, x float64) { sink += x }) })
 		}
 		pairs := func(set *core.SignatureSet) uint64 {
 			within, _ := NewEngine(set, set, d, workers)
@@ -75,6 +79,10 @@ func TestEngineParallelAllocBudget(t *testing.T) {
 		}
 		if large, small := mapped(1300), mapped(130); large != small || large > 8*workers {
 			t.Errorf("%s: MapRows allocates %d times at 130 rows and %d at 1 300, want equal and ≤ %d",
+				d.Name(), small, large, 8*workers)
+		}
+		if large, small := triangle(big), triangle(head); large != small || large > 8*workers {
+			t.Errorf("%s: MapTriangle allocates %d times at 130 rows and %d at 1 300, want equal and ≤ %d",
 				d.Name(), small, large, 8*workers)
 		}
 		if large, small := pairs(big), pairs(head); large != small || large > 8*workers {

@@ -14,7 +14,11 @@
 //     Σ(wa+wb), a dot product, Σ min(wa,wb), Σ √wa·√wb — into flat
 //     per-candidate accumulators during posting enumeration, each
 //     finished in O(1) (core.DistKernel.ScatterFinish): no per-pair
-//     kernel call at all.
+//     kernel call at all. Every registered distance is exactly
+//     symmetric (internal/core/kernel.go): each sum adds its terms in
+//     ascending order, which a scatter's order already is for a
+//     candidate sharing one or two nodes; the few sharing more have
+//     their terms kept and sorted.
 //  2. An inverted index (node → posting list of signature indices):
 //     all-pairs jobs enumerate only pairs that share at least one node
 //     and resolve the (dominant) disjoint remainder in closed form —
@@ -22,7 +26,13 @@
 //     distance is exactly 1.0 (0.0 when both are empty), see
 //     internal/core/kernel.go. Posting entries carry the node's
 //     canonical index inside the column signature, so a scatter reads
-//     the column's weight with no search.
+//     the column's weight with no search. A computed row is therefore
+//     its candidates (Candidates): the columns sharing a node with it —
+//     for an empty row, the empty columns, at 0 — every other column
+//     being at exactly 1. Rows spreads them over a row of ones; MapRows
+//     hands them to a reducer, which counts the rest in closed form; and
+//     MapTriangle does so for a same-set job above the diagonal only,
+//     every unordered pair once.
 //  3. Parallel execution that keeps every core busy: one set of workers
 //     per job takes 16-row blocks in ascending order from a shared
 //     counter and writes each block into a ring of 2·workers slots, a
@@ -30,25 +40,28 @@
 //     (TestEngineRowsSlowWorkerKeepsItsSlot). The calling goroutine
 //     delivers a block, in ascending row order, as soon as it is
 //     complete, so its work overlaps the next blocks' computation. Rows
-//     delivers whole rows; MapRows runs a per-row reducer inside the
-//     worker and delivers one small value per row, so a reduction over
-//     n² cells costs the caller only n steps. PairsWithin concatenates
-//     per-chunk outputs in chunk order. Either way the output is
-//     bit-identical to a single-threaded run
+//     delivers whole rows; MapRows and MapTriangle run a per-row reducer
+//     inside the worker and deliver one small value per row, so a
+//     reduction over n² cells costs the caller only n steps. PairsWithin
+//     concatenates per-chunk outputs in chunk order. Either way the
+//     output is bit-identical to a single-threaded run
 //     (TestEngineParallelIdenticalToSequential, TestMapRowsMatchesRows,
-//     TestPairsWithinMatchesNaive, all at several worker counts), a
-//     panicking consumer strands no worker (TestEngineRowsConsumerPanic),
-//     and a job allocates per worker, not per row
-//     (TestEngineParallelAllocBudget).
+//     TestMapTriangleMatchesRows, TestPairsWithinMatchesNaive, all at
+//     several worker counts), a panicking consumer strands no worker
+//     (TestEngineRowsConsumerPanic), and a job allocates per worker, not
+//     per row (TestEngineParallelAllocBudget).
 //
 // All matcher and row scratch is recycled through a package-level pool
 // shared across engines, queriers and shards: steady-state jobs (eval
 // loops, store searches, router scatter-gather) allocate nothing per
-// row once the pool is warm.
+// row once the pool is warm. Only the column side of a row job is read
+// through its index: the row side of a cross-set engine, and both sides
+// of a pointwise one (NewPointwise), are flat signatures alone.
 //
 // A core.Distance that is not one of the registered kinds rides the same
 // scheduler and delivery order, but nothing above is assumed of it:
-// every cell is a d.Dist call on the two Signatures (see Engine.dist).
+// every cell is a d.Dist call on the two Signatures, and every column a
+// candidate (see Engine.dist).
 //
 // Determinism contract: every cell (i,j) is computed by exactly one
 // worker from immutable inputs, and consumers observe rows in ascending
@@ -93,7 +106,7 @@ type posting struct {
 
 // SetView is the engine-side view of a SignatureSet: the flat SoA
 // layout of every signature (core.FlatSigs), the inverted index, and the
-// precomputed disjoint baseline rows. Build it once per set
+// precomputed disjoint baseline row. Build it once per set
 // (O(n·k·log k)) and reuse it; it is immutable afterwards and safe for
 // concurrent use.
 //
@@ -111,13 +124,11 @@ type SetView struct {
 	offs []int32                    // CSR offsets (dense index); nil when the map is in use
 	bulk []posting                  // all postings, grouped by node (CSR) in ascending j
 	post map[graph.NodeID][]posting // node → postings in ascending j (fallback)
-	// Disjoint baseline rows, by row-side emptiness: a non-empty row is
-	// at distance 1 from every column it shares no node with (even empty
-	// ones), while an empty row is at 0 from empty columns and 1 from
-	// the rest.
-	ones     []float64 // all 1 — baseline for non-empty rows
-	emptyRow []float64 // 0 at empty columns, 1 elsewhere — row for empty rows
-	emptyIdx []int32   // indices of empty signatures
+	// The disjoint baseline of a dense row, all 1: the distance to every
+	// column the row shares no node with. An empty row's empty columns,
+	// at 0, are its candidates. Nil on a view with no index (flatView).
+	ones     []float64
+	emptyIdx []int32 // indices of empty signatures, ascending
 }
 
 // denseSlack bounds how much larger than the posting count the node-ID
@@ -129,10 +140,9 @@ const denseSlack = 8
 func NewSetView(set *core.SignatureSet) *SetView {
 	n := set.Len()
 	v := &SetView{
-		set:      set,
-		flat:     core.NewFlatSigs(set.Sigs),
-		ones:     make([]float64, n),
-		emptyRow: make([]float64, n),
+		set:  set,
+		flat: core.NewFlatSigs(set.Sigs),
+		ones: make([]float64, n),
 	}
 	total := 0
 	maxNode := graph.NodeID(-1)
@@ -141,9 +151,8 @@ func NewSetView(set *core.SignatureSet) *SetView {
 		v.ones[i] = 1
 		if v.flat.IsEmpty(i) {
 			v.emptyIdx = append(v.emptyIdx, int32(i))
-			continue // emptyRow stays 0: empty-vs-empty pairs are at distance 0
+			continue
 		}
-		v.emptyRow[i] = 1
 		for _, u := range v.flat.Nodes(i) {
 			if u < 0 {
 				dense = false
@@ -159,6 +168,13 @@ func NewSetView(set *core.SignatureSet) *SetView {
 		v.buildMap(total)
 	}
 	return v
+}
+
+// flatView is a view of set read only through its flat signatures — the
+// row side of a cross-set engine, both sides of a pointwise one: no
+// posting index and no baseline.
+func flatView(set *core.SignatureSet) *SetView {
+	return &SetView{set: set, flat: core.NewFlatSigs(set.Sigs)}
 }
 
 // buildDense fills the CSR index: count per node, prefix-sum into
@@ -222,6 +238,18 @@ func (v *SetView) postings(u graph.NodeID) []posting {
 	return v.post[u]
 }
 
+// postingsFrom returns the postings of node u with j ≥ minJ: a posting
+// list ascends in j, so a triangle row skips the columns below it by a
+// binary search, not a scan.
+func (v *SetView) postingsFrom(u graph.NodeID, minJ int32) []posting {
+	ps := v.postings(u)
+	if minJ > 0 {
+		k, _ := slices.BinarySearchFunc(ps, minJ, func(p posting, j int32) int { return cmp.Compare(p.j, j) })
+		ps = ps[k:]
+	}
+	return ps
+}
+
 // Set returns the underlying signature set.
 func (v *SetView) Set() *core.SignatureSet { return v.set }
 
@@ -241,11 +269,20 @@ type scratch struct {
 	mark  []uint32 // epoch stamps per column
 	epoch uint32
 	cands []int32   // candidate columns, in discovery order
-	cnt   []int32   // per-candidate shared-entry count (Jaccard)
+	vals  []float64 // vals[k] is the distance to column cands[k]
+	cnt   []int32   // per-candidate shared-entry count
 	acc   []float64 // per-candidate numerator: ScatterFinish's num
 	mins  []float64 // per-candidate Σ min(wa,wb) beside acc (ScaledHellinger)
+	// The terms of a weighted candidate sharing two nodes or more, kept
+	// for scratch.ascending: the first two of acc in t0 and t1, of mins
+	// in m0 and m1, any further ones in more, a list per candidate from
+	// head; xs and ys sort them.
+	t0, t1, m0, m1 []float64
+	head           []int32
+	more           []term
+	xs, ys         []float64
 
-	row   []float64 // per-column distance buffer (sequential Rows, Querier, PairsWithin)
+	row   []float64 // a dense row (sequential Rows, Querier, PairsWithin at maxDist ≥ 1)
 	pairs []Pair    // a PairsWithin worker's output, chunk after chunk
 	qsig  [1]core.Signature
 	qflat core.FlatSigs // SoA view of qsig — the query side of Querier jobs
@@ -271,29 +308,38 @@ func (s *scratch) release() {
 func (s *scratch) grow(n int) {
 	if len(s.mark) < n {
 		s.mark = make([]uint32, n)
+		s.vals = make([]float64, n)
 		s.cnt = make([]int32, n)
 		s.acc = make([]float64, n)
 		s.mins = make([]float64, n)
+		s.t0, s.t1 = make([]float64, n), make([]float64, n)
+		s.m0, s.m1 = make([]float64, n), make([]float64, n)
+		s.head = make([]int32, n)
 		s.epoch = 0
 	}
 }
 
-// The gathers enumerate the postings of a row's nodes qn (canonical
-// order), collecting each candidate j ≥ minJ once in s.cands with the
-// sums its kind's ScatterFinish takes — folded, per candidate, in the
-// row's canonical entry order, which is exactly the naive loop's
-// accumulation order. One loop per kind: a per-posting dispatch would
-// cost more than the scatter itself.
+// The gathers enumerate the postings of a row's nodes qn, collecting
+// each candidate j ≥ minJ once in s.cands with its shared count in s.cnt
+// and the sums its kind's ScatterFinish takes, added in the order the
+// postings come. That is ascending order for a candidate sharing one or
+// two nodes; for one sharing more, again keeps the terms for finish to
+// sort. The weighted gathers walk the row's nodes lightest first, so the
+// kept terms come nearly sorted already. One loop per kind: a
+// per-posting dispatch would cost more than the scatter itself.
+
+// begin starts a gather.
+func (s *scratch) begin() {
+	s.cands = s.cands[:0]
+	s.more = s.more[:0]
+	s.epoch++
+}
 
 // gatherCount collects the shared-entry count into s.cnt (Jaccard).
 func (s *scratch) gatherCount(qn []graph.NodeID, cols *SetView, minJ int32) {
-	s.cands = s.cands[:0]
-	s.epoch++
+	s.begin()
 	for _, u := range qn {
-		for _, p := range cols.postings(u) {
-			if p.j < minJ {
-				continue
-			}
+		for _, p := range cols.postingsFrom(u, minJ) {
 			if s.mark[p.j] != s.epoch {
 				s.mark[p.j] = s.epoch
 				s.cnt[p.j] = 0
@@ -304,94 +350,103 @@ func (s *scratch) gatherCount(qn []graph.NodeID, cols *SetView, minJ int32) {
 	}
 }
 
-// gatherSum folds the Dice numerator Σ(wa+wb) into s.acc.
+// first records candidate j's first shared node, of terms x (acc) and
+// y (mins), and reports false if j is a candidate already.
+func (s *scratch) first(j int32, x, y float64) bool {
+	if s.mark[j] == s.epoch {
+		return false
+	}
+	s.mark[j] = s.epoch
+	s.cnt[j] = 1
+	s.acc[j], s.mins[j] = x, y
+	s.cands = append(s.cands, j)
+	return true
+}
+
+// again records candidate j's second or later shared node, of terms x
+// and y: acc and mins add up the first two, and from the second on the
+// terms are kept for scratch.ascending — the first two in t0/t1 and
+// m0/m1, the rest in more.
+func (s *scratch) again(j int32, x, y float64) {
+	if s.cnt[j] == 1 {
+		s.t0[j], s.t1[j] = s.acc[j], x
+		s.m0[j], s.m1[j] = s.mins[j], y
+		s.acc[j] += x
+		s.mins[j] += y
+		s.head[j] = -1
+	} else {
+		s.more = append(s.more, term{s.head[j], x, y})
+		s.head[j] = int32(len(s.more) - 1)
+	}
+	s.cnt[j]++
+}
+
+// term is a shared node's terms past a candidate's second: x for acc,
+// y for mins, and the index in scratch.more of the candidate's previous
+// such term (-1: none).
+type term struct {
+	next int32
+	x, y float64
+}
+
+// gatherSum collects the Dice numerator Σ(wa+wb).
 func (s *scratch) gatherSum(qn []graph.NodeID, qw []float64, cols *SetView, minJ int32) {
-	s.cands = s.cands[:0]
-	s.epoch++
+	s.begin()
 	offs, cw := cols.flat.RawOffs(), cols.flat.RawWeights()
-	for ai, u := range qn {
+	for ai := len(qn) - 1; ai >= 0; ai-- {
 		wa := qw[ai]
-		for _, p := range cols.postings(u) {
-			if p.j < minJ {
-				continue
+		for _, p := range cols.postingsFrom(qn[ai], minJ) {
+			if x := wa + cw[offs[p.j]+p.idx]; !s.first(p.j, x, 0) {
+				s.again(p.j, x, 0)
 			}
-			if s.mark[p.j] != s.epoch {
-				s.mark[p.j] = s.epoch
-				s.acc[p.j] = 0
-				s.cands = append(s.cands, p.j)
-			}
-			s.acc[p.j] += wa + cw[offs[p.j]+p.idx]
 		}
 	}
 }
 
-// gatherDot folds the Cosine numerator Σ(wa·wb) into s.acc.
+// gatherDot collects the Cosine numerator Σ(wa·wb).
 func (s *scratch) gatherDot(qn []graph.NodeID, qw []float64, cols *SetView, minJ int32) {
-	s.cands = s.cands[:0]
-	s.epoch++
+	s.begin()
 	offs, cw := cols.flat.RawOffs(), cols.flat.RawWeights()
-	for ai, u := range qn {
+	for ai := len(qn) - 1; ai >= 0; ai-- {
 		wa := qw[ai]
-		for _, p := range cols.postings(u) {
-			if p.j < minJ {
-				continue
+		for _, p := range cols.postingsFrom(qn[ai], minJ) {
+			if x := wa * cw[offs[p.j]+p.idx]; !s.first(p.j, x, 0) {
+				s.again(p.j, x, 0)
 			}
-			if s.mark[p.j] != s.epoch {
-				s.mark[p.j] = s.epoch
-				s.acc[p.j] = 0
-				s.cands = append(s.cands, p.j)
-			}
-			s.acc[p.j] += wa * cw[offs[p.j]+p.idx]
 		}
 	}
 }
 
-// gatherMin folds Σ min(wa,wb) into s.acc, over the row weights qw and
-// the flat column weights cw: raw for ScaledDice, normalized for
+// gatherMin collects Σ min(wa,wb), over the row weights qw and the flat
+// column weights cw: raw for ScaledDice, normalized for
 // WeightedJaccard.
 func (s *scratch) gatherMin(qn []graph.NodeID, qw, cw []float64, cols *SetView, minJ int32) {
-	s.cands = s.cands[:0]
-	s.epoch++
+	s.begin()
 	offs := cols.flat.RawOffs()
-	for ai, u := range qn {
+	for ai := len(qn) - 1; ai >= 0; ai-- {
 		wa := qw[ai]
-		for _, p := range cols.postings(u) {
-			if p.j < minJ {
-				continue
+		for _, p := range cols.postingsFrom(qn[ai], minJ) {
+			if x := min(wa, cw[offs[p.j]+p.idx]); !s.first(p.j, x, 0) {
+				s.again(p.j, x, 0)
 			}
-			if s.mark[p.j] != s.epoch {
-				s.mark[p.j] = s.epoch
-				s.acc[p.j] = 0
-				s.cands = append(s.cands, p.j)
-			}
-			s.acc[p.j] += min(wa, cw[offs[p.j]+p.idx])
 		}
 	}
 }
 
-// gatherHel folds ScaledHellinger's two sums: the affinity Σ √wa·√wb
-// into s.acc and Σ min(wa,wb) into s.mins. qs holds the row's square
-// roots.
+// gatherHel collects ScaledHellinger's two sums: the affinity
+// Σ √wa·√wb into s.acc and Σ min(wa,wb) into s.mins. qs holds the
+// row's square roots.
 func (s *scratch) gatherHel(qn []graph.NodeID, qw, qs []float64, cols *SetView, minJ int32) {
-	s.cands = s.cands[:0]
-	s.epoch++
+	s.begin()
 	offs, cw, cs := cols.flat.RawOffs(), cols.flat.RawWeights(), cols.flat.RawSqrtWeights()
-	for ai, u := range qn {
+	for ai := len(qn) - 1; ai >= 0; ai-- {
 		wa, sa := qw[ai], qs[ai]
-		for _, p := range cols.postings(u) {
-			if p.j < minJ {
-				continue
-			}
-			if s.mark[p.j] != s.epoch {
-				s.mark[p.j] = s.epoch
-				s.acc[p.j] = 0
-				s.mins[p.j] = 0
-				s.cands = append(s.cands, p.j)
-			}
+		for _, p := range cols.postingsFrom(qn[ai], minJ) {
 			at := offs[p.j] + p.idx
 			wb := cw[at]
-			s.acc[p.j] += core.HellingerAffinity(wa, wb, sa, cs[at])
-			s.mins[p.j] += min(wa, wb)
+			if x, y := core.HellingerAffinity(wa, wb, sa, cs[at]), min(wa, wb); !s.first(p.j, x, y) {
+				s.again(p.j, x, y)
+			}
 		}
 	}
 }
@@ -415,23 +470,82 @@ func (s *scratch) gather(rf *core.FlatSigs, i int, cols *SetView, minJ int32) {
 	}
 }
 
-// finish writes, for every candidate j in s.cands, the exact distance
-// between row signature i of rf and column j into dst[j], from what the
-// preceding gather accumulated — only the sums the kind keeps are read.
-func (s *scratch) finish(rf *core.FlatSigs, i int, cols *SetView, dst []float64) {
-	switch s.kern.Kind() {
-	case core.KindJaccard:
-		for _, j := range s.cands {
-			dst[j] = s.kern.ScatterFinish(rf, i, cols.flat, int(j), s.cnt[j], 0, 0)
+// finish computes the exact distance between row signature i of rf and
+// every candidate s.cands[k] into s.vals[k], from what the preceding
+// gather collected. ScatterFinish takes each sum added in ascending
+// order of its terms: one or two terms add the same in any order, more
+// are sorted (scratch.ascending). It reads only the sums the kind
+// keeps: mins is 0 but for ScaledHellinger.
+func (s *scratch) finish(rf *core.FlatSigs, i int, cols *SetView) {
+	vals := s.vals[:len(s.cands)]
+	if s.kern.Kind() == core.KindJaccard {
+		for k, j := range s.cands {
+			vals[k] = s.kern.ScatterFinish(rf, i, cols.flat, int(j), s.cnt[j], 0, 0)
 		}
-	case core.KindScaledHellinger:
-		for _, j := range s.cands {
-			dst[j] = s.kern.ScatterFinish(rf, i, cols.flat, int(j), 0, s.acc[j], s.mins[j])
+		return
+	}
+	for k, j := range s.cands {
+		num, mins := s.acc[j], s.mins[j]
+		if s.cnt[j] > 2 {
+			num, mins = s.ascending(j)
 		}
-	default:
-		for _, j := range s.cands {
-			dst[j] = s.kern.ScatterFinish(rf, i, cols.flat, int(j), 0, s.acc[j], 0)
-		}
+		vals[k] = s.kern.ScatterFinish(rf, i, cols.flat, int(j), s.cnt[j], num, mins)
+	}
+}
+
+// ascending adds the terms of candidate j, which shares three or more
+// nodes with the row — t0, t1 and the rest in s.more — in ascending
+// order (core.AscendingSum).
+func (s *scratch) ascending(j int32) (num, mins float64) {
+	xs := append(s.xs[:0], s.t0[j], s.t1[j])
+	ys := append(s.ys[:0], s.m0[j], s.m1[j])
+	for at := s.head[j]; at >= 0; at = s.more[at].next {
+		xs, ys = append(xs, s.more[at].x), append(ys, s.more[at].y)
+	}
+	// The list runs newest first: back into arrival order, nearly sorted.
+	slices.Reverse(xs[2:])
+	slices.Reverse(ys[2:])
+	s.xs, s.ys = xs, ys
+	return core.AscendingSum(xs), core.AscendingSum(ys)
+}
+
+// sparse computes rf's signature i against the columns j ≥ minJ of cols
+// as candidates: s.cands lists them and s.vals[k] is the distance to
+// column s.cands[k]; every other column from minJ on is at exactly 1. A
+// non-empty row's candidates are the columns sharing a node with it. An
+// empty row's are the empty columns, at 0 in closed form, with nothing
+// computed. It reports how many distances were computed.
+func (s *scratch) sparse(rf *core.FlatSigs, i int, cols *SetView, minJ int32) int {
+	if !rf.IsEmpty(i) {
+		s.gather(rf, i, cols, minJ)
+		s.finish(rf, i, cols)
+		return len(s.cands)
+	}
+	from, _ := slices.BinarySearch(cols.emptyIdx, minJ)
+	s.cands = append(s.cands[:0], cols.emptyIdx[from:]...)
+	clear(s.vals[:len(s.cands)])
+	return 0
+}
+
+// distSpan is sparse for a distance without a kernel, of which no
+// closed form is known: every column j ≥ minJ is a candidate, in
+// ascending order, at d.Dist.
+func (s *scratch) distSpan(d core.Distance, sig core.Signature, cols *SetView, minJ int32) int {
+	s.cands = s.cands[:0]
+	for j := minJ; int(j) < cols.Len(); j++ {
+		s.vals[len(s.cands)] = d.Dist(sig, cols.set.Sigs[j])
+		s.cands = append(s.cands, j)
+	}
+	return len(s.cands)
+}
+
+// spread writes the candidates sparse or distSpan left into dst, a dense
+// row over the columns from minJ on: 1 at every column, then each
+// candidate's distance.
+func (s *scratch) spread(cols *SetView, minJ int32, dst []float64) {
+	copy(dst[minJ:], cols.ones[minJ:])
+	for k, j := range s.cands {
+		dst[j] = s.vals[k]
 	}
 }
 
@@ -442,42 +556,6 @@ func (s *scratch) rowBuf(n int) []float64 {
 		s.row = make([]float64, n)
 	}
 	return s.row[:n]
-}
-
-// fillRow computes the full distance row of rf's signature i (which
-// must be non-empty) against cols into dst: baseline first, then the
-// exact value for every posting candidate.
-func (s *scratch) fillRow(rf *core.FlatSigs, i int, cols *SetView, dst []float64) int {
-	copy(dst, cols.ones)
-	s.gather(rf, i, cols, 0)
-	s.finish(rf, i, cols, dst)
-	return len(s.cands)
-}
-
-// distRow is fillRow for a distance without a kernel: dst[j] = d.Dist(sig,
-// column j) for every column, each of which counts as a candidate.
-func distRow(d core.Distance, sig core.Signature, cols *SetView, dst []float64) int {
-	for j, other := range cols.set.Sigs {
-		dst[j] = d.Dist(sig, other)
-	}
-	return len(dst)
-}
-
-// thresholdedRow visits every candidate j ≥ minJ of rf's signature i
-// (non-empty) at distance ≤ maxDist, and returns the candidate count. It
-// serves maxDist < 1, where only posting candidates can qualify
-// (disjoint pairs sit at exactly 1).
-func (s *scratch) thresholdedRow(rf *core.FlatSigs, i int, cols *SetView, minJ int32,
-	maxDist float64, visit func(j int, dist float64)) int {
-	s.gather(rf, i, cols, minJ)
-	dist := s.rowBuf(cols.Len())
-	s.finish(rf, i, cols, dist)
-	for _, j := range s.cands {
-		if d := dist[j]; d <= maxDist {
-			visit(int(j), d)
-		}
-	}
-	return len(s.cands)
 }
 
 // Engine computes distance rows/pairs between a row set and a column
@@ -504,12 +582,14 @@ func (e *Engine) SetMetrics(m Metrics) { e.metrics = m }
 // NewEngine builds an engine over the two signature sets with the given
 // worker count (0 = GOMAXPROCS). Every Distance is served — a registered
 // one by its kernel, any other by its own Dist — so the bool is always
-// true; it stays for bench/, which compiles against this signature.
+// true; it stays for bench/, which compiles against this signature. Of
+// a cross-set engine's row set only the flat signatures are built: no
+// row job reads the row side through an index.
 func NewEngine(rowSet, colSet *core.SignatureSet, d core.Distance, workers int) (*Engine, bool) {
-	rv := NewSetView(rowSet)
-	cv := rv
-	if colSet != rowSet {
-		cv = NewSetView(colSet)
+	cv := NewSetView(colSet)
+	rv := cv
+	if rowSet != colSet {
+		rv = flatView(rowSet)
 	}
 	return NewEngineOn(rv, cv, d, workers)
 }
@@ -526,6 +606,20 @@ func NewEngineOn(rows, cols *SetView, d core.Distance, workers int) (*Engine, bo
 	return e, true
 }
 
+// NewPointwise returns an engine for jobs that only call Dist, on pairs
+// they choose: persistence and robustness compare each source with
+// itself. Neither side gets a posting index or a baseline, which only
+// row jobs read; Rows, MapRows, MapTriangle and PairsWithin panic on it.
+func NewPointwise(rowSet, colSet *core.SignatureSet, d core.Distance) *Engine {
+	rv := flatView(rowSet)
+	cv := rv
+	if colSet != rowSet {
+		cv = flatView(colSet)
+	}
+	e, _ := NewEngineOn(rv, cv, d, 1)
+	return e
+}
+
 // rower is per-worker state: pooled scratch pointed at the engine's kind.
 type rower struct {
 	e       *Engine
@@ -534,35 +628,44 @@ type rower struct {
 }
 
 func (e *Engine) newRower() rower {
+	if e.cols.ones == nil {
+		panic("distmat: row job on a pointwise engine")
+	}
 	return rower{e: e, s: getScratch(e.kern.Kind(), e.cols.Len()), metrics: e.metrics}
 }
 
 func (r *rower) release() { r.s.release() }
 
-// rowInto fills dst[j] = Dist(row i, col j) for every column: the
-// disjoint baseline first, then the exact kernel distance for every
-// posting-list candidate sharing at least one node with row i — or, for
-// a distance without a kernel, one dist.Dist call per column.
-func (r *rower) rowInto(i int, dst []float64) {
-	e := r.e
-	if e.dist == nil && e.rows.flat.IsEmpty(i) {
-		copy(dst, e.cols.emptyRow)
-		return
-	}
+// candidates computes row i against the columns j ≥ minJ — the kernel's
+// candidates (scratch.sparse), or every column for a distance without a
+// kernel (scratch.distSpan) — and returns them; they hold until the
+// rower's next row.
+func (r *rower) candidates(i int, minJ int32) Candidates {
+	e, s := r.e, r.s
+	// An empty row of a registered distance is all closed form: untimed.
+	timed := r.metrics.instrumented() && (e.dist != nil || !e.rows.flat.IsEmpty(i))
 	var begin time.Time
-	if r.metrics.instrumented() {
+	if timed {
 		begin = time.Now()
 	}
-	var cands int
+	var probed int
 	if e.dist != nil {
-		cands = distRow(e.dist, e.rows.set.Sigs[i], e.cols, dst)
+		probed = s.distSpan(e.dist, e.rows.set.Sigs[i], e.cols, minJ)
 	} else {
-		cands = r.s.fillRow(e.rows.flat, i, e.cols, dst)
+		probed = s.sparse(e.rows.flat, i, e.cols, minJ)
 	}
-	if r.metrics.instrumented() {
+	if timed {
 		r.metrics.RowSeconds.ObserveSince(begin)
-		r.metrics.Candidates.Observe(float64(cands))
+		r.metrics.Candidates.Observe(float64(probed))
 	}
+	return Candidates{Cols: s.cands, Dist: s.vals[:len(s.cands)]}
+}
+
+// rowInto fills dst[j] = Dist(row i, col j) for every column j ≥ minJ:
+// the row's candidates spread over the disjoint baseline.
+func (r *rower) rowInto(i int, minJ int32, dst []float64) {
+	r.candidates(i, minJ)
+	r.s.spread(r.e.cols, minJ, dst)
 }
 
 // Dist computes the single distance between row i and column j,
@@ -735,7 +838,7 @@ func (e *Engine) Rows(idx []int, consume func(t int, row []float64)) {
 		defer r.release()
 		row := r.s.rowBuf(n)
 		for t, i := range idx {
-			r.rowInto(i, row)
+			r.rowInto(i, 0, row)
 			consume(t, row)
 		}
 		return
@@ -759,7 +862,7 @@ func (e *Engine) Rows(idx []int, consume func(t int, row []float64)) {
 	e.runBlocks(blocks, workers, func(r *rower, b int) {
 		lo, hi := blockSpan(b, len(idx))
 		for t := lo; t < hi; t++ {
-			r.rowInto(idx[t], rowOf(t))
+			r.rowInto(idx[t], 0, rowOf(t))
 		}
 	}, func(b int) {
 		lo, hi := blockSpan(b, len(idx))
@@ -769,41 +872,68 @@ func (e *Engine) Rows(idx []int, consume func(t int, row []float64)) {
 	})
 }
 
+// Candidates is one computed row as a MapRows or MapTriangle reducer
+// sees it: Dist[k] is the distance to column Cols[k], each column listed
+// once, and every other column of the row's span — every column for
+// MapRows, those above the diagonal for MapTriangle — is at exactly 1.
+// Under a registered distance a non-empty row's candidates are the
+// columns sharing a node with it, in no set order, and an empty row's
+// are the empty columns, at 0, ascending; under a distance without a
+// kernel every column of the span is one, ascending. Both slices belong
+// to the worker and are reused once the reducer returns.
+type Candidates struct {
+	Cols []int32
+	Dist []float64
+}
+
 // MapRows is Rows with the row reduced where it is computed: a worker
-// calls reduce(t, row) right after computing the row of idx[t], and the
-// calling goroutine is handed only the result, consume(t, v), strictly
-// in ascending t. The row buffer is the worker's and is reused after
-// reduce returns. reduce runs on the job's worker goroutines, several at
-// a time, so it must be safe for concurrent calls and must not panic; a
-// reducer that depends only on its arguments makes the values consume
-// sees — and so any fold of them in t order — independent of the
-// worker count. The job allocates the ring of 2·workers·16 values, not
-// anything per row.
-func MapRows[T any](e *Engine, idx []int, reduce func(t int, row []float64) T, consume func(t int, v T)) {
-	blocks := (len(idx) + blockRows - 1) / blockRows
+// calls reduce(t, row) with the candidates of the row of idx[t] right
+// after computing them, and the calling goroutine is handed only the
+// result, consume(t, v), strictly in ascending t. reduce runs on the
+// job's worker goroutines, several at a time, so it must be safe for
+// concurrent calls and must not panic; a reducer that depends only on
+// its arguments makes the values consume sees — and so any fold of them
+// in t order — independent of the worker count. The job allocates the
+// ring of 2·workers·16 values, not anything per row.
+func MapRows[T any](e *Engine, idx []int, reduce func(t int, row Candidates) T, consume func(t int, v T)) {
+	mapRows(e, len(idx), func(t int) (int, int32) { return idx[t], 0 }, reduce, consume)
+}
+
+// MapTriangle is MapRows over every row i of a same-set engine, each
+// computed against the columns above the diagonal only (j > i, the
+// row's span): every unordered pair once. Every registered distance is
+// exactly symmetric (internal/core/kernel.go), so that is the whole
+// matrix off the diagonal; of a distance without a kernel nothing is
+// assumed, symmetry included.
+func MapTriangle[T any](e *Engine, reduce func(i int, row Candidates) T, consume func(i int, v T)) {
+	if e.rows != e.cols {
+		panic("distmat: MapTriangle on a cross-set engine")
+	}
+	mapRows(e, e.rows.Len(), func(i int) (int, int32) { return i, int32(i) + 1 }, reduce, consume)
+}
+
+// mapRows runs a reducing job of n positions: position t computes row i
+// against the columns from minJ on, where i, minJ = rowAt(t).
+func mapRows[T any](e *Engine, n int, rowAt func(t int) (i int, minJ int32), reduce func(t int, row Candidates) T, consume func(t int, v T)) {
+	blocks := (n + blockRows - 1) / blockRows
 	workers := e.workerCount(blocks)
-	n := e.cols.Len()
 	if workers == 1 {
 		r := e.newRower()
 		defer r.release()
-		row := r.s.rowBuf(n)
-		for t, i := range idx {
-			r.rowInto(i, row)
-			consume(t, reduce(t, row))
+		for t := range n {
+			consume(t, reduce(t, r.candidates(rowAt(t))))
 		}
 		return
 	}
 	slots := 2 * workers
 	vals := make([]T, slots*blockRows)
 	e.runBlocks(blocks, workers, func(r *rower, b int) {
-		row := r.s.rowBuf(n)
-		lo, hi := blockSpan(b, len(idx))
+		lo, hi := blockSpan(b, n)
 		for t := lo; t < hi; t++ {
-			r.rowInto(idx[t], row)
-			vals[ringAt(t, slots)] = reduce(t, row)
+			vals[ringAt(t, slots)] = reduce(t, r.candidates(rowAt(t)))
 		}
 	}, func(b int) {
-		lo, hi := blockSpan(b, len(idx))
+		lo, hi := blockSpan(b, n)
 		for t := lo; t < hi; t++ {
 			consume(t, vals[ringAt(t, slots)])
 		}
@@ -817,13 +947,13 @@ type Pair struct {
 }
 
 // PairsWithin enumerates every unordered pair (I < J) of non-empty
-// signatures with Dist ≤ maxDist, for a same-set engine. With
-// maxDist < 1 only pairs sharing at least one node can qualify (disjoint
-// pairs sit at exactly 1), so the inverted index enumerates candidates
-// directly. With maxDist ≥ 1 every non-empty pair qualifies and the
-// dense row path is used — as it always is for a distance without a
-// kernel, whose disjoint pairs may sit anywhere. The result is sorted by
-// (I, J), independent of the worker count.
+// signatures with Dist ≤ maxDist, for a same-set engine. Row i is
+// computed against the columns above the diagonal only. With
+// maxDist < 1 only its candidates can qualify (disjoint pairs sit at
+// exactly 1; of a distance without a kernel every column is a
+// candidate). With maxDist ≥ 1 the candidates are spread over the
+// baseline of ones and the row is scanned whole. The result is sorted
+// by (I, J), independent of the worker count.
 //
 // Workers take 16-row chunks from a shared counter (row i scans n−i
 // columns, so equal contiguous ranges would not be equal work), append
@@ -852,7 +982,7 @@ func (e *Engine) PairsWithin(maxDist float64) []Pair {
 				}
 				lo, hi := blockSpan(c, n)
 				from := len(r.s.pairs)
-				if maxDist < 1 && e.dist == nil {
+				if maxDist < 1 {
 					r.s.pairs = r.pairsThresholded(r.s.pairs, lo, hi, maxDist)
 				} else {
 					r.s.pairs = r.pairsDense(r.s.pairs, lo, hi, maxDist)
@@ -880,30 +1010,26 @@ func (e *Engine) PairsWithin(maxDist float64) []Pair {
 }
 
 // pairsThresholded appends to out the candidates of rows [lo, hi) above
-// the diagonal that lie within maxDist (< 1).
+// the diagonal that are non-empty and lie within maxDist (< 1).
 func (r *rower) pairsThresholded(out []Pair, lo, hi int, maxDist float64) []Pair {
 	e := r.e
-	rf := e.rows.flat
-	row := 0
-	keep := func(j int, dist float64) { out = append(out, Pair{I: row, J: j, Dist: dist}) }
-	for row = lo; row < hi; row++ {
-		if rf.IsEmpty(row) {
+	for i := lo; i < hi; i++ {
+		if e.rows.flat.IsEmpty(i) {
 			continue
 		}
-		var begin time.Time
-		if r.metrics.instrumented() {
-			begin = time.Now()
-		}
-		cands := r.s.thresholdedRow(rf, row, e.cols, int32(row)+1, maxDist, keep)
-		if r.metrics.instrumented() {
-			r.metrics.RowSeconds.ObserveSince(begin)
-			r.metrics.Candidates.Observe(float64(cands))
+		c := r.candidates(i, int32(i)+1)
+		for k, j := range c.Cols {
+			if dist := c.Dist[k]; dist <= maxDist && !e.cols.flat.IsEmpty(int(j)) {
+				out = append(out, Pair{I: i, J: int(j), Dist: dist})
+			}
 		}
 	}
 	return out
 }
 
-// pairsDense is pairsThresholded by full rows: maxDist ≥ 1, or no kernel.
+// pairsDense is pairsThresholded at maxDist ≥ 1, where the columns a row
+// shares no node with qualify too: each row is spread over its columns
+// above the diagonal and scanned in column order.
 func (r *rower) pairsDense(out []Pair, lo, hi int, maxDist float64) []Pair {
 	e := r.e
 	n := e.cols.Len()
@@ -912,12 +1038,9 @@ func (r *rower) pairsDense(out []Pair, lo, hi int, maxDist float64) []Pair {
 		if e.rows.flat.IsEmpty(i) {
 			continue
 		}
-		r.rowInto(i, row)
+		r.rowInto(i, int32(i)+1, row)
 		for j := i + 1; j < n; j++ {
-			if e.cols.flat.IsEmpty(j) {
-				continue
-			}
-			if row[j] <= maxDist {
+			if row[j] <= maxDist && !e.cols.flat.IsEmpty(j) {
 				out = append(out, Pair{I: i, J: j, Dist: row[j]})
 			}
 		}
@@ -996,25 +1119,17 @@ func (q *Querier) neighbors(view *SetView, sig core.Signature, maxDist float64, 
 	s.grow(n)
 	s.qsig[0] = sig
 	s.qflat.Reset(s.qsig[:1])
-	qf := &s.qflat
+	probed := s.sparse(&s.qflat, 0, view, 0)
 	if maxDist < 1 {
-		if qf.IsEmpty(0) {
-			if 0 <= maxDist {
-				for _, j := range view.emptyIdx {
-					visit(int(j), 0)
-				}
+		for k, j := range s.cands {
+			if dist := s.vals[k]; dist <= maxDist {
+				visit(int(j), dist)
 			}
-			return 0
 		}
-		return s.thresholdedRow(qf, 0, view, 0, maxDist, visit)
+		return probed
 	}
 	row := s.rowBuf(n)
-	probed := 0
-	if qf.IsEmpty(0) {
-		copy(row, view.emptyRow)
-	} else {
-		probed = s.fillRow(qf, 0, view, row)
-	}
+	s.spread(view, 0, row)
 	for j, dist := range row {
 		if dist <= maxDist {
 			visit(j, dist)

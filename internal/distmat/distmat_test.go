@@ -212,7 +212,7 @@ func TestEngineRowsConsumerPanic(t *testing.T) {
 			}()
 			mapped := func() (got any) {
 				defer func() { got = recover() }()
-				MapRows(eng, idx, func(_ int, row []float64) float64 { return row[0] }, func(t int, _ float64) {
+				MapRows(eng, idx, func(_ int, row Candidates) int { return len(row.Cols) }, func(t int, _ int) {
 					if t == at {
 						panic(at)
 					}
@@ -259,10 +259,33 @@ func TestEngineRowsSubset(t *testing.T) {
 	}
 }
 
+// rebuild is the dense row a reducer's candidates stand for, over the
+// columns [from, n): 1 at every column, then each candidate's distance.
+// It reports false if a candidate lies outside the span or is listed
+// twice, or if the two slices differ in length.
+func rebuild(row Candidates, from, n int) ([]float64, bool) {
+	out := make([]float64, n-from)
+	for j := range out {
+		out[j] = 1
+	}
+	seen := make([]bool, n-from)
+	for k, j := range row.Cols {
+		at := int(j) - from
+		if at < 0 || at >= len(out) || seen[at] {
+			return nil, false
+		}
+		seen[at] = true
+		out[at] = row.Dist[k]
+	}
+	return out, len(row.Cols) == len(row.Dist)
+}
+
 // TestMapRowsMatchesRows: MapRows hands the consumer, in ascending t,
-// exactly the value its reducer computes from the row Rows delivers at
-// t — whatever the worker count and the job's length around the 16-row
-// block, including a consumer slow enough to make the ring wrap.
+// exactly the value its reducer computes from the candidates of the row
+// Rows delivers at t — the dense row rebuilt from them over the baseline
+// of 1 is Rows' row, bit for bit — whatever the worker count and the
+// job's length around the 16-row block, including a consumer slow
+// enough to make the ring wrap.
 func TestMapRowsMatchesRows(t *testing.T) {
 	set := randSet(t, 16, 130, 9, 80)
 	n := set.Len()
@@ -273,6 +296,13 @@ func TestMapRowsMatchesRows(t *testing.T) {
 			h = h*1099511628211 ^ math.Float64bits(x)
 		}
 		return h
+	}
+	candHash := func(k int, row Candidates) uint64 {
+		dense, ok := rebuild(row, 0, n)
+		if !ok {
+			return 0 // a hash no row has
+		}
+		return rowHash(k, dense)
 	}
 	for _, d := range []core.Distance{core.Jaccard{}, core.ScaledHellinger{}, wrapped{core.Dice{}}} {
 		for _, workers := range []int{1, 2, 3, 8} {
@@ -286,7 +316,7 @@ func TestMapRowsMatchesRows(t *testing.T) {
 				eng.Rows(idx, func(k int, row []float64) { want = append(want, rowHash(k, row)) })
 				var got []uint64
 				inOrder := true
-				MapRows(eng, idx, rowHash, func(k int, h uint64) {
+				MapRows(eng, idx, candHash, func(k int, h uint64) {
 					inOrder = inOrder && k == len(got)
 					if rows == n && workers > 1 {
 						time.Sleep(20 * time.Microsecond)
@@ -295,6 +325,51 @@ func TestMapRowsMatchesRows(t *testing.T) {
 				})
 				if !inOrder || !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s workers=%d rows=%d: MapRows values differ from Rows", d.Name(), workers, rows)
+				}
+			}
+		}
+	}
+}
+
+// TestMapTriangleMatchesRows: MapTriangle hands row i's reducer its
+// candidates above the diagonal, in ascending i; rebuilt over the
+// baseline of 1 they are Rows' row i from column i+1 on, bit for bit, at
+// every worker count and for rows around the 16-row block — for every
+// kernel, a distance in disguise and one that is not symmetric. Under
+// the kernels the triangle is also the column below the diagonal: every
+// registered distance is exactly symmetric.
+func TestMapTriangleMatchesRows(t *testing.T) {
+	dists := []core.Distance{wrapped{core.Dice{}}, oddDist{}}
+	dists = append(dists, core.ExtendedDistances()...)
+	for _, rows := range []int{0, 1, 15, 16, 17, 33, 130} {
+		set := randSet(t, 17+int64(rows), rows, 9, 80)
+		for _, d := range dists {
+			seq, _ := NewEngine(set, set, d, 1)
+			want := engineMatrix(t, seq, rows, rows)
+			_, kernel := core.KernelKindOf(d)
+			for _, workers := range []int{1, 2, 3, 8} {
+				eng, _ := NewEngine(set, set, d, workers)
+				var got [][]float64
+				inOrder := true
+				MapTriangle(eng, func(i int, row Candidates) []float64 {
+					dense, _ := rebuild(row, i+1, rows)
+					return dense
+				}, func(i int, dense []float64) {
+					inOrder = inOrder && i == len(got)
+					got = append(got, dense)
+				})
+				if !inOrder || len(got) != rows {
+					t.Fatalf("%s rows=%d workers=%d: %d rows delivered, in order %v", d.Name(), rows, workers, len(got), inOrder)
+				}
+				for i, dense := range got {
+					if dense == nil || !reflect.DeepEqual(dense, want[i][i+1:]) {
+						t.Fatalf("%s rows=%d workers=%d: triangle row %d differs from Rows", d.Name(), rows, workers, i)
+					}
+					for j := i + 1; kernel && j < rows; j++ {
+						if math.Float64bits(want[j][i]) != math.Float64bits(dense[j-i-1]) {
+							t.Fatalf("%s: d(%d,%d) = %v but d(%d,%d) = %v", d.Name(), j, i, want[j][i], i, j, dense[j-i-1])
+						}
+					}
 				}
 			}
 		}
@@ -471,24 +546,36 @@ func TestUnregisteredDistanceMatchesNaive(t *testing.T) {
 }
 
 // TestEngineDistPairs exercises the sequential per-pair path used by the
-// persistence/masquerade call sites.
+// persistence/masquerade call sites, on a row engine and on a pointwise
+// one, which builds no index and refuses row jobs.
 func TestEngineDistPairs(t *testing.T) {
 	at := randSet(t, 61, 40, 8, 30)
 	next := randSet(t, 62, 40, 8, 30)
-	for _, d := range core.ExtendedDistances() {
+	for _, d := range append(core.ExtendedDistances(), oddDist{}) {
 		eng, ok := NewEngine(at, next, d, 0)
 		if !ok {
 			t.Fatalf("engine rejected %s", d.Name())
 		}
+		pointwise := NewPointwise(at, next, d)
 		for i := 0; i < at.Len(); i++ {
 			for j := 0; j < next.Len(); j++ {
 				want := d.Dist(at.Sigs[i], next.Sigs[j])
 				if got := eng.Dist(i, j); got != want {
 					t.Fatalf("%s: Dist(%d,%d) = %v, want %v", d.Name(), i, j, got, want)
 				}
+				if got := pointwise.Dist(i, j); got != want {
+					t.Fatalf("%s: pointwise Dist(%d,%d) = %v, want %v", d.Name(), i, j, got, want)
+				}
 			}
 		}
 	}
+	pointwise := NewPointwise(at, at, core.Jaccard{})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Rows on a pointwise engine did not panic")
+		}
+	}()
+	pointwise.Rows([]int{0}, func(int, []float64) {})
 }
 
 // TestPairsWithinPrefilterIdentical: below 1, PairsWithin visits only

@@ -3,6 +3,7 @@ package eval
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -139,12 +140,57 @@ func enterpriseSets(tb testing.TB, hosts, externals int) (at, next *core.Signatu
 	return sets[0], sets[1]
 }
 
+// withSources returns set with sources appended, source v's signature
+// holding the nodes members[v] (none: an empty signature).
+func withSources(t *testing.T, set *core.SignatureSet, sources []graph.NodeID, members [][]graph.NodeID) *core.SignatureSet {
+	t.Helper()
+	out := slices.Clone(set.Sigs)
+	for v := range sources {
+		w := map[graph.NodeID]float64{}
+		for k, u := range members[v] {
+			w[u] = float64(k + 1)
+		}
+		out = append(out, core.FromWeights(w, len(w)))
+	}
+	grown, err := core.NewSignatureSet(set.Scheme, set.Window, append(slices.Clone(set.Sources), sources...), out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return grown
+}
+
+// nanAfter is a custom distance that scores NaN past the first sources:
+// the error the statistic reports is the one MeanAUC does.
+type nanAfter struct{}
+
+func (nanAfter) Name() string { return "nan" }
+func (nanAfter) Dist(a, b core.Signature) float64 {
+	if a.Len() > 3 && b.Len() > 3 && a.Nodes[0] == b.Nodes[0] {
+		return math.NaN()
+	}
+	return core.Jaccard{}.Dist(a, b)
+}
+
 // TestSelfRetrievalAUCMatchesQueries: the statistic folded row by row
-// is the mean over the materialised queries, bit for bit, under every
-// distance — also when next lacks some of at's sources, which shifts
-// the positive's column and drops rows.
+// over the candidates is the mean over the materialised queries, bit for
+// bit, under every distance and one without a kernel — also when next
+// lacks some of at's sources, which shifts the positive's column and
+// drops rows, and for the rows the closed forms treat apart: a source
+// empty in both windows (its candidates the empty columns, its positive
+// among them at 0), one empty in the first window only and one whose
+// two signatures share no node (both positives at exactly 1). A
+// distance that scores NaN fails both ways with the same error.
 func TestSelfRetrievalAUCMatchesQueries(t *testing.T) {
 	at, full := enterpriseSets(t, 60, 600)
+	var top graph.NodeID // above every source and node of the two sets
+	for _, set := range []*core.SignatureSet{at, full} {
+		for i, v := range set.Sources {
+			top = max(top, v, slices.Max(append([]graph.NodeID{0}, set.Sigs[i].Nodes...)))
+		}
+	}
+	added := []graph.NodeID{top + 1, top + 2, top + 3}
+	at = withSources(t, at, added, [][]graph.NodeID{nil, nil, {top + 10, top + 11}})
+	full = withSources(t, full, added, [][]graph.NodeID{nil, {top + 11}, {top + 12}})
 	// next without every third source of at.
 	var sources []graph.NodeID
 	var sigs []core.Signature
@@ -162,7 +208,7 @@ func TestSelfRetrievalAUCMatchesQueries(t *testing.T) {
 		t.Fatal("no source removed from next")
 	}
 	for _, next := range []*core.SignatureSet{full, thinned} {
-		for _, d := range core.ExtendedDistances() {
+		for _, d := range append(core.ExtendedDistances(), hidden{core.ScaledHellinger{}}) {
 			got, err := SelfRetrievalAUC(d, at, next)
 			if err != nil {
 				t.Fatal(err)
@@ -183,5 +229,10 @@ func TestSelfRetrievalAUCMatchesQueries(t *testing.T) {
 				t.Errorf("%s: SelfRetrievalAUC %v, sort-and-walk mean %v", d.Name(), got, oracle)
 			}
 		}
+	}
+	_, err = SelfRetrievalAUC(nanAfter{}, at, full)
+	_, want := MeanAUC(SelfRetrievalQueries(nanAfter{}, at, full))
+	if err == nil || want == nil || err.Error() != want.Error() {
+		t.Fatalf("a NaN score: SelfRetrievalAUC error %v, MeanAUC's %v", err, want)
 	}
 }

@@ -27,7 +27,7 @@ func Persistence(d core.Distance, at, next *core.SignatureSet) map[graph.NodeID]
 // also holds: persistence across time, robustness across perturbation.
 func selfSimilarity(d core.Distance, a, b *core.SignatureSet) map[graph.NodeID]float64 {
 	out := make(map[graph.NodeID]float64)
-	eng, _ := distmat.NewEngine(a, b, d, 0)
+	eng := distmat.NewPointwise(a, b, d)
 	for i, v := range a.Sources {
 		if j, present := b.IndexOf(v); present {
 			out[v] = 1 - eng.Dist(i, j)
@@ -51,42 +51,58 @@ func PersistenceSummary(d core.Distance, at, next *core.SignatureSet) stats.Summ
 // axis. For large source sets the pair count is quadratic; maxPairs > 0
 // caps the work by deterministic uniform pair sampling (0 = exact).
 //
-// The exact path reduces each engine row, in the worker that computed
-// it, to a two-pass partial over the row less its diagonal
-// (stats.Batch), and merges the partials in row order
-// (stats.Accumulator.Merge): the distance work and the fold are both
-// overlap-proportional and sharded across cores, and the summary has the
-// same bits whatever the worker count. It agrees with a Welford chain
-// over the naive double loop to rounding (N, Min and Max exactly).
+// The exact path rides the engine's per-row reducers: each row is
+// reduced, in the worker that computed it, to a two-pass partial
+// (stats.Batch) over its candidates plus the run of columns at exactly
+// 1 (stats.Repeat), and the partials are merged in row order
+// (stats.Accumulator.Merge). A registered distance is exactly
+// symmetric, so only the triangle above the diagonal is computed
+// (distmat.MapTriangle) and the merged result counted twice — merged
+// with itself, which doubles N and M2 exactly. Of a custom Distance
+// nothing is assumed: every ordered pair is computed. The summary has
+// the same bits whatever the worker count, and agrees with a Welford
+// chain over the naive double loop to rounding (N, Min and Max
+// exactly).
 func UniquenessSummary(d core.Distance, set *core.SignatureSet, maxPairs int, seed int64) stats.Summary {
 	n := set.Len()
 	var acc stats.Accumulator
 	if n < 2 {
 		return acc.Summarize()
 	}
-	eng, _ := distmat.NewEngine(set, set, d, 0)
-	total := n * (n - 1)
-	if maxPairs <= 0 || total <= maxPairs {
-		idx := make([]int, n)
-		for i := range idx {
-			idx[i] = i
+	if total := n * (n - 1); maxPairs > 0 && total > maxPairs {
+		eng := distmat.NewPointwise(set, set, d)
+		rng := stats.NewRNG(seed)
+		for p := 0; p < maxPairs; p++ {
+			i := rng.Intn(n)
+			j := rng.Intn(n - 1)
+			if j >= i {
+				j++
+			}
+			acc.Add(eng.Dist(i, j))
 		}
-		distmat.MapRows(eng, idx, func(i int, row []float64) stats.Accumulator {
-			part := stats.Batch(row[:i])
-			part.Merge(stats.Batch(row[i+1:]))
-			return part
-		}, func(_ int, part stats.Accumulator) { acc.Merge(part) })
 		return acc.Summarize()
 	}
-	rng := stats.NewRNG(seed)
-	for p := 0; p < maxPairs; p++ {
-		i := rng.Intn(n)
-		j := rng.Intn(n - 1)
-		if j >= i {
-			j++
-		}
-		acc.Add(eng.Dist(i, j))
+	eng, _ := distmat.NewEngine(set, set, d, 0)
+	merge := func(_ int, part stats.Accumulator) { acc.Merge(part) }
+	if _, registered := core.KernelKindOf(d); registered {
+		distmat.MapTriangle(eng, func(i int, row distmat.Candidates) stats.Accumulator {
+			part := stats.Batch(row.Dist)
+			part.Merge(stats.Repeat(1, n-1-i-len(row.Cols)))
+			return part
+		}, merge)
+		acc.Merge(acc)
+		return acc.Summarize()
 	}
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	// Every column is a candidate, in order: row.Dist is the whole row.
+	distmat.MapRows(eng, idx, func(i int, row distmat.Candidates) stats.Accumulator {
+		part := stats.Batch(row.Dist[:i])
+		part.Merge(stats.Batch(row.Dist[i+1:]))
+		return part
+	}, merge)
 	return acc.Summarize()
 }
 
@@ -171,8 +187,9 @@ func SelfRetrievalQueries(d core.Distance, at, next *core.SignatureSet) []Query 
 // SelfRetrievalAUC is the Figure 3 statistic: mean per-node AUC of the
 // self-retrieval queries — MeanAUC(SelfRetrievalQueries(d, at, next))
 // bit for bit, with no query materialised: each engine row is counted in
-// the worker that computed it, its one positive the column of the row's
-// source, and the per-row AUCs are summed in row order.
+// the worker that computed it, over its candidates alone (selfAUC), its
+// one positive the column of the row's source, and the per-row AUCs are
+// summed in row order.
 func SelfRetrievalAUC(d core.Distance, at, next *core.SignatureSet) (float64, error) {
 	rows, cols := selfRetrievalRows(at, next)
 	if len(rows) == 0 {
@@ -185,8 +202,8 @@ func SelfRetrievalAUC(d core.Distance, at, next *core.SignatureSet) (float64, er
 	}
 	sum := 0.0
 	var err error
-	distmat.MapRows(eng, rows, func(t int, row []float64) rowAUC {
-		a, rowErr := selfAUC(row, cols[t])
+	distmat.MapRows(eng, rows, func(t int, row distmat.Candidates) rowAUC {
+		a, rowErr := selfAUC(row, cols[t], next.Len())
 		return rowAUC{a, rowErr}
 	}, func(t int, r rowAUC) {
 		if err == nil && r.err != nil {

@@ -193,12 +193,25 @@ func TestSetRetrievalQueries(t *testing.T) {
 	}
 }
 
+// hidden hides a registered distance from core.KernelKindOf: the same
+// numbers, with nothing assumed of them.
+type hidden struct{ core.Distance }
+
+// lopsided is a custom distance that is not symmetric: it reads only the
+// two lengths.
+type lopsided struct{}
+
+func (lopsided) Name() string                     { return "lopsided" }
+func (lopsided) Dist(a, b core.Signature) float64 { return float64((3*a.Len()+b.Len())%7) / 6 }
+
 // TestUniquenessSummaryWorkers: the exact summary has the same bits at
 // every worker count (the engine runs on GOMAXPROCS workers: as the test
 // found it, then 1, 2, 3 and 8) and for row counts around the engine's
-// 16-row block, and it agrees with a Welford chain over the naive
-// double loop — N, Min and Max exactly, Mean and StdDev to 1e-12
-// relative.
+// 16-row block, with empty signatures among the rows, and it agrees
+// with a Welford chain over the naive double loop — N, Min and Max
+// exactly, Mean and StdDev to 1e-12 relative. The registered distances
+// fold the triangle above the diagonal twice; a distance without a
+// kernel, symmetric or not, folds every ordered pair.
 func TestUniquenessSummaryWorkers(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(procs)
@@ -210,13 +223,13 @@ func TestUniquenessSummaryWorkers(t *testing.T) {
 		sigs := map[graph.NodeID]map[graph.NodeID]float64{}
 		for v := range n {
 			w := map[graph.NodeID]float64{}
-			for range 1 + rng.Intn(8) {
+			for range rng.Intn(9) { // none: an empty signature
 				w[graph.NodeID(100+rng.Intn(30))] = float64(1+rng.Intn(16)) / 4
 			}
 			sigs[graph.NodeID(v)] = w
 		}
 		set := makeSet(t, "tt", 0, sigs)
-		for _, d := range []core.Distance{core.Jaccard{}, core.ScaledHellinger{}} {
+		for _, d := range []core.Distance{core.Jaccard{}, core.ScaledHellinger{}, core.WeightedJaccard{}, hidden{core.Dice{}}, lopsided{}} {
 			var chain stats.Accumulator
 			for i := range set.Sigs {
 				for j := range set.Sigs {

@@ -10,6 +10,8 @@ import (
 	"math"
 	"slices"
 	"sort"
+
+	"graphsig/internal/distmat"
 )
 
 // Query is one ranked-retrieval evaluation: candidates scored by
@@ -115,22 +117,44 @@ func (c *aucCount) auc(positives, negatives int) float64 {
 	return u / (float64(positives) * float64(negatives))
 }
 
-// selfAUC is Query.AUC of the query whose scores are row and whose one
-// positive is column p, checked as Validate would check it.
-func selfAUC(row []float64, p int) (float64, error) {
-	var c aucCount
-	for j, s := range row {
-		if math.IsNaN(s) {
-			return 0, errNaNScore(j)
+// selfAUC is Query.AUC of the query over n columns whose one positive
+// is column p, given the row's candidates and checked as Validate would
+// check it. Only the candidates are compared: every other column is a
+// negative at exactly 1, which the positive wins against if it scores
+// below 1 and ties if it scores 1, so they are added in closed form.
+// Wins and ties are integers, so the AUC is the dense count's to the
+// bit.
+func selfAUC(row distmat.Candidates, p, n int) (float64, error) {
+	score, nan := 1.0, -1 // the positive's distance; the first NaN column
+	for k, j := range row.Cols {
+		if math.IsNaN(row.Dist[k]) && (nan < 0 || int(j) < nan) {
+			nan = int(j)
 		}
-		if j != p {
-			c.negative(row[p:p+1], s)
+		if int(j) == p {
+			score = row.Dist[k]
 		}
 	}
-	if len(row) < 2 {
+	if nan >= 0 {
+		return 0, errNaNScore(nan)
+	}
+	if n < 2 {
 		return 0, errNoNegative
 	}
-	return c.auc(1, len(row)-1), nil
+	var c aucCount
+	positive := [1]float64{score}
+	rest := n - 1 // negatives outside the candidates
+	for k, j := range row.Cols {
+		if int(j) != p {
+			c.negative(positive[:], row.Dist[k])
+			rest--
+		}
+	}
+	if score < 1 {
+		c.wins += rest
+	} else if score == 1 {
+		c.ties += rest
+	}
+	return c.auc(1, n-1), nil
 }
 
 // MeanAUC averages per-query AUC values, the statistic Figures 3 and 4

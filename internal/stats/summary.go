@@ -63,6 +63,17 @@ func Batch(xs []float64) Accumulator {
 	return Accumulator{n: len(xs), mean: mean, m2: m2, min: lo, max: hi}
 }
 
+// Repeat returns the accumulator of n observations all equal to x: mean
+// x and M2 0 exactly. Merged into a partial it adds a run of equal
+// values — the columns a row job resolves in closed form — without the
+// slice.
+func Repeat(x float64, n int) Accumulator {
+	if n <= 0 {
+		return Accumulator{}
+	}
+	return Accumulator{n: n, mean: x, min: x, max: x}
+}
+
 // Merge folds the observations of b into a, as if a had also seen them:
 // Chan et al.'s pairwise combine of the counts, means and M2s, with the
 // extremes combined exactly. The result agrees with one Add chain over

@@ -148,3 +148,34 @@ func TestAccumulatorMergeMatchesChain(t *testing.T) {
 		}
 	}
 }
+
+// TestAccumulatorMergeRepeatAndSelf: a run of equal values merges as the
+// slice of them does, bit for bit, and an accumulator merged with itself
+// counts every observation twice — N doubled, the mean, the variance and
+// the extremes unchanged, to the bit.
+func TestAccumulatorMergeRepeatAndSelf(t *testing.T) {
+	rng := NewRNG(9)
+	for trial := 0; trial < 200; trial++ {
+		xs := make([]float64, rng.Intn(50))
+		for i := range xs {
+			xs[i] = rng.Float64()
+		}
+		x := [...]float64{0, 1, 0.5}[trial%3]
+		run := make([]float64, rng.Intn(40))
+		for i := range run {
+			run[i] = x
+		}
+		got, want := Batch(xs), Batch(xs)
+		got.Merge(Repeat(x, len(run)))
+		want.Merge(Batch(run))
+		if got != want {
+			t.Fatalf("trial %d: Repeat(%v, %d) merged to %+v, the slice to %+v", trial, x, len(run), got, want)
+		}
+		twice := got
+		twice.Merge(got)
+		if twice.N() != 2*got.N() || twice.Mean() != got.Mean() || twice.Variance() != got.Variance() ||
+			twice.Min() != got.Min() || twice.Max() != got.Max() {
+			t.Fatalf("trial %d: merged with itself %+v, once %+v", trial, twice.Summarize(), got.Summarize())
+		}
+	}
+}
