@@ -112,9 +112,11 @@ segment-smoke:
 # where an accepted record must re-encode to the bytes consumed),
 # WAL frame recovery, the distance kernels (bit-identity vs the naive
 # loops), the segment reader (whole files through Open; single window
-# blocks, where an accepted block must re-encode to itself), and the
+# blocks, where an accepted block must re-encode to itself), the
 # snapshot's manifest and label-file parsers (each accepts only what
-# Save writes).
+# Save writes), and the exposition parser the router runs over shard
+# bodies (an accepted body must re-render through WriteFederated and
+# parse again to the same families).
 # Committed corpora under testdata/fuzz/ replay as regression cases in
 # the plain test suite; this also explores briefly (scripts/check.sh
 # passes FUZZTIME=15s).
@@ -129,6 +131,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeBlock -fuzztime $(FUZZTIME) ./internal/segment/
 	$(GO) test -run '^$$' -fuzz FuzzLoadManifest -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzLoadLabels -fuzztime $(FUZZTIME) ./internal/store/
+	$(GO) test -run '^$$' -fuzz FuzzParseExposition -fuzztime $(FUZZTIME) ./internal/obs/
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
@@ -191,11 +194,15 @@ bench-e2e-smoke:
 	$(GO) test -C bench ./...
 
 # Observability smoke: boot sigserverd in replay mode end to end. The
-# replay scrapes /metrics?format=prom, validates the exposition with
-# the obs line-format checker (requiring the serving histograms), and
-# fetches a trace from /v1/traces — all through the real HTTP stack.
+# replay scrapes /metrics through the client's one metrics call, which
+# parses the exposition (requiring the serving histograms), and fetches
+# a trace from /v1/traces — all through the real HTTP stack. Then the
+# series-reader gate: a primary, a follower and a router export only
+# families some test, tool, doc, benchmark or script names beyond the
+# file registering them; and /v1/traces's ?n= on a node and a router.
 obs-smoke:
 	$(GO) test -race -run 'TestReplayRunExits' ./cmd/sigserverd/
+	$(GO) test -race -run 'TestMetricSeriesHaveReaders|TestTracesParam' ./internal/cluster/
 
 tidy:
 	gofmt -l -w .

@@ -36,7 +36,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
-	"net/http/pprof"
+	_ "net/http/pprof" // registers /debug/pprof/* on http.DefaultServeMux, served on -debug-addr
 	"os"
 	"os/signal"
 	"strings"
@@ -165,13 +165,7 @@ func run(o options, out io.Writer) error {
 			return err
 		}
 		defer dln.Close()
-		dmux := http.NewServeMux()
-		dmux.HandleFunc("/debug/pprof/", pprof.Index)
-		dmux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		dmux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		dmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		dmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		go func() { _ = http.Serve(dln, dmux) }()
+		go func() { _ = http.Serve(dln, nil) }()
 		logger.Info("sigrouterd: pprof debug server on http://" + dln.Addr().String() + "/debug/pprof/")
 	}
 	hs := &http.Server{

@@ -7,7 +7,7 @@
 //	sigserverd -addr :8787 -window 120h -scheme tt -k 10 \
 //	    -snapshot /var/lib/sigserverd
 //
-// Endpoints (all JSON):
+// Endpoints (JSON but for /metrics):
 //
 //	POST /v1/flows              batch flow ingestion
 //	GET  /v1/signatures/{label} per-label signature history
@@ -16,7 +16,7 @@
 //	GET  /v1/watchlist/hits     recorded reappearance hits
 //	GET  /v1/anomalies          behaviour changes, last two windows
 //	GET  /healthz               liveness
-//	GET  /metrics               expvar-style counters
+//	GET  /metrics               Prometheus text exposition
 //
 // On SIGINT/SIGTERM the daemon drains HTTP, flushes the partial
 // window, and — when -snapshot is set — saves the store so a restart
@@ -37,7 +37,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
-	"net/http/pprof"
+	_ "net/http/pprof" // registers /debug/pprof/* on http.DefaultServeMux, served on -debug-addr
 	"os"
 	"os/signal"
 	"strings"
@@ -270,13 +270,7 @@ func run(o options, out io.Writer) error {
 			return err
 		}
 		defer dln.Close()
-		dmux := http.NewServeMux()
-		dmux.HandleFunc("/debug/pprof/", pprof.Index)
-		dmux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		dmux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		dmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		dmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		go func() { _ = http.Serve(dln, dmux) }()
+		go func() { _ = http.Serve(dln, nil) }()
 		logger.Info("sigserverd: pprof debug server on http://" + dln.Addr().String() + "/debug/pprof/")
 	}
 	hs := &http.Server{
@@ -486,12 +480,13 @@ func replay(o options, base string, logger *slog.Logger) error {
 	logger.Info(fmt.Sprintf("replay: ingested %d records (%d rejected), %d windows closed",
 		accepted, rejected, windows))
 
-	m, err := c.Metrics()
+	// Metrics parses the exposition: a malformed body fails here.
+	fams, err := c.Metrics()
 	if err != nil {
 		return err
 	}
-	for _, k := range []string{"flows_received", "flows_accepted", "windows_closed",
-		"http_requests_total", "request_micros_sum", "http_request_p99_micros"} {
+	m := obs.Totals(fams)
+	for _, k := range []string{"flows_received", "flows_accepted", "windows_closed", "http_requests_total"} {
 		logger.Info(fmt.Sprintf("replay: metric %s = %d", k, m[k]))
 	}
 	if m["flows_received"] != int64(len(data.Records)) {
@@ -500,35 +495,33 @@ func replay(o options, base string, logger *slog.Logger) error {
 	if m["flows_accepted"]+m["flows_dropped"]+m["flows_rejected"] != m["flows_received"] {
 		return fmt.Errorf("replay: inconsistent flow counters: %v", m)
 	}
-	return obsSmoke(c, logger)
+	return obsSmoke(c, fams, logger)
 }
 
 // obsSmoke validates the observability surface after a replay: the
-// Prometheus exposition parses and carries the serving stack's latency
-// histograms, and the trace ring holds the replay's ingest traces.
-func obsSmoke(c *server.Client, logger *slog.Logger) error {
-	text, err := c.MetricsProm()
-	if err != nil {
-		return err
-	}
-	families, err := obs.ValidateExposition(strings.NewReader(text))
-	if err != nil {
-		return fmt.Errorf("replay: invalid Prometheus exposition: %w", err)
-	}
+// exposition carries the serving stack's latency histograms, and the
+// trace ring holds the replay's ingest traces.
+func obsSmoke(c *server.Client, fams []obs.Family, logger *slog.Logger) error {
+	types := make(map[string]string, len(fams))
 	histograms := 0
-	for _, typ := range families {
-		if typ == "histogram" {
+	for _, f := range fams {
+		types[f.Name] = f.Type
+		if f.Type == "histogram" {
 			histograms++
+		}
+		if f.Name == "http_route_seconds" {
+			h := f.Histogram()
+			logger.Info(fmt.Sprintf("replay: metric http_route_seconds sum = %.6fs, p99 = %.6fs", h.Sum, h.Quantile(0.99)))
 		}
 	}
 	for _, name := range []string{"http_route_seconds", "wal_fsync_seconds",
 		"store_snapshot_save_seconds", "pipeline_window_close_seconds"} {
-		if families[name] != "histogram" {
-			return fmt.Errorf("replay: prom family %s is %q, want histogram", name, families[name])
+		if types[name] != "histogram" {
+			return fmt.Errorf("replay: prom family %s is %q, want histogram", name, types[name])
 		}
 	}
 	logger.Info("replay: prom exposition valid",
-		"families", len(families), "histograms", histograms)
+		"families", len(fams), "histograms", histograms)
 
 	traces, err := c.Traces(1)
 	if err != nil {

@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"graphsig/internal/server"
@@ -95,17 +94,20 @@ func runClient(cfg config, out io.Writer) error {
 		}
 		return nil
 	case "metrics":
-		m, err := c.Metrics()
+		fams, err := c.Metrics()
 		if err != nil {
 			return err
 		}
-		keys := make([]string, 0, len(m))
-		for k := range m {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(out, "%-22s %d\n", k, m[k])
+		// The exposition as served: families in order, samples verbatim.
+		for _, f := range fams {
+			fmt.Fprintf(out, "# HELP %s %s\n# TYPE %s %s\n", f.Name, f.Help, f.Name, f.Type)
+			for _, s := range f.Samples {
+				if s.Labels != "" {
+					fmt.Fprintf(out, "%s{%s} %v\n", s.Name, s.Labels, s.Value)
+				} else {
+					fmt.Fprintf(out, "%s %v\n", s.Name, s.Value)
+				}
+			}
 		}
 		return nil
 	case "health":

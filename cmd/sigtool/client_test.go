@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"graphsig/internal/netflow"
+	"graphsig/internal/obs"
 	"graphsig/internal/server"
 	"graphsig/internal/sketch"
 	"graphsig/internal/stream"
@@ -84,8 +85,11 @@ func TestClientSubcommandAgainstLiveServer(t *testing.T) {
 	if out := runOp(func(c *config) { c.op = "anomalies" }); !strings.Contains(out, "windows [0,1]") {
 		t.Fatalf("anomalies output: %q", out)
 	}
-	if out := runOp(func(c *config) { c.op = "metrics" }); !strings.Contains(out, "flows_received") {
+	// -op metrics prints the exposition, which parses again.
+	if out := runOp(func(c *config) { c.op = "metrics" }); !strings.Contains(out, "\nflows_received 6\n") {
 		t.Fatalf("metrics output: %q", out)
+	} else if _, err := obs.ParseExposition(strings.NewReader(out)); err != nil {
+		t.Fatalf("metrics output does not parse: %v\n%s", err, out)
 	}
 	if out := runOp(func(c *config) { c.op = "health" }); !strings.Contains(out, "ok:") {
 		t.Fatalf("health output: %q", out)

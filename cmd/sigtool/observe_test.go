@@ -1,11 +1,14 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"graphsig/internal/obs"
 	"graphsig/internal/server"
 	"graphsig/internal/sketch"
 	"graphsig/internal/stream"
@@ -51,21 +54,62 @@ func TestObservePollsMetrics(t *testing.T) {
 	}
 }
 
-func TestRenderObserveLineRates(t *testing.T) {
-	prev := map[string]int64{"flows_accepted": 100, "http_requests_total": 10}
-	cur := map[string]int64{
-		"flows_accepted": 300, "http_requests_total": 20,
-		"windows_closed": 2, "http_errors_total": 1,
-		"http_request_p50_micros": 40, "http_request_p90_micros": 90,
-		"http_request_p99_micros": 400,
+// scrape renders reg as GET /metrics serves it and parses it back.
+func scrape(t *testing.T, reg *obs.Registry) []obs.Family {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
 	}
-	line := renderObserveLine(cur, prev, 2*time.Second)
-	for _, want := range []string{"flows/s=100", "req/s=5.0", "windows=2", "errors=1", "p50=40us", "p99=400us"} {
-		if !strings.Contains(line, want) {
-			t.Fatalf("line %q missing %q", line, want)
+	fams, err := obs.ParseExposition(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fams
+}
+
+func TestRenderObserveLineRates(t *testing.T) {
+	before := obs.NewRegistry()
+	before.Counter("flows_accepted", "").Add(100)
+	before.Counter("http_requests_total", "").Add(10)
+
+	reg := obs.NewRegistry()
+	reg.Counter("flows_accepted", "").Add(300)
+	reg.Counter("http_requests_total", "").Add(20)
+	reg.Counter("windows_closed", "").Add(2)
+	reg.Counter("http_errors_total", "").Add(1)
+	routes := reg.HistogramVec("http_route_seconds", "", "route", nil)
+	for i, v := range []float64{40e-6, 35e-6, 90e-6, 400e-6, 2e-3, 12e-6, 60e-6, 41e-6, 300e-6, 5e-6} {
+		routes.With([]string{"post_v1_flows", "post_v1_search", "get_metrics"}[i%3]).Observe(v)
+	}
+	// The dashboard's quantiles are those of the route histograms
+	// merged bucket by bucket.
+	var merged obs.HistSnapshot
+	for _, route := range routes.Labels() {
+		snap := routes.With(route).Snapshot()
+		if merged.Counts == nil {
+			merged = obs.HistSnapshot{Bounds: snap.Bounds, Counts: make([]uint64, len(snap.Counts))}
+		}
+		for i, c := range snap.Counts {
+			merged.Counts[i] += c
+		}
+		merged.Count += snap.Count
+	}
+
+	line := renderObserveLine(scrape(t, reg), scrape(t, before), 2*time.Second)
+	want := []string{"flows/s=100", "req/s=5.0", "windows=2", "errors=1"}
+	for _, q := range []struct {
+		name string
+		q    float64
+	}{{"p50", 0.50}, {"p90", 0.90}, {"p99", 0.99}} {
+		want = append(want, fmt.Sprintf(" %s=%dus", q.name, int64(merged.Quantile(q.q)*1e6)))
+	}
+	for _, w := range want {
+		if !strings.Contains(line, w) {
+			t.Fatalf("line %q missing %q", line, w)
 		}
 	}
-	// A single-node snapshot carries no cluster metrics: no suffix.
+	// A single-node scrape carries no cluster metrics: no suffix.
 	if strings.Contains(line, "lag[") || strings.Contains(line, "promotions=") {
 		t.Fatalf("cluster suffix on a non-cluster line: %q", line)
 	}
@@ -79,16 +123,15 @@ func TestRenderObserveLineRates(t *testing.T) {
 	}
 }
 
-// TestRenderObserveLineSegmentSuffix: a tiered node's snapshot grows the
+// TestRenderObserveLineSegmentSuffix: a tiered node's scrape grows the
 // cold-tier columns; errors and quarantines only appear when nonzero.
 func TestRenderObserveLineSegmentSuffix(t *testing.T) {
-	cur := map[string]int64{
-		"store_segment_files":   4,
-		"store_segment_windows": 9,
-		"store_segment_loads":   12,
-		"store_segment_pruned":  2,
-	}
-	line := renderObserveLine(cur, nil, 0)
+	reg := obs.NewRegistry()
+	reg.GaugeFunc("store_segment_files", "", func() int64 { return 4 })
+	reg.GaugeFunc("store_segment_windows", "", func() int64 { return 9 })
+	reg.Counter("store_segment_loads", "").Add(12)
+	reg.Counter("store_segment_pruned", "").Add(2)
+	line := renderObserveLine(scrape(t, reg), nil, 0)
 	for _, want := range []string{"segs=4", "cold=9", "seg_reads=12", "seg_pruned=2"} {
 		if !strings.Contains(line, want) {
 			t.Fatalf("line %q missing %q", line, want)
@@ -98,25 +141,27 @@ func TestRenderObserveLineSegmentSuffix(t *testing.T) {
 		t.Fatalf("error column on a healthy line: %q", line)
 	}
 
-	cur["store_segment_errors"] = 1
-	cur["store_segment_quarantines"] = 1
-	line = renderObserveLine(cur, nil, 0)
+	reg.Counter("store_segment_errors", "").Add(1)
+	reg.Counter("store_segment_quarantines", "").Add(1)
+	line = renderObserveLine(scrape(t, reg), nil, 0)
 	if !strings.Contains(line, "seg_errors=1 seg_quarantined=1") {
 		t.Fatalf("line %q missing error columns", line)
 	}
 }
 
-// TestRenderObserveLineSearchSuffix: a snapshot with search traffic
-// grows the query/batch columns, including the batch route's
-// average latency from its per-route histogram.
+// TestRenderObserveLineSearchSuffix: a scrape with search traffic grows
+// the query/batch columns, including the batch route's average latency
+// from its per-route histogram.
 func TestRenderObserveLineSearchSuffix(t *testing.T) {
-	cur := map[string]int64{
-		"search_queries":                        40,
-		"batch_searches":                        3,
-		"route_post_v1_search_batch_requests":   3,
-		"route_post_v1_search_batch_micros_sum": 900,
+	reg := obs.NewRegistry()
+	reg.Counter("search_queries", "").Add(40)
+	reg.Counter("batch_searches", "").Add(3)
+	routes := reg.HistogramVec("http_route_seconds", "", "route", nil)
+	for _, v := range []float64{100e-6, 300e-6, 500e-6} {
+		routes.With("post_v1_search_batch").Observe(v)
 	}
-	line := renderObserveLine(cur, nil, 0)
+	routes.With("post_v1_search").Observe(1) // not a batch: left out of batch_avg
+	line := renderObserveLine(scrape(t, reg), nil, 0)
 	for _, want := range []string{"searches=40", "batches=3", "batch_avg=300us"} {
 		if !strings.Contains(line, want) {
 			t.Fatalf("line %q missing %q", line, want)
@@ -124,20 +169,23 @@ func TestRenderObserveLineSearchSuffix(t *testing.T) {
 	}
 }
 
-// TestRenderObserveLineClusterSuffix: a router snapshot with replication
+// TestRenderObserveLineClusterSuffix: a router scrape with replication
 // and failover metrics grows the per-shard lag / failover-read /
-// promotion columns, sorted by shard for a stable layout.
+// promotion columns, sorted by shard for a stable layout. The router
+// serves no request histogram, so its quantiles read 0us.
 func TestRenderObserveLineClusterSuffix(t *testing.T) {
-	cur := map[string]int64{
-		"replica_lag_bytes_1":      2048,
-		"replica_lag_bytes_0":      512,
-		"replica_behind_seconds_0": 3,
-		"failover_reads_total_0":   4,
-		"failover_reads_total_1":   1,
-		"promotions_total":         1,
-	}
-	line := renderObserveLine(cur, nil, 0)
-	for _, want := range []string{"lag[0]=512B/3s", "lag[1]=2048B", "failover_reads=5", "promotions=1"} {
+	reg := obs.NewRegistry()
+	reg.SetConstLabels(map[string]string{"role": "router", "ring_epoch": "7"})
+	lag := reg.GaugeVec("replica_lag_bytes", "", "shard")
+	lag.With("1").Set(2048)
+	lag.With("0").Set(512)
+	reg.GaugeVec("replica_behind_seconds", "", "shard").With("0").Set(3)
+	reads := reg.CounterVec("failover_reads_total", "", "shard")
+	reads.With("0").Add(4)
+	reads.With("1").Add(1)
+	reg.Counter("promotions_total", "").Add(1)
+	line := renderObserveLine(scrape(t, reg), nil, 0)
+	for _, want := range []string{"lag[0]=512B/3s", "lag[1]=2048B", "failover_reads=5", "promotions=1", "p50=0us p90=0us p99=0us"} {
 		if !strings.Contains(line, want) {
 			t.Fatalf("line %q missing %q", line, want)
 		}

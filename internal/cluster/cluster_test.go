@@ -415,24 +415,18 @@ func TestClusterNodeIdentity(t *testing.T) {
 	if ready.Node.Role != "primary" || ready.Node.Shard != 1 || ready.Node.Shards != 2 || ready.Node.RingEpoch != ring.Epoch() {
 		t.Fatalf("readyz identity %+v", ready.Node)
 	}
-	prom, err := c.MetricsProm()
+	fams, err := c.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`role="primary"`, `shard="1"`, fmt.Sprintf(`ring_epoch="%d"`, ring.Epoch())} {
-		if !containsStr(prom, want) {
-			t.Fatalf("prom exposition missing %s", want)
+	// Every sample carries the node's identity as const labels.
+	for _, f := range fams {
+		for _, s := range f.Samples {
+			if s.Label("role") != "primary" || s.Label("shard") != "1" || s.Label("ring_epoch") != fmt.Sprint(ring.Epoch()) {
+				t.Fatalf("sample %s{%s} lacks the node identity", s.Name, s.Labels)
+			}
 		}
 	}
-}
-
-func containsStr(haystack, needle string) bool {
-	for i := 0; i+len(needle) <= len(haystack); i++ {
-		if haystack[i:i+len(needle)] == needle {
-			return true
-		}
-	}
-	return false
 }
 
 // TestClusterFollowerCatchUp is the replication acceptance test: a
@@ -760,7 +754,7 @@ func TestClusterFailoverPromotion(t *testing.T) {
 	if len(sres.StaleShards) != 1 || sres.StaleShards[0].Shard != 0 {
 		t.Fatalf("failover search stale_shards = %+v, want shard 0", sres.StaleShards)
 	}
-	if got := rt.Registry().Snapshot()["failover_reads_total_0"]; got == 0 {
+	if got := rt.failoverReads.With("0").Value(); got == 0 {
 		t.Fatal("failover_reads_total did not move")
 	}
 

@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"net/http"
-	"strings"
 	"sync"
 
 	"graphsig/internal/obs"
@@ -33,18 +32,19 @@ func (rt *Router) handleFederate(w http.ResponseWriter, r *http.Request) {
 		Families: own,
 	}}
 
-	// Scrape every node concurrently. MetricsProm fails over across a
-	// node's seed addresses but not across nodes: a dead node is
-	// reported, not silently folded into the aggregates.
+	// Scrape every node concurrently. Metrics fails over across a
+	// node's seed addresses but not across nodes: a dead node, or one
+	// whose body does not parse, is reported, not silently folded into
+	// the aggregates.
 	nodes := rt.nodeClients()
-	texts := make([]string, len(nodes))
+	fams := make([][]obs.Family, len(nodes))
 	errs := make([]error, len(nodes))
 	var wg sync.WaitGroup
 	for i, nc := range nodes {
 		wg.Add(1)
 		go func(i int, nc nodeClient) {
 			defer wg.Done()
-			texts[i], errs[i] = nc.c.MetricsProm()
+			fams[i], errs[i] = nc.c.Metrics()
 		}(i, nc)
 	}
 	wg.Wait()
@@ -55,21 +55,15 @@ func (rt *Router) handleFederate(w http.ResponseWriter, r *http.Request) {
 			rt.logf("sigrouter: federate: scraping %s: %v", nc.name, errs[i])
 			continue
 		}
-		fams, err := obs.ParseExposition(strings.NewReader(texts[i]))
-		if err != nil {
-			rt.scrapeErrors.Add(1)
-			rt.logf("sigrouter: federate: parsing %s exposition: %v", nc.name, err)
-			continue
-		}
 		// Shard registries already stamp role/shard/ring_epoch const
 		// labels; the injection only fills in what a sample lacks —
 		// for these nodes, just the instance.
 		expositions = append(expositions, obs.NodeExposition{
 			Labels:   []obs.Label{{Name: "instance", Value: nc.name}},
-			Families: fams,
+			Families: fams[i],
 		})
 	}
 
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	w.Header().Set("Content-Type", obs.ContentType)
 	_ = obs.WriteFederated(w, expositions)
 }

@@ -26,7 +26,9 @@ func (rt *Router) routes() {
 	rt.mux.HandleFunc("GET /healthz", rt.handleHealth)
 	rt.mux.HandleFunc("GET /readyz", rt.handleReady)
 	rt.mux.HandleFunc("GET /v1/cluster/health", rt.handleClusterHealth)
-	rt.mux.HandleFunc("GET /v1/traces", rt.handleTraces)
+	rt.mux.HandleFunc("GET /v1/traces", func(w http.ResponseWriter, r *http.Request) {
+		server.WriteTraces(w, r, rt.tracer)
+	})
 	rt.mux.HandleFunc("GET /v1/traces/{id}", rt.handleTraceByID)
 	rt.mux.HandleFunc("GET /metrics", rt.handleMetrics)
 }
@@ -261,34 +263,14 @@ func (rt *Router) handleClusterHealth(w http.ResponseWriter, r *http.Request) {
 	server.WriteJSON(w, http.StatusOK, rt.prober.snapshot())
 }
 
+// handleMetrics serves the router's own registry as Prometheus text
+// exposition (a ?format=prom is ignored), or the whole cluster's with
+// ?federate=1.
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("federate") == "1" {
 		rt.handleFederate(w, r)
 		return
 	}
-	if r.URL.Query().Get("format") == "prom" {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = rt.registry.WritePrometheus(w)
-		return
-	}
-	server.WriteJSON(w, http.StatusOK, rt.registry.Snapshot())
-}
-
-// handleTraces serves the router's own recent-trace ring, mirroring the
-// shard endpoint's shape so sigtool observe works against either.
-func (rt *Router) handleTraces(w http.ResponseWriter, r *http.Request) {
-	n := 0 // whole ring
-	if ns := r.URL.Query().Get("n"); ns != "" {
-		v, err := strconv.Atoi(ns)
-		if err != nil || v < 0 {
-			server.WriteError(w, http.StatusBadRequest, "bad n parameter %q", ns)
-			return
-		}
-		n = v
-	}
-	traces := rt.tracer.Recent(n)
-	if traces == nil {
-		traces = []obs.TraceSnapshot{}
-	}
-	server.WriteJSON(w, http.StatusOK, server.TracesResponse{Total: rt.tracer.Total(), Traces: traces})
+	w.Header().Set("Content-Type", obs.ContentType)
+	_ = rt.registry.WritePrometheus(w)
 }

@@ -135,7 +135,7 @@ func TestProberStateMachine(t *testing.T) {
 		t.Fatalf("freshest selection %+v, want follower 1 at (2,8000)", tgt)
 	}
 	// Same-generation byte lag is published for the freshest follower.
-	if got := rt.Registry().Snapshot()["replica_lag_bytes_0"]; got != 1000 {
+	if got := p.lagBytes.With("0").Value(); got != 1000 {
 		t.Fatalf("replica_lag_bytes = %d, want 1000", got)
 	}
 
@@ -151,12 +151,11 @@ func TestProberStateMachine(t *testing.T) {
 	if tgt := p.target(0); !tgt.primaryDown {
 		t.Fatalf("primary not down after threshold: %+v", tgt)
 	}
-	snap := rt.Registry().Snapshot()
-	if got := snap["probe_failures_total_s0_primary"]; got != 3 {
+	if got := p.probeFails.With("s0/primary").Value(); got != 3 {
 		t.Fatalf("probe_failures for primary = %d, want 3", got)
 	}
 	// Healthy→Suspect and Suspect→Down.
-	if got := snap["health_transitions_total_s0_primary"]; got != 2 {
+	if got := p.transitions.With("s0/primary").Value(); got != 2 {
 		t.Fatalf("transitions for primary = %d, want 2", got)
 	}
 

@@ -13,6 +13,7 @@ import (
 
 	"graphsig/internal/datagen"
 	"graphsig/internal/netflow"
+	"graphsig/internal/obs"
 	"graphsig/internal/server"
 )
 
@@ -348,8 +349,9 @@ func TestFollowerOfARestartedPrimaryHoldsWatchEntriesOnce(t *testing.T) {
 		t.Helper()
 		catchUpToPrimary(t, f, pc)
 		for name, c := range map[string]*server.Client{"primary": pc, "follower": fc} {
-			if m, err := c.Metrics(); err != nil || m["watchlist_size"] != 1 {
-				t.Fatalf("%s: the %s holds %d watch entries (%v), want 1", when, name, m["watchlist_size"], err)
+			fams, err := c.Metrics()
+			if n := obs.Totals(fams)["watchlist_size"]; err != nil || n != 1 {
+				t.Fatalf("%s: the %s holds %d watch entries (%v), want 1", when, name, n, err)
 			}
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"graphsig/internal/datagen"
+	"graphsig/internal/obs"
 	"graphsig/internal/server"
 )
 
@@ -52,10 +53,11 @@ func TestRouterLabelResolveSkipsColdTier(t *testing.T) {
 	segmentLoads := func() (loads, coldWindows int64) {
 		t.Helper()
 		for _, c := range clients {
-			m, err := c.Metrics()
+			fams, err := c.Metrics()
 			if err != nil {
 				t.Fatal(err)
 			}
+			m := obs.Totals(fams)
 			loads += m["store_segment_loads"]
 			coldWindows += m["store_segment_windows"]
 		}

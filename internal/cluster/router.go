@@ -82,9 +82,7 @@ type Router struct {
 	tracer        *obs.Tracer
 	mux           *http.ServeMux
 	routedFlows   *obs.CounterVec // records routed, by shard
-	shardErrors   *obs.CounterVec // failed shard calls, by shard
 	failoverReads *obs.CounterVec // reads served by a follower, by shard
-	scatters      *obs.Counter    // scatter-gather fan-outs issued
 	partials      *obs.Counter    // fan-outs answered with shards_ok < shards_total
 	throttleWaits *obs.Counter    // routed ingest retries after shard 429s
 	httpRequests  *obs.Counter
@@ -139,9 +137,7 @@ func NewRouter(cfg Config) (*Router, error) {
 		"ring_epoch": strconv.FormatUint(ring.Epoch(), 10),
 	})
 	rt.routedFlows = rt.registry.CounterVec("routed_flows_total", "flow records routed, by shard", "shard")
-	rt.shardErrors = rt.registry.CounterVec("shard_errors_total", "failed shard calls, by shard", "shard")
 	rt.failoverReads = rt.registry.CounterVec("failover_reads_total", "reads served by a follower while the primary was down, by shard", "shard")
-	rt.scatters = rt.registry.Counter("scatter_queries", "scatter-gather fan-outs issued")
 	rt.partials = rt.registry.Counter("partial_results", "fan-outs answered with shards_ok < shards_total")
 	rt.throttleWaits = rt.registry.Counter("ingest_throttle_retries", "routed ingest retries after shard 429 responses")
 	rt.httpRequests = rt.registry.Counter("http_requests_total", "HTTP requests routed")
@@ -277,7 +273,6 @@ var errScatterTimeout = fmt.Errorf("cluster: shard missed the scatter deadline")
 // its span; the append lands on an already-archived trace and is
 // simply dropped with it.
 func scatter[T any](rt *Router, tr *obs.Trace, op string, shards []int, fn func(shard int, tc obs.TraceContext) (T, error)) []shardResult[T] {
-	rt.scatters.Add(1)
 	ch := make(chan shardResult[T], len(shards))
 	for _, s := range shards {
 		go func(s int) {
@@ -307,7 +302,6 @@ collect:
 			r = shardResult[T]{shard: s, err: errScatterTimeout}
 		}
 		if r.err != nil {
-			rt.shardErrors.With(strconv.Itoa(s)).Add(1)
 			rt.logf("sigrouter: shard %d: %v", s, r.err)
 		}
 		out = append(out, r)
@@ -723,7 +717,6 @@ func (rt *Router) anomalies(tr *obs.Trace, distance string, zCut float64) (Anoma
 		if r.val.FromWindow != resp.FromWindow || r.val.ToWindow != resp.ToWindow {
 			rt.logf("sigrouter: shard %d reports window pair (%d,%d), want (%d,%d); treating as degraded",
 				r.shard, r.val.FromWindow, r.val.ToWindow, resp.FromWindow, resp.ToWindow)
-			rt.shardErrors.With(strconv.Itoa(r.shard)).Add(1)
 			continue
 		}
 		resp.ShardsOK++

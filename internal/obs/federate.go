@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -50,14 +52,23 @@ type NodeExposition struct {
 }
 
 // ParseExposition parses the Prometheus text format as produced by
-// Registry.WritePrometheus (and by WriteFederated). Histogram sample
-// lines (name_bucket/name_sum/name_count) attach to their declared
-// family; samples with no preceding TYPE declaration become untyped
-// families of their own. Timestamps are dropped.
+// Registry.WritePrometheus (and by WriteFederated). It is the one
+// reader of exposition bytes in the module — the router runs it over
+// what shards send during federation — so it refuses anything outside
+// the grammar: comments other than # HELP and # TYPE, a TYPE that is
+// unknown, repeated or follows its family's samples, sample and family
+// names outside the metric-name grammar, label blocks that are not
+// comma-separated name="value" pairs, and anything after the value but
+// one integer timestamp.
+//
+// Histogram sample lines (name_bucket/name_sum/name_count) attach to
+// their declared family; samples with no preceding TYPE declaration
+// become untyped families of their own. Timestamps are dropped.
 func ParseExposition(r io.Reader) ([]Family, error) {
 	var (
 		families []Family
 		index    = make(map[string]int)
+		typed    = make(map[string]bool)
 	)
 	family := func(name string) *Family {
 		if i, ok := index[name]; ok {
@@ -97,49 +108,203 @@ func ParseExposition(r io.Reader) ([]Family, error) {
 		}
 		if strings.HasPrefix(line, "#") {
 			fields := strings.Fields(line)
-			if len(fields) < 3 {
-				return nil, fmt.Errorf("obs: federate: line %d: bad comment %q", lineNo, line)
+			if len(fields) < 3 || fields[0] != "#" || !validName(fields[2]) {
+				return nil, fmt.Errorf("obs: line %d: bad comment %q", lineNo, line)
 			}
 			switch fields[1] {
 			case "HELP":
 				f := family(fields[2])
-				f.Help = strings.TrimSpace(strings.TrimPrefix(line, fields[0]+" HELP "+fields[2]))
+				f.Help = strings.TrimSpace(strings.TrimPrefix(line, "# HELP "+fields[2]))
 			case "TYPE":
-				if len(fields) != 4 {
-					return nil, fmt.Errorf("obs: federate: line %d: bad TYPE line %q", lineNo, line)
+				f := family(fields[2])
+				if len(fields) != 4 || !knownType(fields[3]) || typed[f.Name] || len(f.Samples) > 0 {
+					return nil, fmt.Errorf("obs: line %d: bad TYPE line %q", lineNo, line)
 				}
-				family(fields[2]).Type = fields[3]
+				f.Type = fields[3]
+				typed[f.Name] = true
 			default:
-				return nil, fmt.Errorf("obs: federate: line %d: bad comment %q", lineNo, line)
+				return nil, fmt.Errorf("obs: line %d: bad comment %q", lineNo, line)
 			}
 			continue
 		}
-		name, rest, err := splitSample(line)
+		s, err := parseSample(line)
 		if err != nil {
-			return nil, fmt.Errorf("obs: federate: line %d: %v", lineNo, err)
+			return nil, fmt.Errorf("obs: line %d: %v", lineNo, err)
 		}
-		labels := ""
-		if brace := strings.IndexByte(line, '{'); brace != -1 && brace < len(line)-len(rest) {
-			end := strings.LastIndexByte(line[:len(line)-len(rest)], '}')
-			if end > brace {
-				labels = line[brace+1 : end]
-			}
-		}
-		fields := strings.Fields(rest)
-		if len(fields) < 1 {
-			return nil, fmt.Errorf("obs: federate: line %d: sample %q has no value", lineNo, line)
-		}
-		v, err := strconv.ParseFloat(fields[0], 64)
-		if err != nil {
-			return nil, fmt.Errorf("obs: federate: line %d: bad sample value %q", lineNo, fields[0])
-		}
-		f := sampleFamily(name)
-		f.Samples = append(f.Samples, Sample{Name: name, Labels: labels, Value: v})
+		f := sampleFamily(s.Name)
+		f.Samples = append(f.Samples, s)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("obs: federate: %w", err)
+		return nil, fmt.Errorf("obs: %w", err)
 	}
 	return families, nil
+}
+
+func knownType(t string) bool {
+	switch t {
+	case "counter", "gauge", "histogram", "summary", "untyped":
+		return true
+	}
+	return false
+}
+
+// parseSample reads one sample line: `name{labels} value [timestamp]`,
+// the label block optional.
+func parseSample(line string) (Sample, error) {
+	name, rest := line, ""
+	if i := strings.IndexAny(line, "{ "); i >= 0 {
+		name, rest = line[:i], line[i:]
+	}
+	if !validName(name) {
+		return Sample{}, fmt.Errorf("bad metric name %q", name)
+	}
+	s := Sample{Name: name}
+	if strings.HasPrefix(rest, "{") {
+		_, end, err := parseLabels(rest[1:])
+		if err != nil {
+			return Sample{}, fmt.Errorf("%v in %q", err, line)
+		}
+		if end+1 >= len(rest) {
+			return Sample{}, fmt.Errorf("unclosed label block in %q", line)
+		}
+		s.Labels, rest = rest[1:end+1], rest[end+2:]
+	}
+	fields := strings.Fields(rest)
+	if len(fields) < 1 || len(fields) > 2 {
+		return Sample{}, fmt.Errorf("want `value [timestamp]`, got %q", rest)
+	}
+	v, err := strconv.ParseFloat(fields[0], 64)
+	if err != nil {
+		return Sample{}, fmt.Errorf("bad sample value %q", fields[0])
+	}
+	if len(fields) == 2 {
+		if _, err := strconv.ParseInt(fields[1], 10, 64); err != nil {
+			return Sample{}, fmt.Errorf("bad timestamp %q", fields[1])
+		}
+	}
+	s.Value = v
+	return s, nil
+}
+
+// parseLabels reads comma-separated name="value" pairs from s up to a
+// closing brace or the end of s, whichever comes first, and reports
+// where it stopped. A backslash in a value escapes the byte after it;
+// a trailing comma is allowed.
+func parseLabels(s string) ([]Label, int, error) {
+	var out []Label
+	i := 0
+	for i < len(s) && s[i] != '}' {
+		eq := strings.IndexByte(s[i:], '=')
+		if eq < 0 || !validName(s[i:i+eq]) {
+			return nil, 0, fmt.Errorf("bad label name")
+		}
+		name := s[i : i+eq]
+		i += eq + 1
+		if i >= len(s) || s[i] != '"' {
+			return nil, 0, fmt.Errorf("unquoted value of label %q", name)
+		}
+		var val strings.Builder
+		for i++; i < len(s) && s[i] != '"'; i++ {
+			if s[i] == '\\' && i+1 < len(s) {
+				i++
+			}
+			val.WriteByte(s[i])
+		}
+		if i >= len(s) {
+			return nil, 0, fmt.Errorf("unterminated value of label %q", name)
+		}
+		i++ // past the closing quote
+		out = append(out, Label{Name: name, Value: val.String()})
+		switch {
+		case i < len(s) && s[i] == ',':
+			i++
+		case i < len(s) && s[i] != '}':
+			return nil, 0, fmt.Errorf("junk after label %q", name)
+		}
+	}
+	return out, i, nil
+}
+
+// parseLabelPairs splits a sample's rendered label block (`a="x",b="y"`,
+// no braces) into pairs.
+func parseLabelPairs(block string) ([]Label, error) {
+	pairs, end, err := parseLabels(block)
+	if err == nil && end != len(block) {
+		err = fmt.Errorf("brace inside label block %q", block)
+	}
+	return pairs, err
+}
+
+// Label reports the value of the sample's label name, "" when it has
+// none.
+func (s Sample) Label(name string) string {
+	pairs, _ := parseLabelPairs(s.Labels)
+	for _, p := range pairs {
+		if p.Name == name {
+			return p.Value
+		}
+	}
+	return ""
+}
+
+// Totals maps every counter and gauge family of one node's exposition
+// to the sum of its samples: the value itself for a plain series, the
+// total over label values for a vec. It is the parsed counterpart of
+// Registry.Snapshot; the module renders these families as integers.
+func Totals(fams []Family) map[string]int64 {
+	out := make(map[string]int64)
+	for _, f := range fams {
+		if f.Type != "counter" && f.Type != "gauge" {
+			continue
+		}
+		var sum float64
+		for _, s := range f.Samples {
+			sum += s.Value
+		}
+		out[f.Name] = int64(sum)
+	}
+	return out
+}
+
+// Histogram folds every series of one node's histogram family into one
+// snapshot: cumulative _bucket counts summed at each le bound across
+// label sets, _sum added up. The series of a registry's histogram vec
+// share their bounds and each observation lands in exactly one of
+// them, so the fold is the histogram that saw every observation — its
+// Quantile is the family-wide estimate. A non-histogram family folds
+// to the zero snapshot.
+func (f Family) Histogram() HistSnapshot {
+	var s HistSnapshot
+	if f.Type != "histogram" {
+		return s
+	}
+	cum := make(map[float64]float64)
+	for _, smp := range f.Samples {
+		switch smp.Name {
+		case f.Name + "_bucket":
+			if le, err := strconv.ParseFloat(smp.Label("le"), 64); err == nil {
+				cum[le] += smp.Value
+			}
+		case f.Name + "_sum":
+			s.Sum += smp.Value
+		}
+	}
+	les := make([]float64, 0, len(cum))
+	for le := range cum {
+		les = append(les, le)
+	}
+	sort.Float64s(les)
+	for _, le := range les {
+		// Clamped so a body whose buckets are not cumulative cannot
+		// make a bucket's count negative.
+		c := max(uint64(cum[le]), s.Count)
+		if !math.IsInf(le, 1) {
+			s.Bounds = append(s.Bounds, le)
+		}
+		s.Counts = append(s.Counts, c-s.Count)
+		s.Count = c
+	}
+	return s
 }
 
 // identityLabel reports whether a label names node identity rather than
@@ -152,52 +317,6 @@ func identityLabel(name string) bool {
 		return true
 	}
 	return false
-}
-
-// parseLabelPairs splits a rendered label block (`a="x",b="y"`) into
-// pairs, honoring escapes inside quoted values.
-func parseLabelPairs(s string) []Label {
-	var out []Label
-	i := 0
-	for i < len(s) {
-		eq := strings.IndexByte(s[i:], '=')
-		if eq < 0 {
-			break
-		}
-		name := strings.TrimSpace(s[i : i+eq])
-		i += eq + 1
-		if i >= len(s) || s[i] != '"' {
-			break
-		}
-		i++
-		var val strings.Builder
-		escaped := false
-		for i < len(s) {
-			c := s[i]
-			if escaped {
-				val.WriteByte(c)
-				escaped = false
-				i++
-				continue
-			}
-			if c == '\\' {
-				escaped = true
-				i++
-				continue
-			}
-			if c == '"' {
-				break
-			}
-			val.WriteByte(c)
-			i++
-		}
-		i++ // past the closing quote
-		out = append(out, Label{Name: name, Value: val.String()})
-		if i < len(s) && s[i] == ',' {
-			i++
-		}
-	}
-	return out
 }
 
 func renderLabelPairs(pairs []Label) string {
@@ -231,7 +350,8 @@ func hasLabelName(pairs []Label, name string) bool {
 //     sum exactly — the merge is lossless, not an approximation.
 //
 // Gauges are point-in-time per-node facts; they federate with identity
-// labels but are never summed. The output passes ValidateExposition.
+// labels but are never summed. The output parses with ParseExposition;
+// a sample whose label block does not is an error.
 func WriteFederated(w io.Writer, nodes []NodeExposition) error {
 	type nodeFamily struct {
 		node   int
@@ -278,7 +398,10 @@ func WriteFederated(w io.Writer, nodes []NodeExposition) error {
 		for _, p := range parts {
 			identity := nodes[p.node].Labels
 			for _, s := range p.family.Samples {
-				pairs := parseLabelPairs(s.Labels)
+				pairs, err := parseLabelPairs(s.Labels)
+				if err != nil {
+					return fmt.Errorf("obs: federate: %s: %v", s.Name, err)
+				}
 				inject := make([]Label, 0, len(identity))
 				for _, l := range identity {
 					if !hasLabelName(pairs, l.Name) {

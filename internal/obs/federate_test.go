@@ -127,9 +127,6 @@ func federateSamples(t *testing.T, nodes []NodeExposition) (string, map[string]f
 		t.Fatalf("WriteFederated: %v", err)
 	}
 	out := buf.String()
-	if _, err := ValidateExposition(strings.NewReader(out)); err != nil {
-		t.Fatalf("federated exposition invalid: %v\n%s", err, out)
-	}
 	fams, err := ParseExposition(strings.NewReader(out))
 	if err != nil {
 		t.Fatalf("reparsing federated output: %v", err)

@@ -8,6 +8,9 @@ import (
 	"strings"
 )
 
+// ContentType is the Content-Type of a text exposition body.
+const ContentType = "text/plain; version=0.0.4; charset=utf-8"
+
 // WritePrometheus renders the registry in the Prometheus text
 // exposition format (version 0.0.4): # HELP / # TYPE comments followed
 // by sample lines, histograms as cumulative _bucket{le=...} series plus
@@ -117,96 +120,4 @@ func formatFloat(v float64) string {
 func escapeHelp(s string) string {
 	s = strings.ReplaceAll(s, `\`, `\\`)
 	return strings.ReplaceAll(s, "\n", `\n`)
-}
-
-// ValidateExposition is a simple line-format checker for the
-// Prometheus text exposition: every line must be a # HELP or # TYPE
-// comment, blank, or a sample `name{labels} value [timestamp]` whose
-// name is grammatical, whose braces balance, and whose value parses as
-// a float. It returns family name → declared type for every # TYPE
-// seen. It is deliberately small — a smoke gate that catches malformed
-// output, not a full parser.
-func ValidateExposition(r io.Reader) (map[string]string, error) {
-	families := make(map[string]string)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			fields := strings.Fields(line)
-			if len(fields) < 3 || (fields[1] != "HELP" && fields[1] != "TYPE") {
-				return nil, fmt.Errorf("obs: line %d: bad comment %q", lineNo, line)
-			}
-			if fields[1] == "TYPE" {
-				if len(fields) != 4 {
-					return nil, fmt.Errorf("obs: line %d: bad TYPE line %q", lineNo, line)
-				}
-				switch fields[3] {
-				case "counter", "gauge", "histogram", "summary", "untyped":
-				default:
-					return nil, fmt.Errorf("obs: line %d: bad metric type %q", lineNo, fields[3])
-				}
-				families[fields[2]] = fields[3]
-			}
-			continue
-		}
-		name, rest, err := splitSample(line)
-		if err != nil {
-			return nil, fmt.Errorf("obs: line %d: %v", lineNo, err)
-		}
-		if !validName(name) {
-			return nil, fmt.Errorf("obs: line %d: bad metric name %q", lineNo, name)
-		}
-		fields := strings.Fields(rest)
-		if len(fields) < 1 || len(fields) > 2 {
-			return nil, fmt.Errorf("obs: line %d: want `value [timestamp]`, got %q", lineNo, rest)
-		}
-		if _, err := strconv.ParseFloat(fields[0], 64); err != nil {
-			return nil, fmt.Errorf("obs: line %d: bad sample value %q", lineNo, fields[0])
-		}
-		if len(fields) == 2 {
-			if _, err := strconv.ParseInt(fields[1], 10, 64); err != nil {
-				return nil, fmt.Errorf("obs: line %d: bad timestamp %q", lineNo, fields[1])
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("obs: %w", err)
-	}
-	return families, nil
-}
-
-// splitSample splits `name{labels} value...` into the metric name and
-// the remainder after the optional label block, checking that the label
-// block's quotes and braces are well-formed.
-func splitSample(line string) (name, rest string, err error) {
-	brace := strings.IndexByte(line, '{')
-	space := strings.IndexByte(line, ' ')
-	if brace == -1 || (space != -1 && space < brace) {
-		if space == -1 {
-			return "", "", fmt.Errorf("sample %q has no value", line)
-		}
-		return line[:space], line[space+1:], nil
-	}
-	name = line[:brace]
-	inQuote, escaped := false, false
-	for i := brace + 1; i < len(line); i++ {
-		c := line[i]
-		switch {
-		case escaped:
-			escaped = false
-		case inQuote && c == '\\':
-			escaped = true
-		case c == '"':
-			inQuote = !inQuote
-		case c == '}' && !inQuote:
-			return name, strings.TrimSpace(line[i+1:]), nil
-		}
-	}
-	return "", "", fmt.Errorf("unbalanced label braces in %q", line)
 }

@@ -249,7 +249,7 @@ func (r *Registry) GaugeVec(name, help, label string) *GaugeVec {
 // stays distinguishable per node. Pairs render sorted by name; label
 // names must be grammatical and must not collide with any vec family's
 // partition label, values are escaped. Calling again replaces the set;
-// an empty map clears it. The flat JSON Snapshot is unaffected.
+// an empty map clears it. Snapshot is unaffected.
 func (r *Registry) SetConstLabels(labels map[string]string) {
 	names := make([]string, 0, len(labels))
 	for name := range labels {
@@ -289,10 +289,11 @@ func (r *Registry) families() []*metric {
 	return append([]*metric(nil), r.order...)
 }
 
-// Snapshot renders every counter, gauge and gauge-func as a flat
-// name → value map — the backward-compatible JSON /metrics shape.
-// Histograms are omitted (their sums are float-valued); callers that
-// want histogram-derived keys add them explicitly with chosen units.
+// Snapshot maps every plain counter, gauge and gauge-func to its
+// value, for in-process readers (benchmarks, tests) that want a few
+// scalars without rendering the exposition. Vec families and histograms
+// are left out: read a vec through With(v).Value(), anything else
+// through WritePrometheus and ParseExposition.
 func (r *Registry) Snapshot() map[string]int64 {
 	out := make(map[string]int64)
 	for _, m := range r.families() {
@@ -305,34 +306,9 @@ func (r *Registry) Snapshot() map[string]int64 {
 			if m.gaugeFn != nil {
 				out[m.name] = m.gaugeFn()
 			}
-		case kindCounterVec:
-			// Flat-map form: one key per label value, value sanitized
-			// into the key grammar (shard indexes are already clean).
-			for _, v := range m.cvec.Labels() {
-				out[m.name+"_"+sanitizeKeyPart(v)] = m.cvec.With(v).Value()
-			}
-		case kindGaugeVec:
-			for _, v := range m.gvec.Labels() {
-				out[m.name+"_"+sanitizeKeyPart(v)] = m.gvec.With(v).Value()
-			}
 		}
 	}
 	return out
-}
-
-// sanitizeKeyPart maps an arbitrary label value into the snapshot key
-// grammar, replacing anything outside [a-zA-Z0-9_] with '_'.
-func sanitizeKeyPart(s string) string {
-	out := []byte(s)
-	for i := 0; i < len(out); i++ {
-		c := out[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '_':
-		default:
-			out[i] = '_'
-		}
-	}
-	return string(out)
 }
 
 // HistogramVec partitions a histogram family by one label value, e.g.

@@ -338,7 +338,10 @@ func (c *Client) jitterDuration(d time.Duration) time.Duration {
 	return time.Duration(c.jitter.Int63n(int64(d)))
 }
 
-func (c *Client) do(method, path string, body, out any) error {
+// do runs one API call through the retry and seed-rotation loop: body,
+// when non-nil, is sent as JSON, and decode reads a successful
+// response's body.
+func (c *Client) do(method, path string, body any, decode func(io.Reader) error) error {
 	var payload []byte
 	if body != nil {
 		var err error
@@ -349,7 +352,7 @@ func (c *Client) do(method, path string, body, out any) error {
 	}
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		retryAfter, err := c.once(method, path, payload, out)
+		retryAfter, err := c.once(method, path, payload, decode)
 		if err == nil {
 			return nil
 		}
@@ -376,7 +379,7 @@ const noRetry = "\x00permanent"
 // once performs a single HTTP exchange. The returned string is the
 // Retry-After header value ("" when absent) for retryable failures, or
 // noRetry for permanent ones.
-func (c *Client) once(method, path string, payload []byte, out any) (string, error) {
+func (c *Client) once(method, path string, payload []byte, decode func(io.Reader) error) (string, error) {
 	var reader io.Reader
 	if payload != nil {
 		reader = bytes.NewReader(payload)
@@ -412,13 +415,15 @@ func (c *Client) once(method, path string, payload []byte, out any) (string, err
 		}
 		return noRetry, apiErr
 	}
-	if out == nil {
-		return "", nil
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if err := decode(resp.Body); err != nil {
 		return noRetry, fmt.Errorf("client: %s %s: decoding response: %w", method, path, err)
 	}
 	return "", nil
+}
+
+// decodeJSON is do's body decoder for the JSON endpoints.
+func decodeJSON(out any) func(io.Reader) error {
+	return func(r io.Reader) error { return json.NewDecoder(r).Decode(out) }
 }
 
 // NewBatchID generates a random ingest batch ID ("" when the system
@@ -448,7 +453,7 @@ func (c *Client) IngestBatch(batchID string, records []netflow.Record) (IngestRe
 		req.Records[i] = RecordToJSON(r)
 	}
 	var out IngestResult
-	err := c.do(http.MethodPost, "/v1/flows", req, &out)
+	err := c.do(http.MethodPost, "/v1/flows", req, decodeJSON(&out))
 	return out, err
 }
 
@@ -496,14 +501,14 @@ func (c *Client) History(label string) (HistoryResponse, error) {
 // window bounds and limit; see HistoryQuery.
 func (c *Client) HistoryRange(label string, q HistoryQuery) (HistoryResponse, error) {
 	var out HistoryResponse
-	err := c.do(http.MethodGet, "/v1/signatures/"+url.PathEscape(label)+q.encode(), nil, &out)
+	err := c.do(http.MethodGet, "/v1/signatures/"+url.PathEscape(label)+q.encode(), nil, decodeJSON(&out))
 	return out, err
 }
 
 // Search runs a nearest-signature query.
 func (c *Client) Search(req SearchRequest) (SearchResponse, error) {
 	var out SearchResponse
-	err := c.do(http.MethodPost, "/v1/search", req, &out)
+	err := c.do(http.MethodPost, "/v1/search", req, decodeJSON(&out))
 	return out, err
 }
 
@@ -512,7 +517,7 @@ func (c *Client) Search(req SearchRequest) (SearchResponse, error) {
 // slot errors in the response, not as a call error.
 func (c *Client) SearchBatch(req BatchSearchRequest) (BatchSearchResponse, error) {
 	var out BatchSearchResponse
-	err := c.do(http.MethodPost, "/v1/search/batch", req, &out)
+	err := c.do(http.MethodPost, "/v1/search/batch", req, decodeJSON(&out))
 	return out, err
 }
 
@@ -520,14 +525,14 @@ func (c *Client) SearchBatch(req BatchSearchRequest) (BatchSearchResponse, error
 // individual key.
 func (c *Client) WatchlistAdd(req WatchlistAddRequest) (WatchlistAddResponse, error) {
 	var out WatchlistAddResponse
-	err := c.do(http.MethodPost, "/v1/watchlist", req, &out)
+	err := c.do(http.MethodPost, "/v1/watchlist", req, decodeJSON(&out))
 	return out, err
 }
 
 // WatchlistHits fetches the recorded hit log.
 func (c *Client) WatchlistHits() (WatchlistHitsResponse, error) {
 	var out WatchlistHitsResponse
-	err := c.do(http.MethodGet, "/v1/watchlist/hits", nil, &out)
+	err := c.do(http.MethodGet, "/v1/watchlist/hits", nil, decodeJSON(&out))
 	return out, err
 }
 
@@ -539,21 +544,26 @@ func (c *Client) Anomalies(zCut float64) (AnomaliesResponse, error) {
 		path += fmt.Sprintf("?z=%g", zCut)
 	}
 	var out AnomaliesResponse
-	err := c.do(http.MethodGet, path, nil, &out)
+	err := c.do(http.MethodGet, path, nil, decodeJSON(&out))
 	return out, err
 }
 
-// Metrics fetches the counter snapshot.
-func (c *Client) Metrics() (map[string]int64, error) {
-	var out map[string]int64
-	err := c.do(http.MethodGet, "/metrics", nil, &out)
-	return out, err
+// Metrics fetches the node's metric families: GET /metrics, parsed by
+// obs.ParseExposition. Like every JSON call it retries and fails over
+// across seeds, so metrics federation survives a dead seed.
+func (c *Client) Metrics() ([]obs.Family, error) {
+	var fams []obs.Family
+	err := c.do(http.MethodGet, "/metrics", nil, func(r io.Reader) (err error) {
+		fams, err = obs.ParseExposition(r)
+		return err
+	})
+	return fams, err
 }
 
 // Health fetches the liveness report.
 func (c *Client) Health() (HealthResponse, error) {
 	var out HealthResponse
-	err := c.do(http.MethodGet, "/healthz", nil, &out)
+	err := c.do(http.MethodGet, "/healthz", nil, decodeJSON(&out))
 	return out, err
 }
 
@@ -562,7 +572,7 @@ func (c *Client) Health() (HealthResponse, error) {
 // retries are exhausted.
 func (c *Client) Ready() (ReadyResponse, error) {
 	var out ReadyResponse
-	err := c.do(http.MethodGet, "/readyz", nil, &out)
+	err := c.do(http.MethodGet, "/readyz", nil, decodeJSON(&out))
 	return out, err
 }
 
@@ -574,7 +584,7 @@ func (c *Client) Traces(n int) (TracesResponse, error) {
 		path += fmt.Sprintf("?n=%d", n)
 	}
 	var out TracesResponse
-	err := c.do(http.MethodGet, path, nil, &out)
+	err := c.do(http.MethodGet, path, nil, decodeJSON(&out))
 	return out, err
 }
 
@@ -587,14 +597,14 @@ func (c *Client) Persistence(distance string) (PersistenceResponse, error) {
 		path += "?distance=" + url.QueryEscape(distance)
 	}
 	var out PersistenceResponse
-	err := c.do(http.MethodGet, path, nil, &out)
+	err := c.do(http.MethodGet, path, nil, decodeJSON(&out))
 	return out, err
 }
 
 // ReplicationStatus fetches the primary's WAL shipping state.
 func (c *Client) ReplicationStatus() (ReplicationStatusResponse, error) {
 	var out ReplicationStatusResponse
-	err := c.do(http.MethodGet, "/v1/replication/status", nil, &out)
+	err := c.do(http.MethodGet, "/v1/replication/status", nil, decodeJSON(&out))
 	return out, err
 }
 
@@ -658,70 +668,11 @@ func (c *Client) FetchWAL(gen int, from int64, max int) (WALChunk, error) {
 	return chunk, nil
 }
 
-// MetricsProm fetches the Prometheus text rendering of /metrics. It
-// runs through the same retry/rotate loop as the JSON calls — metrics
-// federation must survive a dead seed, not stop at the first one.
-func (c *Client) MetricsProm() (string, error) {
-	return c.doText("/metrics?format=prom")
-}
-
 // TraceByID fetches one retained trace by ID from the node's ring. A
 // node that never finished the trace (or has already evicted it)
 // answers 404, surfaced as an *APIError.
 func (c *Client) TraceByID(id string) (obs.TraceSnapshot, error) {
 	var out obs.TraceSnapshot
-	err := c.do(http.MethodGet, "/v1/traces/"+url.PathEscape(id), nil, &out)
+	err := c.do(http.MethodGet, "/v1/traces/"+url.PathEscape(id), nil, decodeJSON(&out))
 	return out, err
-}
-
-// doText is the retry/rotate loop for endpoints answering plain text
-// rather than JSON, with the same seed-failover policy as do.
-func (c *Client) doText(path string) (string, error) {
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		body, retryAfter, err := c.onceText(path)
-		if err == nil {
-			return body, nil
-		}
-		lastErr = err
-		if retryAfter == noRetry || attempt >= c.MaxRetries {
-			return "", lastErr
-		}
-		if APIStatus(err) == 0 {
-			c.markSeedDown()
-		} else {
-			c.rotateSeed()
-		}
-		time.Sleep(c.backoff(attempt, retryAfter))
-	}
-}
-
-// onceText performs a single text-body GET, mirroring once's
-// retryAfter/noRetry contract.
-func (c *Client) onceText(path string) (body, retryAfter string, err error) {
-	req, err := http.NewRequest(http.MethodGet, c.currentBase()+path, nil)
-	if err != nil {
-		return "", noRetry, fmt.Errorf("client: %w", err)
-	}
-	if c.trace.Valid() {
-		req.Header.Set(obs.TraceHeader, c.trace.String())
-	}
-	resp, err := c.HTTP.Do(req)
-	if err != nil {
-		return "", "", fmt.Errorf("client: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		apiErr := &APIError{Status: resp.StatusCode, Method: http.MethodGet, Path: path, Msg: resp.Status}
-		if retryable(resp.StatusCode) {
-			apiErr.RetryAfter = resp.Header.Get("Retry-After")
-			return "", apiErr.RetryAfter, apiErr
-		}
-		return "", noRetry, apiErr
-	}
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", "", fmt.Errorf("client: GET %s: reading body: %w", path, err)
-	}
-	return string(raw), "", nil
 }

@@ -169,10 +169,7 @@ func TestIngestRetryDedupsExactlyOnce(t *testing.T) {
 		t.Fatalf("accepted %d, want 2", res.Accepted)
 	}
 	// The flows counter must reflect exactly one application.
-	m, err := c.Metrics()
-	if err != nil {
-		t.Fatalf("metrics: %v", err)
-	}
+	m := metricTotals(t, c)
 	if got := m["flows_accepted"]; got != 2 {
 		t.Fatalf("flows_accepted = %d, want 2 (batch applied exactly once)", got)
 	}

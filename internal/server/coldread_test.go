@@ -82,10 +82,7 @@ func TestServerColdReadFailureIs5xx(t *testing.T) {
 	if _, err := c.Search(SearchRequest{Label: "10.0.0.1", K: 3, LastWindows: 2}); err != nil {
 		t.Fatalf("hot-ring search: %v", err)
 	}
-	m, err := c.Metrics()
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := metricTotals(t, c)
 	if m["store_segment_errors"] < 5 {
 		t.Fatalf("store_segment_errors = %d after five failed cold reads", m["store_segment_errors"])
 	}

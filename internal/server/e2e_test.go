@@ -148,10 +148,7 @@ func TestEndToEndEnterpriseServing(t *testing.T) {
 	}
 
 	// Metrics are consistent with the records sent.
-	m, err := c.Metrics()
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := metricTotals(t, c)
 	if m["flows_received"] != int64(len(data.Records)) {
 		t.Fatalf("flows_received = %d, sent %d", m["flows_received"], len(data.Records))
 	}

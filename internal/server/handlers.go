@@ -268,15 +268,17 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v1/persistence", s.handlePersistence)
 	s.mux.HandleFunc("GET /v1/replication/status", s.handleReplicationStatus)
 	s.mux.HandleFunc("GET /v1/replication/wal", s.handleReplicationWAL)
-	s.mux.HandleFunc("GET /v1/traces", s.handleTraces)
+	s.mux.HandleFunc("GET /v1/traces", func(w http.ResponseWriter, r *http.Request) {
+		WriteTraces(w, r, s.obs.tracer)
+	})
 	s.mux.HandleFunc("GET /v1/traces/{id}", s.handleTraceByID)
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /readyz", s.handleReady)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 }
 
-// instrument wraps the mux with request counting and latency
-// histograms — aggregate and per-route (see serverObs).
+// instrument wraps the mux with request counting and the per-route
+// latency histogram (see serverObs).
 func (s *Server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		begin := time.Now()
@@ -286,9 +288,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		if sw.Status >= 400 {
 			s.metrics.HTTPErrors.Add(1)
 		}
-		elapsed := time.Since(begin).Seconds()
-		s.obs.httpSeconds.Observe(elapsed)
-		s.obs.routeSeconds.With(routeName(r)).Observe(elapsed)
+		s.obs.routeSeconds.With(routeName(r)).ObserveSince(begin)
 	})
 }
 
@@ -877,7 +877,6 @@ type PersistenceResponse struct {
 }
 
 func (s *Server) handlePersistence(w http.ResponseWriter, r *http.Request) {
-	s.metrics.PersistenceQueries.Add(1)
 	tr := s.traceRemote(r, "persistence")
 	defer tr.Finish()
 	d, err := s.distanceFor(r.URL.Query().Get("distance"))
@@ -917,13 +916,4 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.RUnlock()
 	WriteJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "prom" {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = s.obs.registry.WritePrometheus(w)
-		return
-	}
-	WriteJSON(w, http.StatusOK, s.metricsJSON())
 }

@@ -5,12 +5,9 @@ import (
 )
 
 // metrics is the server's counter set, registered in the shared obs
-// registry under the same names the legacy flat-JSON /metrics body
-// used — so one family list renders both the backward-compatible JSON
-// shape and Prometheus text exposition. Counters (not gauges) so
-// scrapers can rate() them; latency lives in the request histograms
-// (see serverObs), with the legacy request_micros_sum key derived from
-// the aggregate histogram's sum.
+// registry and rendered by GET /metrics. Counters (not gauges) so
+// scrapers can rate() them; latency lives in the per-route request
+// histogram (see serverObs).
 type metrics struct {
 	FlowsReceived  *obs.Counter // records arriving at POST /v1/flows
 	FlowsAccepted  *obs.Counter // records the pipeline ingested
@@ -37,20 +34,10 @@ type metrics struct {
 	WALQuarantines      *obs.Counter // corrupt WALs renamed aside at boot
 	IngestThrottled     *obs.Counter // POST /v1/flows rejected with 429
 	BatchesDeduped      *obs.Counter // batch IDs answered from the dedup set
-
-	// Cluster-mode counters.
-	PersistenceQueries  *obs.Counter // GET /v1/persistence served
-	WALRotations        *obs.Counter // generations sealed at checkpoints (Replicate mode)
-	SegmentsPruned      *obs.Counter // sealed segments dropped by retention
-	ReplicationRequests *obs.Counter // GET /v1/replication/wal served
-	ReplicationBytes    *obs.Counter // WAL bytes shipped to followers
-	ReadOnlyRejected    *obs.Counter // mutating requests refused with 403
-	WatchEntriesLogged  *obs.Counter // watchlist entries framed into the WAL
 	Promotions          *obs.Counter // follower-to-primary promotions served
 }
 
-// newMetrics registers the counter set. The names double as the JSON
-// keys: Registry.Snapshot reproduces the pre-obs /metrics body.
+// newMetrics registers the counter set.
 func newMetrics(reg *obs.Registry) metrics {
 	return metrics{
 		FlowsReceived:  reg.Counter("flows_received", "records arriving at POST /v1/flows"),
@@ -77,14 +64,6 @@ func newMetrics(reg *obs.Registry) metrics {
 		WALQuarantines:      reg.Counter("wal_quarantines", "corrupt WALs renamed aside at boot"),
 		IngestThrottled:     reg.Counter("ingest_throttled", "ingest batches rejected with 429"),
 		BatchesDeduped:      reg.Counter("batches_deduped", "batch IDs answered from the dedup set"),
-
-		PersistenceQueries:  reg.Counter("persistence_queries", "GET /v1/persistence requests served"),
-		WALRotations:        reg.Counter("wal_rotations", "WAL generations sealed at checkpoints"),
-		SegmentsPruned:      reg.Counter("wal_segments_pruned", "sealed WAL segments dropped by retention"),
-		ReplicationRequests: reg.Counter("replication_requests", "GET /v1/replication/wal requests served"),
-		ReplicationBytes:    reg.Counter("replication_bytes", "WAL bytes shipped to followers"),
-		ReadOnlyRejected:    reg.Counter("readonly_rejected", "mutating requests refused with 403"),
-		WatchEntriesLogged:  reg.Counter("wal_watch_entries", "watchlist entries framed into the WAL"),
 		Promotions:          reg.Counter("promotions", "follower-to-primary promotions performed"),
 	}
 }

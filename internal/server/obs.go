@@ -16,15 +16,12 @@ const DefaultTraceCapacity = 64
 
 // serverObs bundles the server's observability surface: the shared
 // metric registry every layer records into, the request tracer, and
-// the HTTP latency histograms behind both /metrics renderings.
+// the per-route HTTP latency histogram. Every request is observed in
+// exactly one route, so folding the routes (obs.Family.Histogram) gives
+// the node's request latency.
 type serverObs struct {
-	registry *obs.Registry
-	tracer   *obs.Tracer
-
-	// httpSeconds aggregates request latency across routes — the source
-	// of the legacy request_micros_sum key and the p50/p90/p99 keys.
-	// routeSeconds partitions the same observations by route.
-	httpSeconds  *obs.Histogram
+	registry     *obs.Registry
+	tracer       *obs.Tracer
 	routeSeconds *obs.HistogramVec
 }
 
@@ -36,8 +33,6 @@ func newServerObs(logger *slog.Logger, slowOp time.Duration, traceCap int) *serv
 	return &serverObs{
 		registry: reg,
 		tracer:   obs.NewTracer(traceCap, slowOp, logger),
-		httpSeconds: reg.Histogram("http_request_seconds",
-			"HTTP request latency across all routes"),
 		routeSeconds: reg.HistogramVec("http_route_seconds",
 			"HTTP request latency by route", "route", nil),
 	}
@@ -93,22 +88,12 @@ func (s *Server) Registry() *obs.Registry { return s.obs.registry }
 // Tracer exposes the server's request tracer.
 func (s *Server) Tracer() *obs.Tracer { return s.obs.tracer }
 
-// metricsJSON renders the backward-compatible flat JSON /metrics body:
-// every registered counter and gauge under its legacy key, plus
-// histogram-derived latency keys in microseconds (int64, to keep the
-// body integer-valued as before).
-func (s *Server) metricsJSON() map[string]int64 {
-	out := s.obs.registry.Snapshot()
-	out["request_micros_sum"] = int64(s.obs.httpSeconds.Sum() * 1e6)
-	out["http_request_p50_micros"] = int64(s.obs.httpSeconds.Quantile(0.50) * 1e6)
-	out["http_request_p90_micros"] = int64(s.obs.httpSeconds.Quantile(0.90) * 1e6)
-	out["http_request_p99_micros"] = int64(s.obs.httpSeconds.Quantile(0.99) * 1e6)
-	for _, route := range s.obs.routeSeconds.Labels() {
-		h := s.obs.routeSeconds.With(route)
-		out["route_"+route+"_requests"] = int64(h.Count())
-		out["route_"+route+"_micros_sum"] = int64(h.Sum() * 1e6)
-	}
-	return out
+// handleMetrics serves the registry as Prometheus text exposition. A
+// ?format=prom is ignored, so scrape configs that still send it keep
+// working.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", obs.ContentType)
+	_ = s.obs.registry.WritePrometheus(w)
 }
 
 // ReadyResponse is the GET /readyz body.
@@ -157,7 +142,10 @@ type TracesResponse struct {
 	Traces []obs.TraceSnapshot `json:"traces"`
 }
 
-func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
+// WriteTraces answers GET /v1/traces from tr: the newest ?n= traces,
+// the whole ring without it, newest first. A bad n is a 400. The
+// cluster router serves its own ring through it too.
+func WriteTraces(w http.ResponseWriter, r *http.Request, tr *obs.Tracer) {
 	n := 0 // whole ring
 	if ns := r.URL.Query().Get("n"); ns != "" {
 		v, err := strconv.Atoi(ns)
@@ -167,11 +155,11 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		}
 		n = v
 	}
-	traces := s.obs.tracer.Recent(n)
+	traces := tr.Recent(n)
 	if traces == nil {
 		traces = []obs.TraceSnapshot{}
 	}
-	WriteJSON(w, http.StatusOK, TracesResponse{Total: s.obs.tracer.Total(), Traces: traces})
+	WriteJSON(w, http.StatusOK, TracesResponse{Total: tr.Total(), Traces: traces})
 }
 
 // handleTraceByID serves one retained trace from the ring — the

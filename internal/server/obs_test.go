@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"log/slog"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -12,13 +13,16 @@ import (
 	"graphsig/internal/obs"
 )
 
-// TestMetricsJSONSupersetAndProm: the JSON /metrics body keeps every
-// pre-obs key, and ?format=prom renders a valid exposition carrying
-// the serving stack's histogram families.
+// TestMetricsJSONSupersetAndProm: the exposition GET /metrics serves
+// carries every counter and gauge the retired flat-JSON body keyed,
+// with the registry's values, and the serving stack's histogram
+// families — the per-route request histogram is the only HTTP one, and
+// its fold stands in for the old request-latency keys. A ?format=prom
+// left in a scrape config gets the same body.
 func TestMetricsJSONSupersetAndProm(t *testing.T) {
 	cfg := testConfig()
 	cfg.SnapshotDir = t.TempDir() + "/snap" // exercise WAL + snapshot histograms
-	_, c, done := newTestServer(t, cfg)
+	s, c, done := newTestServer(t, cfg)
 	defer done()
 
 	// Ingest across a window boundary (WAL append, window close,
@@ -31,63 +35,74 @@ func TestMetricsJSONSupersetAndProm(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m, err := c.Metrics()
+	fams, err := c.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The complete pre-obs key set: removing any of these breaks
-	// existing scrapers.
+	m := obs.Totals(fams)
+	snap := s.Registry().Snapshot()
+	// The flat body's scalar keys, every one still a family.
 	legacy := []string{
 		"flows_received", "flows_accepted", "flows_dropped", "flows_rejected",
 		"windows_closed", "search_queries", "history_queries", "anomaly_queries",
 		"watchlist_adds", "watchlist_hits", "http_requests_total", "http_errors_total",
-		"request_micros_sum", "uptime_seconds",
+		"uptime_seconds",
 		"snapshot_saves", "snapshot_errors", "snapshot_quarantines",
 		"wal_appended_records", "wal_replayed_records", "wal_resets",
 		"wal_errors", "wal_quarantines", "ingest_throttled", "batches_deduped",
+		"store_windows",
 	}
 	for _, k := range legacy {
-		if _, ok := m[k]; !ok {
-			t.Errorf("JSON /metrics lost legacy key %q", k)
-		}
-	}
-	// New derived keys ride along.
-	for _, k := range []string{"http_request_p50_micros", "http_request_p99_micros",
-		"route_post_v1_flows_requests", "route_post_v1_flows_micros_sum", "store_windows"} {
-		if _, ok := m[k]; !ok {
-			t.Errorf("JSON /metrics missing new key %q (have %v)", k, m)
+		got, ok := m[k]
+		if !ok {
+			t.Errorf("exposition lost family %q", k)
+		} else if k != "uptime_seconds" && got != snap[k] {
+			t.Errorf("%s = %d in the exposition, %d in the registry", k, got, snap[k])
 		}
 	}
 	if m["flows_received"] != 6 || m["windows_closed"] != 1 || m["search_queries"] != 1 {
 		t.Fatalf("counters off: %v", m)
 	}
-	if m["request_micros_sum"] <= 0 {
-		t.Fatalf("request_micros_sum = %d, want > 0", m["request_micros_sum"])
+
+	types := make(map[string]string, len(fams))
+	var routes obs.Family
+	for _, f := range fams {
+		types[f.Name] = f.Type
+		if f.Name == "http_route_seconds" {
+			routes = f
+		}
 	}
-	if m["route_post_v1_flows_requests"] != 1 {
-		t.Fatalf("per-route count = %d, want 1", m["route_post_v1_flows_requests"])
+	for _, name := range []string{
+		"http_route_seconds", "wal_fsync_seconds",
+		"store_snapshot_save_seconds", "pipeline_window_close_seconds",
+		"store_search_probes", "distmat_row_seconds", "distmat_candidates",
+	} {
+		if types[name] != "histogram" {
+			t.Errorf("family %s = %q, want histogram", name, types[name])
+		}
+	}
+	for name, typ := range types {
+		if typ == "histogram" && strings.HasPrefix(name, "http_") && name != "http_route_seconds" {
+			t.Errorf("second HTTP latency histogram %s; fold http_route_seconds instead", name)
+		}
+	}
+	// The fold of the route histogram replaces request_micros_sum and
+	// the route_*_requests keys: the ingest and the search (a scrape is
+	// observed after its body is written).
+	if h := routes.Histogram(); h.Sum <= 0 || h.Count != 2 {
+		t.Fatalf("folded route histogram = %+v, want the 2 requests before the scrape", h)
+	}
+	if got := routeCount(fams, "post_v1_flows"); got != 1 {
+		t.Fatalf("post_v1_flows count = %v, want 1", got)
 	}
 
-	text, err := c.MetricsProm()
+	resp, err := http.Get(c.Base + "/metrics?format=prom")
 	if err != nil {
 		t.Fatal(err)
 	}
-	families, err := obs.ValidateExposition(strings.NewReader(text))
-	if err != nil {
-		t.Fatalf("prom exposition invalid: %v\n%s", err, text)
-	}
-	wantHist := []string{
-		"http_request_seconds", "http_route_seconds", "wal_fsync_seconds",
-		"store_snapshot_save_seconds", "pipeline_window_close_seconds",
-		"store_search_probes", "distmat_row_seconds", "distmat_candidates",
-	}
-	for _, name := range wantHist {
-		if families[name] != "histogram" {
-			t.Errorf("prom family %s = %q, want histogram", name, families[name])
-		}
-	}
-	if families["flows_received"] != "counter" || families["store_windows"] != "gauge" {
-		t.Fatalf("families = %v", families)
+	defer resp.Body.Close()
+	if _, err := obs.ParseExposition(resp.Body); err != nil || resp.Header.Get("Content-Type") != obs.ContentType {
+		t.Fatalf("?format=prom: %v, Content-Type %q", err, resp.Header.Get("Content-Type"))
 	}
 }
 

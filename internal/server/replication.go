@@ -87,7 +87,6 @@ func (s *Server) handleReplicationWAL(w http.ResponseWriter, r *http.Request) {
 		}
 		chunk = min(m, MaxReplicationChunk)
 	}
-	s.metrics.ReplicationRequests.Add(1)
 	// Adopt the follower's poll trace only when the poll actually ships
 	// bytes: finishing a trace per idle 5 ms poll would flood the
 	// bounded ring with empty entries. An unfinished trace is simply
@@ -171,7 +170,6 @@ func (s *Server) writeWALChunk(w http.ResponseWriter, gen int, sealed bool, size
 	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(data)
-	s.metrics.ReplicationBytes.Add(int64(len(data)))
 }
 
 // requireWritable gates a mutating handler in ReadOnly mode. It reads
@@ -181,7 +179,6 @@ func (s *Server) requireWritable(w http.ResponseWriter) bool {
 	if !s.readOnly.Load() {
 		return true
 	}
-	s.metrics.ReadOnlyRejected.Add(1)
 	role := "follower"
 	if id := s.Identity(); id != nil && id.Role != "" {
 		role = id.Role

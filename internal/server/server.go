@@ -4,8 +4,8 @@
 // each completed window's signature set lands in a bounded
 // internal/store ring, is screened against the watchlist, and becomes
 // queryable: per-label history, top-k nearest-signature search,
-// watchlist hits and anomaly detection, plus health and expvar-style
-// metrics endpoints.
+// watchlist hits and anomaly detection, plus health endpoints and the
+// Prometheus metrics exposition.
 //
 // Durability model (when SnapshotDir is set): accepted records of the
 // still-open window go to a CRC-framed write-ahead log (a sibling file
@@ -807,7 +807,6 @@ func (s *Server) walCommitLocked(runs [][]netflow.Record, marker *wal.BatchEntry
 	}
 	s.walOriginLogged = s.walOriginLogged || logOrigin
 	s.walWatchesLogged = len(s.watchWire)
-	s.metrics.WatchEntriesLogged.Add(int64(len(watches)))
 	for _, run := range runs {
 		s.metrics.WALAppendedRecords.Add(int64(len(run)))
 	}
@@ -925,7 +924,6 @@ func (s *Server) resetWALLocked() bool {
 		err = s.wal.Reset()
 	} else if err = s.wal.Rotate(walSegmentPath(s.wal.Path(), s.walGen)); err == nil {
 		s.walGen++
-		s.metrics.WALRotations.Add(1)
 		s.pruneSegmentsLocked()
 	}
 	if err != nil {
@@ -996,7 +994,6 @@ func (s *Server) pruneSegmentsLocked() {
 			s.logf("sigserver: pruning WAL segment g%08d: %v", g, err)
 			return
 		}
-		s.metrics.SegmentsPruned.Add(1)
 	}
 }
 

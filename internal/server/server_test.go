@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"graphsig/internal/netflow"
+	"graphsig/internal/obs"
 	"graphsig/internal/sketch"
 	"graphsig/internal/stream"
 )
@@ -180,10 +181,7 @@ func TestServerIngestQueryWatchlistAnomalies(t *testing.T) {
 	if h.Status != "ok" || h.Ingested != 8 || h.Windows != 2 || h.CurrentWindow != 2 {
 		t.Fatalf("health = %+v", h)
 	}
-	m, err := c.Metrics()
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := metricTotals(t, c)
 	if m["flows_received"] != 8 || m["flows_accepted"] != 8 || m["windows_closed"] != 2 {
 		t.Fatalf("metrics = %v", m)
 	}
@@ -316,17 +314,18 @@ func TestServerSearchBatch(t *testing.T) {
 	// Batch accounting: one batch_searches tick per decoded call (the
 	// unknown-distance refusal counts, the empty batch does not), one
 	// search_queries tick per slot.
-	m, err := c.Metrics()
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := metricTotals(t, c)
 	if m["batch_searches"] != 4 {
 		t.Fatalf("batch_searches = %d, want 4", m["batch_searches"])
 	}
 	if m["search_queries"] < int64(len(queries)+len(mixed)+2) {
 		t.Fatalf("search_queries = %d, want at least %d", m["search_queries"], len(queries)+len(mixed)+2)
 	}
-	if m["route_post_v1_search_batch_requests"] == 0 {
+	fams, err := c.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if routeCount(fams, "post_v1_search_batch") == 0 {
 		t.Fatal("batch route not in the per-route histogram family")
 	}
 }
@@ -416,16 +415,37 @@ func TestServerConcurrentIngestAndQuery(t *testing.T) {
 	}
 	wg.Wait()
 
-	m, err := c.Metrics()
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := metricTotals(t, c)
 	if m["flows_accepted"] == 0 || m["windows_closed"] == 0 || m["search_queries"] == 0 {
 		t.Fatalf("metrics after hammering = %v", m)
 	}
 	if m["flows_accepted"]+m["flows_dropped"]+m["flows_rejected"] != m["flows_received"] {
 		t.Fatalf("flow counters inconsistent: %v", m)
 	}
+}
+
+// metricTotals fetches GET /metrics through c and maps every counter
+// and gauge family to its value.
+func metricTotals(t *testing.T, c *Client) map[string]int64 {
+	t.Helper()
+	fams, err := c.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return obs.Totals(fams)
+}
+
+// routeCount reads the per-route latency histogram's count of one route
+// from a parsed exposition.
+func routeCount(fams []obs.Family, route string) float64 {
+	for _, f := range fams {
+		for _, s := range f.Samples {
+			if s.Name == "http_route_seconds_count" && s.Label("route") == route {
+				return s.Value
+			}
+		}
+	}
+	return 0
 }
 
 func newLabel(prefix string, i int) string {

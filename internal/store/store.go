@@ -20,7 +20,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"time"
 
 	"graphsig/internal/core"
 	"graphsig/internal/distmat"
@@ -124,14 +123,10 @@ type Store struct {
 type storeObs struct {
 	saveSeconds  *obs.Histogram // successful Save wall time
 	saveBytes    *obs.Counter   // bytes successful Saves wrote (new window files + manifest)
-	lshSeconds   *obs.Histogram // per-window LSH index build time
 	searchProbes *obs.Histogram // exact distance evaluations per Search
 
 	// Cold-tier counters (store_segment_*), live once AttachSegments
 	// enabled tiering.
-	segSaves       *obs.Counter // segment files written by compaction
-	segSaveBytes   *obs.Counter // bytes written into segment files
-	segCompacted   *obs.Counter // windows compacted out of the hot ring
 	segLoads       *obs.Counter // window blocks read back from segments
 	segQuarantines *obs.Counter // corrupt segment files renamed aside
 	segPruned      *obs.Counter // segment files deleted by retention
@@ -150,16 +145,8 @@ func (o *storeObs) bind(reg *obs.Registry) {
 		"wall time of successful snapshot saves")
 	o.saveBytes = reg.Counter("store_snapshot_save_bytes_total",
 		"bytes written by successful snapshot saves")
-	o.lshSeconds = reg.Histogram("store_lsh_index_seconds",
-		"LSH MinHash index build time per archived window")
 	o.searchProbes = reg.HistogramWith("store_search_probes",
 		"exact distance evaluations per search request", obs.CountBounds(24))
-	o.segSaves = reg.Counter("store_segment_saves",
-		"cold-tier segment files written by compaction")
-	o.segSaveBytes = reg.Counter("store_segment_save_bytes_total",
-		"bytes written into cold-tier segment files")
-	o.segCompacted = reg.Counter("store_segment_compacted_windows",
-		"windows compacted out of the hot ring into segments")
 	o.segLoads = reg.Counter("store_segment_loads",
 		"window blocks read back from cold-tier segments")
 	o.segQuarantines = reg.Counter("store_segment_quarantines",
@@ -236,8 +223,6 @@ func (s *Store) Add(set *core.SignatureSet) error {
 }
 
 func (s *Store) buildIndex(set *core.SignatureSet) (*lsh.Index, error) {
-	begin := time.Now()
-	defer s.obs.lshSeconds.ObserveSince(begin)
 	hasher, err := lsh.NewHasher(s.cfg.LSHBands*s.cfg.LSHRows, s.cfg.LSHSeed)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)

@@ -235,9 +235,6 @@ func (s *Store) compactLocked(over int) int {
 	}
 	t.segs = append(t.segs, seg)
 	t.last = seg.Last()
-	s.obs.segSaves.Add(1)
-	s.obs.segSaveBytes.Add(seg.Size())
-	s.obs.segCompacted.Add(int64(len(sets)))
 	s.pruneSegmentsLocked()
 	return over
 }

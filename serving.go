@@ -40,7 +40,7 @@ type (
 
 	// MetricsRegistry is the observability registry every serving layer
 	// records into: counters, gauges and log-bucketed histograms,
-	// rendered as flat JSON or Prometheus text (see SignatureServer's
+	// rendered as Prometheus text exposition (see SignatureServer's
 	// GET /metrics). Library users embedding a SignatureStore directly
 	// can pass their own via SignatureStoreConfig.Registry.
 	MetricsRegistry = obs.Registry
