@@ -114,9 +114,10 @@ segment-smoke:
 # loops), the segment reader (whole files through Open; single window
 # blocks, where an accepted block must re-encode to itself), the
 # snapshot's manifest and label-file parsers (each accepts only what
-# Save writes), and the exposition parser the router runs over shard
+# Save writes), the exposition parser the router runs over shard
 # bodies (an accepted body must re-render through WriteFederated and
-# parse again to the same families).
+# parse again to the same families), and the POST /v1/flows codec
+# (the reader against encoding/json, the writer against json.Marshal).
 # Committed corpora under testdata/fuzz/ replay as regression cases in
 # the plain test suite; this also explores briefly (scripts/check.sh
 # passes FUZZTIME=15s).
@@ -132,6 +133,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLoadManifest -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzLoadLabels -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzParseExposition -fuzztime $(FUZZTIME) ./internal/obs/
+	$(GO) test -run '^$$' -fuzz FuzzReadFlows -fuzztime $(FUZZTIME) ./internal/server/
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
@@ -151,8 +153,9 @@ bench:
 # commit of records alone and of records with their marker (syncs and
 # bytes a commit), a generation change by truncation and by rotation —,
 # one 100-record batch with an ID through the server onto real files
-# (ms and WAL syncs a batch), one 1 200-source window through the
-# pipeline at sigserverd's default sketch — every source sparse, and
+# (ms and WAL syncs a batch) and a 2 000-record batch through the
+# POST /v1/flows codec and through encoding/json, one 1 200-source
+# window through the pipeline at sigserverd's default sketch — every source sparse, and
 # with a Zipf head that goes dense — and the checkpoint of one window
 # close with and without new labels (all at the `wide` serving shape).
 # Then the read side's: one pass of
@@ -168,7 +171,7 @@ bench-smoke:
 	$(GO) run ./cmd/sigbench -experiment pairwise -scale 0.5
 	$(GO) test -run=^$$ -benchtime=1x -benchmem \
 		-bench 'BenchmarkWALOpen|BenchmarkWALAppend|BenchmarkWALGenerationChange' ./internal/wal/
-	$(GO) test -run=^$$ -benchtime=1x -benchmem -bench 'BenchmarkIngestSmallBatch' ./internal/server/
+	$(GO) test -run=^$$ -benchtime=1x -benchmem -bench 'BenchmarkIngestSmallBatch|BenchmarkFlowsCodec' ./internal/server/
 	$(GO) test -run=^$$ -benchtime=1x -benchmem -bench 'BenchmarkPipelineWindow' ./internal/stream/
 	$(GO) test -run=^$$ -benchtime=1x -benchmem -bench 'BenchmarkStoreSave' ./internal/store/
 	$(GO) test -run=^$$ -benchtime=1x -benchmem -bench 'BenchmarkAnalyticsPass' .

@@ -3,9 +3,11 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -864,5 +866,52 @@ func TestClusterFailoverPromotion(t *testing.T) {
 	}
 	if cj, rj := mustJSON(t, cano.Anomalies), mustJSON(t, rano.Anomalies); cj != rj {
 		t.Fatalf("post-promotion anomaly sets diverged:\ncluster: %s\nsingle:  %s", cj, rj)
+	}
+}
+
+// TestClusterPostRoutesRefuseTrailingBytes: every POST route of a node
+// and of the router reads exactly one JSON value. Whitespace may follow
+// it; anything else is a 400 instead of being ignored.
+func TestClusterPostRoutesRefuseTrailingBytes(t *testing.T) {
+	gcfg := datagen.DefaultEnterpriseConfig(5)
+	_, node := newTestNode(t, server.Config{Stream: testStreamConfig(gcfg), StoreCapacity: 4})
+	rt, err := NewRouter(Config{Shards: [][]string{{node.URL}}, Timeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	router := httptest.NewServer(rt.Handler())
+	defer router.Close()
+	// Window 0 closes with 10.0.0.1 in it, for the watchlist to find.
+	next := gcfg.Origin.Add(gcfg.WindowLength)
+	if _, err := server.NewClient(node.URL).Ingest([]netflow.Record{
+		{Src: "10.0.0.1", Dst: "198.18.0.1", Start: gcfg.Origin, Sessions: 1, Proto: netflow.TCP},
+		{Src: "10.0.0.2", Dst: "198.18.0.1", Start: next, Sessions: 1, Proto: netflow.TCP},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sig := `"signature":{"nodes":["198.18.0.1"],"weights":[1]}`
+	routes := []struct{ path, body string }{
+		{"/v1/flows", `{"records":[{"src":"10.0.0.1","dst":"198.18.0.1","start":"` + next.Format(time.RFC3339) + `","sessions":1}]}`},
+		{"/v1/search", `{` + sig + `,"k":1}`},
+		{"/v1/search/batch", `{"queries":[{` + sig + `,"k":1}]}`},
+		{"/v1/watchlist", `{"individual":"case-0","label":"10.0.0.1"}`},
+	}
+	for _, target := range []struct{ name, url string }{{"node", node.URL}, {"router", router.URL}} {
+		for _, r := range routes {
+			for _, c := range []struct {
+				suffix string
+				want   int
+			}{{" \n\t", http.StatusOK}, {" x", http.StatusBadRequest}, {"{}", http.StatusBadRequest}, {"]", http.StatusBadRequest}} {
+				resp, err := http.Post(target.url+r.path, "application/json", strings.NewReader(r.body+c.suffix))
+				if err != nil {
+					t.Fatal(err)
+				}
+				msg, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != c.want {
+					t.Errorf("%s POST %s with %q after the body: %d %s, want %d", target.name, r.path, c.suffix, resp.StatusCode, msg, c.want)
+				}
+			}
+		}
 	}
 }

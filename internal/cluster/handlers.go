@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"time"
 
-	"graphsig/internal/netflow"
 	"graphsig/internal/obs"
 	"graphsig/internal/server"
 )
@@ -66,20 +65,10 @@ func errStatus(err error, fallback int) int {
 }
 
 func (rt *Router) handleFlows(w http.ResponseWriter, r *http.Request) {
-	var req server.IngestRequest
-	if !server.DecodeJSON(w, r, &req) {
+	batchID, records, ok := server.ReadFlows(w, r)
+	if !ok {
 		return
 	}
-	records := make([]netflow.Record, 0, len(req.Records))
-	for i, rj := range req.Records {
-		rec, err := rj.Record()
-		if err != nil {
-			server.WriteError(w, http.StatusBadRequest, "record %d: %v", i, err)
-			return
-		}
-		records = append(records, rec)
-	}
-	batchID := req.BatchID
 	if batchID == "" {
 		// Without a client ID the router still stamps one so its own
 		// per-shard retries stay exactly-once; the client's retry of the

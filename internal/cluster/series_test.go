@@ -92,7 +92,7 @@ func TestMetricSeriesHaveReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	notReaders := map[string]bool{"CHANGES.md": true,"ROADMAP.md": true, "PAPERS.md": true, "SNIPPETS.md": true}
+	notReaders := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "PAPERS.md": true, "SNIPPETS.md": true}
 	mentions := make(map[string]map[string]bool) // word → files naming it
 	registers := make(map[string]map[string]bool)
 	word := regexp.MustCompile(`[A-Za-z_][A-Za-z0-9_]*`)

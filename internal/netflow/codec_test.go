@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -188,12 +189,54 @@ func TestProtoParse(t *testing.T) {
 			t.Fatalf("ParseProto(%q) = %v, %v", c.in, got, err)
 		}
 	}
-	for _, in := range []string{"", "icmpx", "300", "-1"} {
+	for _, in := range []string{"", "icmpx", "300", "-1",
+		"6abc", "6 7", " 17", "17 ", "0x11", "+6", "proto(", "proto(6", "proto()", "proto(300)", "proto( 6)"} {
 		if _, err := ParseProto(in); err == nil {
 			t.Fatalf("ParseProto(%q) accepted", in)
 		}
 	}
 	if TCP.String() != "tcp" || UDP.String() != "udp" || Proto(47).String() != "proto(47)" {
 		t.Fatal("Proto.String wrong")
+	}
+	for n := 0; n < 256; n++ {
+		if got, err := ParseProto(Proto(n).String()); err != nil || got != Proto(n) {
+			t.Fatalf("ParseProto(%q) = %v, %v; want %d", Proto(n).String(), got, err, n)
+		}
+	}
+	// So the text codec round-trips every protocol, not only tcp and udp.
+	records := sampleRecords()
+	records[1].Proto = Proto(47)
+	var buf bytes.Buffer
+	if err := WriteText(&buf, records); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ReadText(&buf); err != nil || !reflect.DeepEqual(got, records) {
+		t.Fatalf("text round trip of proto 47: %+v, %v", got, err)
+	}
+}
+
+// TestSessionsFitTheBinaryCodec: the binary codec (and so the WAL)
+// stores sessions in 32 bits, so Validate refuses a count above that
+// instead of letting it be logged truncated — as 0, a frame replay
+// refuses, or wrapped to a different count.
+func TestSessionsFitTheBinaryCodec(t *testing.T) {
+	rec := sampleRecords()[0]
+	rec.Sessions = math.MaxUint32
+	b, err := AppendRecordBinary(nil, &rec)
+	if err != nil {
+		t.Fatalf("sessions %d refused: %v", rec.Sessions, err)
+	}
+	got, n, err := DecodeRecordBinary(b)
+	if err != nil || n != len(b) || !reflect.DeepEqual(got, rec) {
+		t.Fatalf("round trip at the boundary: %+v, %d, %v", got, n, err)
+	}
+	for _, s := range []int{math.MaxUint32 + 1, math.MaxUint32 + 2} {
+		rec.Sessions = s
+		if err := rec.Validate(); err == nil {
+			t.Fatalf("sessions %d validated", s)
+		}
+		if out, err := AppendRecordBinary(nil, &rec); err == nil || len(out) != 0 {
+			t.Fatalf("sessions %d encoded: %d bytes, %v", s, len(out), err)
+		}
 	}
 }

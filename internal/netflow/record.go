@@ -7,6 +7,9 @@ package netflow
 
 import (
 	"fmt"
+	"math"
+	"strconv"
+	"strings"
 	"time"
 )
 
@@ -48,7 +51,9 @@ func (p Proto) String() string {
 	}
 }
 
-// ParseProto parses "tcp"/"udp" or a numeric protocol.
+// ParseProto parses "tcp"/"udp", a decimal protocol number, or the
+// "proto(N)" form String writes, so ParseProto(p.String()) == p for
+// every p.
 func ParseProto(s string) (Proto, error) {
 	switch s {
 	case "tcp", "TCP":
@@ -56,8 +61,12 @@ func ParseProto(s string) (Proto, error) {
 	case "udp", "UDP":
 		return UDP, nil
 	}
-	var n int
-	if _, err := fmt.Sscanf(s, "%d", &n); err != nil || n < 0 || n > 255 {
+	digits := s
+	if strings.HasPrefix(s, "proto(") && strings.HasSuffix(s, ")") {
+		digits = s[len("proto(") : len(s)-1]
+	}
+	n, err := strconv.ParseUint(digits, 10, 8)
+	if err != nil {
 		return 0, fmt.Errorf("netflow: invalid protocol %q", s)
 	}
 	return Proto(n), nil
@@ -76,6 +85,10 @@ func (r *Record) Validate() error {
 	}
 	if r.Sessions <= 0 {
 		return fmt.Errorf("netflow: record %s->%s has non-positive sessions %d", r.Src, r.Dst, r.Sessions)
+	}
+	// The binary codec, and with it the WAL, stores sessions in 32 bits.
+	if int64(r.Sessions) > math.MaxUint32 {
+		return fmt.Errorf("netflow: record %s->%s has sessions %d above %d", r.Src, r.Dst, r.Sessions, uint32(math.MaxUint32))
 	}
 	if r.Start.IsZero() {
 		return fmt.Errorf("netflow: record %s->%s has zero start time", r.Src, r.Dst)

@@ -338,18 +338,22 @@ func (c *Client) jitterDuration(d time.Duration) time.Duration {
 	return time.Duration(c.jitter.Int63n(int64(d)))
 }
 
-// do runs one API call through the retry and seed-rotation loop: body,
-// when non-nil, is sent as JSON, and decode reads a successful
-// response's body.
-func (c *Client) do(method, path string, body any, decode func(io.Reader) error) error {
-	var payload []byte
-	if body != nil {
-		var err error
-		payload, err = json.Marshal(body)
-		if err != nil {
-			return fmt.Errorf("client: %w", err)
-		}
+// doJSON is do with body, when non-nil, marshalled as the JSON payload.
+func (c *Client) doJSON(method, path string, body any, decode func(io.Reader) error) error {
+	if body == nil {
+		return c.do(method, path, nil, decode)
 	}
+	payload, err := json.Marshal(body)
+	if err != nil {
+		return fmt.Errorf("client: %w", err)
+	}
+	return c.do(method, path, payload, decode)
+}
+
+// do runs one API call through the retry and seed-rotation loop:
+// payload, when non-nil, is sent as the JSON body, and decode reads a
+// successful response's body.
+func (c *Client) do(method, path string, payload []byte, decode func(io.Reader) error) error {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		retryAfter, err := c.once(method, path, payload, decode)
@@ -448,12 +452,12 @@ func (c *Client) Ingest(records []netflow.Record) (IngestResult, error) {
 // pipelines that must keep the ID stable across their own retries (the
 // cluster router derives per-shard IDs from the client's parent ID).
 func (c *Client) IngestBatch(batchID string, records []netflow.Record) (IngestResult, error) {
-	req := IngestRequest{Records: make([]RecordJSON, len(records)), BatchID: batchID}
-	for i, r := range records {
-		req.Records[i] = RecordToJSON(r)
+	payload, err := AppendFlows(make([]byte, 0, 128*len(records)), batchID, records)
+	if err != nil {
+		return IngestResult{}, fmt.Errorf("client: %w", err)
 	}
 	var out IngestResult
-	err := c.do(http.MethodPost, "/v1/flows", req, decodeJSON(&out))
+	err = c.do(http.MethodPost, "/v1/flows", payload, decodeJSON(&out))
 	return out, err
 }
 
@@ -501,14 +505,14 @@ func (c *Client) History(label string) (HistoryResponse, error) {
 // window bounds and limit; see HistoryQuery.
 func (c *Client) HistoryRange(label string, q HistoryQuery) (HistoryResponse, error) {
 	var out HistoryResponse
-	err := c.do(http.MethodGet, "/v1/signatures/"+url.PathEscape(label)+q.encode(), nil, decodeJSON(&out))
+	err := c.doJSON(http.MethodGet, "/v1/signatures/"+url.PathEscape(label)+q.encode(), nil, decodeJSON(&out))
 	return out, err
 }
 
 // Search runs a nearest-signature query.
 func (c *Client) Search(req SearchRequest) (SearchResponse, error) {
 	var out SearchResponse
-	err := c.do(http.MethodPost, "/v1/search", req, decodeJSON(&out))
+	err := c.doJSON(http.MethodPost, "/v1/search", req, decodeJSON(&out))
 	return out, err
 }
 
@@ -517,7 +521,7 @@ func (c *Client) Search(req SearchRequest) (SearchResponse, error) {
 // slot errors in the response, not as a call error.
 func (c *Client) SearchBatch(req BatchSearchRequest) (BatchSearchResponse, error) {
 	var out BatchSearchResponse
-	err := c.do(http.MethodPost, "/v1/search/batch", req, decodeJSON(&out))
+	err := c.doJSON(http.MethodPost, "/v1/search/batch", req, decodeJSON(&out))
 	return out, err
 }
 
@@ -525,14 +529,14 @@ func (c *Client) SearchBatch(req BatchSearchRequest) (BatchSearchResponse, error
 // individual key.
 func (c *Client) WatchlistAdd(req WatchlistAddRequest) (WatchlistAddResponse, error) {
 	var out WatchlistAddResponse
-	err := c.do(http.MethodPost, "/v1/watchlist", req, decodeJSON(&out))
+	err := c.doJSON(http.MethodPost, "/v1/watchlist", req, decodeJSON(&out))
 	return out, err
 }
 
 // WatchlistHits fetches the recorded hit log.
 func (c *Client) WatchlistHits() (WatchlistHitsResponse, error) {
 	var out WatchlistHitsResponse
-	err := c.do(http.MethodGet, "/v1/watchlist/hits", nil, decodeJSON(&out))
+	err := c.doJSON(http.MethodGet, "/v1/watchlist/hits", nil, decodeJSON(&out))
 	return out, err
 }
 
@@ -544,7 +548,7 @@ func (c *Client) Anomalies(zCut float64) (AnomaliesResponse, error) {
 		path += fmt.Sprintf("?z=%g", zCut)
 	}
 	var out AnomaliesResponse
-	err := c.do(http.MethodGet, path, nil, decodeJSON(&out))
+	err := c.doJSON(http.MethodGet, path, nil, decodeJSON(&out))
 	return out, err
 }
 
@@ -553,7 +557,7 @@ func (c *Client) Anomalies(zCut float64) (AnomaliesResponse, error) {
 // across seeds, so metrics federation survives a dead seed.
 func (c *Client) Metrics() ([]obs.Family, error) {
 	var fams []obs.Family
-	err := c.do(http.MethodGet, "/metrics", nil, func(r io.Reader) (err error) {
+	err := c.doJSON(http.MethodGet, "/metrics", nil, func(r io.Reader) (err error) {
 		fams, err = obs.ParseExposition(r)
 		return err
 	})
@@ -563,7 +567,7 @@ func (c *Client) Metrics() ([]obs.Family, error) {
 // Health fetches the liveness report.
 func (c *Client) Health() (HealthResponse, error) {
 	var out HealthResponse
-	err := c.do(http.MethodGet, "/healthz", nil, decodeJSON(&out))
+	err := c.doJSON(http.MethodGet, "/healthz", nil, decodeJSON(&out))
 	return out, err
 }
 
@@ -572,7 +576,7 @@ func (c *Client) Health() (HealthResponse, error) {
 // retries are exhausted.
 func (c *Client) Ready() (ReadyResponse, error) {
 	var out ReadyResponse
-	err := c.do(http.MethodGet, "/readyz", nil, decodeJSON(&out))
+	err := c.doJSON(http.MethodGet, "/readyz", nil, decodeJSON(&out))
 	return out, err
 }
 
@@ -584,7 +588,7 @@ func (c *Client) Traces(n int) (TracesResponse, error) {
 		path += fmt.Sprintf("?n=%d", n)
 	}
 	var out TracesResponse
-	err := c.do(http.MethodGet, path, nil, decodeJSON(&out))
+	err := c.doJSON(http.MethodGet, path, nil, decodeJSON(&out))
 	return out, err
 }
 
@@ -597,14 +601,14 @@ func (c *Client) Persistence(distance string) (PersistenceResponse, error) {
 		path += "?distance=" + url.QueryEscape(distance)
 	}
 	var out PersistenceResponse
-	err := c.do(http.MethodGet, path, nil, decodeJSON(&out))
+	err := c.doJSON(http.MethodGet, path, nil, decodeJSON(&out))
 	return out, err
 }
 
 // ReplicationStatus fetches the primary's WAL shipping state.
 func (c *Client) ReplicationStatus() (ReplicationStatusResponse, error) {
 	var out ReplicationStatusResponse
-	err := c.do(http.MethodGet, "/v1/replication/status", nil, decodeJSON(&out))
+	err := c.doJSON(http.MethodGet, "/v1/replication/status", nil, decodeJSON(&out))
 	return out, err
 }
 
@@ -673,6 +677,6 @@ func (c *Client) FetchWAL(gen int, from int64, max int) (WALChunk, error) {
 // answers 404, surfaced as an *APIError.
 func (c *Client) TraceByID(id string) (obs.TraceSnapshot, error) {
 	var out obs.TraceSnapshot
-	err := c.do(http.MethodGet, "/v1/traces/"+url.PathEscape(id), nil, decodeJSON(&out))
+	err := c.doJSON(http.MethodGet, "/v1/traces/"+url.PathEscape(id), nil, decodeJSON(&out))
 	return out, err
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -44,6 +45,11 @@ type RecordJSON struct {
 }
 
 func (r RecordJSON) record() (netflow.Record, error) {
+	// A negative duration converts, for Validate to reject the record at
+	// ingest; one whose nanoseconds overflow would wrap to another.
+	if r.DurationMS > math.MaxInt64/int64(time.Millisecond) || r.DurationMS < math.MinInt64/int64(time.Millisecond) {
+		return netflow.Record{}, fmt.Errorf("duration_ms %d out of range", r.DurationMS)
+	}
 	proto := netflow.TCP
 	if r.Proto != "" {
 		p, err := netflow.ParseProto(r.Proto)
@@ -64,9 +70,8 @@ func (r RecordJSON) record() (netflow.Record, error) {
 	}, nil
 }
 
-// Record converts the wire record to its native form — exported for
-// the cluster router, which decodes batches once and re-partitions
-// them across shards.
+// Record converts the wire record to its native form, as ReadFlows
+// converts every record it reads.
 func (r RecordJSON) Record() (netflow.Record, error) { return r.record() }
 
 // RecordToJSON converts a flow record to its wire form.
@@ -321,12 +326,17 @@ func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
 // maxBodyBytes bounds request bodies (64 MiB: a generous flow batch).
 const maxBodyBytes = 64 << 20
 
-// DecodeJSON reads the request body into v, strictly (unknown fields are
-// errors); on failure it has already answered 400 and returns false.
+// DecodeJSON reads the request body into v, strictly (unknown fields and
+// anything but whitespace after the value are errors); on failure it
+// has already answered 400 and returns false.
 func DecodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	err := dec.Decode(v)
+	if _, tail := dec.Token(); err == nil && tail != io.EOF {
+		err = errors.New("data after the JSON value")
+	}
+	if err != nil {
 		WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return false
 	}
@@ -351,23 +361,14 @@ func (s *Server) handleFlows(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	var req IngestRequest
-	if !DecodeJSON(w, r, &req) {
+	batchID, records, ok := ReadFlows(w, r)
+	if !ok {
 		return
-	}
-	records := make([]netflow.Record, 0, len(req.Records))
-	for i, rj := range req.Records {
-		rec, err := rj.record()
-		if err != nil {
-			WriteError(w, http.StatusBadRequest, "record %d: %v", i, err)
-			return
-		}
-		records = append(records, rec)
 	}
 	_ = fault.Inject("server.ingest.hold") // test hook: park here while holding an in-flight slot
 	tr := s.startTrace(r, "ingest")
 	defer tr.Finish()
-	WriteJSON(w, http.StatusOK, s.ingestBatchTraced(tr, req.BatchID, records))
+	WriteJSON(w, http.StatusOK, s.ingestBatchTraced(tr, batchID, records))
 }
 
 // ParseHistoryQuery parses the from/to/limit query of a history GET —
