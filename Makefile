@@ -117,7 +117,8 @@ segment-smoke:
 # Save writes), the exposition parser the router runs over shard
 # bodies (an accepted body must re-render through WriteFederated and
 # parse again to the same families), and the POST /v1/flows codec
-# (the reader against encoding/json, the writer against json.Marshal).
+# (the reader against encoding/json and its runs, at a lowered
+# threshold, against the single parse; the writer against json.Marshal).
 # Committed corpora under testdata/fuzz/ replay as regression cases in
 # the plain test suite; this also explores briefly (scripts/check.sh
 # passes FUZZTIME=15s).
@@ -154,7 +155,8 @@ bench:
 # bytes a commit), a generation change by truncation and by rotation —,
 # one 100-record batch with an ID through the server onto real files
 # (ms and WAL syncs a batch) and a 2 000-record batch through the
-# POST /v1/flows codec and through encoding/json, one 1 200-source
+# POST /v1/flows codec and through what it replaced (decode, encode and
+# a loopback read of the body), one 1 200-source
 # window through the pipeline at sigserverd's default sketch — every source sparse, and
 # with a Zipf head that goes dense — and the checkpoint of one window
 # close with and without new labels (all at the `wide` serving shape).

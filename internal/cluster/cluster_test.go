@@ -915,3 +915,47 @@ func TestClusterPostRoutesRefuseTrailingBytes(t *testing.T) {
 		}
 	}
 }
+
+// spaces reads as endless blanks.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestClusterPostRoutesRefuseOversizedBodies: a body one byte over
+// server.MaxBodyBytes is a 413 on a node and on the router, through the
+// flows reader and through DecodeJSON alike.
+func TestClusterPostRoutesRefuseOversizedBodies(t *testing.T) {
+	gcfg := datagen.DefaultEnterpriseConfig(5)
+	_, node := newTestNode(t, server.Config{Stream: testStreamConfig(gcfg), StoreCapacity: 4})
+	rt, err := NewRouter(Config{Shards: [][]string{{node.URL}}, Timeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	router := httptest.NewServer(rt.Handler())
+	defer router.Close()
+	for _, target := range []struct{ name, url string }{{"node", node.URL}, {"router", router.URL}} {
+		for _, r := range []struct{ path, body string }{{"/v1/flows", `{"records":[]}`}, {"/v1/search", `{"label":"10.0.0.1","k":1}`}} {
+			n := int64(server.MaxBodyBytes + 1)
+			req, err := http.NewRequest(http.MethodPost, target.url+r.path,
+				io.MultiReader(strings.NewReader(r.body), io.LimitReader(spaces{}, n-int64(len(r.body)))))
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.ContentLength = n
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(msg), "request body too large") {
+				t.Errorf("%s POST %s of %d bytes: %d %s, want 413", target.name, r.path, n, resp.StatusCode, msg)
+			}
+		}
+	}
+}

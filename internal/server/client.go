@@ -452,7 +452,7 @@ func (c *Client) Ingest(records []netflow.Record) (IngestResult, error) {
 // pipelines that must keep the ID stable across their own retries (the
 // cluster router derives per-shard IDs from the client's parent ID).
 func (c *Client) IngestBatch(batchID string, records []netflow.Record) (IngestResult, error) {
-	payload, err := AppendFlows(make([]byte, 0, 128*len(records)), batchID, records)
+	payload, err := AppendFlows(make([]byte, 0, flowRecordBytes*(len(records)+1)), batchID, records)
 	if err != nil {
 		return IngestResult{}, fmt.Errorf("client: %w", err)
 	}
@@ -622,9 +622,10 @@ type WALChunk struct {
 }
 
 // FetchWAL reads up to max bytes (0 = server default) of WAL
-// generation gen starting at byte offset from. Unlike the JSON
-// methods it performs a single attempt — the replication loop owns its
-// own retry cadence — but a transport failure still rotates the seed.
+// generation gen starting at byte offset from; a longer chunk is an
+// error. Unlike the JSON methods it performs a single attempt — the
+// replication loop owns its own retry cadence — but a transport failure
+// still rotates the seed.
 func (c *Client) FetchWAL(gen int, from int64, max int) (WALChunk, error) {
 	path := fmt.Sprintf("/v1/replication/wal?gen=%d&from=%d", gen, from)
 	if max > 0 {
@@ -666,7 +667,11 @@ func (c *Client) FetchWAL(gen int, from int64, max int) (WALChunk, error) {
 	if chunk.Size, err = strconv.ParseInt(resp.Header.Get(HeaderWALSize), 10, 64); err != nil {
 		return WALChunk{}, fmt.Errorf("client: bad %s header %q", HeaderWALSize, resp.Header.Get(HeaderWALSize))
 	}
-	if chunk.Data, err = io.ReadAll(resp.Body); err != nil {
+	limit := int64(DefaultReplicationChunk)
+	if max > 0 {
+		limit = int64(max)
+	}
+	if chunk.Data, err = readBody(resp.Body, resp.ContentLength, limit); err != nil {
 		return WALChunk{}, fmt.Errorf("client: reading WAL chunk: %w", err)
 	}
 	return chunk, nil

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -214,5 +215,40 @@ func TestClientSeedFailover(t *testing.T) {
 	allDead.MaxRetries = 2
 	if _, err := allDead.Health(); err == nil {
 		t.Fatal("health against only dead seeds succeeded")
+	}
+}
+
+// TestFetchWALBoundedByMax: a WAL chunk is read whole up to the max the
+// follower asked for (the server's default when it asked for none), and
+// a longer one is an error, declared or not, instead of a larger buffer.
+func TestFetchWALBoundedByMax(t *testing.T) {
+	for _, tc := range []struct{ max, size int }{
+		{100, 0}, {100, 100}, {100, 101}, {0, DefaultReplicationChunk}, {0, DefaultReplicationChunk + 1},
+	} {
+		for _, declare := range []bool{true, false} {
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set(HeaderWALGen, "0")
+				w.Header().Set(HeaderWALSize, strconv.Itoa(tc.size))
+				if declare {
+					w.Header().Set("Content-Length", strconv.Itoa(tc.size))
+				}
+				w.WriteHeader(http.StatusOK)
+				w.(http.Flusher).Flush()
+				_, _ = w.Write(make([]byte, tc.size))
+			}))
+			chunk, err := NewClient(ts.URL).FetchWAL(0, 0, tc.max)
+			ts.Close()
+			limit := tc.max
+			if limit == 0 {
+				limit = DefaultReplicationChunk
+			}
+			if tc.size > limit {
+				if err == nil {
+					t.Errorf("max %d: a chunk of %d bytes (declared %v) read", tc.max, tc.size, declare)
+				}
+			} else if err != nil || len(chunk.Data) != tc.size {
+				t.Errorf("max %d: a chunk of %d bytes (declared %v) read as %d, %v", tc.max, tc.size, declare, len(chunk.Data), err)
+			}
+		}
 	}
 }

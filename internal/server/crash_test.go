@@ -573,20 +573,24 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 		t.Fatalf("batch ID not stable across retries: %q", ids)
 	}
 
-	// Permanent failures are not retried.
-	calls = 0
-	ts2 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls++
-		http.Error(w, `{"error":"bad request"}`, http.StatusBadRequest)
-	}))
-	defer ts2.Close()
-	c2 := NewClient(ts2.URL)
-	c2.RetryBackoff = time.Millisecond
-	if _, err := c2.Ingest(nil); err == nil {
-		t.Fatal("400 reported as success")
-	}
-	if calls != 1 {
-		t.Fatalf("400 retried: %d calls", calls)
+	// Permanent failures, an over-limit body's 413 among them, are not
+	// retried.
+	for _, status := range []int{http.StatusBadRequest, http.StatusRequestEntityTooLarge} {
+		calls = 0
+		ts2 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			calls++
+			WriteError(w, status, "refused")
+		}))
+		c2 := NewClient(ts2.URL)
+		c2.RetryBackoff = time.Millisecond
+		_, err := c2.Ingest(nil)
+		ts2.Close()
+		if APIStatus(err) != status {
+			t.Fatalf("%d reported as %v", status, err)
+		}
+		if calls != 1 {
+			t.Fatalf("%d retried: %d calls", status, calls)
+		}
 	}
 }
 

@@ -4,25 +4,37 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"graphsig/internal/netflow"
 )
 
+// flowsRunBytes is the least body ReadFlows splits into runs and the
+// least bytes a run is given: a goroutine costs more than a smaller run
+// saves. It is also where readBody's buffer starts for a long body.
+const flowsRunBytes = 64 << 10
+
+// flowRecordBytes is what one record takes in a body, rounded up: a
+// datagen record is 157 bytes. Client.IngestBatch sizes its buffer from
+// it.
+const flowRecordBytes = 192
+
 // ReadFlows reads a POST /v1/flows body straight into records, without
 // reflection; with AppendFlows it is the one flows codec, held to
 // encoding/json over IngestRequest and RecordJSON (DESIGN.md §7). On
-// failure it has already answered 400 — "bad request body: …" for a
-// body that is not a valid batch, "record N: …" for a record whose
-// fields do not convert — and returns ok false.
+// failure it has already answered — 413 for a body over MaxBodyBytes;
+// 400 "bad request body: …" for a body that is not a valid batch,
+// "record N: …" for a record whose fields do not convert — and returns
+// ok false.
 func ReadFlows(w http.ResponseWriter, r *http.Request) (batchID string, recs []netflow.Record, ok bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	body, err := readBody(http.MaxBytesReader(w, r.Body, MaxBodyBytes), r.ContentLength, MaxBodyBytes)
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
+		WriteError(w, bodyStatus(err), "bad request body: %v", err)
 		return "", nil, false
 	}
 	if batchID, recs, err = decodeFlows(body); err != nil {
@@ -32,14 +44,115 @@ func ReadFlows(w http.ResponseWriter, r *http.Request) (batchID string, recs []n
 	return batchID, recs, true
 }
 
-// decodeFlows parses a whole POST /v1/flows body. Its error is the 400's
-// message, and the rest is then to be ignored.
+// decodeFlows parses a whole POST /v1/flows body, its records in up to
+// GOMAXPROCS runs. Its error is the 400's message, and the rest is then
+// to be ignored.
 func decodeFlows(body []byte) (batchID string, recs []netflow.Record, err error) {
-	d := flowsReader{b: body}
+	return decodeFlowsRuns(body, runtime.GOMAXPROCS(0), flowsRunBytes)
+}
+
+// decodeFlowsRuns is decodeFlows with k = min(procs, len(body)/runBytes)
+// runs. Runs 2..k are decoded on their own goroutines while this one
+// parses the body as a single reader does; reaching the start of run 2
+// at a record boundary, it takes their records and goes on where the
+// last one stopped. A run that did not end exactly where the next one
+// begins, or met any error, is dropped, and this parse reads on through
+// its bytes itself: its records, or its error, are a single reader's.
+func decodeFlowsRuns(body []byte, procs, runBytes int) (batchID string, recs []netflow.Record, err error) {
+	d := flowsReader{b: body, join: -1}
+	if runs := cutRuns(body, min(procs, len(body)/runBytes)); len(runs) > 0 {
+		var wg sync.WaitGroup
+		for i := range runs {
+			wg.Add(1)
+			go func(r *flowRun) {
+				defer wg.Done()
+				r.decode(body)
+			}(&runs[i])
+		}
+		defer wg.Wait()
+		d.join = runs[0].start
+		d.runs = func() ([]flowRun, bool) {
+			wg.Wait()
+			for _, r := range runs {
+				if !r.ok {
+					return nil, false
+				}
+			}
+			return runs, true
+		}
+	}
 	if batchID, recs = d.request(); d.err != nil {
 		d.recErr = fmt.Errorf("bad request body: %w", d.err)
 	}
 	return batchID, recs, d.recErr
+}
+
+// flowRun is a run of whole records, body[start:end): runs 2..k of a
+// body. A run but the last ends before the comma that precedes the
+// next; the last runs to the body's end, and end is then set to where
+// its records stop.
+type flowRun struct {
+	start, end int
+	last       bool
+	recs       []netflow.Record
+	ok         bool
+}
+
+// flowsSep is what AppendFlows writes between two records.
+var flowsSep = []byte(`},{"`)
+
+// cutRuns cuts a body that starts as AppendFlows starts one into k runs
+// at the first record separator after each k-th of its bytes, and
+// returns runs 2..k: none when k < 2, the body starts otherwise, or no
+// separator follows. A cut may fall inside a string; the parse then
+// never meets it at a record boundary, and the runs go unused.
+func cutRuns(body []byte, k int) []flowRun {
+	if k < 2 || !bytes.HasPrefix(body, []byte(`{"records":[`)) {
+		return nil
+	}
+	var runs []flowRun
+	for j := 1; j < k; j++ {
+		from := j * len(body) / k
+		if n := len(runs); n > 0 {
+			from = max(from, runs[n-1].start)
+		}
+		at := bytes.Index(body[from:], flowsSep)
+		if at < 0 {
+			break
+		}
+		runs = append(runs, flowRun{start: from + at + len("},")})
+	}
+	for i := range runs {
+		if i+1 < len(runs) {
+			runs[i].end = runs[i+1].start - len(",")
+		} else {
+			runs[i].end, runs[i].last = len(body), true
+		}
+	}
+	return runs
+}
+
+// decode reads the run's records. It is ok when every record parsed and
+// converted and, but for the last run, the run ends exactly at its end.
+// The last one's records end at the first byte after a record that is
+// not a comma; whatever that byte is, the main parse reads on from it
+// as a single one would.
+func (r *flowRun) decode(body []byte) {
+	d := flowsReader{b: body[r.start:r.end], join: -1}
+	recs := make([]netflow.Record, 0, bytes.Count(d.b, flowsSep)+1)
+	for {
+		rec, err := d.record()
+		if d.err != nil || err != nil {
+			return
+		}
+		recs = append(recs, rec)
+		d.space()
+		if !d.peek(',') {
+			break
+		}
+		d.space()
+	}
+	r.ok, r.end, r.recs = r.last || d.i == len(d.b), r.start+d.i, recs
 }
 
 // flowsReader is a cursor over a body. Its first syntax or type error
@@ -49,6 +162,10 @@ type flowsReader struct {
 	b           []byte
 	i           int
 	err, recErr error
+	// join is where the records of runs, when it reports them ok, take
+	// over from this parse: the start of a run, or -1.
+	join int
+	runs func() ([]flowRun, bool)
 }
 
 func (d *flowsReader) request() (batchID string, recs []netflow.Record) {
@@ -77,31 +194,52 @@ func (d *flowsReader) request() (batchID string, recs []netflow.Record) {
 }
 
 // records reads the "records" value: an array of record objects, or
-// null for none. A null record is the zero RecordJSON.
+// null for none. Its slice is sized from the separators AppendFlows
+// writes, which a string may also hold: a count that is not exact costs
+// memory or a regrowth, not records.
 func (d *flowsReader) records() (recs []netflow.Record) {
 	if d.null() {
 		return nil
 	}
 	d.want('[')
+	if n := bytes.Count(d.b[d.i:], flowsSep); n > 0 {
+		recs = make([]netflow.Record, 0, n+1)
+	}
 	for d.space(); d.err == nil && !d.peek(']'); d.space() {
 		if len(recs) > 0 {
 			d.want(',')
 			d.space()
 		}
-		var rj RecordJSON
-		if !d.null() {
-			d.object(func(key []byte) { d.field(&rj, key) })
+		if d.i == d.join {
+			d.join = -1
+			if runs, ok := d.runs(); ok {
+				for _, r := range runs {
+					recs = append(recs, r.recs...)
+				}
+				d.i = runs[len(runs)-1].end
+				continue
+			}
 		}
+		rec, err := d.record()
 		if d.err != nil {
 			d.err = fmt.Errorf("record %d: %w", len(recs), d.err)
 		}
-		rec, err := rj.record()
 		if err != nil && d.recErr == nil {
 			d.recErr = fmt.Errorf("record %d: %w", len(recs), err)
 		}
 		recs = append(recs, rec)
 	}
 	return recs
+}
+
+// record reads one element of the records array and converts it. A
+// null record is the zero RecordJSON.
+func (d *flowsReader) record() (netflow.Record, error) {
+	var rj RecordJSON
+	if !d.null() {
+		d.object(func(key []byte) { d.field(&rj, key) })
+	}
+	return rj.record()
 }
 
 // field reads one record field's value into rj. Of a key given twice

@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"graphsig/internal/budget"
@@ -137,9 +139,11 @@ func exactKeys(body []byte) bool {
 // checkReader holds ReadFlows's decoding to the reference on one body:
 // whatever it accepts the reference accepts, with the same batch ID and
 // records, and it accepts whatever the reference does that has exact
-// keys and nothing after the value.
+// keys and nothing after the value. Its runs are held to one run at a
+// threshold low enough that any body of a few records is split.
 func checkReader(t *testing.T, body []byte) {
 	t.Helper()
+	checkRuns(t, body, 4, 32)
 	id, recs, err := decodeFlows(body)
 	wantID, want, wantErr := oracleFlows(body)
 	switch {
@@ -149,6 +153,18 @@ func checkReader(t *testing.T, body []byte) {
 		t.Fatalf("%q: read %q %+v, the reference %q %+v", body, id, recs, wantID, want)
 	case err != nil && wantErr == nil && json.Valid(body) && exactKeys(body):
 		t.Fatalf("refused %q, which the reference accepts: %v", body, err)
+	}
+}
+
+// checkRuns holds the reader at procs runs of at least runBytes to the
+// reader at one run: the same batch ID and records, or the same error.
+func checkRuns(t *testing.T, body []byte, procs, runBytes int) {
+	t.Helper()
+	id, recs, err := decodeFlowsRuns(body, 1, runBytes)
+	gotID, got, gotErr := decodeFlowsRuns(body, procs, runBytes)
+	if fmt.Sprint(gotErr) != fmt.Sprint(err) || err == nil && (gotID != id || !sameRecords(got, recs)) {
+		t.Fatalf("%d runs read %.200q as %q, %d records, %v; one run as %q, %d records, %v",
+			procs, body, gotID, len(got), gotErr, id, len(recs), err)
 	}
 }
 
@@ -218,6 +234,81 @@ func TestReadFlowsMatchesDecoder(t *testing.T) {
 	id, recs, err := decodeFlows(body)
 	if err != nil || id != "probe" || !sameRecords(recs, batch) {
 		t.Fatalf("the datagen batch read back as %q, %d records, %v", id, len(recs), err)
+	}
+}
+
+// TestReadFlowsRuns: a datagen batch decodes to the same batch ID and
+// records at 1, 2 and 4 runs, and at 2 and 4 every run is taken.
+func TestReadFlowsRuns(t *testing.T) {
+	batch := flowBatch(t)
+	body, err := AppendFlows(nil, "probe", batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{1, 2, 4} {
+		id, recs, err := decodeFlowsRuns(body, k, flowsRunBytes)
+		if err != nil || id != "probe" || !sameRecords(recs, batch) {
+			t.Fatalf("%d runs: read back as %q, %d records, %v", k, id, len(recs), err)
+		}
+		runs := cutRuns(body, min(k, len(body)/flowsRunBytes))
+		if len(runs) != k-1 {
+			t.Fatalf("%d runs: cut into %d", k, len(runs)+1)
+		}
+		n := 0
+		for i := range runs {
+			if runs[i].decode(body); !runs[i].ok {
+				t.Fatalf("%d runs: run %d refused", k, i+2)
+			}
+			n += len(runs[i].recs)
+		}
+		if k > 1 && (n == 0 || n >= len(batch)) {
+			t.Fatalf("%d runs: runs 2..%d hold %d of %d records", k, k, n, len(batch))
+		}
+	}
+}
+
+// TestReadFlowsRunMutations: a body with one byte changed reads at four
+// runs exactly as at one — the same records or the same error string.
+// In a 32-record body cut at a low threshold, where every byte lies
+// within 2 KB of a cut, each byte is changed in turn; in the 2 000-record
+// batch at the real threshold, random bytes are.
+func TestReadFlowsRunMutations(t *testing.T) {
+	batch := flowBatch(t)
+	rng := rand.New(rand.NewSource(1))
+	const subst = `}{,":] \\x0n-`
+	for _, c := range []struct{ records, runBytes, random int }{{32, 512, 0}, {len(batch), flowsRunBytes, 100}} {
+		body, err := AppendFlows(nil, "probe", batch[:c.records])
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs := cutRuns(body, min(4, len(body)/c.runBytes))
+		if len(runs) != 3 {
+			t.Fatalf("%d records cut into %d runs, want 4", c.records, len(runs)+1)
+		}
+		var at []int
+		if c.random == 0 {
+			for i := range body {
+				near := false
+				for _, r := range runs {
+					near = near || i-r.start < 2048 && r.start-i < 2048
+				}
+				if !near {
+					t.Fatalf("byte %d is 2 KB from every cut of %d records", i, c.records)
+				}
+				at = append(at, i)
+			}
+		}
+		for n := 0; n < c.random; n++ {
+			at = append(at, rng.Intn(len(body)))
+		}
+		m := make([]byte, len(body))
+		for _, i := range at {
+			copy(m, body)
+			if m[i] = subst[i%len(subst)]; m[i] == body[i] {
+				m[i] = byte(rng.Intn(256))
+			}
+			checkRuns(t, m, 4, c.runBytes)
+		}
 	}
 }
 
@@ -351,7 +442,9 @@ func TestCrashKeepsRecordsAfterOversizedSessions(t *testing.T) {
 
 // TestReadFlowsAllocBudget: reading a 2 000-record batch allocates its
 // records' two labels and little else — under 3 allocations a record
-// (2.0 measured; encoding/json and the conversion made 3.0).
+// (2.0 measured; encoding/json and the conversion made 3.0), at one run
+// and at four. Reading the body takes a buffer for each doubling from
+// 64 KiB to its length, whether or not the length is declared.
 func TestReadFlowsAllocBudget(t *testing.T) {
 	budget.SkipUnderRace(t)
 	batch := flowBatch(t)
@@ -371,17 +464,91 @@ func TestReadFlowsAllocBudget(t *testing.T) {
 	if n != len(batch) || allocs > 3*float64(n) {
 		t.Fatalf("reading %d records allocates %.0f times; budget %d", n, allocs, 3*len(batch))
 	}
+	allocs, _ = budget.PerRun(5, func() {
+		_, recs, err := decodeFlowsRuns(body, 4, flowsRunBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n = len(recs)
+	})
+	if n != len(batch) || allocs > 3*float64(n) {
+		t.Fatalf("decoding %d records in 4 runs allocates %.0f times; budget %d", n, allocs, 3*len(batch))
+	}
+	buffers := 1
+	for size := flowsRunBytes; size <= len(body); size *= 2 {
+		buffers++
+	}
+	var r bytes.Reader
+	for _, declared := range []int64{int64(len(body)), -1} {
+		allocs, _ = budget.PerRun(5, func() {
+			r.Reset(body)
+			if got, err := readBody(&r, declared, MaxBodyBytes); err != nil || len(got) != len(body) {
+				t.Fatalf("read %d of %d bytes: %v", len(got), len(body), err)
+			}
+		})
+		if allocs > float64(buffers) {
+			t.Fatalf("reading %d bytes of declared length %d allocates %.0f times; budget %d", len(body), declared, allocs, buffers)
+		}
+	}
+}
+
+// TestReadBody: readBody reads any length, declared or not, up to its
+// limit and refuses one byte more, or a declared length over it unread;
+// a declared length that differs from what arrives changes only the
+// buffers it takes.
+func TestReadBody(t *testing.T) {
+	const limit = 300 << 10
+	data := bytes.Repeat([]byte("0123456789abcdef"), limit/16+1)
+	for _, n := range []int{0, 1, flowsRunBytes - 1, flowsRunBytes, flowsRunBytes + 1, 200 << 10, limit, limit + 1} {
+		for _, declared := range []int64{int64(n), -1, 0, int64(n) / 2, int64(n) + 7, 1 << 40} {
+			got, err := readBody(iotest.HalfReader(bytes.NewReader(data[:n])), declared, limit)
+			if n > limit || declared > limit {
+				if bodyStatus(err) != http.StatusRequestEntityTooLarge {
+					t.Fatalf("%d bytes (declared %d) over a limit of %d: %v", n, declared, limit, err)
+				}
+				continue
+			}
+			if err != nil || !bytes.Equal(got, data[:n]) {
+				t.Fatalf("%d bytes (declared %d): read %d, %v", n, declared, len(got), err)
+			}
+		}
+	}
 }
 
 // BenchmarkFlowsCodec runs a 2 000-record datagen batch through each half
-// of the flows codec and through encoding/json, which the codec
-// replaced: decode is the body to converted records, encode the records
-// to the body. One op is one batch.
+// of the flows codec and through what it replaced: decode is the body to
+// converted records (encoding/json, or the codec in up to GOMAXPROCS
+// runs), encode the records to the body, and read a loopback POST of
+// the body, which the handler reads whole (io.ReadAll, or readBody). One
+// op is one batch.
 func BenchmarkFlowsCodec(b *testing.B) {
 	batch := flowBatch(b)
 	body, err := AppendFlows(nil, "probe", batch)
 	if err != nil {
 		b.Fatal(err)
+	}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var err error
+		if r.URL.Path == "/readall" {
+			_, err = io.ReadAll(r.Body)
+		} else {
+			_, err = readBody(r.Body, r.ContentLength, MaxBodyBytes)
+		}
+		if err != nil {
+			WriteError(w, http.StatusBadRequest, "%v", err)
+		}
+	}))
+	defer ts.Close()
+	post := func(path string) error {
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			return err
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("POST: %s", resp.Status)
+		}
+		return nil
 	}
 	for _, c := range []struct {
 		name string
@@ -390,7 +557,12 @@ func BenchmarkFlowsCodec(b *testing.B) {
 		{"decode/json", func() error { _, _, err := oracleFlows(body); return err }},
 		{"decode/codec", func() error { _, _, err := decodeFlows(body); return err }},
 		{"encode/json", func() error { _, err := marshalFlows("probe", batch); return err }},
-		{"encode/codec", func() error { _, err := AppendFlows(make([]byte, 0, 128*len(batch)), "probe", batch); return err }},
+		{"encode/codec", func() error {
+			_, err := AppendFlows(make([]byte, 0, flowRecordBytes*(len(batch)+1)), "probe", batch)
+			return err
+		}},
+		{"read/readall", func() error { return post("/readall") }},
+		{"read/codec", func() error { return post("/codec") }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.SetBytes(int64(len(body)))
@@ -405,10 +577,11 @@ func BenchmarkFlowsCodec(b *testing.B) {
 }
 
 // FuzzReadFlows holds the flows codec to encoding/json. The fuzzed body
-// goes through checkReader's two directions. A record made of the other
-// arguments goes through AppendFlows, which must write json.Marshal's
-// bytes or refuse what it refuses, and the reader must take the body
-// back as the reference does.
+// goes through checkReader's two directions, and through runs at a low
+// threshold; a 400-record seed gives the runs bodies of many records. A
+// record made of the other arguments goes through AppendFlows, which
+// must write json.Marshal's bytes or refuse what it refuses, and the
+// reader must take the body back as the reference does.
 func FuzzReadFlows(f *testing.F) {
 	batch, err := AppendFlows(nil, "probe", flowBatch(f)[:20])
 	if err != nil {
@@ -418,6 +591,11 @@ func FuzzReadFlows(f *testing.F) {
 	for i, body := range flowsBodies {
 		f.Add([]byte(body), "a<b>&\u2028\u2029", "caf\xc3\xa9\xff", int64(i)<<35, int64(i)*123456789, int32(i-20)*3600, int64(i)*999999, int64(i)<<30, int64(-i), int64(i), uint8(i), "")
 	}
+	large, err := AppendFlows(nil, "probe", flowBatch(f)[:400])
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(large, "10.0.0.2", "e2", int64(1772409601), int64(5), int32(3600), int64(0), int64(1), int64(0), int64(0), uint8(17), "")
 	f.Fuzz(func(t *testing.T, body []byte, src, dst string, sec, nsec int64, zone int32, dur, sessions, nbytes, packets int64, proto uint8, batchID string) {
 		checkReader(t, body)
 		recs := []netflow.Record{{

@@ -323,24 +323,89 @@ func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
 	WriteJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// maxBodyBytes bounds request bodies (64 MiB: a generous flow batch).
-const maxBodyBytes = 64 << 20
+// MaxBodyBytes bounds the request bodies of a node and of the router
+// (64 MiB: a generous flow batch); a longer one is answered 413.
+const MaxBodyBytes = 64 << 20
 
 // DecodeJSON reads the request body into v, strictly (unknown fields and
 // anything but whitespace after the value are errors); on failure it
-// has already answered 400 and returns false.
+// has already answered 400, or 413 for a body over MaxBodyBytes
+// (refused unread when its declared length is), and returns false.
 func DecodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(v)
-	if _, tail := dec.Token(); err == nil && tail != io.EOF {
-		err = errors.New("data after the JSON value")
+	err := overLimit(r.ContentLength, MaxBodyBytes)
+	if err == nil {
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+		dec.DisallowUnknownFields()
+		err = dec.Decode(v)
+		if _, tail := dec.Token(); err == nil && tail != io.EOF {
+			err = errors.New("data after the JSON value")
+			if bodyStatus(tail) == http.StatusRequestEntityTooLarge {
+				err = tail
+			}
+		}
 	}
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
+		WriteError(w, bodyStatus(err), "bad request body: %v", err)
 		return false
 	}
 	return true
+}
+
+// bodyStatus is the status for a request body that could not be read
+// or decoded: 413 when it was over MaxBodyBytes, else 400.
+func bodyStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
+// overLimit refuses a body whose declared length is over limit before
+// any of it is read.
+func overLimit(declared, limit int64) error {
+	if declared > limit {
+		return fmt.Errorf("%d bytes declared: %w", declared, &http.MaxBytesError{Limit: limit})
+	}
+	return nil
+}
+
+// readBody reads r to its end into one buffer. declared is the length
+// the sender gave, or -1. The buffer starts at min(declared+1,
+// flowsRunBytes) bytes and doubles as it fills, to declared+1 once a
+// doubling would reach the declared length: the declared bytes and the
+// end of input after them then need no further buffer, and a declared
+// length buys no memory before its bytes arrive. A buffer past its start
+// holds at most twice what came. A body over limit bytes, declared or
+// read, is an *http.MaxBytesError, which bodyStatus answers 413.
+func readBody(r io.Reader, declared, limit int64) ([]byte, error) {
+	if err := overLimit(declared, limit); err != nil {
+		return nil, err
+	}
+	want := limit
+	if declared >= 0 {
+		want = declared
+	}
+	b := make([]byte, 0, min(want+1, flowsRunBytes))
+	for {
+		if len(b) == cap(b) {
+			n := 2 * int64(cap(b))
+			if n >= want && int64(cap(b)) <= want {
+				n = want + 1
+			}
+			b = append(make([]byte, 0, min(n, limit+1)), b...)
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		switch {
+		case int64(len(b)) > limit:
+			return nil, fmt.Errorf("over %d bytes: %w", limit, &http.MaxBytesError{Limit: limit})
+		case err == io.EOF:
+			return b, nil
+		case err != nil:
+			return nil, err
+		}
+	}
 }
 
 func (s *Server) handleFlows(w http.ResponseWriter, r *http.Request) {
