@@ -18,9 +18,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The allocation budgets (ROADMAP A-3), which the race line cannot run:
-# under -race the runtime drops sync.Pool puts, so every test that pins
-# what a request may allocate skips there (internal/budget). Hot and
+# The allocation budgets, which the race line cannot run: under -race
+# the runtime drops sync.Pool puts, so every test that pins what a
+# request may allocate skips there (internal/budget). Hot and
 # cold label search, a failed cold search, the cold-search soak under a
 # memory limit, a released block read, SelfRetrievalAUC, a WAL open, one
 # ingest batch and one window close (6 allocations and 1.5 KB a source),
@@ -107,7 +107,7 @@ segment-smoke:
 	$(GO) test -race -run 'TestFollowerSegmentsBitwise' ./internal/cluster/
 	$(GO) test -race -run 'TestSimSegments' ./internal/simcheck/
 
-# Bounded runs of the native fuzz targets: the netflow binary codec
+# Bounded runs of the eleven native fuzz targets: the netflow binary codec
 # (the stream form, and the per-record decoder the WAL shares with it,
 # where an accepted record must re-encode to the bytes consumed),
 # WAL frame recovery, the distance kernels (bit-identity vs the naive
@@ -116,9 +116,11 @@ segment-smoke:
 # snapshot's manifest and label-file parsers (each accepts only what
 # Save writes), the exposition parser the router runs over shard
 # bodies (an accepted body must re-render through WriteFederated and
-# parse again to the same families), and the POST /v1/flows codec
+# parse again to the same families), the POST /v1/flows codec
 # (the reader against encoding/json and its runs, at a lowered
-# threshold, against the single parse; the writer against json.Marshal).
+# threshold, against the single parse; the writer against json.Marshal),
+# and the search routes, POST /v1/search and /v1/search/batch (never a
+# panic or a 500; a 200 ranks at most k hits, in order, within max_dist).
 # Committed corpora under testdata/fuzz/ replay as regression cases in
 # the plain test suite; this also explores briefly (scripts/check.sh
 # passes FUZZTIME=15s).
@@ -135,6 +137,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLoadLabels -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzParseExposition -fuzztime $(FUZZTIME) ./internal/obs/
 	$(GO) test -run '^$$' -fuzz FuzzReadFlows -fuzztime $(FUZZTIME) ./internal/server/
+	$(GO) test -run '^$$' -fuzz FuzzSearchRequest -fuzztime $(FUZZTIME) ./internal/server/
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .

@@ -72,9 +72,6 @@ type options struct {
 	snapInterval time.Duration
 	noWAL        bool
 	maxInFlight  int
-	lshBands     int
-	lshRows      int
-	lshSeed      uint64
 	sketchWidth  int
 	sketchDepth  int
 	sketchCand   int
@@ -115,9 +112,6 @@ func main() {
 	fs.DurationVar(&o.snapInterval, "snapshot-interval", time.Minute, "periodic background snapshot interval (0 = only at window close/shutdown)")
 	fs.BoolVar(&o.noWAL, "no-wal", false, "disable the write-ahead log beside the snapshot directory")
 	fs.IntVar(&o.maxInFlight, "max-inflight", 8, "concurrent ingest batches before shedding with 429 (0 = unlimited)")
-	fs.IntVar(&o.lshBands, "lsh-bands", 0, "LSH bands for search prefiltering (0 = exact scans)")
-	fs.IntVar(&o.lshRows, "lsh-rows", 0, "LSH rows per band")
-	fs.Uint64Var(&o.lshSeed, "lsh-seed", 1, "LSH hash seed")
 	fs.IntVar(&o.sketchWidth, "sketch-width", 4096, "Count-Min width per source")
 	fs.IntVar(&o.sketchDepth, "sketch-depth", 5, "Count-Min depth per source")
 	fs.IntVar(&o.sketchCand, "sketch-candidates", 256, "tracked heavy neighbours per source")
@@ -177,9 +171,6 @@ func serverConfig(o options) (server.Config, error) {
 		StoreCapacity: o.capacity,
 		Distance:      d,
 		WatchMaxDist:  &o.watchDist,
-		LSHBands:      o.lshBands,
-		LSHRows:       o.lshRows,
-		LSHSeed:       o.lshSeed,
 		SnapshotDir:   o.snapshot,
 		SegmentDir:    o.segments,
 		SegmentRetain: o.segRetain,
@@ -371,9 +362,6 @@ func runFollower(ctx context.Context, o options, logger *slog.Logger) error {
 		StoreCapacity: cfg.StoreCapacity,
 		Distance:      cfg.Distance,
 		WatchMaxDist:  cfg.WatchMaxDist,
-		LSHBands:      cfg.LSHBands,
-		LSHRows:       cfg.LSHRows,
-		LSHSeed:       cfg.LSHSeed,
 		Poll:          o.followPoll,
 		// A promoted follower turns -snapshot into its own durability
 		// root: it quarantines any stale WAL there and starts logging a

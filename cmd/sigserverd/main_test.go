@@ -24,7 +24,6 @@ func defaultOptions() options {
 	o.watchDist = 0.5
 	o.snapInterval = 20 * time.Millisecond
 	o.maxInFlight = 4
-	o.lshSeed = 1
 	o.sketchWidth = 1024
 	o.sketchDepth = 4
 	o.sketchCand = 64

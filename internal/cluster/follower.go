@@ -28,14 +28,12 @@ type FollowerConfig struct {
 	// different signatures. Origin and WindowSize are learned from the
 	// WAL's origin frames and may be left zero.
 	Stream stream.Config
-	// StoreCapacity / Distance / LSH / WatchMaxDist mirror server.Config
-	// — watch screening runs on the replica too, so a mismatched
-	// threshold silently yields a different hit log.
-	StoreCapacity     int
-	Distance          core.Distance
-	LSHBands, LSHRows int
-	LSHSeed           uint64
-	WatchMaxDist      *float64
+	// StoreCapacity / Distance / WatchMaxDist mirror server.Config —
+	// watch screening runs on the replica too, so a mismatched threshold
+	// silently yields a different hit log.
+	StoreCapacity int
+	Distance      core.Distance
+	WatchMaxDist  *float64
 	// Poll is the idle polling interval (0 = DefaultFollowPoll).
 	Poll time.Duration
 	// ChunkBytes bounds each WAL fetch (0 = server default).
@@ -417,9 +415,6 @@ func (f *Follower) buildServerLocked(origin *wal.Frame) error {
 		Stream:        scfg,
 		StoreCapacity: f.cfg.StoreCapacity,
 		Distance:      f.cfg.Distance,
-		LSHBands:      f.cfg.LSHBands,
-		LSHRows:       f.cfg.LSHRows,
-		LSHSeed:       f.cfg.LSHSeed,
 		WatchMaxDist:  f.cfg.WatchMaxDist,
 		DisableWAL:    true,
 		ReadOnly:      true,

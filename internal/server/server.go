@@ -103,9 +103,6 @@ type Config struct {
 	// screens exact matches only (previously unconfigurable because 0
 	// was silently treated as "use the default").
 	WatchMaxDist *float64
-	// LSHBands/LSHRows/LSHSeed enable the store's MinHash prefilter.
-	LSHBands, LSHRows int
-	LSHSeed           uint64
 	// SnapshotDir, when non-empty, is loaded at startup (if a snapshot
 	// exists), written whenever a window closes, and written by
 	// Shutdown. A corrupt snapshot is quarantined and the server boots
@@ -316,9 +313,6 @@ func New(cfg Config) (*Server, error) {
 
 	scfg := store.Config{
 		Capacity:      cfg.StoreCapacity,
-		LSHBands:      cfg.LSHBands,
-		LSHRows:       cfg.LSHRows,
-		LSHSeed:       cfg.LSHSeed,
 		SegmentRetain: cfg.SegmentRetain,
 		Registry:      s.obs.registry,
 	}

@@ -335,9 +335,7 @@ func TestServerSearchBatch(t *testing.T) {
 // readers searching, listing history and scraping metrics while labels
 // are being interned.
 func TestServerConcurrentIngestAndQuery(t *testing.T) {
-	cfg := testConfig()
-	cfg.LSHBands, cfg.LSHRows, cfg.LSHSeed = 4, 2, 11
-	_, c, done := newTestServer(t, cfg)
+	_, c, done := newTestServer(t, testConfig())
 	defer done()
 
 	// Seed window 0 and close it so readers always have data.

@@ -35,11 +35,8 @@ func (s *sim) opSearch() error {
 		}
 		opts.LastWindows = 1 + s.rng.Intn(span)
 	}
-	if s.rng.Bernoulli(0.2) {
-		opts.NoPrefilter = true
-	}
-	s.note("search label=%s dist=%s topk=%d maxdist=%.6f exclude=%q last=%d nopre=%v",
-		label, dname, opts.TopK, opts.MaxDist, opts.ExcludeLabel, opts.LastWindows, opts.NoPrefilter)
+	s.note("search label=%s dist=%s topk=%d maxdist=%.6f exclude=%q last=%d",
+		label, dname, opts.TopK, opts.MaxDist, opts.ExcludeLabel, opts.LastWindows)
 
 	msig, mwin, mok := s.model.archive.latestSignature(label)
 	ssig, swin, sok := s.srv.Store().LatestSignature(label)
@@ -103,13 +100,7 @@ func (s *sim) opSearch() error {
 		return s.fail("server returned %d hits, TopK %d", len(hits), opts.TopK)
 	}
 
-	lshActive := s.cfg.LSH && dname == "jaccard" && !opts.NoPrefilter
-	if lshActive {
-		// The MinHash prefilter is deliberately recall-lossy: subset
-		// invariants only (checked above).
-		return s.cheapCompare()
-	}
-	// Exact scan: count bounds and completeness.
+	// Every search is an exact scan: count bounds and completeness.
 	if lo := minInt(opts.TopK, len(must)); len(hits) < lo {
 		return s.fail("server returned %d hits, model requires ≥ %d (of %d certain hits)", len(hits), lo, len(must))
 	}

@@ -16,9 +16,10 @@
 //     duplication, zero replay rejects).
 //   - snapshot + replay produce search/history/latest results
 //     identical to the model's label-space archive.
-//   - store search (flat SoA kernels, LSH candidates) agrees with
-//     naive distance loops: exact scans match the model's full ranking
-//     within float tolerance; LSH scans are verified subsets.
+//   - store search (flat SoA kernels, cold-block scans) agrees with
+//     naive distance loops: every search is exact and matches the
+//     model's full ranking within float tolerance — count bounds, and
+//     every certain hit present when the result is untruncated.
 //   - the server's universe interning order matches the model's, so
 //     signatures are bit-identical in label space.
 //   - every source of a closed window that stayed within the sketch's

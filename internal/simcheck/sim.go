@@ -51,9 +51,6 @@ type Config struct {
 	// origin is learned from the first accepted record and restored via
 	// the WAL across restarts.
 	ExplicitOrigin bool
-	// LSH enables the store's MinHash prefilter (searched with subset
-	// invariants instead of exact ones on the jaccard path).
-	LSH bool
 	// Faults interleaves failpoint injection (failed fsyncs, snapshot
 	// saves failing before or after their commit, failed WAL
 	// truncation) into ingest and snapshot ops.
@@ -116,9 +113,6 @@ func (c Config) serverConfig() server.Config {
 		StoreCapacity: c.Capacity,
 		SnapshotDir:   filepath.Join(c.Dir, "snap"),
 		DedupCap:      512,
-	}
-	if c.LSH {
-		scfg.LSHBands, scfg.LSHRows, scfg.LSHSeed = 4, 2, 7
 	}
 	if c.Segments {
 		scfg.SegmentDir = filepath.Join(c.Dir, "segments")

@@ -9,15 +9,15 @@ import (
 )
 
 // smokeConfigs is the fixed seed set `make sim-smoke` runs: together
-// ≥ 10k ops spanning explicit and learned origins, LSH on and off, and
+// ≥ 10k ops spanning explicit and learned origins, cold segments, and
 // fault/crash schedules.
 func smokeConfigs(t *testing.T) []Config {
 	t.Helper()
 	return []Config{
 		{Seed: 1, Ops: 2000, ExplicitOrigin: true, Faults: true, Restarts: true},
 		{Seed: 2, Ops: 2000, ExplicitOrigin: false, Faults: true, Restarts: true},
-		{Seed: 3, Ops: 2000, ExplicitOrigin: true, LSH: true, Faults: true, Restarts: true},
-		{Seed: 4, Ops: 2000, ExplicitOrigin: false, LSH: true, Faults: false, Restarts: true},
+		{Seed: 3, Ops: 2000, ExplicitOrigin: true, Faults: true, Restarts: true},
+		{Seed: 4, Ops: 2000, ExplicitOrigin: false, Faults: false, Restarts: true},
 		{Seed: 5, Ops: 2000, ExplicitOrigin: true, Faults: true, Restarts: false},
 		{Seed: 6, Ops: 500, ExplicitOrigin: false, Faults: false, Restarts: false},
 		{Seed: 8, Ops: 2000, ExplicitOrigin: true, Segments: true, Capacity: 3, Faults: true, Restarts: true},
@@ -30,8 +30,8 @@ func smokeConfigs(t *testing.T) []Config {
 func TestSimSmoke(t *testing.T) {
 	for _, cfg := range smokeConfigs(t) {
 		cfg := cfg
-		name := fmt.Sprintf("seed%d_origin%v_lsh%v_faults%v_restarts%v_segments%v",
-			cfg.Seed, cfg.ExplicitOrigin, cfg.LSH, cfg.Faults, cfg.Restarts, cfg.Segments)
+		name := fmt.Sprintf("seed%d_origin%v_faults%v_restarts%v_segments%v",
+			cfg.Seed, cfg.ExplicitOrigin, cfg.Faults, cfg.Restarts, cfg.Segments)
 		t.Run(name, func(t *testing.T) {
 			cfg.Dir = t.TempDir()
 			if err := Run(cfg); err != nil {
@@ -50,7 +50,7 @@ func TestSimSmoke(t *testing.T) {
 func TestSimCrashInside(t *testing.T) {
 	for _, cfg := range []Config{
 		{Seed: 31, Ops: 2000, ExplicitOrigin: false, Faults: true, Restarts: true, CrashInside: true},
-		{Seed: 32, Ops: 1500, ExplicitOrigin: true, LSH: true, Faults: true, Restarts: true, CrashInside: true},
+		{Seed: 32, Ops: 1500, ExplicitOrigin: true, Faults: true, Restarts: true, CrashInside: true},
 		{Seed: 33, Ops: 1200, ExplicitOrigin: false, Segments: true, Capacity: 3, Faults: true, Restarts: true, CrashInside: true},
 	} {
 		cfg := cfg
@@ -84,11 +84,11 @@ func TestSimSegments(t *testing.T) {
 	for _, cfg := range []Config{
 		{Seed: 21, Ops: 1200, ExplicitOrigin: true, Segments: true, Capacity: 2, Faults: true, Restarts: true},
 		{Seed: 22, Ops: 1200, ExplicitOrigin: false, Segments: true, Capacity: 3, Faults: false, Restarts: true},
-		{Seed: 23, Ops: 800, ExplicitOrigin: true, Segments: true, Capacity: 3, LSH: true, Faults: true, Restarts: false},
+		{Seed: 23, Ops: 800, ExplicitOrigin: true, Segments: true, Capacity: 3, Faults: true, Restarts: false},
 	} {
 		cfg := cfg
-		t.Run(fmt.Sprintf("seed%d_cap%d_lsh%v_faults%v_restarts%v",
-			cfg.Seed, cfg.Capacity, cfg.LSH, cfg.Faults, cfg.Restarts), func(t *testing.T) {
+		t.Run(fmt.Sprintf("seed%d_cap%d_faults%v_restarts%v",
+			cfg.Seed, cfg.Capacity, cfg.Faults, cfg.Restarts), func(t *testing.T) {
 			cfg.Dir = t.TempDir()
 			if err := Run(cfg); err != nil {
 				t.Fatal(err)

@@ -24,7 +24,7 @@ const coldSearchBudget = 16 << 10
 func TestColdSearchBudget(t *testing.T) {
 	budget.SkipUnderRace(t)
 	perSearch := func(hosts int) (allocs, bytes float64) {
-		s := wideStore(t, Config{}, 4, 8, hosts)
+		s := wideStore(t, 4, 8, hosts)
 		return budget.PerRun(20, func() {
 			if hits, err := s.SearchLabel(core.Jaccard{}, "host-00042", SearchOptions{TopK: 10}); err != nil || len(hits) != 10 {
 				t.Fatalf("%d hits, %v", len(hits), err)
@@ -45,7 +45,7 @@ func TestColdSearchBudget(t *testing.T) {
 // the next search, and the next failure, find the scratch in the pool.
 func TestFailedColdSearchBudget(t *testing.T) {
 	budget.SkipUnderRace(t)
-	s := wideStore(t, Config{}, 4, 8, 1200)
+	s := wideStore(t, 4, 8, 1200)
 	// One file per eviction: rot the oldest, which a search reads last.
 	segs, _ := s.tierSegsLocked()
 	rotFile(t, segs[0].Path())

@@ -43,7 +43,7 @@ var allDistances = []core.Distance{
 // hit, a full sort and a cut answer (Search and SearchBatch; the only
 // ranking before PR 14) — same hits, same order, same float bits — on
 // rings built to tie on distance across windows and labels, with
-// cold block entries, with the LSH branch, and with queries that
+// cold block entries, and with queries that
 // overlap fewer than K signatures (the rest of the answer is dist == 1
 // fill), under every registered distance and one that is not.
 func TestSearchRingMatchesFullSortOracle(t *testing.T) {
@@ -58,13 +58,6 @@ func TestSearchRingMatchesFullSortOracle(t *testing.T) {
 		},
 		"cold": func(u *graph.Universe) *Store {
 			return newTieredStore(t, Config{Capacity: 3, Universe: u}, t.TempDir())
-		},
-		"lsh": func(u *graph.Universe) *Store {
-			s, err := New(Config{Capacity: windows, Universe: u, LSHBands: 8, LSHRows: 2, LSHSeed: 7})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
 		},
 	}
 	for name, build := range stores {
@@ -103,14 +96,8 @@ func TestSearchRingMatchesFullSortOracle(t *testing.T) {
 						for _, exclude := range []string{"", "host-00", "loner"} {
 							for _, last := range []int{0, 2, 5} {
 								opts := SearchOptions{TopK: k, MaxDist: maxDist, ExcludeLabel: exclude, LastWindows: last}
-								want, err := s.searchRing(ring, querier, d, sig, opts, false)
-								if err != nil {
-									t.Fatal(err)
-								}
-								got, err := s.searchRing(ring, querier, d, sig, opts, true)
-								if err != nil {
-									t.Fatal(err)
-								}
+								want := s.searchRing(ring, querier, d, sig, opts, false)
+								got := s.searchRing(ring, querier, d, sig, opts, true)
 								if !reflect.DeepEqual(got, want) {
 									t.Fatalf("%s/%s query %s %+v diverged:\nbounded:   %v\nfull sort: %v", name, d.Name(), qname, opts, got, want)
 								}
@@ -169,8 +156,8 @@ func TestSearchRingOracleSeesTies(t *testing.T) {
 // 16 (eight hosts share a block) and swaps two of them for strangers
 // each window, so a label's nearest neighbours are its own past selves,
 // then its block.
-func wideStore(tb testing.TB, cfg Config, cold, hot, hosts int) *Store {
-	s, _ := wideStoreAndMore(tb, cfg, cold, hot, hosts)
+func wideStore(tb testing.TB, cold, hot, hosts int) *Store {
+	s, _ := wideStoreAndMore(tb, Config{}, cold, hot, hosts)
 	return s
 }
 
@@ -239,7 +226,7 @@ func wideStoreAndMore(tb testing.TB, cfg Config, cold, hot, hosts int) (s *Store
 func TestSearchAllocsIndependentOfArchive(t *testing.T) {
 	budget.SkipUnderRace(t)
 	allocs := func(hosts, k int) float64 {
-		s := wideStore(t, Config{}, 0, 8, hosts)
+		s := wideStore(t, 0, 8, hosts)
 		opts := SearchOptions{TopK: k}
 		search := func() {
 			if _, err := s.SearchLabel(core.Jaccard{}, "host-00042", opts); err != nil {
@@ -265,36 +252,33 @@ func TestSearchAllocsIndependentOfArchive(t *testing.T) {
 
 // BenchmarkStoreSearch is a search at the benchmark's shapes (k=10)
 // without bench/ around it. Hot, 8 windows × 1200 sources: the exact
-// path under a set distance and a scaled one, and Jaccard through the
-// opt-in MinHash/LSH candidates; the 10k cases repeat exact vs LSH at
-// 8 × 10 000 sources, the window size where the LSH candidates pay for
-// their hashing (EXPERIMENTS.md "Store search"). Cold, the same 8 hot
+// path under a set distance and a scaled one; 10k repeats Jaccard at
+// 8 × 10 000 sources, the window size where an approximate candidate
+// source could pay for its hashing — whether it matters is ROADMAP
+// A-1's to settle (EXPERIMENTS.md "Store search"). Cold, the same 8 hot
 // windows with `wide`'s 4 × 1200 or `deep`'s 12 × 400 cold ones behind
 // them: a label search, whose bound the hot windows have drawn below 1
 // by the time it reads a block, and (maxdist1) the same depth ranked in
-// full under MaxDist 1, where every cold row has to be compared.
+// full under MaxDist 1, where every cold row has to be compared. Every
+// search is exact, so each case returns k hits a query.
 func BenchmarkStoreSearch(b *testing.B) {
-	lshCfg := Config{LSHBands: 16, LSHRows: 2, LSHSeed: 7}
 	cases := []struct {
 		name     string
-		cfg      Config
 		d        core.Distance
 		cold     int
 		hosts    int
 		maxDist1 bool
 	}{
-		{"jaccard/exact", Config{}, core.Jaccard{}, 0, 1200, false},
-		{"shel/exact", Config{}, core.ScaledHellinger{}, 0, 1200, false},
-		{"jaccard/lsh16x2", lshCfg, core.Jaccard{}, 0, 1200, false},
-		{"10k/jaccard/exact", Config{}, core.Jaccard{}, 0, 10000, false},
-		{"10k/jaccard/lsh16x2", lshCfg, core.Jaccard{}, 0, 10000, false},
-		{"cold4x1200/jaccard", Config{}, core.Jaccard{}, 4, 1200, false},
-		{"cold12x400/jaccard", Config{}, core.Jaccard{}, 12, 400, false},
-		{"cold4x1200/jaccard/maxdist1", Config{}, core.Jaccard{}, 4, 1200, true},
+		{"jaccard/exact", core.Jaccard{}, 0, 1200, false},
+		{"shel/exact", core.ScaledHellinger{}, 0, 1200, false},
+		{"10k/jaccard/exact", core.Jaccard{}, 0, 10000, false},
+		{"cold4x1200/jaccard", core.Jaccard{}, 4, 1200, false},
+		{"cold12x400/jaccard", core.Jaccard{}, 12, 400, false},
+		{"cold4x1200/jaccard/maxdist1", core.Jaccard{}, 4, 1200, true},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			s := wideStore(b, c.cfg, c.cold, 8, c.hosts)
+			s := wideStore(b, c.cold, 8, c.hosts)
 			opts := SearchOptions{TopK: 10}
 			found := 0
 			b.ReportAllocs()
@@ -314,7 +298,9 @@ func BenchmarkStoreSearch(b *testing.B) {
 				}
 				found += len(hits)
 			}
-			// Below k is the LSH candidates' recall loss.
+			if found != opts.TopK*b.N {
+				b.Fatalf("%d hits in %d searches, want %d each", found, b.N, opts.TopK)
+			}
 			b.ReportMetric(float64(found)/float64(b.N), "hits/op")
 		})
 	}

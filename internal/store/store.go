@@ -3,9 +3,9 @@
 // keyed by node label through a shared graph.Universe. It is the state
 // behind sigserverd — per-label history lookup ("what did this host
 // look like over the last N windows?"), top-k nearest-signature search
-// (the watchlist/reappearance primitive, optionally pre-filtered by an
-// LSH MinHash index), and snapshot save/load so an online service can
-// restart without losing its archive.
+// (the watchlist/reappearance primitive, an exact scan of every window
+// it reaches), and snapshot save/load so an online service can restart
+// without losing its archive.
 //
 // Concurrency contract: all Store methods are safe for concurrent use
 // with each other. The shared Universe, however, is not safe for
@@ -25,7 +25,6 @@ import (
 	"graphsig/internal/distmat"
 	"graphsig/internal/fault"
 	"graphsig/internal/graph"
-	"graphsig/internal/lsh"
 	"graphsig/internal/obs"
 	"graphsig/internal/segment"
 )
@@ -37,17 +36,10 @@ type Config struct {
 	Capacity int
 	// Universe resolves NodeIDs to labels; nil allocates a fresh one.
 	Universe *graph.Universe
-	// LSHBands and LSHRows, when both positive, build a MinHash banding
-	// index per window with bands·rows hash components, used to
-	// pre-filter Jaccard searches (§VI scalable comparison). Zero
-	// disables pre-filtering and every search is an exact scan.
-	LSHBands, LSHRows int
-	// LSHSeed drives the MinHash hash family.
-	LSHSeed uint64
 	// Registry, when non-nil, receives the store's metrics (snapshot
-	// save latency and bytes, LSH index build latency, search probe
-	// counts, pairwise-engine row timings). Nil disables
-	// instrumentation at zero cost beyond one branch per event.
+	// save latency and bytes, search probe counts, pairwise-engine row
+	// timings). Nil disables instrumentation at zero cost beyond one
+	// branch per event.
 	Registry *obs.Registry
 	// SegmentRetain bounds the number of cold-tier segment files kept
 	// on disk once AttachSegments enabled tiering; the oldest files
@@ -60,22 +52,18 @@ func (c *Config) validate() error {
 	if c.Capacity <= 0 {
 		return fmt.Errorf("store: capacity must be positive, got %d", c.Capacity)
 	}
-	if (c.LSHBands > 0) != (c.LSHRows > 0) {
-		return fmt.Errorf("store: LSH bands and rows must both be set (got %d×%d)", c.LSHBands, c.LSHRows)
-	}
 	return nil
 }
 
 // entry is one window as a search scans it. A hot window is its
-// signature set, its optional LSH index and its pairwise-engine view
-// (SoA signatures + inverted node index), both built once at Add time.
+// signature set and its pairwise-engine view (SoA signatures + inverted
+// node index), built once at Add time.
 // A cold window read back by snapshotTier is its verified block alone
 // (everything else nil): nothing of it is decoded until searchRing picks
 // the rows to compare, and those are the one thing still compared with
 // plain d.Dist calls.
 type entry struct {
 	set   *core.SignatureSet
-	idx   *lsh.Index
 	view  *distmat.SetView
 	block *segment.Block
 }
@@ -195,15 +183,7 @@ func (s *Store) Add(set *core.SignatureSet) error {
 	if n := len(s.ring); n > 0 && set.Window <= s.ring[n-1].set.Window {
 		return fmt.Errorf("store: window %d not after latest window %d", set.Window, s.ring[n-1].set.Window)
 	}
-	e := entry{set: set, view: distmat.NewSetView(set)}
-	if s.cfg.LSHBands > 0 {
-		idx, err := s.buildIndex(set)
-		if err != nil {
-			return err
-		}
-		e.idx = idx
-	}
-	s.ring = append(s.ring, e)
+	s.ring = append(s.ring, entry{set: set, view: distmat.NewSetView(set)})
 	s.added++
 	if len(s.ring) > s.cfg.Capacity && !s.loading {
 		over := len(s.ring) - s.cfg.Capacity
@@ -220,26 +200,6 @@ func (s *Store) Add(set *core.SignatureSet) error {
 		}
 	}
 	return nil
-}
-
-func (s *Store) buildIndex(set *core.SignatureSet) (*lsh.Index, error) {
-	hasher, err := lsh.NewHasher(s.cfg.LSHBands*s.cfg.LSHRows, s.cfg.LSHSeed)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	idx, err := lsh.NewIndex(hasher, s.cfg.LSHBands, s.cfg.LSHRows)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	for i, v := range set.Sources {
-		if set.Sigs[i].IsEmpty() {
-			continue // empty signatures match nothing under Jaccard
-		}
-		if err := idx.Add(v, set.Sigs[i]); err != nil {
-			return nil, fmt.Errorf("store: window %d: %w", set.Window, err)
-		}
-	}
-	return idx, nil
 }
 
 // Len reports the number of retained windows.
@@ -412,8 +372,6 @@ type SearchOptions struct {
 	// windows (0 = all). Depths past the hot ring fall through to the
 	// cold segment tier.
 	LastWindows int
-	// NoPrefilter forces an exact scan even when an LSH index exists.
-	NoPrefilter bool
 	// Stats, when non-nil, accumulates per-query explain counters for
 	// the ?debug=1 response path. One struct may be shared by several
 	// queries of a batch — values add up.
@@ -424,8 +382,8 @@ type SearchOptions struct {
 // Probes — like the store_search_probes histogram — counts the
 // distances a search computed, not the hits it ranked: per window the
 // engine's inverted-index candidates (every signature, for a distance
-// without a kernel), the LSH bucket candidates, or every non-empty
-// signature of a cold window's plain scan.
+// without a kernel) or every non-empty signature of a cold window's
+// plain scan.
 type SearchStats struct {
 	Probes int
 }
@@ -435,15 +393,13 @@ type SearchStats struct {
 // newer window, then label. Per window the candidates come from the
 // pairwise engine (with MaxDist below 1 only signatures sharing at least
 // one node with the query are probed: disjoint pairs sit at distance
-// exactly 1), from the MinHash buckets when the store was built with
-// LSH banding and d is the Jaccard distance — candidates missing every
-// bucket are skipped, trading a small recall loss for sub-linear scans —
-// or, for a cold window, from its verified block: the rows sharing a
-// node with the query when the bound is below 1, every row otherwise,
-// each decoded only to be compared. A distance that is not one of the
-// registered kinds goes through the engine too, which then evaluates d
-// against every signature of the window, as the cold scan does. Every
-// candidate is exact-verified with d before it is ranked.
+// exactly 1) or, for a cold window, from its verified block: the rows
+// sharing a node with the query when the bound is below 1, every row
+// otherwise, each decoded only to be compared. A distance that is not
+// one of the registered kinds goes through the engine too, which then
+// evaluates d against every signature of the window, as the cold scan
+// does. No candidate source skips a signature that could rank, so every
+// search is exact.
 //
 // Search and SearchBatch rank every hit and cut to TopK afterwards;
 // SearchLabel ranks while scanning (see searchRing), with the same
@@ -481,7 +437,7 @@ func (s *Store) search(d core.Distance, sig core.Signature, opts SearchOptions, 
 	querier, _ := distmat.NewQuerier(d)
 	querier.SetMetrics(s.obs.engine)
 	defer querier.Release()
-	return s.searchRing(ring, querier, d, sig, opts, bounded)
+	return s.searchRing(ring, querier, d, sig, opts, bounded), nil
 }
 
 // BatchQuery is one query of a SearchBatch call: a signature plus its
@@ -530,11 +486,7 @@ func (s *Store) SearchBatch(d core.Distance, queries []BatchQuery) ([][]Hit, err
 	defer querier.Release()
 	out := make([][]Hit, len(queries))
 	for i := range queries {
-		hits, err := s.searchRing(ring, querier, d, queries[i].Sig, queries[i].Opts, false)
-		if err != nil {
-			return nil, fmt.Errorf("batch query %d: %w", i, err)
-		}
-		out[i] = hits
+		out[i] = s.searchRing(ring, querier, d, queries[i].Sig, queries[i].Opts, false)
 	}
 	return out, nil
 }
@@ -644,15 +596,18 @@ func (t *topK) ranked() []Hit {
 }
 
 // searchRing runs one query over a snapshotted ring, newest window
-// first: candidate generation per window (LSH buckets, pairwise-engine
-// querier, or the rows of a cold block) under the collector's current
-// bound, exact verification, and one offer per surviving candidate.
-// Bounded,
-// the collector holds TopK hits, and once it is full each further window
+// first: candidate generation per window (the pairwise-engine querier,
+// or the rows of a cold block) under the collector's current bound,
+// exact distances, and one offer per surviving candidate. Bounded, the
+// collector holds TopK hits, and once it is full each further window
 // is asked only for signatures no farther than the worst hit kept — the
 // cost of a search follows its candidates, not the size of the archive.
 // Unbounded, every window is scanned under MaxDist and every hit ranked.
-func (s *Store) searchRing(ring []entry, querier *distmat.Querier, d core.Distance, sig core.Signature, opts SearchOptions, bounded bool) ([]Hit, error) {
+// Both are exact. An approximate candidate source (the MinHash/LSH
+// banding of internal/lsh, which pays only at ~10 000-source windows) is
+// not a branch here: should such windows come to matter, it returns as
+// a mode of distmat.Querier.
+func (s *Store) searchRing(ring []entry, querier *distmat.Querier, d core.Distance, sig core.Signature, opts SearchOptions, bounded bool) []Hit {
 	if opts.TopK <= 0 {
 		opts.TopK = DefaultTopK
 	}
@@ -670,17 +625,14 @@ func (s *Store) searchRing(ring []entry, querier *distmat.Querier, d core.Distan
 	}
 
 	top := topK{k: opts.TopK, bounded: bounded, universe: s.universe}
-	// Windows with MinHash buckets answer a Jaccard search from them.
-	lsh := !opts.NoPrefilter && d.Name() == "jaccard"
 	if !bounded && opts.MaxDist >= 1 {
 		// Every signature of a window scanned whole will be offered and
 		// kept: size the list once instead of doubling up to it.
 		n := 0
 		for _, e := range ring {
-			switch {
-			case e.block != nil:
+			if e.block != nil {
 				n += e.block.Len()
-			case e.idx == nil || !lsh:
+			} else {
 				n += e.set.Len()
 			}
 		}
@@ -724,25 +676,6 @@ func (s *Store) searchRing(ring []entry, querier *distmat.Querier, d core.Distan
 			continue
 		}
 		set := e.set
-		if e.idx != nil && lsh {
-			// minSim 0 keeps every bucket-sharing candidate; the exact
-			// verification below applies the bound.
-			cands, err := e.idx.Query(sig, exclude, 0)
-			if err != nil {
-				return nil, fmt.Errorf("store: %w", err)
-			}
-			for _, c := range cands {
-				other, ok := set.Get(c.Node)
-				if !ok {
-					continue
-				}
-				probes++
-				if dist := d.Dist(sig, other); dist <= maxDist {
-					top.offer(c.Node, set.Window, dist)
-				}
-			}
-			continue
-		}
 		probes += querier.Neighbors(e.view, sig, maxDist, func(i int, dist float64) {
 			if v := set.Sources[i]; v != exclude && !set.Sigs[i].IsEmpty() {
 				top.offer(v, set.Window, dist)
@@ -753,7 +686,7 @@ func (s *Store) searchRing(ring []entry, querier *distmat.Querier, d core.Distan
 	if opts.Stats != nil {
 		opts.Stats.Probes += probes
 	}
-	return top.ranked(), nil
+	return top.ranked()
 }
 
 // SearchLabel searches with the latest non-empty signature of label,

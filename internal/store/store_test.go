@@ -89,9 +89,6 @@ func TestStoreValidation(t *testing.T) {
 	if _, err := New(Config{Capacity: 0}); err == nil {
 		t.Fatal("zero capacity accepted")
 	}
-	if _, err := New(Config{Capacity: 1, LSHBands: 4}); err == nil {
-		t.Fatal("bands without rows accepted")
-	}
 	s, err := New(Config{Capacity: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -268,27 +265,6 @@ func TestStoreSearchBatchMatchesSingles(t *testing.T) {
 	}
 }
 
-func TestStoreSearchLSHPrefilter(t *testing.T) {
-	s, _ := searchFixture(t, Config{Capacity: 4, LSHBands: 8, LSHRows: 2, LSHSeed: 7})
-	hits, err := s.SearchLabel(core.Jaccard{}, "query", SearchOptions{TopK: 2, MaxDist: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Identical signatures share every band bucket, so the twins are
-	// guaranteed candidates; distances are exact-verified.
-	if len(hits) != 2 || hits[0].Label != "twin" || hits[0].Dist != 0 || hits[1].Label != "twin-old" {
-		t.Fatalf("hits = %+v", hits)
-	}
-	// A non-Jaccard distance bypasses the prefilter (full scan).
-	dice, err := s.SearchLabel(core.Dice{}, "query", SearchOptions{TopK: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dice) != 1 || dice[0].Label != "twin" {
-		t.Fatalf("dice hits = %+v", dice)
-	}
-}
-
 func TestStoreSnapshotRoundTrip(t *testing.T) {
 	u := graph.NewUniverse()
 	s, err := New(Config{Capacity: 4, Universe: u})
@@ -408,7 +384,7 @@ func TestStoreConcurrentIngestAndQuery(t *testing.T) {
 		}
 		sets[w] = buildSet(t, u, w, sigs)
 	}
-	s, err := New(Config{Capacity: 8, Universe: u, LSHBands: 4, LSHRows: 2, LSHSeed: 1})
+	s, err := New(Config{Capacity: 8, Universe: u})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,8 +15,7 @@ type (
 	// SignatureStore is a goroutine-safe bounded archive of the last N
 	// windows' signature sets over a shared Universe.
 	SignatureStore = store.Store
-	// SignatureStoreConfig sizes a SignatureStore and its optional LSH
-	// search prefilter.
+	// SignatureStoreConfig sizes a SignatureStore.
 	SignatureStoreConfig = store.Config
 	// StoreSearchOptions parameterizes a nearest-signature search.
 	StoreSearchOptions = store.SearchOptions
