@@ -33,17 +33,20 @@ alloc-budget:
 
 # Fault-injection and crash-recovery suite: failpoint-driven kill/
 # corruption tests across the WAL (the commit order: torn commits, what
-# Reset drops and Rotate seals, the rotation's directory sync), the
-# snapshot store (every Save
+# Reset drops and Rotate seals, the directory syncs of a rotation and of
+# a new log), the snapshot store (every Save
 # failpoint on either side of the manifest rename, saving over another
-# lineage, the old-format refusals) and the server's recovery path — a
+# lineage, the old-format refusals, the directory syncs of a new
+# snapshot or segment directory) and the server's recovery path — a
 # crash at every failpoint hit inside a batch and around a generation
-# change, then the client's retry — under the race detector.
+# change, then the client's retry, a boot the store refuses writing
+# nothing, the WAL included, and a corrupt WAL quarantined only once
+# the store has opened — under the race detector.
 crash-test:
 	$(GO) test -race ./internal/fault/ ./internal/wal/ ./internal/store/ \
 		-run 'Torn|Corrupt|Crash|Failpoint|Fault|Quarantine|Snapshot|Lineage|OldFormat|Commit|Rotate|Staged'
 	$(GO) test -race ./internal/server/ \
-		-run 'Crash|Corrupt|Torn|SnapshotFailure|ShutdownSave|OldFormat|Throttled|Dedup|Retries|FailedSave|FollowerPoll|IngestLogs|RestartLogs'
+		-run 'Crash|Corrupt|Torn|SnapshotFailure|ShutdownSave|OldFormat|RefusedAtBoot|Throttled|Dedup|Retries|FailedSave|FollowerPoll|IngestLogs|RestartLogs'
 
 # Deterministic simulation (internal/simcheck): drives the real
 # store+WAL+server through a seeded ≥10k-op schedule of ingest, search,
@@ -107,7 +110,7 @@ segment-smoke:
 	$(GO) test -race -run 'TestFollowerSegmentsBitwise' ./internal/cluster/
 	$(GO) test -race -run 'TestSimSegments' ./internal/simcheck/
 
-# Bounded runs of the eleven native fuzz targets: the netflow binary codec
+# Bounded runs of the twelve native fuzz targets: the netflow binary codec
 # (the stream form, and the per-record decoder the WAL shares with it,
 # where an accepted record must re-encode to the bytes consumed),
 # WAL frame recovery, the distance kernels (bit-identity vs the naive
@@ -119,8 +122,10 @@ segment-smoke:
 # parse again to the same families), the POST /v1/flows codec
 # (the reader against encoding/json and its runs, at a lowered
 # threshold, against the single parse; the writer against json.Marshal),
-# and the search routes, POST /v1/search and /v1/search/batch (never a
-# panic or a 500; a 200 ranks at most k hits, in order, within max_dist).
+# the search routes, POST /v1/search and /v1/search/batch (never a
+# panic or a 500; a 200 ranks at most k hits, in order, within max_dist),
+# and POST /v1/watchlist (never a panic or a 500; an answer other than
+# 200 leaves the universe, the watchlist and the WAL's size unchanged).
 # Committed corpora under testdata/fuzz/ replay as regression cases in
 # the plain test suite; this also explores briefly (scripts/check.sh
 # passes FUZZTIME=15s).
@@ -138,6 +143,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseExposition -fuzztime $(FUZZTIME) ./internal/obs/
 	$(GO) test -run '^$$' -fuzz FuzzReadFlows -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzSearchRequest -fuzztime $(FUZZTIME) ./internal/server/
+	$(GO) test -run '^$$' -fuzz FuzzWatchlistAdd -fuzztime $(FUZZTIME) ./internal/server/
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
@@ -162,7 +168,10 @@ bench:
 # a loopback read of the body), one 1 200-source
 # window through the pipeline at sigserverd's default sketch — every source sparse, and
 # with a Zipf head that goes dense — and the checkpoint of one window
-# close with and without new labels (all at the `wide` serving shape).
+# close with and without new labels, and one restart (server.New over
+# 8 hot and 4 cold windows of 1 200 sources and an open window of
+# 38 000 records in the WAL: ms and allocations a boot) (all at the
+# `wide` serving shape).
 # Then the read side's: one pass of
 # the end-to-end harness's analytics stage at its 2 000 sources (each
 # call's ms and a hash of the outputs), the self-retrieval AUC at
@@ -176,7 +185,7 @@ bench-smoke:
 	$(GO) run ./cmd/sigbench -experiment pairwise -scale 0.5
 	$(GO) test -run=^$$ -benchtime=1x -benchmem \
 		-bench 'BenchmarkWALOpen|BenchmarkWALAppend|BenchmarkWALGenerationChange' ./internal/wal/
-	$(GO) test -run=^$$ -benchtime=1x -benchmem -bench 'BenchmarkIngestSmallBatch|BenchmarkFlowsCodec' ./internal/server/
+	$(GO) test -run=^$$ -benchtime=1x -benchmem -bench 'BenchmarkIngestSmallBatch|BenchmarkFlowsCodec|BenchmarkServerRestart' ./internal/server/
 	$(GO) test -run=^$$ -benchtime=1x -benchmem -bench 'BenchmarkPipelineWindow' ./internal/stream/
 	$(GO) test -run=^$$ -benchtime=1x -benchmem -bench 'BenchmarkStoreSave' ./internal/store/
 	$(GO) test -run=^$$ -benchtime=1x -benchmem -bench 'BenchmarkAnalyticsPass' .

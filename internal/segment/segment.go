@@ -570,6 +570,38 @@ func writeFileSynced(path string, data []byte, failpoint string) error {
 	return err
 }
 
+// MkdirSynced is os.MkdirAll that makes the names it creates durable:
+// after creating dir it syncs the directory above each one it made. A
+// dir that exists is left alone and nothing is synced. failpoint fires
+// before the first sync; when that or a sync fails, the directories
+// just made are removed again, so the next call creates, and syncs,
+// them anew.
+func MkdirSynced(dir, failpoint string) error {
+	var made []string // deepest first
+	for d := filepath.Clean(dir); filepath.Dir(d) != d; d = filepath.Dir(d) {
+		if _, err := os.Stat(d); err == nil {
+			break
+		}
+		made = append(made, d)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil || len(made) == 0 {
+		return err
+	}
+	err := fault.Inject(failpoint)
+	for _, d := range made {
+		if err != nil {
+			break
+		}
+		err = syncDir(filepath.Dir(d))
+	}
+	if err != nil {
+		for _, d := range made {
+			_ = os.Remove(d) // empty, made just now; one left behind is merely not synced
+		}
+	}
+	return err
+}
+
 // syncDir fsyncs a directory so its entries are durable.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)

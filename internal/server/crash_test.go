@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -289,44 +290,112 @@ func TestCorruptSnapshotQuarantinedAtBoot(t *testing.T) {
 	}
 }
 
+// bootLogs are the logs a boot the store refuses must leave as it
+// found them: none (which must not be created), one with a torn tail
+// (which must not be cut) and one with a destroyed header (which must
+// not be quarantined). The log is read beside the store's load; only
+// what writes waits for the store.
+var bootLogs = []struct {
+	name string
+	make func(t *testing.T, path string)
+}{
+	{"no log", func(*testing.T, string) {}},
+	{"torn log", func(t *testing.T, path string) {
+		w, _, err := wal.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.StageOrigin(testT0, time.Hour)
+		if err := w.Append(window0Flows()); err != nil {
+			t.Fatal(err)
+		}
+		size, err := w.Size()
+		w.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(path, size-3); err != nil {
+			t.Fatal(err)
+		}
+	}},
+	{"corrupt log", func(t *testing.T, path string) {
+		if err := os.WriteFile(path, []byte("not a wal, definitely"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}},
+}
+
+// diskUnder maps every file and directory under root to its bytes
+// ("/" for a directory).
+func diskUnder(t *testing.T, root string) map[string]string {
+	t.Helper()
+	disk := map[string]string{}
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			disk[path] = "/"
+			return err
+		}
+		data, err := os.ReadFile(path)
+		disk[path] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return disk
+}
+
+// assertRefusedBootWritesNothing boots cfg, whose directories live
+// under base, once beside each of bootLogs at its WAL path: New must
+// fail with an error refused accepts, and leave every byte under base
+// as it was.
+func assertRefusedBootWritesNothing(t *testing.T, base string, cfg Config, refused func(error) bool) {
+	t.Helper()
+	for _, log := range bootLogs {
+		path := WALPath(cfg.SnapshotDir)
+		if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
+			t.Fatal(err)
+		}
+		log.make(t, path)
+		before := diskUnder(t, base)
+		if _, err := New(cfg); !refused(err) {
+			t.Fatalf("%s: New = %v", log.name, err)
+		}
+		if after := diskUnder(t, base); !reflect.DeepEqual(after, before) {
+			t.Fatalf("%s: the refused boot changed the disk:\n%v\n->\n%v", log.name, names(before), names(after))
+		}
+	}
+}
+
+func names(disk map[string]string) []string {
+	out := make([]string, 0, len(disk))
+	for name, data := range disk {
+		out = append(out, fmt.Sprintf("%s (%d bytes)", name, len(data)))
+	}
+	sort.Strings(out)
+	return out
+}
+
 // TestOldFormatSnapshotRefusedAtBoot: a graphsig-store v2 or v3
 // directory is healthy data this build no longer reads. Boot must fail
 // with store.ErrOldFormat and leave every file where it was —
 // quarantining it like a corrupt snapshot would silently drop its
-// windows.
+// windows —, the log beside it included.
 func TestOldFormatSnapshotRefusedAtBoot(t *testing.T) {
 	for _, fixture := range []string{"snapshot-v2", "snapshot-v3"} {
 		base := t.TempDir()
 		dir := filepath.Join(base, "snap")
 		copyTree(t, filepath.Join("..", "store", "testdata", fixture), dir)
-		list := func() string {
-			var names []string
-			for _, root := range []string{base, dir} {
-				entries, err := os.ReadDir(root)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, e := range entries {
-					names = append(names, e.Name())
-				}
-			}
-			return strings.Join(names, " ")
-		}
-		before := list()
-		_, err := New(crashConfig(dir))
-		if !errors.Is(err, store.ErrOldFormat) || errors.Is(err, store.ErrCorrupt) {
-			t.Fatalf("New over a %s = %v, want store.ErrOldFormat", fixture, err)
-		}
-		if after := list(); after != before {
-			t.Fatalf("refused boot over a %s changed the disk: %q -> %q", fixture, before, after)
-		}
+		assertRefusedBootWritesNothing(t, base, crashConfig(dir), func(err error) bool {
+			return errors.Is(err, store.ErrOldFormat) && !errors.Is(err, store.ErrCorrupt)
+		})
 	}
 }
 
 // TestOldFormatSegmentRefusedAtBoot: a `graphsig-segment v1` text-block
 // file in the segment directory stops the boot with
 // segment.ErrOldFormat and the directory as it was — the build that
-// wrote the file still serves it.
+// wrote the file still serves it —, and the log as it was.
 func TestOldFormatSegmentRefusedAtBoot(t *testing.T) {
 	base := t.TempDir()
 	cfg := crashConfig(filepath.Join(base, "snap"))
@@ -338,20 +407,75 @@ func TestOldFormatSegmentRefusedAtBoot(t *testing.T) {
 	if err := os.MkdirAll(cfg.SegmentDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(cfg.SegmentDir, segment.Name(-2, 1<<33))
-	if err := os.WriteFile(path, old, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(cfg.SegmentDir, segment.Name(-2, 1<<33)), old, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = New(cfg)
-	if !errors.Is(err, segment.ErrOldFormat) || errors.Is(err, segment.ErrCorrupt) {
-		t.Fatalf("New over a v1 segment = %v, want segment.ErrOldFormat", err)
+	assertRefusedBootWritesNothing(t, base, cfg, func(err error) bool {
+		return errors.Is(err, segment.ErrOldFormat) && !errors.Is(err, segment.ErrCorrupt)
+	})
+}
+
+// TestStoreIOErrorRefusedAtBoot: a snapshot the store cannot read — an
+// I/O error, here a MANIFEST that is a directory — is not corruption:
+// boot fails with the error and writes nothing, the log included.
+func TestStoreIOErrorRefusedAtBoot(t *testing.T) {
+	base := t.TempDir()
+	dir := filepath.Join(base, "snap")
+	if err := os.MkdirAll(filepath.Join(dir, "MANIFEST"), 0o755); err != nil {
+		t.Fatal(err)
 	}
-	entries, err := os.ReadDir(cfg.SegmentDir)
+	assertRefusedBootWritesNothing(t, base, crashConfig(dir), func(err error) bool {
+		var pathErr *os.PathError
+		return errors.As(err, &pathErr) && !errors.Is(err, store.ErrCorrupt)
+	})
+}
+
+// TestCorruptWALQuarantinedAfterStoreOpens: beside a good snapshot, a
+// log with a destroyed header is read while the store loads but moved
+// aside only once the store has opened — at every window Load adds (the
+// store.add failpoint) the log is still in place — and then the boot
+// proceeds with the snapshot's windows and a fresh log.
+func TestCorruptWALQuarantinedAfterStoreOpens(t *testing.T) {
+	t.Cleanup(fault.Reset)
+	dir := filepath.Join(t.TempDir(), "snap")
+	srv1, err := New(crashConfig(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after, err := os.ReadFile(path); len(entries) != 1 || err != nil || !bytes.Equal(after, old) {
-		t.Fatalf("refused boot changed the segment directory: %v (%v)", entries, err)
+	for _, batch := range crashWorkload(3) {
+		mustIngest(t, srv1, batch)
+	}
+	if err := srv1.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	saved := srv1.Store().Len()
+	garbage := []byte("not a wal, definitely")
+	if err := os.WriteFile(WALPath(dir), garbage, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded := 0
+	fault.Set("store.add", func() error {
+		loaded++
+		if got, err := os.ReadFile(WALPath(dir)); err != nil || !bytes.Equal(got, garbage) {
+			t.Errorf("the log changed while the store was loading: %q, %v", got, err)
+		}
+		return nil
+	})
+	srv2, err := New(crashConfig(dir))
+	fault.Reset()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := srv2.Recovery()
+	if !rec.SnapshotRestored || saved == 0 || loaded != saved || srv2.Store().Len() != saved {
+		t.Fatalf("boot restored %d windows (%d loaded, snapshot %v); want the %d saved", srv2.Store().Len(), loaded, rec.SnapshotRestored, saved)
+	}
+	if got, err := os.ReadFile(rec.WALQuarantined); err != nil || !bytes.Equal(got, garbage) {
+		t.Fatalf("corrupt log not quarantined whole: %+v: %q, %v", rec, got, err)
+	}
+	mustIngest(t, srv2, crashWorkload(5)[4])
+	if err := srv2.Shutdown(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -760,28 +760,37 @@ func (s *Server) classifier() func(string) graph.Part {
 }
 
 // internSignature builds a core.Signature from wire form, interning
-// unknown member labels through the pipeline's classifier. Callers
-// hold the write lock, or the read lock rlockInterned took for sj
-// (interning a label the universe holds writes nothing).
+// unknown member labels through the pipeline's classifier. It checks
+// the whole signature before it interns a label, so one it refuses
+// leaves the universe as it was. Callers hold the write lock, or the
+// read lock rlockInterned took for sj (interning a label the universe
+// holds writes nothing).
 func (s *Server) internSignature(sj SignatureJSON) (core.Signature, error) {
 	if len(sj.Nodes) != len(sj.Weights) {
 		return core.Signature{}, fmt.Errorf("signature nodes/weights length mismatch %d/%d", len(sj.Nodes), len(sj.Weights))
 	}
 	classify := s.classifier()
 	u := s.store.Universe()
-	weights := make(map[graph.NodeID]float64, len(sj.Nodes))
+	sums := make(map[string]float64, len(sj.Nodes))
 	for i, label := range sj.Nodes {
-		v, err := u.Intern(label, classify(label))
-		if err != nil {
-			return core.Signature{}, err
+		if v, ok := u.Lookup(label); ok && u.PartOf(v) != classify(label) {
+			return core.Signature{}, fmt.Errorf("signature label %q is %v here, classified %v", label, u.PartOf(v), classify(label))
 		}
-		weights[v] += sj.Weights[i]
+		sums[label] += sj.Weights[i]
 	}
-	sig := core.FromWeights(weights, len(weights))
-	if sig.IsEmpty() {
+	positive := false
+	for _, w := range sums {
+		positive = positive || w > 0 && !math.IsInf(w, 1) // NaN fails the first test
+	}
+	if !positive {
 		return core.Signature{}, fmt.Errorf("signature has no positive-weight members")
 	}
-	return sig, nil
+	weights := make(map[graph.NodeID]float64, len(sums))
+	for _, label := range sj.Nodes {
+		v, _ := u.Intern(label, classify(label)) // its part was checked above
+		weights[v] = sums[label]
+	}
+	return core.FromWeights(weights, len(weights)), nil
 }
 
 func (s *Server) handleWatchlistAdd(w http.ResponseWriter, r *http.Request) {

@@ -265,8 +265,9 @@ type Server struct {
 
 // New builds a server, loading a prior snapshot and replaying the
 // write-ahead log when cfg.SnapshotDir holds them. Corrupt state is
-// quarantined, never fatal: the one startup error class left is real
-// I/O failure.
+// quarantined, never fatal: what still fails the boot is real I/O
+// failure or a snapshot or segment in a format this build no longer
+// reads, and such a boot leaves the log as it found it.
 func New(cfg Config) (*Server, error) {
 	if cfg.StoreCapacity == 0 {
 		cfg.StoreCapacity = DefaultStoreCapacity
@@ -316,14 +317,30 @@ func New(cfg Config) (*Server, error) {
 		SegmentRetain: cfg.SegmentRetain,
 		Registry:      s.obs.registry,
 	}
-	if err := s.openStore(scfg); err != nil {
+	// The log is read and verified beside the store's load and the
+	// segments' attach; the two share nothing. What writes the log —
+	// quarantining a corrupt one, opening it for appends — waits for
+	// the store, so a boot the store refuses leaves the log as it was.
+	logged := cfg.SnapshotDir != "" && !cfg.DisableWAL
+	var scan wal.Scanned
+	var scanErr error
+	var scanned sync.WaitGroup
+	if logged {
+		scanned.Add(1)
+		go func() {
+			defer scanned.Done()
+			scan, scanErr = wal.Scan(WALPath(cfg.SnapshotDir))
+		}()
+	}
+	err := s.openStore(scfg)
+	scanned.Wait()
+	if err != nil {
 		return nil, err
 	}
 
 	var replay wal.Replay
-	if cfg.SnapshotDir != "" && !cfg.DisableWAL {
-		var err error
-		replay, err = s.openWAL()
+	if logged {
+		replay, err = s.openWAL(scan, scanErr)
 		if err != nil {
 			return nil, err
 		}
@@ -467,10 +484,10 @@ func (s *Server) instrumentWAL() {
 			"framed bytes committed to the WAL"))
 }
 
-// openWAL opens (quarantining a corrupt header) the write-ahead log.
-func (s *Server) openWAL() (wal.Replay, error) {
+// openWAL opens the write-ahead log for appends from what wal.Scan
+// found in it (sc, err), quarantining a corrupt header first.
+func (s *Server) openWAL(sc wal.Scanned, err error) (wal.Replay, error) {
 	path := WALPath(s.cfg.SnapshotDir)
-	w, replay, err := wal.Open(path)
 	if errors.Is(err, wal.ErrCorrupt) {
 		moved, qerr := wal.Quarantine(path)
 		if qerr != nil {
@@ -479,12 +496,17 @@ func (s *Server) openWAL() (wal.Replay, error) {
 		s.recovery.WALQuarantined = moved
 		s.metrics.WALQuarantines.Add(1)
 		s.logf("sigserver: corrupt WAL quarantined to %s; starting a fresh log", moved)
-		w, replay, err = wal.Open(path)
+		sc, err = wal.Scan(path)
 	}
 	if err != nil {
 		return wal.Replay{}, err
 	}
+	w, err := sc.Open()
+	if err != nil {
+		return wal.Replay{}, err
+	}
 	s.wal = w
+	replay := sc.Replay
 	s.recovery.WALTornBytes = replay.TornBytes
 	if replay.TornBytes > 0 {
 		s.logf("sigserver: WAL recovery dropped a torn tail of %d bytes", replay.TornBytes)

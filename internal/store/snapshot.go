@@ -71,8 +71,9 @@ func corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
 }
 
-// Save writes a point-in-time snapshot of the store into dir: the
-// window files this store has not already written or loaded there, one
+// Save writes a point-in-time snapshot of the store into dir, which the
+// first Save creates and syncs into its parent: the window files this
+// store has not already written or loaded there, one
 // label file if the universe grew, then the manifest, whose rename
 // commits, then the deletion of every file the new manifest does not
 // name. An error from before the rename
@@ -80,7 +81,8 @@ func corruptf(format string, args ...any) error {
 // the new snapshot in place; the next Save that succeeds clears what
 // either left behind. Concurrent Saves of one store are serialized.
 //
-// Failpoints: store.save.window and .window.commit (a window file's
+// Failpoints: store.save.dirsync (the sync of a new dir's name),
+// store.save.window and .window.commit (a window file's
 // write and rename — not segment.write/.commit, which stay the
 // compactor's), store.save.labels and .labels.commit (the label
 // file's), store.save.manifest (staged, not renamed) and
@@ -89,7 +91,7 @@ func (s *Store) Save(dir string) error {
 	s.saveMu.Lock()
 	defer s.saveMu.Unlock()
 	begin := time.Now()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := segment.MkdirSynced(dir, "store.save.dirsync"); err != nil {
 		return fmt.Errorf("store: snapshot: %w", err)
 	}
 	if s.savedDir != dir {

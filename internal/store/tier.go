@@ -98,7 +98,8 @@ type SegmentStats struct {
 	Quarantined []string // corrupt files renamed aside
 }
 
-// AttachSegments enables the cold tier: dir is created if needed, stale
+// AttachSegments enables the cold tier: dir is created (and its name
+// synced; failpoint store.segments.dirsync) if needed, stale
 // .tmp leftovers from crashed compactions are removed, and every
 // segment file is opened and checksum-verified. Corrupt files (torn
 // tails, flipped bytes, overlapping ranges) are quarantined aside like
@@ -115,7 +116,7 @@ func (s *Store) AttachSegments(dir string) (SegmentStats, error) {
 	if dir == "" {
 		return st, fmt.Errorf("store: segments need a directory")
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := segment.MkdirSynced(dir, "store.segments.dirsync"); err != nil {
 		return st, fmt.Errorf("store: segments: %w", err)
 	}
 	paths, err := segment.List(dir)

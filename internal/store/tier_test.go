@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -42,6 +43,54 @@ func newTieredStore(t *testing.T, cfg Config, dir string) *Store {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// TestStoreDirectorySyncFailpoint: a directory the store creates — the
+// segment directory at AttachSegments, the snapshot directory at the
+// first Save — is made durable then, and only then: the directory above
+// each level it created is synced (both start here with a missing
+// parent). When that sync fails the error is the call's and the new
+// directories are gone, so the next call creates, and syncs, them anew;
+// a call over a directory that exists syncs nothing.
+func TestStoreDirectorySyncFailpoint(t *testing.T) {
+	t.Cleanup(fault.Reset)
+	boom := errors.New("injected directory sync failure")
+	for _, c := range []struct {
+		point string
+		make  func(s *Store, dir string) error
+	}{
+		{"store.segments.dirsync", func(s *Store, dir string) error { _, err := s.AttachSegments(dir); return err }},
+		{"store.save.dirsync", (*Store).Save},
+	} {
+		t.Run(c.point, func(t *testing.T) {
+			fresh := func() *Store {
+				s, err := New(Config{Capacity: 4})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
+			parent := filepath.Join(t.TempDir(), "new")
+			dir := filepath.Join(parent, "dir")
+			fault.Set(c.point, func() error { return boom })
+			if err := c.make(fresh(), dir); !errors.Is(err, boom) {
+				t.Fatalf("a failing directory sync returned %v", err)
+			}
+			if _, err := os.Stat(parent); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("a failed creation left its directories behind: %v", err)
+			}
+			syncs := 0
+			fault.Set(c.point, func() error { syncs++; return nil })
+			for i := 0; i < 2; i++ {
+				if err := c.make(fresh(), dir); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if syncs != 1 {
+				t.Fatalf("%d directory syncs over a creation and a reuse; want 1", syncs)
+			}
+		})
+	}
 }
 
 // quarterJaccard is a distance the store knows nothing about, under

@@ -212,6 +212,127 @@ func TestOneCommitSealsTheSameBytes(t *testing.T) {
 	}
 }
 
+// TestCreateDirectorySyncFailpoint: the open-for-append half that
+// creates a log syncs the directory that names it, and only then — a
+// log that exists, empty or not, is opened without a directory sync.
+// When that sync fails the error is Open's and the new file is gone, so
+// the next Open creates it, and syncs, anew.
+func TestCreateDirectorySyncFailpoint(t *testing.T) {
+	t.Cleanup(fault.Reset)
+	path := filepath.Join(t.TempDir(), "new.wal")
+	boom := errors.New("injected directory sync failure")
+	fault.Set("wal.create.dirsync", func() error { return boom })
+	if _, _, err := Open(path); !errors.Is(err, boom) {
+		t.Fatalf("Open with a failing directory sync returned %v", err)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a failed creation left the log behind: %v", err)
+	}
+	syncs := 0
+	fault.Set("wal.create.dirsync", func() error { syncs++; return nil })
+	w, _ := mustOpen(t, path)
+	if err := w.Append(testRecords(2)); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	if err := os.WriteFile(path+".empty", nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{path, path + ".empty"} {
+		w, _ := mustOpen(t, p)
+		w.Close()
+	}
+	if syncs != 1 {
+		t.Fatalf("%d directory syncs over a creation and two opens of existing logs; want 1", syncs)
+	}
+}
+
+// TestScanWritesNothing: the read-and-scan half leaves the disk as it
+// found it — a missing log stays missing, a torn tail stays — and
+// reports what the open-for-append half then does: the same replay as
+// Open, the tail cut only there.
+func TestScanWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	missing := filepath.Join(dir, "missing.wal")
+	sc, err := Scan(missing)
+	if err != nil || len(sc.Replay.Frames) != 0 || sc.Replay.TornBytes != 0 {
+		t.Fatalf("Scan of a missing log: %+v, %v", sc.Replay, err)
+	}
+	if _, err := os.Stat(missing); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("Scan created the log: %v", err)
+	}
+
+	path := filepath.Join(dir, "torn.wal")
+	w, _ := mustOpen(t, path)
+	if err := w.Append(testRecords(3)); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := whole[:len(whole)-3]
+	if err := os.WriteFile(path, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sc, err = Scan(path)
+	if err != nil || len(records(sc.Replay)) != 2 || sc.Replay.TornBytes == 0 {
+		t.Fatalf("Scan of a torn log: %d records, %d torn bytes, %v", len(records(sc.Replay)), sc.Replay.TornBytes, err)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, torn) {
+		t.Fatalf("Scan changed the log (%v)", err)
+	}
+	w, err = sc.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if size, err := w.Size(); err != nil || size != int64(len(torn))-sc.Replay.TornBytes {
+		t.Fatalf("open-for-append left %d bytes (%v); want the torn tail cut", size, err)
+	}
+}
+
+// TestOpenRefusesALogChangedSinceScan: what the open-for-append half
+// truncates to and seeks past it takes from the scan, so a file that
+// changed size in between is refused, and left as it is.
+func TestOpenRefusesALogChangedSinceScan(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "moving.wal")
+	w, _ := mustOpen(t, path)
+	w.Close()
+	sc, err := Scan(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, _ = mustOpen(t, path)
+	if err := w.Append(testRecords(1)); err != nil {
+		t.Fatal(err)
+	}
+	size, _ := w.Size()
+	w.Close()
+	if _, err := sc.Open(); err == nil {
+		t.Fatal("Open took a log that grew after its scan")
+	}
+	if info, err := os.Stat(path); err != nil || info.Size() != size {
+		t.Fatalf("refused open changed the log: %v", err)
+	}
+
+	missing := filepath.Join(t.TempDir(), "raced.wal")
+	sc, err = Scan(missing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(missing, header, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sc.Open(); err == nil {
+		t.Fatal("Open created over a log that appeared after its scan")
+	}
+	if got, err := os.ReadFile(missing); err != nil || !bytes.Equal(got, header) {
+		t.Fatalf("refused open changed the log: %q, %v", got, err)
+	}
+}
+
 // TestRotateDirectorySyncFailure: Rotate renames the live log aside and
 // creates the next one, and must sync the directory that names them
 // before anything is acknowledged into the new file. When that sync

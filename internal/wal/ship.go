@@ -232,7 +232,7 @@ func (w *WAL) Rotate(dst string) error {
 		f.Close()
 		return fmt.Errorf("wal: rotate header: %w", err)
 	}
-	if err := syncDir(filepath.Dir(w.path)); err != nil {
+	if err := syncDir(filepath.Dir(w.path), "wal.rotate.dirsync"); err != nil {
 		f.Close()
 		return fmt.Errorf("wal: rotate directory sync: %w", err)
 	}
@@ -241,9 +241,10 @@ func (w *WAL) Rotate(dst string) error {
 	return nil
 }
 
-// syncDir fsyncs a directory so the names in it are durable.
-func syncDir(dir string) error {
-	if err := fault.Inject("wal.rotate.dirsync"); err != nil {
+// syncDir fsyncs a directory so the names in it are durable; failpoint
+// fires first.
+func syncDir(dir, failpoint string) error {
+	if err := fault.Inject(failpoint); err != nil {
 		return err
 	}
 	d, err := os.Open(dir)

@@ -37,7 +37,11 @@
 // Recovery scans frames until the first torn or corrupt one and
 // truncates the file there: a partially flushed tail is expected after
 // a crash and silently (but countedly) dropped, because once framing
-// is lost nothing after it can be trusted.
+// is lost nothing after it can be trusted. It is two halves, which Open
+// runs one after the other: Scan reads and verifies and writes nothing,
+// so a boot can run it beside other work and still leave the disk as it
+// was when that work fails; Scanned.Open writes — the new file, its
+// header, the cut — and positions the log for appends.
 package wal
 
 import (
@@ -48,7 +52,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -160,49 +166,53 @@ func (w *WAL) Instrument(syncHist *obs.Histogram, bytesTotal *obs.Counter) {
 
 // Open opens (creating if absent) the log at path, replays its frames,
 // repairs a torn tail by truncating it, and leaves the file positioned
-// for appends. A destroyed header surfaces as ErrCorrupt — quarantine
-// with Quarantine and Open again.
+// for appends: Scan, then Scanned.Open. A destroyed header surfaces as
+// ErrCorrupt — quarantine with Quarantine and Open again.
 func Open(path string) (*WAL, Replay, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	sc, err := Scan(path)
 	if err != nil {
-		return nil, Replay{}, fmt.Errorf("wal: %w", err)
-	}
-	w := &WAL{f: f, path: path}
-	rep, err := w.recover()
-	if err != nil {
-		f.Close()
 		return nil, Replay{}, err
 	}
-	return w, rep, nil
+	w, err := sc.Open()
+	if err != nil {
+		return nil, Replay{}, err
+	}
+	return w, sc.Replay, nil
 }
 
-// recover validates the header (writing one into an empty file), reads
-// the log once, scans it with ScanFrames — the scanner followers use —
-// and truncates at the first frame that is incomplete or bad: to
-// recovery both mean the log ends there. What it writes or cuts it
-// leaves to the first Commit to sync (dirty): a crash before that finds
-// the same empty file or torn tail again.
-func (w *WAL) recover() (Replay, error) {
-	info, err := w.f.Stat()
-	if err != nil {
-		return Replay{}, fmt.Errorf("wal: %w", err)
+// Scanned is a log Scan read and verified: what it replays, and what
+// its Open needs to append to it without reading it again.
+type Scanned struct {
+	Replay Replay
+	path   string
+	exists bool
+	size   int64 // the file's size when it was read
+}
+
+// Scan reads the log at path once and verifies it, writing nothing: a
+// missing file reads as an empty log, a destroyed header is ErrCorrupt,
+// and the bytes after the header go to ScanFrames — the scanner
+// followers use —, which ends the log at the first frame that is
+// incomplete or bad: to recovery both mean the log ends there, and the
+// rest is TornBytes. It touches nothing another goroutine uses, so a
+// boot can run it beside the snapshot's load.
+func Scan(path string) (Scanned, error) {
+	sc := Scanned{path: path}
+	data, err := os.ReadFile(path)
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
+		return sc, nil
+	case err != nil:
+		return Scanned{}, fmt.Errorf("wal: %w", err)
 	}
-	if info.Size() == 0 {
-		if _, err := w.f.Write(header); err != nil {
-			return Replay{}, fmt.Errorf("wal: writing header: %w", err)
-		}
-		w.good, w.dirty = HeaderLen, true
-		return Replay{}, nil
-	}
-	data := make([]byte, info.Size())
-	if _, err := w.f.ReadAt(data, 0); err != nil {
-		return Replay{}, fmt.Errorf("wal: %w", err)
+	sc.exists, sc.size = true, int64(len(data))
+	if len(data) == 0 {
+		return sc, nil
 	}
 	if !bytes.HasPrefix(data, header) {
-		return Replay{}, fmt.Errorf("%w: %s", ErrCorrupt, w.path)
+		return Scanned{}, fmt.Errorf("%w: %s", ErrCorrupt, path)
 	}
-
-	var rep Replay
+	rep := &sc.Replay
 	var consumed int64
 	// A bad frame is where the log ends, whatever made it bad.
 	rep.Frames, consumed, _ = ScanFrames(data[len(header):])
@@ -211,19 +221,70 @@ func (w *WAL) recover() (Replay, error) {
 			rep.Origin, rep.Window = fr.Origin, fr.Window
 		}
 	}
-	good := int64(len(header)) + consumed // offset past the last valid frame
-	rep.TornBytes = info.Size() - good
-	if rep.TornBytes > 0 {
-		if err := w.f.Truncate(good); err != nil {
-			return Replay{}, fmt.Errorf("wal: truncating torn tail: %w", err)
+	rep.TornBytes = sc.size - HeaderLen - consumed
+	return sc, nil
+}
+
+// Open opens the scanned log for appends: it creates the file — and
+// syncs the directory that names it — if Scan found none, writes the
+// header into an empty one, cuts a torn tail and seeks to the end. It
+// refuses a file whose size changed since Scan read it. What it writes
+// or cuts in the file it leaves to the first Commit to sync (dirty): a
+// crash before that finds the same empty file or torn tail again.
+//
+// Failpoint: wal.create.dirsync, the directory sync after the creation.
+// When that sync fails the new file is removed again, so the next Open
+// creates it, and syncs, anew.
+func (sc Scanned) Open() (*WAL, error) {
+	flag := os.O_RDWR
+	if !sc.exists {
+		flag |= os.O_CREATE | os.O_EXCL
+	}
+	f, err := os.OpenFile(sc.path, flag, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("wal: %w", err)
+	}
+	w := &WAL{f: f, path: sc.path, good: sc.size - sc.Replay.TornBytes}
+	if err := w.openScanned(sc); err != nil {
+		f.Close()
+		if !sc.exists {
+			_ = os.Remove(sc.path) // ours and half made: the next Open creates it, and syncs, anew
+		}
+		return nil, err
+	}
+	return w, nil
+}
+
+// openScanned is Open's work on the opened file.
+func (w *WAL) openScanned(sc Scanned) error {
+	info, err := w.f.Stat()
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	if info.Size() != sc.size {
+		return fmt.Errorf("wal: %s is %d bytes, %d when it was scanned", sc.path, info.Size(), sc.size)
+	}
+	if sc.size == 0 {
+		if _, err := w.f.Write(header); err != nil {
+			return fmt.Errorf("wal: writing header: %w", err)
+		}
+		w.good, w.dirty = HeaderLen, true
+	}
+	if !sc.exists {
+		if err := syncDir(filepath.Dir(sc.path), "wal.create.dirsync"); err != nil {
+			return fmt.Errorf("wal: syncing the directory of a new log: %w", err)
+		}
+	}
+	if sc.Replay.TornBytes > 0 {
+		if err := w.f.Truncate(w.good); err != nil {
+			return fmt.Errorf("wal: truncating torn tail: %w", err)
 		}
 		w.dirty = true
 	}
-	if _, err := w.f.Seek(good, io.SeekStart); err != nil {
-		return Replay{}, fmt.Errorf("wal: %w", err)
+	if _, err := w.f.Seek(w.good, io.SeekStart); err != nil {
+		return fmt.Errorf("wal: %w", err)
 	}
-	w.good = good
-	return rep, nil
+	return nil
 }
 
 // Path reports the log's file path.
