@@ -39,7 +39,9 @@ alloc-budget:
 # lineage, the old-format refusals, the directory syncs of a new
 # snapshot or segment directory) and the server's recovery path — a
 # crash at every failpoint hit inside a batch and around a generation
-# change, then the client's retry, a boot the store refuses writing
+# change, then the client's retry; a crash at every hit of a window
+# close's compaction, window file, manifest and sweep, on one P and on
+# two (TestCrashInsideWindowClose); a boot the store refuses writing
 # nothing, the WAL included, and a corrupt WAL quarantined only once
 # the store has opened — under the race detector.
 crash-test:
@@ -186,6 +188,7 @@ bench-smoke:
 	$(GO) test -run=^$$ -benchtime=1x -benchmem \
 		-bench 'BenchmarkWALOpen|BenchmarkWALAppend|BenchmarkWALGenerationChange' ./internal/wal/
 	$(GO) test -run=^$$ -benchtime=1x -benchmem -bench 'BenchmarkIngestSmallBatch|BenchmarkFlowsCodec|BenchmarkServerRestart' ./internal/server/
+	$(GO) test -run=^$$ -benchtime=1x -benchmem -cpu 1,2 -bench 'BenchmarkServerWindowClose' ./internal/server/
 	$(GO) test -run=^$$ -benchtime=1x -benchmem -bench 'BenchmarkPipelineWindow' ./internal/stream/
 	$(GO) test -run=^$$ -benchtime=1x -benchmem -bench 'BenchmarkStoreSave' ./internal/store/
 	$(GO) test -run=^$$ -benchtime=1x -benchmem -bench 'BenchmarkAnalyticsPass' .

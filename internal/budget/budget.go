@@ -34,8 +34,12 @@ func PerRun(runs int, f func()) (allocs, bytes float64) {
 
 // Once is the allocations and bytes of a single call of f, for a step
 // that cannot simply be repeated.
-func Once(f func()) (allocs, bytes float64) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+func Once(f func()) (allocs, bytes float64) { return OnceOn(1, f) }
+
+// OnceOn is Once on procs Ps, for a step that splits its work when it
+// has more than one: what its goroutines allocate counts too.
+func OnceOn(procs int, f func()) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	f()

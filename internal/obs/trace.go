@@ -195,6 +195,16 @@ func (tr *Trace) Span(name string) func() {
 	return tr.endFunc(name, "")
 }
 
+// Record adds a finished span that ran from begin to end: work timed by
+// a clock read where no span could be opened, such as inside a call.
+// Like ending a Span, it logs a slow one.
+func (tr *Trace) Record(name string, begin, end time.Time) {
+	if tr == nil {
+		return
+	}
+	tr.record(name, "", begin, end)
+}
+
 // SpanWith is Span plus a minted per-span context: the returned
 // TraceContext carries the trace ID and a fresh span ID that is
 // recorded on the span's snapshot, so work dispatched under this span
@@ -210,25 +220,27 @@ func (tr *Trace) SpanWith(name string) (func(), TraceContext) {
 
 func (tr *Trace) endFunc(name, sid string) func() {
 	begin := time.Now()
-	return func() {
-		d := time.Since(begin)
-		tr.mu.Lock()
-		tr.spans = append(tr.spans, SpanSnapshot{
-			Name:           name,
-			SpanID:         sid,
-			OffsetMicros:   begin.Sub(tr.start).Microseconds(),
-			DurationMicros: d.Microseconds(),
-		})
-		slow := tr.tracer.slow > 0 && d >= tr.tracer.slow
-		if slow {
-			tr.slow = true
-		}
-		tr.mu.Unlock()
-		if slow && tr.tracer.logger != nil {
-			tr.tracer.logger.Warn("slow operation",
-				"trace", tr.id, "op", tr.name, "span", name,
-				"duration", d.Round(time.Microsecond).String())
-		}
+	return func() { tr.record(name, sid, begin, time.Now()) }
+}
+
+func (tr *Trace) record(name, sid string, begin, end time.Time) {
+	d := end.Sub(begin)
+	tr.mu.Lock()
+	tr.spans = append(tr.spans, SpanSnapshot{
+		Name:           name,
+		SpanID:         sid,
+		OffsetMicros:   begin.Sub(tr.start).Microseconds(),
+		DurationMicros: d.Microseconds(),
+	})
+	slow := tr.tracer.slow > 0 && d >= tr.tracer.slow
+	if slow {
+		tr.slow = true
+	}
+	tr.mu.Unlock()
+	if slow && tr.tracer.logger != nil {
+		tr.tracer.logger.Warn("slow operation",
+			"trace", tr.id, "op", tr.name, "span", name,
+			"duration", d.Round(time.Microsecond).String())
 	}
 }
 

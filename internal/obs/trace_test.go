@@ -51,9 +51,11 @@ func TestTraceSpansRecorded(t *testing.T) {
 	time.Sleep(2 * time.Millisecond)
 	end()
 	x.Span("window.close")()
+	began := time.Now()
+	x.Record("window.extract", began.Add(-time.Millisecond), began)
 	x.Finish()
 	snap := tr.Recent(1)[0]
-	if snap.Name != "ingest" || len(snap.Spans) != 2 {
+	if snap.Name != "ingest" || len(snap.Spans) != 3 {
 		t.Fatalf("snapshot = %+v", snap)
 	}
 	if snap.Spans[0].Name != "wal.append" || snap.Spans[0].DurationMicros < 2000 {
@@ -65,6 +67,10 @@ func TestTraceSpansRecorded(t *testing.T) {
 	}
 	if snap.DurationMicros < snap.Spans[0].DurationMicros {
 		t.Fatalf("trace shorter than its span: %+v", snap)
+	}
+	// A recorded span keeps the interval it was given.
+	if sp := snap.Spans[2]; sp.Name != "window.extract" || sp.DurationMicros != 1000 || sp.OffsetMicros+1000 != began.Sub(snap.Start).Microseconds() {
+		t.Fatalf("recorded span = %+v, want 1 000 µs ending %d µs in", sp, began.Sub(snap.Start).Microseconds())
 	}
 }
 

@@ -64,7 +64,7 @@ func archiveFingerprint(s *Server) map[string]string {
 	return fp
 }
 
-func mustIngest(t *testing.T, s *Server, records []netflow.Record) IngestResult {
+func mustIngest(t testing.TB, s *Server, records []netflow.Record) IngestResult {
 	t.Helper()
 	res := s.IngestRecords(records)
 	if res.Rejected != 0 {

@@ -25,7 +25,10 @@ import (
 // hit before it.
 
 // crashImage copies the directory holding a node's snapshot directory,
-// its log and any sealed generations to a fresh one.
+// its log and any sealed generations to a fresh one. A file that
+// vanishes while it is copied — a staged file renamed by a write that
+// runs beside the one whose failpoint took the image — is left out: the
+// image then holds that write as it was before the file was staged.
 func crashImage(t *testing.T, base string) string {
 	t.Helper()
 	dst := t.TempDir()
@@ -38,6 +41,9 @@ func crashImage(t *testing.T, base string) string {
 			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
 		}
 		data, err := os.ReadFile(path)
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil
+		}
 		if err != nil {
 			return err
 		}

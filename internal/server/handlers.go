@@ -561,8 +561,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	case req.Signature != nil:
-		s.rlockInterned(req.Signature)
-		sig, err := s.internSignature(*req.Signature)
+		s.mu.RLock()
+		sig, err := s.querySignature(*req.Signature, s.provisionalIDs(req.Signature))
 		if err == nil {
 			end := tr.Span("store.search")
 			var raw []store.Hit
@@ -616,8 +616,9 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	for i := range req.Queries {
 		inline[i] = req.Queries[i].Signature // nil for label slots
 	}
-	s.rlockInterned(inline...)
+	s.mu.RLock()
 	defer s.mu.RUnlock()
+	provisional := s.provisionalIDs(inline...)
 
 	// Resolve every slot to a concrete (signature, options) query or a
 	// per-slot error, then run the survivors through one store batch.
@@ -626,7 +627,7 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	slots := make([]int, 0, len(req.Queries))
 	end := tr.Span("resolve")
 	for i, q := range req.Queries {
-		bq, err := s.resolveSearchQuery(q, d)
+		bq, err := s.resolveSearchQuery(q, d, provisional)
 		if errors.Is(err, store.ErrColdRead) {
 			end()
 			WriteError(w, http.StatusInternalServerError, "%v", err)
@@ -673,10 +674,10 @@ func searchStatus(err error, status int) int {
 	return status
 }
 
-// resolveSearchQuery turns one batch slot into a store query. Callers
-// hold the read lock taken by rlockInterned over the batch's inline
-// signatures.
-func (s *Server) resolveSearchQuery(q SearchRequest, d core.Distance) (store.BatchQuery, error) {
+// resolveSearchQuery turns one batch slot into a store query, an
+// inline signature's unknown labels taking their provisional NodeIDs
+// from provisional. Callers hold the read lock.
+func (s *Server) resolveSearchQuery(q SearchRequest, d core.Distance, provisional map[string]graph.NodeID) (store.BatchQuery, error) {
 	if q.Distance != "" {
 		qd, err := s.distanceFor(q.Distance)
 		if err != nil {
@@ -703,7 +704,7 @@ func (s *Server) resolveSearchQuery(q SearchRequest, d core.Distance) (store.Bat
 		}
 		return store.BatchQuery{Sig: sig, Opts: opts}, nil
 	case q.Signature != nil:
-		sig, err := s.internSignature(*q.Signature)
+		sig, err := s.querySignature(*q.Signature, provisional)
 		if err != nil {
 			return store.BatchQuery{}, err
 		}
@@ -713,42 +714,34 @@ func (s *Server) resolveSearchQuery(q SearchRequest, d core.Distance) (store.Bat
 	}
 }
 
-// rlockInterned returns holding the read lock with every member label
-// of sigs (nil entries skipped) in the universe, so internSignature
-// under it only reads and searches by signature run beside each other
-// and beside ingest. Only labels the universe has never seen cost a
-// write lock, held for the interning alone; the universe never forgets
-// a label, so they are still there when the read lock is taken.
-func (s *Server) rlockInterned(sigs ...*SignatureJSON) {
-	u, classify := s.store.Universe(), s.classifier()
-	// allKnown reports whether the universe holds every label, interning
-	// the missing ones when it may.
-	allKnown := func(intern bool) bool {
-		for _, sj := range sigs {
-			if sj == nil {
+// provisionalIDs gives every member label of sigs (nil entries
+// skipped) that the universe does not hold the NodeID interning would
+// give it: past Universe().Size(), in order of first appearance across
+// sigs. A search by signature resolves its labels through them and
+// interns nothing, so it runs under the read lock and leaves no label
+// behind for the next snapshot. That is safe because a distance only
+// compares NodeIDs, and the store's postings and a cold block's rows
+// bounds-check the ones no window holds. Callers hold the read lock.
+func (s *Server) provisionalIDs(sigs ...*SignatureJSON) map[string]graph.NodeID {
+	u := s.store.Universe()
+	var ids map[string]graph.NodeID
+	for _, sj := range sigs {
+		if sj == nil {
+			continue
+		}
+		for _, label := range sj.Nodes {
+			if _, ok := u.Lookup(label); ok {
 				continue
 			}
-			for _, label := range sj.Nodes {
-				if _, ok := u.Lookup(label); ok {
-					continue
+			if _, ok := ids[label]; !ok {
+				if ids == nil {
+					ids = map[string]graph.NodeID{}
 				}
-				if !intern {
-					return false
-				}
-				_, _ = u.Intern(label, classify(label)) // a new label cannot clash
+				ids[label] = graph.NodeID(u.Size() + len(ids))
 			}
 		}
-		return true
 	}
-	s.mu.RLock()
-	if allKnown(false) {
-		return
-	}
-	s.mu.RUnlock()
-	s.mu.Lock()
-	allKnown(true)
-	s.mu.Unlock()
-	s.mu.RLock()
+	return ids
 }
 
 // classifier is the pipeline's label classifier.
@@ -760,12 +753,33 @@ func (s *Server) classifier() func(string) graph.Part {
 }
 
 // internSignature builds a core.Signature from wire form, interning
-// unknown member labels through the pipeline's classifier. It checks
-// the whole signature before it interns a label, so one it refuses
-// leaves the universe as it was. Callers hold the write lock, or the
-// read lock rlockInterned took for sj (interning a label the universe
-// holds writes nothing).
+// unknown member labels through the pipeline's classifier. Callers hold
+// the write lock.
 func (s *Server) internSignature(sj SignatureJSON) (core.Signature, error) {
+	u, classify := s.store.Universe(), s.classifier()
+	return s.signatureOf(sj, func(label string) graph.NodeID {
+		v, _ := u.Intern(label, classify(label)) // its part was checked
+		return v
+	})
+}
+
+// querySignature builds a search's core.Signature from wire form, an
+// unknown member label taking its NodeID from provisional
+// (provisionalIDs). Callers hold the read lock.
+func (s *Server) querySignature(sj SignatureJSON, provisional map[string]graph.NodeID) (core.Signature, error) {
+	u := s.store.Universe()
+	return s.signatureOf(sj, func(label string) graph.NodeID {
+		if v, ok := u.Lookup(label); ok {
+			return v
+		}
+		return provisional[label]
+	})
+}
+
+// signatureOf builds a core.Signature from wire form, each member label
+// under the NodeID id gives it. It checks the whole signature before it
+// asks id for one, so a signature it refuses interns nothing.
+func (s *Server) signatureOf(sj SignatureJSON, id func(label string) graph.NodeID) (core.Signature, error) {
 	if len(sj.Nodes) != len(sj.Weights) {
 		return core.Signature{}, fmt.Errorf("signature nodes/weights length mismatch %d/%d", len(sj.Nodes), len(sj.Weights))
 	}
@@ -787,8 +801,7 @@ func (s *Server) internSignature(sj SignatureJSON) (core.Signature, error) {
 	}
 	weights := make(map[graph.NodeID]float64, len(sums))
 	for _, label := range sj.Nodes {
-		v, _ := u.Intern(label, classify(label)) // its part was checked above
-		weights[v] = sums[label]
+		weights[id(label)] = sums[label]
 	}
 	return core.FromWeights(weights, len(weights)), nil
 }

@@ -5,6 +5,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -134,7 +135,8 @@ func TestReadyzLifecycle(t *testing.T) {
 }
 
 // TestTracesEndpoint: ingest and search traces land in the ring with
-// their spans, newest first, bounded by the configured capacity.
+// their spans, newest first, bounded by the configured capacity; a
+// closing batch's spans come in the order its steps run.
 func TestTracesEndpoint(t *testing.T) {
 	cfg := testConfig()
 	cfg.TraceCapacity = 4
@@ -174,8 +176,12 @@ func TestTracesEndpoint(t *testing.T) {
 	for _, sp := range tr.Traces[1].Spans {
 		spanNames = append(spanNames, sp.Name)
 	}
-	if len(spanNames) == 0 || spanNames[0] != "lock.wait" {
-		t.Fatalf("ingest spans = %v", spanNames)
+	// A closing batch: the records before the close, the extraction
+	// inside the pipeline, the window's archiving, the checkpoint, the
+	// records after the close and the batch-end commit.
+	want := []string{"lock.wait", "pipeline.ingest", "window.extract", "window.commit", "checkpoint", "pipeline.ingest", "wal.append"}
+	if !reflect.DeepEqual(spanNames, want) {
+		t.Fatalf("spans of a closing batch = %v, want %v", spanNames, want)
 	}
 
 	if got, err := c.Traces(2); err != nil || len(got.Traces) != 2 {

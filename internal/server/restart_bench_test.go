@@ -42,17 +42,13 @@ func restartConfig(tb testing.TB, dir string) Config {
 	}
 	u := st.Universe()
 	intern := func(label string) graph.NodeID { return u.MustIntern(label, cfg.Stream.Classify(label)) }
-	hosts := make([]string, restartHosts)
-	peers := make([]string, 4*restartHosts)
 	sources := make([]graph.NodeID, restartHosts)
-	peerIDs := make([]graph.NodeID, len(peers))
-	for i := range peers {
-		peers[i] = fmt.Sprintf("peer-%05d", i)
-		peerIDs[i] = intern(peers[i])
+	peerIDs := make([]graph.NodeID, 4*restartHosts)
+	for i := range peerIDs {
+		peerIDs[i] = intern(restartPeer(i))
 	}
-	for h := range hosts {
-		hosts[h] = fmt.Sprintf("10.1.%d.%d", h/250, h%250)
-		sources[h] = intern(hosts[h])
+	for h := range sources {
+		sources[h] = intern(restartHost(h))
 	}
 	rng := rand.New(rand.NewSource(1))
 	for w := 0; w < restartHot+restartCold; w++ {
@@ -62,7 +58,7 @@ func restartConfig(tb testing.TB, dir string) Config {
 			for i := 0; i < 10; i++ {
 				peer := h/8*16 + i
 				if rng.Intn(5) == 0 {
-					peer = rng.Intn(len(peers))
+					peer = rng.Intn(len(peerIDs))
 				}
 				weights[peerIDs[peer]] = float64(10 - i)
 			}
@@ -86,22 +82,32 @@ func restartConfig(tb testing.TB, dir string) Config {
 	}
 	defer log.Close()
 	log.StageOrigin(testT0, cfg.Stream.WindowSize)
-	open := testT0.Add(time.Duration(restartHot+restartCold) * cfg.Stream.WindowSize)
-	records := make([]netflow.Record, restartOpenRecords)
-	for i := range records {
-		h := i % restartHosts
-		records[i] = netflow.Record{
-			Src: hosts[h], Dst: peers[h/8*16+rng.Intn(16)],
-			Start:    open.Add(time.Duration(i) * cfg.Stream.WindowSize / restartOpenRecords),
-			Sessions: 1 + rng.Intn(3), Proto: netflow.TCP,
-		}
-	}
+	records := restartRecords(cfg, rng, restartHot+restartCold)
 	for i := 0; i < len(records); i += 2000 {
 		if err := log.Append(records[i:min(i+2000, len(records))]); err != nil {
 			tb.Fatal(err)
 		}
 	}
 	return cfg
+}
+
+func restartHost(h int) string { return fmt.Sprintf("10.1.%d.%d", h/250, h%250) }
+func restartPeer(i int) string { return fmt.Sprintf("peer-%05d", i) }
+
+// restartRecords is window w's records in the restart shape: each host
+// talks to peers of its home set, spread over the window's hour.
+func restartRecords(cfg Config, rng *rand.Rand, w int) []netflow.Record {
+	start := testT0.Add(time.Duration(w) * cfg.Stream.WindowSize)
+	records := make([]netflow.Record, restartOpenRecords)
+	for i := range records {
+		h := i % restartHosts
+		records[i] = netflow.Record{
+			Src: restartHost(h), Dst: restartPeer(h/8*16 + rng.Intn(16)),
+			Start:    start.Add(time.Duration(i) * cfg.Stream.WindowSize / restartOpenRecords),
+			Sessions: 1 + rng.Intn(3), Proto: netflow.TCP,
+		}
+	}
+	return records
 }
 
 // BenchmarkServerRestart times server.New over the restart shape: the
@@ -127,4 +133,62 @@ func BenchmarkServerRestart(b *testing.B) {
 		b.StartTimer()
 	}
 	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/op")
+}
+
+// BenchmarkServerWindowClose times one `wide`-shaped window close
+// through Server.IngestBatch on the restart shape booted: a full ring of
+// 1 200-source windows, SegmentRetain cold segments, the snapshot and
+// the WAL. Each iteration ingests the open window's records untimed,
+// then times the 2 000-record batch that closes it: its records, the
+// extraction, the
+// store's Add (the view, the evicted window's compaction, the new
+// window's file), the checkpoint's Save, the WAL's generation change
+// and the batch-end commit. With more than one P the extraction's runs
+// and Add's legs run beside each other, so -cpu 2 reads under -cpu 1.
+// span-cover is the share of the closing batch's trace its spans cover.
+func BenchmarkServerWindowClose(b *testing.B) {
+	cfg := restartConfig(b, b.TempDir())
+	srv, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Abort()
+	rng := rand.New(rand.NewSource(2))
+	open := restartHot + restartCold // the window the WAL's records are in
+	var cover float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	// A closing batch is bench/'s batch, half of it the open window's
+	// last records and half the next window's first, as in a stream.
+	const closeBatch, half = 2000, 1000
+	var cur, tail []netflow.Record // the open window's records, when made here; those it has left to send
+	sent := 0                      // how many of cur the batch that opened its window sent
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		next := restartRecords(cfg, rng, open+1)
+		if cur != nil {
+			body := cur[sent : len(cur)-half]
+			for j := 0; j < len(body); j += closeBatch {
+				mustIngest(b, srv, body[j:min(j+closeBatch, len(body))])
+			}
+			tail = cur[len(cur)-half:]
+		}
+		sent = closeBatch - len(tail)
+		closing := append(tail[:len(tail):len(tail)], next[:sent]...)
+		b.StartTimer()
+		res := srv.IngestBatch("", closing)
+		b.StopTimer()
+		if res.WindowsClosed != 1 || res.Accepted != len(closing) || srv.Store().Len() != restartHot || srv.Store().SegmentCount() != restartCold {
+			b.Fatalf("close of window %d: %+v, %d hot windows, %d segments", open, res, srv.Store().Len(), srv.Store().SegmentCount())
+		}
+		tr := srv.Tracer().Recent(1)[0]
+		for _, sp := range tr.Spans {
+			cover += float64(sp.DurationMicros) / float64(tr.DurationMicros)
+		}
+		cur = next
+		open++
+		b.StartTimer()
+	}
+	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/op")
+	b.ReportMetric(cover/float64(b.N), "span-cover")
 }

@@ -16,8 +16,8 @@ import (
 // closed window. No body may panic or be answered 500; every status is
 // 200, 400 or 404; and a 200 ranks at most k hits a query (DefaultTopK
 // when k is unset), each at a distance in [0, max_dist] (1 when unset),
-// in non-decreasing order. Every input gets a fresh node, so an inline
-// signature's new labels do not carry over to the next input.
+// in non-decreasing order. Whatever the status, the universe keeps its
+// size: a search interns no label. Every input gets a fresh node.
 func FuzzSearchRequest(f *testing.F) {
 	var seeds []SearchRequest
 	for _, q := range []SearchRequest{
@@ -55,8 +55,12 @@ func FuzzSearchRequest(f *testing.F) {
 		if batch {
 			path = "/v1/search/batch"
 		}
+		labels := srv.Store().Universe().Size()
 		rec := httptest.NewRecorder()
 		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		if got := srv.Store().Universe().Size(); got != labels {
+			t.Fatalf("%s %q: status %d, and the universe grew from %d to %d labels", path, body, rec.Code, labels, got)
+		}
 		switch rec.Code {
 		case http.StatusOK:
 		case http.StatusBadRequest, http.StatusNotFound:

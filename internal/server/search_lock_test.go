@@ -14,8 +14,9 @@ import (
 
 // TestSignatureSearchKnownLabelsLeaveUniverseAlone: a signature query
 // whose labels the universe already holds — every routed search is one
-// — interns nothing, single or batched; only a never-seen label grows
-// the universe, and by exactly that label.
+// — interns nothing, single or batched; nor does one with a never-seen
+// label, which the search resolves without interning it
+// (TestSearchInternsNoLabel).
 func TestSignatureSearchKnownLabelsLeaveUniverseAlone(t *testing.T) {
 	s, c, done := newTestServer(t, testConfig())
 	defer done()
@@ -40,7 +41,7 @@ func TestSignatureSearchKnownLabelsLeaveUniverseAlone(t *testing.T) {
 	if _, err := c.Search(SearchRequest{Signature: fresh, K: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if got := u.Size(); got != before+1 {
+	if got := u.Size(); got != before {
 		t.Fatalf("one unseen label: universe %d -> %d", before, got)
 	}
 }

@@ -716,6 +716,9 @@ func (s *Server) ingestLocked(tr *obs.Trace, batchID string, records []netflow.R
 			runFrom = -1
 		}
 	}
+	// The trace's pipeline.ingest spans cover the records the pipeline
+	// observes between the batch's start, its closes and its end.
+	observing := time.Now()
 	for i := range records {
 		before := s.pipeline.Ingested()
 		// The log holds a start to the millisecond. The pipeline sees no
@@ -724,6 +727,11 @@ func (s *Server) ingestLocked(tr *obs.Trace, batchID string, records []netflow.R
 		r := records[i]
 		r.Start = r.Start.Truncate(time.Millisecond)
 		emitted, err := s.pipeline.Ingest(r)
+		if len(emitted) > 0 {
+			closing := s.pipeline.CloseBegan()
+			tr.Record("pipeline.ingest", observing, closing)
+			tr.Record("window.extract", closing, time.Now())
+		}
 		if err != nil {
 			endRun(i)
 			res.Rejected++
@@ -753,6 +761,7 @@ func (s *Server) ingestLocked(tr *obs.Trace, batchID string, records []netflow.R
 				runs = runs[:0]
 			}
 			endCP()
+			observing = time.Now()
 		}
 		if accepted := s.pipeline.Ingested() - before; accepted > 0 {
 			res.Accepted += accepted
@@ -768,6 +777,7 @@ func (s *Server) ingestLocked(tr *obs.Trace, batchID string, records []netflow.R
 		}
 	}
 	endRun(len(records))
+	tr.Record("pipeline.ingest", observing, time.Now())
 	res.CurrentWindow = s.pipeline.CurrentWindow()
 	var marker *wal.BatchEntry
 	if batchID != "" && s.dedup != nil {
@@ -1036,7 +1046,9 @@ func (s *Server) Snapshot() error {
 // commitWindowLocked archives one completed window and screens it
 // against the watchlist. Callers hold s.mu.
 func (s *Server) commitWindowLocked(set *core.SignatureSet) {
-	if err := s.store.Add(set); err != nil {
+	// The window's snapshot file is written beside the compaction Add
+	// runs, so the checkpoint that follows finds it written.
+	if err := s.store.AddSaving(set, s.cfg.SnapshotDir); err != nil {
 		// A snapshot/replay overlap: the window index already exists.
 		// The archived window wins and the new one is dropped; recovery
 		// tells kept from dropped by Store.TotalAdded.

@@ -117,10 +117,16 @@ func (st *sourceState) observe(dst graph.NodeID, dstKey uint64, weight float64, 
 type StreamTT struct {
 	cfg     StreamConfig
 	sources map[graph.NodeID]*sourceState
-	dense   int   // sources that have materialised a sketch
-	badSize error // an unusable sketch size, reported by every Observe
-	// Signature's working memory, reused from call to call: one entry
-	// per candidate, and the table that finds a logged destination's.
+	dense   int     // sources that have materialised a sketch
+	badSize error   // an unusable sketch size, reported by every Observe
+	scratch Scratch // Signature's, reused from call to call
+}
+
+// Scratch is the working memory of a signature extraction: one entry
+// per candidate, and the table that finds a logged destination's. It is
+// reused from call to call. Extractions that run at the same time need
+// one each (SignatureWith); Signature uses the extractor's own.
+type Scratch struct {
 	entries []core.KeyedEntry
 	slots   []int32
 }
@@ -200,15 +206,16 @@ func (s *StreamTT) Dense(v graph.NodeID) bool {
 // its candidates are the destinations in its log, in order of first
 // appearance, each with the sum of its observations taken in arrival
 // order (the additions one sketch cell would have received, without
-// the other destinations hashed into it). The entries are the
-// extractor's and last until the next call.
-func (s *StreamTT) counts(st *sourceState) []core.KeyedEntry {
-	out := s.entries[:0]
+// the other destinations hashed into it). The entries are sc's and
+// last until its next use. counts only reads s, so calls with scratches
+// of their own may run at the same time.
+func (s *StreamTT) counts(sc *Scratch, st *sourceState) []core.KeyedEntry {
+	out := sc.entries[:0]
 	if st.cm != nil {
 		for u, c := range st.cand {
 			out = append(out, core.KeyedEntry{Node: u, Key: c.key, Weight: st.cm.Estimate(c.key)})
 		}
-		s.entries = out
+		sc.entries = out
 		return out
 	}
 	// slots is an open-addressed table from destination to 1 + its
@@ -219,10 +226,10 @@ func (s *StreamTT) counts(st *sourceState) []core.KeyedEntry {
 	for size < 2*len(st.log) {
 		size <<= 1
 	}
-	if cap(s.slots) < size {
-		s.slots = make([]int32, size)
+	if cap(sc.slots) < size {
+		sc.slots = make([]int32, size)
 	}
-	slots := s.slots[:size]
+	slots := sc.slots[:size]
 	clear(slots)
 	for _, o := range st.log {
 		i := splitmix64(uint64(o.dst)) & uint64(size-1)
@@ -236,7 +243,7 @@ func (s *StreamTT) counts(st *sourceState) []core.KeyedEntry {
 			out[slots[i]-1].Weight += o.weight
 		}
 	}
-	s.entries = out // keep what append grew
+	sc.entries = out // keep what append grew
 	return out
 }
 
@@ -244,6 +251,13 @@ func (s *StreamTT) counts(st *sourceState) []core.KeyedEntry {
 // exact for a sparse source, CM-estimated for a dense one — over the
 // exact running total.
 func (s *StreamTT) Signature(v graph.NodeID, k int) (core.Signature, error) {
+	return s.SignatureWith(&s.scratch, v, k)
+}
+
+// SignatureWith is Signature in sc's working memory. It only reads the
+// extractor, so extractions with scratches of their own may run at the
+// same time, as long as nothing observes.
+func (s *StreamTT) SignatureWith(sc *Scratch, v graph.NodeID, k int) (core.Signature, error) {
 	if k <= 0 {
 		return core.Signature{}, fmt.Errorf("sketch: k must be positive, got %d", k)
 	}
@@ -251,7 +265,7 @@ func (s *StreamTT) Signature(v graph.NodeID, k int) (core.Signature, error) {
 	if !ok || st.total == 0 {
 		return core.Signature{}, nil
 	}
-	cand := s.counts(st)
+	cand := s.counts(sc, st)
 	for i := range cand {
 		cand[i].Weight /= st.total
 	}
@@ -326,6 +340,12 @@ func (s *StreamUT) EstimateInDegree(j graph.NodeID) float64 {
 
 // Signature extracts the approximate UT signature of v.
 func (s *StreamUT) Signature(v graph.NodeID, k int) (core.Signature, error) {
+	return s.SignatureWith(&s.tt.scratch, v, k)
+}
+
+// SignatureWith is Signature in sc's working memory; like
+// StreamTT.SignatureWith it only reads the extractor.
+func (s *StreamUT) SignatureWith(sc *Scratch, v graph.NodeID, k int) (core.Signature, error) {
 	if k <= 0 {
 		return core.Signature{}, fmt.Errorf("sketch: k must be positive, got %d", k)
 	}
@@ -333,7 +353,7 @@ func (s *StreamUT) Signature(v graph.NodeID, k int) (core.Signature, error) {
 	if !ok || st.total == 0 {
 		return core.Signature{}, nil
 	}
-	cand := s.tt.counts(st)
+	cand := s.tt.counts(sc, st)
 	for i := range cand {
 		// At least 1 for a destination Observe got as far as counting;
 		// one it did not divides to +Inf and is dropped.

@@ -105,25 +105,11 @@ func (s *Store) Save(dir string) error {
 	keep := map[string]bool{manifestName: true}
 	written := 0
 	for i, set := range sets {
-		w := windowFile{window: set.Window}
-		var owned bool
-		if w.crc, owned = s.saved[w.window]; owned {
-			// Reuse is by ownership, never by name alone; the Stat only
-			// notices a file deleted under this store.
-			_, err := os.Stat(filepath.Join(dir, w.name()))
-			owned = err == nil
+		w, n, err := s.saveWindowLocked(dir, set)
+		if err != nil {
+			return err
 		}
-		if !owned {
-			data, err := segment.Encode([]*core.SignatureSet{set}, s.universe)
-			if err == nil {
-				w.crc = crc32.ChecksumIEEE(data)
-				err = segment.CommitFile(filepath.Join(dir, w.name()), data, "store.save.window", "store.save.window.commit")
-			}
-			if err != nil {
-				return fmt.Errorf("store: snapshot window %d: %w", w.window, err)
-			}
-			written += len(data)
-		}
+		written += n
 		windows[i], owns[w.window], keep[w.name()] = w, w.crc, true
 	}
 	labels, n, err := s.saveLabels(dir)
@@ -145,6 +131,33 @@ func (s *Store) Save(dir string) error {
 		return fmt.Errorf("store: snapshot committed, sweep: %w", err)
 	}
 	return nil
+}
+
+// saveWindowLocked makes set's window file one this store owns in dir,
+// which is s.savedDir: the file is written unless the store owns it
+// there already, and is recorded in s.saved. It reports the file and the
+// bytes it wrote. Save calls it for every ring window; AddSaving for the
+// window it has just accepted. Callers hold saveMu.
+func (s *Store) saveWindowLocked(dir string, set *core.SignatureSet) (windowFile, int, error) {
+	w := windowFile{window: set.Window}
+	var owned bool
+	if w.crc, owned = s.saved[w.window]; owned {
+		// Reuse is by ownership, never by name alone; the Stat only
+		// notices a file deleted under this store.
+		if _, err := os.Stat(filepath.Join(dir, w.name())); err == nil {
+			return w, 0, nil
+		}
+	}
+	data, err := segment.Encode([]*core.SignatureSet{set}, s.universe)
+	if err == nil {
+		w.crc = crc32.ChecksumIEEE(data)
+		err = segment.CommitFile(filepath.Join(dir, w.name()), data, "store.save.window", "store.save.window.commit")
+	}
+	if err != nil {
+		return w, 0, fmt.Errorf("store: snapshot window %d: %w", w.window, err)
+	}
+	s.saved[w.window] = w.crc
+	return w, len(data), nil
 }
 
 // saveLabels returns the label files that cover the universe as it is

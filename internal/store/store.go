@@ -18,6 +18,7 @@ package store
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"sync"
 
@@ -92,12 +93,12 @@ type Store struct {
 	loading bool
 
 	// saveMu serializes Save calls (periodic snapshot loop vs window
-	// close vs shutdown) and guards what Save may skip: saved maps each
-	// window this store wrote into (or loaded from) savedDir to the CRC
-	// in its file's name, and savedLabels lists the label files it
-	// wrote or loaded there, in NodeID order. A file is reused only
-	// through this record, never because a same-named file happens to
-	// lie in the directory.
+	// close vs shutdown) and AddSaving's window file, and guards what
+	// Save may skip: saved maps each window this store wrote into (or
+	// loaded from) savedDir to the CRC in its file's name, and
+	// savedLabels lists the label files it wrote or loaded there, in
+	// NodeID order. A file is reused only through this record, never
+	// because a same-named file happens to lie in the directory.
 	saveMu      sync.Mutex
 	savedDir    string
 	saved       map[int]uint32
@@ -110,7 +111,7 @@ type Store struct {
 // (no registry) is fully no-op.
 type storeObs struct {
 	saveSeconds  *obs.Histogram // successful Save wall time
-	saveBytes    *obs.Counter   // bytes successful Saves wrote (new window files + manifest)
+	saveBytes    *obs.Counter   // bytes successful Saves wrote (new window files + manifest), and AddSaving's files
 	searchProbes *obs.Histogram // exact distance evaluations per Search
 
 	// Cold-tier counters (store_segment_*), live once AttachSegments
@@ -132,7 +133,7 @@ func (o *storeObs) bind(reg *obs.Registry) {
 	o.saveSeconds = reg.Histogram("store_snapshot_save_seconds",
 		"wall time of successful snapshot saves")
 	o.saveBytes = reg.Counter("store_snapshot_save_bytes_total",
-		"bytes written by successful snapshot saves")
+		"bytes written by successful snapshot saves and the window files AddSaving wrote ahead of them")
 	o.searchProbes = reg.HistogramWith("store_search_probes",
 		"exact distance evaluations per search request", obs.CountBounds(24))
 	o.segLoads = reg.Counter("store_segment_loads",
@@ -171,35 +172,91 @@ func (s *Store) Universe() *graph.Universe { return s.universe }
 // increasing — the store archives a time line, not a bag — so a
 // duplicate or regressing index is an error. The oldest window is
 // evicted when capacity is exceeded.
-func (s *Store) Add(set *core.SignatureSet) error {
+func (s *Store) Add(set *core.SignatureSet) error { return s.add(set, "") }
+
+// AddSaving is Add that, once it has accepted set, also writes set's
+// snapshot file into dir beside the compaction of the windows set
+// evicts, so that the next Save into dir finds the file written and
+// owned. Only a window Add accepts is written: a window it refuses — a
+// replay closing an archived window again — must not replace that
+// window's file. Only the directory of the store's last Save or Load is
+// written into; the first Save into a directory writes every file
+// itself. A failed write does not fail the Add: the next Save writes
+// the file and reports the error.
+func (s *Store) AddSaving(set *core.SignatureSet, dir string) error { return s.add(set, dir) }
+
+func (s *Store) add(set *core.SignatureSet, dir string) error {
 	if set == nil {
 		return fmt.Errorf("store: nil signature set")
 	}
 	if err := fault.Inject("store.add"); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
+	if dir != "" {
+		s.saveMu.Lock() // Save's order: saveMu, then mu
+		defer s.saveMu.Unlock()
+		if dir != s.savedDir {
+			dir = ""
+		}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if n := len(s.ring); n > 0 && set.Window <= s.ring[n-1].set.Window {
 		return fmt.Errorf("store: window %d not after latest window %d", set.Window, s.ring[n-1].set.Window)
 	}
-	s.ring = append(s.ring, entry{set: set, view: distmat.NewSetView(set)})
+	// The windows set evicts are known before it is appended, so their
+	// compaction, set's view and set's snapshot file are built beside
+	// each other. Each only reads the universe and the sets.
+	over := 0
+	if len(s.ring)+1 > s.cfg.Capacity && !s.loading {
+		over = len(s.ring) + 1 - s.cfg.Capacity
+	}
+	var view *distmat.SetView
+	legs := []func(){func() { view = distmat.NewSetView(set) }}
+	if over > 0 && s.tier != nil {
+		// Compaction precedes eviction: only windows with a durable
+		// segment copy may leave RAM. A failed segment write shrinks
+		// `over` and the ring temporarily exceeds Capacity — degraded
+		// memory bounds beat lost history.
+		legs = append(legs, func() { over = s.compactLocked(over) })
+	}
+	if dir != "" {
+		legs = append(legs, func() {
+			if _, n, err := s.saveWindowLocked(dir, set); err == nil {
+				s.obs.saveBytes.Add(int64(n))
+			}
+		})
+	}
+	beside(legs...)
+	s.ring = append(s.ring, entry{set: set, view: view})
 	s.added++
-	if len(s.ring) > s.cfg.Capacity && !s.loading {
-		over := len(s.ring) - s.cfg.Capacity
-		if s.tier != nil {
-			// Compaction precedes eviction: only windows with a durable
-			// segment copy may leave RAM. A failed segment write shrinks
-			// `over` and the ring temporarily exceeds Capacity — degraded
-			// memory bounds beat lost history.
-			over = s.compactLocked(over)
-		}
-		if over > 0 {
-			s.ring = append(s.ring[:0:0], s.ring[over:]...)
-			s.evicted += over
-		}
+	if over > 0 {
+		s.ring = append(s.ring[:0:0], s.ring[over:]...)
+		s.evicted += over
 	}
 	return nil
+}
+
+// beside runs fns and returns once all have: in sequence when there is
+// one P to run them, else the first on the calling goroutine and each
+// other on one of its own.
+func beside(fns ...func()) {
+	if runtime.GOMAXPROCS(0) == 1 {
+		for _, f := range fns {
+			f()
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	for _, f := range fns[1:] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f()
+		}()
+	}
+	fns[0]()
+	wg.Wait()
 }
 
 // Len reports the number of retained windows.

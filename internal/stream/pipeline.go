@@ -9,7 +9,9 @@ package stream
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
 	"time"
 
 	"graphsig/internal/core"
@@ -57,10 +59,15 @@ func (c *Config) validate() error {
 // extractor is the common surface of StreamTT and StreamUT.
 type extractor interface {
 	Observe(src, dst graph.NodeID, weight float64) error
-	Signature(v graph.NodeID, k int) (core.Signature, error)
+	SignatureWith(sc *sketch.Scratch, v graph.NodeID, k int) (core.Signature, error)
 	Sources() []graph.NodeID
 	DenseSources() int
 }
+
+// minRun is the fewest sources one run of a window close extracts.
+// Below it a run's goroutine costs about what it takes off the closing
+// one (EXPERIMENTS.md "Window close on both cores").
+const minRun = 64
 
 // Pipeline ingests flow records in time order and emits one
 // SignatureSet per completed window. Records may arrive slightly out of
@@ -76,6 +83,13 @@ type Pipeline struct {
 	ingested  int
 
 	current extractor
+	// runs, when positive, fixes how many runs a close extracts in (tests
+	// only); scratch holds one extraction's working memory per run, kept
+	// from close to close. closeBegan is when the latest Ingest that
+	// closed a window began closing it.
+	runs       int
+	scratch    []sketch.Scratch
+	closeBegan time.Time
 
 	closeSeconds *obs.Histogram // window-close signature extraction time
 	// Sources of closed windows by what their state had become: still
@@ -164,6 +178,9 @@ func (p *Pipeline) Ingest(r netflow.Record) ([]*core.SignatureSet, error) {
 		return nil, fmt.Errorf("stream: record at %v belongs to emitted window %d (current %d)", r.Start, idx, p.window)
 	}
 	var emitted []*core.SignatureSet
+	if p.window < idx {
+		p.closeBegan = time.Now()
+	}
 	for p.window < idx {
 		set, err := p.closeWindow()
 		if err != nil {
@@ -185,6 +202,11 @@ func (p *Pipeline) Ingest(r netflow.Record) ([]*core.SignatureSet, error) {
 	p.ingested++
 	return emitted, nil
 }
+
+// CloseBegan reports when the latest Ingest that closed a window began
+// closing it (the zero time before any did); serving layers trace the
+// extraction from it.
+func (p *Pipeline) CloseBegan() time.Time { return p.closeBegan }
 
 // Flush closes the current window and returns its signature set; the
 // pipeline then continues with the next window (used at end of input).
@@ -209,13 +231,9 @@ func (p *Pipeline) closeWindow() (*core.SignatureSet, error) {
 		}
 	}
 	sort.Slice(kept, func(i, j int) bool { return kept[i] < kept[j] })
-	sigs := make([]core.Signature, len(kept))
-	for i, v := range kept {
-		sig, err := p.current.Signature(v, p.cfg.K)
-		if err != nil {
-			return nil, fmt.Errorf("stream: window %d: %w", p.window, err)
-		}
-		sigs[i] = sig
+	sigs, err := p.extract(kept)
+	if err != nil {
+		return nil, fmt.Errorf("stream: window %d: %w", p.window, err)
 	}
 	set, err := core.NewSignatureSet(p.cfg.Scheme+"-stream", p.window, kept, sigs)
 	if err != nil {
@@ -224,6 +242,53 @@ func (p *Pipeline) closeWindow() (*core.SignatureSet, error) {
 	p.window++
 	p.current = p.newExtractor()
 	return set, nil
+}
+
+// extract returns the signatures of sources, which are sorted. Each
+// depends on its source's state alone, so they are cut into k
+// contiguous runs, k = min(GOMAXPROCS, len/minRun) or p.runs, and runs
+// 2..k extract beside the first, each into its own part of the result
+// with its own scratch. The result is the same for every k. Nothing may
+// observe meanwhile: the extractor is only read.
+func (p *Pipeline) extract(sources []graph.NodeID) ([]core.Signature, error) {
+	n := len(sources)
+	k := p.runs
+	if k <= 0 {
+		k = min(runtime.GOMAXPROCS(0), n/minRun)
+	}
+	k = max(1, min(k, n))
+	for len(p.scratch) < k {
+		p.scratch = append(p.scratch, sketch.Scratch{})
+	}
+	sigs := make([]core.Signature, n)
+	errs := make([]error, k)
+	run := func(r int) {
+		sc := &p.scratch[r]
+		for i := r * n / k; i < (r+1)*n/k; i++ {
+			sig, err := p.current.SignatureWith(sc, sources[i], p.cfg.K)
+			if err != nil {
+				errs[r] = err
+				return
+			}
+			sigs[i] = sig
+		}
+	}
+	var wg sync.WaitGroup
+	for r := 1; r < k; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(r)
+		}()
+	}
+	run(0)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return sigs, nil
 }
 
 // Run ingests a whole record slice (already time-ordered) and returns
