@@ -216,12 +216,16 @@ bench-e2e-smoke:
 # Observability smoke: boot sigserverd in replay mode end to end. The
 # replay scrapes /metrics through the client's one metrics call, which
 # parses the exposition (requiring the serving histograms), and fetches
-# a trace from /v1/traces — all through the real HTTP stack. Then the
-# series-reader gate: a primary, a follower and a router export only
+# a trace from /v1/traces — all through the real HTTP stack. Beside it,
+# each daemon's flag audit (TestFlagsHaveSetters): every flag of
+# sigserverd and sigrouterd is a listed deployment setting or paper
+# parameter, or a command line or span in the docs, Makefile, scripts
+# or skills sets it, and every daemon command line there parses. Then
+# the series-reader gate: a primary, a follower and a router export only
 # families some test, tool, doc, benchmark or script names beyond the
 # file registering them; and /v1/traces's ?n= on a node and a router.
 obs-smoke:
-	$(GO) test -race -run 'TestReplayRunExits' ./cmd/sigserverd/
+	$(GO) test -race -run 'TestReplayRunExits|TestFlagsHaveSetters' ./cmd/sigserverd/ ./cmd/sigrouterd/
 	$(GO) test -race -run 'TestMetricSeriesHaveReaders|TestTracesParam' ./internal/cluster/
 
 tidy:

@@ -1,11 +1,14 @@
 package main
 
 import (
+	"flag"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"strings"
 	"testing"
+
+	"graphsig/internal/daemon"
 )
 
 // TestDebugMuxRoutesPprof: -debug-addr serves http.DefaultServeMux, on
@@ -19,5 +22,26 @@ func TestDebugMuxRoutesPprof(t *testing.T) {
 	http.DefaultServeMux.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), os.Args[0]) {
 		t.Fatalf("GET /debug/pprof/cmdline = %d %q", rec.Code, rec.Body.String())
+	}
+}
+
+// TestFlagsHaveSetters is the flag audit: every flag is a deployment
+// setting listed here with its reason, or some command line or
+// back-ticked span in the docs, the Makefile, the scripts or the skills
+// sets it; every command line there uses only flags the router has. A
+// flag nothing sets becomes a constant.
+func TestFlagsHaveSetters(t *testing.T) {
+	table := map[string]string{
+		"addr":       "listen address",
+		"debug-addr": "pprof listen address",
+		"shard":      "peers: each shard's seed addresses",
+		"follower":   "peers: each shard's replicas",
+	}
+	problems, err := daemon.AuditFlags(func() *flag.FlagSet { return flags(new(options)) }, table, "../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range problems {
+		t.Error(p)
 	}
 }

@@ -9,23 +9,31 @@
 //
 // Endpoints (JSON but for /metrics):
 //
-//	POST /v1/flows              batch flow ingestion
-//	GET  /v1/signatures/{label} per-label signature history
-//	POST /v1/search             top-k nearest signatures
-//	POST /v1/watchlist          archive a label under an individual
-//	GET  /v1/watchlist/hits     recorded reappearance hits
-//	GET  /v1/anomalies          behaviour changes, last two windows
-//	GET  /healthz               liveness
-//	GET  /metrics               Prometheus text exposition
+//	POST /v1/flows                 batch flow ingestion
+//	GET  /v1/signatures/{label}    per-label signature history
+//	POST /v1/search                top-k nearest signatures
+//	POST /v1/search/batch          many searches under one distance
+//	POST /v1/watchlist             archive a label under an individual
+//	GET  /v1/watchlist/hits        recorded reappearance hits
+//	GET  /v1/anomalies             behaviour changes, last two windows
+//	GET  /v1/persistence           label persistence, last two windows
+//	GET  /v1/replication/status    WAL generations a follower can fetch
+//	GET  /v1/replication/wal       WAL bytes for a follower (-replicate)
+//	GET  /v1/traces                recent request traces
+//	GET  /v1/traces/{id}           one trace's spans
+//	GET  /healthz                  liveness
+//	GET  /readyz                   readiness and cluster identity
+//	GET  /metrics                  Prometheus text exposition
 //
 // On SIGINT/SIGTERM the daemon drains HTTP, flushes the partial
 // window, and — when -snapshot is set — saves the store so a restart
-// resumes with its archive.
+// resumes with its archive. Between restarts the write-ahead log
+// beside the snapshot directory covers what the snapshot does not.
 //
 // With -replay the daemon feeds a synthetic datagen enterprise
-// workload to itself through the real HTTP ingest path, prints a
-// throughput summary and the final counters, and exits: a self-
-// benchmark of the full serving stack.
+// workload to itself through the real HTTP ingest path, checks the
+// flow counters and the observability surface, and exits: a self-test
+// of the full serving stack.
 package main
 
 import (
@@ -35,18 +43,13 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"net"
-	"net/http"
-	_ "net/http/pprof" // registers /debug/pprof/* on http.DefaultServeMux, served on -debug-addr
 	"os"
-	"os/signal"
 	"strings"
-	"sync"
-	"syscall"
 	"time"
 
 	"graphsig/internal/cluster"
 	"graphsig/internal/core"
+	"graphsig/internal/daemon"
 	"graphsig/internal/datagen"
 	"graphsig/internal/netflow"
 	"graphsig/internal/obs"
@@ -56,45 +59,42 @@ import (
 )
 
 type options struct {
-	addr         string
-	window       time.Duration
-	origin       string
-	localPrefix  string
-	scheme       string
-	k            int
-	tcpOnly      bool
-	distance     string
-	capacity     int
-	watchDist    float64
-	snapshot     string
-	segments     string
-	segRetain    int
-	snapInterval time.Duration
-	noWAL        bool
-	maxInFlight  int
-	sketchWidth  int
-	sketchDepth  int
-	sketchCand   int
-	debugAddr    string
-	slowOp       time.Duration
+	addr        string
+	window      time.Duration
+	origin      string
+	localPrefix string
+	scheme      string
+	k           int
+	distance    string
+	capacity    int
+	snapshot    string
+	segments    string
+	segRetain   int
+	debugAddr   string
+	slowOp      time.Duration
 
 	shardIndex int
 	shardCount int
-	vnodes     int
 	replicate  bool
-	walRetain  int
 	follow     string
-	followPoll time.Duration
 
 	replay        bool
-	replaySeed    int64
 	replayHosts   int
 	replayWindows int
-	replayBatch   int
 }
 
-func main() {
-	var o options
+// The daemon's fixed tuning. The sketch sizes must match on every node
+// of a cluster and on a primary's followers, so they are not flags.
+var daemonSketch = sketch.StreamConfig{Width: 4096, Depth: 5, Candidates: 256, Seed: 1}
+
+const (
+	maxInFlight = 8    // concurrent ingest batches before shedding with 429
+	replaySeed  = 1    // replay workload seed
+	replayBatch = 2000 // replay records per POST
+)
+
+// flags defines the daemon's command line, binding each flag to o.
+func flags(o *options) *flag.FlagSet {
 	fs := flag.NewFlagSet("sigserverd", flag.ExitOnError)
 	fs.StringVar(&o.addr, "addr", "127.0.0.1:8787", "listen address")
 	fs.DurationVar(&o.window, "window", 5*24*time.Hour, "aggregation window size")
@@ -102,35 +102,26 @@ func main() {
 	fs.StringVar(&o.localPrefix, "local-prefix", "10.", "label prefix marking local hosts")
 	fs.StringVar(&o.scheme, "scheme", "tt", "streaming signature scheme (tt or ut)")
 	fs.IntVar(&o.k, "k", 10, "signature length")
-	fs.BoolVar(&o.tcpOnly, "tcp-only", true, "drop non-TCP records")
 	fs.StringVar(&o.distance, "distance", "jaccard", "default distance (jaccard, dice, sdice, shel, ...)")
 	fs.IntVar(&o.capacity, "capacity", 16, "windows retained in the store")
-	fs.Float64Var(&o.watchDist, "watch-maxdist", 0.5, "watchlist screening threshold")
-	fs.StringVar(&o.snapshot, "snapshot", "", "snapshot directory (empty = no persistence)")
+	fs.StringVar(&o.snapshot, "snapshot", "", "snapshot directory, with the write-ahead log beside it (empty = no persistence)")
 	fs.StringVar(&o.segments, "segment-dir", "", "cold-tier segment directory: ring evictions compact into immutable on-disk segments instead of being dropped (empty = bounded in-memory archive only)")
 	fs.IntVar(&o.segRetain, "segment-retain", 0, "segment files kept on disk; oldest pruned beyond this (0 = keep all)")
-	fs.DurationVar(&o.snapInterval, "snapshot-interval", time.Minute, "periodic background snapshot interval (0 = only at window close/shutdown)")
-	fs.BoolVar(&o.noWAL, "no-wal", false, "disable the write-ahead log beside the snapshot directory")
-	fs.IntVar(&o.maxInFlight, "max-inflight", 8, "concurrent ingest batches before shedding with 429 (0 = unlimited)")
-	fs.IntVar(&o.sketchWidth, "sketch-width", 4096, "Count-Min width per source")
-	fs.IntVar(&o.sketchDepth, "sketch-depth", 5, "Count-Min depth per source")
-	fs.IntVar(&o.sketchCand, "sketch-candidates", 256, "tracked heavy neighbours per source")
 	fs.StringVar(&o.debugAddr, "debug-addr", "", "separate listen address for net/http/pprof (empty = disabled)")
 	fs.DurationVar(&o.slowOp, "slow-op", 500*time.Millisecond, "traced spans over this duration log a slow-operation warning (0 = disabled)")
 	fs.IntVar(&o.shardIndex, "shard-index", 0, "this node's shard index in a cluster (with -shard-count)")
 	fs.IntVar(&o.shardCount, "shard-count", 0, "total shards in the cluster (0 = single-node)")
-	fs.IntVar(&o.vnodes, "vnodes", 0, "virtual nodes per shard on the hash ring (0 = default; must match the router)")
 	fs.BoolVar(&o.replicate, "replicate", false, "serve the WAL to read replicas over /v1/replication (requires -snapshot)")
-	fs.IntVar(&o.walRetain, "wal-retain", server.DefaultReplicaRetain, "sealed WAL segments kept for replica catch-up (-1 = all)")
 	fs.StringVar(&o.follow, "follow", "", "run as a read replica tailing this primary (comma-separated seed addresses)")
-	fs.DurationVar(&o.followPoll, "follow-poll", 0, "replication poll interval when caught up (0 = default)")
 	fs.BoolVar(&o.replay, "replay", false, "self-test: replay a synthetic workload over HTTP, check the counters and the observability surface, then exit")
-	fs.Int64Var(&o.replaySeed, "replay-seed", 1, "replay workload seed")
 	fs.IntVar(&o.replayHosts, "replay-hosts", 300, "replay local hosts")
 	fs.IntVar(&o.replayWindows, "replay-windows", 6, "replay windows")
-	fs.IntVar(&o.replayBatch, "replay-batch", 2000, "replay records per POST")
-	_ = fs.Parse(os.Args[1:])
+	return fs
+}
 
+func main() {
+	var o options
+	_ = flags(&o).Parse(os.Args[1:])
 	if err := run(o, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "sigserverd:", err)
 		os.Exit(1)
@@ -142,18 +133,16 @@ func serverConfig(o options) (server.Config, error) {
 	if !ok {
 		return server.Config{}, fmt.Errorf("unknown distance %q", o.distance)
 	}
+	if o.follow != "" && (o.replicate || o.replay) {
+		return server.Config{}, errors.New("-follow cannot be combined with -replicate or -replay")
+	}
 	scfg := stream.Config{
 		WindowSize: o.window,
 		Classify:   netflow.PrefixClassifier(o.localPrefix),
-		TCPOnly:    o.tcpOnly,
+		TCPOnly:    true,
 		K:          o.k,
 		Scheme:     o.scheme,
-		Sketch: sketch.StreamConfig{
-			Width:      o.sketchWidth,
-			Depth:      o.sketchDepth,
-			Candidates: o.sketchCand,
-			Seed:       1,
-		},
+		Sketch:     daemonSketch,
 	}
 	if o.origin != "" {
 		t, err := time.Parse(time.RFC3339, o.origin)
@@ -170,16 +159,13 @@ func serverConfig(o options) (server.Config, error) {
 		Stream:        scfg,
 		StoreCapacity: o.capacity,
 		Distance:      d,
-		WatchMaxDist:  &o.watchDist,
 		SnapshotDir:   o.snapshot,
 		SegmentDir:    o.segments,
 		SegmentRetain: o.segRetain,
-		DisableWAL:    o.noWAL,
-		MaxInFlight:   o.maxInFlight,
+		MaxInFlight:   maxInFlight,
 		SlowOp:        o.slowOp,
 		Node:          node,
 		Replicate:     o.replicate,
-		ReplicaRetain: o.walRetain,
 	}, nil
 }
 
@@ -188,16 +174,16 @@ func serverConfig(o options) (server.Config, error) {
 // the router uses, so a router/shard membership mismatch is visible by
 // comparing epochs.
 func nodeIdentity(o options) (*server.Identity, error) {
+	if o.shardCount < 0 || o.shardIndex < 0 || o.shardIndex >= max(o.shardCount, 1) {
+		return nil, fmt.Errorf("-shard-index %d out of range for -shard-count %d", o.shardIndex, o.shardCount)
+	}
 	role := "single"
 	if o.replicate {
 		role = "primary"
 	}
 	id := &server.Identity{Role: role, Shard: o.shardIndex}
 	if o.shardCount > 0 {
-		if o.shardIndex < 0 || o.shardIndex >= o.shardCount {
-			return nil, fmt.Errorf("-shard-index %d out of range for -shard-count %d", o.shardIndex, o.shardCount)
-		}
-		ring, err := cluster.NewRing(o.shardCount, o.vnodes)
+		ring, err := cluster.NewRing(o.shardCount, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -208,23 +194,19 @@ func nodeIdentity(o options) (*server.Identity, error) {
 }
 
 func run(o options, out io.Writer) error {
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
 	// All operational output is structured: one slog line per event,
 	// with the server's slow-operation warnings (trace IDs included)
 	// interleaved on the same handler.
 	logger := slog.New(slog.NewTextHandler(out, nil))
-
-	if o.follow != "" {
-		return runFollower(ctx, o, logger)
-	}
 
 	cfg, err := serverConfig(o)
 	if err != nil {
 		return err
 	}
 	cfg.Logger = logger
+	if o.follow != "" {
+		return runFollower(o, cfg)
+	}
 	if o.replay {
 		// Replay feeds records anchored at the generator's origin; pin
 		// the pipeline to it so window indices are predictable.
@@ -250,89 +232,25 @@ func run(o options, out io.Writer) error {
 			"quarantined", len(rec.SegmentsQuarantined))
 	}
 
-	ln, err := net.Listen("tcp", o.addr)
-	if err != nil {
-		return err
-	}
-
-	if o.debugAddr != "" {
-		dln, err := net.Listen("tcp", o.debugAddr)
-		if err != nil {
-			return err
+	// A finished replay ends serving with its own result.
+	ctx, finish := context.WithCancelCause(context.Background())
+	defer finish(nil)
+	runErr := daemon.Serve(ctx, o.addr, o.debugAddr, srv.Handler(), logger, func(base string) {
+		logger.Info("sigserverd: serving on "+base,
+			"window", cfg.Stream.WindowSize, "scheme", cfg.Stream.Scheme, "k", cfg.Stream.K)
+		// Startup readiness probe through the real listener: the same
+		// check a load balancer would run, logged so a misconfigured boot
+		// (e.g. durability requested but WAL unopenable) is visible
+		// immediately.
+		if ready, err := server.NewClient(base).Ready(); err != nil {
+			logger.Warn("sigserverd: readiness probe failed", "err", err)
+		} else {
+			logger.Info("sigserverd: ready", "ready", ready.Ready)
 		}
-		defer dln.Close()
-		go func() { _ = http.Serve(dln, nil) }()
-		logger.Info("sigserverd: pprof debug server on http://" + dln.Addr().String() + "/debug/pprof/")
-	}
-	hs := &http.Server{
-		Handler: srv.Handler(),
-		// Slowloris hardening: a client must finish its headers
-		// promptly and cannot send unbounded ones. Body size is
-		// bounded per handler via http.MaxBytesReader.
-		ReadHeaderTimeout: 10 * time.Second,
-		MaxHeaderBytes:    1 << 20,
-	}
-	errc := make(chan error, 1)
-	go func() {
-		if err := hs.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
-			errc <- err
+		if o.replay {
+			go func() { finish(replay(o, base, logger)) }()
 		}
-	}()
-	logger.Info(fmt.Sprintf("sigserverd: serving on http://%s", ln.Addr()),
-		"window", cfg.Stream.WindowSize, "scheme", cfg.Stream.Scheme, "k", cfg.Stream.K)
-
-	// Startup readiness probe through the real listener: the same check
-	// a load balancer would run, logged so a misconfigured boot (e.g.
-	// durability requested but WAL unopenable) is visible immediately.
-	if ready, err := server.NewClient("http://" + ln.Addr().String()).Ready(); err != nil {
-		logger.Warn("sigserverd: readiness probe failed", "err", err)
-	} else {
-		logger.Info("sigserverd: ready", "ready", ready.Ready)
-	}
-
-	// Periodic background snapshots: archived windows stay durable even
-	// without a graceful shutdown (the WAL covers the open window).
-	snapDone := make(chan struct{})
-	var snapWG sync.WaitGroup
-	if o.snapshot != "" && o.snapInterval > 0 {
-		snapWG.Add(1)
-		go func() {
-			defer snapWG.Done()
-			tick := time.NewTicker(o.snapInterval)
-			defer tick.Stop()
-			for {
-				select {
-				case <-snapDone:
-					return
-				case <-tick.C:
-					if err := srv.Snapshot(); err != nil {
-						logger.Warn("sigserverd: periodic snapshot failed", "err", err)
-					}
-				}
-			}
-		}()
-	}
-
-	if o.replay {
-		go func() {
-			errc <- replay(o, "http://"+ln.Addr().String(), logger)
-		}()
-	}
-
-	var runErr error
-	select {
-	case <-ctx.Done():
-		logger.Info("sigserverd: signal received, shutting down")
-	case runErr = <-errc:
-	}
-
-	close(snapDone)
-	snapWG.Wait()
-	sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := hs.Shutdown(sctx); err != nil && runErr == nil {
-		runErr = err
-	}
+	})
 	if err := srv.Shutdown(); err != nil && runErr == nil {
 		runErr = err
 	}
@@ -346,23 +264,15 @@ func run(o options, out io.Writer) error {
 // the same pipeline configuration a primary would, but fills it from
 // the primary's shipped log instead of client ingest, and serves the
 // read-only API.
-func runFollower(ctx context.Context, o options, logger *slog.Logger) error {
-	cfg, err := serverConfig(o)
-	if err != nil {
-		return err
-	}
-	node := &server.Identity{Role: "follower", Shard: o.shardIndex}
-	if cfg.Node != nil {
-		node.Shards = cfg.Node.Shards
-		node.RingEpoch = cfg.Node.RingEpoch
-	}
+func runFollower(o options, cfg server.Config) error {
+	logger := cfg.Logger
+	node := *cfg.Node
+	node.Role = "follower"
 	f, err := cluster.NewFollower(cluster.FollowerConfig{
 		Primary:       strings.Split(o.follow, ","),
 		Stream:        cfg.Stream,
 		StoreCapacity: cfg.StoreCapacity,
 		Distance:      cfg.Distance,
-		WatchMaxDist:  cfg.WatchMaxDist,
-		Poll:          o.followPoll,
 		// A promoted follower turns -snapshot into its own durability
 		// root: it quarantines any stale WAL there and starts logging a
 		// fresh generation.
@@ -371,39 +281,19 @@ func runFollower(ctx context.Context, o options, logger *slog.Logger) error {
 		// the deterministic segment bytes match the primary's bit for bit.
 		SegmentDir:    o.segments,
 		SegmentRetain: o.segRetain,
-		Node:          node,
+		Node:          &node,
 		Logger:        logger,
 	})
 	if err != nil {
 		return err
 	}
-	ln, err := net.Listen("tcp", o.addr)
-	if err != nil {
-		return err
-	}
-	hs := &http.Server{
-		// FollowerHandler adds GET /v1/follower/status and POST
-		// /v1/promote on top of the replica's read API, so an operator or
-		// the router's prober can fail this node over.
-		Handler:           f.FollowerHandler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		MaxHeaderBytes:    1 << 20,
-	}
-	errc := make(chan error, 1)
-	go func() {
-		if err := hs.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
-			errc <- err
-		}
-	}()
 	f.Start()
-	logger.Info(fmt.Sprintf("sigserverd: following %s on http://%s", o.follow, ln.Addr()))
-
-	var runErr error
-	select {
-	case <-ctx.Done():
-		logger.Info("sigserverd: signal received, shutting down")
-	case runErr = <-errc:
-	}
+	// FollowerHandler adds GET /v1/follower/status and POST /v1/promote
+	// on top of the replica's read API, so an operator or the router's
+	// prober can fail this node over.
+	runErr := daemon.Serve(context.Background(), o.addr, o.debugAddr, f.FollowerHandler(), logger, func(base string) {
+		logger.Info(fmt.Sprintf("sigserverd: following %s on %s", o.follow, base))
+	})
 	f.Stop()
 	if st := f.Stats(); st.Promoted {
 		// The node took writes after promotion; give its WAL and
@@ -417,19 +307,13 @@ func runFollower(ctx context.Context, o options, logger *slog.Logger) error {
 	} else if st.Fatal != "" && runErr == nil {
 		runErr = errors.New(st.Fatal)
 	} else {
-		logger.Info("sigserverd: follower stopped",
-			"gen", f.Stats().Gen, "applied", f.Stats().AppliedRecords, "caught_up", f.Stats().CaughtUp)
-	}
-	sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := hs.Shutdown(sctx); err != nil && runErr == nil {
-		runErr = err
+		logger.Info("sigserverd: follower stopped", "gen", st.Gen, "applied", st.AppliedRecords, "caught_up", st.CaughtUp)
 	}
 	return runErr
 }
 
 func replayConfig(o options) datagen.EnterpriseConfig {
-	gcfg := datagen.DefaultEnterpriseConfig(o.replaySeed)
+	gcfg := datagen.DefaultEnterpriseConfig(replaySeed)
 	gcfg.LocalHosts = o.replayHosts
 	gcfg.ExternalHosts = max(8*o.replayHosts, 200)
 	gcfg.Windows = o.replayWindows
@@ -455,8 +339,8 @@ func replay(o options, base string, logger *slog.Logger) error {
 		len(data.Records), gcfg.LocalHosts, gcfg.Windows))
 
 	accepted, rejected, windows := 0, 0, 0
-	for i := 0; i < len(data.Records); i += o.replayBatch {
-		end := min(i+o.replayBatch, len(data.Records))
+	for i := 0; i < len(data.Records); i += replayBatch {
+		end := min(i+replayBatch, len(data.Records))
 		res, err := c.Ingest(data.Records[i:end])
 		if err != nil {
 			return err

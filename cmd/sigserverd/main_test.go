@@ -1,36 +1,26 @@
 package main
 
 import (
+	"flag"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"strings"
 	"testing"
-	"time"
 
+	"graphsig/internal/daemon"
 	"graphsig/internal/store"
 )
 
+// defaultOptions is the daemon's command line with no flags given —
+// defining the flags stores their defaults — on an ephemeral port and
+// with a small replay workload.
 func defaultOptions() options {
 	var o options
+	flags(&o)
 	o.addr = "127.0.0.1:0"
-	o.window = 5 * 24 * time.Hour
-	o.localPrefix = "10."
-	o.scheme = "tt"
-	o.k = 10
-	o.tcpOnly = true
-	o.distance = "jaccard"
-	o.capacity = 16
-	o.watchDist = 0.5
-	o.snapInterval = 20 * time.Millisecond
-	o.maxInFlight = 4
-	o.sketchWidth = 1024
-	o.sketchDepth = 4
-	o.sketchCand = 64
-	o.replaySeed = 1
 	o.replayHosts = 20
 	o.replayWindows = 2
-	o.replayBatch = 500
 	return o
 }
 
@@ -55,6 +45,60 @@ func TestServerConfigValidation(t *testing.T) {
 	}
 	if cfg.Stream.Origin.IsZero() {
 		t.Fatal("origin not applied")
+	}
+	for _, c := range []struct {
+		name string
+		edit func(*options)
+	}{
+		{"index without count", func(o *options) { o.shardIndex = 1 }},
+		{"negative index", func(o *options) { o.shardIndex = -1 }},
+		{"negative index with count", func(o *options) { o.shardIndex, o.shardCount = -1, 2 }},
+		{"index past count", func(o *options) { o.shardIndex, o.shardCount = 2, 2 }},
+		{"negative count", func(o *options) { o.shardCount = -1 }},
+		{"follow and replicate", func(o *options) { o.follow, o.replicate = "http://127.0.0.1:1", true }},
+		{"follow and replay", func(o *options) { o.follow, o.replay = "http://127.0.0.1:1", true }},
+	} {
+		o := defaultOptions()
+		c.edit(&o)
+		if _, err := serverConfig(o); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+	}
+	o = defaultOptions()
+	o.shardIndex, o.shardCount = 1, 2
+	if cfg, err := serverConfig(o); err != nil || cfg.Node.Shard != 1 || cfg.Node.Shards != 2 {
+		t.Fatalf("shard 1 of 2: %+v, %v", cfg.Node, err)
+	}
+}
+
+// TestFlagsHaveSetters is the flag audit: every flag is a deployment
+// setting or a paper parameter listed here with its reason, or some
+// command line or back-ticked span in the docs, the Makefile, the
+// scripts or the skills sets it; every command line there uses only
+// flags the daemon has. A flag nothing sets becomes a constant.
+func TestFlagsHaveSetters(t *testing.T) {
+	table := map[string]string{
+		"addr":           "listen address",
+		"debug-addr":     "pprof listen address",
+		"snapshot":       "durability directory",
+		"segment-dir":    "cold-tier directory",
+		"follow":         "the primary a replica tails",
+		"shard-index":    "shard identity",
+		"shard-count":    "shard identity",
+		"segment-retain": "disk budget",
+		"local-prefix":   "the site's address plan",
+		"scheme":         "paper parameter: TT or UT (§VI)",
+		"k":              "paper parameter: signature length",
+		"window":         "paper parameter: window length",
+		"origin":         "paper parameter: window alignment",
+		"distance":       "paper parameter: signature distance",
+	}
+	problems, err := daemon.AuditFlags(func() *flag.FlagSet { return flags(new(options)) }, table, "../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range problems {
+		t.Error(p)
 	}
 }
 

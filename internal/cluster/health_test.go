@@ -352,3 +352,16 @@ func TestRouterIngestHonorsRetryAfter(t *testing.T) {
 		t.Fatalf("ingest_throttle_retries = %d, want 2", got)
 	}
 }
+
+// TestNewRouterRefusesExtraFollowers: a follower list past the last
+// shard names a replica nothing would probe or read, so the router
+// refuses it instead of dropping it.
+func TestNewRouterRefusesExtraFollowers(t *testing.T) {
+	shards := [][]string{{"http://127.0.0.1:1"}}
+	if _, err := NewRouter(Config{Shards: shards, Followers: [][]string{{"http://127.0.0.1:2"}}}); err != nil {
+		t.Fatalf("one follower list per shard: %v", err)
+	}
+	if _, err := NewRouter(Config{Shards: shards, Followers: [][]string{{"http://127.0.0.1:2"}, {"http://127.0.0.1:3"}}}); err == nil {
+		t.Fatal("a second follower list for one shard accepted")
+	}
+}

@@ -34,9 +34,6 @@ type Config struct {
 	// ring size is len(Shards); its order is the shard numbering, so it
 	// must be identical on every router.
 	Shards [][]string
-	// VNodes is the virtual-node count per shard (0 = DefaultVNodes).
-	// Must match across routers for placement to agree.
-	VNodes int
 	// Timeout bounds each per-shard call during scatter-gather; shards
 	// that miss it are reported as degraded, not failed requests.
 	Timeout time.Duration
@@ -47,7 +44,7 @@ type Config struct {
 	// holds base URLs of processes tailing shard i's WAL. With a Health
 	// prober configured, reads fail over to the freshest follower while
 	// shard i's primary is down, and a promoted follower takes over the
-	// slot entirely. May be nil or shorter than Shards.
+	// slot entirely. May be nil or shorter than Shards, not longer.
 	Followers [][]string
 	// Health, when non-nil, enables the health prober that feeds the
 	// failover view (and auto-promotion, if HealthConfig.AutoPromote is
@@ -60,9 +57,6 @@ type Config struct {
 	// SlowOp is the span duration at or above which the router's tracer
 	// logs a slow-operation warning (0 disables).
 	SlowOp time.Duration
-	// TraceCapacity bounds the router's recent-trace ring served at GET
-	// /v1/traces (0 = the obs default of 64).
-	TraceCapacity int
 }
 
 // Router scatters ingest across shards by ring placement and gathers
@@ -95,7 +89,10 @@ func NewRouter(cfg Config) (*Router, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, fmt.Errorf("cluster: router needs at least one shard")
 	}
-	ring, err := NewRing(len(cfg.Shards), cfg.VNodes)
+	if len(cfg.Followers) > len(cfg.Shards) {
+		return nil, fmt.Errorf("cluster: %d follower lists for %d shards", len(cfg.Followers), len(cfg.Shards))
+	}
+	ring, err := NewRing(len(cfg.Shards), 0)
 	if err != nil {
 		return nil, err
 	}
@@ -105,7 +102,7 @@ func NewRouter(cfg Config) (*Router, error) {
 		logger:   cfg.Logger,
 		start:    time.Now(),
 		registry: obs.NewRegistry(),
-		tracer:   obs.NewTracer(cfg.TraceCapacity, cfg.SlowOp, cfg.Logger),
+		tracer:   obs.NewTracer(0, cfg.SlowOp, cfg.Logger),
 		mux:      http.NewServeMux(),
 	}
 	if rt.timeout <= 0 {

@@ -572,9 +572,14 @@ func TestIngestDedupIdempotent(t *testing.T) {
 }
 
 // TestIngestDedupEviction: the dedup set is bounded FIFO — the oldest
-// ID falls out once the cap is exceeded.
+// ID falls out once the cap is exceeded. There is no cap without a
+// set: a negative one is refused.
 func TestIngestDedupEviction(t *testing.T) {
 	cfg := testConfig()
+	cfg.DedupCap = -1
+	if _, err := New(cfg); err == nil {
+		t.Fatal("negative DedupCap accepted")
+	}
 	cfg.DedupCap = 2
 	srv, err := New(cfg)
 	if err != nil {
@@ -588,20 +593,6 @@ func TestIngestDedupEviction(t *testing.T) {
 	}
 	if res := srv.IngestBatch("c", nil); !res.Deduplicated {
 		t.Fatalf("retained ID not deduplicated: %+v", res)
-	}
-}
-
-// TestIngestDedupDisabled: a negative cap turns deduplication off.
-func TestIngestDedupDisabled(t *testing.T) {
-	cfg := testConfig()
-	cfg.DedupCap = -1
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.IngestBatch("a", nil)
-	if res := srv.IngestBatch("a", window0Flows()); res.Deduplicated {
-		t.Fatalf("dedup ran despite DedupCap<0: %+v", res)
 	}
 }
 

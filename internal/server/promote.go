@@ -80,9 +80,6 @@ func (s *Server) attachDurabilityLocked(cfg PromoteConfig) error {
 	s.cfg.SnapshotDir = cfg.SnapshotDir
 	s.cfg.DisableWAL = false
 	s.cfg.Replicate = true
-	if s.cfg.ReplicaRetain == 0 {
-		s.cfg.ReplicaRetain = DefaultReplicaRetain
-	}
 	path := WALPath(cfg.SnapshotDir)
 	if info, err := os.Stat(path); err == nil && info.Size() > wal.HeaderLen {
 		moved, qerr := wal.Quarantine(path)

@@ -59,8 +59,10 @@ import (
 const (
 	DefaultStoreCapacity = 16
 	DefaultWatchMaxDist  = 0.5
-	DefaultHitLogSize    = 1024
 	DefaultDedupCap      = 4096
+	// The watchlist hit log, and a replicating node's sealed WAL
+	// segments, keep this many of the newest.
+	DefaultHitLogSize    = 1024
 	DefaultReplicaRetain = 8
 	// DefaultHistoryLimit bounds GET /v1/signatures/{label} when no
 	// explicit limit is given: the newest entries win. With a cold tier
@@ -113,21 +115,15 @@ type Config struct {
 	// accompanies SnapshotDir (at <SnapshotDir>.wal — a sibling, so a
 	// quarantined snapshot directory does not take the log with it).
 	DisableWAL bool
-	// HitLogSize bounds the retained watchlist hit log. 0 means
-	// DefaultHitLogSize; negative retains no hits.
-	HitLogSize int
 	// MaxInFlight, when positive, bounds concurrently served ingest
 	// batches; excess POST /v1/flows requests get 429 + Retry-After.
 	MaxInFlight int
 	// DedupCap bounds the batch-ID dedup set that makes retried POSTs
-	// idempotent. 0 means DefaultDedupCap; negative disables dedup.
+	// idempotent. 0 means DefaultDedupCap.
 	DedupCap int
-	// Logf, when non-nil, receives operational log lines (quarantines,
-	// failed snapshot saves, WAL trouble).
-	Logf func(format string, args ...any)
-	// Logger, when non-nil, receives the same operational events as
-	// structured log records — and the tracer's slow-operation warnings
-	// with trace IDs. It takes precedence over Logf.
+	// Logger, when non-nil, receives operational events (quarantines,
+	// failed snapshot saves, WAL trouble) as structured log records —
+	// and the tracer's slow-operation warnings with trace IDs.
 	Logger *slog.Logger
 	// SlowOp is the span duration beyond which a traced operation logs
 	// a slow-operation warning (0 disables slow-op logging).
@@ -150,12 +146,10 @@ type Config struct {
 	// /v1/replication endpoints serve both live and sealed bytes so
 	// followers can tail the log. Requires SnapshotDir and an enabled
 	// WAL.
+	// Replication keeps the newest DefaultReplicaRetain sealed
+	// segments; a follower lagging by more generations finds its cursor
+	// pruned (410) and must re-bootstrap.
 	Replicate bool
-	// ReplicaRetain bounds retained sealed segments (0 means
-	// DefaultReplicaRetain; negative keeps all). A follower lagging by
-	// more generations than this finds its cursor pruned (410) and must
-	// re-bootstrap.
-	ReplicaRetain int
 	// SegmentDir, when non-empty, enables tiered window storage: every
 	// window the bounded ring evicts is first compacted into an
 	// immutable, checksummed segment file under this directory, and
@@ -216,7 +210,6 @@ type Server struct {
 	cfg          Config
 	start        time.Time
 	watchMaxDist float64
-	hitLogCap    int
 
 	// mu serializes Universe mutation (ingest, label interning) against
 	// all readers; see the package comment.
@@ -278,14 +271,16 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Replicate && (cfg.SnapshotDir == "" || cfg.DisableWAL) {
 		return nil, fmt.Errorf("server: Replicate requires SnapshotDir and an enabled WAL")
 	}
-	if cfg.ReplicaRetain == 0 {
-		cfg.ReplicaRetain = DefaultReplicaRetain
+	if cfg.DedupCap < 0 {
+		return nil, fmt.Errorf("server: negative DedupCap %d", cfg.DedupCap)
+	}
+	if cfg.DedupCap == 0 {
+		cfg.DedupCap = DefaultDedupCap
 	}
 	s := &Server{
 		cfg:          cfg,
 		start:        time.Now(),
 		watchMaxDist: DefaultWatchMaxDist,
-		hitLogCap:    DefaultHitLogSize,
 		watch:        apps.NewWatchlist(),
 		mux:          http.NewServeMux(),
 	}
@@ -299,15 +294,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.WatchMaxDist != nil {
 		s.watchMaxDist = *cfg.WatchMaxDist
 	}
-	if cfg.HitLogSize != 0 {
-		s.hitLogCap = max(cfg.HitLogSize, 0)
-	}
-	switch {
-	case cfg.DedupCap > 0:
-		s.dedup = newDedupCache(cfg.DedupCap)
-	case cfg.DedupCap == 0:
-		s.dedup = newDedupCache(DefaultDedupCap)
-	}
+	s.dedup = newDedupCache(cfg.DedupCap)
 	if cfg.MaxInFlight > 0 {
 		s.ingestSem = make(chan struct{}, cfg.MaxInFlight)
 	}
@@ -631,16 +618,11 @@ func (s *Server) PipelineOrigin() (time.Time, bool) {
 	return s.pipeline.Origin()
 }
 
-// logf forwards to the configured logger, if any. A structured Logger
-// wins over the printf-style Logf; operational events are warnings
-// (quarantines, failed saves, degraded durability).
+// logf forwards to the configured logger, if any; operational events
+// are warnings (quarantines, failed saves, degraded durability).
 func (s *Server) logf(format string, args ...any) {
 	if s.cfg.Logger != nil {
 		s.cfg.Logger.Warn(fmt.Sprintf(format, args...))
-		return
-	}
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
 	}
 }
 
@@ -686,7 +668,7 @@ func (s *Server) ingestBatchTraced(tr *obs.Trace, batchID string, records []netf
 	s.mu.Lock()
 	endWait()
 	defer s.mu.Unlock()
-	if batchID != "" && s.dedup != nil {
+	if batchID != "" {
 		if res, ok := s.dedup.get(batchID); ok {
 			s.metrics.BatchesDeduped.Add(1)
 			res.Deduplicated = true
@@ -780,7 +762,7 @@ func (s *Server) ingestLocked(tr *obs.Trace, batchID string, records []netflow.R
 	tr.Record("pipeline.ingest", observing, time.Now())
 	res.CurrentWindow = s.pipeline.CurrentWindow()
 	var marker *wal.BatchEntry
-	if batchID != "" && s.dedup != nil {
+	if batchID != "" {
 		s.dedup.put(batchID, res)
 		// Make the dedup decision durable and shippable: a follower that
 		// replays this marker registers the same ID with the same
@@ -842,7 +824,7 @@ func (s *Server) walCommitLocked(runs [][]netflow.Record, marker *wal.BatchEntry
 // registerBatchLocked replays one batch dedup marker (WAL recovery or
 // follower replication) into the dedup set. Callers hold s.mu.
 func (s *Server) registerBatchLocked(e wal.BatchEntry) {
-	if s.dedup == nil || e.ID == "" {
+	if e.ID == "" {
 		return
 	}
 	var res IngestResult
@@ -1004,16 +986,12 @@ func nextWALGen(walPath string) (int, error) {
 // bound, oldest first. Pruning is best-effort: a failed remove is
 // logged and retried at the next rotation.
 func (s *Server) pruneSegmentsLocked() {
-	retain := s.cfg.ReplicaRetain
-	if retain < 0 {
-		return
-	}
 	gens, err := walSegmentGens(s.wal.Path())
 	if err != nil {
 		s.logf("sigserver: listing WAL segments: %v", err)
 		return
 	}
-	for len(gens) > retain {
+	for len(gens) > DefaultReplicaRetain {
 		g := gens[0]
 		gens = gens[1:]
 		if err := os.Remove(walSegmentPath(s.wal.Path(), g)); err != nil {
@@ -1023,9 +1001,7 @@ func (s *Server) pruneSegmentsLocked() {
 	}
 }
 
-// Snapshot saves the archive now — the periodic background loop in
-// cmd/sigserverd calls this so durability of archived windows does not
-// depend on a graceful shutdown. The WAL is not truncated: it still
+// Snapshot saves the archive now. The WAL is not truncated: it still
 // covers the open window.
 func (s *Server) Snapshot() error {
 	if s.cfg.SnapshotDir == "" {
@@ -1075,7 +1051,7 @@ func (s *Server) commitWindowLocked(set *core.SignatureSet) {
 			s.metrics.WatchlistHits.Add(1)
 		}
 	}
-	if over := len(s.hits) - s.hitLogCap; over > 0 {
+	if over := len(s.hits) - DefaultHitLogSize; over > 0 {
 		s.hits = append(s.hits[:0:0], s.hits[over:]...)
 	}
 }

@@ -635,7 +635,8 @@ func (m *model) originKnown() bool {
 	return ok
 }
 
-// snapshot mirrors Server.Snapshot (periodic save, no WAL truncation).
+// snapshot mirrors Server.Snapshot (a save between closes, no WAL
+// truncation).
 func (m *model) snapshot(plan faultPlan) {
 	if plan.snapFail {
 		return

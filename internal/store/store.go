@@ -92,8 +92,8 @@ type Store struct {
 	// live Add instead.
 	loading bool
 
-	// saveMu serializes Save calls (periodic snapshot loop vs window
-	// close vs shutdown) and AddSaving's window file, and guards what
+	// saveMu serializes Save calls (Server.Snapshot vs window close vs
+	// shutdown) and AddSaving's window file, and guards what
 	// Save may skip: saved maps each window this store wrote into (or
 	// loaded from) savedDir to the CRC in its file's name, and
 	// savedLabels lists the label files it wrote or loaded there, in
