@@ -62,17 +62,23 @@ sim-smoke:
 # ingest accounting, scatter-gather search/anomaly/watchlist answers
 # bit-identical to a single node over the union, partial-result
 # degradation with a shard down, and WAL-shipped follower catch-up
-# serving reads after the primary dies — plus the ring properties and
-# the RNG-driven cluster-equivalence simulation.
+# serving reads after the primary dies — plus the ring properties, the
+# RNG-driven cluster-equivalence simulation, and the one-address rule:
+# the router refuses a shard of more than one address, the follower more
+# than one primary, and sigrouterd -shard a,b and sigserverd -follow a,b
+# are refused (a shard's replicas go in -follower, the prober's path).
 cluster-smoke:
 	$(GO) test -race -run 'TestCluster|TestRing' ./internal/cluster/
 	$(GO) test -race -run 'TestSimCluster' ./internal/simcheck/
+	$(GO) test -run 'RefusesAddressList' ./cmd/sigrouterd/ ./cmd/sigserverd/
 
 # Failover smoke: kill a shard primary mid-run — the health prober
 # marks it down, reads fail over to the freshest follower (surfaced in
 # stale_shards), the follower auto-promotes and writes resume with
-# dedup continuity — plus the prober state-machine unit tests and the
-# fault-injecting simulation schedules. See DESIGN.md §13.
+# dedup continuity — plus the prober state-machine unit tests, a
+# promotion that fails (500, the follower's status fatal, nothing
+# counted, writes kept on the primary slot; TestProberPromoteFailure…),
+# and the fault-injecting simulation schedules. See DESIGN.md §13.
 failover-smoke:
 	$(GO) test -race -v -run 'TestClusterFailoverPromotion|TestProber|TestRouterIngestHonorsRetryAfter' \
 		./internal/cluster/

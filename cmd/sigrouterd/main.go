@@ -5,11 +5,11 @@
 // run over the union of the data.
 //
 //	sigrouterd -addr :8780 \
-//	    -shard http://10.0.0.1:8787,http://10.0.0.1:8788 \
+//	    -shard http://10.0.0.1:8787 \
 //	    -shard http://10.0.0.2:8787
 //
-// Each -shard flag names one shard; a comma-separated list gives that
-// shard's seed addresses (the router fails over between them). Shard
+// Each -shard flag names one shard by its primary's address; its
+// replicas go in -follower, the router's one failover path. Shard
 // order must be stable across router restarts and must match the
 // -shard-index each sigserverd was started with — the ring is the
 // contract, and /readyz exposes its epoch so mismatches are visible.
@@ -29,6 +29,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -41,21 +42,21 @@ import (
 	"graphsig/internal/daemon"
 )
 
-// shardList collects repeated -shard flags, each a comma-separated
-// seed-address list for one shard.
+// shardList collects repeated -shard flags, each one shard's primary
+// address.
 type shardList [][]string
 
 func (s *shardList) String() string { return fmt.Sprint([][]string(*s)) }
 
 func (s *shardList) Set(v string) error {
-	seeds := strings.Split(v, ",")
-	for i, a := range seeds {
-		seeds[i] = strings.TrimSpace(a)
-		if seeds[i] == "" {
-			return fmt.Errorf("empty address in shard %q", v)
-		}
+	a := strings.TrimSpace(v)
+	switch {
+	case a == "":
+		return errors.New("empty shard address")
+	case strings.Contains(a, ","):
+		return fmt.Errorf("shard %q: one primary address per -shard; list its replicas in -follower", v)
 	}
-	*s = append(*s, seeds)
+	*s = append(*s, []string{a})
 	return nil
 }
 
@@ -92,7 +93,7 @@ type options struct {
 func flags(o *options) *flag.FlagSet {
 	fs := flag.NewFlagSet("sigrouterd", flag.ExitOnError)
 	fs.StringVar(&o.addr, "addr", "127.0.0.1:8780", "listen address")
-	fs.Var(&o.shards, "shard", "shard seed addresses, comma-separated (repeat once per shard, in shard-index order)")
+	fs.Var(&o.shards, "shard", "shard primary address (repeat once per shard, in shard-index order; replicas go in -follower)")
 	fs.Var(&o.followers, "follower", "follower addresses for one shard, comma-separated (repeat in shard-index order; \"\" for a shard with none)")
 	fs.DurationVar(&o.probeInterval, "probe-interval", cluster.DefaultProbeInterval, "health probe interval (with followers configured)")
 	fs.DurationVar(&o.autoPromote, "auto-promote", 0, "promote a shard's freshest follower after its primary stays down this long (0 = operator-driven only)")

@@ -34,7 +34,7 @@ func TestFlagsHaveSetters(t *testing.T) {
 	table := map[string]string{
 		"addr":       "listen address",
 		"debug-addr": "pprof listen address",
-		"shard":      "peers: each shard's seed addresses",
+		"shard":      "peers: each shard's primary",
 		"follower":   "peers: each shard's replicas",
 	}
 	problems, err := daemon.AuditFlags(func() *flag.FlagSet { return flags(new(options)) }, table, "../..")
@@ -43,5 +43,21 @@ func TestFlagsHaveSetters(t *testing.T) {
 	}
 	for _, p := range problems {
 		t.Error(p)
+	}
+}
+
+// TestShardFlagRefusesAddressList: -shard names one primary. A second
+// address would be a second failover path beside -follower, one that
+// marks nothing stale, so a comma is refused with a pointer there.
+func TestShardFlagRefusesAddressList(t *testing.T) {
+	var s shardList
+	if err := s.Set("http://10.0.0.1:8787,http://10.0.0.1:8788"); err == nil || !strings.Contains(err.Error(), "-follower") {
+		t.Fatalf("-shard a,b: err %v, want a refusal naming -follower", err)
+	}
+	if err := s.Set(" "); err == nil {
+		t.Fatal("empty -shard accepted")
+	}
+	if err := s.Set("http://10.0.0.1:8787"); err != nil || len(s) != 1 || len(s[0]) != 1 {
+		t.Fatalf("-shard a: %v, shards %v", err, s)
 	}
 }

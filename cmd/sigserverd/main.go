@@ -112,7 +112,7 @@ func flags(o *options) *flag.FlagSet {
 	fs.IntVar(&o.shardIndex, "shard-index", 0, "this node's shard index in a cluster (with -shard-count)")
 	fs.IntVar(&o.shardCount, "shard-count", 0, "total shards in the cluster (0 = single-node)")
 	fs.BoolVar(&o.replicate, "replicate", false, "serve the WAL to read replicas over /v1/replication (requires -snapshot)")
-	fs.StringVar(&o.follow, "follow", "", "run as a read replica tailing this primary (comma-separated seed addresses)")
+	fs.StringVar(&o.follow, "follow", "", "run as a read replica tailing the primary at this address")
 	fs.BoolVar(&o.replay, "replay", false, "self-test: replay a synthetic workload over HTTP, check the counters and the observability surface, then exit")
 	fs.IntVar(&o.replayHosts, "replay-hosts", 300, "replay local hosts")
 	fs.IntVar(&o.replayWindows, "replay-windows", 6, "replay windows")
@@ -135,6 +135,9 @@ func serverConfig(o options) (server.Config, error) {
 	}
 	if o.follow != "" && (o.replicate || o.replay) {
 		return server.Config{}, errors.New("-follow cannot be combined with -replicate or -replay")
+	}
+	if strings.Contains(o.follow, ",") {
+		return server.Config{}, fmt.Errorf("-follow %q: a replica tails one primary address", o.follow)
 	}
 	scfg := stream.Config{
 		WindowSize: o.window,
@@ -269,7 +272,7 @@ func runFollower(o options, cfg server.Config) error {
 	node := *cfg.Node
 	node.Role = "follower"
 	f, err := cluster.NewFollower(cluster.FollowerConfig{
-		Primary:       strings.Split(o.follow, ","),
+		Primary:       []string{o.follow},
 		Stream:        cfg.Stream,
 		StoreCapacity: cfg.StoreCapacity,
 		Distance:      cfg.Distance,

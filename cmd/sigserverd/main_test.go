@@ -71,6 +71,21 @@ func TestServerConfigValidation(t *testing.T) {
 	}
 }
 
+// TestFollowRefusesAddressList: a replica tails one primary. A second
+// address would let the replica fail over on its own, beside the
+// router's prober, so a comma in -follow is refused.
+func TestFollowRefusesAddressList(t *testing.T) {
+	o := defaultOptions()
+	o.follow = "http://127.0.0.1:1,http://127.0.0.1:2"
+	if _, err := serverConfig(o); err == nil {
+		t.Fatal("-follow a,b accepted")
+	}
+	o.follow = "http://127.0.0.1:1"
+	if _, err := serverConfig(o); err != nil {
+		t.Fatalf("-follow a: %v", err)
+	}
+}
+
 // TestFlagsHaveSetters is the flag audit: every flag is a deployment
 // setting or a paper parameter listed here with its reason, or some
 // command line or back-ticked span in the docs, the Makefile, the

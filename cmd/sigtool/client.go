@@ -3,28 +3,16 @@ package main
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"graphsig/internal/server"
 )
-
-// newClient builds a client from -addr, which may be a comma-separated
-// seed list ("http://a:8787,http://b:8787"); the client rotates to the
-// next seed when one stops answering.
-func newClient(addr string) *server.Client {
-	seeds := strings.Split(addr, ",")
-	for i := range seeds {
-		seeds[i] = strings.TrimSpace(seeds[i])
-	}
-	return server.NewClient(seeds[0], seeds[1:]...)
-}
 
 // runClient executes one query against a running sigserverd, rendering
 // the JSON responses in the same tabular style as the offline
 // subcommands. It is the operator's remote counterpart to neighbors/
 // screen/anomalies over a live store instead of a flow file.
 func runClient(cfg config, out io.Writer) error {
-	c := newClient(cfg.addr)
+	c := server.NewClient(cfg.addr)
 	switch cfg.op {
 	case "search":
 		if cfg.node == "" {

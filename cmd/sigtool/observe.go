@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"graphsig/internal/obs"
+	"graphsig/internal/server"
 )
 
 // runObserve polls a running sigserverd's /metrics exposition and renders
@@ -20,7 +21,7 @@ func runObserve(cfg config, out io.Writer) error {
 	if cfg.samples <= 0 {
 		return fmt.Errorf("observe: -samples must be positive")
 	}
-	c := newClient(cfg.addr)
+	c := server.NewClient(cfg.addr)
 	var prev []obs.Family
 	var prevAt time.Time
 	for i := 0; i < cfg.samples; i++ {

@@ -32,10 +32,9 @@ func (rt *Router) handleFederate(w http.ResponseWriter, r *http.Request) {
 		Families: own,
 	}}
 
-	// Scrape every node concurrently. Metrics fails over across a
-	// node's seed addresses but not across nodes: a dead node, or one
-	// whose body does not parse, is reported, not silently folded into
-	// the aggregates.
+	// Scrape every node concurrently. A dead node, or one whose body
+	// does not parse, is reported, not silently folded into the
+	// aggregates.
 	nodes := rt.nodeClients()
 	fams := make([][]obs.Family, len(nodes))
 	errs := make([]error, len(nodes))

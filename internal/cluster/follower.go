@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -20,7 +21,8 @@ const DefaultFollowPoll = 500 * time.Millisecond
 
 // FollowerConfig parameterizes a Follower.
 type FollowerConfig struct {
-	// Primary is the primary's seed address list (failover rotates).
+	// Primary is exactly one address: the primary this replica tails.
+	// (A slice only because the end-to-end benchmark builds it as one.)
 	Primary []string
 	// Stream must match the primary's pipeline configuration (scheme,
 	// k, classifier, sketch sizing) — signatures are recomputed locally
@@ -131,15 +133,15 @@ type Follower struct {
 
 // NewFollower builds a follower; Start begins replication.
 func NewFollower(cfg FollowerConfig) (*Follower, error) {
-	if len(cfg.Primary) == 0 {
-		return nil, fmt.Errorf("cluster: follower needs a primary address")
+	if len(cfg.Primary) != 1 {
+		return nil, fmt.Errorf("cluster: follower has %d primary addresses, want one", len(cfg.Primary))
 	}
 	if cfg.Poll <= 0 {
 		cfg.Poll = DefaultFollowPoll
 	}
 	f := &Follower{
 		cfg:    cfg,
-		client: server.NewClient(cfg.Primary[0], cfg.Primary[1:]...),
+		client: server.NewClient(cfg.Primary[0]),
 		off:    wal.HeaderLen,
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
@@ -443,6 +445,12 @@ func (f *Follower) buildServerLocked(origin *wal.Frame) error {
 	return nil
 }
 
+// Promote's two refusals, which leave the follower as it was.
+var (
+	errAlreadyPromoted = errors.New("cluster: follower already promoted")
+	errNoReplica       = errors.New("cluster: follower has no replica yet (no origin frame received)")
+)
+
 // Promote stops replication and flips the replica into a serving
 // primary (see server.Promote): the accumulated state — archive, open
 // window, watchlist, dedup set — is exactly what the primary had
@@ -455,11 +463,11 @@ func (f *Follower) Promote() (*server.Server, error) {
 	f.mu.Lock()
 	if f.promoted {
 		f.mu.Unlock()
-		return nil, fmt.Errorf("cluster: follower already promoted")
+		return nil, errAlreadyPromoted
 	}
 	if f.srv == nil {
 		f.mu.Unlock()
-		return nil, fmt.Errorf("cluster: follower has no replica yet (no origin frame received)")
+		return nil, errNoReplica
 	}
 	f.mu.Unlock()
 
@@ -469,7 +477,7 @@ func (f *Follower) Promote() (*server.Server, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.promoted {
-		return nil, fmt.Errorf("cluster: follower already promoted")
+		return nil, errAlreadyPromoted
 	}
 	node := &server.Identity{Role: "primary"}
 	if f.cfg.Node != nil {
@@ -483,6 +491,9 @@ func (f *Follower) Promote() (*server.Server, error) {
 		WALGen:      f.gen + 1,
 		Node:        node,
 	}); err != nil {
+		// Replication is stopped already, so the replica no longer
+		// advances: report that where the prober and operators look.
+		f.fatal = fmt.Errorf("promotion failed, replication stopped: %w", err)
 		return nil, err
 	}
 	f.promoted = true

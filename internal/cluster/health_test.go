@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -363,5 +364,39 @@ func TestNewRouterRefusesExtraFollowers(t *testing.T) {
 	}
 	if _, err := NewRouter(Config{Shards: shards, Followers: [][]string{{"http://127.0.0.1:2"}, {"http://127.0.0.1:3"}}}); err == nil {
 		t.Fatal("a second follower list for one shard accepted")
+	}
+}
+
+// TestClusterRouterRefusesShardAddressLists: a shard is its one
+// primary. A second address for it is a follower, whose answers the
+// router must mark stale, or another primary, which would split the
+// shard's writes; either way it belongs in Followers, and the refusal
+// says so.
+func TestClusterRouterRefusesShardAddressLists(t *testing.T) {
+	for _, shards := range [][][]string{
+		{{}},
+		{{"http://127.0.0.1:1", "http://127.0.0.1:2"}},
+		{{"http://127.0.0.1:1"}, {"http://127.0.0.1:2", "http://127.0.0.1:3"}},
+	} {
+		_, err := NewRouter(Config{Shards: shards})
+		if err == nil || !strings.Contains(err.Error(), "Followers") {
+			t.Errorf("shards %v: err %v, want a refusal naming Followers", shards, err)
+		}
+	}
+	if _, err := NewRouter(Config{Shards: [][]string{{"http://127.0.0.1:1"}, {"http://127.0.0.1:2"}}}); err != nil {
+		t.Fatalf("one address per shard: %v", err)
+	}
+}
+
+// TestClusterFollowerRefusesPrimaryLists: a follower tails exactly one
+// primary.
+func TestClusterFollowerRefusesPrimaryLists(t *testing.T) {
+	for _, primary := range [][]string{nil, {"http://127.0.0.1:1", "http://127.0.0.1:2"}} {
+		if _, err := NewFollower(FollowerConfig{Primary: primary}); err == nil {
+			t.Errorf("primary %v accepted", primary)
+		}
+	}
+	if _, err := NewFollower(FollowerConfig{Primary: []string{"http://127.0.0.1:1"}}); err != nil {
+		t.Fatalf("one primary: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"net/http"
 	"time"
 
@@ -85,10 +86,17 @@ func (f *Follower) FollowerHandler() http.Handler {
 	mux.HandleFunc("POST /v1/promote", func(w http.ResponseWriter, r *http.Request) {
 		srv, err := f.Promote()
 		if err != nil {
-			// An already-promoted follower makes a routed retry of the
-			// promote call idempotent-ish: report the live state with 409
-			// so the caller can tell "already done" from "cannot".
-			server.WriteError(w, http.StatusConflict, "%v", err)
+			// 409 only for "already done", which the prober counts as a
+			// promotion; 503 while there is no replica yet; any other
+			// failure is the node's, and it stays read-only.
+			status := http.StatusInternalServerError
+			switch {
+			case errors.Is(err, errAlreadyPromoted):
+				status = http.StatusConflict
+			case errors.Is(err, errNoReplica):
+				status = http.StatusServiceUnavailable
+			}
+			server.WriteError(w, status, "%v", err)
 			return
 		}
 		// When the prober drove this (X-Sig-Trace present), record the

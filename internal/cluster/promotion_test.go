@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -383,5 +384,118 @@ func TestFollowerOfARestartedPrimaryHoldsWatchEntriesOnce(t *testing.T) {
 	}
 	if len(phits.Hits) != 1 || mustJSON(t, fhits.Hits) != mustJSON(t, phits.Hits) {
 		t.Fatalf("hits, primary: %s\nfollower: %s\nwant the one hit of window 0 on both", mustJSON(t, phits.Hits), mustJSON(t, fhits.Hits))
+	}
+}
+
+// TestProberPromoteFailureIsNotAPromotion: a promotion the follower
+// cannot carry out (its WAL would go under a directory that does not
+// exist) answers 500, not the 409 that means "already promoted". The
+// prober therefore counts nothing and keeps writes on the primary slot,
+// and the follower, whose replication Promote had already stopped,
+// reports Fatal instead of looking like a healthy replica. A follower
+// with no replica yet answers 503.
+func TestProberPromoteFailureIsNotAPromotion(t *testing.T) {
+	gcfg := datagen.DefaultEnterpriseConfig(59)
+	gcfg.LocalHosts = 12
+	gcfg.ExternalHosts = 150
+	gcfg.Windows = 2
+	gcfg.MultiusageIndividuals = 1
+	data, err := datagen.GenerateEnterprise(gcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, pts := newTestNode(t, server.Config{
+		Stream:        testStreamConfig(gcfg),
+		StoreCapacity: 4,
+		SnapshotDir:   t.TempDir(),
+		Replicate:     true,
+		Node:          &server.Identity{Role: "primary"},
+	})
+	pc := server.NewClient(pts.URL)
+	if _, err := pc.IngestBatch("pf-0", data.Records); err != nil {
+		t.Fatal(err)
+	}
+	f, err := NewFollower(FollowerConfig{
+		Primary:       []string{pts.URL},
+		Stream:        testStreamConfig(gcfg),
+		StoreCapacity: 4,
+		Poll:          5 * time.Millisecond,
+		PromoteDir:    filepath.Join(t.TempDir(), "missing", "snap"),
+		Node:          &server.Identity{Role: "follower"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Start()
+	defer f.Stop()
+	catchUpToPrimary(t, f, pc)
+	fts := httptest.NewServer(f.FollowerHandler())
+	defer fts.Close()
+
+	rt, err := NewRouter(Config{
+		Shards:    [][]string{{pts.URL}},
+		Followers: [][]string{{fts.URL}},
+		Health: &HealthConfig{
+			Interval:      time.Hour,
+			FailThreshold: 1,
+			Cooldown:      time.Millisecond,
+			AutoPromote:   time.Millisecond,
+		},
+		Timeout: 5 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts.Close()
+	p := rt.Prober()
+	p.ProbeOnce() // the primary goes Down
+	time.Sleep(5 * time.Millisecond)
+	p.ProbeOnce() // past the grace period: the prober POSTs the promotion
+	p.ProbeOnce()
+
+	if got := rt.Registry().Snapshot()["promotions_total"]; got != 0 {
+		t.Fatalf("promotions_total = %d after a failed promotion, want 0", got)
+	}
+	if tgt := p.target(0); tgt.promoted >= 0 {
+		t.Fatalf("prober view %+v marks the follower promoted", tgt)
+	}
+	if rt.writeClient(0) != rt.clients[0] {
+		t.Fatal("writes moved off the primary slot onto a read-only follower")
+	}
+
+	promote := func(base string) int {
+		t.Helper()
+		resp, err := http.Post(base+"/v1/promote", "application/json", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if got := promote(fts.URL); got != http.StatusInternalServerError {
+		t.Fatalf("POST /v1/promote that cannot open its WAL = %d, want 500", got)
+	}
+	resp, err := http.Get(fts.URL + "/v1/follower/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st FollowerStatusResponse
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Fatal == "" || st.Promoted {
+		t.Fatalf("follower status after a failed promotion %+v, want Fatal set and not promoted", st)
+	}
+
+	blank, err := NewFollower(FollowerConfig{Primary: []string{pts.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bts := httptest.NewServer(blank.FollowerHandler())
+	defer bts.Close()
+	if got := promote(bts.URL); got != http.StatusServiceUnavailable {
+		t.Fatalf("POST /v1/promote with no replica yet = %d, want 503", got)
 	}
 }

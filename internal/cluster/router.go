@@ -29,10 +29,11 @@ const maxThrottleRetries = 3
 
 // Config parameterizes a Router.
 type Config struct {
-	// Shards is the per-shard seed address list: Shards[i] holds one or
-	// more base URLs for shard i (failover rotates through them). The
-	// ring size is len(Shards); its order is the shard numbering, so it
-	// must be identical on every router.
+	// Shards holds each shard's primary: Shards[i] is exactly one base
+	// URL, the node that takes shard i's writes (replicas go in
+	// Followers). The ring size is len(Shards); its order is the shard
+	// numbering, so it must be identical on every router. (Each entry is
+	// a slice only because the end-to-end benchmark builds it as one.)
 	Shards [][]string
 	// Timeout bounds each per-shard call during scatter-gather; shards
 	// that miss it are reported as degraded, not failed requests.
@@ -108,23 +109,23 @@ func NewRouter(cfg Config) (*Router, error) {
 	if rt.timeout <= 0 {
 		rt.timeout = DefaultScatterTimeout
 	}
-	newClient := func(seeds []string) *server.Client {
-		c := server.NewClient(seeds[0], seeds[1:]...)
+	newClient := func(base string) *server.Client {
+		c := server.NewClient(base)
 		c.HTTP = &http.Client{Timeout: rt.timeout}
 		if cfg.MaxRetries != 0 {
 			c.MaxRetries = cfg.MaxRetries
 		}
 		return c
 	}
-	for i, seeds := range cfg.Shards {
-		if len(seeds) == 0 {
-			return nil, fmt.Errorf("cluster: shard %d has no seed addresses", i)
+	for i, addrs := range cfg.Shards {
+		if len(addrs) != 1 {
+			return nil, fmt.Errorf("cluster: shard %d has %d addresses, want its one primary (replicas go in Followers)", i, len(addrs))
 		}
-		rt.clients = append(rt.clients, newClient(seeds))
+		rt.clients = append(rt.clients, newClient(addrs[0]))
 		var fcs []*server.Client
 		if i < len(cfg.Followers) {
 			for _, fb := range cfg.Followers[i] {
-				fcs = append(fcs, newClient([]string{fb}))
+				fcs = append(fcs, newClient(fb))
 			}
 		}
 		rt.followers = append(rt.followers, fcs)
@@ -144,8 +145,8 @@ func NewRouter(cfg Config) (*Router, error) {
 		func() int64 { return int64(time.Since(rt.start).Seconds()) })
 	if cfg.Health != nil {
 		primaries := make([]string, len(cfg.Shards))
-		for i, seeds := range cfg.Shards {
-			primaries[i] = seeds[0]
+		for i, addrs := range cfg.Shards {
+			primaries[i] = addrs[0]
 		}
 		rt.prober = newProber(*cfg.Health, primaries, cfg.Followers, rt.registry, rt.tracer, cfg.Logger)
 	}

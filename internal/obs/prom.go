@@ -36,32 +36,22 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		case kindHistogram:
 			writeHistogram(bw, m.name, konst, m.hist.Snapshot())
 		case kindHistogramVec:
-			m.vec.mu.RLock()
-			values := append([]string(nil), m.vec.order...)
-			m.vec.mu.RUnlock()
-			for _, value := range values {
-				label := mergeLabels(konst, fmt.Sprintf("%s=%q", m.vec.label, value))
-				writeHistogram(bw, m.name, label, m.vec.With(value).Snapshot())
-			}
+			writeVec(m.vec, konst, func(label string, h *Histogram) { writeHistogram(bw, m.name, label, h.Snapshot()) })
 		case kindCounterVec:
-			m.cvec.mu.RLock()
-			values := append([]string(nil), m.cvec.order...)
-			m.cvec.mu.RUnlock()
-			for _, value := range values {
-				label := mergeLabels(konst, fmt.Sprintf("%s=%q", m.cvec.label, value))
-				fmt.Fprintf(bw, "%s{%s} %d\n", m.name, label, m.cvec.With(value).Value())
-			}
+			writeVec(m.cvec, konst, func(label string, c *Counter) { writeSample(bw, m.name, label, c.Value()) })
 		case kindGaugeVec:
-			m.gvec.mu.RLock()
-			values := append([]string(nil), m.gvec.order...)
-			m.gvec.mu.RUnlock()
-			for _, value := range values {
-				label := mergeLabels(konst, fmt.Sprintf("%s=%q", m.gvec.label, value))
-				fmt.Fprintf(bw, "%s{%s} %d\n", m.name, label, m.gvec.With(value).Value())
-			}
+			writeVec(m.gvec, konst, func(label string, g *Gauge) { writeSample(bw, m.name, label, g.Value()) })
 		}
 	}
 	return bw.Flush()
+}
+
+// writeVec hands write each child of v, in creation order, with its
+// rendered label pairs: the const labels, then the partition label.
+func writeVec[T any](v *Vec[T], konst string, write func(label string, kid *T)) {
+	for _, value := range v.values() {
+		write(mergeLabels(konst, fmt.Sprintf("%s=%q", v.label, value)), v.With(value))
+	}
 }
 
 // writeSample emits one scalar sample, with const labels when present.

@@ -223,7 +223,7 @@ func (r *Registry) HistogramWith(name, help string, bounds []float64) *Histogram
 // label (e.g. per-route request latency), creating it on first use.
 func (r *Registry) HistogramVec(name, help, label string, bounds []float64) *HistogramVec {
 	return r.register(name, help, kindHistogramVec, func(m *metric) {
-		m.vec = newHistogramVec(label, bounds)
+		m.vec = newVec(label, func() *Histogram { return NewHistogram(bounds) })
 	}).vec
 }
 
@@ -231,7 +231,7 @@ func (r *Registry) HistogramVec(name, help, label string, bounds []float64) *His
 // (e.g. routed flows by shard), creating it on first use.
 func (r *Registry) CounterVec(name, help, label string) *CounterVec {
 	return r.register(name, help, kindCounterVec, func(m *metric) {
-		m.cvec = newCounterVec(label)
+		m.cvec = newVec(label, func() *Counter { return &Counter{} })
 	}).cvec
 }
 
@@ -239,7 +239,7 @@ func (r *Registry) CounterVec(name, help, label string) *CounterVec {
 // (e.g. replication lag by shard), creating it on first use.
 func (r *Registry) GaugeVec(name, help, label string) *GaugeVec {
 	return r.register(name, help, kindGaugeVec, func(m *metric) {
-		m.gvec = newGaugeVec(label)
+		m.gvec = newVec(label, func() *Gauge { return &Gauge{} })
 	}).gvec
 }
 
@@ -311,162 +311,70 @@ func (r *Registry) Snapshot() map[string]int64 {
 	return out
 }
 
-// HistogramVec partitions a histogram family by one label value, e.g.
-// HTTP request latency by route. With() is goroutine-safe and
-// get-or-create; the per-label histograms share one bucket layout.
-type HistogramVec struct {
-	label  string
-	bounds []float64
-
-	mu    sync.RWMutex
-	kids  map[string]*Histogram
-	order []string
-}
-
-func newHistogramVec(label string, bounds []float64) *HistogramVec {
-	if !validName(label) {
-		panic(fmt.Sprintf("obs: invalid label name %q", label))
-	}
-	return &HistogramVec{label: label, bounds: bounds, kids: make(map[string]*Histogram)}
-}
-
-// With returns the histogram for the given label value, creating it on
-// first use. A nil vec returns a nil (no-op) histogram.
-func (v *HistogramVec) With(value string) *Histogram {
-	if v == nil {
-		return nil
-	}
-	v.mu.RLock()
-	h, ok := v.kids[value]
-	v.mu.RUnlock()
-	if ok {
-		return h
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if h, ok := v.kids[value]; ok {
-		return h
-	}
-	h = NewHistogram(v.bounds)
-	v.kids[value] = h
-	v.order = append(v.order, value)
-	return h
-}
-
-// Labels returns the label values seen so far, sorted.
-func (v *HistogramVec) Labels() []string {
-	if v == nil {
-		return nil
-	}
-	v.mu.RLock()
-	out := append([]string(nil), v.order...)
-	v.mu.RUnlock()
-	sort.Strings(out)
-	return out
-}
-
-// CounterVec partitions a counter family by one label value, e.g.
-// routed flow counts by shard. With() is goroutine-safe and
-// get-or-create; a nil vec hands out nil (no-op) counters.
-type CounterVec struct {
+// Vec partitions a family by one label value: HTTP request latency by
+// route (HistogramVec), routed flows by shard (CounterVec), follower
+// replication lag by shard (GaugeVec). With is goroutine-safe and
+// get-or-create; a nil vec hands out nil (no-op) children.
+type Vec[T any] struct {
 	label string
+	fresh func() *T
 
 	mu    sync.RWMutex
-	kids  map[string]*Counter
+	kids  map[string]*T
 	order []string
 }
 
-func newCounterVec(label string) *CounterVec {
+// The three vec families; the histograms of one HistogramVec share one
+// bucket layout.
+type (
+	HistogramVec = Vec[Histogram]
+	CounterVec   = Vec[Counter]
+	GaugeVec     = Vec[Gauge]
+)
+
+func newVec[T any](label string, fresh func() *T) *Vec[T] {
 	if !validName(label) {
 		panic(fmt.Sprintf("obs: invalid label name %q", label))
 	}
-	return &CounterVec{label: label, kids: make(map[string]*Counter)}
+	return &Vec[T]{label: label, fresh: fresh, kids: make(map[string]*T)}
 }
 
-// With returns the counter for the given label value, creating it on
+// With returns the child for the given label value, creating it on
 // first use.
-func (v *CounterVec) With(value string) *Counter {
+func (v *Vec[T]) With(value string) *T {
 	if v == nil {
 		return nil
 	}
 	v.mu.RLock()
-	c, ok := v.kids[value]
+	kid, ok := v.kids[value]
 	v.mu.RUnlock()
 	if ok {
-		return c
+		return kid
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if c, ok := v.kids[value]; ok {
-		return c
+	if kid, ok := v.kids[value]; ok {
+		return kid
 	}
-	c = &Counter{}
-	v.kids[value] = c
+	kid = v.fresh()
+	v.kids[value] = kid
 	v.order = append(v.order, value)
-	return c
+	return kid
+}
+
+// values returns the label values seen so far, in creation order.
+func (v *Vec[T]) values() []string {
+	if v == nil {
+		return nil
+	}
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	return append([]string(nil), v.order...)
 }
 
 // Labels returns the label values seen so far, sorted.
-func (v *CounterVec) Labels() []string {
-	if v == nil {
-		return nil
-	}
-	v.mu.RLock()
-	out := append([]string(nil), v.order...)
-	v.mu.RUnlock()
-	sort.Strings(out)
-	return out
-}
-
-// GaugeVec partitions a gauge family by one label value, e.g.
-// follower replication lag by shard. With() is goroutine-safe and
-// get-or-create; a nil vec hands out nil (no-op) gauges.
-type GaugeVec struct {
-	label string
-
-	mu    sync.RWMutex
-	kids  map[string]*Gauge
-	order []string
-}
-
-func newGaugeVec(label string) *GaugeVec {
-	if !validName(label) {
-		panic(fmt.Sprintf("obs: invalid label name %q", label))
-	}
-	return &GaugeVec{label: label, kids: make(map[string]*Gauge)}
-}
-
-// With returns the gauge for the given label value, creating it on
-// first use.
-func (v *GaugeVec) With(value string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	v.mu.RLock()
-	g, ok := v.kids[value]
-	v.mu.RUnlock()
-	if ok {
-		return g
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if g, ok := v.kids[value]; ok {
-		return g
-	}
-	g = &Gauge{}
-	v.kids[value] = g
-	v.order = append(v.order, value)
-	return g
-}
-
-// Labels returns the label values seen so far, sorted.
-func (v *GaugeVec) Labels() []string {
-	if v == nil {
-		return nil
-	}
-	v.mu.RLock()
-	out := append([]string(nil), v.order...)
-	v.mu.RUnlock()
+func (v *Vec[T]) Labels() []string {
+	out := v.values()
 	sort.Strings(out)
 	return out
 }

@@ -57,8 +57,8 @@
 // in place of the binary block. They are no longer read: Open refuses
 // one with ErrOldFormat.
 //
-// Durability: Write hands the finished bytes to CommitFile, the one
-// stage → fsync → rename → directory-fsync sequence in the tree (the
+// Durability: Write hands the finished bytes to durable.CommitFile, the
+// one stage → fsync → rename → directory-fsync sequence in the tree (the
 // store's snapshot commits its window files and its manifest through it
 // too). A crash mid-write leaves only a stale .tmp (cleaned up at the
 // next List); a damaged file fails Open with ErrCorrupt and is
@@ -78,7 +78,7 @@ import (
 	"strings"
 
 	"graphsig/internal/core"
-	"graphsig/internal/fault"
+	"graphsig/internal/durable"
 	"graphsig/internal/graph"
 )
 
@@ -89,10 +89,6 @@ const (
 	header     = "graphsig-segment v2"
 	headerV1   = "graphsig-segment v1"
 	fileSuffix = ".seg"
-	tmpSuffix  = ".tmp"
-	// quarantineSuffix matches the store/WAL convention so operators
-	// find all damaged artifacts with one glob.
-	quarantineSuffix = ".corrupt"
 	// footFormat is the last line of a file: the TOC's offset and the
 	// CRC32 of every byte before the line.
 	footFormat = "end %d %08x"
@@ -100,7 +96,7 @@ const (
 
 // ErrCorrupt marks a segment file that is structurally broken — bad
 // checksum, torn tail, malformed TOC — as opposed to an I/O failure
-// reaching it. Corrupt segments are safe to Quarantine.
+// reaching it. Corrupt segments are safe to quarantine (durable.Quarantine).
 var ErrCorrupt = errors.New("segment: corrupt segment")
 
 // ErrOldFormat marks a segment file written in a format this build no
@@ -244,7 +240,7 @@ func Write(dir string, sets []*core.SignatureSet, u *graph.Universe) (*Segment, 
 		return nil, err
 	}
 	seg.path = filepath.Join(dir, Name(seg.First(), seg.Last()))
-	if err := CommitFile(seg.path, data, "segment.write", "segment.commit"); err != nil {
+	if err := durable.CommitFile(seg.path, data, "segment.write", "segment.commit"); err != nil {
 		return nil, fmt.Errorf("segment: %w", err)
 	}
 	return seg, nil
@@ -344,25 +340,6 @@ func appendHex8(dst []byte, v uint32) []byte {
 		dst = append(dst, digits[v>>shift&0xf])
 	}
 	return dst
-}
-
-// CommitFile makes data the durable content of path: staged at
-// path.tmp and fsynced, renamed over path, and the directory fsynced —
-// so after a crash path holds either what it held before or all of
-// data. writePoint fires before anything is written (a full disk),
-// commitPoint between the fsync and the rename (a kill that leaves a
-// complete but uncommitted .tmp behind); an empty name never fires.
-func CommitFile(path string, data []byte, writePoint, commitPoint string) error {
-	if err := writeFileSynced(path+tmpSuffix, data, writePoint); err != nil {
-		return err
-	}
-	if err := fault.Inject(commitPoint); err != nil {
-		return err
-	}
-	if err := os.Rename(path+tmpSuffix, path); err != nil {
-		return err
-	}
-	return syncDir(filepath.Dir(path))
 }
 
 // Open reads and fully verifies a segment file: the trailing
@@ -521,7 +498,7 @@ func List(dir string) ([]string, error) {
 	var out []string
 	for _, e := range entries {
 		name := e.Name()
-		if strings.HasSuffix(name, fileSuffix+tmpSuffix) {
+		if strings.HasSuffix(name, fileSuffix+durable.TmpSuffix) {
 			os.Remove(filepath.Join(dir, name))
 			continue
 		}
@@ -531,86 +508,4 @@ func List(dir string) ([]string, error) {
 	}
 	sort.Strings(out)
 	return out, nil
-}
-
-// Quarantine renames a segment file that failed to Open aside
-// (file.corrupt, file.corrupt.1, ...) and returns the new path, so the
-// caller can keep serving while preserving the evidence.
-func Quarantine(path string) (string, error) {
-	dst := path + quarantineSuffix
-	for i := 1; ; i++ {
-		if _, err := os.Stat(dst); os.IsNotExist(err) {
-			break
-		}
-		dst = fmt.Sprintf("%s%s.%d", path, quarantineSuffix, i)
-	}
-	if err := os.Rename(path, dst); err != nil {
-		return "", fmt.Errorf("segment: quarantine: %w", err)
-	}
-	return dst, nil
-}
-
-// writeFileSynced writes data to path and fsyncs it; the failpoint
-// fires before the write so tests can inject full-disk failures.
-func writeFileSynced(path string, data []byte, failpoint string) error {
-	if err := fault.Inject(failpoint); err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(data)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// MkdirSynced is os.MkdirAll that makes the names it creates durable:
-// after creating dir it syncs the directory above each one it made. A
-// dir that exists is left alone and nothing is synced. failpoint fires
-// before the first sync; when that or a sync fails, the directories
-// just made are removed again, so the next call creates, and syncs,
-// them anew.
-func MkdirSynced(dir, failpoint string) error {
-	var made []string // deepest first
-	for d := filepath.Clean(dir); filepath.Dir(d) != d; d = filepath.Dir(d) {
-		if _, err := os.Stat(d); err == nil {
-			break
-		}
-		made = append(made, d)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil || len(made) == 0 {
-		return err
-	}
-	err := fault.Inject(failpoint)
-	for _, d := range made {
-		if err != nil {
-			break
-		}
-		err = syncDir(filepath.Dir(d))
-	}
-	if err != nil {
-		for _, d := range made {
-			_ = os.Remove(d) // empty, made just now; one left behind is merely not synced
-		}
-	}
-	return err
-}
-
-// syncDir fsyncs a directory so its entries are durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

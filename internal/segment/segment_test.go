@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"graphsig/internal/core"
+	"graphsig/internal/durable"
 	"graphsig/internal/fault"
 	"graphsig/internal/graph"
 )
@@ -210,7 +211,7 @@ func TestSegmentFlippedByteCorrupt(t *testing.T) {
 	if _, err := Open(seg.Path(), graph.NewUniverse()); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
-	q, err := Quarantine(seg.Path())
+	q, err := durable.Quarantine(seg.Path())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +229,7 @@ func TestSegmentListCleansTmp(t *testing.T) {
 	if _, err := Write(dir, threeWindows(t, u), u); err != nil {
 		t.Fatal(err)
 	}
-	stale := filepath.Join(dir, Name(9, 9)+tmpSuffix)
+	stale := filepath.Join(dir, Name(9, 9)+durable.TmpSuffix)
 	if err := os.WriteFile(stale, []byte("half a segment"), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -8,11 +8,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	mrand "math/rand"
+	mrand "math/rand/v2"
 	"net/http"
 	"net/url"
 	"strconv"
-	"sync"
 	"time"
 
 	"graphsig/internal/netflow"
@@ -21,7 +20,9 @@ import (
 
 // Client is a thin Go client for the sigserverd HTTP API, used by the
 // sigtool `client` subcommand, by --replay self-benchmarking, and by
-// the end-to-end tests.
+// the end-to-end tests. It talks to one address: failing over to
+// another node is the cluster router's job (its health prober), which
+// marks what a follower answered as stale.
 //
 // Transient failures — connection errors, 429 throttling, 5xx — are
 // retried with jittered exponential backoff. Ingest batches carry a
@@ -29,10 +30,7 @@ import (
 // retry after a timed-out-but-actually-applied POST is deduplicated
 // server-side instead of double-counting flows.
 type Client struct {
-	// Base is the primary server root, e.g. "http://127.0.0.1:8080".
-	// With fallback seeds configured (NewClient's variadic arguments),
-	// Base is only the first seed tried; requests go to the current
-	// seed, and every retried failure rotates to the next one.
+	// Base is the server root, e.g. "http://127.0.0.1:8080".
 	Base string
 	// HTTP is the underlying client (default: 30 s timeout).
 	HTTP *http.Client
@@ -47,65 +45,24 @@ type Client struct {
 	// duration and a Retry-After of 0 (or something absurd) cannot
 	// produce a hot loop or an hours-long stall.
 	RetryBackoff time.Duration
-	// SeedCooldown is how long a seed that failed at the transport level
-	// (connection refused, reset, timeout) is skipped by the failover
-	// rotation before being tried again (0 = DefaultSeedCooldown;
-	// negative disables the cooldown, restoring plain round-robin).
-	// HTTP-status failures do not trigger it: a node answering 429 or
-	// 503 is alive and shedding load, not dead.
-	SeedCooldown time.Duration
-
-	jitterMu sync.Mutex
-	jitter   *mrand.Rand // lazily seeded; avoids the deprecated global source
-
-	// seedMu guards the failover rotation state. seeds holds every
-	// configured address (Base first); cur indexes the one currently in
-	// use. deadUntil (parallel to seeds, nil until first transport
-	// failure) holds each seed's cooldown expiry. Empty seeds (a Client
-	// built by struct literal) fall back to Base alone.
-	seedMu    sync.Mutex
-	seeds     []string
-	cur       int
-	deadUntil []time.Time
-	now       func() time.Time // test hook; nil means time.Now
 
 	// trace, when valid, is stamped onto every request as the
 	// X-Sig-Trace header. Set via Traced.
 	trace obs.TraceContext
-	// parent is non-nil on Traced views: all mutable failover state —
-	// seed rotation, cooldowns, the jitter RNG — lives on the root
-	// client, so a view's retries share the root's view of which seeds
-	// are dead.
-	parent *Client
 }
 
-// root resolves the client owning the shared failover state.
-func (c *Client) root() *Client {
-	if c.parent != nil {
-		return c.parent
-	}
-	return c
-}
-
-// Traced returns a view of the client that stamps tc onto every
+// Traced returns a copy of the client that stamps tc onto every
 // request as the X-Sig-Trace header, so the far side's tracer records
 // its work as a child segment of tc's span instead of minting a fresh
-// trace ID. The view shares the root client's failover state and is
-// cheap enough to mint per call. An invalid context returns the
-// receiver unchanged.
+// trace ID. The copy is cheap enough to mint per call. An invalid
+// context returns the receiver unchanged.
 func (c *Client) Traced(tc obs.TraceContext) *Client {
 	if !tc.Valid() {
 		return c
 	}
-	return &Client{
-		Base:         c.Base,
-		HTTP:         c.HTTP,
-		MaxRetries:   c.MaxRetries,
-		RetryBackoff: c.RetryBackoff,
-		SeedCooldown: c.SeedCooldown,
-		trace:        tc,
-		parent:       c.root(),
-	}
+	v := *c
+	v.trace = tc
+	return &v
 }
 
 // APIError is a server-reported failure (any HTTP status >= 400),
@@ -141,10 +98,6 @@ func APIStatus(err error) int {
 // dictated by a server's Retry-After header.
 const MaxRetryDelay = 30 * time.Second
 
-// DefaultSeedCooldown is how long a transport-dead seed is skipped by
-// the failover rotation when Client.SeedCooldown is zero.
-const DefaultSeedCooldown = 5 * time.Second
-
 // RetryAfter extracts the Retry-After header value from an *APIError
 // chain ("" when err carries none).
 func RetryAfter(err error) string {
@@ -155,113 +108,14 @@ func RetryAfter(err error) string {
 	return ""
 }
 
-// NewClient returns a client for the server at base. Additional
-// fallback seed addresses may follow: every retried failure (transport
-// error, 429, 5xx) rotates to the next seed before the retry, so a
-// caller given several addresses for one logical service keeps working
-// through single-node outages.
-func NewClient(base string, fallbacks ...string) *Client {
-	c := &Client{
+// NewClient returns a client for the server at base.
+func NewClient(base string) *Client {
+	return &Client{
 		Base:         base,
 		HTTP:         &http.Client{Timeout: 30 * time.Second},
 		MaxRetries:   3,
 		RetryBackoff: 100 * time.Millisecond,
 	}
-	if len(fallbacks) > 0 {
-		c.seeds = append([]string{base}, fallbacks...)
-	}
-	return c
-}
-
-// Seeds reports every configured address, current first.
-func (c *Client) Seeds() []string {
-	c = c.root()
-	c.seedMu.Lock()
-	defer c.seedMu.Unlock()
-	if len(c.seeds) == 0 {
-		return []string{c.Base}
-	}
-	out := make([]string, 0, len(c.seeds))
-	for i := range c.seeds {
-		out = append(out, c.seeds[(c.cur+i)%len(c.seeds)])
-	}
-	return out
-}
-
-// currentBase returns the seed requests currently target.
-func (c *Client) currentBase() string {
-	c = c.root()
-	c.seedMu.Lock()
-	defer c.seedMu.Unlock()
-	if len(c.seeds) == 0 {
-		return c.Base
-	}
-	return c.seeds[c.cur]
-}
-
-// rotateSeed advances to the next seed after a retryable failure,
-// preferring seeds not in transport-failure cooldown.
-func (c *Client) rotateSeed() {
-	c = c.root()
-	c.seedMu.Lock()
-	defer c.seedMu.Unlock()
-	c.advanceSeedLocked()
-}
-
-// markSeedDown records a transport-level failure of the current seed —
-// it enters cooldown and the rotation skips it — then advances. A seed
-// that merely answered an error status is never marked: it is alive,
-// and re-probing a live node is cheap, whereas re-dialing a dead one
-// burns a connect timeout per request.
-func (c *Client) markSeedDown() {
-	c = c.root()
-	c.seedMu.Lock()
-	defer c.seedMu.Unlock()
-	if len(c.seeds) == 0 || c.seedCooldown() <= 0 {
-		c.advanceSeedLocked()
-		return
-	}
-	if c.deadUntil == nil {
-		c.deadUntil = make([]time.Time, len(c.seeds))
-	}
-	c.deadUntil[c.cur] = c.timeNow().Add(c.seedCooldown())
-	c.advanceSeedLocked()
-}
-
-// advanceSeedLocked moves cur to the next seed outside cooldown,
-// falling back to plain round-robin when every seed is cooling down.
-// Callers hold seedMu.
-func (c *Client) advanceSeedLocked() {
-	if len(c.seeds) <= 1 {
-		return
-	}
-	for i := 1; i <= len(c.seeds); i++ {
-		n := (c.cur + i) % len(c.seeds)
-		if !c.seedDeadLocked(n) {
-			c.cur = n
-			return
-		}
-	}
-	c.cur = (c.cur + 1) % len(c.seeds)
-}
-
-// seedDeadLocked reports whether seed i is still in cooldown.
-func (c *Client) seedDeadLocked(i int) bool {
-	return c.deadUntil != nil && c.timeNow().Before(c.deadUntil[i])
-}
-
-func (c *Client) seedCooldown() time.Duration {
-	if c.SeedCooldown == 0 {
-		return DefaultSeedCooldown
-	}
-	return c.SeedCooldown
-}
-
-func (c *Client) timeNow() time.Time {
-	if c.now != nil {
-		return c.now()
-	}
-	return time.Now()
 }
 
 // retryable reports whether a response status is worth retrying.
@@ -279,7 +133,7 @@ func retryable(status int) bool {
 // already overloaded server, the ceiling keeps both absurd Retry-After
 // values and the exponential's eventual int64 overflow (base<<attempt
 // goes negative around attempt 33 with the 100 ms base, which used to
-// panic mrand.Int63n) from stalling or crashing the caller.
+// panic the jitter draw) from stalling or crashing the caller.
 func (c *Client) backoff(attempt int, retryAfter string) time.Duration {
 	base := c.RetryBackoff
 	if base <= 0 {
@@ -301,7 +155,7 @@ func (c *Client) backoff(attempt int, retryAfter string) time.Duration {
 		}
 	}
 	// ±50% jitter decorrelates a fleet of retrying senders.
-	return clampDelay(d/2+c.jitterDuration(d), base)
+	return clampDelay(d/2+time.Duration(mrand.Int64N(int64(d))), base)
 }
 
 // Backoff exposes the client's jittered, saturating retry delay for
@@ -323,23 +177,8 @@ func clampDelay(d, base time.Duration) time.Duration {
 	return d
 }
 
-// jitterDuration draws a uniform duration in [0, d) from the client's
-// private RNG, seeding it on first use.
-func (c *Client) jitterDuration(d time.Duration) time.Duration {
-	if d <= 0 {
-		return 0
-	}
-	c = c.root()
-	c.jitterMu.Lock()
-	defer c.jitterMu.Unlock()
-	if c.jitter == nil {
-		c.jitter = mrand.New(mrand.NewSource(time.Now().UnixNano()))
-	}
-	return time.Duration(c.jitter.Int63n(int64(d)))
-}
-
 // doJSON is do with body, when non-nil, marshalled as the JSON payload.
-func (c *Client) doJSON(method, path string, body any, decode func(io.Reader) error) error {
+func (c *Client) doJSON(method, path string, body any, decode func(*http.Response) error) error {
 	if body == nil {
 		return c.do(method, path, nil, decode)
 	}
@@ -350,27 +189,13 @@ func (c *Client) doJSON(method, path string, body any, decode func(io.Reader) er
 	return c.do(method, path, payload, decode)
 }
 
-// do runs one API call through the retry and seed-rotation loop:
-// payload, when non-nil, is sent as the JSON body, and decode reads a
-// successful response's body.
-func (c *Client) do(method, path string, payload []byte, decode func(io.Reader) error) error {
-	var lastErr error
+// do runs one API call through the retry loop: payload, when non-nil,
+// is sent as the JSON body, and decode reads a successful response.
+func (c *Client) do(method, path string, payload []byte, decode func(*http.Response) error) error {
 	for attempt := 0; ; attempt++ {
 		retryAfter, err := c.once(method, path, payload, decode)
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-		if retryAfter == noRetry || attempt >= c.MaxRetries {
-			return lastErr
-		}
-		// A transport failure (no HTTP status) means the seed itself is
-		// unreachable: cool it down so subsequent requests do not re-dial
-		// a dead node first. Status failures just rotate.
-		if APIStatus(err) == 0 {
-			c.markSeedDown()
-		} else {
-			c.rotateSeed()
+		if err == nil || retryAfter == noRetry || attempt >= c.MaxRetries {
+			return err
 		}
 		time.Sleep(c.backoff(attempt, retryAfter))
 	}
@@ -383,12 +208,12 @@ const noRetry = "\x00permanent"
 // once performs a single HTTP exchange. The returned string is the
 // Retry-After header value ("" when absent) for retryable failures, or
 // noRetry for permanent ones.
-func (c *Client) once(method, path string, payload []byte, decode func(io.Reader) error) (string, error) {
+func (c *Client) once(method, path string, payload []byte, decode func(*http.Response) error) (string, error) {
 	var reader io.Reader
 	if payload != nil {
 		reader = bytes.NewReader(payload)
 	}
-	req, err := http.NewRequest(method, c.currentBase()+path, reader)
+	req, err := http.NewRequest(method, c.Base+path, reader)
 	if err != nil {
 		return noRetry, fmt.Errorf("client: %w", err)
 	}
@@ -419,15 +244,15 @@ func (c *Client) once(method, path string, payload []byte, decode func(io.Reader
 		}
 		return noRetry, apiErr
 	}
-	if err := decode(resp.Body); err != nil {
+	if err := decode(resp); err != nil {
 		return noRetry, fmt.Errorf("client: %s %s: decoding response: %w", method, path, err)
 	}
 	return "", nil
 }
 
 // decodeJSON is do's body decoder for the JSON endpoints.
-func decodeJSON(out any) func(io.Reader) error {
-	return func(r io.Reader) error { return json.NewDecoder(r).Decode(out) }
+func decodeJSON(out any) func(*http.Response) error {
+	return func(resp *http.Response) error { return json.NewDecoder(resp.Body).Decode(out) }
 }
 
 // NewBatchID generates a random ingest batch ID ("" when the system
@@ -553,12 +378,12 @@ func (c *Client) Anomalies(zCut float64) (AnomaliesResponse, error) {
 }
 
 // Metrics fetches the node's metric families: GET /metrics, parsed by
-// obs.ParseExposition. Like every JSON call it retries and fails over
-// across seeds, so metrics federation survives a dead seed.
+// obs.ParseExposition. Like every JSON call it retries transient
+// failures.
 func (c *Client) Metrics() ([]obs.Family, error) {
 	var fams []obs.Family
-	err := c.doJSON(http.MethodGet, "/metrics", nil, func(r io.Reader) (err error) {
-		fams, err = obs.ParseExposition(r)
+	err := c.doJSON(http.MethodGet, "/metrics", nil, func(resp *http.Response) (err error) {
+		fams, err = obs.ParseExposition(resp.Body)
 		return err
 	})
 	return fams, err
@@ -623,56 +448,29 @@ type WALChunk struct {
 
 // FetchWAL reads up to max bytes (0 = server default) of WAL
 // generation gen starting at byte offset from; a longer chunk is an
-// error. Unlike the JSON methods it performs a single attempt — the
-// replication loop owns its own retry cadence — but a transport failure
-// still rotates the seed.
+// error. Unlike the JSON methods it performs a single attempt: the
+// replication loop owns its own retry cadence.
 func (c *Client) FetchWAL(gen int, from int64, max int) (WALChunk, error) {
 	path := fmt.Sprintf("/v1/replication/wal?gen=%d&from=%d", gen, from)
-	if max > 0 {
-		path += fmt.Sprintf("&max=%d", max)
-	}
-	req, err := http.NewRequest(http.MethodGet, c.currentBase()+path, nil)
-	if err != nil {
-		return WALChunk{}, fmt.Errorf("client: %w", err)
-	}
-	if c.trace.Valid() {
-		req.Header.Set(obs.TraceHeader, c.trace.String())
-	}
-	resp, err := c.HTTP.Do(req)
-	if err != nil {
-		c.markSeedDown()
-		return WALChunk{}, fmt.Errorf("client: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var apiErr struct {
-			Error string `json:"error"`
-		}
-		msg := resp.Status
-		if json.NewDecoder(resp.Body).Decode(&apiErr) == nil && apiErr.Error != "" {
-			msg = apiErr.Error
-		}
-		e := &APIError{Status: resp.StatusCode, Method: http.MethodGet, Path: path, Msg: msg}
-		if retryable(resp.StatusCode) {
-			e.RetryAfter = resp.Header.Get("Retry-After")
-			c.rotateSeed()
-		}
-		return WALChunk{}, e
-	}
-	var chunk WALChunk
-	if chunk.Gen, err = strconv.Atoi(resp.Header.Get(HeaderWALGen)); err != nil {
-		return WALChunk{}, fmt.Errorf("client: bad %s header %q", HeaderWALGen, resp.Header.Get(HeaderWALGen))
-	}
-	chunk.Sealed = resp.Header.Get(HeaderWALSealed) == "true"
-	if chunk.Size, err = strconv.ParseInt(resp.Header.Get(HeaderWALSize), 10, 64); err != nil {
-		return WALChunk{}, fmt.Errorf("client: bad %s header %q", HeaderWALSize, resp.Header.Get(HeaderWALSize))
-	}
 	limit := int64(DefaultReplicationChunk)
 	if max > 0 {
+		path += fmt.Sprintf("&max=%d", max)
 		limit = int64(max)
 	}
-	if chunk.Data, err = readBody(resp.Body, resp.ContentLength, limit); err != nil {
-		return WALChunk{}, fmt.Errorf("client: reading WAL chunk: %w", err)
+	var chunk WALChunk
+	_, err := c.once(http.MethodGet, path, nil, func(resp *http.Response) (err error) {
+		if chunk.Gen, err = strconv.Atoi(resp.Header.Get(HeaderWALGen)); err != nil {
+			return fmt.Errorf("bad %s header %q", HeaderWALGen, resp.Header.Get(HeaderWALGen))
+		}
+		chunk.Sealed = resp.Header.Get(HeaderWALSealed) == "true"
+		if chunk.Size, err = strconv.ParseInt(resp.Header.Get(HeaderWALSize), 10, 64); err != nil {
+			return fmt.Errorf("bad %s header %q", HeaderWALSize, resp.Header.Get(HeaderWALSize))
+		}
+		chunk.Data, err = readBody(resp.Body, resp.ContentLength, limit)
+		return err
+	})
+	if err != nil {
+		return WALChunk{}, err
 	}
 	return chunk, nil
 }

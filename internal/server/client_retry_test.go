@@ -176,45 +176,33 @@ func TestIngestRetryDedupsExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestClientSeedFailover gives the client a dead primary seed and a
-// live fallback: the first attempt's connection failure must rotate to
-// the fallback and succeed, and the rotation must stick for subsequent
-// requests (no re-probing of the dead seed once past it).
-func TestClientSeedFailover(t *testing.T) {
-	s, err := New(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	live := httptest.NewServer(s.Handler())
-	defer live.Close()
+// TestClientDeadAddressRetriesThenFails: a client has one address, so
+// when that address fails at the transport level every retry goes back
+// to it — MaxRetries+1 attempts — and then the transport error, which
+// carries no HTTP status, surfaces.
+func TestClientDeadAddressRetriesThenFails(t *testing.T) {
+	var attempts atomic.Int32
+	hangUp := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		attempts.Add(1)
+		if conn, _, err := w.(http.Hijacker).Hijack(); err == nil {
+			conn.Close()
+		}
+	}))
+	defer hangUp.Close()
 	// A closed listener's address connection-refuses immediately.
 	dead := httptest.NewServer(http.NotFoundHandler())
-	deadURL := dead.URL
 	dead.Close()
 
-	c := NewClient(deadURL, live.URL)
-	c.RetryBackoff = time.Millisecond
-	if _, err := c.Health(); err != nil {
-		t.Fatalf("health through failover: %v", err)
+	for _, base := range []string{hangUp.URL, dead.URL} {
+		c := NewClient(base)
+		c.RetryBackoff = time.Microsecond
+		c.MaxRetries = 2
+		if _, err := c.Health(); err == nil || APIStatus(err) != 0 {
+			t.Fatalf("health against %s: err %v (status %d), want a transport error", base, err, APIStatus(err))
+		}
 	}
-	if got := c.Seeds(); got[0] != live.URL {
-		t.Fatalf("current seed = %q, want the live fallback %q", got[0], live.URL)
-	}
-	// A definitive 4xx is not retried — and must not rotate back onto
-	// the dead seed.
-	_, err = c.History("no-such-label")
-	if APIStatus(err) != http.StatusNotFound {
-		t.Fatalf("history of unknown label: %v (status %d), want 404", err, APIStatus(err))
-	}
-	if got := c.Seeds(); got[0] != live.URL {
-		t.Fatalf("404 rotated the seed to %q", got[0])
-	}
-	// Exhausting every seed surfaces the transport error.
-	allDead := NewClient(deadURL, deadURL)
-	allDead.RetryBackoff = time.Microsecond
-	allDead.MaxRetries = 2
-	if _, err := allDead.Health(); err == nil {
-		t.Fatal("health against only dead seeds succeeded")
+	if got := attempts.Load(); got != 3 {
+		t.Fatalf("%d attempts at the hanging-up address, want MaxRetries+1 = 3", got)
 	}
 }
 
@@ -250,5 +238,32 @@ func TestFetchWALBoundedByMax(t *testing.T) {
 				t.Errorf("max %d: a chunk of %d bytes (declared %v) read as %d, %v", tc.max, tc.size, declare, len(chunk.Data), err)
 			}
 		}
+	}
+}
+
+// TestRetryAfterSurfaced checks the S2 plumbing: a 429's Retry-After
+// header must ride the APIError out of the client once its own retries
+// are exhausted, and Backoff must honor it.
+func TestRetryAfterSurfaced(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Retry-After", "7")
+		http.Error(w, `{"error":"throttled"}`, http.StatusTooManyRequests)
+	}))
+	defer ts.Close()
+
+	c := NewClient(ts.URL)
+	c.MaxRetries = -1
+	_, err := c.Health()
+	if APIStatus(err) != http.StatusTooManyRequests {
+		t.Fatalf("status = %d, want 429", APIStatus(err))
+	}
+	if got := RetryAfter(err); got != "7" {
+		t.Fatalf("RetryAfter(err) = %q, want \"7\"", got)
+	}
+	if got := c.Backoff(0, RetryAfter(err)); got != 7*time.Second {
+		t.Fatalf("Backoff honoring Retry-After = %v, want 7s", got)
+	}
+	if got := RetryAfter(nil); got != "" {
+		t.Fatalf("RetryAfter(nil) = %q, want empty", got)
 	}
 }

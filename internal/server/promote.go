@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 
+	"graphsig/internal/durable"
 	"graphsig/internal/wal"
 )
 
@@ -77,29 +78,31 @@ func (s *Server) Promote(cfg PromoteConfig) error {
 // process, not to the replicated lineage the node is continuing, so it
 // is quarantined rather than replayed. Callers hold s.mu.
 func (s *Server) attachDurabilityLocked(cfg PromoteConfig) error {
-	s.cfg.SnapshotDir = cfg.SnapshotDir
-	s.cfg.DisableWAL = false
-	s.cfg.Replicate = true
 	path := WALPath(cfg.SnapshotDir)
 	if info, err := os.Stat(path); err == nil && info.Size() > wal.HeaderLen {
-		moved, qerr := wal.Quarantine(path)
+		moved, qerr := durable.Quarantine(path)
 		if qerr != nil {
 			return fmt.Errorf("server: stale WAL at %s unquarantinable: %w", path, qerr)
 		}
 		s.metrics.WALQuarantines.Add(1)
 		s.logf("sigserver: stale pre-promotion WAL quarantined to %s", moved)
 	}
-	w, _, err := wal.Open(path)
-	if err != nil {
-		return fmt.Errorf("server: opening promotion WAL: %w", err)
-	}
-	s.wal = w
-	s.walOriginLogged, s.walWatchesLogged = false, 0
-	s.instrumentWAL()
 	gen, err := nextWALGen(path)
 	if err != nil {
 		return err
 	}
+	w, _, err := wal.Open(path)
+	if err != nil {
+		return fmt.Errorf("server: opening promotion WAL: %w", err)
+	}
+	// Only now, with the log open, does the node take on its durable
+	// configuration: a refused promotion leaves the replica as it was.
+	s.cfg.SnapshotDir = cfg.SnapshotDir
+	s.cfg.DisableWAL = false
+	s.cfg.Replicate = true
+	s.wal = w
+	s.walOriginLogged, s.walWatchesLogged = false, 0
+	s.instrumentWAL()
 	s.walGen = max(gen, cfg.WALGen)
 	return nil
 }

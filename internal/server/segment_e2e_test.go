@@ -268,7 +268,7 @@ func TestHistoryHTTPParams(t *testing.T) {
 	}
 
 	// Malformed parameters are rejected, not silently defaulted.
-	base := strings.TrimSuffix(c.Seeds()[0], "/")
+	base := strings.TrimSuffix(c.Base, "/")
 	for _, query := range []string{"limit=-1", "limit=abc", "from=xyz", "to=1.5"} {
 		resp, err := http.Get(fmt.Sprintf("%s/v1/signatures/%s?%s", base, label, query))
 		if err != nil {

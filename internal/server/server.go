@@ -48,6 +48,7 @@ import (
 
 	"graphsig/internal/apps"
 	"graphsig/internal/core"
+	"graphsig/internal/durable"
 	"graphsig/internal/netflow"
 	"graphsig/internal/obs"
 	"graphsig/internal/store"
@@ -414,7 +415,7 @@ func (s *Server) openStore(scfg store.Config) error {
 		if !errors.Is(err, store.ErrCorrupt) {
 			return err
 		}
-		moved, qerr := store.Quarantine(dir)
+		moved, qerr := durable.Quarantine(dir)
 		if qerr != nil {
 			return fmt.Errorf("server: snapshot corrupt (%v) and unquarantinable: %w", err, qerr)
 		}
@@ -476,7 +477,7 @@ func (s *Server) instrumentWAL() {
 func (s *Server) openWAL(sc wal.Scanned, err error) (wal.Replay, error) {
 	path := WALPath(s.cfg.SnapshotDir)
 	if errors.Is(err, wal.ErrCorrupt) {
-		moved, qerr := wal.Quarantine(path)
+		moved, qerr := durable.Quarantine(path)
 		if qerr != nil {
 			return wal.Replay{}, fmt.Errorf("server: WAL corrupt and unquarantinable: %w", qerr)
 		}

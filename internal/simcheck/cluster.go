@@ -132,7 +132,7 @@ func RunCluster(cfg ClusterConfig) error {
 		return fmt.Errorf("simcheck: Faults requires a scratch Dir")
 	}
 
-	var seeds [][]string
+	var shards [][]string
 	for i := 0; i < cfg.Shards; i++ {
 		scfg := cfg.serverConfig()
 		if cfg.Faults && i == 0 {
@@ -149,7 +149,7 @@ func RunCluster(cfg ClusterConfig) error {
 		defer srv.Abort()
 		s.shardSrv = append(s.shardSrv, srv)
 		s.shardTS = append(s.shardTS, ts)
-		seeds = append(seeds, []string{ts.URL})
+		shards = append(shards, []string{ts.URL})
 	}
 	refSrv, err := server.New(cfg.serverConfig())
 	if err != nil {
@@ -160,10 +160,10 @@ func RunCluster(cfg ClusterConfig) error {
 	defer refSrv.Abort()
 	s.ref = server.NewClient(refTS.URL)
 
-	rcfg := cluster.Config{Shards: seeds, Timeout: 30 * time.Second}
+	rcfg := cluster.Config{Shards: shards, Timeout: 30 * time.Second}
 	if cfg.Faults {
 		f, err := cluster.NewFollower(cluster.FollowerConfig{
-			Primary:       []string{seeds[0][0]},
+			Primary:       []string{shards[0][0]},
 			Stream:        cfg.streamConfig(),
 			StoreCapacity: cfg.Capacity,
 			WatchMaxDist:  server.Float64(0.9),

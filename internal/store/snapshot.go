@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"graphsig/internal/core"
+	"graphsig/internal/durable"
 	"graphsig/internal/fault"
 	"graphsig/internal/graph"
 	"graphsig/internal/segment"
@@ -47,10 +48,7 @@ import (
 // before it the previous snapshot loads, after it the new one, and
 // nothing in between needs repair (DESIGN.md §8).
 
-const (
-	manifestName     = "MANIFEST"
-	quarantineSuffix = ".corrupt"
-)
+const manifestName = "MANIFEST"
 
 // ErrCorrupt marks a snapshot that is structurally broken — bad
 // checksum, truncated or missing files, malformed manifest — as
@@ -91,7 +89,7 @@ func (s *Store) Save(dir string) error {
 	s.saveMu.Lock()
 	defer s.saveMu.Unlock()
 	begin := time.Now()
-	if err := segment.MkdirSynced(dir, "store.save.dirsync"); err != nil {
+	if err := durable.MkdirSynced(dir, "store.save.dirsync"); err != nil {
 		return fmt.Errorf("store: snapshot: %w", err)
 	}
 	if s.savedDir != dir {
@@ -121,7 +119,7 @@ func (s *Store) Save(dir string) error {
 		keep[l.name()] = true
 	}
 	manifest := renderManifest(labels, windows)
-	if err := segment.CommitFile(filepath.Join(dir, manifestName), manifest, "", "store.save.manifest"); err != nil {
+	if err := durable.CommitFile(filepath.Join(dir, manifestName), manifest, "", "store.save.manifest"); err != nil {
 		return fmt.Errorf("store: snapshot: %w", err)
 	}
 	s.saved, s.savedLabels = owns, labels // committed: exactly what the manifest names
@@ -151,7 +149,7 @@ func (s *Store) saveWindowLocked(dir string, set *core.SignatureSet) (windowFile
 	data, err := segment.Encode([]*core.SignatureSet{set}, s.universe)
 	if err == nil {
 		w.crc = crc32.ChecksumIEEE(data)
-		err = segment.CommitFile(filepath.Join(dir, w.name()), data, "store.save.window", "store.save.window.commit")
+		err = durable.CommitFile(filepath.Join(dir, w.name()), data, "store.save.window", "store.save.window.commit")
 	}
 	if err != nil {
 		return w, 0, fmt.Errorf("store: snapshot window %d: %w", w.window, err)
@@ -190,7 +188,7 @@ func (s *Store) saveLabels(dir string) ([]labelFile, int, error) {
 	}
 	data := encodeLabels(s.universe, first, end)
 	l := labelFile{first: first, crc: crc32.ChecksumIEEE(data), count: end - first}
-	if err := segment.CommitFile(filepath.Join(dir, l.name()), data, "store.save.labels", "store.save.labels.commit"); err != nil {
+	if err := durable.CommitFile(filepath.Join(dir, l.name()), data, "store.save.labels", "store.save.labels.commit"); err != nil {
 		return nil, 0, err
 	}
 	return append(files[:len(files):len(files)], l), len(data), nil
@@ -221,23 +219,6 @@ func sweep(dir string, keep map[string]bool) error {
 func SnapshotExists(dir string) bool {
 	_, err := os.Stat(filepath.Join(dir, manifestName))
 	return err == nil
-}
-
-// Quarantine renames a snapshot directory that failed to Load aside
-// (dir.corrupt, dir.corrupt.1, ...) and returns the new path, so the
-// caller can boot with a fresh store while keeping the evidence.
-func Quarantine(dir string) (string, error) {
-	dst := dir + quarantineSuffix
-	for i := 1; ; i++ {
-		if _, err := os.Stat(dst); os.IsNotExist(err) {
-			break
-		}
-		dst = fmt.Sprintf("%s%s.%d", dir, quarantineSuffix, i)
-	}
-	if err := os.Rename(dir, dst); err != nil {
-		return "", fmt.Errorf("store: quarantine: %w", err)
-	}
-	return dst, nil
 }
 
 // Load rebuilds a store from a snapshot directory, interning every

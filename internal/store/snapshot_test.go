@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"graphsig/internal/durable"
 	"graphsig/internal/fault"
 	"graphsig/internal/graph"
 	"graphsig/internal/obs"
@@ -452,11 +453,11 @@ func TestSnapshotQuarantine(t *testing.T) {
 	if err := os.WriteFile(blobPath, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	moved, err := Quarantine(dir)
+	moved, err := durable.Quarantine(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(moved, dir+quarantineSuffix) {
+	if !strings.HasPrefix(moved, dir+".corrupt") {
 		t.Fatalf("quarantined to %s", moved)
 	}
 	if SnapshotExists(dir) {
@@ -464,7 +465,7 @@ func TestSnapshotQuarantine(t *testing.T) {
 	}
 	// Second quarantine of a fresh corrupt dir picks a distinct name.
 	savedSnapshot(t, dir)
-	moved2, err := Quarantine(dir)
+	moved2, err := durable.Quarantine(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

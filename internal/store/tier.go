@@ -7,6 +7,7 @@ import (
 	"os"
 
 	"graphsig/internal/core"
+	"graphsig/internal/durable"
 	"graphsig/internal/graph"
 	"graphsig/internal/segment"
 )
@@ -116,7 +117,7 @@ func (s *Store) AttachSegments(dir string) (SegmentStats, error) {
 	if dir == "" {
 		return st, fmt.Errorf("store: segments need a directory")
 	}
-	if err := segment.MkdirSynced(dir, "store.segments.dirsync"); err != nil {
+	if err := durable.MkdirSynced(dir, "store.segments.dirsync"); err != nil {
 		return st, fmt.Errorf("store: segments: %w", err)
 	}
 	paths, err := segment.List(dir)
@@ -140,7 +141,7 @@ func (s *Store) AttachSegments(dir string) (SegmentStats, error) {
 		// aside as evidence, like a corrupt one.
 		seg := opened[i]
 		if seg == nil || (len(t.segs) > 0 && seg.First() <= t.last) {
-			q, err := segment.Quarantine(p)
+			q, err := durable.Quarantine(p)
 			if err != nil {
 				return st, fmt.Errorf("store: segments: %w", err)
 			}

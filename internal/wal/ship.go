@@ -30,7 +30,7 @@ import (
 	"path/filepath"
 	"time"
 
-	"graphsig/internal/fault"
+	"graphsig/internal/durable"
 	"graphsig/internal/netflow"
 )
 
@@ -232,28 +232,11 @@ func (w *WAL) Rotate(dst string) error {
 		f.Close()
 		return fmt.Errorf("wal: rotate header: %w", err)
 	}
-	if err := syncDir(filepath.Dir(w.path), "wal.rotate.dirsync"); err != nil {
+	if err := durable.SyncDir(filepath.Dir(w.path), "wal.rotate.dirsync"); err != nil {
 		f.Close()
 		return fmt.Errorf("wal: rotate directory sync: %w", err)
 	}
 	w.f = f
 	w.good, w.dirty, w.broken = HeaderLen, true, false
 	return nil
-}
-
-// syncDir fsyncs a directory so the names in it are durable; failpoint
-// fires first.
-func syncDir(dir, failpoint string) error {
-	if err := fault.Inject(failpoint); err != nil {
-		return err
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

@@ -58,6 +58,7 @@ import (
 	"sync"
 	"time"
 
+	"graphsig/internal/durable"
 	"graphsig/internal/fault"
 	"graphsig/internal/netflow"
 	"graphsig/internal/obs"
@@ -271,7 +272,7 @@ func (w *WAL) openScanned(sc Scanned) error {
 		w.good, w.dirty = HeaderLen, true
 	}
 	if !sc.exists {
-		if err := syncDir(filepath.Dir(sc.path), "wal.create.dirsync"); err != nil {
+		if err := durable.SyncDir(filepath.Dir(sc.path), "wal.create.dirsync"); err != nil {
 			return fmt.Errorf("wal: syncing the directory of a new log: %w", err)
 		}
 	}
@@ -510,21 +511,4 @@ func (w *WAL) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.f.Close()
-}
-
-// Quarantine renames a log that failed to open aside (path.corrupt,
-// path.corrupt.1, ...) and returns the new name, so the server can
-// start a fresh log without destroying the evidence.
-func Quarantine(path string) (string, error) {
-	dst := path + ".corrupt"
-	for i := 1; ; i++ {
-		if _, err := os.Stat(dst); os.IsNotExist(err) {
-			break
-		}
-		dst = fmt.Sprintf("%s.corrupt.%d", path, i)
-	}
-	if err := os.Rename(path, dst); err != nil {
-		return "", fmt.Errorf("wal: quarantine: %w", err)
-	}
-	return dst, nil
 }

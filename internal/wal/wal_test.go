@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"graphsig/internal/durable"
 	"graphsig/internal/fault"
 	"graphsig/internal/netflow"
 )
@@ -218,7 +219,7 @@ func TestCorruptHeaderQuarantine(t *testing.T) {
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("bad header surfaced as %v, want ErrCorrupt", err)
 	}
-	moved, err := Quarantine(path)
+	moved, err := durable.Quarantine(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +235,7 @@ func TestCorruptHeaderQuarantine(t *testing.T) {
 	if err := os.WriteFile(path+".bis", []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	moved2, err := Quarantine(path + ".bis")
+	moved2, err := durable.Quarantine(path + ".bis")
 	if err != nil {
 		t.Fatal(err)
 	}
