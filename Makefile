@@ -23,7 +23,9 @@ race:
 # request may allocate skips there (internal/budget). Hot and
 # cold label search, a failed cold search, the cold-search soak under a
 # memory limit, a released block read, SelfRetrievalAUC, a WAL open, one
-# ingest batch and one window close (6 allocations and 1.5 KB a source),
+# flows batch (3 allocations a record, 2 when laid out as AppendFlows
+# writes it), one ingest batch and one window close (6 allocations and
+# 1.5 KB a source),
 # the engine's and querier's rows, and a parallel engine job — Rows,
 # MapRows, MapTriangle and PairsWithin, each as many allocations at
 # 1 300 rows as at 130.
@@ -173,7 +175,9 @@ bench:
 # one 100-record batch with an ID through the server onto real files
 # (ms and WAL syncs a batch) and a 2 000-record batch through the
 # POST /v1/flows codec and through what it replaced (decode, encode and
-# a loopback read of the body), one 1 200-source
+# a loopback read of the body; decode/codec-1run decodes in one run, and
+# decode/general decodes an indented body, every record of which the
+# general reader reads), one 1 200-source
 # window through the pipeline at sigserverd's default sketch — every source sparse, and
 # with a Zipf head that goes dense — and the checkpoint of one window
 # close with and without new labels, and one restart (server.New over

@@ -8,6 +8,7 @@
 package budget
 
 import (
+	"math"
 	"runtime"
 	"testing"
 )
@@ -20,16 +21,20 @@ func SkipUnderRace(tb testing.TB) {
 }
 
 // PerRun is testing.AllocsPerRun with the bytes beside the count: the
-// mean allocations and bytes allocated by one call of f, after one
-// warm-up call, on one P.
+// fewest allocations and the fewest bytes any one call of f made over
+// runs calls, after one warm-up call, on one P. The counts are the whole
+// process's, so a goroutine an earlier test left running adds to the
+// call it overlaps; the minimum drops that, where a mean spread it over
+// every call.
 func PerRun(runs int, f func()) (allocs, bytes float64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	f()
+	allocs, bytes = math.Inf(1), math.Inf(1)
 	for i := 0; i < runs; i++ {
 		a, b := Once(f)
-		allocs, bytes = allocs+a, bytes+b
+		allocs, bytes = min(allocs, a), min(bytes, b)
 	}
-	return allocs / float64(runs), bytes / float64(runs)
+	return allocs, bytes
 }
 
 // Once is the allocations and bytes of a single call of f, for a step

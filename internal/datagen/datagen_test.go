@@ -1,7 +1,9 @@
 package datagen
 
 import (
+	"strings"
 	"testing"
+	"time"
 
 	"graphsig/internal/graph"
 	"graphsig/internal/stats"
@@ -140,6 +142,29 @@ func TestEnterpriseValidation(t *testing.T) {
 		if _, err := GenerateEnterprise(cfg); err == nil {
 			t.Fatalf("mutation %d accepted", i)
 		}
+	}
+}
+
+// TestEnterpriseRefusesSmallTail: a tail of external hosts smaller than
+// a community pool is refused, where the pool's draw of distinct hosts
+// spun forever.
+func TestEnterpriseRefusesSmallTail(t *testing.T) {
+	cfg := DefaultEnterpriseConfig(1)
+	cfg.LocalHosts, cfg.ExternalHosts, cfg.Windows, cfg.MultiusageIndividuals = 12, 60, 2, 1
+	errc := make(chan error, 1)
+	go func() {
+		_, err := GenerateEnterprise(cfg)
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		for _, v := range []string{"60", "40", "36"} {
+			if err == nil || !strings.Contains(err.Error(), v) {
+				t.Fatalf("GenerateEnterprise = %v, want an error naming 60, 40 and 36", err)
+			}
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("GenerateEnterprise still running after 5 s")
 	}
 }
 

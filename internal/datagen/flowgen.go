@@ -102,6 +102,10 @@ func (c *EnterpriseConfig) validate() error {
 		return fmt.Errorf("datagen: LocalHosts must be positive")
 	case c.ExternalHosts <= c.PopularHead:
 		return fmt.Errorf("datagen: ExternalHosts must exceed PopularHead")
+	case c.ExternalHosts-c.PopularHead < c.CommunityPoolSize:
+		// A community pool is that many distinct hosts of the tail.
+		return fmt.Errorf("datagen: ExternalHosts %d less PopularHead %d leaves fewer tail hosts than CommunityPoolSize %d",
+			c.ExternalHosts, c.PopularHead, c.CommunityPoolSize)
 	case c.Communities <= 0:
 		return fmt.Errorf("datagen: Communities must be positive")
 	case c.Windows <= 0:

@@ -228,7 +228,7 @@ func (c *Client) once(method, path string, payload []byte, decode func(*http.Res
 		// Transport-level failure: connection refused, reset, timeout.
 		return "", fmt.Errorf("client: %w", err)
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode >= 400 {
 		var body struct {
 			Error string `json:"error"`
@@ -248,6 +248,19 @@ func (c *Client) once(method, path string, payload []byte, decode func(*http.Res
 		return noRetry, fmt.Errorf("client: %s %s: decoding response: %w", method, path, err)
 	}
 	return "", nil
+}
+
+// drainBytes bounds what drainClose reads of a body its decoder left.
+const drainBytes = 64 << 10
+
+// drainClose reads what is left of a response body, up to drainBytes,
+// before closing it: the transport keeps a connection only for a body
+// read to its end, and a JSON decoder stops at the end of its value,
+// before a chunked body's last chunk. A longer rest is not worth the
+// read, and its connection is dropped.
+func drainClose(body io.ReadCloser) {
+	_, _ = io.CopyN(io.Discard, body, drainBytes)
+	body.Close()
 }
 
 // decodeJSON is do's body decoder for the JSON endpoints.

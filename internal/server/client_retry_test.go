@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -265,5 +266,37 @@ func TestRetryAfterSurfaced(t *testing.T) {
 	}
 	if got := RetryAfter(nil); got != "" {
 		t.Fatalf("RetryAfter(nil) = %q, want empty", got)
+	}
+}
+
+// TestClientReusesConnection: repeated calls whose answers are large
+// enough to be chunked go over one connection. The decoder stops at the
+// end of the JSON value; the rest of the body has to be read before the
+// transport can keep the connection.
+func TestClientReusesConnection(t *testing.T) {
+	hits := make([]SearchHitJSON, 2000)
+	for i := range hits {
+		hits[i] = SearchHitJSON{Label: fmt.Sprintf("198.18.0.%d", i), Window: i, Dist: 0.5}
+	}
+	var conns atomic.Int64
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusOK, SearchResponse{Distance: "jaccard", Hits: hits})
+	}))
+	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+	c := NewClient(ts.URL)
+	for i := 0; i < 20; i++ {
+		res, err := c.Search(SearchRequest{Label: "10.0.0.1", K: len(hits)})
+		if err != nil || len(res.Hits) != len(hits) {
+			t.Fatalf("search %d: %d hits, %v", i, len(res.Hits), err)
+		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("20 searches with a %d-hit answer opened %d connections, want 1", len(hits), n)
 	}
 }

@@ -233,13 +233,197 @@ func (d *flowsReader) records() (recs []netflow.Record) {
 }
 
 // record reads one element of the records array and converts it. A
-// null record is the zero RecordJSON.
+// null record is the zero RecordJSON. A record laid out as appendRecord
+// writes one is read through a layout cursor; any other is read again
+// from its start by the general reader (DESIGN.md §7).
 func (d *flowsReader) record() (netflow.Record, error) {
 	var rj RecordJSON
-	if !d.null() {
-		d.object(func(key []byte) { d.field(&rj, key) })
+	if l := (layout{b: d.b, i: d.i, ok: true}); l.record(&rj) {
+		d.i = l.i
+	} else {
+		if onGeneralRecord != nil {
+			onGeneralRecord()
+		}
+		rj = RecordJSON{}
+		if !d.null() {
+			d.object(func(key []byte) { d.field(&rj, key) })
+		}
 	}
 	return rj.record()
+}
+
+// onGeneralRecord, when set, is called for each record the general
+// reader reads: tests count the records that leave the layout with it.
+var onGeneralRecord func()
+
+// layout is a cursor that reads a record only as appendRecord lays one
+// out: its keys in order with nothing between them, plain ASCII strings,
+// integers of digits alone and UTC start times. ok turns false at the
+// first byte that departs from that, and every read after it is void.
+type layout struct {
+	b  []byte
+	i  int
+	ok bool
+}
+
+// record reads the record at the cursor into rj and reports whether it
+// was laid out; when it was not, rj is to be ignored.
+func (l *layout) record(rj *RecordJSON) bool {
+	if !l.lit(`{"src":`) { // a body of another producer, most likely
+		return false
+	}
+	rj.Src = l.str()
+	l.want(`,"dst":`)
+	rj.Dst = l.str()
+	l.want(`,"start":`)
+	rj.Start = l.time()
+	if l.lit(`,"duration_ms":`) {
+		rj.DurationMS = l.uint()
+	}
+	l.want(`,"sessions":`)
+	if n := l.uint(); int64(int(n)) == n {
+		rj.Sessions = int(n)
+	} else {
+		l.ok = false
+	}
+	if l.lit(`,"bytes":`) {
+		rj.Bytes = l.uint()
+	}
+	if l.lit(`,"packets":`) {
+		rj.Packets = l.uint()
+	}
+	l.want(`,"proto":`)
+	rj.Proto = l.str()
+	l.want(`}`)
+	return l.ok
+}
+
+// lit consumes s if it is next.
+func (l *layout) lit(s string) bool {
+	if l.ok && len(l.b)-l.i >= len(s) && string(l.b[l.i:l.i+len(s)]) == s {
+		l.i += len(s)
+		return true
+	}
+	return false
+}
+
+func (l *layout) want(s string) {
+	if !l.lit(s) {
+		l.ok = false
+	}
+}
+
+// str reads a string of ASCII bytes from 0x20 up, without a quote or
+// backslash: the tokens the general reader takes as they are, without
+// unquoting.
+func (l *layout) str() string {
+	if !l.lit(`"`) {
+		l.ok = false
+		return ""
+	}
+	start := l.i
+	for ; l.i < len(l.b); l.i++ {
+		c := l.b[l.i]
+		if c == '"' {
+			tok := l.b[start:l.i]
+			l.i++
+			switch string(tok) {
+			case "tcp":
+				return "tcp"
+			case "udp":
+				return "udp"
+			}
+			return string(tok)
+		}
+		if c < 0x20 || c >= 0x80 || c == '\\' {
+			break
+		}
+	}
+	l.ok = false
+	return ""
+}
+
+// uint reads an integer of 1 to 18 digits without a leading zero, so one
+// that int64 holds. What follows it must begin the next key or close
+// the record, so a fraction, exponent or sign after it leaves the layout.
+func (l *layout) uint() int64 {
+	if !l.ok {
+		return 0
+	}
+	start := l.i
+	var n int64
+	for ; l.i < len(l.b) && l.b[l.i]-'0' <= 9; l.i++ {
+		n = n*10 + int64(l.b[l.i]-'0')
+	}
+	if width := l.i - start; width == 0 || width > 18 || width > 1 && l.b[start] == '0' {
+		l.ok = false
+	}
+	return n
+}
+
+// time reads "YYYY-MM-DDTHH:MM:SS", an optional fraction of 1 to 9
+// digits after a '.', and "Z" — every field in range, the day within its
+// month — as the UTC time time.Time.UnmarshalJSON returns for it. Any
+// other zone or spelling is left to the general reader.
+func (l *layout) time() time.Time {
+	const form = `"2006-01-02T15:04:05`
+	b := l.b[l.i:]
+	if !l.ok || len(b) < len(form)+len(`Z"`) || b[0] != '"' || b[5] != '-' || b[8] != '-' || b[11] != 'T' || b[14] != ':' || b[17] != ':' {
+		l.ok = false
+		return time.Time{}
+	}
+	year, month, day := digits(b[1:5]), digits(b[6:8]), digits(b[9:11])
+	hour, minute, sec := digits(b[12:14]), digits(b[15:17]), digits(b[18:20])
+	j, nsec := len(form), 0
+	if b[j] == '.' {
+		j++
+		n := 0
+		for ; j < len(b) && b[j]-'0' <= 9 && n < 10; j, n = j+1, n+1 {
+			nsec = nsec*10 + int(b[j]-'0')
+		}
+		if n == 0 || n > 9 {
+			l.ok = false
+			return time.Time{}
+		}
+		for ; n < 9; n++ {
+			nsec *= 10
+		}
+	}
+	if len(b)-j < len(`Z"`) || b[j] != 'Z' || b[j+1] != '"' ||
+		year < 0 || month < 1 || month > 12 || day < 1 || day > daysIn(month, year) ||
+		hour < 0 || hour > 23 || minute < 0 || minute > 59 || sec < 0 || sec > 59 {
+		l.ok = false
+		return time.Time{}
+	}
+	l.i += j + len(`Z"`)
+	return time.Date(year, time.Month(month), day, hour, minute, sec, nsec, time.UTC)
+}
+
+// digits is the value of a run of decimal digits, or -1 if a byte is not
+// one.
+func digits(b []byte) int {
+	n := 0
+	for _, c := range b {
+		if c-'0' > 9 {
+			return -1
+		}
+		n = n*10 + int(c-'0')
+	}
+	return n
+}
+
+// daysIn is the number of days in month of the proleptic Gregorian year.
+func daysIn(month, year int) int {
+	switch month {
+	case 2:
+		if year%4 == 0 && (year%100 != 0 || year%400 == 0) {
+			return 29
+		}
+		return 28
+	case 4, 6, 9, 11:
+		return 30
+	}
+	return 31
 }
 
 // field reads one record field's value into rj. Of a key given twice

@@ -153,6 +153,9 @@ func checkReader(t *testing.T, body []byte) {
 		t.Fatalf("%q: read %q %+v, the reference %q %+v", body, id, recs, wantID, want)
 	case err != nil && wantErr == nil && json.Valid(body) && exactKeys(body):
 		t.Fatalf("refused %q, which the reference accepts: %v", body, err)
+	case err != nil && strings.HasPrefix(fmt.Sprint(wantErr), "record ") && json.Valid(body) && exactKeys(body) && err.Error() != wantErr.Error():
+		// The reference decoded the body, and a record did not convert.
+		t.Fatalf("%q: refused as %q, the reference as %q", body, err, wantErr)
 	}
 }
 
@@ -211,11 +214,84 @@ var flowsBodies = []string{
 	`{"records":[]} x`, `{"records":[]}{}`, `{"records":[]}]`, `null null`,
 }
 
+// laidOut is a record as AppendFlows writes one, every optional key
+// present.
+const laidOut = `{"src":"10.0.0.1","dst":"198.18.0.7","start":"2026-03-02T10:20:30.25Z","duration_ms":1500,"sessions":3,"bytes":10,"packets":2,"proto":"tcp"}`
+
+// inLayout and outOfLayout are edits of laidOut on either side of each
+// rule of the laid-out reading: after one of the first the record is
+// still laid out, after one of the second the general reader reads it.
+var (
+	inLayout = [][2]string{
+		{"", ""},
+		// Optional keys left out.
+		{`"bytes":10,"packets":2,`, ``}, {`"duration_ms":1500,`, ``}, {`"packets":2,`, ``},
+		// Strings: plain ASCII, DEL included; any protocol name.
+		{`"198.18.0.7"`, "\"a\x7fb\""}, {`"198.18.0.7"`, `""`}, {`"10.0.0.1"`, `" <&>/"`},
+		{`"tcp"`, `"udp"`}, {`"tcp"`, `"47"`}, {`"tcp"`, `"proto(47)"`}, {`"tcp"`, `"bad"`}, {`"tcp"`, `""`}, {`"tcp"`, `"TCP"`},
+		// Integers of up to 18 digits; a duration the conversion refuses.
+		{`"sessions":3`, `"sessions":0`}, {`"bytes":10`, `"bytes":999999999999999999`},
+		{`"duration_ms":1500`, `"duration_ms":9223372036854`}, {`"duration_ms":1500`, `"duration_ms":9223372036855`},
+		// Start times: fractions of 0 to 9 digits; days at their months' ends.
+		{`.25Z`, `Z`}, {`.25Z`, `.2Z`}, {`.25Z`, `.123456789Z`}, {`.25Z`, `.000000000Z`}, {`10:20:30`, `23:59:59`},
+		{`2026-03-02`, `0000-01-01`}, {`2026-03-02`, `9999-12-31`}, {`2026-03-02`, `2026-01-31`}, {`2026-03-02`, `2026-04-30`},
+		{`2026-03-02`, `2026-12-31`}, {`2026-03-02`, `2026-02-28`}, {`2026-03-02`, `2024-02-29`},
+		{`2026-03-02`, `2000-02-29`}, {`2026-03-02`, `0000-02-29`},
+	}
+	outOfLayout = [][2]string{
+		// Whitespace, key order, a repeated, unknown or missing key, null.
+		{`{"src":`, `{ "src":`}, {`"src":"10.0.0.1"`, `"src": "10.0.0.1"`}, {`{"src":`, `{"src" :`}, {`"tcp"}`, `"tcp" }`},
+		{`"src":"10.0.0.1","dst":"198.18.0.7"`, `"dst":"198.18.0.7","src":"10.0.0.1"`},
+		{`"bytes":10,"packets":2`, `"packets":2,"bytes":10`},
+		{`"proto":"tcp"`, `"proto":"tcp","proto":"udp"`}, {`"sessions":3`, `"sessions":3,"sessions":4`},
+		{`"proto":"tcp"`, `"proto":"tcp","extra":1`}, {`"sessions":3,`, ``}, {`,"proto":"tcp"`, ``},
+		{`"duration_ms":1500`, `"duration_ms":null`}, {`"src":"10.0.0.1"`, `"src":null`}, {`"proto":"tcp"`, `"proto":null`},
+		// Strings: escaped, not ASCII, a control byte.
+		{`"10.0.0.1"`, `"10.0.0.\u0031"`}, {`"10.0.0.1"`, `"10.0.0.\/"`}, {`"198.18.0.7"`, "\"caf\xc3\xa9\""},
+		{`"198.18.0.7"`, "\"\xff\""}, {`"198.18.0.7"`, "\"a\tb\""},
+		// Integers: sign, leading zero, fraction, exponent, width.
+		{`"bytes":10`, `"bytes":-10`}, {`"bytes":10`, `"bytes":+10`}, {`"sessions":3`, `"sessions":03`},
+		{`"sessions":3`, `"sessions":-0`}, {`"sessions":3`, `"sessions":3.0`}, {`"sessions":3`, `"sessions":3e0`},
+		{`"bytes":10`, `"bytes":1E1`}, {`"bytes":10`, `"bytes":10.`}, {`"bytes":10`, `"bytes":1000000000000000000`},
+		{`"bytes":10`, `"bytes":9223372036854775807`}, {`"bytes":10`, `"bytes":9223372036854775808`},
+		{`"duration_ms":1500`, `"duration_ms":-5`}, {`"sessions":3`, `"sessions":"3"`}, {`"sessions":3`, `"sessions":`},
+		// Start times: zones, spellings, fractions.
+		{`.25Z`, `.25+02:00`}, {`.25Z`, `+00:00`}, {`.25Z`, `.25z`}, {`.25Z`, `,25Z`}, {`.25Z`, `.Z`}, {`.25Z`, `.1234567891Z`},
+		{`.25Z`, ``}, {`.25Z`, `.25`}, {`.25Z`, `.25Zx`}, {`10:20:30`, `10:20`}, {`2026-03-02T`, `2026-03-02t`},
+		{`2026-03-02T`, `2026-03-02 `}, {`2026-03-02T`, `20260302T`}, {`2026-03-02T`, `+2026-03-02T`},
+		{`2026-03-02`, `2026/03-02`}, {`2026-03-02`, `2026-03/02`}, {`10:20:30`, `10.20:30`}, {`10:20:30`, `10:20.30`},
+		{`.25Z`, `Z.25`}, {`.25Z`, `.25Z"`}, {`.25Z"`, `.25Zx`}, {`2026-03-02`, `2026-03-1:`}, {`10:20:30`, `10:2::30`},
+		{`"2026-03-02T10:20:30.25Z"`, `1772409600`}, {`"2026-03-02T10:20:30.25Z"`, `null`},
+		// Fields out of range, days past their months' ends.
+		{`10:20:30`, `10:20:60`}, {`10:20:30`, `10:60:30`}, {`10:20:30`, `24:20:30`}, {`10:20:30`, `1a:20:30`},
+		{`2026-03-02`, `2026-13-02`}, {`2026-03-02`, `2026-00-02`}, {`2026-03-02`, `2026-03-00`}, {`2026-03-02`, `2026-0a-02`},
+		{`2026-03-02`, `2026-01-32`}, {`2026-03-02`, `2026-04-31`}, {`2026-03-02`, `2026-06-31`}, {`2026-03-02`, `2026-09-31`},
+		{`2026-03-02`, `2026-11-31`}, {`2026-03-02`, `2026-02-29`}, {`2026-03-02`, `2024-02-30`}, {`2026-03-02`, `1900-02-29`},
+		// The record's end.
+		{`"tcp"}`, `"tcp"`}, {`"tcp"}`, `"tcp"]`},
+	}
+)
+
+// layoutBody is a three-record body: laidOut, laidOut with e made, and
+// laidOut again.
+func layoutBody(e [2]string) string {
+	rec := strings.Replace(laidOut, e[0], e[1], 1)
+	return `{"records":[` + laidOut + `,` + rec + `,` + laidOut + `],"batch_id":"b"}`
+}
+
+// layoutBodies are the bodies of every edit, in and out of the layout.
+var layoutBodies = func() (bodies []string) {
+	for _, e := range append(inLayout, outOfLayout...) {
+		bodies = append(bodies, layoutBody(e))
+	}
+	return bodies
+}()
+
 // TestReadFlowsMatchesDecoder checks the reader against the reference on
 // the bodies above, and that each of its documented tightenings refuses
 // what encoding/json accepts.
 func TestReadFlowsMatchesDecoder(t *testing.T) {
-	for _, body := range flowsBodies {
+	for _, body := range append(flowsBodies, layoutBodies...) {
 		checkReader(t, []byte(body))
 	}
 	for _, body := range []string{`{"RECORDS":[]}`, `{"records":[{"Src":"a"}]}`, `{"records":[]} x`, `{"records":[],"records":[]}`} {
@@ -234,6 +310,69 @@ func TestReadFlowsMatchesDecoder(t *testing.T) {
 	id, recs, err := decodeFlows(body)
 	if err != nil || id != "probe" || !sameRecords(recs, batch) {
 		t.Fatalf("the datagen batch read back as %q, %d records, %v", id, len(recs), err)
+	}
+
+	// A body that mixes laid-out records with records of every edit out
+	// of the layout that still decodes.
+	var parts []string
+	general := 0
+	for i, e := range outOfLayout {
+		if _, _, err := oracleFlows([]byte(layoutBody(e))); err != nil {
+			continue
+		}
+		in := inLayout[i%len(inLayout)]
+		parts = append(parts, laidOut, strings.Replace(laidOut, e[0], e[1], 1), strings.Replace(laidOut, in[0], in[1], 1))
+		general++
+	}
+	mixed := []byte(`{"records":[` + strings.Join(parts, ",") + `]}`)
+	if general < 20 {
+		t.Fatalf("only %d of %d edits out of the layout decode", general, len(outOfLayout))
+	}
+	checkReader(t, mixed)
+	if n := generalRecords(t, mixed); n != general {
+		t.Fatalf("the general reader read %d records of the mixed body, want %d", n, general)
+	}
+}
+
+// generalRecords decodes body in one run and counts the records the
+// general reader read.
+func generalRecords(t *testing.T, body []byte) int {
+	t.Helper()
+	n := 0
+	onGeneralRecord = func() { n++ }
+	defer func() { onGeneralRecord = nil }()
+	decodeFlowsRuns(body, 1, flowsRunBytes)
+	return n
+}
+
+// TestReadFlowsLayout: a record takes the laid-out reading after each
+// edit that keeps it in appendRecord's layout and the general reader
+// after each that does not, and every record of what
+// Client.IngestBatch sends takes the laid-out reading.
+func TestReadFlowsLayout(t *testing.T) {
+	for _, c := range []struct {
+		edits   [][2]string
+		general int
+	}{{inLayout, 0}, {outOfLayout, 1}} {
+		for _, e := range c.edits {
+			if n := generalRecords(t, []byte(layoutBody(e))); n != c.general {
+				t.Errorf("%q → %q: the general reader read %d records, want %d", e[0], e[1], n, c.general)
+			}
+		}
+	}
+
+	batch := flowBatch(t)
+	var sent []byte
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		sent, _ = io.ReadAll(r.Body)
+		WriteJSON(w, http.StatusOK, IngestResult{})
+	}))
+	defer ts.Close()
+	if _, err := NewClient(ts.URL).IngestBatch("probe", batch); err != nil {
+		t.Fatal(err)
+	}
+	if n := generalRecords(t, sent); n != 0 {
+		t.Fatalf("the general reader read %d of the %d records Client.IngestBatch sent", n, len(batch))
 	}
 }
 
@@ -492,6 +631,33 @@ func TestReadFlowsAllocBudget(t *testing.T) {
 	}
 }
 
+// TestReadFlowsLaidOutAllocBudget: a body every record of which is laid
+// out as appendRecord writes one reads in at most its records' two
+// labels a record and a constant — the records, the batch ID, and at
+// four runs each run's records and goroutine.
+func TestReadFlowsLaidOutAllocBudget(t *testing.T) {
+	budget.SkipUnderRace(t)
+	batch := flowBatch(t)
+	body, err := AppendFlows(nil, "probe", batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const constant = 20 // 2 measured at one run, 16 at four
+	for _, procs := range []int{1, 4} {
+		var n int
+		allocs, _ := budget.PerRun(5, func() {
+			_, recs, err := decodeFlowsRuns(body, procs, flowsRunBytes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n = len(recs)
+		})
+		if n != len(batch) || allocs > float64(2*n+constant) {
+			t.Fatalf("decoding %d laid-out records in %d runs allocates %.0f times; budget %d", n, procs, allocs, 2*len(batch)+constant)
+		}
+	}
+}
+
 // TestReadBody: readBody reads any length, declared or not, up to its
 // limit and refuses one byte more, or a declared length over it unread;
 // a declared length that differs from what arrives changes only the
@@ -539,6 +705,12 @@ func BenchmarkFlowsCodec(b *testing.B) {
 		}
 	}))
 	defer ts.Close()
+	// The same batch indented, a body whose every record the general
+	// reader reads.
+	general, err := json.MarshalIndent(json.RawMessage(body), "", "  ")
+	if err != nil {
+		b.Fatal(err)
+	}
 	post := func(path string) error {
 		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
 		if err != nil {
@@ -556,6 +728,8 @@ func BenchmarkFlowsCodec(b *testing.B) {
 	}{
 		{"decode/json", func() error { _, _, err := oracleFlows(body); return err }},
 		{"decode/codec", func() error { _, _, err := decodeFlows(body); return err }},
+		{"decode/codec-1run", func() error { _, _, err := decodeFlowsRuns(body, 1, flowsRunBytes); return err }},
+		{"decode/general", func() error { _, _, err := decodeFlows(general); return err }},
 		{"encode/json", func() error { _, err := marshalFlows("probe", batch); return err }},
 		{"encode/codec", func() error {
 			_, err := AppendFlows(make([]byte, 0, flowRecordBytes*(len(batch)+1)), "probe", batch)
@@ -590,6 +764,11 @@ func FuzzReadFlows(f *testing.F) {
 	f.Add(batch, "10.0.0.1", "e1", int64(1772409600), int64(0), int32(0), int64(1500*time.Millisecond), int64(3), int64(10), int64(2), uint8(6), "probe")
 	for i, body := range flowsBodies {
 		f.Add([]byte(body), "a<b>&\u2028\u2029", "caf\xc3\xa9\xff", int64(i)<<35, int64(i)*123456789, int32(i-20)*3600, int64(i)*999999, int64(i)<<30, int64(-i), int64(i), uint8(i), "")
+	}
+	// Records at each point where they leave appendRecord's layout, and
+	// times on UTC days at the ends of months.
+	for i, body := range layoutBodies {
+		f.Add([]byte(body), "10.0.0.1", "e1", int64(951782400+i*86400), int64(i)*1000, int32(0), int64(i)*int64(time.Millisecond), int64(i), int64(i)<<40, int64(0), uint8(6+i%12), "b")
 	}
 	large, err := AppendFlows(nil, "probe", flowBatch(f)[:400])
 	if err != nil {
