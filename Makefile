@@ -62,7 +62,12 @@ sim-smoke:
 
 # Cluster smoke: the 2-shard (+1 follower) topology tests — routed
 # ingest accounting, scatter-gather search/anomaly/watchlist answers
-# bit-identical to a single node over the union, partial-result
+# bit-identical to a single node over the union, the route table
+# (TestClusterRoutesMatchNode: a node, a one-shard and a two-shard
+# router answer every request with the same status, the same refusal
+# text and the same 200 body bar the coverage block; TestClusterRoutesGolden
+# pins those bodies' bytes; TestClusterRefusalPassesThrough: a refused
+# request costs no shard request and no client retry), partial-result
 # degradation with a shard down, and WAL-shipped follower catch-up
 # serving reads after the primary dies — plus the ring properties, the
 # RNG-driven cluster-equivalence simulation, and the one-address rule:
@@ -120,7 +125,7 @@ segment-smoke:
 	$(GO) test -race -run 'TestFollowerSegmentsBitwise' ./internal/cluster/
 	$(GO) test -race -run 'TestSimSegments' ./internal/simcheck/
 
-# Bounded runs of the twelve native fuzz targets: the netflow binary codec
+# Bounded runs of the thirteen native fuzz targets: the netflow binary codec
 # (the stream form, and the per-record decoder the WAL shares with it,
 # where an accepted record must re-encode to the bytes consumed),
 # WAL frame recovery, the distance kernels (bit-identity vs the naive
@@ -134,7 +139,9 @@ segment-smoke:
 # threshold, against the single parse; the writer against json.Marshal),
 # the search routes, POST /v1/search and /v1/search/batch (never a
 # panic or a 500; a 200 ranks at most k hits, in order, within max_dist),
-# and POST /v1/watchlist (never a panic or a 500; an answer other than
+# the same routes through a one-shard router (the node's status, never a
+# 5xx, and a 200 body the node's once the router's coverage block is
+# removed), and POST /v1/watchlist (never a panic or a 500; an answer other than
 # 200 leaves the universe, the watchlist and the WAL's size unchanged).
 # Committed corpora under testdata/fuzz/ replay as regression cases in
 # the plain test suite; this also explores briefly (scripts/check.sh
@@ -153,6 +160,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseExposition -fuzztime $(FUZZTIME) ./internal/obs/
 	$(GO) test -run '^$$' -fuzz FuzzReadFlows -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzSearchRequest -fuzztime $(FUZZTIME) ./internal/server/
+	$(GO) test -run '^$$' -fuzz FuzzRoutedSearchRequest -fuzztime $(FUZZTIME) ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz FuzzWatchlistAdd -fuzztime $(FUZZTIME) ./internal/server/
 
 bench:

@@ -71,7 +71,7 @@ func runClient(cfg config, out io.Writer) error {
 		}
 		return nil
 	case "anomalies":
-		res, err := c.Anomalies(cfg.z)
+		res, err := c.Anomalies(cfg.scheme, cfg.z)
 		if err != nil {
 			return err
 		}

@@ -82,8 +82,16 @@ func TestClientSubcommandAgainstLiveServer(t *testing.T) {
 	if out := runOp(func(c *config) { c.op = "hits" }); !strings.Contains(out, "case-7") {
 		t.Fatalf("hits output: %q", out)
 	}
-	if out := runOp(func(c *config) { c.op = "anomalies" }); !strings.Contains(out, "windows [0,1]") {
+	out := runOp(func(c *config) { c.op = "anomalies" })
+	if !strings.Contains(out, "windows [0,1]") {
 		t.Fatalf("anomalies output: %q", out)
+	}
+	// -scheme names the anomaly distance, as it does the search's.
+	if dice := runOp(func(c *config) { c.op = "anomalies"; c.scheme = "dice" }); !strings.Contains(dice, "windows [0,1]") {
+		t.Fatalf("anomalies -scheme dice output: %q", dice)
+	}
+	if err := runClient(config{addr: ts.URL, op: "anomalies", scheme: "nope", z: 2}, &strings.Builder{}); err == nil || !strings.Contains(err.Error(), `unknown distance "nope"`) {
+		t.Fatalf("anomalies -scheme nope: %v", err)
 	}
 	// -op metrics prints the exposition, which parses again.
 	if out := runOp(func(c *config) { c.op = "metrics" }); !strings.Contains(out, "\nflows_received 6\n") {

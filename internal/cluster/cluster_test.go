@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -115,7 +116,7 @@ func TestClusterSmokeBitIdentical(t *testing.T) {
 		end := min(i+batchSize, len(data.Records))
 		batch := data.Records[i:end]
 		id := fmt.Sprintf("smoke-%06d", i)
-		cres, err := rt.Ingest(id, batch)
+		cres, err := rt.Ingest(context.Background(), id, batch)
 		if err != nil {
 			t.Fatalf("routed ingest %s: %v", id, err)
 		}
@@ -138,7 +139,7 @@ func TestClusterSmokeBitIdentical(t *testing.T) {
 		t.Fatal("workload has no multiusage ground truth")
 	}
 	watched := pairs[0][0]
-	if _, err := rt.WatchlistAdd(server.WatchlistAddRequest{Individual: "case-0", Label: watched}); err != nil {
+	if _, err := rt.WatchlistAdd(context.Background(), server.WatchlistAddRequest{Individual: "case-0", Label: watched}); err != nil {
 		t.Fatalf("cluster watchlist add: %v", err)
 	}
 	if _, err := refClient.WatchlistAdd(server.WatchlistAddRequest{Individual: "case-0", Label: watched}); err != nil {
@@ -168,7 +169,7 @@ func TestClusterSmokeBitIdentical(t *testing.T) {
 		}
 		seen[rec.Src] = true
 		req := server.SearchRequest{Label: rec.Src, K: 10, MaxDist: 0.95}
-		cres, cerr := rt.Search(req)
+		cres, cerr := rt.Search(context.Background(), req)
 		rres, rerr := refClient.Search(req)
 		if (cerr != nil) != (rerr != nil) {
 			t.Fatalf("search %q: cluster err %v, single err %v", rec.Src, cerr, rerr)
@@ -201,7 +202,7 @@ func TestClusterSmokeBitIdentical(t *testing.T) {
 		}
 	}
 	batchQ = append(batchQ, server.SearchRequest{Label: "no-such-host"})
-	cbatch, err := rt.SearchBatch(server.BatchSearchRequest{Queries: batchQ})
+	cbatch, err := rt.SearchBatch(context.Background(), server.BatchSearchRequest{Queries: batchQ})
 	if err != nil {
 		t.Fatalf("cluster batch search: %v", err)
 	}
@@ -226,7 +227,7 @@ func TestClusterSmokeBitIdentical(t *testing.T) {
 		if cj, rj := mustJSON(t, cr.Hits), mustJSON(t, rr.Hits); cj != rj {
 			t.Fatalf("batch slot %d diverged from single node:\ncluster: %s\nsingle:  %s", i, cj, rj)
 		}
-		sres, serr := rt.Search(batchQ[i])
+		sres, serr := rt.Search(context.Background(), batchQ[i])
 		if serr != nil {
 			t.Fatalf("routed single search %d: %v", i, serr)
 		}
@@ -239,14 +240,14 @@ func TestClusterSmokeBitIdentical(t *testing.T) {
 	}
 
 	// Anomalies: same population statistics, same flagged set, bitwise.
-	cano, err := rt.Anomalies("", 2.0)
+	cano, err := rt.Anomalies(context.Background(), server.AnomaliesRequest{Z: 2.0})
 	if err != nil {
 		t.Fatalf("cluster anomalies: %v", err)
 	}
 	if cano.ShardsOK != cano.ShardsTotal {
 		t.Fatalf("anomalies degraded: %d/%d shards", cano.ShardsOK, cano.ShardsTotal)
 	}
-	rano, err := refClient.Anomalies(2.0)
+	rano, err := refClient.Anomalies("", 2.0)
 	if err != nil {
 		t.Fatalf("reference anomalies: %v", err)
 	}
@@ -263,7 +264,7 @@ func TestClusterSmokeBitIdentical(t *testing.T) {
 	}
 
 	// Watchlist hits: same set under the router's deterministic order.
-	chits, err := rt.WatchlistHits()
+	chits, err := rt.WatchlistHits(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +278,7 @@ func TestClusterSmokeBitIdentical(t *testing.T) {
 	}
 
 	// History routes to the owner shard and must match the single node.
-	chist, err := rt.History(watched, server.HistoryQuery{})
+	chist, err := rt.History(context.Background(), server.HistoryRequest{Label: watched})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +317,7 @@ func TestClusterDegradation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.Ingest("deg-1", data.Records); err != nil {
+	if _, err := rt.Ingest(context.Background(), "deg-1", data.Records); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range []*server.Server{srvA, srvB} {
@@ -338,21 +339,21 @@ func TestClusterDegradation(t *testing.T) {
 	}
 	tsB.Close()
 
-	sres, err := rt.Search(server.SearchRequest{Label: survivorLabel, K: 5, MaxDist: 0.99})
+	sres, err := rt.Search(context.Background(), server.SearchRequest{Label: survivorLabel, K: 5, MaxDist: 0.99})
 	if err != nil {
 		t.Fatalf("degraded search should still answer: %v", err)
 	}
 	if sres.ShardsOK != 1 || sres.ShardsTotal != 2 {
 		t.Fatalf("degraded search reported %d/%d shards, want 1/2", sres.ShardsOK, sres.ShardsTotal)
 	}
-	ares, err := rt.Anomalies("", 2.0)
+	ares, err := rt.Anomalies(context.Background(), server.AnomaliesRequest{Z: 2.0})
 	if err != nil {
 		t.Fatalf("degraded anomalies should still answer: %v", err)
 	}
 	if ares.ShardsOK != 1 || ares.ShardsTotal != 2 {
 		t.Fatalf("degraded anomalies reported %d/%d shards, want 1/2", ares.ShardsOK, ares.ShardsTotal)
 	}
-	hres, err := rt.WatchlistHits()
+	hres, err := rt.WatchlistHits(context.Background())
 	if err != nil {
 		t.Fatalf("degraded watchlist hits should still answer: %v", err)
 	}
@@ -386,7 +387,7 @@ func TestClusterDegradation(t *testing.T) {
 	// Routed ingest with the owner of some records dead is a partial
 	// failure: reported as an error with per-shard accounting, so the
 	// client can retry the same batch ID for exactly-once completion.
-	if _, err := rt.Ingest("deg-2", data.Records); err == nil {
+	if _, err := rt.Ingest(context.Background(), "deg-2", data.Records); err == nil {
 		t.Fatal("ingest with a dead shard should report partial failure")
 	}
 }
@@ -663,7 +664,7 @@ func TestClusterFailoverPromotion(t *testing.T) {
 		for i := lo; i < hi; i += batchSize {
 			end := min(i+batchSize, hi)
 			id := fmt.Sprintf("fo-%06d", i)
-			cres, err := rt.Ingest(id, data.Records[i:end])
+			cres, err := rt.Ingest(context.Background(), id, data.Records[i:end])
 			if err != nil {
 				t.Fatalf("routed ingest %s: %v", id, err)
 			}
@@ -685,7 +686,7 @@ func TestClusterFailoverPromotion(t *testing.T) {
 		t.Fatal("workload has no multiusage ground truth")
 	}
 	watched := pairs[0][0]
-	if _, err := rt.WatchlistAdd(server.WatchlistAddRequest{Individual: "case-0", Label: watched}); err != nil {
+	if _, err := rt.WatchlistAdd(context.Background(), server.WatchlistAddRequest{Individual: "case-0", Label: watched}); err != nil {
 		t.Fatalf("cluster watchlist add: %v", err)
 	}
 	if _, err := refClient.WatchlistAdd(server.WatchlistAddRequest{Individual: "case-0", Label: watched}); err != nil {
@@ -729,7 +730,7 @@ func TestClusterFailoverPromotion(t *testing.T) {
 	// The first batch nobody acknowledges: sent while shard 0 has no
 	// primary, it lands on shard 1 alone and the router says so. Its
 	// client retries it after the promotion (ingestBoth below).
-	unacked, err := rt.Ingest(fmt.Sprintf("fo-%06d", half), data.Records[half:min(half+400, len(data.Records))])
+	unacked, err := rt.Ingest(context.Background(), fmt.Sprintf("fo-%06d", half), data.Records[half:min(half+400, len(data.Records))])
 	if err == nil || unacked.ShardsOK != 1 || unacked.ShardsTotal != 2 {
 		t.Fatalf("ingest with shard 0 down landed on %d/%d shards (err %v), want 1/2 and an error", unacked.ShardsOK, unacked.ShardsTotal, err)
 	}
@@ -746,7 +747,7 @@ func TestClusterFailoverPromotion(t *testing.T) {
 	if ownedByZero == "" {
 		t.Fatal("no label owned by shard 0")
 	}
-	sres, err := rt.Search(server.SearchRequest{Label: ownedByZero, K: 5, MaxDist: 0.99})
+	sres, err := rt.Search(context.Background(), server.SearchRequest{Label: ownedByZero, K: 5, MaxDist: 0.99})
 	if err != nil {
 		t.Fatalf("failover search: %v", err)
 	}
@@ -783,7 +784,7 @@ func TestClusterFailoverPromotion(t *testing.T) {
 	// original accounting.
 	for _, lo := range []int{0, (half - 1) / 400 * 400} {
 		id := fmt.Sprintf("fo-%06d", lo)
-		re, err := rt.Ingest(id, data.Records[lo:min(lo+400, half)])
+		re, err := rt.Ingest(context.Background(), id, data.Records[lo:min(lo+400, half)])
 		if err != nil {
 			t.Fatalf("replayed batch %s after promotion: %v", id, err)
 		}
@@ -816,7 +817,7 @@ func TestClusterFailoverPromotion(t *testing.T) {
 		}
 		seen[rec.Src] = true
 		req := server.SearchRequest{Label: rec.Src, K: 10, MaxDist: 0.95}
-		cres, cerr := rt.Search(req)
+		cres, cerr := rt.Search(context.Background(), req)
 		rres, rerr := refClient.Search(req)
 		if (cerr != nil) != (rerr != nil) {
 			t.Fatalf("search %q: cluster err %v, single err %v", rec.Src, cerr, rerr)
@@ -835,7 +836,7 @@ func TestClusterFailoverPromotion(t *testing.T) {
 
 	// The watch entry added before the kill survived the failover: hit
 	// logs merge bit-identically to the reference.
-	chits, err := rt.WatchlistHits()
+	chits, err := rt.WatchlistHits(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -852,11 +853,11 @@ func TestClusterFailoverPromotion(t *testing.T) {
 	}
 
 	// Anomalies over the union stay bit-identical too.
-	cano, err := rt.Anomalies("", 2.0)
+	cano, err := rt.Anomalies(context.Background(), server.AnomaliesRequest{Z: 2.0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rano, err := refClient.Anomalies(2.0)
+	rano, err := refClient.Anomalies("", 2.0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,25 +3,23 @@ package cluster
 import (
 	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 
 	"graphsig/internal/obs"
 	"graphsig/internal/server"
 )
 
-// The router's HTTP surface mirrors sigserverd's v1 API so sigtool and
-// other clients work unchanged against a cluster: same routes, same
-// request bodies, responses extended with shards_ok/shards_total.
+// The router's HTTP surface: server.Routes serves the query and watch
+// routes from the Router's server.API methods, the same handler set a
+// node serves them from. Beside them, POST /v1/flows, whose admission
+// is the router's own (a partial fan-out answers 502 with the per-shard
+// accounting), and the routes only a router has: its health, readiness,
+// the cluster's membership view, its metrics (or the cluster's) and its
+// stitched traces. Persistence and replication are node-only.
 
 func (rt *Router) routes() {
+	server.Routes(rt.mux, rt, rt.startTrace)
 	rt.mux.HandleFunc("POST /v1/flows", rt.handleFlows)
-	rt.mux.HandleFunc("GET /v1/signatures/{label}", rt.handleHistory)
-	rt.mux.HandleFunc("POST /v1/search", rt.handleSearch)
-	rt.mux.HandleFunc("POST /v1/search/batch", rt.handleSearchBatch)
-	rt.mux.HandleFunc("POST /v1/watchlist", rt.handleWatchlistAdd)
-	rt.mux.HandleFunc("GET /v1/watchlist/hits", rt.handleWatchlistHits)
-	rt.mux.HandleFunc("GET /v1/anomalies", rt.handleAnomalies)
 	rt.mux.HandleFunc("GET /healthz", rt.handleHealth)
 	rt.mux.HandleFunc("GET /readyz", rt.handleReady)
 	rt.mux.HandleFunc("GET /v1/cluster/health", rt.handleClusterHealth)
@@ -32,12 +30,13 @@ func (rt *Router) routes() {
 	rt.mux.HandleFunc("GET /metrics", rt.handleMetrics)
 }
 
-// startTrace begins a router trace for an HTTP request, adopting an
-// inbound X-Sig-Trace context when present, and advertises the minted
-// context back to the caller in the response headers — so any routed
-// call's trace is one response header away from `sigtool trace <id>`.
+// startTrace begins the router trace "route.<name>" of an HTTP request,
+// adopting an inbound X-Sig-Trace context when present, and advertises
+// the minted context back to the caller in the response headers — so
+// any routed call's trace is one response header away from `sigtool
+// trace <id>`.
 func (rt *Router) startTrace(w http.ResponseWriter, r *http.Request, name string) *obs.Trace {
-	tr := rt.tracer.StartRemote(name, obs.ParseTraceContext(r.Header.Get(obs.TraceHeader)))
+	tr := rt.tracer.StartRemote("route."+name, obs.ParseTraceContext(r.Header.Get(obs.TraceHeader)))
 	w.Header().Set(obs.TraceHeader, tr.Context().String())
 	return tr
 }
@@ -54,16 +53,6 @@ func (rt *Router) Handler() http.Handler {
 	})
 }
 
-// errStatus maps a routed-call failure onto a response status,
-// propagating the shard's own status when the failure was a single
-// shard API error (e.g. 404 from the owner shard).
-func errStatus(err error, fallback int) int {
-	if st := server.APIStatus(err); st != 0 {
-		return st
-	}
-	return fallback
-}
-
 func (rt *Router) handleFlows(w http.ResponseWriter, r *http.Request) {
 	batchID, records, ok := server.ReadFlows(w, r)
 	if !ok {
@@ -76,116 +65,14 @@ func (rt *Router) handleFlows(w http.ResponseWriter, r *http.Request) {
 		// ID-less batches to a single node.
 		batchID = server.NewBatchID()
 	}
-	tr := rt.startTrace(w, r, "route.ingest")
+	tr := rt.startTrace(w, r, "ingest")
 	defer tr.Finish()
-	resp, err := rt.ingest(tr, batchID, records)
+	resp, err := rt.Ingest(server.WithTrace(r.Context(), tr), batchID, records)
 	if err != nil {
 		// Partial ingest: some shards applied their partitions, others
 		// did not. 502 tells the client to retry (with the same batch ID
 		// for exactly-once); the body carries the partial accounting.
 		server.WriteJSON(w, http.StatusBadGateway, resp)
-		return
-	}
-	server.WriteJSON(w, http.StatusOK, resp)
-}
-
-func (rt *Router) handleHistory(w http.ResponseWriter, r *http.Request) {
-	q, err := server.ParseHistoryQuery(r)
-	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	tr := rt.startTrace(w, r, "route.history")
-	defer tr.Finish()
-	resp, err := rt.history(tr, r.PathValue("label"), q)
-	if err != nil {
-		server.WriteError(w, errStatus(err, http.StatusBadGateway), "%v", err)
-		return
-	}
-	server.WriteJSON(w, http.StatusOK, resp)
-}
-
-func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
-	var req server.SearchRequest
-	if !server.DecodeJSON(w, r, &req) {
-		return
-	}
-	if r.URL.Query().Get("debug") == "1" {
-		req.Debug = true
-	}
-	tr := rt.startTrace(w, r, "route.search")
-	defer tr.Finish()
-	resp, err := rt.search(tr, req)
-	if err != nil {
-		server.WriteError(w, errStatus(err, http.StatusBadGateway), "%v", err)
-		return
-	}
-	server.WriteJSON(w, http.StatusOK, resp)
-}
-
-func (rt *Router) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
-	var req server.BatchSearchRequest
-	if !server.DecodeJSON(w, r, &req) {
-		return
-	}
-	if r.URL.Query().Get("debug") == "1" {
-		req.Debug = true
-	}
-	tr := rt.startTrace(w, r, "route.search.batch")
-	defer tr.Finish()
-	resp, err := rt.searchBatch(tr, req)
-	if err != nil {
-		server.WriteError(w, errStatus(err, http.StatusBadGateway), "%v", err)
-		return
-	}
-	server.WriteJSON(w, http.StatusOK, resp)
-}
-
-func (rt *Router) handleWatchlistAdd(w http.ResponseWriter, r *http.Request) {
-	var req server.WatchlistAddRequest
-	if !server.DecodeJSON(w, r, &req) {
-		return
-	}
-	if req.Individual == "" || req.Label == "" {
-		server.WriteError(w, http.StatusBadRequest, "watchlist add needs individual and label")
-		return
-	}
-	tr := rt.startTrace(w, r, "route.watchlist.add")
-	defer tr.Finish()
-	resp, err := rt.watchlistAdd(tr, req)
-	if err != nil {
-		server.WriteError(w, errStatus(err, http.StatusBadGateway), "%v", err)
-		return
-	}
-	server.WriteJSON(w, http.StatusOK, resp)
-}
-
-func (rt *Router) handleWatchlistHits(w http.ResponseWriter, r *http.Request) {
-	tr := rt.startTrace(w, r, "route.watchlist.hits")
-	defer tr.Finish()
-	resp, err := rt.watchlistHits(tr)
-	if err != nil {
-		server.WriteError(w, http.StatusBadGateway, "%v", err)
-		return
-	}
-	server.WriteJSON(w, http.StatusOK, resp)
-}
-
-func (rt *Router) handleAnomalies(w http.ResponseWriter, r *http.Request) {
-	zCut := 0.0
-	if zs := r.URL.Query().Get("z"); zs != "" {
-		z, err := strconv.ParseFloat(zs, 64)
-		if err != nil || z <= 0 {
-			server.WriteError(w, http.StatusBadRequest, "bad z parameter %q", zs)
-			return
-		}
-		zCut = z
-	}
-	tr := rt.startTrace(w, r, "route.anomalies")
-	defer tr.Finish()
-	resp, err := rt.anomalies(tr, r.URL.Query().Get("distance"), zCut)
-	if err != nil {
-		server.WriteError(w, errStatus(err, http.StatusBadGateway), "%v", err)
 		return
 	}
 	server.WriteJSON(w, http.StatusOK, resp)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -339,7 +340,7 @@ func TestRouterIngestHonorsRetryAfter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := rt.Ingest("ra-1", testFlowRecords(1))
+	res, err := rt.Ingest(context.Background(), "ra-1", testFlowRecords(1))
 	if err != nil {
 		t.Fatalf("throttled ingest failed: %v", err)
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -26,7 +27,7 @@ func signatureQuery(t *testing.T, rt *Router, records []netflow.Record, shard in
 		if rt.Ring().Shard(rec.Src) != shard {
 			continue
 		}
-		hist, err := rt.History(rec.Src, server.HistoryQuery{})
+		hist, err := rt.History(context.Background(), server.HistoryRequest{Label: rec.Src})
 		if err != nil {
 			continue
 		}
@@ -180,7 +181,7 @@ func TestClusterFederateSmoke(t *testing.T) {
 	rts := httptest.NewServer(rt.Handler())
 	defer rts.Close()
 
-	if _, err := rt.Ingest("fed-000000", data.Records); err != nil {
+	if _, err := rt.Ingest(context.Background(), "fed-000000", data.Records); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range []*server.Server{srvA, srvB} {
@@ -208,7 +209,7 @@ func TestClusterFederateSmoke(t *testing.T) {
 		t.Fatalf("batch response carried no usable %s header: %q",
 			obs.TraceHeader, resp.Header.Get(obs.TraceHeader))
 	}
-	var batch BatchSearchResponse
+	var batch server.BatchSearchResponse
 	if err := json.NewDecoder(resp.Body).Decode(&batch); err != nil {
 		t.Fatal(err)
 	}
@@ -220,11 +221,11 @@ func TestClusterFederateSmoke(t *testing.T) {
 	}
 
 	// ?debug=1: one explain block per shard, none failed.
-	if len(batch.Debug) != 2 {
+	if len(batch.Debug.Shards) != 2 {
 		t.Fatalf("debug blocks %+v, want one per shard", batch.Debug)
 	}
 	debugShards := map[int]bool{}
-	for _, d := range batch.Debug {
+	for _, d := range batch.Debug.Shards {
 		if d.Error != "" {
 			t.Fatalf("shard %d debug error: %s", d.Shard, d.Error)
 		}
@@ -372,7 +373,7 @@ func TestClusterStitchedFailoverTrace(t *testing.T) {
 	rts := httptest.NewServer(rt.Handler())
 	defer rts.Close()
 
-	if _, err := rt.Ingest("fot-000000", data.Records); err != nil {
+	if _, err := rt.Ingest(context.Background(), "fot-000000", data.Records); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := srvA.Flush(); err != nil {
@@ -434,7 +435,7 @@ func TestClusterStitchedFailoverTrace(t *testing.T) {
 	if !tc.Valid() {
 		t.Fatal("failover batch response carried no trace header")
 	}
-	var batch BatchSearchResponse
+	var batch server.BatchSearchResponse
 	if err := json.NewDecoder(resp.Body).Decode(&batch); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -47,7 +48,7 @@ func TestRouterLabelResolveSkipsColdTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.Ingest("all", data.Records); err != nil {
+	if _, err := rt.Ingest(context.Background(), "all", data.Records); err != nil {
 		t.Fatal(err)
 	}
 	segmentLoads := func() (loads, coldWindows int64) {
@@ -74,13 +75,13 @@ func TestRouterLabelResolveSkipsColdTier(t *testing.T) {
 	var batch server.BatchSearchRequest
 	for _, label := range labels {
 		req := server.SearchRequest{Label: label, K: 5, LastWindows: hot}
-		resp, err := rt.Search(req)
+		resp, err := rt.Search(context.Background(), req)
 		if err != nil || len(resp.Hits) == 0 {
 			t.Fatalf("routed search %s: %+v, %v", label, resp, err)
 		}
 		batch.Queries = append(batch.Queries, req)
 	}
-	bresp, err := rt.SearchBatch(batch)
+	bresp, err := rt.SearchBatch(context.Background(), batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestRouterLabelResolvePagesPastEmptySignatures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.Search(server.SearchRequest{Label: "10.0.0.1", K: 3}); err != nil {
+	if _, err := rt.Search(context.Background(), server.SearchRequest{Label: "10.0.0.1", K: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if want := []string{"limit=1", "limit=4&to=8"}; !reflect.DeepEqual(asked, want) {
@@ -154,7 +155,7 @@ func TestRouterLabelResolvePagesPastEmptySignatures(t *testing.T) {
 	mu.Lock()
 	pages = map[string]server.HistoryResponse{"limit=1": {History: []server.HistoryEntryJSON{{Window: 9}}}}
 	mu.Unlock()
-	if _, err := rt.Search(server.SearchRequest{Label: "10.0.0.1"}); err == nil {
+	if _, err := rt.Search(context.Background(), server.SearchRequest{Label: "10.0.0.1"}); err == nil {
 		t.Fatal("label with only empty signatures resolved")
 	}
 }

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -159,25 +161,12 @@ func NewRouter(cfg Config) (*Router, error) {
 // for deterministic stepping, Stop on shutdown.
 func (rt *Router) Prober() *Prober { return rt.prober }
 
-// StaleShard reports that one shard's portion of a response was served
-// by a follower whose replication cursor may trail the lost primary's
-// final durable state.
-type StaleShard struct {
-	Shard int `json:"shard"`
-	// Gen and Offset are the follower's replication cursor — everything
-	// the primary durably logged before that point is reflected.
-	Gen    int   `json:"gen"`
-	Offset int64 `json:"offset"`
-	// BehindSeconds is how long ago the cursor last advanced.
-	BehindSeconds float64 `json:"behind_seconds,omitempty"`
-}
-
 // readClient picks the client answering reads for one shard: the
 // primary while it is not Down, a promoted follower from the moment the
 // prober observes one, otherwise the freshest serving follower — with
 // the staleness it implies — and, with nothing better, the primary
 // anyway so the caller gets a real error instead of a silent gap.
-func (rt *Router) readClient(s int) (*server.Client, *StaleShard) {
+func (rt *Router) readClient(s int) (*server.Client, *server.StaleShard) {
 	if rt.prober == nil {
 		return rt.clients[s], nil
 	}
@@ -191,7 +180,7 @@ func (rt *Router) readClient(s int) (*server.Client, *StaleShard) {
 	if t.freshest >= 0 {
 		rt.failoverReads.With(strconv.Itoa(s)).Add(1)
 		return rt.followers[s][t.freshest],
-			&StaleShard{Shard: s, Gen: t.gen, Offset: t.off, BehindSeconds: t.behindSec}
+			&server.StaleShard{Shard: s, Gen: t.gen, Offset: t.off, BehindSeconds: t.behindSec}
 	}
 	return rt.clients[s], nil
 }
@@ -214,9 +203,9 @@ func (rt *Router) writeClient(s int) *server.Client {
 // decisions happen before the fan-out, not inside its goroutines) and
 // returns the staleness the selection implies — nil when every shard is
 // answered authoritatively, so the response field serializes away.
-func (rt *Router) readClients() ([]*server.Client, []StaleShard) {
+func (rt *Router) readClients() ([]*server.Client, []server.StaleShard) {
 	clients := make([]*server.Client, rt.ring.Shards())
-	var stale []StaleShard
+	var stale []server.StaleShard
 	for s := range clients {
 		c, st := rt.readClient(s)
 		clients[s] = c
@@ -320,8 +309,7 @@ func (rt *Router) allShards() []int {
 // result plus fan-out accounting.
 type IngestResponse struct {
 	server.IngestResult
-	ShardsOK    int `json:"shards_ok"`
-	ShardsTotal int `json:"shards_total"`
+	*server.Coverage
 }
 
 // Ingest partitions records by ring placement of their source label
@@ -334,14 +322,9 @@ type IngestResponse struct {
 // batch — including a retry of the whole routed call under the same
 // parent ID, which re-derives the same sub-IDs. A caller that retries
 // a partially failed routed ingest with the same parent ID therefore
-// re-applies only the partitions that did not land.
-func (rt *Router) Ingest(batchID string, records []netflow.Record) (IngestResponse, error) {
-	tr := rt.tracer.Start("route.ingest")
-	defer tr.Finish()
-	return rt.ingest(tr, batchID, records)
-}
-
-func (rt *Router) ingest(tr *obs.Trace, batchID string, records []netflow.Record) (IngestResponse, error) {
+// re-applies only the partitions that did not land. ctx carries the
+// trace (server.TraceFrom).
+func (rt *Router) Ingest(ctx context.Context, batchID string, records []netflow.Record) (IngestResponse, error) {
 	parts := make(map[int][]netflow.Record)
 	for i := range records {
 		s := rt.ring.Shard(records[i].Src)
@@ -353,9 +336,9 @@ func (rt *Router) ingest(tr *obs.Trace, batchID string, records []netflow.Record
 	}
 	sort.Ints(shards)
 
-	resp := IngestResponse{ShardsTotal: len(shards)}
+	resp := IngestResponse{Coverage: &server.Coverage{ShardsTotal: len(shards)}}
 	resp.Received = len(records)
-	results := scatter(rt, tr, "ingest", shards, func(s int, tc obs.TraceContext) (server.IngestResult, error) {
+	results := scatter(rt, server.TraceFrom(ctx), "ingest", shards, func(s int, tc obs.TraceContext) (server.IngestResult, error) {
 		id := ""
 		if batchID != "" {
 			id = batchID + "/" + strconv.Itoa(s)
@@ -398,32 +381,47 @@ func (rt *Router) ingest(tr *obs.Trace, batchID string, records []netflow.Record
 	return resp, nil
 }
 
-// SearchResponse is the routed POST /v1/search body.
-type SearchResponse struct {
-	Distance    string                 `json:"distance"`
-	Hits        []server.SearchHitJSON `json:"hits"`
-	ShardsOK    int                    `json:"shards_ok"`
-	ShardsTotal int                    `json:"shards_total"`
-	StaleShards []StaleShard           `json:"stale_shards,omitempty"`
-	TraceID     string                 `json:"trace_id,omitempty"`
-	Debug       []ShardDebugJSON       `json:"debug,omitempty"`
+// gateway is a failed shard call as the router answers it: a shard's
+// refusal (4xx) passes on in the shard's words, and any other failure —
+// a shard unreachable, late or failing — is the router's own, 502.
+func gateway(err error) error {
+	var ae *server.APIError
+	if errors.As(err, &ae) && ae.Status < http.StatusInternalServerError {
+		return server.WithStatus(ae.Status, errors.New(ae.Msg))
+	}
+	return server.WithStatus(http.StatusBadGateway, err)
 }
 
-// ShardDebugJSON is one shard's per-query explain block, returned when
-// the request sets debug (or ?debug=1): wall time of the routed call as
-// seen from the router, plus the shard's own probe count.
-type ShardDebugJSON struct {
-	Shard  int    `json:"shard"`
-	Micros int64  `json:"micros"`
-	Probes int    `json:"probes"`
-	Error  string `json:"error,omitempty"`
-}
-
-// shardDebug assembles the explain blocks for one scatter's results.
-func shardDebug[T any](results []shardResult[T], dbg func(T) *server.SearchDebugJSON) []ShardDebugJSON {
-	out := make([]ShardDebugJSON, 0, len(results))
+// gather is the coverage block of a scatter's results. It fails the
+// call when no shard answered: with the shards' refusal when every
+// shard refused it alike (a 4xx of one status), else with a 502.
+func gather[T any](rt *Router, op string, results []shardResult[T], stale []server.StaleShard) (*server.Coverage, error) {
+	cov := &server.Coverage{ShardsTotal: len(results), StaleShards: stale}
+	refusal := server.APIStatus(results[0].err)
 	for _, r := range results {
-		d := ShardDebugJSON{Shard: r.shard, Micros: r.micros}
+		if r.err == nil {
+			cov.ShardsOK++
+		}
+		if server.APIStatus(r.err) != refusal {
+			refusal = 0
+		}
+	}
+	switch {
+	case cov.ShardsOK == 0 && refusal >= 400 && refusal < 500:
+		return cov, gateway(results[0].err)
+	case cov.ShardsOK == 0:
+		return cov, server.WithStatus(http.StatusBadGateway, fmt.Errorf("cluster: %s failed on all %d shards", op, cov.ShardsTotal))
+	case cov.ShardsOK < cov.ShardsTotal:
+		rt.partials.Add(1)
+	}
+	return cov, nil
+}
+
+// shardDebug assembles the per-shard explain blocks of one scatter.
+func shardDebug[T any](results []shardResult[T], dbg func(T) *server.SearchDebugJSON) *server.SearchDebugJSON {
+	out := make([]server.ShardDebugJSON, 0, len(results))
+	for _, r := range results {
+		d := server.ShardDebugJSON{Shard: r.shard, Micros: r.micros}
 		if r.err != nil {
 			d.Error = r.err.Error()
 		} else if sd := dbg(r.val); sd != nil {
@@ -431,7 +429,7 @@ func shardDebug[T any](results []shardResult[T], dbg func(T) *server.SearchDebug
 		}
 		out = append(out, d)
 	}
-	return out
+	return &server.SearchDebugJSON{Shards: out}
 }
 
 // Search fans the query out to every shard and merges the per-shard
@@ -446,23 +444,15 @@ func shardDebug[T any](results []shardResult[T], dbg func(T) *server.SearchDebug
 // Label queries resolve the label's latest archived signature at its
 // owner shard first, then scatter it as a signature query with the
 // label excluded — exactly what SearchLabel does on a single node.
-func (rt *Router) Search(req server.SearchRequest) (SearchResponse, error) {
-	tr := rt.tracer.Start("route.search")
-	defer tr.Finish()
-	return rt.search(tr, req)
-}
-
-func (rt *Router) search(tr *obs.Trace, req server.SearchRequest) (SearchResponse, error) {
-	if req.Label != "" && req.Signature != nil {
-		return SearchResponse{}, fmt.Errorf("cluster: set either label or signature, not both")
-	}
+func (rt *Router) Search(ctx context.Context, req server.SearchRequest) (server.SearchResponse, error) {
+	tr := server.TraceFrom(ctx)
 	if req.K <= 0 {
 		req.K = store.DefaultTopK
 	}
 	if req.Label != "" {
 		resolved, err := rt.resolveLabelQuery(tr, req)
 		if err != nil {
-			return SearchResponse{}, err
+			return server.SearchResponse{}, err
 		}
 		req = resolved
 	}
@@ -471,26 +461,22 @@ func (rt *Router) search(tr *obs.Trace, req server.SearchRequest) (SearchRespons
 	results := scatter(rt, tr, "search", rt.allShards(), func(s int, tc obs.TraceContext) (server.SearchResponse, error) {
 		return clients[s].Traced(tc).Search(req)
 	})
+	cov, err := gather(rt, "search", results, stale)
+	if err != nil {
+		return server.SearchResponse{}, err
+	}
 	// Non-nil even when empty: the routed body must serialize exactly
 	// like a single node's ("hits": [], never null).
-	resp := SearchResponse{ShardsTotal: len(results), Hits: []server.SearchHitJSON{}, StaleShards: stale}
+	resp := server.SearchResponse{Hits: []server.SearchHitJSON{}, Coverage: cov}
 	if req.Debug {
-		resp.TraceID = tr.ID()
+		cov.TraceID = tr.ID()
 		resp.Debug = shardDebug(results, func(v server.SearchResponse) *server.SearchDebugJSON { return v.Debug })
 	}
 	for _, r := range results {
-		if r.err != nil {
-			continue
+		if r.err == nil {
+			resp.Distance = r.val.Distance
+			resp.Hits = append(resp.Hits, r.val.Hits...)
 		}
-		resp.ShardsOK++
-		resp.Distance = r.val.Distance
-		resp.Hits = append(resp.Hits, r.val.Hits...)
-	}
-	if resp.ShardsOK == 0 {
-		return resp, fmt.Errorf("cluster: search failed on all %d shards", resp.ShardsTotal)
-	}
-	if resp.ShardsOK < resp.ShardsTotal {
-		rt.partials.Add(1)
 	}
 	sortSearchHits(resp.Hits)
 	if len(resp.Hits) > req.K {
@@ -502,13 +488,15 @@ func (rt *Router) search(tr *obs.Trace, req server.SearchRequest) (SearchRespons
 // resolveLabelQuery rewrites a label query into the equivalent
 // signature query by fetching the label's latest archived signature
 // from its owner shard (the one shard that stores it), excluding the
-// label from the results — exactly what SearchLabel does on a single
-// node.
+// label from the results unless the query excludes another — exactly
+// what SearchLabel does on a single node. A label with no archived
+// signature is a 404.
 func (rt *Router) resolveLabelQuery(tr *obs.Trace, req server.SearchRequest) (server.SearchRequest, error) {
 	owner := rt.ring.Shard(req.Label)
 	oc, _ := rt.readClient(owner)
 	end, tc := tr.SpanWith(fmt.Sprintf("resolve.shard%d", owner))
 	defer end()
+	none := server.WithStatus(http.StatusNotFound, fmt.Errorf("label %q has no archived signature", req.Label))
 	// Newest first, one entry to begin with: the newest archived
 	// signature is almost always non-empty, and asking for just it keeps
 	// the owner from parsing a cold block per window the label ever
@@ -516,19 +504,24 @@ func (rt *Router) resolveLabelQuery(tr *obs.Trace, req server.SearchRequest) (se
 	q := server.HistoryQuery{Limit: 1}
 	for {
 		hist, err := oc.Traced(tc).HistoryRange(req.Label, q)
+		if server.APIStatus(err) == http.StatusNotFound {
+			return req, none
+		}
 		if err != nil {
-			return req, fmt.Errorf("cluster: resolving label %q at shard %d: %w", req.Label, owner, err)
+			return req, gateway(fmt.Errorf("cluster: resolving label %q at shard %d: %w", req.Label, owner, err))
 		}
 		for i := len(hist.History) - 1; i >= 0; i-- {
 			if len(hist.History[i].Signature.Nodes) > 0 {
 				req.Signature = &hist.History[i].Signature
-				req.ExcludeLabel = req.Label
+				if req.ExcludeLabel == "" {
+					req.ExcludeLabel = req.Label
+				}
 				req.Label = ""
 				return req, nil
 			}
 		}
 		if !hist.Truncated || len(hist.History) == 0 {
-			return req, fmt.Errorf("cluster: label %q has no archived signature", req.Label)
+			return req, none
 		}
 		q = server.HistoryQuery{To: hist.History[0].Window - 1, HasTo: true, Limit: 4 * q.Limit}
 	}
@@ -550,87 +543,62 @@ func sortSearchHits(hits []server.SearchHitJSON) {
 	})
 }
 
-// BatchSearchResponse is the routed POST /v1/search/batch body.
-// Results[i] answers Queries[i].
-type BatchSearchResponse struct {
-	Distance    string                     `json:"distance"`
-	Results     []server.BatchSearchResult `json:"results"`
-	ShardsOK    int                        `json:"shards_ok"`
-	ShardsTotal int                        `json:"shards_total"`
-	StaleShards []StaleShard               `json:"stale_shards,omitempty"`
-	TraceID     string                     `json:"trace_id,omitempty"`
-	Debug       []ShardDebugJSON           `json:"debug,omitempty"`
-}
-
 // SearchBatch fans a whole query batch out to every shard in ONE
 // scatter — each shard answers all slots against a single ring
 // snapshot with one pooled kernel scratch — then merges every slot's
 // per-shard top-k lists under the store comparator, exactly as Search
 // does for a single query. Label slots resolve at their owner shard
-// first; slots that fail to resolve carry their error without failing
-// the batch or the fan-out.
-func (rt *Router) SearchBatch(req server.BatchSearchRequest) (BatchSearchResponse, error) {
-	tr := rt.tracer.Start("route.search.batch")
-	defer tr.Finish()
-	return rt.searchBatch(tr, req)
-}
-
-func (rt *Router) searchBatch(tr *obs.Trace, req server.BatchSearchRequest) (BatchSearchResponse, error) {
-	if len(req.Queries) == 0 {
-		return BatchSearchResponse{}, fmt.Errorf("cluster: batch search needs at least one query")
-	}
+// first. A slot the router cannot resolve for want of a signature goes
+// out as it came, so every shard refuses it in the words a node would;
+// one it cannot resolve for a failed owner carries the router's error.
+// Slot failures fail neither the batch nor the fan-out.
+func (rt *Router) SearchBatch(ctx context.Context, req server.BatchSearchRequest) (server.BatchSearchResponse, error) {
+	tr := server.TraceFrom(ctx)
 	results := make([]server.BatchSearchResult, len(req.Queries))
 	ks := make([]int, len(req.Queries))
 	fan := server.BatchSearchRequest{Distance: req.Distance, Debug: req.Debug}
 	slots := make([]int, 0, len(req.Queries))
 	for i, q := range req.Queries {
-		if q.Label != "" && q.Signature != nil {
-			results[i].Error = "set either label or signature, not both"
-			continue
-		}
 		if q.K <= 0 {
 			q.K = store.DefaultTopK
 		}
 		ks[i] = q.K
-		if q.Label != "" {
+		if q.Label != "" && q.Signature == nil {
 			resolved, err := rt.resolveLabelQuery(tr, q)
-			if err != nil {
+			switch {
+			case err == nil:
+				q = resolved
+			case server.Status(err) != http.StatusNotFound:
 				results[i].Error = err.Error()
 				continue
 			}
-			q = resolved
 		}
 		fan.Queries = append(fan.Queries, q)
 		slots = append(slots, i)
 	}
 
 	clients, stale := rt.readClients()
-	resp := BatchSearchResponse{Distance: req.Distance, Results: results,
-		ShardsTotal: rt.ring.Shards(), StaleShards: stale}
 	if len(fan.Queries) == 0 {
-		// Every slot failed resolution; nothing to scatter.
-		resp.ShardsOK = resp.ShardsTotal
-		return resp, nil
+		// Every slot's owner failed; nothing to scatter.
+		cov := &server.Coverage{ShardsOK: rt.ring.Shards(), ShardsTotal: rt.ring.Shards(), StaleShards: stale}
+		return server.BatchSearchResponse{Distance: req.Distance, Results: results, Coverage: cov}, nil
 	}
 	answers := scatter(rt, tr, "search.batch", rt.allShards(), func(s int, tc obs.TraceContext) (server.BatchSearchResponse, error) {
 		return clients[s].Traced(tc).SearchBatch(fan)
 	})
-	for _, r := range answers {
-		if r.err != nil {
-			continue
-		}
-		resp.ShardsOK++
-		resp.Distance = r.val.Distance
+	cov, err := gather(rt, "batch search", answers, stale)
+	if err != nil {
+		return server.BatchSearchResponse{}, err
 	}
+	resp := server.BatchSearchResponse{Results: results, Coverage: cov}
 	if req.Debug {
-		resp.TraceID = tr.ID()
+		cov.TraceID = tr.ID()
 		resp.Debug = shardDebug(answers, func(v server.BatchSearchResponse) *server.SearchDebugJSON { return v.Debug })
 	}
-	if resp.ShardsOK == 0 {
-		return resp, fmt.Errorf("cluster: batch search failed on all %d shards", resp.ShardsTotal)
-	}
-	if resp.ShardsOK < resp.ShardsTotal {
-		rt.partials.Add(1)
+	for _, r := range answers {
+		if r.err == nil {
+			resp.Distance = r.val.Distance
+		}
 	}
 	for k, slot := range slots {
 		merged := []server.SearchHitJSON{}
@@ -662,18 +630,6 @@ func (rt *Router) searchBatch(tr *obs.Trace, req server.BatchSearchRequest) (Bat
 	return resp, nil
 }
 
-// AnomaliesResponse is the routed GET /v1/anomalies body.
-type AnomaliesResponse struct {
-	FromWindow  int                  `json:"from_window"`
-	ToWindow    int                  `json:"to_window"`
-	Mean        float64              `json:"mean_persistence"`
-	StdDev      float64              `json:"stddev_persistence"`
-	Anomalies   []server.AnomalyJSON `json:"anomalies"`
-	ShardsOK    int                  `json:"shards_ok"`
-	ShardsTotal int                  `json:"shards_total"`
-	StaleShards []StaleShard         `json:"stale_shards,omitempty"`
-}
-
 // Anomalies fetches every shard's label-keyed persistence pairs,
 // merges them (shards hold disjoint label sets), and runs the same
 // label-ordered detection a single node runs — so the population
@@ -681,149 +637,99 @@ type AnomaliesResponse struct {
 // holding the union. Shards reporting a different window pair than the
 // newest one seen (a lagging shard mid-window-close) are counted as
 // degraded rather than polluting the population.
-func (rt *Router) Anomalies(distance string, zCut float64) (AnomaliesResponse, error) {
-	tr := rt.tracer.Start("route.anomalies")
-	defer tr.Finish()
-	return rt.anomalies(tr, distance, zCut)
-}
-
-func (rt *Router) anomalies(tr *obs.Trace, distance string, zCut float64) (AnomaliesResponse, error) {
-	if zCut <= 0 {
-		zCut = 2.0
-	}
+func (rt *Router) Anomalies(ctx context.Context, req server.AnomaliesRequest) (server.AnomaliesResponse, error) {
 	clients, stale := rt.readClients()
-	results := scatter(rt, tr, "persistence", rt.allShards(), func(s int, tc obs.TraceContext) (server.PersistenceResponse, error) {
-		return clients[s].Traced(tc).Persistence(distance)
+	results := scatter(rt, server.TraceFrom(ctx), "persistence", rt.allShards(), func(s int, tc obs.TraceContext) (server.PersistenceResponse, error) {
+		return clients[s].Traced(tc).Persistence(req.Distance)
 	})
-	resp := AnomaliesResponse{ShardsTotal: len(results), StaleShards: stale}
+	cov, err := gather(rt, "anomalies", results, stale)
+	if err != nil {
+		return server.AnomaliesResponse{}, err
+	}
 	// Reference window pair: the newest ToWindow any shard reports.
-	ref := -1
+	var ref server.PersistenceResponse
+	ref.ToWindow = -1
 	for _, r := range results {
-		if r.err == nil && r.val.ToWindow > ref {
-			ref = r.val.ToWindow
-			resp.FromWindow, resp.ToWindow = r.val.FromWindow, r.val.ToWindow
+		if r.err == nil && r.val.ToWindow > ref.ToWindow {
+			ref = r.val
 		}
 	}
-	if ref == -1 {
-		return resp, fmt.Errorf("cluster: anomalies failed on all %d shards", resp.ShardsTotal)
-	}
+	degraded := cov.ShardsOK < cov.ShardsTotal
 	var pairs []apps.PersistencePair
 	for _, r := range results {
 		if r.err != nil {
 			continue
 		}
-		if r.val.FromWindow != resp.FromWindow || r.val.ToWindow != resp.ToWindow {
+		if r.val.FromWindow != ref.FromWindow || r.val.ToWindow != ref.ToWindow {
 			rt.logf("sigrouter: shard %d reports window pair (%d,%d), want (%d,%d); treating as degraded",
-				r.shard, r.val.FromWindow, r.val.ToWindow, resp.FromWindow, resp.ToWindow)
+				r.shard, r.val.FromWindow, r.val.ToWindow, ref.FromWindow, ref.ToWindow)
+			cov.ShardsOK--
 			continue
 		}
-		resp.ShardsOK++
 		for _, p := range r.val.Pairs {
 			pairs = append(pairs, apps.PersistencePair{Label: p.Label, Persistence: p.Persistence})
 		}
 	}
-	if resp.ShardsOK < resp.ShardsTotal {
+	if !degraded && cov.ShardsOK < cov.ShardsTotal {
 		rt.partials.Add(1)
 	}
-	anomalies, summary, err := apps.DetectAnomaliesByLabel(pairs, zCut)
-	if err != nil {
-		return resp, fmt.Errorf("cluster: %w", err)
-	}
-	resp.Mean, resp.StdDev = summary.Mean, summary.StdDev
-	for _, a := range anomalies {
-		resp.Anomalies = append(resp.Anomalies, server.AnomalyJSON{
-			Label: a.Label, Persistence: a.Persistence, ZScore: a.ZScore,
-		})
-	}
-	return resp, nil
+	resp, err := server.AnomaliesOf(ref.FromWindow, ref.ToWindow, pairs, req.Z)
+	resp.Coverage = cov
+	return resp, err
 }
 
-// WatchlistHitsResponse is the routed GET /v1/watchlist/hits body.
-type WatchlistHitsResponse struct {
-	Hits        []server.WatchHitJSON `json:"hits"`
-	ShardsOK    int                   `json:"shards_ok"`
-	ShardsTotal int                   `json:"shards_total"`
-	StaleShards []StaleShard          `json:"stale_shards,omitempty"`
-}
-
-// WatchlistHits merges every shard's hit log under a deterministic
-// order (window, label, individual, archived window).
-func (rt *Router) WatchlistHits() (WatchlistHitsResponse, error) {
-	tr := rt.tracer.Start("route.watchlist.hits")
-	defer tr.Finish()
-	return rt.watchlistHits(tr)
-}
-
-func (rt *Router) watchlistHits(tr *obs.Trace) (WatchlistHitsResponse, error) {
+// WatchlistHits merges every shard's hit log in server.SortWatchHits
+// order.
+func (rt *Router) WatchlistHits(ctx context.Context) (server.WatchlistHitsResponse, error) {
 	clients, stale := rt.readClients()
-	results := scatter(rt, tr, "watchlist.hits", rt.allShards(), func(s int, tc obs.TraceContext) (server.WatchlistHitsResponse, error) {
+	results := scatter(rt, server.TraceFrom(ctx), "watchlist.hits", rt.allShards(), func(s int, tc obs.TraceContext) (server.WatchlistHitsResponse, error) {
 		return clients[s].Traced(tc).WatchlistHits()
 	})
-	resp := WatchlistHitsResponse{ShardsTotal: len(results), Hits: []server.WatchHitJSON{}, StaleShards: stale}
+	cov, err := gather(rt, "watchlist hits", results, stale)
+	if err != nil {
+		return server.WatchlistHitsResponse{}, err
+	}
+	resp := server.WatchlistHitsResponse{Hits: []server.WatchHitJSON{}, Coverage: cov}
 	for _, r := range results {
-		if r.err != nil {
-			continue
+		if r.err == nil {
+			resp.Hits = append(resp.Hits, r.val.Hits...)
 		}
-		resp.ShardsOK++
-		resp.Hits = append(resp.Hits, r.val.Hits...)
 	}
-	if resp.ShardsOK == 0 {
-		return resp, fmt.Errorf("cluster: watchlist hits failed on all %d shards", resp.ShardsTotal)
-	}
-	if resp.ShardsOK < resp.ShardsTotal {
-		rt.partials.Add(1)
-	}
-	sort.Slice(resp.Hits, func(i, j int) bool {
-		a, b := resp.Hits[i], resp.Hits[j]
-		if a.Window != b.Window {
-			return a.Window < b.Window
-		}
-		if a.Label != b.Label {
-			return a.Label < b.Label
-		}
-		if a.Individual != b.Individual {
-			return a.Individual < b.Individual
-		}
-		return a.ArchivedWindow < b.ArchivedWindow
-	})
+	server.SortWatchHits(resp.Hits)
 	return resp, nil
 }
 
-// WatchlistAdd archives a label's signatures cluster-wide. Window-close
-// screening is local to each shard — a shard only sees its own labels'
-// new signatures — so every shard needs the full archive. The router
-// reads the signatures from the label's owner (the one shard that
-// stores them) and replays them onto every shard as explicit-signature
-// adds; the union of per-shard hit logs then matches a single node's.
-func (rt *Router) WatchlistAdd(req server.WatchlistAddRequest) (server.WatchlistAddResponse, error) {
-	tr := rt.tracer.Start("route.watchlist.add")
-	defer tr.Finish()
-	return rt.watchlistAdd(tr, req)
-}
-
-func (rt *Router) watchlistAdd(tr *obs.Trace, req server.WatchlistAddRequest) (server.WatchlistAddResponse, error) {
-	owner := rt.ring.Shard(req.Label)
-	oc, _ := rt.readClient(owner)
-	end, otc := tr.SpanWith(fmt.Sprintf("resolve.shard%d", owner))
-	// Screening archives the label's whole history, so this owner read
-	// is explicitly unbounded even when it reaches into cold segments.
-	hist, err := oc.Traced(otc).HistoryRange(req.Label, server.HistoryQuery{Limit: -1})
-	end()
-	if err != nil {
-		return server.WatchlistAddResponse{}, err
-	}
-	var entries []server.HistoryEntryJSON
-	for _, e := range hist.History {
-		if req.Window != nil && e.Window != *req.Window {
-			continue
+// WatchlistAdd archives signatures cluster-wide. Window-close screening
+// is local to each shard — a shard only sees its own labels' new
+// signatures — so every shard needs the full archive. The router sends
+// every shard each entry as an explicit-signature add: the carried
+// signature, or the label's signatures read from its owner (the one
+// shard that stores them). The union of per-shard hit logs then matches
+// a single node's.
+func (rt *Router) WatchlistAdd(ctx context.Context, req server.WatchlistAddRequest) (server.WatchlistAddResponse, error) {
+	tr := server.TraceFrom(ctx)
+	entries := []server.HistoryEntryJSON{}
+	if req.Signature != nil {
+		entries = append(entries, server.HistoryEntryJSON{Window: *req.Window, Signature: *req.Signature})
+	} else {
+		owner := rt.ring.Shard(req.Label)
+		oc, _ := rt.readClient(owner)
+		end, otc := tr.SpanWith(fmt.Sprintf("resolve.shard%d", owner))
+		// Screening archives the label's whole history, so this owner read
+		// is explicitly unbounded even when it reaches into cold segments.
+		hist, err := oc.Traced(otc).HistoryRange(req.Label, server.HistoryQuery{Limit: -1})
+		end()
+		if err != nil && server.APIStatus(err) != http.StatusNotFound {
+			return server.WatchlistAddResponse{}, gateway(err)
 		}
-		if len(e.Signature.Nodes) == 0 {
-			continue
+		for _, e := range hist.History {
+			if (req.Window == nil || e.Window == *req.Window) && len(e.Signature.Nodes) > 0 {
+				entries = append(entries, e)
+			}
 		}
-		entries = append(entries, e)
-	}
-	if len(entries) == 0 {
-		return server.WatchlistAddResponse{}, fmt.Errorf("cluster: label %q has no archivable signature", req.Label)
+		if len(entries) == 0 {
+			return server.WatchlistAddResponse{}, server.WithStatus(http.StatusNotFound, fmt.Errorf("label %q has no archivable signature", req.Label))
+		}
 	}
 	results := scatter(rt, tr, "watchlist.add", rt.allShards(), func(s int, tc obs.TraceContext) (server.WatchlistAddResponse, error) {
 		var last server.WatchlistAddResponse
@@ -848,29 +754,23 @@ func (rt *Router) watchlistAdd(tr *obs.Trace, req server.WatchlistAddRequest) (s
 			// A shard that missed the add would silently under-report
 			// hits from then on; archiving is a write, so fail loudly
 			// instead of degrading.
-			return server.WatchlistAddResponse{}, fmt.Errorf("cluster: watchlist add: %w", r.err)
+			return server.WatchlistAddResponse{}, gateway(r.err)
 		}
-		if r.val.Total > resp.Total {
-			resp.Total = r.val.Total
-		}
+		resp.Total = max(resp.Total, r.val.Total)
 	}
 	return resp, nil
 }
 
 // History fetches the label's archived signatures from its owner,
 // failing over to the owner shard's follower when its primary is down.
-// The zero query applies the owner's default limit; see
-// server.HistoryQuery for bounded or unbounded fetches.
-func (rt *Router) History(label string, q server.HistoryQuery) (server.HistoryResponse, error) {
-	tr := rt.tracer.Start("route.history")
-	defer tr.Finish()
-	return rt.history(tr, label, q)
-}
-
-func (rt *Router) history(tr *obs.Trace, label string, q server.HistoryQuery) (server.HistoryResponse, error) {
-	owner := rt.ring.Shard(label)
+func (rt *Router) History(ctx context.Context, req server.HistoryRequest) (server.HistoryResponse, error) {
+	owner := rt.ring.Shard(req.Label)
 	c, _ := rt.readClient(owner)
-	end, tc := tr.SpanWith(fmt.Sprintf("history.shard%d", owner))
+	end, tc := server.TraceFrom(ctx).SpanWith(fmt.Sprintf("history.shard%d", owner))
 	defer end()
-	return c.Traced(tc).HistoryRange(label, q)
+	resp, err := c.Traced(tc).HistoryRange(req.Label, req.Query)
+	if err != nil {
+		return server.HistoryResponse{}, gateway(err)
+	}
+	return resp, nil
 }

@@ -379,14 +379,15 @@ func (c *Client) WatchlistHits() (WatchlistHitsResponse, error) {
 }
 
 // Anomalies fetches behaviour-change reports between the last two
-// archived windows (zCut ≤ 0 uses the server default).
-func (c *Client) Anomalies(zCut float64) (AnomaliesResponse, error) {
-	path := "/v1/anomalies"
+// archived windows under distance ("" uses the server's) and the z-score
+// cut zCut (≤ 0 uses the server's).
+func (c *Client) Anomalies(distance string, zCut float64) (AnomaliesResponse, error) {
+	q := url.Values{"distance": {distance}}
 	if zCut > 0 {
-		path += fmt.Sprintf("?z=%g", zCut)
+		q.Set("z", strconv.FormatFloat(zCut, 'g', -1, 64))
 	}
 	var out AnomaliesResponse
-	err := c.doJSON(http.MethodGet, path, nil, decodeJSON(&out))
+	err := c.doJSON(http.MethodGet, "/v1/anomalies?"+q.Encode(), nil, decodeJSON(&out))
 	return out, err
 }
 

@@ -139,7 +139,7 @@ func TestEndToEndEnterpriseServing(t *testing.T) {
 	}
 
 	// Anomalies answer over the last two archived windows.
-	an, err := c.Anomalies(2)
+	an, err := c.Anomalies("", 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,13 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
-	"strconv"
 	"time"
 
 	"graphsig/internal/apps"
@@ -15,6 +15,7 @@ import (
 	"graphsig/internal/fault"
 	"graphsig/internal/graph"
 	"graphsig/internal/netflow"
+	"graphsig/internal/obs"
 	"graphsig/internal/store"
 	"graphsig/internal/wal"
 )
@@ -151,15 +152,6 @@ type SearchRequest struct {
 	Debug bool `json:"debug,omitempty"`
 }
 
-// SearchDebugJSON is the per-node explain block attached to search
-// responses when debug is requested: wall time and the exact distance
-// probes of this query alone.
-type SearchDebugJSON struct {
-	TraceID string `json:"trace_id,omitempty"`
-	Micros  int64  `json:"micros"`
-	Probes  int    `json:"probes"`
-}
-
 // SearchHitJSON is one nearest-signature hit.
 type SearchHitJSON struct {
 	Label  string  `json:"label"`
@@ -169,9 +161,10 @@ type SearchHitJSON struct {
 
 // SearchResponse is the POST /v1/search body.
 type SearchResponse struct {
-	Distance string           `json:"distance"`
-	Hits     []SearchHitJSON  `json:"hits"`
-	Debug    *SearchDebugJSON `json:"debug,omitempty"`
+	Distance string          `json:"distance"`
+	Hits     []SearchHitJSON `json:"hits"`
+	*Coverage
+	Debug *SearchDebugJSON `json:"debug,omitempty"`
 }
 
 // BatchSearchRequest is the POST /v1/search/batch body: many queries
@@ -200,16 +193,17 @@ type BatchSearchResult struct {
 type BatchSearchResponse struct {
 	Distance string              `json:"distance"`
 	Results  []BatchSearchResult `json:"results"`
-	Debug    *SearchDebugJSON    `json:"debug,omitempty"`
+	*Coverage
+	Debug *SearchDebugJSON `json:"debug,omitempty"`
 }
 
 // WatchlistAddRequest archives a label's stored signatures under an
 // individual key. With Window set, only that window is archived;
 // otherwise every archived window of the label is. With Signature set,
 // the carried signature is archived directly (Window then required,
-// Label ignored) — the cluster router uses this to replicate one
-// shard's archive entry onto every other shard, since window-close
-// screening happens locally per shard.
+// Label ignored) — the cluster router sends every shard each entry it
+// archives this way, since window-close screening happens locally per
+// shard.
 type WatchlistAddRequest struct {
 	Individual string         `json:"individual"`
 	Label      string         `json:"label"`
@@ -235,6 +229,7 @@ type WatchHitJSON struct {
 // WatchlistHitsResponse is the GET /v1/watchlist/hits body.
 type WatchlistHitsResponse struct {
 	Hits []WatchHitJSON `json:"hits"`
+	*Coverage
 }
 
 // AnomalyJSON is one flagged label.
@@ -251,6 +246,7 @@ type AnomaliesResponse struct {
 	Mean       float64       `json:"mean_persistence"`
 	StdDev     float64       `json:"stddev_persistence"`
 	Anomalies  []AnomalyJSON `json:"anomalies"`
+	*Coverage
 }
 
 // HealthResponse is the GET /healthz body.
@@ -263,13 +259,8 @@ type HealthResponse struct {
 }
 
 func (s *Server) routes() {
+	Routes(s.mux, s, s.routeTrace)
 	s.mux.HandleFunc("POST /v1/flows", s.handleFlows)
-	s.mux.HandleFunc("GET /v1/signatures/{label}", s.handleHistory)
-	s.mux.HandleFunc("POST /v1/search", s.handleSearch)
-	s.mux.HandleFunc("POST /v1/search/batch", s.handleSearchBatch)
-	s.mux.HandleFunc("POST /v1/watchlist", s.handleWatchlistAdd)
-	s.mux.HandleFunc("GET /v1/watchlist/hits", s.handleWatchlistHits)
-	s.mux.HandleFunc("GET /v1/anomalies", s.handleAnomalies)
 	s.mux.HandleFunc("GET /v1/persistence", s.handlePersistence)
 	s.mux.HandleFunc("GET /v1/replication/status", s.handleReplicationStatus)
 	s.mux.HandleFunc("GET /v1/replication/wal", s.handleReplicationWAL)
@@ -409,7 +400,8 @@ func readBody(r io.Reader, declared, limit int64) ([]byte, error) {
 }
 
 func (s *Server) handleFlows(w http.ResponseWriter, r *http.Request) {
-	if !s.requireWritable(w) {
+	if err := s.writable(); err != nil {
+		WriteError(w, Status(err), "%v", err)
 		return
 	}
 	// Bound concurrent ingest work before reading the body: a server
@@ -431,42 +423,9 @@ func (s *Server) handleFlows(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	_ = fault.Inject("server.ingest.hold") // test hook: park here while holding an in-flight slot
-	tr := s.startTrace(r, "ingest")
+	tr := s.routeTrace(w, r, "ingest")
 	defer tr.Finish()
 	WriteJSON(w, http.StatusOK, s.ingestBatchTraced(tr, batchID, records))
-}
-
-// ParseHistoryQuery parses the from/to/limit query of a history GET —
-// on a node, or on the router, which forwards the typed query to the
-// owner shard so the bounds are enforced where the archive lives. An
-// absent limit stays 0 (DefaultHistoryLimit applies); an explicit
-// limit=0 means unbounded, which HistoryQuery spells -1.
-func ParseHistoryQuery(r *http.Request) (HistoryQuery, error) {
-	var q HistoryQuery
-	var hasLimit bool
-	vals := r.URL.Query()
-	for _, p := range []struct {
-		key string
-		dst *int
-		has *bool
-	}{{"from", &q.From, &q.HasFrom}, {"to", &q.To, &q.HasTo}, {"limit", &q.Limit, &hasLimit}} {
-		v := vals.Get(p.key)
-		if v == "" {
-			continue
-		}
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return q, fmt.Errorf("bad %s %q: want an integer", p.key, v)
-		}
-		*p.dst, *p.has = n, true
-	}
-	switch {
-	case q.Limit < 0:
-		return q, fmt.Errorf("bad limit %d: want >= 0", q.Limit)
-	case q.Limit == 0 && hasLimit:
-		q.Limit = -1
-	}
-	return q, nil
 }
 
 // bounds resolves the query to Store.HistoryRange arguments: whole
@@ -489,29 +448,20 @@ func (q HistoryQuery) bounds() (from, to, limit int) {
 	return from, to, limit
 }
 
-func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
-	label := r.PathValue("label")
+// History answers a label's archived signatures within req's bounds.
+func (s *Server) History(_ context.Context, req HistoryRequest) (HistoryResponse, error) {
 	s.metrics.HistoryQueries.Add(1)
-	q, err := ParseHistoryQuery(r)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	from, to, limit := q.bounds()
-	tr := s.traceRemote(r, "history")
-	defer tr.Finish()
+	from, to, limit := req.Query.bounds()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	entries, truncated, err := s.store.HistoryRange(label, from, to, limit)
+	entries, truncated, err := s.store.HistoryRange(req.Label, from, to, limit)
 	if err != nil {
-		WriteError(w, http.StatusInternalServerError, "reading archive: %v", err)
-		return
+		return HistoryResponse{}, fmt.Errorf("reading archive: %w", err)
 	}
 	if len(entries) == 0 {
-		WriteError(w, http.StatusNotFound, "label %q has no archived signatures", label)
-		return
+		return HistoryResponse{}, WithStatus(http.StatusNotFound, fmt.Errorf("label %q has no archived signatures", req.Label))
 	}
-	resp := HistoryResponse{Label: label, Truncated: truncated}
+	resp := HistoryResponse{Label: req.Label, Truncated: truncated}
 	for _, e := range entries {
 		resp.History = append(resp.History, HistoryEntryJSON{
 			Window:    e.Window,
@@ -519,96 +469,61 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 			Signature: s.signatureJSON(e.Sig),
 		})
 	}
-	WriteJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	var req SearchRequest
-	if !DecodeJSON(w, r, &req) {
-		return
-	}
+// Search answers a nearest-signature query from the node's archive.
+func (s *Server) Search(ctx context.Context, req SearchRequest) (SearchResponse, error) {
 	s.metrics.SearchQueries.Add(1)
-	tr := s.startTrace(r, "search")
-	defer tr.Finish()
+	tr := TraceFrom(ctx)
 	d, err := s.distanceFor(req.Distance)
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, "%v", err)
-		return
+		return SearchResponse{}, err
 	}
-	debug := req.Debug || r.URL.Query().Get("debug") == "1"
 	var stats store.SearchStats
 	begin := time.Now()
 	opts := store.SearchOptions{TopK: req.K, MaxDist: req.MaxDist, LastWindows: req.LastWindows, ExcludeLabel: req.ExcludeLabel}
-	if debug {
+	if req.Debug {
 		opts.Stats = &stats
 	}
-	var hits []SearchHitJSON
-	switch {
-	case req.Label != "" && req.Signature != nil:
-		WriteError(w, http.StatusBadRequest, "set either label or signature, not both")
-		return
-	case req.Label != "":
-		s.mu.RLock()
-		end := tr.Span("store.search")
-		raw, err := s.store.SearchLabel(d, req.Label, opts)
-		end()
-		if err == nil {
-			hits = convertHits(raw)
-		}
-		s.mu.RUnlock()
-		if err != nil {
-			WriteError(w, searchStatus(err, http.StatusNotFound), "%v", err)
-			return
-		}
-	case req.Signature != nil:
-		s.mu.RLock()
-		sig, err := s.querySignature(*req.Signature, s.provisionalIDs(req.Signature))
-		if err == nil {
+	var raw []store.Hit
+	s.mu.RLock()
+	if req.Signature != nil {
+		var sig core.Signature
+		if sig, err = s.querySignature(*req.Signature, s.provisionalIDs(req.Signature)); err == nil {
 			end := tr.Span("store.search")
-			var raw []store.Hit
 			raw, err = s.store.Search(d, sig, opts)
 			end()
-			hits = convertHits(raw)
 		}
-		s.mu.RUnlock()
-		if err != nil {
-			WriteError(w, searchStatus(err, http.StatusBadRequest), "%v", err)
-			return
-		}
-	default:
-		WriteError(w, http.StatusBadRequest, "search needs a label or a signature")
-		return
+		err = refused(err, http.StatusBadRequest)
+	} else {
+		end := tr.Span("store.search")
+		raw, err = s.store.SearchLabel(d, req.Label, opts)
+		end()
+		err = refused(err, http.StatusNotFound)
 	}
-	resp := SearchResponse{Distance: d.Name(), Hits: hits}
-	if debug {
-		resp.Debug = &SearchDebugJSON{
-			TraceID: tr.ID(),
-			Micros:  time.Since(begin).Microseconds(),
-			Probes:  stats.Probes,
-		}
+	s.mu.RUnlock()
+	if err != nil {
+		return SearchResponse{}, err
 	}
-	WriteJSON(w, http.StatusOK, resp)
+	resp := SearchResponse{Distance: d.Name(), Hits: convertHits(raw)}
+	if req.Debug {
+		resp.Debug = debugBlock(tr, begin, stats)
+	}
+	return resp, nil
 }
 
-func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchSearchRequest
-	if !DecodeJSON(w, r, &req) {
-		return
-	}
-	if len(req.Queries) == 0 {
-		WriteError(w, http.StatusBadRequest, "batch search needs at least one query")
-		return
-	}
+// SearchBatch answers every query of req under one distance, one ring
+// snapshot and one store batch. A query that cannot be resolved (an
+// unknown label, a bad signature) fails its own slot, not the batch.
+func (s *Server) SearchBatch(ctx context.Context, req BatchSearchRequest) (BatchSearchResponse, error) {
 	s.metrics.BatchSearches.Add(1)
 	s.metrics.SearchQueries.Add(int64(len(req.Queries)))
-	tr := s.startTrace(r, "search.batch")
-	defer tr.Finish()
+	tr := TraceFrom(ctx)
 	d, err := s.distanceFor(req.Distance)
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, "%v", err)
-		return
+		return BatchSearchResponse{}, err
 	}
-	debug := req.Debug || r.URL.Query().Get("debug") == "1"
 	var stats store.SearchStats
 	begin := time.Now()
 
@@ -630,14 +545,13 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		bq, err := s.resolveSearchQuery(q, d, provisional)
 		if errors.Is(err, store.ErrColdRead) {
 			end()
-			WriteError(w, http.StatusInternalServerError, "%v", err)
-			return
+			return BatchSearchResponse{}, err
 		}
 		if err != nil {
 			results[i].Error = err.Error()
 			continue
 		}
-		if debug {
+		if req.Debug {
 			bq.Opts.Stats = &stats // shared: values aggregate across the batch
 		}
 		queries = append(queries, bq)
@@ -648,50 +562,45 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	hits, err := s.store.SearchBatch(d, queries)
 	end()
 	if err != nil {
-		WriteError(w, searchStatus(err, http.StatusBadRequest), "%v", err)
-		return
+		return BatchSearchResponse{}, refused(err, http.StatusBadRequest)
 	}
 	for k := range hits {
 		results[slots[k]].Hits = convertHits(hits[k])
 	}
 	resp := BatchSearchResponse{Distance: d.Name(), Results: results}
-	if debug {
-		resp.Debug = &SearchDebugJSON{
-			TraceID: tr.ID(),
-			Micros:  time.Since(begin).Microseconds(),
-			Probes:  stats.Probes,
-		}
+	if req.Debug {
+		resp.Debug = debugBlock(tr, begin, stats)
 	}
-	WriteJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
-// searchStatus is the HTTP status of a failed search: a cold-tier read
-// failure is the server's fault, anything else the request's (status).
-func searchStatus(err error, status int) int {
-	if errors.Is(err, store.ErrColdRead) {
-		return http.StatusInternalServerError
+// debugBlock is a node search's explain block: its trace, its wall time
+// since begin and the distance probes stats counted.
+func debugBlock(tr *obs.Trace, begin time.Time, stats store.SearchStats) *SearchDebugJSON {
+	return &SearchDebugJSON{TraceID: tr.ID(), Micros: time.Since(begin).Microseconds(), Probes: stats.Probes}
+}
+
+// refused pins status on a search's failure, unless it is a cold-tier
+// read: that is the node's own fault, 500.
+func refused(err error, status int) error {
+	if err == nil || errors.Is(err, store.ErrColdRead) {
+		return err
 	}
-	return status
+	return WithStatus(status, err)
 }
 
 // resolveSearchQuery turns one batch slot into a store query, an
 // inline signature's unknown labels taking their provisional NodeIDs
 // from provisional. Callers hold the read lock.
 func (s *Server) resolveSearchQuery(q SearchRequest, d core.Distance, provisional map[string]graph.NodeID) (store.BatchQuery, error) {
-	if q.Distance != "" {
-		qd, err := s.distanceFor(q.Distance)
-		if err != nil {
-			return store.BatchQuery{}, err
-		}
-		if qd.Name() != d.Name() {
-			return store.BatchQuery{}, fmt.Errorf("query distance %q differs from batch distance %q", qd.Name(), d.Name())
-		}
+	if err := q.validate(); err != nil {
+		return store.BatchQuery{}, err
+	}
+	if qd, _ := s.distanceFor(q.Distance); q.Distance != "" && qd.Name() != d.Name() {
+		return store.BatchQuery{}, fmt.Errorf("query distance %q differs from batch distance %q", qd.Name(), d.Name())
 	}
 	opts := store.SearchOptions{TopK: q.K, MaxDist: q.MaxDist, LastWindows: q.LastWindows, ExcludeLabel: q.ExcludeLabel}
-	switch {
-	case q.Label != "" && q.Signature != nil:
-		return store.BatchQuery{}, fmt.Errorf("set either label or signature, not both")
-	case q.Label != "":
+	if q.Signature == nil {
 		sig, _, ok, err := s.store.ReadLatestSignature(q.Label)
 		if err != nil {
 			return store.BatchQuery{}, err
@@ -703,15 +612,9 @@ func (s *Server) resolveSearchQuery(q SearchRequest, d core.Distance, provisiona
 			opts.ExcludeLabel = q.Label
 		}
 		return store.BatchQuery{Sig: sig, Opts: opts}, nil
-	case q.Signature != nil:
-		sig, err := s.querySignature(*q.Signature, provisional)
-		if err != nil {
-			return store.BatchQuery{}, err
-		}
-		return store.BatchQuery{Sig: sig, Opts: opts}, nil
-	default:
-		return store.BatchQuery{}, fmt.Errorf("search needs a label or a signature")
 	}
+	sig, err := s.querySignature(*q.Signature, provisional)
+	return store.BatchQuery{Sig: sig, Opts: opts}, err
 }
 
 // provisionalIDs gives every member label of sigs (nil entries
@@ -780,8 +683,8 @@ func (s *Server) querySignature(sj SignatureJSON, provisional map[string]graph.N
 // under the NodeID id gives it. It checks the whole signature before it
 // asks id for one, so a signature it refuses interns nothing.
 func (s *Server) signatureOf(sj SignatureJSON, id func(label string) graph.NodeID) (core.Signature, error) {
-	if len(sj.Nodes) != len(sj.Weights) {
-		return core.Signature{}, fmt.Errorf("signature nodes/weights length mismatch %d/%d", len(sj.Nodes), len(sj.Weights))
+	if err := sj.validate(); err != nil {
+		return core.Signature{}, err
 	}
 	classify := s.classifier()
 	u := s.store.Universe()
@@ -806,136 +709,94 @@ func (s *Server) signatureOf(sj SignatureJSON, id func(label string) graph.NodeI
 	return core.FromWeights(weights, len(weights)), nil
 }
 
-func (s *Server) handleWatchlistAdd(w http.ResponseWriter, r *http.Request) {
-	if !s.requireWritable(w) {
-		return
+// WatchlistAdd archives signatures under req.Individual for window-close
+// screening: the carried signature, or the label's archived ones.
+func (s *Server) WatchlistAdd(_ context.Context, req WatchlistAddRequest) (WatchlistAddResponse, error) {
+	if err := s.writable(); err != nil {
+		return WatchlistAddResponse{}, err
 	}
-	var req WatchlistAddRequest
-	if !DecodeJSON(w, r, &req) {
-		return
-	}
-	if req.Individual == "" || (req.Label == "" && req.Signature == nil) {
-		WriteError(w, http.StatusBadRequest, "watchlist add needs individual and label")
-		return
-	}
-	tr := s.traceRemote(r, "watchlist.add")
-	defer tr.Finish()
-	if req.Signature != nil {
-		if req.Window == nil {
-			WriteError(w, http.StatusBadRequest, "explicit-signature watchlist add needs window")
-			return
-		}
-		// Interning the carried labels mutates the universe: write lock.
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		entry := wal.WatchEntry{
-			Individual: req.Individual,
-			Window:     *req.Window,
-			Nodes:      req.Signature.Nodes,
-			Weights:    req.Signature.Weights,
-		}
-		if err := s.addWatchLocked(entry, true); err != nil {
-			WriteError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		s.metrics.WatchlistAdds.Add(1)
-		WriteJSON(w, http.StatusOK, WatchlistAddResponse{Archived: 1, Total: s.watch.Len()})
-		return
-	}
-	// Label adds also mutate: the archived entries are mirrored into
-	// watchWire and framed into the WAL so a follower (and any later
-	// generation's replay) screens the same set. Write lock throughout.
+	// An add interns the carried labels, mirrors the archived entries
+	// into watchWire and frames them into the WAL, so a follower (and
+	// any later generation's replay) screens the same set: write lock
+	// throughout.
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// The watchlist archives the label's full history — screening wants
-	// every epoch of the individual, so this read is explicitly
-	// unbounded even when the archive reaches into cold segments.
-	entries, _, err := s.store.HistoryRange(req.Label, math.MinInt, math.MaxInt, 0)
-	if err != nil {
-		WriteError(w, http.StatusInternalServerError, "reading archive: %v", err)
-		return
+	var entries []wal.WatchEntry
+	if req.Signature != nil {
+		entries = append(entries, wal.WatchEntry{Individual: req.Individual, Window: *req.Window,
+			Nodes: req.Signature.Nodes, Weights: req.Signature.Weights})
+	} else {
+		// The watchlist archives the label's full history — screening
+		// wants every epoch of the individual, so this read is explicitly
+		// unbounded even when the archive reaches into cold segments.
+		history, _, err := s.store.HistoryRange(req.Label, math.MinInt, math.MaxInt, 0)
+		if err != nil {
+			return WatchlistAddResponse{}, fmt.Errorf("reading archive: %w", err)
+		}
+		for _, e := range history {
+			if (req.Window == nil || e.Window == *req.Window) && !e.Sig.IsEmpty() {
+				sj := s.signatureJSON(e.Sig)
+				entries = append(entries, wal.WatchEntry{Individual: req.Individual, Window: e.Window, Nodes: sj.Nodes, Weights: sj.Weights})
+			}
+		}
+		if len(entries) == 0 {
+			return WatchlistAddResponse{}, WithStatus(http.StatusNotFound, fmt.Errorf("label %q has no archivable signature", req.Label))
+		}
 	}
-	archived := 0
 	for _, e := range entries {
-		if req.Window != nil && e.Window != *req.Window {
-			continue
+		if err := s.addWatchLocked(e, true); err != nil {
+			if req.Signature != nil {
+				err = WithStatus(http.StatusBadRequest, err) // a carried signature the node refuses
+			}
+			return WatchlistAddResponse{}, err
 		}
-		if e.Sig.IsEmpty() {
-			continue
-		}
-		sj := s.signatureJSON(e.Sig)
-		entry := wal.WatchEntry{
-			Individual: req.Individual,
-			Window:     e.Window,
-			Nodes:      sj.Nodes,
-			Weights:    sj.Weights,
-		}
-		if err := s.addWatchLocked(entry, true); err != nil {
-			WriteError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		archived++
 	}
-	if archived == 0 {
-		WriteError(w, http.StatusNotFound, "label %q has no archivable signature", req.Label)
-		return
-	}
-	s.metrics.WatchlistAdds.Add(int64(archived))
-	WriteJSON(w, http.StatusOK, WatchlistAddResponse{Archived: archived, Total: s.watch.Len()})
+	s.metrics.WatchlistAdds.Add(int64(len(entries)))
+	return WatchlistAddResponse{Archived: len(entries), Total: s.watch.Len()}, nil
 }
 
-func (s *Server) handleWatchlistHits(w http.ResponseWriter, r *http.Request) {
-	tr := s.traceRemote(r, "watchlist.hits")
-	defer tr.Finish()
-	hits := s.Hits()
-	resp := WatchlistHitsResponse{Hits: make([]WatchHitJSON, len(hits))}
-	for i, h := range hits {
+// WatchlistHits answers the hit log in SortWatchHits order.
+func (s *Server) WatchlistHits(context.Context) (WatchlistHitsResponse, error) {
+	s.mu.RLock()
+	resp := WatchlistHitsResponse{Hits: make([]WatchHitJSON, len(s.hits))}
+	for i, h := range s.hits {
 		resp.Hits[i] = WatchHitJSON(h)
 	}
-	WriteJSON(w, http.StatusOK, resp)
+	s.mu.RUnlock()
+	SortWatchHits(resp.Hits)
+	return resp, nil
 }
 
-func (s *Server) handleAnomalies(w http.ResponseWriter, r *http.Request) {
+// Anomalies reports the labels whose self-persistence between the last
+// two archived windows falls req.Z standard deviations under the mean.
+func (s *Server) Anomalies(_ context.Context, req AnomaliesRequest) (AnomaliesResponse, error) {
 	s.metrics.AnomalyQueries.Add(1)
-	tr := s.traceRemote(r, "anomalies")
-	defer tr.Finish()
-	zCut := 2.0
-	if zs := r.URL.Query().Get("z"); zs != "" {
-		z, err := strconv.ParseFloat(zs, 64)
-		if err != nil || z <= 0 {
-			WriteError(w, http.StatusBadRequest, "bad z parameter %q", zs)
-			return
-		}
-		zCut = z
-	}
-	d, err := s.distanceFor(r.URL.Query().Get("distance"))
+	d, err := s.distanceFor(req.Distance)
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, "%v", err)
-		return
+		return AnomaliesResponse{}, err
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	windows := s.store.Windows()
 	if len(windows) < 2 {
-		WriteError(w, http.StatusConflict, "anomaly detection needs two archived windows, have %d", len(windows))
-		return
+		return AnomaliesResponse{}, WithStatus(http.StatusConflict, fmt.Errorf("anomaly detection needs two archived windows, have %d", len(windows)))
 	}
 	at, next := windows[len(windows)-2], windows[len(windows)-1]
 	// Label-keyed, label-ordered accumulation: the report is a pure
 	// function of the (label, persistence) pairs, so a cluster router
 	// merging per-shard pair sets reproduces it bit-identically.
 	pairs := apps.PersistenceByLabel(d, s.store.Universe(), at, next)
-	anomalies, summary, err := apps.DetectAnomaliesByLabel(pairs, zCut)
+	return AnomaliesOf(at.Window, next.Window, pairs, req.Z)
+}
+
+// AnomaliesOf runs the anomaly detection over label-keyed persistence
+// pairs, as a node does over its own and the router over its shards'.
+func AnomaliesOf(from, to int, pairs []apps.PersistencePair, z float64) (AnomaliesResponse, error) {
+	anomalies, summary, err := apps.DetectAnomaliesByLabel(pairs, z)
 	if err != nil {
-		WriteError(w, http.StatusConflict, "%v", err)
-		return
+		return AnomaliesResponse{}, WithStatus(http.StatusConflict, err)
 	}
-	resp := AnomaliesResponse{
-		FromWindow: at.Window,
-		ToWindow:   next.Window,
-		Mean:       summary.Mean,
-		StdDev:     summary.StdDev,
-	}
+	resp := AnomaliesResponse{FromWindow: from, ToWindow: to, Mean: summary.Mean, StdDev: summary.StdDev}
 	for _, a := range anomalies {
 		resp.Anomalies = append(resp.Anomalies, AnomalyJSON{
 			Label:       a.Label,
@@ -943,7 +804,7 @@ func (s *Server) handleAnomalies(w http.ResponseWriter, r *http.Request) {
 			ZScore:      a.ZScore,
 		})
 	}
-	WriteJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
 // PersistencePairJSON is one label's self-persistence on the wire.

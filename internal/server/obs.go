@@ -60,16 +60,8 @@ func routeName(r *http.Request) string {
 	return strings.ToLower(r.Method) + strings.ReplaceAll(p, "/", "_")
 }
 
-// startTrace begins a request trace, adopting the inbound X-Sig-Trace
-// context when the caller (the cluster router) sent one — the local
-// ring then records this work as a child segment of the caller's span
-// under the caller's trace ID — and minting a fresh trace otherwise.
-func (s *Server) startTrace(r *http.Request, name string) *obs.Trace {
-	return s.obs.tracer.StartRemote(name, obs.ParseTraceContext(r.Header.Get(obs.TraceHeader)))
-}
-
-// traceRemote is startTrace for cheap read endpoints: it records a
-// trace only when the request carries an inbound context, so
+// traceRemote begins a trace for cheap read endpoints only when the
+// request carries an inbound context, so
 // single-node traffic on history/anomaly/watchlist reads cannot flood
 // the bounded trace ring. Returns nil (a no-op trace) otherwise.
 func (s *Server) traceRemote(r *http.Request, name string) *obs.Trace {
@@ -78,6 +70,20 @@ func (s *Server) traceRemote(r *http.Request, name string) *obs.Trace {
 		return nil
 	}
 	return s.obs.tracer.StartRemote(name, tc)
+}
+
+// routeTrace begins the trace of a request, the node's policy for
+// Routes: an ingest or a search always records one, adopting the
+// inbound X-Sig-Trace context when the caller (the cluster router) sent
+// one — the local ring then records this work as a child segment of
+// the caller's span under the caller's trace ID — and minting a fresh
+// trace otherwise; the other routes record one only under a caller's
+// context (traceRemote).
+func (s *Server) routeTrace(_ http.ResponseWriter, r *http.Request, name string) *obs.Trace {
+	if name != "ingest" && !strings.HasPrefix(name, "search") {
+		return s.traceRemote(r, name)
+	}
+	return s.obs.tracer.StartRemote(name, obs.ParseTraceContext(r.Header.Get(obs.TraceHeader)))
 }
 
 // Registry exposes the server's metric registry so embedders (the

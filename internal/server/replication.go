@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"net/http"
 	"os"
 	"strconv"
@@ -172,19 +173,18 @@ func (s *Server) writeWALChunk(w http.ResponseWriter, gen int, sealed bool, size
 	_, _ = w.Write(data)
 }
 
-// requireWritable gates a mutating handler in ReadOnly mode. It reads
-// the readOnly shadow atomic, not cfg, because Promote flips the mode
-// while handlers are running.
-func (s *Server) requireWritable(w http.ResponseWriter) bool {
+// writable refuses a write in ReadOnly mode with 403. It reads the
+// readOnly shadow atomic, not cfg, because Promote flips the mode while
+// requests are running.
+func (s *Server) writable() error {
 	if !s.readOnly.Load() {
-		return true
+		return nil
 	}
 	role := "follower"
 	if id := s.Identity(); id != nil && id.Role != "" {
 		role = id.Role
 	}
-	WriteError(w, http.StatusForbidden, "node is read-only (%s); send writes to the primary", role)
-	return false
+	return WithStatus(http.StatusForbidden, fmt.Errorf("node is read-only (%s); send writes to the primary", role))
 }
 
 // WALGen reports the live WAL generation (0 when not replicating).

@@ -1124,23 +1124,13 @@ func (s *Server) Abort() {
 	}
 }
 
-// Hits returns a copy of the recorded watchlist hit log, oldest first.
-func (s *Server) Hits() []WatchHit {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]WatchHit(nil), s.hits...)
-}
-
 // distanceFor resolves a per-request distance override.
 func (s *Server) distanceFor(name string) (core.Distance, error) {
 	if name == "" {
 		return s.cfg.Distance, nil
 	}
-	d, ok := core.DistanceByName(name)
-	if !ok {
-		return nil, fmt.Errorf("server: unknown distance %q", name)
-	}
-	return d, nil
+	d, _ := core.DistanceByName(name)
+	return d, knownDistance(name)
 }
 
 // dedupCache is the bounded batch-ID → result map behind idempotent

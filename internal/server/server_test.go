@@ -156,7 +156,7 @@ func TestServerIngestQueryWatchlistAnomalies(t *testing.T) {
 
 	// Anomalies between windows 0 and 1: 10.0.0.3 changed (e9 → e8),
 	// the twins persisted or vanished.
-	an, err := c.Anomalies(0.5)
+	an, err := c.Anomalies("", 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,12 +311,12 @@ func TestServerSearchBatch(t *testing.T) {
 		t.Fatal("unknown batch distance accepted")
 	}
 
-	// Batch accounting: one batch_searches tick per decoded call (the
-	// unknown-distance refusal counts, the empty batch does not), one
-	// search_queries tick per slot.
+	// Batch accounting: one batch_searches tick per call the request
+	// validation let through (neither the unknown distance nor the empty
+	// batch counts), one search_queries tick per slot.
 	m := metricTotals(t, c)
-	if m["batch_searches"] != 4 {
-		t.Fatalf("batch_searches = %d, want 4", m["batch_searches"])
+	if m["batch_searches"] != 3 {
+		t.Fatalf("batch_searches = %d, want 3", m["batch_searches"])
 	}
 	if m["search_queries"] < int64(len(queries)+len(mixed)+2) {
 		t.Fatalf("search_queries = %d, want at least %d", m["search_queries"], len(queries)+len(mixed)+2)

@@ -1,6 +1,7 @@
 package simcheck
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
@@ -278,10 +279,10 @@ func (s *csim) failover() error {
 		return fmt.Errorf("simcheck: no label owned by shard 0")
 	}
 	req := server.SearchRequest{Label: label, K: 5}
-	routed, rerr := s.router.Search(req)
+	routed, rerr := s.router.Search(context.Background(), req)
 	refRes, ferr := s.ref.Search(req)
 	if rerr != nil || ferr != nil {
-		if rsc, fsc := server.APIStatus(rerr), server.APIStatus(ferr); rsc != fsc {
+		if rsc, fsc := server.Status(rerr), server.Status(ferr); rsc != fsc {
 			return s.fail("failover search %s: router status %d (%v), reference status %d (%v)",
 				label, rsc, rerr, fsc, ferr)
 		}
@@ -312,7 +313,7 @@ func (s *csim) failover() error {
 	// the reference dedups it too).
 	if s.lastID != "" {
 		s.note("failover: dedup replay of %s", s.lastID)
-		routed, rerr := s.router.Ingest(s.lastID, s.lastRecords)
+		routed, rerr := s.router.Ingest(context.Background(), s.lastID, s.lastRecords)
 		refRes, ferr := s.ref.IngestBatch(s.lastID, s.lastRecords)
 		if rerr != nil || ferr != nil {
 			return fmt.Errorf("simcheck: dedup replay %s: router %v, reference %v", s.lastID, rerr, ferr)
@@ -405,7 +406,7 @@ func (s *csim) ingestBoth(records []netflow.Record, kind string) error {
 	s.batchN++
 	id := fmt.Sprintf("%s-%06d", kind, s.batchN)
 	s.note("%s %s n=%d clock=%s", kind, id, len(records), s.clock.Format("15:04:05"))
-	routed, rerr := s.router.Ingest(id, records)
+	routed, rerr := s.router.Ingest(context.Background(), id, records)
 	refRes, ferr := s.ref.IngestBatch(id, records)
 	if rerr != nil || ferr != nil {
 		return fmt.Errorf("simcheck: ingest %s: router %v, reference %v", id, rerr, ferr)
@@ -462,12 +463,12 @@ func (s *csim) compareSearch() error {
 		req.LastWindows = 1 + s.rng.Intn(3)
 	}
 	s.note("search label=%s k=%d last=%d", req.Label, req.K, req.LastWindows)
-	routed, rerr := s.router.Search(req)
+	routed, rerr := s.router.Search(context.Background(), req)
 	refRes, ferr := s.ref.Search(req)
 	if rerr != nil || ferr != nil {
 		// Both sides must refuse the same queries the same way (e.g. a
 		// label with no archived signature yet).
-		if rs, fs := server.APIStatus(rerr), server.APIStatus(ferr); rs != fs {
+		if rs, fs := server.Status(rerr), server.Status(ferr); rs != fs {
 			return s.fail("search %s: router status %d (%v), reference status %d (%v)",
 				req.Label, rs, rerr, fs, ferr)
 		}
@@ -491,10 +492,10 @@ func (s *csim) compareHistory() error {
 	}
 	label := s.labels[s.rng.Intn(len(s.labels))]
 	s.note("history label=%s", label)
-	routed, rerr := s.router.History(label, server.HistoryQuery{})
+	routed, rerr := s.router.History(context.Background(), server.HistoryRequest{Label: label})
 	refRes, ferr := s.ref.History(label)
 	if rerr != nil || ferr != nil {
-		if rs, fs := server.APIStatus(rerr), server.APIStatus(ferr); rs != fs {
+		if rs, fs := server.Status(rerr), server.Status(ferr); rs != fs {
 			return s.fail("history %s: router status %d (%v), reference status %d (%v)",
 				label, rs, rerr, fs, ferr)
 		}
@@ -523,7 +524,7 @@ func (s *csim) opWatchlistAdd() error {
 		Label:      label,
 	}
 	s.note("watchlist add %s label=%s", req.Individual, label)
-	routed, rerr := s.router.WatchlistAdd(req)
+	routed, rerr := s.router.WatchlistAdd(context.Background(), req)
 	refRes, ferr := s.ref.WatchlistAdd(req)
 	if rerr != nil || ferr != nil {
 		if (rerr == nil) != (ferr == nil) {
@@ -543,7 +544,7 @@ func (s *csim) compareHits() error {
 		return err
 	}
 	s.note("watchlist hits")
-	routed, rerr := s.router.WatchlistHits()
+	routed, rerr := s.router.WatchlistHits(context.Background())
 	refRes, ferr := s.ref.WatchlistHits()
 	if rerr != nil || ferr != nil {
 		return fmt.Errorf("simcheck: watchlist hits: router %v, reference %v", rerr, ferr)
