@@ -52,11 +52,13 @@ crash-test:
 	$(GO) test -race ./internal/server/ \
 		-run 'Crash|Corrupt|Torn|SnapshotFailure|ShutdownSave|OldFormat|RefusedAtBoot|Throttled|Dedup|Retries|FailedSave|FollowerPoll|IngestLogs|RestartLogs'
 
-# Deterministic simulation (internal/simcheck): drives the real
-# store+WAL+server through a seeded ≥10k-op schedule of ingest, search,
-# snapshots, fault injection, restarts and torn-tail crashes, checked
-# against an in-memory reference model. A divergence prints the seed
-# and a minimized op trace; re-running the seed replays it exactly.
+# Deterministic simulation (internal/simcheck): one op generator drives
+# the real store+WAL+server through a seeded ≥10k-op schedule of ingest,
+# search, batch search, history, watchlist, snapshots, fault injection,
+# restarts and torn-tail crashes — and a router over in-process shards
+# through the same generator — checked against one in-memory reference
+# model. A divergence prints the seed and a minimized op trace;
+# re-running the seed replays it exactly.
 sim-smoke:
 	$(GO) test -race -run 'TestSim' ./internal/simcheck/
 
@@ -70,7 +72,8 @@ sim-smoke:
 # request costs no shard request and no client retry), partial-result
 # degradation with a shard down, and WAL-shipped follower catch-up
 # serving reads after the primary dies — plus the ring properties, the
-# RNG-driven cluster-equivalence simulation, and the one-address rule:
+# simulation's router seeds (the node's op generator against a router
+# over in-process shards, held to the same model), and the one-address rule:
 # the router refuses a shard of more than one address, the follower more
 # than one primary, and sigrouterd -shard a,b and sigserverd -follow a,b
 # are refused (a shard's replicas go in -follower, the prober's path).
@@ -85,7 +88,9 @@ cluster-smoke:
 # dedup continuity — plus the prober state-machine unit tests, a
 # promotion that fails (500, the follower's status fatal, nothing
 # counted, writes kept on the primary slot; TestProberPromoteFailure…),
-# and the fault-injecting simulation schedules. See DESIGN.md §13.
+# and the simulation's failover seeds (shard 0's primary killed mid-run,
+# the follower's read, promotion and dedup replay held to the model).
+# See DESIGN.md §13.
 failover-smoke:
 	$(GO) test -race -v -run 'TestClusterFailoverPromotion|TestProber|TestRouterIngestHonorsRetryAfter' \
 		./internal/cluster/

@@ -7,7 +7,9 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -157,5 +159,75 @@ func TestRouterLabelResolvePagesPastEmptySignatures(t *testing.T) {
 	mu.Unlock()
 	if _, err := rt.Search(context.Background(), server.SearchRequest{Label: "10.0.0.1"}); err == nil {
 		t.Fatal("label with only empty signatures resolved")
+	}
+}
+
+// TestRouterBatchResolvesEachLabelOnce: a routed batch resolves each
+// distinct label of its label slots once, at its owner: a batch naming
+// one label five times plus a label of the other shard costs two owner
+// reads, and every slot answers as the same single search does.
+func TestRouterBatchResolvesEachLabelOnce(t *testing.T) {
+	gcfg := datagen.DefaultEnterpriseConfig(31)
+	gcfg.LocalHosts = 12
+	gcfg.ExternalHosts = 120
+	gcfg.Communities = 2
+	gcfg.Windows = 3
+	gcfg.MultiusageIndividuals = 2
+	data, err := datagen.GenerateEnterprise(gcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reads atomic.Int64
+	var urls [][]string
+	for s := 0; s < 2; s++ {
+		srv, err := server.New(server.Config{Stream: testStreamConfig(gcfg), StoreCapacity: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.HasPrefix(r.URL.Path, "/v1/signatures/") {
+				reads.Add(1)
+			}
+			srv.Handler().ServeHTTP(w, r)
+		}))
+		t.Cleanup(func() { ts.Close(); srv.Abort() })
+		urls = append(urls, []string{ts.URL})
+	}
+	rt, err := NewRouter(Config{Shards: urls, Timeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.Ingest(context.Background(), "all", data.Records); err != nil {
+		t.Fatal(err)
+	}
+	repeated := datagen.LocalLabel(0)
+	other := ""
+	for i := 1; other == ""; i++ {
+		if l := datagen.LocalLabel(i); rt.Ring().Shard(l) != rt.Ring().Shard(repeated) {
+			other = l
+		}
+	}
+	var batch server.BatchSearchRequest
+	for k := 1; k <= 5; k++ {
+		batch.Queries = append(batch.Queries, server.SearchRequest{Label: repeated, K: k})
+	}
+	batch.Queries = append(batch.Queries, server.SearchRequest{Label: other, K: 3})
+
+	reads.Store(0)
+	resp, err := rt.SearchBatch(context.Background(), batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reads.Load(); got != 2 {
+		t.Fatalf("the batch cost %d owner reads, want 2", got)
+	}
+	for i, q := range batch.Queries {
+		single, err := rt.Search(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := mustJSON(t, resp.Results[i].Hits), mustJSON(t, single.Hits); resp.Results[i].Error != "" || got != want {
+			t.Fatalf("slot %d (%s): %s %s, single search %s", i, q.Label, resp.Results[i].Error, got, want)
+		}
 	}
 }

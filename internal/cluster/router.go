@@ -496,35 +496,101 @@ func (rt *Router) resolveLabelQuery(tr *obs.Trace, req server.SearchRequest) (se
 	oc, _ := rt.readClient(owner)
 	end, tc := tr.SpanWith(fmt.Sprintf("resolve.shard%d", owner))
 	defer end()
-	none := server.WithStatus(http.StatusNotFound, fmt.Errorf("label %q has no archived signature", req.Label))
+	sig, err := latestSignature(oc.Traced(tc), owner, req.Label)
+	if err != nil {
+		return req, err
+	}
+	return withSignature(req, sig), nil
+}
+
+// withSignature is label query req asked with sig, the label's latest
+// archived signature, instead.
+func withSignature(req server.SearchRequest, sig *server.SignatureJSON) server.SearchRequest {
+	req.Signature = sig
+	if req.ExcludeLabel == "" {
+		req.ExcludeLabel = req.Label
+	}
+	req.Label = ""
+	return req
+}
+
+// latestSignature is label's latest non-empty archived signature as its
+// owner shard, client c, holds it; a 404 when it holds none.
+func latestSignature(c *server.Client, owner int, label string) (*server.SignatureJSON, error) {
+	none := server.WithStatus(http.StatusNotFound, fmt.Errorf("label %q has no archived signature", label))
 	// Newest first, one entry to begin with: the newest archived
 	// signature is almost always non-empty, and asking for just it keeps
 	// the owner from parsing a cold block per window the label ever
 	// appeared in. When it is empty the page widens and moves back.
 	q := server.HistoryQuery{Limit: 1}
 	for {
-		hist, err := oc.Traced(tc).HistoryRange(req.Label, q)
+		hist, err := c.HistoryRange(label, q)
 		if server.APIStatus(err) == http.StatusNotFound {
-			return req, none
+			return nil, none
 		}
 		if err != nil {
-			return req, gateway(fmt.Errorf("cluster: resolving label %q at shard %d: %w", req.Label, owner, err))
+			return nil, gateway(fmt.Errorf("cluster: resolving label %q at shard %d: %w", label, owner, err))
 		}
 		for i := len(hist.History) - 1; i >= 0; i-- {
 			if len(hist.History[i].Signature.Nodes) > 0 {
-				req.Signature = &hist.History[i].Signature
-				if req.ExcludeLabel == "" {
-					req.ExcludeLabel = req.Label
-				}
-				req.Label = ""
-				return req, nil
+				return &hist.History[i].Signature, nil
 			}
 		}
 		if !hist.Truncated || len(hist.History) == 0 {
-			return req, none
+			return nil, none
 		}
 		q = server.HistoryQuery{To: hist.History[0].Window - 1, HasTo: true, Limit: 4 * q.Limit}
 	}
+}
+
+// resolved is one label's latest archived signature, or why there is
+// none.
+type resolved struct {
+	sig *server.SignatureJSON
+	err error
+}
+
+// resolveLabels resolves every distinct label of a batch's label slots
+// once, in one scatter over their owner shards — at most one call in
+// flight per shard, under the scatter deadline; each owner resolves its
+// labels one after another.
+func (rt *Router) resolveLabels(tr *obs.Trace, queries []server.SearchRequest) map[string]resolved {
+	out := map[string]resolved{}
+	byOwner := map[int][]string{}
+	clients := map[int]*server.Client{}
+	for _, q := range queries {
+		if _, seen := out[q.Label]; q.Label == "" || q.Signature != nil || seen {
+			continue
+		}
+		out[q.Label] = resolved{}
+		owner := rt.ring.Shard(q.Label)
+		if byOwner[owner] == nil {
+			clients[owner], _ = rt.readClient(owner)
+		}
+		byOwner[owner] = append(byOwner[owner], q.Label)
+	}
+	owners := make([]int, 0, len(byOwner))
+	for s := range byOwner {
+		owners = append(owners, s)
+	}
+	sort.Ints(owners)
+	answers := scatter(rt, tr, "resolve", owners, func(s int, tc obs.TraceContext) ([]resolved, error) {
+		res := make([]resolved, len(byOwner[s]))
+		for i, label := range byOwner[s] {
+			res[i].sig, res[i].err = latestSignature(clients[s].Traced(tc), s, label)
+		}
+		return res, nil
+	})
+	for _, a := range answers {
+		for i, label := range byOwner[a.shard] {
+			if a.err != nil {
+				out[label] = resolved{err: gateway(a.err)}
+			} else {
+				out[label] = a.val[i]
+			}
+		}
+	}
+	return out
 }
 
 // sortSearchHits orders merged shard hits under the store's exact
@@ -548,12 +614,14 @@ func sortSearchHits(hits []server.SearchHitJSON) {
 // snapshot with one pooled kernel scratch — then merges every slot's
 // per-shard top-k lists under the store comparator, exactly as Search
 // does for a single query. Label slots resolve at their owner shard
-// first. A slot the router cannot resolve for want of a signature goes
-// out as it came, so every shard refuses it in the words a node would;
-// one it cannot resolve for a failed owner carries the router's error.
+// first, each distinct label once (resolveLabels). A slot the router
+// cannot resolve for want of a signature goes out as it came, so every
+// shard refuses it in the words a node would; one it cannot resolve for
+// a failed or late owner carries the router's error.
 // Slot failures fail neither the batch nor the fan-out.
 func (rt *Router) SearchBatch(ctx context.Context, req server.BatchSearchRequest) (server.BatchSearchResponse, error) {
 	tr := server.TraceFrom(ctx)
+	labels := rt.resolveLabels(tr, req.Queries)
 	results := make([]server.BatchSearchResult, len(req.Queries))
 	ks := make([]int, len(req.Queries))
 	fan := server.BatchSearchRequest{Distance: req.Distance, Debug: req.Debug}
@@ -563,13 +631,12 @@ func (rt *Router) SearchBatch(ctx context.Context, req server.BatchSearchRequest
 			q.K = store.DefaultTopK
 		}
 		ks[i] = q.K
-		if q.Label != "" && q.Signature == nil {
-			resolved, err := rt.resolveLabelQuery(tr, q)
+		if r, ok := labels[q.Label]; ok && q.Signature == nil {
 			switch {
-			case err == nil:
-				q = resolved
-			case server.Status(err) != http.StatusNotFound:
-				results[i].Error = err.Error()
+			case r.err == nil:
+				q = withSignature(q, r.sig)
+			case server.Status(r.err) != http.StatusNotFound:
+				results[i].Error = r.err.Error()
 				continue
 			}
 		}

@@ -1,12 +1,14 @@
 // Package simcheck is a deterministic, seed-replayable simulation
-// harness for the serving stack. A run drives the real store + wal +
-// server ingest/search/snapshot/crash-recover paths from a generated
-// operation schedule and checks every observable result against a
-// small in-memory reference model: a map-based, label-keyed window
-// archive with naive distance loops. The harness owns all time (a
-// logical clock) and randomness (a stats.RNG per run), interleaves
-// operations with internal/fault failpoints (failed fsyncs, snapshot
-// saves failing before or after their commit, torn WAL tails), and on
+// harness for the serving stack. A run drives one target — a node, or a
+// cluster router over in-process shards — from a generated operation
+// schedule: writes through the target's ingest, reads through
+// server.API. Every observable result is checked against one small
+// in-memory reference model, a label-keyed window archive with naive
+// distance loops, which is the only oracle for both targets. On a node
+// the schedule also snapshots, flushes, restarts and crashes it under
+// internal/fault failpoints (failed fsyncs, snapshot saves failing
+// before or after their commit, torn WAL tails). The harness owns all
+// time (a logical clock) and randomness (a stats.RNG per run), and on
 // divergence reports the seed plus a minimized operation trace so the
 // failure replays exactly.
 //
@@ -14,35 +16,35 @@
 //   - WAL replay after a crash rebuilds exactly the durable records'
 //     store state (no loss beyond what the model says was volatile, no
 //     duplication, zero replay rejects).
-//   - snapshot + replay produce search/history/latest results
-//     identical to the model's label-space archive.
-//   - store search (flat SoA kernels, cold-block scans) agrees with
-//     naive distance loops: every search is exact and matches the
-//     model's full ranking within float tolerance — count bounds, and
-//     every certain hit present when the result is untruncated.
-//   - the server's universe interning order matches the model's, so
-//     signatures are bit-identical in label space.
+//   - search — flat SoA kernels, cold-block scans, a router's merge of
+//     per-shard top-k lists, a batch's slots alike — is exact: it
+//     matches the model's full ranking within float tolerance.
+//   - history within from/to/limit, its truncation, and the watchlist's
+//     hit log are the model's.
+//   - a node's universe interning order and every archived window
+//     match the model's, bit for bit in label space.
 //   - every source of a closed window that stayed within the sketch's
 //     candidate bound has the exact TT signature of the records the
 //     window took (model.closeExact).
 package simcheck
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"graphsig/internal/core"
 	"graphsig/internal/graph"
 	"graphsig/internal/netflow"
+	"graphsig/internal/server"
 	"graphsig/internal/stream"
 )
 
-// refSig is a signature in label space, preserving canonical entry
-// order (weight desc, NodeID asc — NodeID order is reproduced because
-// the model interns labels in the same order as the server).
+// refSig is a signature in label space, in canonical entry order
+// (weight desc, NodeID asc; the model interns as a node does).
 type refSig struct {
 	Labels  []string
 	Weights []float64
@@ -64,23 +66,20 @@ type labelPart struct {
 
 // toRefSig converts a core.Signature into label space via u.
 func toRefSig(u *graph.Universe, sig core.Signature) refSig {
-	out := refSig{
-		Labels:  make([]string, sig.Len()),
-		Weights: append([]float64(nil), sig.Weights...),
-	}
+	out := refSig{Labels: make([]string, sig.Len()), Weights: slices.Clone(sig.Weights)}
 	for i, n := range sig.Nodes {
 		out.Labels[i] = u.Label(n)
 	}
 	return out
 }
 
-// equalRefSig is exact (bit-level) signature equality in label space.
-func equalRefSig(a, b refSig) bool {
-	if len(a.Labels) != len(b.Labels) {
+// equalWindow is exact (bit-level) window equality in label space.
+func equalWindow(a, b refWindow) bool {
+	if a.Window != b.Window || a.Scheme != b.Scheme || !slices.Equal(a.Order, b.Order) {
 		return false
 	}
-	for i := range a.Labels {
-		if a.Labels[i] != b.Labels[i] || a.Weights[i] != b.Weights[i] {
+	for _, l := range a.Order {
+		if !slices.Equal(a.Sigs[l].Labels, b.Sigs[l].Labels) || !slices.Equal(a.Sigs[l].Weights, b.Sigs[l].Weights) {
 			return false
 		}
 	}
@@ -98,12 +97,7 @@ func (s refSig) weights() map[string]float64 {
 
 // toRefWindow converts an emitted signature set into label space.
 func toRefWindow(u *graph.Universe, set *core.SignatureSet) refWindow {
-	w := refWindow{
-		Window: set.Window,
-		Scheme: set.Scheme,
-		Order:  make([]string, len(set.Sources)),
-		Sigs:   make(map[string]refSig, len(set.Sources)),
-	}
+	w := refWindow{Window: set.Window, Scheme: set.Scheme, Order: make([]string, len(set.Sources)), Sigs: make(map[string]refSig, len(set.Sources))}
 	for i, v := range set.Sources {
 		label := u.Label(v)
 		w.Order[i] = label
@@ -120,9 +114,8 @@ type refArchive struct {
 	windows []refWindow
 }
 
-// add appends w if its index strictly exceeds the newest; reports
-// whether the window was kept (false mirrors store.Add's rejection of
-// duplicate/regressing indices, which the server drops silently).
+// add appends w if its index strictly exceeds the newest, and reports
+// whether it did (store.Add refuses the rest; the server drops them).
 func (a *refArchive) add(w refWindow) bool {
 	if n := len(a.windows); n > 0 && w.Window <= a.windows[n-1].Window {
 		return false
@@ -140,13 +133,22 @@ func (a *refArchive) clone() *refArchive {
 
 // latestSignature mirrors store.LatestSignature: the most recent
 // non-empty signature of label.
-func (a *refArchive) latestSignature(label string) (refSig, int, bool) {
+func (a *refArchive) latestSignature(label string) (refSig, bool) {
 	for i := len(a.windows) - 1; i >= 0; i-- {
 		if sig, ok := a.windows[i].Sigs[label]; ok && len(sig.Labels) > 0 {
-			return sig, a.windows[i].Window, true
+			return sig, true
 		}
 	}
-	return refSig{}, 0, false
+	return refSig{}, false
+}
+
+// windowRange is the oldest and newest archived window index (0, 0
+// when none is).
+func (a *refArchive) windowRange() (lo, hi int) {
+	if n := len(a.windows); n > 0 {
+		return a.windows[0].Window, a.windows[n-1].Window
+	}
+	return 0, 0
 }
 
 // refHistoryEntry mirrors store.HistoryEntry in label space.
@@ -156,15 +158,24 @@ type refHistoryEntry struct {
 	Sig    refSig
 }
 
-// history mirrors store.History.
-func (a *refArchive) history(label string) []refHistoryEntry {
-	var out []refHistoryEntry
+// history mirrors a node's history read: label's entries within q's
+// inclusive window bounds and, past q's limit (0 is
+// server.DefaultHistoryLimit, negative none), only the newest ones,
+// with truncated set.
+func (a *refArchive) history(label string, q server.HistoryQuery) (entries []refHistoryEntry, truncated bool) {
 	for _, w := range a.windows {
-		if sig, ok := w.Sigs[label]; ok {
-			out = append(out, refHistoryEntry{Window: w.Window, Scheme: w.Scheme, Sig: sig})
+		if sig, ok := w.Sigs[label]; ok && (!q.HasFrom || w.Window >= q.From) && (!q.HasTo || w.Window <= q.To) {
+			entries = append(entries, refHistoryEntry{Window: w.Window, Scheme: w.Scheme, Sig: sig})
 		}
 	}
-	return out
+	limit := q.Limit
+	if limit == 0 {
+		limit = server.DefaultHistoryLimit
+	}
+	if limit > 0 && len(entries) > limit {
+		return entries[len(entries)-limit:], true
+	}
+	return entries, false
 }
 
 // naiveDist computes the named distance between two label-space
@@ -184,11 +195,7 @@ func naiveDist(name string, a, b refSig) float64 {
 				inter++
 			}
 		}
-		union := len(am) + len(bm) - inter
-		if union == 0 {
-			return 0
-		}
-		return 1 - float64(inter)/float64(union)
+		return 1 - float64(inter)/float64(len(am)+len(bm)-inter)
 	case "dice":
 		num, den := 0.0, 0.0
 		for _, l := range a.Labels {
@@ -203,12 +210,16 @@ func naiveDist(name string, a, b refSig) float64 {
 		if den == 0 {
 			return 0
 		}
-		return clamp01(1 - num/den)
-	case "sdice":
+		return min(max(1-num/den, 0), 1)
+	case "sdice", "shel":
+		shared := math.Min
+		if name == "shel" {
+			shared = func(wa, wb float64) float64 { return math.Sqrt(wa * wb) }
+		}
 		num, den := 0.0, 0.0
 		for _, l := range a.Labels {
 			wa, wb := am[l], bm[l]
-			num += math.Min(wa, wb)
+			num += shared(wa, wb)
 			den += math.Max(wa, wb)
 		}
 		for _, l := range b.Labels {
@@ -219,55 +230,20 @@ func naiveDist(name string, a, b refSig) float64 {
 		if den == 0 {
 			return 0
 		}
-		return clamp01(1 - num/den)
-	case "shel":
-		num, den := 0.0, 0.0
-		for _, l := range a.Labels {
-			wa, wb := am[l], bm[l]
-			num += math.Sqrt(wa * wb)
-			den += math.Max(wa, wb)
-		}
-		for _, l := range b.Labels {
-			if _, ok := am[l]; !ok {
-				den += bm[l]
-			}
-		}
-		if den == 0 {
-			return 0
-		}
-		return clamp01(1 - num/den)
+		return min(max(1-num/den, 0), 1)
 	}
 	panic("simcheck: unknown distance " + name)
 }
 
-func clamp01(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	if x > 1 {
-		return 1
-	}
-	return x
-}
-
-// refHit is one reference search hit.
-type refHit struct {
-	Label  string
-	Window int
-	Dist   float64
-}
-
-// search computes the model's FULL ranked hit list (no top-k
-// truncation) for a query signature: every non-empty archived
-// signature within maxDist, ordered (dist asc, window desc, label
-// asc). lastWindows restricts to the newest n windows (0 = all);
-// exclude omits one label.
-func (a *refArchive) search(dist string, query refSig, maxDist float64, exclude string, lastWindows int) []refHit {
+// search is the model's FULL ranking (no top-k cut) of a query: every
+// non-empty archived signature within maxDist, but exclude's, in the
+// newest lastWindows windows (0 = all), by dist asc, window desc, label.
+func (a *refArchive) search(dist string, query refSig, maxDist float64, exclude string, lastWindows int) []server.SearchHitJSON {
 	windows := a.windows
 	if lastWindows > 0 && lastWindows < len(windows) {
 		windows = windows[len(windows)-lastWindows:]
 	}
-	var hits []refHit
+	var hits []server.SearchHitJSON
 	for _, w := range windows {
 		for _, label := range w.Order {
 			sig := w.Sigs[label]
@@ -275,106 +251,68 @@ func (a *refArchive) search(dist string, query refSig, maxDist float64, exclude 
 				continue
 			}
 			if d := naiveDist(dist, query, sig); d <= maxDist {
-				hits = append(hits, refHit{Label: label, Window: w.Window, Dist: d})
+				hits = append(hits, server.SearchHitJSON{Label: label, Window: w.Window, Dist: d})
 			}
 		}
 	}
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].Dist != hits[j].Dist {
-			return hits[i].Dist < hits[j].Dist
-		}
-		if hits[i].Window != hits[j].Window {
-			return hits[i].Window > hits[j].Window
-		}
-		return hits[i].Label < hits[j].Label
+	slices.SortFunc(hits, func(a, b server.SearchHitJSON) int {
+		return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(b.Window, a.Window), cmp.Compare(a.Label, b.Label))
 	})
 	return hits
 }
 
-// diskSnapshot is what the model believes a recovery would load from
-// the snapshot directory: the archived windows and the universe label
-// dump captured at save time (snapshots restore labels in NodeID
-// order, which the model must reproduce to keep interning aligned).
+// diskSnapshot is what a recovery would load from the snapshot
+// directory: the archive and the labels in NodeID order, which a
+// restore interns in that order.
 type diskSnapshot struct {
 	archive *refArchive
 	labels  []labelPart
 }
 
-// faultPlan is the failure the harness injects into ONE ingest
-// operation (at most one class per op, mirroring how real faults tend
+// faultPlan is the failure the harness injects into one ingest or
+// snapshot op (at most one class per op, mirroring how real faults tend
 // to arrive).
-type faultPlan struct {
-	// walFail makes WAL commits in the op fail (wal.sync): the records,
-	// origin frame and marker a failed commit carried are rolled back.
-	// The decision is made commit by commit — see walFault.
-	walFail walFault
-	// snapFail makes snapshot saves fail before the manifest rename
-	// (store.save.window / .window.commit / .labels / .labels.commit /
-	// .manifest): the old on-disk
-	// snapshot survives, the WAL is kept.
-	snapFail bool
-	// snapCommitted fails the save after the manifest rename
-	// (store.save.sweep): Save reports an error and the WAL is kept,
-	// but the new snapshot is committed and recovery loads it.
-	snapCommitted bool
-	// resetFail makes the post-save WAL truncation fail (wal.reset):
-	// the archive is saved but the log keeps its records.
-	resetFail bool
-	// segFail makes segment compaction fail (segment.write or a torn
-	// segment.commit): the store defers eviction and retains the window
-	// in RAM, so NOTHING observable changes — the model stays untouched,
-	// which is exactly the invariant under test. (Checkpoint window
-	// files go through the same commit sequence but fire the
-	// store.save.window points, so this plan never fails a save.)
-	segFail bool
-}
-
-// walFault says which of an op's WAL commits — a generation change's,
-// the batch end's, counted from 0 in the order they are made — fail.
-// Failing some and not others is what tells a log that carries a
-// batch's records and its marker in one commit from one that does not.
-type walFault uint8
+type faultPlan uint8
 
 const (
-	walFailAll   walFault = iota + 1 // every commit of the op
-	walFailFirst                     // the op's first commit only
-	walFailRest                      // every commit but the op's first
+	noFault faultPlan = iota
+	// The op's WAL commits fail (wal.sync), and what a failed commit
+	// carried — records, origin frame, marker — is rolled back. Failing
+	// some commits of an op and not others (a generation change's, the
+	// batch end's, counted from 0) tells a log that commits a batch's
+	// records with its marker from one that does not.
+	walFailAll   // every commit of the op
+	walFailFirst // the op's first commit only
+	walFailRest  // every commit but the op's first
+	// snapFail fails snapshot saves before the manifest rename: the old
+	// snapshot survives, the WAL is kept.
+	snapFail
+	// snapCommitted fails the save after the rename (store.save.sweep):
+	// Save errs and the WAL is kept, but recovery loads the new snapshot.
+	snapCommitted
+	// resetFail fails the post-save WAL truncation (wal.reset): the
+	// archive is saved, the log keeps its records.
+	resetFail
+	// segFail fails segment compaction (segment.write, or a torn
+	// segment.commit): eviction defers and the window stays in RAM, so
+	// nothing observable changes — the invariant under test. It never
+	// fails a save, whose window files fire store.save.window points.
+	segFail
 )
 
-func (f walFault) fails(commit int) bool {
-	switch f {
-	case walFailAll:
-		return true
-	case walFailFirst:
-		return commit == 0
-	case walFailRest:
-		return commit > 0
-	}
-	return false
+// walFails reports whether the plan fails the op's commit-th WAL commit.
+func (p faultPlan) walFails(commit int) bool {
+	return p == walFailAll || p == walFailFirst && commit == 0 || p == walFailRest && commit > 0
 }
 
 func (p faultPlan) String() string {
-	switch {
-	case p.walFail != 0:
-		return [...]string{walFailAll: "wal-fail", walFailFirst: "wal-fail-first", walFailRest: "wal-fail-rest"}[p.walFail]
-	case p.snapFail:
-		return "snap-fail"
-	case p.snapCommitted:
-		return "snap-committed"
-	case p.resetFail:
-		return "reset-fail"
-	case p.segFail:
-		return "seg-fail"
-	}
-	return "none"
+	return [...]string{"none", "wal-fail", "wal-fail-first", "wal-fail-rest", "snap-fail", "snap-committed", "reset-fail", "seg-fail"}[p]
 }
 
-// model is the reference implementation the real server is checked
-// against. It runs its own stream.Pipeline over its own universe —
-// fed exactly the same records, so label interning order, window
-// indices and signature bits all match — and mirrors the server's
-// durability bookkeeping (WAL contents, snapshot state, checkpoint
-// logic) at per-record granularity.
+// model is the reference the target is checked against. It runs its
+// own stream.Pipeline over its own universe, fed the same records, and
+// mirrors a node's durability bookkeeping (WAL contents, snapshot
+// state, checkpoint logic) at per-record granularity.
 type model struct {
 	cfg Config
 
@@ -393,6 +331,19 @@ type model struct {
 	walCommits     int              // WAL commits this op has made so far
 	walOriginKnown bool             // an origin frame is in the log
 	disk           *diskSnapshot    // nil: no loadable snapshot on disk
+
+	// Watch screening: the entries the target acknowledged, and the hits
+	// its log holds. Watch ops never meet a reboot (Config.Restarts
+	// folds them), so neither is carried across one.
+	watch []watchEntry
+	hits  []server.WatchHitJSON
+}
+
+// watchEntry is one acknowledged watchlist signature.
+type watchEntry struct {
+	individual string
+	window     int
+	sig        refSig
 }
 
 // logMark places one batch marker in the durable log: after its first
@@ -411,10 +362,9 @@ func newModel(cfg Config) (*model, error) {
 	return m, nil
 }
 
-// buildPipeline (re)creates the model's universe and pipeline, as the
-// server does at boot: labels restores a snapshot's interning order,
-// origin is the resolved window origin (zero = learn from the first
-// accepted record).
+// buildPipeline (re)creates the universe and pipeline as a node does at
+// boot: labels in a snapshot's interning order, and the resolved origin
+// (zero: learn it from the first accepted record).
 func (m *model) buildPipeline(labels []labelPart, origin time.Time) error {
 	m.u = graph.NewUniverse()
 	for _, lp := range labels {
@@ -433,10 +383,9 @@ func (m *model) buildPipeline(labels []labelPart, origin time.Time) error {
 	return nil
 }
 
-// exactSource is one source's open window as the records say it, not
-// as any sketch does: how many observations it made, their total, and
-// the sum per destination label (integer session counts, so the order
-// of addition cannot matter).
+// exactSource is one source's open window as the records, not a sketch,
+// say it: its observations, their total, and the sum per destination
+// (integer session counts: the order of addition cannot matter).
 type exactSource struct {
 	observations int
 	total        float64
@@ -447,10 +396,9 @@ type exactSource struct {
 // is the pipeline's failure and not a rejected record.
 var errNotExact = errors.New("simcheck: closed window is not exact below the candidate bound")
 
-// feed gives the model's pipeline one record, keeps the exact account
-// of the open window beside it, and holds every window the record
-// closes to that account. accepted is how many records the pipeline
-// took (0 for one it dropped).
+// feed gives the pipeline one record, keeps the exact account of the
+// open window beside it, and holds every window the record closes to
+// that account. accepted is 0 for a record the pipeline dropped.
 func (m *model) feed(r netflow.Record) (emitted []*core.SignatureSet, accepted int, err error) {
 	before := m.pipe.Ingested()
 	emitted, err = m.pipe.Ingest(r)
@@ -476,13 +424,12 @@ func (m *model) feed(r netflow.Record) (emitted []*core.SignatureSet, accepted i
 	return emitted, accepted, nil
 }
 
-// closeExact checks the invariant a closed window owes every source
-// that stayed within the candidate bound: its signature is the exact TT
-// signature of the records the window took — each destination's share
-// of the source's sessions, the K heaviest, ties on the stable label
-// key — on the bits of every weight. The real server's windows are held
-// to the model's bit for bit elsewhere, so this binds them too. It
-// empties the account: the next window starts clean.
+// closeExact checks what a closed window owes every source that stayed
+// within the candidate bound: the exact TT signature of the records the
+// window took — each destination's share of the source's sessions, the
+// K heaviest, ties on the stable label key — to the bit. A node's
+// windows are held to the model's, so this binds them too. The account
+// empties: the next window starts clean.
 func (m *model) closeExact(set *core.SignatureSet) error {
 	scfg := m.cfg.streamConfig()
 	for label, src := range m.open {
@@ -497,7 +444,7 @@ func (m *model) closeExact(set *core.SignatureSet) error {
 		want := core.FromWeightsKeyed(weights, scfg.K, m.u.StableKey)
 		id, _ := m.u.Lookup(label)
 		got, ok := set.Get(id)
-		if !ok || !equalRefSig(toRefSig(m.u, got), toRefSig(m.u, want)) {
+		if !ok || !slices.Equal(got.Nodes, want.Nodes) || !slices.Equal(got.Weights, want.Weights) {
 			return fmt.Errorf("%w: window %d source %q (%d observations): streamed %v, exact %v",
 				errNotExact, set.Window, label, src.observations, got, want)
 		}
@@ -506,44 +453,81 @@ func (m *model) closeExact(set *core.SignatureSet) error {
 	return nil
 }
 
-// universeDump returns the model universe's labels in NodeID order.
-func (m *model) universeDump() []labelPart {
-	out := make([]labelPart, m.u.Size())
-	for id := 0; id < m.u.Size(); id++ {
-		nid := graph.NodeID(id)
-		out[id] = labelPart{Label: m.u.Label(nid), Part: m.u.PartOf(nid)}
+// archiveWindow archives a closed window and reports whether it was
+// kept. As a node screens every window it keeps (apps.Watchlist.Query
+// under its distance, jaccard, and watchLimit), every non-empty
+// signature of it meets every watch entry, and each individual within
+// the limit hits once, at its best entry: the smallest distance, the
+// newer window on a tie.
+func (m *model) archiveWindow(set *core.SignatureSet) bool {
+	w := toRefWindow(m.u, set)
+	if !m.archive.add(w) {
+		return false
+	}
+	for _, label := range w.Order {
+		sig := w.Sigs[label]
+		if len(sig.Labels) == 0 {
+			continue
+		}
+		best := map[string]server.WatchHitJSON{}
+		for _, e := range m.watch {
+			d := naiveDist("jaccard", sig, e.sig)
+			if d > watchLimit {
+				continue
+			}
+			if cur, seen := best[e.individual]; !seen || d < cur.Dist || d == cur.Dist && e.window > cur.ArchivedWindow {
+				best[e.individual] = server.WatchHitJSON{Window: w.Window, Label: label, Individual: e.individual, ArchivedWindow: e.window, Dist: d}
+			}
+		}
+		for _, h := range best {
+			m.hits = append(m.hits, h)
+		}
+	}
+	return true
+}
+
+// watchAdd mirrors WatchlistAdd of a label: every non-empty archived
+// signature of label becomes an entry of individual, and the add
+// commits to the log. It reports the entries archived; none is the
+// node's 404.
+func (m *model) watchAdd(individual, label string) int {
+	n := 0
+	entries, _ := m.archive.history(label, server.HistoryQuery{Limit: -1})
+	for _, e := range entries {
+		if len(e.Sig.Labels) > 0 {
+			m.watch = append(m.watch, watchEntry{individual: individual, window: e.Window, sig: e.Sig})
+			n++
+		}
+	}
+	if n > 0 {
+		m.commit(noFault, "")
+	}
+	return n
+}
+
+// universeDump returns u's labels in NodeID order.
+func universeDump(u *graph.Universe) []labelPart {
+	out := make([]labelPart, u.Size())
+	for id := range out {
+		out[id] = labelPart{Label: u.Label(graph.NodeID(id)), Part: u.PartOf(graph.NodeID(id))}
 	}
 	return out
 }
 
 // ingestOutcome is the model's prediction for one IngestBatch call.
 type ingestOutcome struct {
-	Accepted      int
-	Dropped       int
-	Rejected      int
-	WindowsClosed int
-	CurrentWindow int
+	Accepted, Dropped, Rejected, WindowsClosed, CurrentWindow int
 }
 
 // ingest mirrors Server.ingestLocked record by record under the given
 // fault plan: accepted records are staged, a window close checkpoints
 // (which drops what is staged when the snapshot takes it), and one
 // commit at the end — where the server acknowledges — makes the rest
-// durable.
-func (m *model) ingest(id string, records []netflow.Record, plan faultPlan) (ingestOutcome, error) {
-	return m.ingestUntil(id, records, plan, false)
-}
-
-// crashInside is an ingest cut short where sim.opCrashInside's crash
-// lands: right after the batch's first checkpoint. Nothing staged after
-// it, and no marker, ever reaches the log; the reopen that follows
+// durable. crashInside cuts it short where sim.opCrashInside's crash
+// lands, right after the batch's first checkpoint: nothing staged after
+// it, and no marker, ever reaches the log, and the reopen that follows
 // rebuilds everything else from what the disk holds.
-func (m *model) crashInside(records []netflow.Record) error {
-	_, err := m.ingestUntil("", records, faultPlan{}, true)
-	return err
-}
-
-func (m *model) ingestUntil(id string, records []netflow.Record, plan faultPlan, crashAfterCheckpoint bool) (ingestOutcome, error) {
+func (m *model) ingest(id string, records []netflow.Record, plan faultPlan, crashInside bool) (ingestOutcome, error) {
 	var out ingestOutcome
 	m.walStaged, m.walCommits = m.walStaged[:0], 0
 	for i := range records {
@@ -557,16 +541,16 @@ func (m *model) ingestUntil(id string, records []netflow.Record, plan faultPlan,
 		}
 		if len(emitted) > 0 {
 			m.pending = 0
+			// The server counts every emitted window, even one the store
+			// drops as a snapshot-overlap index conflict.
+			out.WindowsClosed += len(emitted)
 			for _, set := range emitted {
-				// The server counts every emitted window, even one the
-				// store drops as a snapshot-overlap index conflict.
-				m.archive.add(toRefWindow(m.u, set))
-				out.WindowsClosed++
+				m.archiveWindow(set)
 			}
 			if m.checkpoint(plan) {
 				m.walStaged = m.walStaged[:0]
 			}
-			if crashAfterCheckpoint {
+			if crashInside {
 				m.walStaged = m.walStaged[:0]
 				return out, nil
 			}
@@ -592,7 +576,7 @@ func (m *model) ingestUntil(id string, records []netflow.Record, plan faultPlan,
 // the origin, which the log holds only after a commit that carried it
 // succeeded.
 func (m *model) commit(plan faultPlan, id string) {
-	if !plan.walFail.fails(m.walCommits) {
+	if !plan.walFails(m.walCommits) {
 		m.walOriginKnown = m.walOriginKnown || m.originKnown()
 		m.durable = append(m.durable, m.walStaged...)
 		if id != "" {
@@ -608,17 +592,16 @@ func (m *model) commit(plan faultPlan, id string) {
 // they do not once a save that reported success holds their windows,
 // whatever then becomes of the log.
 func (m *model) checkpoint(plan faultPlan) bool {
-	switch {
-	case plan.snapFail:
+	if plan == snapFail {
 		return false // save failed before its rename; disk and WAL unchanged
-	case plan.snapCommitted:
+	}
+	m.save()
+	switch plan {
+	case snapCommitted:
 		// Save reported failure, so the WAL is kept — but the manifest
 		// rename happened and a recovery loads the new snapshot.
-		m.disk = &diskSnapshot{archive: m.archive.clone(), labels: m.universeDump()}
 		return false
-	}
-	m.disk = &diskSnapshot{archive: m.archive.clone(), labels: m.universeDump()}
-	if plan.resetFail {
+	case resetFail:
 		return true // truncation failed: the log keeps what it held
 	}
 	// The truncation, then at once the commit of the new generation's
@@ -638,10 +621,15 @@ func (m *model) originKnown() bool {
 // snapshot mirrors Server.Snapshot (a save between closes, no WAL
 // truncation).
 func (m *model) snapshot(plan faultPlan) {
-	if plan.snapFail {
-		return
+	if plan != snapFail {
+		m.save()
 	}
-	m.disk = &diskSnapshot{archive: m.archive.clone(), labels: m.universeDump()}
+}
+
+// save is a snapshot save that commits: the archive and the interning
+// order are what a recovery loads.
+func (m *model) save() {
+	m.disk = &diskSnapshot{archive: m.archive.clone(), labels: universeDump(m.u)}
 }
 
 // flushWindow mirrors Server.Flush: close the open window if any
@@ -658,7 +646,7 @@ func (m *model) flushWindow() (int, error) {
 		return 0, err
 	}
 	m.pending = 0
-	m.archive.add(toRefWindow(m.u, set))
+	m.archiveWindow(set)
 	return 1, nil
 }
 
@@ -668,7 +656,7 @@ func (m *model) shutdown() error {
 	if _, err := m.flushWindow(); err != nil {
 		return err
 	}
-	m.disk = &diskSnapshot{archive: m.archive.clone(), labels: m.universeDump()}
+	m.save()
 	m.durable, m.durableMarks = m.durable[:0], nil
 	m.walOriginKnown = m.originKnown()
 	return nil
@@ -677,24 +665,17 @@ func (m *model) shutdown() error {
 // expectedRecovery is the model's prediction of server.Recovery after
 // a reopen.
 type expectedRecovery struct {
-	SnapshotRestored bool
-	WALRecords       int
-	WALTornBytes     int64
-	WALWindowsClosed int
+	SnapshotRestored             bool
+	WALRecords, WALWindowsClosed int
+	WALTornBytes                 int64
 }
 
-// reopen mirrors Server.New over the modeled disk state: restore the
-// snapshot's archive and interning order, resolve the origin, replay
-// the durable records (mirroring replayWAL's drop-on-conflict and
-// post-replay checkpoint), and predict the Recovery report. tornBytes
-// is the garbage the harness appended to the real WAL before reopen.
+// reopen mirrors Server.New over the modeled disk: restore the
+// snapshot, resolve the origin, replay the durable records (replayWAL's
+// drop-on-conflict and post-replay checkpoint), and predict the
+// Recovery report; tornBytes were appended to the real WAL.
 func (m *model) reopen(tornBytes int64) (expectedRecovery, error) {
-	exp := expectedRecovery{
-		SnapshotRestored: m.disk != nil,
-		WALRecords:       len(m.durable),
-		WALTornBytes:     tornBytes,
-	}
-
+	exp := expectedRecovery{SnapshotRestored: m.disk != nil, WALRecords: len(m.durable), WALTornBytes: tornBytes}
 	var labels []labelPart
 	m.archive = &refArchive{cap: m.cfg.archiveCap()}
 	if m.disk != nil {
@@ -712,14 +693,12 @@ func (m *model) reopen(tornBytes int64) (expectedRecovery, error) {
 	if err := m.buildPipeline(labels, origin); err != nil {
 		return exp, err
 	}
-	m.pending = 0
-	m.walStaged = m.walStaged[:0]
+	m.pending, m.walStaged = 0, m.walStaged[:0]
 
 	// Mirror Server.replayWAL.
 	replayed := m.durable
 	m.durable = nil
 	var tail []netflow.Record
-	windowsKept := 0
 	for i := range replayed {
 		emitted, accepted, err := m.feed(replayed[i])
 		if err != nil {
@@ -729,8 +708,8 @@ func (m *model) reopen(tornBytes int64) (expectedRecovery, error) {
 			tail = tail[:0]
 			m.pending = 0
 			for _, set := range emitted {
-				if m.archive.add(toRefWindow(m.u, set)) {
-					windowsKept++
+				if m.archiveWindow(set) {
+					exp.WALWindowsClosed++
 				}
 			}
 		}
@@ -739,10 +718,9 @@ func (m *model) reopen(tornBytes int64) (expectedRecovery, error) {
 			tail = append(tail, replayed[i])
 		}
 	}
-	exp.WALWindowsClosed = windowsKept
-	if windowsKept > 0 {
+	if exp.WALWindowsClosed > 0 {
 		// Post-replay checkpoint (no faults are active during reopen).
-		m.disk = &diskSnapshot{archive: m.archive.clone(), labels: m.universeDump()}
+		m.save()
 		m.durable, m.durableMarks = append(m.durable[:0], tail...), nil // the rewritten tail is records only
 		m.walOriginKnown = m.originKnown()
 	} else {

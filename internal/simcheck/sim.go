@@ -1,12 +1,17 @@
 package simcheck
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"time"
 
+	"graphsig/internal/cluster"
 	"graphsig/internal/fault"
 	"graphsig/internal/netflow"
 	"graphsig/internal/server"
@@ -28,6 +33,15 @@ const distTol = 1e-9
 // traceLen bounds the op trace kept for divergence reports.
 const traceLen = 64
 
+// The fixed shape of every run: a pool of 18 hosts, signatures of
+// length 4, windows of 5 minutes of logical time.
+const (
+	simLabels  = 18
+	simK       = 4
+	simWindow  = 5 * time.Minute
+	watchLimit = 0.9 // every node's WatchMaxDist
+)
+
 // Config parameterizes one simulation run.
 type Config struct {
 	// Seed drives the whole schedule; the same seed replays the same
@@ -35,71 +49,62 @@ type Config struct {
 	Seed int64
 	// Ops is the schedule length.
 	Ops int
-	// Dir is the scratch directory for the snapshot + WAL (required;
-	// reused state from a previous run makes the model diverge, so give
-	// every run a fresh directory).
+	// Dir is the scratch directory for a node's snapshot + WAL, or for
+	// the failing shard and its follower (required; give every run a
+	// fresh one: reused state makes the model diverge).
 	Dir string
-	// Labels sizes the host pool (default 18).
-	Labels int
-	// Capacity bounds the store ring (default 5).
+	// Capacity bounds every store ring (default 5).
 	Capacity int
-	// K is the signature length (default 4).
-	K int
-	// WindowSize is the aggregation window (default 5m of logical time).
-	WindowSize time.Duration
+	// SketchWidth is the cells per row of the streaming sketch (default
+	// 8: a sparse source read through so few would not come out exact,
+	// model.closeExact).
+	SketchWidth int
 	// ExplicitOrigin pins the pipeline origin to simT0; otherwise the
 	// origin is learned from the first accepted record and restored via
-	// the WAL across restarts.
+	// the WAL across restarts. A router target needs it, or each shard
+	// would anchor its own window grid (DESIGN.md §12).
 	ExplicitOrigin bool
-	// Faults interleaves failpoint injection (failed fsyncs, snapshot
-	// saves failing before or after their commit, failed WAL
-	// truncation) into ingest and snapshot ops.
-	Faults bool
-	// Restarts interleaves graceful restarts, crashes, and crashes with
-	// torn WAL tails.
-	Restarts bool
-	// CrashInside turns some of the Restarts schedule's crashes into ones
-	// that land inside an ingest — after the batch's first checkpoint,
-	// before the commit at its end — each followed by the reboot and the
-	// client's retry of the batch. Off, a seed keeps the schedule it had
-	// before the op existed.
-	CrashInside bool
-	// Segments attaches a cold segment tier under Dir: the ring stays at
-	// Capacity while compaction moves evictions into immutable segment
-	// files, and the model turns unbounded — every window ever closed
-	// must stay servable through History/Search/Window across crashes.
-	// With Faults on, compaction failures (clean and torn-commit) are
-	// injected too; they must defer eviction, never lose a window.
+	// Node only: Faults interleaves failpoint injection (failed fsyncs,
+	// snapshot saves failing before or after their commit, failed WAL
+	// truncation) into ingest and snapshot ops; Restarts interleaves
+	// graceful restarts, crashes, and crashes with torn WAL tails;
+	// CrashInside turns some of those crashes into ones inside an ingest,
+	// after its first checkpoint, each followed by the reboot and the
+	// client's retry (off, a seed keeps the schedule it had before the op
+	// existed).
+	Faults, Restarts, CrashInside bool
+	// Segments (node only) attaches a cold segment tier under Dir: the
+	// ring stays at Capacity while compaction moves evictions into
+	// segment files, and the model turns unbounded — every window ever
+	// closed must stay servable across crashes, and an injected
+	// compaction failure must defer eviction, never lose a window.
 	Segments bool
+	// Shards, when set, makes the target a cluster router over that many
+	// in-process shards: it must answer as the model of one node holding
+	// the whole stream does.
+	Shards int
+	// Failover gives shard 0 a WAL-shipping follower and kills its
+	// primary halfway through the run: a read must answer at full width
+	// through the follower, the prober promotes it, and a replay of the
+	// last batch sent before the kill must come back deduplicated.
+	Failover bool
 }
 
 func (c Config) withDefaults() Config {
-	if c.Labels == 0 {
-		c.Labels = 18
-	}
-	if c.Capacity == 0 {
-		c.Capacity = 5
-	}
-	if c.K == 0 {
-		c.K = 4
-	}
-	if c.WindowSize == 0 {
-		c.WindowSize = 5 * time.Minute
-	}
+	c.Capacity = cmp.Or(c.Capacity, 5)
+	c.SketchWidth = cmp.Or(c.SketchWidth, 8)
 	return c
 }
 
 // streamConfig is the pipeline configuration shared (by value) between
-// the real server and the model's mirror pipeline.
+// the real nodes and the model's mirror pipeline.
 func (c Config) streamConfig() stream.Config {
 	sc := stream.Config{
-		WindowSize: c.WindowSize,
+		WindowSize: simWindow,
 		TCPOnly:    true, // exercise the dropped-record path
-		K:          c.K,
+		K:          simK,
 		Scheme:     "tt",
-		// 8 cells a row: a sparse source read through them would not
-		// come out exact (model.closeExact).
-		Sketch: sketch.StreamConfig{Depth: 2, Width: 8, Candidates: 16, Seed: 9},
+		Sketch:     sketch.StreamConfig{Depth: 2, Width: c.SketchWidth, Candidates: 16, Seed: 9},
 	}
 	if c.ExplicitOrigin {
 		sc.Origin = simT0
@@ -107,13 +112,16 @@ func (c Config) streamConfig() stream.Config {
 	return sc
 }
 
+// serverConfig is every node's configuration, the durable parts aside.
 func (c Config) serverConfig() server.Config {
-	scfg := server.Config{
-		Stream:        c.streamConfig(),
-		StoreCapacity: c.Capacity,
-		SnapshotDir:   filepath.Join(c.Dir, "snap"),
-		DedupCap:      512,
-	}
+	return server.Config{Stream: c.streamConfig(), StoreCapacity: c.Capacity, WatchMaxDist: server.Float64(watchLimit), DedupCap: 512}
+}
+
+// nodeConfig is the single node's: durable under Dir, and tiered with
+// Segments.
+func (c Config) nodeConfig() server.Config {
+	scfg := c.serverConfig()
+	scfg.SnapshotDir = filepath.Join(c.Dir, "snap")
 	if c.Segments {
 		scfg.SegmentDir = filepath.Join(c.Dir, "segments")
 	}
@@ -129,7 +137,7 @@ func (c Config) archiveCap() int {
 	return c.Capacity
 }
 
-// Divergence is a model/server disagreement: the seed and op index
+// Divergence is a model/target disagreement: the seed and op index
 // replay it exactly (same Config, same Seed, Ops ≥ Op+1), and Trace
 // holds the ops leading up to it.
 type Divergence struct {
@@ -140,16 +148,8 @@ type Divergence struct {
 }
 
 func (d *Divergence) Error() string {
-	return fmt.Sprintf("simcheck: seed %d diverged at op %d: %s\ntrace (last %d ops):\n%s",
-		d.Seed, d.Op, d.Detail, len(d.Trace), formatTrace(d.Trace))
-}
-
-func formatTrace(trace []string) string {
-	out := ""
-	for _, t := range trace {
-		out += "  " + t + "\n"
-	}
-	return out
+	return fmt.Sprintf("simcheck: seed %d diverged at op %d: %s\ntrace (last %d ops):\n  %s\n",
+		d.Seed, d.Op, d.Detail, len(d.Trace), strings.Join(d.Trace, "\n  "))
 }
 
 // sentBatch remembers an ingested batch so a later op can retry it and
@@ -160,19 +160,34 @@ type sentBatch struct {
 	outcome server.IngestResult
 }
 
-// sim is one run's mutable state.
+// sim is one run's state. Reads go through api, writes through ingest;
+// srv is a node target's node, router a cluster target's router.
 type sim struct {
 	cfg   Config
 	rng   *stats.RNG
-	srv   *server.Server
 	model *model
 
-	clock   time.Time
-	labels  []string
-	batchN  int
-	batches []sentBatch // recent batches for retry ops (bounded ring)
-	trace   []string
-	op      int
+	api    server.API
+	ingest func(id string, records []netflow.Record) (server.IngestResult, error)
+	srv    *server.Server
+	router *cluster.Router
+	stops  []func() // the target's teardown, run newest first
+
+	// A router target's topology (cluster.go): one barrier label owned by
+	// each shard, and under Failover shard 0's address, its kill switch
+	// and its follower.
+	barriers []string
+	shard0   string
+	kill     func()
+	follower *cluster.Follower
+
+	clock       time.Time
+	labels      []string
+	batchN      int
+	individuals int         // watch adds acknowledged
+	batches     []sentBatch // recent batches for retry ops (bounded ring)
+	trace       []string
+	op          int
 }
 
 // Run executes a simulation and returns nil or a *Divergence (any
@@ -180,33 +195,52 @@ type sim struct {
 // disagreement).
 func Run(cfg Config) error {
 	cfg = cfg.withDefaults()
-	if cfg.Dir == "" {
+	switch {
+	case cfg.Dir == "":
 		return fmt.Errorf("simcheck: Config.Dir is required")
+	case cfg.Shards > 0 && (!cfg.ExplicitOrigin || cfg.Faults || cfg.Restarts || cfg.CrashInside || cfg.Segments):
+		return fmt.Errorf("simcheck: a router target needs ExplicitOrigin and runs no node-only schedule")
+	case cfg.Failover && cfg.Shards == 0:
+		return fmt.Errorf("simcheck: Failover needs Shards")
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return fmt.Errorf("simcheck: %w", err)
-	}
-	s := &sim{cfg: cfg, rng: stats.NewRNG(cfg.Seed), clock: simT0}
-	for i := 0; i < cfg.Labels; i++ {
-		s.labels = append(s.labels, fmt.Sprintf("h%02d", i))
 	}
 	m, err := newModel(cfg)
 	if err != nil {
 		return err
 	}
-	s.model = m
-	srv, err := server.New(cfg.serverConfig())
-	if err != nil {
-		return fmt.Errorf("simcheck: server: %w", err)
+	s := &sim{cfg: cfg, rng: stats.NewRNG(cfg.Seed), model: m, clock: simT0}
+	for i := 0; i < simLabels; i++ {
+		s.labels = append(s.labels, fmt.Sprintf("h%02d", i))
 	}
-	s.srv = srv
 	defer func() {
-		if s.srv != nil {
-			s.srv.Abort()
+		for i := len(s.stops) - 1; i >= 0; i-- {
+			s.stops[i]()
 		}
 	}()
-
+	if cfg.Shards > 0 {
+		err = s.startCluster()
+	} else {
+		err = s.boot()
+		s.ingest = func(id string, records []netflow.Record) (server.IngestResult, error) {
+			return s.srv.IngestBatch(id, records), nil
+		}
+		s.stops = append(s.stops, func() {
+			if s.srv != nil {
+				s.srv.Abort()
+			}
+		})
+	}
+	if err != nil {
+		return err
+	}
 	for s.op = 0; s.op < cfg.Ops; s.op++ {
+		if cfg.Failover && s.op == cfg.Ops/2 {
+			if err := s.failover(); err != nil {
+				return err
+			}
+		}
 		if err := s.step(); err != nil {
 			return err
 		}
@@ -216,7 +250,20 @@ func Run(cfg Config) error {
 			}
 		}
 	}
+	if err := s.opHits(); err != nil {
+		return err
+	}
 	return s.deepCompare("final")
+}
+
+// boot starts the node over what Dir holds.
+func (s *sim) boot() error {
+	srv, err := server.New(s.cfg.nodeConfig())
+	if err != nil {
+		return fmt.Errorf("simcheck: server: %w", err)
+	}
+	s.srv, s.api = srv, srv
+	return nil
 }
 
 // Minimize re-runs cfg truncated to just past the divergence's op in a
@@ -229,57 +276,51 @@ func Minimize(cfg Config, div *Divergence) (*Divergence, error) {
 	if err != nil {
 		return nil, fmt.Errorf("simcheck: %w", err)
 	}
-	trimmed := cfg
-	trimmed.Dir = sub
-	trimmed.Ops = div.Op + 1
-	err = Run(trimmed)
-	if err == nil {
-		return nil, nil
+	cfg.Dir, cfg.Ops = sub, div.Op+1
+	var d *Divergence
+	if err := Run(cfg); err != nil && !errors.As(err, &d) {
+		return nil, err
 	}
-	if d, ok := err.(*Divergence); ok {
-		return d, nil
-	}
-	return nil, err
+	return d, nil
 }
 
 // fail builds a Divergence for the current op.
 func (s *sim) fail(format string, args ...any) error {
-	return &Divergence{
-		Seed:   s.cfg.Seed,
-		Op:     s.op,
-		Detail: fmt.Sprintf(format, args...),
-		Trace:  append([]string(nil), s.trace...),
-	}
+	return &Divergence{Seed: s.cfg.Seed, Op: s.op, Detail: fmt.Sprintf(format, args...), Trace: slices.Clone(s.trace)}
 }
 
 // note appends an op description to the bounded trace.
 func (s *sim) note(format string, args ...any) {
 	s.trace = append(s.trace, fmt.Sprintf("op %4d: ", s.op)+fmt.Sprintf(format, args...))
 	if over := len(s.trace) - traceLen; over > 0 {
-		s.trace = append(s.trace[:0:0], s.trace[over:]...)
+		s.trace = slices.Delete(s.trace, 0, over)
 	}
 }
 
 // step runs one scheduled operation and its per-op invariant checks.
 func (s *sim) step() error {
-	r := s.rng.Float64()
-	if !s.cfg.Restarts {
-		// Fold the restart budget back into ingest.
-		if r >= 0.90 {
-			r = 0.25
-		}
-	}
-	switch {
-	case r < 0.55:
+	switch r := s.rng.Float64(); {
+	case r >= 0.90 && !s.cfg.Restarts, r >= 0.84 && s.router != nil, r >= 0.70 && r < 0.80 && s.cfg.Restarts:
+		// What the target does not run folds into ingest: restarts
+		// without Restarts, snapshots and flushes on a router, and watch
+		// ops across reboots, which empty a node's memory-only hit log.
 		return s.opIngest()
-	case r < 0.70:
+	case r < 0.45:
+		return s.opIngest()
+	case r < 0.57:
 		return s.opSearch()
-	case r < 0.80:
+	case r < 0.61:
+		return s.opBatchSearch()
+	case r < 0.70:
 		return s.opHistory()
+	case r < 0.75:
+		return s.opWatchAdd()
+	case r < 0.80:
+		return s.opHits()
 	case r < 0.84:
-		return s.opSnapshot()
-	case r < 0.88:
 		return s.opRetry()
+	case r < 0.88:
+		return s.opSnapshot()
 	case r < 0.90:
 		return s.opFlush()
 	case r < 0.93:
@@ -296,24 +337,18 @@ func (s *sim) step() error {
 // pickPlan draws this op's fault plan (none unless faults are on).
 func (s *sim) pickPlan() faultPlan {
 	if !s.cfg.Faults || !s.rng.Bernoulli(0.12) {
-		return faultPlan{}
+		return noFault
 	}
-	switch f := s.rng.Float64(); {
-	case f < 0.20:
-		return faultPlan{walFail: walFailAll}
-	case f < 0.30:
-		return faultPlan{walFail: walFailFirst}
-	case f < 0.40:
-		return faultPlan{walFail: walFailRest}
-	case f < 0.70:
-		return faultPlan{snapFail: true}
-	case f < 0.85:
-		return faultPlan{snapCommitted: true}
-	case f < 0.92 && s.cfg.Segments:
-		return faultPlan{segFail: true}
-	default:
-		return faultPlan{resetFail: true}
+	f := s.rng.Float64()
+	for i, below := range []float64{0.20, 0.30, 0.40, 0.70, 0.85} { // walFailAll .. snapCommitted
+		if f < below {
+			return walFailAll + faultPlan(i)
+		}
 	}
+	if f < 0.92 && s.cfg.Segments {
+		return segFail
+	}
+	return resetFail
 }
 
 // faultNames are the failpoints the harness may install; cleared (by
@@ -330,34 +365,31 @@ var faultNames = []string{
 func (s *sim) installPlan(plan faultPlan) func() {
 	errInjected := fmt.Errorf("simcheck: injected fault (%s)", plan)
 	hook := func() error { return errInjected }
-	switch {
-	case plan.walFail != 0:
+	switch plan {
+	case walFailAll, walFailFirst, walFailRest:
 		commit := 0 // every WAL commit hits wal.sync once
 		fault.Set("wal.sync", func() error {
 			commit++
-			if plan.walFail.fails(commit - 1) {
+			if plan.walFails(commit - 1) {
 				return errInjected
 			}
 			return nil
 		})
-	case plan.snapFail:
-		// Vary which stage of the save dies. A save with no new window
-		// or label to write never reaches their points, so the manifest
-		// point is armed behind them: one way or the other the save dies
-		// before its rename.
+	case snapFail:
+		// Vary which stage of the save dies; the manifest point, armed
+		// behind, kills a save with no new window or label to write.
 		name := []string{"store.save.window", "store.save.window.commit", "store.save.labels", "store.save.labels.commit",
 			"store.save.manifest"}[s.rng.Intn(5)]
 		fault.Set(name, hook)
 		fault.Set("store.save.manifest", hook)
-	case plan.snapCommitted:
+	case snapCommitted:
 		fault.Set("store.save.sweep", hook)
-	case plan.segFail:
-		// Vary whether the compaction dies cleanly or tears mid-commit
-		// (leaving a stale .tmp for the next boot to sweep); either way
-		// eviction defers and no window may be lost.
+	case segFail:
+		// Die cleanly or tear mid-commit (a stale .tmp for the next boot
+		// to sweep); either way eviction defers and no window is lost.
 		name := []string{"segment.write", "segment.commit"}[s.rng.Intn(2)]
 		fault.Set(name, hook)
-	case plan.resetFail:
+	case resetFail:
 		fault.Set("wal.reset", hook)
 	default:
 		return func() {}
@@ -375,19 +407,20 @@ func clearFaults() {
 // nextRecord draws one flow record and advances the logical clock.
 func (s *sim) nextRecord() netflow.Record {
 	// Clock step: usually a short hop, occasionally a multi-window jump
-	// or a step back past a window boundary (rejected by the pipeline).
+	// or, on a node only, a step back past a window boundary (rejected):
+	// a shard rejects against its own current window, which may trail
+	// the stream's (DESIGN.md §12 makes ordering a cluster requirement).
 	switch v := s.rng.Float64(); {
 	case v < 0.05:
-		s.clock = s.clock.Add(time.Duration(1+s.rng.Intn(3)) * s.cfg.WindowSize)
-	case v < 0.08:
-		s.clock = s.clock.Add(-s.cfg.WindowSize / 2)
+		s.clock = s.clock.Add(time.Duration(1+s.rng.Intn(3)) * simWindow)
+	case v < 0.08 && s.router == nil:
+		s.clock = s.clock.Add(-simWindow / 2)
 	default:
 		s.clock = s.clock.Add(time.Duration(s.rng.Intn(20)) * time.Second)
 	}
-	src := s.labels[s.rng.Intn(len(s.labels))]
-	dst := s.labels[s.rng.Intn(len(s.labels))]
+	src, dst := s.pick(), s.pick()
 	for dst == src {
-		dst = s.labels[s.rng.Intn(len(s.labels))]
+		dst = s.pick()
 	}
 	rec := netflow.Record{
 		Src: src, Dst: dst, Start: s.clock,
@@ -408,6 +441,9 @@ func (s *sim) nextRecord() netflow.Record {
 	return rec
 }
 
+// pick draws a host of the pool.
+func (s *sim) pick() string { return s.labels[s.rng.Intn(len(s.labels))] }
+
 // nextBatch draws the records of one ingest op.
 func (s *sim) nextBatch() []netflow.Record {
 	records := make([]netflow.Record, 1+s.rng.Intn(12))
@@ -417,23 +453,31 @@ func (s *sim) nextBatch() []netflow.Record {
 	return records
 }
 
+// nextID names the next batch.
+func (s *sim) nextID(kind string) string {
+	s.batchN++
+	return fmt.Sprintf("%s-%06d", kind, s.batchN)
+}
+
 func (s *sim) opIngest() error {
 	records := s.nextBatch()
 	plan := s.pickPlan()
-	s.batchN++
-	id := fmt.Sprintf("batch-%06d", s.batchN)
+	id := s.nextID("batch")
 	s.note("ingest %s n=%d fault=%s clock=%s", id, len(records), plan, s.clock.Format("15:04:05"))
 
 	disarm := s.installPlan(plan)
-	res := s.srv.IngestBatch(id, records)
+	res, err := s.ingest(id, records)
 	disarm()
+	if err != nil {
+		return fmt.Errorf("simcheck: ingest %s: %w", id, err)
+	}
 	return s.checkIngested(id, records, res, plan)
 }
 
-// checkIngested holds the answer to a batch the node had not seen to the
-// model's, and remembers the batch for a later retry op.
+// checkIngested holds the answer to a batch the target had not seen to
+// the model's, and remembers the batch for a later retry op.
 func (s *sim) checkIngested(id string, records []netflow.Record, res server.IngestResult, plan faultPlan) error {
-	want, err := s.model.ingest(id, records, plan)
+	want, err := s.model.ingest(id, records, plan, false)
 	if err != nil {
 		return err
 	}
@@ -453,18 +497,15 @@ func (s *sim) checkIngested(id string, records []netflow.Record, res server.Inge
 // opCrashInside is an ingest the node does not survive. It dies after
 // the batch's first checkpoint — the closed windows saved, the new log
 // generation opened by its prologue commit — and before the commit at
-// the batch's end, so whatever the batch did after the close was never
-// logged and no marker for it exists. The node reboots and the client,
-// which got no answer, retries the batch: it must apply, once. A batch
-// that closes no window has no such point and runs as a plain ingest.
-//
+// the batch's end, so no marker for the batch exists. The node reboots
+// and the client, which got no answer, retries the batch: it must
+// apply, once. A batch that closes no window runs as a plain ingest.
 // A failpoint hook inside the log runs under its lock and cannot close
 // it, so the node dies the way its disk sees it: from the crash point on
 // every write it attempts fails, and it is aborted once the call returns.
 func (s *sim) opCrashInside() error {
 	records := s.nextBatch()
-	s.batchN++
-	id := fmt.Sprintf("batch-%06d", s.batchN)
+	id := s.nextID("batch")
 	s.note("ingest %s n=%d crash-inside clock=%s", id, len(records), s.clock.Format("15:04:05"))
 
 	// 0: no checkpoint yet; 1: the first one has truncated the log, its
@@ -496,27 +537,32 @@ func (s *sim) opCrashInside() error {
 	res := s.srv.IngestBatch(id, records)
 	clearFaults()
 	if stage == 0 {
-		return s.checkIngested(id, records, res, faultPlan{})
+		return s.checkIngested(id, records, res, noFault)
 	}
 
 	s.srv.Abort()
 	s.srv = nil
-	if err := s.model.crashInside(records); err != nil {
+	if _, err := s.model.ingest(id, records, noFault, true); err != nil {
 		return err
 	}
 	if err := s.reopen(0); err != nil {
 		return err
 	}
 	s.note("retry %s after the crash inside it", id)
-	return s.checkIngested(id, records, s.srv.IngestBatch(id, records), faultPlan{})
+	return s.checkIngested(id, records, s.srv.IngestBatch(id, records), noFault)
 }
 
-// compareOutcome checks an IngestResult against the model's prediction.
+// compareOutcome checks an IngestResult against the model's prediction;
+// of a router's only the accounting, since a shard closes windows as its
+// own records arrive.
 func (s *sim) compareOutcome(res server.IngestResult, want ingestOutcome, received int) error {
-	if res.Received != received || res.Accepted != want.Accepted ||
-		res.Dropped != want.Dropped || res.Rejected != want.Rejected ||
-		res.WindowsClosed != want.WindowsClosed || res.CurrentWindow != want.CurrentWindow {
-		return s.fail("ingest outcome mismatch: server %+v, model %+v", res, want)
+	got := ingestOutcome{Accepted: res.Accepted, Dropped: res.Dropped, Rejected: res.Rejected,
+		WindowsClosed: res.WindowsClosed, CurrentWindow: res.CurrentWindow}
+	if s.router != nil {
+		got.WindowsClosed, got.CurrentWindow = want.WindowsClosed, want.CurrentWindow
+	}
+	if res.Received != received || got != want {
+		return s.fail("ingest outcome mismatch: target %+v, model %+v", res, want)
 	}
 	return nil
 }
@@ -527,20 +573,29 @@ func (s *sim) opRetry() error {
 	}
 	b := s.batches[s.rng.Intn(len(s.batches))]
 	s.note("retry %s", b.id)
-	res := s.srv.IngestBatch(b.id, b.records)
+	return s.retry(b, false)
+}
+
+// retry sends b again under its ID: deduplicated, with the recorded
+// outcome. A node that lost the entry (a restart, or eviction from the
+// bounded set) re-applies it, and so must the model, unless mustDedup.
+func (s *sim) retry(b sentBatch, mustDedup bool) error {
+	res, err := s.ingest(b.id, b.records)
+	if err != nil {
+		return fmt.Errorf("simcheck: retry %s: %w", b.id, err)
+	}
 	if res.Deduplicated {
-		// The recorded outcome must come back unchanged: the batch was
-		// applied exactly once.
-		got, orig := res, b.outcome
+		got := res
 		got.Deduplicated = false
-		if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", orig) {
+		if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", b.outcome) {
 			return s.fail("dedup replay of %s returned %+v, original %+v", b.id, res, b.outcome)
 		}
 		return s.cheapCompare()
 	}
-	// The dedup entry was lost (restart, or evicted from the bounded
-	// set): the server re-applied the batch, so the model must too.
-	want, err := s.model.ingest(b.id, b.records, faultPlan{})
+	if mustDedup {
+		return s.fail("replay of %s was not deduplicated: %+v", b.id, res)
+	}
+	want, err := s.model.ingest(b.id, b.records, noFault, false)
 	if err != nil {
 		return err
 	}
@@ -573,14 +628,15 @@ func (s *sim) opFlush() error {
 
 func (s *sim) opSnapshot() error {
 	plan := s.pickPlan()
-	if plan.walFail != 0 || plan.resetFail {
-		plan = faultPlan{} // Snapshot never touches the WAL
+	switch plan {
+	case walFailAll, walFailFirst, walFailRest, resetFail:
+		plan = noFault // Snapshot never touches the WAL
 	}
 	s.note("snapshot fault=%s", plan)
 	disarm := s.installPlan(plan)
 	err := s.srv.Snapshot()
 	disarm()
-	if wantErr := plan.snapFail || plan.snapCommitted; (err != nil) != wantErr {
+	if wantErr := plan == snapFail || plan == snapCommitted; (err != nil) != wantErr {
 		return s.fail("snapshot error = %v, fault plan %s", err, plan)
 	}
 	s.model.snapshot(plan)
@@ -609,16 +665,14 @@ func (s *sim) opCrash(torn bool) error {
 		// tail as torn (a random first byte could in principle start a
 		// valid-looking frame).
 		buf[0] = 0xFF
-		f, err := os.OpenFile(server.WALPath(s.cfg.serverConfig().SnapshotDir),
-			os.O_WRONLY|os.O_APPEND, 0o644)
+		f, err := os.OpenFile(server.WALPath(s.cfg.nodeConfig().SnapshotDir), os.O_WRONLY|os.O_APPEND, 0o644)
+		if err == nil {
+			_, err = f.Write(buf)
+			err = errors.Join(err, f.Close())
+		}
 		if err != nil {
 			return fmt.Errorf("simcheck: tearing WAL: %w", err)
 		}
-		if _, err := f.Write(buf); err != nil {
-			f.Close()
-			return fmt.Errorf("simcheck: tearing WAL: %w", err)
-		}
-		f.Close()
 	}
 	s.note("crash torn=%d", garbage)
 	s.srv.Abort()
@@ -632,16 +686,14 @@ func (s *sim) reopen(tornBytes int64) error {
 	if err := s.checkLogMarkers(); err != nil {
 		return err
 	}
-	srv, err := server.New(s.cfg.serverConfig())
-	if err != nil {
-		return fmt.Errorf("simcheck: reopen: %w", err)
+	if err := s.boot(); err != nil {
+		return err
 	}
-	s.srv = srv
 	exp, err := s.model.reopen(tornBytes)
 	if err != nil {
 		return err
 	}
-	rec := srv.Recovery()
+	rec := s.srv.Recovery()
 	if rec.SnapshotQuarantined != "" || rec.WALQuarantined != "" || len(rec.SegmentsQuarantined) != 0 {
 		return s.fail("recovery quarantined state: %+v", rec)
 	}
@@ -652,20 +704,16 @@ func (s *sim) reopen(tornBytes int64) error {
 		rec.WALTornBytes != exp.WALTornBytes || rec.WALWindowsClosed != exp.WALWindowsClosed {
 		return s.fail("recovery mismatch: server %+v, model %+v", rec, exp)
 	}
-	// Recorded batches are kept deliberately: the reboot's dedup set
-	// holds only the markers the log still does, so a retry of a
-	// pre-restart batch exercises both branches of opRetry.
+	// Recorded batches are kept: the reboot's dedup set holds only the
+	// markers the log still does, so retries take both branches.
 	return s.deepCompare("post-reopen")
 }
 
-// checkLogMarkers reads the log a reboot is about to recover and holds
-// it to what one commit per acknowledgement promises: a batch's marker
-// is in the log exactly when the records it vouches for are, right after
-// them — never a marker whose records the log lacks, never a batch's
-// records without the marker that makes its retry idempotent. The model
-// says where each marker sits among the records (model.durableMarks).
+// checkLogMarkers holds the log a reboot is about to recover to one
+// commit per acknowledgement: a batch's marker is in it exactly when
+// its records are, right after them, where model.durableMarks says.
 func (s *sim) checkLogMarkers() error {
-	data, err := os.ReadFile(server.WALPath(s.cfg.serverConfig().SnapshotDir))
+	data, err := os.ReadFile(server.WALPath(s.cfg.nodeConfig().SnapshotDir))
 	if err != nil || int64(len(data)) < wal.HeaderLen {
 		return nil // no log yet
 	}

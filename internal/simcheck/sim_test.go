@@ -97,43 +97,50 @@ func TestSimSegments(t *testing.T) {
 	}
 }
 
-// TestSimCatchesInjectedStoreBug proves the harness has teeth: a
-// deliberately corrupted store (one window silently swallowed via the
+// TestSimCatchesInjectedStoreBug proves the harness has teeth, on a
+// node and on a two-shard router: a deliberately corrupted store (from
+// the fourth store.Add on, every window silently swallowed via the
 // store.add failpoint) must surface as a divergence, and Minimize must
 // reproduce it at the same op in a fresh directory.
 func TestSimCatchesInjectedStoreBug(t *testing.T) {
-	defer fault.Reset()
-	// Swallow exactly one store.Add: the server drops the window
-	// silently (its commit path treats Add errors as index conflicts),
-	// the model keeps it — a model/server divergence by construction.
-	fault.Set("store.add", fault.FailAfter(3, errors.New("injected store bug")))
+	for _, cfg := range []Config{
+		{Seed: 7, Ops: 800, ExplicitOrigin: true},
+		{Seed: 7, Ops: 800, ExplicitOrigin: true, Shards: 2},
+	} {
+		t.Run(fmt.Sprintf("shards%d", cfg.Shards), func(t *testing.T) {
+			defer fault.Reset()
+			// The server drops a window whose Add fails silently (its
+			// commit path treats Add errors as index conflicts), the model
+			// keeps it — a model/target divergence by construction.
+			fault.Set("store.add", fault.FailAfter(3, errors.New("injected store bug")))
+			cfg.Dir = t.TempDir()
+			err := Run(cfg)
+			if err == nil {
+				t.Fatal("harness missed a store that drops windows")
+			}
+			var div *Divergence
+			if !errors.As(err, &div) {
+				t.Fatalf("want a *Divergence, got %T: %v", err, err)
+			}
+			if div.Seed != cfg.Seed || len(div.Trace) == 0 {
+				t.Fatalf("divergence missing replay info: %+v", div)
+			}
+			t.Logf("caught at op %d: %s", div.Op, div.Detail)
 
-	cfg := Config{Seed: 7, Ops: 800, ExplicitOrigin: true, Dir: t.TempDir()}
-	err := Run(cfg)
-	if err == nil {
-		t.Fatal("harness missed a store that drops windows")
-	}
-	var div *Divergence
-	if !errors.As(err, &div) {
-		t.Fatalf("want a *Divergence, got %T: %v", err, err)
-	}
-	if div.Seed != cfg.Seed || len(div.Trace) == 0 {
-		t.Fatalf("divergence missing replay info: %+v", div)
-	}
-	t.Logf("caught at op %d: %s", div.Op, div.Detail)
-
-	// FailAfter counts calls across runs; re-arm so the minimized replay
-	// sees the same fault schedule as the original.
-	fault.Set("store.add", fault.FailAfter(3, errors.New("injected store bug")))
-	min, err := Minimize(cfg, div)
-	if err != nil {
-		t.Fatalf("minimize: %v", err)
-	}
-	if min == nil {
-		t.Fatal("minimized replay did not reproduce the divergence")
-	}
-	if min.Op != div.Op {
-		t.Fatalf("minimized divergence at op %d, original at %d", min.Op, div.Op)
+			// FailAfter counts calls across runs; re-arm so the minimized
+			// replay sees the same fault schedule as the original.
+			fault.Set("store.add", fault.FailAfter(3, errors.New("injected store bug")))
+			min, err := Minimize(cfg, div)
+			if err != nil {
+				t.Fatalf("minimize: %v", err)
+			}
+			if min == nil {
+				t.Fatal("minimized replay did not reproduce the divergence")
+			}
+			if min.Op != div.Op {
+				t.Fatalf("minimized divergence at op %d, original at %d", min.Op, div.Op)
+			}
+		})
 	}
 }
 
@@ -141,5 +148,61 @@ func TestSimCatchesInjectedStoreBug(t *testing.T) {
 func TestSimRequiresDir(t *testing.T) {
 	if err := Run(Config{Seed: 1, Ops: 1}); err == nil {
 		t.Fatal("Run without Dir should error")
+	}
+}
+
+// TestSimCluster runs the schedule against a router over two (and
+// three) shards: ingest accounting, search, batch search, history and
+// the watchlist must answer as the model of one node holding the whole
+// stream does. The cases keep the parameters their seeds were chosen
+// under — a ring of 6 unless stated, a 64-cell sketch row, a pinned
+// origin — and their names, in which cap0 stood for that ring of 6.
+func TestSimCluster(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"seed41_shards2_cap0", Config{Seed: 41, Ops: 400, Shards: 2, Capacity: 6, SketchWidth: 64, ExplicitOrigin: true}},
+		{"seed42_shards2_cap3", Config{Seed: 42, Ops: 400, Shards: 2, Capacity: 3, SketchWidth: 64, ExplicitOrigin: true}}, // ring eviction in play
+		{"seed43_shards3_cap0", Config{Seed: 43, Ops: 250, Shards: 3, Capacity: 6, SketchWidth: 64, ExplicitOrigin: true}},
+	} {
+		cfg := tc.cfg
+		t.Run(tc.name, func(t *testing.T) {
+			cfg.Dir = t.TempDir()
+			if err := Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestSimClusterDeterministic replays one router seed twice: the
+// harness must not leak state between runs.
+func TestSimClusterDeterministic(t *testing.T) {
+	for i := 0; i < 2; i++ {
+		cfg := Config{Seed: 47, Ops: 150, Shards: 2, Capacity: 6, SketchWidth: 64, ExplicitOrigin: true, Dir: t.TempDir()}
+		if err := Run(cfg); err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+	}
+}
+
+// TestSimClusterFailover kills shard 0's primary mid-run: a read must
+// keep answering at full width through its follower, auto-promotion
+// must restore writes, a replay of the last batch sent before the kill
+// must come back deduplicated, and the rest of the schedule must stay
+// the model's.
+func TestSimClusterFailover(t *testing.T) {
+	for _, cfg := range []Config{
+		{Seed: 51, Ops: 300, Shards: 2, Capacity: 6, SketchWidth: 64, ExplicitOrigin: true, Failover: true},
+		{Seed: 52, Ops: 250, Shards: 3, Capacity: 3, SketchWidth: 64, ExplicitOrigin: true, Failover: true},
+	} {
+		cfg := cfg
+		t.Run(fmt.Sprintf("seed%d_shards%d", cfg.Seed, cfg.Shards), func(t *testing.T) {
+			cfg.Dir = t.TempDir()
+			if err := Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
