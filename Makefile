@@ -20,9 +20,10 @@ race:
 
 # The allocation budgets, which the race line cannot run: under -race
 # the runtime drops sync.Pool puts, so every test that pins what a
-# request may allocate skips there (internal/budget). Hot and
-# cold label search, a failed cold search, the cold-search soak under a
-# memory limit, a released block read, SelfRetrievalAUC, a WAL open, one
+# request may allocate skips there (internal/budget). Hot label,
+# inline-signature and batch search, cold label search, a failed cold
+# search, the cold-search soak under a memory limit, a released block
+# read, SelfRetrievalAUC, a WAL open, one
 # flows batch (3 allocations a record, 2 when laid out as AppendFlows
 # writes it), one ingest batch and one window close (6 allocations and
 # 1.5 KB a source),
@@ -200,8 +201,9 @@ bench:
 # Then the read side's: one pass of
 # the end-to-end harness's analytics stage at its 2 000 sources (each
 # call's ms and a hash of the outputs), the self-retrieval AUC at
-# 2 000 x 2 000, and a label search 4 x 1 200 and 12 x 400 cold windows
-# deep.
+# 2 000 x 2 000, a label search 4 x 1 200 and 12 x 400 cold windows
+# deep, the same depth scanned whole, and a batch of 32 searches over
+# 8 x 1 200 hot windows.
 bench-smoke:
 	$(GO) test -race -run=^$$ -benchtime=1x \
 		-bench 'BenchmarkPairwiseUniqueness|BenchmarkMultiusageAllPairs' .
@@ -216,7 +218,7 @@ bench-smoke:
 	$(GO) test -run=^$$ -benchtime=1x -benchmem -bench 'BenchmarkStoreSave' ./internal/store/
 	$(GO) test -run=^$$ -benchtime=1x -benchmem -bench 'BenchmarkAnalyticsPass' .
 	$(GO) test -run=^$$ -benchtime=1x -benchmem -bench 'BenchmarkSelfRetrievalAUC' ./internal/eval/
-	$(GO) test -run=^$$ -benchtime=1x -benchmem -bench 'BenchmarkStoreSearch/cold' ./internal/store/
+	$(GO) test -run=^$$ -benchtime=1x -benchmem -bench 'BenchmarkStoreSearch/(cold|batch32)' ./internal/store/
 
 # Throughput regression check, benchstat style: the full-scale pairwise
 # report pinned to one core, engine pairs/sec diffed against the

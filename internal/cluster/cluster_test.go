@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -54,24 +53,6 @@ func mustJSON(t *testing.T, v any) string {
 		t.Fatal(err)
 	}
 	return string(b)
-}
-
-// sortHits applies the router's watch-hit order so single-node hit
-// logs (which are chronological) compare against merged ones.
-func sortHits(hits []server.WatchHitJSON) {
-	sort.Slice(hits, func(i, j int) bool {
-		a, b := hits[i], hits[j]
-		if a.Window != b.Window {
-			return a.Window < b.Window
-		}
-		if a.Label != b.Label {
-			return a.Label < b.Label
-		}
-		if a.Individual != b.Individual {
-			return a.Individual < b.Individual
-		}
-		return a.ArchivedWindow < b.ArchivedWindow
-	})
 }
 
 // TestClusterSmokeBitIdentical is the tentpole acceptance test: a
@@ -272,7 +253,6 @@ func TestClusterSmokeBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sortHits(rhits.Hits)
 	if cj, rj := mustJSON(t, chits.Hits), mustJSON(t, rhits.Hits); cj != rj {
 		t.Fatalf("watchlist hits diverged:\ncluster: %s\nsingle:  %s", cj, rj)
 	}
@@ -847,7 +827,6 @@ func TestClusterFailoverPromotion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sortHits(rhits.Hits)
 	if cj, rj := mustJSON(t, chits.Hits), mustJSON(t, rhits.Hits); cj != rj {
 		t.Fatalf("post-promotion watchlist hits diverged:\ncluster: %s\nsingle:  %s", cj, rj)
 	}

@@ -152,10 +152,6 @@ func TestWatchEntriesSurvivePromotion(t *testing.T) {
 	if len(rhits.Hits) == 0 {
 		t.Fatal("reference recorded no watch hits; the scenario is vacuous")
 	}
-	// Within one window, screening order over labels is not part of the
-	// contract; compare under the canonical hit order.
-	sortHits(fhits.Hits)
-	sortHits(rhits.Hits)
 	if fj, rj := mustJSON(t, fhits.Hits), mustJSON(t, rhits.Hits); fj != rj {
 		t.Fatalf("promoted node's hit log diverged:\npromoted:  %s\nreference: %s", fj, rj)
 	}

@@ -755,16 +755,12 @@ func (s *Server) WatchlistAdd(_ context.Context, req WatchlistAddRequest) (Watch
 	return WatchlistAddResponse{Archived: len(entries), Total: s.watch.Len()}, nil
 }
 
-// WatchlistHits answers the hit log in SortWatchHits order.
+// WatchlistHits answers the hit log, which is kept in SortWatchHits
+// order. An empty log answers [], not null.
 func (s *Server) WatchlistHits(context.Context) (WatchlistHitsResponse, error) {
 	s.mu.RLock()
-	resp := WatchlistHitsResponse{Hits: make([]WatchHitJSON, len(s.hits))}
-	for i, h := range s.hits {
-		resp.Hits[i] = WatchHitJSON(h)
-	}
-	s.mu.RUnlock()
-	SortWatchHits(resp.Hits)
-	return resp, nil
+	defer s.mu.RUnlock()
+	return WatchlistHitsResponse{Hits: append([]WatchHitJSON{}, s.hits...)}, nil
 }
 
 // Anomalies reports the labels whose self-persistence between the last

@@ -169,17 +169,6 @@ type Config struct {
 // WatchMaxDist.
 func Float64(v float64) *float64 { return &v }
 
-// WatchHit is one recorded watchlist match: label's signature in the
-// window that just closed was within WatchMaxDist of an archived
-// individual.
-type WatchHit struct {
-	Window         int
-	Label          string
-	Individual     string
-	ArchivedWindow int
-	Dist           float64
-}
-
 // Recovery reports what New reconstructed from disk.
 type Recovery struct {
 	// SnapshotRestored is true when an archive was loaded from disk.
@@ -218,8 +207,8 @@ type Server struct {
 	pipeline *stream.Pipeline
 	store    *store.Store
 	watch    *apps.Watchlist
-	hits     []WatchHit
-	pending  int // records accepted into the still-open window
+	hits     []WatchHitJSON // the hit log, in SortWatchHits order
+	pending  int            // records accepted into the still-open window
 
 	wal *wal.WAL
 	// What the live log generation durably holds of its prologue: the
@@ -1040,9 +1029,13 @@ func (s *Server) commitWindowLocked(set *core.SignatureSet) {
 	if err != nil {
 		return
 	}
+	// Screen answers in map order: the window's hits are put in answer
+	// order before the log is cut, so every node fed the same stream
+	// keeps the same hits of the oldest window.
+	n := len(s.hits)
 	for v, hits := range screened {
 		for _, h := range hits {
-			s.hits = append(s.hits, WatchHit{
+			s.hits = append(s.hits, WatchHitJSON{
 				Window:         set.Window,
 				Label:          u.Label(v),
 				Individual:     h.Individual,
@@ -1052,6 +1045,7 @@ func (s *Server) commitWindowLocked(set *core.SignatureSet) {
 			s.metrics.WatchlistHits.Add(1)
 		}
 	}
+	SortWatchHits(s.hits[n:])
 	if over := len(s.hits) - DefaultHitLogSize; over > 0 {
 		s.hits = append(s.hits[:0:0], s.hits[over:]...)
 	}

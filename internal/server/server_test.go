@@ -1,7 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -210,6 +213,59 @@ func TestServerIngestQueryWatchlistAnomalies(t *testing.T) {
 	}
 	if res.Rejected != 1 || len(res.Errors) != 1 {
 		t.Fatalf("regressing ingest = %+v", res)
+	}
+}
+
+// TestWatchHitLogSameOnEveryNode: two nodes fed the same stream answer
+// GET /v1/watchlist/hits with the same bytes once the log is full. One
+// window close screens 300 hosts against 4 individuals, 1 200 hits, so
+// the log keeps 1 024 of that window's hits; which ones must not follow
+// the screen's map order, so the case repeats for that order to vary.
+func TestWatchHitLogSameOnEveryNode(t *testing.T) {
+	const hosts, individuals = 300, 4
+	var closing []netflow.Record
+	for h := 0; h < hosts; h++ {
+		src := fmt.Sprintf("10.0.%d.%d", 1+h/200, h%200)
+		closing = append(closing, flowAt(src, "e1", time.Hour, 1+h%3), flowAt(src, "e2", time.Hour, 1))
+	}
+	closing = append(closing, flowAt("10.0.0.1", "e1", 2*time.Hour, 1))
+	hitLog := func() []byte {
+		_, c, done := newTestServer(t, testConfig())
+		defer done()
+		var first []netflow.Record
+		for i := 0; i < individuals; i++ {
+			first = append(first, flowAt(fmt.Sprintf("10.0.0.%d", i), "e1", 0, 1), flowAt(fmt.Sprintf("10.0.0.%d", i), "e2", 0, 1+i))
+		}
+		if _, err := c.Ingest(append(first, flowAt("10.0.0.9", "e3", time.Hour, 1))); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < individuals; i++ {
+			if _, err := c.WatchlistAdd(WatchlistAddRequest{Individual: fmt.Sprintf("case-%d", i), Label: fmt.Sprintf("10.0.0.%d", i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := c.Ingest(closing); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Get(c.Base + "/v1/watchlist/hits")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	for run := 0; run < 20; run++ {
+		a, b := hitLog(), hitLog()
+		if n := strings.Count(string(a), `"individual"`); n != DefaultHitLogSize {
+			t.Fatalf("the log holds %d hits, want a full log of %d", n, DefaultHitLogSize)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("run %d: two nodes fed one stream answer different hit logs", run)
+		}
 	}
 }
 

@@ -20,8 +20,8 @@ var distNames = []string{"jaccard", "dice", "sdice", "shel"}
 
 // searchRequest draws one search under distance dist: by label, or half
 // the time by the inline form of the label's latest signature in the
-// model — on a node the unbounded Store.Search path rather than the
-// bounded SearchLabel one.
+// model. The two differ at the server: a label is resolved there, an
+// inline signature's unseen labels take provisional IDs.
 func (s *sim) searchRequest(dist string) server.SearchRequest {
 	label := s.pick()
 	req := server.SearchRequest{Distance: dist, K: 1 + s.rng.Intn(8), MaxDist: 1}
@@ -278,32 +278,13 @@ func (s *sim) opHits() error {
 				screened = append(screened, h)
 			}
 		}
-		if !holds(served, screened) {
+		// A log keeps the newest server.DefaultHitLogSize of its hits,
+		// each window's in SortWatchHits order, as the model logs them.
+		if !slices.Equal(served, screened[max(0, len(screened)-server.DefaultHitLogSize):]) {
 			return s.fail("watchlist hits of log %d: served %d %v, model screened %d %v", log, len(served), served, len(screened), screened)
 		}
 	}
 	return s.cheapCompare()
-}
-
-// holds reports whether served, one hit log's answer in SortWatchHits
-// order, is what the log keeps of screened, the model's hits for it in
-// logging order: the newest server.DefaultHitLogSize. A node logs one
-// window's hits in map order, so of the oldest window a full log holds
-// in part, only the count and the window are known.
-func holds(served, screened []server.WatchHitJSON) bool {
-	cut := max(0, len(screened)-server.DefaultHitLogSize)
-	kept := slices.Clone(screened[cut:])
-	server.SortWatchHits(kept)
-	if len(served) != len(kept) {
-		return false
-	}
-	for i, h := range served {
-		partial := cut > 0 && h.Window == screened[cut].Window
-		if h.Window != kept[i].Window || partial && !slices.Contains(screened, h) || !partial && h != kept[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // The node-only checks: they read a node's store, which its API does

@@ -464,6 +464,7 @@ func (m *model) archiveWindow(set *core.SignatureSet) bool {
 	if !m.archive.add(w) {
 		return false
 	}
+	n := len(m.hits)
 	for _, label := range w.Order {
 		sig := w.Sigs[label]
 		if len(sig.Labels) == 0 {
@@ -483,6 +484,7 @@ func (m *model) archiveWindow(set *core.SignatureSet) bool {
 			m.hits = append(m.hits, h)
 		}
 	}
+	server.SortWatchHits(m.hits[n:])
 	return true
 }
 

@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"graphsig/internal/budget"
 	"graphsig/internal/core"
-	"graphsig/internal/distmat"
 	"graphsig/internal/graph"
 )
 
@@ -38,14 +38,58 @@ var allDistances = []core.Distance{
 	core.Jaccard{}, core.Dice{}, core.ScaledDice{}, core.ScaledHellinger{}, core.Cosine{}, core.WeightedJaccard{},
 }
 
-// TestSearchRingMatchesFullSortOracle: the bounded collector with its
-// tightening bound (SearchLabel) answers exactly what keeping every
-// hit, a full sort and a cut answer (Search and SearchBatch; the only
-// ranking before PR 14) — same hits, same order, same float bits — on
-// rings built to tie on distance across windows and labels, with
-// cold block entries, and with queries that
-// overlap fewer than K signatures (the rest of the answer is dist == 1
-// fill), under every registered distance and one that is not.
+// naiveRank is the search answer by definition, the test's reference:
+// every non-empty signature of every window in range, hot rows and the
+// decoded sets of cold blocks alike, scored with d.Dist; those no
+// farther than MaxDist and not of the excluded label kept, sorted by
+// ranksBefore and cut to K.
+func naiveRank(t *testing.T, u *graph.Universe, ring []entry, d core.Distance, sig core.Signature, opts SearchOptions) []Hit {
+	t.Helper()
+	if opts.TopK <= 0 {
+		opts.TopK = DefaultTopK
+	}
+	if opts.MaxDist <= 0 {
+		opts.MaxDist = 1
+	}
+	if opts.LastWindows > 0 && opts.LastWindows < len(ring) {
+		ring = ring[len(ring)-opts.LastWindows:]
+	}
+	var hits []Hit
+	for _, e := range ring {
+		set := e.set
+		if e.block != nil {
+			var err error
+			if set, err = e.block.Set(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, row := range set.Sigs {
+			label := u.Label(set.Sources[i])
+			if row.IsEmpty() || label == opts.ExcludeLabel {
+				continue
+			}
+			if dist := d.Dist(sig, row); dist <= opts.MaxDist {
+				hits = append(hits, Hit{Node: set.Sources[i], Label: label, Window: set.Window, Dist: dist})
+			}
+		}
+	}
+	slices.SortFunc(hits, func(a, b Hit) int {
+		if ranksBefore(&a, &b) {
+			return -1
+		}
+		return 1
+	})
+	return hits[:min(opts.TopK, len(hits))]
+}
+
+// TestSearchRingMatchesFullSortOracle: Search, SearchBatch (one call
+// holding every query of the grid) and SearchLabel, all ranking while
+// scanning under a tightening bound, answer exactly what naiveRank
+// answers — same hits, same order, same float bits — on rings built to
+// tie on distance across windows and labels, with cold block entries,
+// and with queries that overlap fewer than K signatures (the rest of the
+// answer is dist == 1 fill), under every registered distance and one
+// that is not.
 func TestSearchRingMatchesFullSortOracle(t *testing.T) {
 	const windows, hosts = 8, 24
 	stores := map[string]func(u *graph.Universe) *Store{
@@ -78,8 +122,9 @@ func TestSearchRingMatchesFullSortOracle(t *testing.T) {
 		if cold := ring[0].block != nil; cold != (name == "cold") {
 			t.Fatalf("%s: oldest entry is a cold block = %v", name, cold)
 		}
+		labels := []string{"host-00", "host-07", "loner"}
 		queries := map[string]core.Signature{}
-		for _, label := range []string{"host-00", "host-07", "loner"} {
+		for _, label := range labels {
 			sig, _, ok := s.LatestSignature(label)
 			if !ok {
 				t.Fatalf("%s: no signature for %s", name, label)
@@ -88,26 +133,57 @@ func TestSearchRingMatchesFullSortOracle(t *testing.T) {
 		}
 		// Overlaps only the loners: everything else is at distance 1.
 		queries["rare"] = core.FromWeights(map[graph.NodeID]float64{u.MustIntern("rare", graph.PartNone): 1}, 10)
-		for _, d := range append([]core.Distance{quarterJaccard{}}, allDistances...) {
-			querier, _ := distmat.NewQuerier(d)
-			for qname, sig := range queries {
-				for _, k := range []int{1, 10, 1 << 20} {
-					for _, maxDist := range []float64{0.3, 1} {
-						for _, exclude := range []string{"", "host-00", "loner"} {
-							for _, last := range []int{0, 2, 5} {
-								opts := SearchOptions{TopK: k, MaxDist: maxDist, ExcludeLabel: exclude, LastWindows: last}
-								want := s.searchRing(ring, querier, d, sig, opts, false)
-								got := s.searchRing(ring, querier, d, sig, opts, true)
-								if !reflect.DeepEqual(got, want) {
-									t.Fatalf("%s/%s query %s %+v diverged:\nbounded:   %v\nfull sort: %v", name, d.Name(), qname, opts, got, want)
-								}
-							}
-						}
+		var grid []SearchOptions
+		for _, k := range []int{1, 10, 1 << 20} {
+			for _, maxDist := range []float64{0.3, 1} {
+				for _, exclude := range []string{"", "host-00", "loner"} {
+					for _, last := range []int{0, 2, 5} {
+						grid = append(grid, SearchOptions{TopK: k, MaxDist: maxDist, ExcludeLabel: exclude, LastWindows: last})
 					}
 				}
 			}
-			querier.Release()
 		}
+		for _, d := range append([]core.Distance{quarterJaccard{}}, allDistances...) {
+			check := func(how, qname string, opts SearchOptions, got []Hit) {
+				t.Helper()
+				if want := naiveRank(t, u, ring, d, queries[qname], opts); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s/%s %s query %s %+v diverged:\ngot:   %v\nnaive: %v", name, d.Name(), how, qname, opts, got, want)
+				}
+			}
+			var batch []BatchQuery
+			var slots []string
+			for qname, sig := range queries {
+				for _, opts := range grid {
+					got, err := s.Search(d, sig, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					check("Search", qname, opts, got)
+					batch = append(batch, BatchQuery{Sig: sig, Opts: opts})
+					slots = append(slots, qname)
+				}
+			}
+			got, err := s.SearchBatch(d, batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, q := range batch {
+				check("SearchBatch", slots[i], q.Opts, got[i])
+			}
+			for _, label := range labels {
+				for _, opts := range grid {
+					got, err := s.SearchLabel(d, label, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if opts.ExcludeLabel == "" {
+						opts.ExcludeLabel = label
+					}
+					check("SearchLabel", label, opts, got)
+				}
+			}
+		}
+		releaseCold(ring)
 	}
 }
 
@@ -220,33 +296,73 @@ func wideStoreAndMore(tb testing.TB, cfg Config, cold, hot, hosts int) (s *Store
 }
 
 // TestSearchAllocsIndependentOfArchive: a hot search allocates for the
-// hits it returns, not for the signatures it scans — the same count on
-// 8×100 and 8×1200 sources — and a request for 2^40 hits allocates for
-// the hits that exist, not for K.
+// hits it returns, not for the signatures it scans — the same count and
+// bytes on 8×100 and 8×1200 sources — and a request for 2^40 hits
+// allocates for the hits that exist, not for K. So does each way in: a
+// label, an inline signature, and a batch of 32 label-resolved
+// signatures, whose count bounds are per query.
 func TestSearchAllocsIndependentOfArchive(t *testing.T) {
 	budget.SkipUnderRace(t)
-	allocs := func(hosts, k int) float64 {
-		s := wideStore(t, 0, 8, hosts)
-		opts := SearchOptions{TopK: k}
-		search := func() {
-			if _, err := s.SearchLabel(core.Jaccard{}, "host-00042", opts); err != nil {
-				t.Fatal(err)
+	const batch = 32
+	// Each way reads its query signatures before the count starts.
+	ways := []struct {
+		name    string
+		queries float64
+		search  func(s *Store) func(opts SearchOptions) error
+	}{
+		{"label", 1, func(s *Store) func(SearchOptions) error {
+			return func(opts SearchOptions) error {
+				_, err := s.SearchLabel(core.Jaccard{}, "host-00042", opts)
+				return err
 			}
+		}},
+		{"inline", 1, func(s *Store) func(SearchOptions) error {
+			sig, _, _ := s.LatestSignature("host-00042")
+			return func(opts SearchOptions) error {
+				_, err := s.Search(core.Jaccard{}, sig, opts)
+				return err
+			}
+		}},
+		{"batch32", batch, func(s *Store) func(SearchOptions) error {
+			qs := make([]BatchQuery, batch)
+			for i := range qs {
+				qs[i].Sig, _, _ = s.LatestSignature(fmt.Sprintf("host-%05d", i*3))
+			}
+			return func(opts SearchOptions) error {
+				for i := range qs {
+					qs[i].Opts = opts
+				}
+				_, err := s.SearchBatch(core.Jaccard{}, qs)
+				return err
+			}
+		}},
+	}
+	for _, way := range ways {
+		allocs := func(hosts, k int) (allocs, bytes float64) {
+			s := wideStore(t, 0, 8, hosts)
+			run, opts := way.search(s), SearchOptions{TopK: k}
+			return budget.PerRun(20, func() {
+				if err := run(opts); err != nil {
+					t.Fatal(err)
+				}
+			})
 		}
-		search() // warm the pooled scratch
-		return testing.AllocsPerRun(20, search)
-	}
-	small, large := allocs(100, 10), allocs(1200, 10)
-	if small != large {
-		t.Fatalf("k=10 search allocations grow with the archive: %v at 8x100, %v at 8x1200", small, large)
-	}
-	if large > 12 {
-		t.Fatalf("k=10 search allocates %v times", large)
-	}
-	// 800 hits: append doubling is ~12 allocations, a make(1<<40) is a
-	// crash.
-	if huge := allocs(100, 1<<40); huge > 30 {
-		t.Fatalf("K=1<<40 search allocates %v times for 800 hits", huge)
+		small, smallBytes := allocs(100, 10)
+		large, largeBytes := allocs(1200, 10)
+		if small != large || smallBytes != largeBytes {
+			t.Fatalf("%s: k=10 search allocations grow with the archive: %v times, %v bytes at 8x100; %v times, %v bytes at 8x1200",
+				way.name, small, smallBytes, large, largeBytes)
+		}
+		if large > 12*way.queries {
+			t.Fatalf("%s: k=10 search allocates %v times", way.name, large)
+		}
+		// 800 hits: append doubling is ~12 allocations, a make(1<<40) is a
+		// crash.
+		huge, _ := allocs(100, 1<<40)
+		if huge > 30*way.queries {
+			t.Fatalf("%s: K=1<<40 search allocates %v times for 800 hits a query", way.name, huge)
+		}
+		t.Logf("%s: %v allocations at k=10, %v at K=1<<40", way.name, large, huge)
 	}
 }
 
@@ -258,28 +374,43 @@ func TestSearchAllocsIndependentOfArchive(t *testing.T) {
 // A-1's to settle (EXPERIMENTS.md "Store search"). Cold, the same 8 hot
 // windows with `wide`'s 4 × 1200 or `deep`'s 12 × 400 cold ones behind
 // them: a label search, whose bound the hot windows have drawn below 1
-// by the time it reads a block, and (maxdist1) the same depth ranked in
-// full under MaxDist 1, where every cold row has to be compared. Every
-// search is exact, so each case returns k hits a query.
+// by the time it reads a block, and (maxdist1) the same depth under
+// MaxDist 1 with a K above the archive's size, so the collector never
+// fills, its bound stays at 1 and every cold row has to be compared and
+// kept. batch32 is one SearchBatch of 32 label-resolved signatures over
+// the hot windows, as a routed batch reaches a shard. Every search is
+// exact, so each case returns min(K, archive) hits a query (hits/op
+// counts the batch's 32).
 func BenchmarkStoreSearch(b *testing.B) {
+	const batch = 32
 	cases := []struct {
-		name     string
-		d        core.Distance
-		cold     int
-		hosts    int
-		maxDist1 bool
+		name  string
+		d     core.Distance
+		cold  int
+		hosts int
+		how   string // "label", "inline" (maxdist1) or "batch"
 	}{
-		{"jaccard/exact", core.Jaccard{}, 0, 1200, false},
-		{"shel/exact", core.ScaledHellinger{}, 0, 1200, false},
-		{"10k/jaccard/exact", core.Jaccard{}, 0, 10000, false},
-		{"cold4x1200/jaccard", core.Jaccard{}, 4, 1200, false},
-		{"cold12x400/jaccard", core.Jaccard{}, 12, 400, false},
-		{"cold4x1200/jaccard/maxdist1", core.Jaccard{}, 4, 1200, true},
+		{"jaccard/exact", core.Jaccard{}, 0, 1200, "label"},
+		{"shel/exact", core.ScaledHellinger{}, 0, 1200, "label"},
+		{"10k/jaccard/exact", core.Jaccard{}, 0, 10000, "label"},
+		{"cold4x1200/jaccard", core.Jaccard{}, 4, 1200, "label"},
+		{"cold12x400/jaccard", core.Jaccard{}, 12, 400, "label"},
+		{"cold4x1200/jaccard/maxdist1", core.Jaccard{}, 4, 1200, "inline"},
+		{"batch32", core.Jaccard{}, 0, 1200, "batch"},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			s := wideStore(b, c.cold, 8, c.hosts)
-			opts := SearchOptions{TopK: 10}
+			opts, want := SearchOptions{TopK: 10}, 10
+			if c.how == "inline" {
+				want = (c.cold + 8) * c.hosts
+				opts.TopK = want + 1
+			}
+			perOp := 1
+			if c.how == "batch" {
+				perOp = batch
+			}
+			qs := make([]BatchQuery, batch)
 			found := 0
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -287,19 +418,30 @@ func BenchmarkStoreSearch(b *testing.B) {
 				label := fmt.Sprintf("host-%05d", i*37%c.hosts)
 				var hits []Hit
 				var err error
-				if c.maxDist1 {
+				switch c.how {
+				case "label":
+					hits, err = s.SearchLabel(c.d, label, opts)
+				case "inline":
 					sig, _, _ := s.LatestSignature(label)
 					hits, err = s.Search(c.d, sig, opts)
-				} else {
-					hits, err = s.SearchLabel(c.d, label, opts)
+				case "batch":
+					for j := range qs {
+						qs[j] = BatchQuery{Opts: opts}
+						qs[j].Sig, _, _ = s.LatestSignature(fmt.Sprintf("host-%05d", (i*batch+j)*37%c.hosts))
+					}
+					var out [][]Hit
+					out, err = s.SearchBatch(c.d, qs)
+					for _, hits := range out {
+						found += len(hits)
+					}
 				}
 				if err != nil {
 					b.Fatal(err)
 				}
 				found += len(hits)
 			}
-			if found != opts.TopK*b.N {
-				b.Fatalf("%d hits in %d searches, want %d each", found, b.N, opts.TopK)
+			if found != want*perOp*b.N {
+				b.Fatalf("%d hits in %d searches of %d queries, want %d a query", found, b.N, perOp, want)
 			}
 			b.ReportMetric(float64(found)/float64(b.N), "hits/op")
 		})

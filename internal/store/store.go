@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 
 	"graphsig/internal/core"
@@ -456,14 +455,8 @@ type SearchStats struct {
 // one of the registered kinds goes through the engine too, which then
 // evaluates d against every signature of the window, as the cold scan
 // does. No candidate source skips a signature that could rank, so every
-// search is exact.
-//
-// Search and SearchBatch rank every hit and cut to TopK afterwards;
-// SearchLabel ranks while scanning (see searchRing), with the same
-// answer bit for bit. Moving these two over is a one-word change that
-// waits on the end-to-end benchmark: it states batch and routed search
-// as queries per second with a spread bound fixed at the old speed, and
-// cannot take the ~30x step (ROADMAP.md, serving benchmark item).
+// search is exact. Hits are ranked while scanning (see searchRing): a
+// search keeps at most TopK of them, however large the archive.
 //
 // The store's read lock is held while the window ring is snapshotted
 // and, when the search reaches behind it, while each cold block is read
@@ -474,12 +467,6 @@ type SearchStats struct {
 // hot search by a slice copy. All decoding and distance work runs after
 // the lock is released, on blocks and sets nothing mutates.
 func (s *Store) Search(d core.Distance, sig core.Signature, opts SearchOptions) ([]Hit, error) {
-	return s.search(d, sig, opts, false)
-}
-
-// search is Search with the ranking chosen: bounded = rank while
-// scanning.
-func (s *Store) search(d core.Distance, sig core.Signature, opts SearchOptions, bounded bool) ([]Hit, error) {
 	if d == nil {
 		return nil, fmt.Errorf("store: search needs a distance")
 	}
@@ -494,7 +481,7 @@ func (s *Store) search(d core.Distance, sig core.Signature, opts SearchOptions, 
 	querier, _ := distmat.NewQuerier(d)
 	querier.SetMetrics(s.obs.engine)
 	defer querier.Release()
-	return s.searchRing(ring, querier, d, sig, opts, bounded), nil
+	return s.searchRing(ring, querier, d, sig, opts), nil
 }
 
 // BatchQuery is one query of a SearchBatch call: a signature plus its
@@ -543,20 +530,16 @@ func (s *Store) SearchBatch(d core.Distance, queries []BatchQuery) ([][]Hit, err
 	defer querier.Release()
 	out := make([][]Hit, len(queries))
 	for i := range queries {
-		out[i] = s.searchRing(ring, querier, d, queries[i].Sig, queries[i].Opts, false)
+		out[i] = s.searchRing(ring, querier, d, queries[i].Sig, queries[i].Opts)
 	}
 	return out, nil
 }
 
-// topK is searchRing's collector. Bounded, it is a max-heap of the best
-// k hits seen so far, worst at the root; it grows by append and is never
-// sized from k, which is the request's to choose. Unbounded, it keeps
-// every hit offered, in arrival order, and ranks them all at the end;
-// searchRing sizes it from the windows in range when the bound lets
-// every signature in.
+// topK is searchRing's collector: a max-heap of the best k hits seen so
+// far, worst at the root. It grows by append and is never sized from k,
+// which is the request's to choose.
 type topK struct {
 	k        int
-	bounded  bool
 	universe *graph.Universe // resolves the labels of kept hits
 	hits     []Hit
 }
@@ -577,10 +560,12 @@ func ranksBefore(a, b *Hit) bool {
 }
 
 // bound is the largest distance that can still enter the collector:
-// maxDist until k hits are held, then the worst kept distance —
-// inclusive, since a tie may still win on window or label.
+// maxDist until k hits are held, then the worst kept distance. Both are
+// inclusive: a hit at exactly MaxDist counts. A tie with the worst kept
+// hit lies in an older window (searchRing scans newest first and sets
+// the bound once a window), so offer turns it away.
 func (t *topK) bound(maxDist float64) float64 {
-	if t.bounded && len(t.hits) == t.k && t.hits[0].Dist < maxDist {
+	if len(t.hits) == t.k && t.hits[0].Dist < maxDist {
 		return t.hits[0].Dist
 	}
 	return maxDist
@@ -589,10 +574,6 @@ func (t *topK) bound(maxDist float64) float64 {
 // offer ranks one verified candidate, resolving its label only when
 // distance and window alone do not already rule it out.
 func (t *topK) offer(v graph.NodeID, window int, dist float64) {
-	if !t.bounded {
-		t.hits = append(t.hits, Hit{Node: v, Label: t.universe.Label(v), Window: window, Dist: dist})
-		return
-	}
 	full := len(t.hits) == t.k
 	if full {
 		if w := &t.hits[0]; dist > w.Dist || (dist == w.Dist && window < w.Window) {
@@ -635,16 +616,8 @@ func (t *topK) siftDown(n int) {
 	}
 }
 
-// ranked is the answer, best first: the heap emptied in place, or every
-// hit sorted and cut to k.
+// ranked is the answer, best first: the heap emptied in place.
 func (t *topK) ranked() []Hit {
-	if len(t.hits) == 0 {
-		return nil // sized ahead or not, no hits is the nil list
-	}
-	if !t.bounded {
-		sort.Slice(t.hits, func(i, j int) bool { return ranksBefore(&t.hits[i], &t.hits[j]) })
-		return t.hits[:min(t.k, len(t.hits))]
-	}
 	for n := len(t.hits) - 1; n > 0; n-- {
 		t.hits[0], t.hits[n] = t.hits[n], t.hits[0]
 		t.siftDown(n)
@@ -655,16 +628,15 @@ func (t *topK) ranked() []Hit {
 // searchRing runs one query over a snapshotted ring, newest window
 // first: candidate generation per window (the pairwise-engine querier,
 // or the rows of a cold block) under the collector's current bound,
-// exact distances, and one offer per surviving candidate. Bounded, the
-// collector holds TopK hits, and once it is full each further window
-// is asked only for signatures no farther than the worst hit kept — the
-// cost of a search follows its candidates, not the size of the archive.
-// Unbounded, every window is scanned under MaxDist and every hit ranked.
-// Both are exact. An approximate candidate source (the MinHash/LSH
-// banding of internal/lsh, which pays only at ~10 000-source windows) is
-// not a branch here: should such windows come to matter, it returns as
-// a mode of distmat.Querier.
-func (s *Store) searchRing(ring []entry, querier *distmat.Querier, d core.Distance, sig core.Signature, opts SearchOptions, bounded bool) []Hit {
+// exact distances, and one offer per surviving candidate. The collector
+// holds TopK hits, and once it is full each further window is asked only
+// for signatures no farther than the worst hit kept — the cost of a
+// search follows its candidates, not the size of the archive. An
+// approximate candidate source (the MinHash/LSH banding of internal/lsh,
+// which pays only at ~10 000-source windows) is not a branch here:
+// should such windows come to matter, it returns as a mode of
+// distmat.Querier.
+func (s *Store) searchRing(ring []entry, querier *distmat.Querier, d core.Distance, sig core.Signature, opts SearchOptions) []Hit {
 	if opts.TopK <= 0 {
 		opts.TopK = DefaultTopK
 	}
@@ -681,20 +653,7 @@ func (s *Store) searchRing(ring []entry, querier *distmat.Querier, d core.Distan
 		}
 	}
 
-	top := topK{k: opts.TopK, bounded: bounded, universe: s.universe}
-	if !bounded && opts.MaxDist >= 1 {
-		// Every signature of a window scanned whole will be offered and
-		// kept: size the list once instead of doubling up to it.
-		n := 0
-		for _, e := range ring {
-			if e.block != nil {
-				n += e.block.Len()
-			} else {
-				n += e.set.Len()
-			}
-		}
-		top.hits = make([]Hit, 0, n)
-	}
+	top := topK{k: opts.TopK, universe: s.universe}
 	probes := 0 // exact distance evaluations across all windows
 	// A cold window's rows are decoded one at a time into row, and only
 	// those in rows when the bound allows leaving the others out.
@@ -759,5 +718,5 @@ func (s *Store) SearchLabel(d core.Distance, label string, opts SearchOptions) (
 	if opts.ExcludeLabel == "" {
 		opts.ExcludeLabel = label
 	}
-	return s.search(d, sig, opts, true)
+	return s.Search(d, sig, opts)
 }
