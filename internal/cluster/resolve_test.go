@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -127,14 +128,20 @@ func TestRouterLabelResolvePagesPastEmptySignatures(t *testing.T) {
 		}
 		_ = json.NewEncoder(w).Encode(page)
 	})
-	mux.HandleFunc("POST /v1/search", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/search/batch", func(w http.ResponseWriter, r *http.Request) {
 		mu.Lock()
 		defer mu.Unlock()
-		if err := json.NewDecoder(r.Body).Decode(&searched); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		var batch server.BatchSearchRequest
+		if err := json.NewDecoder(r.Body).Decode(&batch); err != nil || len(batch.Queries) != 1 {
+			http.Error(w, fmt.Sprintf(`{"error":"want one slot: %v"}`, err), http.StatusBadRequest)
 			return
 		}
-		_ = json.NewEncoder(w).Encode(server.SearchResponse{Distance: "jaccard", Hits: []server.SearchHitJSON{}})
+		searched = batch.Queries[0]
+		slot := server.BatchSearchResult{Hits: []server.SearchHitJSON{}}
+		if searched.Label != "" { // as a node answers a label it holds no signature of
+			slot = server.BatchSearchResult{Error: fmt.Sprintf("label %q has no archived signature", searched.Label)}
+		}
+		_ = json.NewEncoder(w).Encode(server.BatchSearchResponse{Distance: "jaccard", Results: []server.BatchSearchResult{slot}})
 	})
 	shard := httptest.NewServer(mux)
 	defer shard.Close()

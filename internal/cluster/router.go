@@ -432,75 +432,26 @@ func shardDebug[T any](results []shardResult[T], dbg func(T) *server.SearchDebug
 	return &server.SearchDebugJSON{Shards: out}
 }
 
-// Search fans the query out to every shard and merges the per-shard
-// top-k lists under the store's exact comparator (dist asc, window
-// desc, label asc), truncating to k. Each shard returns its own top-k,
-// and the global top-k of a union is a subset of the per-shard top-ks,
-// so the merged list is bit-identical to a single node searching the
-// union — with the cardinality-exact distances (jaccard and friends)
-// unconditionally, and for order-sensitive float kernels up to ulp
-// differences from summation order (see DESIGN.md §12).
-//
-// Label queries resolve the label's latest archived signature at its
-// owner shard first, then scatter it as a signature query with the
-// label excluded — exactly what SearchLabel does on a single node.
+// Search answers one query as the one slot of a routed batch
+// (server.SearchOne, SearchBatch). A label query first resolves the
+// label's latest archived signature at its owner shard, on the request
+// goroutine — one owner needs no scatter — and goes out as that
+// signature with the label excluded, exactly what SearchLabel does on a
+// single node. A label with no archived signature is a 404, an owner
+// that cannot answer a 502.
 func (rt *Router) Search(ctx context.Context, req server.SearchRequest) (server.SearchResponse, error) {
-	tr := server.TraceFrom(ctx)
-	if req.K <= 0 {
-		req.K = store.DefaultTopK
-	}
 	if req.Label != "" {
-		resolved, err := rt.resolveLabelQuery(tr, req)
+		owner := rt.ring.Shard(req.Label)
+		oc, _ := rt.readClient(owner)
+		end, tc := server.TraceFrom(ctx).SpanWith(fmt.Sprintf("resolve.shard%d", owner))
+		sig, err := latestSignature(oc.Traced(tc), owner, req.Label)
+		end()
 		if err != nil {
 			return server.SearchResponse{}, err
 		}
-		req = resolved
+		req = withSignature(req, sig)
 	}
-
-	clients, stale := rt.readClients()
-	results := scatter(rt, tr, "search", rt.allShards(), func(s int, tc obs.TraceContext) (server.SearchResponse, error) {
-		return clients[s].Traced(tc).Search(req)
-	})
-	cov, err := gather(rt, "search", results, stale)
-	if err != nil {
-		return server.SearchResponse{}, err
-	}
-	// Non-nil even when empty: the routed body must serialize exactly
-	// like a single node's ("hits": [], never null).
-	resp := server.SearchResponse{Hits: []server.SearchHitJSON{}, Coverage: cov}
-	if req.Debug {
-		cov.TraceID = tr.ID()
-		resp.Debug = shardDebug(results, func(v server.SearchResponse) *server.SearchDebugJSON { return v.Debug })
-	}
-	for _, r := range results {
-		if r.err == nil {
-			resp.Distance = r.val.Distance
-			resp.Hits = append(resp.Hits, r.val.Hits...)
-		}
-	}
-	sortSearchHits(resp.Hits)
-	if len(resp.Hits) > req.K {
-		resp.Hits = resp.Hits[:req.K]
-	}
-	return resp, nil
-}
-
-// resolveLabelQuery rewrites a label query into the equivalent
-// signature query by fetching the label's latest archived signature
-// from its owner shard (the one shard that stores it), excluding the
-// label from the results unless the query excludes another — exactly
-// what SearchLabel does on a single node. A label with no archived
-// signature is a 404.
-func (rt *Router) resolveLabelQuery(tr *obs.Trace, req server.SearchRequest) (server.SearchRequest, error) {
-	owner := rt.ring.Shard(req.Label)
-	oc, _ := rt.readClient(owner)
-	end, tc := tr.SpanWith(fmt.Sprintf("resolve.shard%d", owner))
-	defer end()
-	sig, err := latestSignature(oc.Traced(tc), owner, req.Label)
-	if err != nil {
-		return req, err
-	}
-	return withSignature(req, sig), nil
+	return server.SearchOne(ctx, rt.SearchBatch, req)
 }
 
 // withSignature is label query req asked with sig, the label's latest
@@ -612,13 +563,21 @@ func sortSearchHits(hits []server.SearchHitJSON) {
 // SearchBatch fans a whole query batch out to every shard in ONE
 // scatter — each shard answers all slots against a single ring
 // snapshot with one pooled kernel scratch — then merges every slot's
-// per-shard top-k lists under the store comparator, exactly as Search
-// does for a single query. Label slots resolve at their owner shard
-// first, each distinct label once (resolveLabels). A slot the router
-// cannot resolve for want of a signature goes out as it came, so every
-// shard refuses it in the words a node would; one it cannot resolve for
-// a failed or late owner carries the router's error.
-// Slot failures fail neither the batch nor the fan-out.
+// per-shard top-k lists under the store's exact comparator (dist asc,
+// window desc, label asc), truncating to the slot's k. Each shard
+// returns its own top-k, and the global top-k of a union is a subset of
+// the per-shard top-ks, so the merged list is bit-identical to a single
+// node searching the union — with the cardinality-exact distances
+// (jaccard and friends) unconditionally, and for order-sensitive float
+// kernels up to ulp differences from summation order (see DESIGN.md
+// §12).
+//
+// Label slots resolve at their owner shard first, each distinct label
+// once (resolveLabels). A slot the router cannot resolve for want of a
+// signature goes out as it came, so every shard refuses it in the words
+// a node would; one it cannot resolve for a failed or late owner carries
+// the router's error. A slot every shard refuses fails with their words
+// as a 400. Slot failures fail neither the batch nor the fan-out.
 func (rt *Router) SearchBatch(ctx context.Context, req server.BatchSearchRequest) (server.BatchSearchResponse, error) {
 	tr := server.TraceFrom(ctx)
 	labels := rt.resolveLabels(tr, req.Queries)
@@ -636,7 +595,7 @@ func (rt *Router) SearchBatch(ctx context.Context, req server.BatchSearchRequest
 			case r.err == nil:
 				q = withSignature(q, r.sig)
 			case server.Status(r.err) != http.StatusNotFound:
-				results[i].Error = r.err.Error()
+				results[i] = server.FailedSlot(r.err)
 				continue
 			}
 		}
@@ -685,7 +644,7 @@ func (rt *Router) SearchBatch(ctx context.Context, req server.BatchSearchRequest
 			merged = append(merged, sr.Hits...)
 		}
 		if slotErr != "" && len(merged) == 0 {
-			results[slot].Error = slotErr
+			results[slot] = server.FailedSlot(server.WithStatus(http.StatusBadRequest, errors.New(slotErr)))
 			continue
 		}
 		sortSearchHits(merged)

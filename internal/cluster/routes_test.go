@@ -339,9 +339,10 @@ func withoutCoverage(t *testing.T, body []byte) string {
 // TestClusterRoutesMatchNode is the contract that a cluster answers as
 // one node holding the union: the route table of a routeWorld sent to a
 // node, a one-shard router and a two-shard router must get the same
-// status everywhere, the same error text for every 400 (the refusals
+// status everywhere, the same error text for every 4xx (the refusals
 // the shared request validation makes, a body that does not decode, a
-// signature every shard refuses), and the same 200 body once the
+// signature every shard refuses, a label with nothing archived, an
+// archive too short for anomalies), and the same 200 body once the
 // coverage block is removed. Then a routed explicit-signature watchlist
 // add must screen as the node's does: after one more window close, the
 // merged hit logs equal the node's.
@@ -355,7 +356,7 @@ func TestClusterRoutesMatchNode(t *testing.T) {
 			switch {
 			case a.status != node.status:
 				t.Errorf("%s: %s answered %d (%s), the node %d (%s)", c.name, side, a.status, a.body, node.status, node.body)
-			case a.status == http.StatusBadRequest && !bytes.Equal(a.body, node.body):
+			case a.status >= 400 && a.status < 500 && !bytes.Equal(a.body, node.body):
 				t.Errorf("%s: %s refused with %s, the node with %s", c.name, side, a.body, node.body)
 			case a.status == http.StatusOK:
 				if got, want := withoutCoverage(t, a.body), withoutCoverage(t, node.body); got != want {
@@ -489,5 +490,116 @@ func TestClusterRefusalPassesThrough(t *testing.T) {
 		if got := attempts.n.Load(); got != 1 {
 			t.Errorf("%s: %d client attempts, want 1", tc.name, got)
 		}
+	}
+}
+
+// TestSingleSearchIsOneSlotBatch: on a node and on both routers of a
+// routeWorld, every POST /v1/search case of the route table answers
+// what POST /v1/search/batch answers for its query as the one slot of a
+// batch — the same hits, or the same error text, in the slot or on the
+// whole batch when the batch's own validation refuses it — and the
+// single route's statuses hold everywhere: 404 for a label with no
+// archived signature, 400 for an inline signature every node refuses.
+// A router whose label's owner is down answers that label 502, and its
+// batch slot in the same words.
+func TestSingleSearchIsOneSlotBatch(t *testing.T) {
+	statuses := map[string]int{
+		"search-empty-world":   http.StatusNotFound,
+		"search-unknown-label": http.StatusNotFound,
+		"search-no-positive":   http.StatusBadRequest,
+	}
+	errorOf := func(body []byte) string {
+		var refusal struct{ Error string }
+		if err := json.Unmarshal(body, &refusal); err != nil || refusal.Error == "" {
+			t.Fatalf("refusal %s: %v", body, err)
+		}
+		return refusal.Error
+	}
+	compared := 0
+	w := newRouteWorld(t)
+	w.run(func(c routeCase, singles [3]routeAnswer) {
+		path, query, _ := strings.Cut(c.path, "?")
+		if path != "/v1/search" {
+			return
+		}
+		for i, a := range singles {
+			if want, ok := statuses[c.name]; ok && a.status != want {
+				t.Errorf("%s on %s: status %d (%s), want %d", c.name, routeSides[i], a.status, a.body, want)
+			}
+		}
+		var req server.SearchRequest
+		if !server.DecodeJSON(httptest.NewRecorder(), httptest.NewRequest(c.method, c.path, strings.NewReader(c.body)), &req) {
+			return // no query to put in a slot
+		}
+		one := routeCase{c.name + "-one-slot", c.method, "/v1/search/batch?" + query,
+			mustJSON(t, server.BatchSearchRequest{Distance: req.Distance, Queries: []server.SearchRequest{req}, Debug: req.Debug})}
+		for i, b := range w.do(one) {
+			single, side := singles[i], routeSides[i]
+			var slot server.BatchSearchResult
+			if b.status == http.StatusOK {
+				var resp server.BatchSearchResponse
+				if err := json.Unmarshal(b.body, &resp); err != nil || len(resp.Results) != 1 {
+					t.Fatalf("%s on %s: %s, %v", one.name, side, b.body, err)
+				}
+				slot = resp.Results[0]
+			} else {
+				slot.Error = errorOf(b.body)
+			}
+			if single.status != http.StatusOK {
+				if want := errorOf(single.body); slot.Error != want {
+					t.Errorf("%s on %s: refused %d %q, as one slot %d %q", c.name, side, single.status, want, b.status, slot.Error)
+				}
+				continue
+			}
+			var resp server.SearchResponse
+			if err := json.Unmarshal(single.body, &resp); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := mustJSON(t, slot.Hits), mustJSON(t, resp.Hits); b.status != http.StatusOK || slot.Error != "" || got != want {
+				t.Errorf("%s on %s: hits %s, as one slot %d %q %s", c.name, side, want, b.status, slot.Error, got)
+			}
+			compared++
+		}
+	})
+	if compared == 0 {
+		t.Fatal("no search of the route table answered 200")
+	}
+
+	_, up := newTestNode(t, server.Config{Stream: testStreamConfig(w.gcfg), StoreCapacity: 8})
+	down := httptest.NewServer(http.NotFoundHandler())
+	down.Close()
+	rt, err := NewRouter(Config{Shards: [][]string{{up.URL}, {down.URL}}, Timeout: 10 * time.Second, MaxRetries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rts := httptest.NewServer(rt.Handler())
+	t.Cleanup(rts.Close)
+	label := ""
+	for i := 0; label == ""; i++ {
+		if l := datagen.LocalLabel(i); rt.Ring().Shard(l) == 1 {
+			label = l
+		}
+	}
+	post := func(path string, body any) routeAnswer {
+		resp, err := http.Post(rts.URL+path, "application/json", strings.NewReader(mustJSON(t, body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return routeAnswer{status: resp.StatusCode, body: b}
+	}
+	single := post("/v1/search", server.SearchRequest{Label: label})
+	if single.status != http.StatusBadGateway {
+		t.Fatalf("search of %s, owned by a down shard: status %d (%s), want 502", label, single.status, single.body)
+	}
+	batch := post("/v1/search/batch", server.BatchSearchRequest{Queries: []server.SearchRequest{{Label: label}}})
+	var resp server.BatchSearchResponse
+	if err := json.Unmarshal(batch.body, &resp); err != nil || batch.status != http.StatusOK || len(resp.Results) != 1 ||
+		resp.Results[0].Error != errorOf(single.body) {
+		t.Fatalf("batch of %s: %d %s (%v), want its slot to fail as the single search did: %s", label, batch.status, batch.body, err, single.body)
 	}
 }

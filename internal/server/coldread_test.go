@@ -79,6 +79,16 @@ func TestServerColdReadFailureIs5xx(t *testing.T) {
 
 	_, err = c.Search(SearchRequest{Label: "10.9.9.9"})
 	status("unknown label", err, http.StatusNotFound)
+	// A batch whose every slot fails to resolve searches nothing, so it
+	// reads no cold block and answers its slots' errors.
+	loads := metricTotals(t, c)["store_segment_loads"]
+	resp, err := c.SearchBatch(BatchSearchRequest{Queries: []SearchRequest{{Label: "10.9.9.9"}}})
+	if want := `label "10.9.9.9" has no archived signature`; err != nil || len(resp.Results) != 1 || resp.Results[0].Error != want {
+		t.Fatalf("batch of an unknown label: %+v, %v; want a 200 with the slot error %q", resp, err, want)
+	}
+	if got := metricTotals(t, c)["store_segment_loads"]; got != loads {
+		t.Fatalf("a batch with no query to search loaded %d segment blocks", got-loads)
+	}
 	if _, err := c.Search(SearchRequest{Label: "10.0.0.1", K: 3, LastWindows: 2}); err != nil {
 		t.Fatalf("hot-ring search: %v", err)
 	}

@@ -15,7 +15,6 @@ import (
 	"graphsig/internal/fault"
 	"graphsig/internal/graph"
 	"graphsig/internal/netflow"
-	"graphsig/internal/obs"
 	"graphsig/internal/store"
 	"graphsig/internal/wal"
 )
@@ -182,10 +181,32 @@ type BatchSearchRequest struct {
 
 // BatchSearchResult is one slot of a batch response: hits on success,
 // an error string when that query alone failed (unknown label, bad
-// signature). Slot failures do not fail the batch.
+// signature). Slot failures do not fail the batch. Err is the slot's
+// failure in process, with the status a single search answers it with
+// (SearchOne); it stays off the wire.
 type BatchSearchResult struct {
 	Hits  []SearchHitJSON `json:"hits"`
 	Error string          `json:"error,omitempty"`
+	Err   error           `json:"-"`
+}
+
+// FailedSlot is a batch slot that failed with err.
+func FailedSlot(err error) BatchSearchResult {
+	return BatchSearchResult{Error: err.Error(), Err: err}
+}
+
+// SearchOne answers a single search as the one slot of a batch that
+// batch answers — the one search path of a node and of the router: the
+// batch's failure, else the slot's (with its status), else its hits.
+func SearchOne(ctx context.Context, batch func(context.Context, BatchSearchRequest) (BatchSearchResponse, error), req SearchRequest) (SearchResponse, error) {
+	resp, err := batch(ctx, BatchSearchRequest{Distance: req.Distance, Queries: []SearchRequest{req}, Debug: req.Debug})
+	if err == nil {
+		err = resp.Results[0].Err
+	}
+	if err != nil {
+		return SearchResponse{}, err
+	}
+	return SearchResponse{Distance: resp.Distance, Hits: resp.Results[0].Hits, Coverage: resp.Coverage, Debug: resp.Debug}, nil
 }
 
 // BatchSearchResponse is the POST /v1/search/batch body. Results[i]
@@ -472,45 +493,9 @@ func (s *Server) History(_ context.Context, req HistoryRequest) (HistoryResponse
 	return resp, nil
 }
 
-// Search answers a nearest-signature query from the node's archive.
+// Search answers one query as the one slot of a batch (SearchOne).
 func (s *Server) Search(ctx context.Context, req SearchRequest) (SearchResponse, error) {
-	s.metrics.SearchQueries.Add(1)
-	tr := TraceFrom(ctx)
-	d, err := s.distanceFor(req.Distance)
-	if err != nil {
-		return SearchResponse{}, err
-	}
-	var stats store.SearchStats
-	begin := time.Now()
-	opts := store.SearchOptions{TopK: req.K, MaxDist: req.MaxDist, LastWindows: req.LastWindows, ExcludeLabel: req.ExcludeLabel}
-	if req.Debug {
-		opts.Stats = &stats
-	}
-	var raw []store.Hit
-	s.mu.RLock()
-	if req.Signature != nil {
-		var sig core.Signature
-		if sig, err = s.querySignature(*req.Signature, s.provisionalIDs(req.Signature)); err == nil {
-			end := tr.Span("store.search")
-			raw, err = s.store.Search(d, sig, opts)
-			end()
-		}
-		err = refused(err, http.StatusBadRequest)
-	} else {
-		end := tr.Span("store.search")
-		raw, err = s.store.SearchLabel(d, req.Label, opts)
-		end()
-		err = refused(err, http.StatusNotFound)
-	}
-	s.mu.RUnlock()
-	if err != nil {
-		return SearchResponse{}, err
-	}
-	resp := SearchResponse{Distance: d.Name(), Hits: convertHits(raw)}
-	if req.Debug {
-		resp.Debug = debugBlock(tr, begin, stats)
-	}
-	return resp, nil
+	return SearchOne(ctx, s.searchBatch, req)
 }
 
 // SearchBatch answers every query of req under one distance, one ring
@@ -518,6 +503,12 @@ func (s *Server) Search(ctx context.Context, req SearchRequest) (SearchResponse,
 // unknown label, a bad signature) fails its own slot, not the batch.
 func (s *Server) SearchBatch(ctx context.Context, req BatchSearchRequest) (BatchSearchResponse, error) {
 	s.metrics.BatchSearches.Add(1)
+	return s.searchBatch(ctx, req)
+}
+
+// searchBatch is SearchBatch without the batch count, which a single
+// search does not add to.
+func (s *Server) searchBatch(ctx context.Context, req BatchSearchRequest) (BatchSearchResponse, error) {
 	s.metrics.SearchQueries.Add(int64(len(req.Queries)))
 	tr := TraceFrom(ctx)
 	d, err := s.distanceFor(req.Distance)
@@ -527,13 +518,9 @@ func (s *Server) SearchBatch(ctx context.Context, req BatchSearchRequest) (Batch
 	var stats store.SearchStats
 	begin := time.Now()
 
-	inline := make([]*SignatureJSON, len(req.Queries))
-	for i := range req.Queries {
-		inline[i] = req.Queries[i].Signature // nil for label slots
-	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	provisional := s.provisionalIDs(inline...)
+	provisional := s.provisionalIDs(req.Queries)
 
 	// Resolve every slot to a concrete (signature, options) query or a
 	// per-slot error, then run the survivors through one store batch.
@@ -548,7 +535,7 @@ func (s *Server) SearchBatch(ctx context.Context, req BatchSearchRequest) (Batch
 			return BatchSearchResponse{}, err
 		}
 		if err != nil {
-			results[i].Error = err.Error()
+			results[i] = FailedSlot(err)
 			continue
 		}
 		if req.Debug {
@@ -562,42 +549,31 @@ func (s *Server) SearchBatch(ctx context.Context, req BatchSearchRequest) (Batch
 	hits, err := s.store.SearchBatch(d, queries)
 	end()
 	if err != nil {
-		return BatchSearchResponse{}, refused(err, http.StatusBadRequest)
+		return BatchSearchResponse{}, err // a cold-tier read: the node's own fault, 500
 	}
 	for k := range hits {
 		results[slots[k]].Hits = convertHits(hits[k])
 	}
 	resp := BatchSearchResponse{Distance: d.Name(), Results: results}
 	if req.Debug {
-		resp.Debug = debugBlock(tr, begin, stats)
+		resp.Debug = &SearchDebugJSON{TraceID: tr.ID(), Micros: time.Since(begin).Microseconds(), Probes: stats.Probes}
 	}
 	return resp, nil
 }
 
-// debugBlock is a node search's explain block: its trace, its wall time
-// since begin and the distance probes stats counted.
-func debugBlock(tr *obs.Trace, begin time.Time, stats store.SearchStats) *SearchDebugJSON {
-	return &SearchDebugJSON{TraceID: tr.ID(), Micros: time.Since(begin).Microseconds(), Probes: stats.Probes}
-}
-
-// refused pins status on a search's failure, unless it is a cold-tier
-// read: that is the node's own fault, 500.
-func refused(err error, status int) error {
-	if err == nil || errors.Is(err, store.ErrColdRead) {
-		return err
-	}
-	return WithStatus(status, err)
-}
-
 // resolveSearchQuery turns one batch slot into a store query, an
 // inline signature's unknown labels taking their provisional NodeIDs
-// from provisional. Callers hold the read lock.
+// from provisional. A slot it cannot resolve fails with the status a
+// single search answers: 404 for a label with no archived signature,
+// 400 for a refused query or signature; a cold-tier read that fails is
+// the node's own fault and fails the whole request, 500. Callers hold
+// the read lock.
 func (s *Server) resolveSearchQuery(q SearchRequest, d core.Distance, provisional map[string]graph.NodeID) (store.BatchQuery, error) {
 	if err := q.validate(); err != nil {
 		return store.BatchQuery{}, err
 	}
 	if qd, _ := s.distanceFor(q.Distance); q.Distance != "" && qd.Name() != d.Name() {
-		return store.BatchQuery{}, fmt.Errorf("query distance %q differs from batch distance %q", qd.Name(), d.Name())
+		return store.BatchQuery{}, badRequest("query distance %q differs from batch distance %q", qd.Name(), d.Name())
 	}
 	opts := store.SearchOptions{TopK: q.K, MaxDist: q.MaxDist, LastWindows: q.LastWindows, ExcludeLabel: q.ExcludeLabel}
 	if q.Signature == nil {
@@ -606,7 +582,7 @@ func (s *Server) resolveSearchQuery(q SearchRequest, d core.Distance, provisiona
 			return store.BatchQuery{}, err
 		}
 		if !ok {
-			return store.BatchQuery{}, fmt.Errorf("label %q has no archived signature", q.Label)
+			return store.BatchQuery{}, WithStatus(http.StatusNotFound, fmt.Errorf("label %q has no archived signature", q.Label))
 		}
 		if opts.ExcludeLabel == "" {
 			opts.ExcludeLabel = q.Label
@@ -614,25 +590,28 @@ func (s *Server) resolveSearchQuery(q SearchRequest, d core.Distance, provisiona
 		return store.BatchQuery{Sig: sig, Opts: opts}, nil
 	}
 	sig, err := s.querySignature(*q.Signature, provisional)
-	return store.BatchQuery{Sig: sig, Opts: opts}, err
+	if err != nil {
+		return store.BatchQuery{}, WithStatus(http.StatusBadRequest, err)
+	}
+	return store.BatchQuery{Sig: sig, Opts: opts}, nil
 }
 
-// provisionalIDs gives every member label of sigs (nil entries
-// skipped) that the universe does not hold the NodeID interning would
+// provisionalIDs gives every member label of the queries' inline
+// signatures that the universe does not hold the NodeID interning would
 // give it: past Universe().Size(), in order of first appearance across
-// sigs. A search by signature resolves its labels through them and
+// the queries. A search by signature resolves its labels through them and
 // interns nothing, so it runs under the read lock and leaves no label
 // behind for the next snapshot. That is safe because a distance only
 // compares NodeIDs, and the store's postings and a cold block's rows
 // bounds-check the ones no window holds. Callers hold the read lock.
-func (s *Server) provisionalIDs(sigs ...*SignatureJSON) map[string]graph.NodeID {
+func (s *Server) provisionalIDs(queries []SearchRequest) map[string]graph.NodeID {
 	u := s.store.Universe()
 	var ids map[string]graph.NodeID
-	for _, sj := range sigs {
-		if sj == nil {
+	for _, q := range queries {
+		if q.Signature == nil {
 			continue
 		}
-		for _, label := range sj.Nodes {
+		for _, label := range q.Signature.Nodes {
 			if _, ok := u.Lookup(label); ok {
 				continue
 			}
@@ -771,18 +750,29 @@ func (s *Server) Anomalies(_ context.Context, req AnomaliesRequest) (AnomaliesRe
 	if err != nil {
 		return AnomaliesResponse{}, err
 	}
+	from, to, pairs, err := s.persistence(d)
+	if err != nil {
+		return AnomaliesResponse{}, err
+	}
+	return AnomaliesOf(from, to, pairs, req.Z)
+}
+
+// persistence is every label's self-persistence under d between the
+// last two archived windows, from and to: what a node's anomaly
+// detection runs over and what it hands the router for a cluster's. With
+// fewer than two windows archived it is a 409, in one text on node and
+// router alike. Label-keyed, label-ordered accumulation: the report is
+// a pure function of the (label, persistence) pairs, so a cluster router
+// merging per-shard pair sets reproduces it bit-identically.
+func (s *Server) persistence(d core.Distance) (from, to int, pairs []apps.PersistencePair, err error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	windows := s.store.Windows()
 	if len(windows) < 2 {
-		return AnomaliesResponse{}, WithStatus(http.StatusConflict, fmt.Errorf("anomaly detection needs two archived windows, have %d", len(windows)))
+		return 0, 0, nil, WithStatus(http.StatusConflict, fmt.Errorf("anomaly detection needs two archived windows, have %d", len(windows)))
 	}
 	at, next := windows[len(windows)-2], windows[len(windows)-1]
-	// Label-keyed, label-ordered accumulation: the report is a pure
-	// function of the (label, persistence) pairs, so a cluster router
-	// merging per-shard pair sets reproduces it bit-identically.
-	pairs := apps.PersistenceByLabel(d, s.store.Universe(), at, next)
-	return AnomaliesOf(at.Window, next.Window, pairs, req.Z)
+	return at.Window, next.Window, apps.PersistenceByLabel(d, s.store.Universe(), at, next), nil
 }
 
 // AnomaliesOf runs the anomaly detection over label-keyed persistence
@@ -829,19 +819,15 @@ func (s *Server) handlePersistence(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	windows := s.store.Windows()
-	if len(windows) < 2 {
-		WriteError(w, http.StatusConflict, "persistence needs two archived windows, have %d", len(windows))
+	from, to, pairs, err := s.persistence(d)
+	if err != nil {
+		WriteError(w, Status(err), "%v", err)
 		return
 	}
-	at, next := windows[len(windows)-2], windows[len(windows)-1]
-	pairs := apps.PersistenceByLabel(d, s.store.Universe(), at, next)
 	resp := PersistenceResponse{
 		Distance:   d.Name(),
-		FromWindow: at.Window,
-		ToWindow:   next.Window,
+		FromWindow: from,
+		ToWindow:   to,
 		Pairs:      make([]PersistencePairJSON, len(pairs)),
 	}
 	for i, p := range pairs {

@@ -17,7 +17,9 @@ import (
 // 200, 400 or 404; and a 200 ranks at most k hits a query (DefaultTopK
 // when k is unset), each at a distance in [0, max_dist] (1 when unset),
 // in non-decreasing order. Whatever the status, the universe keeps its
-// size: a search interns no label. Every input gets a fresh node.
+// size: a search interns no label. A single search answers what the
+// same query answers as the one slot of a batch (sameAsOneSlot). Every
+// input gets a fresh node.
 func FuzzSearchRequest(f *testing.F) {
 	var seeds []SearchRequest
 	for _, q := range []SearchRequest{
@@ -62,11 +64,15 @@ func FuzzSearchRequest(f *testing.F) {
 			t.Fatalf("%s %q: status %d, and the universe grew from %d to %d labels", path, body, rec.Code, labels, got)
 		}
 		switch rec.Code {
-		case http.StatusOK:
-		case http.StatusBadRequest, http.StatusNotFound:
-			return
+		case http.StatusOK, http.StatusBadRequest, http.StatusNotFound:
 		default:
 			t.Fatalf("%s %q: status %d: %s", path, body, rec.Code, rec.Body)
+		}
+		if !batch {
+			sameAsOneSlot(t, srv, body, rec)
+		}
+		if rec.Code != http.StatusOK {
+			return
 		}
 		// The handler decoded the body strictly, so a lenient decode
 		// reads the same request.
@@ -113,6 +119,45 @@ func FuzzSearchRequest(f *testing.F) {
 			}
 		}
 	})
+}
+
+// sameAsOneSlot holds single, a node's answer to body on POST
+// /v1/search, to its answer to the same query sent as the one slot of
+// a batch: the same hits for a 200; for a refusal, the same text in the
+// slot, or the whole batch refused with that text. A body the route
+// cannot decode is no query and is skipped.
+func sameAsOneSlot(t *testing.T, srv *Server, body []byte, single *httptest.ResponseRecorder) {
+	var req SearchRequest
+	if !DecodeJSON(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/search", bytes.NewReader(body)), &req) {
+		return
+	}
+	one := mustMarshal(t, BatchSearchRequest{Distance: req.Distance, Queries: []SearchRequest{req}, Debug: req.Debug})
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/search/batch", bytes.NewReader(one)))
+	var slot BatchSearchResult
+	if rec.Code == http.StatusOK {
+		var resp BatchSearchResponse
+		mustUnmarshal(t, rec.Body.Bytes(), &resp)
+		if len(resp.Results) != 1 {
+			t.Fatalf("%q as one slot: %d results", body, len(resp.Results))
+		}
+		slot = resp.Results[0]
+	} else {
+		mustUnmarshal(t, rec.Body.Bytes(), &slot) // the batch's refusal: {"error": ...}
+	}
+	if single.Code == http.StatusOK {
+		var resp SearchResponse
+		mustUnmarshal(t, single.Body.Bytes(), &resp)
+		if got, want := string(mustMarshal(t, slot.Hits)), string(mustMarshal(t, resp.Hits)); rec.Code != http.StatusOK || slot.Error != "" || got != want {
+			t.Fatalf("%q: single search hits %s; as one slot: status %d, slot %+v", body, want, rec.Code, slot)
+		}
+		return
+	}
+	var refusal BatchSearchResult
+	mustUnmarshal(t, single.Body.Bytes(), &refusal)
+	if slot.Error != refusal.Error || (rec.Code != http.StatusOK && rec.Code != single.Code) {
+		t.Fatalf("%q: single search refused %d %q; as one slot: status %d, error %q", body, single.Code, refusal.Error, rec.Code, slot.Error)
+	}
 }
 
 func mustMarshal(tb testing.TB, v any) []byte {

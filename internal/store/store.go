@@ -444,46 +444,6 @@ type SearchStats struct {
 	Probes int
 }
 
-// Search ranks archived signatures by distance from sig and returns the
-// closest hits, one per (label, window) pair, ordered by distance, then
-// newer window, then label. Per window the candidates come from the
-// pairwise engine (with MaxDist below 1 only signatures sharing at least
-// one node with the query are probed: disjoint pairs sit at distance
-// exactly 1) or, for a cold window, from its verified block: the rows
-// sharing a node with the query when the bound is below 1, every row
-// otherwise, each decoded only to be compared. A distance that is not
-// one of the registered kinds goes through the engine too, which then
-// evaluates d against every signature of the window, as the cold scan
-// does. No candidate source skips a signature that could rank, so every
-// search is exact. Hits are ranked while scanning (see searchRing): a
-// search keeps at most TopK of them, however large the archive.
-//
-// The store's read lock is held while the window ring is snapshotted
-// and, when the search reaches behind it, while each cold block is read
-// from its segment file, checksummed and verified (snapshotTier): the
-// retention policy deletes segment files under the write lock, and a
-// read must not race a delete. So a cold search delays a window close
-// by its reads — a fraction of a millisecond per cold window — and a
-// hot search by a slice copy. All decoding and distance work runs after
-// the lock is released, on blocks and sets nothing mutates.
-func (s *Store) Search(d core.Distance, sig core.Signature, opts SearchOptions) ([]Hit, error) {
-	if d == nil {
-		return nil, fmt.Errorf("store: search needs a distance")
-	}
-	if sig.IsEmpty() {
-		return nil, fmt.Errorf("store: search with empty signature")
-	}
-	ring, err := s.snapshotTier(opts.LastWindows)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	defer releaseCold(ring)
-	querier, _ := distmat.NewQuerier(d)
-	querier.SetMetrics(s.obs.engine)
-	defer querier.Release()
-	return s.searchRing(ring, querier, d, sig, opts), nil
-}
-
 // BatchQuery is one query of a SearchBatch call: a signature plus its
 // own search options.
 type BatchQuery struct {
@@ -491,13 +451,33 @@ type BatchQuery struct {
 	Opts SearchOptions
 }
 
-// SearchBatch answers many searches under one distance in a single
-// call: the window ring is snapshotted once and every query reuses the
-// same pooled querier scratch (and the windows' shared SoA views), so a
-// batch of n queries costs one snapshot plus n scans — no per-query
-// setup. Each result slot i is exactly what Search(d, queries[i].Sig,
-// queries[i].Opts) would return. Empty signatures are rejected, as in
-// Search.
+// SearchBatch ranks archived signatures by distance from each query's
+// signature and returns, per query, the closest hits, one per (label,
+// window) pair, ordered by distance, then newer window, then label. Per
+// window the candidates come from the pairwise engine (with MaxDist
+// below 1 only signatures sharing at least one node with the query are
+// probed: disjoint pairs sit at distance exactly 1) or, for a cold
+// window, from its verified block: the rows sharing a node with the
+// query when the bound is below 1, every row otherwise, each decoded
+// only to be compared. A distance that is not one of the registered
+// kinds goes through the engine too, which then evaluates d against
+// every signature of the window, as the cold scan does. No candidate
+// source skips a signature that could rank, so every search is exact.
+// Hits are ranked while scanning (see searchRing): a query keeps at most
+// TopK of them, however large the archive.
+//
+// The window ring is snapshotted once, deep enough for every query, and
+// every query reuses the same pooled querier scratch (and the windows'
+// shared SoA views), so a batch of n queries costs one snapshot plus n
+// scans. The store's read lock is held while the ring is snapshotted
+// and, when a query reaches behind it, while each cold block is read
+// from its segment file, checksummed and verified (snapshotTier): the
+// retention policy deletes segment files under the write lock, and a
+// read must not race a delete. So a cold search delays a window close
+// by its reads — a fraction of a millisecond per cold window — and a
+// hot search by a slice copy. All decoding and distance work runs after
+// the lock is released, on blocks and sets nothing mutates. A batch of
+// no queries reads nothing. Empty signatures are rejected.
 func (s *Store) SearchBatch(d core.Distance, queries []BatchQuery) ([][]Hit, error) {
 	if d == nil {
 		return nil, fmt.Errorf("store: search needs a distance")
@@ -507,17 +487,18 @@ func (s *Store) SearchBatch(d core.Distance, queries []BatchQuery) ([][]Hit, err
 			return nil, fmt.Errorf("store: batch query %d has an empty signature", i)
 		}
 	}
+	if len(queries) == 0 {
+		return nil, nil // depth 0 below would read the whole cold tier
+	}
 	// One tier snapshot deep enough for every query: any unbounded
 	// query pulls the whole archive, else the deepest bound wins.
 	depth := 0
 	for i := range queries {
-		lw := queries[i].Opts.LastWindows
-		if lw <= 0 {
+		if lw := queries[i].Opts.LastWindows; lw > 0 {
+			depth = max(depth, lw)
+		} else {
 			depth = 0
 			break
-		}
-		if lw > depth {
-			depth = lw
 		}
 	}
 	ring, err := s.snapshotTier(depth)
@@ -533,6 +514,15 @@ func (s *Store) SearchBatch(d core.Distance, queries []BatchQuery) ([][]Hit, err
 		out[i] = s.searchRing(ring, querier, d, queries[i].Sig, queries[i].Opts)
 	}
 	return out, nil
+}
+
+// Search is the one-query SearchBatch.
+func (s *Store) Search(d core.Distance, sig core.Signature, opts SearchOptions) ([]Hit, error) {
+	hits, err := s.SearchBatch(d, []BatchQuery{{Sig: sig, Opts: opts}})
+	if err != nil {
+		return nil, err
+	}
+	return hits[0], nil
 }
 
 // topK is searchRing's collector: a max-heap of the best k hits seen so
