@@ -26,8 +26,9 @@ race:
 # read, SelfRetrievalAUC, a WAL open, one
 # flows batch (3 allocations a record, 2 when laid out as AppendFlows
 # writes it), one ingest batch and one window close (6 allocations and
-# 1.5 KB a source),
-# the engine's and querier's rows, and a parallel engine job — Rows,
+# 1.5 KB a source), a laid-out search response and signature batch
+# request (an allocation a hit and a member, the same at 10 and at 1 000
+# hits), the engine's and querier's rows, and a parallel engine job — Rows,
 # MapRows, MapTriangle and PairsWithin, each as many allocations at
 # 1 300 rows as at 130.
 alloc-budget:
@@ -69,7 +70,9 @@ sim-smoke:
 # (TestClusterRoutesMatchNode: a node, a one-shard and a two-shard
 # router answer every request with the same status, the same refusal
 # text and the same 200 body bar the coverage block; TestClusterRoutesGolden
-# pins those bodies' bytes; TestClusterRefusalPassesThrough: a refused
+# pins those bodies' bytes; TestClusterRoutesLaidOut: every search and
+# history body of its 200 cases, at the node, the routers and the shards,
+# is read in its own layout; TestClusterRefusalPassesThrough: a refused
 # request costs no shard request and no client retry), partial-result
 # degradation with a shard down, and WAL-shipped follower catch-up
 # serving reads after the primary dies — plus the ring properties, the
@@ -131,7 +134,7 @@ segment-smoke:
 	$(GO) test -race -run 'TestFollowerSegmentsBitwise' ./internal/cluster/
 	$(GO) test -race -run 'TestSimSegments' ./internal/simcheck/
 
-# Bounded runs of the thirteen native fuzz targets: the netflow binary codec
+# Bounded runs of the fourteen native fuzz targets: the netflow binary codec
 # (the stream form, and the per-record decoder the WAL shares with it,
 # where an accepted record must re-encode to the bytes consumed),
 # WAL frame recovery, the distance kernels (bit-identity vs the naive
@@ -147,8 +150,11 @@ segment-smoke:
 # panic or a 500; a 200 ranks at most k hits, in order, within max_dist),
 # the same routes through a one-shard router (the node's status, never a
 # 5xx, and a 200 body the node's once the router's coverage block is
-# removed), and POST /v1/watchlist (never a panic or a 500; an answer other than
-# 200 leaves the universe, the watchlist and the WAL's size unchanged).
+# removed), POST /v1/watchlist (never a panic or a 500; an answer other than
+# 200 leaves the universe, the watchlist and the WAL's size unchanged), and
+# the search and history bodies' laid-out readers (a body one takes decodes
+# through encoding/json to the same value; what encoding/json writes is
+# taken whole).
 # Committed corpora under testdata/fuzz/ replay as regression cases in
 # the plain test suite; this also explores briefly (scripts/check.sh
 # passes FUZZTIME=15s).
@@ -168,6 +174,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSearchRequest -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzRoutedSearchRequest -fuzztime $(FUZZTIME) ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz FuzzWatchlistAdd -fuzztime $(FUZZTIME) ./internal/server/
+	$(GO) test -run '^$$' -fuzz FuzzSearchBodies -fuzztime $(FUZZTIME) ./internal/server/
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
@@ -191,7 +198,9 @@ bench:
 # POST /v1/flows codec and through what it replaced (decode, encode and
 # a loopback read of the body; decode/codec-1run decodes in one run, and
 # decode/general decodes an indented body, every record of which the
-# general reader reads), one 1 200-source
+# general reader reads), the search and history bodies through their
+# layout and through encoding/json (a 10-hit and a 32-slot response, a
+# one-slot signature batch request), one 1 200-source
 # window through the pipeline at sigserverd's default sketch — every source sparse, and
 # with a Zipf head that goes dense — and the checkpoint of one window
 # close with and without new labels, and one restart (server.New over
@@ -212,7 +221,7 @@ bench-smoke:
 	$(GO) run ./cmd/sigbench -experiment pairwise -scale 0.5
 	$(GO) test -run=^$$ -benchtime=1x -benchmem \
 		-bench 'BenchmarkWALOpen|BenchmarkWALAppend|BenchmarkWALGenerationChange' ./internal/wal/
-	$(GO) test -run=^$$ -benchtime=1x -benchmem -bench 'BenchmarkIngestSmallBatch|BenchmarkFlowsCodec|BenchmarkServerRestart' ./internal/server/
+	$(GO) test -run=^$$ -benchtime=1x -benchmem -bench 'BenchmarkIngestSmallBatch|BenchmarkFlowsCodec|BenchmarkSearchCodec|BenchmarkServerRestart' ./internal/server/
 	$(GO) test -run=^$$ -benchtime=1x -benchmem -cpu 1,2 -bench 'BenchmarkServerWindowClose' ./internal/server/
 	$(GO) test -run=^$$ -benchtime=1x -benchmem -bench 'BenchmarkPipelineWindow' ./internal/stream/
 	$(GO) test -run=^$$ -benchtime=1x -benchmem -bench 'BenchmarkStoreSave' ./internal/store/

@@ -1,11 +1,13 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -548,15 +550,14 @@ func (rt *Router) resolveLabels(tr *obs.Trace, queries []server.SearchRequest) m
 // comparator (dist asc, window desc, label asc), so the routed top-k
 // cut reproduces a single node's.
 func sortSearchHits(hits []server.SearchHitJSON) {
-	sort.Slice(hits, func(i, j int) bool {
-		a, b := hits[i], hits[j]
-		if a.Dist != b.Dist {
-			return a.Dist < b.Dist
+	slices.SortFunc(hits, func(a, b server.SearchHitJSON) int {
+		if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
+			return c
 		}
-		if a.Window != b.Window {
-			return a.Window > b.Window
+		if c := cmp.Compare(b.Window, a.Window); c != 0 {
+			return c
 		}
-		return a.Label < b.Label
+		return strings.Compare(a.Label, b.Label)
 	})
 }
 

@@ -395,6 +395,36 @@ func TestClusterRoutesMatchNode(t *testing.T) {
 	}
 }
 
+// TestClusterRoutesLaidOut: every search and history body the route
+// table's 200 cases make — the requests a node and the routers read, the
+// signature batches the shards read, and the history and search answers
+// the routers read back from their shards — is read in its own layout,
+// none of them by encoding/json (server.GeneralBodies).
+func TestClusterRoutesLaidOut(t *testing.T) {
+	w := newRouteWorld(t)
+	before := server.GeneralBodies()
+	w.run(func(c routeCase, ans [3]routeAnswer) {
+		now := server.GeneralBodies()
+		general := now - before
+		before = now
+		for _, a := range ans {
+			if a.status != http.StatusOK {
+				return
+			}
+		}
+		if general != 0 {
+			t.Errorf("%s: %d bodies left the layout on the node and the routers", c.name, general)
+		}
+	})
+	// The count is wired: a body with a space in it leaves the layout
+	// once on each side.
+	before = server.GeneralBodies()
+	w.do(routeCase{"search-spaced", "POST", "/v1/search", `{"label": "no-such-host"}`})
+	if n := server.GeneralBodies() - before; n != 3 {
+		t.Errorf("a spaced body sent to the three sides counted %d times, want 3", n)
+	}
+}
+
 // countingTransport counts the HTTP requests a client sends.
 type countingTransport struct{ n atomic.Int64 }
 

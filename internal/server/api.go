@@ -160,14 +160,14 @@ type StartTrace func(w http.ResponseWriter, r *http.Request, name string) *obs.T
 
 // Routes registers api's six routes on mux: POST /v1/search and
 // /v1/search/batch, GET /v1/signatures/{label}, POST /v1/watchlist, GET
-// /v1/watchlist/hits and GET /v1/anomalies. Each decodes its request,
-// refuses what validate refuses with 400 before any work, calls api
-// under the trace start begins, and answers the result, or the error
-// with its Status.
+// /v1/watchlist/hits and GET /v1/anomalies. Each decodes its request
+// (a search's laid out first: readLaidOut), refuses what validate
+// refuses with 400 before any work, calls api under the trace start
+// begins, and answers the result, or the error with its Status.
 func Routes(mux *http.ServeMux, api API, start StartTrace) {
 	mux.HandleFunc("POST /v1/search", func(w http.ResponseWriter, r *http.Request) {
 		var req SearchRequest
-		if DecodeJSON(w, r, &req) {
+		if readLaidOut(w, r, &req, (*layout).searchRequest) {
 			req.Debug = req.Debug || r.URL.Query().Get("debug") == "1"
 			serve(w, r, start, "search", req.validate(), func(ctx context.Context) (SearchResponse, error) {
 				return api.Search(ctx, req)
@@ -176,7 +176,7 @@ func Routes(mux *http.ServeMux, api API, start StartTrace) {
 	})
 	mux.HandleFunc("POST /v1/search/batch", func(w http.ResponseWriter, r *http.Request) {
 		var req BatchSearchRequest
-		if DecodeJSON(w, r, &req) {
+		if readLaidOut(w, r, &req, (*layout).batchSearchRequest) {
 			req.Debug = req.Debug || r.URL.Query().Get("debug") == "1"
 			serve(w, r, start, "search.batch", req.validate(), func(ctx context.Context) (BatchSearchResponse, error) {
 				return api.SearchBatch(ctx, req)
@@ -227,18 +227,21 @@ func serve[T any](w http.ResponseWriter, r *http.Request, start StartTrace, name
 
 // The refusals every side makes alike, before any work.
 
+// validate refuses an unknown distance first, as the one-slot batch a
+// single search is (SearchOne) refuses it before its slot.
 func (q SearchRequest) validate() error {
+	if err := knownDistance(q.Distance); err != nil {
+		return err
+	}
 	switch {
 	case q.Label != "" && q.Signature != nil:
 		return badRequest("set either label or signature, not both")
 	case q.Label == "" && q.Signature == nil:
 		return badRequest("search needs a label or a signature")
 	case q.Signature != nil:
-		if err := q.Signature.validate(); err != nil {
-			return err
-		}
+		return q.Signature.validate()
 	}
-	return knownDistance(q.Distance)
+	return nil
 }
 
 func (b BatchSearchRequest) validate() error {

@@ -343,14 +343,14 @@ func (c *Client) History(label string) (HistoryResponse, error) {
 // window bounds and limit; see HistoryQuery.
 func (c *Client) HistoryRange(label string, q HistoryQuery) (HistoryResponse, error) {
 	var out HistoryResponse
-	err := c.doJSON(http.MethodGet, "/v1/signatures/"+url.PathEscape(label)+q.encode(), nil, decodeJSON(&out))
+	err := c.doJSON(http.MethodGet, "/v1/signatures/"+url.PathEscape(label)+q.encode(), nil, decodeLaidOut(&out, (*layout).historyResponse))
 	return out, err
 }
 
 // Search runs a nearest-signature query.
 func (c *Client) Search(req SearchRequest) (SearchResponse, error) {
 	var out SearchResponse
-	err := c.doJSON(http.MethodPost, "/v1/search", req, decodeJSON(&out))
+	err := c.doJSON(http.MethodPost, "/v1/search", req, decodeLaidOut(&out, (*layout).searchResponse))
 	return out, err
 }
 
@@ -359,7 +359,7 @@ func (c *Client) Search(req SearchRequest) (SearchResponse, error) {
 // slot errors in the response, not as a call error.
 func (c *Client) SearchBatch(req BatchSearchRequest) (BatchSearchResponse, error) {
 	var out BatchSearchResponse
-	err := c.doJSON(http.MethodPost, "/v1/search/batch", req, decodeJSON(&out))
+	err := c.doJSON(http.MethodPost, "/v1/search/batch", req, decodeLaidOut(&out, (*layout).batchSearchResponse))
 	return out, err
 }
 

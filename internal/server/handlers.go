@@ -346,21 +346,28 @@ const MaxBodyBytes = 64 << 20
 func DecodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	err := overLimit(r.ContentLength, MaxBodyBytes)
 	if err == nil {
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
-		dec.DisallowUnknownFields()
-		err = dec.Decode(v)
-		if _, tail := dec.Token(); err == nil && tail != io.EOF {
-			err = errors.New("data after the JSON value")
-			if bodyStatus(tail) == http.StatusRequestEntityTooLarge {
-				err = tail
-			}
-		}
+		err = decodeStrict(http.MaxBytesReader(w, r.Body, MaxBodyBytes), v)
 	}
 	if err != nil {
 		WriteError(w, bodyStatus(err), "bad request body: %v", err)
 		return false
 	}
 	return true
+}
+
+// decodeStrict decodes the one JSON value body holds into v, refusing
+// unknown fields and anything but whitespace after the value.
+func decodeStrict(body io.Reader, v any) error {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if _, tail := dec.Token(); err == nil && tail != io.EOF {
+		err = errors.New("data after the JSON value")
+		if bodyStatus(tail) == http.StatusRequestEntityTooLarge {
+			err = tail
+		}
+	}
+	return err
 }
 
 // bodyStatus is the status for a request body that could not be read
@@ -389,7 +396,8 @@ func overLimit(declared, limit int64) error {
 // end of input after them then need no further buffer, and a declared
 // length buys no memory before its bytes arrive. A buffer past its start
 // holds at most twice what came. A body over limit bytes, declared or
-// read, is an *http.MaxBytesError, which bodyStatus answers 413.
+// read, is an *http.MaxBytesError, which bodyStatus answers 413. A read
+// that fails returns the bytes that came before its error with it.
 func readBody(r io.Reader, declared, limit int64) ([]byte, error) {
 	if err := overLimit(declared, limit); err != nil {
 		return nil, err
@@ -415,7 +423,7 @@ func readBody(r io.Reader, declared, limit int64) ([]byte, error) {
 		case err == io.EOF:
 			return b, nil
 		case err != nil:
-			return nil, err
+			return b, err
 		}
 	}
 }

@@ -28,7 +28,7 @@ go test -race ./...
 # 4 cores under the race detector plus the sigbench engine-vs-naive run (exits non-zero on any `identical: false`), the
 # warn-only single-core throughput diff against BENCH_pairwise.json,
 # bench/ (its own module: the BENCHMARK.json harness with its output
-# checks on), and a short exploratory run of all thirteen fuzz targets. The
+# checks on), and a short exploratory run of all fourteen fuzz targets. The
 # other *-smoke targets are -run subsets of the race line above, for
 # working on one subsystem; the gate does not repeat them.
 make alloc-budget bench-smoke bench-baseline bench-e2e-smoke
