@@ -11,6 +11,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"graphsig/internal/apps"
@@ -84,6 +86,9 @@ type Router struct {
 	failoverReads *obs.CounterVec // reads served by a follower, by shard
 	partials      *obs.Counter    // fan-outs answered with shards_ok < shards_total
 	throttleWaits *obs.Counter    // routed ingest retries after shard 429s
+	resolves      *obs.CounterVec // routed label slots, by what the signature cache held
+	signatures    signatureCache
+	closes        []atomic.Int64 // window closes each shard's ingest answers reported
 	httpRequests  *obs.Counter
 	httpErrors    *obs.Counter
 	scrapeErrors  *obs.Counter // federation scrapes that failed
@@ -109,6 +114,7 @@ func NewRouter(cfg Config) (*Router, error) {
 		registry: obs.NewRegistry(),
 		tracer:   obs.NewTracer(0, cfg.SlowOp, cfg.Logger),
 		mux:      http.NewServeMux(),
+		closes:   make([]atomic.Int64, len(cfg.Shards)),
 	}
 	if rt.timeout <= 0 {
 		rt.timeout = DefaultScatterTimeout
@@ -142,6 +148,8 @@ func NewRouter(cfg Config) (*Router, error) {
 	rt.failoverReads = rt.registry.CounterVec("failover_reads_total", "reads served by a follower while the primary was down, by shard", "shard")
 	rt.partials = rt.registry.Counter("partial_results", "fan-outs answered with shards_ok < shards_total")
 	rt.throttleWaits = rt.registry.Counter("ingest_throttle_retries", "routed ingest retries after shard 429 responses")
+	rt.resolves = rt.registry.CounterVec("search_label_resolves_total",
+		"routed label searches by what the router's signature cache held for the owner to check: hit, miss or stale", "outcome")
 	rt.httpRequests = rt.registry.Counter("http_requests_total", "HTTP requests routed")
 	rt.httpErrors = rt.registry.Counter("http_errors_total", "HTTP responses with status >= 400")
 	rt.scrapeErrors = rt.registry.Counter("federate_scrape_errors", "node scrapes that failed during metrics federation")
@@ -355,6 +363,7 @@ func (rt *Router) Ingest(ctx context.Context, batchID string, records []netflow.
 		}
 		if err == nil {
 			rt.routedFlows.With(strconv.Itoa(s)).Add(int64(len(parts[s])))
+			rt.closes[s].Add(int64(res.WindowsClosed))
 		}
 		return res, err
 	})
@@ -435,115 +444,9 @@ func shardDebug[T any](results []shardResult[T], dbg func(T) *server.SearchDebug
 }
 
 // Search answers one query as the one slot of a routed batch
-// (server.SearchOne, SearchBatch). A label query first resolves the
-// label's latest archived signature at its owner shard, on the request
-// goroutine — one owner needs no scatter — and goes out as that
-// signature with the label excluded, exactly what SearchLabel does on a
-// single node. A label with no archived signature is a 404, an owner
-// that cannot answer a 502.
+// (server.SearchOne, SearchBatch), as a node's Search does.
 func (rt *Router) Search(ctx context.Context, req server.SearchRequest) (server.SearchResponse, error) {
-	if req.Label != "" {
-		owner := rt.ring.Shard(req.Label)
-		oc, _ := rt.readClient(owner)
-		end, tc := server.TraceFrom(ctx).SpanWith(fmt.Sprintf("resolve.shard%d", owner))
-		sig, err := latestSignature(oc.Traced(tc), owner, req.Label)
-		end()
-		if err != nil {
-			return server.SearchResponse{}, err
-		}
-		req = withSignature(req, sig)
-	}
 	return server.SearchOne(ctx, rt.SearchBatch, req)
-}
-
-// withSignature is label query req asked with sig, the label's latest
-// archived signature, instead.
-func withSignature(req server.SearchRequest, sig *server.SignatureJSON) server.SearchRequest {
-	req.Signature = sig
-	if req.ExcludeLabel == "" {
-		req.ExcludeLabel = req.Label
-	}
-	req.Label = ""
-	return req
-}
-
-// latestSignature is label's latest non-empty archived signature as its
-// owner shard, client c, holds it; a 404 when it holds none.
-func latestSignature(c *server.Client, owner int, label string) (*server.SignatureJSON, error) {
-	none := server.WithStatus(http.StatusNotFound, fmt.Errorf("label %q has no archived signature", label))
-	// Newest first, one entry to begin with: the newest archived
-	// signature is almost always non-empty, and asking for just it keeps
-	// the owner from parsing a cold block per window the label ever
-	// appeared in. When it is empty the page widens and moves back.
-	q := server.HistoryQuery{Limit: 1}
-	for {
-		hist, err := c.HistoryRange(label, q)
-		if server.APIStatus(err) == http.StatusNotFound {
-			return nil, none
-		}
-		if err != nil {
-			return nil, gateway(fmt.Errorf("cluster: resolving label %q at shard %d: %w", label, owner, err))
-		}
-		for i := len(hist.History) - 1; i >= 0; i-- {
-			if len(hist.History[i].Signature.Nodes) > 0 {
-				return &hist.History[i].Signature, nil
-			}
-		}
-		if !hist.Truncated || len(hist.History) == 0 {
-			return nil, none
-		}
-		q = server.HistoryQuery{To: hist.History[0].Window - 1, HasTo: true, Limit: 4 * q.Limit}
-	}
-}
-
-// resolved is one label's latest archived signature, or why there is
-// none.
-type resolved struct {
-	sig *server.SignatureJSON
-	err error
-}
-
-// resolveLabels resolves every distinct label of a batch's label slots
-// once, in one scatter over their owner shards — at most one call in
-// flight per shard, under the scatter deadline; each owner resolves its
-// labels one after another.
-func (rt *Router) resolveLabels(tr *obs.Trace, queries []server.SearchRequest) map[string]resolved {
-	out := map[string]resolved{}
-	byOwner := map[int][]string{}
-	clients := map[int]*server.Client{}
-	for _, q := range queries {
-		if _, seen := out[q.Label]; q.Label == "" || q.Signature != nil || seen {
-			continue
-		}
-		out[q.Label] = resolved{}
-		owner := rt.ring.Shard(q.Label)
-		if byOwner[owner] == nil {
-			clients[owner], _ = rt.readClient(owner)
-		}
-		byOwner[owner] = append(byOwner[owner], q.Label)
-	}
-	owners := make([]int, 0, len(byOwner))
-	for s := range byOwner {
-		owners = append(owners, s)
-	}
-	sort.Ints(owners)
-	answers := scatter(rt, tr, "resolve", owners, func(s int, tc obs.TraceContext) ([]resolved, error) {
-		res := make([]resolved, len(byOwner[s]))
-		for i, label := range byOwner[s] {
-			res[i].sig, res[i].err = latestSignature(clients[s].Traced(tc), s, label)
-		}
-		return res, nil
-	})
-	for _, a := range answers {
-		for i, label := range byOwner[a.shard] {
-			if a.err != nil {
-				out[label] = resolved{err: gateway(a.err)}
-			} else {
-				out[label] = a.val[i]
-			}
-		}
-	}
-	return out
 }
 
 // sortSearchHits orders merged shard hits under the store's exact
@@ -561,98 +464,268 @@ func sortSearchHits(hits []server.SearchHitJSON) {
 	})
 }
 
-// SearchBatch fans a whole query batch out to every shard in ONE
-// scatter — each shard answers all slots against a single ring
-// snapshot with one pooled kernel scratch — then merges every slot's
-// per-shard top-k lists under the store's exact comparator (dist asc,
-// window desc, label asc), truncating to the slot's k. Each shard
-// returns its own top-k, and the global top-k of a union is a subset of
-// the per-shard top-ks, so the merged list is bit-identical to a single
-// node searching the union — with the cardinality-exact distances
-// (jaccard and friends) unconditionally, and for order-sensitive float
-// kernels up to ulp differences from summation order (see DESIGN.md
-// §12).
-//
-// Label slots resolve at their owner shard first, each distinct label
-// once (resolveLabels). A slot the router cannot resolve for want of a
-// signature goes out as it came, so every shard refuses it in the words
-// a node would; one it cannot resolve for a failed or late owner carries
-// the router's error. A slot every shard refuses fails with their words
-// as a 400. Slot failures fail neither the batch nor the fan-out.
-func (rt *Router) SearchBatch(ctx context.Context, req server.BatchSearchRequest) (server.BatchSearchResponse, error) {
-	tr := server.TraceFrom(ctx)
-	labels := rt.resolveLabels(tr, req.Queries)
-	results := make([]server.BatchSearchResult, len(req.Queries))
-	ks := make([]int, len(req.Queries))
-	fan := server.BatchSearchRequest{Distance: req.Distance, Debug: req.Debug}
-	slots := make([]int, 0, len(req.Queries))
-	for i, q := range req.Queries {
-		if q.K <= 0 {
-			q.K = store.DefaultTopK
+// routedSlot is one slot of a routed batch on its way through the
+// shards.
+type routedSlot struct {
+	q      server.SearchRequest // as asked, k set
+	owner  int                  // a label slot's owner shard, else -1
+	closes int64                // the owner's window closes when the slot was sent
+	latest *server.HistoryEntryJSON
+	// guessed: the other shards search latest in the first scatter, as
+	// the owner has closed no window since it was cached. stale: the
+	// owner resolved the label anew; their first answers are dropped.
+	guessed, stale bool
+	hits           []server.SearchHitJSON
+	refusal        string // a shard's error for the slot
+	err            error  // the slot's own failure
+}
+
+// query is the slot as shard s searches it: as asked, or for a label
+// slot as a node's label query at its owner, checking latest's window,
+// and as latest's signature, the label excluded, at the other shards.
+func (sl *routedSlot) query(s int) server.SearchRequest {
+	q, asOf := sl.q, -1
+	switch {
+	case sl.owner < 0:
+	case s == sl.owner && sl.latest != nil:
+		asOf = sl.latest.Window
+		fallthrough
+	case s == sl.owner:
+		q.AsOf = &asOf
+	default:
+		q.Signature, q.Label, q.AsOf = &sl.latest.Signature, "", nil
+		q.ExcludeLabel = cmp.Or(q.ExcludeLabel, sl.q.Label)
+	}
+	return q
+}
+
+// searchShards scatters, as op, to each shard s the slots sends[s] —
+// none to a shard with none — and returns the answers by shard. calls
+// is the batch's account of every shard over its scatters: wall time
+// and probes summed, the first failure, the distance answered.
+func (rt *Router) searchShards(tr *obs.Trace, op string, req server.BatchSearchRequest, clients []*server.Client,
+	slots []routedSlot, sends [][]int, calls []shardResult[server.BatchSearchResponse]) []shardResult[server.BatchSearchResponse] {
+	batches := make([]server.BatchSearchRequest, len(sends))
+	var shards []int
+	for s, send := range sends {
+		if len(send) > 0 {
+			shards = append(shards, s)
 		}
-		ks[i] = q.K
-		if r, ok := labels[q.Label]; ok && q.Signature == nil {
+		batches[s] = server.BatchSearchRequest{Distance: req.Distance, Debug: req.Debug}
+		for _, i := range send {
+			batches[s].Queries = append(batches[s].Queries, slots[i].query(s))
+		}
+	}
+	out := make([]shardResult[server.BatchSearchResponse], len(sends))
+	for _, r := range scatter(rt, tr, op, shards, func(s int, tc obs.TraceContext) (server.BatchSearchResponse, error) {
+		resp, err := clients[s].Traced(tc).SearchBatch(batches[s])
+		if err == nil && len(resp.Results) != len(sends[s]) {
+			err = fmt.Errorf("cluster: shard %d answered %d slots of %d", s, len(resp.Results), len(sends[s]))
+		}
+		return resp, err
+	}) {
+		out[r.shard] = r
+		c := &calls[r.shard]
+		c.micros += r.micros
+		switch {
+		case r.err != nil:
+			c.err = cmp.Or(c.err, r.err)
+		case r.val.Debug != nil:
+			c.val.Debug.Probes += r.val.Debug.Probes
+			fallthrough
+		default:
+			c.val.Distance = r.val.Distance
+		}
+	}
+	return out
+}
+
+// fold takes a scatter's answers into their slots: hits, or the error a
+// shard refused a slot with. A failed slot takes none, and a stale one,
+// of the first scatter, only its owner's.
+func fold(slots []routedSlot, sends [][]int, answers []shardResult[server.BatchSearchResponse], first bool) {
+	for s, r := range answers {
+		for k, i := range sends[s] {
+			sl := &slots[i]
 			switch {
-			case r.err == nil:
-				q = withSignature(q, r.sig)
-			case server.Status(r.err) != http.StatusNotFound:
-				results[i] = server.FailedSlot(r.err)
-				continue
+			case r.err != nil || sl.err != nil || first && sl.stale && s != sl.owner:
+			case r.val.Results[k].Error != "":
+				sl.refusal = r.val.Results[k].Error
+			default:
+				sl.hits = append(sl.hits, r.val.Results[k].Hits...)
 			}
 		}
-		fan.Queries = append(fan.Queries, q)
-		slots = append(slots, i)
 	}
+}
 
-	clients, stale := rt.readClients()
-	if len(fan.Queries) == 0 {
-		// Every slot's owner failed; nothing to scatter.
-		cov := &server.Coverage{ShardsOK: rt.ring.Shards(), ShardsTotal: rt.ring.Shards(), StaleShards: stale}
-		return server.BatchSearchResponse{Distance: req.Distance, Results: results, Coverage: cov}, nil
+// resolve reads the answer r of a label slot's owner to the slot, its
+// k-th query, and reports whether the other shards must search again:
+// when the owner resolved the label anew, which the cache then takes —
+// but for a label with no signature, which fails the slot with the
+// owner's 404.
+func (rt *Router) resolve(sl *routedSlot, r shardResult[server.BatchSearchResponse], k int) bool {
+	if r.err != nil {
+		sl.err = gateway(fmt.Errorf("cluster: resolving label %q at shard %d: %w", sl.q.Label, sl.owner, r.err))
+		return false
 	}
-	answers := scatter(rt, tr, "search.batch", rt.allShards(), func(s int, tc obs.TraceContext) (server.BatchSearchResponse, error) {
-		return clients[s].Traced(tc).SearchBatch(fan)
-	})
-	cov, err := gather(rt, "batch search", answers, stale)
+	res, outcome := r.val.Results[k], "hit"
+	switch {
+	case res.Resolved == nil && (res.Error != "" || sl.latest == nil):
+		sl.latest = nil // refused before it was resolved
+		return false
+	case res.Resolved != nil && sl.latest == nil:
+		outcome = "miss"
+	case res.Resolved != nil:
+		outcome = "stale"
+	}
+	rt.resolves.With(outcome).Add(1)
+	if res.Resolved != nil {
+		sl.latest, sl.stale = res.Resolved, true
+	}
+	if sl.stale || !sl.guessed {
+		rt.signatures.put(sl.q.Label, *sl.latest, sl.closes)
+	}
+	if sl.latest.Window < 0 {
+		sl.err = server.WithStatus(http.StatusNotFound, errors.New(res.Error))
+		return false
+	}
+	return sl.stale || !sl.guessed
+}
+
+// signatureCacheBytes bounds the router's signature cache by what its
+// entries hold: some 8 000 signatures of 100 members.
+const signatureCacheBytes = 8 << 20
+
+// signatureCache holds each label's latest archived signature as its
+// owner shard last answered it (SearchBatch). It is dropped whole when
+// an entry would take it past signatureCacheBytes.
+type signatureCache struct {
+	mu      sync.Mutex
+	entries map[string]cachedSignature
+	bytes   int
+}
+
+// cachedSignature is a label's latest signature, as of the owner's
+// closes-th window close the router saw.
+type cachedSignature struct {
+	server.HistoryEntryJSON
+	closes int64
+	bytes  int
+}
+
+func (c *signatureCache) get(label string) (cachedSignature, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries[label]
+	return e, ok
+}
+
+// put records e as label's latest signature or, of window -1, forgets
+// the label. An entry counts its strings and a few words a header.
+func (c *signatureCache) put(label string, e server.HistoryEntryJSON, closes int64) {
+	n := 96 + len(label) + len(e.Scheme)
+	for _, node := range e.Signature.Nodes {
+		n += 24 + len(node)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.bytes -= c.entries[label].bytes
+	delete(c.entries, label)
+	if e.Window >= 0 && n <= signatureCacheBytes {
+		if c.entries == nil || c.bytes+n > signatureCacheBytes {
+			c.entries, c.bytes = map[string]cachedSignature{}, 0
+		}
+		c.entries[label], c.bytes = cachedSignature{e, closes, n}, c.bytes+n
+	}
+}
+
+// SearchBatch answers a query batch from the shards, each slot as a
+// node holding the union answers it: the global top-k of a union is a
+// subset of the per-shard top-ks, so a slot's merge under the store's
+// exact comparator, cut to its k, is a single node's answer (up to
+// summation-order ulps for the float kernels; DESIGN.md §12).
+//
+// A label slot's owner searches it as a node's label query, asked as of
+// the window of the label's cached signature (-1 for none), in the
+// scatter in which the other shards search that signature — unless the
+// router has seen the owner close a window since it was cached; they
+// then search it in a second scatter, once the owner has checked it. An
+// owner whose latest window is another answers the label's resolution:
+// the cache takes it, and the other shards, their first answers
+// dropped, search it in a second scatter. An archived signature never
+// changes, so this answers what resolving first did. A label with no
+// signature fails its slot with the owner's 404, one whose owner failed
+// with the router's 502, and one every shard refuses with their words as
+// a 400; slot failures fail neither the batch nor the fan-out.
+func (rt *Router) SearchBatch(ctx context.Context, req server.BatchSearchRequest) (server.BatchSearchResponse, error) {
+	tr := server.TraceFrom(ctx)
+	clients, stale := rt.readClients()
+	calls := make([]shardResult[server.BatchSearchResponse], rt.ring.Shards())
+	first, second := make([][]int, len(calls)), make([][]int, len(calls))
+	slots := make([]routedSlot, len(req.Queries))
+	for i, q := range req.Queries {
+		sl := &slots[i]
+		sl.q, sl.owner, sl.hits = q, -1, []server.SearchHitJSON{}
+		if q.K <= 0 {
+			sl.q.K = store.DefaultTopK
+		}
+		if q.Label != "" && q.Signature == nil {
+			sl.owner = rt.ring.Shard(q.Label)
+			sl.closes = rt.closes[sl.owner].Load()
+			if e, ok := rt.signatures.get(q.Label); ok {
+				sl.latest, sl.guessed = &e.HistoryEntryJSON, e.closes == sl.closes
+			}
+		}
+		for s := range first {
+			if sl.owner < 0 || s == sl.owner || sl.guessed {
+				first[s] = append(first[s], i)
+			}
+		}
+	}
+	for s := range calls {
+		calls[s].shard, calls[s].val.Debug = s, &server.SearchDebugJSON{}
+	}
+	answers := rt.searchShards(tr, "search.batch", req, clients, slots, first, calls)
+	for s, r := range answers {
+		for k, i := range first[s] {
+			if s == slots[i].owner && rt.resolve(&slots[i], r, k) {
+				for o := range second {
+					if o != s {
+						second[o] = append(second[o], i)
+					}
+				}
+			}
+		}
+	}
+	fold(slots, first, answers, true)
+	fold(slots, second, rt.searchShards(tr, "search.resolved", req, clients, slots, second, calls), false)
+
+	cov, err := gather(rt, "batch search", calls, stale)
 	if err != nil {
 		return server.BatchSearchResponse{}, err
 	}
-	resp := server.BatchSearchResponse{Results: results, Coverage: cov}
+	resp := server.BatchSearchResponse{Results: make([]server.BatchSearchResult, len(slots)), Coverage: cov}
+	for _, c := range calls {
+		resp.Distance = cmp.Or(c.val.Distance, resp.Distance)
+	}
 	if req.Debug {
 		cov.TraceID = tr.ID()
-		resp.Debug = shardDebug(answers, func(v server.BatchSearchResponse) *server.SearchDebugJSON { return v.Debug })
+		resp.Debug = shardDebug(calls, func(v server.BatchSearchResponse) *server.SearchDebugJSON { return v.Debug })
 	}
-	for _, r := range answers {
-		if r.err == nil {
-			resp.Distance = r.val.Distance
+	for i := range slots {
+		sl, out := &slots[i], &resp.Results[i]
+		switch {
+		case sl.err != nil:
+			*out = server.FailedSlot(sl.err)
+		case sl.refusal != "" && len(sl.hits) == 0:
+			*out = server.FailedSlot(server.WithStatus(http.StatusBadRequest, errors.New(sl.refusal)))
+		default:
+			sortSearchHits(sl.hits)
+			out.Hits = sl.hits[:min(len(sl.hits), sl.q.K)]
 		}
-	}
-	for k, slot := range slots {
-		merged := []server.SearchHitJSON{}
-		slotErr := ""
-		for _, r := range answers {
-			if r.err != nil || k >= len(r.val.Results) {
-				continue
-			}
-			sr := r.val.Results[k]
-			if sr.Error != "" {
-				// Shard-side slot errors (a malformed signature, say) are
-				// deterministic across shards: every shard reports the same
-				// one, so keeping the last seen loses nothing.
-				slotErr = sr.Error
-				continue
-			}
-			merged = append(merged, sr.Hits...)
+		if sl.owner >= 0 && sl.latest != nil && server.Resolves(req.Queries[i].AsOf, sl.latest.Window) {
+			out.Resolved = sl.latest
 		}
-		if slotErr != "" && len(merged) == 0 {
-			results[slot] = server.FailedSlot(server.WithStatus(http.StatusBadRequest, errors.New(slotErr)))
-			continue
-		}
-		sortSearchHits(merged)
-		if len(merged) > ks[slot] {
-			merged = merged[:ks[slot]]
-		}
-		results[slot].Hits = merged
 	}
 	return resp, nil
 }

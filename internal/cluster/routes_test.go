@@ -18,6 +18,7 @@ import (
 
 	"graphsig/internal/datagen"
 	"graphsig/internal/netflow"
+	"graphsig/internal/obs"
 	"graphsig/internal/server"
 )
 
@@ -213,6 +214,8 @@ func (w *routeWorld) run(check func(routeCase, [3]routeAnswer)) {
 		routeCase{"batch-unknown-distance", "POST", "/v1/search/batch", fmt.Sprintf(`{"distance":"nope","queries":[{"label":%q}]}`, l1)},
 		routeCase{"batch-all-unresolved", "POST", "/v1/search/batch", `{"queries":[{"label":"no-such-host"}]}`},
 		routeCase{"batch-all-unresolved-named", "POST", "/v1/search/batch", `{"distance":"dice","queries":[{"label":"no-such-host"}]}`},
+		routeCase{"batch-over-cap", "POST", "/v1/search/batch",
+			fmt.Sprintf(`{"queries":[%s{"k":1}]}`, strings.Repeat(fmt.Sprintf(`{"label":%q},`, l1), server.MaxBatchQueries))},
 
 		routeCase{"history", "GET", "/v1/signatures/" + l1, ""},
 		routeCase{"history-range", "GET", "/v1/signatures/" + l1 + "?from=1&to=2&limit=1", ""},
@@ -382,6 +385,38 @@ func TestClusterRoutesMatchNode(t *testing.T) {
 	hits := routeCase{"hits-after-explicit", "GET", "/v1/watchlist/hits", ""}
 	ans := w.do(hits)
 	check(hits, ans)
+
+	// The routers' signatures of the labels searched above are a window
+	// old now: searched again, they must answer as the node does.
+	l1, l2 := datagen.LocalLabel(0), datagen.LocalLabel(1)
+	for _, c := range []routeCase{
+		{"search-label-after-close", "POST", "/v1/search", fmt.Sprintf(`{"label":%q,"k":10,"max_dist":0.95}`, l1)},
+		{"search-exclude-after-close", "POST", "/v1/search", fmt.Sprintf(`{"label":%q,"k":4,"exclude_label":%q}`, l1, l2)},
+		{"batch-after-close", "POST", "/v1/search/batch", fmt.Sprintf(`{"queries":[{"label":%q,"k":5},{"label":%q,"k":3,"last_windows":1},{"label":%q,"k":2}]}`, l1, l2, w.watched)},
+		{"batch-as-of-after-close", "POST", "/v1/search/batch", fmt.Sprintf(`{"queries":[{"label":%q,"as_of":%d},{"label":%q,"as_of":-1},{"label":"no-such-host","as_of":-1}]}`, l1, w.gcfg.Windows-1, l2)},
+	} {
+		check(c, w.do(c))
+	}
+	for _, url := range w.urls[1:] {
+		fams, err := server.NewClient(url).Metrics()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if obs.Totals(fams)["search_label_resolves_total"] == 0 {
+			t.Errorf("router %s resolved no label", url)
+		}
+		stale := 0.0
+		for _, f := range fams {
+			for _, smp := range f.Samples {
+				if f.Name == "search_label_resolves_total" && smp.Label("outcome") == "stale" {
+					stale += smp.Value
+				}
+			}
+		}
+		if stale == 0 {
+			t.Errorf("router %s met no stale signature: the searches after the close did not test one", url)
+		}
+	}
 	var resp server.WatchlistHitsResponse
 	if err := json.Unmarshal(ans[0].body, &resp); err != nil {
 		t.Fatal(err)
@@ -485,6 +520,10 @@ func TestClusterRefusalPassesThrough(t *testing.T) {
 		}, http.StatusBadRequest, 0},
 		{"batch-empty", func() error {
 			_, err := c.SearchBatch(server.BatchSearchRequest{})
+			return err
+		}, http.StatusBadRequest, 0},
+		{"batch-over-cap", func() error {
+			_, err := c.SearchBatch(server.BatchSearchRequest{Queries: make([]server.SearchRequest, server.MaxBatchQueries+1)})
 			return err
 		}, http.StatusBadRequest, 0},
 		{"batch-unknown-distance", func() error {

@@ -67,7 +67,12 @@ func FuzzRoutedSearchRequest(f *testing.F) {
 	}
 
 	var seeds []server.SearchRequest
+	latest, none := 0, -1
 	for _, q := range []server.SearchRequest{
+		{Label: "10.0.0.1", K: 3, AsOf: &latest},
+		{Label: "10.0.0.2", AsOf: &none},
+		{Label: "10.9.9.9", AsOf: &latest},
+		{Signature: &server.SignatureJSON{Nodes: []string{"e1"}, Weights: []float64{1}}, AsOf: &none},
 		{Label: "10.0.0.1", K: 3, MaxDist: 0.9},
 		{Signature: &server.SignatureJSON{Nodes: []string{"e1", "e2", "never-seen"}, Weights: []float64{3, 1, 1}}, K: 2},
 		{Label: "10.0.0.3", K: 5, LastWindows: 1},

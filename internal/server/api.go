@@ -244,9 +244,17 @@ func (q SearchRequest) validate() error {
 	return nil
 }
 
+// MaxBatchQueries bounds the slots of one batch search, on a node and
+// on the router alike: a batch is answered under one read lock, and the
+// router fans each slot out to every shard.
+const MaxBatchQueries = 1024
+
 func (b BatchSearchRequest) validate() error {
-	if len(b.Queries) == 0 {
+	switch {
+	case len(b.Queries) == 0:
 		return badRequest("batch search needs at least one query")
+	case len(b.Queries) > MaxBatchQueries:
+		return badRequest("batch search has %d queries, over the %d a batch may hold", len(b.Queries), MaxBatchQueries)
 	}
 	return knownDistance(b.Distance)
 }

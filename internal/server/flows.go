@@ -101,6 +101,21 @@ type flowRun struct {
 // flowsSep is what AppendFlows writes between two records.
 var flowsSep = []byte(`},{"`)
 
+// minRecordBytes is the length of the shortest record appendRecord
+// writes: empty labels, no optional member, a whole second in UTC.
+var minRecordBytes = func() int {
+	b, _ := appendRecord(nil, &netflow.Record{Proto: netflow.TCP})
+	return len(b)
+}()
+
+// recordsCap is the capacity for the records of b: one more than the
+// separators it holds, but no more records than its bytes hold at
+// minRecordBytes each, so that a flood of separators allocates in
+// proportion to its length.
+func recordsCap(b []byte) int {
+	return min(bytes.Count(b, flowsSep), len(b)/minRecordBytes) + 1
+}
+
 // cutRuns cuts a body that starts as AppendFlows starts one into k runs
 // at the first record separator after each k-th of its bytes, and
 // returns runs 2..k: none when k < 2, the body starts otherwise, or no
@@ -139,7 +154,7 @@ func cutRuns(body []byte, k int) []flowRun {
 // as a single one would.
 func (r *flowRun) decode(body []byte) {
 	d := flowsReader{b: body[r.start:r.end], join: -1}
-	recs := make([]netflow.Record, 0, bytes.Count(d.b, flowsSep)+1)
+	recs := make([]netflow.Record, 0, recordsCap(d.b))
 	for {
 		rec, err := d.record()
 		if d.err != nil || err != nil {
@@ -194,16 +209,15 @@ func (d *flowsReader) request() (batchID string, recs []netflow.Record) {
 }
 
 // records reads the "records" value: an array of record objects, or
-// null for none. Its slice is sized from the separators AppendFlows
-// writes, which a string may also hold: a count that is not exact costs
-// memory or a regrowth, not records.
+// null for none. Its slice is sized by recordsCap: a count that is not
+// exact costs memory or a regrowth, not records.
 func (d *flowsReader) records() (recs []netflow.Record) {
 	if d.null() {
 		return nil
 	}
 	d.want('[')
-	if n := bytes.Count(d.b[d.i:], flowsSep); n > 0 {
-		recs = make([]netflow.Record, 0, n+1)
+	if n := recordsCap(d.b[d.i:]); n > 1 {
+		recs = make([]netflow.Record, 0, n)
 	}
 	for d.space(); d.err == nil && !d.peek(']'); d.space() {
 		if len(recs) > 0 {

@@ -631,6 +631,30 @@ func TestReadFlowsAllocBudget(t *testing.T) {
 	}
 }
 
+// TestReadFlowsSeparatorFloodBudget: a 1 MiB body of `{"records":[`
+// and record separators alone, refused 400, allocates no more than
+// floodBytesPerByte times its length and floodBytes beside — read in one
+// run and in four, each of which sizes its own slice. The records'
+// slices are sized by what the body's bytes can hold (recordsCap):
+// 1.25 B a byte measured in one run, 2.19 in four. Sized by its
+// separators alone, the one-run read took 25 MB, 24 B a byte.
+func TestReadFlowsSeparatorFloodBudget(t *testing.T) {
+	budget.SkipUnderRace(t)
+	const floodBytesPerByte, floodBytes = 3, 64 << 10
+	body := []byte(`{"records":[` + strings.Repeat(string(flowsSep), (1<<20)/len(flowsSep)))
+	for _, procs := range []int{1, 4} {
+		_, bytes := budget.PerRun(3, func() {
+			if _, _, err := decodeFlowsRuns(body, procs, flowsRunBytes); err == nil {
+				t.Fatal("a separator flood decoded")
+			}
+		})
+		t.Logf("%d run(s): %.0f bytes, %.2f a body byte", procs, bytes, bytes/float64(len(body)))
+		if limit := floodBytesPerByte*len(body) + floodBytes; bytes > float64(limit) {
+			t.Errorf("%d run(s): a %d-byte separator flood allocated %.0f bytes; budget %d", procs, len(body), bytes, limit)
+		}
+	}
+}
+
 // TestReadFlowsLaidOutAllocBudget: a body every record of which is laid
 // out as appendRecord writes one reads in at most its records' two
 // labels a record and a constant — the records, the batch ID, and at

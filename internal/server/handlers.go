@@ -146,6 +146,11 @@ type SearchRequest struct {
 	// signature-query fan-out so non-owner shards apply the same
 	// exclusion the owner does.
 	ExcludeLabel string `json:"exclude_label,omitempty"`
+	// AsOf, on a label query, is the window of the label's latest
+	// signature as the asker knows it (-1: none): the slot then carries
+	// the label's resolution unless that is still its window (Resolves).
+	// The cluster router asks a label's owner shard with it.
+	AsOf *int `json:"as_of,omitempty"`
 	// Debug attaches per-query explain counters (timing, probes) to the
 	// response; ?debug=1 on the URL does the same.
 	Debug bool `json:"debug,omitempty"`
@@ -181,18 +186,28 @@ type BatchSearchRequest struct {
 
 // BatchSearchResult is one slot of a batch response: hits on success,
 // an error string when that query alone failed (unknown label, bad
-// signature). Slot failures do not fail the batch. Err is the slot's
-// failure in process, with the status a single search answers it with
-// (SearchOne); it stays off the wire.
+// signature). Slot failures do not fail the batch. Resolved answers a
+// label query's AsOf (Resolves). Err is the slot's failure in
+// process, with the status a single search answers it with (SearchOne);
+// it stays off the wire.
 type BatchSearchResult struct {
-	Hits  []SearchHitJSON `json:"hits"`
-	Error string          `json:"error,omitempty"`
-	Err   error           `json:"-"`
+	Hits     []SearchHitJSON   `json:"hits"`
+	Error    string            `json:"error,omitempty"`
+	Resolved *HistoryEntryJSON `json:"resolved,omitempty"`
+	Err      error             `json:"-"`
 }
 
 // FailedSlot is a batch slot that failed with err.
 func FailedSlot(err error) BatchSearchResult {
 	return BatchSearchResult{Error: err.Error(), Err: err}
+}
+
+// Resolves reports whether a label query asked as of window asOf
+// answers the label's resolution when its latest archived signature is
+// of window latest (-1: none, answered as window -1 beside the 404):
+// when asked as of a window that latest is not.
+func Resolves(asOf *int, latest int) bool {
+	return asOf != nil && (latest < 0 || latest != *asOf)
 }
 
 // SearchOne answers a single search as the one slot of a batch that
@@ -537,13 +552,14 @@ func (s *Server) searchBatch(ctx context.Context, req BatchSearchRequest) (Batch
 	slots := make([]int, 0, len(req.Queries))
 	end := tr.Span("resolve")
 	for i, q := range req.Queries {
-		bq, err := s.resolveSearchQuery(q, d, provisional)
+		bq, resolved, err := s.resolveSearchQuery(q, d, provisional)
 		if errors.Is(err, store.ErrColdRead) {
 			end()
 			return BatchSearchResponse{}, err
 		}
+		results[i].Resolved = resolved
 		if err != nil {
-			results[i] = FailedSlot(err)
+			results[i].Error, results[i].Err = err.Error(), err
 			continue
 		}
 		if req.Debug {
@@ -571,37 +587,44 @@ func (s *Server) searchBatch(ctx context.Context, req BatchSearchRequest) (Batch
 
 // resolveSearchQuery turns one batch slot into a store query, an
 // inline signature's unknown labels taking their provisional NodeIDs
-// from provisional. A slot it cannot resolve fails with the status a
-// single search answers: 404 for a label with no archived signature,
-// 400 for a refused query or signature; a cold-tier read that fails is
-// the node's own fault and fails the whole request, 500. Callers hold
-// the read lock.
-func (s *Server) resolveSearchQuery(q SearchRequest, d core.Distance, provisional map[string]graph.NodeID) (store.BatchQuery, error) {
+// from provisional, and a label query's AsOf into its resolution. A
+// slot it cannot resolve fails with the status a single search answers:
+// 404 for a label with no archived signature, 400 for a refused query or
+// signature; a cold-tier read that fails is the node's own fault and
+// fails the whole request, 500. Callers hold the read lock.
+func (s *Server) resolveSearchQuery(q SearchRequest, d core.Distance, provisional map[string]graph.NodeID) (store.BatchQuery, *HistoryEntryJSON, error) {
 	if err := q.validate(); err != nil {
-		return store.BatchQuery{}, err
+		return store.BatchQuery{}, nil, err
 	}
 	if qd, _ := s.distanceFor(q.Distance); q.Distance != "" && qd.Name() != d.Name() {
-		return store.BatchQuery{}, badRequest("query distance %q differs from batch distance %q", qd.Name(), d.Name())
+		return store.BatchQuery{}, nil, badRequest("query distance %q differs from batch distance %q", qd.Name(), d.Name())
 	}
 	opts := store.SearchOptions{TopK: q.K, MaxDist: q.MaxDist, LastWindows: q.LastWindows, ExcludeLabel: q.ExcludeLabel}
 	if q.Signature == nil {
-		sig, _, ok, err := s.store.ReadLatestSignature(q.Label)
+		e, ok, err := s.store.ReadLatestSignature(q.Label)
 		if err != nil {
-			return store.BatchQuery{}, err
+			return store.BatchQuery{}, nil, err
+		}
+		var resolved *HistoryEntryJSON
+		if !ok {
+			e.Window = -1
+		}
+		if Resolves(q.AsOf, e.Window) {
+			resolved = &HistoryEntryJSON{Window: e.Window, Scheme: e.Scheme, Signature: s.signatureJSON(e.Sig)}
 		}
 		if !ok {
-			return store.BatchQuery{}, WithStatus(http.StatusNotFound, fmt.Errorf("label %q has no archived signature", q.Label))
+			return store.BatchQuery{}, resolved, WithStatus(http.StatusNotFound, fmt.Errorf("label %q has no archived signature", q.Label))
 		}
 		if opts.ExcludeLabel == "" {
 			opts.ExcludeLabel = q.Label
 		}
-		return store.BatchQuery{Sig: sig, Opts: opts}, nil
+		return store.BatchQuery{Sig: e.Sig, Opts: opts}, resolved, nil
 	}
 	sig, err := s.querySignature(*q.Signature, provisional)
 	if err != nil {
-		return store.BatchQuery{}, WithStatus(http.StatusBadRequest, err)
+		return store.BatchQuery{}, nil, WithStatus(http.StatusBadRequest, err)
 	}
-	return store.BatchQuery{Sig: sig, Opts: opts}, nil
+	return store.BatchQuery{Sig: sig, Opts: opts}, nil, nil
 }
 
 // provisionalIDs gives every member label of the queries' inline

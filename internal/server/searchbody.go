@@ -312,6 +312,10 @@ func (l *layout) searchRequest() (q SearchRequest) {
 	if l.key(`,"exclude_label":`, &first) {
 		q.ExcludeLabel = l.text()
 	}
+	if l.key(`,"as_of":`, &first) {
+		q.AsOf = new(int)
+		*q.AsOf = int(l.int(strconv.IntSize))
+	}
 	if l.key(`,"debug":`, &first) {
 		q.Debug = l.bool()
 	}
@@ -397,25 +401,31 @@ func (l *layout) batchSearchResponse() (r BatchSearchResponse) {
 		if l.lit(`,"error":`) {
 			s.Error = l.text()
 		}
+		if l.lit(`,"resolved":`) {
+			s.Resolved = new(HistoryEntryJSON)
+			l.historyEntry(s.Resolved)
+		}
 		l.want("}")
 	})
 	l.tail(&r.Coverage, &r.Debug)
 	return r
 }
 
+func (l *layout) historyEntry(e *HistoryEntryJSON) {
+	l.want(`{"window":`)
+	e.Window = int(l.int(strconv.IntSize))
+	l.want(`,"scheme":`)
+	e.Scheme = l.text()
+	l.want(`,"signature":`)
+	l.signature(&e.Signature)
+	l.want("}")
+}
+
 func (l *layout) historyResponse() (r HistoryResponse) {
 	l.want(`{"label":`)
 	r.Label = l.text()
 	l.want(`,"history":`)
-	r.History = array(l, l.keys(`{"window":`), func(e *HistoryEntryJSON) {
-		l.want(`{"window":`)
-		e.Window = int(l.int(strconv.IntSize))
-		l.want(`,"scheme":`)
-		e.Scheme = l.text()
-		l.want(`,"signature":`)
-		l.signature(&e.Signature)
-		l.want("}")
-	})
+	r.History = array(l, l.keys(`{"window":`), l.historyEntry)
 	if l.lit(`,"truncated":`) {
 		r.Truncated = l.bool()
 	}

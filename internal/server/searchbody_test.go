@@ -98,6 +98,10 @@ func signatureOf(n int) *SignatureJSON {
 // WriteJSON encodes them, a router's among them.
 func searchBodies(tb testing.TB) map[string][]byte {
 	one := SearchRequest{Signature: signatureOf(16), K: 10, LastWindows: 12, ExcludeLabel: "10.0.0.7", Debug: true}
+	asOf := 3
+	resolved := BatchSearchResult{Hits: hitsOf(2), Resolved: &HistoryEntryJSON{Window: 4, Scheme: "tt", Signature: *signatureOf(5)}}
+	none := FailedSlot(fmt.Errorf("label %q has no archived signature", "x"))
+	none.Resolved = &HistoryEntryJSON{Window: -1}
 	marshal := func(v any) []byte {
 		b, err := json.Marshal(v)
 		if err != nil {
@@ -107,9 +111,9 @@ func searchBodies(tb testing.TB) map[string][]byte {
 	}
 	return map[string][]byte{
 		"SearchRequest":       marshal(SearchRequest{Label: "10.0.0.1", K: 10, MaxDist: 0.95, Distance: "dice", LastWindows: 4}),
-		"BatchSearchRequest":  marshal(BatchSearchRequest{Distance: "jaccard", Queries: []SearchRequest{one, {Label: "10.0.0.2"}}}),
+		"BatchSearchRequest":  marshal(BatchSearchRequest{Distance: "jaccard", Queries: []SearchRequest{one, {Label: "10.0.0.2"}, {Label: "10.0.0.3", K: 10, AsOf: &asOf}}}),
 		"SearchResponse":      encode(tb, SearchResponse{Distance: "jaccard", Hits: hitsOf(10), Coverage: &Coverage{ShardsOK: 2, ShardsTotal: 2}}),
-		"BatchSearchResponse": encode(tb, BatchSearchResponse{Distance: "jaccard", Results: []BatchSearchResult{{Hits: hitsOf(10)}, FailedSlot(fmt.Errorf("label %q has no archived signature", "x"))}, Debug: &SearchDebugJSON{TraceID: "00ab", Micros: 412, Probes: 9600}}),
+		"BatchSearchResponse": encode(tb, BatchSearchResponse{Distance: "jaccard", Results: []BatchSearchResult{{Hits: hitsOf(10)}, resolved, none}, Debug: &SearchDebugJSON{TraceID: "00ab", Micros: 412, Probes: 9600}}),
 		"HistoryResponse":     encode(tb, HistoryResponse{Label: "10.0.0.1", History: []HistoryEntryJSON{{Window: 3, Scheme: "tt", Signature: *signatureOf(12)}, {Window: 4, Scheme: "tt", Signature: SignatureJSON{Nodes: []string{}}}}, Truncated: true}),
 	}
 }
@@ -143,6 +147,8 @@ func TestSearchBodiesLayout(t *testing.T) {
 		// Numbers outside the grammar or the type.
 		`{"k":01}`, `{"k":+1}`, `{"k":1.0}`, `{"k":1e2}`, `{"k":9223372036854775808}`,
 		`{"max_dist":1.}`, `{"max_dist":.5}`, `{"max_dist":1e400}`, `{"max_dist":-}`, `{"max_dist":1e}`,
+		`{"label":"a","as_of":1.5}`, `{"label":"a","as_of":null}`, `{"as_of":1,"label":"a"}`,
+		`{"distance":"d","results":[{"hits":[],"resolved":{"scheme":"","window":2,"signature":{"nodes":[],"weights":[]}}}]}`,
 		// A router's stale shards and per-shard debug array.
 		`{"distance":"d","hits":[],"shards_ok":1,"shards_total":2,"stale_shards":[{"shard":0,"gen":1,"offset":2}]}`,
 		`{"distance":"d","hits":[],"shards_ok":1,"shards_total":1,"debug":[{"shard":0,"micros":3,"probes":4}]}`,
@@ -156,12 +162,14 @@ func TestSearchBodiesLayout(t *testing.T) {
 	for _, c := range []struct{ body, by string }{
 		{`{}`, "SearchRequest"},
 		{`{"max_dist":-0,"debug":false}`, "SearchRequest"},
+		{`{"label":"a","as_of":-1}`, "SearchRequest"},
 		{"{\"label\":\"a\\\"b\\u00e9\\ud83d\\ude00\xc3\xa9\xff\"}\n\t ", "SearchRequest"},
 		{`{"queries":[]}`, "BatchSearchRequest"},
 		{`{"queries":null,"debug":true}`, "BatchSearchRequest"},
 		{`{"distance":"d","hits":null}`, "SearchResponse"},
 		{`{"distance":"d","hits":[{"label":"a","window":-0,"dist":1E+2}]}`, "SearchResponse"},
 		{`{"distance":"d","results":[{"hits":null,"error":""}],"shards_ok":0,"shards_total":0,"trace_id":"t"}`, "BatchSearchResponse"},
+		{`{"distance":"d","results":[{"hits":[],"resolved":{"window":2,"scheme":"","signature":{"nodes":[],"weights":null}}}]}`, "BatchSearchResponse"},
 		{`{"label":"a","history":null,"truncated":false}`, "HistoryResponse"},
 	} {
 		if taken := checkBodies(t, []byte(c.body)); len(taken) != 1 || taken[0] != c.by {
@@ -348,6 +356,8 @@ func FuzzSearchBodies(f *testing.F) {
 		`{"distance":"d","hits":[{"label":"a","window":01,"dist":0}]}`, `{"distance":"d","hits":[{"label":"a","window":1,"dist":-0}]}`,
 		`{"distance":"d","hits":[{"label":"a","window":1,"dist":1e400}]}`, `{"distance":"d","hits":null,"hits":[]}`,
 		`{"distance":"d","results":[{"hits":[],"error":"label \"x\" has no archived signature"}]}`,
+		`{"distance":"d","results":[{"hits":null,"error":"e","resolved":{"window":-1,"scheme":"","signature":{"nodes":null,"weights":null}}}]}`,
+		`{"label":"a","as_of":-1}`, `{"label":"a","as_of":01}`, `{"label":"a","as_of":1e2}`,
 		`{"label":"a","history":[{"window":1,"scheme":"tt","signature":{"nodes":null,"weights":[1e-7]}}]}`,
 	} {
 		f.Add([]byte(body), "a\"b\\<>& \xff", int64(-1)<<62, math.Copysign(0, -1)*float64(i), int64(i), uint8(i*37))
@@ -363,6 +373,11 @@ func FuzzSearchBodies(f *testing.F) {
 		q := SearchRequest{Label: label, K: int(k), MaxDist: dist, Distance: label, LastWindows: int(window), ExcludeLabel: label, Debug: flags&2 != 0}
 		if flags&4 != 0 {
 			q.Signature = sig
+		}
+		var resolved *HistoryEntryJSON
+		if asOf := int(window); k&1 != 0 {
+			q.AsOf = &asOf
+			resolved = &HistoryEntryJSON{Window: int(k), Scheme: label, Signature: *sig}
 		}
 		var cov *Coverage
 		if flags&8 != 0 {
@@ -386,7 +401,7 @@ func FuzzSearchBodies(f *testing.F) {
 			{"SearchRequest", q, json.Marshal},
 			{"BatchSearchRequest", BatchSearchRequest{Distance: label, Queries: []SearchRequest{q, {}}, Debug: flags&128 != 0}, json.Marshal},
 			{"SearchResponse", SearchResponse{Distance: label, Hits: hits, Coverage: cov, Debug: dbg}, encoder},
-			{"BatchSearchResponse", BatchSearchResponse{Distance: label, Results: []BatchSearchResult{{Hits: hits}, {Error: label}}, Coverage: cov, Debug: dbg}, encoder},
+			{"BatchSearchResponse", BatchSearchResponse{Distance: label, Results: []BatchSearchResult{{Hits: hits}, {Error: label, Resolved: resolved}}, Coverage: cov, Debug: dbg}, encoder},
 			{"HistoryResponse", HistoryResponse{Label: label, History: []HistoryEntryJSON{{Window: int(window), Scheme: label, Signature: *sig}}, Truncated: flags&128 != 0}, encoder},
 		} {
 			b, err := c.enc(c.v)

@@ -61,8 +61,8 @@ func TestStoreColdReadFailureSurfaces(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, w, ok, err := s.ReadLatestSignature("gone"); err != nil || !ok || w != 2 {
-		t.Fatalf("before the rot: window %d ok=%v err=%v", w, ok, err)
+	if e, ok, err := s.ReadLatestSignature("gone"); err != nil || !ok || e.Window != 2 {
+		t.Fatalf("before the rot: window %d ok=%v err=%v", e.Window, ok, err)
 	}
 	// A second handle on the same files with nothing in RAM: Latest must
 	// come from the newest segment.
@@ -85,7 +85,7 @@ func TestStoreColdReadFailureSurfaces(t *testing.T) {
 		}
 	}
 
-	_, _, ok, err := s.ReadLatestSignature("gone")
+	_, ok, err := s.ReadLatestSignature("gone")
 	if ok {
 		t.Fatal("ReadLatestSignature found a signature in a rotten block")
 	}

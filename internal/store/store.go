@@ -353,24 +353,26 @@ func (s *Store) History(label string) []HistoryEntry {
 // LatestSignature is ReadLatestSignature for callers to whom a failed
 // cold read (counted in store_segment_errors) is no signature.
 func (s *Store) LatestSignature(label string) (core.Signature, int, bool) {
-	sig, w, ok, _ := s.ReadLatestSignature(label)
-	return sig, w, ok
+	e, ok, _ := s.ReadLatestSignature(label)
+	return e.Sig, e.Window, ok
 }
 
 // ReadLatestSignature returns the most recent non-empty signature of
-// label, falling through to the cold tier when the hot ring has none.
-// ok is false when the archive holds none; err is an ErrColdRead when
-// a cold block that had to be searched for one could not be read.
-func (s *Store) ReadLatestSignature(label string) (core.Signature, int, bool, error) {
+// label with its window and scheme, falling through to the cold tier
+// when the hot ring has none. ok is false when the archive holds none;
+// err is an ErrColdRead when a cold block that had to be searched for
+// one could not be read.
+func (s *Store) ReadLatestSignature(label string) (HistoryEntry, bool, error) {
 	v, ok := s.universe.Lookup(label)
 	if !ok {
-		return core.Signature{}, 0, false, nil
+		return HistoryEntry{}, false, nil
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for i := len(s.ring) - 1; i >= 0; i-- {
-		if sig, ok := s.ring[i].set.Get(v); ok && !sig.IsEmpty() {
-			return sig, s.ring[i].set.Window, true, nil
+		set := s.ring[i].set
+		if sig, ok := set.Get(v); ok && !sig.IsEmpty() {
+			return HistoryEntry{Window: set.Window, Scheme: set.Scheme, Sig: sig}, true, nil
 		}
 	}
 	segs, bound := s.tierSegsLocked()
@@ -382,14 +384,14 @@ func (s *Store) ReadLatestSignature(label string) (core.Signature, int, bool, er
 			}
 			e, ok, err := s.readRowLocked(segs[i], wins[j], v)
 			if err != nil {
-				return core.Signature{}, 0, false, err
+				return HistoryEntry{}, false, err
 			}
 			if ok && !e.Sig.IsEmpty() {
-				return e.Sig, e.Window, true, nil
+				return e, true, nil
 			}
 		}
 	}
-	return core.Signature{}, 0, false, nil
+	return HistoryEntry{}, false, nil
 }
 
 // releaseCold gives back the blocks snapshotTier read into ring, once
@@ -698,7 +700,7 @@ func (s *Store) searchRing(ring []entry, querier *distmat.Querier, d core.Distan
 // SearchLabel searches with the latest non-empty signature of label,
 // excluding the label's own archived signatures from the results.
 func (s *Store) SearchLabel(d core.Distance, label string, opts SearchOptions) ([]Hit, error) {
-	sig, _, ok, err := s.ReadLatestSignature(label)
+	e, ok, err := s.ReadLatestSignature(label)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
@@ -708,5 +710,5 @@ func (s *Store) SearchLabel(d core.Distance, label string, opts SearchOptions) (
 	if opts.ExcludeLabel == "" {
 		opts.ExcludeLabel = label
 	}
-	return s.Search(d, sig, opts)
+	return s.Search(d, e.Sig, opts)
 }

@@ -138,6 +138,27 @@ func TestStoreHistoryAndLatestSignature(t *testing.T) {
 	}
 }
 
+// TestReadLatestSignatureSkipsEmpty: a label's newest archived
+// signatures being empty, its latest is the newest non-empty one, with
+// that window's scheme — what a routed label search's owner resolves
+// the label to.
+func TestReadLatestSignatureSkipsEmpty(t *testing.T) {
+	u := graph.NewUniverse()
+	s, err := New(Config{Capacity: 4, Universe: u})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w, sig := range []map[string]float64{{"stale": 1}, {"latest": 2}, {}, {}} {
+		if err := s.Add(buildSet(t, u, w, map[string]map[string]float64{"a": sig})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e, ok, err := s.ReadLatestSignature("a")
+	if v, _ := u.Lookup("latest"); err != nil || !ok || e.Window != 1 || e.Scheme != "tt" || e.Sig.Len() != 1 || e.Sig.Nodes[0] != v {
+		t.Fatalf("latest of a: %+v ok=%v err=%v", e, ok, err)
+	}
+}
+
 func searchFixture(t *testing.T, cfg Config) (*Store, *graph.Universe) {
 	t.Helper()
 	u := cfg.Universe
