@@ -434,7 +434,8 @@ func TestClusterRoutesMatchNode(t *testing.T) {
 // table's 200 cases make — the requests a node and the routers read, the
 // signature batches the shards read, and the history and search answers
 // the routers read back from their shards — is read in its own layout,
-// none of them by encoding/json (server.GeneralBodies).
+// none of them by encoding/json (server.GeneralBodies); so is a flows
+// batch Client.IngestBatch would send, at every hop.
 func TestClusterRoutesLaidOut(t *testing.T) {
 	w := newRouteWorld(t)
 	before := server.GeneralBodies()
@@ -457,6 +458,33 @@ func TestClusterRoutesLaidOut(t *testing.T) {
 	w.do(routeCase{"search-spaced", "POST", "/v1/search", `{"label": "no-such-host"}`})
 	if n := server.GeneralBodies() - before; n != 3 {
 		t.Errorf("a spaced body sent to the three sides counted %d times, want 3", n)
+	}
+
+	// Ingest, outside the table: a laid-out batch stays in the layout on
+	// the node, on the routers and, in the sub-batches the routers
+	// re-encode with AppendFlows, on their shards; a spaced one leaves it
+	// once on each side it is posted to and nowhere behind the routers.
+	for _, c := range []struct {
+		name    string
+		spaced  bool
+		general int64
+	}{{"flows-laid-out", false, 0}, {"flows-spaced", true, 3}} {
+		body, err := server.AppendFlows(nil, c.name, w.records[:50])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.spaced {
+			body, _ = json.MarshalIndent(json.RawMessage(body), "", " ")
+		}
+		before = server.GeneralBodies()
+		for i, a := range w.do(routeCase{c.name, "POST", "/v1/flows", string(body)}) {
+			if a.status != http.StatusOK {
+				t.Fatalf("%s on %s: %d %s", c.name, routeSides[i], a.status, a.body)
+			}
+		}
+		if n := server.GeneralBodies() - before; n != c.general {
+			t.Errorf("%s: sent to the three sides, counted %d times, want %d", c.name, n, c.general)
+		}
 	}
 }
 

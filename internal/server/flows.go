@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -24,27 +24,28 @@ const flowsRunBytes = 64 << 10
 // it.
 const flowRecordBytes = 192
 
-// ReadFlows reads a POST /v1/flows body straight into records, without
-// reflection; with AppendFlows it is the one flows codec, held to
-// encoding/json over IngestRequest and RecordJSON (DESIGN.md §7). On
-// failure it has already answered — 413 for a body over MaxBodyBytes;
-// 400 "bad request body: …" for a body that is not a valid batch,
-// "record N: …" for a record whose fields do not convert — and returns
-// ok false.
+// ReadFlows reads a POST /v1/flows body straight into records: a body
+// laid out as AppendFlows writes one through the layout cursor, without
+// reflection, and any other whole through encoding/json, as DecodeJSON
+// reads the other routes' bodies (DESIGN.md §7). On failure it has
+// already answered — 413 for a body over MaxBodyBytes; 400 "bad request
+// body: …" for a body that is not a valid batch, "record N: …" for a
+// record whose fields do not convert — and returns ok false.
 func ReadFlows(w http.ResponseWriter, r *http.Request) (batchID string, recs []netflow.Record, ok bool) {
 	body, err := readBody(http.MaxBytesReader(w, r.Body, MaxBodyBytes), r.ContentLength, MaxBodyBytes)
-	if err != nil {
-		WriteError(w, bodyStatus(err), "bad request body: %v", err)
-		return "", nil, false
+	if err == nil {
+		batchID, recs, err = decodeFlows(body)
+	} else {
+		batchID, recs, err = generalFlows(replay(body, err))
 	}
-	if batchID, recs, err = decodeFlows(body); err != nil {
-		WriteError(w, http.StatusBadRequest, "%v", err)
+	if err != nil {
+		WriteError(w, bodyStatus(err), "%v", err)
 		return "", nil, false
 	}
 	return batchID, recs, true
 }
 
-// decodeFlows parses a whole POST /v1/flows body, its records in up to
+// decodeFlows reads a whole POST /v1/flows body, its records in up to
 // GOMAXPROCS runs. Its error is the 400's message, and the rest is then
 // to be ignored.
 func decodeFlows(body []byte) (batchID string, recs []netflow.Record, err error) {
@@ -52,50 +53,102 @@ func decodeFlows(body []byte) (batchID string, recs []netflow.Record, err error)
 }
 
 // decodeFlowsRuns is decodeFlows with k = min(procs, len(body)/runBytes)
-// runs. Runs 2..k are decoded on their own goroutines while this one
-// parses the body as a single reader does; reaching the start of run 2
-// at a record boundary, it takes their records and goes on where the
-// last one stopped. A run that did not end exactly where the next one
-// begins, or met any error, is dropped, and this parse reads on through
-// its bytes itself: its records, or its error, are a single reader's.
+// runs. The body is read laid out in k runs, or by encoding/json if it
+// departs from the layout. The runs need no second, single-run read: a
+// cut falls only at a `},{"`, which a laid-out string cannot hold, so
+// every run of a body laid out to its end is laid out, and a run that
+// departs means the body does.
 func decodeFlowsRuns(body []byte, procs, runBytes int) (batchID string, recs []netflow.Record, err error) {
-	d := flowsReader{b: body, join: -1}
-	if runs := cutRuns(body, min(procs, len(body)/runBytes)); len(runs) > 0 {
+	ok, batchID, recs, err := laidOutFlows(body, cutRuns(body, min(procs, len(body)/runBytes)))
+	if !ok {
+		return generalFlows(bytes.NewReader(body))
+	}
+	return batchID, recs, err
+}
+
+// generalFlows reads a body that left the layout, or was not read
+// whole, as DecodeJSON reads one into IngestRequest, converts its
+// records, and counts it in GeneralBodies.
+func generalFlows(body io.Reader) (batchID string, recs []netflow.Record, err error) {
+	generalBodies.Add(1)
+	var req IngestRequest
+	if err := decodeStrict(body, &req); err != nil {
+		return "", nil, fmt.Errorf("bad request body: %w", err)
+	}
+	recs = make([]netflow.Record, len(req.Records))
+	for i, rj := range req.Records {
+		if recs[i], err = rj.record(); err != nil {
+			return "", nil, fmt.Errorf("record %d: %w", i, err)
+		}
+	}
+	return req.BatchID, recs, nil
+}
+
+// laidOutFlows reads body as AppendFlows lays one out: `{"records":[`,
+// laid-out records, `]`, an optional `,"batch_id":` with a plain string,
+// `}` and whitespace. Its records are read in runs: run 1, from the
+// first record to the runs 2..k cut holds, here, into a slice sized for
+// the whole array, and those each on its own goroutine. ok is false when
+// any run or the rest of the body departs from the layout; err is then
+// to be ignored, and otherwise is the first record's in order whose
+// fields do not convert.
+func laidOutFlows(body []byte, cut []flowRun) (ok bool, batchID string, recs []netflow.Record, err error) {
+	l := layout{b: body, ok: true}
+	if !l.lit(`{"records":[`) {
+		return false, "", nil, nil
+	}
+	if !l.lit("]") {
+		all := make([]netflow.Record, 0, recordsCap(body[l.i:]))
+		runs := append([]flowRun{{start: l.i, end: len(body), last: true, recs: all}}, cut...)
+		if len(cut) > 0 {
+			runs[0].end, runs[0].last = cut[0].start-len(","), false
+		}
 		var wg sync.WaitGroup
-		for i := range runs {
+		for i := range cut {
 			wg.Add(1)
 			go func(r *flowRun) {
 				defer wg.Done()
 				r.decode(body)
-			}(&runs[i])
+			}(&runs[1+i])
 		}
-		defer wg.Wait()
-		d.join = runs[0].start
-		d.runs = func() ([]flowRun, bool) {
-			wg.Wait()
-			for _, r := range runs {
-				if !r.ok {
-					return nil, false
-				}
+		runs[0].decode(body)
+		wg.Wait()
+		n := 0
+		for _, r := range runs {
+			if !r.ok {
+				return false, "", nil, nil
 			}
-			return runs, true
+			if r.err != nil && err == nil {
+				err = fmt.Errorf("record %d: %w", n+r.bad, r.err)
+			}
+			n += len(r.recs)
 		}
+		recs = runs[0].recs
+		for _, r := range runs[1:] {
+			recs = append(recs, r.recs...)
+		}
+		l.i = runs[len(runs)-1].end
+		l.want("]")
 	}
-	if batchID, recs = d.request(); d.err != nil {
-		d.recErr = fmt.Errorf("bad request body: %w", d.err)
+	if l.lit(`,"batch_id":`) {
+		batchID = l.str()
 	}
-	return batchID, recs, d.recErr
+	l.want("}")
+	return l.end(), batchID, recs, err
 }
 
-// flowRun is a run of whole records, body[start:end): runs 2..k of a
-// body. A run but the last ends before the comma that precedes the
-// next; the last runs to the body's end, and end is then set to where
-// its records stop.
+// flowRun is a run of whole records, body[start:end). A run but the
+// last ends before the comma that precedes the next; the last runs to
+// the body's end, and end is then set to where its records stop.
 type flowRun struct {
 	start, end int
 	last       bool
 	recs       []netflow.Record
 	ok         bool
+	// err is the first conversion error of the run's records, that of
+	// recs[bad].
+	err error
+	bad int
 }
 
 // flowsSep is what AppendFlows writes between two records.
@@ -119,8 +172,8 @@ func recordsCap(b []byte) int {
 // cutRuns cuts a body that starts as AppendFlows starts one into k runs
 // at the first record separator after each k-th of its bytes, and
 // returns runs 2..k: none when k < 2, the body starts otherwise, or no
-// separator follows. A cut may fall inside a string; the parse then
-// never meets it at a record boundary, and the runs go unused.
+// separator follows. A cut may fall inside a string; a run then departs
+// from the layout, and the runs go unused.
 func cutRuns(body []byte, k int) []flowRun {
 	if k < 2 || !bytes.HasPrefix(body, []byte(`{"records":[`)) {
 		return nil
@@ -147,128 +200,32 @@ func cutRuns(body []byte, k int) []flowRun {
 	return runs
 }
 
-// decode reads the run's records. It is ok when every record parsed and
-// converted and, but for the last run, the run ends exactly at its end.
-// The last one's records end at the first byte after a record that is
-// not a comma; whatever that byte is, the main parse reads on from it
-// as a single one would.
+// decode reads the run's records, each laid out, and converts them,
+// appending them to recs, which it sizes from the run's bytes unless
+// given. It is ok when every record was laid out and, but for the last
+// run, the run ends exactly at its end. The last one's records end at
+// the first byte after a record that is not a comma; laidOutFlows reads
+// on from it.
 func (r *flowRun) decode(body []byte) {
-	d := flowsReader{b: body[r.start:r.end], join: -1}
-	recs := make([]netflow.Record, 0, recordsCap(d.b))
+	l := layout{b: body[:r.end], i: r.start, ok: true}
+	if r.recs == nil {
+		r.recs = make([]netflow.Record, 0, recordsCap(body[r.start:r.end]))
+	}
 	for {
-		rec, err := d.record()
-		if d.err != nil || err != nil {
+		var rj RecordJSON
+		if !l.record(&rj) {
 			return
 		}
-		recs = append(recs, rec)
-		d.space()
-		if !d.peek(',') {
+		rec, err := rj.record()
+		if err != nil && r.err == nil {
+			r.err, r.bad = err, len(r.recs)
+		}
+		if r.recs = append(r.recs, rec); !l.lit(",") {
 			break
 		}
-		d.space()
 	}
-	r.ok, r.end, r.recs = r.last || d.i == len(d.b), r.start+d.i, recs
+	r.ok, r.end = r.last || l.i == r.end, l.i
 }
-
-// flowsReader is a cursor over a body. Its first syntax or type error
-// ends the input. A record's conversion error, in recErr, counts once
-// the whole body has parsed, as when encoding/json decoded first.
-type flowsReader struct {
-	b           []byte
-	i           int
-	err, recErr error
-	// join is where the records of runs, when it reports them ok, take
-	// over from this parse: the start of a run, or -1.
-	join int
-	runs func() ([]flowRun, bool)
-}
-
-func (d *flowsReader) request() (batchID string, recs []netflow.Record) {
-	if d.space(); !d.null() {
-		seen := false
-		d.object(func(key []byte) {
-			switch string(key) {
-			case "records":
-				if seen {
-					d.fail(`"records" given twice`)
-				}
-				seen, recs = true, d.records()
-			case "batch_id":
-				if !d.null() {
-					batchID = d.str()
-				}
-			default:
-				d.fail("unknown field %q", key)
-			}
-		})
-	}
-	if d.space(); d.i < len(d.b) {
-		d.fail("syntax error after the top-level value at offset %d", d.i)
-	}
-	return batchID, recs
-}
-
-// records reads the "records" value: an array of record objects, or
-// null for none. Its slice is sized by recordsCap: a count that is not
-// exact costs memory or a regrowth, not records.
-func (d *flowsReader) records() (recs []netflow.Record) {
-	if d.null() {
-		return nil
-	}
-	d.want('[')
-	if n := recordsCap(d.b[d.i:]); n > 1 {
-		recs = make([]netflow.Record, 0, n)
-	}
-	for d.space(); d.err == nil && !d.peek(']'); d.space() {
-		if len(recs) > 0 {
-			d.want(',')
-			d.space()
-		}
-		if d.i == d.join {
-			d.join = -1
-			if runs, ok := d.runs(); ok {
-				for _, r := range runs {
-					recs = append(recs, r.recs...)
-				}
-				d.i = runs[len(runs)-1].end
-				continue
-			}
-		}
-		rec, err := d.record()
-		if d.err != nil {
-			d.err = fmt.Errorf("record %d: %w", len(recs), d.err)
-		}
-		if err != nil && d.recErr == nil {
-			d.recErr = fmt.Errorf("record %d: %w", len(recs), err)
-		}
-		recs = append(recs, rec)
-	}
-	return recs
-}
-
-// record reads one element of the records array and converts it. A
-// null record is the zero RecordJSON. A record laid out as appendRecord
-// writes one is read through a layout cursor; any other is read again
-// from its start by the general reader (DESIGN.md §7).
-func (d *flowsReader) record() (netflow.Record, error) {
-	var rj RecordJSON
-	if l := (layout{b: d.b, i: d.i, ok: true}); l.record(&rj) {
-		d.i = l.i
-	} else {
-		if onGeneralRecord != nil {
-			onGeneralRecord()
-		}
-		rj = RecordJSON{}
-		if !d.null() {
-			d.object(func(key []byte) { d.field(&rj, key) })
-		}
-	}
-	return rj.record()
-}
-
-// onGeneralRecord, when set, is called for each record the general
-// reader reads: tests count the records that leave the layout with it.
-var onGeneralRecord func()
 
 // layout is a cursor that reads a record only as appendRecord lays one
 // out: its keys in order with nothing between them, plain ASCII strings,
@@ -328,7 +285,7 @@ func (l *layout) want(s string) {
 }
 
 // str reads a string of ASCII bytes from 0x20 up, without a quote or
-// backslash: the tokens the general reader takes as they are, without
+// backslash: the strings encoding/json reads as they are, without
 // unquoting.
 func (l *layout) str() string {
 	if !l.lit(`"`) {
@@ -378,7 +335,7 @@ func (l *layout) uint() int64 {
 // time reads "YYYY-MM-DDTHH:MM:SS", an optional fraction of 1 to 9
 // digits after a '.', and "Z" — every field in range, the day within its
 // month — as the UTC time time.Time.UnmarshalJSON returns for it. Any
-// other zone or spelling is left to the general reader.
+// other zone or spelling departs from the layout.
 func (l *layout) time() time.Time {
 	const form = `"2006-01-02T15:04:05`
 	b := l.b[l.i:]
@@ -438,171 +395,6 @@ func daysIn(month, year int) int {
 		return 30
 	}
 	return 31
-}
-
-// field reads one record field's value into rj. Of a key given twice
-// the last wins, and null leaves the field as it was.
-func (d *flowsReader) field(rj *RecordJSON, key []byte) {
-	switch string(key) {
-	case "src", "dst", "start", "duration_ms", "sessions", "bytes", "packets", "proto":
-	default:
-		d.fail("unknown field %q", key)
-	}
-	if d.err != nil || d.null() {
-		return
-	}
-	switch string(key) {
-	case "src":
-		rj.Src = d.str()
-	case "dst":
-		rj.Dst = d.str()
-	case "start":
-		// The raw token, as encoding/json hands it to the Unmarshaler.
-		if tok, _ := d.strToken(); d.err == nil {
-			if err := rj.Start.UnmarshalJSON(tok); err != nil {
-				d.fail("%v", err)
-			}
-		}
-	case "duration_ms":
-		rj.DurationMS = d.int(64)
-	case "sessions":
-		rj.Sessions = int(d.int(strconv.IntSize))
-	case "bytes":
-		rj.Bytes = d.int(64)
-	case "packets":
-		rj.Packets = d.int(64)
-	case "proto":
-		rj.Proto = d.str()
-	}
-}
-
-// object reads an object, calling member with the cursor at each value;
-// key is valid during the call.
-func (d *flowsReader) object(member func(key []byte)) {
-	d.want('{')
-	d.space()
-	for n := 0; d.err == nil && !d.peek('}'); n++ {
-		if n > 0 {
-			d.want(',')
-			d.space()
-		}
-		tok, plain := d.strToken()
-		key := tok
-		if plain {
-			key = tok[1 : len(tok)-1]
-		} else if d.err == nil {
-			key = []byte(d.unquote(tok))
-		}
-		d.space()
-		d.want(':')
-		d.space()
-		member(key)
-		d.space()
-	}
-}
-
-// strToken reads a string token, quotes included. plain reports that
-// its content is ASCII without escapes, and so the string itself; any
-// other token is unquoted by encoding/json, so escapes and invalid UTF-8
-// come out exactly as they do there.
-func (d *flowsReader) strToken() (tok []byte, plain bool) {
-	if d.i >= len(d.b) || d.b[d.i] != '"' {
-		d.fail("syntax error looking for a string at offset %d", d.i)
-		return nil, false
-	}
-	i := d.i + 1
-	for plain = true; i < len(d.b) && d.b[i] != '"' && d.b[i] >= 0x20; i++ {
-		switch {
-		case d.b[i] == '\\':
-			plain = false
-			i++ // the escaped byte
-		case d.b[i] >= 0x80:
-			plain = false
-		}
-	}
-	if i >= len(d.b) || d.b[i] != '"' {
-		d.fail("syntax error in the string at offset %d", d.i)
-		return nil, false
-	}
-	tok, d.i = d.b[d.i:i+1], i+1
-	return tok, plain
-}
-
-func (d *flowsReader) str() string {
-	tok, plain := d.strToken()
-	switch {
-	case d.err != nil:
-		return ""
-	case !plain:
-		return d.unquote(tok)
-	case string(tok) == `"tcp"`: // the protocols every record names, without an allocation
-		return "tcp"
-	case string(tok) == `"udp"`:
-		return "udp"
-	}
-	return string(tok[1 : len(tok)-1])
-}
-
-// unquote is encoding/json's reading of a string token.
-func (d *flowsReader) unquote(tok []byte) (s string) {
-	if err := json.Unmarshal(tok, &s); err != nil {
-		d.fail("%v", err)
-	}
-	return s
-}
-
-// int reads a number that encoding/json would store in an integer of
-// bits bits: one in its range, without fraction or exponent.
-func (d *flowsReader) int(bits int) int64 {
-	start := d.i
-	for d.i < len(d.b) && strings.IndexByte("-+.eE0123456789", d.b[d.i]) >= 0 {
-		d.i++
-	}
-	tok := d.b[start:d.i]
-	n, err := strconv.ParseInt(string(tok), 10, bits)
-	// ParseInt also takes a plus sign and leading zeros, which JSON does not.
-	if digits, _ := bytes.CutPrefix(tok, []byte("-")); err != nil || tok[0] == '+' || len(digits) > 1 && digits[0] == '0' {
-		d.fail("number %q at offset %d is not an integer in int%d's range", tok, start, bits)
-	}
-	return n
-}
-
-// null consumes a null literal if one is next.
-func (d *flowsReader) null() bool {
-	if bytes.HasPrefix(d.b[d.i:], []byte("null")) {
-		d.i += len("null")
-		return true
-	}
-	return false
-}
-
-// peek consumes c if it is next.
-func (d *flowsReader) peek(c byte) bool {
-	if d.i < len(d.b) && d.b[d.i] == c {
-		d.i++
-		return true
-	}
-	return false
-}
-
-func (d *flowsReader) want(c byte) {
-	if !d.peek(c) {
-		d.fail("syntax error looking for %q at offset %d", c, d.i)
-	}
-}
-
-func (d *flowsReader) space() {
-	for d.i < len(d.b) && (d.b[d.i] == ' ' || d.b[d.i] == '\t' || d.b[d.i] == '\n' || d.b[d.i] == '\r') {
-		d.i++
-	}
-}
-
-// fail keeps the first error and ends the input.
-func (d *flowsReader) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf(format, args...)
-	}
-	d.i = len(d.b)
 }
 
 // AppendFlows appends the POST /v1/flows body of records and batchID to

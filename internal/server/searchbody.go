@@ -18,15 +18,16 @@ import (
 // that departs from that layout the same bytes go to encoding/json, as
 // they did before (DESIGN.md §7, "The laid-out search bodies").
 
-// generalBodies counts the bodies readLaidOut and decodeLaidOut handed
-// to encoding/json. It is a process-wide count rather than a field of
-// Server or Client because a router's shard clients are its own.
+// generalBodies counts the bodies readLaidOut, decodeLaidOut and
+// generalFlows handed to encoding/json. It is a process-wide count rather
+// than a field of Server or Client because a router's shard clients are
+// its own.
 var generalBodies atomic.Int64
 
-// GeneralBodies is how many search and history bodies this process has
-// read through encoding/json rather than in their own layout. Every body
-// this repository writes on those routes is laid out, so tests hold it
-// still across the route table.
+// GeneralBodies is how many flows, search and history bodies this
+// process has read through encoding/json rather than in their own
+// layout. Every body this repository writes on those routes is laid out,
+// so tests hold it still across the route table.
 func GeneralBodies() int64 { return generalBodies.Load() }
 
 // readLaidOut reads a search route's request body into v, as DecodeJSON
