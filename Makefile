@@ -123,10 +123,14 @@ federate-smoke:
 # binary block codec's layout, round-trip and corruption-table tests,
 # the v2 fixture and the refusal of the v1 one (segment, store attach and
 # server boot), a cold read that rots after boot (store and HTTP), cold
-# reads beside compaction and pruning, and one iteration of the layer's
-# own benchmarks and of the store's cold-search ones.
+# reads beside compaction and pruning, the block scan held to SigInto +
+# d.Dist under all six distances (the round-trip property and
+# FuzzDecodeBlock's seeds), the search oracle with the cold store's probe
+# counts pinned, and one iteration of the layer's own benchmarks (write,
+# read, verify, scan) and of the store's cold-search ones (Jaccard at
+# both depths, ScaledHellinger at the deep one).
 segment-smoke:
-	$(GO) test -race -run 'TestSegment|TestBlock|TestStoreTiered|TestStoreLoadOverCapacity|TestHistoryRange|TestStoreColdRead|TestStoreOldFormatSegment|TestColdReads' \
+	$(GO) test -race -run 'TestSegment|TestBlock|TestStoreTiered|TestStoreLoadOverCapacity|TestHistoryRange|TestStoreColdRead|TestStoreOldFormatSegment|TestColdReads|TestSearchRing|FuzzDecodeBlock' \
 		./internal/segment/ ./internal/store/
 	$(GO) test -run '^$$' -bench 'BenchmarkSegment' -benchtime=1x -benchmem ./internal/segment/
 	$(GO) test -run '^$$' -bench 'BenchmarkStoreSearch/cold' -benchtime=1x -benchmem ./internal/store/
@@ -211,8 +215,9 @@ bench:
 # the end-to-end harness's analytics stage at its 2 000 sources (each
 # call's ms and a hash of the outputs), the self-retrieval AUC at
 # 2 000 x 2 000, a label search 4 x 1 200 and 12 x 400 cold windows
-# deep, the same depth scanned whole, and a batch of 32 searches over
-# 8 x 1 200 hot windows.
+# deep (the latter under Jaccard and ScaledHellinger, whose cold rows
+# the block scan finishes from their weights), the 4 x 1 200 depth
+# scanned whole, and a batch of 32 searches over 8 x 1 200 hot windows.
 bench-smoke:
 	$(GO) test -race -run=^$$ -benchtime=1x \
 		-bench 'BenchmarkPairwiseUniqueness|BenchmarkMultiusageAllPairs' .

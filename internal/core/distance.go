@@ -56,7 +56,7 @@ func (Dice) Dist(a, b Signature) float64 {
 		return 0
 	}
 	num := sharedSum(a, b, func(wa, wb float64) float64 { return wa + wb })
-	den := weightSum(a) + weightSum(b)
+	den := weightSum(a.Weights) + weightSum(b.Weights)
 	if den == 0 {
 		return 0
 	}
@@ -84,7 +84,7 @@ func (ScaledDice) Dist(a, b Signature) float64 {
 		return 0
 	}
 	mins := sharedSum(a, b, math.Min)
-	return scaledDist(mins, weightSum(a)+weightSum(b)-mins)
+	return scaledDist(mins, weightSum(a.Weights)+weightSum(b.Weights)-mins)
 }
 
 // ScaledHellinger is Dist_SHel: 1 − Σ √(w1j·w2j) / Σ max(w1j,w2j). The
@@ -108,7 +108,7 @@ func (ScaledHellinger) Dist(a, b Signature) float64 {
 		return HellingerAffinity(wa, wb, math.Sqrt(wa), math.Sqrt(wb))
 	})
 	mins := sharedSum(a, b, math.Min)
-	return scaledDist(num, weightSum(a)+weightSum(b)-mins)
+	return scaledDist(num, weightSum(a.Weights)+weightSum(b.Weights)-mins)
 }
 
 // HellingerAffinity is ScaledHellinger's term for one shared node:
@@ -137,13 +137,13 @@ func sharedSum(a, b Signature, term func(wa, wb float64) float64) float64 {
 	return AscendingSum(terms)
 }
 
-// weightSum is s's weight sum folded in ascending order of the weights —
-// backwards through the canonical, weight-descending order — the shared
-// sum of s against itself, term for term.
-func weightSum(s Signature) float64 {
+// weightSum is the sum of canonical weights w folded in ascending order
+// of the weights — backwards through the canonical, weight-descending
+// order — the shared sum of a signature against itself, term for term.
+func weightSum(w []float64) float64 {
 	sum := 0.0
-	for t := len(s.Weights) - 1; t >= 0; t-- {
-		sum += s.Weights[t]
+	for t := len(w) - 1; t >= 0; t-- {
+		sum += w[t]
 	}
 	return sum
 }

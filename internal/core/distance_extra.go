@@ -25,7 +25,7 @@ func (Cosine) Dist(a, b Signature) float64 {
 		return 0
 	}
 	dot := sharedSum(a, b, func(wa, wb float64) float64 { return wa * wb })
-	na, nb := squareSum(a), squareSum(b)
+	na, nb := squareSum(a.Weights), squareSum(b.Weights)
 	if na == 0 || nb == 0 {
 		return 1
 	}
@@ -49,36 +49,39 @@ func (WeightedJaccard) Dist(a, b Signature) float64 {
 	if a.IsEmpty() && b.IsEmpty() {
 		return 0
 	}
-	sa, sb := weightSum(a), weightSum(b)
+	sa, sb := weightSum(a.Weights), weightSum(b.Weights)
 	mins := sharedSum(a, b, func(wa, wb float64) float64 { return math.Min(normWeight(wa, sa), normWeight(wb, sb)) })
-	return scaledDist(mins, normWeightSum(a, sa)+normWeightSum(b, sb)-mins)
+	return scaledDist(mins, normWeightSum(a.Weights, sa)+normWeightSum(b.Weights, sb)-mins)
 }
 
 // normWeight is weight w of a signature whose weights sum to sum,
 // normalized; like Normalized, a massless signature keeps its raw
-// weights.
+// weights, and so does one whose sum overflows: normalized to zeros, two
+// such signatures sharing no node would lie at 0, not at the 1 every
+// disjoint pair lies at (kernel.go).
 func normWeight(w, sum float64) float64 {
-	if sum <= 0 {
+	if sum <= 0 || math.IsInf(sum, 1) {
 		return w
 	}
 	return w / sum
 }
 
-// normWeightSum is the sum of s's normalized weights in ascending
-// order, given its weight sum.
-func normWeightSum(s Signature, sum float64) float64 {
+// normWeightSum is the sum of canonical weights w normalized, in
+// ascending order, given their weight sum.
+func normWeightSum(w []float64, sum float64) float64 {
 	total := 0.0
-	for t := len(s.Weights) - 1; t >= 0; t-- {
-		total += normWeight(s.Weights[t], sum)
+	for t := len(w) - 1; t >= 0; t-- {
+		total += normWeight(w[t], sum)
 	}
 	return total
 }
 
-// squareSum is the sum of s's squared weights in ascending order.
-func squareSum(s Signature) float64 {
+// squareSum is the sum of canonical weights w squared, in ascending
+// order.
+func squareSum(w []float64) float64 {
 	total := 0.0
-	for t := len(s.Weights) - 1; t >= 0; t-- {
-		total += s.Weights[t] * s.Weights[t]
+	for t := len(w) - 1; t >= 0; t-- {
+		total += w[t] * w[t]
 	}
 	return total
 }

@@ -67,6 +67,20 @@ func TestDistanceIdentityAndDisjoint(t *testing.T) {
 	}
 }
 
+// TestDisjointPastOverflow: signatures sharing no node lie at exactly 1
+// under every registered distance even when their weights sum past the
+// largest float64 — the closed form the batch kernels and the cold scan
+// skip disjoint pairs by.
+func TestDisjointPastOverflow(t *testing.T) {
+	a := sig(1, math.MaxFloat64, 2, math.MaxFloat64/2)
+	b := sig(3, math.MaxFloat64, 4, math.MaxFloat64)
+	for _, d := range ExtendedDistances() {
+		if got := d.Dist(a, b); got != 1 {
+			t.Errorf("%s(disjoint, sums +Inf) = %g", d.Name(), got)
+		}
+	}
+}
+
 func TestDistanceEmptyCases(t *testing.T) {
 	a := sig(1, 0.6)
 	empty := Signature{}

@@ -14,13 +14,12 @@ import (
 // directly, so an all-pairs job walks a handful of flat slices instead
 // of chasing one Signature header pair per comparison.
 //
-// Bit-identity: the per-signature folds (sum, sumSq, the normalized
-// weights' sum) add their terms in ascending order — backwards through
-// the canonical, weight-descending order — the order the naive
-// Distance.Dist loops add every sum in (kernel.go), and the square
-// roots are math.Sqrt of each weight, the factor ScaledHellinger.Dist
-// takes, so the kernels in kernel.go that read them reproduce the naive
-// results bit-for-bit.
+// Bit-identity: the per-signature folds are foldsOf, the very loops the
+// naive Distance.Dist calls fold each signature with (kernel.go), the
+// normalized weights are normWeight's, and the square roots are
+// math.Sqrt of each weight, the factor ScaledHellinger.Dist takes, so
+// the kernels in kernel.go that read them reproduce the naive results
+// bit-for-bit.
 
 // FlatSigs is the SoA view of a signature slice. Build it with
 // NewFlatSigs (or recycle one with Reset — zero allocations once the
@@ -36,10 +35,7 @@ type FlatSigs struct {
 	normW  []float64      // w / sum in canonical order
 	sqrtW  []float64      // math.Sqrt of w, ScaledHellinger's factors
 
-	sum     []float64 // per-sig fold of w, ascending
-	sumSq   []float64 // per-sig fold of w², ascending
-	norm    []float64 // math.Sqrt(sumSq), cosine's denominator factor
-	normSum []float64 // per-sig fold of normW, ascending
+	folds []Folds // per-sig ascending folds of w (foldsOf)
 }
 
 // NewFlatSigs builds the SoA view of sigs. Each signature must be
@@ -76,10 +72,7 @@ func (f *FlatSigs) Reset(sigs []Signature) {
 	f.pos = growTo(f.pos, total)
 	f.normW = growTo(f.normW, total)
 	f.sqrtW = growTo(f.sqrtW, total)
-	f.sum = growTo(f.sum, n)
-	f.sumSq = growTo(f.sumSq, n)
-	f.norm = growTo(f.norm, n)
-	f.normSum = growTo(f.normSum, n)
+	f.folds = growTo(f.folds, n)
 
 	off := int32(0)
 	for i := range sigs {
@@ -98,7 +91,8 @@ const insertionSortCutoff = 48
 
 // fill populates signature i's segment of every flat array: the
 // canonical copy, the ascending node order with its permutation back to
-// canonical indices, the square roots, and the ascending folds.
+// canonical indices, the folds, the square roots and the normalized
+// weights.
 func (f *FlatSigs) fill(i int, s Signature) {
 	lo := int(f.offs[i])
 	k := len(s.Nodes)
@@ -130,32 +124,11 @@ func (f *FlatSigs) fill(i int, s Signature) {
 		srt[t] = s.Nodes[p]
 	}
 
-	sum, sumSq := 0.0, 0.0
-	for t := k - 1; t >= 0; t-- {
-		sum += w[t]
-		sumSq += w[t] * w[t]
-	}
+	f.folds[i] = foldsOf(w)
 	for t, wv := range w {
 		f.sqrtW[lo+t] = math.Sqrt(wv)
+		f.normW[lo+t] = normWeight(wv, f.folds[i].Sum)
 	}
-	f.sum[i] = sum
-	f.sumSq[i] = sumSq
-	f.norm[i] = math.Sqrt(sumSq)
-
-	// Massless signatures keep their raw weights, as Normalized does.
-	normW := f.normW[lo : lo+k]
-	if sum > 0 {
-		for t, wv := range w {
-			normW[t] = wv / sum
-		}
-	} else {
-		copy(normW, w)
-	}
-	normSum := 0.0
-	for t := k - 1; t >= 0; t-- {
-		normSum += normW[t]
-	}
-	f.normSum[i] = normSum
 }
 
 // sortPosByNode sorts pos so that nodes[pos[t]] ascends, for the rare
@@ -204,7 +177,7 @@ func (f *FlatSigs) Nodes(i int) []graph.NodeID { return f.nodes[f.offs[i]:f.offs
 // Weights returns signature i's weights in canonical order.
 func (f *FlatSigs) Weights(i int) []float64 { return f.w[f.offs[i]:f.offs[i+1]] }
 
-// NormWeights returns signature i's weights divided by WeightSum(i), in
+// NormWeights returns signature i's weights divided by their sum, in
 // canonical order (raw weights when the signature is massless, as
 // Signature.Normalized keeps them).
 func (f *FlatSigs) NormWeights(i int) []float64 { return f.normW[f.offs[i]:f.offs[i+1]] }
@@ -219,15 +192,6 @@ func (f *FlatSigs) SortedNodes(i int) []graph.NodeID { return f.sorted[f.offs[i]
 // Pos returns, for each entry of SortedNodes(i), its canonical index
 // within signature i.
 func (f *FlatSigs) Pos(i int) []int32 { return f.pos[f.offs[i]:f.offs[i+1]] }
-
-// WeightSum returns signature i's total weight, folded ascending.
-func (f *FlatSigs) WeightSum(i int) float64 { return f.sum[i] }
-
-// SumSq returns signature i's ascending fold of squared weights.
-func (f *FlatSigs) SumSq(i int) float64 { return f.sumSq[i] }
-
-// Norm returns math.Sqrt(SumSq(i)).
-func (f *FlatSigs) Norm(i int) float64 { return f.norm[i] }
 
 // RawOffs and the Raw*Weights accessors expose the flat backing arrays
 // for batch layers whose inner loops index entries globally (offset

@@ -55,13 +55,13 @@ func TestFlatSigsInvariants(t *testing.T) {
 			sum += w
 			sumSq += w * w
 		}
-		if math.Float64bits(flat.WeightSum(i)) != math.Float64bits(sum) {
+		if math.Float64bits(flat.folds[i].Sum) != math.Float64bits(sum) {
 			t.Fatalf("sig %d: sum mismatch", i)
 		}
-		if math.Float64bits(flat.SumSq(i)) != math.Float64bits(sumSq) {
+		if math.Float64bits(flat.folds[i].SumSq) != math.Float64bits(sumSq) {
 			t.Fatalf("sig %d: sumSq mismatch", i)
 		}
-		if math.Float64bits(flat.Norm(i)) != math.Float64bits(math.Sqrt(sumSq)) {
+		if math.Float64bits(flat.folds[i].Norm) != math.Float64bits(math.Sqrt(sumSq)) {
 			t.Fatalf("sig %d: norm mismatch", i)
 		}
 		for tdx, w := range s.Weights {
@@ -73,7 +73,7 @@ func TestFlatSigsInvariants(t *testing.T) {
 		for _, w := range ascending {
 			normSum += w / sum
 		}
-		if math.Float64bits(flat.normSum[i]) != math.Float64bits(normSum) {
+		if math.Float64bits(flat.folds[i].NormSum) != math.Float64bits(normSum) {
 			t.Fatalf("sig %d: normSum mismatch", i)
 		}
 		for tdx, w := range s.Weights {

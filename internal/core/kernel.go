@@ -1,6 +1,9 @@
 package core
 
-import "slices"
+import (
+	"math"
+	"slices"
+)
 
 // This file implements the distance kernels over the flat SoA view
 // (FlatSigs, flat.go). Every distance in ExtendedDistances has the same
@@ -33,29 +36,32 @@ import "slices"
 // round, so a candidate sharing one or two nodes needs nothing more; of
 // one sharing three or more (under 2 % of the sharing pairs of a
 // typical window) the batch layer keeps the terms and sorts them
-// (AscendingSum). The pointwise
-// FlatDist learns the
-// shared nodes by merging the two
-// node-sorted segments (a match list), sorts each sum's terms, and
-// finishes the same way, in O(k log k) per pair instead of the naive
-// loops' O(k²) probing.
+// (AscendingSum). The pointwise FlatDist learns the shared nodes by
+// merging the two node-sorted segments (a match list), sorts each sum's
+// terms, and finishes the same way, in O(k log k) per pair instead of
+// the naive loops' O(k²) probing. A cold block (internal/segment) is
+// scored where it lies: each row's shared nodes and canonical weights
+// give Term's terms, sorted, and KernelKind.Folds, and Finish — the
+// finish ScatterFinish calls — ends it.
 //
 // Bit-identity contract: for Validate-clean signatures, FlatDist(fa, i,
-// fb, j) and a scatter over signature i's entries finished by
-// ScatterFinish both return the exact same float64 as Distance.Dist on
-// the two original signatures: the same terms in the same order, and
-// finishes that replay the naive expressions verbatim against folds
-// that are bit-equal to the naive ones (flat.go). The naive
-// Distance.Dist loops stay as the oracle the tests and the fuzz target
-// compare against. Positive weights are never NaN nor -0.0, so the
+// fb, j), a scatter over signature i's entries finished by
+// ScatterFinish and a block scan's row all return the exact same
+// float64 as Distance.Dist on the two original signatures: the same
+// terms in the same order, and one finish that replays the naive
+// expressions verbatim against folds the naive loops' own fold
+// functions compute (Folds). The naive Distance.Dist loops stay as the
+// oracle the tests and the fuzz targets compare against. Positive weights are never NaN nor -0.0, so the
 // builtin min equals the naive loops' math.Min.
 //
 // Disjoint closed form: when two Validate-clean signatures share no
 // node, every distance in ExtendedDistances is exactly 1.0 (the shared
 // sums are exactly +0.0 and the denominator is positive, so 1 − 0/den
 // == 1.0 bit-for-bit), except that two empty signatures are at distance
-// exactly 0.0. Batch layers (internal/distmat) rely on this to resolve
-// disjoint pairs in O(1) without touching a kernel.
+// exactly 0.0; it holds where weights sum past the largest float64 too
+// (normWeight). Batch layers (internal/distmat) and the cold block scan
+// rely on this to resolve disjoint pairs in O(1) without touching a
+// kernel.
 
 // KernelKind identifies which of the six registered distances a
 // DistKernel implements. Batch layers use it to pick what a posting
@@ -109,7 +115,7 @@ type match struct {
 type DistKernel struct {
 	kind    KernelKind
 	matches []match
-	terms   []float64
+	xs, ys  []float64 // the terms of a pair's two sums
 }
 
 // Kind reports which registered distance the kernel implements.
@@ -128,46 +134,17 @@ func (k *DistKernel) FlatDist(fa *FlatSigs, i int, fb *FlatSigs, j int) float64 
 		return 0
 	}
 	k.mergeFlat(fa, i, fb, j)
-	ms := k.matches
+	a, b := &fa.folds[i], &fb.folds[j]
 	aw, bw := fa.Weights(i), fb.Weights(j)
-	terms := k.terms[:0]
-	var num, mins float64
-	switch k.kind {
-	case KindDice:
-		for _, m := range ms {
-			terms = append(terms, aw[m.A]+bw[m.B])
+	xs, ys := k.xs[:0], k.ys[:0]
+	if k.kind != KindJaccard { // whose finish reads the count alone
+		for _, m := range k.matches {
+			x, y := k.kind.Term(aw[m.A], bw[m.B], a, b)
+			xs, ys = append(xs, x), append(ys, y)
 		}
-		num = AscendingSum(terms)
-	case KindCosine:
-		for _, m := range ms {
-			terms = append(terms, aw[m.A]*bw[m.B])
-		}
-		num = AscendingSum(terms)
-	case KindScaledDice:
-		for _, m := range ms {
-			terms = append(terms, min(aw[m.A], bw[m.B]))
-		}
-		num = AscendingSum(terms)
-	case KindWeightedJaccard:
-		an, bn := fa.NormWeights(i), fb.NormWeights(j)
-		for _, m := range ms {
-			terms = append(terms, min(an[m.A], bn[m.B]))
-		}
-		num = AscendingSum(terms)
-	case KindScaledHellinger:
-		as, bs := fa.SqrtWeights(i), fb.SqrtWeights(j)
-		for _, m := range ms {
-			terms = append(terms, HellingerAffinity(aw[m.A], bw[m.B], as[m.A], bs[m.B]))
-		}
-		num = AscendingSum(terms)
-		terms = terms[:0]
-		for _, m := range ms {
-			terms = append(terms, min(aw[m.A], bw[m.B]))
-		}
-		mins = AscendingSum(terms)
 	}
-	k.terms = terms
-	return k.ScatterFinish(fa, i, fb, j, int32(len(ms)), num, mins)
+	k.xs, k.ys = xs, ys
+	return k.kind.Finish(a, b, int32(len(k.matches)), AscendingSum(xs), AscendingSum(ys))
 }
 
 // AscendingSum adds terms in ascending order of their values, sorting
@@ -214,39 +191,104 @@ func (k *DistKernel) mergeFlat(fa *FlatSigs, i int, fb *FlatSigs, j int) {
 	}
 }
 
-// ScatterFinish turns the shared-node sums of signature i of fa against
-// signature j of fb into the distance, in O(1): cnt is the shared count;
+// ScatterFinish is Finish between signature i of fa and signature j of
+// fb: the finish a batch layer calls per candidate of a scatter.
+func (k *DistKernel) ScatterFinish(fa *FlatSigs, i int, fb *FlatSigs, j int, cnt int32, num, mins float64) float64 {
+	return k.kind.Finish(&fa.folds[i], &fb.folds[j], cnt, num, mins)
+}
+
+// Folds are one signature's own sums that a finish reads, each folded by
+// the loops the naive Distance.Dist calls fold a signature with
+// (weightSum, squareSum, normWeightSum): in ascending order of the
+// weights, backwards through the canonical, weight-descending order.
+type Folds struct {
+	Len     int     // entry count
+	Sum     float64 // Σw
+	SumSq   float64 // Σw²
+	Norm    float64 // √SumSq, Cosine's denominator factor
+	NormSum float64 // Σ normWeight(w, Sum), WeightedJaccard's
+}
+
+// foldsOf returns every fold of a signature whose canonical weights are
+// w.
+func foldsOf(w []float64) Folds {
+	sum, sq := weightSum(w), squareSum(w)
+	return Folds{Len: len(w), Sum: sum, SumSq: sq, Norm: math.Sqrt(sq), NormSum: normWeightSum(w, sum)}
+}
+
+// Folds returns the folds of canonical weights w that kind reads (Term
+// and Finish), the others left zero: what a scan that meets each
+// signature once computes.
+func (kind KernelKind) Folds(w []float64) Folds {
+	f := Folds{Len: len(w)}
+	switch kind {
+	case KindJaccard:
+	case KindCosine:
+		f.SumSq = squareSum(w)
+		f.Norm = math.Sqrt(f.SumSq)
+	default:
+		f.Sum = weightSum(w)
+		if kind == KindWeightedJaccard {
+			f.NormSum = normWeightSum(w, f.Sum)
+		}
+	}
+	return f
+}
+
+// Term returns kind's terms for one node shared by two signatures of
+// folds a and b, at weights wa and wb: x is added into Finish's num, y
+// into its mins (ScaledHellinger's; 0 for the other kinds). The batch
+// gathers in internal/distmat fold the same terms from precomputed
+// square roots and normalized weights, which are these bit for bit.
+func (kind KernelKind) Term(wa, wb float64, a, b *Folds) (x, y float64) {
+	switch kind {
+	case KindDice:
+		return wa + wb, 0
+	case KindCosine:
+		return wa * wb, 0
+	case KindScaledDice:
+		return min(wa, wb), 0
+	case KindWeightedJaccard:
+		return min(normWeight(wa, a.Sum), normWeight(wb, b.Sum)), 0
+	case KindScaledHellinger:
+		return HellingerAffinity(wa, wb, math.Sqrt(wa), math.Sqrt(wb)), min(wa, wb)
+	}
+	return 0, 0
+}
+
+// Finish turns the shared-node sums of a signature of folds a against
+// one of folds b into the distance, in O(1): cnt is the shared count;
 // num is Σ(wa+wb) for Dice, the dot product for Cosine, Σ min(wa,wb)
 // for ScaledDice (over normalized weights for WeightedJaccard) and
-// Σ HellingerAffinity for ScaledHellinger, whose Σ min is mins. Each
-// sum must add its terms in ascending order (AscendingSum) — any order,
-// for a pair sharing at most two nodes — and the two signatures must not
-// both be empty; the result is then bit-identical to the kind's
-// Distance.Dist.
-func (k *DistKernel) ScatterFinish(fa *FlatSigs, i int, fb *FlatSigs, j int, cnt int32, num, mins float64) float64 {
-	switch k.kind {
+// Σ HellingerAffinity for ScaledHellinger, whose Σ min is mins (Term's
+// x and y). Each sum must add its terms in ascending order
+// (AscendingSum) — any order, for a pair sharing at most two nodes — and
+// the two signatures must not both be empty; the result is then
+// bit-identical to the kind's Distance.Dist.
+func (kind KernelKind) Finish(a, b *Folds, cnt int32, num, mins float64) float64 {
+	switch kind {
 	case KindJaccard:
-		union := fa.Len(i) + fb.Len(j) - int(cnt)
+		union := a.Len + b.Len - int(cnt)
 		if union == 0 {
 			return 0
 		}
 		return 1 - float64(cnt)/float64(union)
 	case KindDice:
-		den := fa.sum[i] + fb.sum[j]
+		den := a.Sum + b.Sum
 		if den == 0 {
 			return 0
 		}
 		return clamp01(1 - num/den)
 	case KindCosine:
-		if fa.sumSq[i] == 0 || fb.sumSq[j] == 0 {
+		if a.SumSq == 0 || b.SumSq == 0 {
 			return 1
 		}
-		return clamp01(1 - num/(fa.norm[i]*fb.norm[j]))
+		return clamp01(1 - num/(a.Norm*b.Norm))
 	case KindScaledDice:
-		return scaledDist(num, fa.sum[i]+fb.sum[j]-num)
+		return scaledDist(num, a.Sum+b.Sum-num)
 	case KindScaledHellinger:
-		return scaledDist(num, fa.sum[i]+fb.sum[j]-mins)
+		return scaledDist(num, a.Sum+b.Sum-mins)
 	default:
-		return scaledDist(num, fa.normSum[i]+fb.normSum[j]-num)
+		return scaledDist(num, a.NormSum+b.NormSum-num)
 	}
 }

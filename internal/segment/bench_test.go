@@ -94,17 +94,17 @@ func BenchmarkSegmentReadWindow(b *testing.B) {
 }
 
 // BenchmarkSegmentReadBlock times what one cold window costs a search:
-// open the file, read the block, CRC, verify in place — and, in the
-// candidates case, find the rows sharing a node with a query signature
-// and decode those. Released is the candidates case as the store runs
-// it: the block given back, the next read made in its memory.
+// open the file, read the block, CRC, verify in place — and, in the scan
+// case, score the rows sharing a node with a query signature where they
+// lie (Jaccard, bound below 1). Released is the scan case as the store
+// runs it: the block given back, the next read made in its memory.
 func BenchmarkSegmentReadBlock(b *testing.B) {
 	seg := benchSegment(b)
 	first, err := seg.ReadBlock(0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	query := first.Sig(0).Nodes
+	query := first.Sig(0)
 	b.Run("verify", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -115,30 +115,24 @@ func BenchmarkSegmentReadBlock(b *testing.B) {
 		}
 	})
 	for _, release := range []bool{false, true} {
-		name := map[bool]string{false: "candidates", true: "released"}[release]
+		name := map[bool]string{false: "scan", true: "released"}[release]
 		b.Run(name, func(b *testing.B) {
-			var rows []int
-			var buf core.Signature
-			decoded := 0
+			rows, near := 0, 0
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				blk, err := seg.ReadBlock(0)
 				if err != nil {
 					b.Fatal(err)
 				}
-				rows = blk.Candidates(query, rows[:0])
-				for _, r := range rows {
-					blk.SigInto(r, &buf)
-					decoded += len(buf.Nodes)
-				}
+				rows = blk.Scan(core.Jaccard{}, query, 0.99, -1, func(int, float64) { near++ })
 				if release {
 					blk.Release()
 				}
 			}
-			if decoded == 0 {
-				b.Fatal("no candidate row decoded")
+			if near == 0 {
+				b.Fatal("no row scored within the bound")
 			}
-			b.ReportMetric(float64(len(rows)), "rows/op")
+			b.ReportMetric(float64(rows), "rows/op")
 		})
 	}
 }

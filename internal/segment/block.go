@@ -422,31 +422,110 @@ func (b *Block) Set() (*core.SignatureSet, error) {
 	return core.NewSignatureSet(b.scheme, b.window, sources, sigs)
 }
 
-// Candidates appends to rows, ascending, the rows whose signature shares
-// at least one node with query, and returns it. Two valid signatures
-// that share no node lie at distance exactly 1 under every registered
-// distance (core/kernel.go), so a search bounded below 1 need look at no
-// other row.
-func (b *Block) Candidates(query []graph.NodeID, rows []int) []int {
-	var wanted []uint64 // bitmap over the block-local ids
-	for _, v := range query {
-		if l, ok := b.labels.local(v); ok {
-			if wanted == nil {
-				wanted = make([]uint64, (len(b.labels.ids)+63)/64)
-			}
-			wanted[l/64] |= 1 << (l % 64)
-		}
+// Scan visits, in ascending order, every non-empty row but skip's that
+// lies within maxDist of sig under d, with the distance d.Dist(sig, row)
+// would return, bit for bit, and reports how many rows it scored. Under
+// a registered distance the rows are scored where they lie: one pass
+// over the block's member ids counts the nodes each row shares with
+// sig, and a sharing row's weights give the kind's terms, summed in
+// ascending order, and the row's folds, finished as the batch kernels
+// finish (core.KernelKind.Finish). A row sharing no node lies at
+// exactly 1 (core/kernel.go), so below that bound only the sharing rows
+// are scored. A distance the kernels do not know scores every row:
+// decoded (SigInto), then d.Dist.
+func (b *Block) Scan(d core.Distance, sig core.Signature, maxDist float64, skip graph.NodeID, visit func(i int, dist float64)) int {
+	sc := scanPool.Get().(*scanScratch)
+	defer scanPool.Put(sc)
+	kind, registered := core.KernelKindOf(d)
+	qf := kind.Folds(sig.Weights)
+	counts := sc.count(b, sig.Nodes)
+	skipped, ok := b.labels.local(skip)
+	if !ok {
+		skipped = math.MaxUint32 // no label
 	}
-	if wanted == nil {
-		return rows
-	}
+	probes := 0
 	for i := range b.Len() {
-		for p := b.starts[i]; p < b.starts[i+1]; p++ {
-			if l := le.Uint32(b.members[4*p:]); wanted[l/64]&(1<<(l%64)) != 0 {
-				rows = append(rows, i)
-				break
-			}
+		lo, hi := b.starts[i], b.starts[i+1]
+		if lo == hi || le.Uint32(b.table[8*i:]) == skipped {
+			continue
+		}
+		dist := 1.0
+		if cnt := counts[hi] - counts[lo]; !registered {
+			b.SigInto(i, &sc.row)
+			dist = d.Dist(sig, sc.row)
+		} else if cnt > 0 {
+			dist = sc.score(kind, &qf, sig.Weights, b, lo, hi, cnt)
+		} else if maxDist < 1 {
+			continue
+		}
+		probes++
+		if dist <= maxDist {
+			visit(i, dist)
 		}
 	}
-	return rows
+	return probes
+}
+
+// scanScratch is what a Scan works in: in[l] is 1 where block-local id l
+// is a node of the query, at[l] that node's position in the query (read
+// only where in is set), counts the pass's running shared count.
+type scanScratch struct {
+	in     []uint8
+	at     []int32
+	counts []int32
+	w      []float64 // a row's weights
+	xs, ys []float64 // a row's terms
+	row    core.Signature
+}
+
+var scanPool = sync.Pool{New: func() any { return new(scanScratch) }}
+
+// count marks the query's nodes among b's labels and returns, for every
+// p, how many of the block's first p members are one of them. The pass
+// takes no branch on a member: in a window whose hosts share popular
+// peers, shared and unshared members mix too unpredictably for one.
+func (sc *scanScratch) count(b *Block, nodes []graph.NodeID) []int32 {
+	n, m := len(b.labels.ids), len(b.members)/4
+	in := slices.Grow(sc.in[:0], n)[:n]
+	clear(in)
+	if len(sc.at) < n {
+		sc.at = make([]int32, n)
+	}
+	for q, v := range nodes {
+		if l, ok := b.labels.local(v); ok {
+			in[l], sc.at[l] = 1, int32(q)
+		}
+	}
+	counts := slices.Grow(sc.counts[:0], m+1)[:m+1]
+	run := int32(0)
+	counts[0] = 0
+	for p := range m {
+		run += int32(in[le.Uint32(b.members[4*p:])])
+		counts[p+1] = run
+	}
+	sc.in, sc.counts = in, counts
+	return counts
+}
+
+// score finishes the distance between the query, of folds qf and
+// weights qw, and the row whose members are b's [lo, hi), cnt of them
+// nodes of the query.
+func (sc *scanScratch) score(kind core.KernelKind, qf *core.Folds, qw []float64, b *Block, lo, hi int, cnt int32) float64 {
+	if kind == core.KindJaccard {
+		return kind.Finish(qf, &core.Folds{Len: hi - lo}, cnt, 0, 0)
+	}
+	w := slices.Grow(sc.w[:0], hi-lo)[:hi-lo]
+	for r := range w {
+		w[r] = math.Float64frombits(le.Uint64(b.weights[8*(lo+r):]))
+	}
+	rf := kind.Folds(w)
+	xs, ys := sc.xs[:0], sc.ys[:0]
+	for r := range w {
+		if l := le.Uint32(b.members[4*(lo+r):]); sc.in[l] != 0 {
+			x, y := kind.Term(qw[sc.at[l]], w[r], qf, &rf)
+			xs, ys = append(xs, x), append(ys, y)
+		}
+	}
+	sc.w, sc.xs, sc.ys = w, xs, ys
+	return kind.Finish(qf, &rf, cnt, core.AscendingSum(xs), core.AscendingSum(ys))
 }

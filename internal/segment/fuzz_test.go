@@ -37,8 +37,9 @@ func fixtureBlocks(tb testing.TB) [][]byte {
 // never panic, and the format is canonical: whatever it accepts
 // re-encodes to the same bytes, and verifies to the same set through the
 // label table as it did through the label strings. The lazy accessors
-// then answer what the eager Set does: every row, the row lookup, and
-// the candidates of queries drawn from the block's own rows.
+// then answer what the eager Set does: every row and the row lookup,
+// and the block scan answers what SigInto and Distance.Dist do for
+// queries drawn from the block's own rows.
 func FuzzDecodeBlock(f *testing.F) {
 	for _, b := range fixtureBlocks(f) {
 		f.Add(b)
@@ -79,9 +80,12 @@ func FuzzDecodeBlock(f *testing.F) {
 }
 
 // assertBlockMatchesSet holds a Block's lazy accessors to the set it
-// decodes to: rows, sources, the lookup by source, and Candidates for
-// each row's own signature (plus a node of the universe the block may
-// not know) against a scan of the set.
+// decodes to: rows, sources and the lookup by source; and Scan, under
+// every registered distance at bounds 0.3 and 1, for each row's own
+// signature plus a node the block lacks, against SigInto and d.Dist on
+// every row: the same rows visited at the same distance bits, and as
+// many rows scored as share a node with the query (every non-empty one
+// at bound 1).
 func assertBlockMatchesSet(t *testing.T, b *Block, set *core.SignatureSet, u *graph.Universe) {
 	t.Helper()
 	if b.Len() != set.Len() || b.Window() != set.Window || b.Scheme() != set.Scheme {
@@ -105,16 +109,50 @@ func assertBlockMatchesSet(t *testing.T, b *Block, set *core.SignatureSet, u *gr
 	if _, ok := b.Row(graph.NodeID(u.Size())); ok {
 		t.Fatal("Row found a node the universe does not hold")
 	}
-	for i := range set.Sigs {
-		query := append([]graph.NodeID{graph.NodeID(u.Size() + i)}, set.Sigs[i].Nodes...)
-		var want []int
-		for r, sig := range set.Sigs {
-			if slices.ContainsFunc(query, sig.Contains) {
-				want = append(want, r)
-			}
+	var row core.Signature
+	type visit struct {
+		row  int
+		bits uint64
+	}
+	for i, own := range set.Sigs {
+		// Row i's signature and a node the universe does not hold, at a
+		// tie with its lightest member; odd rows leave their own source out.
+		extra := 1.0
+		if n := len(own.Weights); n > 0 {
+			extra = own.Weights[n-1]
 		}
-		if got := b.Candidates(query, nil); !slices.Equal(got, want) {
-			t.Fatalf("Candidates(row %d's members) = %v, want %v", i, got, want)
+		query := core.Signature{
+			Nodes:   append(slices.Clone(own.Nodes), graph.NodeID(u.Size()+i)),
+			Weights: append(slices.Clone(own.Weights), extra),
+		}
+		skip := graph.NodeID(-1)
+		if i%2 == 1 {
+			skip = set.Sources[i]
+		}
+		for _, d := range core.ExtendedDistances() {
+			for _, bound := range []float64{0.3, 1} {
+				var got, want []visit
+				probes := b.Scan(d, query, bound, skip, func(r int, dist float64) {
+					got = append(got, visit{r, math.Float64bits(dist)})
+				})
+				scored := 0
+				for r := range b.Len() {
+					if b.IsEmpty(r) || b.Source(r) == skip {
+						continue
+					}
+					b.SigInto(r, &row)
+					if bound >= 1 || slices.ContainsFunc(query.Nodes, row.Contains) {
+						scored++
+					}
+					if dist := d.Dist(query, row); dist <= bound {
+						want = append(want, visit{r, math.Float64bits(dist)})
+					}
+				}
+				if !slices.Equal(got, want) || probes != scored {
+					t.Fatalf("%s Scan(row %d's members, bound %g, skip %d) visits %v after %d rows, SigInto + Dist %v after %d",
+						d.Name(), i, bound, skip, got, probes, want, scored)
+				}
+			}
 		}
 	}
 }

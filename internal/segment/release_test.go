@@ -21,14 +21,15 @@ func TestBlockUseAfterReleasePanics(t *testing.T) {
 	}
 	a, _ := u.Lookup("a")
 	var buf core.Signature
+	query := core.Signature{Nodes: []graph.NodeID{a}, Weights: []float64{1}}
 	uses := map[string]func(b *Block){
-		"Source":     func(b *Block) { b.Source(0) },
-		"IsEmpty":    func(b *Block) { b.IsEmpty(0) },
-		"Row":        func(b *Block) { b.Row(a) },
-		"Sig":        func(b *Block) { b.Sig(0) },
-		"SigInto":    func(b *Block) { b.SigInto(0, &buf) },
-		"Set":        func(b *Block) { b.Set() },
-		"Candidates": func(b *Block) { b.Candidates([]graph.NodeID{a}, nil) },
+		"Source":  func(b *Block) { b.Source(0) },
+		"IsEmpty": func(b *Block) { b.IsEmpty(0) },
+		"Row":     func(b *Block) { b.Row(a) },
+		"Sig":     func(b *Block) { b.Sig(0) },
+		"SigInto": func(b *Block) { b.SigInto(0, &buf) },
+		"Set":     func(b *Block) { b.Set() },
+		"Scan":    func(b *Block) { b.Scan(core.Jaccard{}, query, 1, -1, func(int, float64) {}) },
 	}
 	for name, use := range uses {
 		b, err := seg.ReadBlock(3)

@@ -48,10 +48,10 @@
 // and verifies the block where it lies — every count against the bytes
 // that remain, only the canonical encoding, and everything
 // core.NewSignatureSet would check of the decoded set — without decoding
-// a signature; the Block it returns materialises one row, the rows
-// sharing a node with a query, or (Set, which is what ReadWindow
-// returns) the whole window as two backing arrays every signature
-// slices.
+// a signature; the Block it returns scores its rows against a query
+// where they lie (Scan), and materialises one row or (Set, which is what
+// ReadWindow returns) the whole window as two backing arrays every
+// signature slices.
 //
 // Files headed `graphsig-segment v1` carry core.WriteSignatureSet text
 // in place of the binary block. They are no longer read: Open refuses

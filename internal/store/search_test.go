@@ -82,6 +82,23 @@ func naiveRank(t *testing.T, u *graph.Universe, ring []entry, d core.Distance, s
 	return hits[:min(opts.TopK, len(hits))]
 }
 
+// coldProbes is SearchStats.Probes of every Search of the cold store
+// in TestSearchRingMatchesFullSortOracle, in grid order, keyed by
+// distance ("registered" for the six kernel kinds, which probe alike on
+// this ring) and query, as the search before the block scan counted
+// them: the rows sharing a node with the query under a bound below 1,
+// every non-empty row otherwise, never the excluded label's.
+var coldProbes = map[string]string{
+	"quarter-jaccard/host-00": "[203 52 128 198 52 126 198 52 126 203 52 128 198 52 126 198 52 126 203 52 128 198 52 126 198 52 126 203 52 128 198 52 126 198 52 126 203 52 128 198 52 126 198 52 126 203 52 128 198 52 126 198 52 126]",
+	"quarter-jaccard/host-07": "[203 52 128 198 52 126 198 52 126 203 52 128 198 52 126 198 52 126 203 52 128 198 52 126 198 52 126 203 52 128 198 52 126 198 52 126 203 52 128 198 52 126 198 52 126 203 52 128 198 52 126 198 52 126]",
+	"quarter-jaccard/loner":   "[203 52 128 198 52 126 198 52 126 203 52 128 198 52 126 198 52 126 203 52 128 198 52 126 198 52 126 203 52 128 198 52 126 198 52 126 203 52 128 198 52 126 198 52 126 203 52 128 198 52 126 198 52 126]",
+	"quarter-jaccard/rare":    "[203 52 128 198 52 126 198 52 126 203 52 128 198 52 126 198 52 126 203 52 128 198 52 126 198 52 126 203 52 128 198 52 126 198 52 126 203 52 128 198 52 126 198 52 126 203 52 128 198 52 126 198 52 126]",
+	"registered/host-00":      "[94 30 62 92 30 61 94 30 62 94 30 62 92 30 61 94 30 62 94 30 62 92 30 61 94 30 62 94 30 62 92 30 61 94 30 62 94 30 62 92 30 61 94 30 62 167 30 92 162 30 90 162 30 90]",
+	"registered/host-07":      "[147 34 95 144 34 94 142 34 93 147 34 95 144 34 94 142 34 93 147 34 95 144 34 94 142 34 93 147 34 95 144 34 94 142 34 93 147 34 95 144 34 94 142 34 93 180 34 105 175 34 103 175 34 103]",
+	"registered/loner":        "[66 17 39 66 17 39 61 17 37 66 17 39 66 17 39 61 17 37 66 17 39 66 17 39 61 17 37 66 17 39 66 17 39 61 17 37 66 17 39 66 17 39 61 17 37 153 17 78 148 17 76 148 17 76]",
+	"registered/rare":         "[8 2 5 8 2 5 3 2 3 8 2 5 8 2 5 123 2 51 8 2 5 8 2 5 3 2 3 128 2 53 123 2 51 123 2 51 8 2 5 8 2 5 3 2 3 128 2 53 123 2 51 123 2 51]",
+}
+
 // TestSearchRingMatchesFullSortOracle: Search, SearchBatch (one call
 // holding every query of the grid) and SearchLabel, all ranking while
 // scanning under a tightening bound, answer exactly what naiveRank
@@ -153,14 +170,25 @@ func TestSearchRingMatchesFullSortOracle(t *testing.T) {
 			var batch []BatchQuery
 			var slots []string
 			for qname, sig := range queries {
-				for _, opts := range grid {
-					got, err := s.Search(d, sig, opts)
+				probes := make([]int, len(grid))
+				for g, opts := range grid {
+					withStats := opts
+					withStats.Stats = &SearchStats{}
+					got, err := s.Search(d, sig, withStats)
 					if err != nil {
 						t.Fatal(err)
 					}
 					check("Search", qname, opts, got)
+					probes[g] = withStats.Stats.Probes
 					batch = append(batch, BatchQuery{Sig: sig, Opts: opts})
 					slots = append(slots, qname)
+				}
+				key := d.Name() + "/" + qname
+				if _, ok := core.KernelKindOf(d); ok {
+					key = "registered/" + qname
+				}
+				if got := fmt.Sprint(probes); name == "cold" && got != coldProbes[key] {
+					t.Errorf("cold %s %s: probes over the grid\n got %s\nwant %s", d.Name(), qname, got, coldProbes[key])
 				}
 			}
 			got, err := s.SearchBatch(d, batch)
@@ -182,9 +210,42 @@ func TestSearchRingMatchesFullSortOracle(t *testing.T) {
 					check("SearchLabel", label, opts, got)
 				}
 			}
+			if kind, ok := core.KernelKindOf(d); ok && kind != core.KindJaccard && name == "cold" && !sortsThree(t, s, ring, d, queries) {
+				t.Errorf("cold %s: no query scores a cold row sharing three nodes or more: the ascending sum goes unchecked", d.Name())
+			}
 		}
 		releaseCold(ring)
 	}
+}
+
+// sortsThree reports whether an unbounded search under d for one of the
+// queries ranks a row of a cold block that shares three nodes or more
+// with the query: a row whose terms the block scan sums sorted.
+func sortsThree(t *testing.T, s *Store, ring []entry, d core.Distance, queries map[string]core.Signature) bool {
+	t.Helper()
+	for _, sig := range queries {
+		hits, err := s.Search(d, sig, SearchOptions{TopK: 1 << 20, MaxDist: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range hits {
+			for _, e := range ring {
+				if b := e.block; b != nil && b.Window() == h.Window {
+					r, _ := b.Row(h.Node)
+					shared := 0
+					for _, v := range b.Sig(r).Nodes {
+						if sig.Contains(v) {
+							shared++
+						}
+					}
+					if shared >= 3 {
+						return true
+					}
+				}
+			}
+		}
+	}
+	return false
 }
 
 // TestSearchRingOracleSeesTies guards the property test's fixture: the
@@ -374,13 +435,15 @@ func TestSearchAllocsIndependentOfArchive(t *testing.T) {
 // A-1's to settle (EXPERIMENTS.md "Store search"). Cold, the same 8 hot
 // windows with `wide`'s 4 × 1200 or `deep`'s 12 × 400 cold ones behind
 // them: a label search, whose bound the hot windows have drawn below 1
-// by the time it reads a block, and (maxdist1) the same depth under
-// MaxDist 1 with a K above the archive's size, so the collector never
-// fills, its bound stays at 1 and every cold row has to be compared and
-// kept. batch32 is one SearchBatch of 32 label-resolved signatures over
-// the hot windows, as a routed batch reaches a shard. Every search is
-// exact, so each case returns min(K, archive) hits a query (hits/op
-// counts the batch's 32).
+// by the time it reads a block (under Jaccard, and at `deep`'s depth
+// under ScaledHellinger, whose rows the block scan finishes from their
+// weights), and (maxdist1) the same depth under MaxDist 1 with a K
+// above the archive's size, so the collector never fills, its bound
+// stays at 1 and every cold row has to be compared and kept. batch32 is
+// one SearchBatch of 32 label-resolved signatures over the hot windows,
+// as a routed batch reaches a shard. Every search is exact, so each
+// case returns min(K, archive) hits a query (hits/op counts the batch's
+// 32).
 func BenchmarkStoreSearch(b *testing.B) {
 	const batch = 32
 	cases := []struct {
@@ -395,6 +458,7 @@ func BenchmarkStoreSearch(b *testing.B) {
 		{"10k/jaccard/exact", core.Jaccard{}, 0, 10000, "label"},
 		{"cold4x1200/jaccard", core.Jaccard{}, 4, 1200, "label"},
 		{"cold12x400/jaccard", core.Jaccard{}, 12, 400, "label"},
+		{"cold12x400/shel", core.ScaledHellinger{}, 12, 400, "label"},
 		{"cold4x1200/jaccard/maxdist1", core.Jaccard{}, 4, 1200, "inline"},
 		{"batch32", core.Jaccard{}, 0, 1200, "batch"},
 	}

@@ -59,9 +59,7 @@ func (c *Config) validate() error {
 // signature set and its pairwise-engine view (SoA signatures + inverted
 // node index), built once at Add time.
 // A cold window read back by snapshotTier is its verified block alone
-// (everything else nil): nothing of it is decoded until searchRing picks
-// the rows to compare, and those are the one thing still compared with
-// plain d.Dist calls.
+// (everything else nil), scored where it lies (segment.Block.Scan).
 type entry struct {
 	set   *core.SignatureSet
 	view  *distmat.SetView
@@ -438,10 +436,11 @@ type SearchOptions struct {
 
 // SearchStats are the per-query explain counters behind ?debug=1.
 // Probes — like the store_search_probes histogram — counts the
-// distances a search computed, not the hits it ranked: per window the
-// engine's inverted-index candidates (every signature, for a distance
-// without a kernel) or every non-empty signature of a cold window's
-// plain scan.
+// distances a search computed, not the hits it ranked: per hot window
+// the engine's inverted-index candidates (every signature, for a
+// distance without a kernel); per cold window the rows the block scan
+// scored: those sharing a node with the query under a bound below 1,
+// every non-empty one otherwise, the excluded label's never.
 type SearchStats struct {
 	Probes int
 }
@@ -459,12 +458,13 @@ type BatchQuery struct {
 // window the candidates come from the pairwise engine (with MaxDist
 // below 1 only signatures sharing at least one node with the query are
 // probed: disjoint pairs sit at distance exactly 1) or, for a cold
-// window, from its verified block: the rows sharing a node with the
-// query when the bound is below 1, every row otherwise, each decoded
-// only to be compared. A distance that is not one of the registered
-// kinds goes through the engine too, which then evaluates d against
-// every signature of the window, as the cold scan does. No candidate
-// source skips a signature that could rank, so every search is exact.
+// window, from its verified block, scored where it lies with the same
+// kernel arithmetic (segment.Block.Scan): the rows sharing a node with
+// the query when the bound is below 1, every row otherwise. A distance
+// that is not one of the registered kinds goes through the engine and
+// the block scan too, which then evaluate d against every signature of
+// the window; nothing else calls d.Dist. No candidate source skips a
+// signature that could rank, so every search is exact.
 // Hits are ranked while scanning (see searchRing): a query keeps at most
 // TopK of them, however large the archive.
 //
@@ -477,8 +477,8 @@ type BatchQuery struct {
 // retention policy deletes segment files under the write lock, and a
 // read must not race a delete. So a cold search delays a window close
 // by its reads — a fraction of a millisecond per cold window — and a
-// hot search by a slice copy. All decoding and distance work runs after
-// the lock is released, on blocks and sets nothing mutates. A batch of
+// hot search by a slice copy. All distance work runs after the lock is
+// released, on blocks and sets nothing mutates. A batch of
 // no queries reads nothing. Empty signatures are rejected.
 func (s *Store) SearchBatch(d core.Distance, queries []BatchQuery) ([][]Hit, error) {
 	if d == nil {
@@ -618,9 +618,9 @@ func (t *topK) ranked() []Hit {
 }
 
 // searchRing runs one query over a snapshotted ring, newest window
-// first: candidate generation per window (the pairwise-engine querier,
-// or the rows of a cold block) under the collector's current bound,
-// exact distances, and one offer per surviving candidate. The collector
+// first: per window one scan under the collector's current bound (the
+// pairwise-engine querier of a hot window, the block scan of a cold
+// one), exact distances, and one offer per candidate within the bound. The collector
 // holds TopK hits, and once it is full each further window is asked only
 // for signatures no farther than the worst hit kept — the cost of a
 // search follows its candidates, not the size of the archive. An
@@ -647,40 +647,13 @@ func (s *Store) searchRing(ring []entry, querier *distmat.Querier, d core.Distan
 
 	top := topK{k: opts.TopK, universe: s.universe}
 	probes := 0 // exact distance evaluations across all windows
-	// A cold window's rows are decoded one at a time into row, and only
-	// those in rows when the bound allows leaving the others out.
-	var rows []int
-	var row core.Signature
-	_, registered := core.KernelKindOf(d)
 	for w := len(ring) - 1; w >= 0; w-- {
 		e := ring[w]
 		maxDist := top.bound(opts.MaxDist)
 		if b := e.block; b != nil {
-			// A row sharing no node with the query lies at exactly 1 under
-			// a registered distance (core/kernel.go), so below that bound
-			// only the sharing rows can rank — the closed form the
-			// querier's thresholded path rests on. Of a distance the store
-			// knows nothing about, every row is asked.
-			n, sharing := b.Len(), registered && maxDist < 1
-			if sharing {
-				rows = b.Candidates(sig.Nodes, rows[:0])
-				n = len(rows)
-			}
-			for j := range n {
-				i := j
-				if sharing {
-					i = rows[j]
-				}
-				v := b.Source(i)
-				if v == exclude || b.IsEmpty(i) {
-					continue
-				}
-				probes++
-				b.SigInto(i, &row)
-				if dist := d.Dist(sig, row); dist <= maxDist {
-					top.offer(v, b.Window(), dist)
-				}
-			}
+			probes += b.Scan(d, sig, maxDist, exclude, func(i int, dist float64) {
+				top.offer(b.Source(i), b.Window(), dist)
+			})
 			continue
 		}
 		set := e.set
