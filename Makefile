@@ -72,7 +72,7 @@ sim-smoke:
 # text and the same 200 body bar the coverage block; TestClusterRoutesGolden
 # pins those bodies' bytes; TestClusterRoutesLaidOut: every search and
 # history body of its 200 cases, at the node, the routers and the shards,
-# is read in its own layout; TestClusterRefusalPassesThrough: a refused
+# is read in its own layout, and so is the client's flows batch; TestClusterRefusalPassesThrough: a refused
 # request costs no shard request and no client retry), partial-result
 # degradation with a shard down, and WAL-shipped follower catch-up
 # serving reads after the primary dies — plus the ring properties, the
@@ -147,9 +147,9 @@ segment-smoke:
 # snapshot's manifest and label-file parsers (each accepts only what
 # Save writes), the exposition parser the router runs over shard
 # bodies (an accepted body must re-render through WriteFederated and
-# parse again to the same families), the POST /v1/flows codec
-# (the reader against encoding/json and its runs, at a lowered
-# threshold, against the single parse; the writer against json.Marshal),
+# parse again to the same families), the POST /v1/flows reader
+# (a binary body a 400 or records that re-encode to it, a JSON body as
+# encoding/json reads it, what the client sends as its JSON body reads),
 # the search routes, POST /v1/search and /v1/search/batch (never a
 # panic or a 500; a 200 ranks at most k hits, in order, within max_dist),
 # the same routes through a one-shard router (the node's status, never a
@@ -199,10 +199,9 @@ bench:
 # bytes a commit), a generation change by truncation and by rotation —,
 # one 100-record batch with an ID through the server onto real files
 # (ms and WAL syncs a batch) and a 2 000-record batch through the
-# POST /v1/flows codec and through what it replaced (decode, encode and
-# a loopback read of the body; decode/codec-1run decodes in one run, and
-# decode/general decodes an indented body, every record of which the
-# general reader reads), the search and history bodies through their
+# POST /v1/flows codec, in the client's binary stream and in JSON
+# through encoding/json (decode, encode, and a loopback read of the
+# binary body), the search and history bodies through their
 # layout and through encoding/json (a 10-hit and a 32-slot response, a
 # one-slot signature batch request), one 1 200-source
 # window through the pipeline at sigserverd's default sketch — every source sparse, and

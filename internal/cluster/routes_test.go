@@ -435,7 +435,8 @@ func TestClusterRoutesMatchNode(t *testing.T) {
 // signature batches the shards read, and the history and search answers
 // the routers read back from their shards — is read in its own layout,
 // none of them by encoding/json (server.GeneralBodies); so is a flows
-// batch Client.IngestBatch would send, at every hop.
+// batch Client.IngestBatch sends, at every hop, in netflow's binary
+// stream.
 func TestClusterRoutesLaidOut(t *testing.T) {
 	w := newRouteWorld(t)
 	before := server.GeneralBodies()
@@ -460,26 +461,36 @@ func TestClusterRoutesLaidOut(t *testing.T) {
 		t.Errorf("a spaced body sent to the three sides counted %d times, want 3", n)
 	}
 
-	// Ingest, outside the table: a laid-out batch stays in the layout on
-	// the node, on the routers and, in the sub-batches the routers
-	// re-encode with AppendFlows, on their shards; a spaced one leaves it
-	// once on each side it is posted to and nowhere behind the routers.
+	// Ingest, outside the table: the batch Client.IngestBatch sends is
+	// read in its own format on the node, on the routers and, in the
+	// sub-batches the routers send the same way, on their shards; a JSON
+	// body goes to encoding/json once on each side it is posted to and
+	// nowhere behind the routers.
 	for _, c := range []struct {
 		name    string
-		spaced  bool
+		json    bool
 		general int64
 	}{{"flows-laid-out", false, 0}, {"flows-spaced", true, 3}} {
-		body, err := server.AppendFlows(nil, c.name, w.records[:50])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c.spaced {
-			body, _ = json.MarshalIndent(json.RawMessage(body), "", " ")
-		}
 		before = server.GeneralBodies()
-		for i, a := range w.do(routeCase{c.name, "POST", "/v1/flows", string(body)}) {
-			if a.status != http.StatusOK {
-				t.Fatalf("%s on %s: %d %s", c.name, routeSides[i], a.status, a.body)
+		if c.json {
+			req := server.IngestRequest{BatchID: c.name}
+			for _, r := range w.records[:50] {
+				req.Records = append(req.Records, server.RecordToJSON(r))
+			}
+			body, err := json.MarshalIndent(req, "", " ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, a := range w.do(routeCase{c.name, "POST", "/v1/flows", string(body)}) {
+				if a.status != http.StatusOK {
+					t.Fatalf("%s on %s: %d %s", c.name, routeSides[i], a.status, a.body)
+				}
+			}
+		} else {
+			for i, url := range w.urls {
+				if _, err := server.NewClient(url).IngestBatch(c.name, w.records[:50]); err != nil {
+					t.Fatalf("%s on %s: %v", c.name, routeSides[i], err)
+				}
 			}
 		}
 		if n := server.GeneralBodies() - before; n != c.general {

@@ -140,7 +140,8 @@ func parseTextLine(text string) (Record, error) {
 // each record in a CRC frame — share; there is no second reader or
 // writer of it.
 
-var binaryMagic = [4]byte{'N', 'F', 'B', '1'}
+// BinaryMagic is the stream form's header.
+const BinaryMagic = "NFB1"
 
 // recordFixedLen is the encoded size of a record's fixed-width fields,
 // everything after the two labels.
@@ -218,10 +219,30 @@ func DecodeRecordBinary(b []byte) (rec Record, n int, err error) {
 	return rec, n, nil
 }
 
+// CountRecordsBinary is how many records a run of AppendRecordBinary's
+// encodings in b frames whole: one pass over their length prefixes,
+// which decodes nothing, to size what decoding b fills. A record cut
+// short by the end of b is not counted.
+func CountRecordsBinary(b []byte) int {
+	le := binary.LittleEndian
+	for n, i := 0, 0; ; n++ {
+		if len(b)-i < 2 {
+			return n
+		}
+		i += 2 + int(le.Uint16(b[i:]))
+		if len(b)-i < 2 {
+			return n
+		}
+		if i += 2 + int(le.Uint16(b[i:])) + recordFixedLen; i > len(b) {
+			return n
+		}
+	}
+}
+
 // WriteBinary writes records in the binary format.
 func WriteBinary(w io.Writer, records []Record) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(binaryMagic[:]); err != nil {
+	if _, err := bw.WriteString(BinaryMagic); err != nil {
 		return err
 	}
 	var buf []byte
@@ -243,11 +264,11 @@ func WriteBinary(w io.Writer, records []Record) error {
 // (io.ErrUnexpectedEOF), not a clean end.
 func ReadBinary(r io.Reader) ([]Record, error) {
 	br := bufio.NewReader(r)
-	var magic [4]byte
+	var magic [len(BinaryMagic)]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return nil, fmt.Errorf("netflow: read magic: %w", unexpectedEOF(err))
 	}
-	if magic != binaryMagic {
+	if string(magic[:]) != BinaryMagic {
 		return nil, fmt.Errorf("netflow: bad magic %q", magic[:])
 	}
 	var out []Record

@@ -168,7 +168,7 @@ func TestReadBinaryTruncation(t *testing.T) {
 		}
 		boundaries[b.Len()] = true
 	}
-	boundaries[len(binaryMagic)] = true // the header alone: no records
+	boundaries[len(BinaryMagic)] = true // the header alone: no records
 	for cut := 0; cut < len(full); cut++ {
 		if boundaries[cut] {
 			continue
@@ -237,6 +237,31 @@ func TestSessionsFitTheBinaryCodec(t *testing.T) {
 		}
 		if out, err := AppendRecordBinary(nil, &rec); err == nil || len(out) != 0 {
 			t.Fatalf("sessions %d encoded: %d bytes, %v", s, len(out), err)
+		}
+	}
+}
+
+// TestCountRecordsBinary: the count over length prefixes finds, at every
+// cut of a run of records, the records the cut holds whole.
+func TestCountRecordsBinary(t *testing.T) {
+	var b []byte
+	var ends []int
+	for _, r := range sampleRecords() {
+		var err error
+		if b, err = AppendRecordBinary(b, &r); err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, len(b))
+	}
+	for cut := 0; cut <= len(b); cut++ {
+		want := 0
+		for _, end := range ends {
+			if end <= cut {
+				want++
+			}
+		}
+		if got := CountRecordsBinary(b[:cut]); got != want {
+			t.Fatalf("%d of %d bytes: counted %d records, want %d", cut, len(b), got, want)
 		}
 	}
 }

@@ -180,20 +180,21 @@ func clampDelay(d, base time.Duration) time.Duration {
 // doJSON is do with body, when non-nil, marshalled as the JSON payload.
 func (c *Client) doJSON(method, path string, body any, decode func(*http.Response) error) error {
 	if body == nil {
-		return c.do(method, path, nil, decode)
+		return c.do(method, path, "", nil, decode)
 	}
 	payload, err := json.Marshal(body)
 	if err != nil {
 		return fmt.Errorf("client: %w", err)
 	}
-	return c.do(method, path, payload, decode)
+	return c.do(method, path, "application/json", payload, decode)
 }
 
 // do runs one API call through the retry loop: payload, when non-nil,
-// is sent as the JSON body, and decode reads a successful response.
-func (c *Client) do(method, path string, payload []byte, decode func(*http.Response) error) error {
+// is sent as the body, of contentType, and decode reads a successful
+// response.
+func (c *Client) do(method, path, contentType string, payload []byte, decode func(*http.Response) error) error {
 	for attempt := 0; ; attempt++ {
-		retryAfter, err := c.once(method, path, payload, decode)
+		retryAfter, err := c.once(method, path, contentType, payload, decode)
 		if err == nil || retryAfter == noRetry || attempt >= c.MaxRetries {
 			return err
 		}
@@ -208,7 +209,7 @@ const noRetry = "\x00permanent"
 // once performs a single HTTP exchange. The returned string is the
 // Retry-After header value ("" when absent) for retryable failures, or
 // noRetry for permanent ones.
-func (c *Client) once(method, path string, payload []byte, decode func(*http.Response) error) (string, error) {
+func (c *Client) once(method, path, contentType string, payload []byte, decode func(*http.Response) error) (string, error) {
 	var reader io.Reader
 	if payload != nil {
 		reader = bytes.NewReader(payload)
@@ -218,7 +219,7 @@ func (c *Client) once(method, path string, payload []byte, decode func(*http.Res
 		return noRetry, fmt.Errorf("client: %w", err)
 	}
 	if payload != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", contentType)
 	}
 	if c.trace.Valid() {
 		req.Header.Set(obs.TraceHeader, c.trace.String())
@@ -290,12 +291,12 @@ func (c *Client) Ingest(records []netflow.Record) (IngestResult, error) {
 // pipelines that must keep the ID stable across their own retries (the
 // cluster router derives per-shard IDs from the client's parent ID).
 func (c *Client) IngestBatch(batchID string, records []netflow.Record) (IngestResult, error) {
-	payload, err := AppendFlows(make([]byte, 0, flowRecordBytes*(len(records)+1)), batchID, records)
+	path, contentType, payload, err := flowsRequest(batchID, records)
 	if err != nil {
 		return IngestResult{}, fmt.Errorf("client: %w", err)
 	}
 	var out IngestResult
-	err = c.do(http.MethodPost, "/v1/flows", payload, decodeJSON(&out))
+	err = c.do(http.MethodPost, path, contentType, payload, decodeJSON(&out))
 	return out, err
 }
 
@@ -472,7 +473,7 @@ func (c *Client) FetchWAL(gen int, from int64, max int) (WALChunk, error) {
 		limit = int64(max)
 	}
 	var chunk WALChunk
-	_, err := c.once(http.MethodGet, path, nil, func(resp *http.Response) (err error) {
+	_, err := c.once(http.MethodGet, path, "", nil, func(resp *http.Response) (err error) {
 		if chunk.Gen, err = strconv.Atoi(resp.Header.Get(HeaderWALGen)); err != nil {
 			return fmt.Errorf("bad %s header %q", HeaderWALGen, resp.Header.Get(HeaderWALGen))
 		}

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -661,11 +660,12 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 	var ids []string
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls++
-		var req IngestRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			t.Errorf("decoding retry request: %v", err)
+		id, _, ok := ReadFlows(w, r)
+		if !ok {
+			t.Error("the retry request was refused")
+			return
 		}
-		ids = append(ids, req.BatchID)
+		ids = append(ids, id)
 		if calls <= 2 {
 			w.Header().Set("Retry-After", "0")
 			http.Error(w, `{"error":"busy"}`, http.StatusServiceUnavailable)

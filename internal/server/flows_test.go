@@ -2,14 +2,15 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -82,68 +83,109 @@ func sameRecords(a, b []netflow.Record) bool {
 	return true
 }
 
-// checkReader holds ReadFlows's decoding to the reference on one body:
-// the same batch ID and records, or the same error text. Its runs are
-// held to one run at a threshold low enough that any body of a few
-// records is split.
+// sameAsJSON reports whether bin, the records read from a binary body,
+// are those a node keeps of json, the records read from the JSON body
+// of the same batch: the same fields, and each start the JSON one
+// truncated to the millisecond, in UTC.
+func sameAsJSON(bin, json []netflow.Record) bool {
+	if len(bin) != len(json) {
+		return false
+	}
+	for i := range bin {
+		a, b := bin[i], json[i]
+		if a.Start.Location() != time.UTC || !a.Start.Equal(b.Start.Truncate(time.Millisecond)) {
+			return false
+		}
+		a.Start = b.Start
+		if a != b {
+			return false
+		}
+	}
+	return true
+}
+
+// postFlows reads body through ReadFlows as a POST to path of
+// contentType: the batch ID and records it read, or the status and
+// error text it answered.
+func postFlows(path, contentType string, body []byte) (id string, recs []netflow.Record, status int, msg string) {
+	req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+	req.Header.Set("Content-Type", contentType)
+	w := httptest.NewRecorder()
+	id, recs, ok := ReadFlows(w, req)
+	if !ok {
+		var e struct{ Error string }
+		_ = json.Unmarshal(w.Body.Bytes(), &e)
+		return "", nil, w.Code, e.Error
+	}
+	return id, recs, http.StatusOK, ""
+}
+
+// checkReader holds ReadFlows's reading of a JSON body to the
+// reference: the same batch ID and records, or a 400 with the same
+// error text.
 func checkReader(t *testing.T, body []byte) {
 	t.Helper()
-	checkRuns(t, body, 4, 32)
-	checkDeparts(t, body, 4, 32)
-	id, recs, err := decodeFlows(body)
+	id, recs, status, msg := postFlows("/v1/flows", "application/json", body)
 	wantID, want, wantErr := oracleFlows(body)
-	if fmt.Sprint(err) != fmt.Sprint(wantErr) || err == nil && (id != wantID || !sameRecords(recs, want)) {
-		t.Fatalf("%q: read %q %+v, %v; the reference %q %+v, %v", body, id, recs, err, wantID, want, wantErr)
+	if wantErr != nil && (status != http.StatusBadRequest || msg != wantErr.Error()) ||
+		wantErr == nil && (status != http.StatusOK || id != wantID || !sameRecords(recs, want)) {
+		t.Fatalf("%.200q: read %q %+v, %d %s; the reference %q %+v, %v", body, id, recs, status, msg, wantID, want, wantErr)
 	}
 }
 
-// checkRuns holds the reader at procs runs of at least runBytes to the
-// reader at one run: the same batch ID and records, or the same error.
-func checkRuns(t *testing.T, body []byte, procs, runBytes int) {
+// checkBinary holds ReadFlows's reading of a binary body to the
+// stream: a 400 naming the body or a record, or the query's batch ID
+// and records that encode back to the body's bytes.
+func checkBinary(t *testing.T, batchID string, body []byte) {
 	t.Helper()
-	id, recs, err := decodeFlowsRuns(body, 1, runBytes)
-	gotID, got, gotErr := decodeFlowsRuns(body, procs, runBytes)
-	if fmt.Sprint(gotErr) != fmt.Sprint(err) || err == nil && (gotID != id || !sameRecords(got, recs)) {
-		t.Fatalf("%d runs read %.200q as %q, %d records, %v; one run as %q, %d records, %v",
-			procs, body, gotID, len(got), gotErr, id, len(recs), err)
+	id, recs, status, msg := postFlows("/v1/flows?batch_id="+url.QueryEscape(batchID), FlowsBinaryType, body)
+	if status == http.StatusBadRequest && (strings.HasPrefix(msg, "bad request body: ") || strings.HasPrefix(msg, "record ")) {
+		return
 	}
-}
-
-// checkDeparts holds the laid-out reading in procs runs of at least
-// runBytes to depart from the layout exactly when the reading in one run
-// does, which is why a body whose runs depart goes to encoding/json
-// without a single-run reading first.
-func checkDeparts(t *testing.T, body []byte, procs, runBytes int) {
-	t.Helper()
-	cut := cutRuns(body, min(procs, len(body)/runBytes))
-	inRuns, _, _, _ := laidOutFlows(body, cut)
-	if inOne, _, _, _ := laidOutFlows(body, nil); len(cut) > 0 && inRuns != inOne {
-		t.Fatalf("%.200q: laid out in %d runs %v, in one %v", body, len(cut)+1, inRuns, inOne)
+	if status != http.StatusOK || id != batchID {
+		t.Fatalf("%.200q: %d %s, batch %q", body, status, msg, id)
 	}
-}
-
-// TestReadFlowsRunsDepartTogether: a 32-record body with each byte
-// changed in turn departs from the layout in four runs exactly when it
-// does in one.
-func TestReadFlowsRunsDepartTogether(t *testing.T) {
-	body, err := AppendFlows(nil, "probe", flowBatch(t)[:32])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cutRuns(body, min(4, len(body)/512))) != 3 {
-		t.Fatal("the body is not cut into four runs")
-	}
-	const subst = `}{,":] \\x0n-`
-	m := bytes.Clone(body)
-	for i := range body {
-		if m[i] = subst[i%len(subst)]; m[i] != body[i] {
-			checkDeparts(t, m, 4, 512)
+	enc := []byte(netflow.BinaryMagic)
+	for i := range recs {
+		var err error
+		if enc, err = netflow.AppendRecordBinary(enc, &recs[i]); err != nil {
+			t.Fatalf("%.200q: record %d read as %+v, which does not encode: %v", body, i, recs[i], err)
 		}
-		m[i] = body[i]
+	}
+	if !bytes.Equal(enc, body) {
+		t.Fatalf("%.200q: its %d records encode back to %.200q", body, len(recs), enc)
 	}
 }
 
-// flowsBodies are bodies on either side of the reader's rules.
+// checkClientBody holds what Client.IngestBatch sends for a batch to
+// the batch's JSON body: a binary body that ReadFlows reads back to the
+// batch ID and the records the JSON body reads to (sameAsJSON), or the
+// JSON body itself, or a refusal where json.Marshal refuses.
+func checkClientBody(t *testing.T, batchID string, records []netflow.Record) {
+	t.Helper()
+	want, wantErr := marshalFlows(batchID, records)
+	path, contentType, body, err := flowsRequest(batchID, records)
+	if (err != nil) != (wantErr != nil) {
+		t.Fatalf("%+v: the client's body %v, json.Marshal's %v", records, err, wantErr)
+	}
+	if err != nil {
+		return
+	}
+	if contentType != FlowsBinaryType {
+		if path != "/v1/flows" || contentType != "application/json" || !bytes.Equal(body, want) {
+			t.Fatalf("%+v: sent to %s as %s\n%s\njson.Marshal writes\n%s", records, path, contentType, body, want)
+		}
+		return
+	}
+	wantID, wantRecs, wantErr := oracleFlows(want)
+	id, recs, status, msg := postFlows(path, contentType, body)
+	if wantErr != nil || status != http.StatusOK || id != wantID || !sameAsJSON(recs, wantRecs) {
+		t.Fatalf("%+v: the binary body read back as %q %+v, %d %s; the JSON one as %q %+v, %v",
+			records, id, recs, status, msg, wantID, wantRecs, wantErr)
+	}
+}
+
+// flowsBodies are JSON bodies on either side of encoding/json's rules.
 var flowsBodies = []string{
 	`{"records":[{"src":"10.0.0.1","dst":"e1","start":"2026-03-02T00:00:00Z","sessions":3}]}`,
 	`{"records":[{"src":"a","dst":"b","start":"2026-03-02T00:00:00.123456789+05:30","duration_ms":1500,"sessions":1,"bytes":10,"packets":2,"proto":"udp"}],"batch_id":"x-1"}`,
@@ -186,259 +228,155 @@ var flowsBodies = []string{
 	`{"records":[]} x`, `{"records":[]}{}`, `{"records":[]}]`, `null null`,
 }
 
-// laidOut is a record as AppendFlows writes one, every optional key
+// fullRecord is a record as json.Marshal writes one, every optional key
 // present.
-const laidOut = `{"src":"10.0.0.1","dst":"198.18.0.7","start":"2026-03-02T10:20:30.25Z","duration_ms":1500,"sessions":3,"bytes":10,"packets":2,"proto":"tcp"}`
+const fullRecord = `{"src":"10.0.0.1","dst":"198.18.0.7","start":"2026-03-02T10:20:30.25Z","duration_ms":1500,"sessions":3,"bytes":10,"packets":2,"proto":"tcp"}`
 
-// inLayout and outOfLayout are edits of laidOut on either side of each
-// rule of the laid-out reading: after one of the first the record is
-// still laid out, after one of the second encoding/json reads the body.
-var (
-	inLayout = [][2]string{
-		{"", ""},
-		// Optional keys left out.
-		{`"bytes":10,"packets":2,`, ``}, {`"duration_ms":1500,`, ``}, {`"packets":2,`, ``},
-		// Strings: plain ASCII, DEL included; any protocol name.
-		{`"198.18.0.7"`, "\"a\x7fb\""}, {`"198.18.0.7"`, `""`}, {`"10.0.0.1"`, `" <&>/"`},
-		{`"tcp"`, `"udp"`}, {`"tcp"`, `"47"`}, {`"tcp"`, `"proto(47)"`}, {`"tcp"`, `"bad"`}, {`"tcp"`, `""`}, {`"tcp"`, `"TCP"`},
-		// Integers of up to 18 digits; a duration the conversion refuses.
-		{`"sessions":3`, `"sessions":0`}, {`"bytes":10`, `"bytes":999999999999999999`},
-		{`"duration_ms":1500`, `"duration_ms":9223372036854`}, {`"duration_ms":1500`, `"duration_ms":9223372036855`},
-		// Start times: fractions of 0 to 9 digits; days at their months' ends.
-		{`.25Z`, `Z`}, {`.25Z`, `.2Z`}, {`.25Z`, `.123456789Z`}, {`.25Z`, `.000000000Z`}, {`10:20:30`, `23:59:59`},
-		{`2026-03-02`, `0000-01-01`}, {`2026-03-02`, `9999-12-31`}, {`2026-03-02`, `2026-01-31`}, {`2026-03-02`, `2026-04-30`},
-		{`2026-03-02`, `2026-12-31`}, {`2026-03-02`, `2026-02-28`}, {`2026-03-02`, `2024-02-29`},
-		{`2026-03-02`, `2000-02-29`}, {`2026-03-02`, `0000-02-29`},
-	}
-	outOfLayout = [][2]string{
-		// Whitespace, key order, a repeated, unknown or missing key, null.
-		{`{"src":`, `{ "src":`}, {`"src":"10.0.0.1"`, `"src": "10.0.0.1"`}, {`{"src":`, `{"src" :`}, {`"tcp"}`, `"tcp" }`},
-		{`"src":"10.0.0.1","dst":"198.18.0.7"`, `"dst":"198.18.0.7","src":"10.0.0.1"`},
-		{`"bytes":10,"packets":2`, `"packets":2,"bytes":10`},
-		{`"proto":"tcp"`, `"proto":"tcp","proto":"udp"`}, {`"sessions":3`, `"sessions":3,"sessions":4`},
-		{`"proto":"tcp"`, `"proto":"tcp","extra":1`}, {`"sessions":3,`, ``}, {`,"proto":"tcp"`, ``},
-		{`"duration_ms":1500`, `"duration_ms":null`}, {`"src":"10.0.0.1"`, `"src":null`}, {`"proto":"tcp"`, `"proto":null`},
-		// Strings: escaped, not ASCII, a control byte.
-		{`"10.0.0.1"`, `"10.0.0.\u0031"`}, {`"10.0.0.1"`, `"10.0.0.\/"`}, {`"198.18.0.7"`, "\"caf\xc3\xa9\""},
-		{`"198.18.0.7"`, "\"\xff\""}, {`"198.18.0.7"`, "\"a\tb\""},
-		// Integers: sign, leading zero, fraction, exponent, width.
-		{`"bytes":10`, `"bytes":-10`}, {`"bytes":10`, `"bytes":+10`}, {`"sessions":3`, `"sessions":03`},
-		{`"sessions":3`, `"sessions":-0`}, {`"sessions":3`, `"sessions":3.0`}, {`"sessions":3`, `"sessions":3e0`},
-		{`"bytes":10`, `"bytes":1E1`}, {`"bytes":10`, `"bytes":10.`}, {`"bytes":10`, `"bytes":1000000000000000000`},
-		{`"bytes":10`, `"bytes":9223372036854775807`}, {`"bytes":10`, `"bytes":9223372036854775808`},
-		{`"duration_ms":1500`, `"duration_ms":-5`}, {`"sessions":3`, `"sessions":"3"`}, {`"sessions":3`, `"sessions":`},
-		// Start times: zones, spellings, fractions.
-		{`.25Z`, `.25+02:00`}, {`.25Z`, `+00:00`}, {`.25Z`, `.25z`}, {`.25Z`, `,25Z`}, {`.25Z`, `.Z`}, {`.25Z`, `.1234567891Z`},
-		{`.25Z`, ``}, {`.25Z`, `.25`}, {`.25Z`, `.25Zx`}, {`10:20:30`, `10:20`}, {`2026-03-02T`, `2026-03-02t`},
-		{`2026-03-02T`, `2026-03-02 `}, {`2026-03-02T`, `20260302T`}, {`2026-03-02T`, `+2026-03-02T`},
-		{`2026-03-02`, `2026/03-02`}, {`2026-03-02`, `2026-03/02`}, {`10:20:30`, `10.20:30`}, {`10:20:30`, `10:20.30`},
-		{`.25Z`, `Z.25`}, {`.25Z`, `.25Z"`}, {`.25Z"`, `.25Zx`}, {`2026-03-02`, `2026-03-1:`}, {`10:20:30`, `10:2::30`},
-		{`"2026-03-02T10:20:30.25Z"`, `1772409600`}, {`"2026-03-02T10:20:30.25Z"`, `null`},
-		// Fields out of range, days past their months' ends.
-		{`10:20:30`, `10:20:60`}, {`10:20:30`, `10:60:30`}, {`10:20:30`, `24:20:30`}, {`10:20:30`, `1a:20:30`},
-		{`2026-03-02`, `2026-13-02`}, {`2026-03-02`, `2026-00-02`}, {`2026-03-02`, `2026-03-00`}, {`2026-03-02`, `2026-0a-02`},
-		{`2026-03-02`, `2026-01-32`}, {`2026-03-02`, `2026-04-31`}, {`2026-03-02`, `2026-06-31`}, {`2026-03-02`, `2026-09-31`},
-		{`2026-03-02`, `2026-11-31`}, {`2026-03-02`, `2026-02-29`}, {`2026-03-02`, `2024-02-30`}, {`2026-03-02`, `1900-02-29`},
-		// The record's end.
-		{`"tcp"}`, `"tcp"`}, {`"tcp"}`, `"tcp"]`},
-	}
-)
-
-// layoutBody is a three-record body: laidOut, laidOut with e made, and
-// laidOut again.
-func layoutBody(e [2]string) string {
-	rec := strings.Replace(laidOut, e[0], e[1], 1)
-	return `{"records":[` + laidOut + `,` + rec + `,` + laidOut + `],"batch_id":"b"}`
+// recordEdits are edits of fullRecord at each rule of a record's
+// reading — its keys, strings, integers and start times — on either
+// side of it.
+var recordEdits = [][2]string{
+	{"", ""},
+	// Optional keys left out.
+	{`"bytes":10,"packets":2,`, ``}, {`"duration_ms":1500,`, ``}, {`"packets":2,`, ``},
+	// Strings: plain ASCII, DEL included; any protocol name.
+	{`"198.18.0.7"`, "\"a\x7fb\""}, {`"198.18.0.7"`, `""`}, {`"10.0.0.1"`, `" <&>/"`},
+	{`"tcp"`, `"udp"`}, {`"tcp"`, `"47"`}, {`"tcp"`, `"proto(47)"`}, {`"tcp"`, `"bad"`}, {`"tcp"`, `""`}, {`"tcp"`, `"TCP"`},
+	// Integers of up to 18 digits; a duration the conversion refuses.
+	{`"sessions":3`, `"sessions":0`}, {`"bytes":10`, `"bytes":999999999999999999`},
+	{`"duration_ms":1500`, `"duration_ms":9223372036854`}, {`"duration_ms":1500`, `"duration_ms":9223372036855`},
+	// Start times: fractions of 0 to 9 digits; days at their months' ends.
+	{`.25Z`, `Z`}, {`.25Z`, `.2Z`}, {`.25Z`, `.123456789Z`}, {`.25Z`, `.000000000Z`}, {`10:20:30`, `23:59:59`},
+	{`2026-03-02`, `0000-01-01`}, {`2026-03-02`, `9999-12-31`}, {`2026-03-02`, `2026-01-31`}, {`2026-03-02`, `2026-04-30`},
+	{`2026-03-02`, `2026-12-31`}, {`2026-03-02`, `2026-02-28`}, {`2026-03-02`, `2024-02-29`},
+	{`2026-03-02`, `2000-02-29`}, {`2026-03-02`, `0000-02-29`},
+	// Whitespace, key order, a repeated, unknown or missing key, null.
+	{`{"src":`, `{ "src":`}, {`"src":"10.0.0.1"`, `"src": "10.0.0.1"`}, {`{"src":`, `{"src" :`}, {`"tcp"}`, `"tcp" }`},
+	{`"src":"10.0.0.1","dst":"198.18.0.7"`, `"dst":"198.18.0.7","src":"10.0.0.1"`},
+	{`"bytes":10,"packets":2`, `"packets":2,"bytes":10`},
+	{`"proto":"tcp"`, `"proto":"tcp","proto":"udp"`}, {`"sessions":3`, `"sessions":3,"sessions":4`},
+	{`"proto":"tcp"`, `"proto":"tcp","extra":1`}, {`"sessions":3,`, ``}, {`,"proto":"tcp"`, ``},
+	{`"duration_ms":1500`, `"duration_ms":null`}, {`"src":"10.0.0.1"`, `"src":null`}, {`"proto":"tcp"`, `"proto":null`},
+	// Strings: escaped, not ASCII, a control byte.
+	{`"10.0.0.1"`, `"10.0.0.\u0031"`}, {`"10.0.0.1"`, `"10.0.0.\/"`}, {`"198.18.0.7"`, "\"caf\xc3\xa9\""},
+	{`"198.18.0.7"`, "\"\xff\""}, {`"198.18.0.7"`, "\"a\tb\""},
+	// Integers: sign, leading zero, fraction, exponent, width.
+	{`"bytes":10`, `"bytes":-10`}, {`"bytes":10`, `"bytes":+10`}, {`"sessions":3`, `"sessions":03`},
+	{`"sessions":3`, `"sessions":-0`}, {`"sessions":3`, `"sessions":3.0`}, {`"sessions":3`, `"sessions":3e0`},
+	{`"bytes":10`, `"bytes":1E1`}, {`"bytes":10`, `"bytes":10.`}, {`"bytes":10`, `"bytes":1000000000000000000`},
+	{`"bytes":10`, `"bytes":9223372036854775807`}, {`"bytes":10`, `"bytes":9223372036854775808`},
+	{`"duration_ms":1500`, `"duration_ms":-5`}, {`"sessions":3`, `"sessions":"3"`}, {`"sessions":3`, `"sessions":`},
+	// Start times: zones, spellings, fractions.
+	{`.25Z`, `.25+02:00`}, {`.25Z`, `+00:00`}, {`.25Z`, `.25z`}, {`.25Z`, `,25Z`}, {`.25Z`, `.Z`}, {`.25Z`, `.1234567891Z`},
+	{`.25Z`, ``}, {`.25Z`, `.25`}, {`.25Z`, `.25Zx`}, {`10:20:30`, `10:20`}, {`2026-03-02T`, `2026-03-02t`},
+	{`2026-03-02T`, `2026-03-02 `}, {`2026-03-02T`, `20260302T`}, {`2026-03-02T`, `+2026-03-02T`},
+	{`2026-03-02`, `2026/03-02`}, {`2026-03-02`, `2026-03/02`}, {`10:20:30`, `10.20:30`}, {`10:20:30`, `10:20.30`},
+	{`.25Z`, `Z.25`}, {`.25Z`, `.25Z"`}, {`.25Z"`, `.25Zx`}, {`2026-03-02`, `2026-03-1:`}, {`10:20:30`, `10:2::30`},
+	{`"2026-03-02T10:20:30.25Z"`, `1772409600`}, {`"2026-03-02T10:20:30.25Z"`, `null`},
+	// Fields out of range, days past their months' ends.
+	{`10:20:30`, `10:20:60`}, {`10:20:30`, `10:60:30`}, {`10:20:30`, `24:20:30`}, {`10:20:30`, `1a:20:30`},
+	{`2026-03-02`, `2026-13-02`}, {`2026-03-02`, `2026-00-02`}, {`2026-03-02`, `2026-03-00`}, {`2026-03-02`, `2026-0a-02`},
+	{`2026-03-02`, `2026-01-32`}, {`2026-03-02`, `2026-04-31`}, {`2026-03-02`, `2026-06-31`}, {`2026-03-02`, `2026-09-31`},
+	{`2026-03-02`, `2026-11-31`}, {`2026-03-02`, `2026-02-29`}, {`2026-03-02`, `2024-02-30`}, {`2026-03-02`, `1900-02-29`},
+	// The record's end.
+	{`"tcp"}`, `"tcp"`}, {`"tcp"}`, `"tcp"]`},
 }
 
-// layoutBodies are the bodies of every edit, in and out of the layout.
-var layoutBodies = func() (bodies []string) {
-	for _, e := range append(inLayout, outOfLayout...) {
-		bodies = append(bodies, layoutBody(e))
+// editedBody is a three-record body: fullRecord, fullRecord with e
+// made, and fullRecord again.
+func editedBody(e [2]string) string {
+	rec := strings.Replace(fullRecord, e[0], e[1], 1)
+	return `{"records":[` + fullRecord + `,` + rec + `,` + fullRecord + `],"batch_id":"b"}`
+}
+
+// editedBodies are the bodies of every edit.
+var editedBodies = func() (bodies []string) {
+	for _, e := range recordEdits {
+		bodies = append(bodies, editedBody(e))
 	}
 	return bodies
 }()
 
-// TestReadFlowsMatchesDecoder checks the reader against the reference on
-// the bodies above, and that bytes after the value are refused.
+// TestReadFlowsMatchesDecoder checks the reading of JSON bodies against
+// the reference on the bodies above and on a datagen batch.
 func TestReadFlowsMatchesDecoder(t *testing.T) {
-	for _, body := range append(flowsBodies, layoutBodies...) {
+	for _, body := range append(flowsBodies, editedBodies...) {
 		checkReader(t, []byte(body))
-	}
-	if _, _, err := decodeFlows([]byte(`{"records":[]} x`)); err == nil {
-		t.Fatal("accepted bytes after the value")
 	}
 	batch := flowBatch(t)
 	body, err := marshalFlows("probe", batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, recs, err := decodeFlows(body)
-	if err != nil || id != "probe" || !sameRecords(recs, batch) {
-		t.Fatalf("the datagen batch read back as %q, %d records, %v", id, len(recs), err)
-	}
-
-	// A body that mixes laid-out records with records of every edit out
-	// of the layout that still decodes: encoding/json reads it whole.
-	var parts []string
-	decoded := 0
-	for i, e := range outOfLayout {
-		if _, _, err := oracleFlows([]byte(layoutBody(e))); err != nil {
-			continue
-		}
-		in := inLayout[i%len(inLayout)]
-		parts = append(parts, laidOut, strings.Replace(laidOut, e[0], e[1], 1), strings.Replace(laidOut, in[0], in[1], 1))
-		decoded++
-	}
-	mixed := []byte(`{"records":[` + strings.Join(parts, ",") + `]}`)
-	if decoded < 20 {
-		t.Fatalf("only %d of %d edits out of the layout decode", decoded, len(outOfLayout))
-	}
-	checkReader(t, mixed)
-	if n := generalBodiesOf(mixed); n != 1 {
-		t.Fatalf("the mixed body went to encoding/json %d times, want 1", n)
+	id, recs, status, msg := postFlows("/v1/flows", "application/json", body)
+	if status != http.StatusOK || id != "probe" || !sameRecords(recs, batch) {
+		t.Fatalf("the datagen batch read back as %q, %d records, %d %s", id, len(recs), status, msg)
 	}
 }
 
-// generalBodiesOf decodes body in one run and counts the bodies that
-// went to encoding/json: 0 or 1.
-func generalBodiesOf(body []byte) int64 {
+// generalBodiesOf reads body through ReadFlows and counts the bodies
+// that went to encoding/json: 0 or 1.
+func generalBodiesOf(path, contentType string, body []byte) int64 {
 	before := GeneralBodies()
-	decodeFlowsRuns(body, 1, flowsRunBytes)
+	postFlows(path, contentType, body)
 	return GeneralBodies() - before
 }
 
-// TestReadFlowsLayout: a body stays in the layout after each edit of a
-// record that keeps it in appendRecord's layout and goes to
-// encoding/json once after each that does not, and what
-// Client.IngestBatch sends stays in the layout.
+// TestReadFlowsLayout: the batch Client.IngestBatch sends is read in
+// its own format, and every JSON body by encoding/json, counted once in
+// GeneralBodies, json.Marshal's among them.
 func TestReadFlowsLayout(t *testing.T) {
-	for _, c := range []struct {
-		edits   [][2]string
-		general int64
-	}{{inLayout, 0}, {outOfLayout, 1}} {
-		for _, e := range c.edits {
-			if n := generalBodiesOf([]byte(layoutBody(e))); n != c.general {
-				t.Errorf("%q → %q: the body went to encoding/json %d times, want %d", e[0], e[1], n, c.general)
-			}
-		}
-	}
-
 	batch := flowBatch(t)
-	var sent []byte
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		sent, _ = io.ReadAll(r.Body)
-		WriteJSON(w, http.StatusOK, IngestResult{})
-	}))
-	defer ts.Close()
-	if _, err := NewClient(ts.URL).IngestBatch("probe", batch); err != nil {
-		t.Fatal(err)
+	path, contentType, body, err := flowsRequest("probe", batch)
+	if err != nil || contentType != FlowsBinaryType {
+		t.Fatalf("the client sends the datagen batch as %q, %v", contentType, err)
 	}
-	if n := generalBodiesOf(sent); n != 0 {
-		t.Fatalf("the %d records Client.IngestBatch sent went to encoding/json", len(batch))
+	if n := generalBodiesOf(path, contentType, body); n != 0 {
+		t.Fatalf("the %d records Client.IngestBatch sends went to encoding/json", len(batch))
 	}
-}
-
-// TestReadFlowsRuns: a datagen batch decodes to the same batch ID and
-// records at 1, 2 and 4 runs, and at 2 and 4 every run is taken.
-func TestReadFlowsRuns(t *testing.T) {
-	batch := flowBatch(t)
-	body, err := AppendFlows(nil, "probe", batch)
+	marshalled, err := marshalFlows("probe", batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []int{1, 2, 4} {
-		id, recs, err := decodeFlowsRuns(body, k, flowsRunBytes)
-		if err != nil || id != "probe" || !sameRecords(recs, batch) {
-			t.Fatalf("%d runs: read back as %q, %d records, %v", k, id, len(recs), err)
-		}
-		runs := cutRuns(body, min(k, len(body)/flowsRunBytes))
-		if len(runs) != k-1 {
-			t.Fatalf("%d runs: cut into %d", k, len(runs)+1)
-		}
-		n := 0
-		for i := range runs {
-			if runs[i].decode(body); !runs[i].ok {
-				t.Fatalf("%d runs: run %d refused", k, i+2)
-			}
-			n += len(runs[i].recs)
-		}
-		if k > 1 && (n == 0 || n >= len(batch)) {
-			t.Fatalf("%d runs: runs 2..%d hold %d of %d records", k, k, n, len(batch))
+	for _, b := range append([]string{string(marshalled)}, editedBodies...) {
+		if n := generalBodiesOf("/v1/flows", "application/json", []byte(b)); n != 1 {
+			t.Fatalf("%.200q went to encoding/json %d times, want 1", b, n)
 		}
 	}
 }
 
-// TestReadFlowsRunMutations: a body with one byte changed reads at four
-// runs exactly as at one — the same records or the same error string.
-// In a 32-record body cut at a low threshold, where every byte lies
-// within 2 KB of a cut, each byte is changed in turn; in the 2 000-record
-// batch at the real threshold, random bytes are.
-func TestReadFlowsRunMutations(t *testing.T) {
-	batch := flowBatch(t)
-	rng := rand.New(rand.NewSource(1))
-	const subst = `}{,":] \\x0n-`
-	for _, c := range []struct{ records, runBytes, random int }{{32, 512, 0}, {len(batch), flowsRunBytes, 100}} {
-		body, err := AppendFlows(nil, "probe", batch[:c.records])
-		if err != nil {
-			t.Fatal(err)
-		}
-		runs := cutRuns(body, min(4, len(body)/c.runBytes))
-		if len(runs) != 3 {
-			t.Fatalf("%d records cut into %d runs, want 4", c.records, len(runs)+1)
-		}
-		var at []int
-		if c.random == 0 {
-			for i := range body {
-				near := false
-				for _, r := range runs {
-					near = near || i-r.start < 2048 && r.start-i < 2048
-				}
-				if !near {
-					t.Fatalf("byte %d is 2 KB from every cut of %d records", i, c.records)
-				}
-				at = append(at, i)
-			}
-		}
-		for n := 0; n < c.random; n++ {
-			at = append(at, rng.Intn(len(body)))
-		}
-		m := make([]byte, len(body))
-		for _, i := range at {
-			copy(m, body)
-			if m[i] = subst[i%len(subst)]; m[i] == body[i] {
-				m[i] = byte(rng.Intn(256))
-			}
-			checkRuns(t, m, 4, c.runBytes)
-		}
-	}
-}
-
-// TestAppendFlowsMatchesMarshal: the body the client sends is json.Marshal's
-// byte for byte, over a datagen batch and records that exercise each
-// rule of the encoding.
-func TestAppendFlowsMatchesMarshal(t *testing.T) {
+// TestIngestBatchBody: Client.IngestBatch sends a batch as a binary
+// stream — byte for byte netflow.WriteBinary's, the batch ID in the
+// query — when each record reads back from it as from the JSON body,
+// sub-millisecond, pre-1970 and zoned starts included. A batch with one
+// record the stream does not carry so goes as json.Marshal's body, and
+// one json.Marshal refuses is refused.
+func TestIngestBatchBody(t *testing.T) {
 	base := time.Date(2026, 3, 2, 10, 0, 0, 0, time.UTC)
-	odd := []netflow.Record{
-		{Src: "a<b>&c", Dst: "  ", Start: base, Sessions: 1},
-		{Src: "caf\xc3\xa9", Dst: "\xff", Start: base.Add(123456789), Sessions: 2, Proto: 47},
-		{Src: "tab\there", Dst: "q\"b\\", Start: base.In(time.FixedZone("", -(3*3600 + 30*60))), Duration: -1500 * time.Microsecond, Sessions: -1, Bytes: -1, Packets: math.MaxInt64, Proto: netflow.UDP},
-		{Src: "del\x7f", Dst: "", Start: time.Time{}, Proto: 0},
-		{Src: "x", Dst: "y", Start: base.In(time.FixedZone("", 30)), Duration: 999 * time.Microsecond, Sessions: math.MaxInt64},
+	good := netflow.Record{Src: "a", Dst: "b", Start: base, Sessions: 1, Proto: netflow.TCP}
+	edited := func(edit func(*netflow.Record)) []netflow.Record {
+		r := good
+		edit(&r)
+		return []netflow.Record{good, r}
 	}
-	for _, c := range []struct {
-		id   string
-		recs []netflow.Record
-	}{{"", nil}, {"", odd}, {"<id>", odd}, {"probe", flowBatch(t)}} {
-		want, err := marshalFlows(c.id, c.recs)
-		if err != nil {
-			t.Fatal(err)
+	for _, edit := range []func(*netflow.Record){
+		func(r *netflow.Record) { r.Dst = r.Src },
+		func(r *netflow.Record) { r.Src = "" },
+		func(r *netflow.Record) { r.Sessions = 0 },
+		func(r *netflow.Record) { r.Sessions = -1 },
+		func(r *netflow.Record) { r.Sessions = math.MaxUint32 + 1 },
+		func(r *netflow.Record) { r.Duration = -time.Millisecond },
+		func(r *netflow.Record) { r.Bytes = -1 },
+		func(r *netflow.Record) { r.Start = time.Time{} },
+		func(r *netflow.Record) { r.Start = time.Time{}.Add(999 * time.Microsecond) },
+		func(r *netflow.Record) { r.Src = strings.Repeat("a", 1<<16) },
+		func(r *netflow.Record) { r.Dst = "caf\xff" },
+	} {
+		recs := edited(edit)
+		if _, contentType, _, err := flowsRequest("id", recs); err != nil || contentType != "application/json" {
+			t.Fatalf("%+v sent as %q, %v; want JSON", recs[1], contentType, err)
 		}
-		got, err := AppendFlows(nil, c.id, c.recs)
-		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("AppendFlows = %v\n%s\nwant\n%s", err, got, want)
-		}
-		checkReader(t, got)
+		checkClientBody(t, "id", recs)
 	}
 	for _, start := range []time.Time{
 		time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC),
@@ -446,28 +384,179 @@ func TestAppendFlowsMatchesMarshal(t *testing.T) {
 		base.In(time.FixedZone("", 24*3600)),
 		base.In(time.FixedZone("", -100*3600)),
 	} {
-		recs := []netflow.Record{{Src: "a", Dst: "b", Start: start, Sessions: 1}}
-		if _, err := marshalFlows("", recs); err == nil {
-			t.Fatalf("json.Marshal accepts start %v", start)
+		recs := edited(func(r *netflow.Record) { r.Start = start })
+		if _, _, _, err := flowsRequest("", recs); err == nil {
+			t.Fatalf("the client sends start %v", start)
 		}
-		if _, err := AppendFlows(nil, "", recs); err == nil {
-			t.Fatalf("AppendFlows accepts start %v", start)
+		checkClientBody(t, "", recs)
+	}
+	for _, edit := range []func(*netflow.Record){
+		func(r *netflow.Record) { r.Start = base.Add(123456789) },
+		func(r *netflow.Record) { r.Start = time.Date(1969, 12, 31, 23, 59, 59, 999_999_999, time.UTC) },
+		func(r *netflow.Record) { r.Start = time.Date(1, 1, 1, 0, 0, 0, 1_000_000, time.UTC) },
+		func(r *netflow.Record) {
+			r.Start = base.Add(500 * time.Microsecond).In(time.FixedZone("", -(3*3600 + 30*60)))
+		},
+		func(r *netflow.Record) { r.Duration = 1500 * time.Microsecond },
+		func(r *netflow.Record) { r.Src, r.Dst = "a<b>&c", "caf\xc3\xa9 " },
+		func(r *netflow.Record) { r.Proto, r.Bytes, r.Packets = 0, math.MaxInt64, 7 },
+		func(r *netflow.Record) { r.Sessions = math.MaxUint32 },
+	} {
+		recs := edited(edit)
+		if _, contentType, _, err := flowsRequest("<id>", recs); err != nil || contentType != FlowsBinaryType {
+			t.Fatalf("%+v sent as %q, %v; want the binary stream", recs[1], contentType, err)
 		}
+		checkClientBody(t, "<id>", recs)
 	}
 
 	// What Client.IngestBatch puts on the wire.
 	batch := flowBatch(t)
+	var capture bytes.Buffer
+	if err := netflow.WriteBinary(&capture, batch); err != nil {
+		t.Fatal(err)
+	}
 	var sent []byte
+	var contentType, batchID string
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		sent, _ = io.ReadAll(r.Body)
+		contentType, batchID = r.Header.Get("Content-Type"), r.URL.Query().Get("batch_id")
 		WriteJSON(w, http.StatusOK, IngestResult{})
 	}))
 	defer ts.Close()
-	if _, err := NewClient(ts.URL).IngestBatch("probe", batch); err != nil {
+	if _, err := NewClient(ts.URL).IngestBatch("probe 1", batch); err != nil {
 		t.Fatal(err)
 	}
-	if want, _ := marshalFlows("probe", batch); !bytes.Equal(sent, want) {
-		t.Fatal("Client.IngestBatch's body differs from json.Marshal's")
+	if contentType != FlowsBinaryType || batchID != "probe 1" || !bytes.Equal(sent, capture.Bytes()) {
+		t.Fatalf("Client.IngestBatch sent %d bytes as %q, batch %q; WriteBinary writes %d", len(sent), contentType, batchID, capture.Len())
+	}
+	checkClientBody(t, "probe", batch)
+}
+
+// TestIngestBatchSameAnswer: a node fed batches through
+// Client.IngestBatch answers each as a node fed the same batches as
+// JSON bodies does — the same results, error texts and deduplication —
+// and ends with the same archive, whether the client sent a batch as
+// the binary stream or, holding a record the stream does not carry, as
+// JSON.
+func TestIngestBatchSameAnswer(t *testing.T) {
+	viaClient, client, doneClient := newTestServer(t, testConfig())
+	defer doneClient()
+	viaJSON, jsonClient, doneJSON := newTestServer(t, testConfig())
+	defer doneJSON()
+	postJSON := func(batchID string, records []netflow.Record) IngestResult {
+		t.Helper()
+		body, err := marshalFlows(batchID, records)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(jsonClient.Base+"/v1/flows", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var res IngestResult
+		if err := json.NewDecoder(resp.Body).Decode(&res); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST as JSON: %d, %v", resp.StatusCode, err)
+		}
+		return res
+	}
+	odd := func(r netflow.Record, edit func(*netflow.Record)) netflow.Record {
+		edit(&r)
+		return r
+	}
+	subMS := 600 * time.Microsecond
+	batches := [][]netflow.Record{
+		window0Flows(),
+		append(window0Flows(),
+			flowAt("10.0.0.1", "e3", 5*time.Minute+subMS, 1),
+			odd(flowAt("10.0.0.4", "e1", 0, 1), func(r *netflow.Record) { r.Start = time.Date(1969, 12, 31, 23, 59, 59, 999_500_000, time.UTC) }),
+			odd(flowAt("10.0.0.5", "e1", 0, 1), func(r *netflow.Record) { r.Proto = netflow.UDP }),
+			odd(flowAt("10.0.0.5", "e1", 0, 1), func(r *netflow.Record) { r.Duration = 2500 * time.Microsecond }),
+		),
+		{flowAt("10.0.0.1", "e1", 6*time.Minute, 2), odd(flowAt("10.0.0.1", "e1", 0, 1), func(r *netflow.Record) { r.Dst = r.Src })},
+		{flowAt("10.0.0.2", "e4", 7*time.Minute, 0), flowAt("10.0.0.2", "e5", 7*time.Minute, math.MaxUint32+1)},
+		{flowAt("10.0.0.2", "e6", 8*time.Minute, 1), odd(flowAt("10.0.0.2", "e7", 0, 1), func(r *netflow.Record) { r.Duration = -time.Second })},
+		{odd(flowAt("10.0.0.3", "e1", 0, 1), func(r *netflow.Record) { r.Start = time.Time{}.Add(subMS) })},
+		{odd(flowAt("10.0.0.3", "e1", 9*time.Minute, 1), func(r *netflow.Record) { r.Dst = strings.Repeat("e", 1<<16) })},
+		{odd(flowAt("10.0.0.3", "e1", 9*time.Minute, 1), func(r *netflow.Record) { r.Dst = "e\xff" })},
+		{flowAt("10.0.0.1", "e2", time.Hour+subMS, 1), flowAt("10.0.0.3", "e9", time.Hour+time.Minute, 2)},
+		{flowAt("10.0.0.1", "e1", 2*time.Hour-subMS, 1), flowAt("10.0.0.1", "e8", 30*time.Minute, 1)},
+		nil,
+	}
+	for i, batch := range batches {
+		for _, id := range []string{fmt.Sprintf("b-%d", i), fmt.Sprintf("b-%d", i), ""} {
+			got, err := client.IngestBatch(id, batch)
+			if err != nil {
+				t.Fatalf("batch %d: %v", i, err)
+			}
+			if want := postJSON(id, batch); !reflect.DeepEqual(got, want) {
+				t.Fatalf("batch %d (ID %q): through the client %+v, as JSON %+v", i, id, got, want)
+			}
+		}
+	}
+	for _, s := range []*Server{viaClient, viaJSON} {
+		if _, err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, want := archiveFingerprint(viaClient), archiveFingerprint(viaJSON)
+	if len(got) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("archive through the client %v, as JSON %v", got, want)
+	}
+}
+
+// TestFlowsBinaryHTTP: what a node answers for binary bodies: a
+// netflow.WriteBinary capture posted with a batch_id is ingested, and
+// its repost deduplicated; a body without the stream's header, a record
+// cut short and a record that does not validate are 400s naming the
+// body or the record, and a body over MaxBodyBytes is a 413.
+func TestFlowsBinaryHTTP(t *testing.T) {
+	srv, _, done := newTestServer(t, testConfig())
+	defer done()
+	post := func(path string, body []byte, declared int64) (int, string) {
+		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+		req.Header.Set("Content-Type", FlowsBinaryType)
+		if declared > 0 {
+			req.ContentLength = declared
+		}
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, req)
+		return rec.Code, strings.TrimSpace(rec.Body.String())
+	}
+	var capture bytes.Buffer
+	if err := netflow.WriteBinary(&capture, window0Flows()); err != nil {
+		t.Fatal(err)
+	}
+	for _, dedup := range []bool{false, true} {
+		code, body := post("/v1/flows?batch_id=cap-1", capture.Bytes(), 0)
+		var res IngestResult
+		if err := json.Unmarshal([]byte(body), &res); code != http.StatusOK || err != nil || res.Accepted != 5 || res.Deduplicated != dedup {
+			t.Fatalf("POST of the capture = %d %s, want 200 with 5 accepted, deduplicated %v", code, body, dedup)
+		}
+	}
+	good := capture.Bytes()
+	selfFlow, err := netflow.AppendRecordBinary([]byte(netflow.BinaryMagic), &netflow.Record{Src: "a", Dst: "b", Start: testT0, Sessions: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	selfFlow[len(netflow.BinaryMagic)+2+1+2] = 'a' // dst "b" → "a"
+	for _, c := range []struct {
+		body     []byte
+		declared int64
+		code     int
+		want     string
+	}{
+		{nil, 0, http.StatusBadRequest, `bad request body: no "NFB1" header`},
+		{[]byte(`{"records":[]}`), 0, http.StatusBadRequest, `bad request body: no "NFB1" header`},
+		{good[:len(good)-1], 0, http.StatusBadRequest, "record 4: unexpected EOF"},
+		{selfFlow, 0, http.StatusBadRequest, "record 0: netflow: record a->a is a self-flow"},
+		{good, MaxBodyBytes + 1, http.StatusRequestEntityTooLarge, "bad request body: 67108865 bytes declared: http: request body too large"},
+	} {
+		code, body := post("/v1/flows", c.body, c.declared)
+		var e struct{ Error string }
+		if err := json.Unmarshal([]byte(body), &e); code != c.code || err != nil || e.Error != c.want {
+			t.Errorf("POST of %.60q = %d %s, want %d %q", c.body, code, body, c.code, c.want)
+		}
 	}
 }
 
@@ -554,42 +643,36 @@ func TestCrashKeepsRecordsAfterOversizedSessions(t *testing.T) {
 	}
 }
 
-// TestReadFlowsAllocBudget: reading a 2 000-record batch allocates its
-// records' two labels and little else — under 3 allocations a record
-// (2.0 measured; encoding/json and the conversion made 3.0), at one run
-// and at four. Reading the body takes a buffer for each doubling from
-// 64 KiB to its length, whether or not the length is declared.
+// TestReadFlowsAllocBudget: reading the 2 000-record batch
+// Client.IngestBatch sends allocates its records' labels and little
+// else — one allocation a record, for both labels, and a constant (the
+// request, the query, the records' slice). Reading the body takes a
+// buffer for each doubling from 64 KiB to its length, whether or not
+// the length is declared.
 func TestReadFlowsAllocBudget(t *testing.T) {
 	budget.SkipUnderRace(t)
 	batch := flowBatch(t)
-	body, err := AppendFlows(nil, "probe", batch)
+	path, contentType, body, err := flowsRequest("probe", batch)
 	if err != nil {
 		t.Fatal(err)
 	}
+	const constant = 48 // 23 measured
 	var n int
 	allocs, _ := budget.PerRun(5, func() {
-		req := httptest.NewRequest(http.MethodPost, "/v1/flows", bytes.NewReader(body))
+		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+		req.Header.Set("Content-Type", contentType)
 		_, recs, ok := ReadFlows(httptest.NewRecorder(), req)
 		if !ok {
 			t.Fatal("batch refused")
 		}
 		n = len(recs)
 	})
-	if n != len(batch) || allocs > 3*float64(n) {
-		t.Fatalf("reading %d records allocates %.0f times; budget %d", n, allocs, 3*len(batch))
-	}
-	allocs, _ = budget.PerRun(5, func() {
-		_, recs, err := decodeFlowsRuns(body, 4, flowsRunBytes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n = len(recs)
-	})
-	if n != len(batch) || allocs > 3*float64(n) {
-		t.Fatalf("decoding %d records in 4 runs allocates %.0f times; budget %d", n, allocs, 3*len(batch))
+	t.Logf("reading %d records allocates %.0f times", n, allocs)
+	if n != len(batch) || allocs > float64(n+constant) {
+		t.Fatalf("reading %d records allocates %.0f times; budget %d", n, allocs, len(batch)+constant)
 	}
 	buffers := 1
-	for size := flowsRunBytes; size <= len(body); size *= 2 {
+	for size := bodyStartBytes; size <= len(body); size *= 2 {
 		buffers++
 	}
 	var r bytes.Reader
@@ -606,53 +689,42 @@ func TestReadFlowsAllocBudget(t *testing.T) {
 	}
 }
 
-// TestReadFlowsSeparatorFloodBudget: a 1 MiB body of `{"records":[`
-// and record separators alone, refused 400, allocates no more than
-// floodBytesPerByte times its length and floodBytes beside — read in one
-// run and in four, each of which sizes its own slice. The records'
-// slices are sized by what the body's bytes can hold (recordsCap):
-// 1.25 B a byte measured in one run, 2.19 in four. Sized by its
-// separators alone, the one-run read took 25 MB, 24 B a byte.
+// TestReadFlowsSeparatorFloodBudget: a 1 MiB hostile body, read as
+// ReadFlows reads it once it is in memory, allocates no more than
+// floodBytesPerByte times its length and floodBytes beside. The bodies:
+// a JSON one of `{"records":[` and record separators alone, which
+// encoding/json refuses at its first; a binary one of minimal 43-byte
+// records, whose slice the count pass over their length prefixes sizes
+// (2.28 B a byte measured: 96 a record); and that body with its last
+// length prefix overrunning it, refused 400 after the same count.
 func TestReadFlowsSeparatorFloodBudget(t *testing.T) {
 	budget.SkipUnderRace(t)
 	const floodBytesPerByte, floodBytes = 3, 64 << 10
-	body := []byte(`{"records":[` + strings.Repeat(string(flowsSep), (1<<20)/len(flowsSep)))
-	for _, procs := range []int{1, 4} {
+	separators := []byte(`{"records":[` + strings.Repeat(`},{"`, (1<<20)/len(`},{"`)))
+	minimal, err := netflow.AppendRecordBinary(nil, &netflow.Record{Src: "a", Dst: "b", Start: testT0, Sessions: 1})
+	if err != nil || len(minimal) != netflow.MinRecordBinaryLen {
+		t.Fatalf("a minimal record encodes to %d bytes, %v", len(minimal), err)
+	}
+	records := append([]byte(netflow.BinaryMagic), bytes.Repeat(minimal, (1<<20)/len(minimal))...)
+	overrun := bytes.Clone(records)
+	binary.LittleEndian.PutUint16(overrun[len(overrun)-len(minimal):], math.MaxUint16)
+	for _, c := range []struct {
+		name string
+		read func() error
+		fail bool
+	}{
+		{"separators", func() error { _, _, err := generalFlows(bytes.NewReader(separators)); return err }, true},
+		{"minimal records", func() error { _, err := binaryFlows(records); return err }, false},
+		{"overrun", func() error { _, err := binaryFlows(overrun); return err }, true},
+	} {
 		_, bytes := budget.PerRun(3, func() {
-			if _, _, err := decodeFlowsRuns(body, procs, flowsRunBytes); err == nil {
-				t.Fatal("a separator flood decoded")
+			if err := c.read(); (err != nil) != c.fail {
+				t.Fatalf("%s: %v", c.name, err)
 			}
 		})
-		t.Logf("%d run(s): %.0f bytes, %.2f a body byte", procs, bytes, bytes/float64(len(body)))
-		if limit := floodBytesPerByte*len(body) + floodBytes; bytes > float64(limit) {
-			t.Errorf("%d run(s): a %d-byte separator flood allocated %.0f bytes; budget %d", procs, len(body), bytes, limit)
-		}
-	}
-}
-
-// TestReadFlowsLaidOutAllocBudget: a body every record of which is laid
-// out as appendRecord writes one reads in at most its records' two
-// labels a record and a constant — the records, the batch ID, and at
-// four runs each run's records and goroutine.
-func TestReadFlowsLaidOutAllocBudget(t *testing.T) {
-	budget.SkipUnderRace(t)
-	batch := flowBatch(t)
-	body, err := AppendFlows(nil, "probe", batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const constant = 20 // 2 measured at one run, 16 at four
-	for _, procs := range []int{1, 4} {
-		var n int
-		allocs, _ := budget.PerRun(5, func() {
-			_, recs, err := decodeFlowsRuns(body, procs, flowsRunBytes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			n = len(recs)
-		})
-		if n != len(batch) || allocs > float64(2*n+constant) {
-			t.Fatalf("decoding %d laid-out records in %d runs allocates %.0f times; budget %d", n, procs, allocs, 2*len(batch)+constant)
+		t.Logf("%s: %.0f bytes, %.2f a body byte", c.name, bytes, bytes/float64(1<<20))
+		if limit := floodBytesPerByte<<20 + floodBytes; bytes > float64(limit) {
+			t.Errorf("%s: a 1 MiB body allocated %.0f bytes; budget %d", c.name, bytes, limit)
 		}
 	}
 }
@@ -664,7 +736,7 @@ func TestReadFlowsLaidOutAllocBudget(t *testing.T) {
 func TestReadBody(t *testing.T) {
 	const limit = 300 << 10
 	data := bytes.Repeat([]byte("0123456789abcdef"), limit/16+1)
-	for _, n := range []int{0, 1, flowsRunBytes - 1, flowsRunBytes, flowsRunBytes + 1, 200 << 10, limit, limit + 1} {
+	for _, n := range []int{0, 1, bodyStartBytes - 1, bodyStartBytes, bodyStartBytes + 1, 200 << 10, limit, limit + 1} {
 		for _, declared := range []int64{int64(n), -1, 0, int64(n) / 2, int64(n) + 7, 1 << 40} {
 			got, err := readBody(iotest.HalfReader(bytes.NewReader(data[:n])), declared, limit)
 			if n > limit || declared > limit {
@@ -680,17 +752,21 @@ func TestReadBody(t *testing.T) {
 	}
 }
 
-// BenchmarkFlowsCodec runs a 2 000-record datagen batch through each half
-// of the flows codec and through what it replaced: decode is the body to
-// converted records (encoding/json, or the codec in up to GOMAXPROCS
-// runs), encode the records to the body, and read a loopback POST of
-// the body, which the handler reads whole (io.ReadAll, or readBody). One
-// op is one batch.
+// BenchmarkFlowsCodec runs a 2 000-record datagen batch through each
+// half of the flows codec: decode is the body to records, encode the
+// records to the body, each in the binary stream Client.IngestBatch
+// sends and in JSON, through encoding/json, as a JSON body costs; read
+// is a loopback POST of the binary body, which the handler reads whole
+// (io.ReadAll, or readBody). One op is one batch.
 func BenchmarkFlowsCodec(b *testing.B) {
 	batch := flowBatch(b)
-	body, err := AppendFlows(nil, "probe", batch)
+	jsonBody, err := marshalFlows("probe", batch)
 	if err != nil {
 		b.Fatal(err)
+	}
+	_, contentType, body, err := flowsRequest("probe", batch)
+	if err != nil || contentType != FlowsBinaryType {
+		b.Fatalf("the batch goes as %q, %v", contentType, err)
 	}
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var err error
@@ -704,13 +780,8 @@ func BenchmarkFlowsCodec(b *testing.B) {
 		}
 	}))
 	defer ts.Close()
-	// The same batch indented, a body encoding/json reads.
-	general, err := json.MarshalIndent(json.RawMessage(body), "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
 	post := func(path string) error {
-		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		resp, err := http.Post(ts.URL+path, FlowsBinaryType, bytes.NewReader(body))
 		if err != nil {
 			return err
 		}
@@ -722,22 +793,18 @@ func BenchmarkFlowsCodec(b *testing.B) {
 	}
 	for _, c := range []struct {
 		name string
+		size int
 		run  func() error
 	}{
-		{"decode/json", func() error { _, _, err := oracleFlows(body); return err }},
-		{"decode/codec", func() error { _, _, err := decodeFlows(body); return err }},
-		{"decode/codec-1run", func() error { _, _, err := decodeFlowsRuns(body, 1, flowsRunBytes); return err }},
-		{"decode/general", func() error { _, _, err := decodeFlows(general); return err }},
-		{"encode/json", func() error { _, err := marshalFlows("probe", batch); return err }},
-		{"encode/codec", func() error {
-			_, err := AppendFlows(make([]byte, 0, flowRecordBytes*(len(batch)+1)), "probe", batch)
-			return err
-		}},
-		{"read/readall", func() error { return post("/readall") }},
-		{"read/codec", func() error { return post("/codec") }},
+		{"decode/json", len(jsonBody), func() error { _, _, err := oracleFlows(jsonBody); return err }},
+		{"decode/binary", len(body), func() error { _, err := binaryFlows(body); return err }},
+		{"encode/json", len(jsonBody), func() error { _, err := marshalFlows("probe", batch); return err }},
+		{"encode/binary", len(body), func() error { _, _, _, err := flowsRequest("probe", batch); return err }},
+		{"read/readall", len(body), func() error { return post("/readall") }},
+		{"read/codec", len(body), func() error { return post("/codec") }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			b.SetBytes(int64(len(body)))
+			b.SetBytes(int64(c.size))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if err := c.run(); err != nil {
@@ -748,48 +815,54 @@ func BenchmarkFlowsCodec(b *testing.B) {
 	}
 }
 
-// FuzzReadFlows holds the flows codec to encoding/json. The fuzzed body
-// goes through checkReader, which wants the reference's records or error
-// text, and through runs at a low threshold; a 400-record seed gives the runs bodies of many records. A
-// record made of the other arguments goes through AppendFlows, which
-// must write json.Marshal's bytes or refuse what it refuses, and the
-// reader must take the body back as the reference does.
+// FuzzReadFlows holds ReadFlows to its two formats and the client to
+// its JSON body. The fuzzed body is read as binary, when binary is set,
+// and must be a 400 or the batch ID of the query and records that encode
+// back to the body (checkBinary); otherwise as JSON, and must give the
+// reference's records or error text (checkReader). A record made of the
+// other arguments, after a datagen one, goes through the client's body,
+// which must read back as its JSON body does (checkClientBody).
 func FuzzReadFlows(f *testing.F) {
-	batch, err := AppendFlows(nil, "probe", flowBatch(f)[:20])
-	if err != nil {
-		f.Fatal(err)
+	batch := flowBatch(f)
+	binaryOf := func(recs []netflow.Record) []byte {
+		_, contentType, body, err := flowsRequest("", recs)
+		if err != nil || contentType != FlowsBinaryType {
+			f.Fatalf("the client sends %d records as %q, %v", len(recs), contentType, err)
+		}
+		return body
 	}
-	f.Add(batch, "10.0.0.1", "e1", int64(1772409600), int64(0), int32(0), int64(1500*time.Millisecond), int64(3), int64(10), int64(2), uint8(6), "probe")
+	small, large := binaryOf(batch[:20]), binaryOf(batch[:400])
+	f.Add(small, true, "10.0.0.1", "e1", int64(1772409600), int64(0), int32(0), int64(1500*time.Millisecond), int64(3), int64(10), int64(2), uint8(6), "probe")
 	for i, body := range flowsBodies {
-		f.Add([]byte(body), "a<b>&\u2028\u2029", "caf\xc3\xa9\xff", int64(i)<<35, int64(i)*123456789, int32(i-20)*3600, int64(i)*999999, int64(i)<<30, int64(-i), int64(i), uint8(i), "")
+		f.Add([]byte(body), false, "a<b>&  ", "caf\xc3\xa9\xff", int64(i)<<35, int64(i)*123456789, int32(i-20)*3600, int64(i)*999999, int64(i)<<30, int64(-i), int64(i), uint8(i), "")
 	}
-	// Records at each point where they leave appendRecord's layout, and
-	// times on UTC days at the ends of months.
-	for i, body := range layoutBodies {
-		f.Add([]byte(body), "10.0.0.1", "e1", int64(951782400+i*86400), int64(i)*1000, int32(0), int64(i)*int64(time.Millisecond), int64(i), int64(i)<<40, int64(0), uint8(6+i%12), "b")
+	// Records at each rule of the JSON reading, and times on UTC days at
+	// the ends of months.
+	for i, body := range editedBodies {
+		f.Add([]byte(body), false, "10.0.0.1", "e1", int64(951782400+i*86400), int64(i)*1000, int32(0), int64(i)*int64(time.Millisecond), int64(i), int64(i)<<40, int64(0), uint8(6+i%12), "b")
 	}
-	large, err := AppendFlows(nil, "probe", flowBatch(f)[:400])
-	if err != nil {
-		f.Fatal(err)
+	f.Add(large, true, "10.0.0.2", "e2", int64(1772409601), int64(5), int32(3600), int64(0), int64(1), int64(0), int64(0), uint8(17), "")
+	// Binary bodies cut short, without their header, with a length
+	// prefix that overruns, a zero start, a JSON body under the binary
+	// type, and the other way round.
+	overrun := bytes.Clone(small)
+	binary.LittleEndian.PutUint16(overrun[len(netflow.BinaryMagic):], math.MaxUint16)
+	zeroStart := bytes.Clone(small)
+	clear(zeroStart[len(netflow.BinaryMagic)+2+len(batch[0].Src)+2+len(batch[0].Dst):][:8])
+	for i, body := range [][]byte{nil, small[:2], small[:4], small[:len(small)-1], small[4:], overrun, zeroStart, []byte(flowsBodies[0])} {
+		f.Add(body, true, "10.0.0.3", "e3", int64(-1-i), int64(999_999), int32(-i), int64(-i), int64(math.MaxUint32+i), int64(i), int64(i), uint8(i), "x&y=z")
 	}
-	f.Add(large, "10.0.0.2", "e2", int64(1772409601), int64(5), int32(3600), int64(0), int64(1), int64(0), int64(0), uint8(17), "")
-	f.Fuzz(func(t *testing.T, body []byte, src, dst string, sec, nsec int64, zone int32, dur, sessions, nbytes, packets int64, proto uint8, batchID string) {
-		checkReader(t, body)
-		recs := []netflow.Record{{
+	f.Add(small, false, "", "", int64(0), int64(0), int32(0), int64(0), int64(0), int64(0), int64(0), uint8(0), "")
+	f.Fuzz(func(t *testing.T, body []byte, binary bool, src, dst string, sec, nsec int64, zone int32, dur, sessions, nbytes, packets int64, proto uint8, batchID string) {
+		if binary {
+			checkBinary(t, batchID, body)
+		} else {
+			checkReader(t, body)
+		}
+		rec := netflow.Record{
 			Src: src, Dst: dst, Start: time.Unix(sec, nsec).In(time.FixedZone("", int(zone))),
 			Duration: time.Duration(dur), Sessions: int(sessions), Bytes: nbytes, Packets: packets, Proto: netflow.Proto(proto),
-		}}
-		want, wantErr := marshalFlows(batchID, recs)
-		got, err := AppendFlows(nil, batchID, recs)
-		if (err != nil) != (wantErr != nil) || err == nil && !bytes.Equal(got, want) {
-			t.Fatalf("AppendFlows(%+v) = %s, %v\njson.Marshal = %s, %v", recs[0], got, err, want, wantErr)
 		}
-		if err != nil {
-			return
-		}
-		if _, _, err := decodeFlows(got); err != nil {
-			t.Fatalf("the reader refuses the appender's %s: %v", got, err)
-		}
-		checkReader(t, got)
+		checkClientBody(t, batchID, []netflow.Record{batch[0], rec})
 	})
 }

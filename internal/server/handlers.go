@@ -71,7 +71,7 @@ func (r RecordJSON) record() (netflow.Record, error) {
 }
 
 // Record converts the wire record to its native form, as ReadFlows
-// converts every record it reads.
+// converts every record of a JSON body.
 func (r RecordJSON) Record() (netflow.Record, error) { return r.record() }
 
 // RecordToJSON converts a flow record to its wire form.
@@ -404,9 +404,12 @@ func overLimit(declared, limit int64) error {
 	return nil
 }
 
+// bodyStartBytes is where readBody's buffer starts for a long body.
+const bodyStartBytes = 64 << 10
+
 // readBody reads r to its end into one buffer. declared is the length
 // the sender gave, or -1. The buffer starts at min(declared+1,
-// flowsRunBytes) bytes and doubles as it fills, to declared+1 once a
+// bodyStartBytes) bytes and doubles as it fills, to declared+1 once a
 // doubling would reach the declared length: the declared bytes and the
 // end of input after them then need no further buffer, and a declared
 // length buys no memory before its bytes arrive. A buffer past its start
@@ -421,7 +424,7 @@ func readBody(r io.Reader, declared, limit int64) ([]byte, error) {
 	if declared >= 0 {
 		want = declared
 	}
-	b := make([]byte, 0, min(want+1, flowsRunBytes))
+	b := make([]byte, 0, min(want+1, bodyStartBytes))
 	for {
 		if len(b) == cap(b) {
 			n := 2 * int64(cap(b))

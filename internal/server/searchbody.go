@@ -13,10 +13,10 @@ import (
 // The search and history bodies — SearchRequest and BatchSearchRequest
 // on the node's and the router's routes, SearchResponse,
 // BatchSearchResponse and HistoryResponse in the client the router asks
-// its shards with — are first read as encoding/json writes them, by the
-// layout cursor the flows codec reads records with. At the first byte
-// that departs from that layout the same bytes go to encoding/json, as
-// they did before (DESIGN.md §7, "The laid-out search bodies").
+// its shards with — are first read as encoding/json writes them, by a
+// layout cursor. At the first byte that departs from that layout the
+// same bytes go to encoding/json, as they did before (DESIGN.md §7,
+// "The laid-out search bodies").
 
 // generalBodies counts the bodies readLaidOut, decodeLaidOut and
 // generalFlows handed to encoding/json. It is a process-wide count rather
@@ -26,8 +26,9 @@ var generalBodies atomic.Int64
 
 // GeneralBodies is how many flows, search and history bodies this
 // process has read through encoding/json rather than in their own
-// layout. Every body this repository writes on those routes is laid out,
-// so tests hold it still across the route table.
+// format: a JSON flows body, a search or history body that left its
+// layout. Every body this repository writes on those routes is in its
+// own format, so tests hold it still across the route table.
 func GeneralBodies() int64 { return generalBodies.Load() }
 
 // readLaidOut reads a search route's request body into v, as DecodeJSON
@@ -88,6 +89,30 @@ func replay(body []byte, err error) io.Reader {
 type failedReader struct{ err error }
 
 func (f failedReader) Read([]byte) (int, error) { return 0, f.err }
+
+// layout is a cursor that reads a body only as this repository's
+// writer lays one out. ok turns false at the first byte that departs
+// from that, and every read after it is void.
+type layout struct {
+	b  []byte
+	i  int
+	ok bool
+}
+
+// lit consumes s if it is next.
+func (l *layout) lit(s string) bool {
+	if l.ok && len(l.b)-l.i >= len(s) && string(l.b[l.i:l.i+len(s)]) == s {
+		l.i += len(s)
+		return true
+	}
+	return false
+}
+
+func (l *layout) want(s string) {
+	if !l.lit(s) {
+		l.ok = false
+	}
+}
 
 // end reports whether the value read was laid out and nothing but
 // whitespace follows it: the newline json.Encoder writes, say.

@@ -68,9 +68,8 @@ type Frame struct {
 
 // maxFramesAhead bounds the frame list ScanFrames sizes before it has
 // verified a frame — 11 MB of frames, more than the 38 000 records a
-// 1 200-source window logs. Real labels are longer than one byte, so
-// the estimate runs high by about a third; past the bound the list
-// grows as it is filled.
+// 1 200-source window logs. Past the bound the list grows as it is
+// filled.
 const maxFramesAhead = 1 << 16
 
 // ScanFrames decodes consecutive frames from b, which must start at a
@@ -82,9 +81,8 @@ const maxFramesAhead = 1 << 16
 // consumed is invalid with all of its bytes present, so no later byte
 // can be trusted.
 func ScanFrames(b []byte) (frames []Frame, consumed int64, err error) {
-	// Nearly every frame is a record: size the list once for as many as
-	// could fit, instead of regrowing a slice of 170-byte elements.
-	frames = make([]Frame, 0, min(len(b)/(frameOverhead+netflow.MinRecordBinaryLen), maxFramesAhead))
+	// Size the list of 170-byte frames once, for the frames b holds.
+	frames = make([]Frame, 0, countFrames(b, maxFramesAhead))
 	for {
 		rest := b[consumed:]
 		if len(rest) < frameOverhead {
@@ -137,6 +135,23 @@ func ScanFrames(b []byte) (frames []Frame, consumed int64, err error) {
 		frames = append(frames, fr)
 		consumed += int64(frameOverhead) + int64(plen)
 	}
+}
+
+// countFrames is how many frames b holds whole, up to most, counted
+// over their headers alone until the first that is cut short or claims
+// more than maxPayload: no more than ScanFrames decodes, and as many
+// when every frame is good.
+func countFrames(b []byte, most int) int {
+	n := 0
+	for n < most && len(b) >= frameOverhead {
+		plen := binary.LittleEndian.Uint32(b[1:5])
+		if plen > maxPayload || len(b) < frameOverhead+int(plen) {
+			break
+		}
+		b = b[frameOverhead+int(plen):]
+		n++
+	}
+	return n
 }
 
 // DurableSize reports the offset after the last committed frame — the

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -194,4 +195,42 @@ func mustSize(t *testing.T, w *WAL) int64 {
 		t.Fatal(err)
 	}
 	return n
+}
+
+// TestScanFramesSizedExactly: ScanFrames sizes its list once, for the
+// frames its bytes hold whole — every prefix of a log of each kind of
+// frame decodes into a list as long as its capacity — and a frame that
+// claims more than maxPayload ends the count.
+func TestScanFramesSizedExactly(t *testing.T) {
+	w, _ := mustOpen(t, filepath.Join(t.TempDir(), "sized.wal"))
+	defer w.Close()
+	w.StageOrigin(testRecords(1)[0].Start, time.Hour)
+	w.StageWatches([]WatchEntry{{Individual: "i", Window: 1}})
+	w.StageRecords(testRecords(5))
+	w.StageBatch(BatchEntry{ID: "x"})
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := w.ReadDurable(HeaderLen, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := 0; cut <= len(b); cut++ {
+		frames, _, err := ScanFrames(b[:cut])
+		if err != nil || len(frames) != cap(frames) {
+			t.Fatalf("%d of %d bytes: %d frames in a list of %d, %v", cut, len(b), len(frames), cap(frames), err)
+		}
+	}
+	if n := countFrames(b, maxFramesAhead); n != 8 {
+		t.Fatalf("counted %d frames, want 8", n)
+	}
+	bad := append(bytes.Clone(b), kindRecord)
+	bad = binary.LittleEndian.AppendUint32(bad, maxPayload+1)
+	bad = append(bad, make([]byte, 4+maxPayload+1)...)
+	if n := countFrames(bad, maxFramesAhead); n != 8 {
+		t.Fatalf("counted %d frames before one of %d bytes, want 8", n, maxPayload+1)
+	}
+	if n := countFrames(b, 3); n != 3 {
+		t.Fatalf("counted %d frames up to 3", n)
+	}
 }
